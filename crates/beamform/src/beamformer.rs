@@ -220,12 +220,6 @@ impl Beamformer {
         self.gemm.predict()
     }
 
-    /// Starts a streaming session on this beamformer (consumes it; the
-    /// session owns the beamformer so weights can be hot-swapped).
-    pub fn into_session(self) -> crate::session::BeamformSession {
-        crate::session::BeamformSession::new(self)
-    }
-
     /// Wraps this beamformer as a single-device [`crate::Engine`] — the
     /// unified streaming interface shared with multi-device pools.  Fails
     /// for configurations with `batch != 1` (engines stream whole blocks,
@@ -241,8 +235,7 @@ impl Beamformer {
         if self.config.batch != 1 {
             return Err(ccglib::CcglibError::ShapeMismatch {
                 expected: format!(
-                    "one sample block per batch element: use beamform_batch (or a session's \
-                     process_batch) with {} blocks",
+                    "one sample block per batch element: use beamform_batch with {} blocks",
                     self.config.batch
                 ),
                 actual: "a single block".to_string(),
@@ -277,9 +270,11 @@ impl Beamformer {
             .iter()
             .map(|block| self.quantise(&block.transposed()))
             .collect();
-        let (beams, report) = self
-            .gemm
-            .run_batch_shared_prepared(&self.prepared_weights, &b_ts)?;
+        let pairs: Vec<(&PreparedOperand, &GemmInput)> = b_ts
+            .iter()
+            .map(|b_t| (&self.prepared_weights, b_t))
+            .collect();
+        let (beams, report) = self.gemm.run_batch(&pairs)?;
         Ok(BatchBeamformOutput { beams, report })
     }
 

@@ -13,8 +13,8 @@
 //! (with exactly one device in the single case) from which the pool-level
 //! metrics — summed aggregate TeraOps/s, the straggler's wall clock, the
 //! parallel speed-up — are derived uniformly.  The generic
-//! [`Session<E>`] (and its [`DynSession`] alias for boxed engines)
-//! replaces the former `BeamformSession`/`ShardedSession` pair.
+//! [`Session<E>`] (and its [`DynSession`] alias for boxed engines) is the
+//! one session type for every topology.
 
 use crate::beamformer::{BeamformOutput, Beamformer};
 use crate::latency::LatencyHistogram;
@@ -25,67 +25,6 @@ use ccglib::matrix::HostComplexMatrix;
 use gpu_sim::Gpu;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
-
-/// The shared throughput/energy metric surface of every report type.
-///
-/// [`SessionReport`] (one device, serial totals) and the unified
-/// [`Report`] (per-device breakdown) expose the same five derived metrics
-/// with identical zero-guard behaviour (an empty run reports finite zeros,
-/// never NaN or infinity).  The logic lives once, here: the per-execution
-/// statistics come from the serial-equivalent merge and the rate metrics
-/// divide by [`ThroughputMetrics::time_base_s`] — total kernel time for a
-/// serial report, the straggler's wall clock for a pool.
-pub trait ThroughputMetrics {
-    /// All executions folded into one serial-equivalent [`SessionReport`].
-    fn merged_serial(&self) -> SessionReport;
-
-    /// The time base the rate metrics divide by: total kernel time for a
-    /// serial report, the straggler's wall clock for a pool.
-    fn time_base_s(&self) -> f64;
-
-    /// Worst-case per-execution achieved TeraOps/s (0.0 for an empty run).
-    fn worst_tops(&self) -> f64 {
-        self.merged_serial().worst_tops()
-    }
-
-    /// Mean of the per-execution achieved TeraOps/s (0.0 for an empty
-    /// run).
-    fn mean_tops(&self) -> f64 {
-        self.merged_serial().mean_tops()
-    }
-
-    /// Best-case per-execution achieved TeraOps/s (0.0 for an empty run).
-    fn best_tops(&self) -> f64 {
-        self.merged_serial().best_tops()
-    }
-
-    /// Aggregate energy efficiency in TeraOps/J (0.0 for a zero-energy
-    /// run).
-    fn tops_per_joule(&self) -> f64 {
-        self.merged_serial().tops_per_joule()
-    }
-
-    /// Effective block (frame) rate: blocks per second of
-    /// [`ThroughputMetrics::time_base_s`] (0.0 for a zero-time run).
-    fn effective_fps(&self) -> f64 {
-        let time = self.time_base_s();
-        if time > 0.0 {
-            self.merged_serial().blocks as f64 / time
-        } else {
-            0.0
-        }
-    }
-}
-
-impl ThroughputMetrics for SessionReport {
-    fn merged_serial(&self) -> SessionReport {
-        *self
-    }
-
-    fn time_base_s(&self) -> f64 {
-        self.total_elapsed_s
-    }
-}
 
 /// One device's contribution to an engine run: the member's own streaming
 /// [`SessionReport`], covering exactly the blocks that device executed.
@@ -212,28 +151,33 @@ impl Report {
     /// Effective block (frame) rate: blocks per second of wall-clock time.
     /// Zero for a zero-block or zero-elapsed run.
     pub fn effective_fps(&self) -> f64 {
-        ThroughputMetrics::effective_fps(self)
+        let wall = self.wall_clock_s();
+        if wall > 0.0 {
+            self.total_blocks() as f64 / wall
+        } else {
+            0.0
+        }
     }
 
     /// Aggregate energy efficiency in TeraOps/J.  Zero for a zero-energy
     /// run.
     pub fn tops_per_joule(&self) -> f64 {
-        ThroughputMetrics::tops_per_joule(self)
+        self.merged_serial().tops_per_joule()
     }
 
     /// Worst per-execution throughput across all members, in TeraOps/s.
     pub fn worst_tops(&self) -> f64 {
-        ThroughputMetrics::worst_tops(self)
+        self.merged_serial().worst_tops()
     }
 
     /// Mean per-execution throughput across all members, in TeraOps/s.
     pub fn mean_tops(&self) -> f64 {
-        ThroughputMetrics::mean_tops(self)
+        self.merged_serial().mean_tops()
     }
 
     /// Best per-execution throughput across all members, in TeraOps/s.
     pub fn best_tops(&self) -> f64 {
-        ThroughputMetrics::best_tops(self)
+        self.merged_serial().best_tops()
     }
 
     /// The fleet-wide log2 histogram of per-execution kernel latency: the
@@ -279,16 +223,6 @@ impl Report {
         } else {
             0.0
         }
-    }
-}
-
-impl ThroughputMetrics for Report {
-    fn merged_serial(&self) -> SessionReport {
-        Report::merged_serial(self)
-    }
-
-    fn time_base_s(&self) -> f64 {
-        self.wall_clock_s()
     }
 }
 
@@ -363,15 +297,12 @@ pub trait Engine: std::fmt::Debug + Send {
 
     /// Processes one batch of `K × N` sample blocks, returning the
     /// per-block outputs in input order and folding the per-execution
-    /// reports into the engine's accumulated [`Report`].  Whether work
-    /// executed before a failure stays accounted is
-    /// implementation-defined: [`SingleEngine`] records block by block,
-    /// so blocks processed before the error remain in the report; a
-    /// sharded fan-out without a fault injector discards the failed
-    /// call's accounting entirely, while a fault-injected
-    /// [`crate::ShardedBeamformer`] keeps the work its members completed
-    /// before faulting (re-apportioning the rest onto the survivors — see
-    /// `docs/FAULTS.md`).
+    /// reports into the engine's accumulated [`Report`].  Work completed
+    /// before a failing block stays accounted: every device records block
+    /// by block, so a failed call leaves the blocks its devices finished
+    /// first in the report (a [`crate::ShardedBeamformer`] additionally
+    /// re-apportions the blocks a faulted member left unfinished onto the
+    /// survivors — see `docs/FAULTS.md`).
     fn process_batch(
         &mut self,
         blocks: &[&HostComplexMatrix],
@@ -565,7 +496,7 @@ impl SessionCheckpoint {
 }
 
 /// A streaming session over any [`Engine`]: the one session type for every
-/// topology, replacing the former `BeamformSession`/`ShardedSession` pair.
+/// topology.
 ///
 /// The session is a thin ergonomic layer — block-at-a-time processing,
 /// borrow-friendly batch submission, weight hot-swap — over the engine,
@@ -886,18 +817,11 @@ mod tests {
         engine.process_batch(&refs).unwrap();
         let report = engine.report();
         let serial = report.merged_serial();
-        // The trait and the inherent accessors agree on both types.
-        fn metrics<M: ThroughputMetrics>(m: &M) -> [f64; 5] {
-            [
-                m.worst_tops(),
-                m.mean_tops(),
-                m.best_tops(),
-                m.tops_per_joule(),
-                m.effective_fps(),
-            ]
-        }
-        assert_eq!(metrics(&report), metrics(&serial));
+        // One device: the unified report and its serial merge agree.
         assert_eq!(report.worst_tops(), serial.worst_tops());
+        assert_eq!(report.mean_tops(), serial.mean_tops());
+        assert_eq!(report.best_tops(), serial.best_tops());
+        assert_eq!(report.tops_per_joule(), serial.tops_per_joule());
         assert_eq!(report.effective_fps(), serial.effective_fps());
     }
 

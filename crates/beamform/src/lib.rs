@@ -26,9 +26,8 @@
 //! * [`latency`] — a fixed-bucket log2 [`LatencyHistogram`] giving every
 //!   report p50/p95/p99 per-execution latency with exact fleet-wide
 //!   merging;
-//! * [`session`] — the per-block accounting primitive [`SessionReport`]
-//!   and the legacy [`BeamformSession`] (kept for one release; new code
-//!   uses [`Session`]);
+//! * [`session`] — the per-device accounting primitive [`SessionReport`]
+//!   behind every [`Report`];
 //! * [`shard`] — multi-device scale-out: a [`ShardedBeamformer`] spans a
 //!   `gpu_sim::DevicePool` and partitions block streams across the
 //!   members under a [`ShardPlan`] (round-robin or capacity-weighted).
@@ -47,14 +46,11 @@ pub mod weights;
 pub use beamformer::{BatchBeamformOutput, BeamformOutput, Beamformer, BeamformerConfig};
 pub use engine::{
     DeviceShardReport, DynSession, Engine, Report, Session, SessionCheckpoint, SingleEngine,
-    ThroughputMetrics, Topology,
+    Topology,
 };
 pub use geometry::{ArrayGeometry, SPEED_OF_LIGHT, SPEED_OF_SOUND_TISSUE, SPEED_OF_SOUND_WATER};
 pub use latency::{LatencyHistogram, LATENCY_BUCKETS};
-pub use session::{BeamformSession, SessionReport};
-pub use shard::{
-    ShardPlan, ShardPolicy, ShardedBeamformer, ShardedSession, ShardedSessionReport,
-    ShardedStreamOutput,
-};
+pub use session::SessionReport;
+pub use shard::{ShardPlan, ShardPolicy, ShardedBeamformer};
 pub use signal::{PlaneWaveSource, SignalGenerator};
 pub use weights::{steering_vector, WeightMatrix};

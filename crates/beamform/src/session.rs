@@ -1,19 +1,15 @@
-//! Streaming beamforming sessions.
+//! Per-device streaming accounting.
 //!
 //! The paper evaluates the beamformer as a *pipeline*: continuous blocks
 //! of receiver samples flow through the complex GEMM and throughput and
 //! energy are reported over the whole run, not per block.  A
-//! [`BeamformSession`] owns a [`Beamformer`], consumes sample blocks one
-//! at a time (or from an iterator), allows the beam weights to be swapped
-//! mid-stream (re-steering without re-planning the kernel), and
-//! accumulates a [`SessionReport`] — aggregate, mean and worst-case
-//! throughput, total energy and the effective block (frame) rate — on top
-//! of the per-block [`RunReport`]s.
+//! [`SessionReport`] is the accumulator behind that: it folds per-block
+//! [`RunReport`]s into aggregate, mean and worst-case throughput, total
+//! energy and the effective block (frame) rate.  Every [`crate::Engine`]
+//! keeps one per device and exposes them through the unified
+//! [`crate::Report`].
 
-use crate::beamformer::{BatchBeamformOutput, BeamformOutput, Beamformer};
 use crate::latency::LatencyHistogram;
-use crate::weights::WeightMatrix;
-use ccglib::matrix::HostComplexMatrix;
 use ccglib::RunReport;
 use serde::{Deserialize, Serialize};
 
@@ -49,10 +45,11 @@ pub struct SessionReport {
 impl SessionReport {
     /// Folds one execution covering `blocks` sample blocks into the totals.
     ///
-    /// [`BeamformSession`] calls this for every block it processes; it is
-    /// public so prediction-driven pipelines (e.g. the ultrasound
-    /// frame-rate model, which never materialises data) can accumulate the
-    /// same aggregate report from predicted [`RunReport`]s.
+    /// Engines call this for every block they process; it is public so
+    /// prediction-driven pipelines (e.g. the ultrasound frame-rate model,
+    /// which never materialises data) and callers of
+    /// [`crate::Beamformer::beamform_batch`] can accumulate the same
+    /// aggregate report from their [`RunReport`]s.
     pub fn record(&mut self, report: &RunReport, useful_ops: f64, blocks: usize) {
         if self.executions == 0 {
             self.min_tops = f64::INFINITY;
@@ -72,8 +69,7 @@ impl SessionReport {
     /// the same device back to back: all totals are summed and the
     /// per-execution extremes are merged.  Used by the sharding layer to
     /// aggregate per-device reports (where *elapsed* sums are the serial
-    /// equivalent, not the parallel wall clock — see
-    /// `ShardedSessionReport`).
+    /// equivalent, not the parallel wall clock — see [`crate::Report`]).
     pub fn absorb(&mut self, other: &SessionReport) {
         self.weight_swaps += other.weight_swaps;
         if other.executions == 0 {
@@ -174,116 +170,12 @@ impl SessionReport {
     }
 }
 
-/// A streaming beamforming session: owns a [`Beamformer`], processes a
-/// stream of sample blocks and accumulates a [`SessionReport`].
-///
-/// Legacy single-device session, kept for one release: it is the only
-/// session that drives *batched executions* (`process_batch` maps a whole
-/// batch onto one GEMM).  Block-streaming pipelines use the
-/// topology-agnostic [`crate::Session`] over any [`crate::Engine`]
-/// instead.
-///
-/// ```
-/// use beamform::{Beamformer, BeamformerConfig, BeamformSession, WeightMatrix};
-/// use ccglib::matrix::HostComplexMatrix;
-/// use gpu_sim::Gpu;
-/// use tcbf_types::Complex;
-///
-/// let weights = WeightMatrix::from_matrix(HostComplexMatrix::from_fn(4, 16, |b, r| {
-///     Complex::from_polar(1.0 / 16.0, (b * r) as f32 * 0.1)
-/// }));
-/// let beamformer = Beamformer::new(
-///     &Gpu::A100.device(), weights, 8, BeamformerConfig::float16(),
-/// ).unwrap();
-/// let mut session = BeamformSession::new(beamformer);
-/// let block = HostComplexMatrix::from_fn(16, 8, |r, s| Complex::new(r as f32 * 0.1, s as f32));
-/// for _ in 0..3 {
-///     session.process_block(&block).unwrap();
-/// }
-/// let report = session.finish();
-/// assert_eq!(report.blocks, 3);
-/// assert!(report.aggregate_tops() > 0.0);
-/// ```
-pub struct BeamformSession {
-    beamformer: Beamformer,
-    report: SessionReport,
-}
-
-impl BeamformSession {
-    /// Starts a session on a beamformer.
-    pub fn new(beamformer: Beamformer) -> Self {
-        BeamformSession {
-            beamformer,
-            report: SessionReport::default(),
-        }
-    }
-
-    /// The beamformer driving this session.
-    pub fn beamformer(&self) -> &Beamformer {
-        &self.beamformer
-    }
-
-    /// The report accumulated so far.
-    pub fn report(&self) -> &SessionReport {
-        &self.report
-    }
-
-    /// Useful operations of one GEMM execution under the current plan.
-    fn useful_ops(&self) -> f64 {
-        self.beamformer.shape().complex_ops() as f64
-    }
-
-    /// Processes one `K × N` block of sensor samples (batch-1
-    /// configurations).
-    pub fn process_block(&mut self, samples: &HostComplexMatrix) -> ccglib::Result<BeamformOutput> {
-        let output = self.beamformer.beamform(samples)?;
-        self.report.record(&output.report, self.useful_ops(), 1);
-        Ok(output)
-    }
-
-    /// Processes one batch of sample blocks (one block per batch element)
-    /// as a single execution.
-    pub fn process_batch(
-        &mut self,
-        blocks: &[HostComplexMatrix],
-    ) -> ccglib::Result<BatchBeamformOutput> {
-        let output = self.beamformer.beamform_batch(blocks)?;
-        self.report
-            .record(&output.report, self.useful_ops(), blocks.len());
-        Ok(output)
-    }
-
-    /// Drains an iterator (or slice) of sample blocks through the session,
-    /// returning the per-block outputs.  Stops at the first error; blocks
-    /// already processed remain accounted in the report.
-    pub fn process_stream<'a, I>(&mut self, blocks: I) -> ccglib::Result<Vec<BeamformOutput>>
-    where
-        I: IntoIterator<Item = &'a HostComplexMatrix>,
-    {
-        blocks
-            .into_iter()
-            .map(|block| self.process_block(block))
-            .collect()
-    }
-
-    /// Swaps the beam weights mid-stream (same `beams × receivers` shape;
-    /// the GEMM plan is reused unchanged).
-    pub fn set_weights(&mut self, weights: WeightMatrix) -> ccglib::Result<()> {
-        self.beamformer.set_weights(weights)?;
-        self.report.weight_swaps += 1;
-        Ok(())
-    }
-
-    /// Ends the session, returning the final report.
-    pub fn finish(self) -> SessionReport {
-        self.report
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::beamformer::BeamformerConfig;
+    use crate::beamformer::{BeamformOutput, Beamformer, BeamformerConfig};
+    use crate::weights::WeightMatrix;
+    use ccglib::matrix::HostComplexMatrix;
     use gpu_sim::Gpu;
     use tcbf_types::Complex;
 
@@ -308,11 +200,25 @@ mod tests {
         })
     }
 
+    /// Beamforms blocks `seeds` of an 8×32×16 stream one at a time,
+    /// recording every execution the way an engine does.
+    fn stream(seeds: std::ops::Range<usize>) -> (Vec<BeamformOutput>, SessionReport) {
+        let beamformer = beamformer(8, 32, 16, 1);
+        let ops = beamformer.shape().complex_ops() as f64;
+        let mut report = SessionReport::default();
+        let outputs = seeds
+            .map(|seed| {
+                let output = beamformer.beamform(&block(32, 16, seed)).unwrap();
+                report.record(&output.report, ops, 1);
+                output
+            })
+            .collect();
+        (outputs, report)
+    }
+
     #[test]
     fn session_totals_equal_the_sum_of_per_block_reports() {
-        let mut session = BeamformSession::new(beamformer(8, 32, 16, 1));
-        let blocks: Vec<HostComplexMatrix> = (0..4).map(|i| block(32, 16, i)).collect();
-        let outputs = session.process_stream(&blocks).unwrap();
+        let (outputs, report) = stream(0..4);
         assert_eq!(outputs.len(), 4);
 
         let elapsed: f64 = outputs.iter().map(|o| o.report.predicted.elapsed_s).sum();
@@ -324,7 +230,6 @@ mod tests {
             .map(|o| o.report.achieved_tops)
             .fold(f64::INFINITY, f64::min);
 
-        let report = session.finish();
         assert_eq!(report.blocks, 4);
         assert_eq!(report.executions, 4);
         assert!((report.total_elapsed_s - elapsed).abs() < 1e-15);
@@ -340,10 +245,7 @@ mod tests {
 
     #[test]
     fn session_report_exposes_latency_percentiles() {
-        let mut session = BeamformSession::new(beamformer(8, 32, 16, 1));
-        let blocks: Vec<HostComplexMatrix> = (0..5).map(|i| block(32, 16, i)).collect();
-        session.process_stream(&blocks).unwrap();
-        let report = session.finish();
+        let (_, report) = stream(0..5);
         assert_eq!(report.latency().count(), 5);
         // Percentiles are conservative upper bounds on the per-execution
         // kernel time: at least the worst observed latency / 2, at most 2x.
@@ -358,37 +260,14 @@ mod tests {
     }
 
     #[test]
-    fn weight_swap_mid_stream_changes_the_output() {
-        let mut session = BeamformSession::new(beamformer(4, 16, 8, 1));
-        let samples = block(16, 8, 1);
-        let before = session.process_block(&samples).unwrap();
-        // Re-steer: conjugated weights produce a different beam pattern.
-        let swapped = WeightMatrix::from_matrix(HostComplexMatrix::from_fn(4, 16, |b, r| {
-            Complex::from_polar(1.0 / 16.0, -((b * r) as f32 * 0.03))
-        }));
-        session.set_weights(swapped).unwrap();
-        let after = session.process_block(&samples).unwrap();
-        assert!(before.beams.max_abs_diff(&after.beams) > 1e-3);
-        let report = session.report();
-        assert_eq!(report.weight_swaps, 1);
-        assert_eq!(report.blocks, 2);
-    }
-
-    #[test]
-    fn weight_swap_rejects_shape_changes() {
-        let mut session = BeamformSession::new(beamformer(4, 16, 8, 1));
-        let wrong = WeightMatrix::from_matrix(HostComplexMatrix::zeros(5, 16));
-        assert!(session.set_weights(wrong).is_err());
-        assert_eq!(session.report().weight_swaps, 0);
-    }
-
-    #[test]
-    fn batched_session_counts_every_block() {
-        let mut session = BeamformSession::new(beamformer(4, 16, 8, 3));
+    fn batched_execution_counts_every_block() {
+        let beamformer = beamformer(4, 16, 8, 3);
         let blocks: Vec<HostComplexMatrix> = (0..3).map(|i| block(16, 8, i)).collect();
-        let output = session.process_batch(&blocks).unwrap();
+        let output = beamformer.beamform_batch(&blocks).unwrap();
         assert_eq!(output.beams.len(), 3);
-        let report = session.report();
+        let mut report = SessionReport::default();
+        let ops = beamformer.shape().complex_ops() as f64;
+        report.record(&output.report, ops, blocks.len());
         assert_eq!(report.blocks, 3);
         assert_eq!(report.executions, 1);
         // One batched execution accounts the batched shape's operations.
@@ -397,18 +276,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_session_reports_zeros() {
+    fn empty_report_is_all_finite_zeros() {
         // Regression guard: an empty stream must report finite zeros on
         // every derived metric, never NaN or infinity.
-        let session = BeamformSession::new(beamformer(2, 16, 8, 1));
-        let report = session.finish();
+        let report = SessionReport::default();
         assert_eq!(report.blocks, 0);
-        assert_eq!(report.aggregate_tops(), 0.0);
-        assert_eq!(report.mean_tops(), 0.0);
-        assert_eq!(report.worst_tops(), 0.0);
-        assert_eq!(report.best_tops(), 0.0);
-        assert_eq!(report.effective_fps(), 0.0);
-        assert_eq!(report.tops_per_joule(), 0.0);
         for metric in [
             report.aggregate_tops(),
             report.mean_tops(),
@@ -417,21 +289,15 @@ mod tests {
             report.effective_fps(),
             report.tops_per_joule(),
         ] {
+            assert_eq!(metric, 0.0);
             assert!(metric.is_finite());
         }
     }
 
     #[test]
     fn absorb_merges_totals_and_extremes() {
-        let run = |seeds: std::ops::Range<usize>| -> SessionReport {
-            let mut session = BeamformSession::new(beamformer(8, 32, 16, 1));
-            for i in seeds {
-                session.process_block(&block(32, 16, i)).unwrap();
-            }
-            session.finish()
-        };
-        let first = run(0..3);
-        let second = run(3..7);
+        let (_, first) = stream(0..3);
+        let (_, second) = stream(3..7);
         let mut merged = SessionReport::default();
         merged.absorb(&first);
         merged.absorb(&second);

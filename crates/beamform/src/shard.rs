@@ -29,17 +29,6 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Legacy name of the unified [`Report`], kept as a delegating alias for
-/// one release.
-pub type ShardedSessionReport = Report;
-
-/// Legacy name of the generic session over a [`ShardedBeamformer`].  The
-/// type survives for one release but the session methods are the unified
-/// ones: `process_stream` is now [`crate::Session::process_batch`] and
-/// the report type is the unified [`Report`] (see the README migration
-/// table).
-pub type ShardedSession = crate::engine::Session<ShardedBeamformer>;
-
 /// How a block stream is partitioned across the members of a pool.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ShardPolicy {
@@ -212,17 +201,15 @@ impl ShardPlan {
     }
 }
 
-/// Output of sharding one block stream across a pool.
-#[derive(Clone, Debug)]
-pub struct ShardedStreamOutput {
-    /// Per-block outputs, in the order of the input stream (not in shard
-    /// order).
-    pub outputs: Vec<BeamformOutput>,
-    /// The merged report of this call.
-    pub report: Report,
-    /// The plan the stream was executed under.
-    pub plan: ShardPlan,
-}
+/// What one member did with its shard: the blocks it finished (by input
+/// index) and their accounting, and how the shard ended — cleanly
+/// (`Ok(None)`), on an injected fault together with the block ids it left
+/// unfinished, or on an execution error.
+type ShardRun = (
+    Vec<(usize, BeamformOutput)>,
+    SessionReport,
+    ccglib::Result<Option<(DeviceFault, Vec<usize>)>>,
+);
 
 /// A beamformer spanning every member of a [`DevicePool`]: one identical
 /// [`Beamformer`] per device, a shard policy, and parallel per-shard
@@ -235,7 +222,7 @@ pub struct ShardedStreamOutput {
 /// like a single device, through [`crate::Session`] or `Box<dyn Engine>`.
 ///
 /// ```
-/// use beamform::{BeamformerConfig, ShardPolicy, ShardedBeamformer, WeightMatrix};
+/// use beamform::{BeamformerConfig, Engine, ShardPolicy, ShardedBeamformer, WeightMatrix};
 /// use ccglib::matrix::HostComplexMatrix;
 /// use gpu_sim::{DevicePool, Gpu};
 /// use tcbf_types::Complex;
@@ -244,7 +231,7 @@ pub struct ShardedStreamOutput {
 ///     Complex::from_polar(1.0 / 16.0, (b * r) as f32 * 0.1)
 /// }));
 /// let pool = DevicePool::from_gpus(&[Gpu::A100, Gpu::Gh200]);
-/// let sharded = ShardedBeamformer::new(
+/// let mut sharded = ShardedBeamformer::new(
 ///     &pool, weights, 8, BeamformerConfig::float16(), ShardPolicy::CapacityWeighted,
 /// ).unwrap();
 /// let blocks: Vec<_> = (0..6)
@@ -252,9 +239,10 @@ pub struct ShardedStreamOutput {
 ///         Complex::new((r + s + i) as f32 * 0.05, r as f32 * 0.02)
 ///     }))
 ///     .collect();
-/// let run = sharded.beamform_stream(&blocks).unwrap();
-/// assert_eq!(run.outputs.len(), 6);
-/// assert!(run.report.aggregate_tops() > 0.0);
+/// let refs: Vec<&HostComplexMatrix> = blocks.iter().collect();
+/// let outputs = sharded.process_batch(&refs).unwrap();
+/// assert_eq!(outputs.len(), 6);
+/// assert!(sharded.finish().aggregate_tops() > 0.0);
 /// ```
 pub struct ShardedBeamformer {
     members: Vec<Beamformer>,
@@ -264,8 +252,8 @@ pub struct ShardedBeamformer {
     /// Per-member report accumulation of the [`Engine`] run in progress.
     accumulated: Vec<SessionReport>,
     weight_swaps: usize,
-    /// Optional fault source; when armed, [`Engine::process_batch`] runs
-    /// the recovery loop instead of the straight-line fan-out.
+    /// Optional fault source, consulted before every block; without one
+    /// every verdict is `Proceed`.
     injector: Option<Arc<FaultInjector>>,
     /// Liveness per pool member; a permanent fault clears the flag and the
     /// member is excluded from every later plan.
@@ -412,69 +400,6 @@ impl ShardedBeamformer {
         ShardPlan::reapportion(self.policy, &self.capacity_weights, &self.alive, &ids)
     }
 
-    /// Beamforms a stream of `K × N` sample blocks across the pool: the
-    /// plan assigns each block to one member, the members execute their
-    /// shards in parallel (one worker per device), and the outputs are
-    /// returned in the input order together with the merged report.
-    ///
-    /// Accepts owned matrices or references (`&[HostComplexMatrix]` and
-    /// `&[&HostComplexMatrix]` both work), so callers streaming borrowed
-    /// blocks need not clone them.  This is the stateless one-shot entry
-    /// point; the [`Engine`] implementation accumulates across calls.
-    pub fn beamform_stream<B>(&self, blocks: &[B]) -> ccglib::Result<ShardedStreamOutput>
-    where
-        B: std::borrow::Borrow<HostComplexMatrix> + Sync,
-    {
-        let plan = self.plan_shards(blocks.len());
-        let shards: Vec<(&Beamformer, &Vec<usize>)> =
-            self.members.iter().zip(plan.assignments()).collect();
-        type ShardResult = ccglib::Result<(Vec<(usize, BeamformOutput)>, SessionReport)>;
-        let results: Vec<ShardResult> = shards
-            .par_iter()
-            .map(|(member, assigned)| {
-                let ops = member.shape().complex_ops() as f64;
-                let mut report = SessionReport::default();
-                let mut outputs = Vec::with_capacity(assigned.len());
-                for &block in assigned.iter() {
-                    let samples = blocks.get(block).ok_or_else(|| {
-                        ccglib::CcglibError::InvalidParameters {
-                            reason: format!("shard plan references block {block} out of range"),
-                        }
-                    })?;
-                    let output = member.beamform(samples.borrow())?;
-                    report.record(&output.report, ops, 1);
-                    outputs.push((block, output));
-                }
-                Ok((outputs, report))
-            })
-            .collect();
-
-        let mut slots: Vec<Option<BeamformOutput>> = vec![None; blocks.len()];
-        let mut per_device = Vec::with_capacity(self.members.len());
-        for (gpu, result) in self.gpus.iter().zip(results) {
-            let (outputs, report) = result?;
-            for (block, output) in outputs {
-                if let Some(slot) = slots.get_mut(block) {
-                    *slot = Some(output);
-                }
-            }
-            per_device.push(DeviceShardReport { gpu: *gpu, report });
-        }
-        let outputs = slots
-            .into_iter()
-            .map(|slot| {
-                slot.ok_or_else(|| ccglib::CcglibError::InvalidParameters {
-                    reason: "shard plan left a block without an output".into(),
-                })
-            })
-            .collect::<ccglib::Result<Vec<_>>>()?;
-        Ok(ShardedStreamOutput {
-            outputs,
-            report: Report::new(per_device, 0),
-            plan,
-        })
-    }
-
     /// Hot-swaps the beam weights on **every** pool member (same
     /// `beams × receivers` shape; the per-device GEMM plans are reused
     /// unchanged).  The shape is validated before any member is touched,
@@ -508,40 +433,85 @@ impl ShardedBeamformer {
         Ok(())
     }
 
-    /// Starts a streaming session across the pool (consumes the sharded
-    /// beamformer; the session owns it so weights can be hot-swapped).
-    pub fn into_session(self) -> ShardedSession {
-        crate::engine::Session::new(self)
+    /// Runs one member's shard: consults the injector (if any) before
+    /// every block and stops at the first refusal or execution error,
+    /// keeping what the member finished before it.
+    fn run_shard(
+        member: &Beamformer,
+        device: usize,
+        assigned: &[usize],
+        blocks: &[&HostComplexMatrix],
+        injector: Option<&FaultInjector>,
+    ) -> ShardRun {
+        let ops = member.shape().complex_ops() as f64;
+        let mut report = SessionReport::default();
+        let mut outputs = Vec::with_capacity(assigned.len());
+        for (position, &block) in assigned.iter().enumerate() {
+            let verdict = injector.map_or(BlockVerdict::Proceed, |i| i.on_block(device));
+            if let BlockVerdict::Fail(observed) = verdict {
+                let unfinished = assigned.get(position..).unwrap_or(&[]).to_vec();
+                return (outputs, report, Ok(Some((observed, unfinished))));
+            }
+            let result = blocks
+                .get(block)
+                .ok_or_else(|| ccglib::CcglibError::InvalidParameters {
+                    reason: format!("shard plan references block {block} out of range"),
+                })
+                .and_then(|samples| member.beamform(samples));
+            let mut output = match result {
+                Ok(output) => output,
+                Err(error) => return (outputs, report, Err(error)),
+            };
+            if let BlockVerdict::Slow(factor) = verdict {
+                // A throttled device produces the same numbers, just
+                // later: stretch the modelled time, derate the rates.
+                output.report.predicted.elapsed_s *= factor;
+                output.report.predicted.achieved_tops /= factor;
+                output.report.achieved_tops /= factor;
+            }
+            report.record(&output.report, ops, 1);
+            outputs.push((block, output));
+        }
+        (outputs, report, Ok(None))
+    }
+}
+
+impl Engine for ShardedBeamformer {
+    fn topology(&self) -> Topology {
+        Topology::Pool {
+            gpus: self.gpus.clone(),
+            policy: self.policy,
+        }
     }
 
-    /// Fault-aware batch execution: plan over the live members, run the
-    /// shards in parallel consulting the injector before every block, and
-    /// re-apportion whatever the faulted members left unfinished across
-    /// the survivors until the batch completes (or no member survives).
+    fn plan(&self, blocks: usize) -> ShardPlan {
+        self.plan_shards(blocks)
+    }
+
+    /// The one fan-out loop: plan over the live members, run the shards
+    /// in parallel (one worker per device) consulting the fault injector —
+    /// if one is armed — before every block, and re-apportion whatever
+    /// faulted members left unfinished across the survivors until the
+    /// batch completes (or no member survives).
     ///
     /// Outputs are written into input-order slots and every block executes
-    /// exactly once under the current weights, so the recovered batch is
+    /// exactly once under the current weights, so a recovered batch is
     /// bit-identical to a no-fault run.  Work a member completed *before*
-    /// faulting stays in its accounting; transient refusals leave the
-    /// member alive and eligible for the very next re-apportionment.
-    fn process_batch_with_faults(
+    /// a fault or an execution error stays in its accounting; transient
+    /// refusals leave the member alive and eligible for the very next
+    /// re-apportionment.
+    fn process_batch(
         &mut self,
         blocks: &[&HostComplexMatrix],
-        injector: &Arc<FaultInjector>,
     ) -> ccglib::Result<Vec<BeamformOutput>> {
-        type ShardResult = ccglib::Result<(
-            Vec<(usize, BeamformOutput)>,
-            SessionReport,
-            Option<DeviceFault>,
-            Vec<usize>,
-        )>;
+        let injector = self.injector.as_deref();
         let mut slots: Vec<Option<BeamformOutput>> = Vec::new();
         slots.resize_with(blocks.len(), || None);
         let mut pending: Vec<usize> = (0..blocks.len()).collect();
         let mut last_lost = 0usize;
-        // Each pass either finishes the batch or consumes at least one
-        // fault; permanent faults are finite (one per member) and
-        // transient faults fire at most once each, so this terminates.
+        // Each pass either finishes the batch, fails it, or consumes at
+        // least one fault; permanent faults are finite (one per member)
+        // and transient faults fire at most once each, so this terminates.
         while !pending.is_empty() {
             if !self.alive.iter().any(|&a| a) {
                 return Err(ccglib::CcglibError::DeviceLost {
@@ -560,50 +530,16 @@ impl ShardedBeamformer {
                     (d, member, assigned)
                 })
                 .collect();
-            let results: Vec<ShardResult> = shards
+            let runs: Vec<ShardRun> = shards
                 .par_iter()
                 .map(|&(device, member, assigned)| {
-                    let ops = member.shape().complex_ops() as f64;
-                    let mut report = SessionReport::default();
-                    let mut outputs = Vec::with_capacity(assigned.len());
-                    let mut fault = None;
-                    let mut unfinished = Vec::new();
-                    for (position, &block) in assigned.iter().enumerate() {
-                        match injector.on_block(device) {
-                            BlockVerdict::Fail(observed) => {
-                                fault = Some(observed);
-                                unfinished = assigned.get(position..).unwrap_or(&[]).to_vec();
-                                break;
-                            }
-                            verdict => {
-                                let samples = blocks.get(block).copied().ok_or_else(|| {
-                                    ccglib::CcglibError::InvalidParameters {
-                                        reason: format!(
-                                            "fault replay references block {block} out of range"
-                                        ),
-                                    }
-                                })?;
-                                let mut output = member.beamform(samples)?;
-                                if let BlockVerdict::Slow(factor) = verdict {
-                                    // A throttled device produces the same
-                                    // numbers, just later: stretch the
-                                    // modelled time, derate the rates.
-                                    output.report.predicted.elapsed_s *= factor;
-                                    output.report.predicted.achieved_tops /= factor;
-                                    output.report.achieved_tops /= factor;
-                                }
-                                report.record(&output.report, ops, 1);
-                                outputs.push((block, output));
-                            }
-                        }
-                    }
-                    Ok((outputs, report, fault, unfinished))
+                    Self::run_shard(member, device, assigned, blocks, injector)
                 })
                 .collect();
 
             let mut leftovers: Vec<usize> = Vec::new();
-            for (device, result) in results.into_iter().enumerate() {
-                let (outputs, report, fault, unfinished) = result?;
+            let mut failed = None;
+            for (device, (outputs, report, end)) in runs.into_iter().enumerate() {
                 for (block, output) in outputs {
                     if let Some(slot) = slots.get_mut(block) {
                         *slot = Some(output);
@@ -612,15 +548,24 @@ impl ShardedBeamformer {
                 if let Some(accumulated) = self.accumulated.get_mut(device) {
                     accumulated.absorb(&report);
                 }
-                if let Some(observed) = fault {
-                    leftovers.extend(unfinished);
-                    if observed.permanent {
-                        if let Some(up) = self.alive.get_mut(device) {
-                            *up = false;
+                match end {
+                    Ok(None) => {}
+                    Ok(Some((observed, unfinished))) => {
+                        leftovers.extend(unfinished);
+                        if observed.permanent {
+                            if let Some(up) = self.alive.get_mut(device) {
+                                *up = false;
+                            }
+                            last_lost = device;
                         }
-                        last_lost = device;
                     }
+                    // Every member's finished work is absorbed before the
+                    // first error (in pool order) is reported.
+                    Err(error) => failed = failed.or(Some(error)),
                 }
+            }
+            if let Some(error) = failed {
+                return Err(error);
             }
             // Deterministic replay order regardless of which worker
             // reported its fault first.
@@ -632,37 +577,10 @@ impl ShardedBeamformer {
             .into_iter()
             .map(|slot| {
                 slot.ok_or_else(|| ccglib::CcglibError::InvalidParameters {
-                    reason: "fault replay left a block without an output".into(),
+                    reason: "shard plan left a block without an output".into(),
                 })
             })
             .collect()
-    }
-}
-
-impl Engine for ShardedBeamformer {
-    fn topology(&self) -> Topology {
-        Topology::Pool {
-            gpus: self.gpus.clone(),
-            policy: self.policy,
-        }
-    }
-
-    fn plan(&self, blocks: usize) -> ShardPlan {
-        self.plan_shards(blocks)
-    }
-
-    fn process_batch(
-        &mut self,
-        blocks: &[&HostComplexMatrix],
-    ) -> ccglib::Result<Vec<BeamformOutput>> {
-        let Some(injector) = self.injector.clone() else {
-            let run = self.beamform_stream(blocks)?;
-            for (accumulated, shard) in self.accumulated.iter_mut().zip(run.report.per_device()) {
-                accumulated.absorb(&shard.report);
-            }
-            return Ok(run.outputs);
-        };
-        self.process_batch_with_faults(blocks, &injector)
     }
 
     fn swap_weights(&mut self, weights: WeightMatrix) -> ccglib::Result<()> {
@@ -705,6 +623,7 @@ impl std::fmt::Debug for ShardedBeamformer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Session;
     use gpu_sim::Gpu;
     use tcbf_types::Complex;
 
@@ -721,6 +640,16 @@ mod tests {
                 ((r * 3 + s + seed) % 5) as f32 * 0.1,
             )
         })
+    }
+
+    /// One batch through the engine, then its finished report.
+    fn run(
+        engine: &mut ShardedBeamformer,
+        blocks: &[HostComplexMatrix],
+    ) -> (Vec<BeamformOutput>, Report) {
+        let refs: Vec<&HostComplexMatrix> = blocks.iter().collect();
+        let outputs = engine.process_batch(&refs).unwrap();
+        (outputs, engine.finish())
     }
 
     fn sharded(gpus: &[Gpu], policy: ShardPolicy) -> ShardedBeamformer {
@@ -773,10 +702,10 @@ mod tests {
         )
         .unwrap();
         for policy in [ShardPolicy::RoundRobin, ShardPolicy::CapacityWeighted] {
-            let engine = sharded(&[Gpu::A100, Gpu::Gh200, Gpu::Mi300x], policy);
-            let run = engine.beamform_stream(&blocks).unwrap();
-            assert_eq!(run.outputs.len(), blocks.len());
-            for (output, samples) in run.outputs.iter().zip(&blocks) {
+            let mut engine = sharded(&[Gpu::A100, Gpu::Gh200, Gpu::Mi300x], policy);
+            let (outputs, _) = run(&mut engine, &blocks);
+            assert_eq!(outputs.len(), blocks.len());
+            for (output, samples) in outputs.iter().zip(&blocks) {
                 let reference = single.beamform(samples).unwrap();
                 assert_eq!(output.beams, reference.beams, "policy {policy:?}");
             }
@@ -797,10 +726,9 @@ mod tests {
 
     #[test]
     fn merged_report_sums_devices_and_takes_the_straggler() {
-        let engine = sharded(&[Gpu::A100, Gpu::A100], ShardPolicy::RoundRobin);
+        let mut engine = sharded(&[Gpu::A100, Gpu::A100], ShardPolicy::RoundRobin);
         let blocks: Vec<HostComplexMatrix> = (0..6).map(|i| block(16, 8, i)).collect();
-        let run = engine.beamform_stream(&blocks).unwrap();
-        let report = &run.report;
+        let (_, report) = run(&mut engine, &blocks);
         assert_eq!(report.total_blocks(), 6);
         let by_hand_joules: f64 = report
             .per_device()
@@ -827,10 +755,9 @@ mod tests {
 
     #[test]
     fn empty_sharded_report_is_all_zeros() {
-        let engine = sharded(&[Gpu::A100, Gpu::Gh200], ShardPolicy::CapacityWeighted);
-        let no_blocks: [HostComplexMatrix; 0] = [];
-        let run = engine.beamform_stream(&no_blocks).unwrap();
-        let report = run.report;
+        let mut engine = sharded(&[Gpu::A100, Gpu::Gh200], ShardPolicy::CapacityWeighted);
+        let (outputs, report) = run(&mut engine, &[]);
+        assert!(outputs.is_empty());
         assert_eq!(report.total_blocks(), 0);
         assert_eq!(report.aggregate_tops(), 0.0);
         assert_eq!(report.wall_clock_s(), 0.0);
@@ -844,7 +771,7 @@ mod tests {
     #[test]
     fn session_accumulates_across_calls_and_swaps_weights_everywhere() {
         let engine = sharded(&[Gpu::A100, Gpu::Gh200], ShardPolicy::RoundRobin);
-        let mut session = engine.into_session();
+        let mut session = Session::new(engine);
         let blocks: Vec<HostComplexMatrix> = (0..4).map(|i| block(16, 8, i)).collect();
         let before = session.process_batch(&blocks).unwrap();
         let resteered = WeightMatrix::from_matrix(HostComplexMatrix::from_fn(4, 16, |b, r| {
@@ -865,13 +792,13 @@ mod tests {
     fn sessions_start_fresh_regardless_of_prior_engine_use() {
         // Re-steering (or streaming) on the bare engine before the session
         // starts must not leak into the session's report: a session covers
-        // exactly the session, as the pre-unification ShardedSession did.
+        // exactly the session.
         let mut engine = sharded(&[Gpu::A100, Gpu::A100], ShardPolicy::RoundRobin);
         engine.swap_weights(weights(4, 16)).unwrap();
         let pre_blocks = [block(16, 8, 9)];
         let refs: Vec<&HostComplexMatrix> = pre_blocks.iter().collect();
         Engine::process_batch(&mut engine, &refs).unwrap();
-        let mut session = engine.into_session();
+        let mut session = Session::new(engine);
         let blocks = [block(16, 8, 0), block(16, 8, 1)];
         session.process_batch(&blocks).unwrap();
         let report = session.finish();
@@ -882,7 +809,7 @@ mod tests {
     #[test]
     fn shape_changing_swaps_leave_the_pool_untouched() {
         let engine = sharded(&[Gpu::A100, Gpu::A100], ShardPolicy::RoundRobin);
-        let mut session = engine.into_session();
+        let mut session = Session::new(engine);
         assert!(session.swap_weights(weights(5, 16)).is_err());
         assert_eq!(session.report().weight_swaps(), 0);
         // The pool still works on the old shape.

@@ -4,7 +4,8 @@
 
 use beamform::geometry::SPEED_OF_LIGHT;
 use beamform::{
-    ArrayGeometry, Beamformer, BeamformerConfig, PlaneWaveSource, SignalGenerator, WeightMatrix,
+    ArrayGeometry, Beamformer, BeamformerConfig, PlaneWaveSource, Session, SignalGenerator,
+    WeightMatrix,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpu_sim::Gpu;
@@ -64,7 +65,7 @@ fn bench_beamform(c: &mut Criterion) {
         );
         // The streaming path: same kernel, but blocks flow through a
         // session that also aggregates the run report.
-        let mut session = tc.into_session();
+        let mut session = Session::new(tc.into_engine().unwrap());
         group.bench_with_input(
             BenchmarkId::new("session_stream_f16", receivers),
             &receivers,

@@ -4,9 +4,9 @@
 //! verifying along the way that every pool produces element-wise identical
 //! output to the single-device reference.
 
-use beamform::ShardPolicy;
-use gpu_sim::{DevicePool, Gpu};
+use gpu_sim::Gpu;
 use radioastro::{CentralBeamformer, SkySource, StationBeamlets};
+use tcbf::BeamformerBuilder;
 use tcbf_bench::{header, print_table};
 
 fn observation(blocks: usize) -> Vec<StationBeamlets> {
@@ -39,25 +39,31 @@ fn main() {
     let beam_azimuths: Vec<f64> = (0..15).map(|i| (i as f64 - 7.0) * 1e-4).collect();
     let central = CentralBeamformer::new(&Gpu::Gh200.device(), beam_azimuths);
 
-    let (reference, single) = central
-        .stream_coherent(&blocks)
-        .expect("single-device stream");
+    // No `.devices(..)` = one GH200; capacity-weighted is the default policy.
+    let builder = BeamformerBuilder::new(Gpu::Gh200)
+        .weights(central.weights(&blocks[0]))
+        .samples_per_block(blocks[0].num_samples());
+    let run = |builder: BeamformerBuilder| {
+        let mut engine = builder.build_engine().expect("engine");
+        central
+            .stream_coherent_with(&mut engine, &blocks)
+            .expect("stream")
+    };
+    let (reference, single) = run(builder.clone());
 
-    let pools: Vec<(String, DevicePool)> = vec![
-        ("1x GH200".into(), DevicePool::homogeneous(Gpu::Gh200, 1)),
-        ("2x GH200".into(), DevicePool::homogeneous(Gpu::Gh200, 2)),
-        ("4x GH200".into(), DevicePool::homogeneous(Gpu::Gh200, 4)),
+    let pools: [(&str, &[Gpu]); 4] = [
+        ("1x GH200", &[Gpu::Gh200; 1]),
+        ("2x GH200", &[Gpu::Gh200; 2]),
+        ("4x GH200", &[Gpu::Gh200; 4]),
         (
-            "GH200+A100+MI300X+AD4000".into(),
-            DevicePool::from_gpus(&[Gpu::Gh200, Gpu::A100, Gpu::Mi300x, Gpu::Ad4000]),
+            "GH200+A100+MI300X+AD4000",
+            &[Gpu::Gh200, Gpu::A100, Gpu::Mi300x, Gpu::Ad4000],
         ),
     ];
 
     let mut rows = Vec::new();
-    for (name, pool) in &pools {
-        let (outputs, report) = central
-            .stream_coherent_sharded(pool, ShardPolicy::CapacityWeighted, &blocks)
-            .expect("sharded stream");
+    for (name, gpus) in pools {
+        let (outputs, report) = run(builder.clone().devices(gpus));
         // Conformance: sharding is a pure scheduling decision.
         for (sharded, expected) in outputs.iter().zip(&reference) {
             assert_eq!(
@@ -67,8 +73,8 @@ fn main() {
             );
         }
         rows.push(vec![
-            name.clone(),
-            format!("{}", pool.len()),
+            name.to_string(),
+            format!("{}", gpus.len()),
             format!("{:.3}", report.aggregate_tops()),
             format!("{:.2}", report.aggregate_tops() / single.aggregate_tops()),
             format!("{:.3}", report.wall_clock_s() * 1e3),
@@ -92,7 +98,7 @@ fn main() {
     println!(
         "Single GH200 aggregate: {:.3} TOPs/s over {} blocks; every pool above produced",
         single.aggregate_tops(),
-        single.blocks
+        single.total_blocks()
     );
     println!("element-wise identical beams — only the schedule and the wall clock change.");
 }

@@ -4,8 +4,9 @@
 //! report at least 3x the single-device aggregate throughput.
 
 use beamform::ShardPolicy;
-use gpu_sim::{DevicePool, Gpu};
+use gpu_sim::Gpu;
 use radioastro::{CentralBeamformer, SkySource, StationBeamlets};
+use tcbf::BeamformerBuilder;
 
 fn observation(blocks: usize) -> Vec<StationBeamlets> {
     (0..blocks)
@@ -33,13 +34,20 @@ fn four_device_shard_is_identical_and_at_least_3x_the_aggregate_tops() {
     let beam_azimuths: Vec<f64> = (0..9).map(|i| (i as f64 - 4.0) * 1e-4).collect();
     let central = CentralBeamformer::new(&Gpu::A100.device(), beam_azimuths);
 
+    let engine = |gpus: &[Gpu]| {
+        BeamformerBuilder::new(Gpu::A100)
+            .weights(central.weights(&blocks[0]))
+            .samples_per_block(blocks[0].num_samples())
+            .devices(gpus)
+            .shard_policy(ShardPolicy::CapacityWeighted)
+            .build_engine()
+            .expect("engine")
+    };
     let (single_outputs, single_report) = central
-        .stream_coherent(&blocks)
+        .stream_coherent_with(&mut engine(&[]), &blocks)
         .expect("single-device stream");
-
-    let pool = DevicePool::homogeneous(Gpu::A100, 4);
     let (sharded_outputs, sharded_report) = central
-        .stream_coherent_sharded(&pool, ShardPolicy::CapacityWeighted, &blocks)
+        .stream_coherent_with(&mut engine(&[Gpu::A100; 4]), &blocks)
         .expect("sharded stream");
 
     // Element-wise identical output, block for block.

@@ -139,7 +139,7 @@ impl DecodedPlanes {
     /// The preparation an operand needs, if any: binary16 operands decode
     /// to f32 planes, packed 1-bit operands are already in kernel format.
     /// The single source of truth for the precision→preparation mapping
-    /// (used by [`PreparedOperand::new`] and the decode-once batch paths).
+    /// (used by [`PreparedOperand::new`]).
     pub fn maybe_from(input: &GemmInput) -> Option<Self> {
         match input {
             GemmInput::F16(m) => Some(DecodedPlanes::from_f16(m)),
@@ -172,7 +172,7 @@ impl DecodedPlanes {
 /// the original operand; 1-bit operands are already in kernel format, so
 /// preparation is free.  Built with [`GemmInput::prepare`] or
 /// [`PreparedOperand::new`] and consumed by [`crate::Gemm::run_prepared`]
-/// and [`crate::Gemm::run_batch_shared_prepared`].
+/// and [`crate::Gemm::run_batch`].
 #[derive(Clone, Debug)]
 pub struct PreparedOperand {
     input: GemmInput,
@@ -212,89 +212,6 @@ impl GemmInput {
     /// [`PreparedOperand::new`] instead and skip the copy.
     pub fn prepare(&self) -> PreparedOperand {
         PreparedOperand::new(self.clone())
-    }
-}
-
-/// The `A` operand of a batched GEMM: either one matrix per batch element
-/// or a single matrix shared by all of them (the beamforming case, where
-/// every frequency channel applies the same weights).
-#[derive(Clone, Debug)]
-enum BatchOperand {
-    Shared(GemmInput),
-    PerBatch(Vec<GemmInput>),
-}
-
-/// Operands of a batched complex GEMM: `batch` independent multiplications
-/// sharing one shape, executed functionally by [`crate::Gemm::run_batch`]
-/// under a single [`crate::RunReport`] covering the whole batch.
-#[derive(Clone, Debug)]
-pub struct GemmBatchInput {
-    a: BatchOperand,
-    b_t: Vec<GemmInput>,
-}
-
-impl GemmBatchInput {
-    /// Builds a batch from one `A` and one transposed `B` operand per batch
-    /// element.  The two lists must be non-empty and of equal length.
-    pub fn new(a: Vec<GemmInput>, b_t: Vec<GemmInput>) -> Result<Self> {
-        if a.is_empty() || a.len() != b_t.len() {
-            return Err(CcglibError::ShapeMismatch {
-                expected: "equal, non-zero numbers of A and B operands".to_string(),
-                actual: format!("{} A operands, {} B operands", a.len(), b_t.len()),
-            });
-        }
-        Ok(GemmBatchInput {
-            a: BatchOperand::PerBatch(a),
-            b_t,
-        })
-    }
-
-    /// Builds a batch in which every element multiplies the same `A`
-    /// operand (shared weights) with its own transposed `B` operand.
-    pub fn with_shared_a(a: GemmInput, b_t: Vec<GemmInput>) -> Result<Self> {
-        if b_t.is_empty() {
-            return Err(CcglibError::ShapeMismatch {
-                expected: "at least one B operand".to_string(),
-                actual: "0 B operands".to_string(),
-            });
-        }
-        Ok(GemmBatchInput {
-            a: BatchOperand::Shared(a),
-            b_t,
-        })
-    }
-
-    /// Number of batch elements.
-    pub fn batch(&self) -> usize {
-        self.b_t.len()
-    }
-
-    /// The `A` operand of batch element `index`.
-    pub fn a(&self, index: usize) -> &GemmInput {
-        match &self.a {
-            BatchOperand::Shared(a) => a,
-            BatchOperand::PerBatch(a) => &a[index],
-        }
-    }
-
-    /// The transposed `B` operand of batch element `index`.
-    pub fn b_t(&self, index: usize) -> &GemmInput {
-        &self.b_t[index]
-    }
-
-    /// The shared `A` operand, if this batch was built with
-    /// [`GemmBatchInput::with_shared_a`] — the case the execution layer
-    /// prepares (decodes) exactly once for the whole batch.
-    pub fn shared_a(&self) -> Option<&GemmInput> {
-        match &self.a {
-            BatchOperand::Shared(a) => Some(a),
-            BatchOperand::PerBatch(_) => None,
-        }
-    }
-
-    /// All transposed `B` operands, in batch order.
-    pub fn b_ts(&self) -> &[GemmInput] {
-        &self.b_t
     }
 }
 

@@ -54,7 +54,7 @@ pub mod synth;
 pub mod transpose;
 
 pub use error::{CcglibError, Result};
-pub use gemm::{ComplexOutput, DecodedPlanes, GemmBatchInput, GemmInput, PreparedOperand};
+pub use gemm::{ComplexOutput, DecodedPlanes, GemmInput, PreparedOperand};
 pub use micro::MicroKernelConfig;
 pub use params::{ParameterSpace, TuningParameters};
 pub use plan::{

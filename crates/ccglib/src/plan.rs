@@ -29,7 +29,7 @@
 
 use crate::error::{CcglibError, Result};
 use crate::gemm::{
-    gemm_dispatch_decoded, ComplexOutput, DecodedPlanes, GemmBatchInput, GemmInput, PreparedOperand,
+    gemm_dispatch_decoded, ComplexOutput, DecodedPlanes, GemmInput, PreparedOperand,
 };
 use crate::micro::MicroKernelConfig;
 use crate::params::{ParameterSpace, TuningParameters};
@@ -525,9 +525,31 @@ impl Gemm {
         self.report(&self.plan.kernel_profile())
     }
 
-    /// Checks one operand pair against the plan's precision and per-batch
-    /// element shape.
-    fn validate_pair(&self, a: &GemmInput, b_t: &GemmInput) -> Result<()> {
+    /// Checks the number of operand pairs supplied against the plan's batch
+    /// size.
+    fn check_batch(&self, pairs: usize) -> Result<()> {
+        let batch = self.plan.shape().batch;
+        if pairs != batch {
+            return Err(CcglibError::ShapeMismatch {
+                expected: format!(
+                    "one operand pair per batch element: Gemm::run_batch with {batch} pairs"
+                ),
+                actual: format!("{pairs} operand pairs"),
+            });
+        }
+        Ok(())
+    }
+
+    /// The one execution core: checks an operand pair against the plan's
+    /// precision and per-element shape, then multiplies it with the plan's
+    /// bit operation and micro-kernel blocking, reusing `decoded` for the
+    /// `A` operand when supplied.
+    fn multiply(
+        &self,
+        a: &GemmInput,
+        decoded: Option<&DecodedPlanes>,
+        b_t: &GemmInput,
+    ) -> Result<ComplexOutput> {
         let shape = self.plan.shape();
         if a.precision() != self.plan.precision() || b_t.precision() != self.plan.precision() {
             return Err(CcglibError::PrecisionMismatch {
@@ -541,7 +563,7 @@ impl Gemm {
                 actual: format!("A {}x{}, B(T) {}x{}", a.rows(), a.k(), b_t.rows(), b_t.k()),
             });
         }
-        Ok(())
+        gemm_dispatch_decoded(a, decoded, b_t, self.plan.bit_op(), &self.plan.micro)
     }
 
     /// Runs the GEMM on quantised operands (`A` as `M×K`, `B` transposed as
@@ -573,102 +595,34 @@ impl Gemm {
         decoded: Option<&DecodedPlanes>,
         b_t: &GemmInput,
     ) -> Result<(ComplexOutput, RunReport)> {
-        let shape = self.plan.shape();
-        if shape.batch != 1 {
-            return Err(CcglibError::ShapeMismatch {
-                expected: format!(
-                    "one operand pair per batch element: use Gemm::run_batch for batch {}",
-                    shape.batch
-                ),
-                actual: "a single operand pair".to_string(),
-            });
-        }
-        self.validate_pair(a, b_t)?;
-        let output = gemm_dispatch_decoded(a, decoded, b_t, self.plan.bit_op(), &self.plan.micro)?;
+        self.check_batch(1)?;
+        let output = self.multiply(a, decoded, b_t)?;
         let report = self.report(&self.plan.kernel_profile());
         Ok((output, report))
     }
 
-    /// Shared core of the batched paths: validates and multiplies every
-    /// operand pair (reusing one decoded `A` when the batch shares it),
-    /// then emits one report covering the whole batch.
-    fn run_batch_decoded(
+    /// Runs a batched GEMM functionally: one `(A, Bᵀ)` operand pair per
+    /// batch element is multiplied under this plan, and a single
+    /// [`RunReport`] covering the whole batch (the paper times batched
+    /// problems as one kernel) is returned alongside the per-element
+    /// outputs.
+    ///
+    /// A batch that shares one `A` (the beamforming case: every frequency
+    /// channel applies the same weights) repeats the same
+    /// [`PreparedOperand`] reference, so the shared operand is decoded
+    /// once by construction.  The number of pairs must equal the plan's
+    /// batch size; every pair is validated against the per-element shape.
+    pub fn run_batch(
         &self,
-        pairs: &[(&GemmInput, Option<&DecodedPlanes>, &GemmInput)],
+        pairs: &[(&PreparedOperand, &GemmInput)],
     ) -> Result<(Vec<ComplexOutput>, RunReport)> {
-        let shape = self.plan.shape();
-        if pairs.len() != shape.batch {
-            return Err(CcglibError::ShapeMismatch {
-                expected: format!("batch {}", shape.batch),
-                actual: format!("batch {}", pairs.len()),
-            });
-        }
-        let mut outputs = Vec::with_capacity(pairs.len());
-        for (a, decoded, b_t) in pairs {
-            self.validate_pair(a, b_t)?;
-            outputs.push(gemm_dispatch_decoded(
-                a,
-                *decoded,
-                b_t,
-                self.plan.bit_op(),
-                &self.plan.micro,
-            )?);
-        }
+        self.check_batch(pairs.len())?;
+        let outputs = pairs
+            .iter()
+            .map(|(a, b_t)| self.multiply(a.input(), a.decoded(), b_t))
+            .collect::<Result<Vec<_>>>()?;
         let report = self.report(&self.plan.kernel_profile());
         Ok((outputs, report))
-    }
-
-    /// Runs a batched GEMM functionally: every element of `batch` is
-    /// multiplied under this plan, and a single [`RunReport`] covering the
-    /// whole batch (the paper times batched problems as one kernel) is
-    /// returned alongside the per-element outputs.
-    ///
-    /// A batch built with [`GemmBatchInput::with_shared_a`] decodes the
-    /// shared `A` operand exactly once for the whole batch instead of once
-    /// per element.  The batch size of the input must equal the plan's
-    /// batch size; every operand pair is validated against the per-element
-    /// shape.
-    pub fn run_batch(&self, batch: &GemmBatchInput) -> Result<(Vec<ComplexOutput>, RunReport)> {
-        match batch.shared_a() {
-            Some(a) => self.run_batch_shared(a, batch.b_ts()),
-            None => {
-                let pairs: Vec<(&GemmInput, Option<&DecodedPlanes>, &GemmInput)> = (0..batch
-                    .batch())
-                    .map(|index| (batch.a(index), None, batch.b_t(index)))
-                    .collect();
-                self.run_batch_decoded(&pairs)
-            }
-        }
-    }
-
-    /// Runs a batched GEMM in which every batch element multiplies the same
-    /// borrowed `A` operand (shared weights) with its own transposed `B`
-    /// operand — the beamforming hot path, without cloning `A` per call.
-    /// The shared `A` is decoded once for the whole batch.
-    pub fn run_batch_shared(
-        &self,
-        a: &GemmInput,
-        b_ts: &[GemmInput],
-    ) -> Result<(Vec<ComplexOutput>, RunReport)> {
-        let decoded = DecodedPlanes::maybe_from(a);
-        let pairs: Vec<(&GemmInput, Option<&DecodedPlanes>, &GemmInput)> =
-            b_ts.iter().map(|b_t| (a, decoded.as_ref(), b_t)).collect();
-        self.run_batch_decoded(&pairs)
-    }
-
-    /// The shared-`A` batched path with the preparation already done —
-    /// streaming sessions cache the prepared weights and skip even the
-    /// once-per-batch decode.
-    pub fn run_batch_shared_prepared(
-        &self,
-        a: &PreparedOperand,
-        b_ts: &[GemmInput],
-    ) -> Result<(Vec<ComplexOutput>, RunReport)> {
-        let pairs: Vec<(&GemmInput, Option<&DecodedPlanes>, &GemmInput)> = b_ts
-            .iter()
-            .map(|b_t| (a.input(), a.decoded(), b_t))
-            .collect();
-        self.run_batch_decoded(&pairs)
     }
 }
 
@@ -889,12 +843,10 @@ mod tests {
                 })
             })
             .collect();
-        let inputs = GemmBatchInput::with_shared_a(
-            GemmInput::quantise_f16(&a_host),
-            b_hosts.iter().map(GemmInput::quantise_f16).collect(),
-        )
-        .unwrap();
-        let (outputs, report) = gemm.run_batch(&inputs).unwrap();
+        let a = PreparedOperand::new(GemmInput::quantise_f16(&a_host));
+        let b_ts: Vec<GemmInput> = b_hosts.iter().map(GemmInput::quantise_f16).collect();
+        let pairs: Vec<(&PreparedOperand, &GemmInput)> = b_ts.iter().map(|b_t| (&a, b_t)).collect();
+        let (outputs, report) = gemm.run_batch(&pairs).unwrap();
         assert_eq!(outputs.len(), batch);
         for (out, b_host) in outputs.iter().zip(&b_hosts) {
             let expected = reference::reference_gemm(&a_host, b_host).unwrap();
@@ -912,24 +864,24 @@ mod tests {
         let dev = device(Gpu::A100);
         let gemm = Gemm::new(&dev, GemmShape::batched(2, 4, 4, 32), Precision::Float16).unwrap();
         let good = GemmInput::quantise_f16(&HostComplexMatrix::zeros(4, 32));
-        // Wrong batch size.
-        let one = GemmBatchInput::with_shared_a(good.clone(), vec![good.clone()]).unwrap();
-        assert!(matches!(
-            gemm.run_batch(&one),
-            Err(CcglibError::ShapeMismatch { .. })
-        ));
+        let a = good.prepare();
+        // Wrong batch size (an empty batch included).
+        for pairs in [&[(&a, &good)][..], &[]] {
+            assert!(matches!(
+                gemm.run_batch(pairs),
+                Err(CcglibError::ShapeMismatch { .. })
+            ));
+        }
         // Wrong element shape.
         let bad = GemmInput::quantise_f16(&HostComplexMatrix::zeros(5, 32));
-        let mixed =
-            GemmBatchInput::new(vec![good.clone(), good.clone()], vec![good.clone(), bad]).unwrap();
         assert!(matches!(
-            gemm.run_batch(&mixed),
+            gemm.run_batch(&[(&a, &good), (&a, &bad)]),
             Err(CcglibError::ShapeMismatch { .. })
         ));
-        // Empty and unequal batches are rejected at construction.
-        assert!(GemmBatchInput::new(vec![], vec![]).is_err());
-        assert!(GemmBatchInput::new(vec![good.clone()], vec![good.clone(), good.clone()]).is_err());
-        assert!(GemmBatchInput::with_shared_a(good.clone(), vec![]).is_err());
+        // Per-element A operands are accepted alongside a shared one.
+        assert!(gemm
+            .run_batch(&[(&a, &good), (&good.prepare(), &good)])
+            .is_ok());
     }
 
     #[test]

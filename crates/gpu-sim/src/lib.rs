@@ -56,6 +56,6 @@ pub use exec::{ExecutionModel, KernelKind, KernelProfile, KernelTimings, LaunchC
 pub use fault::{BlockVerdict, DeviceFault, Fault, FaultInjector, FaultKind, FaultPlan};
 pub use memory::{MemoryModel, SharedMemoryPlan};
 pub use pool::DevicePool;
-pub use power::{PowerModel, PowerSample};
+pub use power::PowerModel;
 pub use roofline::{Roofline, RooflinePoint};
 pub use wmma::{BitFragmentShape, FragmentShape};

@@ -9,18 +9,6 @@
 
 use crate::device::DeviceSpec;
 use crate::exec::{KernelKind, KernelProfile, KernelTimings};
-use serde::{Deserialize, Serialize};
-
-/// One instantaneous power reading, as a sampling power meter (NVML,
-/// rocm-smi) would return it.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct PowerSample {
-    /// Time of the sample relative to the start of the measurement, in
-    /// seconds.
-    pub timestamp_s: f64,
-    /// Instantaneous board power in watts.
-    pub watts: f64,
-}
 
 /// Utilisation-based board power model for one device.
 #[derive(Clone, Debug)]
@@ -89,25 +77,6 @@ impl PowerModel {
             return 0.0;
         }
         profile.useful_ops / joules / 1e12
-    }
-
-    /// Generates evenly spaced power samples over a kernel's execution, as
-    /// the PMT sampling thread would observe them.
-    pub fn sample_kernel(
-        &self,
-        kind: KernelKind,
-        timings: &KernelTimings,
-        interval_s: f64,
-    ) -> Vec<PowerSample> {
-        assert!(interval_s > 0.0, "sampling interval must be positive");
-        let watts = self.average_watts(kind, timings);
-        let count = (timings.elapsed_s / interval_s).ceil().max(1.0) as usize;
-        (0..=count)
-            .map(|i| PowerSample {
-                timestamp_s: i as f64 * interval_s,
-                watts,
-            })
-            .collect()
     }
 }
 
@@ -190,16 +159,6 @@ mod tests {
                 "{}: {tpj} vs {expect}",
                 spec.name
             );
-        }
-    }
-
-    #[test]
-    fn sampling_produces_monotonic_timestamps() {
-        let model = PowerModel::new(Gpu::W7700.spec());
-        let samples = model.sample_kernel(KernelKind::Transpose, &full_util_timings(), 0.1);
-        assert!(samples.len() >= 11);
-        for pair in samples.windows(2) {
-            assert!(pair[1].timestamp_s > pair[0].timestamp_s);
         }
     }
 

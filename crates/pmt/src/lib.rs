@@ -17,7 +17,7 @@
 
 #![deny(missing_docs)]
 
-use gpu_sim::{DeviceSpec, KernelKind, KernelTimings, PowerModel, PowerSample};
+use gpu_sim::{DeviceSpec, KernelKind, KernelTimings, PowerModel};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -143,7 +143,6 @@ impl PowerSensor for ConstantPowerSensor {
 struct MeterInner {
     virtual_time_s: f64,
     joules: f64,
-    trace: Vec<PowerSample>,
 }
 
 /// The power meter: accumulates energy over recorded kernel executions and
@@ -196,11 +195,6 @@ impl PowerMeter {
         let mut inner = self.inner.lock();
         inner.virtual_time_s += timings.elapsed_s;
         inner.joules += joules;
-        let t = inner.virtual_time_s;
-        inner.trace.push(PowerSample {
-            timestamp_s: t,
-            watts,
-        });
         EnergyMeasurement {
             seconds: timings.elapsed_s,
             joules,
@@ -214,11 +208,6 @@ impl PowerMeter {
         let mut inner = self.inner.lock();
         inner.virtual_time_s += seconds;
         inner.joules += watts * seconds;
-        let t = inner.virtual_time_s;
-        inner.trace.push(PowerSample {
-            timestamp_s: t,
-            watts,
-        });
     }
 
     /// Measures the region between two previously read states.
@@ -235,12 +224,6 @@ impl PowerMeter {
         let result = f();
         let end = self.read();
         (result, self.measure(start, end))
-    }
-
-    /// The power trace recorded so far (one sample per recorded event), for
-    /// plotting and for the auto-tuner's energy objective.
-    pub fn trace(&self) -> Vec<PowerSample> {
-        self.inner.lock().trace.clone()
     }
 
     /// Resets the meter to zero time and zero energy.
@@ -325,18 +308,18 @@ mod tests {
     }
 
     #[test]
-    fn trace_is_monotonic_and_reset_clears() {
+    fn virtual_clock_is_monotonic_and_reset_clears() {
         let meter = PowerMeter::new(Arc::new(ConstantPowerSensor::new(50.0)));
+        let mut last = meter.read();
         for _ in 0..5 {
             meter.record_kernel(KernelKind::Pack, &timings(0.1, 0.0, 1.0));
-        }
-        let trace = meter.trace();
-        assert_eq!(trace.len(), 5);
-        for pair in trace.windows(2) {
-            assert!(pair[1].timestamp_s > pair[0].timestamp_s);
+            let now = meter.read();
+            assert!(now.timestamp_s > last.timestamp_s);
+            assert!(now.joules > last.joules);
+            last = now;
         }
         meter.reset();
-        assert!(meter.trace().is_empty());
+        assert_eq!(meter.read().timestamp_s, 0.0);
         assert_eq!(meter.read().joules, 0.0);
     }
 

@@ -12,13 +12,10 @@
 
 use crate::station::StationBeamlets;
 use beamform::geometry::SPEED_OF_LIGHT;
-use beamform::{
-    Beamformer, BeamformerConfig, Engine, Report, SessionReport, ShardPolicy, ShardedBeamformer,
-    SingleEngine, WeightMatrix,
-};
+use beamform::{Beamformer, BeamformerConfig, Engine, Report, WeightMatrix};
 use ccglib::matrix::HostComplexMatrix;
 use ccglib::{reference_gemm, RunReport};
-use gpu_sim::{Device, DevicePool};
+use gpu_sim::Device;
 use serde::{Deserialize, Serialize};
 use tcbf_types::Complex;
 
@@ -141,26 +138,14 @@ impl CentralBeamformer {
         Ok(self.output_from(output.beams, output.report))
     }
 
-    /// The first block of a non-empty observation.
-    fn first_block(blocks: &[StationBeamlets]) -> ccglib::Result<&StationBeamlets> {
-        blocks
-            .first()
-            .ok_or_else(|| ccglib::CcglibError::ShapeMismatch {
-                expected: "at least one beamlet block".to_string(),
-                actual: "0 blocks".to_string(),
-            })
-    }
-
     /// Streams a whole observation — consecutive beamlet blocks from the
     /// same station array — through **any streaming [`Engine`]**: a single
     /// device and a multi-GPU pool run the exact same code; only the
-    /// engine construction differs.  This is the one streaming
-    /// implementation; the topology-specific entry points are thin shims
-    /// over it.
+    /// engine construction differs.
     ///
     /// The station count and block length must stay constant over the
     /// stream, and the engine must currently hold the station weights of
-    /// the first block (as the shims build it).  Retunes — frequency or
+    /// the first block ([`CentralBeamformer::weights`]).  Retunes — frequency or
     /// station-layout changes — recompute the weights and hot-swap them on
     /// every device of the engine, so the stream is processed as
     /// consecutive constant-tuning segments, each fanned out across the
@@ -175,7 +160,12 @@ impl CentralBeamformer {
         engine: &mut E,
         blocks: &[StationBeamlets],
     ) -> ccglib::Result<(Vec<CentralOutput>, Report)> {
-        let first = Self::first_block(blocks)?;
+        let first = blocks
+            .first()
+            .ok_or_else(|| ccglib::CcglibError::ShapeMismatch {
+                expected: "at least one beamlet block".to_string(),
+                actual: "0 blocks".to_string(),
+            })?;
         let _ = engine.finish();
         // The weights depend only on the observing frequency and the
         // station layout, so a retune is detected from that metadata — no
@@ -205,42 +195,6 @@ impl CentralBeamformer {
         Ok((outputs, engine.finish()))
     }
 
-    /// Single-device shim over
-    /// [`CentralBeamformer::stream_coherent_with`]: builds a
-    /// [`SingleEngine`] on this beamformer's device and returns the
-    /// serial-equivalent [`SessionReport`] (retunes counted in
-    /// [`SessionReport::weight_swaps`]).
-    pub fn stream_coherent(
-        &self,
-        blocks: &[StationBeamlets],
-    ) -> ccglib::Result<(Vec<CentralOutput>, SessionReport)> {
-        let first = Self::first_block(blocks)?;
-        let mut engine = SingleEngine::new(self.beamformer(first)?)?;
-        let (outputs, report) = self.stream_coherent_with(&mut engine, blocks)?;
-        Ok((outputs, report.merged_serial()))
-    }
-
-    /// Multi-GPU shim over [`CentralBeamformer::stream_coherent_with`]:
-    /// builds a [`ShardedBeamformer`] over `pool` under `policy`.
-    /// Functionally identical to [`CentralBeamformer::stream_coherent`]:
-    /// the per-block outputs do not depend on which device computed them.
-    pub fn stream_coherent_sharded(
-        &self,
-        pool: &DevicePool,
-        policy: ShardPolicy,
-        blocks: &[StationBeamlets],
-    ) -> ccglib::Result<(Vec<CentralOutput>, Report)> {
-        let first = Self::first_block(blocks)?;
-        let mut engine = ShardedBeamformer::new(
-            pool,
-            WeightMatrix::from_matrix(self.weights(first)),
-            first.num_samples(),
-            BeamformerConfig::float16(),
-            policy,
-        )?;
-        self.stream_coherent_with(&mut engine, blocks)
-    }
-
     /// Mean power of one beam over all samples.
     pub fn mean_beam_power(output: &CentralOutput, beam: usize) -> f64 {
         let series = &output.power[beam];
@@ -267,7 +221,30 @@ impl ReferenceBeamformer {
 mod tests {
     use super::*;
     use crate::station::SkySource;
-    use gpu_sim::Gpu;
+    use beamform::{ShardPolicy, ShardedBeamformer, SingleEngine};
+    use gpu_sim::{DevicePool, Gpu};
+
+    /// A single-device engine holding the station weights of `first`.
+    fn single_engine(bf: &CentralBeamformer, first: &StationBeamlets) -> SingleEngine {
+        SingleEngine::new(bf.beamformer(first).unwrap()).unwrap()
+    }
+
+    /// A pooled engine holding the station weights of `first`.
+    fn pool_engine(
+        bf: &CentralBeamformer,
+        first: &StationBeamlets,
+        gpus: &[Gpu],
+        policy: ShardPolicy,
+    ) -> ShardedBeamformer {
+        ShardedBeamformer::new(
+            &DevicePool::from_gpus(gpus),
+            WeightMatrix::from_matrix(bf.weights(first)),
+            first.num_samples(),
+            BeamformerConfig::float16(),
+            policy,
+        )
+        .unwrap()
+    }
 
     const FREQ: f64 = 150e6;
 
@@ -345,16 +322,17 @@ mod tests {
         };
         let blocks = vec![make(FREQ, 1), make(FREQ, 2), make(1.2 * FREQ, 3)];
         let bf = CentralBeamformer::new(&Gpu::A100.device(), beam_grid());
-        let (outputs, report) = bf.stream_coherent(&blocks).unwrap();
+        let mut engine = single_engine(&bf, &blocks[0]);
+        let (outputs, report) = bf.stream_coherent_with(&mut engine, &blocks).unwrap();
         assert_eq!(outputs.len(), 3);
-        assert_eq!(report.blocks, 3);
-        assert_eq!(report.weight_swaps, 1, "retune must swap weights once");
+        assert_eq!(report.total_blocks(), 3);
+        assert_eq!(report.weight_swaps(), 1, "retune must swap weights once");
         // Session totals equal the sums over the per-block reports.
         let elapsed: f64 = outputs
             .iter()
             .map(|o| o.report.unwrap().predicted.elapsed_s)
             .sum();
-        assert!((report.total_elapsed_s - elapsed).abs() < 1e-15);
+        assert!((report.wall_clock_s() - elapsed).abs() < 1e-15);
         // A streamed block equals the one-shot path on the same data.
         let one_shot = bf.beamform(&blocks[0], CentralMode::Coherent).unwrap();
         assert_eq!(
@@ -362,7 +340,7 @@ mod tests {
             one_shot.complex_beams.as_ref().unwrap()
         );
         // Empty observations are rejected.
-        assert!(bf.stream_coherent(&[]).is_err());
+        assert!(bf.stream_coherent_with(&mut engine, &[]).is_err());
     }
 
     #[test]
@@ -393,11 +371,16 @@ mod tests {
             make(1.1 * FREQ, 5),
         ];
         let bf = CentralBeamformer::new(&Gpu::A100.device(), beam_grid());
-        let (single, _) = bf.stream_coherent(&blocks).unwrap();
-        let pool = DevicePool::from_gpus(&[Gpu::A100, Gpu::Gh200, Gpu::Mi300x]);
-        let (sharded, report) = bf
-            .stream_coherent_sharded(&pool, ShardPolicy::CapacityWeighted, &blocks)
+        let (single, _) = bf
+            .stream_coherent_with(&mut single_engine(&bf, &blocks[0]), &blocks)
             .unwrap();
+        let mut pool = pool_engine(
+            &bf,
+            &blocks[0],
+            &[Gpu::A100, Gpu::Gh200, Gpu::Mi300x],
+            ShardPolicy::CapacityWeighted,
+        );
+        let (sharded, report) = bf.stream_coherent_with(&mut pool, &blocks).unwrap();
         assert_eq!(sharded.len(), single.len());
         for (s, r) in sharded.iter().zip(&single) {
             assert_eq!(
@@ -410,16 +393,14 @@ mod tests {
         assert_eq!(report.per_device().len(), 3);
         assert!(report.aggregate_tops() > 0.0);
         // Empty observations are rejected, like the single-device path.
-        assert!(bf
-            .stream_coherent_sharded(&pool, ShardPolicy::RoundRobin, &[])
-            .is_err());
+        assert!(bf.stream_coherent_with(&mut pool, &[]).is_err());
     }
 
     #[test]
     fn generic_engine_path_drives_any_topology_with_retunes() {
-        // One generic implementation behind both shims: drive it directly
-        // with a single-device engine and a pooled engine and compare to
-        // the shim outputs, retune included.
+        // One generic implementation: drive it through `Box<dyn Engine>`
+        // with a single-device engine and a pooled engine; both agree,
+        // retune included.
         let make = |frequency: f64, seed: u64| {
             StationBeamlets::synthesise(
                 12,
@@ -437,20 +418,18 @@ mod tests {
         };
         let blocks = vec![make(FREQ, 1), make(FREQ, 2), make(1.05 * FREQ, 3)];
         let bf = CentralBeamformer::new(&Gpu::A100.device(), beam_grid());
-        let (reference, _) = bf.stream_coherent(&blocks).unwrap();
+        let (reference, _) = bf
+            .stream_coherent_with(&mut single_engine(&bf, &blocks[0]), &blocks)
+            .unwrap();
 
         let mut engines: Vec<Box<dyn Engine>> = vec![
-            Box::new(SingleEngine::new(bf.beamformer(&blocks[0]).unwrap()).unwrap()),
-            Box::new(
-                ShardedBeamformer::new(
-                    &DevicePool::from_gpus(&[Gpu::A100, Gpu::Gh200]),
-                    WeightMatrix::from_matrix(bf.weights(&blocks[0])),
-                    blocks[0].num_samples(),
-                    BeamformerConfig::float16(),
-                    ShardPolicy::RoundRobin,
-                )
-                .unwrap(),
-            ),
+            Box::new(single_engine(&bf, &blocks[0])),
+            Box::new(pool_engine(
+                &bf,
+                &blocks[0],
+                &[Gpu::A100, Gpu::Gh200],
+                ShardPolicy::RoundRobin,
+            )),
         ];
         for engine in &mut engines {
             let (outputs, report) = bf.stream_coherent_with(engine, &blocks).unwrap();

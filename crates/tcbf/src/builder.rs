@@ -2,9 +2,12 @@
 //!
 //! A [`BeamformerBuilder`] collects the full beamformer configuration —
 //! device, weights, block length, precision, batch size, optional explicit
-//! tuning parameters — and validates everything in one place at
-//! [`BeamformerBuilder::build`], returning either a ready
-//! [`TensorCoreBeamformer`] or a single actionable [`TcbfError`].
+//! tuning parameters, device pool — and validates everything in one place
+//! at its two terminals: [`BeamformerBuilder::build_engine`] returns a
+//! streaming [`Engine`] of the configured topology,
+//! [`BeamformerBuilder::build`] a [`TensorCoreBeamformer`] (batched
+//! executions and predictions); both fail with a single actionable
+//! [`TcbfError`].
 
 use crate::error::{Result, TcbfError};
 use crate::TensorCoreBeamformer;
@@ -79,7 +82,7 @@ impl BeamformerBuilder {
 
     /// Configures a multi-device pool (heterogeneous mixes allowed;
     /// repeats model several identical cards).  A configuration with a
-    /// pool builds through [`BeamformerBuilder::build_sharded`]; an empty
+    /// pool builds through [`BeamformerBuilder::build_engine`]; an empty
     /// slice reverts to the single-device path.
     pub fn devices(mut self, gpus: &[Gpu]) -> Self {
         self.devices = gpus.to_vec();
@@ -160,28 +163,17 @@ impl BeamformerBuilder {
         self
     }
 
-    /// The micro-kernel blocking this build will run: the pinned one if
-    /// [`BeamformerBuilder::micro_config`] was called, else the
+    /// The one configuration step behind both terminals: checks the fields
+    /// every build needs (weights present and non-empty, block length and
+    /// batch non-zero), resolves the micro-kernel blocking — the pinned
+    /// one if [`BeamformerBuilder::micro_config`] was called, else the
     /// autotuning-cache winner for this host, precision and shape band,
-    /// else `None` (the default blocking).  Missing, corrupt or
-    /// foreign-host caches all fall back silently — autotuning may never
+    /// else `None` (the default blocking) — and hands back the weights
+    /// with the [`BeamformerConfig`] they run under.  Missing, corrupt or
+    /// foreign-host caches all fall back silently: autotuning may never
     /// break engine construction.
-    fn resolved_micro(&self, weights: &WeightMatrix, batch: usize) -> Option<MicroKernelConfig> {
-        self.micro.or_else(|| {
-            let shape = GemmShape::batched(
-                batch,
-                weights.num_beams(),
-                self.samples_per_block,
-                weights.num_receivers(),
-            );
-            tuner::tuned_micro_config(self.micro_cache.as_deref(), self.precision, shape)
-        })
-    }
-
-    /// Shared validation of the builder fields every build path performs:
-    /// weights present and non-empty, block length and batch non-zero.
-    fn validated_weights(&self) -> Result<()> {
-        let weights = self.weights.as_ref().ok_or(TcbfError::MissingWeights)?;
+    fn configure(&mut self) -> Result<(WeightMatrix, BeamformerConfig)> {
+        let weights = self.weights.take().ok_or(TcbfError::MissingWeights)?;
         if weights.num_beams() == 0 || weights.num_receivers() == 0 {
             return Err(TcbfError::EmptyWeights {
                 beams: weights.num_beams(),
@@ -193,6 +185,34 @@ impl BeamformerBuilder {
         }
         if self.batch == 0 {
             return Err(TcbfError::ZeroBatch);
+        }
+        let micro = self.micro.or_else(|| {
+            let shape = GemmShape::batched(
+                self.batch,
+                weights.num_beams(),
+                self.samples_per_block,
+                weights.num_receivers(),
+            );
+            tuner::tuned_micro_config(self.micro_cache.as_deref(), self.precision, shape)
+        });
+        let config = BeamformerConfig {
+            precision: self.precision,
+            batch: self.batch,
+            params: self.params,
+            micro,
+        };
+        Ok((weights, config))
+    }
+
+    /// A single device has no survivors to re-apportion onto, so both
+    /// single-device builds refuse an armed injector.
+    fn reject_fault_injector(&self) -> Result<()> {
+        if self.fault_injector.is_some() {
+            return Err(TcbfError::InvalidParameters {
+                reason: "fault injection needs a multi-device pool: a single device has no \
+                         survivors to recover onto"
+                    .to_string(),
+            });
         }
         Ok(())
     }
@@ -207,8 +227,7 @@ impl BeamformerBuilder {
     ///
     /// Engines stream whole blocks, one per GEMM execution, so the batch
     /// size must be 1 ([`TcbfError::ShardedBatch`] otherwise); all other
-    /// validations of [`BeamformerBuilder::build`] /
-    /// [`BeamformerBuilder::build_sharded`] apply unchanged.
+    /// validations of [`BeamformerBuilder::build`] apply unchanged.
     ///
     /// ```
     /// use tcbf::prelude::*;
@@ -227,27 +246,13 @@ impl BeamformerBuilder {
     ///     assert_eq!(engine.topology().num_devices(), devices.len().max(1));
     /// }
     /// ```
-    pub fn build_engine(self) -> Result<Box<dyn Engine>> {
-        self.validated_weights()?;
+    pub fn build_engine(mut self) -> Result<Box<dyn Engine>> {
+        let (weights, config) = self.configure()?;
         if self.batch != 1 {
             return Err(TcbfError::ShardedBatch { batch: self.batch });
         }
-        let micro = self.resolved_micro(self.weights.as_ref().expect("validated above"), 1);
-        let weights = self.weights.expect("validated above");
-        let config = BeamformerConfig {
-            precision: self.precision,
-            batch: 1,
-            params: self.params,
-            micro,
-        };
         if self.devices.is_empty() {
-            if self.fault_injector.is_some() {
-                return Err(TcbfError::InvalidParameters {
-                    reason: "fault injection needs a multi-device pool: a single device has no \
-                             survivors to recover onto"
-                        .to_string(),
-                });
-            }
+            self.reject_fault_injector()?;
             let inner =
                 Beamformer::new(&self.gpu.device(), weights, self.samples_per_block, config)?;
             Ok(Box::new(SingleEngine::new(inner)?))
@@ -267,103 +272,26 @@ impl BeamformerBuilder {
         }
     }
 
-    /// Validates the whole configuration and constructs the beamformer.
-    ///
-    /// A thin single-device wrapper kept alongside
-    /// [`BeamformerBuilder::build_engine`] for one release (it remains the
-    /// only path to batched executions, `batch > 1`).
+    /// Validates the whole configuration and constructs the single-device
+    /// [`TensorCoreBeamformer`] — the terminal for batched executions
+    /// (`batch > 1`) and for predictions of paper-scale shapes; block
+    /// streams go through [`BeamformerBuilder::build_engine`].
     ///
     /// Checks, in order: no device pool configured (pools build through
-    /// [`BeamformerBuilder::build_engine`] or
-    /// [`BeamformerBuilder::build_sharded`]), weights present and
+    /// [`BeamformerBuilder::build_engine`]), weights present and
     /// non-empty, block length and batch non-zero, precision supported on
     /// the device, tuning parameters launchable, operands within device
     /// memory.  The first violation is returned as the matching
     /// [`TcbfError`] variant.
-    pub fn build(self) -> Result<TensorCoreBeamformer> {
+    pub fn build(mut self) -> Result<TensorCoreBeamformer> {
         if !self.devices.is_empty() {
             return Err(TcbfError::ShardedConfiguration {
                 devices: self.devices.len(),
             });
         }
-        if self.fault_injector.is_some() {
-            return Err(TcbfError::InvalidParameters {
-                reason: "fault injection needs a multi-device pool: a single device has no \
-                         survivors to recover onto"
-                    .to_string(),
-            });
-        }
-        self.validated_weights()?;
-        let micro =
-            self.resolved_micro(self.weights.as_ref().expect("validated above"), self.batch);
-        let weights = self.weights.expect("validated above");
-        let config = BeamformerConfig {
-            precision: self.precision,
-            batch: self.batch,
-            params: self.params,
-            micro,
-        };
+        self.reject_fault_injector()?;
+        let (weights, config) = self.configure()?;
         let inner = Beamformer::new(&self.gpu.device(), weights, self.samples_per_block, config)?;
         Ok(TensorCoreBeamformer::from_parts(inner, self.gpu))
-    }
-
-    /// Validates the whole configuration and constructs a
-    /// [`ShardedBeamformer`] spanning the configured device pool (or a
-    /// single-member pool of the builder's device if
-    /// [`BeamformerBuilder::devices`] was never called).
-    ///
-    /// A typed wrapper kept for one release; the topology-agnostic
-    /// [`BeamformerBuilder::build_engine`] is the preferred entry point.
-    ///
-    /// The batch size must be 1: sharding distributes whole blocks across
-    /// the pool members instead.
-    ///
-    /// ```
-    /// use tcbf::{Gpu, ShardPolicy, TensorCoreBeamformer};
-    /// use ccglib::matrix::HostComplexMatrix;
-    /// use tcbf_types::Complex;
-    ///
-    /// let weights = HostComplexMatrix::from_fn(8, 32, |b, r| {
-    ///     Complex::from_polar(1.0 / 32.0, (b * r) as f32 * 0.01)
-    /// });
-    /// let sharded = TensorCoreBeamformer::builder(Gpu::A100)
-    ///     .weights(weights)
-    ///     .samples_per_block(64)
-    ///     .devices(&[Gpu::A100, Gpu::Gh200])
-    ///     .shard_policy(ShardPolicy::CapacityWeighted)
-    ///     .build_sharded()
-    ///     .unwrap();
-    /// assert_eq!(sharded.num_devices(), 2);
-    /// ```
-    pub fn build_sharded(self) -> Result<ShardedBeamformer> {
-        self.validated_weights()?;
-        if self.batch != 1 {
-            return Err(TcbfError::ShardedBatch { batch: self.batch });
-        }
-        let micro = self.resolved_micro(self.weights.as_ref().expect("validated above"), 1);
-        let weights = self.weights.expect("validated above");
-        let gpus = if self.devices.is_empty() {
-            vec![self.gpu]
-        } else {
-            self.devices
-        };
-        let pool = DevicePool::from_gpus(&gpus);
-        let config = BeamformerConfig {
-            precision: self.precision,
-            batch: 1,
-            params: self.params,
-            micro,
-        };
-        let mut sharded = ShardedBeamformer::new(
-            &pool,
-            weights,
-            self.samples_per_block,
-            config,
-            self.shard_policy,
-        )?;
-        if let Some(injector) = self.fault_injector {
-            sharded.set_fault_injector(injector)?;
-        }
-        Ok(sharded)
     }
 }

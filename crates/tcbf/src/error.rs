@@ -28,14 +28,14 @@ pub enum TcbfError {
     /// The batch size is zero.
     ZeroBatch,
     /// `build()` was called on a configuration with a device pool; a
-    /// multi-device configuration builds a sharded beamformer.
+    /// multi-device configuration builds through `build_engine()`.
     ShardedConfiguration {
         /// Number of devices configured through `.devices(...)`.
         devices: usize,
     },
-    /// `build_engine()` or `build_sharded()` was called with a batch size
-    /// other than 1: streaming engines distribute whole blocks (one per
-    /// execution), so per-device batching is not meaningful.
+    /// `build_engine()` was called with a batch size other than 1:
+    /// streaming engines distribute whole blocks (one per execution), so
+    /// per-device batching is not meaningful.
     ShardedBatch {
         /// The configured batch size.
         batch: usize,
@@ -192,7 +192,7 @@ impl std::fmt::Display for TcbfError {
             }
             TcbfError::ShardedConfiguration { devices } => write!(
                 f,
-                "a {devices}-device pool is configured: call .build_sharded() instead of .build()"
+                "a {devices}-device pool is configured: call .build_engine() instead of .build()"
             ),
             TcbfError::ShardedBatch { batch } => write!(
                 f,

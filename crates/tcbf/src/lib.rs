@@ -15,9 +15,9 @@
 //!   hot-swap, and the unified [`Report`] carries a per-device breakdown
 //!   (exactly one entry in the single case) plus the pool-level metrics
 //!   derived from it;
-//! * the typed entry points ([`BeamformerBuilder::build`] →
-//!   [`TensorCoreBeamformer`], [`BeamformerBuilder::build_sharded`] →
-//!   [`ShardedBeamformer`]) remain as thin wrappers for one release;
+//! * [`BeamformerBuilder::build`] → [`TensorCoreBeamformer`], the
+//!   single-device handle for batched executions (`batch > 1`) and
+//!   predictions of paper-scale shapes;
 //! * [`prelude`] — one `use tcbf::prelude::*;` for the whole surface;
 //! * re-exports of the building blocks (`ccglib`, the device catalog, the
 //!   tuner, the generic beamforming layer) for users who need lower-level
@@ -34,16 +34,15 @@ mod builder;
 mod error;
 
 pub use beamform::{
-    ArrayGeometry, BatchBeamformOutput, BeamformOutput, BeamformSession, Beamformer,
-    BeamformerConfig, DeviceShardReport, DynSession, Engine, LatencyHistogram, PlaneWaveSource,
-    Report, Session, SessionReport, ShardPlan, ShardPolicy, ShardedBeamformer, ShardedSession,
-    ShardedSessionReport, ShardedStreamOutput, SignalGenerator, SingleEngine, ThroughputMetrics,
+    ArrayGeometry, BatchBeamformOutput, BeamformOutput, Beamformer, BeamformerConfig,
+    DeviceShardReport, DynSession, Engine, LatencyHistogram, PlaneWaveSource, Report, Session,
+    SessionReport, ShardPlan, ShardPolicy, ShardedBeamformer, SignalGenerator, SingleEngine,
     Topology, WeightMatrix,
 };
 pub use builder::BeamformerBuilder;
 pub use ccglib::{
-    benchmark, Gemm, GemmBatchInput, GemmInput, MicroKernelConfig, ParameterSpace, Precision,
-    RunReport, TuningParameters,
+    benchmark, Gemm, GemmInput, MicroKernelConfig, ParameterSpace, Precision, RunReport,
+    TuningParameters,
 };
 pub use error::{Result, TcbfError};
 pub use gpu_sim::{Device, DevicePool, DeviceSpec, Gpu};
@@ -57,8 +56,8 @@ pub use tuner::{
 /// `use tcbf::prelude::*;`.
 ///
 /// Exports the fluent builder and facade, the unified execution surface
-/// ([`Engine`], [`Session`]/[`DynSession`], [`Report`],
-/// [`ThroughputMetrics`], [`Topology`]), the precision/policy enums, the
+/// ([`Engine`], [`Session`]/[`DynSession`], [`Report`], [`Topology`]),
+/// the precision/policy enums, the
 /// error type, the device catalog, weight/signal helpers, the tuner, and
 /// the host matrix type.
 pub mod prelude {
@@ -67,8 +66,8 @@ pub mod prelude {
         BeamformerConfig, Device, DevicePool, DeviceShardReport, DeviceSpec, DynSession, Engine,
         Gpu, LatencyHistogram, MicroKernelConfig, Objective, PlaneWaveSource, Precision, Report,
         Result, Session, SessionReport, ShardPlan, ShardPolicy, ShardedBeamformer, SignalGenerator,
-        SingleEngine, Strategy, TcbfError, TensorCoreBeamformer, ThroughputMetrics, Topology,
-        TuneOutcome, Tuner, TuningParameters, WeightMatrix,
+        SingleEngine, Strategy, TcbfError, TensorCoreBeamformer, Topology, TuneOutcome, Tuner,
+        TuningParameters, WeightMatrix,
     };
     pub use ccglib::matrix::HostComplexMatrix;
     pub use tcbf_types::Complex;
@@ -89,8 +88,9 @@ pub fn supported_devices() -> Vec<DeviceSpec> {
 
 /// The highest-level entry point: a beamformer bound to a device, a set of
 /// beam weights and a precision, configured through
-/// [`TensorCoreBeamformer::builder`] and consumed either one block at a
-/// time or as a streaming [`BeamformSession`].
+/// [`TensorCoreBeamformer::builder`] and consumed one block (or one batch
+/// of blocks) at a time, or wrapped as a streaming [`Engine`] under a
+/// [`Session`].
 ///
 /// ```
 /// use tcbf::{Gpu, Precision, TensorCoreBeamformer};
@@ -110,14 +110,14 @@ pub fn supported_devices() -> Vec<DeviceSpec> {
 /// let samples = HostComplexMatrix::from_fn(32, 64, |r, s| Complex::new(r as f32 * 0.1, s as f32 * 0.05));
 ///
 /// // Stream blocks through a session and read the aggregate report.
-/// let mut session = beamformer.into_session();
+/// let mut session = tcbf::Session::new(beamformer.into_engine().unwrap());
 /// for _ in 0..4 {
 ///     let output = session.process_block(&samples).unwrap();
 ///     assert_eq!(output.beams.rows(), 8);
 ///     assert_eq!(output.beams.cols(), 64);
 /// }
 /// let report = session.finish();
-/// assert_eq!(report.blocks, 4);
+/// assert_eq!(report.total_blocks(), 4);
 /// assert!(report.aggregate_tops() > 0.0);
 /// ```
 pub struct TensorCoreBeamformer {
@@ -183,11 +183,6 @@ impl TensorCoreBeamformer {
     /// element — functionally, under a single report.
     pub fn beamform_batch(&self, blocks: &[HostComplexMatrix]) -> Result<BatchBeamformOutput> {
         Ok(self.inner.beamform_batch(blocks)?)
-    }
-
-    /// Turns the beamformer into a streaming [`BeamformSession`].
-    pub fn into_session(self) -> BeamformSession {
-        self.inner.into_session()
     }
 
     /// Wraps the beamformer as a single-device streaming [`Engine`] —
@@ -366,47 +361,17 @@ mod tests {
             .samples_per_block(8)
             .build()
             .unwrap();
-        let mut session = bf.into_session();
+        let mut session = Session::new(bf.into_engine().unwrap());
         let samples =
             HostComplexMatrix::from_fn(16, 8, |r, s| Complex::new(r as f32 * 0.1, s as f32 * 0.05));
         session.process_block(&samples).unwrap();
         session
-            .set_weights(WeightMatrix::from_matrix(weights(4, 16)))
+            .swap_weights(WeightMatrix::from_matrix(weights(4, 16)))
             .unwrap();
         session.process_block(&samples).unwrap();
         let report = session.finish();
-        assert_eq!(report.blocks, 2);
-        assert_eq!(report.weight_swaps, 1);
-    }
-
-    #[test]
-    fn builder_configures_a_sharded_pool() {
-        let sharded = TensorCoreBeamformer::builder(Gpu::A100)
-            .weights(weights(4, 16))
-            .samples_per_block(8)
-            .devices(&[Gpu::A100, Gpu::Gh200, Gpu::Mi300x])
-            .shard_policy(ShardPolicy::CapacityWeighted)
-            .build_sharded()
-            .unwrap();
-        assert_eq!(sharded.num_devices(), 3);
-        assert_eq!(sharded.policy(), ShardPolicy::CapacityWeighted);
-        let blocks: Vec<HostComplexMatrix> = (0..5)
-            .map(|i| {
-                HostComplexMatrix::from_fn(16, 8, |r, s| {
-                    Complex::new((r + s + i) as f32 * 0.05, r as f32 * 0.01)
-                })
-            })
-            .collect();
-        let run = sharded.beamform_stream(&blocks).unwrap();
-        assert_eq!(run.outputs.len(), 5);
-        assert_eq!(run.report.total_blocks(), 5);
-        // Without .devices(...), build_sharded() is a single-member pool.
-        let single = TensorCoreBeamformer::builder(Gpu::A100)
-            .weights(weights(4, 16))
-            .samples_per_block(8)
-            .build_sharded()
-            .unwrap();
-        assert_eq!(single.num_devices(), 1);
+        assert_eq!(report.total_blocks(), 2);
+        assert_eq!(report.weight_swaps(), 1);
     }
 
     #[test]
@@ -484,7 +449,7 @@ mod tests {
             TcbfError::ShardedConfiguration { devices: 2 }
         );
         assert_eq!(
-            pooled().batch(3).build_sharded().unwrap_err(),
+            pooled().batch(3).build_engine().unwrap_err(),
             TcbfError::ShardedBatch { batch: 3 }
         );
         // The sharded path still runs the common validations.
@@ -492,7 +457,7 @@ mod tests {
             TensorCoreBeamformer::builder(Gpu::A100)
                 .devices(&[Gpu::A100])
                 .samples_per_block(8)
-                .build_sharded()
+                .build_engine()
                 .unwrap_err(),
             TcbfError::MissingWeights
         );
@@ -501,7 +466,7 @@ mod tests {
             pooled()
                 .devices(&[Gpu::A100, Gpu::Mi300x])
                 .precision(Precision::Int1)
-                .build_sharded()
+                .build_engine()
                 .unwrap_err(),
             TcbfError::UnsupportedPrecision { .. }
         ));

@@ -9,13 +9,10 @@
 //! magnitude and projected to produce the Fig. 6 maximum-intensity images.
 
 use crate::model::AcousticModel;
-use beamform::{
-    Beamformer, BeamformerConfig, Engine, Report, SessionReport, ShardPolicy, ShardedBeamformer,
-    SingleEngine, WeightMatrix,
-};
+use beamform::{Beamformer, BeamformerConfig, Engine, Report, WeightMatrix};
 use ccglib::matrix::HostComplexMatrix;
 use ccglib::RunReport;
-use gpu_sim::{Device, DevicePool};
+use gpu_sim::Device;
 use serde::{Deserialize, Serialize};
 
 /// Precision of the reconstruction GEMM.
@@ -219,9 +216,7 @@ impl Reconstructor {
     /// Reconstructs a stream of measurement ensembles (continuous imaging:
     /// one acquisition after another against the same model) through **any
     /// streaming [`Engine`]** — a single device and a multi-GPU pool run
-    /// the exact same code; only the engine construction differs.  This is
-    /// the one streaming implementation; the topology-specific entry
-    /// points are thin shims over it.
+    /// the exact same code; only the engine construction differs.
     ///
     /// Each ensemble is Doppler-filtered (and, in float16 mode,
     /// normalised) before quantisation, then streamed as one block.  The
@@ -263,55 +258,6 @@ impl Reconstructor {
             .collect();
         Ok((volumes, engine.finish()))
     }
-
-    /// The frame count shared by a non-empty stream of ensembles.
-    fn ensemble_frames(ensembles: &[HostComplexMatrix]) -> ccglib::Result<usize> {
-        ensembles
-            .first()
-            .map(HostComplexMatrix::cols)
-            .ok_or_else(|| ccglib::CcglibError::ShapeMismatch {
-                expected: "at least one measurement ensemble".to_string(),
-                actual: "0 ensembles".to_string(),
-            })
-    }
-
-    /// Single-device shim over
-    /// [`Reconstructor::reconstruct_stream_with`]: builds a
-    /// [`SingleEngine`] on this reconstructor's device and returns the
-    /// serial-equivalent [`SessionReport`].
-    pub fn reconstruct_stream(
-        &self,
-        model: &AcousticModel,
-        ensembles: &[HostComplexMatrix],
-        dims: (usize, usize, usize),
-    ) -> ccglib::Result<(Vec<ReconstructedVolume>, SessionReport)> {
-        let frames = Self::ensemble_frames(ensembles)?;
-        let mut engine = SingleEngine::new(self.beamformer(model, frames)?)?;
-        let (volumes, report) =
-            self.reconstruct_stream_with(&mut engine, model, ensembles, dims)?;
-        Ok((volumes, report.merged_serial()))
-    }
-
-    /// Multi-GPU shim over [`Reconstructor::reconstruct_stream_with`]:
-    /// builds a [`ShardedBeamformer`] over `pool` under `policy`.
-    pub fn reconstruct_stream_sharded(
-        &self,
-        model: &AcousticModel,
-        ensembles: &[HostComplexMatrix],
-        dims: (usize, usize, usize),
-        pool: &DevicePool,
-        policy: ShardPolicy,
-    ) -> ccglib::Result<(Vec<ReconstructedVolume>, Report)> {
-        let frames = Self::ensemble_frames(ensembles)?;
-        let mut engine = ShardedBeamformer::new(
-            pool,
-            WeightMatrix::from_matrix(model.matrix().clone()),
-            frames,
-            self.config(),
-            policy,
-        )?;
-        self.reconstruct_stream_with(&mut engine, model, ensembles, dims)
-    }
 }
 
 #[cfg(test)]
@@ -319,7 +265,13 @@ mod tests {
     use super::*;
     use crate::model::ImagingConfig;
     use crate::phantom::FlowPhantom;
-    use gpu_sim::Gpu;
+    use beamform::{ShardPolicy, ShardedBeamformer, SingleEngine};
+    use gpu_sim::{DevicePool, Gpu};
+
+    /// A single-device engine on the reconstructor's device and precision.
+    fn single_engine(rec: &Reconstructor, model: &AcousticModel, frames: usize) -> SingleEngine {
+        SingleEngine::new(rec.beamformer(model, frames).unwrap()).unwrap()
+    }
 
     fn setup(
         precision: ReconstructionPrecision,
@@ -482,18 +434,23 @@ mod tests {
             DopplerMode::MeanRemoval,
         );
         let ensembles = vec![measurements.clone(), measurements.clone()];
-        let (volumes, report) = rec.reconstruct_stream(&model, &ensembles, dims).unwrap();
+        let mut engine = single_engine(&rec, &model, measurements.cols());
+        let (volumes, report) = rec
+            .reconstruct_stream_with(&mut engine, &model, &ensembles, dims)
+            .unwrap();
         assert_eq!(volumes.len(), 2);
-        assert_eq!(report.blocks, 2);
+        assert_eq!(report.total_blocks(), 2);
         // Same data through the session equals the one-shot path.
         let one_shot = rec.reconstruct(&model, &measurements, dims).unwrap();
         assert_eq!(volumes[0].intensity, one_shot.intensity);
         // The session totals are the sums of the per-ensemble reports.
         let elapsed: f64 = volumes.iter().map(|v| v.report.predicted.elapsed_s).sum();
-        assert!((report.total_elapsed_s - elapsed).abs() < 1e-15);
+        assert!((report.wall_clock_s() - elapsed).abs() < 1e-15);
         assert!(report.aggregate_tops() > 0.0);
         // Empty streams are rejected.
-        assert!(rec.reconstruct_stream(&model, &[], dims).is_err());
+        assert!(rec
+            .reconstruct_stream_with(&mut engine, &model, &[], dims)
+            .is_err());
     }
 
     #[test]
@@ -512,10 +469,25 @@ mod tests {
                 })
             })
             .collect();
-        let (single, _) = rec.reconstruct_stream(&model, &ensembles, dims).unwrap();
-        let pool = DevicePool::from_gpus(&[Gpu::A100, Gpu::Mi210]);
+        let frames = measurements.cols();
+        let (single, _) = rec
+            .reconstruct_stream_with(
+                &mut single_engine(&rec, &model, frames),
+                &model,
+                &ensembles,
+                dims,
+            )
+            .unwrap();
+        let mut pool = ShardedBeamformer::new(
+            &DevicePool::from_gpus(&[Gpu::A100, Gpu::Mi210]),
+            WeightMatrix::from_matrix(model.matrix().clone()),
+            frames,
+            rec.config(),
+            ShardPolicy::RoundRobin,
+        )
+        .unwrap();
         let (sharded, report) = rec
-            .reconstruct_stream_sharded(&model, &ensembles, dims, &pool, ShardPolicy::RoundRobin)
+            .reconstruct_stream_with(&mut pool, &model, &ensembles, dims)
             .unwrap();
         assert_eq!(sharded.len(), 4);
         for (s, r) in sharded.iter().zip(&single) {
@@ -526,16 +498,14 @@ mod tests {
         assert!(report.aggregate_tops() > 0.0);
         // Empty streams are rejected, like the single-device path.
         assert!(rec
-            .reconstruct_stream_sharded(&model, &[], dims, &pool, ShardPolicy::RoundRobin)
+            .reconstruct_stream_with(&mut pool, &model, &[], dims)
             .is_err());
     }
 
     #[test]
     fn generic_engine_path_is_topology_independent_and_reusable() {
-        // The single and sharded entry points are shims over one generic
-        // implementation: driving it directly with either engine type
-        // yields the same volumes, and a finished engine can be reused
-        // for a fresh run.
+        // One generic implementation: a finished engine can be reused for
+        // a fresh run and reports only that run.
         let (model, measurements, dims, _) = setup(ReconstructionPrecision::Float16);
         let rec = Reconstructor::new(
             &Gpu::A100.device(),
@@ -543,11 +513,10 @@ mod tests {
             DopplerMode::MeanRemoval,
         );
         let ensembles = vec![measurements.clone(), measurements];
-        let (reference, _) = rec.reconstruct_stream(&model, &ensembles, dims).unwrap();
-
-        let mut engine =
-            beamform::SingleEngine::new(rec.beamformer(&model, ensembles[0].cols()).unwrap())
-                .unwrap();
+        let mut engine = single_engine(&rec, &model, ensembles[0].cols());
+        let (reference, _) = rec
+            .reconstruct_stream_with(&mut engine, &model, &ensembles, dims)
+            .unwrap();
         for _ in 0..2 {
             let (volumes, report) = rec
                 .reconstruct_stream_with(&mut engine, &model, &ensembles, dims)

@@ -162,14 +162,15 @@ fn sharded_session_hot_swaps_weights_on_every_pool_member() {
     let mirrored: Vec<f64> = azimuths.iter().map(|a| -a).collect();
     let swapped = WeightMatrix::steering(&geometry, FREQ, &mirrored, true);
 
-    let mut session = TensorCoreBeamformer::builder(Gpu::A100)
-        .weight_matrix(initial.clone())
-        .samples_per_block(16)
-        .devices(&[Gpu::A100, Gpu::Gh200, Gpu::Mi210])
-        .shard_policy(ShardPolicy::RoundRobin)
-        .build_sharded()
-        .unwrap()
-        .into_session();
+    let mut session = Session::new(
+        TensorCoreBeamformer::builder(Gpu::A100)
+            .weight_matrix(initial.clone())
+            .samples_per_block(16)
+            .devices(&[Gpu::A100, Gpu::Gh200, Gpu::Mi210])
+            .shard_policy(ShardPolicy::RoundRobin)
+            .build_engine()
+            .unwrap(),
+    );
 
     // Six blocks over three devices: round robin gives every member two.
     let mut generator = SignalGenerator::new(geometry.clone(), FREQ, 1e5, 0.1, 41);

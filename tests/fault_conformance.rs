@@ -56,16 +56,74 @@ fn reference_outputs(
         .collect()
 }
 
-/// A 3-member pool of `gpu` with `plan` armed over it.
-fn faulted_pool(precision: Precision, gpu: Gpu, plan: FaultPlan) -> Box<dyn Engine> {
+/// A 3-member pool of `gpu`, not yet built (no injector armed).
+fn pool_builder(precision: Precision, gpu: Gpu) -> BeamformerBuilder {
     BeamformerBuilder::new(gpu)
         .devices(&[gpu; 3])
         .weights(weights())
         .samples_per_block(SAMPLES)
         .precision(precision)
+}
+
+/// A 3-member pool of `gpu` with `plan` armed over it.
+fn faulted_pool(precision: Precision, gpu: Gpu, plan: FaultPlan) -> Box<dyn Engine> {
+    pool_builder(precision, gpu)
         .fault_injector(Arc::new(FaultInjector::new(plan, 3)))
         .build_engine()
         .unwrap()
+}
+
+#[test]
+fn an_empty_fault_plan_is_indistinguishable_from_no_injector() {
+    // One fan-out loop serves both: without an injector every verdict is
+    // `Proceed`, exactly what an injector armed with an empty plan says.
+    for precision in [Precision::Float16, Precision::Int1] {
+        let stream = blocks(10);
+        let refs: Vec<&HostComplexMatrix> = stream.iter().collect();
+        let mut plain = pool_builder(precision, Gpu::A100).build_engine().unwrap();
+        let mut armed = faulted_pool(precision, Gpu::A100, FaultPlan::new());
+        let plain_outputs = plain.process_batch(&refs).unwrap();
+        let armed_outputs = armed.process_batch(&refs).unwrap();
+        for (p, a) in plain_outputs.iter().zip(&armed_outputs) {
+            assert_eq!(p.beams, a.beams, "{precision:?}");
+            assert_eq!(p.report, a.report, "{precision:?}");
+        }
+        assert_eq!(plain.finish(), armed.finish(), "{precision:?}");
+    }
+}
+
+#[test]
+fn a_failed_batch_keeps_the_accounting_of_the_blocks_finished_before_it() {
+    // Block 7 has the wrong receiver count.  A single device finishes
+    // blocks 0..7 first; an un-injected pool of three equal members gets
+    // contiguous thirds, so members 0 and 1 finish theirs and member 2
+    // finishes block 6 before failing.  Either way seven blocks stay
+    // accounted: one rule for every engine.
+    let mut stream = blocks(9);
+    stream[7] = HostComplexMatrix::zeros(RECEIVERS - 1, SAMPLES);
+    let refs: Vec<&HostComplexMatrix> = stream.iter().collect();
+    let mut single = BeamformerBuilder::new(Gpu::A100)
+        .weights(weights())
+        .samples_per_block(SAMPLES)
+        .build_engine()
+        .unwrap();
+    let mut pool = pool_builder(Precision::Float16, Gpu::A100)
+        .build_engine()
+        .unwrap();
+    for (engine, per_device) in [(&mut single, vec![7]), (&mut pool, vec![3, 3, 1])] {
+        let err = engine.process_batch(&refs).unwrap_err();
+        assert!(
+            matches!(err, ccglib::CcglibError::ShapeMismatch { .. }),
+            "got {err:?}"
+        );
+        let report = engine.finish();
+        let finished: Vec<usize> = report
+            .per_device()
+            .iter()
+            .map(|shard| shard.report.blocks)
+            .collect();
+        assert_eq!(finished, per_device, "{:?}", engine.topology());
+    }
 }
 
 #[test]

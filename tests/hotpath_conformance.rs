@@ -11,7 +11,7 @@
 
 use ccglib::matrix::HostComplexMatrix;
 use ccglib::synth::{exact_integer_matrix, pseudo_random_matrix};
-use ccglib::{Gemm, GemmBatchInput, GemmInput, Precision, PreparedOperand};
+use ccglib::{Gemm, GemmInput, Precision, PreparedOperand};
 use gpu_sim::{BitOp, Gpu};
 use proptest::prelude::*;
 use tcbf_types::GemmShape;
@@ -43,22 +43,13 @@ fn decode_once_batch_is_bit_identical_to_single_runs() {
             .map(|b_t| single.run(&a, b_t).unwrap().0)
             .collect();
 
-        // run_batch with a shared A (decodes once internally)…
-        let input = GemmBatchInput::with_shared_a(a.clone(), b_ts.clone()).unwrap();
-        let (outputs, _) = batched.run_batch(&input).unwrap();
-        assert_eq!(outputs, expected, "{precision}: run_batch diverged");
-
-        // …the borrowed shared-A path…
-        let (outputs, _) = batched.run_batch_shared(&a, &b_ts).unwrap();
-        assert_eq!(outputs, expected, "{precision}: run_batch_shared diverged");
-
-        // …and the fully prepared path (decode cached across calls).
+        // run_batch with a shared A: the same prepared operand (decoded
+        // once, cached across calls) repeated for every batch element.
         let prepared = PreparedOperand::new(a.clone());
-        let (outputs, _) = batched.run_batch_shared_prepared(&prepared, &b_ts).unwrap();
-        assert_eq!(
-            outputs, expected,
-            "{precision}: run_batch_shared_prepared diverged"
-        );
+        let pairs: Vec<(&PreparedOperand, &GemmInput)> =
+            b_ts.iter().map(|b_t| (&prepared, b_t)).collect();
+        let (outputs, _) = batched.run_batch(&pairs).unwrap();
+        assert_eq!(outputs, expected, "{precision}: run_batch diverged");
         for b_t in &b_ts {
             let (out, _) = single.run_prepared(&prepared, b_t).unwrap();
             let (direct, _) = single.run(&a, b_t).unwrap();

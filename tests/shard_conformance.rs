@@ -9,8 +9,8 @@
 //! the planner and the merged-report invariants.
 
 use beamform::{
-    Beamformer, BeamformerConfig, SessionReport, ShardPlan, ShardPolicy, ShardedBeamformer,
-    WeightMatrix,
+    BeamformOutput, Beamformer, BeamformerConfig, Engine, Report, SessionReport, ShardPlan,
+    ShardPolicy, ShardedBeamformer, WeightMatrix,
 };
 use ccglib::matrix::HostComplexMatrix;
 use ccglib::Precision;
@@ -50,6 +50,17 @@ fn config(precision: Precision, batch: usize) -> BeamformerConfig {
     }
 }
 
+/// One stream through a pool engine: the outputs in input order and the
+/// finished report.
+fn run(
+    engine: &mut ShardedBeamformer,
+    stream: &[HostComplexMatrix],
+) -> (Vec<BeamformOutput>, Report) {
+    let refs: Vec<&HostComplexMatrix> = stream.iter().collect();
+    let outputs = engine.process_batch(&refs).unwrap();
+    (outputs, engine.finish())
+}
+
 /// The precisions a catalog device can execute functionally.
 fn supported_precisions(spec: &DeviceSpec) -> Vec<Precision> {
     let mut precisions = vec![Precision::Float16];
@@ -74,7 +85,7 @@ fn sharded_pools_match_the_batched_single_device_reference_everywhere() {
                     .unwrap();
             for pool_size in [1usize, 2, 4] {
                 for policy in [ShardPolicy::RoundRobin, ShardPolicy::CapacityWeighted] {
-                    let engine = ShardedBeamformer::new(
+                    let mut engine = ShardedBeamformer::new(
                         &DevicePool::homogeneous(spec.gpu, pool_size),
                         weights(),
                         SAMPLES,
@@ -82,9 +93,9 @@ fn sharded_pools_match_the_batched_single_device_reference_everywhere() {
                         policy,
                     )
                     .unwrap();
-                    let run = engine.beamform_stream(&stream).unwrap();
-                    assert_eq!(run.outputs.len(), stream.len());
-                    for (output, expected) in run.outputs.iter().zip(&reference.beams) {
+                    let (outputs, _) = run(&mut engine, &stream);
+                    assert_eq!(outputs.len(), stream.len());
+                    for (output, expected) in outputs.iter().zip(&reference.beams) {
                         assert_eq!(
                             &output.beams, expected,
                             "{} {precision} pool={pool_size} {policy:?}",
@@ -113,7 +124,7 @@ fn heterogeneous_pools_are_also_conformant() {
     .unwrap();
     let pool = DevicePool::from_gpus(&[Gpu::Ad4000, Gpu::Gh200, Gpu::W7700, Gpu::Mi300a]);
     for policy in [ShardPolicy::RoundRobin, ShardPolicy::CapacityWeighted] {
-        let engine = ShardedBeamformer::new(
+        let mut engine = ShardedBeamformer::new(
             &pool,
             weights(),
             SAMPLES,
@@ -121,13 +132,14 @@ fn heterogeneous_pools_are_also_conformant() {
             policy,
         )
         .unwrap();
-        let run = engine.beamform_stream(&stream).unwrap();
-        for (output, expected) in run.outputs.iter().zip(&reference.beams) {
+        let plan = engine.plan(stream.len());
+        let (outputs, report) = run(&mut engine, &stream);
+        for (output, expected) in outputs.iter().zip(&reference.beams) {
             assert_eq!(&output.beams, expected, "{policy:?}");
         }
         // The merged totals cover exactly the stream.
-        assert_eq!(run.report.total_blocks(), stream.len());
-        assert_eq!(run.plan.num_devices(), 4);
+        assert_eq!(report.total_blocks(), stream.len());
+        assert_eq!(plan.num_devices(), 4);
     }
 }
 
@@ -184,7 +196,7 @@ proptest! {
         } else {
             ShardPolicy::RoundRobin
         };
-        let engine = ShardedBeamformer::new(
+        let mut engine = ShardedBeamformer::new(
             &DevicePool::from_gpus(&gpus),
             weights(),
             SAMPLES,
@@ -193,9 +205,8 @@ proptest! {
         )
         .unwrap();
         let stream = blocks(block_count);
-        let run = engine.beamform_stream(&stream).unwrap();
-        prop_assert_eq!(run.outputs.len(), block_count);
-        let report = run.report;
+        let (outputs, report) = run(&mut engine, &stream);
+        prop_assert_eq!(outputs.len(), block_count);
 
         // Totals equal the sums of the per-device reports.
         prop_assert_eq!(
