@@ -154,13 +154,6 @@ impl Beamformer {
         self.samples_per_block
     }
 
-    /// The host micro-kernel blocking the underlying GEMM plan executes
-    /// with — the default unless the configuration pinned one (or the
-    /// builder's autotune lookup supplied a cached winner).
-    pub fn micro(&self) -> MicroKernelConfig {
-        self.gemm.plan().micro()
-    }
-
     /// Replaces the beam weights without re-planning the GEMM (weight
     /// hot-swap, e.g. re-steering the beams mid-stream).  The new matrix
     /// must keep the `beams × receivers` shape the kernel was planned for.
@@ -218,14 +211,6 @@ impl Beamformer {
     /// paper-scale configurations).
     pub fn predict(&self) -> RunReport {
         self.gemm.predict()
-    }
-
-    /// Wraps this beamformer as a single-device [`crate::Engine`] — the
-    /// unified streaming interface shared with multi-device pools.  Fails
-    /// for configurations with `batch != 1` (engines stream whole blocks,
-    /// one per execution).
-    pub fn into_engine(self) -> ccglib::Result<crate::engine::SingleEngine> {
-        crate::engine::SingleEngine::new(self)
     }
 
     /// Beamforms one block of sensor samples (`K` receivers × `N` time

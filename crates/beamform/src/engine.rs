@@ -2,21 +2,21 @@
 //!
 //! The paper's layering — a beamforming pipeline that scales from one
 //! accelerator to a heterogeneous pool without the application noticing —
-//! is expressed here as a single object-safe [`Engine`] trait.  A
-//! [`SingleEngine`] (one [`Beamformer`]) and a
-//! [`crate::ShardedBeamformer`] (one beamformer per pool member) are the
-//! two implementations; downstream code is written once against
-//! `&mut impl Engine` or [`Box<dyn Engine>`] and works on any topology,
-//! including ones added later (async, remote, heterogeneous tiers).
+//! is expressed here as a single object-safe [`Engine`] trait.
+//! [`crate::ShardedBeamformer`] (one [`crate::Beamformer`] per pool
+//! member) is the one implementation — a single device is a pool of one;
+//! downstream code is written once against `&mut impl Engine` or
+//! [`Box<dyn Engine>`] and works on any topology, including ones added
+//! later (async, remote, heterogeneous tiers).
 //!
 //! Every engine accumulates one unified [`Report`]: a per-device breakdown
-//! (with exactly one device in the single case) from which the pool-level
+//! (with exactly one device for a pool of one) from which the pool-level
 //! metrics — summed aggregate TeraOps/s, the straggler's wall clock, the
 //! parallel speed-up — are derived uniformly.  The generic
 //! [`Session<E>`] (and its [`DynSession`] alias for boxed engines) is the
 //! one session type for every topology.
 
-use crate::beamformer::{BeamformOutput, Beamformer};
+use crate::beamformer::BeamformOutput;
 use crate::latency::LatencyHistogram;
 use crate::session::SessionReport;
 use crate::shard::{ShardPlan, ShardPolicy};
@@ -229,9 +229,9 @@ impl Report {
 /// The device layout of an engine, for introspection.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Topology {
-    /// One device.
+    /// One device: a pool of one, nothing to partition.
     Single(Gpu),
-    /// A pool of devices sharing a shard policy.
+    /// A pool of several devices sharing a shard policy.
     Pool {
         /// The catalog identifiers of the members, in pool order.
         gpus: Vec<Gpu>,
@@ -275,11 +275,10 @@ impl Topology {
 /// The trait is **object safe**: heterogeneous topologies can be driven
 /// through `Box<dyn Engine>` (what
 /// `tcbf::BeamformerBuilder::build_engine()` returns) or `&mut dyn
-/// Engine`.  The two shipped implementations are [`SingleEngine`] (one
-/// [`Beamformer`]) and [`crate::ShardedBeamformer`] (one beamformer per
-/// pool member, parallel shard execution); both accumulate the same
-/// unified [`Report`], so downstream pipelines read one metric surface
-/// regardless of topology.
+/// Engine`.  The one shipped implementation is
+/// [`crate::ShardedBeamformer`] (one beamformer per pool member, parallel
+/// shard execution; a single device is a pool of one), so downstream
+/// pipelines read one metric surface regardless of topology.
 ///
 /// Engines stream *whole blocks* — one `K × N` sample block per GEMM
 /// execution — so they are constructed from batch-1 configurations.
@@ -292,7 +291,7 @@ pub trait Engine: std::fmt::Debug + Send {
     fn topology(&self) -> Topology;
 
     /// The [`ShardPlan`] a stream of `blocks` blocks would execute under.
-    /// A single-device engine assigns every block to its only device.
+    /// A pool of one assigns every block to its only device.
     fn plan(&self, blocks: usize) -> ShardPlan;
 
     /// Processes one batch of `K × N` sample blocks, returning the
@@ -300,9 +299,8 @@ pub trait Engine: std::fmt::Debug + Send {
     /// reports into the engine's accumulated [`Report`].  Work completed
     /// before a failing block stays accounted: every device records block
     /// by block, so a failed call leaves the blocks its devices finished
-    /// first in the report (a [`crate::ShardedBeamformer`] additionally
-    /// re-apportions the blocks a faulted member left unfinished onto the
-    /// survivors — see `docs/FAULTS.md`).
+    /// first in the report, and the blocks a faulted member left unfinished
+    /// are re-apportioned onto the survivors (see `docs/FAULTS.md`).
     fn process_batch(
         &mut self,
         blocks: &[&HostComplexMatrix],
@@ -352,116 +350,6 @@ impl<E: Engine + ?Sized> Engine for Box<E> {
     }
 }
 
-/// The single-device [`Engine`]: one [`Beamformer`] processing every block
-/// itself, reporting a per-device breakdown with exactly one entry.
-///
-/// ```
-/// use beamform::{Beamformer, BeamformerConfig, Engine, SingleEngine, WeightMatrix};
-/// use ccglib::matrix::HostComplexMatrix;
-/// use gpu_sim::Gpu;
-/// use tcbf_types::Complex;
-///
-/// let weights = WeightMatrix::from_matrix(HostComplexMatrix::from_fn(4, 16, |b, r| {
-///     Complex::from_polar(1.0 / 16.0, (b * r) as f32 * 0.1)
-/// }));
-/// let beamformer = Beamformer::new(
-///     &Gpu::A100.device(), weights, 8, BeamformerConfig::float16(),
-/// ).unwrap();
-/// let mut engine = SingleEngine::new(beamformer).unwrap();
-/// let block = HostComplexMatrix::from_fn(16, 8, |r, s| Complex::new(r as f32 * 0.1, s as f32));
-/// engine.process_batch(&[&block, &block]).unwrap();
-/// let report = engine.finish();
-/// assert_eq!(report.total_blocks(), 2);
-/// assert_eq!(report.per_device().len(), 1);
-/// ```
-pub struct SingleEngine {
-    inner: Beamformer,
-    gpu: Gpu,
-    report: SessionReport,
-    weight_swaps: usize,
-}
-
-impl SingleEngine {
-    /// Wraps a beamformer as an engine.  The beamformer must be a batch-1
-    /// configuration: engines stream whole blocks, one per execution.
-    pub fn new(inner: Beamformer) -> ccglib::Result<Self> {
-        if inner.config().batch != 1 {
-            return Err(ccglib::CcglibError::ShapeMismatch {
-                expected: "batch 1 (streaming engines process one block per execution)".to_string(),
-                actual: format!("batch {}", inner.config().batch),
-            });
-        }
-        let gpu = inner.device().gpu();
-        Ok(SingleEngine {
-            inner,
-            gpu,
-            report: SessionReport::default(),
-            weight_swaps: 0,
-        })
-    }
-
-    /// The beamformer driving this engine.
-    pub fn beamformer(&self) -> &Beamformer {
-        &self.inner
-    }
-}
-
-impl std::fmt::Debug for SingleEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SingleEngine")
-            .field("gpu", &self.gpu)
-            .field("shape", &self.inner.shape())
-            .finish_non_exhaustive()
-    }
-}
-
-impl Engine for SingleEngine {
-    fn topology(&self) -> Topology {
-        Topology::Single(self.gpu)
-    }
-
-    fn plan(&self, blocks: usize) -> ShardPlan {
-        ShardPlan::new(ShardPolicy::RoundRobin, &[1.0], blocks)
-    }
-
-    fn process_batch(
-        &mut self,
-        blocks: &[&HostComplexMatrix],
-    ) -> ccglib::Result<Vec<BeamformOutput>> {
-        let ops = self.inner.shape().complex_ops() as f64;
-        let mut outputs = Vec::with_capacity(blocks.len());
-        for block in blocks {
-            let output = self.inner.beamform(block)?;
-            self.report.record(&output.report, ops, 1);
-            outputs.push(output);
-        }
-        Ok(outputs)
-    }
-
-    fn swap_weights(&mut self, weights: WeightMatrix) -> ccglib::Result<()> {
-        self.inner.set_weights(weights)?;
-        self.weight_swaps += 1;
-        Ok(())
-    }
-
-    fn report(&self) -> Report {
-        Report::new(
-            vec![DeviceShardReport {
-                gpu: self.gpu,
-                report: self.report,
-            }],
-            self.weight_swaps,
-        )
-    }
-
-    fn finish(&mut self) -> Report {
-        let report = self.report();
-        self.report = SessionReport::default();
-        self.weight_swaps = 0;
-        report
-    }
-}
-
 /// A consistent cut of a [`Session`]'s stream position, sufficient to
 /// resume the stream on a *different* engine after the original one fails.
 ///
@@ -507,18 +395,19 @@ impl SessionCheckpoint {
 /// stream on a replacement engine.
 ///
 /// ```
-/// use beamform::{Beamformer, BeamformerConfig, Session, SingleEngine, WeightMatrix};
+/// use beamform::{BeamformerConfig, Session, ShardPolicy, ShardedBeamformer, WeightMatrix};
 /// use ccglib::matrix::HostComplexMatrix;
-/// use gpu_sim::Gpu;
+/// use gpu_sim::{DevicePool, Gpu};
 /// use tcbf_types::Complex;
 ///
 /// let weights = WeightMatrix::from_matrix(HostComplexMatrix::from_fn(4, 16, |b, r| {
 ///     Complex::from_polar(1.0 / 16.0, (b * r) as f32 * 0.1)
 /// }));
-/// let beamformer = Beamformer::new(
-///     &Gpu::A100.device(), weights, 8, BeamformerConfig::float16(),
+/// let engine = ShardedBeamformer::new(
+///     &DevicePool::from_gpus(&[Gpu::A100]), weights, 8,
+///     BeamformerConfig::float16(), ShardPolicy::default(),
 /// ).unwrap();
-/// let mut session = Session::new(SingleEngine::new(beamformer).unwrap());
+/// let mut session = Session::new(engine);
 /// let block = HostComplexMatrix::from_fn(16, 8, |r, s| Complex::new(r as f32 * 0.1, s as f32));
 /// for _ in 0..3 {
 ///     session.process_block(&block).unwrap();
@@ -682,19 +571,6 @@ mod tests {
         })
     }
 
-    fn single_engine(gpu: Gpu) -> SingleEngine {
-        SingleEngine::new(
-            Beamformer::new(
-                &gpu.device(),
-                weights(4, 16),
-                8,
-                BeamformerConfig::float16(),
-            )
-            .unwrap(),
-        )
-        .unwrap()
-    }
-
     fn pool_engine(gpus: &[Gpu]) -> ShardedBeamformer {
         ShardedBeamformer::new(
             &DevicePool::from_gpus(gpus),
@@ -707,8 +583,8 @@ mod tests {
     }
 
     #[test]
-    fn single_engine_embeds_its_metrics_in_a_one_device_breakdown() {
-        let mut engine = single_engine(Gpu::A100);
+    fn a_pool_of_one_embeds_its_metrics_in_a_one_device_breakdown() {
+        let mut engine = pool_engine(&[Gpu::A100]);
         let blocks: Vec<HostComplexMatrix> = (0..4).map(|i| block(16, 8, i)).collect();
         let refs: Vec<&HostComplexMatrix> = blocks.iter().collect();
         let outputs = engine.process_batch(&refs).unwrap();
@@ -727,20 +603,9 @@ mod tests {
     }
 
     #[test]
-    fn single_engine_rejects_batched_beamformers() {
-        let config = BeamformerConfig {
-            batch: 3,
-            ..BeamformerConfig::float16()
-        };
-        let beamformer = Beamformer::new(&Gpu::A100.device(), weights(4, 16), 8, config).unwrap();
-        let err = SingleEngine::new(beamformer).unwrap_err();
-        assert!(err.to_string().contains("batch 1"));
-    }
-
-    #[test]
     fn engine_trait_is_object_safe_across_topologies() {
         let mut engines: Vec<Box<dyn Engine>> = vec![
-            Box::new(single_engine(Gpu::A100)),
+            Box::new(pool_engine(&[Gpu::A100])),
             Box::new(pool_engine(&[Gpu::A100, Gpu::Gh200])),
         ];
         let blocks: Vec<HostComplexMatrix> = (0..5).map(|i| block(16, 8, i)).collect();
@@ -776,7 +641,7 @@ mod tests {
             outputs.extend(session.process_batch(&blocks).unwrap());
             (outputs, session.finish())
         };
-        let (single_out, single_report) = run(Session::new(Box::new(single_engine(Gpu::A100))));
+        let (single_out, single_report) = run(Session::new(Box::new(pool_engine(&[Gpu::A100]))));
         let (pool_out, pool_report) =
             run(Session::new(Box::new(pool_engine(&[Gpu::A100, Gpu::A100]))));
         for (s, p) in single_out.iter().zip(&pool_out) {
@@ -793,7 +658,7 @@ mod tests {
 
     #[test]
     fn finish_resets_the_engine_for_a_fresh_run() {
-        let mut engine = single_engine(Gpu::Gh200);
+        let mut engine = pool_engine(&[Gpu::Gh200]);
         let b = block(16, 8, 0);
         engine.process_batch(&[&b]).unwrap();
         engine.swap_weights(weights(4, 16)).unwrap();
@@ -811,7 +676,7 @@ mod tests {
 
     #[test]
     fn throughput_metrics_agree_between_report_flavours() {
-        let mut engine = single_engine(Gpu::A100);
+        let mut engine = pool_engine(&[Gpu::A100]);
         let blocks: Vec<HostComplexMatrix> = (0..3).map(|i| block(16, 8, i)).collect();
         let refs: Vec<&HostComplexMatrix> = blocks.iter().collect();
         engine.process_batch(&refs).unwrap();
@@ -850,7 +715,7 @@ mod tests {
 
     #[test]
     fn session_checkpoints_track_cursor_swaps_and_pending() {
-        let mut session = Session::new(single_engine(Gpu::A100));
+        let mut session = Session::new(pool_engine(&[Gpu::A100]));
         assert_eq!(session.checkpoint(), SessionCheckpoint::default());
         let blocks: Vec<HostComplexMatrix> = (0..3).map(|i| block(16, 8, i)).collect();
         session.process_batch(&blocks).unwrap();
@@ -867,7 +732,7 @@ mod tests {
 
     #[test]
     fn failed_batches_leave_their_blocks_pending_for_resume() {
-        let mut session = Session::new(single_engine(Gpu::A100));
+        let mut session = Session::new(pool_engine(&[Gpu::A100]));
         let good: Vec<HostComplexMatrix> = (0..2).map(|i| block(16, 8, i)).collect();
         session.process_batch(&good).unwrap();
         // Wrong receiver count: the batch fails, the cursor stays put and
@@ -880,14 +745,14 @@ mod tests {
         assert!(!cut.is_clean());
         // Resume on a fresh engine: position restored, replay completes
         // the stream, outputs match an uninterrupted run.
-        let mut resumed = Session::resume(single_engine(Gpu::A100), &cut);
+        let mut resumed = Session::resume(pool_engine(&[Gpu::A100]), &cut);
         assert_eq!(resumed.completed_blocks(), 2);
         assert_eq!(resumed.checkpoint().pending, vec![2]);
         let replay = [block(16, 8, 2)];
         let outputs = resumed.process_batch(&replay).unwrap();
         assert!(resumed.checkpoint().is_clean());
         assert_eq!(resumed.completed_blocks(), 3);
-        let mut reference = Session::new(single_engine(Gpu::A100));
+        let mut reference = Session::new(pool_engine(&[Gpu::A100]));
         let expected = reference.process_block(&replay[0]).unwrap();
         assert_eq!(outputs[0].beams, expected.beams);
     }
@@ -897,7 +762,7 @@ mod tests {
         // A pool where one member contributed nothing (e.g. it was lost
         // before the run, or the plan gave it no blocks) must not poison
         // the merged metrics with empty-report extremes.
-        let mut engine = single_engine(Gpu::A100);
+        let mut engine = pool_engine(&[Gpu::A100]);
         let b = block(16, 8, 0);
         engine.process_batch(&[&b, &b]).unwrap();
         let active = engine.report().per_device()[0].clone();
@@ -919,7 +784,7 @@ mod tests {
 
     #[test]
     fn empty_engine_reports_finite_zeros() {
-        let engine = single_engine(Gpu::A100);
+        let engine = pool_engine(&[Gpu::A100]);
         let report = engine.report();
         assert_eq!(report.total_blocks(), 0);
         for metric in [

@@ -15,22 +15,26 @@
 //! * [`signal`] — synthetic plane-wave signal generation with noise;
 //! * [`weights`] — steering-weight computation (Eq. 3) and weight
 //!   matrices for many beams;
-//! * [`beamformer`] — the mapping onto the ccglib GEMM, a direct
-//!   delay-and-sum reference implementation, beam patterns and SNR gain;
+//! * [`beamformer`] — the mapping onto the ccglib GEMM (one block per
+//!   call, or — for configurations with `batch > 1` — one batch of blocks
+//!   under one report through [`Beamformer::beamform_batch`], the layer
+//!   batched execution lives at), a direct delay-and-sum reference
+//!   implementation, beam patterns and SNR gain;
 //! * [`engine`] — the unified execution API: one object-safe [`Engine`]
-//!   trait spanning every topology, with [`SingleEngine`] (one device) and
-//!   [`ShardedBeamformer`] (a device pool) as the implementations, one
+//!   trait spanning every topology with one implementation,
+//!   [`ShardedBeamformer`] (a single device is a pool of one), one
 //!   generic [`Session<E>`] (alias [`DynSession`] for boxed engines), and
 //!   one unified [`Report`] whose per-device breakdown holds exactly one
-//!   entry in the single case;
+//!   entry for a pool of one;
 //! * [`latency`] — a fixed-bucket log2 [`LatencyHistogram`] giving every
 //!   report p50/p95/p99 per-execution latency with exact fleet-wide
 //!   merging;
 //! * [`session`] — the per-device accounting primitive [`SessionReport`]
 //!   behind every [`Report`];
-//! * [`shard`] — multi-device scale-out: a [`ShardedBeamformer`] spans a
-//!   `gpu_sim::DevicePool` and partitions block streams across the
-//!   members under a [`ShardPlan`] (round-robin or capacity-weighted).
+//! * [`shard`] — the engine itself: a [`ShardedBeamformer`] spans a
+//!   `gpu_sim::DevicePool` of one or more devices and partitions block
+//!   streams across the members under a [`ShardPlan`] (round-robin or
+//!   capacity-weighted), recovering from member faults.
 
 #![deny(missing_docs)]
 
@@ -45,8 +49,7 @@ pub mod weights;
 
 pub use beamformer::{BatchBeamformOutput, BeamformOutput, Beamformer, BeamformerConfig};
 pub use engine::{
-    DeviceShardReport, DynSession, Engine, Report, Session, SessionCheckpoint, SingleEngine,
-    Topology,
+    DeviceShardReport, DynSession, Engine, Report, Session, SessionCheckpoint, Topology,
 };
 pub use geometry::{ArrayGeometry, SPEED_OF_LIGHT, SPEED_OF_SOUND_TISSUE, SPEED_OF_SOUND_WATER};
 pub use latency::{LatencyHistogram, LATENCY_BUCKETS};

@@ -14,9 +14,9 @@
 //! (aggregate TeraOps/s summed across members, wall clock set by the
 //! straggler, joules summed) from it.
 //!
-//! [`ShardedBeamformer`] implements the unified [`Engine`] trait, so the
-//! pool plugs into the same generic [`crate::Session`] and application
-//! entry points as a single device.
+//! [`ShardedBeamformer`] is the one implementation of the [`Engine`]
+//! trait: a single device is a pool of one, driven through the same
+//! generic [`crate::Session`] and application entry points as any pool.
 
 use crate::beamformer::{BeamformOutput, Beamformer, BeamformerConfig};
 use crate::engine::{DeviceShardReport, Engine, Report, Topology};
@@ -103,31 +103,45 @@ impl ShardPlan {
             alive.len(),
             "one liveness flag per device"
         );
-        let survivors: Vec<usize> = alive
+        // (pool position, capacity weight) of every survivor, in pool order.
+        let survivors: Vec<(usize, f64)> = alive
             .iter()
+            .zip(capacity_weights)
             .enumerate()
-            .filter(|&(_, &up)| up)
-            .map(|(d, _)| d)
+            .filter(|&(_, (&up, _))| up)
+            .map(|(device, (_, &weight))| (device, weight))
             .collect();
         assert!(
             !survivors.is_empty(),
             "a shard plan needs at least one live device"
         );
-        let surviving_weights: Vec<f64> = survivors
-            .iter()
-            .filter_map(|&d| capacity_weights.get(d).copied())
-            .collect();
-        let total: f64 = surviving_weights.iter().sum();
-        let local = match policy {
-            ShardPolicy::CapacityWeighted if total > 0.0 => {
-                Self::capacity_weighted(&surviving_weights, total, block_ids)
-            }
-            _ => Self::round_robin(survivors.len(), block_ids),
-        };
+        let total: f64 = survivors.iter().map(|&(_, weight)| weight).sum();
         let mut assignments = vec![Vec::new(); alive.len()];
-        for (&device, assigned) in survivors.iter().zip(local) {
-            if let Some(slot) = assignments.get_mut(device) {
-                *slot = assigned;
+        let mut assign = |survivor: usize, ids: &[usize]| {
+            let slot = survivors
+                .get(survivor)
+                .and_then(|&(device, _)| assignments.get_mut(device));
+            if let Some(slot) = slot {
+                slot.extend_from_slice(ids);
+            }
+        };
+        match policy {
+            ShardPolicy::CapacityWeighted if total > 0.0 => {
+                // Contiguous runs: largest-remainder accounting guarantees
+                // the counts tile `block_ids` exactly.
+                let mut next = 0;
+                for (survivor, count) in Self::quotas(&survivors, total, block_ids.len())
+                    .into_iter()
+                    .enumerate()
+                {
+                    assign(survivor, block_ids.get(next..next + count).unwrap_or(&[]));
+                    next += count;
+                }
+            }
+            _ => {
+                for (position, id) in block_ids.iter().enumerate() {
+                    assign(position % survivors.len(), std::slice::from_ref(id));
+                }
             }
         }
         ShardPlan {
@@ -136,45 +150,29 @@ impl ShardPlan {
         }
     }
 
-    fn round_robin(devices: usize, block_ids: &[usize]) -> Vec<Vec<usize>> {
-        let mut assignments = vec![Vec::new(); devices];
-        for (position, &block) in block_ids.iter().enumerate() {
-            if let Some(slot) = assignments.get_mut(position % devices) {
-                slot.push(block);
-            }
-        }
-        assignments
-    }
-
-    fn capacity_weighted(weights: &[f64], total: f64, block_ids: &[usize]) -> Vec<Vec<usize>> {
-        // Largest-remainder apportionment: every device gets the floor of
-        // its proportional quota, then the leftover blocks go to the
-        // largest fractional remainders (ties broken by device index).
-        let blocks = block_ids.len();
-        let quotas: Vec<f64> = weights
-            .iter()
-            .map(|w| blocks as f64 * (w / total))
+    /// Largest-remainder apportionment of `blocks` over the survivors'
+    /// weights: every survivor gets the floor of its proportional quota,
+    /// then the leftover blocks go to the largest fractional remainders
+    /// (ties broken by pool order).
+    fn quotas(survivors: &[(usize, f64)], total: f64, blocks: usize) -> Vec<usize> {
+        let quota = |i: usize| {
+            survivors
+                .get(i)
+                .map_or(0.0, |&(_, weight)| blocks as f64 * (weight / total))
+        };
+        let remainder = |i: usize| quota(i) - quota(i).floor();
+        let mut counts: Vec<usize> = (0..survivors.len())
+            .map(|i| quota(i).floor() as usize)
             .collect();
-        let mut counts: Vec<usize> = quotas.iter().map(|q| q.floor() as usize).collect();
         let assigned: usize = counts.iter().sum();
-        let remainder = |i: usize| quotas.get(i).map(|q| q - q.floor()).unwrap_or(0.0);
-        let mut by_remainder: Vec<usize> = (0..weights.len()).collect();
+        let mut by_remainder: Vec<usize> = (0..survivors.len()).collect();
         by_remainder.sort_by(|&a, &b| remainder(b).total_cmp(&remainder(a)).then(a.cmp(&b)));
-        for &device in by_remainder.iter().cycle().take(blocks - assigned) {
-            if let Some(count) = counts.get_mut(device) {
+        for &survivor in by_remainder.iter().cycle().take(blocks - assigned) {
+            if let Some(count) = counts.get_mut(survivor) {
                 *count += 1;
             }
         }
-        let mut assignments = Vec::with_capacity(weights.len());
-        let mut next = 0;
-        for count in counts {
-            // Largest-remainder accounting guarantees the runs tile
-            // `block_ids` exactly; `get` keeps that invariant panic-free.
-            let run = block_ids.get(next..next + count).unwrap_or(&[]);
-            assignments.push(run.to_vec());
-            next += count;
-        }
-        assignments
+        counts
     }
 
     /// Per-device block assignments, indexed by pool position.
@@ -218,8 +216,8 @@ type ShardRun = (
 /// weights are converted when the pool is built (and on hot-swap), never
 /// per block.
 ///
-/// Implements the unified [`Engine`] trait — the pool is driven exactly
-/// like a single device, through [`crate::Session`] or `Box<dyn Engine>`.
+/// The one [`Engine`] implementation — a single device is a pool of one —
+/// driven through [`crate::Session`] or `Box<dyn Engine>`.
 ///
 /// ```
 /// use beamform::{BeamformerConfig, Engine, ShardPolicy, ShardedBeamformer, WeightMatrix};
@@ -286,9 +284,12 @@ impl ShardedBeamformer {
             });
         }
         ccglib::warm_calibration(&pool.specs(), config.precision);
+        // `repeat_n` hands the last member the original: a pool of one
+        // copies no weights.
         let members = pool
             .iter()
-            .map(|device| Beamformer::new(device, weights.clone(), samples_per_block, config))
+            .zip(std::iter::repeat_n(weights, pool.len()))
+            .map(|(device, weights)| Beamformer::new(device, weights, samples_per_block, config))
             .collect::<ccglib::Result<Vec<_>>>()?;
         let capacity_weights = pool
             .iter()
@@ -426,8 +427,9 @@ impl ShardedBeamformer {
                 actual: format!("{} x {}", weights.num_beams(), weights.num_receivers()),
             });
         }
-        for member in &mut self.members {
-            member.set_weights(weights.clone())?;
+        let copies = std::iter::repeat_n(weights, self.members.len());
+        for (member, weights) in self.members.iter_mut().zip(copies) {
+            member.set_weights(weights)?;
         }
         self.weight_swaps += 1;
         Ok(())
@@ -478,9 +480,12 @@ impl ShardedBeamformer {
 
 impl Engine for ShardedBeamformer {
     fn topology(&self) -> Topology {
-        Topology::Pool {
-            gpus: self.gpus.clone(),
-            policy: self.policy,
+        match self.gpus.as_slice() {
+            [gpu] => Topology::Single(*gpu),
+            gpus => Topology::Pool {
+                gpus: gpus.to_vec(),
+                policy: self.policy,
+            },
         }
     }
 

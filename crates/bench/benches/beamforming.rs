@@ -4,11 +4,11 @@
 
 use beamform::geometry::SPEED_OF_LIGHT;
 use beamform::{
-    ArrayGeometry, Beamformer, BeamformerConfig, PlaneWaveSource, Session, SignalGenerator,
-    WeightMatrix,
+    ArrayGeometry, Beamformer, BeamformerConfig, PlaneWaveSource, Session, ShardPolicy,
+    ShardedBeamformer, SignalGenerator, WeightMatrix,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpu_sim::Gpu;
+use gpu_sim::{DevicePool, Gpu};
 use std::hint::black_box;
 
 const FREQ: f64 = 150e6;
@@ -48,7 +48,7 @@ fn bench_beamform(c: &mut Criterion) {
         };
         let tc = Beamformer::new(
             &Gpu::A100.device(),
-            weights,
+            weights.clone(),
             64,
             BeamformerConfig::float16(),
         )
@@ -63,9 +63,17 @@ fn bench_beamform(c: &mut Criterion) {
             &receivers,
             |bench, _| bench.iter(|| tc.delay_and_sum_reference(black_box(&samples))),
         );
-        // The streaming path: same kernel, but blocks flow through a
-        // session that also aggregates the run report.
-        let mut session = Session::new(tc.into_engine().unwrap());
+        // The streaming path: same kernel, but blocks flow through an
+        // engine session that also aggregates the run report.
+        let engine = ShardedBeamformer::new(
+            &DevicePool::from_gpus(&[Gpu::A100]),
+            weights,
+            64,
+            BeamformerConfig::float16(),
+            ShardPolicy::default(),
+        )
+        .unwrap();
+        let mut session = Session::new(engine);
         group.bench_with_input(
             BenchmarkId::new("session_stream_f16", receivers),
             &receivers,

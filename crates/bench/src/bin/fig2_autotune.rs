@@ -4,9 +4,9 @@
 //! [`MicroTuner`] times the per-precision [`ccglib::MicroKernelConfig`] menu on
 //! the band's representative shape, prints the scatter, and persists the
 //! winners to the micro-tuning cache file.  The run then closes the loop
-//! the tuner exists for: it rebuilds a beamformer through the public
-//! builder with only the cache path and asserts the engine picked the
-//! tuned blocking up automatically.
+//! the tuner exists for: it asserts that the lookup the public builder
+//! performs returns the winner just written, and builds an engine through
+//! the builder with only the cache path.
 //!
 //! Usage: `fig2_autotune [--smoke] [--out PATH] [--model-scatter]`
 //!
@@ -23,7 +23,7 @@ use ccglib::synth::pseudo_random_matrix;
 use ccglib::Precision;
 use gpu_sim::Gpu;
 use std::path::PathBuf;
-use tcbf::{Engine, TensorCoreBeamformer};
+use tcbf::BeamformerBuilder;
 use tcbf_bench::{header, print_table};
 use tuner::{MicroTuneCache, MicroTuner, Objective, ShapeClass, Strategy, Tuner};
 
@@ -132,28 +132,21 @@ fn main() {
         cache.entries.len()
     );
 
-    // Close the loop: a beamformer built through the public builder with
-    // only the cache path must pick the tuned blocking up automatically.
+    // Close the loop: the lookup the public builder performs must return
+    // the winner just written (`tcbf::builder`'s configure() test pins
+    // that the builder hands it to the engine), and an engine builds with
+    // only the cache path.
     let class = classes[0];
     let shape = class.representative_shape();
-    let weights = pseudo_random_matrix(shape.m, shape.k, 0xF16, 1.0);
-    let beamformer = TensorCoreBeamformer::builder(Gpu::A100)
-        .weights(weights)
-        .samples_per_block(shape.n)
-        .precision(Precision::Float16)
-        .micro_cache(&cache_path)
-        .build()
-        .expect("tuned build succeeds");
     let expected = cache
         .lookup(Precision::Float16, class)
         .expect("float16 entry was just recorded");
     assert_eq!(
-        beamformer.micro(),
-        expected.config,
-        "build() must consume the cache winner"
+        tuner::tuned_micro_config(Some(&cache_path), Precision::Float16, shape),
+        Some(expected.config),
+        "the builder's cache lookup must return the winner"
     );
-    // The topology-agnostic path consumes the same lookup.
-    let engine = TensorCoreBeamformer::builder(Gpu::A100)
+    let engine = BeamformerBuilder::new(Gpu::A100)
         .weights(pseudo_random_matrix(shape.m, shape.k, 0xF16, 1.0))
         .samples_per_block(shape.n)
         .precision(Precision::Float16)
@@ -162,16 +155,12 @@ fn main() {
         .expect("tuned engine build succeeds");
     println!(
         "winning config {} ({} / {} band, {:.2} GElem/s) consumed by build_engine() \
-         [{} topology]",
+         [{:?} topology]",
         expected.config,
         Precision::Float16,
         class,
         expected.gelems_per_s,
-        if engine.topology().is_sharded() {
-            "pool"
-        } else {
-            "single"
-        },
+        engine.topology(),
     );
 
     if args.iter().any(|a| a == "--model-scatter") {

@@ -221,12 +221,12 @@ impl ReferenceBeamformer {
 mod tests {
     use super::*;
     use crate::station::SkySource;
-    use beamform::{ShardPolicy, ShardedBeamformer, SingleEngine};
+    use beamform::{ShardPolicy, ShardedBeamformer};
     use gpu_sim::{DevicePool, Gpu};
 
-    /// A single-device engine holding the station weights of `first`.
-    fn single_engine(bf: &CentralBeamformer, first: &StationBeamlets) -> SingleEngine {
-        SingleEngine::new(bf.beamformer(first).unwrap()).unwrap()
+    /// A one-device engine holding the station weights of `first`.
+    fn single_engine(bf: &CentralBeamformer, first: &StationBeamlets) -> ShardedBeamformer {
+        pool_engine(bf, first, &[bf.device.gpu()], ShardPolicy::default())
     }
 
     /// A pooled engine holding the station weights of `first`.

@@ -39,8 +39,7 @@ use tcbf::{BeamformerBuilder, TcbfError};
 /// enforce.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// The device pool every engine spans.  One device builds single
-    /// engines; several build sharded engines.
+    /// The device pool every engine spans (one device is a pool of one).
     pub gpus: Vec<Gpu>,
     /// The precision menu: one engine fleet is built per entry.  Sessions
     /// requesting a precision not on the menu are refused with a typed
@@ -132,15 +131,14 @@ impl ServeConfig {
         for &precision in &self.precisions {
             let mut slots = Vec::with_capacity(self.engines_per_precision);
             for _ in 0..self.engines_per_precision {
-                let mut builder = BeamformerBuilder::new(primary_gpu)
+                let engine = BeamformerBuilder::new(primary_gpu)
+                    .devices(&self.gpus)
                     .weights(self.weights.clone())
                     .samples_per_block(self.samples_per_block)
-                    .precision(precision);
-                if self.gpus.len() > 1 {
-                    builder = builder.devices(&self.gpus);
-                }
+                    .precision(precision)
+                    .build_engine()?;
                 slots.push(EngineSlot {
-                    engine: builder.build_engine()?,
+                    engine,
                     owner: None,
                     slot_id: next_slot_id,
                 });

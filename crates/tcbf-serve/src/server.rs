@@ -213,15 +213,7 @@ impl ServerHandle {
 
     /// This worker's current discovery beacon payload.
     pub fn worker_info(&self) -> WorkerInfo {
-        let config = &self.shared.config;
-        WorkerInfo {
-            addr: self.addr.to_string(),
-            gpus: config.gpus.iter().map(|g| g.name().to_owned()).collect(),
-            precisions: config.precisions.clone(),
-            engines_per_precision: config.engines_per_precision as u32,
-            max_sessions: config.max_sessions as u32,
-            active_sessions: self.shared.active_sessions.load(Ordering::SeqCst) as u32,
-        }
+        worker_info(&self.shared, self.addr)
     }
 
     /// Starts announcing this worker over UDP per `beacon`; the first
@@ -231,22 +223,9 @@ impl ServerHandle {
         let addr = self.addr;
         self.announcer = Some(std::thread::spawn(move || {
             while !shared.shutting_down() {
-                let info = WorkerInfo {
-                    addr: addr.to_string(),
-                    gpus: shared
-                        .config
-                        .gpus
-                        .iter()
-                        .map(|g| g.name().to_owned())
-                        .collect(),
-                    precisions: shared.config.precisions.clone(),
-                    engines_per_precision: shared.config.engines_per_precision as u32,
-                    max_sessions: shared.config.max_sessions as u32,
-                    active_sessions: shared.active_sessions.load(Ordering::SeqCst) as u32,
-                };
                 // Beacons are best-effort: a transient send failure just
                 // means one missed announcement.
-                let _ = announce_once(&info, beacon.target);
+                let _ = announce_once(&worker_info(&shared, addr), beacon.target);
                 let deadline = Instant::now() + beacon.interval;
                 while Instant::now() < deadline && !shared.shutting_down() {
                     std::thread::sleep(POLL_INTERVAL.min(beacon.interval));
@@ -330,11 +309,36 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener, job_tx: &mpsc::Sync
     }
 }
 
+/// The discovery beacon payload of the worker listening on `addr`.
+fn worker_info(shared: &Shared, addr: SocketAddr) -> WorkerInfo {
+    let config = &shared.config;
+    WorkerInfo {
+        addr: addr.to_string(),
+        gpus: config.gpus.iter().map(|g| g.name().to_owned()).collect(),
+        precisions: config.precisions.clone(),
+        engines_per_precision: config.engines_per_precision as u32,
+        max_sessions: config.max_sessions as u32,
+        active_sessions: shared.active_sessions.load(Ordering::SeqCst) as u32,
+    }
+}
+
 /// Writes one server message through the shared session writer.
 fn send(writer: &parking_lot::Mutex<TcpStream>, msg: &ServerMsg) -> std::io::Result<()> {
     let payload = msg.encode();
     let mut stream = writer.lock();
     write_frame(&mut *stream, &payload)
+}
+
+/// Writes one typed `Error` reply (`seq` is `u64::MAX` when the failure
+/// belongs to no block).
+fn send_error(
+    writer: &parking_lot::Mutex<TcpStream>,
+    seq: u64,
+    code: u16,
+    message: impl Into<String>,
+) -> std::io::Result<()> {
+    let message = message.into();
+    send(writer, &ServerMsg::Error { seq, code, message })
 }
 
 /// The per-connection reader: admission, then the frame loop.
@@ -355,14 +359,7 @@ fn handle_connection(
     let hello = match ClientMsg::decode(&payload) {
         Ok(msg) => msg,
         Err(e) => {
-            let _ = send(
-                &writer,
-                &ServerMsg::Error {
-                    seq: u64::MAX,
-                    code: CODE_PROTOCOL,
-                    message: e.to_string(),
-                },
-            );
+            let _ = send_error(&writer, u64::MAX, CODE_PROTOCOL, e.to_string());
             return Ok(());
         }
     };
@@ -374,13 +371,11 @@ fn handle_connection(
         samples_per_block,
     } = hello
     else {
-        let _ = send(
+        let _ = send_error(
             &writer,
-            &ServerMsg::Error {
-                seq: u64::MAX,
-                code: CODE_PROTOCOL,
-                message: "the first message must be Hello".into(),
-            },
+            u64::MAX,
+            CODE_PROTOCOL,
+            "the first message must be Hello",
         );
         return Ok(());
     };
@@ -403,21 +398,19 @@ fn handle_connection(
             device: "this server".into(),
             precision: precision.to_string(),
         };
-        let _ = send(
+        let _ = send_error(
             &writer,
-            &ServerMsg::Error {
-                seq: u64::MAX,
-                code: err.code(),
-                message: format!(
-                    "{err}: the menu is [{}]",
-                    config
-                        .precisions
-                        .iter()
-                        .map(|p| p.to_string())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-            },
+            u64::MAX,
+            err.code(),
+            format!(
+                "{err}: the menu is [{}]",
+                config
+                    .precisions
+                    .iter()
+                    .map(|p| p.to_string())
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            ),
         );
         return Ok(());
     }
@@ -432,14 +425,7 @@ fn handle_connection(
             ),
             actual: format!("{receivers} receivers x {samples_per_block} samples per block"),
         };
-        let _ = send(
-            &writer,
-            &ServerMsg::Error {
-                seq: u64::MAX,
-                code: err.code(),
-                message: err.to_string(),
-            },
-        );
+        let _ = send_error(&writer, u64::MAX, err.code(), err.to_string());
         return Ok(());
     }
 
@@ -552,26 +538,17 @@ fn serve_session(
         let msg = match ClientMsg::decode(&payload) {
             Ok(msg) => msg,
             Err(e) => {
-                send(
-                    writer,
-                    &ServerMsg::Error {
-                        seq: u64::MAX,
-                        code: CODE_PROTOCOL,
-                        message: e.to_string(),
-                    },
-                )?;
+                send_error(writer, u64::MAX, CODE_PROTOCOL, e.to_string())?;
                 continue;
             }
         };
         match msg {
             ClientMsg::Hello { .. } => {
-                send(
+                send_error(
                     writer,
-                    &ServerMsg::Error {
-                        seq: u64::MAX,
-                        code: CODE_PROTOCOL,
-                        message: "Hello is only valid once, at session start".into(),
-                    },
+                    u64::MAX,
+                    CODE_PROTOCOL,
+                    "Hello is only valid once, at session start",
                 )?;
             }
             ClientMsg::Block { seq, samples } => {
@@ -588,14 +565,7 @@ fn serve_session(
                     };
                     stats.errors.fetch_add(1, Ordering::Relaxed);
                     shared.metrics.record_error(tenant);
-                    send(
-                        writer,
-                        &ServerMsg::Error {
-                            seq,
-                            code: err.code(),
-                            message: err.to_string(),
-                        },
-                    )?;
+                    send_error(writer, seq, err.code(), err.to_string())?;
                     continue;
                 }
                 if let Some(reason) = admit_block(shared, tenant, &inflight) {
@@ -649,14 +619,7 @@ fn serve_session(
                     };
                     stats.errors.fetch_add(1, Ordering::Relaxed);
                     shared.metrics.record_error(tenant);
-                    send(
-                        writer,
-                        &ServerMsg::Error {
-                            seq,
-                            code: err.code(),
-                            message: err.to_string(),
-                        },
-                    )?;
+                    send_error(writer, seq, err.code(), err.to_string())?;
                     continue;
                 }
                 // Blocks already enqueued carry the old `(version, Arc)`
@@ -822,14 +785,7 @@ fn worker_loop(shared: &Arc<Shared>, job_rx: &Arc<parking_lot::Mutex<mpsc::Recei
                 let err = e;
                 job.stats.errors.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.record_error(&job.tenant);
-                let _ = send(
-                    &job.writer,
-                    &ServerMsg::Error {
-                        seq: job.seq,
-                        code: err.code(),
-                        message: err.to_string(),
-                    },
-                );
+                let _ = send_error(&job.writer, job.seq, err.code(), err.to_string());
             }
         }
         job.inflight.fetch_sub(1, Ordering::SeqCst);

@@ -1,20 +1,14 @@
 //! The fluent configuration builder of the facade.
 //!
-//! A [`BeamformerBuilder`] collects the full beamformer configuration —
-//! device, weights, block length, precision, batch size, optional explicit
-//! tuning parameters, device pool — and validates everything in one place
-//! at its two terminals: [`BeamformerBuilder::build_engine`] returns a
-//! streaming [`Engine`] of the configured topology,
-//! [`BeamformerBuilder::build`] a [`TensorCoreBeamformer`] (batched
-//! executions and predictions); both fail with a single actionable
-//! [`TcbfError`].
+//! A [`BeamformerBuilder`] collects the full engine configuration —
+//! device or device pool, weights, block length, precision, optional
+//! explicit tuning parameters — and validates everything in one place at
+//! its one terminal: [`BeamformerBuilder::build_engine`] returns a
+//! streaming [`Engine`] over the configured devices, or a single
+//! actionable [`TcbfError`].
 
 use crate::error::{Result, TcbfError};
-use crate::TensorCoreBeamformer;
-use beamform::{
-    Beamformer, BeamformerConfig, Engine, ShardPolicy, ShardedBeamformer, SingleEngine,
-    WeightMatrix,
-};
+use beamform::{BeamformerConfig, Engine, ShardPolicy, ShardedBeamformer, WeightMatrix};
 use ccglib::matrix::HostComplexMatrix;
 use ccglib::{MicroKernelConfig, Precision, TuningParameters};
 use gpu_sim::{DevicePool, FaultInjector, Gpu};
@@ -22,25 +16,23 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use tcbf_types::GemmShape;
 
-/// Fluent builder for [`TensorCoreBeamformer`]; obtained from
-/// [`TensorCoreBeamformer::builder`].
+/// Fluent builder for a streaming [`Engine`].
 ///
 /// ```
-/// use tcbf::{Gpu, Precision, TensorCoreBeamformer};
+/// use tcbf::{BeamformerBuilder, Gpu, Precision};
 /// use ccglib::matrix::HostComplexMatrix;
 /// use tcbf_types::Complex;
 ///
 /// let weights = HostComplexMatrix::from_fn(8, 32, |b, r| {
 ///     Complex::from_polar(1.0 / 32.0, (b * r) as f32 * 0.01)
 /// });
-/// let beamformer = TensorCoreBeamformer::builder(Gpu::A100)
+/// let engine = BeamformerBuilder::new(Gpu::A100)
 ///     .weights(weights)
 ///     .samples_per_block(64)
 ///     .precision(Precision::Float16)
-///     .batch(1)
-///     .build()
+///     .build_engine()
 ///     .unwrap();
-/// assert_eq!(beamformer.shape().m, 8);
+/// assert_eq!(engine.topology().gpus(), &[Gpu::A100]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct BeamformerBuilder {
@@ -50,7 +42,6 @@ pub struct BeamformerBuilder {
     weights: Option<WeightMatrix>,
     samples_per_block: usize,
     precision: Precision,
-    batch: usize,
     params: Option<TuningParameters>,
     micro: Option<MicroKernelConfig>,
     micro_cache: Option<PathBuf>,
@@ -59,7 +50,7 @@ pub struct BeamformerBuilder {
 
 impl BeamformerBuilder {
     /// Starts a configuration for `gpu` with the defaults: float16
-    /// precision, batch 1, shipped tuning parameters, single device,
+    /// precision, shipped tuning parameters, a pool of just `gpu`,
     /// capacity-weighted shard policy, no weights or block length yet.
     /// The host micro-kernel blocking is looked up in the autotuning
     /// cache at build time unless pinned with
@@ -72,7 +63,6 @@ impl BeamformerBuilder {
             weights: None,
             samples_per_block: 0,
             precision: Precision::Float16,
-            batch: 1,
             params: None,
             micro: None,
             micro_cache: None,
@@ -80,10 +70,9 @@ impl BeamformerBuilder {
         }
     }
 
-    /// Configures a multi-device pool (heterogeneous mixes allowed;
-    /// repeats model several identical cards).  A configuration with a
-    /// pool builds through [`BeamformerBuilder::build_engine`]; an empty
-    /// slice reverts to the single-device path.
+    /// Configures the device pool (heterogeneous mixes allowed; repeats
+    /// model several identical cards).  An empty slice reverts to the
+    /// default, a pool of just the builder's `gpu`.
     pub fn devices(mut self, gpus: &[Gpu]) -> Self {
         self.devices = gpus.to_vec();
         self
@@ -123,13 +112,6 @@ impl BeamformerBuilder {
         self
     }
 
-    /// Sets the number of independent batch elements sharing the weights —
-    /// e.g. frequency channels × polarisations (default: 1).
-    pub fn batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
-        self
-    }
-
     /// Supplies explicit kernel tuning parameters instead of the shipped
     /// per-GPU defaults.
     pub fn params(mut self, params: TuningParameters) -> Self {
@@ -153,25 +135,23 @@ impl BeamformerBuilder {
 
     /// Arms a deterministic [`FaultInjector`] over the configured device
     /// pool, for testing fault recovery end to end.  The injector must
-    /// span exactly one verdict stream per pool member, and only
-    /// multi-device builds accept one — a single device has no survivors
-    /// to re-apportion onto, so [`BeamformerBuilder::build`] and
-    /// single-device [`BeamformerBuilder::build_engine`] reject the
-    /// configuration with [`TcbfError::InvalidParameters`].
+    /// span exactly one verdict stream per pool member (one for the
+    /// default pool of one), else [`BeamformerBuilder::build_engine`]
+    /// fails with [`TcbfError::InvalidParameters`].
     pub fn fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
         self.fault_injector = Some(injector);
         self
     }
 
-    /// The one configuration step behind both terminals: checks the fields
-    /// every build needs (weights present and non-empty, block length and
-    /// batch non-zero), resolves the micro-kernel blocking — the pinned
-    /// one if [`BeamformerBuilder::micro_config`] was called, else the
-    /// autotuning-cache winner for this host, precision and shape band,
-    /// else `None` (the default blocking) — and hands back the weights
-    /// with the [`BeamformerConfig`] they run under.  Missing, corrupt or
-    /// foreign-host caches all fall back silently: autotuning may never
-    /// break engine construction.
+    /// The configuration step of [`BeamformerBuilder::build_engine`]:
+    /// checks the fields every build needs (weights present and
+    /// non-empty, block length non-zero), resolves the micro-kernel
+    /// blocking — the pinned one if [`BeamformerBuilder::micro_config`]
+    /// was called, else the autotuning-cache winner for this host,
+    /// precision and shape band, else `None` (the default blocking) — and
+    /// hands back the weights with the [`BeamformerConfig`] they run
+    /// under.  Missing, corrupt or foreign-host caches all fall back
+    /// silently: autotuning may never break engine construction.
     fn configure(&mut self) -> Result<(WeightMatrix, BeamformerConfig)> {
         let weights = self.weights.take().ok_or(TcbfError::MissingWeights)?;
         if weights.num_beams() == 0 || weights.num_receivers() == 0 {
@@ -183,12 +163,8 @@ impl BeamformerBuilder {
         if self.samples_per_block == 0 {
             return Err(TcbfError::ZeroSamplesPerBlock);
         }
-        if self.batch == 0 {
-            return Err(TcbfError::ZeroBatch);
-        }
         let micro = self.micro.or_else(|| {
-            let shape = GemmShape::batched(
-                self.batch,
+            let shape = GemmShape::new(
                 weights.num_beams(),
                 self.samples_per_block,
                 weights.num_receivers(),
@@ -197,37 +173,25 @@ impl BeamformerBuilder {
         });
         let config = BeamformerConfig {
             precision: self.precision,
-            batch: self.batch,
+            batch: 1,
             params: self.params,
             micro,
         };
         Ok((weights, config))
     }
 
-    /// A single device has no survivors to re-apportion onto, so both
-    /// single-device builds refuse an armed injector.
-    fn reject_fault_injector(&self) -> Result<()> {
-        if self.fault_injector.is_some() {
-            return Err(TcbfError::InvalidParameters {
-                reason: "fault injection needs a multi-device pool: a single device has no \
-                         survivors to recover onto"
-                    .to_string(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Validates the whole configuration and constructs a streaming
-    /// [`Engine`] of the topology the builder describes: a single-device
-    /// engine when [`BeamformerBuilder::devices`] was never called, a
-    /// sharded multi-device engine otherwise.  This is the
-    /// topology-agnostic entry point — downstream code drives the boxed
-    /// engine (e.g. through a [`beamform::DynSession`]) without knowing
-    /// which it got.
+    /// Validates the whole configuration and constructs the streaming
+    /// [`Engine`] the builder describes: one beamformer per member of the
+    /// configured pool — a pool of just the builder's `gpu` when
+    /// [`BeamformerBuilder::devices`] was never called.  Downstream code
+    /// drives the boxed engine (e.g. through a [`beamform::DynSession`])
+    /// without knowing how many devices it spans.
     ///
-    /// Engines stream whole blocks, one per GEMM execution, so the batch
-    /// size must be 1 ([`TcbfError::ShardedBatch`] otherwise); all other
-    /// validations of [`BeamformerBuilder::build`] apply unchanged.
+    /// Checks, in order: weights present and non-empty, block length
+    /// non-zero, then per pool member precision supported on the device,
+    /// tuning parameters launchable, operands within device memory, and
+    /// last the fault injector's span.  The first violation is returned
+    /// as the matching [`TcbfError`] variant.
     ///
     /// ```
     /// use tcbf::prelude::*;
@@ -237,7 +201,7 @@ impl BeamformerBuilder {
     /// });
     /// // Same configuration code, two topologies.
     /// for devices in [Vec::new(), vec![Gpu::A100, Gpu::Gh200]] {
-    ///     let engine = TensorCoreBeamformer::builder(Gpu::A100)
+    ///     let engine = BeamformerBuilder::new(Gpu::A100)
     ///         .weights(weights.clone())
     ///         .samples_per_block(64)
     ///         .devices(&devices)
@@ -248,50 +212,74 @@ impl BeamformerBuilder {
     /// ```
     pub fn build_engine(mut self) -> Result<Box<dyn Engine>> {
         let (weights, config) = self.configure()?;
-        if self.batch != 1 {
-            return Err(TcbfError::ShardedBatch { batch: self.batch });
-        }
         if self.devices.is_empty() {
-            self.reject_fault_injector()?;
-            let inner =
-                Beamformer::new(&self.gpu.device(), weights, self.samples_per_block, config)?;
-            Ok(Box::new(SingleEngine::new(inner)?))
-        } else {
-            let pool = DevicePool::from_gpus(&self.devices);
-            let mut sharded = ShardedBeamformer::new(
-                &pool,
-                weights,
-                self.samples_per_block,
-                config,
-                self.shard_policy,
-            )?;
-            if let Some(injector) = self.fault_injector {
-                sharded.set_fault_injector(injector)?;
-            }
-            Ok(Box::new(sharded))
+            self.devices.push(self.gpu);
         }
+        let mut engine = ShardedBeamformer::new(
+            &DevicePool::from_gpus(&self.devices),
+            weights,
+            self.samples_per_block,
+            config,
+            self.shard_policy,
+        )?;
+        if let Some(injector) = self.fault_injector {
+            engine.set_fault_injector(injector)?;
+        }
+        Ok(Box::new(engine))
     }
+}
 
-    /// Validates the whole configuration and constructs the single-device
-    /// [`TensorCoreBeamformer`] — the terminal for batched executions
-    /// (`batch > 1`) and for predictions of paper-scale shapes; block
-    /// streams go through [`BeamformerBuilder::build_engine`].
-    ///
-    /// Checks, in order: no device pool configured (pools build through
-    /// [`BeamformerBuilder::build_engine`]), weights present and
-    /// non-empty, block length and batch non-zero, precision supported on
-    /// the device, tuning parameters launchable, operands within device
-    /// memory.  The first violation is returned as the matching
-    /// [`TcbfError`] variant.
-    pub fn build(mut self) -> Result<TensorCoreBeamformer> {
-        if !self.devices.is_empty() {
-            return Err(TcbfError::ShardedConfiguration {
-                devices: self.devices.len(),
-            });
-        }
-        self.reject_fault_injector()?;
-        let (weights, config) = self.configure()?;
-        let inner = Beamformer::new(&self.gpu.device(), weights, self.samples_per_block, config)?;
-        Ok(TensorCoreBeamformer::from_parts(inner, self.gpu))
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tuner::{MicroCacheEntry, MicroTuneCache, ShapeClass};
+
+    #[test]
+    fn configure_resolves_micro_to_the_cache_winner_the_pinned_config_or_none() {
+        let class = ShapeClass::Small;
+        let shape = class.representative_shape();
+        let configured = || {
+            BeamformerBuilder::new(Gpu::A100)
+                .weights(HostComplexMatrix::zeros(shape.m, shape.k))
+                .samples_per_block(shape.n)
+        };
+        let winner = MicroKernelConfig {
+            f16_j_tile: 4,
+            f16_lanes: 16,
+            f16_k_tile: 1024,
+            int1_unroll: 1,
+        };
+        assert_ne!(winner, MicroKernelConfig::default());
+        let dir = std::env::temp_dir().join(format!("tcbf-builder-test-{}", std::process::id()));
+        let path = dir.join("cache.json");
+        let mut cache = MicroTuneCache::for_this_host();
+        cache.entries.push(MicroCacheEntry {
+            precision: Precision::Float16,
+            shape_class: class,
+            config: winner,
+            gelems_per_s: 1.0,
+        });
+        cache.store(&path).unwrap();
+
+        let (_, config) = configured().micro_cache(&path).configure().unwrap();
+        assert_eq!(config.micro, Some(winner));
+        // A pinned config bypasses the cache.
+        let pinned = MicroKernelConfig::default();
+        let (_, config) = configured()
+            .micro_cache(&path)
+            .micro_config(pinned)
+            .configure()
+            .unwrap();
+        assert_eq!(config.micro, Some(pinned));
+        // No entry for the precision, or no cache file at all: the default.
+        let (_, config) = configured()
+            .precision(Precision::Int1)
+            .micro_cache(&path)
+            .configure()
+            .unwrap();
+        assert_eq!(config.micro, None);
+        std::fs::remove_dir_all(&dir).unwrap();
+        let (_, config) = configured().micro_cache(&path).configure().unwrap();
+        assert_eq!(config.micro, None);
     }
 }

@@ -1,7 +1,7 @@
 //! The unified error type of the facade.
 //!
-//! Everything that can go wrong when configuring or running a
-//! [`crate::TensorCoreBeamformer`] — builder misuse, unsupported
+//! Everything that can go wrong when configuring or running an engine
+//! built by [`crate::BeamformerBuilder`] — builder misuse, unsupported
 //! precision/device combinations, shapes that do not fit in device memory,
 //! invalid tuning parameters, operand mismatches at run time — surfaces as
 //! one [`TcbfError`] with an actionable message.  Lower-level
@@ -11,10 +11,10 @@
 use ccglib::CcglibError;
 use tcbf_types::GemmShape;
 
-/// Error returned by the facade API (builder, beamformer and sessions).
+/// Error returned by the facade API (builder, engines and sessions).
 #[derive(Clone, Debug, PartialEq)]
 pub enum TcbfError {
-    /// `build()` was called without supplying a weight matrix.
+    /// `build_engine()` was called without supplying a weight matrix.
     MissingWeights,
     /// The weight matrix has a zero dimension.
     EmptyWeights {
@@ -25,21 +25,6 @@ pub enum TcbfError {
     },
     /// The number of samples per block is zero (or was never set).
     ZeroSamplesPerBlock,
-    /// The batch size is zero.
-    ZeroBatch,
-    /// `build()` was called on a configuration with a device pool; a
-    /// multi-device configuration builds through `build_engine()`.
-    ShardedConfiguration {
-        /// Number of devices configured through `.devices(...)`.
-        devices: usize,
-    },
-    /// `build_engine()` was called with a batch size other than 1:
-    /// streaming engines distribute whole blocks (one per execution), so
-    /// per-device batching is not meaningful.
-    ShardedBatch {
-        /// The configured batch size.
-        batch: usize,
-    },
     /// The requested precision is not supported on the selected device
     /// (1-bit mode on AMD GPUs).
     UnsupportedPrecision {
@@ -106,7 +91,8 @@ impl TcbfError {
     /// that must round-trip errors without string matching.
     ///
     /// Codes are append-only: existing assignments never change, new
-    /// variants take the next free code.  0 is reserved for "no error" and
+    /// variants take the next free code, and the codes of deleted variants
+    /// (4, 5, 6) are retired, never reused.  0 is reserved for "no error" and
     /// codes the receiving side does not know map onto a generic remote
     /// error, so old clients stay compatible with newer servers.
     pub fn code(&self) -> u16 {
@@ -114,9 +100,6 @@ impl TcbfError {
             TcbfError::MissingWeights => 1,
             TcbfError::EmptyWeights { .. } => 2,
             TcbfError::ZeroSamplesPerBlock => 3,
-            TcbfError::ZeroBatch => 4,
-            TcbfError::ShardedConfiguration { .. } => 5,
-            TcbfError::ShardedBatch { .. } => 6,
             TcbfError::UnsupportedPrecision { .. } => 7,
             TcbfError::OutOfDeviceMemory { .. } => 8,
             TcbfError::InvalidParameters { .. } => 9,
@@ -176,7 +159,7 @@ impl std::fmt::Display for TcbfError {
             TcbfError::MissingWeights => {
                 write!(
                     f,
-                    "no weight matrix configured: call .weights(...) before .build()"
+                    "no weight matrix configured: call .weights(...) before .build_engine()"
                 )
             }
             TcbfError::EmptyWeights { beams, receivers } => write!(
@@ -186,17 +169,6 @@ impl std::fmt::Display for TcbfError {
             TcbfError::ZeroSamplesPerBlock => write!(
                 f,
                 "samples per block must be non-zero: call .samples_per_block(n) with n > 0"
-            ),
-            TcbfError::ZeroBatch => {
-                write!(f, "batch size must be non-zero: call .batch(n) with n > 0")
-            }
-            TcbfError::ShardedConfiguration { devices } => write!(
-                f,
-                "a {devices}-device pool is configured: call .build_engine() instead of .build()"
-            ),
-            TcbfError::ShardedBatch { batch } => write!(
-                f,
-                "streaming engines distribute whole blocks (one per execution): configure batch 1 instead of {batch}"
             ),
             TcbfError::UnsupportedPrecision { device, precision } => {
                 write!(f, "{precision} precision is not supported on {device}")
@@ -275,9 +247,6 @@ mod tests {
                 receivers: 4,
             },
             TcbfError::ZeroSamplesPerBlock,
-            TcbfError::ZeroBatch,
-            TcbfError::ShardedConfiguration { devices: 2 },
-            TcbfError::ShardedBatch { batch: 3 },
             TcbfError::UnsupportedPrecision {
                 device: "MI300X".into(),
                 precision: "int1".into(),
@@ -325,6 +294,16 @@ mod tests {
         // Stability pins: these assignments are append-only and must never
         // change, or deployed clients would misreport remote failures.
         assert_eq!(TcbfError::MissingWeights.code(), 1);
+        // 4, 5 and 6 are retired: the gap's neighbours stay where they were.
+        assert_eq!(TcbfError::ZeroSamplesPerBlock.code(), 3);
+        assert_eq!(
+            TcbfError::UnsupportedPrecision {
+                device: String::new(),
+                precision: String::new(),
+            }
+            .code(),
+            7
+        );
         assert_eq!(
             TcbfError::ShapeMismatch {
                 expected: String::new(),
@@ -377,7 +356,6 @@ mod tests {
         assert!(TcbfError::ZeroSamplesPerBlock
             .to_string()
             .contains(".samples_per_block("));
-        assert!(TcbfError::ZeroBatch.to_string().contains(".batch("));
         let oom = TcbfError::OutOfDeviceMemory {
             shape: GemmShape::new(1, 2, 3),
             required_bytes: 100,

@@ -132,23 +132,41 @@ impl TuneOutcome {
     /// configuration, so the selection is stable across runs regardless
     /// of how many candidates measure identically.
     pub fn best_under(&self, objective: Objective) -> Option<TuneResult> {
-        best_result(&self.evaluated, objective)
+        first_best(&self.evaluated, |r| r.objective_value(objective))
     }
 }
 
-/// First-wins selection of the best result: strictly better candidates
-/// replace the incumbent, equal ones do not — so the earliest evaluated
-/// configuration wins ties deterministically.  (`Iterator::max_by`
-/// returns the *last* maximum, which made tie-breaking depend on
-/// evaluation order tail-first.)
-fn best_result(evaluated: &[TuneResult], objective: Objective) -> Option<TuneResult> {
+/// First-wins selection of the best result under `value`: strictly better
+/// candidates replace the incumbent, equal ones do not — so the earliest
+/// evaluated configuration wins ties deterministically.
+/// (`Iterator::max_by` returns the *last* maximum, which made tie-breaking
+/// depend on evaluation order tail-first.)
+fn first_best<T: Copy>(evaluated: &[T], value: impl Fn(&T) -> f64) -> Option<T> {
     evaluated.iter().copied().reduce(|best, candidate| {
-        if candidate.objective_value(objective) > best.objective_value(objective) {
+        if value(&candidate) > value(&best) {
             candidate
         } else {
             best
         }
     })
+}
+
+/// The neighbours of `current` on one tuning axis: the values one step
+/// below and above it (every value if `current` is not on the axis).
+fn axis_neighbours(values: &[usize], current: usize) -> Vec<usize> {
+    match values.iter().position(|&v| v == current) {
+        Some(i) => {
+            let mut out = Vec::new();
+            if i > 0 {
+                out.push(values[i - 1]);
+            }
+            if i + 1 < values.len() {
+                out.push(values[i + 1]);
+            }
+            out
+        }
+        None => values.to_vec(),
+    }
 }
 
 /// The auto-tuner for one (device, shape, precision) combination.
@@ -218,7 +236,7 @@ impl Tuner {
             }
             Strategy::GreedyLocalSearch { max_steps } => self.greedy_search(max_steps, objective),
         };
-        let best = best_result(&evaluated, objective)?;
+        let best = first_best(&evaluated, |r| r.objective_value(objective))?;
         Some(TuneOutcome {
             device: self.device.gpu().name().to_string(),
             precision: self.precision.to_string(),
@@ -229,48 +247,32 @@ impl Tuner {
     }
 
     fn neighbours(&self, params: TuningParameters) -> Vec<TuningParameters> {
-        let step = |values: &[usize], current: usize| -> Vec<usize> {
-            let idx = values.iter().position(|&v| v == current);
-            match idx {
-                Some(i) => {
-                    let mut out = Vec::new();
-                    if i > 0 {
-                        out.push(values[i - 1]);
-                    }
-                    if i + 1 < values.len() {
-                        out.push(values[i + 1]);
-                    }
-                    out
-                }
-                None => values.to_vec(),
-            }
-        };
         let mut out = Vec::new();
-        for v in step(&self.space.m_per_block, params.m_per_block) {
+        for v in axis_neighbours(&self.space.m_per_block, params.m_per_block) {
             out.push(TuningParameters {
                 m_per_block: v,
                 ..params
             });
         }
-        for v in step(&self.space.m_per_warp, params.m_per_warp) {
+        for v in axis_neighbours(&self.space.m_per_warp, params.m_per_warp) {
             out.push(TuningParameters {
                 m_per_warp: v,
                 ..params
             });
         }
-        for v in step(&self.space.n_per_block, params.n_per_block) {
+        for v in axis_neighbours(&self.space.n_per_block, params.n_per_block) {
             out.push(TuningParameters {
                 n_per_block: v,
                 ..params
             });
         }
-        for v in step(&self.space.n_per_warp, params.n_per_warp) {
+        for v in axis_neighbours(&self.space.n_per_warp, params.n_per_warp) {
             out.push(TuningParameters {
                 n_per_warp: v,
                 ..params
             });
         }
-        for v in step(&self.space.buffers, params.buffers) {
+        for v in axis_neighbours(&self.space.buffers, params.buffers) {
             out.push(TuningParameters {
                 buffers: v,
                 ..params

@@ -17,7 +17,7 @@
 //! counter, and the paper observes that the fastest configuration is
 //! typically also the most energy-efficient one (Section IV-A).
 
-use crate::{Objective, Strategy};
+use crate::{axis_neighbours, first_best, Objective, Strategy};
 use ccglib::gemm::{gemm_f16_with, gemm_int1_with};
 use ccglib::matrix::{F16Matrix, Int1Matrix};
 use ccglib::micro::{F16_J_TILES, F16_K_TILES, F16_LANE_WIDTHS, INT1_UNROLLS};
@@ -262,37 +262,22 @@ impl MicroTuner {
     /// Menu neighbours of a configuration: one axis moved one step, only
     /// along the axes that affect this tuner's precision.
     fn neighbours(&self, config: MicroKernelConfig) -> Vec<MicroKernelConfig> {
-        let step = |values: &[usize], current: usize| -> Vec<usize> {
-            match values.iter().position(|&v| v == current) {
-                Some(i) => {
-                    let mut out = Vec::new();
-                    if i > 0 {
-                        out.push(values[i - 1]);
-                    }
-                    if i + 1 < values.len() {
-                        out.push(values[i + 1]);
-                    }
-                    out
-                }
-                None => values.to_vec(),
-            }
-        };
         let mut out = Vec::new();
         match self.precision {
             Precision::Float16 => {
-                for v in step(&F16_J_TILES, config.f16_j_tile) {
+                for v in axis_neighbours(&F16_J_TILES, config.f16_j_tile) {
                     out.push(MicroKernelConfig {
                         f16_j_tile: v,
                         ..config
                     });
                 }
-                for v in step(&F16_LANE_WIDTHS, config.f16_lanes) {
+                for v in axis_neighbours(&F16_LANE_WIDTHS, config.f16_lanes) {
                     out.push(MicroKernelConfig {
                         f16_lanes: v,
                         ..config
                     });
                 }
-                for v in step(&F16_K_TILES, config.f16_k_tile) {
+                for v in axis_neighbours(&F16_K_TILES, config.f16_k_tile) {
                     out.push(MicroKernelConfig {
                         f16_k_tile: v,
                         ..config
@@ -300,7 +285,7 @@ impl MicroTuner {
                 }
             }
             Precision::Int1 => {
-                for v in step(&INT1_UNROLLS, config.int1_unroll) {
+                for v in axis_neighbours(&INT1_UNROLLS, config.int1_unroll) {
                     out.push(MicroKernelConfig {
                         int1_unroll: v,
                         ..config
@@ -366,13 +351,7 @@ impl MicroTuner {
                 evaluated
             }
         };
-        let best = evaluated.iter().copied().reduce(|best, candidate| {
-            if candidate.objective_value(objective) > best.objective_value(objective) {
-                candidate
-            } else {
-                best
-            }
-        })?;
+        let best = first_best(&evaluated, |r| r.objective_value(objective))?;
         Some(MicroTuneOutcome {
             fingerprint: HostFingerprint::detect(),
             precision: self.precision,

@@ -265,12 +265,23 @@ mod tests {
     use super::*;
     use crate::model::ImagingConfig;
     use crate::phantom::FlowPhantom;
-    use beamform::{ShardPolicy, ShardedBeamformer, SingleEngine};
+    use beamform::{ShardPolicy, ShardedBeamformer};
     use gpu_sim::{DevicePool, Gpu};
 
-    /// A single-device engine on the reconstructor's device and precision.
-    fn single_engine(rec: &Reconstructor, model: &AcousticModel, frames: usize) -> SingleEngine {
-        SingleEngine::new(rec.beamformer(model, frames).unwrap()).unwrap()
+    /// A one-device engine on the reconstructor's device and precision.
+    fn single_engine(
+        rec: &Reconstructor,
+        model: &AcousticModel,
+        frames: usize,
+    ) -> ShardedBeamformer {
+        ShardedBeamformer::new(
+            &DevicePool::from_gpus(&[rec.device.gpu()]),
+            WeightMatrix::from_matrix(model.matrix().clone()),
+            frames,
+            rec.config(),
+            ShardPolicy::default(),
+        )
+        .unwrap()
     }
 
     fn setup(

@@ -69,21 +69,26 @@ fn main() {
         );
 
         // Close the loop: hand the tuned parameters straight to the fluent
-        // builder — the whole configuration is re-validated at build().
+        // builder — the whole configuration is re-validated at
+        // build_engine() — and run one block under them.
         let weights = HostComplexMatrix::from_fn(64, 128, |b, r| {
             Complex::from_polar(1.0 / 128.0, (b * r) as f32 * 0.01)
         });
-        let beamformer = TensorCoreBeamformer::builder(gpu)
+        let mut engine = BeamformerBuilder::new(gpu)
             .weights(weights)
             .samples_per_block(256)
             .precision(Precision::Float16)
             .params(exhaustive.best.params)
-            .build()
+            .build_engine()
             .expect("tuned parameters are valid for the device");
+        let block = HostComplexMatrix::from_fn(128, 256, |r, s| {
+            Complex::new(((r + s) % 7) as f32 * 0.1, ((r * 3 + s) % 5) as f32 * 0.1)
+        });
+        let output = engine.process_batch(&[&block]).expect("one block runs");
         println!(
-            "tuned beamformer   : shape {} predicts {:.2} TOPs/s",
-            beamformer.shape(),
-            beamformer.predict().achieved_tops
+            "tuned engine       : one {} block ran at {:.2} TOPs/s",
+            GemmShape::new(64, 256, 128),
+            output[0].report.achieved_tops
         );
         println!();
     }

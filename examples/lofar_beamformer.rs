@@ -59,7 +59,7 @@ fn main() {
     // topology, the engine assigns blocks proportionally to each member's
     // peak throughput and the shards execute in parallel, one worker per
     // device.
-    let mut engine = TensorCoreBeamformer::builder(Gpu::Gh200)
+    let mut engine = BeamformerBuilder::new(Gpu::Gh200)
         .weights(central.weights(&blocks[0]))
         .samples_per_block(128)
         .devices(&[Gpu::Gh200; 4])

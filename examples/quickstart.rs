@@ -29,7 +29,7 @@ fn main() {
     //    build_engine().  No `.devices(...)` here, so the boxed engine is
     //    a single A100 — the session code below would not change for a
     //    pool.
-    let engine = TensorCoreBeamformer::builder(Gpu::A100)
+    let engine = BeamformerBuilder::new(Gpu::A100)
         .weight_matrix(weights.clone())
         .samples_per_block(samples_per_block)
         .precision(Precision::Float16)

@@ -57,7 +57,7 @@ fn main() {
     let ensembles: Vec<_> = (0..4).map(|_| phantom.measurements(&model, 20)).collect();
     let mut pool_ensembles = vec![measurements];
     pool_ensembles.extend(ensembles);
-    let mut engine = TensorCoreBeamformer::builder(Gpu::Gh200)
+    let mut engine = BeamformerBuilder::new(Gpu::Gh200)
         .weights(model.matrix().clone())
         .samples_per_block(pool_ensembles[0].cols())
         .precision(Precision::Int1)

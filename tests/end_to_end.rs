@@ -10,7 +10,7 @@ use beamform::{
 use ccglib::matrix::HostComplexMatrix;
 use ccglib::{reference_gemm, Gemm, GemmInput, Precision};
 use gpu_sim::Gpu;
-use tcbf::{DynSession, Session, TensorCoreBeamformer};
+use tcbf::{BeamformerBuilder, DynSession, Session};
 use tcbf_types::{Complex, GemmShape};
 
 const FREQ: f64 = 150e6;
@@ -30,13 +30,13 @@ fn facade_and_low_level_api_agree() {
         Complex::new((r as f32 - 12.0) * 0.1, (s as f32 - 8.0) * 0.05)
     });
 
-    let facade = TensorCoreBeamformer::builder(Gpu::A100)
+    let mut facade = BeamformerBuilder::new(Gpu::A100)
         .weights(weights.clone())
         .samples_per_block(16)
         .precision(Precision::Float16)
-        .build()
+        .build_engine()
         .unwrap();
-    let high_level = facade.beamform(&samples).unwrap();
+    let high_level = facade.process_batch(&[&samples]).unwrap().remove(0);
 
     let gemm = Gemm::new(
         &Gpu::A100.device(),
@@ -62,7 +62,7 @@ fn session_streams_blocks_with_mid_stream_weight_swap() {
     let geometry = linear_array(48);
     let azimuths: Vec<f64> = (0..6).map(|i| -0.25 + 0.1 * i as f64).collect();
     let fan = WeightMatrix::steering(&geometry, FREQ, &azimuths, true);
-    let engine = TensorCoreBeamformer::builder(Gpu::Gh200)
+    let engine = BeamformerBuilder::new(Gpu::Gh200)
         .weight_matrix(fan)
         .samples_per_block(32)
         .precision(Precision::Float16)
@@ -118,13 +118,16 @@ fn batched_beamformer_executes_functionally_and_matches_references() {
     let weights = HostComplexMatrix::from_fn(8, 32, |b, r| {
         Complex::from_polar(1.0 / 32.0, (b * r) as f32 * 0.04)
     });
-    let beamformer = TensorCoreBeamformer::builder(Gpu::A100)
-        .weights(weights.clone())
-        .samples_per_block(24)
-        .precision(Precision::Float16)
-        .batch(4)
-        .build()
-        .unwrap();
+    let beamformer = Beamformer::new(
+        &Gpu::A100.device(),
+        WeightMatrix::from_matrix(weights.clone()),
+        24,
+        BeamformerConfig {
+            batch: 4,
+            ..BeamformerConfig::float16()
+        },
+    )
+    .unwrap();
     assert_eq!(beamformer.shape(), GemmShape::batched(4, 8, 24, 32));
 
     let blocks: Vec<HostComplexMatrix> = (0..4)
@@ -163,7 +166,7 @@ fn sharded_session_hot_swaps_weights_on_every_pool_member() {
     let swapped = WeightMatrix::steering(&geometry, FREQ, &mirrored, true);
 
     let mut session = Session::new(
-        TensorCoreBeamformer::builder(Gpu::A100)
+        BeamformerBuilder::new(Gpu::A100)
             .weight_matrix(initial.clone())
             .samples_per_block(16)
             .devices(&[Gpu::A100, Gpu::Gh200, Gpu::Mi210])

@@ -3,9 +3,9 @@
 //! The redesign's contract: one object-safe trait spans every topology, a
 //! builder configured with or without `.devices(...)` hands back the right
 //! engine behind `Box<dyn Engine>`, the generic session drives any of them
-//! identically (weight hot-swap included), and a 1-device pool is
-//! bit-identical to the plain single-device engine — sharding is a pure
-//! scheduling decision even through the trait-object path.
+//! identically (weight hot-swap included), and the engine adds nothing to
+//! the numbers: a one-device engine is bit-identical to calling
+//! `Beamformer::beamform` block by block, report included.
 
 use proptest::prelude::*;
 use tcbf::prelude::*;
@@ -34,7 +34,7 @@ fn blocks(count: usize) -> Vec<HostComplexMatrix> {
 }
 
 fn builder(gpu: Gpu) -> BeamformerBuilder {
-    TensorCoreBeamformer::builder(gpu)
+    BeamformerBuilder::new(gpu)
         .weights(weights(0.05))
         .samples_per_block(SAMPLES)
 }
@@ -94,7 +94,7 @@ fn dyn_session_hot_swaps_weights_mid_stream_on_any_topology() {
     // reference (one fresh engine per weight set).
     let stream = blocks(6);
     let reference = |phase: f32| -> Vec<BeamformOutput> {
-        let mut engine = TensorCoreBeamformer::builder(Gpu::A100)
+        let mut engine = BeamformerBuilder::new(Gpu::A100)
             .weights(weights(phase))
             .samples_per_block(SAMPLES)
             .build_engine()
@@ -144,14 +144,16 @@ fn dyn_session_hot_swaps_weights_mid_stream_on_any_topology() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A 1-device pool — under either policy — is bit-identical to the
-    /// plain single-device engine on the same block stream, through the
-    /// `Box<dyn Engine>` path returned by `build_engine()`.
+    /// A one-device engine — built with or without `.devices(&[gpu])`,
+    /// under either policy — is bit-identical to per-block
+    /// `Beamformer::beamform` on the same stream, and its `Report` equals
+    /// the per-block run reports folded by hand.
     #[test]
-    fn one_device_pool_engine_matches_the_single_engine_bit_for_bit(
+    fn build_engine_matches_per_block_beamform_bit_for_bit(
         gpu_index in 0usize..Gpu::ALL.len(),
         block_count in 0usize..12,
         capacity_weighted in any::<bool>(),
+        explicit_pool in any::<bool>(),
     ) {
         let gpu = Gpu::ALL[gpu_index];
         let policy = if capacity_weighted {
@@ -159,28 +161,34 @@ proptest! {
         } else {
             ShardPolicy::RoundRobin
         };
-        let mut single = builder(gpu).build_engine().unwrap();
-        let mut pooled = builder(gpu)
-            .devices(&[gpu])
+        let devices = if explicit_pool { vec![gpu] } else { Vec::new() };
+        let mut engine = builder(gpu)
+            .devices(&devices)
             .shard_policy(policy)
             .build_engine()
             .unwrap();
-        prop_assert!(!single.topology().is_sharded());
-        prop_assert!(pooled.topology().is_sharded());
-        prop_assert_eq!(single.topology().gpus(), pooled.topology().gpus());
+        prop_assert_eq!(engine.topology(), Topology::Single(gpu));
+
+        let reference = Beamformer::new(
+            &gpu.device(),
+            WeightMatrix::from_matrix(weights(0.05)),
+            SAMPLES,
+            BeamformerConfig::float16(),
+        )
+        .unwrap();
+        let ops = reference.shape().complex_ops() as f64;
+        let mut folded = SessionReport::default();
 
         let stream = blocks(block_count);
-        let a = drive(single.as_mut(), &stream);
-        let b = drive(pooled.as_mut(), &stream);
-        prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert_eq!(&x.beams, &y.beams);
+        let outputs = drive(engine.as_mut(), &stream);
+        prop_assert_eq!(outputs.len(), stream.len());
+        for (output, block) in outputs.iter().zip(&stream) {
+            let expected = reference.beamform(block).unwrap();
+            prop_assert_eq!(&output.beams, &expected.beams);
+            prop_assert_eq!(&output.report, &expected.report);
+            folded.record(&expected.report, ops, 1);
         }
-        // The unified reports agree on the data-dependent totals.
-        let (ra, rb) = (single.finish(), pooled.finish());
-        prop_assert_eq!(ra.total_blocks(), rb.total_blocks());
-        prop_assert_eq!(ra.per_device().len(), 1);
-        prop_assert_eq!(rb.per_device().len(), 1);
-        prop_assert!((ra.total_useful_ops() - rb.total_useful_ops()).abs() < 1e-9);
+        let by_hand = Report::new(vec![DeviceShardReport { gpu, report: folded }], 0);
+        prop_assert_eq!(engine.finish(), by_hand);
     }
 }

@@ -208,6 +208,53 @@ fn losing_the_whole_pool_surfaces_device_lost_with_its_stable_code() {
 }
 
 #[test]
+fn a_single_device_is_a_pool_of_one_under_fault_injection() {
+    // A bare `new(gpu)` and `.devices(&[gpu])` are the same engine, so
+    // both accept an injector spanning one device; killing that only
+    // member surfaces the typed permanent loss, with the blocks finished
+    // before it still accounted.
+    for precision in [Precision::Float16, Precision::Int1] {
+        let stream = blocks(5);
+        let refs: Vec<&HostComplexMatrix> = stream.iter().collect();
+        for devices in [vec![], vec![Gpu::A100]] {
+            let builder = || {
+                BeamformerBuilder::new(Gpu::A100)
+                    .devices(&devices)
+                    .weights(weights())
+                    .samples_per_block(SAMPLES)
+                    .precision(precision)
+            };
+            let injector = |plan, span| Arc::new(FaultInjector::new(plan, span));
+            assert!(
+                matches!(
+                    builder()
+                        .fault_injector(injector(FaultPlan::new(), 2))
+                        .build_engine()
+                        .unwrap_err(),
+                    TcbfError::InvalidParameters { .. }
+                ),
+                "{precision:?}: an injector spanning two devices does not fit a pool of one"
+            );
+            let mut engine = builder()
+                .fault_injector(injector(FaultPlan::new().kill_device(0, 3), 1))
+                .build_engine()
+                .unwrap();
+            let err = TcbfError::from(engine.process_batch(&refs).unwrap_err());
+            assert_eq!(
+                err,
+                TcbfError::DeviceLost {
+                    device: 0,
+                    permanent: true
+                },
+                "{precision:?}"
+            );
+            assert_eq!(err.code(), 12);
+            assert_eq!(engine.finish().total_blocks(), 3, "{precision:?}");
+        }
+    }
+}
+
+#[test]
 fn a_session_resumes_from_its_checkpoint_after_losing_its_engine() {
     let stream = blocks(8);
     let expected = reference_outputs(Precision::Float16, Gpu::A100, &stream);

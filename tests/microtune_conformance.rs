@@ -16,7 +16,7 @@
 use ccglib::synth::{exact_integer_matrix, pseudo_random_matrix};
 use ccglib::MicroKernelConfig;
 use proptest::prelude::*;
-use tcbf::{BeamformOutput, Gpu, Precision, TensorCoreBeamformer, WeightMatrix};
+use tcbf::{BeamformOutput, BeamformerBuilder, Gpu, Precision, WeightMatrix};
 
 /// Runs `blocks` through a freshly built `Box<dyn Engine>` pinned to
 /// `micro` and returns the per-block outputs.
@@ -27,7 +27,7 @@ fn engine_outputs(
     micro: MicroKernelConfig,
     blocks: &[ccglib::matrix::HostComplexMatrix],
 ) -> Vec<BeamformOutput> {
-    let mut engine = TensorCoreBeamformer::builder(Gpu::A100)
+    let mut engine = BeamformerBuilder::new(Gpu::A100)
         .weight_matrix(weights.clone())
         .samples_per_block(samples)
         .precision(precision)
@@ -127,7 +127,7 @@ fn pinned_config_is_conformant_through_a_sharded_engine() {
     );
     let menu = MicroKernelConfig::menu_for(Precision::Float16);
     let pinned = *menu.last().expect("menu is non-empty");
-    let mut sharded = TensorCoreBeamformer::builder(Gpu::A100)
+    let mut sharded = BeamformerBuilder::new(Gpu::A100)
         .weight_matrix(weights)
         .samples_per_block(9)
         .devices(&[Gpu::A100, Gpu::Gh200])
