@@ -27,20 +27,28 @@ fn bench_pack(c: &mut Criterion) {
 
 fn bench_transpose(c: &mut Criterion) {
     let mut group = c.benchmark_group("transpose");
-    for &n in &[128usize, 512] {
-        let interleaved: Vec<f32> = (0..n * n * 2).map(|i| i as f32 * 1e-4).collect();
-        group.throughput(Throughput::Elements((n * n) as u64));
+    // 2048 × 256 is the `fewbeam_int1` block: on a non-square power-of-two
+    // shape the column stride of an untiled transpose aliases in the cache,
+    // which the square cases hide.
+    for &(rows, cols) in &[(128usize, 128usize), (512, 512), (2048, 256)] {
+        let id = format!("{rows}x{cols}");
+        let interleaved: Vec<f32> = (0..rows * cols * 2).map(|i| i as f32 * 1e-4).collect();
+        group.throughput(Throughput::Elements((rows * cols) as u64));
         group.bench_with_input(
-            BenchmarkId::new("interleaved_to_planar", n),
-            &n,
+            BenchmarkId::new("interleaved_to_planar", &id),
+            &id,
             |bench, _| {
-                bench.iter(|| transpose::interleaved_to_planar(n, n, black_box(&interleaved)))
+                bench.iter(|| {
+                    transpose::interleaved_to_planar(rows, cols, black_box(&interleaved)).unwrap()
+                })
             },
         );
-        let host = HostComplexMatrix::from_fn(n, n, |r, c| Complex::new(r as f32, c as f32));
-        group.bench_with_input(BenchmarkId::new("matrix_transpose", n), &n, |bench, _| {
-            bench.iter(|| transpose::transpose(black_box(&host)))
-        });
+        let host = HostComplexMatrix::from_fn(rows, cols, |r, c| Complex::new(r as f32, c as f32));
+        group.bench_with_input(
+            BenchmarkId::new("matrix_transpose", &id),
+            &id,
+            |bench, _| bench.iter(|| transpose::transpose(black_box(&host))),
+        );
     }
     group.finish();
 }

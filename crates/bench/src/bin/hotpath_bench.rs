@@ -18,19 +18,28 @@
 //! fused output is checked against [`ccglib::reference_gemm`] before
 //! timings are reported (1-bit exactly, float16 within the binary16
 //! quantisation envelope `tests/hotpath_conformance.rs` pins), so the
-//! harness cannot record a fast-but-wrong kernel.  The
-//! results are written to `BENCH_gemm.json` at the repository root, giving
-//! subsequent PRs a wall-clock trajectory to regress against.
+//! harness cannot record a fast-but-wrong kernel.
+//!
+//! A second table times the **prologue** every block pays before its GEMM
+//! — `HostComplexMatrix::transposed`, `GemmInput::quantise_f16` and
+//! `GemmInput::quantise_int1` — at the four `K × N` block shapes of the
+//! repo benchmark (`BENCHMARK.json`), each checked for equality against
+//! its element-wise definition before it is timed.
+//!
+//! The results are written to `BENCH_gemm.json` at the repository root,
+//! giving subsequent PRs a wall-clock trajectory to regress against.
 //!
 //! Usage: `hotpath_bench [--smoke] [--out PATH]`
 //! `--smoke` shrinks the grid and repetition count for CI.
 
-use ccglib::matrix::{F16Matrix, Int1Matrix};
+use ccglib::matrix::{F16Matrix, HostComplexMatrix, Int1Matrix};
 use ccglib::synth::pseudo_random_matrix;
-use ccglib::{gemm, reference_gemm, MicroKernelConfig, Precision};
+use ccglib::{gemm, reference_gemm, GemmInput, MicroKernelConfig, Precision};
 use gpu_sim::BitOp;
+use std::hint::black_box;
 use std::time::Instant;
 use tcbf_bench::{header, print_table};
+use tcbf_types::{f16, Complex32, PackedBits};
 
 /// One measured (kernel, shape, formulation) cell.
 struct BenchEntry {
@@ -161,12 +170,90 @@ fn bench_int1(m: usize, n: usize, k: usize, op: BitOp, reps: usize) -> BenchEntr
     }
 }
 
+/// The `K × N` (receivers × samples) block shapes of the four
+/// `BENCHMARK.json` workloads: `manybeam_f16`, `manybeam_int1`,
+/// `fewbeam_int1`, `served_2tenant_f16`.
+const BLOCK_SHAPES: [(usize, usize); 4] = [(128, 128), (1024, 128), (2048, 256), (512, 256)];
+
+/// Repetitions per prologue row: the stages take 10 µs – 1 ms, so a
+/// median of many is cheap and steadier than the GEMM grid's `reps`.
+const PROLOGUE_REPS: usize = 31;
+
+/// One measured (prologue stage, block shape) cell.
+struct PrologueEntry {
+    stage: &'static str,
+    k: usize,
+    n: usize,
+    median_s: f64,
+    /// Throughput in `unit`.
+    rate: f64,
+    unit: &'static str,
+}
+
+/// Times the three prologue stages on one `K × N` block, each guarded by
+/// its element-wise definition.
+fn bench_prologue(k: usize, n: usize) -> [PrologueEntry; 3] {
+    let block = pseudo_random_matrix(k, n, 0x7A05 + (k * n) as u64, 1.0);
+
+    let by_definition = HostComplexMatrix::from_fn(n, k, |r, c| block.get(c, r));
+    let b_t = block.transposed();
+    assert_eq!(b_t, by_definition, "transposed() diverged at {k}x{n}");
+
+    // `GemmInput::quantise_f16` / `quantise_int1` (timed below) wrap these
+    // two constructors.
+    let scalar_plane = |part: fn(&Complex32) -> f32| -> Vec<u16> {
+        let encode = |v| f16::from_f32(part(v)).to_bits();
+        b_t.data().iter().map(encode).collect()
+    };
+    let plane_bits = |plane: &[f16]| plane.iter().map(|h| h.to_bits()).collect::<Vec<_>>();
+    let bulk = F16Matrix::from_host(&b_t);
+    assert_eq!(plane_bits(bulk.re()), scalar_plane(|v| v.re), "{k}x{n}");
+    assert_eq!(plane_bits(bulk.im()), scalar_plane(|v| v.im), "{k}x{n}");
+
+    let packed = Int1Matrix::from_host_padded(&b_t, GemmInput::DEFAULT_INT1_K_GRANULARITY);
+    for r in 0..n {
+        let mut re = PackedBits::zeros(packed.k_padded());
+        let mut im = PackedBits::zeros(packed.k_padded());
+        for c in 0..k {
+            re.set(c, b_t.get(r, c).re >= 0.0);
+            im.set(c, b_t.get(r, c).im >= 0.0);
+        }
+        assert_eq!(packed.re_row(r), &re, "int1 re row {r} at {k}x{n}");
+        assert_eq!(packed.im_row(r), &im, "int1 im row {r} at {k}x{n}");
+    }
+
+    let elements = (k * n) as f64;
+    let entry = |stage, median_s: f64, per_s: f64, unit| PrologueEntry {
+        stage,
+        k,
+        n,
+        median_s,
+        rate: per_s / median_s,
+        unit,
+    };
+    let transpose_s = median_secs(PROLOGUE_REPS, || {
+        black_box(black_box(&block).transposed());
+    });
+    let f16_s = median_secs(PROLOGUE_REPS, || {
+        black_box(GemmInput::quantise_f16(black_box(&b_t)));
+    });
+    let int1_s = median_secs(PROLOGUE_REPS, || {
+        black_box(GemmInput::quantise_int1(black_box(&b_t)));
+    });
+    [
+        // Computed bytes moved: every 8-byte element read once, written once.
+        entry("transpose", transpose_s, 2.0 * 8.0 * elements / 1e9, "GB/s"),
+        entry("quantise_f16", f16_s, elements / 1e6, "Melem/s"),
+        entry("quantise_int1", int1_s, elements / 1e6, "Melem/s"),
+    ]
+}
+
 /// Serialises the results by hand (the workspace has no `serde_json`),
 /// matching the stable schema documented in the README.
-fn to_json(mode: &str, reps: usize, entries: &[BenchEntry]) -> String {
+fn to_json(mode: &str, reps: usize, entries: &[BenchEntry], prologue: &[PrologueEntry]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"tcbf-hotpath-bench/v3\",\n");
+    out.push_str("  \"schema\": \"tcbf-hotpath-bench/v4\",\n");
     out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     out.push_str(&format!("  \"reps\": {reps},\n"));
     out.push_str("  \"entries\": [\n");
@@ -191,6 +278,22 @@ fn to_json(mode: &str, reps: usize, entries: &[BenchEntry]) -> String {
             e.tuned_config,
             e.tuned_speedup_vs_default(),
             if i + 1 < entries.len() { "," } else { "" },
+        ));
+    }
+    out.push_str("  ],\n");
+    out.push_str(&format!("  \"prologue_reps\": {PROLOGUE_REPS},\n"));
+    out.push_str("  \"prologue\": [\n");
+    for (i, p) in prologue.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"stage\": \"{}\", \"k\": {}, \"n\": {}, \"median_s\": {:.9}, \
+             \"rate\": {:.2}, \"unit\": \"{}\"}}{}\n",
+            p.stage,
+            p.k,
+            p.n,
+            p.median_s,
+            p.rate,
+            p.unit,
+            if i + 1 < prologue.len() { "," } else { "" },
         ));
     }
     out.push_str("  ]\n");
@@ -291,7 +394,25 @@ fn main() {
         max_tuned_gain
     );
 
-    let json = to_json(mode, reps, &entries);
+    header("Block prologue wall-clock (BENCHMARK.json block shapes)");
+    let prologue: Vec<PrologueEntry> = BLOCK_SHAPES
+        .iter()
+        .flat_map(|&(k, n)| bench_prologue(k, n))
+        .collect();
+    let rows: Vec<Vec<String>> = prologue
+        .iter()
+        .map(|p| {
+            vec![
+                p.stage.to_string(),
+                format!("{}x{}", p.k, p.n),
+                format!("{:.1}", p.median_s * 1e6),
+                format!("{:.2} {}", p.rate, p.unit),
+            ]
+        })
+        .collect();
+    print_table(&["stage", "KxN", "median us", "rate"], &rows);
+
+    let json = to_json(mode, reps, &entries, &prologue);
     std::fs::write(&out_path, &json).expect("write benchmark JSON");
     println!("wrote {out_path}");
 }

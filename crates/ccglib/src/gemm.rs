@@ -55,12 +55,11 @@ impl GemmInput {
     /// Builds a binary16 operand from interleaved single-precision data
     /// (the layout applications naturally produce); the split into planes
     /// is what the paper's transpose kernel does.
-    pub fn quantise_f16_interleaved(rows: usize, cols: usize, interleaved: &[f32]) -> Self {
-        GemmInput::F16(crate::transpose::interleaved_to_planar(
-            rows,
-            cols,
-            interleaved,
-        ))
+    ///
+    /// A buffer that is not `2·rows·cols` scalars long is a
+    /// [`CcglibError::ShapeMismatch`].
+    pub fn quantise_f16_interleaved(rows: usize, cols: usize, interleaved: &[f32]) -> Result<Self> {
+        crate::transpose::interleaved_to_planar(rows, cols, interleaved).map(GemmInput::F16)
     }
 
     /// Quantises a host matrix to packed 1-bit planes with the default
@@ -666,7 +665,8 @@ mod tests {
             }
         }
         let from_planar = GemmInput::quantise_f16(&host);
-        let from_interleaved = GemmInput::quantise_f16_interleaved(8, 16, &interleaved);
+        let from_interleaved = GemmInput::quantise_f16_interleaved(8, 16, &interleaved).unwrap();
+        assert!(GemmInput::quantise_f16_interleaved(8, 16, &interleaved[1..]).is_err());
         let b = GemmInput::quantise_f16(&pseudo_random_matrix(4, 16, 12, 1.0));
         let c1 = gemm_dispatch(&from_planar, &b, BitOp::Xor).unwrap();
         let c2 = gemm_dispatch(&from_interleaved, &b, BitOp::Xor).unwrap();

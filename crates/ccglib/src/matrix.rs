@@ -17,7 +17,11 @@
 use crate::error::{CcglibError, Result};
 use serde::{Deserialize, Serialize};
 use tcbf_types::matrix::round_up;
-use tcbf_types::{f16, Complex, Complex32, PackedBits};
+use tcbf_types::{encode_from_f32, f16, Complex, Complex32, PackedBits};
+
+/// Tile edge of [`HostComplexMatrix::transposed`], in elements: 32 rows of
+/// 256 B each.
+const TRANSPOSE_TILE: usize = 32;
 
 /// A host-side complex matrix in row-major order.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -88,8 +92,33 @@ impl HostComplexMatrix {
 
     /// Returns the transposed matrix (used to bring the `B` operand into
     /// the `N×K` orientation the packed kernels expect).
+    ///
+    /// An element-wise gather walks a column of a `rows × cols` matrix at
+    /// a stride of `8·cols` bytes, which for the power-of-two widths of
+    /// real blocks revisits a handful of cache sets and evicts every line
+    /// after one use.  The copy is therefore blocked into
+    /// `TRANSPOSE_TILE`-square tiles: each tile's source lines stay
+    /// resident while all of their elements are consumed, and every
+    /// destination run is written contiguously.
     pub fn transposed(&self) -> HostComplexMatrix {
-        HostComplexMatrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
+        let (rows, cols) = (self.rows, self.cols);
+        let mut data = vec![Complex32::ZERO; rows * cols];
+        for r0 in (0..rows).step_by(TRANSPOSE_TILE) {
+            let r1 = (r0 + TRANSPOSE_TILE).min(rows);
+            for c0 in (0..cols).step_by(TRANSPOSE_TILE) {
+                for c in c0..(c0 + TRANSPOSE_TILE).min(cols) {
+                    let run = &mut data[c * rows + r0..c * rows + r1];
+                    for (r, slot) in (r0..r1).zip(run) {
+                        *slot = self.data[r * cols + c];
+                    }
+                }
+            }
+        }
+        HostComplexMatrix {
+            rows: cols,
+            cols: rows,
+            data,
+        }
     }
 
     /// Maximum absolute difference to another matrix of the same shape.
@@ -122,18 +151,11 @@ pub struct F16Matrix {
 impl F16Matrix {
     /// Quantises a host matrix to binary16, splitting it into planes.
     pub fn from_host(host: &HostComplexMatrix) -> Self {
-        let n = host.rows() * host.cols();
-        let mut re = Vec::with_capacity(n);
-        let mut im = Vec::with_capacity(n);
-        for v in host.data() {
-            re.push(f16::from_f32(v.re));
-            im.push(f16::from_f32(v.im));
-        }
         F16Matrix {
             rows: host.rows(),
             cols: host.cols(),
-            re,
-            im,
+            re: encode_from_f32(host.data(), |v| v.re),
+            im: encode_from_f32(host.data(), |v| v.im),
         }
     }
 
@@ -313,6 +335,52 @@ mod tests {
         assert_eq!(m.transposed().transposed(), m);
     }
 
+    /// Every bit pattern, NaNs and −0.0 included, so equality must be on bits.
+    fn arbitrary_bits_matrix(rows: usize, cols: usize, seed: u64) -> HostComplexMatrix {
+        let mut counter = seed;
+        let mut next = move || {
+            counter = counter.wrapping_add(1);
+            f32::from_bits(gpu_sim::fault::splitmix64(counter) as u32)
+        };
+        HostComplexMatrix::from_fn(rows, cols, |_, _| Complex::new(next(), next()))
+    }
+
+    fn bits(m: &HostComplexMatrix) -> Vec<(u32, u32)> {
+        let of = |v: &Complex32| (v.re.to_bits(), v.im.to_bits());
+        m.data().iter().map(of).collect()
+    }
+
+    fn assert_transposed_matches_its_definition(m: &HostComplexMatrix) {
+        let t = m.transposed();
+        assert_eq!((t.rows(), t.cols()), (m.cols(), m.rows()));
+        let by_definition = HostComplexMatrix::from_fn(m.cols(), m.rows(), |r, c| m.get(c, r));
+        assert_eq!(bits(&t), bits(&by_definition), "{}x{}", m.rows(), m.cols());
+        let back = t.transposed();
+        assert_eq!((back.rows(), back.cols()), (m.rows(), m.cols()));
+        assert_eq!(bits(&back), bits(m), "{}x{}", m.rows(), m.cols());
+    }
+
+    #[test]
+    fn transposed_matches_its_definition_at_every_tile_edge() {
+        // 0-sized, 1×N, N×1 and tile−1 / tile / tile+1 on each axis, for one
+        // and two tiles.
+        let t = TRANSPOSE_TILE;
+        let edges = [0, 1, 2, t - 1, t, t + 1, 2 * t - 1, 2 * t, 2 * t + 1];
+        for rows in edges {
+            for cols in edges {
+                let seed = (rows * 1000 + cols) as u64;
+                assert_transposed_matches_its_definition(&arbitrary_bits_matrix(rows, cols, seed));
+            }
+        }
+    }
+
+    #[test]
+    fn transposed_matches_its_definition_on_the_fewbeam_block() {
+        assert_transposed_matches_its_definition(&crate::synth::pseudo_random_matrix(
+            2048, 256, 14, 1.0,
+        ));
+    }
+
     #[test]
     fn from_data_validates_length() {
         assert!(HostComplexMatrix::from_data(2, 2, vec![Complex32::ZERO; 4]).is_ok());
@@ -396,6 +464,11 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn transposed_matches_its_definition(rows in 0usize..71, cols in 0usize..71, seed in any::<u64>()) {
+            assert_transposed_matches_its_definition(&arbitrary_bits_matrix(rows, cols, seed));
+        }
 
         #[test]
         fn int1_quantisation_is_idempotent(rows in 1usize..6, k in 1usize..80, seed in any::<u64>()) {

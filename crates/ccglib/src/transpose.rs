@@ -15,26 +15,28 @@
 //! Both are pure data movement and therefore memory-bandwidth bound, like
 //! the packing kernel.
 
+use crate::error::{CcglibError, Result};
 use crate::matrix::{F16Matrix, HostComplexMatrix};
 use gpu_sim::{DeviceSpec, KernelKind, KernelProfile, LaunchConfig};
-use tcbf_types::{f16, Complex32};
+use tcbf_types::{encode_from_f32, Complex32};
 
 /// Splits an interleaved complex buffer (row-major `rows × cols`, `re, im`
 /// pairs) into a planar binary16 device matrix — the "transpose" the paper
 /// describes between the host layout and the tensor-core layout.
-pub fn interleaved_to_planar(rows: usize, cols: usize, interleaved: &[f32]) -> F16Matrix {
-    assert_eq!(
-        interleaved.len(),
-        rows * cols * 2,
-        "interleaved buffer has wrong length"
-    );
-    let mut re = Vec::with_capacity(rows * cols);
-    let mut im = Vec::with_capacity(rows * cols);
-    for e in 0..rows * cols {
-        re.push(f16::from_f32(interleaved[2 * e]));
-        im.push(f16::from_f32(interleaved[2 * e + 1]));
+pub fn interleaved_to_planar(rows: usize, cols: usize, interleaved: &[f32]) -> Result<F16Matrix> {
+    if interleaved.len() != rows * cols * 2 {
+        return Err(CcglibError::ShapeMismatch {
+            expected: format!("{rows}x{cols} = {} interleaved scalars", rows * cols * 2),
+            actual: format!("{} scalars", interleaved.len()),
+        });
     }
-    F16Matrix::from_planes(rows, cols, re, im).expect("plane lengths are consistent")
+    let (pairs, _) = interleaved.as_chunks::<2>();
+    F16Matrix::from_planes(
+        rows,
+        cols,
+        encode_from_f32(pairs, |p| p[0]),
+        encode_from_f32(pairs, |p| p[1]),
+    )
 }
 
 /// Merges a planar matrix back into an interleaved single-precision buffer.
@@ -113,14 +115,14 @@ pub fn transpose_profile(
 mod tests {
     use super::*;
     use gpu_sim::{ExecutionModel, Gpu};
-    use tcbf_types::Complex;
+    use tcbf_types::{f16, Complex};
 
     #[test]
     fn interleaved_planar_roundtrip() {
         let rows = 3;
         let cols = 5;
         let interleaved: Vec<f32> = (0..rows * cols * 2).map(|i| i as f32 * 0.125).collect();
-        let planar = interleaved_to_planar(rows, cols, &interleaved);
+        let planar = interleaved_to_planar(rows, cols, &interleaved).unwrap();
         assert_eq!(planar.rows(), rows);
         assert_eq!(planar.cols(), cols);
         let back = planar_to_interleaved(&planar);
@@ -128,6 +130,42 @@ mod tests {
         for (a, b) in interleaved.iter().zip(&back) {
             assert!((a - b).abs() < 1e-3);
         }
+    }
+
+    #[test]
+    fn planar_split_agrees_with_from_host_and_the_scalar_encoder() {
+        // Hostile values in ragged positions: both entry points go through
+        // the one bulk encoder and must equal per-element `f16::from_f32`.
+        let hostile = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            65520.0,
+            -1e-7,
+            f32::from_bits(1),
+            -0.0,
+        ];
+        let (rows, cols) = (7, 19);
+        let host = HostComplexMatrix::from_fn(rows, cols, |r, c| {
+            let i = r * cols + c;
+            let pick = |j: usize| match j % 11 {
+                0 => hostile[(j / 11) % hostile.len()],
+                _ => j as f32 * 0.173 - 20.0,
+            };
+            Complex::new(pick(i), pick(i + 5))
+        });
+        let interleaved: Vec<f32> = host.data().iter().flat_map(|v| [v.re, v.im]).collect();
+        let from_interleaved = interleaved_to_planar(rows, cols, &interleaved).unwrap();
+        let from_host = F16Matrix::from_host(&host);
+        let bits = |plane: &[f16]| plane.iter().map(|h| h.to_bits()).collect::<Vec<_>>();
+        let scalar = |part: fn(&Complex32) -> f32| -> Vec<u16> {
+            let encode = |v| f16::from_f32(part(v)).to_bits();
+            host.data().iter().map(encode).collect()
+        };
+        assert_eq!(bits(from_host.re()), scalar(|v| v.re));
+        assert_eq!(bits(from_host.im()), scalar(|v| v.im));
+        assert_eq!(bits(from_interleaved.re()), bits(from_host.re()));
+        assert_eq!(bits(from_interleaved.im()), bits(from_host.im()));
     }
 
     #[test]
@@ -173,8 +211,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "wrong length")]
     fn interleaved_length_is_checked() {
-        interleaved_to_planar(2, 2, &[0.0; 7]);
+        for len in [0, 7, 9] {
+            assert!(matches!(
+                interleaved_to_planar(2, 2, &vec![0.0; len]),
+                Err(CcglibError::ShapeMismatch { .. })
+            ));
+        }
     }
 }

@@ -280,6 +280,70 @@ pub fn decode_to_f32(plane: &[f16]) -> Vec<f32> {
     plane.iter().map(|h| table[h.to_bits() as usize]).collect()
 }
 
+/// Scalars per chunk of [`encode_from_f32`]: four AVX2 vectors of `u32`
+/// lanes, narrowed to two of `u16`.
+const ENCODE_CHUNK: usize = 32;
+
+/// Smallest binary32 magnitude (as bits) that is a *normal* binary16
+/// value, `2^-14`; anything smaller and non-zero is a binary16 subnormal.
+const F32_BITS_F16_MIN_NORMAL: u32 = 0x3880_0000;
+/// Smallest binary32 magnitude (as bits) that rounds to binary16
+/// infinity, `65520.0`; infinities and NaNs sort above it.
+const F32_BITS_F16_OVERFLOW: u32 = 0x477F_F000;
+
+/// Encodes one plane of binary32 values to binary16 in one bulk pass —
+/// the inverse of [`decode_to_f32`].  `component` selects the scalar to
+/// encode from each source element, so the same encoder splits
+/// interleaved complex data (`&[Complex32]`, `&[[f32; 2]]`) into planes
+/// and converts plain `&[f32]` slices.
+///
+/// The per-value [`f16::from_f32`](crate::half::f16::from_f32) branches
+/// on the exponent (non-finite / overflow / subnormal / normal) and again
+/// on the rounding remainder, which keeps the compiler from vectorising a
+/// conversion loop.  Here every chunk of `ENCODE_CHUNK` scalars first
+/// takes a branch-free path that is exact for ±0 and for every value that
+/// rounds to a normal binary16: re-bias the exponent (binary32 bias 127,
+/// binary16 bias 15), add `0x0FFF` plus the lowest kept mantissa bit
+/// (round to nearest even; a mantissa carry ripples into the exponent on
+/// its own) and drop the 13 low bits.  A chunk holding any other value —
+/// a binary16 subnormal, an overflow, an infinity or a NaN — is redone
+/// with `f16::from_f32`, as is the ragged tail, so the result is
+/// bit-identical to calling it on every element.
+pub fn encode_from_f32<T>(src: &[T], component: impl Fn(&T) -> f32) -> Vec<f16> {
+    let mut out = Vec::with_capacity(src.len());
+    let mut chunks = src.chunks_exact(ENCODE_CHUNK);
+    for chunk in &mut chunks {
+        let mut encoded = [f16::ZERO; ENCODE_CHUNK];
+        let mut special = false;
+        for (h, v) in encoded.iter_mut().zip(chunk) {
+            let bits = component(v).to_bits();
+            let sign = ((bits >> 16) & 0x8000) as u16;
+            let abs = bits & 0x7FFF_FFFF;
+            let rounded = abs
+                .wrapping_sub((127 - 15) << 23)
+                .wrapping_add(0x0FFF + ((abs >> 13) & 1))
+                >> 13;
+            *h = f16(sign | if abs == 0 { 0 } else { rounded as u16 });
+            special |= abs != 0
+                && abs.wrapping_sub(F32_BITS_F16_MIN_NORMAL)
+                    >= F32_BITS_F16_OVERFLOW - F32_BITS_F16_MIN_NORMAL;
+        }
+        if special {
+            for (h, v) in encoded.iter_mut().zip(chunk) {
+                *h = f16::from_f32(component(v));
+            }
+        }
+        out.extend_from_slice(&encoded);
+    }
+    out.extend(
+        chunks
+            .remainder()
+            .iter()
+            .map(|v| f16::from_f32(component(v))),
+    );
+    out
+}
+
 impl From<f32> for f16 {
     fn from(v: f32) -> Self {
         f16::from_f32(v)
@@ -474,6 +538,112 @@ mod tests {
                 "bits {:#06x}",
                 h.to_bits()
             );
+        }
+    }
+
+    fn assert_bulk_encoder_matches_scalar(values: &[f32]) {
+        let bulk = encode_from_f32(values, |&v| v);
+        assert_eq!(bulk.len(), values.len());
+        for (i, (v, h)) in values.iter().zip(&bulk).enumerate() {
+            assert_eq!(
+                h.to_bits(),
+                f16::from_f32(*v).to_bits(),
+                "element {i} of {}: f32 bits {:#010x}",
+                values.len(),
+                v.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn bulk_encoder_is_bit_identical_to_scalar_conversion_on_every_exponent_and_rounding_edge() {
+        // Every upper half-word (sign, exponent, top seven mantissa bits) ×
+        // the lower half-words that sit on and beside the rounding ties of
+        // the 13 dropped bits: every exponent, both signs, subnormals,
+        // overflow to infinity, quiet and signalling NaN payloads.
+        const LOW: [u32; 16] = [
+            0, 1, 0x0FFF, 0x1000, 0x1001, 0x1FFF, 0x2000, 0x2FFF, 0x3000, 0x3001, 0x7FFF, 0x8000,
+            0xEFFF, 0xF000, 0xF001, 0xFFFF,
+        ];
+        let sweep: Vec<f32> = (0..=u32::from(u16::MAX))
+            .flat_map(|high| LOW.map(|low| f32::from_bits(high << 16 | low)))
+            .collect();
+        assert_eq!(sweep.len(), 1 << 20);
+        // Densely packed, a chunk is all-fast or falls back as a whole …
+        assert_bulk_encoder_matches_scalar(&sweep);
+        // … so also give every pattern a chunk of its own among values the
+        // fast path takes: whether *it* falls back is then its own doing,
+        // which is what pins the two range bounds.
+        let mut isolated = vec![1.0f32; LOW.len() * ENCODE_CHUNK];
+        for (high, patterns) in sweep.chunks_exact(LOW.len()).enumerate() {
+            for (chunk, pattern) in isolated.chunks_exact_mut(ENCODE_CHUNK).zip(patterns) {
+                chunk[high % ENCODE_CHUNK] = *pattern;
+            }
+            assert_bulk_encoder_matches_scalar(&isolated);
+            for chunk in isolated.chunks_exact_mut(ENCODE_CHUNK) {
+                chunk[high % ENCODE_CHUNK] = 1.0;
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_encoder_falls_back_for_a_special_value_in_any_lane() {
+        let specials = [
+            f32::NAN,
+            f32::from_bits(0x7F80_0001), // signalling NaN
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            65520.0,            // rounds to binary16 infinity
+            -1e6,               // overflows
+            3.0e-5,             // binary16 subnormal
+            -2.0f32.powi(-26),  // underflows to −0
+            f32::from_bits(1),  // binary32 subnormal
+            -f32::MIN_POSITIVE, // smallest binary32 normal
+        ];
+        // Normal values (and ±0, which stay on the fast path) either side
+        // of the chunk under test, so a fallback must not leak into its
+        // neighbours.
+        let normals: Vec<f32> = (0..3 * ENCODE_CHUNK)
+            .map(|i| match i % 5 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => (i as f32 - 40.0) * 1.000_123,
+            })
+            .collect();
+        assert_bulk_encoder_matches_scalar(&normals);
+        for special in specials {
+            for lane in 0..ENCODE_CHUNK {
+                let mut values = normals.clone();
+                values[ENCODE_CHUNK + lane] = special;
+                assert_bulk_encoder_matches_scalar(&values);
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_encoder_handles_every_ragged_length_and_strided_sources() {
+        let values: Vec<f32> = (0..2 * ENCODE_CHUNK + 1)
+            .map(|i| {
+                if i % 7 == 3 {
+                    1e-7
+                } else {
+                    i as f32 * 0.37 - 9.0
+                }
+            })
+            .collect();
+        for len in 0..=values.len() {
+            assert_bulk_encoder_matches_scalar(&values[..len]);
+        }
+        // The component selector reads one scalar of a wider element.
+        let (pairs, _) = values.as_chunks::<2>();
+        for part in 0..2 {
+            let plane = encode_from_f32(pairs, |p| p[part]);
+            let expect: Vec<u16> = pairs
+                .iter()
+                .map(|p| f16::from_f32(p[part]).to_bits())
+                .collect();
+            let got: Vec<u16> = plane.iter().map(|h| h.to_bits()).collect();
+            assert_eq!(got, expect);
         }
     }
 

@@ -33,7 +33,7 @@ pub mod matrix;
 pub mod onebit;
 
 pub use complex::Complex;
-pub use half::{decode_to_f32, f16};
+pub use half::{decode_to_f32, encode_from_f32, f16};
 pub use matrix::{ComplexLayout, GemmShape, MatrixDescriptor, MatrixOrder, TileShape};
 pub use onebit::{OneBitComplex, PackedBits};
 

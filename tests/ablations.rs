@@ -136,7 +136,7 @@ fn planar_and_interleaved_inputs_give_identical_results() {
         .unwrap();
     let (from_interleaved, _) = gemm
         .run(
-            &GemmInput::quantise_f16_interleaved(m, k, &interleaved),
+            &GemmInput::quantise_f16_interleaved(m, k, &interleaved).unwrap(),
             &GemmInput::quantise_f16(&b),
         )
         .unwrap();

@@ -9,12 +9,14 @@
 //! inputs make every intermediate exact), and the prepared/batched entry
 //! points produce exactly the same bits as the one-shot path.
 
-use ccglib::matrix::HostComplexMatrix;
+use beamform::Engine;
+use ccglib::matrix::{F16Matrix, HostComplexMatrix, Int1Matrix};
 use ccglib::synth::{exact_integer_matrix, pseudo_random_matrix};
 use ccglib::{Gemm, GemmInput, Precision, PreparedOperand};
 use gpu_sim::{BitOp, Gpu};
 use proptest::prelude::*;
-use tcbf_types::GemmShape;
+use tcbf::BeamformerBuilder;
+use tcbf_types::{f16, Complex, GemmShape, PackedBits};
 
 #[test]
 fn decode_once_batch_is_bit_identical_to_single_runs() {
@@ -54,6 +56,136 @@ fn decode_once_batch_is_bit_identical_to_single_runs() {
             let (out, _) = single.run_prepared(&prepared, b_t).unwrap();
             let (direct, _) = single.run(&a, b_t).unwrap();
             assert_eq!(out, direct, "{precision}: run_prepared diverged");
+        }
+    }
+}
+
+/// The 1-bit encoding of one component: everything that is not `>= 0`
+/// is −1 (bit 0) — NaN included — and −0.0 is +1 (bit 1) like +0.0.
+fn one_bit(v: f32) -> bool {
+    !(v.is_nan() || (v.is_sign_negative() && v != 0.0))
+}
+
+/// An operand built one element at a time from the scalar definitions,
+/// with no bulk encoder, word-assembling packer or tiled transpose in
+/// the way.  `element(row, k)` reads the host value.
+fn element_wise_operand(
+    precision: Precision,
+    rows: usize,
+    k: usize,
+    element: impl Fn(usize, usize) -> Complex<f32>,
+) -> GemmInput {
+    let host = HostComplexMatrix::from_fn(rows, k, &element);
+    match precision {
+        Precision::Int1 => {
+            // `Int1Matrix` has no per-row constructor, so pin the packed
+            // rows against per-bit `PackedBits::set` instead.
+            let packed = Int1Matrix::from_host_padded(&host, GemmInput::DEFAULT_INT1_K_GRANULARITY);
+            for r in 0..rows {
+                let mut re = PackedBits::zeros(packed.k_padded());
+                let mut im = PackedBits::zeros(packed.k_padded());
+                for c in 0..k {
+                    re.set(c, one_bit(element(r, c).re));
+                    im.set(c, one_bit(element(r, c).im));
+                }
+                assert_eq!(packed.re_row(r), &re, "re row {r}");
+                assert_eq!(packed.im_row(r), &im, "im row {r}");
+            }
+            GemmInput::Int1(packed)
+        }
+        _ => {
+            let plane = |part: fn(&Complex<f32>) -> f32| -> Vec<f16> {
+                host.data().iter().map(|v| f16::from_f32(part(v))).collect()
+            };
+            let planes = F16Matrix::from_planes(rows, k, plane(|v| v.re), plane(|v| v.im));
+            GemmInput::F16(planes.unwrap())
+        }
+    }
+}
+
+fn bits(m: &HostComplexMatrix) -> Vec<(u32, u32)> {
+    let of = |v: &Complex<f32>| (v.re.to_bits(), v.im.to_bits());
+    m.data().iter().map(of).collect()
+}
+
+/// ROADMAP hostile-input item (c) at engine level: NaN, ±Inf, binary32
+/// and binary16 subnormals, values that overflow binary16 and −0.0 in a
+/// sample block give a *defined* result — the one the scalar definitions
+/// give — through `build_engine()`, on one device and on a pool, for both
+/// precisions.  Never a panic.
+#[test]
+fn hostile_samples_give_the_element_wise_result_through_the_engine() {
+    // 70 × 37 straddles the transpose tile on both axes and leaves the
+    // bulk f16 encoder a ragged tail.
+    let (beams, receivers, samples) = (3, 70, 37);
+    let hostile = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        1e-40,   // binary32 subnormal
+        -1e-40,  // … and negative: −1 in 1-bit
+        65520.0, // rounds to binary16 infinity
+        -1e9,
+        3.0e-6, // binary16 subnormal
+        -0.0,
+    ];
+    let weights = pseudo_random_matrix(beams, receivers, 7, 1.0);
+    let clean = pseudo_random_matrix(receivers, samples, 8, 1.0);
+    let block = HostComplexMatrix::from_fn(receivers, samples, |r, s| {
+        let i = r * samples + s;
+        let v = clean.get(r, s);
+        match i % 13 {
+            0 => Complex::new(hostile[(i / 13) % hostile.len()], v.im),
+            6 => Complex::new(v.re, hostile[(i / 13 + 4) % hostile.len()]),
+            _ => v,
+        }
+    });
+
+    for precision in [Precision::Float16, Precision::Int1] {
+        let a = element_wise_operand(precision, beams, receivers, |b, k| weights.get(b, k));
+        let b_t = element_wise_operand(precision, samples, receivers, |n, k| block.get(k, n));
+        if let GemmInput::Int1(packed) = &b_t {
+            // block(0, 0).re is NaN → −1; every −0.0 → +1.
+            let decoded = packed.to_host();
+            assert_eq!(decoded.get(0, 0).re, -1.0);
+            let negative_zeros: Vec<(usize, usize)> = (0..samples)
+                .flat_map(|n| (0..receivers).map(move |k| (n, k)))
+                .filter(|&(n, k)| block.get(k, n).re.to_bits() == (-0.0f32).to_bits())
+                .collect();
+            assert!(!negative_zeros.is_empty());
+            for (n, k) in negative_zeros {
+                assert_eq!(decoded.get(n, k).re, 1.0);
+            }
+        }
+        let shape = GemmShape::new(beams, samples, receivers);
+        let gemm = Gemm::new(&Gpu::A100.device(), shape, precision).unwrap();
+        let (expected, _) = gemm.run(&a, &b_t).unwrap();
+        if precision == Precision::Int1 {
+            // 1-bit outputs are sums of ±1 products: always finite.
+            assert!(expected
+                .data()
+                .iter()
+                .all(|v| v.re.is_finite() && v.im.is_finite()));
+        }
+
+        for pool in [&[Gpu::A100][..], &[Gpu::A100, Gpu::A100]] {
+            let mut engine = BeamformerBuilder::new(Gpu::A100)
+                .devices(pool)
+                .weights(weights.clone())
+                .samples_per_block(samples)
+                .precision(precision)
+                .build_engine()
+                .unwrap();
+            let outputs = engine.process_batch(&[&block, &block]).unwrap();
+            assert_eq!(outputs.len(), 2);
+            for output in &outputs {
+                assert_eq!(
+                    bits(&output.beams),
+                    bits(&expected),
+                    "{precision} on {} device(s)",
+                    pool.len()
+                );
+            }
         }
     }
 }
