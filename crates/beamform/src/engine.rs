@@ -491,12 +491,6 @@ impl<E: Engine> Session<E> {
         &self.engine
     }
 
-    /// Mutable access to the engine (e.g. for implementation-specific
-    /// introspection).
-    pub fn engine_mut(&mut self) -> &mut E {
-        &mut self.engine
-    }
-
     /// Processes one `K × N` block of sensor samples.
     pub fn process_block(&mut self, block: &HostComplexMatrix) -> ccglib::Result<BeamformOutput> {
         let mut outputs = self.process_batch(&[block])?;
@@ -539,12 +533,6 @@ impl<E: Engine> Session<E> {
     /// Ends the session, returning the final report.
     pub fn finish(mut self) -> Report {
         self.engine.finish()
-    }
-
-    /// Dissolves the session back into its engine (the accumulated report
-    /// stays on the engine).
-    pub fn into_engine(self) -> E {
-        self.engine
     }
 }
 

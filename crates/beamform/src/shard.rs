@@ -338,11 +338,6 @@ impl ShardedBeamformer {
         self.injector.as_ref()
     }
 
-    /// Liveness per pool member (all true until a permanent fault fires).
-    pub fn alive_mask(&self) -> &[bool] {
-        &self.alive
-    }
-
     /// Number of members still accepting work.
     pub fn live_members(&self) -> usize {
         self.alive.iter().filter(|&&a| a).count()

@@ -110,7 +110,7 @@ fn main() {
     for precision in [Precision::Float16, Precision::Int1] {
         for &class in classes {
             let micro_tuner = MicroTuner::new(precision, class, reps);
-            let Some(outcome) = micro_tuner.tune(strategy, Objective::Performance) else {
+            let Some(outcome) = micro_tuner.tune(strategy) else {
                 continue;
             };
             println!();

@@ -9,16 +9,18 @@
 //! * the **fused** path: the current `ccglib` kernels (decode-once f32
 //!   planes + blocked micro-kernel, fused `dot4` popcounts) under the
 //!   default [`MicroKernelConfig`];
-//! * the **tuned** path: every other blocking on the per-precision
-//!   [`MicroKernelConfig::menu_for`] menu, keeping the fastest.  The
-//!   default seeds the comparison, so `tuned <= fused` on every shape by
+//! * the **tuned** path: the fastest blocking on the per-precision
+//!   [`MicroKernelConfig::menu_for`] menu.  Both come from one exhaustive
+//!   [`MicroTuner::tune`] on the shape: the default leads the menu and
+//!   ties go to the first measured, so `tuned <= fused` on every shape by
 //!   construction — the JSON records the winning config and its gain.
 //!
-//! Each measurement is a median of `reps` runs after a warmup run, and the
-//! fused output is checked against [`ccglib::reference_gemm`] before
-//! timings are reported (1-bit exactly, float16 within the binary16
-//! quantisation envelope `tests/hotpath_conformance.rs` pins), so the
-//! harness cannot record a fast-but-wrong kernel.
+//! Each measurement is [`median_secs`] (a median of `reps` runs after a
+//! warmup run), and before any timing the fused kernel's output on the
+//! shape is checked against [`ccglib::reference_gemm`] (1-bit exactly,
+//! float16 within the binary16 quantisation envelope
+//! `tests/hotpath_conformance.rs` pins), so the harness cannot record a
+//! fast-but-wrong kernel.
 //!
 //! A second table times the **prologue** every block pays before its GEMM
 //! — `HostComplexMatrix::transposed`, `GemmInput::quantise_f16` and
@@ -37,9 +39,14 @@ use ccglib::synth::pseudo_random_matrix;
 use ccglib::{gemm, reference_gemm, GemmInput, MicroKernelConfig, Precision};
 use gpu_sim::BitOp;
 use std::hint::black_box;
-use std::time::Instant;
 use tcbf_bench::{header, print_table};
-use tcbf_types::{f16, Complex32, PackedBits};
+use tcbf_types::{f16, Complex32, GemmShape, PackedBits};
+use tuner::json::Value;
+use tuner::micro::median_secs;
+use tuner::{MicroTuner, Strategy};
+
+/// `(M, N, K)` of one GEMM grid cell.
+type Shape = (usize, usize, usize);
 
 /// One measured (kernel, shape, formulation) cell.
 struct BenchEntry {
@@ -68,106 +75,62 @@ impl BenchEntry {
     }
 }
 
-/// Times every micro-kernel blocking on the menu for `precision` with
-/// `run(config)` and returns the winner `(median_s, config)`.  The default
-/// blocking's already-measured `default_median_s` seeds the comparison, so
-/// the tuned time can only improve on it.
-fn best_menu_config(
-    precision: Precision,
-    default_median_s: f64,
-    reps: usize,
-    mut run: impl FnMut(&MicroKernelConfig),
-) -> (f64, MicroKernelConfig) {
-    let mut best = (default_median_s, MicroKernelConfig::default());
-    for config in MicroKernelConfig::menu_for(precision) {
-        if config == MicroKernelConfig::default() {
-            continue;
-        }
-        let median = median_secs(reps, || run(&config));
-        if median < best.0 {
-            best = (median, config);
-        }
+/// One exhaustive menu search on `m × n × k` — 1-bit under `bit_op`,
+/// float16 without one: the default blocking (first on the menu) is the
+/// fused time, the winner the tuned one.  Call after the shape's
+/// correctness guard.
+fn tune(bit_op: Option<BitOp>, (m, n, k): Shape, reps: usize) -> BenchEntry {
+    let (kernel, precision) = match bit_op {
+        Some(_) => ("int1", Precision::Int1),
+        None => ("f16", Precision::Float16),
+    };
+    let shape = GemmShape::new(m, n, k);
+    let outcome = MicroTuner::for_shape(precision, shape, bit_op.unwrap_or(BitOp::Xor), reps)
+        .tune(Strategy::Exhaustive)
+        .expect("the default blocking is always measurable");
+    let fused = outcome.evaluated[0];
+    assert_eq!(fused.config, MicroKernelConfig::default());
+    BenchEntry {
+        kernel,
+        bit_op,
+        m,
+        n,
+        k,
+        fused_median_s: fused.elapsed_s,
+        tuned_median_s: outcome.best.elapsed_s,
+        tuned_config: outcome.best.config,
     }
-    best
 }
 
-/// Median elapsed seconds of `reps` runs of `f` after one warmup run.
-fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup: page in operands, spin up the thread pool
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
-fn bench_f16(m: usize, n: usize, k: usize, reps: usize) -> BenchEntry {
+fn bench_f16(shape @ (m, n, k): Shape, reps: usize) -> BenchEntry {
     let a_host = pseudo_random_matrix(m, k, 0xF16 + (m * n * k) as u64, 1.0);
     let b_host = pseudo_random_matrix(n, k, 0xB00 + (m + n + k) as u64, 1.0);
-    let a = F16Matrix::from_host(&a_host);
-    let b = F16Matrix::from_host(&b_host);
-
     // Correctness guard: the fused kernel must stay within the binary16
-    // quantisation envelope of the full-precision reference before its
+    // quantisation envelope of the full-precision reference before any
     // time is recorded.
-    let fused_out = gemm::gemm_f16(&a, &b).expect("shapes agree");
+    let fused_out = gemm::gemm_f16(
+        &F16Matrix::from_host(&a_host),
+        &F16Matrix::from_host(&b_host),
+    )
+    .expect("shapes agree");
     let reference = reference_gemm(&a_host, &b_host).expect("reference shapes agree");
     let tol = 2.0 * 2.0f32.powi(-11) * 2.0 * k as f32;
     let diff = fused_out.max_abs_diff(&reference);
     assert!(diff < tol, "f16 fused/reference diverged: {diff} >= {tol}");
-
-    let fused_median_s = median_secs(reps, || {
-        std::hint::black_box(gemm::gemm_f16(&a, &b).expect("shapes agree"));
-    });
-    let (tuned_median_s, tuned_config) =
-        best_menu_config(Precision::Float16, fused_median_s, reps, |config| {
-            std::hint::black_box(gemm::gemm_f16_with(&a, &b, config).expect("shapes agree"));
-        });
-    BenchEntry {
-        kernel: "f16",
-        bit_op: None,
-        m,
-        n,
-        k,
-        fused_median_s,
-        tuned_median_s,
-        tuned_config,
-    }
+    tune(None, shape, reps)
 }
 
-fn bench_int1(m: usize, n: usize, k: usize, op: BitOp, reps: usize) -> BenchEntry {
+fn bench_int1(shape @ (m, n, k): Shape, op: BitOp, reps: usize) -> BenchEntry {
     let a_host = pseudo_random_matrix(m, k, 0x1B17 + (m * k) as u64, 1.0);
     let b_host = pseudo_random_matrix(n, k, 0x0B17 + (n * k) as u64, 1.0);
-    let a = Int1Matrix::from_host_padded(&a_host, 256);
-    let b = Int1Matrix::from_host_padded(&b_host, 256);
-
+    let a = Int1Matrix::from_host_padded(&a_host, GemmInput::DEFAULT_INT1_K_GRANULARITY);
+    let b = Int1Matrix::from_host_padded(&b_host, GemmInput::DEFAULT_INT1_K_GRANULARITY);
     // Correctness guard: 1-bit outputs are integers, so the fused kernel
     // must match the decoded ±1 reference exactly.
     let fused_out = gemm::gemm_int1(&a, &b, op).expect("shapes agree");
     let reference = reference_gemm(&a.to_host(), &b.to_host()).expect("reference shapes agree");
     assert_eq!(fused_out, reference, "int1 fused/reference diverged");
-
-    let fused_median_s = median_secs(reps, || {
-        std::hint::black_box(gemm::gemm_int1(&a, &b, op).expect("shapes agree"));
-    });
-    let (tuned_median_s, tuned_config) =
-        best_menu_config(Precision::Int1, fused_median_s, reps, |config| {
-            std::hint::black_box(gemm::gemm_int1_with(&a, &b, op, config).expect("shapes agree"));
-        });
-    BenchEntry {
-        kernel: "int1",
-        bit_op: Some(op),
-        m,
-        n,
-        k,
-        fused_median_s,
-        tuned_median_s,
-        tuned_config,
-    }
+    tune(Some(op), shape, reps)
 }
 
 /// The `K × N` (receivers × samples) block shapes of the four
@@ -248,57 +211,55 @@ fn bench_prologue(k: usize, n: usize) -> [PrologueEntry; 3] {
     ]
 }
 
-/// Serialises the results by hand (the workspace has no `serde_json`),
-/// matching the stable schema documented in the README.
-fn to_json(mode: &str, reps: usize, entries: &[BenchEntry], prologue: &[PrologueEntry]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"tcbf-hotpath-bench/v4\",\n");
-    out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    out.push_str(&format!("  \"reps\": {reps},\n"));
-    out.push_str("  \"entries\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let bit_op = match e.bit_op {
-            Some(BitOp::Xor) => "\"xor\"".to_string(),
-            Some(BitOp::And) => "\"and\"".to_string(),
-            None => "null".to_string(),
-        };
-        out.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"bit_op\": {}, \"m\": {}, \"n\": {}, \"k\": {}, \
-             \"fused_median_s\": {:.9}, \"gelems_per_s\": {:.4}, \"tuned_median_s\": {:.9}, \
-             \"tuned_config\": \"{}\", \"tuned_speedup_vs_default\": {:.3}}}{}\n",
-            e.kernel,
-            bit_op,
-            e.m,
-            e.n,
-            e.k,
-            e.fused_median_s,
-            e.gelems_per_s(),
-            e.tuned_median_s,
-            e.tuned_config,
-            e.tuned_speedup_vs_default(),
-            if i + 1 < entries.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!("  \"prologue_reps\": {PROLOGUE_REPS},\n"));
-    out.push_str("  \"prologue\": [\n");
-    for (i, p) in prologue.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"stage\": \"{}\", \"k\": {}, \"n\": {}, \"median_s\": {:.9}, \
-             \"rate\": {:.2}, \"unit\": \"{}\"}}{}\n",
-            p.stage,
-            p.k,
-            p.n,
-            p.median_s,
-            p.rate,
-            p.unit,
-            if i + 1 < prologue.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+/// The results as a JSON tree, matching the stable schema documented in
+/// the README; times and rates are rounded to the decimals they always had.
+fn to_json(mode: &str, reps: usize, entries: &[BenchEntry], prologue: &[PrologueEntry]) -> Value {
+    let num = |v: f64, decimals: i32| {
+        Value::Number((v * 10f64.powi(decimals)).round() / 10f64.powi(decimals))
+    };
+    let entry = |e: &BenchEntry| {
+        Value::object([
+            ("kernel", e.kernel.into()),
+            (
+                "bit_op",
+                e.bit_op.map_or(Value::Null, |op| {
+                    Value::String(op.to_string().to_lowercase())
+                }),
+            ),
+            ("m", e.m.into()),
+            ("n", e.n.into()),
+            ("k", e.k.into()),
+            ("fused_median_s", num(e.fused_median_s, 9)),
+            ("gelems_per_s", num(e.gelems_per_s(), 4)),
+            ("tuned_median_s", num(e.tuned_median_s, 9)),
+            ("tuned_config", Value::String(e.tuned_config.to_string())),
+            (
+                "tuned_speedup_vs_default",
+                num(e.tuned_speedup_vs_default(), 3),
+            ),
+        ])
+    };
+    let stage = |p: &PrologueEntry| {
+        Value::object([
+            ("stage", p.stage.into()),
+            ("k", p.k.into()),
+            ("n", p.n.into()),
+            ("median_s", num(p.median_s, 9)),
+            ("rate", num(p.rate, 2)),
+            ("unit", p.unit.into()),
+        ])
+    };
+    Value::object([
+        ("schema", "tcbf-hotpath-bench/v4".into()),
+        ("mode", mode.into()),
+        ("reps", reps.into()),
+        ("entries", Value::Array(entries.iter().map(entry).collect())),
+        ("prologue_reps", PROLOGUE_REPS.into()),
+        (
+            "prologue",
+            Value::Array(prologue.iter().map(stage).collect()),
+        ),
+    ])
 }
 
 fn main() {
@@ -335,10 +296,10 @@ fn main() {
 
     header(&format!("GEMM hot path wall-clock ({mode} grid)"));
     let mut entries = Vec::new();
-    for &(m, n, k) in &grid {
-        entries.push(bench_f16(m, n, k, reps));
+    for &shape in &grid {
+        entries.push(bench_f16(shape, reps));
         for op in [BitOp::Xor, BitOp::And] {
-            entries.push(bench_int1(m, n, k, op, reps));
+            entries.push(bench_int1(shape, op, reps));
         }
     }
 
@@ -412,7 +373,7 @@ fn main() {
         .collect();
     print_table(&["stage", "KxN", "median us", "rate"], &rows);
 
-    let json = to_json(mode, reps, &entries, &prologue);
-    std::fs::write(&out_path, &json).expect("write benchmark JSON");
+    let json = format!("{}\n", to_json(mode, reps, &entries, &prologue));
+    std::fs::write(&out_path, json).expect("write benchmark JSON");
     println!("wrote {out_path}");
 }

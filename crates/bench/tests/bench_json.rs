@@ -1,0 +1,64 @@
+//! The committed `BENCH_gemm.json` is read by the one JSON parser
+//! (`tuner::json::parse`) and carries what `hotpath_bench`, the one
+//! writer, documents: the schema tag and, per row, the README's keys.
+
+use tuner::json::{parse, Value};
+
+#[test]
+fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");
+    let text = std::fs::read_to_string(path).expect("BENCH_gemm.json is committed");
+    let root = parse(&text).expect("written by tuner::json, so read by it");
+
+    let schema = root.get("schema").unwrap().as_str().unwrap();
+    assert!(schema.starts_with("tcbf-hotpath-bench/v"), "{schema}");
+    assert_eq!(root.get("mode").unwrap().as_str().unwrap(), "full");
+    assert!(root.get("reps").unwrap().as_usize().unwrap() >= 1);
+    assert!(root.get("prologue_reps").unwrap().as_usize().unwrap() >= 1);
+
+    let positive = |row: &Value, key: &str| {
+        let v = row.get(key).unwrap().as_f64().unwrap();
+        assert!(v.is_finite() && v > 0.0, "{key} = {v}");
+        v
+    };
+    let entries = root.get("entries").unwrap().as_array().unwrap();
+    // 4 shapes x (f16 + int1 under XOR and AND).
+    assert_eq!(entries.len(), 12);
+    for row in entries {
+        let kernel = row.get("kernel").unwrap().as_str().unwrap();
+        match row.get("bit_op").unwrap() {
+            Value::Null => assert_eq!(kernel, "f16"),
+            op => {
+                assert_eq!(kernel, "int1");
+                assert!(matches!(op.as_str().unwrap(), "xor" | "and"));
+            }
+        }
+        for dim in ["m", "n", "k"] {
+            assert!(row.get(dim).unwrap().as_usize().unwrap() > 0);
+        }
+        let fused = positive(row, "fused_median_s");
+        let tuned = positive(row, "tuned_median_s");
+        positive(row, "gelems_per_s");
+        assert!(tuned <= fused, "the default blocking is on the menu");
+        assert!(positive(row, "tuned_speedup_vs_default") >= 1.0);
+        let config = row.get("tuned_config").unwrap().as_str().unwrap();
+        assert!(config.starts_with('j'), "{config}");
+    }
+
+    let prologue = root.get("prologue").unwrap().as_array().unwrap();
+    // 4 block shapes x (transpose, quantise_f16, quantise_int1).
+    assert_eq!(prologue.len(), 12);
+    for row in prologue {
+        let stage = row.get("stage").unwrap().as_str().unwrap();
+        let unit = row.get("unit").unwrap().as_str().unwrap();
+        match stage {
+            "transpose" => assert_eq!(unit, "GB/s"),
+            "quantise_f16" | "quantise_int1" => assert_eq!(unit, "Melem/s"),
+            other => panic!("undocumented prologue stage '{other}'"),
+        }
+        assert!(row.get("k").unwrap().as_usize().unwrap() > 0);
+        assert!(row.get("n").unwrap().as_usize().unwrap() > 0);
+        positive(row, "median_s");
+        positive(row, "rate");
+    }
+}

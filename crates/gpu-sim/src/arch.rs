@@ -80,12 +80,6 @@ impl Architecture {
         matches!(self, Architecture::Ampere | Architecture::Ada)
     }
 
-    /// Whether the AND binary tensor-core operation exists (introduced with
-    /// Ampere).
-    pub fn supports_and_bmma(self) -> bool {
-        self.supports_int1()
-    }
-
     /// Whether the 16×8×256 1-bit fragment layout is available (via inline
     /// PTX; it is not exposed through the WMMA API).
     pub fn supports_large_bit_fragment(self) -> bool {

@@ -478,21 +478,6 @@ impl Device {
         self.spec.arch
     }
 
-    /// The execution model for this device.
-    pub fn execution_model(&self) -> crate::exec::ExecutionModel {
-        crate::exec::ExecutionModel::new(self.spec.clone())
-    }
-
-    /// The power model for this device.
-    pub fn power_model(&self) -> crate::power::PowerModel {
-        crate::power::PowerModel::new(self.spec.clone())
-    }
-
-    /// The memory model for this device.
-    pub fn memory_model(&self) -> crate::memory::MemoryModel {
-        crate::memory::MemoryModel::new(self.spec.clone())
-    }
-
     /// Roofline ceilings for this device.
     pub fn roofline(&self) -> crate::roofline::Roofline {
         crate::roofline::Roofline::for_device(&self.spec)

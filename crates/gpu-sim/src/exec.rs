@@ -76,11 +76,6 @@ impl LaunchConfig {
             threads_per_block,
         }
     }
-
-    /// Total number of threads in the launch.
-    pub fn total_threads(&self) -> usize {
-        self.blocks * self.threads_per_block
-    }
 }
 
 /// Everything the execution model needs to know about one kernel launch.

@@ -177,11 +177,6 @@ impl f16 {
         f32::from_bits(bits)
     }
 
-    /// Converts from `f64` by way of `f32`.
-    pub fn from_f64(value: f64) -> Self {
-        Self::from_f32(value as f32)
-    }
-
     /// Converts to `f64`.
     pub fn to_f64(self) -> f64 {
         f64::from(self.to_f32())

@@ -2,30 +2,30 @@
 //!
 //! The [`crate::Tuner`] searches the *simulated* GPU kernel's parameters
 //! against the analytic execution model.  This module retargets the same
-//! search machinery ([`Strategy`], [`Objective`]) at the kernels that
-//! actually burn wall clock: every candidate
-//! [`MicroKernelConfig`] is benchmarked by running the real
-//! [`ccglib::gemm::gemm_f16_with`] / [`ccglib::gemm::gemm_int1_with`]
+//! search ([`Strategy`]) at the kernels that actually burn wall clock:
+//! every candidate [`MicroKernelConfig`] is benchmarked by running the
+//! real [`ccglib::gemm::gemm_f16_with`] / [`ccglib::gemm::gemm_int1_with`]
 //! hot path on deterministic synthetic operands and timing it with a
-//! monotonic clock.  Winners are persisted per (host fingerprint,
-//! precision, shape class) in a hand-rolled JSON cache — the Kernel Tuner
-//! cache-file analogue — and looked up automatically by the beamformer
-//! builder, with graceful fallback to the default blocking whenever the
-//! cache is missing, corrupt or was tuned on a different host.
+//! monotonic clock ([`median_secs`], the workspace's one stopwatch).
+//! Winners are persisted per (host fingerprint, precision, shape class) in
+//! a JSON cache ([`crate::json`]) — the Kernel Tuner cache-file analogue —
+//! and looked up automatically by the beamformer builder, with graceful
+//! fallback to the default blocking whenever the cache is missing, corrupt
+//! or was tuned on a different host.
 //!
-//! Both objectives select by measured throughput: the host has no energy
+//! The search selects by measured throughput: the host has no energy
 //! counter, and the paper observes that the fastest configuration is
 //! typically also the most energy-efficient one (Section IV-A).
 
-use crate::{axis_neighbours, first_best, Objective, Strategy};
+use crate::json::{JsonError, Value};
+use crate::{push_axis_neighbours, search, Strategy};
 use ccglib::gemm::{gemm_f16_with, gemm_int1_with};
 use ccglib::matrix::{F16Matrix, Int1Matrix};
 use ccglib::micro::{F16_J_TILES, F16_K_TILES, F16_LANE_WIDTHS, INT1_UNROLLS};
 use ccglib::synth::pseudo_random_matrix;
 use ccglib::{GemmInput, MicroKernelConfig, Precision};
 use gpu_sim::BitOp;
-use rand::prelude::*;
-use rand::rngs::StdRng;
+use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 use tcbf_types::GemmShape;
@@ -128,7 +128,7 @@ impl std::fmt::Display for ShapeClass {
 }
 
 /// Parses the [`Precision`] display spelling used in cache files.
-pub(crate) fn precision_from_str(text: &str) -> Option<Precision> {
+fn precision_from_str(text: &str) -> Option<Precision> {
     [
         Precision::Float16,
         Precision::Int1,
@@ -150,16 +150,6 @@ pub struct MicroTuneResult {
     pub gelems_per_s: f64,
 }
 
-impl MicroTuneResult {
-    /// The objective value of this result.  Both objectives select by
-    /// measured throughput: wall-clock benchmarking has no energy
-    /// counter, and the paper notes the fastest configuration is
-    /// typically also the most energy-efficient.
-    pub fn objective_value(&self, _objective: Objective) -> f64 {
-        self.gelems_per_s
-    }
-}
-
 /// Outcome of one real-measurement tuning run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MicroTuneOutcome {
@@ -175,6 +165,22 @@ pub struct MicroTuneOutcome {
     pub evaluated: Vec<MicroTuneResult>,
 }
 
+/// Median wall-clock seconds of `reps` (at least one) timed runs of `f`,
+/// after one warm-up run that pages in the operands and spins up the
+/// thread pool — the one stopwatch of the tuner and `hotpath_bench`.
+pub fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    let mut times: Vec<f64> = (0..reps.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
 /// Pre-quantised benchmark operands, built once per tuner so every
 /// candidate measures kernel time only.
 enum Operands {
@@ -186,21 +192,27 @@ enum Operands {
 /// (precision, shape band) pair.
 pub struct MicroTuner {
     precision: Precision,
-    shape_class: ShapeClass,
     shape: GemmShape,
+    bit_op: BitOp,
     reps: usize,
     operands: Operands,
 }
 
 impl MicroTuner {
     /// Creates a tuner measuring on the band's representative shape with
-    /// `reps` timed repetitions per candidate (median taken; one warmup
-    /// execution precedes them).
+    /// `reps` timed repetitions per candidate (see [`median_secs`]).
     ///
     /// The scalar float32 reference has no searchable blocking; tuning it
     /// degenerates to measuring the default configuration.
     pub fn new(precision: Precision, shape_class: ShapeClass, reps: usize) -> Self {
         let shape = shape_class.representative_shape();
+        Self::for_shape(precision, shape, BitOp::Xor, reps)
+    }
+
+    /// Creates a tuner measuring on an explicit `M × N × K` shape
+    /// (`shape.batch` is not run) and, for 1-bit, an explicit formulation;
+    /// outcomes are filed under the band `shape` classifies into.
+    pub fn for_shape(precision: Precision, shape: GemmShape, bit_op: BitOp, reps: usize) -> Self {
         let a_host = pseudo_random_matrix(shape.m, shape.k, 0xA11CE, 1.0);
         let b_host = pseudo_random_matrix(shape.n, shape.k, 0xB0B, 1.0);
         let operands = match precision {
@@ -215,9 +227,9 @@ impl MicroTuner {
         };
         MicroTuner {
             precision,
-            shape_class,
             shape,
-            reps: reps.max(1),
+            bit_op,
+            reps,
             operands,
         }
     }
@@ -227,30 +239,21 @@ impl MicroTuner {
         self.shape
     }
 
-    /// Measures one candidate: a warmup execution, then the median wall
-    /// clock of `reps` timed executions.  Returns `None` for
+    /// Measures one candidate with [`median_secs`].  Returns `None` for
     /// configurations outside the compiled menu.
     pub fn evaluate(&self, config: MicroKernelConfig) -> Option<MicroTuneResult> {
         config.validate().ok()?;
-        let run = || match &self.operands {
+        let elapsed_s = median_secs(self.reps, || match &self.operands {
             Operands::F16 { a, b_t } => {
-                gemm_f16_with(a, b_t, &config).expect("benchmark operands conform to the shape");
-            }
-            Operands::Int1 { a, b_t } => {
-                gemm_int1_with(a, b_t, BitOp::Xor, &config)
+                black_box(gemm_f16_with(a, b_t, &config))
                     .expect("benchmark operands conform to the shape");
             }
-        };
-        run();
-        let mut times: Vec<f64> = (0..self.reps)
-            .map(|_| {
-                let start = Instant::now();
-                run();
-                start.elapsed().as_secs_f64()
-            })
-            .collect();
-        times.sort_by(f64::total_cmp);
-        let elapsed_s = times[times.len() / 2].max(f64::MIN_POSITIVE);
+            Operands::Int1 { a, b_t } => {
+                black_box(gemm_int1_with(a, b_t, self.bit_op, &config))
+                    .expect("benchmark operands conform to the shape");
+            }
+        })
+        .max(f64::MIN_POSITIVE);
         let macs = self.shape.m as f64 * self.shape.n as f64 * self.shape.k as f64;
         Some(MicroTuneResult {
             config,
@@ -261,101 +264,48 @@ impl MicroTuner {
 
     /// Menu neighbours of a configuration: one axis moved one step, only
     /// along the axes that affect this tuner's precision.
-    fn neighbours(&self, config: MicroKernelConfig) -> Vec<MicroKernelConfig> {
+    fn neighbours(&self, c: MicroKernelConfig) -> Vec<MicroKernelConfig> {
         let mut out = Vec::new();
         match self.precision {
             Precision::Float16 => {
-                for v in axis_neighbours(&F16_J_TILES, config.f16_j_tile) {
-                    out.push(MicroKernelConfig {
-                        f16_j_tile: v,
-                        ..config
-                    });
-                }
-                for v in axis_neighbours(&F16_LANE_WIDTHS, config.f16_lanes) {
-                    out.push(MicroKernelConfig {
-                        f16_lanes: v,
-                        ..config
-                    });
-                }
-                for v in axis_neighbours(&F16_K_TILES, config.f16_k_tile) {
-                    out.push(MicroKernelConfig {
-                        f16_k_tile: v,
-                        ..config
-                    });
-                }
+                push_axis_neighbours(&mut out, c, &F16_J_TILES, c.f16_j_tile, |q, v| {
+                    q.f16_j_tile = v
+                });
+                push_axis_neighbours(&mut out, c, &F16_LANE_WIDTHS, c.f16_lanes, |q, v| {
+                    q.f16_lanes = v
+                });
+                push_axis_neighbours(&mut out, c, &F16_K_TILES, c.f16_k_tile, |q, v| {
+                    q.f16_k_tile = v
+                });
             }
             Precision::Int1 => {
-                for v in axis_neighbours(&INT1_UNROLLS, config.int1_unroll) {
-                    out.push(MicroKernelConfig {
-                        int1_unroll: v,
-                        ..config
-                    });
-                }
+                push_axis_neighbours(&mut out, c, &INT1_UNROLLS, c.int1_unroll, |q, v| {
+                    q.int1_unroll = v
+                });
             }
             Precision::Float32Reference => {}
         }
-        out.retain(|c| c.validate().is_ok());
         out
     }
 
-    /// Runs the search.  The candidate pool is the per-precision menu of
-    /// compiled configurations; the default blocking is always measured
-    /// (it leads the menu), so a winner is never worse than the default on
-    /// the shape it was measured on.  Ties select the first candidate
-    /// measured — deterministically the default under exhaustive search.
-    pub fn tune(&self, strategy: Strategy, objective: Objective) -> Option<MicroTuneOutcome> {
-        let menu = MicroKernelConfig::menu_for(self.precision);
-        let evaluated: Vec<MicroTuneResult> = match strategy {
-            Strategy::Exhaustive => menu.into_iter().filter_map(|c| self.evaluate(c)).collect(),
-            Strategy::Random { samples, seed } => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let default = menu[0];
-                let mut pool: Vec<MicroKernelConfig> =
-                    menu.into_iter().filter(|&c| c != default).collect();
-                pool.shuffle(&mut rng);
-                pool.truncate(samples.max(1).saturating_sub(1));
-                // The default always participates so the winner is
-                // measured against it even under a tiny budget.
-                std::iter::once(default)
-                    .chain(pool)
-                    .filter_map(|c| self.evaluate(c))
-                    .collect()
-            }
-            Strategy::GreedyLocalSearch { max_steps } => {
-                let mut evaluated = Vec::new();
-                let mut current = self.evaluate(MicroKernelConfig::default())?;
-                evaluated.push(current);
-                for _ in 0..max_steps {
-                    let mut improved = false;
-                    for candidate in self.neighbours(current.config) {
-                        if evaluated
-                            .iter()
-                            .any(|r: &MicroTuneResult| r.config == candidate)
-                        {
-                            continue;
-                        }
-                        if let Some(result) = self.evaluate(candidate) {
-                            evaluated.push(result);
-                            if result.objective_value(objective)
-                                > current.objective_value(objective)
-                            {
-                                current = result;
-                                improved = true;
-                            }
-                        }
-                    }
-                    if !improved {
-                        break;
-                    }
-                }
-                evaluated
-            }
-        };
-        let best = first_best(&evaluated, |r| r.objective_value(objective))?;
+    /// Runs the search from the default blocking over the per-precision
+    /// menu of compiled configurations.  Under every [`Strategy`] the
+    /// default is measured first (it leads the menu), so a winner is never
+    /// worse than the default on the shape it was measured on, and ties
+    /// select the first candidate measured.
+    pub fn tune(&self, strategy: Strategy) -> Option<MicroTuneOutcome> {
+        let (best, evaluated) = search(
+            strategy,
+            MicroKernelConfig::default(),
+            MicroKernelConfig::menu_for(self.precision),
+            |c| self.neighbours(c),
+            |c| self.evaluate(c),
+            |r| r.gelems_per_s,
+        )?;
         Some(MicroTuneOutcome {
             fingerprint: HostFingerprint::detect(),
             precision: self.precision,
-            shape_class: self.shape_class,
+            shape_class: ShapeClass::classify(self.shape),
             best,
             evaluated,
         })
@@ -420,16 +370,81 @@ impl MicroTuneCache {
             .find(|e| e.precision == precision && e.shape_class == shape_class)
     }
 
-    /// Serialises the cache to its JSON schema
-    /// ([`MICRO_CACHE_SCHEMA`]).
+    /// Serialises the cache to its JSON schema ([`MICRO_CACHE_SCHEMA`]):
+    /// a schema tag, the host fingerprint, and one flat entry per
+    /// (precision, shape band) winner.
     pub fn to_json(&self) -> String {
-        crate::json::write_micro_cache(self)
+        let entry = |e: &MicroCacheEntry| {
+            let c = &e.config;
+            let config = Value::object([
+                ("f16_j_tile", c.f16_j_tile.into()),
+                ("f16_lanes", c.f16_lanes.into()),
+                ("f16_k_tile", c.f16_k_tile.into()),
+                ("int1_unroll", c.int1_unroll.into()),
+            ]);
+            Value::object([
+                ("precision", Value::String(e.precision.to_string())),
+                ("shape_class", e.shape_class.as_str().into()),
+                ("config", config),
+                ("gelems_per_s", e.gelems_per_s.into()),
+            ])
+        };
+        let fingerprint = Value::object([
+            ("arch", self.fingerprint.arch.as_str().into()),
+            ("threads", self.fingerprint.threads.into()),
+        ]);
+        Value::object([
+            ("schema", MICRO_CACHE_SCHEMA.into()),
+            ("fingerprint", fingerprint),
+            (
+                "entries",
+                Value::Array(self.entries.iter().map(entry).collect()),
+            ),
+        ])
+        .to_string()
     }
 
     /// Restores a cache from JSON, rejecting unknown schemas and
     /// malformed documents.
-    pub fn from_json(text: &str) -> Result<Self, crate::json::JsonError> {
-        crate::json::read_micro_cache(text)
+    pub fn from_json(text: &str) -> Result<Self, JsonError> {
+        let root = crate::json::parse(text)?;
+        let schema = root.get("schema")?.as_str()?;
+        if schema != MICRO_CACHE_SCHEMA {
+            return Err(JsonError(format!(
+                "unsupported schema '{schema}' (expected '{MICRO_CACHE_SCHEMA}')"
+            )));
+        }
+        let entry = |v: &Value| -> Result<MicroCacheEntry, JsonError> {
+            let precision = v.get("precision")?.as_str()?;
+            let shape_class = v.get("shape_class")?.as_str()?;
+            let c = v.get("config")?;
+            Ok(MicroCacheEntry {
+                precision: precision_from_str(precision)
+                    .ok_or_else(|| JsonError(format!("unknown precision '{precision}'")))?,
+                shape_class: ShapeClass::parse(shape_class)
+                    .ok_or_else(|| JsonError(format!("unknown shape class '{shape_class}'")))?,
+                config: MicroKernelConfig {
+                    f16_j_tile: c.get("f16_j_tile")?.as_usize()?,
+                    f16_lanes: c.get("f16_lanes")?.as_usize()?,
+                    f16_k_tile: c.get("f16_k_tile")?.as_usize()?,
+                    int1_unroll: c.get("int1_unroll")?.as_usize()?,
+                },
+                gelems_per_s: v.get("gelems_per_s")?.as_f64()?,
+            })
+        };
+        let fingerprint = root.get("fingerprint")?;
+        Ok(MicroTuneCache {
+            fingerprint: HostFingerprint {
+                arch: fingerprint.get("arch")?.as_str()?.to_string(),
+                threads: fingerprint.get("threads")?.as_usize()?,
+            },
+            entries: root
+                .get("entries")?
+                .as_array()?
+                .iter()
+                .map(entry)
+                .collect::<Result<_, _>>()?,
+        })
     }
 
     /// Loads a cache file; `None` if the file is missing, unreadable or
@@ -550,6 +565,16 @@ mod tests {
         let restored = MicroTuneCache::from_json(&cache.to_json()).unwrap();
         assert_eq!(restored, cache);
 
+        // A file laid out by the hand-formatted writer this one replaced
+        // (floats as `12.5` / `480.0`) still loads to the same cache.
+        let HostFingerprint { arch, threads } = &cache.fingerprint;
+        let previous = format!(
+            "{{\n  \"schema\": \"tcbf-microtune/v1\",\n  \"fingerprint\": {{\"arch\": \"{arch}\", \"threads\": {threads}}},\n  \"entries\": [\n    \
+             {{\"precision\": \"float16\", \"shape_class\": \"small\", \"config\": {{\"f16_j_tile\": 4, \"f16_lanes\": 16, \"f16_k_tile\": 1024, \"int1_unroll\": 1}}, \"gelems_per_s\": 12.5}},\n    \
+             {{\"precision\": \"int1\", \"shape_class\": \"large\", \"config\": {{\"f16_j_tile\": 2, \"f16_lanes\": 8, \"f16_k_tile\": 1024, \"int1_unroll\": 4}}, \"gelems_per_s\": 480.0}}\n  ]\n}}"
+        );
+        assert_eq!(MicroTuneCache::from_json(&previous).unwrap(), cache);
+
         let path = temp_path("roundtrip");
         cache.store(&path).unwrap();
         assert_eq!(MicroTuneCache::load(&path), Some(cache));
@@ -586,6 +611,62 @@ mod tests {
             .replace(MICRO_CACHE_SCHEMA, "tcbf-microtune/v999");
         std::fs::write(&path, foreign).unwrap();
         assert_eq!(MicroTuneCache::load(&path), None);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn out_of_range_integer_fields_are_rejected_not_truncated() {
+        // `as usize` used to turn these into 0 / 2 / 0 and accept them.
+        let valid = sample_cache().to_json();
+        assert!(MicroTuneCache::from_json(&valid).is_ok());
+        for (field, hostile) in [
+            ("\"threads\": ", "-3.7"),
+            ("\"f16_j_tile\": ", "2.9"),
+            ("\"int1_unroll\": ", "null"),
+            ("\"f16_lanes\": ", "1e300"),
+            ("\"f16_k_tile\": ", "4294967296"),
+            ("\"f16_k_tile\": ", "\"1024\""),
+        ] {
+            let at = valid.find(field).expect("field is written") + field.len();
+            let end = at + valid[at..].find([',', '}']).unwrap();
+            let document = format!("{}{hostile}{}", &valid[..at], &valid[end..]);
+            let error = MicroTuneCache::from_json(&document).unwrap_err();
+            assert!(error.to_string().contains("integer"), "{field}{hostile}");
+        }
+        let path = temp_path("hostile-integers");
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(
+            &path,
+            valid.replacen("\"f16_j_tile\": 4", "\"f16_j_tile\": 2.9", 1),
+        )
+        .unwrap();
+        let shape = ShapeClass::Small.representative_shape();
+        assert_eq!(
+            tuned_micro_config(Some(&path), Precision::Float16, shape),
+            None
+        );
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn bracket_towers_are_a_typed_error_not_a_stack_overflow() {
+        // Unbounded recursion used to abort the process (SIGABRT) inside
+        // every build_engine() that found such a file.
+        let path = temp_path("towers");
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        for tower in ["[".repeat(200_000), "{\"a\":".repeat(200_000)] {
+            let error = MicroTuneCache::from_json(&tower).unwrap_err();
+            assert!(error.to_string().contains("nesting"), "{error}");
+            std::fs::write(&path, &tower).unwrap();
+            assert_eq!(
+                tuned_micro_config(Some(&path), Precision::Float16, GemmShape::new(8, 8, 8)),
+                None
+            );
+        }
+        // Nesting up to the cap still parses.
+        let deep = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(crate::json::parse(&deep(crate::json::MAX_DEPTH)).is_ok());
+        assert!(crate::json::parse(&deep(crate::json::MAX_DEPTH + 1)).is_err());
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
@@ -652,13 +733,10 @@ mod tests {
     fn micro_tuner_measures_real_throughput_and_prefers_first_on_ties() {
         let tuner = MicroTuner::new(Precision::Float16, ShapeClass::Small, 1);
         let outcome = tuner
-            .tune(
-                Strategy::Random {
-                    samples: 3,
-                    seed: 7,
-                },
-                Objective::Performance,
-            )
+            .tune(Strategy::Random {
+                samples: 3,
+                seed: 7,
+            })
             .unwrap();
         assert!(!outcome.evaluated.is_empty());
         // The default is always part of a Random search.
@@ -684,9 +762,7 @@ mod tests {
     #[test]
     fn int1_tuning_searches_only_unroll_depths() {
         let tuner = MicroTuner::new(Precision::Int1, ShapeClass::Small, 1);
-        let outcome = tuner
-            .tune(Strategy::Exhaustive, Objective::Performance)
-            .unwrap();
+        let outcome = tuner.tune(Strategy::Exhaustive).unwrap();
         assert_eq!(outcome.evaluated.len(), INT1_UNROLLS.len());
         assert!(outcome
             .evaluated
@@ -698,10 +774,7 @@ mod tests {
     fn greedy_search_stays_within_the_menu() {
         let tuner = MicroTuner::new(Precision::Float16, ShapeClass::Small, 1);
         let outcome = tuner
-            .tune(
-                Strategy::GreedyLocalSearch { max_steps: 2 },
-                Objective::Performance,
-            )
+            .tune(Strategy::GreedyLocalSearch { max_steps: 2 })
             .unwrap();
         for result in &outcome.evaluated {
             result.config.validate().unwrap();
