@@ -36,6 +36,7 @@
 //!   streams across the members under a [`ShardPlan`] (round-robin or
 //!   capacity-weighted), recovering from member faults.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod beamformer;

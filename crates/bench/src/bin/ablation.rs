@@ -7,6 +7,8 @@
 //!   paper lists as future work to eliminate);
 //! * padding overhead for ragged problem sizes.
 
+#![forbid(unsafe_code)]
+
 use ccglib::benchmark::{measure, measure_with_params};
 use ccglib::{transpose, Precision, TuningParameters};
 use gpu_sim::{BitFragmentShape, BitOp, ExecutionModel, Gpu};

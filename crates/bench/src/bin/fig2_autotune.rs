@@ -19,6 +19,8 @@
 //!   tuning-parameter scatter (launch-geometry search on the device
 //!   model), kept for comparison with the paper figure.
 
+#![forbid(unsafe_code)]
+
 use ccglib::synth::pseudo_random_matrix;
 use ccglib::Precision;
 use gpu_sim::Gpu;

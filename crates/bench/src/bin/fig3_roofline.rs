@@ -2,6 +2,8 @@
 //! float16/int1 tensor-core and float32 ceilings per GPU, plus the measured
 //! small/big evaluation points.
 
+#![forbid(unsafe_code)]
+
 use ccglib::benchmark::roofline_points;
 use gpu_sim::Gpu;
 use tcbf_bench::{header, print_table};

@@ -3,6 +3,8 @@
 //! parameters — float16 on all seven GPUs, 1-bit on the NVIDIA GPUs
 //! (separate M/N and K sweeps).
 
+#![forbid(unsafe_code)]
+
 use ccglib::benchmark::{sweep_int1, sweep_square};
 use ccglib::Precision;
 use gpu_sim::Gpu;

@@ -2,6 +2,8 @@
 //! versus the number of voxels, for the GH200, A100 and AD4000, with the
 //! 1000 frames-per-second real-time requirement marked.
 
+#![forbid(unsafe_code)]
+
 use gpu_sim::Gpu;
 use tcbf_bench::{header, print_table};
 use ultrasound::{FrameRateModel, REAL_TIME_FPS};

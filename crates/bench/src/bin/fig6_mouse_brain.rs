@@ -8,6 +8,8 @@
 //! removal, 1-bit sign quantisation, ensemble averaging, projections) at a
 //! reduced size so the functional reconstruction runs in seconds on a CPU.
 
+#![forbid(unsafe_code)]
+
 use gpu_sim::Gpu;
 use tcbf_bench::{ascii_image, header};
 use ultrasound::{

@@ -3,6 +3,8 @@
 //! seven GPUs, with the float32 reference beamformer lines on the A100 and
 //! GH200.
 
+#![forbid(unsafe_code)]
+
 use gpu_sim::Gpu;
 use radioastro::performance::{lofar_sweep, paper_receiver_counts, reference_sweep, LofarConfig};
 use tcbf_bench::{header, print_table};

@@ -4,6 +4,8 @@
 //! verifying along the way that every pool produces element-wise identical
 //! output to the single-device reference.
 
+#![forbid(unsafe_code)]
+
 use gpu_sim::Gpu;
 use radioastro::{CentralBeamformer, SkySource, StationBeamlets};
 use tcbf::BeamformerBuilder;

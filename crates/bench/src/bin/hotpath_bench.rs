@@ -4,11 +4,13 @@
 //! performance, this harness measures the real elapsed time of the
 //! functional kernels that every session, shard and conformance test
 //! executes.  For each shape in a small grid, and for both precisions
-//! (and both 1-bit formulations), it times:
+//! (both 1-bit formulations, on every popcount path the host has — one
+//! row per [`Int1Isa::available`] entry, so the portable number is never
+//! hidden behind the fast one), it times:
 //!
 //! * the **fused** path: the current `ccglib` kernels (decode-once f32
-//!   planes + blocked micro-kernel, fused `dot4` popcounts) under the
-//!   default [`MicroKernelConfig`];
+//!   planes + blocked micro-kernel, register-tiled popcount kernel) under
+//!   the default [`MicroKernelConfig`];
 //! * the **tuned** path: the fastest blocking on the per-precision
 //!   [`MicroKernelConfig::menu_for`] menu.  Both come from one exhaustive
 //!   [`MicroTuner::tune`] on the shape: the default leads the menu and
@@ -34,9 +36,11 @@
 //! Usage: `hotpath_bench [--smoke] [--out PATH]`
 //! `--smoke` shrinks the grid and repetition count for CI.
 
+#![forbid(unsafe_code)]
+
 use ccglib::matrix::{F16Matrix, HostComplexMatrix, Int1Matrix};
 use ccglib::synth::pseudo_random_matrix;
-use ccglib::{gemm, reference_gemm, GemmInput, MicroKernelConfig, Precision};
+use ccglib::{gemm, reference_gemm, GemmInput, Int1Isa, MicroKernelConfig, Precision};
 use gpu_sim::BitOp;
 use std::hint::black_box;
 use tcbf_bench::{header, print_table};
@@ -51,7 +55,8 @@ type Shape = (usize, usize, usize);
 /// One measured (kernel, shape, formulation) cell.
 struct BenchEntry {
     kernel: &'static str,
-    bit_op: Option<BitOp>,
+    /// Formulation and popcount path of a 1-bit row.
+    int1: Option<(BitOp, Int1Isa)>,
     m: usize,
     n: usize,
     k: usize,
@@ -75,24 +80,30 @@ impl BenchEntry {
     }
 }
 
-/// One exhaustive menu search on `m × n × k` — 1-bit under `bit_op`,
-/// float16 without one: the default blocking (first on the menu) is the
-/// fused time, the winner the tuned one.  Call after the shape's
-/// correctness guard.
-fn tune(bit_op: Option<BitOp>, (m, n, k): Shape, reps: usize) -> BenchEntry {
-    let (kernel, precision) = match bit_op {
-        Some(_) => ("int1", Precision::Int1),
-        None => ("f16", Precision::Float16),
-    };
+/// One exhaustive menu search on `m × n × k` — 1-bit under a formulation
+/// and popcount path, float16 without: the default blocking (first on the
+/// menu) is the fused time, the winner the tuned one.  Call after the
+/// shape's correctness guard.
+fn tune(int1: Option<(BitOp, Int1Isa)>, (m, n, k): Shape, reps: usize) -> BenchEntry {
     let shape = GemmShape::new(m, n, k);
-    let outcome = MicroTuner::for_shape(precision, shape, bit_op.unwrap_or(BitOp::Xor), reps)
+    let (kernel, tuner) = match int1 {
+        Some((op, isa)) => (
+            "int1",
+            MicroTuner::for_shape(Precision::Int1, shape, op, reps).on_int1_isa(isa),
+        ),
+        None => (
+            "f16",
+            MicroTuner::for_shape(Precision::Float16, shape, BitOp::Xor, reps),
+        ),
+    };
+    let outcome = tuner
         .tune(Strategy::Exhaustive)
         .expect("the default blocking is always measurable");
     let fused = outcome.evaluated[0];
     assert_eq!(fused.config, MicroKernelConfig::default());
     BenchEntry {
         kernel,
-        bit_op,
+        int1,
         m,
         n,
         k,
@@ -120,17 +131,17 @@ fn bench_f16(shape @ (m, n, k): Shape, reps: usize) -> BenchEntry {
     tune(None, shape, reps)
 }
 
-fn bench_int1(shape @ (m, n, k): Shape, op: BitOp, reps: usize) -> BenchEntry {
+fn bench_int1(shape @ (m, n, k): Shape, op: BitOp, isa: Int1Isa, reps: usize) -> BenchEntry {
     let a_host = pseudo_random_matrix(m, k, 0x1B17 + (m * k) as u64, 1.0);
     let b_host = pseudo_random_matrix(n, k, 0x0B17 + (n * k) as u64, 1.0);
     let a = Int1Matrix::from_host_padded(&a_host, GemmInput::DEFAULT_INT1_K_GRANULARITY);
     let b = Int1Matrix::from_host_padded(&b_host, GemmInput::DEFAULT_INT1_K_GRANULARITY);
     // Correctness guard: 1-bit outputs are integers, so the fused kernel
     // must match the decoded ±1 reference exactly.
-    let fused_out = gemm::gemm_int1(&a, &b, op).expect("shapes agree");
+    let fused_out = gemm::gemm_int1_on(isa, &a, &b, op).expect("shapes agree");
     let reference = reference_gemm(&a.to_host(), &b.to_host()).expect("reference shapes agree");
     assert_eq!(fused_out, reference, "int1 fused/reference diverged");
-    tune(Some(op), shape, reps)
+    tune(Some((op, isa)), shape, reps)
 }
 
 /// The `K × N` (receivers × samples) block shapes of the four
@@ -222,9 +233,13 @@ fn to_json(mode: &str, reps: usize, entries: &[BenchEntry], prologue: &[Prologue
             ("kernel", e.kernel.into()),
             (
                 "bit_op",
-                e.bit_op.map_or(Value::Null, |op| {
+                e.int1.map_or(Value::Null, |(op, _)| {
                     Value::String(op.to_string().to_lowercase())
                 }),
+            ),
+            (
+                "isa",
+                e.int1.map_or(Value::Null, |(_, isa)| isa.name().into()),
             ),
             ("m", e.m.into()),
             ("n", e.n.into()),
@@ -250,7 +265,7 @@ fn to_json(mode: &str, reps: usize, entries: &[BenchEntry], prologue: &[Prologue
         ])
     };
     Value::object([
-        ("schema", "tcbf-hotpath-bench/v4".into()),
+        ("schema", "tcbf-hotpath-bench/v5".into()),
         ("mode", mode.into()),
         ("reps", reps.into()),
         ("entries", Value::Array(entries.iter().map(entry).collect())),
@@ -299,7 +314,9 @@ fn main() {
     for &shape in &grid {
         entries.push(bench_f16(shape, reps));
         for op in [BitOp::Xor, BitOp::And] {
-            entries.push(bench_int1(shape, op, reps));
+            for isa in Int1Isa::available() {
+                entries.push(bench_int1(shape, op, isa, reps));
+            }
         }
     }
 
@@ -308,7 +325,8 @@ fn main() {
         .map(|e| {
             vec![
                 e.kernel.to_string(),
-                e.bit_op.map_or("—".to_string(), |op| op.to_string()),
+                e.int1.map_or("—".to_string(), |(op, _)| op.to_string()),
+                e.int1.map_or("—".to_string(), |(_, isa)| isa.to_string()),
                 format!("{}x{}x{}", e.m, e.n, e.k),
                 format!("{:.2}", e.fused_median_s * 1e3),
                 format!("{:.2}", e.gelems_per_s()),
@@ -322,6 +340,7 @@ fn main() {
         &[
             "kernel",
             "bit op",
+            "isa",
             "MxNxK",
             "fused ms",
             "GElem/s",
@@ -332,10 +351,11 @@ fn main() {
         &rows,
     );
 
-    let min_gelems = |kernel: &str| -> f64 {
+    // Slowest cell of the float16 rows (`None`) or of one 1-bit path.
+    let min_gelems = |isa: Option<Int1Isa>| -> f64 {
         entries
             .iter()
-            .filter(|e| e.kernel == kernel)
+            .filter(|e| e.int1.map(|(_, isa)| isa) == isa)
             .map(BenchEntry::gelems_per_s)
             .fold(f64::INFINITY, f64::min)
     };
@@ -345,10 +365,19 @@ fn main() {
         .fold(1.0f64, f64::max);
     println!();
     println!(
-        "headline: f16 min {:.2} GElem/s, int1 min {:.2} GElem/s (default blocking)",
-        min_gelems("f16"),
-        min_gelems("int1")
+        "headline: f16 min {:.2} GElem/s (default blocking)",
+        min_gelems(None)
     );
+    println!(
+        "headline: int1 popcount path detected: {}",
+        Int1Isa::detected()
+    );
+    for isa in Int1Isa::available() {
+        println!(
+            "headline: int1 min {:.2} GElem/s on {isa}",
+            min_gelems(Some(isa))
+        );
+    }
     println!(
         "autotune: best menu blocking gains up to {:.2}x over the default (never slower: \
          the default is on the menu)",

@@ -2,6 +2,8 @@
 //! theoretical peak TeraOps/s) for every evaluated GPU, float16 and the
 //! four 1-bit fragment/operand combinations.
 
+#![forbid(unsafe_code)]
+
 use cudapeak::table1;
 use tcbf_bench::{fmt_opt, header, print_table};
 

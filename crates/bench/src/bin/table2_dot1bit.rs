@@ -1,6 +1,8 @@
 //! Regenerates Table II (the 1-bit vector dot-product worked example) and
 //! Fig. 1 (the 1-bit complex constellation).
 
+#![forbid(unsafe_code)]
+
 use tcbf_bench::{header, print_table};
 use tcbf_types::{OneBitComplex, PackedBits};
 

@@ -1,6 +1,8 @@
 //! Regenerates Table III: the best matrix-multiplication kernel per GPU —
 //! throughput, energy efficiency and the optimal tuning-parameter values.
 
+#![forbid(unsafe_code)]
+
 use ccglib::Precision;
 use gpu_sim::Gpu;
 use tcbf_bench::{header, print_table};

@@ -5,6 +5,7 @@
 //! text table plus, when useful, machine-readable JSON.  The helpers here
 //! keep the binaries small and the formatting consistent.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 /// Formats a floating point value with a sensible number of digits for a

@@ -11,7 +11,7 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
     let root = parse(&text).expect("written by tuner::json, so read by it");
 
     let schema = root.get("schema").unwrap().as_str().unwrap();
-    assert!(schema.starts_with("tcbf-hotpath-bench/v"), "{schema}");
+    assert_eq!(schema, "tcbf-hotpath-bench/v5");
     assert_eq!(root.get("mode").unwrap().as_str().unwrap(), "full");
     assert!(root.get("reps").unwrap().as_usize().unwrap() >= 1);
     assert!(root.get("prologue_reps").unwrap().as_usize().unwrap() >= 1);
@@ -22,15 +22,17 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
         v
     };
     let entries = root.get("entries").unwrap().as_array().unwrap();
-    // 4 shapes x (f16 + int1 under XOR and AND).
-    assert_eq!(entries.len(), 12);
+    let mut int1_paths = std::collections::BTreeSet::new();
     for row in entries {
         let kernel = row.get("kernel").unwrap().as_str().unwrap();
-        match row.get("bit_op").unwrap() {
-            Value::Null => assert_eq!(kernel, "f16"),
-            op => {
+        match (row.get("bit_op").unwrap(), row.get("isa").unwrap()) {
+            (Value::Null, Value::Null) => assert_eq!(kernel, "f16"),
+            (op, isa) => {
                 assert_eq!(kernel, "int1");
                 assert!(matches!(op.as_str().unwrap(), "xor" | "and"));
+                let isa = isa.as_str().unwrap();
+                assert!(matches!(isa, "portable" | "avx512-vpopcntdq"), "{isa}");
+                int1_paths.insert(isa);
             }
         }
         for dim in ["m", "n", "k"] {
@@ -44,6 +46,10 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
         let config = row.get("tuned_config").unwrap().as_str().unwrap();
         assert!(config.starts_with('j'), "{config}");
     }
+    // 4 shapes x (f16 + int1 under XOR and AND on every popcount path of
+    // the host that wrote the file — the portable one always among them).
+    assert!(int1_paths.contains("portable"), "{int1_paths:?}");
+    assert_eq!(entries.len(), 4 * (1 + 2 * int1_paths.len()));
 
     let prologue = root.get("prologue").unwrap().as_array().unwrap();
     // 4 block shapes x (transpose, quantise_f16, quantise_int1).

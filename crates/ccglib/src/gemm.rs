@@ -12,7 +12,14 @@
 //!   (Eq. 6).  Complex outputs apply the padding correction of Eq. 5: the
 //!   real part is insensitive to the −1-valued padding (the two partial
 //!   products cancel), while the imaginary part must subtract the
-//!   `K_pad` contribution.
+//!   `K_pad` contribution.  The host kernel is laid out the way the binary
+//!   tensor-core fragments imply: operands are flat `u64` bit planes
+//!   ([`Int1Matrix`]), `B` is repacked per call into word-interleaved
+//!   column panels, and a register tile of 4 rows of `A` × one vector of
+//!   output columns accumulates two folded sums per output — one output
+//!   per vector lane, so nothing is ever reduced across lanes.  The same
+//!   safe-Rust kernel is compiled for two popcount paths, chosen by what
+//!   the CPU reports ([`Int1Isa`]); see [`gemm_int1_on`].
 //!
 //! Operand convention used throughout the crate: `A` is `M×K`, `B` is
 //! supplied **transposed** as `N×K` (each row holds the `K`-vector of one
@@ -21,12 +28,13 @@
 //! fragment loads of the 16-bit kernel are contiguous.
 
 use crate::error::{CcglibError, Result};
+use crate::isa::{int1_row_group_on, Int1Isa};
 use crate::matrix::{F16Matrix, HostComplexMatrix, Int1Matrix};
 use crate::micro::MicroKernelConfig;
 use crate::Precision;
 use gpu_sim::BitOp;
 use rayon::prelude::*;
-use tcbf_types::{decode_to_f32, Complex32, PackedBits};
+use tcbf_types::{decode_to_f32, Complex32};
 
 /// The beamformed output matrix: `M×N` complex values in single precision
 /// (for 1-bit inputs the components are integers represented exactly).
@@ -422,37 +430,190 @@ pub fn gemm_f16_with(
 /// suite asserts); the AND path exists because XOR is deprecated from the
 /// Hopper architecture on.
 ///
-/// Runs the default [`MicroKernelConfig`]; [`gemm_int1_with`] selects a
-/// tuned word-unroll depth.
+/// Runs on the fastest popcount path the host has
+/// ([`Int1Isa::detected`]).  The kernel has no tunable blocking, so there
+/// is no `_with` variant taking a [`MicroKernelConfig`].
 pub fn gemm_int1(a: &Int1Matrix, b_t: &Int1Matrix, op: BitOp) -> Result<ComplexOutput> {
-    gemm_int1_with(a, b_t, op, &MicroKernelConfig::default())
+    gemm_int1_on(Int1Isa::detected(), a, b_t, op)
 }
 
-/// The signature of one monomorphised fused quadruple dot product.
-type Dot4 = fn(&PackedBits, &PackedBits, &PackedBits, &PackedBits) -> [i32; 4];
+/// Rows of `A` per register tile of the 1-bit kernel.  Heights 1, 2 and 4
+/// were measured on every `BENCH_gemm.json` shape and both popcount paths;
+/// 4 was fastest in every cell, so it is a constant, not a tuning axis.
+const INT1_TILE_ROWS: usize = 4;
 
-/// Resolves `(formulation, unroll depth)` to its compiled fused-popcount
-/// instance.  Integer-exact at every depth, so all choices agree on all
-/// inputs; unvalidated depths conservatively fall back to no unrolling.
-fn dot4_dispatch(op: BitOp, unroll: usize) -> Dot4 {
-    match (op, unroll) {
-        (BitOp::Xor, 2) => PackedBits::dot4_xor_unrolled::<2>,
-        (BitOp::Xor, 4) => PackedBits::dot4_xor_unrolled::<4>,
-        (BitOp::And, 2) => PackedBits::dot4_and_unrolled::<2>,
-        (BitOp::And, 4) => PackedBits::dot4_and_unrolled::<4>,
-        (BitOp::Xor, _) => PackedBits::dot4_xor,
-        (BitOp::And, _) => PackedBits::dot4_and,
+/// `B` as the tile kernel reads it: the rows of the transposed operand in
+/// groups of `lanes` (the last group filled up with all-zero rows), each
+/// group stored word-interleaved — word `w` of the group's `lanes` rows
+/// side by side — so one vector load fetches the same 64 samples of
+/// `lanes` output columns.  `O(N·K)` bits moved once per call, against the
+/// kernel's `O(M·N·K)`.
+fn int1_column_panel(plane: &[u64], stride: usize, lanes: usize) -> Vec<u64> {
+    // `stride >= 1`: an `Int1Matrix` row holds at least one padded sample.
+    let rows = plane.len() / stride;
+    let mut panel = vec![0u64; rows.next_multiple_of(lanes) * stride];
+    for (j, row) in plane.chunks_exact(stride).enumerate() {
+        let group = &mut panel[(j / lanes) * lanes * stride..][..lanes * stride];
+        for (slot, &word) in group[j % lanes..].iter_mut().step_by(lanes).zip(row) {
+            *slot = word;
+        }
+    }
+    panel
+}
+
+/// The operands of one 1-bit GEMM as the tile kernel reads them — `A`'s
+/// flat bit planes, `B`'s column panels — and the constants that are
+/// properties of the operands rather than of any output element.
+pub(crate) struct Int1Operands<'a> {
+    a_re: &'a [u64],
+    a_im: &'a [u64],
+    b_re: Vec<u64>,
+    b_im: Vec<u64>,
+    /// Columns per panel group: the lane count of the instance to run.
+    lanes: usize,
+    /// Words per row of every plane.
+    stride: usize,
+    /// Output columns (rows of `B`).
+    n: usize,
+    /// `2·K`, the largest magnitude an output component can take.
+    bound: i32,
+}
+
+/// `2·K` as the 32-bit integer the 1-bit kernel's outputs are defined in
+/// (Section III-D: 1-bit input, 32-bit integer output).
+///
+/// Every partial sum of the kernel is bounded by `2·K_padded`, so this one
+/// conversion is the accumulator's whole overflow analysis: operands too
+/// long for it are a [`CcglibError::ShapeMismatch`], never a wrapped sum.
+fn int1_output_bound(k_bits: usize, k_padded: usize) -> Result<i32> {
+    match k_padded.checked_mul(2).map(i32::try_from) {
+        Some(Ok(_)) => Ok(2 * k_bits as i32),
+        _ => Err(CcglibError::ShapeMismatch {
+            expected: format!("2·K_padded to fit the 32-bit accumulator ({})", i32::MAX),
+            actual: format!("K_padded = {k_padded}"),
+        }),
     }
 }
 
-/// [`gemm_int1`] under an explicit micro-kernel configuration (only the
-/// word-unroll depth applies to the 1-bit path) — the entry point the
-/// real-measurement autotuner benchmarks and the tuned plans execute.
-pub fn gemm_int1_with(
+/// The population-count term of one operand word pair under each
+/// formulation: mismatches for XOR (Table II), matches for AND (Eq. 6 —
+/// two counts per pair, mirroring the doubled tensor-core instruction
+/// count on Hopper).
+#[inline(always)]
+fn popc_term<const AND: bool>(a: u64, b: u64) -> i64 {
+    if AND {
+        i64::from((a & b).count_ones() + (!a & !b).count_ones())
+    } else {
+        i64::from((a ^ b).count_ones())
+    }
+}
+
+/// The register-tiled 1-bit micro-kernel: `MR` rows of `A` (from row `i0`;
+/// `out` is exactly their `MR` output rows) against every column panel of
+/// `B` — an `MR × LANES` tile of outputs per pass over `K`, one output per
+/// vector lane.  Each `B` vector loaded feeds `MR` rows' accumulators and
+/// each `A` word, broadcast, feeds `LANES` columns'; nothing is reduced
+/// across lanes, so there is no horizontal step at all.
+///
+/// Per output the complex product is folded as it accumulates: with `t`
+/// the [`popc_term`] of the formulation, one accumulator takes
+/// `t(ar,br) − t(ai,bi)` and one `t(ar,bi) + t(ai,br)` — two per output,
+/// not four.  Under XOR (`t` counts mismatches, `rr = K_padded − 2·t`):
+///
+/// ```text
+/// re = rr − ii           = −2·Σ(t(ar,br) − t(ai,bi))
+/// im = ri + ir − 2·K_pad =  2·K − 2·Σ(t(ar,bi) + t(ai,br))
+/// ```
+///
+/// the `K_pad` correction of Eq. 5 hoisted into the constant `2·K`: the
+/// padding is binary 0 (decimal −1) in every plane, so it cancels in the
+/// real part and adds `+K_pad` to both terms of the imaginary part.  Under
+/// AND `t` counts matches over every bit of the row's words — padding and
+/// slack, zero in both operands, all match — so the signs flip and the
+/// constant absorbs the words' length instead.
+///
+/// `LANES` is the vector width in words the instance is compiled for; it
+/// never changes a result (integer sums), only the instructions.
+#[inline(always)]
+fn int1_tile_rows<const MR: usize, const LANES: usize, const AND: bool>(
+    out: &mut [Complex32],
+    i0: usize,
+    g: &Int1Operands<'_>,
+) {
+    let (n, stride) = (g.n, g.stride);
+    assert_eq!((out.len(), g.lanes), (MR * n, LANES));
+    let (scale, im_bias) = if AND {
+        (2, i64::from(g.bound) - 4 * 64 * stride as i64)
+    } else {
+        (-2, i64::from(g.bound))
+    };
+    let ar: [&[u64]; MR] = std::array::from_fn(|i| &g.a_re[(i0 + i) * stride..][..stride]);
+    let ai: [&[u64]; MR] = std::array::from_fn(|i| &g.a_im[(i0 + i) * stride..][..stride]);
+    let panels = g.b_re.chunks_exact(LANES * stride);
+    for (group, (br, bi)) in panels.zip(g.b_im.chunks_exact(LANES * stride)).enumerate() {
+        let (br, bi) = (br.as_chunks::<LANES>().0, bi.as_chunks::<LANES>().0);
+        let mut acc_re = [[0i64; LANES]; MR];
+        let mut acc_im = [[0i64; LANES]; MR];
+        for (w, (br, bi)) in br.iter().zip(bi).enumerate() {
+            for i in 0..MR {
+                let (ar, ai) = (ar[i][w], ai[i][w]);
+                for l in 0..LANES {
+                    acc_re[i][l] += popc_term::<AND>(ar, br[l]) - popc_term::<AND>(ai, bi[l]);
+                    acc_im[i][l] += popc_term::<AND>(ar, bi[l]) + popc_term::<AND>(ai, br[l]);
+                }
+            }
+        }
+
+        let j0 = group * LANES;
+        for i in 0..MR {
+            // Whole vectors are finished before the columns that exist
+            // are stored; `int1_output_bound` is why `as i32` is lossless.
+            let re = acc_re[i].map(|sum| (scale * sum) as i32);
+            let im = acc_im[i].map(|sum| (scale * sum + im_bias) as i32);
+            debug_assert!(re.iter().chain(&im).all(|v| v.abs() <= g.bound));
+            let values: [Complex32; LANES] =
+                std::array::from_fn(|l| Complex32::new(re[l] as f32, im[l] as f32));
+            let row = &mut out[i * n + j0..(i + 1) * n];
+            match row.first_chunk_mut::<LANES>() {
+                Some(whole) => *whole = values,
+                None => row.copy_from_slice(&values[..row.len()]),
+            }
+        }
+    }
+}
+
+/// One group of up to [`INT1_TILE_ROWS`] output rows (`out`, starting at
+/// row `i0` of `A`): a whole tile where the rows are there, else the same
+/// kernel at the next smaller heights — a ragged `M` costs no redundant
+/// row.
+#[inline(always)]
+pub(crate) fn int1_row_group<const LANES: usize, const AND: bool>(
+    out: &mut [Complex32],
+    i0: usize,
+    g: &Int1Operands<'_>,
+) {
+    let n = g.n;
+    if out.len() == INT1_TILE_ROWS * n {
+        return int1_tile_rows::<INT1_TILE_ROWS, LANES, AND>(out, i0, g);
+    }
+    let (pair, single) = out.split_at_mut(if out.len() >= 2 * n { 2 * n } else { 0 });
+    if !pair.is_empty() {
+        int1_tile_rows::<2, LANES, AND>(pair, i0, g);
+    }
+    if !single.is_empty() {
+        int1_tile_rows::<1, LANES, AND>(single, i0 + pair.len() / n, g);
+    }
+}
+
+/// [`gemm_int1`] on an explicit popcount path — how the tests and
+/// `hotpath_bench` run every path the host has.  Production callers never
+/// choose: [`gemm_int1`] passes [`Int1Isa::detected`].  All paths agree on
+/// all inputs.
+pub fn gemm_int1_on(
+    isa: Int1Isa,
     a: &Int1Matrix,
     b_t: &Int1Matrix,
     op: BitOp,
-    micro: &MicroKernelConfig,
 ) -> Result<ComplexOutput> {
     if a.k_bits() != b_t.k_bits() || a.k_padded() != b_t.k_padded() {
         return Err(CcglibError::ShapeMismatch {
@@ -464,39 +625,27 @@ pub fn gemm_int1_with(
             actual: format!("B has K={}/{} padded", b_t.k_bits(), b_t.k_padded()),
         });
     }
-    let m = a.rows();
-    let n = b_t.rows();
-    let k_valid = a.k_bits() as i32;
-    // The K_pad correction of Eq. 5 is a property of the operands, not of
-    // any particular output element — hoisted out of both loops.  The
-    // padding value is binary 0 (decimal −1) in every plane, so:
-    //  * the real part  Σ ar·br − Σ ai·bi  sees +K_pad from both terms and
-    //    they cancel (re = rr − ii with no correction);
-    //  * the imaginary part Σ ar·bi + Σ ai·br picks up +K_pad from each
-    //    term, which must be subtracted.
-    let k_pad = a.k_padding() as i32;
-
-    // The four plane-pair dot products of one output element, fused: one
-    // pass over the packed words instead of four (the AND variant still
-    // doubles the popcount work per word, mirroring the doubled
-    // tensor-core instruction count on Hopper), at the configured unroll
-    // depth.
-    let dot4 = dot4_dispatch(op, micro.int1_unroll);
+    let bound = int1_output_bound(a.k_bits(), a.k_padded())?;
+    let (m, n, stride) = (a.rows(), b_t.rows(), a.words_per_row());
+    let operands = Int1Operands {
+        a_re: a.re_words(),
+        a_im: a.im_words(),
+        b_re: int1_column_panel(b_t.re_words(), stride, isa.lanes()),
+        b_im: int1_column_panel(b_t.im_words(), stride, isa.lanes()),
+        lanes: isa.lanes(),
+        stride,
+        n,
+        bound,
+    };
+    let kernel = match op {
+        BitOp::Xor => int1_row_group_on::<false>,
+        BitOp::And => int1_row_group_on::<true>,
+    };
 
     let mut out = vec![Complex32::ZERO; m * n];
-    out.par_chunks_mut(n.max(1))
+    out.par_chunks_mut((INT1_TILE_ROWS * n).max(1))
         .enumerate()
-        .for_each(|(i, row)| {
-            let ar = a.re_row(i);
-            let ai = a.im_row(i);
-            for (j, slot) in row.iter_mut().enumerate() {
-                let [rr, ii, ri, ir] = dot4(ar, ai, b_t.re_row(j), b_t.im_row(j));
-                let re = rr - ii;
-                let im = (ri - k_pad) + (ir - k_pad);
-                debug_assert!(re.abs() <= 2 * k_valid && im.abs() <= 2 * k_valid);
-                *slot = Complex32::new(re as f32, im as f32);
-            }
-        });
+        .for_each(|(group, rows)| kernel(isa, rows, group * INT1_TILE_ROWS, &operands));
     HostComplexMatrix::from_data(m, n, out)
 }
 
@@ -540,7 +689,7 @@ pub(crate) fn gemm_dispatch_decoded(
             Some(planes) => gemm_f16_decoded_with(planes, b, micro),
             None => gemm_f16_with(a, b, micro),
         },
-        (GemmInput::Int1(a), GemmInput::Int1(b)) => gemm_int1_with(a, b, op, micro),
+        (GemmInput::Int1(a), GemmInput::Int1(b)) => gemm_int1(a, b, op),
         (a, b) => Err(CcglibError::PrecisionMismatch {
             expected: a.precision().to_string(),
             actual: b.precision().to_string(),
@@ -554,6 +703,7 @@ mod tests {
     use crate::reference::reference_gemm;
     use crate::synth::{exact_integer_matrix, pseudo_random_matrix};
     use proptest::prelude::*;
+    use tcbf_types::PackedBits;
 
     #[test]
     fn f16_gemm_matches_reference_within_half_precision() {
@@ -623,6 +773,157 @@ mod tests {
                 assert_eq!(v.re as i32 % 2, 0);
                 assert_eq!(v.im as i32 % 2, 0);
             }
+        }
+    }
+
+    /// `a · bᵀ` one output element at a time through the per-element
+    /// definition, `PackedBits::dot4_xor`, with the Eq. 5 correction.
+    fn per_element_gemm(a: &Int1Matrix, b_t: &Int1Matrix) -> HostComplexMatrix {
+        let k_pad = a.k_padding() as i32;
+        HostComplexMatrix::from_fn(a.rows(), b_t.rows(), |i, j| {
+            let [rr, ii, ri, ir] = PackedBits::dot4_xor(
+                &a.re_row(i).to_packed_bits(),
+                &a.im_row(i).to_packed_bits(),
+                &b_t.re_row(j).to_packed_bits(),
+                &b_t.im_row(j).to_packed_bits(),
+            );
+            Complex32::new((rr - ii) as f32, (ri + ir - 2 * k_pad) as f32)
+        })
+    }
+
+    fn bits(m: &HostComplexMatrix) -> Vec<(u32, u32)> {
+        let of = |v: &Complex32| (v.re.to_bits(), v.im.to_bits());
+        m.data().iter().map(of).collect()
+    }
+
+    /// Asserts that every popcount path × formulation gives `expected`,
+    /// bit for bit.
+    fn assert_every_int1_path_gives(
+        a: &Int1Matrix,
+        b_t: &Int1Matrix,
+        expected: &HostComplexMatrix,
+    ) {
+        for isa in Int1Isa::available() {
+            for op in [BitOp::Xor, BitOp::And] {
+                let got = gemm_int1_on(isa, a, b_t, op).unwrap();
+                assert_eq!(
+                    bits(&got),
+                    bits(expected),
+                    "{}x{}x{} (padded to {}) on {isa}, {op}",
+                    a.rows(),
+                    b_t.rows(),
+                    a.k_bits(),
+                    a.k_padded(),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn int1_kernel_is_exact_at_every_tile_edge_on_every_path() {
+        // Rows around one and two tiles (every remainder: 1, 2 and 2 + 1);
+        // columns around one and two vectors of either lane width; K either
+        // side of the 32-bit device word, the 64-bit host word and their
+        // multiples.
+        let t = INT1_TILE_ROWS;
+        let ks = [1, 31, 32, 33, 63, 64, 65, 255, 256, 257, 511, 513, 1000];
+        for m in [1, 2, t - 1, t, t + 1, t + 2, 2 * t + 1] {
+            for n in [1, 3, 4, 5, 7, 8, 9, 17] {
+                for k in ks {
+                    let seed = (m * 131 + n * 17 + k) as u64;
+                    let a = Int1Matrix::from_host_padded(
+                        &pseudo_random_matrix(m, k, seed, 1.0),
+                        GemmInput::DEFAULT_INT1_K_GRANULARITY,
+                    );
+                    let b = Int1Matrix::from_host_padded(
+                        &pseudo_random_matrix(n, k, seed ^ 0xB17, 1.0),
+                        GemmInput::DEFAULT_INT1_K_GRANULARITY,
+                    );
+                    let reference = reference_gemm(&a.to_host(), &b.to_host()).unwrap();
+                    assert_eq!(bits(&per_element_gemm(&a, &b)), bits(&reference));
+                    assert_every_int1_path_gives(&a, &b, &reference);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn any_padding_granularity_quantises_and_matches_the_reference() {
+        // Granularities that are not a multiple of 32 used to index past
+        // the row's words (or trip `PackedBits::from_words`).
+        for granularity in [1, 31, 33, 48, 100, 256] {
+            for k in [1, 40, 100, 257] {
+                let a_host = pseudo_random_matrix(3, k, (granularity * k) as u64, 1.0);
+                let b_host = pseudo_random_matrix(5, k, (granularity + k) as u64, 1.0);
+                let (GemmInput::Int1(a), GemmInput::Int1(b)) = (
+                    GemmInput::quantise_int1_padded(&a_host, granularity),
+                    GemmInput::quantise_int1_padded(&b_host, granularity),
+                ) else {
+                    panic!("quantise_int1_padded yields 1-bit operands");
+                };
+                assert_eq!(a.k_padded(), k.next_multiple_of(granularity));
+                let reference = reference_gemm(&a.to_host(), &b.to_host()).unwrap();
+                assert_eq!(bits(&per_element_gemm(&a, &b)), bits(&reference));
+                assert_every_int1_path_gives(&a, &b, &reference);
+            }
+        }
+    }
+
+    #[test]
+    fn int1_accumulators_hold_at_the_papers_tuning_k() {
+        // K = 524 288 is the 1-bit tuning shape of the paper; one 256-bit
+        // granule and one sample either side move `K_pad` between 0, 1 and
+        // 255.  Constant and alternating rows drive every partial sum to
+        // its extreme: |re| or |im| = 2·K exactly.
+        const TUNING_K: usize = 524_288;
+        let ones = |_: usize| Complex32::new(1.0, 1.0);
+        let minus = |_: usize| Complex32::new(-1.0, -1.0);
+        let conj = |_: usize| Complex32::new(1.0, -1.0);
+        let alternating = |k: usize| Complex32::new(1.0, 1.0).scale(1.0 - 2.0 * (k % 2) as f32);
+        for k in [
+            TUNING_K - 256,
+            TUNING_K - 1,
+            TUNING_K,
+            TUNING_K + 1,
+            TUNING_K + 256,
+        ] {
+            let rows: [fn(usize) -> Complex32; 4] = [ones, minus, conj, alternating];
+            let host = HostComplexMatrix::from_fn(rows.len(), k, |r, c| rows[r](c));
+            let a = Int1Matrix::from_host_padded(&host, GemmInput::DEFAULT_INT1_K_GRANULARITY);
+            assert_eq!(a.k_padding(), k.next_multiple_of(256) - k);
+            let reference = reference_gemm(&a.to_host(), &a.to_host()).unwrap();
+            let two_k = 2.0 * k as f32;
+            // (1+i)², (1+i)(−1−i), (1+i)(1−i) and a row against its own
+            // alternation, which cancels to the odd sample out.
+            assert_eq!(reference.get(0, 0), Complex32::new(0.0, two_k));
+            assert_eq!(reference.get(0, 1), Complex32::new(0.0, -two_k));
+            assert_eq!(reference.get(0, 2), Complex32::new(two_k, 0.0));
+            assert_eq!(reference.get(2, 2), Complex32::new(0.0, -two_k));
+            assert_eq!(reference.get(3, 3), Complex32::new(0.0, two_k));
+            assert_eq!(
+                reference.get(0, 3),
+                Complex32::new(0.0, 2.0 * (k % 2) as f32)
+            );
+            for v in reference.data() {
+                assert!(v.re.abs() <= two_k && v.im.abs() <= two_k);
+                assert_eq!((v.re as i64 % 2, v.im as i64 % 2), (0, 0));
+            }
+            assert_every_int1_path_gives(&a, &a, &reference);
+        }
+    }
+
+    #[test]
+    fn operands_too_long_for_the_accumulator_are_a_typed_error() {
+        let largest = (i32::MAX / 2) as usize;
+        assert_eq!(int1_output_bound(largest - 7, largest), Ok(i32::MAX - 15));
+        assert_eq!(int1_output_bound(0, 0), Ok(0));
+        for k_padded in [largest + 1, usize::MAX / 2, usize::MAX] {
+            let error = int1_output_bound(1, k_padded).unwrap_err();
+            assert!(
+                matches!(error, CcglibError::ShapeMismatch { .. }),
+                "{error}"
+            );
+            assert!(error.to_string().contains("32-bit accumulator"), "{error}");
         }
     }
 
@@ -731,8 +1032,7 @@ mod tests {
             m in 1usize..8, n in 1usize..8, k in 1usize..600, seed in any::<u64>(),
         ) {
             // f16: exact integer inputs make every summation order exact,
-            // so all blockings must agree bit for bit.  int1: outputs are
-            // exact integers on every input, so all unroll depths must.
+            // so all blockings must agree bit for bit.
             let a_host = exact_integer_matrix(m, k, seed);
             let b_host = exact_integer_matrix(n, k, seed ^ 0x33CC);
             let a = F16Matrix::from_host(&a_host);
@@ -742,13 +1042,15 @@ mod tests {
                 let tuned = gemm_f16_with(&a, &b, &config).unwrap();
                 prop_assert_eq!(&tuned, &f16_default, "f16 config {}", config);
             }
+            // int1: outputs are exact integers on every input, so every
+            // popcount path must agree with the detected one.
             let ai = Int1Matrix::from_host_padded(&a_host, 128);
             let bi = Int1Matrix::from_host_padded(&b_host, 128);
             for op in [BitOp::Xor, BitOp::And] {
                 let int1_default = gemm_int1(&ai, &bi, op).unwrap();
-                for config in MicroKernelConfig::menu_for(Precision::Int1) {
-                    let tuned = gemm_int1_with(&ai, &bi, op, &config).unwrap();
-                    prop_assert_eq!(&tuned, &int1_default, "int1 config {} op {}", config, op);
+                for isa in Int1Isa::available() {
+                    let on_path = gemm_int1_on(isa, &ai, &bi, op).unwrap();
+                    prop_assert_eq!(&on_path, &int1_default, "int1 on {} op {}", isa, op);
                 }
             }
         }

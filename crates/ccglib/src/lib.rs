@@ -40,10 +40,13 @@
 //! terabyte-sized operands (see [`Gemm::predict`]).
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod benchmark;
 pub mod error;
 pub mod gemm;
+#[allow(unsafe_code)]
+pub mod isa;
 pub mod matrix;
 pub mod micro;
 pub mod pack;
@@ -55,6 +58,7 @@ pub mod transpose;
 
 pub use error::{CcglibError, Result};
 pub use gemm::{ComplexOutput, DecodedPlanes, GemmInput, PreparedOperand};
+pub use isa::Int1Isa;
 pub use micro::MicroKernelConfig;
 pub use params::{ParameterSpace, TuningParameters};
 pub use plan::{

@@ -11,8 +11,8 @@
 //!   core kernel consumes after the transpose kernel has split the
 //!   interleaved input.
 //! * [`Int1Matrix`] — the 1-bit device format: real and imaginary bit
-//!   planes packed 32 samples per word along the reduction dimension, the
-//!   output of the packing kernel.
+//!   planes packed along the reduction dimension, the output of the packing
+//!   kernel, held as two flat `u64` buffers with a row stride.
 
 use crate::error::{CcglibError, Result};
 use serde::{Deserialize, Serialize};
@@ -205,12 +205,30 @@ impl F16Matrix {
     }
 }
 
+/// The sign bits (`>= 0` is 1) of up to 32 samples' real and imaginary
+/// parts, first sample in the least-significant bit.
+fn sign_bits(samples: &[Complex32]) -> (u32, u32) {
+    let (mut re, mut im) = (0u32, 0u32);
+    for (i, v) in samples.iter().enumerate() {
+        re |= u32::from(v.re >= 0.0) << i;
+        im |= u32::from(v.im >= 0.0) << i;
+    }
+    (re, im)
+}
+
 /// Packed 1-bit device matrix: `rows` bit-rows of `k_bits` samples packed
 /// along the reduction dimension, one plane per complex component.
 ///
 /// Both operands of the 1-bit GEMM use this orientation: `A` as `M×K` and
 /// `B` transposed to `N×K`, so each output element is a dot product of two
 /// bit-rows — exactly how the binary tensor-core fragments consume data.
+///
+/// Each plane is one contiguous buffer of `u64` words, least-significant
+/// bit first, `k_padded.div_ceil(64)` words per row.  Every bit past
+/// a row's valid samples is zero: the padding up to `k_padded` (binary 0 is
+/// the paper's padding value, decimal −1) and the slack between `k_padded`
+/// and the end of the row's last word alike, so whole-word population
+/// counts need no mask.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Int1Matrix {
     rows: usize,
@@ -218,12 +236,13 @@ pub struct Int1Matrix {
     k_bits: usize,
     /// Number of samples after padding to the packing granularity.
     k_padded: usize,
-    re: Vec<PackedBits>,
-    im: Vec<PackedBits>,
+    re: Vec<u64>,
+    im: Vec<u64>,
 }
 
 impl Int1Matrix {
-    /// Packing granularity in bits: 32 samples per word.
+    /// Packing granularity in bits of the device format: 32 samples per
+    /// word (Section III of the paper).
     pub const WORD_BITS: usize = 32;
 
     /// Quantises a host matrix (`rows × k`) to 1-bit by keeping component
@@ -236,32 +255,32 @@ impl Int1Matrix {
     /// Quantises and pads the packed dimension up to a multiple of
     /// `k_granularity` bits (e.g. the tensor-core fragment depth), so the
     /// K<sub>pad</sub> correction of Eq. 5 can be exercised explicitly.
+    /// Any granularity is accepted (zero counts as one).
     pub fn from_host_padded(host: &HostComplexMatrix, k_granularity: usize) -> Self {
         let rows = host.rows();
         let k_bits = host.cols();
-        let k_padded = round_up(k_bits.max(1), k_granularity.max(Self::WORD_BITS));
-        let words_per_row = k_padded / 32;
-        let mut re = Vec::with_capacity(rows);
-        let mut im = Vec::with_capacity(rows);
-        for r in 0..rows {
-            // Assemble whole words in registers — one write per 32 samples
-            // instead of one masked read-modify-write per bit.  Words past
-            // the valid samples stay zero: binary 0 is the padding value.
-            let row = &host.data()[r * k_bits..(r + 1) * k_bits];
-            let mut re_words = vec![0u32; words_per_row];
-            let mut im_words = vec![0u32; words_per_row];
-            for (w, chunk) in row.chunks(32).enumerate() {
-                let mut re_word = 0u32;
-                let mut im_word = 0u32;
-                for (i, v) in chunk.iter().enumerate() {
-                    re_word |= u32::from(v.re >= 0.0) << i;
-                    im_word |= u32::from(v.im >= 0.0) << i;
+        let k_padded = round_up(k_bits.max(1), k_granularity.max(1));
+        let stride = k_padded.div_ceil(64);
+        // Both planes are allocated zeroed and only the words that hold
+        // valid samples are written, each assembled in registers: one
+        // write per 64 samples, and padding and slack stay binary 0.
+        let mut re = vec![0u64; rows * stride];
+        let mut im = vec![0u64; rows * stride];
+        if k_bits > 0 {
+            for ((row, re_row), im_row) in host
+                .data()
+                .chunks_exact(k_bits)
+                .zip(re.chunks_exact_mut(stride))
+                .zip(im.chunks_exact_mut(stride))
+            {
+                for ((chunk, re_word), im_word) in row.chunks(64).zip(re_row).zip(im_row) {
+                    let (low, high) = chunk.split_at(chunk.len().min(32));
+                    let (re_low, im_low) = sign_bits(low);
+                    let (re_high, im_high) = sign_bits(high);
+                    *re_word = u64::from(re_low) | u64::from(re_high) << 32;
+                    *im_word = u64::from(im_low) | u64::from(im_high) << 32;
                 }
-                re_words[w] = re_word;
-                im_words[w] = im_word;
             }
-            re.push(PackedBits::from_words(re_words, k_padded));
-            im.push(PackedBits::from_words(im_words, k_padded));
         }
         Int1Matrix {
             rows,
@@ -292,29 +311,120 @@ impl Int1Matrix {
         self.k_padded - self.k_bits
     }
 
+    /// Row stride of both planes in `u64` words.
+    pub(crate) fn words_per_row(&self) -> usize {
+        self.k_padded.div_ceil(64)
+    }
+
+    /// The whole real plane, `rows × words_per_row` words, row-major.
+    pub(crate) fn re_words(&self) -> &[u64] {
+        &self.re
+    }
+
+    /// The whole imaginary plane, laid out like the real one.
+    pub(crate) fn im_words(&self) -> &[u64] {
+        &self.im
+    }
+
     /// Real bit plane of one row.
-    pub fn re_row(&self, row: usize) -> &PackedBits {
-        &self.re[row]
+    pub fn re_row(&self, row: usize) -> BitRow<'_> {
+        self.row_of(&self.re, row)
     }
 
     /// Imaginary bit plane of one row.
-    pub fn im_row(&self, row: usize) -> &PackedBits {
-        &self.im[row]
+    pub fn im_row(&self, row: usize) -> BitRow<'_> {
+        self.row_of(&self.im, row)
+    }
+
+    fn row_of<'a>(&self, plane: &'a [u64], row: usize) -> BitRow<'a> {
+        let stride = self.words_per_row();
+        BitRow {
+            words: &plane[row * stride..(row + 1) * stride],
+            len: self.k_padded,
+        }
     }
 
     /// Decodes back to ±1-valued complex numbers (only the valid samples).
     pub fn to_host(&self) -> HostComplexMatrix {
+        let decode = |row: BitRow<'_>, c| if row.get(c) { 1.0 } else { -1.0 };
         HostComplexMatrix::from_fn(self.rows, self.k_bits, |r, c| {
-            Complex::new(
-                if self.re[r].get(c) { 1.0 } else { -1.0 },
-                if self.im[r].get(c) { 1.0 } else { -1.0 },
-            )
+            Complex::new(decode(self.re_row(r), c), decode(self.im_row(r), c))
         })
     }
 
-    /// Device-memory footprint in bytes (two bit planes).
+    /// Device-memory footprint in bytes (two bit planes of `k_padded`
+    /// samples per row).
     pub fn device_bytes(&self) -> u128 {
-        2 * (self.rows as u128) * (self.k_padded as u128) / 8
+        2 * (self.rows as u128) * (self.k_padded as u128).div_ceil(8)
+    }
+}
+
+/// One row of one [`Int1Matrix`] plane, borrowed: `len` samples (the
+/// matrix's `k_padded`) in `len.div_ceil(64)` words, slack bits zero.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct BitRow<'a> {
+    words: &'a [u64],
+    len: usize,
+}
+
+impl<'a> BitRow<'a> {
+    /// Number of samples in the row, padding included.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` if the row holds no samples.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The packed words, 64 samples each, least-significant bit first.
+    pub fn words(&self) -> &'a [u64] {
+        self.words
+    }
+
+    /// Reads the sample at `index`.
+    ///
+    /// # Panics
+    /// Panics if `index` is not below [`BitRow::len`].
+    pub fn get(&self, index: usize) -> bool {
+        assert!(
+            index < self.len,
+            "bit index {index} out of range {}",
+            self.len
+        );
+        (self.words[index / 64] >> (index % 64)) & 1 == 1
+    }
+
+    /// The row as 32-bit device words, low half of each host word first.
+    fn halves(&self) -> impl Iterator<Item = u32> + 'a {
+        self.words
+            .iter()
+            .flat_map(|&w| [w as u32, (w >> 32) as u32])
+    }
+
+    /// The row in the device's 32-bit word format.
+    pub fn to_packed_bits(&self) -> PackedBits {
+        let words = self.halves().take(self.len.div_ceil(32)).collect();
+        PackedBits::from_words(words, self.len)
+    }
+}
+
+impl std::fmt::Debug for BitRow<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&self.to_packed_bits(), f)
+    }
+}
+
+/// A row equals a [`PackedBits`] plane when both hold the same samples in
+/// the same words: the 32-bit halves are compared one for one, slack
+/// included, so a row with a dirty slack bit equals no plane.
+impl PartialEq<&PackedBits> for BitRow<'_> {
+    fn eq(&self, other: &&PackedBits) -> bool {
+        let mut halves = self.halves();
+        self.len == other.len()
+            && other.words().iter().all(|&w| halves.next() == Some(w))
+            && halves.all(|slack| slack == 0)
     }
 }
 
@@ -421,27 +531,63 @@ mod tests {
     }
 
     #[test]
-    fn word_assembled_packing_matches_the_per_bit_layout() {
-        // The fast path must produce the exact word layout of the original
-        // per-bit `PackedBits::set` construction, including padding words.
-        let host = HostComplexMatrix::from_fn(3, 70, |r, c| {
-            Complex::new(
-                ((r * 31 + c * 17) % 7) as f32 - 3.0,
-                ((r * 13 + c * 5) % 11) as f32 - 5.0,
-            )
-        });
-        let fast = Int1Matrix::from_host_padded(&host, 128);
-        for r in 0..3 {
-            let mut re_bits = PackedBits::zeros(fast.k_padded());
-            let mut im_bits = PackedBits::zeros(fast.k_padded());
-            for c in 0..70 {
-                let v = host.get(r, c);
-                re_bits.set(c, v.re >= 0.0);
-                im_bits.set(c, v.im >= 0.0);
+    fn flat_rows_match_the_per_bit_layout() {
+        // Every row of the flat planes must be, word for word and slack
+        // included, the row the per-bit `PackedBits::set` construction
+        // gives — for strides that end mid-word (`k_padded % 64 == 32`,
+        // odd granularities) as well as whole ones.
+        for (k, granularity) in [
+            (70, 128),
+            (70, 32),
+            (33, 32),
+            (1, 1),
+            (64, 64),
+            (100, 48),
+            (257, 100),
+        ] {
+            let host = HostComplexMatrix::from_fn(3, k, |r, c| {
+                Complex::new(
+                    ((r * 31 + c * 17) % 7) as f32 - 3.0,
+                    ((r * 13 + c * 5) % 11) as f32 - 5.0,
+                )
+            });
+            let flat = Int1Matrix::from_host_padded(&host, granularity);
+            assert_eq!(flat.k_padded(), k.next_multiple_of(granularity));
+            assert_eq!(flat.re_words().len(), 3 * flat.k_padded().div_ceil(64));
+            for r in 0..3 {
+                let mut re_bits = PackedBits::zeros(flat.k_padded());
+                let mut im_bits = PackedBits::zeros(flat.k_padded());
+                for c in 0..k {
+                    let v = host.get(r, c);
+                    re_bits.set(c, v.re >= 0.0);
+                    im_bits.set(c, v.im >= 0.0);
+                }
+                assert_eq!(flat.re_row(r), &re_bits, "re row {r} of {k}/{granularity}");
+                assert_eq!(flat.im_row(r), &im_bits, "im row {r} of {k}/{granularity}");
+                assert_eq!(flat.re_row(r).to_packed_bits(), re_bits);
+                assert_eq!(flat.re_row(r).len(), flat.k_padded());
             }
-            assert_eq!(fast.re_row(r), &re_bits, "re row {r}");
-            assert_eq!(fast.im_row(r), &im_bits, "im row {r}");
+            // The derived value semantics survive the layout change.
+            let copy = flat.clone();
+            assert_eq!(copy, flat);
+            assert_eq!(copy.to_host(), flat.to_host());
+            let mut flipped = host.clone();
+            flipped.set(
+                2,
+                k - 1,
+                Complex::new(-1.0, -1.0).scale(host.get(2, k - 1).re.signum()),
+            );
+            assert_ne!(Int1Matrix::from_host_padded(&flipped, granularity), flat);
         }
+    }
+
+    #[test]
+    fn a_row_with_a_dirty_slack_bit_equals_no_plane() {
+        let clean = PackedBits::zeros(40);
+        let row = |words| BitRow { words, len: 40 };
+        assert_eq!(row(&[0]), &clean);
+        assert_ne!(row(&[1 << 40]), &clean);
+        assert_ne!(row(&[0, 0]), &PackedBits::zeros(100));
     }
 
     #[test]

@@ -3,21 +3,27 @@
 //! [`TuningParameters`](crate::TuningParameters) describe the *simulated*
 //! GPU kernel (warps, fragments, shared-memory buffers) and feed the
 //! analytic execution model.  This module describes the kernel that
-//! actually burns wall clock: the cache-blocked f16 hot path and the
-//! fused-popcount int1 hot path in [`gemm`](crate::gemm).  A
-//! [`MicroKernelConfig`] names the blocking factors those kernels used to
-//! hard-code — the f16 column tile, lane-vector width and k-tile, and the
-//! int1 word-unroll depth — so the tuner can search them against real
-//! measured throughput and the winner can ride on a
+//! actually burns wall clock: the cache-blocked f16 hot path in
+//! [`gemm`](crate::gemm).  A [`MicroKernelConfig`] names the blocking
+//! factors that kernel used to hard-code — the f16 column tile,
+//! lane-vector width and k-tile — so the tuner can search them against
+//! real measured throughput and the winner can ride on a
 //! [`GemmPlan`](crate::GemmPlan).
 //!
+//! The register-tiled 1-bit kernel has no axis here.  Its tile height was
+//! searched (1, 2 and 4 rows of `A` per pass) and 4 rows measured fastest
+//! on every shape and both popcount paths, so the height is a constant of
+//! the kernel and the 1-bit menu is the default alone; which popcount
+//! path runs is detected ([`crate::Int1Isa`]), never configured.
+//!
 //! Every configuration on the [`MicroKernelConfig::menu`] is
-//! **bit-identical** to every other on all inputs: the f16 kernel reduces
-//! each lane vector by adjacent pairwise halving (the same summation tree
-//! at every width) and tiles only change which dot products are in flight
-//! together, never the order of any single reduction; the int1 kernel is
-//! integer-exact at every unroll depth.  The conformance suites assert
-//! this, so tuning can never change results — only wall clock.
+//! **bit-identical** to every other on the conformance inputs: the f16
+//! kernel reduces each lane vector by adjacent pairwise halving (the same
+//! summation tree at every width) and tiles only change which dot
+//! products are in flight together, never the order of any single
+//! reduction.  The 1-bit kernel is integer-exact, so it gives the same
+//! bits on *all* inputs on every popcount path.  The conformance suites
+//! assert both, so tuning can never change results — only wall clock.
 
 use crate::error::{CcglibError, Result};
 use crate::Precision;
@@ -30,15 +36,12 @@ pub const F16_J_TILES: [usize; 3] = [1, 2, 4];
 pub const F16_LANE_WIDTHS: [usize; 3] = [4, 8, 16];
 /// The f16 k-tile lengths the menu searches over.
 pub const F16_K_TILES: [usize; 3] = [256, 1024, 4096];
-/// The int1 word-unroll depths (fused 64-bit popcounts per loop iteration)
-/// the menu searches over.
-pub const INT1_UNROLLS: [usize; 3] = [1, 2, 4];
 
 /// A validated blocking configuration of the host micro-kernels — the
 /// value the autotuner searches and [`GemmPlan`](crate::GemmPlan) carries.
 ///
 /// The default reproduces the previously hard-coded constants exactly
-/// (j-tile 2, 8 lanes, k-tile 1024, unroll 1), so untuned code paths are
+/// (j-tile 2, 8 lanes, k-tile 1024), so untuned code paths are
 /// byte-for-byte the kernels that produced the committed benchmarks.
 ///
 /// ```
@@ -60,8 +63,6 @@ pub struct MicroKernelConfig {
     /// Reduction-dimension tile of the f16 kernel: bounds the working set
     /// of one (A-row, B-column-tile) pass.
     pub f16_k_tile: usize,
-    /// Fused 64-bit popcounts issued per int1 inner-loop iteration.
-    pub int1_unroll: usize,
 }
 
 impl Default for MicroKernelConfig {
@@ -70,7 +71,6 @@ impl Default for MicroKernelConfig {
             f16_j_tile: 2,
             f16_lanes: 8,
             f16_k_tile: 1024,
-            int1_unroll: 1,
         }
     }
 }
@@ -79,8 +79,8 @@ impl std::fmt::Display for MicroKernelConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "j{} l{} k{} u{}",
-            self.f16_j_tile, self.f16_lanes, self.f16_k_tile, self.int1_unroll
+            "j{} l{} k{}",
+            self.f16_j_tile, self.f16_lanes, self.f16_k_tile
         )
     }
 }
@@ -116,19 +116,13 @@ impl MicroKernelConfig {
                 self.f16_k_tile, self.f16_lanes
             )));
         }
-        if !INT1_UNROLLS.contains(&self.int1_unroll) {
-            return Err(invalid(format!(
-                "int1_unroll {} not in the compiled menu {INT1_UNROLLS:?}",
-                self.int1_unroll
-            )));
-        }
         Ok(())
     }
 
     /// The full menu of compiled configurations, default first: the
-    /// j-tile × lane-width cartesian product at the default k-tile, the
-    /// non-default k-tiles at the default f16 blocking, and the
-    /// non-default int1 unroll depths.  Every entry validates.
+    /// j-tile × lane-width cartesian product at the default k-tile and the
+    /// non-default k-tiles at the default f16 blocking.  Every entry
+    /// validates.
     pub fn menu() -> Vec<MicroKernelConfig> {
         let base = MicroKernelConfig::default();
         let mut menu = vec![base];
@@ -152,38 +146,18 @@ impl MicroKernelConfig {
                 });
             }
         }
-        for unroll in INT1_UNROLLS {
-            if unroll != base.int1_unroll {
-                menu.push(MicroKernelConfig {
-                    int1_unroll: unroll,
-                    ..base
-                });
-            }
-        }
         menu
     }
 
-    /// The menu entries that can change the hot path at `precision`:
-    /// f16-blocking variants for [`Precision::Float16`], unroll variants
-    /// for [`Precision::Int1`], the default alone for the scalar
-    /// reference.  The default is always first, so exhaustive search
-    /// ties resolve towards it.
+    /// The menu entries that can change the hot path at `precision`: the
+    /// whole menu for [`Precision::Float16`], the default alone for
+    /// [`Precision::Int1`] (its kernel has no searchable blocking) and for
+    /// the scalar reference.  The default is always first, so exhaustive
+    /// search ties resolve towards it.
     pub fn menu_for(precision: Precision) -> Vec<MicroKernelConfig> {
-        let base = MicroKernelConfig::default();
         match precision {
-            Precision::Float16 => Self::menu()
-                .into_iter()
-                .filter(|c| c.int1_unroll == base.int1_unroll)
-                .collect(),
-            Precision::Int1 => Self::menu()
-                .into_iter()
-                .filter(|c| {
-                    c.f16_j_tile == base.f16_j_tile
-                        && c.f16_lanes == base.f16_lanes
-                        && c.f16_k_tile == base.f16_k_tile
-                })
-                .collect(),
-            Precision::Float32Reference => vec![base],
+            Precision::Float16 => Self::menu(),
+            Precision::Int1 | Precision::Float32Reference => vec![MicroKernelConfig::default()],
         }
     }
 }
@@ -198,7 +172,6 @@ mod tests {
         assert_eq!(config.f16_j_tile, 2);
         assert_eq!(config.f16_lanes, 8);
         assert_eq!(config.f16_k_tile, 1024);
-        assert_eq!(config.int1_unroll, 1);
         config.validate().unwrap();
     }
 
@@ -216,12 +189,11 @@ mod tests {
     #[test]
     fn per_precision_menus_partition_the_search_space() {
         let f16 = MicroKernelConfig::menu_for(Precision::Float16);
-        let int1 = MicroKernelConfig::menu_for(Precision::Int1);
-        assert_eq!(f16[0], MicroKernelConfig::default());
-        assert_eq!(int1[0], MicroKernelConfig::default());
-        assert!(f16.iter().all(|c| c.int1_unroll == 1));
-        assert!(int1.iter().all(|c| c.f16_j_tile == 2 && c.f16_lanes == 8));
-        assert_eq!(int1.len(), INT1_UNROLLS.len());
+        assert_eq!(f16, MicroKernelConfig::menu());
+        assert_eq!(
+            MicroKernelConfig::menu_for(Precision::Int1),
+            vec![MicroKernelConfig::default()]
+        );
         assert_eq!(
             MicroKernelConfig::menu_for(Precision::Float32Reference),
             vec![MicroKernelConfig::default()]
@@ -244,10 +216,6 @@ mod tests {
                 f16_k_tile: 1000,
                 ..base
             },
-            MicroKernelConfig {
-                int1_unroll: 3,
-                ..base
-            },
         ] {
             assert!(bad.validate().is_err(), "{bad:?} must not validate");
         }
@@ -255,6 +223,6 @@ mod tests {
 
     #[test]
     fn display_is_compact_and_field_complete() {
-        assert_eq!(MicroKernelConfig::default().to_string(), "j2 l8 k1024 u1");
+        assert_eq!(MicroKernelConfig::default().to_string(), "j2 l8 k1024");
     }
 }

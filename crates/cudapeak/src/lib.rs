@@ -12,6 +12,7 @@
 //! the theoretical value so the Table I "measured / theoretical" columns
 //! can be regenerated directly.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use gpu_sim::{wmma, BitFragmentShape, BitOp, DeviceSpec, FragmentShape, Gpu};

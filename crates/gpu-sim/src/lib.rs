@@ -38,6 +38,7 @@
 //! the performance model; the two are deliberately separated so tests can
 //! validate them independently.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod arch;

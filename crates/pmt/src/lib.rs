@@ -15,6 +15,7 @@
 //! host RAPL reader in the future) can be slotted in, mirroring PMT's
 //! plug-in design.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use gpu_sim::{DeviceSpec, KernelKind, KernelTimings, PowerModel};

@@ -19,6 +19,7 @@
 //!   versus the number of combined receivers, with the reference
 //!   beamformer lines on the A100 and GH200.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod central;

@@ -15,6 +15,8 @@
 //! workspace root; every entry must carry a `reason`.  The rule
 //! catalogue is docs/LINTS.md.
 
+#![forbid(unsafe_code)]
+
 pub mod allowlist;
 pub mod config;
 pub mod diagnostics;

@@ -6,6 +6,8 @@
 //! - `2` — configuration error (malformed lint-allow.toml, stale
 //!   suppressions under `--deny-all`, unreadable tree, bad flags)
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;

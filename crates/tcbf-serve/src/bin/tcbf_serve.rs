@@ -12,6 +12,8 @@
 //! so the serve loop runs until the process is killed; `bench-client`
 //! prints per-tenant lines plus its own aggregate for CI to grep.
 
+#![forbid(unsafe_code)]
+
 use ccglib::Precision;
 use gpu_sim::{FaultPlan, Gpu};
 use std::net::SocketAddr;

@@ -57,6 +57,7 @@
 //! # let _ = beams;
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod client;

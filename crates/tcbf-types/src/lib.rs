@@ -25,6 +25,7 @@
 //! model, the GEMM kernels, the applications) lives in the crates layered
 //! on top.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod complex;

@@ -112,6 +112,16 @@ impl OneBitComplex {
     }
 }
 
+/// Mask of the valid samples in word `w` of a plane of `len` samples: all
+/// 32 bits except in a partial last word.
+#[inline]
+fn valid_mask(len: usize, w: usize) -> u32 {
+    match len - w * 32 {
+        32.. => u32::MAX,
+        valid => (1u32 << valid) - 1,
+    }
+}
+
 /// A bit plane of packed 1-bit samples: 32 consecutive samples per `u32`
 /// word, least-significant bit first.
 ///
@@ -270,12 +280,7 @@ impl PackedBits {
     pub fn popcount(&self) -> u32 {
         let mut total = 0u32;
         for (w, &word) in self.words.iter().enumerate() {
-            let valid_in_word = (self.len - w * 32).min(32);
-            let mask = if valid_in_word == 32 {
-                u32::MAX
-            } else {
-                (1u32 << valid_in_word) - 1
-            };
+            let mask = valid_mask(self.len, w);
             total += (word & mask).count_ones();
         }
         total
@@ -288,12 +293,7 @@ impl PackedBits {
         let k = self.len as i32;
         let mut popc = 0i32;
         for (i, (&a, &b)) in self.words.iter().zip(&other.words).enumerate() {
-            let valid_in_word = (self.len - i * 32).min(32);
-            let mask = if valid_in_word == 32 {
-                u32::MAX
-            } else {
-                (1u32 << valid_in_word) - 1
-            };
+            let mask = valid_mask(self.len, i);
             popc += ((a ^ b) & mask).count_ones() as i32;
         }
         k - 2 * popc
@@ -308,12 +308,7 @@ impl PackedBits {
         let k = self.len as i32;
         let mut popc = 0i32;
         for (i, (&a, &b)) in self.words.iter().zip(&other.words).enumerate() {
-            let valid_in_word = (self.len - i * 32).min(32);
-            let mask = if valid_in_word == 32 {
-                u32::MAX
-            } else {
-                (1u32 << valid_in_word) - 1
-            };
+            let mask = valid_mask(self.len, i);
             popc += ((a & b) & mask).count_ones() as i32;
             popc += ((!a & !b) & mask).count_ones() as i32;
         }
@@ -322,183 +317,69 @@ impl PackedBits {
 
     /// The four real dot products of one complex 1-bit multiply —
     /// `rr = Re(a)·Re(b)`, `ii = Im(a)·Im(b)`, `ri = Re(a)·Im(b)`,
-    /// `ir = Im(a)·Re(b)` — computed fused via the XOR identity of
-    /// Table II.
+    /// `ir = Im(a)·Re(b)` — via the XOR identity of Table II, in one pass
+    /// over the four planes.
     ///
-    /// The naive formulation calls [`PackedBits::dot_xor`] four times,
-    /// walking the packed words four times and re-deriving the tail mask
-    /// with a branch on every word.  This fused version loads each word of
-    /// the four planes exactly once per pass and accumulates all four
-    /// popcounts together; the tail mask is hoisted out of the loop
-    /// entirely — whole words take the mask-free fast path, and only a
-    /// final partial word (rare: the packing granularity is a multiple of
-    /// the word size) is masked.
+    /// This is the per-element definition the register-tiled 1-bit GEMM
+    /// kernel of `ccglib` is tested against, not a hot path.
     ///
     /// # Panics
     /// Panics if the four planes do not share one length.
-    #[inline]
     pub fn dot4_xor(
         a_re: &PackedBits,
         a_im: &PackedBits,
         b_re: &PackedBits,
         b_im: &PackedBits,
     ) -> [i32; 4] {
-        Self::dot4_xor_unrolled::<1>(a_re, a_im, b_re, b_im)
-    }
-
-    /// [`PackedBits::dot4_xor`] with the whole-word fast path unrolled `U`
-    /// fused 64-bit popcounts deep (`U ∈ {1, 2, 4}` in practice; `U = 1`
-    /// is the exact loop of [`PackedBits::dot4_xor`]).  Every variant is
-    /// integer-exact, so all unroll factors produce identical results on
-    /// all inputs — the factor only changes instruction-level parallelism,
-    /// which is why it is a searchable micro-kernel parameter.
-    ///
-    /// # Panics
-    /// Panics if the four planes do not share one length.
-    #[inline]
-    pub fn dot4_xor_unrolled<const U: usize>(
-        a_re: &PackedBits,
-        a_im: &PackedBits,
-        b_re: &PackedBits,
-        b_im: &PackedBits,
-    ) -> [i32; 4] {
-        let [rr, ii, ri, ir] = Self::popc4::<U>(
-            a_re,
-            a_im,
-            b_re,
-            b_im,
-            |a, b| (a ^ b).count_ones(),
-            |a, b, mask| ((a ^ b) & mask).count_ones(),
-        );
         let k = a_re.len as i32;
-        [
-            k - 2 * rr as i32,
-            k - 2 * ii as i32,
-            k - 2 * ri as i32,
-            k - 2 * ir as i32,
-        ]
+        Self::popc4(a_re, a_im, b_re, b_im, |a, b, mask| {
+            ((a ^ b) & mask).count_ones()
+        })
+        .map(|popc| k - 2 * popc as i32)
     }
 
-    /// The fused complex quadruple of [`PackedBits::dot4_xor`] through the
-    /// AND identity of Eq. 6 (the Hopper-and-newer formulation) — same
-    /// single-pass structure, with the complemented-planes second term
-    /// folded into the same loop.
+    /// The quadruple of [`PackedBits::dot4_xor`] through the AND identity
+    /// of Eq. 6 (the Hopper-and-newer formulation), with the
+    /// complemented-planes second term folded into the same pass.
     ///
     /// # Panics
     /// Panics if the four planes do not share one length.
-    #[inline]
     pub fn dot4_and(
         a_re: &PackedBits,
         a_im: &PackedBits,
         b_re: &PackedBits,
         b_im: &PackedBits,
     ) -> [i32; 4] {
-        Self::dot4_and_unrolled::<1>(a_re, a_im, b_re, b_im)
-    }
-
-    /// [`PackedBits::dot4_and`] with the whole-word fast path unrolled `U`
-    /// fused 64-bit popcounts deep — the AND-identity twin of
-    /// [`PackedBits::dot4_xor_unrolled`], with the same exactness
-    /// guarantee: every unroll factor produces identical results on all
-    /// inputs.
-    ///
-    /// # Panics
-    /// Panics if the four planes do not share one length.
-    #[inline]
-    pub fn dot4_and_unrolled<const U: usize>(
-        a_re: &PackedBits,
-        a_im: &PackedBits,
-        b_re: &PackedBits,
-        b_im: &PackedBits,
-    ) -> [i32; 4] {
-        let [rr, ii, ri, ir] = Self::popc4::<U>(
-            a_re,
-            a_im,
-            b_re,
-            b_im,
-            |a, b| (a & b).count_ones() + (!a & !b).count_ones(),
-            |a, b, mask| ((a & b) & mask).count_ones() + ((!a & !b) & mask).count_ones(),
-        );
         let k = a_re.len as i32;
-        [
-            2 * rr as i32 - k,
-            2 * ii as i32 - k,
-            2 * ri as i32 - k,
-            2 * ir as i32 - k,
-        ]
+        Self::popc4(a_re, a_im, b_re, b_im, |a, b, mask| {
+            ((a & b) & mask).count_ones() + ((!a & !b) & mask).count_ones()
+        })
+        .map(|popc| 2 * popc as i32 - k)
     }
 
-    /// Shared single-pass core of the fused quadruple dot products: walks
-    /// the four planes once and accumulates the rr/ii/ri/ir population
-    /// counts through the supplied combine operations (monomorphised per
-    /// formulation, so this costs nothing at run time).
-    ///
-    /// `combine64` handles the whole-word fast path (two words fused per
-    /// popcount, `U` fused popcounts per loop iteration); `combine32(a, b,
-    /// mask)` handles the leftover whole words below the unroll granularity
-    /// (with `mask == u32::MAX`) and the rare partial tail word — the only
-    /// masked steps, hoisted entirely out of the main loop.
-    #[inline(always)]
-    fn popc4<const U: usize>(
+    /// Shared core of the quadruple dot products: walks the four planes
+    /// once and accumulates the rr/ii/ri/ir population counts through
+    /// `combine(a, b, mask)`, where `mask` selects the valid samples of the
+    /// word (all of them except in a partial last word).
+    fn popc4(
         a_re: &PackedBits,
         a_im: &PackedBits,
         b_re: &PackedBits,
         b_im: &PackedBits,
-        combine64: impl Fn(u64, u64) -> u32,
-        combine32: impl Fn(u32, u32, u32) -> u32,
+        combine: impl Fn(u32, u32, u32) -> u32,
     ) -> [u32; 4] {
         let len = Self::common_len(a_re, a_im, b_re, b_im);
-        let full = len / 32;
-        let group = 2 * U;
-        let (mut rr, mut ii, mut ri, mut ir) = (0u32, 0u32, 0u32, 0u32);
-        // Whole-word fast path, two words per population count: the
-        // bounds-check-free `chunks_exact` groups are fused into `u64`s so
-        // each popcount covers 64 samples, and each iteration issues `U`
-        // independent popcounts per plane pair (the compiler unrolls the
-        // inner loop because `U` is a constant).
-        for (((a, i), b), j) in a_re.words[..full]
-            .chunks_exact(group)
-            .zip(a_im.words[..full].chunks_exact(group))
-            .zip(b_re.words[..full].chunks_exact(group))
-            .zip(b_im.words[..full].chunks_exact(group))
-        {
-            for p in 0..U {
-                let (ar, ai) = (Self::fuse(&a[2 * p..]), Self::fuse(&i[2 * p..]));
-                let (br, bi) = (Self::fuse(&b[2 * p..]), Self::fuse(&j[2 * p..]));
-                rr += combine64(ar, br);
-                ii += combine64(ai, bi);
-                ri += combine64(ar, bi);
-                ir += combine64(ai, br);
-            }
-        }
-        // Leftover whole words below the unroll granularity.
-        for w in (full - full % group)..full {
+        let mut counts = [0u32; 4];
+        for w in 0..a_re.words.len() {
+            let mask = valid_mask(len, w);
             let (ar, ai) = (a_re.words[w], a_im.words[w]);
             let (br, bi) = (b_re.words[w], b_im.words[w]);
-            rr += combine32(ar, br, u32::MAX);
-            ii += combine32(ai, bi, u32::MAX);
-            ri += combine32(ar, bi, u32::MAX);
-            ir += combine32(ai, br, u32::MAX);
+            counts[0] += combine(ar, br, mask);
+            counts[1] += combine(ai, bi, mask);
+            counts[2] += combine(ar, bi, mask);
+            counts[3] += combine(ai, br, mask);
         }
-        if !len.is_multiple_of(32) {
-            // Partial tail word (rare: the packing granularity is a
-            // multiple of the word size).
-            let mask = (1u32 << (len % 32)) - 1;
-            let (ar, ai) = (a_re.words[full], a_im.words[full]);
-            let (br, bi) = (b_re.words[full], b_im.words[full]);
-            rr += combine32(ar, br, mask);
-            ii += combine32(ai, bi, mask);
-            ri += combine32(ar, bi, mask);
-            ir += combine32(ai, br, mask);
-        }
-        [rr, ii, ri, ir]
-    }
-
-    /// Fuses a pair of consecutive packed words into one `u64` so a single
-    /// popcount covers 64 samples.
-    #[inline(always)]
-    fn fuse(pair: &[u32]) -> u64 {
-        u64::from(pair[0]) | u64::from(pair[1]) << 32
+        counts
     }
 
     fn common_len(
@@ -716,31 +597,6 @@ mod tests {
             ];
             prop_assert_eq!(PackedBits::dot4_xor(&a_re, &a_im, &b_re, &b_im), expected);
             prop_assert_eq!(PackedBits::dot4_and(&a_re, &a_im, &b_re, &b_im), expected);
-        }
-
-        #[test]
-        fn unrolled_dot4_is_identical_for_every_unroll_factor(
-            bits in proptest::collection::vec(any::<bool>(), 4..640),
-            seed_ai in any::<u64>(),
-            seed_br in any::<u64>(),
-            seed_bi in any::<u64>(),
-        ) {
-            let derive = |seed: u64| -> Vec<bool> {
-                bits.iter()
-                    .enumerate()
-                    .map(|(i, &b)| b ^ ((seed >> (i % 64)) & 1 == 1))
-                    .collect()
-            };
-            let a_re = PackedBits::pack(&bits);
-            let a_im = PackedBits::pack(&derive(seed_ai));
-            let b_re = PackedBits::pack(&derive(seed_br));
-            let b_im = PackedBits::pack(&derive(seed_bi));
-            let xor = PackedBits::dot4_xor(&a_re, &a_im, &b_re, &b_im);
-            let and = PackedBits::dot4_and(&a_re, &a_im, &b_re, &b_im);
-            prop_assert_eq!(PackedBits::dot4_xor_unrolled::<2>(&a_re, &a_im, &b_re, &b_im), xor);
-            prop_assert_eq!(PackedBits::dot4_xor_unrolled::<4>(&a_re, &a_im, &b_re, &b_im), xor);
-            prop_assert_eq!(PackedBits::dot4_and_unrolled::<2>(&a_re, &a_im, &b_re, &b_im), and);
-            prop_assert_eq!(PackedBits::dot4_and_unrolled::<4>(&a_re, &a_im, &b_re, &b_im), and);
         }
 
         #[test]

@@ -247,7 +247,6 @@ mod tests {
             f16_j_tile: 4,
             f16_lanes: 16,
             f16_k_tile: 1024,
-            int1_unroll: 1,
         };
         assert_ne!(winner, MicroKernelConfig::default());
         let dir = std::env::temp_dir().join(format!("tcbf-builder-test-{}", std::process::id()));

@@ -54,6 +54,7 @@
 //! assert!(report.aggregate_tops() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod builder;

@@ -4,7 +4,7 @@
 //! against the analytic execution model.  This module retargets the same
 //! search ([`Strategy`]) at the kernels that actually burn wall clock:
 //! every candidate [`MicroKernelConfig`] is benchmarked by running the
-//! real [`ccglib::gemm::gemm_f16_with`] / [`ccglib::gemm::gemm_int1_with`]
+//! real [`ccglib::gemm::gemm_f16_with`] / [`ccglib::gemm::gemm_int1_on`]
 //! hot path on deterministic synthetic operands and timing it with a
 //! monotonic clock ([`median_secs`], the workspace's one stopwatch).
 //! Winners are persisted per (host fingerprint, precision, shape class) in
@@ -19,11 +19,11 @@
 
 use crate::json::{JsonError, Value};
 use crate::{push_axis_neighbours, search, Strategy};
-use ccglib::gemm::{gemm_f16_with, gemm_int1_with};
+use ccglib::gemm::{gemm_f16_with, gemm_int1_on};
 use ccglib::matrix::{F16Matrix, Int1Matrix};
-use ccglib::micro::{F16_J_TILES, F16_K_TILES, F16_LANE_WIDTHS, INT1_UNROLLS};
+use ccglib::micro::{F16_J_TILES, F16_K_TILES, F16_LANE_WIDTHS};
 use ccglib::synth::pseudo_random_matrix;
-use ccglib::{GemmInput, MicroKernelConfig, Precision};
+use ccglib::{GemmInput, Int1Isa, MicroKernelConfig, Precision};
 use gpu_sim::BitOp;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
@@ -32,7 +32,7 @@ use tcbf_types::GemmShape;
 
 /// Schema identifier written into (and required from) every micro-tuning
 /// cache file.
-pub const MICRO_CACHE_SCHEMA: &str = "tcbf-microtune/v1";
+pub const MICRO_CACHE_SCHEMA: &str = "tcbf-microtune/v2";
 
 /// Identity of the machine a tuning result was measured on.  Tuned
 /// blockings are CPU-specific (cache sizes, SIMD width, core count), so a
@@ -194,6 +194,7 @@ pub struct MicroTuner {
     precision: Precision,
     shape: GemmShape,
     bit_op: BitOp,
+    int1_isa: Int1Isa,
     reps: usize,
     operands: Operands,
 }
@@ -202,8 +203,9 @@ impl MicroTuner {
     /// Creates a tuner measuring on the band's representative shape with
     /// `reps` timed repetitions per candidate (see [`median_secs`]).
     ///
-    /// The scalar float32 reference has no searchable blocking; tuning it
-    /// degenerates to measuring the default configuration.
+    /// The 1-bit kernel and the scalar float32 reference have no
+    /// searchable blocking; tuning them degenerates to measuring the
+    /// default configuration.
     pub fn new(precision: Precision, shape_class: ShapeClass, reps: usize) -> Self {
         let shape = shape_class.representative_shape();
         Self::for_shape(precision, shape, BitOp::Xor, reps)
@@ -229,9 +231,18 @@ impl MicroTuner {
             precision,
             shape,
             bit_op,
+            int1_isa: Int1Isa::detected(),
             reps,
             operands,
         }
+    }
+
+    /// Measures 1-bit candidates on `isa` instead of the detected one
+    /// (what production runs) — for reporting every popcount path a host
+    /// has side by side.
+    pub fn on_int1_isa(mut self, isa: Int1Isa) -> Self {
+        self.int1_isa = isa;
+        self
     }
 
     /// The shape every candidate is measured on.
@@ -249,7 +260,7 @@ impl MicroTuner {
                     .expect("benchmark operands conform to the shape");
             }
             Operands::Int1 { a, b_t } => {
-                black_box(gemm_int1_with(a, b_t, self.bit_op, &config))
+                black_box(gemm_int1_on(self.int1_isa, a, b_t, self.bit_op))
                     .expect("benchmark operands conform to the shape");
             }
         })
@@ -278,12 +289,8 @@ impl MicroTuner {
                     q.f16_k_tile = v
                 });
             }
-            Precision::Int1 => {
-                push_axis_neighbours(&mut out, c, &INT1_UNROLLS, c.int1_unroll, |q, v| {
-                    q.int1_unroll = v
-                });
-            }
-            Precision::Float32Reference => {}
+            // Neither has a searchable blocking.
+            Precision::Int1 | Precision::Float32Reference => {}
         }
         out
     }
@@ -380,7 +387,6 @@ impl MicroTuneCache {
                 ("f16_j_tile", c.f16_j_tile.into()),
                 ("f16_lanes", c.f16_lanes.into()),
                 ("f16_k_tile", c.f16_k_tile.into()),
-                ("int1_unroll", c.int1_unroll.into()),
             ]);
             Value::object([
                 ("precision", Value::String(e.precision.to_string())),
@@ -427,7 +433,6 @@ impl MicroTuneCache {
                     f16_j_tile: c.get("f16_j_tile")?.as_usize()?,
                     f16_lanes: c.get("f16_lanes")?.as_usize()?,
                     f16_k_tile: c.get("f16_k_tile")?.as_usize()?,
-                    int1_unroll: c.get("int1_unroll")?.as_usize()?,
                 },
                 gelems_per_s: v.get("gelems_per_s")?.as_f64()?,
             })
@@ -529,17 +534,13 @@ mod tests {
                 f16_j_tile: 4,
                 f16_lanes: 16,
                 f16_k_tile: 1024,
-                int1_unroll: 1,
             },
             gelems_per_s: 12.5,
         });
         cache.entries.push(MicroCacheEntry {
             precision: Precision::Int1,
             shape_class: ShapeClass::Large,
-            config: MicroKernelConfig {
-                int1_unroll: 4,
-                ..MicroKernelConfig::default()
-            },
+            config: MicroKernelConfig::default(),
             gelems_per_s: 480.0,
         });
         cache
@@ -565,15 +566,14 @@ mod tests {
         let restored = MicroTuneCache::from_json(&cache.to_json()).unwrap();
         assert_eq!(restored, cache);
 
-        // A file laid out by the hand-formatted writer this one replaced
-        // (floats as `12.5` / `480.0`) still loads to the same cache.
+        // Any other layout of the same document loads to the same cache.
         let HostFingerprint { arch, threads } = &cache.fingerprint;
-        let previous = format!(
-            "{{\n  \"schema\": \"tcbf-microtune/v1\",\n  \"fingerprint\": {{\"arch\": \"{arch}\", \"threads\": {threads}}},\n  \"entries\": [\n    \
-             {{\"precision\": \"float16\", \"shape_class\": \"small\", \"config\": {{\"f16_j_tile\": 4, \"f16_lanes\": 16, \"f16_k_tile\": 1024, \"int1_unroll\": 1}}, \"gelems_per_s\": 12.5}},\n    \
-             {{\"precision\": \"int1\", \"shape_class\": \"large\", \"config\": {{\"f16_j_tile\": 2, \"f16_lanes\": 8, \"f16_k_tile\": 1024, \"int1_unroll\": 4}}, \"gelems_per_s\": 480.0}}\n  ]\n}}"
+        let reformatted = format!(
+            "{{\n  \"schema\": \"tcbf-microtune/v2\",\n  \"fingerprint\": {{\"arch\": \"{arch}\", \"threads\": {threads}}},\n  \"entries\": [\n    \
+             {{\"precision\": \"float16\", \"shape_class\": \"small\", \"config\": {{\"f16_j_tile\": 4, \"f16_lanes\": 16, \"f16_k_tile\": 1024}}, \"gelems_per_s\": 12.5}},\n    \
+             {{\"precision\": \"int1\", \"shape_class\": \"large\", \"config\": {{\"f16_j_tile\": 2, \"f16_lanes\": 8, \"f16_k_tile\": 1024}}, \"gelems_per_s\": 480.0}}\n  ]\n}}"
         );
-        assert_eq!(MicroTuneCache::from_json(&previous).unwrap(), cache);
+        assert_eq!(MicroTuneCache::from_json(&reformatted).unwrap(), cache);
 
         let path = temp_path("roundtrip");
         cache.store(&path).unwrap();
@@ -611,6 +611,20 @@ mod tests {
             .replace(MICRO_CACHE_SCHEMA, "tcbf-microtune/v999");
         std::fs::write(&path, foreign).unwrap();
         assert_eq!(MicroTuneCache::load(&path), None);
+        // So is a cache the previous release wrote for this very host: its
+        // schema (`v1`) carried an `int1_unroll` axis that no longer exists.
+        let HostFingerprint { arch, threads } = HostFingerprint::detect();
+        let v1 = format!(
+            "{{\"schema\": \"tcbf-microtune/v1\", \"fingerprint\": {{\"arch\": \"{arch}\", \"threads\": {threads}}}, \"entries\": [\
+             {{\"precision\": \"int1\", \"shape_class\": \"small\", \"config\": {{\"f16_j_tile\": 2, \"f16_lanes\": 8, \"f16_k_tile\": 1024, \"int1_unroll\": 4}}, \"gelems_per_s\": 480.0}}]}}"
+        );
+        let shape = ShapeClass::Small.representative_shape();
+        std::fs::write(&path, v1).unwrap();
+        assert_eq!(MicroTuneCache::load(&path), None);
+        assert_eq!(
+            tuned_micro_config(Some(&path), Precision::Int1, shape),
+            None
+        );
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
@@ -622,7 +636,7 @@ mod tests {
         for (field, hostile) in [
             ("\"threads\": ", "-3.7"),
             ("\"f16_j_tile\": ", "2.9"),
-            ("\"int1_unroll\": ", "null"),
+            ("\"f16_lanes\": ", "null"),
             ("\"f16_lanes\": ", "1e300"),
             ("\"f16_k_tile\": ", "4294967296"),
             ("\"f16_k_tile\": ", "\"1024\""),
@@ -760,14 +774,19 @@ mod tests {
     }
 
     #[test]
-    fn int1_tuning_searches_only_unroll_depths() {
-        let tuner = MicroTuner::new(Precision::Int1, ShapeClass::Small, 1);
-        let outcome = tuner.tune(Strategy::Exhaustive).unwrap();
-        assert_eq!(outcome.evaluated.len(), INT1_UNROLLS.len());
-        assert!(outcome
-            .evaluated
-            .iter()
-            .all(|r| r.config.f16_j_tile == 2 && r.config.f16_lanes == 8));
+    fn int1_tuning_measures_the_default_alone_on_every_popcount_path() {
+        for isa in Int1Isa::available() {
+            let tuner = MicroTuner::new(Precision::Int1, ShapeClass::Small, 1).on_int1_isa(isa);
+            for strategy in [
+                Strategy::Exhaustive,
+                Strategy::GreedyLocalSearch { max_steps: 3 },
+            ] {
+                let outcome = tuner.tune(strategy).unwrap();
+                assert_eq!(outcome.evaluated.len(), 1, "{isa}");
+                assert_eq!(outcome.best.config, MicroKernelConfig::default());
+                assert!(outcome.best.gelems_per_s > 0.0, "{isa}");
+            }
+        }
     }
 
     #[test]

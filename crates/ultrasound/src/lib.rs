@@ -17,6 +17,7 @@
 //! maximum-intensity projections (Fig. 6), plus the frame-rate (Fig. 5)
 //! and offline-dataset (Section V-A) performance models.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod model;

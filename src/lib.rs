@@ -1,1 +1,3 @@
 //! Workspace umbrella crate for examples and integration tests.
+
+#![forbid(unsafe_code)]
