@@ -1,9 +1,11 @@
 //! Regenerates Fig. 2: the auto-tuning scatter — now measured against the
 //! **real** host micro-kernels instead of the modelled GPU occupancy
 //! surface.  For every (precision, shape band) pair the benchmark-driven
-//! [`MicroTuner`] times the per-precision [`ccglib::MicroKernelConfig`] menu on
+//! [`MicroTuner`] times the [`ccglib::MicroKernelConfig`] menu on
 //! the band's representative shape, prints the scatter, and persists the
-//! winners to the micro-tuning cache file.  The run then closes the loop
+//! winners to the micro-tuning cache file.  (While neither kernel has a
+//! searchable axis the menu is the default alone, so a scatter is one
+//! point: the throughput of the kernel that runs.)  The run then closes the loop
 //! the tuner exists for: it asserts that the lookup the public builder
 //! performs returns the winner just written, and builds an engine through
 //! the builder with only the cache path.

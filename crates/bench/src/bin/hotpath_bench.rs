@@ -4,18 +4,19 @@
 //! performance, this harness measures the real elapsed time of the
 //! functional kernels that every session, shard and conformance test
 //! executes.  For each shape in a small grid, and for both precisions
-//! (both 1-bit formulations, on every popcount path the host has — one
-//! row per [`Int1Isa::available`] entry, so the portable number is never
-//! hidden behind the fast one), it times:
+//! (both 1-bit formulations), on every compiled path the host has — one
+//! row per [`Isa::available`] entry, so the portable number is never
+//! hidden behind the fast one — it times:
 //!
-//! * the **fused** path: the current `ccglib` kernels (decode-once f32
-//!   planes + blocked micro-kernel, register-tiled popcount kernel) under
-//!   the default [`MicroKernelConfig`];
-//! * the **tuned** path: the fastest blocking on the per-precision
-//!   [`MicroKernelConfig::menu_for`] menu.  Both come from one exhaustive
+//! * the **fused** path: the current `ccglib` kernels (bulk-decoded f32
+//!   operands + register-tiled FMA kernel, register-tiled popcount kernel)
+//!   under the default [`MicroKernelConfig`];
+//! * the **tuned** path: the fastest blocking on the
+//!   [`MicroKernelConfig::menu`].  Both come from one exhaustive
 //!   [`MicroTuner::tune`] on the shape: the default leads the menu and
 //!   ties go to the first measured, so `tuned <= fused` on every shape by
-//!   construction — the JSON records the winning config and its gain.
+//!   construction — the JSON records the winning config and its gain
+//!   (while the menu is the default alone, the two are one measurement).
 //!
 //! Each measurement is [`median_secs`] (a median of `reps` runs after a
 //! warmup run), and before any timing the fused kernel's output on the
@@ -40,7 +41,7 @@
 
 use ccglib::matrix::{F16Matrix, HostComplexMatrix, Int1Matrix};
 use ccglib::synth::pseudo_random_matrix;
-use ccglib::{gemm, reference_gemm, GemmInput, Int1Isa, MicroKernelConfig, Precision};
+use ccglib::{gemm, reference_gemm, GemmInput, Isa, MicroKernelConfig, Precision};
 use gpu_sim::BitOp;
 use std::hint::black_box;
 use tcbf_bench::{header, print_table};
@@ -55,8 +56,10 @@ type Shape = (usize, usize, usize);
 /// One measured (kernel, shape, formulation) cell.
 struct BenchEntry {
     kernel: &'static str,
-    /// Formulation and popcount path of a 1-bit row.
-    int1: Option<(BitOp, Int1Isa)>,
+    /// Formulation of a 1-bit row.
+    bit_op: Option<BitOp>,
+    /// The compiled path measured.
+    isa: Isa,
     m: usize,
     n: usize,
     k: usize,
@@ -80,30 +83,26 @@ impl BenchEntry {
     }
 }
 
-/// One exhaustive menu search on `m × n × k` — 1-bit under a formulation
-/// and popcount path, float16 without: the default blocking (first on the
-/// menu) is the fused time, the winner the tuned one.  Call after the
-/// shape's correctness guard.
-fn tune(int1: Option<(BitOp, Int1Isa)>, (m, n, k): Shape, reps: usize) -> BenchEntry {
+/// One exhaustive menu search on `m × n × k` on one path — 1-bit under a
+/// formulation, float16 without: the default blocking (first on the menu)
+/// is the fused time, the winner the tuned one.  Call after the shape's
+/// correctness guard.
+fn tune(bit_op: Option<BitOp>, isa: Isa, (m, n, k): Shape, reps: usize) -> BenchEntry {
     let shape = GemmShape::new(m, n, k);
-    let (kernel, tuner) = match int1 {
-        Some((op, isa)) => (
-            "int1",
-            MicroTuner::for_shape(Precision::Int1, shape, op, reps).on_int1_isa(isa),
-        ),
-        None => (
-            "f16",
-            MicroTuner::for_shape(Precision::Float16, shape, BitOp::Xor, reps),
-        ),
+    let (kernel, precision) = match bit_op {
+        Some(_) => ("int1", Precision::Int1),
+        None => ("f16", Precision::Float16),
     };
-    let outcome = tuner
+    let outcome = MicroTuner::for_shape(precision, shape, bit_op.unwrap_or(BitOp::Xor), reps)
+        .on_isa(isa)
         .tune(Strategy::Exhaustive)
         .expect("the default blocking is always measurable");
     let fused = outcome.evaluated[0];
     assert_eq!(fused.config, MicroKernelConfig::default());
     BenchEntry {
         kernel,
-        int1,
+        bit_op,
+        isa,
         m,
         n,
         k,
@@ -113,13 +112,14 @@ fn tune(int1: Option<(BitOp, Int1Isa)>, (m, n, k): Shape, reps: usize) -> BenchE
     }
 }
 
-fn bench_f16(shape @ (m, n, k): Shape, reps: usize) -> BenchEntry {
+fn bench_f16(shape @ (m, n, k): Shape, isa: Isa, reps: usize) -> BenchEntry {
     let a_host = pseudo_random_matrix(m, k, 0xF16 + (m * n * k) as u64, 1.0);
     let b_host = pseudo_random_matrix(n, k, 0xB00 + (m + n + k) as u64, 1.0);
     // Correctness guard: the fused kernel must stay within the binary16
     // quantisation envelope of the full-precision reference before any
     // time is recorded.
-    let fused_out = gemm::gemm_f16(
+    let fused_out = gemm::gemm_f16_on(
+        isa,
         &F16Matrix::from_host(&a_host),
         &F16Matrix::from_host(&b_host),
     )
@@ -128,10 +128,10 @@ fn bench_f16(shape @ (m, n, k): Shape, reps: usize) -> BenchEntry {
     let tol = 2.0 * 2.0f32.powi(-11) * 2.0 * k as f32;
     let diff = fused_out.max_abs_diff(&reference);
     assert!(diff < tol, "f16 fused/reference diverged: {diff} >= {tol}");
-    tune(None, shape, reps)
+    tune(None, isa, shape, reps)
 }
 
-fn bench_int1(shape @ (m, n, k): Shape, op: BitOp, isa: Int1Isa, reps: usize) -> BenchEntry {
+fn bench_int1(shape @ (m, n, k): Shape, op: BitOp, isa: Isa, reps: usize) -> BenchEntry {
     let a_host = pseudo_random_matrix(m, k, 0x1B17 + (m * k) as u64, 1.0);
     let b_host = pseudo_random_matrix(n, k, 0x0B17 + (n * k) as u64, 1.0);
     let a = Int1Matrix::from_host_padded(&a_host, GemmInput::DEFAULT_INT1_K_GRANULARITY);
@@ -141,7 +141,7 @@ fn bench_int1(shape @ (m, n, k): Shape, op: BitOp, isa: Int1Isa, reps: usize) ->
     let fused_out = gemm::gemm_int1_on(isa, &a, &b, op).expect("shapes agree");
     let reference = reference_gemm(&a.to_host(), &b.to_host()).expect("reference shapes agree");
     assert_eq!(fused_out, reference, "int1 fused/reference diverged");
-    tune(Some((op, isa)), shape, reps)
+    tune(Some(op), isa, shape, reps)
 }
 
 /// The `K × N` (receivers × samples) block shapes of the four
@@ -233,14 +233,11 @@ fn to_json(mode: &str, reps: usize, entries: &[BenchEntry], prologue: &[Prologue
             ("kernel", e.kernel.into()),
             (
                 "bit_op",
-                e.int1.map_or(Value::Null, |(op, _)| {
+                e.bit_op.map_or(Value::Null, |op| {
                     Value::String(op.to_string().to_lowercase())
                 }),
             ),
-            (
-                "isa",
-                e.int1.map_or(Value::Null, |(_, isa)| isa.name().into()),
-            ),
+            ("isa", e.isa.name().into()),
             ("m", e.m.into()),
             ("n", e.n.into()),
             ("k", e.k.into()),
@@ -265,7 +262,7 @@ fn to_json(mode: &str, reps: usize, entries: &[BenchEntry], prologue: &[Prologue
         ])
     };
     Value::object([
-        ("schema", "tcbf-hotpath-bench/v5".into()),
+        ("schema", "tcbf-hotpath-bench/v6".into()),
         ("mode", mode.into()),
         ("reps", reps.into()),
         ("entries", Value::Array(entries.iter().map(entry).collect())),
@@ -288,8 +285,8 @@ fn main() {
         .unwrap_or_else(|| "BENCH_gemm.json".to_string());
 
     // The shape grid deliberately includes one K that is not a multiple of
-    // the 256-bit packing granularity or the f16 k-tile, so the tail paths
-    // are timed as well as tested.
+    // the 256-bit packing granularity, so the padded path is timed as well
+    // as tested.
     let (grid, reps, mode) = if smoke {
         (
             vec![(64usize, 64usize, 1024usize), (96, 96, 1000)],
@@ -312,9 +309,11 @@ fn main() {
     header(&format!("GEMM hot path wall-clock ({mode} grid)"));
     let mut entries = Vec::new();
     for &shape in &grid {
-        entries.push(bench_f16(shape, reps));
+        for isa in Isa::available() {
+            entries.push(bench_f16(shape, isa, reps));
+        }
         for op in [BitOp::Xor, BitOp::And] {
-            for isa in Int1Isa::available() {
+            for isa in Isa::available() {
                 entries.push(bench_int1(shape, op, isa, reps));
             }
         }
@@ -325,8 +324,8 @@ fn main() {
         .map(|e| {
             vec![
                 e.kernel.to_string(),
-                e.int1.map_or("—".to_string(), |(op, _)| op.to_string()),
-                e.int1.map_or("—".to_string(), |(_, isa)| isa.to_string()),
+                e.bit_op.map_or("—".to_string(), |op| op.to_string()),
+                e.isa.to_string(),
                 format!("{}x{}x{}", e.m, e.n, e.k),
                 format!("{:.2}", e.fused_median_s * 1e3),
                 format!("{:.2}", e.gelems_per_s()),
@@ -351,32 +350,31 @@ fn main() {
         &rows,
     );
 
-    // Slowest cell of the float16 rows (`None`) or of one 1-bit path.
-    let min_gelems = |isa: Option<Int1Isa>| -> f64 {
+    // Slowest cell of one kernel on one path.
+    let slowest = |kernel: &str, isa: Isa| -> &BenchEntry {
         entries
             .iter()
-            .filter(|e| e.int1.map(|(_, isa)| isa) == isa)
-            .map(BenchEntry::gelems_per_s)
-            .fold(f64::INFINITY, f64::min)
+            .filter(|e| e.kernel == kernel && e.isa == isa)
+            .min_by(|a, b| a.gelems_per_s().total_cmp(&b.gelems_per_s()))
+            .expect("every kernel is measured on every path")
     };
     let max_tuned_gain = entries
         .iter()
         .map(BenchEntry::tuned_speedup_vs_default)
         .fold(1.0f64, f64::max);
     println!();
-    println!(
-        "headline: f16 min {:.2} GElem/s (default blocking)",
-        min_gelems(None)
-    );
-    println!(
-        "headline: int1 popcount path detected: {}",
-        Int1Isa::detected()
-    );
-    for isa in Int1Isa::available() {
-        println!(
-            "headline: int1 min {:.2} GElem/s on {isa}",
-            min_gelems(Some(isa))
-        );
+    println!("headline: kernel path detected: {}", Isa::detected());
+    for kernel in ["f16", "int1"] {
+        for isa in Isa::available() {
+            let e = slowest(kernel, isa);
+            println!(
+                "headline: {kernel} min {:.2} GElem/s on {isa} (at {}x{}x{})",
+                e.gelems_per_s(),
+                e.m,
+                e.n,
+                e.k
+            );
+        }
     }
     println!(
         "autotune: best menu blocking gains up to {:.2}x over the default (never slower: \

@@ -11,7 +11,7 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
     let root = parse(&text).expect("written by tuner::json, so read by it");
 
     let schema = root.get("schema").unwrap().as_str().unwrap();
-    assert_eq!(schema, "tcbf-hotpath-bench/v5");
+    assert_eq!(schema, "tcbf-hotpath-bench/v6");
     assert_eq!(root.get("mode").unwrap().as_str().unwrap(), "full");
     assert!(root.get("reps").unwrap().as_usize().unwrap() >= 1);
     assert!(root.get("prologue_reps").unwrap().as_usize().unwrap() >= 1);
@@ -22,19 +22,18 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
         v
     };
     let entries = root.get("entries").unwrap().as_array().unwrap();
-    let mut int1_paths = std::collections::BTreeSet::new();
+    // Which paths each kernel was measured on: `isa` is never null.
+    let mut paths = std::collections::BTreeMap::<_, std::collections::BTreeSet<_>>::new();
     for row in entries {
         let kernel = row.get("kernel").unwrap().as_str().unwrap();
-        match (row.get("bit_op").unwrap(), row.get("isa").unwrap()) {
-            (Value::Null, Value::Null) => assert_eq!(kernel, "f16"),
-            (op, isa) => {
-                assert_eq!(kernel, "int1");
-                assert!(matches!(op.as_str().unwrap(), "xor" | "and"));
-                let isa = isa.as_str().unwrap();
-                assert!(matches!(isa, "portable" | "avx512-vpopcntdq"), "{isa}");
-                int1_paths.insert(isa);
-            }
+        match (kernel, row.get("bit_op").unwrap()) {
+            ("f16", Value::Null) => {}
+            ("int1", op) => assert!(matches!(op.as_str().unwrap(), "xor" | "and")),
+            other => panic!("undocumented kernel / bit_op pair {other:?}"),
         }
+        let isa = row.get("isa").unwrap().as_str().unwrap();
+        assert!(matches!(isa, "portable" | "avx512"), "{isa}");
+        paths.entry(kernel).or_default().insert(isa);
         for dim in ["m", "n", "k"] {
             assert!(row.get(dim).unwrap().as_usize().unwrap() > 0);
         }
@@ -43,13 +42,17 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
         positive(row, "gelems_per_s");
         assert!(tuned <= fused, "the default blocking is on the menu");
         assert!(positive(row, "tuned_speedup_vs_default") >= 1.0);
-        let config = row.get("tuned_config").unwrap().as_str().unwrap();
-        assert!(config.starts_with('j'), "{config}");
+        assert_eq!(
+            row.get("tuned_config").unwrap().as_str().unwrap(),
+            "default"
+        );
     }
-    // 4 shapes x (f16 + int1 under XOR and AND on every popcount path of
-    // the host that wrote the file — the portable one always among them).
-    assert!(int1_paths.contains("portable"), "{int1_paths:?}");
-    assert_eq!(entries.len(), 4 * (1 + 2 * int1_paths.len()));
+    // 4 shapes x (f16 + int1 under XOR and AND) on every path of the host
+    // that wrote the file — the portable one always among them, and both
+    // kernels on the same paths.
+    assert!(paths["f16"].contains("portable"), "{paths:?}");
+    assert_eq!(paths["f16"], paths["int1"]);
+    assert_eq!(entries.len(), 4 * 3 * paths["f16"].len());
 
     let prologue = root.get("prologue").unwrap().as_array().unwrap();
     // 4 block shapes x (transpose, quantise_f16, quantise_int1).

@@ -58,7 +58,7 @@ pub mod transpose;
 
 pub use error::{CcglibError, Result};
 pub use gemm::{ComplexOutput, DecodedPlanes, GemmInput, PreparedOperand};
-pub use isa::Int1Isa;
+pub use isa::Isa;
 pub use micro::MicroKernelConfig;
 pub use params::{ParameterSpace, TuningParameters};
 pub use plan::{

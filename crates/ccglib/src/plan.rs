@@ -563,7 +563,7 @@ impl Gemm {
                 actual: format!("A {}x{}, B(T) {}x{}", a.rows(), a.k(), b_t.rows(), b_t.k()),
             });
         }
-        gemm_dispatch_decoded(a, decoded, b_t, self.plan.bit_op(), &self.plan.micro)
+        gemm_dispatch_decoded(a, decoded, b_t, self.plan.bit_op())
     }
 
     /// Runs the GEMM on quantised operands (`A` as `M×K`, `B` transposed as

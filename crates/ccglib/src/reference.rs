@@ -30,19 +30,21 @@ pub fn reference_gemm(a: &HostComplexMatrix, b_t: &HostComplexMatrix) -> Result<
     let n = b_t.rows();
     let k = a.cols();
     let mut out = vec![Complex32::ZERO; m * n];
-    out.par_chunks_mut(n).enumerate().for_each(|(i, row)| {
-        for (j, slot) in row.iter_mut().enumerate() {
-            let mut re = 0.0f32;
-            let mut im = 0.0f32;
-            for kk in 0..k {
-                let av = a.get(i, kk);
-                let bv = b_t.get(j, kk);
-                re += av.re * bv.re - av.im * bv.im;
-                im += av.re * bv.im + av.im * bv.re;
+    out.par_chunks_mut(n.max(1))
+        .enumerate()
+        .for_each(|(i, row)| {
+            for (j, slot) in row.iter_mut().enumerate() {
+                let mut re = 0.0f32;
+                let mut im = 0.0f32;
+                for kk in 0..k {
+                    let av = a.get(i, kk);
+                    let bv = b_t.get(j, kk);
+                    re += av.re * bv.re - av.im * bv.im;
+                    im += av.re * bv.im + av.im * bv.re;
+                }
+                *slot = Complex32::new(re, im);
             }
-            *slot = Complex32::new(re, im);
-        }
-    });
+        });
     HostComplexMatrix::from_data(m, n, out)
 }
 

@@ -315,10 +315,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(bytes))
     }
 
-    fn f32(&mut self) -> Result<f32, DecodeError> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
     fn f64(&mut self) -> Result<f64, DecodeError> {
         Ok(f64::from_bits(self.u64()?))
     }
@@ -342,12 +338,18 @@ impl<'a> Reader<'a> {
                 self.buf.len() - self.pos
             )));
         }
-        let mut data = Vec::with_capacity(elems);
-        for _ in 0..elems {
-            let re = self.f32()?;
-            let im = self.f32()?;
-            data.push(Complex::new(re, im));
-        }
+        // One bounds check for the whole body, then `re | im` little-endian
+        // pairs straight out of the validated slice.
+        let (pairs, _) = self.take(8 * elems)?.as_chunks::<8>();
+        let data = pairs
+            .iter()
+            .map(|&[r0, r1, r2, r3, i0, i1, i2, i3]| {
+                Complex::new(
+                    f32::from_le_bytes([r0, r1, r2, r3]),
+                    f32::from_le_bytes([i0, i1, i2, i3]),
+                )
+            })
+            .collect();
         HostComplexMatrix::from_data(rows, cols, data)
             .map_err(|e| DecodeError(format!("matrix shape: {e}")))
     }
@@ -386,10 +388,6 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn f32(&mut self, v: f32) {
-        self.u32(v.to_bits());
-    }
-
     fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
@@ -402,9 +400,11 @@ impl Writer {
     fn matrix(&mut self, m: &HostComplexMatrix) {
         self.u32(m.rows() as u32);
         self.u32(m.cols() as u32);
+        self.buf.reserve(8 * m.data().len());
         for value in m.data() {
-            self.f32(value.re);
-            self.f32(value.im);
+            // `re` then `im`, each little-endian: one 8-byte append.
+            let pair = u64::from(value.im.to_bits()) << 32 | u64::from(value.re.to_bits());
+            self.buf.extend_from_slice(&pair.to_le_bytes());
         }
     }
 }
@@ -818,7 +818,21 @@ mod tests {
             seq: 0,
             samples: tricky.clone(),
         };
-        match ClientMsg::decode(&msg.encode()).unwrap() {
+        // The body on the wire is `re`, `im` per element, each little-endian,
+        // after tag, sequence number and the two dimensions.
+        let encoded = msg.encode();
+        let body: Vec<u8> = tricky
+            .data()
+            .iter()
+            .flat_map(|v| [v.re.to_le_bytes(), v.im.to_le_bytes()])
+            .flatten()
+            .collect();
+        assert_eq!(encoded[1 + 8 + 4 + 4..], body);
+        // Cut short anywhere, the frame is a typed error.
+        for len in 0..encoded.len() {
+            assert!(ClientMsg::decode(&encoded[..len]).is_err(), "cut at {len}");
+        }
+        match ClientMsg::decode(&encoded).unwrap() {
             ClientMsg::Block { samples, .. } => {
                 for (a, b) in samples.data().iter().zip(tricky.data()) {
                     assert_eq!(a.re.to_bits(), b.re.to_bits());

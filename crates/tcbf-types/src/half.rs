@@ -250,14 +250,38 @@ impl f16 {
 
 /// Lazily built lookup table mapping every binary16 bit pattern to its
 /// binary32 widening — 256 KiB, shared process-wide.
-static DECODE_TABLE: OnceLock<Vec<f32>> = OnceLock::new();
+static DECODE_TABLE: OnceLock<Box<[f32; 1 << 16]>> = OnceLock::new();
 
-fn decode_table() -> &'static [f32] {
-    DECODE_TABLE.get_or_init(|| {
-        (0..=u16::MAX)
-            .map(|bits| f16::from_bits(bits).to_f32())
-            .collect()
-    })
+/// A handle on the shared binary16 → binary32 table: [`Decoder::decode`] is
+/// one indexed load, for callers that write the values somewhere other than
+/// a fresh row-major `Vec` (the f16 GEMM decodes its `B` operand straight
+/// into column panels).  [`decode_to_f32`] is the bulk form.
+#[derive(Clone, Copy, Debug)]
+pub struct Decoder(&'static [f32; 1 << 16]);
+
+impl Decoder {
+    /// The table, built from [`f16::to_f32`](crate::half::f16::to_f32) on
+    /// first use in the process.
+    pub fn new() -> Self {
+        Decoder(DECODE_TABLE.get_or_init(|| {
+            let table: Box<[f32]> = (0..=u16::MAX)
+                .map(|bits| f16::from_bits(bits).to_f32())
+                .collect();
+            table.try_into().expect("one entry per bit pattern")
+        }))
+    }
+
+    /// `h.to_f32()`, bit for bit.
+    #[inline]
+    pub fn decode(self, h: f16) -> f32 {
+        self.0[usize::from(h.to_bits())]
+    }
+}
+
+impl Default for Decoder {
+    fn default() -> Self {
+        Decoder::new()
+    }
 }
 
 /// Decodes a whole plane of binary16 values to binary32 in one bulk pass.
@@ -271,8 +295,8 @@ fn decode_table() -> &'static [f32] {
 /// done once per plane.  The result is bit-identical to calling
 /// [`f16::to_f32`](crate::half::f16::to_f32) on every element (the table is built from it).
 pub fn decode_to_f32(plane: &[f16]) -> Vec<f32> {
-    let table = decode_table();
-    plane.iter().map(|h| table[h.to_bits() as usize]).collect()
+    let decoder = Decoder::new();
+    plane.iter().map(|&h| decoder.decode(h)).collect()
 }
 
 /// Scalars per chunk of [`encode_from_f32`]: four AVX2 vectors of `u32`

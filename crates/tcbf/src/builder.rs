@@ -243,12 +243,9 @@ mod tests {
                 .weights(HostComplexMatrix::zeros(shape.m, shape.k))
                 .samples_per_block(shape.n)
         };
-        let winner = MicroKernelConfig {
-            f16_j_tile: 4,
-            f16_lanes: 16,
-            f16_k_tile: 1024,
-        };
-        assert_ne!(winner, MicroKernelConfig::default());
+        // The only value there is while no kernel has an axis: what is
+        // pinned here is *whether* the builder found it, `Some` or `None`.
+        let winner = MicroKernelConfig::default();
         let dir = std::env::temp_dir().join(format!("tcbf-builder-test-{}", std::process::id()));
         let path = dir.join("cache.json");
         let mut cache = MicroTuneCache::for_this_host();
