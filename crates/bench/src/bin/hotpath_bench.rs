@@ -31,6 +31,11 @@
 //! repo benchmark (`BENCHMARK.json`), each checked for equality against
 //! its element-wise definition before it is timed.
 //!
+//! A third table times the **hand-off** every one of those stages pays to
+//! reach the second core: an empty two-item `par_chunks_mut`, back to back
+//! (the pool's worker is still spinning) and after 0.3, 1.5 and 5 ms of
+//! single-threaded busy work (it has parked, and its core may have halted).
+//!
 //! The results are written to `BENCH_gemm.json` at the repository root,
 //! giving subsequent PRs a wall-clock trajectory to regress against.
 //!
@@ -43,7 +48,9 @@ use ccglib::matrix::{F16Matrix, HostComplexMatrix, Int1Matrix};
 use ccglib::synth::pseudo_random_matrix;
 use ccglib::{gemm, reference_gemm, GemmInput, Isa, MicroKernelConfig, Precision};
 use gpu_sim::BitOp;
+use rayon::prelude::*;
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 use tcbf_bench::{header, print_table};
 use tcbf_types::{f16, Complex32, GemmShape, PackedBits};
 use tuner::json::Value;
@@ -222,9 +229,56 @@ fn bench_prologue(k: usize, n: usize) -> [PrologueEntry; 3] {
     ]
 }
 
+/// Single-threaded busy work before each timed hand-off, in microseconds:
+/// none (the pool's worker is still spinning), then long enough for it to
+/// have parked, and for its core to have halted.
+const FAN_OUT_AFTER_BUSY_US: [u64; 4] = [0, 300, 1_500, 5_000];
+
+/// Rounds per hand-off row: a tenth of them lie below the p10.
+const FAN_OUT_ROUNDS: usize = 400;
+
+/// One measured hand-off row.
+struct FanOutEntry {
+    after_busy_us: u64,
+    p10_s: f64,
+    p50_s: f64,
+}
+
+/// Times an empty two-item `par_chunks_mut` — nothing but the hand-off to
+/// the pool and back — each time after `after_busy_us` of busy work on the
+/// calling thread alone.
+fn bench_fan_out(after_busy_us: u64) -> FanOutEntry {
+    let mut data = [0u8; 2];
+    let mut times: Vec<f64> = (0..FAN_OUT_ROUNDS)
+        .map(|_| {
+            let busy_until = Instant::now() + Duration::from_micros(after_busy_us);
+            while Instant::now() < busy_until {
+                black_box(&mut data);
+            }
+            let start = Instant::now();
+            data.par_chunks_mut(1).for_each(|chunk| {
+                black_box(chunk);
+            });
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    FanOutEntry {
+        after_busy_us,
+        p10_s: times[times.len() / 10],
+        p50_s: times[times.len() / 2],
+    }
+}
+
 /// The results as a JSON tree, matching the stable schema documented in
 /// the README; times and rates are rounded to the decimals they always had.
-fn to_json(mode: &str, reps: usize, entries: &[BenchEntry], prologue: &[PrologueEntry]) -> Value {
+fn to_json(
+    mode: &str,
+    reps: usize,
+    entries: &[BenchEntry],
+    prologue: &[PrologueEntry],
+    fan_out: &[FanOutEntry],
+) -> Value {
     let num = |v: f64, decimals: i32| {
         Value::Number((v * 10f64.powi(decimals)).round() / 10f64.powi(decimals))
     };
@@ -261,8 +315,15 @@ fn to_json(mode: &str, reps: usize, entries: &[BenchEntry], prologue: &[Prologue
             ("unit", p.unit.into()),
         ])
     };
+    let hand_off = |f: &FanOutEntry| {
+        Value::object([
+            ("after_busy_us", (f.after_busy_us as usize).into()),
+            ("p10_s", num(f.p10_s, 9)),
+            ("p50_s", num(f.p50_s, 9)),
+        ])
+    };
     Value::object([
-        ("schema", "tcbf-hotpath-bench/v6".into()),
+        ("schema", "tcbf-hotpath-bench/v7".into()),
         ("mode", mode.into()),
         ("reps", reps.into()),
         ("entries", Value::Array(entries.iter().map(entry).collect())),
@@ -270,6 +331,11 @@ fn to_json(mode: &str, reps: usize, entries: &[BenchEntry], prologue: &[Prologue
         (
             "prologue",
             Value::Array(prologue.iter().map(stage).collect()),
+        ),
+        ("fan_out_rounds", FAN_OUT_ROUNDS.into()),
+        (
+            "fan_out",
+            Value::Array(fan_out.iter().map(hand_off).collect()),
         ),
     ])
 }
@@ -400,7 +466,21 @@ fn main() {
         .collect();
     print_table(&["stage", "KxN", "median us", "rate"], &rows);
 
-    let json = format!("{}\n", to_json(mode, reps, &entries, &prologue));
+    header("Hand-off wall-clock (empty two-item par_chunks_mut)");
+    let fan_out: Vec<FanOutEntry> = FAN_OUT_AFTER_BUSY_US.map(bench_fan_out).into();
+    let rows: Vec<Vec<String>> = fan_out
+        .iter()
+        .map(|f| {
+            vec![
+                format!("{}", f.after_busy_us),
+                format!("{:.2}", f.p10_s * 1e6),
+                format!("{:.2}", f.p50_s * 1e6),
+            ]
+        })
+        .collect();
+    print_table(&["after busy us", "p10 us", "p50 us"], &rows);
+
+    let json = format!("{}\n", to_json(mode, reps, &entries, &prologue, &fan_out));
     std::fs::write(&out_path, json).expect("write benchmark JSON");
     println!("wrote {out_path}");
 }

@@ -11,7 +11,7 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
     let root = parse(&text).expect("written by tuner::json, so read by it");
 
     let schema = root.get("schema").unwrap().as_str().unwrap();
-    assert_eq!(schema, "tcbf-hotpath-bench/v6");
+    assert_eq!(schema, "tcbf-hotpath-bench/v7");
     assert_eq!(root.get("mode").unwrap().as_str().unwrap(), "full");
     assert!(root.get("reps").unwrap().as_usize().unwrap() >= 1);
     assert!(root.get("prologue_reps").unwrap().as_usize().unwrap() >= 1);
@@ -69,5 +69,16 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
         assert!(row.get("n").unwrap().as_usize().unwrap() > 0);
         positive(row, "median_s");
         positive(row, "rate");
+    }
+
+    // The hand-off of an empty two-item `par_chunks_mut`: back to back, then
+    // after 0.3, 1.5 and 5 ms of single-threaded busy work.
+    assert!(root.get("fan_out_rounds").unwrap().as_usize().unwrap() >= 400);
+    let fan_out = root.get("fan_out").unwrap().as_array().unwrap();
+    let after_busy = |row: &Value| row.get("after_busy_us").unwrap().as_usize().unwrap();
+    let busy: Vec<usize> = fan_out.iter().map(after_busy).collect();
+    assert_eq!(busy, [0, 300, 1_500, 5_000]);
+    for row in fan_out {
+        assert!(positive(row, "p10_s") <= positive(row, "p50_s"));
     }
 }

@@ -41,7 +41,7 @@
 
 use crate::error::{CcglibError, Result};
 use crate::isa::{f16_row_block_on, int1_row_group_on, Isa};
-use crate::matrix::{F16Matrix, HostComplexMatrix, Int1Matrix};
+use crate::matrix::{F16Matrix, HostComplexMatrix, Int1Matrix, PLANE_ITEM};
 use crate::Precision;
 use gpu_sim::BitOp;
 use rayon::prelude::*;
@@ -145,13 +145,25 @@ pub struct DecodedPlanes {
 }
 
 impl DecodedPlanes {
-    /// Decodes both planes of a binary16 matrix in one bulk pass each.
+    /// Decodes both planes of a binary16 matrix in one bulk pass; a run of
+    /// a few thousand elements — both planes of it — is one parallel work
+    /// item.
     pub fn from_f16(matrix: &F16Matrix) -> Self {
+        let mut re = vec![0.0f32; matrix.re().len()];
+        let mut im = vec![0.0f32; matrix.im().len()];
+        re.par_chunks_mut(PLANE_ITEM)
+            .zip(im.par_chunks_mut(PLANE_ITEM))
+            .enumerate()
+            .for_each(|(item, (re, im))| {
+                let at = item * PLANE_ITEM;
+                decode_to_f32(&matrix.re()[at..][..re.len()], re);
+                decode_to_f32(&matrix.im()[at..][..im.len()], im);
+            });
         DecodedPlanes {
             rows: matrix.rows(),
             cols: matrix.cols(),
-            re: decode_to_f32(matrix.re()),
-            im: decode_to_f32(matrix.im()),
+            re,
+            im,
         }
     }
 
@@ -259,7 +271,8 @@ const F16_BLOCK_TILES: usize = 4;
 /// real parts of `lanes` columns' `k`-th sample, then the imaginary parts.
 /// Rows past `N` in the last group are zero.  One pass and one allocation
 /// per call — this *is* the decode of `B`, not a repack of a decoded copy —
-/// `O(N·K)` against the kernel's `O(M·N·K)`.
+/// `O(N·K)` against the kernel's `O(M·N·K)`; a panel is one parallel work
+/// item.
 fn f16_column_panels(b_t: &F16Matrix, lanes: usize) -> Vec<f32> {
     // Source rows walked side by side, so that the panel is written in
     // contiguous runs (row by row, every store opens another cache line:
@@ -267,34 +280,32 @@ fn f16_column_panels(b_t: &F16Matrix, lanes: usize) -> Vec<f32> {
     const ROWS: usize = 4;
     let (n, k) = (b_t.rows(), b_t.cols());
     let mut panels = vec![0.0f32; n.next_multiple_of(lanes) * 2 * k];
-    if k == 0 {
-        return panels;
-    }
     let decoder = Decoder::new();
-    for (plane, offset) in [(b_t.re(), 0), (b_t.im(), lanes)] {
-        let groups = plane
-            .chunks(lanes * k)
-            .zip(panels.chunks_exact_mut(2 * lanes * k));
-        for (group, panel) in groups {
-            for (v, rows) in group.chunks(ROWS * k).enumerate() {
-                let at = offset + v * ROWS;
-                let steps = panel.chunks_exact_mut(2 * lanes).enumerate();
-                if rows.len() == ROWS * k {
-                    for (kk, step) in steps {
-                        let values: [f32; ROWS] =
-                            std::array::from_fn(|l| decoder.decode(rows[l * k + kk]));
-                        step[at..at + ROWS].copy_from_slice(&values);
-                    }
-                } else {
-                    for (kk, step) in steps {
-                        for (l, row) in rows.chunks_exact(k).enumerate() {
-                            step[at + l] = decoder.decode(row[kk]);
+    panels
+        .par_chunks_mut((2 * lanes * k).max(1))
+        .enumerate()
+        .for_each(|(g, panel)| {
+            for (plane, offset) in [(b_t.re(), 0), (b_t.im(), lanes)] {
+                let group = &plane[g * lanes * k..plane.len().min((g + 1) * lanes * k)];
+                for (v, rows) in group.chunks(ROWS * k).enumerate() {
+                    let at = offset + v * ROWS;
+                    let steps = panel.chunks_exact_mut(2 * lanes).enumerate();
+                    if rows.len() == ROWS * k {
+                        for (kk, step) in steps {
+                            let values: [f32; ROWS] =
+                                std::array::from_fn(|l| decoder.decode(rows[l * k + kk]));
+                            step[at..at + ROWS].copy_from_slice(&values);
+                        }
+                    } else {
+                        for (kk, step) in steps {
+                            for (l, row) in rows.chunks_exact(k).enumerate() {
+                                step[at + l] = decoder.decode(row[kk]);
+                            }
                         }
                     }
                 }
             }
-        }
-    }
+        });
     panels
 }
 
@@ -504,23 +515,32 @@ pub fn gemm_int1(a: &Int1Matrix, b_t: &Int1Matrix, op: BitOp) -> Result<ComplexO
 /// 4 was fastest in every cell, so it is a constant, not a tuning axis.
 const INT1_TILE_ROWS: usize = 4;
 
-/// `B` as the tile kernel reads it: the rows of the transposed operand in
-/// groups of `lanes` (the last group filled up with all-zero rows), each
-/// group stored word-interleaved — word `w` of the group's `lanes` rows
-/// side by side — so one vector load fetches the same 64 samples of
-/// `lanes` output columns.  `O(N·K)` bits moved once per call, against the
-/// kernel's `O(M·N·K)`.
-fn int1_column_panel(plane: &[u64], stride: usize, lanes: usize) -> Vec<u64> {
+/// `B` as the tile kernel reads it, real plane then imaginary: the rows of
+/// the transposed operand in groups of `lanes` (the last group filled up
+/// with all-zero rows), each group stored word-interleaved — word `w` of
+/// the group's `lanes` rows side by side — so one vector load fetches the
+/// same 64 samples of `lanes` output columns.  `O(N·K)` bits moved once per
+/// call, against the kernel's `O(M·N·K)`; a group — both planes of it — is
+/// one parallel work item.
+fn int1_column_panels(b_t: &Int1Matrix, lanes: usize) -> [Vec<u64>; 2] {
     // `stride >= 1`: an `Int1Matrix` row holds at least one padded sample.
-    let rows = plane.len() / stride;
-    let mut panel = vec![0u64; rows.next_multiple_of(lanes) * stride];
-    for (j, row) in plane.chunks_exact(stride).enumerate() {
-        let group = &mut panel[(j / lanes) * lanes * stride..][..lanes * stride];
-        for (slot, &word) in group[j % lanes..].iter_mut().step_by(lanes).zip(row) {
-            *slot = word;
-        }
-    }
-    panel
+    let stride = b_t.words_per_row();
+    let words = b_t.rows().next_multiple_of(lanes) * stride;
+    let (mut re, mut im) = (vec![0u64; words], vec![0u64; words]);
+    re.par_chunks_mut(lanes * stride)
+        .zip(im.par_chunks_mut(lanes * stride))
+        .enumerate()
+        .for_each(|(g, (re, im))| {
+            for (group, plane) in [(re, b_t.re_words()), (im, b_t.im_words())] {
+                let rows = plane[g * lanes * stride..].chunks_exact(stride);
+                for (l, row) in rows.take(lanes).enumerate() {
+                    for (slot, &word) in group[l..].iter_mut().step_by(lanes).zip(row) {
+                        *slot = word;
+                    }
+                }
+            }
+        });
+    [re, im]
 }
 
 /// The operands of one 1-bit GEMM as the tile kernel reads them — `A`'s
@@ -689,11 +709,12 @@ pub fn gemm_int1_on(
     }
     let bound = int1_output_bound(a.k_bits(), a.k_padded())?;
     let (m, n, stride) = (a.rows(), b_t.rows(), a.words_per_row());
+    let [b_re, b_im] = int1_column_panels(b_t, isa.int1_lanes());
     let operands = Int1Operands {
         a_re: a.re_words(),
         a_im: a.im_words(),
-        b_re: int1_column_panel(b_t.re_words(), stride, isa.int1_lanes()),
-        b_im: int1_column_panel(b_t.im_words(), stride, isa.int1_lanes()),
+        b_re,
+        b_im,
         lanes: isa.int1_lanes(),
         stride,
         n,
@@ -1191,6 +1212,58 @@ mod tests {
             let direct = gemm_dispatch(&a, &b, BitOp::Xor).unwrap();
             let prepared = gemm_dispatch_prepared(&a.prepare(), &b, BitOp::Xor).unwrap();
             assert_eq!(direct, prepared);
+        }
+    }
+
+    #[test]
+    fn the_parallel_decodes_and_repacks_match_a_per_element_loop_bit_for_bit() {
+        use crate::matrix::tests::{arbitrary_bits_matrix, prologue_shapes};
+        use tcbf_types::f16;
+        let word = |at: usize, salt: usize| gpu_sim::fault::splitmix64((at * 2 + salt) as u64);
+        for (n, k) in prologue_shapes() {
+            // Every binary16 bit pattern, NaN payloads and −0.0 among them.
+            let plane = |salt| (0..n * k).map(move |at| f16::from_bits(word(at, salt) as u16));
+            let b_t = F16Matrix::from_planes(n, k, plane(0).collect(), plane(1).collect()).unwrap();
+            let bits = |plane: &[f16]| plane.iter().map(|h| h.to_f32().to_bits()).collect();
+            let to_bits = |plane: &[f32]| plane.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+
+            let decoded = DecodedPlanes::from_f16(&b_t);
+            assert_eq!((decoded.rows(), decoded.cols()), (n, k));
+            let expected: Vec<u32> = bits(b_t.re());
+            assert_eq!(to_bits(decoded.re()), expected, "{n}x{k} re");
+            let expected: Vec<u32> = bits(b_t.im());
+            assert_eq!(to_bits(decoded.im()), expected, "{n}x{k} im");
+
+            for lanes in [4, 8, 16] {
+                let mut expected = vec![0u32; n.next_multiple_of(lanes) * 2 * k];
+                for (j, kk) in (0..n).flat_map(|j| (0..k).map(move |kk| (j, kk))) {
+                    let step = ((j / lanes) * k + kk) * 2 * lanes;
+                    expected[step + j % lanes] = b_t.re()[j * k + kk].to_f32().to_bits();
+                    expected[step + lanes + j % lanes] = b_t.im()[j * k + kk].to_f32().to_bits();
+                }
+                let panels = f16_column_panels(&b_t, lanes);
+                assert_eq!(to_bits(&panels), expected, "{n}x{k} in panels of {lanes}");
+            }
+
+            // Arbitrary sign bits, padded to the kernel's granularity.
+            let packed = Int1Matrix::from_host_padded(
+                &arbitrary_bits_matrix(n, k, (n * 8191 + k) as u64),
+                GemmInput::DEFAULT_INT1_K_GRANULARITY,
+            );
+            let stride = packed.words_per_row();
+            for lanes in [4, 8] {
+                let planes = [packed.re_words(), packed.im_words()];
+                let expected = planes.map(|plane| {
+                    let mut panel = vec![0u64; n.next_multiple_of(lanes) * stride];
+                    for (j, w) in (0..n).flat_map(|j| (0..stride).map(move |w| (j, w))) {
+                        panel[((j / lanes) * stride + w) * lanes + j % lanes] =
+                            plane[j * stride + w];
+                    }
+                    panel
+                });
+                let panels = int1_column_panels(&packed, lanes);
+                assert_eq!(panels, expected, "{n}x{k} bits in panels of {lanes}");
+            }
         }
     }
 

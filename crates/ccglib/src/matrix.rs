@@ -15,6 +15,7 @@
 //!   kernel, held as two flat `u64` buffers with a row stride.
 
 use crate::error::{CcglibError, Result};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use tcbf_types::matrix::round_up;
 use tcbf_types::{encode_from_f32, f16, Complex, Complex32, PackedBits};
@@ -22,6 +23,16 @@ use tcbf_types::{encode_from_f32, f16, Complex, Complex32, PackedBits};
 /// Tile edge of [`HostComplexMatrix::transposed`], in elements: 32 rows of
 /// 256 B each.
 const TRANSPOSE_TILE: usize = 32;
+
+/// Scalars per parallel work item of the stages that convert a plane
+/// element by element ([`F16Matrix::from_host`], the decode behind
+/// [`crate::gemm::DecodedPlanes`]): a few microseconds of work, and a whole
+/// number of the bulk encoder's chunks.
+pub(crate) const PLANE_ITEM: usize = 4096;
+
+/// Samples per parallel work item of [`Int1Matrix::from_host_padded`], which
+/// deals whole rows: 256 KiB of source.
+const PACK_ITEM_SAMPLES: usize = 32 * 1024;
 
 /// A host-side complex matrix in row-major order.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -99,21 +110,24 @@ impl HostComplexMatrix {
     /// after one use.  The copy is therefore blocked into
     /// `TRANSPOSE_TILE`-square tiles: each tile's source lines stay
     /// resident while all of their elements are consumed, and every
-    /// destination run is written contiguously.
+    /// destination run is written contiguously.  A band of
+    /// `TRANSPOSE_TILE` destination rows is one parallel work item.
     pub fn transposed(&self) -> HostComplexMatrix {
         let (rows, cols) = (self.rows, self.cols);
         let mut data = vec![Complex32::ZERO; rows * cols];
-        for r0 in (0..rows).step_by(TRANSPOSE_TILE) {
-            let r1 = (r0 + TRANSPOSE_TILE).min(rows);
-            for c0 in (0..cols).step_by(TRANSPOSE_TILE) {
-                for c in c0..(c0 + TRANSPOSE_TILE).min(cols) {
-                    let run = &mut data[c * rows + r0..c * rows + r1];
-                    for (r, slot) in (r0..r1).zip(run) {
-                        *slot = self.data[r * cols + c];
+        data.par_chunks_mut((TRANSPOSE_TILE * rows).max(1))
+            .enumerate()
+            .for_each(|(band, out)| {
+                let c0 = band * TRANSPOSE_TILE;
+                for r0 in (0..rows).step_by(TRANSPOSE_TILE) {
+                    let r1 = (r0 + TRANSPOSE_TILE).min(rows);
+                    for (c, row) in (c0..).zip(out.chunks_exact_mut(rows)) {
+                        for (r, slot) in (r0..r1).zip(&mut row[r0..r1]) {
+                            *slot = self.data[r * cols + c];
+                        }
                     }
                 }
-            }
-        }
+            });
         HostComplexMatrix {
             rows: cols,
             cols: rows,
@@ -151,12 +165,32 @@ pub struct F16Matrix {
 impl F16Matrix {
     /// Quantises a host matrix to binary16, splitting it into planes.
     pub fn from_host(host: &HostComplexMatrix) -> Self {
-        F16Matrix {
-            rows: host.rows(),
-            cols: host.cols(),
-            re: encode_from_f32(host.data(), |v| v.re),
-            im: encode_from_f32(host.data(), |v| v.im),
-        }
+        Self::encode(host.rows(), host.cols(), host.data(), |v| v.re, |v| v.im)
+    }
+
+    /// Quantises `rows × cols` row-major elements to binary16 planes;
+    /// `re_of` and `im_of` select each plane's scalar.  A run of
+    /// [`PLANE_ITEM`] elements — both planes of it — is one parallel work
+    /// item.
+    pub(crate) fn encode<T: Sync>(
+        rows: usize,
+        cols: usize,
+        src: &[T],
+        re_of: impl Fn(&T) -> f32 + Sync,
+        im_of: impl Fn(&T) -> f32 + Sync,
+    ) -> Self {
+        assert_eq!(src.len(), rows * cols);
+        let mut re = vec![f16::ZERO; src.len()];
+        let mut im = vec![f16::ZERO; src.len()];
+        re.par_chunks_mut(PLANE_ITEM)
+            .zip(im.par_chunks_mut(PLANE_ITEM))
+            .enumerate()
+            .for_each(|(item, (re, im))| {
+                let src = &src[item * PLANE_ITEM..][..re.len()];
+                encode_from_f32(src, &re_of, re);
+                encode_from_f32(src, &im_of, im);
+            });
+        F16Matrix { rows, cols, re, im }
     }
 
     /// Builds a matrix directly from planes (used by the transpose kernel).
@@ -263,24 +297,31 @@ impl Int1Matrix {
         let stride = k_padded.div_ceil(64);
         // Both planes are allocated zeroed and only the words that hold
         // valid samples are written, each assembled in registers: one
-        // write per 64 samples, and padding and slack stay binary 0.
+        // write per 64 samples, and padding and slack stay binary 0.  A
+        // group of whole rows — both planes of it — is one parallel work
+        // item.
         let mut re = vec![0u64; rows * stride];
         let mut im = vec![0u64; rows * stride];
         if k_bits > 0 {
-            for ((row, re_row), im_row) in host
-                .data()
-                .chunks_exact(k_bits)
-                .zip(re.chunks_exact_mut(stride))
-                .zip(im.chunks_exact_mut(stride))
-            {
-                for ((chunk, re_word), im_word) in row.chunks(64).zip(re_row).zip(im_row) {
-                    let (low, high) = chunk.split_at(chunk.len().min(32));
-                    let (re_low, im_low) = sign_bits(low);
-                    let (re_high, im_high) = sign_bits(high);
-                    *re_word = u64::from(re_low) | u64::from(re_high) << 32;
-                    *im_word = u64::from(im_low) | u64::from(im_high) << 32;
-                }
-            }
+            let group = PACK_ITEM_SAMPLES.div_ceil(k_bits);
+            re.par_chunks_mut(group * stride)
+                .zip(im.par_chunks_mut(group * stride))
+                .enumerate()
+                .for_each(|(item, (re_rows, im_rows))| {
+                    let source = host.data()[item * group * k_bits..].chunks_exact(k_bits);
+                    let planes = re_rows
+                        .chunks_exact_mut(stride)
+                        .zip(im_rows.chunks_exact_mut(stride));
+                    for (row, (re_row, im_row)) in source.zip(planes) {
+                        for ((chunk, re_word), im_word) in row.chunks(64).zip(re_row).zip(im_row) {
+                            let (low, high) = chunk.split_at(chunk.len().min(32));
+                            let (re_low, im_low) = sign_bits(low);
+                            let (re_high, im_high) = sign_bits(high);
+                            *re_word = u64::from(re_low) | u64::from(re_high) << 32;
+                            *im_word = u64::from(im_low) | u64::from(im_high) << 32;
+                        }
+                    }
+                });
         }
         Int1Matrix {
             rows,
@@ -429,7 +470,7 @@ impl PartialEq<&PackedBits> for BitRow<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
 
@@ -446,7 +487,7 @@ mod tests {
     }
 
     /// Every bit pattern, NaNs and −0.0 included, so equality must be on bits.
-    fn arbitrary_bits_matrix(rows: usize, cols: usize, seed: u64) -> HostComplexMatrix {
+    pub(crate) fn arbitrary_bits_matrix(rows: usize, cols: usize, seed: u64) -> HostComplexMatrix {
         let mut counter = seed;
         let mut next = move || {
             counter = counter.wrapping_add(1);
@@ -480,6 +521,53 @@ mod tests {
             for cols in edges {
                 let seed = (rows * 1000 + cols) as u64;
                 assert_transposed_matches_its_definition(&arbitrary_bits_matrix(rows, cols, seed));
+            }
+        }
+    }
+
+    /// Shapes of the parallel-prologue tests: rows and columns on and either
+    /// side of every band, row-group and work-item size, up to a whole
+    /// `fewbeam_int1` block's worth of elements.
+    pub(crate) fn prologue_shapes() -> impl Iterator<Item = (usize, usize)> {
+        const DIMS: [usize; 8] = [0, 1, 31, 32, 33, 255, 257, 2048];
+        DIMS.into_iter()
+            .flat_map(|rows| DIMS.map(|cols| (rows, cols)))
+            .filter(|(rows, cols)| rows * cols <= 2048 * 257)
+    }
+
+    #[test]
+    fn the_parallel_prologue_matches_a_per_element_loop_bit_for_bit() {
+        for (rows, cols) in prologue_shapes() {
+            let host = arbitrary_bits_matrix(rows, cols, (rows * 4099 + cols) as u64);
+            assert_transposed_matches_its_definition(&host);
+
+            let planes = F16Matrix::from_host(&host);
+            assert_eq!((planes.rows(), planes.cols()), (rows, cols));
+            let encoded = planes.re().iter().zip(planes.im());
+            for (at, (v, (re, im))) in host.data().iter().zip(encoded).enumerate() {
+                let expected = (f16::from_f32(v.re).to_bits(), f16::from_f32(v.im).to_bits());
+                assert_eq!(
+                    (re.to_bits(), im.to_bits()),
+                    expected,
+                    "{rows}x{cols} at {at}"
+                );
+            }
+
+            for granularity in [1, 32, 33, 256] {
+                let packed = Int1Matrix::from_host_padded(&host, granularity);
+                let stride = packed.words_per_row();
+                assert_eq!(packed.k_padded(), cols.max(1).next_multiple_of(granularity));
+                let mut re = vec![0u64; rows * stride];
+                let mut im = vec![0u64; rows * stride];
+                for r in 0..rows {
+                    for c in 0..cols {
+                        let v = host.get(r, c);
+                        re[r * stride + c / 64] |= u64::from(v.re >= 0.0) << (c % 64);
+                        im[r * stride + c / 64] |= u64::from(v.im >= 0.0) << (c % 64);
+                    }
+                }
+                assert_eq!(packed.re_words(), re, "{rows}x{cols} / {granularity}");
+                assert_eq!(packed.im_words(), im, "{rows}x{cols} / {granularity}");
             }
         }
     }

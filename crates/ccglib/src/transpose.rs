@@ -18,7 +18,7 @@
 use crate::error::{CcglibError, Result};
 use crate::matrix::{F16Matrix, HostComplexMatrix};
 use gpu_sim::{DeviceSpec, KernelKind, KernelProfile, LaunchConfig};
-use tcbf_types::{encode_from_f32, Complex32};
+use tcbf_types::Complex32;
 
 /// Splits an interleaved complex buffer (row-major `rows × cols`, `re, im`
 /// pairs) into a planar binary16 device matrix — the "transpose" the paper
@@ -31,12 +31,7 @@ pub fn interleaved_to_planar(rows: usize, cols: usize, interleaved: &[f32]) -> R
         });
     }
     let (pairs, _) = interleaved.as_chunks::<2>();
-    F16Matrix::from_planes(
-        rows,
-        cols,
-        encode_from_f32(pairs, |p| p[0]),
-        encode_from_f32(pairs, |p| p[1]),
-    )
+    Ok(F16Matrix::encode(rows, cols, pairs, |p| p[0], |p| p[1]))
 }
 
 /// Merges a planar matrix back into an interleaved single-precision buffer.

@@ -254,8 +254,8 @@ static DECODE_TABLE: OnceLock<Box<[f32; 1 << 16]>> = OnceLock::new();
 
 /// A handle on the shared binary16 → binary32 table: [`Decoder::decode`] is
 /// one indexed load, for callers that write the values somewhere other than
-/// a fresh row-major `Vec` (the f16 GEMM decodes its `B` operand straight
-/// into column panels).  [`decode_to_f32`] is the bulk form.
+/// a row-major run (the f16 GEMM decodes its `B` operand straight into
+/// column panels).  [`decode_to_f32`] is the bulk form.
 #[derive(Clone, Copy, Debug)]
 pub struct Decoder(&'static [f32; 1 << 16]);
 
@@ -284,7 +284,8 @@ impl Default for Decoder {
     }
 }
 
-/// Decodes a whole plane of binary16 values to binary32 in one bulk pass.
+/// Decodes a run of binary16 values — a whole plane, or one work item's
+/// share of one — to binary32 in one bulk pass, into `out` of equal length.
 ///
 /// The per-value [`f16::to_f32`](crate::half::f16::to_f32) conversion branches on the exponent field
 /// (normal / subnormal / non-finite); done inside a GEMM inner loop that
@@ -294,9 +295,12 @@ impl Default for Decoder {
 /// half→float conversion of an operand costs `O(rows·cols)` table lookups
 /// done once per plane.  The result is bit-identical to calling
 /// [`f16::to_f32`](crate::half::f16::to_f32) on every element (the table is built from it).
-pub fn decode_to_f32(plane: &[f16]) -> Vec<f32> {
+pub fn decode_to_f32(plane: &[f16], out: &mut [f32]) {
+    assert_eq!(plane.len(), out.len(), "one binary32 per binary16");
     let decoder = Decoder::new();
-    plane.iter().map(|&h| decoder.decode(h)).collect()
+    for (v, &h) in out.iter_mut().zip(plane) {
+        *v = decoder.decode(h);
+    }
 }
 
 /// Scalars per chunk of [`encode_from_f32`]: four AVX2 vectors of `u32`
@@ -310,8 +314,8 @@ const F32_BITS_F16_MIN_NORMAL: u32 = 0x3880_0000;
 /// infinity, `65520.0`; infinities and NaNs sort above it.
 const F32_BITS_F16_OVERFLOW: u32 = 0x477F_F000;
 
-/// Encodes one plane of binary32 values to binary16 in one bulk pass —
-/// the inverse of [`decode_to_f32`].  `component` selects the scalar to
+/// Encodes a run of binary32 values to binary16 in one bulk pass, into `out`
+/// of equal length — the inverse of [`decode_to_f32`].  `component` selects the scalar to
 /// encode from each source element, so the same encoder splits
 /// interleaved complex data (`&[Complex32]`, `&[[f32; 2]]`) into planes
 /// and converts plain `&[f32]` slices.
@@ -327,12 +331,13 @@ const F32_BITS_F16_OVERFLOW: u32 = 0x477F_F000;
 /// its own) and drop the 13 low bits.  A chunk holding any other value —
 /// a binary16 subnormal, an overflow, an infinity or a NaN — is redone
 /// with `f16::from_f32`, as is the ragged tail, so the result is
-/// bit-identical to calling it on every element.
-pub fn encode_from_f32<T>(src: &[T], component: impl Fn(&T) -> f32) -> Vec<f16> {
-    let mut out = Vec::with_capacity(src.len());
+/// bit-identical to calling it on every element, wherever a run is cut
+/// into shares.
+pub fn encode_from_f32<T>(src: &[T], component: impl Fn(&T) -> f32, out: &mut [f16]) {
+    assert_eq!(src.len(), out.len(), "one binary16 per source element");
     let mut chunks = src.chunks_exact(ENCODE_CHUNK);
-    for chunk in &mut chunks {
-        let mut encoded = [f16::ZERO; ENCODE_CHUNK];
+    let mut outs = out.chunks_exact_mut(ENCODE_CHUNK);
+    for (chunk, encoded) in (&mut chunks).zip(&mut outs) {
         let mut special = false;
         for (h, v) in encoded.iter_mut().zip(chunk) {
             let bits = component(v).to_bits();
@@ -352,15 +357,10 @@ pub fn encode_from_f32<T>(src: &[T], component: impl Fn(&T) -> f32) -> Vec<f16> 
                 *h = f16::from_f32(component(v));
             }
         }
-        out.extend_from_slice(&encoded);
     }
-    out.extend(
-        chunks
-            .remainder()
-            .iter()
-            .map(|v| f16::from_f32(component(v))),
-    );
-    out
+    for (h, v) in outs.into_remainder().iter_mut().zip(chunks.remainder()) {
+        *h = f16::from_f32(component(v));
+    }
 }
 
 impl From<f32> for f16 {
@@ -548,8 +548,8 @@ mod tests {
         // and infinities, must decode to exactly the same f32 bits as the
         // scalar path.
         let all: Vec<f16> = (0..=u16::MAX).map(f16::from_bits).collect();
-        let decoded = decode_to_f32(&all);
-        assert_eq!(decoded.len(), 65536);
+        let mut decoded = vec![f32::NAN; 65536];
+        decode_to_f32(&all, &mut decoded);
         for (h, d) in all.iter().zip(&decoded) {
             assert_eq!(
                 d.to_bits(),
@@ -561,8 +561,8 @@ mod tests {
     }
 
     fn assert_bulk_encoder_matches_scalar(values: &[f32]) {
-        let bulk = encode_from_f32(values, |&v| v);
-        assert_eq!(bulk.len(), values.len());
+        let mut bulk = vec![f16::NAN; values.len()];
+        encode_from_f32(values, |&v| v, &mut bulk);
         for (i, (v, h)) in values.iter().zip(&bulk).enumerate() {
             assert_eq!(
                 h.to_bits(),
@@ -656,7 +656,8 @@ mod tests {
         // The component selector reads one scalar of a wider element.
         let (pairs, _) = values.as_chunks::<2>();
         for part in 0..2 {
-            let plane = encode_from_f32(pairs, |p| p[part]);
+            let mut plane = vec![f16::NAN; pairs.len()];
+            encode_from_f32(pairs, |p| p[part], &mut plane);
             let expect: Vec<u16> = pairs
                 .iter()
                 .map(|p| f16::from_f32(p[part]).to_bits())
