@@ -33,6 +33,16 @@
 //! and AVX-512 — and the instance is chosen by what the CPU reports
 //! ([`Isa`]), never by a setting; see [`gemm_f16_on`] and [`gemm_int1_on`].
 //!
+//! Everything a call builds — `A`'s decoded planes, `B`'s panels, the output
+//! matrix — is a write-once destination (the crate's private `write_once`
+//! helper): allocated at its final size, not cleared, and handed to the
+//! work items as `&mut [MaybeUninit<_>]`, so each element is stored once,
+//! by the thread that computes it.  The zeros such a buffer holds are
+//! therefore stored like any other value: the all-zero rows that fill up
+//! the last panel of a ragged `N`, and the outputs of an empty sum
+//! (`K = 0`).  A debug build fails the call that leaves an element
+//! unwritten.
+//!
 //! Operand convention used throughout the crate: `A` is `M×K`, `B` is
 //! supplied **transposed** as `N×K` (each row holds the `K`-vector of one
 //! output column).  This is the orientation the transpose kernel produces
@@ -42,9 +52,11 @@
 use crate::error::{CcglibError, Result};
 use crate::isa::{f16_row_block_on, int1_row_group_on, Isa};
 use crate::matrix::{F16Matrix, HostComplexMatrix, Int1Matrix, PLANE_ITEM};
+use crate::write_once::{write_once, write_once_pair};
 use crate::Precision;
 use gpu_sim::BitOp;
 use rayon::prelude::*;
+use std::mem::MaybeUninit;
 use tcbf_types::half::Decoder;
 use tcbf_types::{decode_to_f32, Complex32};
 
@@ -149,16 +161,16 @@ impl DecodedPlanes {
     /// a few thousand elements — both planes of it — is one parallel work
     /// item.
     pub fn from_f16(matrix: &F16Matrix) -> Self {
-        let mut re = vec![0.0f32; matrix.re().len()];
-        let mut im = vec![0.0f32; matrix.im().len()];
-        re.par_chunks_mut(PLANE_ITEM)
-            .zip(im.par_chunks_mut(PLANE_ITEM))
-            .enumerate()
-            .for_each(|(item, (re, im))| {
-                let at = item * PLANE_ITEM;
-                decode_to_f32(&matrix.re()[at..][..re.len()], re);
-                decode_to_f32(&matrix.im()[at..][..im.len()], im);
-            });
+        let [re, im] = write_once_pair(matrix.re().len(), |re, im| {
+            re.par_chunks_mut(PLANE_ITEM)
+                .zip(im.par_chunks_mut(PLANE_ITEM))
+                .enumerate()
+                .for_each(|(item, (re, im))| {
+                    let at = item * PLANE_ITEM;
+                    decode_to_f32(&matrix.re()[at..][..re.len()], re);
+                    decode_to_f32(&matrix.im()[at..][..im.len()], im);
+                });
+        });
         DecodedPlanes {
             rows: matrix.rows(),
             cols: matrix.cols(),
@@ -269,44 +281,52 @@ const F16_BLOCK_TILES: usize = 4;
 ///
 /// so step `k` of a tile is one contiguous run of `2·lanes` scalars: the
 /// real parts of `lanes` columns' `k`-th sample, then the imaginary parts.
-/// Rows past `N` in the last group are zero.  One pass and one allocation
-/// per call — this *is* the decode of `B`, not a repack of a decoded copy —
-/// `O(N·K)` against the kernel's `O(M·N·K)`; a panel is one parallel work
-/// item.
+/// Rows past `N` in the last group are zero, stored here like every other
+/// scalar: the panels are written once, not cleared first.  One pass and
+/// one allocation per call — this *is* the decode of `B`, not a repack of a
+/// decoded copy — `O(N·K)` against the kernel's `O(M·N·K)`; a panel is one
+/// parallel work item.
 fn f16_column_panels(b_t: &F16Matrix, lanes: usize) -> Vec<f32> {
     // Source rows walked side by side, so that the panel is written in
     // contiguous runs (row by row, every store opens another cache line:
     // measured 1.5× slower).
     const ROWS: usize = 4;
     let (n, k) = (b_t.rows(), b_t.cols());
-    let mut panels = vec![0.0f32; n.next_multiple_of(lanes) * 2 * k];
     let decoder = Decoder::new();
-    panels
-        .par_chunks_mut((2 * lanes * k).max(1))
-        .enumerate()
-        .for_each(|(g, panel)| {
-            for (plane, offset) in [(b_t.re(), 0), (b_t.im(), lanes)] {
-                let group = &plane[g * lanes * k..plane.len().min((g + 1) * lanes * k)];
-                for (v, rows) in group.chunks(ROWS * k).enumerate() {
-                    let at = offset + v * ROWS;
-                    let steps = panel.chunks_exact_mut(2 * lanes).enumerate();
-                    if rows.len() == ROWS * k {
-                        for (kk, step) in steps {
-                            let values: [f32; ROWS] =
-                                std::array::from_fn(|l| decoder.decode(rows[l * k + kk]));
-                            step[at..at + ROWS].copy_from_slice(&values);
-                        }
-                    } else {
-                        for (kk, step) in steps {
-                            for (l, row) in rows.chunks_exact(k).enumerate() {
-                                step[at + l] = decoder.decode(row[kk]);
+    write_once(n.next_multiple_of(lanes) * 2 * k, |panels| {
+        panels
+            .par_chunks_mut((2 * lanes * k).max(1))
+            .enumerate()
+            .for_each(|(g, panel)| {
+                for (plane, offset) in [(b_t.re(), 0), (b_t.im(), lanes)] {
+                    let group = &plane[g * lanes * k..plane.len().min((g + 1) * lanes * k)];
+                    for (v, rows) in group.chunks(ROWS * k).enumerate() {
+                        let at = offset + v * ROWS;
+                        let steps = panel.chunks_exact_mut(2 * lanes).enumerate();
+                        if rows.len() == ROWS * k {
+                            for (kk, step) in steps {
+                                let values: [f32; ROWS] =
+                                    std::array::from_fn(|l| decoder.decode(rows[l * k + kk]));
+                                step[at..at + ROWS].write_copy_of_slice(&values);
+                            }
+                        } else {
+                            for (kk, step) in steps {
+                                for (l, row) in rows.chunks_exact(k).enumerate() {
+                                    step[at + l].write(decoder.decode(row[kk]));
+                                }
                             }
                         }
                     }
+                    // The surplus lanes of the last group of a ragged `N`.
+                    let surplus = offset + group.len() / k..offset + lanes;
+                    if !surplus.is_empty() {
+                        for step in panel.chunks_exact_mut(2 * lanes) {
+                            step[surplus.clone()].fill(MaybeUninit::new(0.0));
+                        }
+                    }
                 }
-            }
-        });
-    panels
+            });
+    })
 }
 
 /// The operands of one f16 GEMM as the tile kernel reads them: `A`'s
@@ -357,7 +377,7 @@ fn chain_step<const LANES: usize>(acc: &mut [f32; LANES], a: f32, b: &[f32; LANE
 /// matrix gives the same bits on every input.
 #[inline(always)]
 fn f16_tile<const MR: usize, const LANES: usize>(
-    out: &mut [Complex32],
+    out: &mut [MaybeUninit<Complex32>],
     (i0, j0): (usize, usize),
     panel: &[f32],
     g: &F16Operands<'_>,
@@ -391,12 +411,22 @@ fn f16_tile<const MR: usize, const LANES: usize>(
         // stored: the zero-filled surplus lanes of a ragged `N` stop here.
         let values: [Complex32; LANES] =
             std::array::from_fn(|l| Complex32::new(rr[i][l] - ii[i][l], ri[i][l] + ir[i][l]));
-        let row = &mut out[i * n + j0..(i + 1) * n];
-        match row.first_chunk_mut::<LANES>() {
-            Some(whole) => *whole = values,
-            None => row.copy_from_slice(&values[..row.len()]),
-        }
+        store_columns(&mut out[i * n + j0..(i + 1) * n], &values);
     }
+}
+
+/// Stores one vector of finished outputs into what is left of an output
+/// row from the vector's first column on: all of it, or the columns that
+/// exist at the ragged end of `N`.
+#[inline(always)]
+fn store_columns<const LANES: usize>(
+    row: &mut [MaybeUninit<Complex32>],
+    values: &[Complex32; LANES],
+) {
+    match row.first_chunk_mut::<LANES>() {
+        Some(whole) => whole.write_copy_of_slice(values),
+        None => row.write_copy_of_slice(&values[..row.len()]),
+    };
 }
 
 /// A block of whole output rows (`out`, starting at row `i0` of `A`)
@@ -407,7 +437,7 @@ fn f16_tile<const MR: usize, const LANES: usize>(
 /// the same kernel — only the last rows of a ragged `M` take that path.
 #[inline(always)]
 pub(crate) fn f16_row_block<const LANES: usize>(
-    out: &mut [Complex32],
+    out: &mut [MaybeUninit<Complex32>],
     i0: usize,
     g: &F16Operands<'_>,
 ) {
@@ -415,7 +445,8 @@ pub(crate) fn f16_row_block<const LANES: usize>(
     let (n, k) = (g.n, g.k);
     assert_eq!(g.lanes, LANES);
     if n == 0 || k == 0 {
-        // `out` is already the empty sum, `0 + 0i`, where it holds anything.
+        // No panel to pass over: every output there is is the empty sum.
+        out.fill(MaybeUninit::new(Complex32::ZERO));
         return;
     }
     let tiled_rows = out.len() / n / MR * MR;
@@ -459,10 +490,11 @@ pub(crate) fn gemm_f16_decoded_on(
     // of few beams still spreads over a handful of threads.
     let block_rows = F16_TILE_ROWS * (m / (8 * F16_TILE_ROWS)).clamp(1, F16_BLOCK_TILES);
 
-    let mut out = vec![Complex32::ZERO; m * n];
-    out.par_chunks_mut((block_rows * n).max(1))
-        .enumerate()
-        .for_each(|(block, rows)| f16_row_block_on(isa, rows, block * block_rows, &operands));
+    let out = write_once(m * n, |out| {
+        out.par_chunks_mut((block_rows * n).max(1))
+            .enumerate()
+            .for_each(|(block, rows)| f16_row_block_on(isa, rows, block * block_rows, &operands));
+    });
     HostComplexMatrix::from_data(m, n, out)
 }
 
@@ -521,26 +553,35 @@ const INT1_TILE_ROWS: usize = 4;
 /// the group's `lanes` rows side by side — so one vector load fetches the
 /// same 64 samples of `lanes` output columns.  `O(N·K)` bits moved once per
 /// call, against the kernel's `O(M·N·K)`; a group — both planes of it — is
-/// one parallel work item.
+/// one parallel work item, and every word of it is written once: the rows
+/// that exist copied, the rest stored as zeros.
 fn int1_column_panels(b_t: &Int1Matrix, lanes: usize) -> [Vec<u64>; 2] {
     // `stride >= 1`: an `Int1Matrix` row holds at least one padded sample.
     let stride = b_t.words_per_row();
     let words = b_t.rows().next_multiple_of(lanes) * stride;
-    let (mut re, mut im) = (vec![0u64; words], vec![0u64; words]);
-    re.par_chunks_mut(lanes * stride)
-        .zip(im.par_chunks_mut(lanes * stride))
-        .enumerate()
-        .for_each(|(g, (re, im))| {
-            for (group, plane) in [(re, b_t.re_words()), (im, b_t.im_words())] {
-                let rows = plane[g * lanes * stride..].chunks_exact(stride);
-                for (l, row) in rows.take(lanes).enumerate() {
-                    for (slot, &word) in group[l..].iter_mut().step_by(lanes).zip(row) {
-                        *slot = word;
+    write_once_pair(words, |re, im| {
+        re.par_chunks_mut(lanes * stride)
+            .zip(im.par_chunks_mut(lanes * stride))
+            .enumerate()
+            .for_each(|(g, (re, im))| {
+                for (group, plane) in [(re, b_t.re_words()), (im, b_t.im_words())] {
+                    let rows = plane[g * lanes * stride..].chunks_exact(stride).take(lanes);
+                    let surplus = rows.len()..lanes;
+                    for (l, row) in rows.enumerate() {
+                        for (slot, &word) in group[l..].iter_mut().step_by(lanes).zip(row) {
+                            slot.write(word);
+                        }
+                    }
+                    // The all-zero rows that fill up the last group of a
+                    // ragged `N`.
+                    if !surplus.is_empty() {
+                        for step in group.chunks_exact_mut(lanes) {
+                            step[surplus.clone()].fill(MaybeUninit::new(0));
+                        }
                     }
                 }
-            }
-        });
-    [re, im]
+            });
+    })
 }
 
 /// The operands of one 1-bit GEMM as the tile kernel reads them — `A`'s
@@ -618,7 +659,7 @@ fn popc_term<const AND: bool>(a: u64, b: u64) -> i64 {
 /// never changes a result (integer sums), only the instructions.
 #[inline(always)]
 fn int1_tile_rows<const MR: usize, const LANES: usize, const AND: bool>(
-    out: &mut [Complex32],
+    out: &mut [MaybeUninit<Complex32>],
     i0: usize,
     g: &Int1Operands<'_>,
 ) {
@@ -655,11 +696,7 @@ fn int1_tile_rows<const MR: usize, const LANES: usize, const AND: bool>(
             debug_assert!(re.iter().chain(&im).all(|v| v.abs() <= g.bound));
             let values: [Complex32; LANES] =
                 std::array::from_fn(|l| Complex32::new(re[l] as f32, im[l] as f32));
-            let row = &mut out[i * n + j0..(i + 1) * n];
-            match row.first_chunk_mut::<LANES>() {
-                Some(whole) => *whole = values,
-                None => row.copy_from_slice(&values[..row.len()]),
-            }
+            store_columns(&mut out[i * n + j0..(i + 1) * n], &values);
         }
     }
 }
@@ -670,7 +707,7 @@ fn int1_tile_rows<const MR: usize, const LANES: usize, const AND: bool>(
 /// row.
 #[inline(always)]
 pub(crate) fn int1_row_group<const LANES: usize, const AND: bool>(
-    out: &mut [Complex32],
+    out: &mut [MaybeUninit<Complex32>],
     i0: usize,
     g: &Int1Operands<'_>,
 ) {
@@ -725,10 +762,11 @@ pub fn gemm_int1_on(
         BitOp::And => int1_row_group_on::<true>,
     };
 
-    let mut out = vec![Complex32::ZERO; m * n];
-    out.par_chunks_mut((INT1_TILE_ROWS * n).max(1))
-        .enumerate()
-        .for_each(|(group, rows)| kernel(isa, rows, group * INT1_TILE_ROWS, &operands));
+    let out = write_once(m * n, |out| {
+        out.par_chunks_mut((INT1_TILE_ROWS * n).max(1))
+            .enumerate()
+            .for_each(|(group, rows)| kernel(isa, rows, group * INT1_TILE_ROWS, &operands));
+    });
     HostComplexMatrix::from_data(m, n, out)
 }
 
@@ -1263,6 +1301,62 @@ mod tests {
                 });
                 let panels = int1_column_panels(&packed, lanes);
                 assert_eq!(panels, expected, "{n}x{k} bits in panels of {lanes}");
+            }
+        }
+
+        // The GEMM outputs, where a store is easiest to lose: no `K` to pass
+        // over or a single step of it, whole and ragged last vectors of
+        // columns at every lane width, whole and ragged tiles of rows — on
+        // every path.
+        for (lanes, k) in [4, 8, 16].into_iter().flat_map(|l| [(l, 0), (l, 1)]) {
+            for n in [lanes, lanes + 1, 2 * lanes - 1, 2 * lanes] {
+                for m in [1, 3, 4, 9, 33] {
+                    let a_host = arbitrary_bits_matrix(m, k, (m * 64 + n) as u64);
+                    let b_host = arbitrary_bits_matrix(n, k, (n * 64 + m) as u64 ^ 0xB);
+                    let (a, b) = (F16Matrix::from_host(&a_host), F16Matrix::from_host(&b_host));
+                    assert_every_f16_path_gives(&a, &b, &four_chain_gemm(&a, &b));
+                    let a = Int1Matrix::from_host(&a_host);
+                    let b = Int1Matrix::from_host(&b_host);
+                    assert_every_int1_path_gives(&a, &b, &per_element_gemm(&a, &b));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_bit_past_the_valid_samples_is_zero_at_any_granularity_and_xor_equals_and() {
+        // The planes are not cleared before they are packed, so the padding
+        // of Eq. 5, the slack of a row's last word and whole padding words
+        // (a granularity above 64) are zero only because the packing pass
+        // stored them — and the AND formulation counts matches over whole
+        // words, so it agrees with XOR only if they are.
+        use crate::matrix::tests::arbitrary_bits_matrix;
+        for granularity in [1, 33, 64, 100, 256, 1024] {
+            for k in [0, 1, 63, 64, 65, 257] {
+                let (m, n) = (5, 9);
+                let seed = (granularity * 1000 + k) as u64;
+                let a =
+                    Int1Matrix::from_host_padded(&arbitrary_bits_matrix(m, k, seed), granularity);
+                let b = Int1Matrix::from_host_padded(
+                    &arbitrary_bits_matrix(n, k, seed ^ 0xABCD),
+                    granularity,
+                );
+                assert_eq!(a.k_padded(), k.max(1).next_multiple_of(granularity));
+                for (matrix, rows) in [(&a, m), (&b, n)] {
+                    let stride = matrix.words_per_row();
+                    assert_eq!(matrix.re_words().len(), rows * stride);
+                    for plane in [matrix.re_words(), matrix.im_words()] {
+                        for (r, row) in plane.chunks_exact(stride).enumerate() {
+                            for (w, &word) in row.iter().enumerate() {
+                                let valid = k.saturating_sub(64 * w).min(64);
+                                let past = word.checked_shr(valid as u32).unwrap_or(0);
+                                assert_eq!(past, 0, "{k}/{granularity}: row {r}, word {w}");
+                            }
+                        }
+                    }
+                }
+                // XOR and AND alike, on every path, against the definition.
+                assert_every_int1_path_gives(&a, &b, &per_element_gemm(&a, &b));
             }
         }
     }

@@ -1,5 +1,6 @@
-//! The compiled instances of the two tile kernels, and the only `unsafe`
-//! in the workspace.
+//! The compiled instances of the two tile kernels, and two of the crate's
+//! three `unsafe` blocks (the third is `write_once`'s, which hands the
+//! kernels the output they store into).
 //!
 //! Both register-tiled kernels ([`crate::gemm`]) are written once, in safe
 //! Rust, over vectors of `LANES` output columns — the 1-bit kernel's lanes
@@ -29,6 +30,7 @@
 //! the condition the `unsafe` blocks below rely on.
 
 use crate::gemm::{f16_row_block, int1_row_group, F16Operands, Int1Operands};
+use std::mem::MaybeUninit;
 use tcbf_types::Complex32;
 
 /// One compiled path of the tile kernels.  All paths agree on all inputs,
@@ -127,14 +129,18 @@ const AVX512_F16_LANES: usize = 16;
 /// [`int1_row_group`] compiled with 512-bit lanes and `vpopcntq`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-fn int1_row_group_avx512<const AND: bool>(out: &mut [Complex32], i0: usize, g: &Int1Operands<'_>) {
+fn int1_row_group_avx512<const AND: bool>(
+    out: &mut [MaybeUninit<Complex32>],
+    i0: usize,
+    g: &Int1Operands<'_>,
+) {
     int1_row_group::<AVX512_INT1_LANES, AND>(out, i0, g);
 }
 
 /// Runs one row group of the 1-bit tile kernel on `isa`.
 pub(crate) fn int1_row_group_on<const AND: bool>(
     isa: Isa,
-    out: &mut [Complex32],
+    out: &mut [MaybeUninit<Complex32>],
     i0: usize,
     g: &Int1Operands<'_>,
 ) {
@@ -152,12 +158,17 @@ pub(crate) fn int1_row_group_on<const AND: bool>(
 /// [`f16_row_block`] compiled with 512-bit lanes and 32 vector registers.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn f16_row_block_avx512(out: &mut [Complex32], i0: usize, g: &F16Operands<'_>) {
+fn f16_row_block_avx512(out: &mut [MaybeUninit<Complex32>], i0: usize, g: &F16Operands<'_>) {
     f16_row_block::<AVX512_F16_LANES>(out, i0, g);
 }
 
 /// Runs one row block of the f16 tile kernel on `isa`.
-pub(crate) fn f16_row_block_on(isa: Isa, out: &mut [Complex32], i0: usize, g: &F16Operands<'_>) {
+pub(crate) fn f16_row_block_on(
+    isa: Isa,
+    out: &mut [MaybeUninit<Complex32>],
+    i0: usize,
+    g: &F16Operands<'_>,
+) {
     match isa.0 {
         Path::Portable => f16_row_block::<PORTABLE_F16_LANES>(out, i0, g),
         #[cfg(target_arch = "x86_64")]

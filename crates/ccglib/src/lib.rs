@@ -55,6 +55,8 @@ pub mod plan;
 pub mod reference;
 pub mod synth;
 pub mod transpose;
+#[allow(unsafe_code)]
+mod write_once;
 
 pub use error::{CcglibError, Result};
 pub use gemm::{ComplexOutput, DecodedPlanes, GemmInput, PreparedOperand};

@@ -13,10 +13,23 @@
 //! * [`Int1Matrix`] — the 1-bit device format: real and imaginary bit
 //!   planes packed along the reduction dimension, the output of the packing
 //!   kernel, held as two flat `u64` buffers with a row stride.
+//!
+//! The stages that build one of these whole — [`HostComplexMatrix::transposed`],
+//! [`F16Matrix::from_host`], [`Int1Matrix::from_host_padded`] — write their
+//! destination exactly once: it is allocated, not cleared, and handed to the
+//! parallel pass as `&mut [MaybeUninit<_>]` (the crate's private `write_once`
+//! helper), so the thread that fills a band is the first to touch it.  Every
+//! zero such a buffer holds — the padding and slack of a bit-row, a matrix
+//! without samples — is therefore stored by that pass, and a debug build
+//! fails the call that leaves an element unwritten.
+//! [`HostComplexMatrix::zeros`] stays a zero-fill: there the zeros are the
+//! value.
 
 use crate::error::{CcglibError, Result};
+use crate::write_once::{write_once, write_once_pair};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::mem::MaybeUninit;
 use tcbf_types::matrix::round_up;
 use tcbf_types::{encode_from_f32, f16, Complex, Complex32, PackedBits};
 
@@ -111,23 +124,26 @@ impl HostComplexMatrix {
     /// `TRANSPOSE_TILE`-square tiles: each tile's source lines stay
     /// resident while all of their elements are consumed, and every
     /// destination run is written contiguously.  A band of
-    /// `TRANSPOSE_TILE` destination rows is one parallel work item.
+    /// `TRANSPOSE_TILE` destination rows is one parallel work item, and
+    /// the thread that copies a band is the first to touch it: the
+    /// destination is written once, not cleared first.
     pub fn transposed(&self) -> HostComplexMatrix {
         let (rows, cols) = (self.rows, self.cols);
-        let mut data = vec![Complex32::ZERO; rows * cols];
-        data.par_chunks_mut((TRANSPOSE_TILE * rows).max(1))
-            .enumerate()
-            .for_each(|(band, out)| {
-                let c0 = band * TRANSPOSE_TILE;
-                for r0 in (0..rows).step_by(TRANSPOSE_TILE) {
-                    let r1 = (r0 + TRANSPOSE_TILE).min(rows);
-                    for (c, row) in (c0..).zip(out.chunks_exact_mut(rows)) {
-                        for (r, slot) in (r0..r1).zip(&mut row[r0..r1]) {
-                            *slot = self.data[r * cols + c];
+        let data = write_once(rows * cols, |data| {
+            data.par_chunks_mut((TRANSPOSE_TILE * rows).max(1))
+                .enumerate()
+                .for_each(|(band, out)| {
+                    let c0 = band * TRANSPOSE_TILE;
+                    for r0 in (0..rows).step_by(TRANSPOSE_TILE) {
+                        let r1 = (r0 + TRANSPOSE_TILE).min(rows);
+                        for (c, row) in (c0..).zip(out.chunks_exact_mut(rows)) {
+                            for (r, slot) in (r0..r1).zip(&mut row[r0..r1]) {
+                                slot.write(self.data[r * cols + c]);
+                            }
                         }
                     }
-                }
-            });
+                });
+        });
         HostComplexMatrix {
             rows: cols,
             cols: rows,
@@ -180,16 +196,16 @@ impl F16Matrix {
         im_of: impl Fn(&T) -> f32 + Sync,
     ) -> Self {
         assert_eq!(src.len(), rows * cols);
-        let mut re = vec![f16::ZERO; src.len()];
-        let mut im = vec![f16::ZERO; src.len()];
-        re.par_chunks_mut(PLANE_ITEM)
-            .zip(im.par_chunks_mut(PLANE_ITEM))
-            .enumerate()
-            .for_each(|(item, (re, im))| {
-                let src = &src[item * PLANE_ITEM..][..re.len()];
-                encode_from_f32(src, &re_of, re);
-                encode_from_f32(src, &im_of, im);
-            });
+        let [re, im] = write_once_pair(src.len(), |re, im| {
+            re.par_chunks_mut(PLANE_ITEM)
+                .zip(im.par_chunks_mut(PLANE_ITEM))
+                .enumerate()
+                .for_each(|(item, (re, im))| {
+                    let src = &src[item * PLANE_ITEM..][..re.len()];
+                    encode_from_f32(src, &re_of, re);
+                    encode_from_f32(src, &im_of, im);
+                });
+        });
         F16Matrix { rows, cols, re, im }
     }
 
@@ -295,14 +311,22 @@ impl Int1Matrix {
         let k_bits = host.cols();
         let k_padded = round_up(k_bits.max(1), k_granularity.max(1));
         let stride = k_padded.div_ceil(64);
-        // Both planes are allocated zeroed and only the words that hold
-        // valid samples are written, each assembled in registers: one
-        // write per 64 samples, and padding and slack stay binary 0.  A
+        // Every word of both planes is written exactly once.  A word that
+        // holds valid samples is assembled in registers — one write per 64
+        // samples, the slack of a row's last such word left binary 0 — and
+        // the words past them (Eq. 5 padding, whole padding words of a
+        // granularity above 64) are stored as zeros by the same pass: the
+        // planes are not cleared first, so no zero is the allocator's.  A
         // group of whole rows — both planes of it — is one parallel work
         // item.
-        let mut re = vec![0u64; rows * stride];
-        let mut im = vec![0u64; rows * stride];
-        if k_bits > 0 {
+        let [re, im] = write_once_pair(rows * stride, |re, im| {
+            if k_bits == 0 {
+                // A matrix without samples is all padding.
+                re.fill(MaybeUninit::new(0));
+                im.fill(MaybeUninit::new(0));
+                return;
+            }
+            let sample_words = k_bits.div_ceil(64);
             let group = PACK_ITEM_SAMPLES.div_ceil(k_bits);
             re.par_chunks_mut(group * stride)
                 .zip(im.par_chunks_mut(group * stride))
@@ -313,16 +337,22 @@ impl Int1Matrix {
                         .chunks_exact_mut(stride)
                         .zip(im_rows.chunks_exact_mut(stride));
                     for (row, (re_row, im_row)) in source.zip(planes) {
-                        for ((chunk, re_word), im_word) in row.chunks(64).zip(re_row).zip(im_row) {
+                        let (re_words, re_padding) = re_row.split_at_mut(sample_words);
+                        let (im_words, im_padding) = im_row.split_at_mut(sample_words);
+                        for ((chunk, re_word), im_word) in
+                            row.chunks(64).zip(re_words).zip(im_words)
+                        {
                             let (low, high) = chunk.split_at(chunk.len().min(32));
                             let (re_low, im_low) = sign_bits(low);
                             let (re_high, im_high) = sign_bits(high);
-                            *re_word = u64::from(re_low) | u64::from(re_high) << 32;
-                            *im_word = u64::from(im_low) | u64::from(im_high) << 32;
+                            re_word.write(u64::from(re_low) | u64::from(re_high) << 32);
+                            im_word.write(u64::from(im_low) | u64::from(im_high) << 32);
                         }
+                        re_padding.fill(MaybeUninit::new(0));
+                        im_padding.fill(MaybeUninit::new(0));
                     }
                 });
-        }
+        });
         Int1Matrix {
             rows,
             k_bits,

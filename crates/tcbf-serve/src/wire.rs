@@ -622,27 +622,66 @@ impl ServerMsg {
 }
 
 /// Writes one frame (length prefix + payload) to a stream.
+///
+/// A payload over [`MAX_FRAME_BYTES`] is an
+/// [`std::io::ErrorKind::InvalidInput`] error and nothing is written: never
+/// a frame the peer must reject, or a length that wrapped in the prefix.
 pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME_BYTES as usize);
-    writer.write_all(&(payload.len() as u32).to_le_bytes())?;
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|&len| len <= MAX_FRAME_BYTES)
+        .ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "payload of {} bytes exceeds the {MAX_FRAME_BYTES}-byte frame limit",
+                    payload.len()
+                ),
+            )
+        })?;
+    writer.write_all(&len.to_le_bytes())?;
     writer.write_all(payload)?;
     writer.flush()
 }
 
-/// Reads one frame from a stream; rejects length prefixes beyond
-/// [`MAX_FRAME_BYTES`] so garbage input cannot trigger huge allocations.
-pub fn read_frame(reader: &mut impl Read) -> std::io::Result<Vec<u8>> {
-    let mut len_bytes = [0u8; 4];
-    reader.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes);
+/// The payload length a frame's prefix announces, or the error for one
+/// beyond [`MAX_FRAME_BYTES`].
+fn payload_len(prefix: [u8; 4]) -> std::io::Result<usize> {
+    let len = u32::from_le_bytes(prefix);
     if len > MAX_FRAME_BYTES {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    reader.read_exact(&mut payload)?;
+    Ok(len as usize)
+}
+
+/// Appends what is left of a `len`-byte payload to `payload`, read straight
+/// into its spare capacity: the buffer is allocated once at its final size
+/// and written once, by the reads.  An error leaves the bytes that arrived
+/// before it in `payload` (`read_to_end` appends before it returns one), so
+/// a caller may call again to resume.
+fn read_payload(reader: &mut impl Read, payload: &mut Vec<u8>, len: usize) -> std::io::Result<()> {
+    let left = (len - payload.len()) as u64;
+    reader.take(left).read_to_end(payload)?;
+    if payload.len() < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "stream closed mid-frame",
+        ));
+    }
+    Ok(())
+}
+
+/// Reads one frame from a stream; rejects length prefixes beyond
+/// [`MAX_FRAME_BYTES`] so garbage input cannot trigger huge allocations.
+pub fn read_frame(reader: &mut impl Read) -> std::io::Result<Vec<u8>> {
+    let mut prefix = [0u8; 4];
+    reader.read_exact(&mut prefix)?;
+    let len = payload_len(prefix)?;
+    let mut payload = Vec::with_capacity(len);
+    read_payload(reader, &mut payload, len)?;
     Ok(payload)
 }
 
@@ -656,29 +695,40 @@ pub fn read_frame_polling(
     reader: &mut impl Read,
     should_abort: impl Fn() -> bool,
 ) -> std::io::Result<Option<Vec<u8>>> {
-    let mut len_bytes = [0u8; 4];
-    if !fill_polling(reader, &mut len_bytes, &should_abort, true)? {
+    let mut prefix = [0u8; 4];
+    if !fill_polling(reader, &mut prefix, &should_abort)? {
         return Ok(None);
     }
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_FRAME_BYTES {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"),
-        ));
+    let len = payload_len(prefix)?;
+    let mut payload = Vec::with_capacity(len);
+    while let Err(e) = read_payload(reader, &mut payload, len) {
+        poll_again(e, &should_abort)?;
     }
-    let mut payload = vec![0u8; len as usize];
-    fill_polling(reader, &mut payload, &should_abort, false)?;
     Ok(Some(payload))
 }
 
-/// Fills `buf`, retrying on timeout until `should_abort`.  Returns `false`
-/// on EOF before the first byte when `eof_ok` (a frame boundary).
+/// What a failed read means to a polling reader: a timeout is the poll
+/// interval elapsing — carry on unless `should_abort` — anything else is the
+/// read's own error.
+fn poll_again(e: std::io::Error, should_abort: &impl Fn() -> bool) -> std::io::Result<()> {
+    match e.kind() {
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut if should_abort() => {
+            Err(std::io::Error::new(
+                std::io::ErrorKind::ConnectionAborted,
+                "aborted while waiting for a frame",
+            ))
+        }
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => Ok(()),
+        _ => Err(e),
+    }
+}
+
+/// Fills the length prefix, retrying on timeout until `should_abort`.
+/// Returns `false` on EOF before the first byte (a frame boundary).
 fn fill_polling(
     reader: &mut impl Read,
-    buf: &mut [u8],
+    buf: &mut [u8; 4],
     should_abort: &impl Fn() -> bool,
-    eof_ok: bool,
 ) -> std::io::Result<bool> {
     let mut filled = 0;
     while filled < buf.len() {
@@ -686,10 +736,8 @@ fn fill_polling(
             break; // unreachable: `filled < buf.len()` guards the range
         };
         match reader.read(dst) {
+            Ok(0) if filled == 0 => return Ok(false),
             Ok(0) => {
-                if eof_ok && filled == 0 {
-                    return Ok(false);
-                }
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "stream closed mid-frame",
@@ -697,18 +745,7 @@ fn fill_polling(
             }
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if should_abort() {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::ConnectionAborted,
-                        "aborted while waiting for a frame",
-                    ));
-                }
-            }
-            Err(e) => return Err(e),
+            Err(e) => poll_again(e, should_abort)?,
         }
     }
     Ok(true)
@@ -857,6 +894,106 @@ mod tests {
         let mut cursor = std::io::Cursor::new(hostile.to_vec());
         let err = read_frame(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    /// Delivers its bytes one per `read`, with a time-out before every one.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        timed_out: bool,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.timed_out = !self.timed_out;
+            if self.timed_out {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = self.bytes.len().min(buf.len()).min(1);
+            let (now, later) = self.bytes.split_at(n);
+            buf[..n].copy_from_slice(now);
+            self.bytes = later;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_frame_trickling_in_between_timeouts_decodes_to_the_same_message() {
+        let msg = ClientMsg::Block {
+            seq: 9,
+            samples: matrix(5, 7),
+        };
+        let mut stream = Vec::new();
+        write_frame(&mut stream, &msg.encode()).unwrap();
+        write_frame(&mut stream, &[]).unwrap();
+        let trickle = |bytes| Trickle {
+            bytes,
+            timed_out: false,
+        };
+        let mut reader = trickle(&stream);
+        let polls = std::cell::Cell::new(0);
+        let never = || {
+            polls.set(polls.get() + 1);
+            false
+        };
+        let frame = read_frame_polling(&mut reader, never).unwrap().unwrap();
+        assert_eq!(ClientMsg::decode(&frame).unwrap(), msg);
+        assert_eq!(frame.capacity(), frame.len(), "allocated once, at its size");
+        assert_eq!(polls.get(), 4 + frame.len(), "one poll per byte");
+        // An empty frame, then a clean end of stream at the frame boundary.
+        assert_eq!(
+            read_frame_polling(&mut reader, never).unwrap(),
+            Some(vec![])
+        );
+        assert_eq!(read_frame_polling(&mut reader, never).unwrap(), None);
+
+        // Cut short anywhere past the first byte, the stream closed mid-frame;
+        // an abort is honoured at the next time-out, mid-payload too.
+        for cut in 1..stream.len() - 4 {
+            let err = read_frame_polling(&mut trickle(&stream[..cut]), never).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                std::io::ErrorKind::UnexpectedEof,
+                "cut at {cut}"
+            );
+        }
+        for abort_after in [0, 2, 4, 5, 40] {
+            let polls = std::cell::Cell::new(0);
+            let abort = || {
+                polls.set(polls.get() + 1);
+                polls.get() > abort_after
+            };
+            let err = read_frame_polling(&mut trickle(&stream), abort).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::ConnectionAborted);
+        }
+        // The blocking reader sees the same frame (it does not poll).
+        assert_eq!(read_frame(&mut stream.as_slice()).unwrap(), frame);
+        let short = read_frame(&mut &stream[..20]).unwrap_err();
+        assert_eq!(short.kind(), std::io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn an_oversized_payload_is_a_typed_error_with_nothing_written() {
+        /// Counts what it is given (and never touches a 64 MiB payload).
+        struct Counted(usize);
+        impl Write for Counted {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0 += buf.len();
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let over = vec![0u8; MAX_FRAME_BYTES as usize + 1];
+        let mut sink = Counted(0);
+        write_frame(&mut sink, &over[..MAX_FRAME_BYTES as usize]).unwrap();
+        assert_eq!(sink.0, 4 + MAX_FRAME_BYTES as usize, "the cap itself fits");
+
+        let mut sink = Counted(0);
+        let err = write_frame(&mut sink, &over).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("67108865 bytes"), "{err}");
+        assert_eq!(sink.0, 0, "nothing may reach the peer");
     }
 
     #[test]

@@ -18,6 +18,7 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::iter::Sum;
+use std::mem::MaybeUninit;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::sync::OnceLock;
 
@@ -284,8 +285,32 @@ impl Default for Decoder {
     }
 }
 
+/// One element of a bulk codec's destination: a value to be replaced, or
+/// memory that holds none yet.  The codecs only ever [`put`](Slot::put), so a
+/// destination can be handed to them as it was allocated, without a fill
+/// whose every element they would overwrite.
+pub trait Slot<T> {
+    /// Stores `value`, whatever the slot held.
+    fn put(&mut self, value: T);
+}
+
+impl<T> Slot<T> for T {
+    #[inline]
+    fn put(&mut self, value: T) {
+        *self = value;
+    }
+}
+
+impl<T> Slot<T> for MaybeUninit<T> {
+    #[inline]
+    fn put(&mut self, value: T) {
+        self.write(value);
+    }
+}
+
 /// Decodes a run of binary16 values — a whole plane, or one work item's
-/// share of one — to binary32 in one bulk pass, into `out` of equal length.
+/// share of one — to binary32 in one bulk pass, into `out` of equal length,
+/// every element of which is written.
 ///
 /// The per-value [`f16::to_f32`](crate::half::f16::to_f32) conversion branches on the exponent field
 /// (normal / subnormal / non-finite); done inside a GEMM inner loop that
@@ -295,11 +320,11 @@ impl Default for Decoder {
 /// half→float conversion of an operand costs `O(rows·cols)` table lookups
 /// done once per plane.  The result is bit-identical to calling
 /// [`f16::to_f32`](crate::half::f16::to_f32) on every element (the table is built from it).
-pub fn decode_to_f32(plane: &[f16], out: &mut [f32]) {
+pub fn decode_to_f32(plane: &[f16], out: &mut [impl Slot<f32>]) {
     assert_eq!(plane.len(), out.len(), "one binary32 per binary16");
     let decoder = Decoder::new();
     for (v, &h) in out.iter_mut().zip(plane) {
-        *v = decoder.decode(h);
+        v.put(decoder.decode(h));
     }
 }
 
@@ -315,7 +340,8 @@ const F32_BITS_F16_MIN_NORMAL: u32 = 0x3880_0000;
 const F32_BITS_F16_OVERFLOW: u32 = 0x477F_F000;
 
 /// Encodes a run of binary32 values to binary16 in one bulk pass, into `out`
-/// of equal length — the inverse of [`decode_to_f32`].  `component` selects the scalar to
+/// of equal length, every element of which is written — the inverse of
+/// [`decode_to_f32`].  `component` selects the scalar to
 /// encode from each source element, so the same encoder splits
 /// interleaved complex data (`&[Complex32]`, `&[[f32; 2]]`) into planes
 /// and converts plain `&[f32]` slices.
@@ -333,7 +359,7 @@ const F32_BITS_F16_OVERFLOW: u32 = 0x477F_F000;
 /// with `f16::from_f32`, as is the ragged tail, so the result is
 /// bit-identical to calling it on every element, wherever a run is cut
 /// into shares.
-pub fn encode_from_f32<T>(src: &[T], component: impl Fn(&T) -> f32, out: &mut [f16]) {
+pub fn encode_from_f32<T>(src: &[T], component: impl Fn(&T) -> f32, out: &mut [impl Slot<f16>]) {
     assert_eq!(src.len(), out.len(), "one binary16 per source element");
     let mut chunks = src.chunks_exact(ENCODE_CHUNK);
     let mut outs = out.chunks_exact_mut(ENCODE_CHUNK);
@@ -347,19 +373,19 @@ pub fn encode_from_f32<T>(src: &[T], component: impl Fn(&T) -> f32, out: &mut [f
                 .wrapping_sub((127 - 15) << 23)
                 .wrapping_add(0x0FFF + ((abs >> 13) & 1))
                 >> 13;
-            *h = f16(sign | if abs == 0 { 0 } else { rounded as u16 });
+            h.put(f16(sign | if abs == 0 { 0 } else { rounded as u16 }));
             special |= abs != 0
                 && abs.wrapping_sub(F32_BITS_F16_MIN_NORMAL)
                     >= F32_BITS_F16_OVERFLOW - F32_BITS_F16_MIN_NORMAL;
         }
         if special {
             for (h, v) in encoded.iter_mut().zip(chunk) {
-                *h = f16::from_f32(component(v));
+                h.put(f16::from_f32(component(v)));
             }
         }
     }
     for (h, v) in outs.into_remainder().iter_mut().zip(chunks.remainder()) {
-        *h = f16::from_f32(component(v));
+        h.put(f16::from_f32(component(v)));
     }
 }
 
