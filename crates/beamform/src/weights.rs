@@ -9,6 +9,7 @@
 use crate::geometry::ArrayGeometry;
 use ccglib::matrix::HostComplexMatrix;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use tcbf_types::{Complex, Complex32};
 
 /// The steering vector for one look direction: `w_k = exp(+2πi f τ_k) / K`
@@ -33,13 +34,33 @@ pub fn steering_vector(
 }
 
 /// A weight matrix: `M` beams × `K` receivers.
+///
+/// A `WeightMatrix` is a cheap *handle* on immutable shared storage:
+/// `clone` copies a pointer, never the `M × K` matrix, so one set of
+/// weights can be handed to every member of a device pool, to every job of
+/// a served session and to whoever remembers what an engine carries without
+/// being copied once.  [`WeightMatrix::same_bits`] answers "would these two
+/// beamform identically?" — for clones of one handle without looking at the
+/// data.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WeightMatrix {
+    shared: Arc<Storage>,
+}
+
+/// What every clone of one [`WeightMatrix`] points at.
+#[derive(Debug, PartialEq)]
+struct Storage {
     weights: HostComplexMatrix,
     azimuths: Vec<f64>,
 }
 
 impl WeightMatrix {
+    fn from_parts(weights: HostComplexMatrix, azimuths: Vec<f64>) -> Self {
+        WeightMatrix {
+            shared: Arc::new(Storage { weights, azimuths }),
+        }
+    }
+
     /// Builds steering weights for a fan of beams at the given azimuths.
     pub fn steering(
         geometry: &ArrayGeometry,
@@ -57,10 +78,7 @@ impl WeightMatrix {
                 weights.set(m, kk, w);
             }
         }
-        WeightMatrix {
-            weights,
-            azimuths: azimuths.to_vec(),
-        }
+        WeightMatrix::from_parts(weights, azimuths.to_vec())
     }
 
     /// A uniform fan of `num_beams` beams between `min_azimuth` and
@@ -89,30 +107,49 @@ impl WeightMatrix {
     /// weights) with unknown look directions.
     pub fn from_matrix(weights: HostComplexMatrix) -> Self {
         let beams = weights.rows();
-        WeightMatrix {
-            weights,
-            azimuths: vec![f64::NAN; beams],
+        WeightMatrix::from_parts(weights, vec![f64::NAN; beams])
+    }
+
+    /// Whether `other` holds the same weights **bit for bit**: the same
+    /// shape and, for every element, the same `re` and `im` bit patterns.
+    ///
+    /// Two handles on the same storage are equal without a look at the
+    /// data; anything else is compared element by element and leaves at the
+    /// first difference.  This is identity of what an engine would compute,
+    /// which `==` on `f32` is not: `-0.0 == 0.0` yet the two quantise to
+    /// opposite 1-bit signs, and a NaN is not `==` itself.  Azimuths are
+    /// not compared — they never reach an engine.
+    pub fn same_bits(&self, other: &WeightMatrix) -> bool {
+        if Arc::ptr_eq(&self.shared, &other.shared) {
+            return true;
         }
+        let (a, b) = (self.matrix(), other.matrix());
+        a.rows() == b.rows()
+            && a.cols() == b.cols()
+            && a.data()
+                .iter()
+                .zip(b.data())
+                .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
     }
 
     /// Number of beams (`M`).
     pub fn num_beams(&self) -> usize {
-        self.weights.rows()
+        self.matrix().rows()
     }
 
     /// Number of receivers (`K`).
     pub fn num_receivers(&self) -> usize {
-        self.weights.cols()
+        self.matrix().cols()
     }
 
     /// Look directions, if known.
     pub fn azimuths(&self) -> &[f64] {
-        &self.azimuths
+        &self.shared.azimuths
     }
 
     /// The `M × K` weight matrix.
     pub fn matrix(&self) -> &HostComplexMatrix {
-        &self.weights
+        &self.shared.weights
     }
 
     /// The array (power) response of beam `beam` to a unit plane wave from
@@ -131,7 +168,7 @@ impl WeightMatrix {
             .collect::<Vec<_>>();
         let mut sum = Complex32::ZERO;
         for (k, &arrival_k) in arrival.iter().enumerate().take(self.num_receivers()) {
-            sum += self.weights.get(beam, k) * arrival_k;
+            sum += self.matrix().get(beam, k) * arrival_k;
         }
         f64::from(sum.norm_sqr())
     }
@@ -191,6 +228,41 @@ mod tests {
         assert_eq!(weights.num_beams(), 7);
         assert_eq!(weights.num_receivers(), 12);
         assert!(weights.azimuths()[0].is_nan());
+    }
+
+    #[test]
+    fn a_clone_shares_storage_and_same_bits_is_bit_identity() {
+        let raw = HostComplexMatrix::from_fn(3, 4, |b, r| {
+            Complex::new(b as f32 - 1.0, f32::from_bits(0x7fc0_0001 + r as u32))
+        });
+        let weights = WeightMatrix::from_matrix(raw.clone());
+        let handle = weights.clone();
+        assert!(std::ptr::eq(weights.matrix(), handle.matrix()));
+        // NaNs and all: a matrix has the same bits as itself and as a copy
+        // in another allocation, which `==` cannot say.
+        assert!(weights.same_bits(&handle));
+        assert!(weights.same_bits(&WeightMatrix::from_matrix(raw.clone())));
+        assert_ne!(weights, handle);
+
+        let with = |row: usize, col: usize, value: Complex32| {
+            let mut changed = raw.clone();
+            changed.set(row, col, value);
+            WeightMatrix::from_matrix(changed)
+        };
+        // The sign of a zero, and a NaN's payload, are differences.
+        assert_eq!(raw.get(1, 0).re, 0.0);
+        let negative_zero = with(1, 0, Complex::new(-0.0, raw.get(1, 0).im));
+        assert!(!weights.same_bits(&negative_zero));
+        let other_payload = with(2, 3, Complex::new(1.0, f32::from_bits(0x7fc0_0099)));
+        assert!(!weights.same_bits(&other_payload));
+        // Same elements in another shape are other weights.
+        let reshaped = HostComplexMatrix::from_data(4, 3, raw.data().to_vec()).unwrap();
+        assert!(!weights.same_bits(&WeightMatrix::from_matrix(reshaped)));
+
+        // Azimuths are no part of it: they never reach an engine.
+        let geom = array(4);
+        let fan = WeightMatrix::uniform_fan(&geom, 150e6, 3, -0.2, 0.2);
+        assert!(fan.same_bits(&WeightMatrix::from_matrix(fan.matrix().clone())));
     }
 
     #[test]

@@ -142,13 +142,14 @@ impl Client {
             next_seq: 0,
             throttle_retries: 0,
         };
-        client.send(&ClientMsg::Hello {
+        let hello = ClientMsg::Hello {
             version: PROTO_VERSION,
             tenant: tenant.to_owned(),
             precision,
             receivers: receivers as u32,
             samples_per_block: samples_per_block as u32,
-        })?;
+        };
+        client.send(&hello.encode())?;
         match client.recv()? {
             ServerMsg::Welcome {
                 session_id,
@@ -259,16 +260,10 @@ impl Client {
         while done < blocks.len() {
             // Fill the window.
             while pending.len() < self.window && next_block < blocks.len() {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                let samples = blocks
-                    .get(next_block)
-                    .ok_or_else(|| {
-                        ServeError::Protocol(format!("block {next_block} out of range"))
-                    })?
-                    .clone();
-                self.send(&ClientMsg::Block { seq, samples })?;
-                pending.push((seq, next_block));
+                let samples = blocks.get(next_block).ok_or_else(|| {
+                    ServeError::Protocol(format!("block {next_block} out of range"))
+                })?;
+                pending.push((self.send_block(samples)?, next_block));
                 next_block += 1;
             }
             match self.recv()? {
@@ -299,14 +294,10 @@ impl Client {
                     if let Some(count) = attempts.get_mut(index) {
                         *count = count.saturating_add(1);
                     }
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    let samples = blocks
-                        .get(index)
-                        .ok_or_else(|| ServeError::Protocol(format!("block {index} out of range")))?
-                        .clone();
-                    self.send(&ClientMsg::Block { seq, samples })?;
-                    pending.push((seq, index));
+                    let samples = blocks.get(index).ok_or_else(|| {
+                        ServeError::Protocol(format!("block {index} out of range"))
+                    })?;
+                    pending.push((self.send_block(samples)?, index));
                 }
                 ServerMsg::Error { code, message, .. } => {
                     return Err(ServeError::Remote { code, message });
@@ -334,10 +325,7 @@ impl Client {
     pub fn swap_weights(&mut self, weights: &HostComplexMatrix) -> Result<(), ServeError> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.send(&ClientMsg::SwapWeights {
-            seq,
-            weights: weights.clone(),
-        })?;
+        self.send(&ClientMsg::encode_swap_weights(seq, weights))?;
         match self.recv()? {
             ServerMsg::SwapOk { .. } => Ok(()),
             ServerMsg::Error { code, message, .. } => Err(ServeError::Remote { code, message }),
@@ -349,7 +337,7 @@ impl Client {
 
     /// Ends the session cleanly and returns the server's summary.
     pub fn finish(mut self) -> Result<SessionSummary, ServeError> {
-        self.send(&ClientMsg::Finish)?;
+        self.send(&ClientMsg::Finish.encode())?;
         match self.recv()? {
             ServerMsg::Goodbye { summary } => Ok(summary),
             ServerMsg::Error { code, message, .. } => Err(ServeError::Remote { code, message }),
@@ -359,8 +347,18 @@ impl Client {
         }
     }
 
-    fn send(&mut self, msg: &ClientMsg) -> Result<(), ServeError> {
-        write_frame(&mut self.writer, &msg.encode())?;
+    /// Sends the caller's block as it is — encoded from the borrowed matrix,
+    /// never copied to own it — under the next sequence number, which is
+    /// returned.
+    fn send_block(&mut self, samples: &HostComplexMatrix) -> Result<u64, ServeError> {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.send(&ClientMsg::encode_block(seq, samples))?;
+        Ok(seq)
+    }
+
+    fn send(&mut self, payload: &[u8]) -> Result<(), ServeError> {
+        write_frame(&mut self.writer, payload)?;
         Ok(())
     }
 

@@ -14,10 +14,14 @@
 //! - [`wire`]: a hand-rolled length-prefixed binary protocol
 //!   (`Hello`/`Block`/`SwapWeights`/`Finish` up, typed replies down).
 //!   `f32` samples travel as raw little-endian bits, so served outputs are
-//!   **bit-identical** to local execution.
+//!   **bit-identical** to local execution.  A payload that carries a matrix
+//!   is built once, at its final size, from borrowed data
+//!   ([`ClientMsg::encode_block`], [`ClientMsg::encode_swap_weights`]).
 //! - [`pool`]: [`ServeConfig`] builds a fixed [`EnginePool`] once; workers
-//!   check engines out per block, and *lazy weight swaps* keyed on
-//!   `(session, weights_version)` keep multi-tenant sharing deterministic.
+//!   check engines out per block, and *lazy weight swaps* keyed on the
+//!   weights themselves — an engine is re-loaded only when a block's weights
+//!   differ bit for bit from the ones it carries — keep multi-tenant sharing
+//!   deterministic and free for tenants that share weights.
 //!   An optional [`gpu_sim::FaultPlan`] arms a fault injector over the
 //!   pool; faulted engines are **quarantined** and [`PoolHealth`] tracks
 //!   the survivors.
@@ -27,7 +31,8 @@
 //!   degraded), per-tenant rate limiting and bounded-queue backpressure
 //!   (typed, retryable `Throttled` — never unbounded memory).  A job that
 //!   hits an engine fault is **replayed on a healthy engine**; the client
-//!   never sees it.
+//!   never sees it.  Reply writes have a deadline: a client that stops
+//!   reading is hung up on, and holds neither a worker nor `shutdown()`.
 //! - [`metrics`]: per-tenant block/throttle/error/recovery counts and
 //!   wall-clock latency histograms, merged with the engine fleet's
 //!   [`beamform::Report`] and the pool's health into one [`FleetReport`]

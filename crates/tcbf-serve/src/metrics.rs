@@ -105,12 +105,14 @@ impl FleetReport {
 
     /// The one-line greppable summary emitted by the server binary and
     /// grepped by CI: stable `key=value` pairs, errors before the
-    /// percentiles, fault-tolerance counters at the end.
+    /// percentiles, then the weight swaps the fleet's engines performed (the
+    /// cost of tenants whose weights differ sharing a slot; 0 when they all
+    /// stream under the same bits), fault-tolerance counters at the end.
     pub fn summary_line(&self) -> String {
         format!(
             "fleet-report tenants={} blocks={} throttled={} errors={} \
              p50_us={:.1} p95_us={:.1} p99_us={:.1} aggregate_tops={:.2} joules={:.3} \
-             recovered={} quarantined={} degraded={}",
+             swaps={} recovered={} quarantined={} degraded={}",
             self.tenants.len(),
             self.total_blocks(),
             self.total_throttled(),
@@ -120,6 +122,7 @@ impl FleetReport {
             self.latency.p99_s() * 1e6,
             self.engines.aggregate_tops(),
             self.engines.total_joules(),
+            self.engines.weight_swaps(),
             self.total_recovered(),
             self.health.total - self.health.healthy,
             u8::from(self.is_degraded()),
@@ -283,7 +286,7 @@ mod tests {
         let line = report.summary_line();
         assert!(line.starts_with("fleet-report tenants=2 blocks=11 throttled=1 errors=1"));
         assert!(line.contains("p99_us="));
-        assert!(line.contains("recovered=0 quarantined=0 degraded=0"));
+        assert!(line.contains("swaps=0 recovered=0 quarantined=0 degraded=0"));
         assert_eq!(report.tenant_lines().len(), 2);
     }
 

@@ -10,12 +10,16 @@
 //! busy — that wait is the scheduling point where many sessions share a
 //! small fleet.
 //!
-//! **Lazy weight swaps** keep multi-tenancy bit-identical: every engine
-//! slot remembers which `(session, weights_version)` last ran on it, and a
-//! worker swaps weights only when the checked-out engine last served a
-//! different session or an older weights version.  Each session's blocks
-//! therefore always execute under exactly the weights that session
-//! configured, no matter how workers interleave tenants.
+//! **Lazy weight swaps** keep multi-tenancy bit-identical and pay for a
+//! swap only when there is one to make: every engine slot keeps a handle on
+//! the weights its engine carries, and a worker swaps only when the job's
+//! weights are not those — the same handle is one pointer comparison,
+//! anything else a bit-for-bit comparison ([`WeightMatrix::same_bits`]) that
+//! leaves at the first difference.  Tenants that share weights (the
+//! server's, or bit-equal uploads) never swap however workers interleave
+//! them; tenants with different weights swap on every hand-over, and each
+//! session's blocks always execute under exactly the weights that session
+//! configured.
 //!
 //! Lock order: slots -> quarantined
 //!
@@ -126,6 +130,9 @@ impl ServeConfig {
             .ok_or_else(|| TcbfError::InvalidParameters {
                 reason: "ServeConfig.gpus must name at least one device".into(),
             })?;
+        // One copy of the configured weights for the whole fleet: every
+        // engine and every slot holds a handle on it.
+        let weights = WeightMatrix::from_matrix(self.weights.clone());
         let mut fleets = Vec::with_capacity(self.precisions.len());
         let mut next_slot_id = 0usize;
         for &precision in &self.precisions {
@@ -133,13 +140,13 @@ impl ServeConfig {
             for _ in 0..self.engines_per_precision {
                 let engine = BeamformerBuilder::new(primary_gpu)
                     .devices(&self.gpus)
-                    .weights(self.weights.clone())
+                    .weight_matrix(weights.clone())
                     .samples_per_block(self.samples_per_block)
                     .precision(precision)
                     .build_engine()?;
                 slots.push(EngineSlot {
                     engine,
-                    owner: None,
+                    installed: weights.clone(),
                     slot_id: next_slot_id,
                 });
                 next_slot_id += 1;
@@ -158,6 +165,7 @@ impl ServeConfig {
         Ok(EnginePool {
             fleets,
             fleet_size: self.engines_per_precision,
+            weights,
             injector,
         })
     }
@@ -172,33 +180,41 @@ pub fn example_weights(beams: usize, receivers: usize) -> HostComplexMatrix {
     })
 }
 
-/// One pooled engine plus the identity of its last user, for lazy weight
-/// swaps.
+/// One pooled engine plus a handle on the weights it carries, for lazy
+/// weight swaps.
 pub struct EngineSlot {
     /// The engine itself.
     pub engine: Box<dyn Engine>,
-    /// `(session_id, weights_version)` of the last block this engine ran,
-    /// or `None` for a freshly built engine.
-    pub owner: Option<(u64, u64)>,
+    /// The weights `engine` carries: the configured ones for a freshly built
+    /// engine, afterwards the handle [`EngineSlot::ensure_weights`] last
+    /// installed or found to hold the same bits.  Holding the handle keeps
+    /// its storage alive, so "same storage" can never be a recycled address.
+    installed: WeightMatrix,
     /// Stable fleet-wide identity of this slot (precision-major layout),
     /// the key fault plans address engines by.
     pub slot_id: usize,
 }
 
 impl EngineSlot {
-    /// Ensures the engine carries `weights` for `(session_id, version)`,
-    /// swapping only when the last user differs — the lazy-swap fast path
-    /// for consecutive blocks of one session.
+    /// Ensures the engine carries `weights`, swapping only when they are
+    /// not, bit for bit, the ones it carries already.
+    ///
+    /// `_session_id` and `_version` are not part of that decision — who
+    /// sends the weights does not change what they compute.  They are kept
+    /// for one caller, `examples/pipeline_bench`, which a change to the
+    /// served path may not edit; ROADMAP item 1 drops them with it.
     pub fn ensure_weights(
         &mut self,
-        session_id: u64,
-        version: u64,
+        _session_id: u64,
+        _version: u64,
         weights: &WeightMatrix,
     ) -> ccglib::Result<()> {
-        if self.owner != Some((session_id, version)) {
+        if !self.installed.same_bits(weights) {
             self.engine.swap_weights(weights.clone())?;
-            self.owner = Some((session_id, version));
         }
+        // Equal bits found in other storage are remembered as well: the next
+        // block that comes with this handle is a pointer comparison.
+        self.installed = weights.clone();
         Ok(())
     }
 }
@@ -244,6 +260,8 @@ impl PoolHealth {
 pub struct EnginePool {
     fleets: Vec<PrecisionFleet>,
     fleet_size: usize,
+    /// The configured weights, as every freshly built engine carries them.
+    weights: WeightMatrix,
     injector: Option<Arc<FaultInjector>>,
 }
 
@@ -251,6 +269,13 @@ impl EnginePool {
     /// The served precision menu, in configuration order.
     pub fn precisions(&self) -> Vec<Precision> {
         self.fleets.iter().map(|f| f.precision).collect()
+    }
+
+    /// The configured weights every engine was built with — the handle a
+    /// session that never uploads its own streams under, so that its jobs
+    /// and a fresh slot agree by pointer.
+    pub(crate) fn weights(&self) -> &WeightMatrix {
+        &self.weights
     }
 
     /// Whether `precision` is on the menu.
@@ -426,22 +451,67 @@ mod tests {
     }
 
     #[test]
-    fn lazy_swap_only_fires_on_owner_change() {
+    fn lazy_swap_fires_only_when_the_bits_differ() {
         let pool = pool();
-        let weights = WeightMatrix::from_matrix(example_weights(4, 16));
         let mut slot = pool.checkout(Precision::Float16).unwrap();
+        let swaps = |slot: &EngineSlot| slot.engine.report().weight_swaps();
+        // Who asks is no part of the rule: every call comes from a new
+        // session with a new version.
+        let mut caller = 0u64;
+        let mut ensure = |slot: &mut EngineSlot, weights: &WeightMatrix| {
+            caller += 1;
+            slot.ensure_weights(caller, caller, weights)
+        };
 
-        slot.ensure_weights(1, 0, &weights).unwrap();
-        let swaps_after_first = slot.engine.report().weight_swaps();
-        // Same session, same version: no further swap.
-        slot.ensure_weights(1, 0, &weights).unwrap();
-        assert_eq!(slot.engine.report().weight_swaps(), swaps_after_first);
-        // New weights version: swaps again.
-        slot.ensure_weights(1, 1, &weights).unwrap();
-        assert_eq!(slot.engine.report().weight_swaps(), swaps_after_first + 1);
-        // Different session: swaps again.
-        slot.ensure_weights(2, 0, &weights).unwrap();
-        assert_eq!(slot.engine.report().weight_swaps(), swaps_after_first + 2);
+        // A fresh engine carries the configured weights: the pool's own
+        // handle, and equal bits in another allocation, are installed already.
+        ensure(&mut slot, pool.weights()).unwrap();
+        let configured = WeightMatrix::from_matrix(example_weights(4, 16));
+        ensure(&mut slot, &configured).unwrap();
+        assert_eq!(swaps(&slot), 0);
+        // ... and the copy's handle is the one compared by pointer from now on.
+        assert!(std::ptr::eq(slot.installed.matrix(), configured.matrix()));
+
+        // Different bits swap, once; then the same handle and a bit-equal
+        // copy of it are installed already.
+        let with = |re: f32| {
+            let mut matrix = example_weights(4, 16);
+            let im = matrix.get(2, 5).im;
+            matrix.set(2, 5, tcbf_types::Complex::new(re, im));
+            WeightMatrix::from_matrix(matrix)
+        };
+        let zero = with(0.0);
+        ensure(&mut slot, &zero).unwrap();
+        assert_eq!(swaps(&slot), 1);
+        ensure(&mut slot, &zero.clone()).unwrap();
+        ensure(&mut slot, &with(0.0)).unwrap();
+        assert_eq!(swaps(&slot), 1);
+
+        // The sign of a zero is a difference (it is the 1-bit sample), and
+        // so is the payload of a NaN — which, unlike under `==`, is also
+        // equal to itself.
+        ensure(&mut slot, &with(-0.0)).unwrap();
+        assert_eq!(swaps(&slot), 2);
+        let nan = with(f32::from_bits(0x7fc0_0001));
+        ensure(&mut slot, &nan).unwrap();
+        assert_eq!(swaps(&slot), 3);
+        ensure(&mut slot, &with(f32::from_bits(0x7fc0_0001))).unwrap();
+        assert_eq!(swaps(&slot), 3);
+        ensure(&mut slot, &with(f32::from_bits(0x7fc0_0002))).unwrap();
+        assert_eq!(swaps(&slot), 4);
+
+        // A wrong shape is the engine's typed error, and the slot keeps
+        // believing — rightly — that it carries what it carried before.
+        let wrong = WeightMatrix::from_matrix(example_weights(4, 17));
+        assert!(matches!(
+            ensure(&mut slot, &wrong),
+            Err(ccglib::CcglibError::ShapeMismatch { .. })
+        ));
+        assert_eq!(swaps(&slot), 4);
+        ensure(&mut slot, &with(f32::from_bits(0x7fc0_0002))).unwrap();
+        assert_eq!(swaps(&slot), 4);
+        ensure(&mut slot, &configured).unwrap();
+        assert_eq!(swaps(&slot), 5);
         pool.check_in(Precision::Float16, slot).unwrap();
     }
 

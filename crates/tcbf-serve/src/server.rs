@@ -37,28 +37,70 @@ use tcbf::TcbfError;
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 /// How long [`ServerHandle::fleet_report`] waits for checked-out engines.
 const REPORT_DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
+/// How long one write of a reply may wait for the peer to take bytes before
+/// the session is given up on: a client that keeps sending but stops reading
+/// fills both socket buffers, and without a deadline the reply's `write_all`
+/// would hold a worker (and `shutdown()`'s join on it) for ever.
+const REPLY_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// One unit of work: a block travelling from a session's reader to a
 /// worker, carrying everything needed to execute and reply without
-/// touching session state.
+/// touching the reader's state.
 struct Job {
-    session_id: u64,
-    tenant: String,
+    session: Arc<Session>,
     precision: Precision,
     seq: u64,
     samples: ccglib::matrix::HostComplexMatrix,
-    /// The session's weights as of enqueue time: the worker's lazy swap
-    /// keys on `(session_id, weights_version)`, so blocks enqueued before
-    /// a swap still execute under the old weights.
-    weights: Arc<WeightMatrix>,
-    weights_version: u64,
+    /// A handle on the session's weights as of enqueue time, so blocks
+    /// enqueued before a swap still execute under the old weights; the
+    /// worker's lazy swap compares it with what the engine carries.
+    weights: WeightMatrix,
     enqueued: Instant,
-    writer: Arc<parking_lot::Mutex<TcpStream>>,
-    inflight: Arc<AtomicUsize>,
-    stats: Arc<SessionStats>,
 }
 
-/// Per-session accounting shared between the reader and the workers.
+/// What an admitted session's reader and its jobs in flight share: where
+/// its replies go and where they are counted.
+struct Session {
+    tenant: String,
+    writer: parking_lot::Mutex<TcpStream>,
+    /// Blocks admitted and not yet answered.
+    inflight: AtomicUsize,
+    stats: SessionStats,
+}
+
+impl Session {
+    /// Sends one reply.  A reply that cannot be written — the peer is gone,
+    /// or took nothing for the socket's write time-out — is this session's
+    /// error; [`send`] has then shut the socket down, which ends the session
+    /// at its reader's next read, and the caller moves on.
+    fn reply(&self, metrics: &FleetMetrics, msg: &ServerMsg) -> std::io::Result<()> {
+        let sent = send(&mut self.writer.lock(), msg);
+        sent.inspect_err(|_| self.record_error(metrics))
+    }
+
+    /// [`Session::reply`] of one typed `Error`.
+    fn reply_error(
+        &self,
+        metrics: &FleetMetrics,
+        seq: u64,
+        code: u16,
+        message: String,
+    ) -> std::io::Result<()> {
+        self.reply(metrics, &ServerMsg::Error { seq, code, message })
+    }
+
+    fn record_error(&self, metrics: &FleetMetrics) {
+        self.stats.errors.fetch_add(1, Ordering::Relaxed);
+        metrics.record_error(&self.tenant);
+    }
+
+    fn record_throttle(&self, metrics: &FleetMetrics) {
+        self.stats.throttled.fetch_add(1, Ordering::Relaxed);
+        metrics.record_throttle(&self.tenant);
+    }
+}
+
+/// Per-session accounting, updated by the reader and the workers.
 #[derive(Default)]
 struct SessionStats {
     blocks: AtomicU64,
@@ -123,12 +165,14 @@ struct Shared {
     config: ServeConfig,
     pool: EnginePool,
     metrics: FleetMetrics,
-    initial_weights: Arc<WeightMatrix>,
     active_sessions: AtomicUsize,
     tenant_streams: parking_lot::Mutex<HashMap<String, usize>>,
     tenant_buckets: parking_lot::Mutex<HashMap<String, TokenBucket>>,
     next_session_id: AtomicU64,
     shutdown: AtomicBool,
+    /// The write time-out of every accepted socket ([`REPLY_WRITE_TIMEOUT`];
+    /// tests inject a shorter one).
+    reply_timeout: Duration,
 }
 
 impl Shared {
@@ -153,6 +197,16 @@ pub struct ServerHandle {
 /// Engine construction happens here, once — admission never builds
 /// engines, so a flood of connections cannot amplify into device work.
 pub fn serve(addr: impl ToSocketAddrs, config: ServeConfig) -> tcbf::Result<ServerHandle> {
+    serve_with_reply_timeout(addr, config, REPLY_WRITE_TIMEOUT)
+}
+
+/// [`serve`] with the reply-write deadline as a parameter, so a test of a
+/// stalled client takes `reply_timeout`, not [`REPLY_WRITE_TIMEOUT`].
+fn serve_with_reply_timeout(
+    addr: impl ToSocketAddrs,
+    config: ServeConfig,
+    reply_timeout: Duration,
+) -> tcbf::Result<ServerHandle> {
     let pool = config.build_pool()?;
     let listener = TcpListener::bind(addr).map_err(|e| TcbfError::InvalidParameters {
         reason: format!("cannot bind listener: {e}"),
@@ -164,7 +218,6 @@ pub fn serve(addr: impl ToSocketAddrs, config: ServeConfig) -> tcbf::Result<Serv
         })?;
 
     let shared = Arc::new(Shared {
-        initial_weights: Arc::new(WeightMatrix::from_matrix(config.weights.clone())),
         pool,
         metrics: FleetMetrics::new(),
         active_sessions: AtomicUsize::new(0),
@@ -172,6 +225,7 @@ pub fn serve(addr: impl ToSocketAddrs, config: ServeConfig) -> tcbf::Result<Serv
         tenant_buckets: parking_lot::Mutex::new(HashMap::new()),
         next_session_id: AtomicU64::new(1),
         shutdown: AtomicBool::new(false),
+        reply_timeout,
         config,
     });
 
@@ -322,35 +376,34 @@ fn worker_info(shared: &Shared, addr: SocketAddr) -> WorkerInfo {
     }
 }
 
-/// Writes one server message through the shared session writer.
-fn send(writer: &parking_lot::Mutex<TcpStream>, msg: &ServerMsg) -> std::io::Result<()> {
-    let payload = msg.encode();
-    let mut stream = writer.lock();
-    write_frame(&mut *stream, &payload)
+/// Writes one server message.  After a failed write — a time-out may have
+/// left half a frame behind — nothing more can be said on this connection:
+/// it is shut down both ways, so the peer's and our own pending reads end.
+fn send(stream: &mut TcpStream, msg: &ServerMsg) -> std::io::Result<()> {
+    write_frame(stream, &msg.encode()).inspect_err(|_| {
+        let _ = stream.shutdown(Shutdown::Both);
+    })
 }
 
-/// Writes one typed `Error` reply (`seq` is `u64::MAX` when the failure
-/// belongs to no block).
-fn send_error(
-    writer: &parking_lot::Mutex<TcpStream>,
-    seq: u64,
-    code: u16,
-    message: impl Into<String>,
-) -> std::io::Result<()> {
+/// Writes one typed `Error` reply that belongs to no block (`seq` is
+/// `u64::MAX`).
+fn send_error(stream: &mut TcpStream, code: u16, message: impl Into<String>) {
     let message = message.into();
-    send(writer, &ServerMsg::Error { seq, code, message })
+    let seq = u64::MAX;
+    // The connection is refused and closed either way.
+    let _ = send(stream, &ServerMsg::Error { seq, code, message });
 }
 
 /// The per-connection reader: admission, then the frame loop.
 fn handle_connection(
     shared: &Arc<Shared>,
-    stream: TcpStream,
+    mut stream: TcpStream,
     job_tx: &mpsc::SyncSender<Job>,
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
+    stream.set_write_timeout(Some(shared.reply_timeout))?;
     stream.set_nodelay(true)?;
     let mut reader = stream.try_clone()?;
-    let writer = Arc::new(parking_lot::Mutex::new(stream));
 
     // --- Hello ---
     let Some(payload) = read_frame_polling(&mut reader, || shared.shutting_down())? else {
@@ -359,7 +412,7 @@ fn handle_connection(
     let hello = match ClientMsg::decode(&payload) {
         Ok(msg) => msg,
         Err(e) => {
-            let _ = send_error(&writer, u64::MAX, CODE_PROTOCOL, e.to_string());
+            send_error(&mut stream, CODE_PROTOCOL, e.to_string());
             return Ok(());
         }
     };
@@ -371,9 +424,8 @@ fn handle_connection(
         samples_per_block,
     } = hello
     else {
-        let _ = send_error(
-            &writer,
-            u64::MAX,
+        send_error(
+            &mut stream,
             CODE_PROTOCOL,
             "the first message must be Hello",
         );
@@ -382,7 +434,7 @@ fn handle_connection(
 
     if version != PROTO_VERSION {
         let _ = send(
-            &writer,
+            &mut stream,
             &ServerMsg::Rejected {
                 reason: RejectReason::VersionMismatch {
                     server: PROTO_VERSION,
@@ -398,9 +450,8 @@ fn handle_connection(
             device: "this server".into(),
             precision: precision.to_string(),
         };
-        let _ = send_error(
-            &writer,
-            u64::MAX,
+        send_error(
+            &mut stream,
             err.code(),
             format!(
                 "{err}: the menu is [{}]",
@@ -425,7 +476,7 @@ fn handle_connection(
             ),
             actual: format!("{receivers} receivers x {samples_per_block} samples per block"),
         };
-        let _ = send_error(&writer, u64::MAX, err.code(), err.to_string());
+        send_error(&mut stream, err.code(), err.to_string());
         return Ok(());
     }
 
@@ -449,7 +500,7 @@ fn handle_connection(
         .is_ok();
     if !admitted {
         let _ = send(
-            &writer,
+            &mut stream,
             &ServerMsg::Rejected {
                 reason: RejectReason::ServerFull {
                     active: shared.active_sessions.load(Ordering::SeqCst) as u32,
@@ -466,7 +517,7 @@ fn handle_connection(
             drop(streams);
             shared.active_sessions.fetch_sub(1, Ordering::SeqCst);
             let _ = send(
-                &writer,
+                &mut stream,
                 &ServerMsg::Rejected {
                     reason: RejectReason::TenantQuota {
                         max: config.tenant_max_streams as u32,
@@ -480,47 +531,41 @@ fn handle_connection(
 
     let session_id = shared.next_session_id.fetch_add(1, Ordering::SeqCst);
     shared.metrics.record_session(&tenant);
-    let result = serve_session(
-        shared,
-        &mut reader,
-        &writer,
-        job_tx,
-        session_id,
-        &tenant,
-        precision,
-    );
+    let session = Arc::new(Session {
+        tenant,
+        writer: parking_lot::Mutex::new(stream),
+        inflight: AtomicUsize::new(0),
+        stats: SessionStats::default(),
+    });
+    let result = serve_session(shared, &mut reader, &session, job_tx, session_id, precision);
 
     // --- Teardown (also on error paths) ---
     shared.active_sessions.fetch_sub(1, Ordering::SeqCst);
     let mut streams = shared.tenant_streams.lock();
-    if let Some(count) = streams.get_mut(&tenant) {
+    if let Some(count) = streams.get_mut(&session.tenant) {
         *count -= 1;
         if *count == 0 {
-            streams.remove(&tenant);
+            streams.remove(&session.tenant);
         }
     }
     result
 }
 
 /// The admitted frame loop: blocks, swaps, finish.
-#[allow(clippy::too_many_arguments)]
 fn serve_session(
     shared: &Arc<Shared>,
     reader: &mut TcpStream,
-    writer: &Arc<parking_lot::Mutex<TcpStream>>,
+    session: &Arc<Session>,
     job_tx: &mpsc::SyncSender<Job>,
     session_id: u64,
-    tenant: &str,
     precision: Precision,
 ) -> std::io::Result<()> {
     let config = &shared.config;
-    let stats = Arc::new(SessionStats::default());
-    let inflight = Arc::new(AtomicUsize::new(0));
-    let mut weights = Arc::clone(&shared.initial_weights);
-    let mut weights_version = 0u64;
+    let metrics = &shared.metrics;
+    let mut weights = shared.pool.weights().clone();
 
-    send(
-        writer,
+    session.reply(
+        metrics,
         &ServerMsg::Welcome {
             session_id,
             beams: config.beams() as u32,
@@ -532,24 +577,20 @@ fn serve_session(
         let Some(payload) = read_frame_polling(reader, || shared.shutting_down())? else {
             // Client hung up without Finish: drain what is in flight so no
             // worker writes into a torn-down session.
-            wait_for_drain(&inflight, shared);
+            wait_for_drain(&session.inflight, shared);
             return Ok(());
         };
         let msg = match ClientMsg::decode(&payload) {
             Ok(msg) => msg,
             Err(e) => {
-                send_error(writer, u64::MAX, CODE_PROTOCOL, e.to_string())?;
+                session.reply_error(metrics, u64::MAX, CODE_PROTOCOL, e.to_string())?;
                 continue;
             }
         };
         match msg {
             ClientMsg::Hello { .. } => {
-                send_error(
-                    writer,
-                    u64::MAX,
-                    CODE_PROTOCOL,
-                    "Hello is only valid once, at session start",
-                )?;
+                let message = "Hello is only valid once, at session start";
+                session.reply_error(metrics, u64::MAX, CODE_PROTOCOL, message.into())?;
             }
             ClientMsg::Block { seq, samples } => {
                 if samples.rows() != config.receivers()
@@ -563,45 +604,30 @@ fn serve_session(
                         ),
                         actual: format!("{} x {}", samples.rows(), samples.cols()),
                     };
-                    stats.errors.fetch_add(1, Ordering::Relaxed);
-                    shared.metrics.record_error(tenant);
-                    send_error(writer, seq, err.code(), err.to_string())?;
+                    session.record_error(metrics);
+                    session.reply_error(metrics, seq, err.code(), err.to_string())?;
                     continue;
                 }
-                if let Some(reason) = admit_block(shared, tenant, &inflight) {
-                    stats.throttled.fetch_add(1, Ordering::Relaxed);
-                    shared.metrics.record_throttle(tenant);
-                    send(writer, &ServerMsg::Throttled { seq, reason })?;
+                if let Some(reason) = admit_block(shared, session) {
+                    session.record_throttle(metrics);
+                    session.reply(metrics, &ServerMsg::Throttled { seq, reason })?;
                     continue;
                 }
                 let job = Job {
-                    session_id,
-                    tenant: tenant.to_owned(),
+                    session: Arc::clone(session),
                     precision,
                     seq,
                     samples,
-                    weights: Arc::clone(&weights),
-                    weights_version,
+                    weights: weights.clone(),
                     enqueued: Instant::now(),
-                    writer: Arc::clone(writer),
-                    inflight: Arc::clone(&inflight),
-                    stats: Arc::clone(&stats),
                 };
-                if let Err(mpsc::TrySendError::Full(job))
-                | Err(mpsc::TrySendError::Disconnected(job)) = job_tx.try_send(job)
-                {
+                if job_tx.try_send(job).is_err() {
                     // The global queue is saturated (or shutting down):
                     // undo the admission and push back.
-                    job.inflight.fetch_sub(1, Ordering::SeqCst);
-                    stats.throttled.fetch_add(1, Ordering::Relaxed);
-                    shared.metrics.record_throttle(tenant);
-                    send(
-                        writer,
-                        &ServerMsg::Throttled {
-                            seq,
-                            reason: ThrottleReason::QueueFull,
-                        },
-                    )?;
+                    session.inflight.fetch_sub(1, Ordering::SeqCst);
+                    session.record_throttle(metrics);
+                    let reason = ThrottleReason::QueueFull;
+                    session.reply(metrics, &ServerMsg::Throttled { seq, reason })?;
                 }
             }
             ClientMsg::SwapWeights {
@@ -617,27 +643,21 @@ fn serve_session(
                         ),
                         actual: format!("{} x {}", matrix.rows(), matrix.cols()),
                     };
-                    stats.errors.fetch_add(1, Ordering::Relaxed);
-                    shared.metrics.record_error(tenant);
-                    send_error(writer, seq, err.code(), err.to_string())?;
+                    session.record_error(metrics);
+                    session.reply_error(metrics, seq, err.code(), err.to_string())?;
                     continue;
                 }
-                // Blocks already enqueued carry the old `(version, Arc)`
-                // snapshot, so the swap is effective exactly from the next
+                // Blocks already enqueued carry a handle on the old
+                // weights, so the swap is effective exactly from the next
                 // block — no drain required.
-                weights = Arc::new(WeightMatrix::from_matrix(matrix));
-                weights_version += 1;
-                send(writer, &ServerMsg::SwapOk { seq })?;
+                weights = WeightMatrix::from_matrix(matrix);
+                session.reply(metrics, &ServerMsg::SwapOk { seq })?;
             }
             ClientMsg::Finish => {
-                wait_for_drain(&inflight, shared);
-                send(
-                    writer,
-                    &ServerMsg::Goodbye {
-                        summary: stats.summary(),
-                    },
-                )?;
-                let _ = writer.lock().shutdown(Shutdown::Both);
+                wait_for_drain(&session.inflight, shared);
+                let summary = session.stats.summary();
+                session.reply(metrics, &ServerMsg::Goodbye { summary })?;
+                let _ = session.writer.lock().shutdown(Shutdown::Both);
                 return Ok(());
             }
         }
@@ -647,22 +667,19 @@ fn serve_session(
 /// Admission of one block: per-tenant rate quota, then the session's
 /// queue-depth bound.  `None` admits (and counts the block in flight);
 /// `Some(reason)` refuses.
-fn admit_block(
-    shared: &Shared,
-    tenant: &str,
-    inflight: &Arc<AtomicUsize>,
-) -> Option<ThrottleReason> {
+fn admit_block(shared: &Shared, session: &Session) -> Option<ThrottleReason> {
     if let Some(rate) = shared.config.tenant_blocks_per_sec {
         let now = Instant::now();
         let mut buckets = shared.tenant_buckets.lock();
         let bucket = buckets
-            .entry(tenant.to_owned())
+            .entry(session.tenant.clone())
             .or_insert_with(|| TokenBucket::new(rate, now));
         if !bucket.try_take(now) {
             return Some(RateLimited);
         }
     }
-    let admitted = inflight
+    let admitted = session
+        .inflight
         .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
             (n < shared.config.queue_depth).then_some(n + 1)
         })
@@ -684,8 +701,8 @@ fn wait_for_drain(inflight: &AtomicUsize, shared: &Shared) {
 /// Runs one job on a healthy engine, failing over on engine faults.
 ///
 /// A job is the serve-side replay unit: it carries everything needed to
-/// re-execute its block — the samples, the session's weights and weights
-/// version (the wire analogue of a [`beamform::SessionCheckpoint`]) — so
+/// re-execute its block — the samples and a handle on the session's weights
+/// (the wire analogue of a [`beamform::SessionCheckpoint`]) — so
 /// when the checked-out engine faults, the slot is quarantined (permanent)
 /// or returned (transient) and the job simply replays on the next healthy
 /// engine.  The client never sees these faults; it only ever sees the
@@ -708,12 +725,13 @@ fn run_job(shared: &Shared, job: &Job) -> tcbf::Result<beamform::BeamformOutput>
                 } else {
                     shared.pool.check_in(job.precision, slot)?;
                 }
-                shared.metrics.record_recovery(&job.tenant);
+                shared.metrics.record_recovery(&job.session.tenant);
                 continue;
             }
         }
+        // The two zeros are `ensure_weights`' dead parameters.
         let result = slot
-            .ensure_weights(job.session_id, job.weights_version, &job.weights)
+            .ensure_weights(0, 0, &job.weights)
             .and_then(|()| slot.engine.process_batch(&[&job.samples]));
         match result {
             // The engine lost its last device mid-block (a real fault
@@ -723,7 +741,7 @@ fn run_job(shared: &Shared, job: &Job) -> tcbf::Result<beamform::BeamformOutput>
                 permanent: true, ..
             }) => {
                 shared.pool.quarantine(job.precision, slot)?;
-                shared.metrics.record_recovery(&job.tenant);
+                shared.metrics.record_recovery(&job.session.tenant);
                 continue;
             }
             other => {
@@ -750,45 +768,46 @@ fn worker_loop(shared: &Arc<Shared>, job_rx: &Arc<parking_lot::Mutex<mpsc::Recei
             Ok(job) => job,
             Err(_) => return, // all senders gone: shutdown
         };
-        let result = run_job(shared, &job);
-
-        match result {
+        let session = &job.session;
+        // A reply that cannot be delivered has been counted and has ended
+        // its session by the time `reply` returns: the worker's part is to
+        // carry on with the next job.
+        let _ = match run_job(shared, &job) {
             Ok(output) => {
                 let latency_s = job.enqueued.elapsed().as_secs_f64();
                 let completed_at = Instant::now();
-                job.stats.blocks.fetch_add(1, Ordering::Relaxed);
-                job.stats.latency.lock().record_s(latency_s);
+                session.stats.blocks.fetch_add(1, Ordering::Relaxed);
+                session.stats.latency.lock().record_s(latency_s);
                 {
                     let shape = tcbf_types::GemmShape::new(
                         shared.config.beams(),
                         shared.config.samples_per_block,
                         shared.config.receivers(),
                     );
-                    job.stats
-                        .engine
-                        .lock()
-                        .record(&output.report, shape.complex_ops() as f64, 1);
+                    session.stats.engine.lock().record(
+                        &output.report,
+                        shape.complex_ops() as f64,
+                        1,
+                    );
                 }
                 shared
                     .metrics
-                    .record_block(&job.tenant, latency_s, completed_at);
-                let _ = send(
-                    &job.writer,
+                    .record_block(&session.tenant, latency_s, completed_at);
+                session.reply(
+                    &shared.metrics,
                     &ServerMsg::Beams {
                         seq: job.seq,
                         beams: output.beams,
                         latency_s,
                     },
-                );
+                )
             }
-            Err(e) => {
-                let err = e;
-                job.stats.errors.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.record_error(&job.tenant);
-                let _ = send_error(&job.writer, job.seq, err.code(), err.to_string());
+            Err(err) => {
+                session.record_error(&shared.metrics);
+                session.reply_error(&shared.metrics, job.seq, err.code(), err.to_string())
             }
-        }
-        job.inflight.fetch_sub(1, Ordering::SeqCst);
+        };
+        session.inflight.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -808,6 +827,110 @@ mod tests {
         // Half a second refills one token at 2/s.
         assert!(bucket.try_take(t0 + Duration::from_millis(500)));
         assert!(!bucket.try_take(t0 + Duration::from_millis(500)));
+    }
+
+    /// ROADMAP 6(b), first half.  At the parent commit the worker that
+    /// writes the stalled session's `Beams` blocks for ever: the raw client's
+    /// own write times out and `shutdown()` never returns.
+    #[test]
+    fn a_client_that_stops_reading_cannot_pin_a_worker_or_hang_shutdown() {
+        use crate::client::Client;
+        use ccglib::matrix::HostComplexMatrix;
+        use std::io::ErrorKind;
+        use tcbf_types::Complex;
+
+        // Small requests, large replies (16 KiB up, 2 MiB down): a handful of
+        // served blocks overflows both socket buffers of a peer that never
+        // reads.
+        const RECEIVERS: usize = 2;
+        const SAMPLES: usize = 1024;
+        let mut config = ServeConfig::example(256, RECEIVERS, SAMPLES);
+        config.precisions = vec![Precision::Float16];
+        let reply_timeout = Duration::from_millis(300);
+        let handle = serve_with_reply_timeout("127.0.0.1:0", config.clone(), reply_timeout)
+            .expect("server starts");
+        let addr = handle.addr();
+        let block = |seed: usize| {
+            HostComplexMatrix::from_fn(RECEIVERS, SAMPLES, |r, s| {
+                Complex::new((seed + r + s) as f32 * 0.01, (seed * 3 + s) as f32 * -0.02)
+            })
+        };
+
+        // `Hello`, then blocks for as long as the server takes them — and
+        // never a read.  It ends when the server gives the session up; the
+        // socket stays open until the test is over.
+        let stalled = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_write_timeout(Some(Duration::from_secs(20)))
+                .expect("write time-out");
+            let hello = ClientMsg::Hello {
+                version: PROTO_VERSION,
+                tenant: "stalled".into(),
+                precision: Precision::Float16,
+                receivers: RECEIVERS as u32,
+                samples_per_block: SAMPLES as u32,
+            };
+            write_frame(&mut stream, &hello.encode()).expect("hello");
+            let samples = block(0);
+            let mut seq = 0;
+            loop {
+                match write_frame(&mut stream, &ClientMsg::encode_block(seq, &samples)) {
+                    Ok(()) => seq += 1,
+                    Err(e) => return (stream, e.kind()),
+                }
+            }
+        });
+
+        // Next to it, a tenant that behaves: bit-identical to a direct
+        // engine for as long as the stall lasts, and once more after it.
+        let mut direct = tcbf::BeamformerBuilder::new(gpu_sim::Gpu::A100)
+            .weights(config.weights.clone())
+            .samples_per_block(SAMPLES)
+            .precision(Precision::Float16)
+            .build_engine()
+            .expect("direct engine");
+        let blocks: Vec<_> = (1..4).map(block).collect();
+        let refs: Vec<_> = blocks.iter().collect();
+        let expected: Vec<_> = direct
+            .process_batch(&refs)
+            .expect("direct run")
+            .into_iter()
+            .map(|output| output.beams)
+            .collect();
+        let mut tenant = Client::connect(addr, "tenant", Precision::Float16, RECEIVERS, SAMPLES)
+            .expect("tenant connects");
+        let mut over = false;
+        while !over {
+            over = stalled.is_finished();
+            assert_eq!(
+                tenant.stream_blocks(&blocks).expect("tenant streams"),
+                expected
+            );
+        }
+        let (_socket, ended_by) = stalled.join().expect("stalled client thread");
+        assert!(
+            !matches!(ended_by, ErrorKind::WouldBlock | ErrorKind::TimedOut),
+            "the server must hang up on the stalled session, not stop reading from it"
+        );
+        let summary = tenant.finish().expect("tenant finishes");
+        assert_eq!(summary.errors, 0);
+
+        // `shutdown()` returns, and its report names the stalled session's
+        // undeliverable replies as that tenant's errors.
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(handle.shutdown());
+        });
+        let report = done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("shutdown() must not wait for a peer that never reads");
+        let errors = |tenant: &str| {
+            let found = report.tenants.iter().find(|t| t.tenant == tenant);
+            found.expect("tenant in the report").errors
+        };
+        assert!(errors("stalled") >= 1, "{:?}", report.tenant_lines());
+        assert_eq!(errors("tenant"), 0);
     }
 
     #[test]

@@ -365,13 +365,23 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// A growable payload encoder.
+/// A payload encoder.  Messages of a few fields grow it; a message that
+/// carries a matrix starts from [`Writer::around_matrix`], so its payload is
+/// allocated once, at its final size.
 #[derive(Default)]
 struct Writer {
     buf: Vec<u8>,
 }
 
 impl Writer {
+    /// A writer with room for exactly `fixed` bytes of tag and scalar
+    /// fields plus the encoding of `m`.
+    fn around_matrix(fixed: usize, m: &HostComplexMatrix) -> Self {
+        Writer {
+            buf: Vec::with_capacity(fixed + 8 + 8 * m.data().len()),
+        }
+    }
+
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -400,16 +410,43 @@ impl Writer {
     fn matrix(&mut self, m: &HostComplexMatrix) {
         self.u32(m.rows() as u32);
         self.u32(m.cols() as u32);
-        self.buf.reserve(8 * m.data().len());
-        for value in m.data() {
-            // `re` then `im`, each little-endian: one 8-byte append.
-            let pair = u64::from(value.im.to_bits()) << 32 | u64::from(value.re.to_bits());
-            self.buf.extend_from_slice(&pair.to_le_bytes());
+        // The whole body at once, the way `Reader::matrix` reads it: grow to
+        // the final length, then store `re | im` little-endian pairs into
+        // 8-byte chunks — a loop with no capacity check or length update per
+        // element, which the compiler turns into a straight copy.
+        let body_at = self.buf.len();
+        self.buf.resize(body_at + 8 * m.data().len(), 0);
+        let (_, body) = self.buf.split_at_mut(body_at);
+        let (pairs, _) = body.as_chunks_mut::<8>();
+        for (pair, value) in pairs.iter_mut().zip(m.data()) {
+            *pair =
+                (u64::from(value.im.to_bits()) << 32 | u64::from(value.re.to_bits())).to_le_bytes();
         }
+    }
+
+    /// A whole payload of `tag`, a sequence number and one matrix.
+    fn tagged_matrix(tag: u8, seq: u64, m: &HostComplexMatrix) -> Vec<u8> {
+        let mut w = Writer::around_matrix(1 + 8, m);
+        w.u8(tag);
+        w.u64(seq);
+        w.matrix(m);
+        w.buf
     }
 }
 
 impl ClientMsg {
+    /// The payload of a [`ClientMsg::Block`] over *borrowed* samples: what
+    /// `ClientMsg::Block { seq, samples }.encode()` returns, without having
+    /// to own the block to say so.
+    pub fn encode_block(seq: u64, samples: &HostComplexMatrix) -> Vec<u8> {
+        Writer::tagged_matrix(TAG_BLOCK, seq, samples)
+    }
+
+    /// The payload of a [`ClientMsg::SwapWeights`] over *borrowed* weights.
+    pub fn encode_swap_weights(seq: u64, weights: &HostComplexMatrix) -> Vec<u8> {
+        Writer::tagged_matrix(TAG_SWAP, seq, weights)
+    }
+
     /// Encodes the message into a frame payload (tag + body).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::default();
@@ -428,15 +465,9 @@ impl ClientMsg {
                 w.u32(*receivers);
                 w.u32(*samples_per_block);
             }
-            ClientMsg::Block { seq, samples } => {
-                w.u8(TAG_BLOCK);
-                w.u64(*seq);
-                w.matrix(samples);
-            }
+            ClientMsg::Block { seq, samples } => return ClientMsg::encode_block(*seq, samples),
             ClientMsg::SwapWeights { seq, weights } => {
-                w.u8(TAG_SWAP);
-                w.u64(*seq);
-                w.matrix(weights);
+                return ClientMsg::encode_swap_weights(*seq, weights)
             }
             ClientMsg::Finish => w.u8(TAG_FINISH),
         }
@@ -516,6 +547,7 @@ impl ServerMsg {
                 beams,
                 latency_s,
             } => {
+                w = Writer::around_matrix(1 + 8 + 8, beams);
                 w.u8(TAG_BEAMS);
                 w.u64(*seq);
                 w.f64(*latency_s);
@@ -877,6 +909,133 @@ mod tests {
                 }
             }
             other => panic!("wrong message: {other:?}"),
+        }
+    }
+
+    /// 2 × 3, every element a value a careless codec loses: `-0.0`, NaNs
+    /// with payload and sign, both subnormals of least magnitude, `±Inf`,
+    /// `f32::MAX`.
+    fn hostile_matrix() -> HostComplexMatrix {
+        let bits = [
+            (0x8000_0000, 0x7fc0_1234), // -0.0, NaN with payload
+            (0x0000_0001, 0x7f80_0000), // least subnormal, +Inf
+            (0xff80_0000, 0x7f7f_ffff), // -Inf, f32::MAX
+            (0x3f80_0000, 0xc000_0000), // 1.0, -2.0
+            (0x0000_0000, 0x8000_0001), // 0.0, least negative subnormal
+            (0xffc0_0001, 0x3f00_0000), // negative NaN with payload, 0.5
+        ];
+        let data = bits
+            .iter()
+            .map(|&(re, im)| Complex::new(f32::from_bits(re), f32::from_bits(im)))
+            .collect();
+        HostComplexMatrix::from_data(2, 3, data).unwrap()
+    }
+
+    /// [`hostile_matrix`] on the wire: `rows`, `cols`, then `re`, `im` per
+    /// element in row-major order, everything little-endian.
+    const HOSTILE_MATRIX_BYTES: [u8; 56] = [
+        0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, // 2 x 3
+        0x00, 0x00, 0x00, 0x80, 0x34, 0x12, 0xc0, 0x7f, //
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x7f, //
+        0x00, 0x00, 0x80, 0xff, 0xff, 0xff, 0x7f, 0x7f, //
+        0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0xc0, //
+        0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x80, //
+        0x01, 0x00, 0xc0, 0xff, 0x00, 0x00, 0x00, 0x3f, //
+    ];
+    const GOLDEN_SEQ: u64 = 0x0102_0304_0506_0708;
+    const GOLDEN_SEQ_BYTES: [u8; 8] = [0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01];
+
+    fn bits(m: &HostComplexMatrix) -> (usize, usize, Vec<(u32, u32)>) {
+        let data = m.data().iter();
+        let data = data.map(|v| (v.re.to_bits(), v.im.to_bits())).collect();
+        (m.rows(), m.cols(), data)
+    }
+
+    #[test]
+    fn matrix_frames_are_pinned_byte_for_byte_in_both_directions() {
+        let matrix = hostile_matrix();
+        let golden = |head: &[&[u8]]| [&head.concat()[..], &HOSTILE_MATRIX_BYTES[..]].concat();
+
+        let block = golden(&[&[0x02], &GOLDEN_SEQ_BYTES]);
+        let samples = matrix.clone();
+        assert_eq!(ClientMsg::encode_block(GOLDEN_SEQ, &matrix), block);
+        let seq = GOLDEN_SEQ;
+        assert_eq!(ClientMsg::Block { seq, samples }.encode(), block);
+        match ClientMsg::decode(&block).unwrap() {
+            ClientMsg::Block { seq, samples } => {
+                assert_eq!((seq, bits(&samples)), (GOLDEN_SEQ, bits(&matrix)));
+            }
+            other => panic!("wrong message: {other:?}"),
+        }
+
+        let swap = golden(&[&[0x03], &GOLDEN_SEQ_BYTES]);
+        let weights = matrix.clone();
+        assert_eq!(ClientMsg::encode_swap_weights(GOLDEN_SEQ, &matrix), swap);
+        assert_eq!(ClientMsg::SwapWeights { seq, weights }.encode(), swap);
+        match ClientMsg::decode(&swap).unwrap() {
+            ClientMsg::SwapWeights { seq, weights } => {
+                assert_eq!((seq, bits(&weights)), (GOLDEN_SEQ, bits(&matrix)));
+            }
+            other => panic!("wrong message: {other:?}"),
+        }
+
+        // 1.5 s of latency sits between the sequence number and the matrix.
+        let latency = [0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f];
+        let reply = golden(&[&[0x83], &GOLDEN_SEQ_BYTES, &latency]);
+        let beams = ServerMsg::Beams {
+            seq,
+            beams: matrix.clone(),
+            latency_s: 1.5,
+        };
+        assert_eq!(beams.encode(), reply);
+        match ServerMsg::decode(&reply).unwrap() {
+            ServerMsg::Beams {
+                seq,
+                beams,
+                latency_s,
+            } => assert_eq!(
+                (seq, latency_s, bits(&beams)),
+                (GOLDEN_SEQ, 1.5, bits(&matrix))
+            ),
+            other => panic!("wrong message: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_matrix_payload_is_allocated_once_at_its_final_size() {
+        // Degenerate shapes keep their dimensions; every matrix-carrying
+        // payload comes out exactly full.
+        for m in [
+            matrix(0, 5),
+            matrix(5, 0),
+            matrix(0, 0),
+            matrix(1, 1),
+            matrix(32, 64),
+        ] {
+            let (seq, latency_s) = (11, 2.5e-3);
+            let block = ClientMsg::encode_block(seq, &m);
+            let swap = ClientMsg::encode_swap_weights(seq, &m);
+            let beams = ServerMsg::Beams {
+                seq,
+                beams: m.clone(),
+                latency_s,
+            };
+            let reply = beams.encode();
+            for (payload, fixed) in [(&block, 9), (&swap, 9), (&reply, 17)] {
+                assert_eq!(payload.len(), fixed + 8 + 8 * m.data().len());
+                assert_eq!(payload.capacity(), payload.len());
+            }
+            // The borrowed encoders are the body of `encode`, and all three
+            // round-trip.
+            let samples = m.clone();
+            let owned = ClientMsg::Block { seq, samples };
+            assert_eq!(owned.encode(), block);
+            assert_eq!(ClientMsg::decode(&block).unwrap(), owned);
+            let weights = m.clone();
+            let owned = ClientMsg::SwapWeights { seq, weights };
+            assert_eq!(owned.encode(), swap);
+            assert_eq!(ClientMsg::decode(&swap).unwrap(), owned);
+            assert_eq!(ServerMsg::decode(&reply).unwrap(), beams);
         }
     }
 

@@ -156,6 +156,92 @@ fn mid_stream_weight_swap_is_bit_identical() {
     assert_eq!(served, expected, "weight swap diverges from direct engine");
 }
 
+/// The lazy-swap rule end to end, on one slot shared by two tenants that
+/// alternate block by block: weights are installed when they differ **bit
+/// for bit** from the ones the engine carries, and only then — and whatever
+/// the slot decides, every tenant's beams are those of its own direct engine.
+#[test]
+fn weights_are_installed_only_when_their_bits_differ() {
+    // The server's weights hold a zero, so that "differs in the sign of one
+    // zero" can be said.
+    let with_re = |re: f32| {
+        let mut weights = example_weights(BEAMS, RECEIVERS);
+        let im = weights.get(1, 2).im;
+        weights.set(1, 2, Complex::new(re, im));
+        weights
+    };
+    let servers = with_re(0.0);
+    let direct = |precision: Precision, weights: &HostComplexMatrix, block: &HostComplexMatrix| {
+        let mut engine = BeamformerBuilder::new(Gpu::A100)
+            .weights(weights.clone())
+            .samples_per_block(SAMPLES)
+            .precision(precision)
+            .build_engine()
+            .unwrap();
+        engine.process_batch(&[block]).unwrap().pop().unwrap().beams
+    };
+
+    for precision in [Precision::Float16, Precision::Int1] {
+        let mut config = config();
+        config.weights = servers.clone();
+        config.engines_per_precision = 1;
+        config.workers = 1;
+        let handle = serve("127.0.0.1:0", config).unwrap();
+        let connect = |tenant| {
+            let mut client =
+                Client::connect(handle.addr(), tenant, precision, RECEIVERS, SAMPLES).unwrap();
+            client.set_window(1);
+            client
+        };
+        let (mut a, mut b) = (connect("a"), connect("b"));
+        let (blocks_a, blocks_b) = (blocks_for(1, 3), blocks_for(2, 3));
+        // B uploads `own`, if any; then a block of A and a block of B, three
+        // times over.  Returns the fleet's swap count afterwards.
+        let mut alternate = |phase: &str, own: Option<&HostComplexMatrix>| {
+            if let Some(weights) = own {
+                b.swap_weights(weights).unwrap();
+            }
+            let weights_b = own.unwrap_or(&servers);
+            for (block_a, block_b) in blocks_a.iter().zip(&blocks_b) {
+                let served = a.stream_blocks(std::slice::from_ref(block_a)).unwrap();
+                let expected = direct(precision, &servers, block_a);
+                assert_eq!(served, [expected], "{phase}: tenant a at {precision:?}");
+                let served = b.stream_blocks(std::slice::from_ref(block_b)).unwrap();
+                let expected = direct(precision, weights_b, block_b);
+                assert_eq!(served, [expected], "{phase}: tenant b at {precision:?}");
+            }
+            handle.fleet_report().engines.weight_swaps()
+        };
+
+        // (i) Both on the server's weights: nothing is ever installed.
+        assert_eq!(alternate("shared", None), 0);
+
+        // (ii) B brings its own: every hand-over of the slot is a swap (the
+        // first block of A finds the server's weights still installed).
+        let own = HostComplexMatrix::from_fn(BEAMS, RECEIVERS, |b, r| {
+            Complex::from_polar(1.0 / RECEIVERS as f32, (b * 3 + r * 11) as f32 * 0.17)
+        });
+        assert_eq!(alternate("different", Some(&own)), 5);
+
+        // (iii) The sign of one zero is a difference: `==` would call these
+        // the server's weights, and 1-bit quantisation would not.
+        let negative_zero = with_re(-0.0);
+        assert_eq!(negative_zero, servers);
+        assert_eq!(alternate("sign of a zero", Some(&negative_zero)), 5 + 6);
+
+        // (iv) A fresh copy of the server's weights, bit for bit: A's first
+        // block installs them for the last time.
+        assert_eq!(alternate("bit-equal copy", Some(&with_re(0.0))), 5 + 6 + 1);
+
+        for client in [a, b] {
+            assert_eq!(client.finish().unwrap().errors, 0);
+        }
+        let report = handle.shutdown();
+        assert_eq!(report.total_blocks(), 24);
+        assert_eq!(report.total_errors(), 0);
+    }
+}
+
 #[test]
 fn admission_control_rejects_past_max_sessions() {
     let mut config = config();
