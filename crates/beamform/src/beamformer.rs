@@ -228,8 +228,13 @@ impl Beamformer {
         }
         self.validate_block(samples)?;
         // ccglib consumes B transposed: N×K, one row per output sample; the
-        // weights operand is the cached prepared (pre-decoded) one.
-        let b = self.quantise(&samples.transposed());
+        // weights operand is the cached prepared (pre-decoded) one.  The
+        // transposed block lives until the GEMM is done: freed before it,
+        // the allocator may or may not hand the very block back for the
+        // kernel's `B` panels, and a block's time then depends on the heap
+        // of the process it runs in.
+        let transposed = samples.transposed();
+        let b = self.quantise(&transposed);
         let (beams, report) = self.gemm.run_prepared(&self.prepared_weights, &b)?;
         Ok(BeamformOutput { beams, report })
     }

@@ -29,7 +29,16 @@
 //! — `HostComplexMatrix::transposed`, `GemmInput::quantise_f16` and
 //! `GemmInput::quantise_int1` — at the four `K × N` block shapes of the
 //! repo benchmark (`BENCHMARK.json`), each checked for equality against
-//! its element-wise definition before it is timed.
+//! its element-wise definition before it is timed.  Those three rows time a
+//! stage **in isolation**: over and over on one input that has long been
+//! at rest.  In a block a quantiser reads what `transposed()` has *just*
+//! written, out of the caches of the threads that wrote it, so beside each
+//! isolated quantiser row stands a **chained** one (`transpose>quantise_*`):
+//! a block from a rotation of eight is transposed and the fresh result
+//! quantised, the stopwatch on the quantiser alone.  Chained ÷ isolated is
+//! what the hand-over between two stages costs; it reads ≈ 1.0 when the
+//! worker pool gives a thread the same rows in both stages, and it is the
+//! number to watch on a host with more cores than this one.
 //!
 //! A third table times the **hand-off** every one of those stages pays to
 //! reach the second core: an empty two-item `par_chunks_mut`, back to back
@@ -169,19 +178,25 @@ struct PrologueEntry {
     /// Throughput in `unit`.
     rate: f64,
     unit: &'static str,
+    /// Of a chained row: its time over the isolated row's of the same
+    /// quantiser.  Printed, not written: the JSON carries both times.
+    vs_isolated: Option<f64>,
 }
 
-/// Times the three prologue stages on one `K × N` block, each guarded by
-/// its element-wise definition.
-fn bench_prologue(k: usize, n: usize) -> [PrologueEntry; 3] {
-    let block = pseudo_random_matrix(k, n, 0x7A05 + (k * n) as u64, 1.0);
+/// Blocks a chained row rotates through, so that no block is transposed
+/// while its last result is still in a cache.
+const CHAINED_ROTATION: usize = 8;
 
+/// `transposed()`, `F16Matrix::from_host` and `Int1Matrix::from_host_padded`
+/// (which `GemmInput::quantise_f16` / `quantise_int1`, timed below, wrap) of
+/// one `K × N` block against their element-wise definitions; returns the
+/// transposed block.
+fn guarded_transpose(block: &HostComplexMatrix) -> HostComplexMatrix {
+    let (k, n) = (block.rows(), block.cols());
     let by_definition = HostComplexMatrix::from_fn(n, k, |r, c| block.get(c, r));
     let b_t = block.transposed();
     assert_eq!(b_t, by_definition, "transposed() diverged at {k}x{n}");
 
-    // `GemmInput::quantise_f16` / `quantise_int1` (timed below) wrap these
-    // two constructors.
     let scalar_plane = |part: fn(&Complex32) -> f32| -> Vec<u16> {
         let encode = |v| f16::from_f32(part(v)).to_bits();
         b_t.data().iter().map(encode).collect()
@@ -202,6 +217,18 @@ fn bench_prologue(k: usize, n: usize) -> [PrologueEntry; 3] {
         assert_eq!(packed.re_row(r), &re, "int1 re row {r} at {k}x{n}");
         assert_eq!(packed.im_row(r), &im, "int1 im row {r} at {k}x{n}");
     }
+    b_t
+}
+
+/// Times the three prologue stages on one `K × N` block in isolation and the
+/// two quantisers chained to the transpose, every block that is used guarded
+/// by the element-wise definitions.
+fn bench_prologue(k: usize, n: usize) -> [PrologueEntry; 5] {
+    let blocks: Vec<HostComplexMatrix> = (0..CHAINED_ROTATION as u64)
+        .map(|turn| pseudo_random_matrix(k, n, 0x7A05 + (k * n) as u64 + turn, 1.0))
+        .collect();
+    let transposed: Vec<HostComplexMatrix> = blocks.iter().map(guarded_transpose).collect();
+    let (block, b_t) = (&blocks[0], &transposed[0]);
 
     let elements = (k * n) as f64;
     let entry = |stage, median_s: f64, per_s: f64, unit| PrologueEntry {
@@ -211,21 +238,44 @@ fn bench_prologue(k: usize, n: usize) -> [PrologueEntry; 3] {
         median_s,
         rate: per_s / median_s,
         unit,
+        vs_isolated: None,
+    };
+    // `median_secs` with a transpose in front of every timed run, off the
+    // clock: the quantiser's input is as fresh as it is inside a block.
+    let chained = |stage, quantise: fn(&HostComplexMatrix) -> GemmInput, isolated_s: f64| {
+        let time = |rep: usize| {
+            let fresh = black_box(&blocks[rep % CHAINED_ROTATION]).transposed();
+            let start = Instant::now();
+            black_box(quantise(black_box(&fresh)));
+            start.elapsed().as_secs_f64()
+        };
+        let mut times: Vec<f64> = (0..=PROLOGUE_REPS).map(time).skip(1).collect();
+        times.sort_by(f64::total_cmp);
+        let median_s = times[times.len() / 2];
+        PrologueEntry {
+            vs_isolated: Some(median_s / isolated_s),
+            ..entry(stage, median_s, elements / 1e6, "Melem/s")
+        }
     };
     let transpose_s = median_secs(PROLOGUE_REPS, || {
-        black_box(black_box(&block).transposed());
+        black_box(black_box(block).transposed());
     });
+    // A chained row is timed right after the isolated row of its quantiser.
     let f16_s = median_secs(PROLOGUE_REPS, || {
-        black_box(GemmInput::quantise_f16(black_box(&b_t)));
+        black_box(GemmInput::quantise_f16(black_box(b_t)));
     });
+    let f16_chained = chained("transpose>quantise_f16", GemmInput::quantise_f16, f16_s);
     let int1_s = median_secs(PROLOGUE_REPS, || {
-        black_box(GemmInput::quantise_int1(black_box(&b_t)));
+        black_box(GemmInput::quantise_int1(black_box(b_t)));
     });
+    let int1_chained = chained("transpose>quantise_int1", GemmInput::quantise_int1, int1_s);
     [
         // Computed bytes moved: every 8-byte element read once, written once.
         entry("transpose", transpose_s, 2.0 * 8.0 * elements / 1e9, "GB/s"),
         entry("quantise_f16", f16_s, elements / 1e6, "Melem/s"),
+        f16_chained,
         entry("quantise_int1", int1_s, elements / 1e6, "Melem/s"),
+        int1_chained,
     ]
 }
 
@@ -323,7 +373,7 @@ fn to_json(
         ])
     };
     Value::object([
-        ("schema", "tcbf-hotpath-bench/v7".into()),
+        ("schema", "tcbf-hotpath-bench/v8".into()),
         ("mode", mode.into()),
         ("reps", reps.into()),
         ("entries", Value::Array(entries.iter().map(entry).collect())),
@@ -456,15 +506,32 @@ fn main() {
     let rows: Vec<Vec<String>> = prologue
         .iter()
         .map(|p| {
+            let vs_isolated = p
+                .vs_isolated
+                .map_or("—".to_string(), |r| format!("{r:.2}x"));
             vec![
                 p.stage.to_string(),
                 format!("{}x{}", p.k, p.n),
                 format!("{:.1}", p.median_s * 1e6),
                 format!("{:.2} {}", p.rate, p.unit),
+                vs_isolated,
             ]
         })
         .collect();
-    print_table(&["stage", "KxN", "median us", "rate"], &rows);
+    print_table(
+        &["stage", "KxN", "median us", "rate", "chained / isolated"],
+        &rows,
+    );
+    let (worst, at) = prologue
+        .iter()
+        .filter_map(|p| Some((p.vs_isolated?, p)))
+        .max_by(|a, b| a.0.total_cmp(&b.0))
+        .expect("every block shape has its chained rows");
+    println!();
+    println!(
+        "headline: hand-over worst chained / isolated {worst:.2}x ({} at {}x{})",
+        at.stage, at.k, at.n
+    );
 
     header("Hand-off wall-clock (empty two-item par_chunks_mut)");
     let fan_out: Vec<FanOutEntry> = FAN_OUT_AFTER_BUSY_US.map(bench_fan_out).into();

@@ -34,17 +34,21 @@ use tcbf_types::matrix::round_up;
 use tcbf_types::{encode_from_f32, f16, Complex, Complex32, PackedBits};
 
 /// Tile edge of [`HostComplexMatrix::transposed`], in elements: 32 rows of
-/// 256 B each.
+/// 256 B each.  A band of rows is one work item, and a share boundary of this
+/// stage is one of the next stage's when the two item counts nest (the rule
+/// is `vendor/rayon`'s `deal`).
 const TRANSPOSE_TILE: usize = 32;
 
 /// Scalars per parallel work item of the stages that convert a plane
 /// element by element ([`F16Matrix::from_host`], the decode behind
 /// [`crate::gemm::DecodedPlanes`]): a few microseconds of work, and a whole
-/// number of the bulk encoder's chunks.
+/// number of the bulk encoder's chunks.  A share boundary of this stage is
+/// one of the f16 panel builder's when the two item counts nest (`deal`).
 pub(crate) const PLANE_ITEM: usize = 4096;
 
 /// Samples per parallel work item of [`Int1Matrix::from_host_padded`], which
-/// deals whole rows: 256 KiB of source.
+/// deals whole rows: 256 KiB of source.  A share boundary of this stage is
+/// one of the 1-bit panel builder's when the two item counts nest (`deal`).
 const PACK_ITEM_SAMPLES: usize = 32 * 1024;
 
 /// A host-side complex matrix in row-major order.

@@ -364,7 +364,9 @@ impl Client {
 
     fn recv(&mut self) -> Result<ServerMsg, ServeError> {
         let deadline = Instant::now() + RESPONSE_TIMEOUT;
-        match read_frame_polling(&mut self.reader, || Instant::now() >= deadline) {
+        match read_frame_polling(&mut self.reader, RESPONSE_TIMEOUT, || {
+            Instant::now() >= deadline
+        }) {
             Ok(Some(payload)) => {
                 ServerMsg::decode(&payload).map_err(|e| ServeError::Protocol(e.to_string()))
             }

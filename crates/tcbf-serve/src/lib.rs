@@ -31,8 +31,9 @@
 //!   degraded), per-tenant rate limiting and bounded-queue backpressure
 //!   (typed, retryable `Throttled` — never unbounded memory).  A job that
 //!   hits an engine fault is **replayed on a healthy engine**; the client
-//!   never sees it.  Reply writes have a deadline: a client that stops
-//!   reading is hung up on, and holds neither a worker nor `shutdown()`.
+//!   never sees it.  A frame has a deadline in each direction: a client
+//!   that stops reading, or trickles a frame in byte by byte, is hung up
+//!   on, and holds neither a worker, a session slot nor `shutdown()`.
 //! - [`metrics`]: per-tenant block/throttle/error/recovery counts and
 //!   wall-clock latency histograms, merged with the engine fleet's
 //!   [`beamform::Report`] and the pool's health into one [`FleetReport`]

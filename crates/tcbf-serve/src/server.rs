@@ -42,6 +42,13 @@ const REPORT_DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 /// fills both socket buffers, and without a deadline the reply's `write_all`
 /// would hold a worker (and `shutdown()`'s join on it) for ever.
 const REPLY_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+/// How long a frame may take to arrive, from its first byte to its last,
+/// before the session is given up on: a sender that trickles a frame in holds
+/// its reader thread and its `max_sessions` slot for as long as it likes
+/// otherwise.  The wait *between* frames is not bounded — an idle session is
+/// a legitimate one — and the largest frame the protocol admits (64 MiB)
+/// meets it on any link faster than 7 MB/s.
+const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One unit of work: a block travelling from a session's reader to a
 /// worker, carrying everything needed to execute and reply without
@@ -173,11 +180,21 @@ struct Shared {
     /// The write time-out of every accepted socket ([`REPLY_WRITE_TIMEOUT`];
     /// tests inject a shorter one).
     reply_timeout: Duration,
+    /// What a frame has from its first byte to its last
+    /// ([`FRAME_READ_TIMEOUT`]; tests inject a shorter one).
+    frame_timeout: Duration,
 }
 
 impl Shared {
     fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// The next frame of a connection, `None` once the peer has closed it
+    /// between two frames; an error when the server is shutting down or the
+    /// frame is overdue (`TimedOut`).
+    fn read_frame(&self, reader: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
+        read_frame_polling(reader, self.frame_timeout, || self.shutting_down())
     }
 }
 
@@ -197,15 +214,17 @@ pub struct ServerHandle {
 /// Engine construction happens here, once — admission never builds
 /// engines, so a flood of connections cannot amplify into device work.
 pub fn serve(addr: impl ToSocketAddrs, config: ServeConfig) -> tcbf::Result<ServerHandle> {
-    serve_with_reply_timeout(addr, config, REPLY_WRITE_TIMEOUT)
+    serve_with_deadlines(addr, config, REPLY_WRITE_TIMEOUT, FRAME_READ_TIMEOUT)
 }
 
-/// [`serve`] with the reply-write deadline as a parameter, so a test of a
-/// stalled client takes `reply_timeout`, not [`REPLY_WRITE_TIMEOUT`].
-fn serve_with_reply_timeout(
+/// [`serve`] with the two per-frame deadlines as parameters, so a test of a
+/// client that stops reading, or of one that trickles a frame in, takes what
+/// it injects and not [`REPLY_WRITE_TIMEOUT`] / [`FRAME_READ_TIMEOUT`].
+fn serve_with_deadlines(
     addr: impl ToSocketAddrs,
     config: ServeConfig,
     reply_timeout: Duration,
+    frame_timeout: Duration,
 ) -> tcbf::Result<ServerHandle> {
     let pool = config.build_pool()?;
     let listener = TcpListener::bind(addr).map_err(|e| TcbfError::InvalidParameters {
@@ -226,6 +245,7 @@ fn serve_with_reply_timeout(
         next_session_id: AtomicU64::new(1),
         shutdown: AtomicBool::new(false),
         reply_timeout,
+        frame_timeout,
         config,
     });
 
@@ -406,7 +426,7 @@ fn handle_connection(
     let mut reader = stream.try_clone()?;
 
     // --- Hello ---
-    let Some(payload) = read_frame_polling(&mut reader, || shared.shutting_down())? else {
+    let Some(payload) = shared.read_frame(&mut reader)? else {
         return Ok(());
     };
     let hello = match ClientMsg::decode(&payload) {
@@ -574,7 +594,16 @@ fn serve_session(
     )?;
 
     loop {
-        let Some(payload) = read_frame_polling(reader, || shared.shutting_down())? else {
+        // A frame that trickles in past its deadline is this session's error
+        // and its last: half a frame cannot be skipped, so the socket goes
+        // down both ways (and the replies still in flight fail at once).
+        let frame = shared.read_frame(reader).inspect_err(|e| {
+            if e.kind() == std::io::ErrorKind::TimedOut {
+                session.record_error(metrics);
+                let _ = session.writer.lock().shutdown(Shutdown::Both);
+            }
+        });
+        let Some(payload) = frame? else {
             // Client hung up without Finish: drain what is in flight so no
             // worker writes into a torn-down session.
             wait_for_drain(&session.inflight, shared);
@@ -829,61 +858,41 @@ mod tests {
         assert!(!bucket.try_take(t0 + Duration::from_millis(500)));
     }
 
-    /// ROADMAP 6(b), first half.  At the parent commit the worker that
-    /// writes the stalled session's `Beams` blocks for ever: the raw client's
-    /// own write times out and `shutdown()` never returns.
-    #[test]
-    fn a_client_that_stops_reading_cannot_pin_a_worker_or_hang_shutdown() {
-        use crate::client::Client;
-        use ccglib::matrix::HostComplexMatrix;
-        use std::io::ErrorKind;
-        use tcbf_types::Complex;
+    // Small requests, large replies (16 KiB up, 2 MiB down): a handful of
+    // served blocks overflows both socket buffers of a peer that never reads.
+    const RECEIVERS: usize = 2;
+    const SAMPLES: usize = 1024;
 
-        // Small requests, large replies (16 KiB up, 2 MiB down): a handful of
-        // served blocks overflows both socket buffers of a peer that never
-        // reads.
-        const RECEIVERS: usize = 2;
-        const SAMPLES: usize = 1024;
+    fn hostile_test_config() -> ServeConfig {
         let mut config = ServeConfig::example(256, RECEIVERS, SAMPLES);
         config.precisions = vec![Precision::Float16];
-        let reply_timeout = Duration::from_millis(300);
-        let handle = serve_with_reply_timeout("127.0.0.1:0", config.clone(), reply_timeout)
-            .expect("server starts");
-        let addr = handle.addr();
-        let block = |seed: usize| {
-            HostComplexMatrix::from_fn(RECEIVERS, SAMPLES, |r, s| {
-                Complex::new((seed + r + s) as f32 * 0.01, (seed * 3 + s) as f32 * -0.02)
-            })
+        config
+    }
+
+    fn block(seed: usize) -> ccglib::matrix::HostComplexMatrix {
+        ccglib::matrix::HostComplexMatrix::from_fn(RECEIVERS, SAMPLES, |r, s| {
+            tcbf_types::Complex::new((seed + r + s) as f32 * 0.01, (seed * 3 + s) as f32 * -0.02)
+        })
+    }
+
+    /// A raw connection that has said `Hello` as `tenant` and nothing else.
+    fn raw_session(addr: SocketAddr, tenant: &str) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let hello = ClientMsg::Hello {
+            version: PROTO_VERSION,
+            tenant: tenant.into(),
+            precision: Precision::Float16,
+            receivers: RECEIVERS as u32,
+            samples_per_block: SAMPLES as u32,
         };
+        write_frame(&mut stream, &hello.encode()).expect("hello");
+        stream
+    }
 
-        // `Hello`, then blocks for as long as the server takes them — and
-        // never a read.  It ends when the server gives the session up; the
-        // socket stays open until the test is over.
-        let stalled = std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).expect("connect");
-            stream
-                .set_write_timeout(Some(Duration::from_secs(20)))
-                .expect("write time-out");
-            let hello = ClientMsg::Hello {
-                version: PROTO_VERSION,
-                tenant: "stalled".into(),
-                precision: Precision::Float16,
-                receivers: RECEIVERS as u32,
-                samples_per_block: SAMPLES as u32,
-            };
-            write_frame(&mut stream, &hello.encode()).expect("hello");
-            let samples = block(0);
-            let mut seq = 0;
-            loop {
-                match write_frame(&mut stream, &ClientMsg::encode_block(seq, &samples)) {
-                    Ok(()) => seq += 1,
-                    Err(e) => return (stream, e.kind()),
-                }
-            }
-        });
-
-        // Next to it, a tenant that behaves: bit-identical to a direct
-        // engine for as long as the stall lasts, and once more after it.
+    /// A tenant that behaves, next to a hostile one: streams three blocks
+    /// over and over until `hostile_is_done`, and once more after it — every
+    /// time bit-identical to a direct engine — then finishes without an error.
+    fn stream_beside(addr: SocketAddr, config: &ServeConfig, hostile_is_done: impl Fn() -> bool) {
         let mut direct = tcbf::BeamformerBuilder::new(gpu_sim::Gpu::A100)
             .weights(config.weights.clone())
             .samples_per_block(SAMPLES)
@@ -898,39 +907,143 @@ mod tests {
             .into_iter()
             .map(|output| output.beams)
             .collect();
-        let mut tenant = Client::connect(addr, "tenant", Precision::Float16, RECEIVERS, SAMPLES)
-            .expect("tenant connects");
+        let mut tenant =
+            crate::client::Client::connect(addr, "tenant", Precision::Float16, RECEIVERS, SAMPLES)
+                .expect("tenant connects");
         let mut over = false;
         while !over {
-            over = stalled.is_finished();
+            over = hostile_is_done();
             assert_eq!(
                 tenant.stream_blocks(&blocks).expect("tenant streams"),
                 expected
             );
         }
+        let summary = tenant.finish().expect("tenant finishes");
+        assert_eq!(summary.errors, 0);
+    }
+
+    /// `shutdown()` on a thread of its own: its report, or a failure when it
+    /// is still waiting for the hostile peer after 30 s.
+    fn shutdown_returns(handle: ServerHandle) -> FleetReport {
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(handle.shutdown());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("shutdown() must not wait for a hostile peer")
+    }
+
+    fn errors_of(report: &FleetReport, tenant: &str) -> u64 {
+        let found = report.tenants.iter().find(|t| t.tenant == tenant);
+        found.expect("tenant in the report").errors
+    }
+
+    /// ROADMAP 7(b), write side.  Without the reply deadline the worker that
+    /// writes the stalled session's `Beams` blocks for ever: the raw client's
+    /// own write times out and `shutdown()` never returns.
+    #[test]
+    fn a_client_that_stops_reading_cannot_pin_a_worker_or_hang_shutdown() {
+        use std::io::ErrorKind;
+
+        let config = hostile_test_config();
+        let reply_timeout = Duration::from_millis(300);
+        let handle = serve_with_deadlines(
+            "127.0.0.1:0",
+            config.clone(),
+            reply_timeout,
+            FRAME_READ_TIMEOUT,
+        )
+        .expect("server starts");
+        let addr = handle.addr();
+
+        // `Hello`, then blocks for as long as the server takes them — and
+        // never a read.  It ends when the server gives the session up; the
+        // socket stays open until the test is over.
+        let stalled = std::thread::spawn(move || {
+            let mut stream = raw_session(addr, "stalled");
+            stream
+                .set_write_timeout(Some(Duration::from_secs(20)))
+                .expect("write time-out");
+            let samples = block(0);
+            let mut seq = 0;
+            loop {
+                match write_frame(&mut stream, &ClientMsg::encode_block(seq, &samples)) {
+                    Ok(()) => seq += 1,
+                    Err(e) => return (stream, e.kind()),
+                }
+            }
+        });
+
+        stream_beside(addr, &config, || stalled.is_finished());
         let (_socket, ended_by) = stalled.join().expect("stalled client thread");
         assert!(
             !matches!(ended_by, ErrorKind::WouldBlock | ErrorKind::TimedOut),
             "the server must hang up on the stalled session, not stop reading from it"
         );
-        let summary = tenant.finish().expect("tenant finishes");
-        assert_eq!(summary.errors, 0);
 
         // `shutdown()` returns, and its report names the stalled session's
         // undeliverable replies as that tenant's errors.
-        let (done_tx, done_rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let _ = done_tx.send(handle.shutdown());
+        let report = shutdown_returns(handle);
+        assert!(
+            errors_of(&report, "stalled") >= 1,
+            "{:?}",
+            report.tenant_lines()
+        );
+        assert_eq!(errors_of(&report, "tenant"), 0);
+    }
+
+    /// ROADMAP 7(b), read side.  Without the frame deadline a sender that
+    /// stays under the poll interval is never asked anything: its reader
+    /// thread, its session slot and its socket outlive `shutdown()`.
+    #[test]
+    fn a_client_that_trickles_a_frame_in_is_given_up_on_at_the_frame_deadline() {
+        use std::io::Write;
+
+        let config = hostile_test_config();
+        let frame_timeout = Duration::from_millis(200);
+        let handle = serve_with_deadlines(
+            "127.0.0.1:0",
+            config.clone(),
+            REPLY_WRITE_TIMEOUT,
+            frame_timeout,
+        )
+        .expect("server starts");
+        let addr = handle.addr();
+
+        // `Hello`, a `Block`'s length prefix, then its payload at a byte per
+        // 10 ms: 160 s for the frame, were the server to wait for it.  Ends
+        // with the error the torn-down socket answers a write with, or after
+        // 10 s of being listened to.
+        let slow = std::thread::spawn(move || {
+            let mut stream = raw_session(addr, "slow");
+            let payload = ClientMsg::encode_block(0, &block(0));
+            let prefix = (payload.len() as u32).to_le_bytes();
+            let mut ended_by = stream.write_all(&prefix).err();
+            for byte in payload.chunks(1).take(1_000) {
+                if ended_by.is_some() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+                ended_by = stream.write_all(byte).err();
+            }
+            (stream, ended_by)
         });
-        let report = done_rx
-            .recv_timeout(Duration::from_secs(30))
-            .expect("shutdown() must not wait for a peer that never reads");
-        let errors = |tenant: &str| {
-            let found = report.tenants.iter().find(|t| t.tenant == tenant);
-            found.expect("tenant in the report").errors
-        };
-        assert!(errors("stalled") >= 1, "{:?}", report.tenant_lines());
-        assert_eq!(errors("tenant"), 0);
+
+        stream_beside(addr, &config, || slow.is_finished());
+        let (_socket, ended_by) = slow.join().expect("slow client thread");
+        assert!(ended_by.is_some(), "the server listened for 10 s");
+
+        // The session's slot is free again (its reader is past the teardown
+        // by the time the tenant has finished a round trip; wait anyway).
+        let freed = Instant::now();
+        while handle.active_sessions() > 0 && freed.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(handle.active_sessions(), 0);
+        let report = shutdown_returns(handle);
+        assert_eq!(errors_of(&report, "slow"), 1, "{:?}", report.tenant_lines());
+        assert_eq!(errors_of(&report, "tenant"), 0);
     }
 
     #[test]

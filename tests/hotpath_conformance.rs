@@ -10,9 +10,10 @@
 //! points produce exactly the same bits as the one-shot path.
 
 use beamform::Engine;
+use ccglib::gemm::{gemm_f16_on, gemm_int1_on};
 use ccglib::matrix::{F16Matrix, HostComplexMatrix, Int1Matrix};
 use ccglib::synth::{exact_integer_matrix, pseudo_random_matrix};
-use ccglib::{Gemm, GemmInput, Precision, PreparedOperand};
+use ccglib::{Gemm, GemmInput, Isa, Precision, PreparedOperand};
 use gpu_sim::{BitOp, Gpu};
 use proptest::prelude::*;
 use tcbf::BeamformerBuilder;
@@ -185,6 +186,127 @@ fn hostile_samples_give_the_element_wise_result_through_the_engine() {
                     "{precision} on {} device(s)",
                     pool.len()
                 );
+            }
+        }
+    }
+}
+
+/// [`bits`] with every NaN made the same one: which payload a NaN result
+/// carries depends on the operand order an instruction was given, which is
+/// the compiler's choice per kernel instance.
+fn bits_nan_as_nan(m: &HostComplexMatrix) -> Vec<(u32, u32)> {
+    let of = |v: f32| if v.is_nan() { u32::MAX } else { v.to_bits() };
+    m.data().iter().map(|v| (of(v.re), of(v.im))).collect()
+}
+
+/// ROADMAP hostile-input item (c), the other operand: the *weights* hold
+/// NaN (with payload, either sign), ±Inf, −0.0, a subnormal, ±65504 and
+/// their neighbours on both sides of the binary16 overflow, `f32::MAX` — in
+/// every other beam, at ragged `M`, `N` and `K`.  The engine's beams are
+/// then what each kernel instance the host has gives on the element-wise
+/// quantised operands, no panic, and a beam whose weights are finite comes
+/// out finite and exactly as it does beside clean neighbours: a hostile row
+/// of the register tile does not leak into the other three.
+#[test]
+fn hostile_weights_give_every_kernel_paths_result_through_the_engine() {
+    let (beams, receivers, samples) = (7, 70, 37);
+    let hostile = [
+        f32::from_bits(0x7fc0_1234), // NaN with a payload
+        f32::from_bits(0xffa0_0001), // … negative and signalling
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -0.0,
+        1e-40, // binary32 subnormal
+        65504.0,
+        -65504.0,
+        65519.0, // rounds down to the largest binary16
+        65520.0, // rounds up to infinity
+        -65520.0,
+        f32::MAX,
+        f32::MIN_POSITIVE,
+    ];
+    let clean = pseudo_random_matrix(beams, receivers, 17, 1.0);
+    let weights = HostComplexMatrix::from_fn(beams, receivers, |b, k| {
+        let i = b * receivers + k;
+        let v = clean.get(b, k);
+        match (b % 2, i % 5) {
+            (0, 0) => Complex::new(hostile[(i / 5) % hostile.len()], v.im),
+            (0, 3) => Complex::new(v.re, hostile[(i / 5 + 6) % hostile.len()]),
+            _ => v,
+        }
+    });
+    let block = pseudo_random_matrix(receivers, samples, 18, 1.0);
+    let finite = |m: &HostComplexMatrix, row: usize| {
+        (0..m.cols()).all(|c| m.get(row, c).re.is_finite() && m.get(row, c).im.is_finite())
+    };
+
+    for precision in [Precision::Float16, Precision::Int1] {
+        let a = element_wise_operand(precision, beams, receivers, |b, k| weights.get(b, k));
+        let b_t = element_wise_operand(precision, samples, receivers, |n, k| block.get(k, n));
+        let build = |weights: &HostComplexMatrix, pool: &[Gpu]| {
+            BeamformerBuilder::new(Gpu::A100)
+                .devices(pool)
+                .weights(weights.clone())
+                .samples_per_block(samples)
+                .precision(precision)
+                .build_engine()
+                .unwrap()
+        };
+        let beside_clean_rows = build(&clean, &[Gpu::A100])
+            .process_batch(&[&block])
+            .unwrap()
+            .remove(0)
+            .beams;
+
+        for pool in [&[Gpu::A100][..], &[Gpu::A100, Gpu::A100]] {
+            let outputs = build(&weights, pool)
+                .process_batch(&[&block, &block])
+                .unwrap();
+            assert_eq!(outputs.len(), 2);
+            for output in &outputs {
+                let beams_out = &output.beams;
+                for isa in Isa::available() {
+                    let expected = match (&a, &b_t) {
+                        (GemmInput::F16(a), GemmInput::F16(b_t)) => {
+                            vec![gemm_f16_on(isa, a, b_t).unwrap()]
+                        }
+                        (GemmInput::Int1(a), GemmInput::Int1(b_t)) => [BitOp::Xor, BitOp::And]
+                            .map(|op| gemm_int1_on(isa, a, b_t, op).unwrap())
+                            .to_vec(),
+                        _ => unreachable!("both operands were quantised to {precision}"),
+                    };
+                    for expected in &expected {
+                        assert_eq!(
+                            bits_nan_as_nan(beams_out),
+                            bits_nan_as_nan(expected),
+                            "{precision} on {} device(s) against {isa:?}",
+                            pool.len()
+                        );
+                    }
+                }
+                for beam in 0..beams {
+                    let hostile_row = beam % 2 == 0;
+                    // 1-bit outputs are sums of ±1 products, always finite;
+                    // a float16 beam is finite exactly when its weights are
+                    // (so the hostile values did reach the kernel).
+                    let expect_finite = precision == Precision::Int1 || !hostile_row;
+                    assert_eq!(
+                        finite(beams_out, beam),
+                        expect_finite,
+                        "{precision}: beam {beam}"
+                    );
+                    if !hostile_row {
+                        for n in 0..samples {
+                            let (got, clean) =
+                                (beams_out.get(beam, n), beside_clean_rows.get(beam, n));
+                            assert_eq!(
+                                (got.re.to_bits(), got.im.to_bits()),
+                                (clean.re.to_bits(), clean.im.to_bits()),
+                                "{precision}: beam {beam}, sample {n}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
