@@ -12,10 +12,7 @@
 
 use crate::weights::WeightMatrix;
 use ccglib::matrix::HostComplexMatrix;
-use ccglib::{
-    Gemm, GemmInput, GemmPlan, MicroKernelConfig, Precision, PreparedOperand, RunReport,
-    TuningParameters,
-};
+use ccglib::{Gemm, GemmInput, GemmPlan, Precision, PreparedOperand, RunReport, TuningParameters};
 use gpu_sim::Device;
 use serde::{Deserialize, Serialize};
 use tcbf_types::{Complex32, GemmShape};
@@ -25,26 +22,17 @@ use tcbf_types::{Complex32, GemmShape};
 pub struct BeamformerConfig {
     /// Input precision handed to ccglib.
     pub precision: Precision,
-    /// Number of independent batches (e.g. frequency channels ×
-    /// polarisations) that share the same weight matrix shape.
-    pub batch: usize,
     /// Optional explicit kernel parameters; `None` uses the shipped
     /// per-GPU defaults.
     pub params: Option<TuningParameters>,
-    /// Optional host micro-kernel blocking (an autotuned winner or a
-    /// pinned choice); `None` runs the default blocking.
-    pub micro: Option<MicroKernelConfig>,
 }
 
 impl BeamformerConfig {
-    /// Default configuration: 16-bit precision, single batch, tuned
-    /// defaults.
+    /// Default configuration: 16-bit precision, tuned defaults.
     pub fn float16() -> Self {
         BeamformerConfig {
             precision: Precision::Float16,
-            batch: 1,
             params: None,
-            micro: None,
         }
     }
 
@@ -52,9 +40,7 @@ impl BeamformerConfig {
     pub fn int1() -> Self {
         BeamformerConfig {
             precision: Precision::Int1,
-            batch: 1,
             params: None,
-            micro: None,
         }
     }
 }
@@ -65,17 +51,6 @@ pub struct BeamformOutput {
     /// Beamformed data: `M` beams × `N` samples.
     pub beams: HostComplexMatrix,
     /// Performance/energy report of the underlying GEMM.
-    pub report: RunReport,
-}
-
-/// Result of beamforming one batch of sample blocks (for configurations
-/// with `batch > 1`, e.g. frequency channels × polarisations sharing the
-/// same weights).
-#[derive(Clone, Debug)]
-pub struct BatchBeamformOutput {
-    /// Beamformed data per batch element: `M` beams × `N` samples each.
-    pub beams: Vec<HostComplexMatrix>,
-    /// One performance/energy report covering the whole batch.
     pub report: RunReport,
 }
 
@@ -103,19 +78,15 @@ impl Beamformer {
         samples_per_block: usize,
         config: BeamformerConfig,
     ) -> ccglib::Result<Self> {
-        let shape = GemmShape::batched(
-            config.batch,
+        let shape = GemmShape::new(
             weights.num_beams(),
             samples_per_block,
             weights.num_receivers(),
         );
-        let mut plan = match config.params {
+        let plan = match config.params {
             Some(params) => GemmPlan::with_params(device, shape, config.precision, params)?,
             None => GemmPlan::new(device, shape, config.precision)?,
         };
-        if let Some(micro) = config.micro {
-            plan = plan.with_micro(micro)?;
-        }
         let gemm = Gemm::from_plan(plan);
         let prepared_weights =
             PreparedOperand::new(Self::quantise_for(config.precision, weights.matrix()));
@@ -184,14 +155,15 @@ impl Beamformer {
         }
     }
 
-    /// Quantises one host matrix to the operand precision of this
-    /// beamformer.
-    fn quantise(&self, host: &HostComplexMatrix) -> GemmInput {
-        Self::quantise_for(self.config.precision, host)
+    /// Predicted performance of one block without computing data (used for
+    /// paper-scale configurations).
+    pub fn predict(&self) -> RunReport {
+        self.gemm.predict()
     }
 
-    /// Checks one `K × N` sample block against the planned shape.
-    fn validate_block(&self, samples: &HostComplexMatrix) -> ccglib::Result<()> {
+    /// Beamforms one block of sensor samples (`K` receivers × `N` time
+    /// samples).
+    pub fn beamform(&self, samples: &HostComplexMatrix) -> ccglib::Result<BeamformOutput> {
         if samples.rows() != self.weights.num_receivers()
             || samples.cols() != self.samples_per_block
         {
@@ -204,29 +176,6 @@ impl Beamformer {
                 actual: format!("{} x {}", samples.rows(), samples.cols()),
             });
         }
-        Ok(())
-    }
-
-    /// Predicted performance of one block without computing data (used for
-    /// paper-scale configurations).
-    pub fn predict(&self) -> RunReport {
-        self.gemm.predict()
-    }
-
-    /// Beamforms one block of sensor samples (`K` receivers × `N` time
-    /// samples).  Configurations with `batch > 1` beamform through
-    /// [`Beamformer::beamform_batch`] instead.
-    pub fn beamform(&self, samples: &HostComplexMatrix) -> ccglib::Result<BeamformOutput> {
-        if self.config.batch != 1 {
-            return Err(ccglib::CcglibError::ShapeMismatch {
-                expected: format!(
-                    "one sample block per batch element: use beamform_batch with {} blocks",
-                    self.config.batch
-                ),
-                actual: "a single block".to_string(),
-            });
-        }
-        self.validate_block(samples)?;
         // ccglib consumes B transposed: N×K, one row per output sample; the
         // weights operand is the cached prepared (pre-decoded) one.  The
         // transposed block lives until the GEMM is done: freed before it,
@@ -234,38 +183,9 @@ impl Beamformer {
         // kernel's `B` panels, and a block's time then depends on the heap
         // of the process it runs in.
         let transposed = samples.transposed();
-        let b = self.quantise(&transposed);
+        let b = Self::quantise_for(self.config.precision, &transposed);
         let (beams, report) = self.gemm.run_prepared(&self.prepared_weights, &b)?;
         Ok(BeamformOutput { beams, report })
-    }
-
-    /// Beamforms one batch of sample blocks — one `K × N` block per batch
-    /// element, all sharing this beamformer's weights — functionally, with
-    /// a single report covering the whole batch.  The number of blocks must
-    /// equal the configured batch size.
-    pub fn beamform_batch(
-        &self,
-        blocks: &[HostComplexMatrix],
-    ) -> ccglib::Result<BatchBeamformOutput> {
-        if blocks.len() != self.config.batch {
-            return Err(ccglib::CcglibError::ShapeMismatch {
-                expected: format!("{} sample blocks (the configured batch)", self.config.batch),
-                actual: format!("{} blocks", blocks.len()),
-            });
-        }
-        for block in blocks {
-            self.validate_block(block)?;
-        }
-        let b_ts: Vec<GemmInput> = blocks
-            .iter()
-            .map(|block| self.quantise(&block.transposed()))
-            .collect();
-        let pairs: Vec<(&PreparedOperand, &GemmInput)> = b_ts
-            .iter()
-            .map(|b_t| (&self.prepared_weights, b_t))
-            .collect();
-        let (beams, report) = self.gemm.run_batch(&pairs)?;
-        Ok(BatchBeamformOutput { beams, report })
     }
 
     /// Direct delay-and-sum (phase-and-sum in the narrowband model)
@@ -418,64 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_supports_paper_scale_batched_shapes() {
-        // LOFAR-like configuration: 1024 beams, 1024 samples, 512 stations,
-        // batch 256 — far too big to materialise, but the prediction path
-        // handles it.
-        let geom = array(8);
-        let weights = WeightMatrix::from_matrix(HostComplexMatrix::zeros(1024, 512));
-        let config = BeamformerConfig {
-            precision: Precision::Float16,
-            batch: 256,
-            params: None,
-            micro: None,
-        };
-        let beamformer = Beamformer::new(&device(), weights, 1024, config).unwrap();
-        assert_eq!(beamformer.shape(), GemmShape::batched(256, 1024, 1024, 512));
-        let report = beamformer.predict();
-        assert!(report.achieved_tops > 10.0);
-        drop(geom);
-    }
-
-    #[test]
-    fn batched_beamforming_matches_per_batch_references() {
-        // A batch-4 configuration executes functionally and every batch
-        // element matches the delay-and-sum reference within the
-        // quantisation tolerance of the single-block path.
-        let geom = array(32);
-        let weights = WeightMatrix::uniform_fan(&geom, FREQ, 8, -0.4, 0.4);
-        let config = BeamformerConfig {
-            batch: 4,
-            ..BeamformerConfig::float16()
-        };
-        let beamformer = Beamformer::new(&device(), weights, 16, config).unwrap();
-        let mut generator = SignalGenerator::new(geom, FREQ, 1e5, 0.05, 7);
-        let blocks: Vec<HostComplexMatrix> = (0..4)
-            .map(|i| {
-                generator.sensor_samples(
-                    &[PlaneWaveSource {
-                        azimuth: -0.2 + 0.1 * i as f64,
-                        amplitude: 1.0,
-                        baseband_frequency: 0.0,
-                    }],
-                    16,
-                )
-            })
-            .collect();
-        let output = beamformer.beamform_batch(&blocks).unwrap();
-        assert_eq!(output.beams.len(), 4);
-        for (beams, samples) in output.beams.iter().zip(&blocks) {
-            let reference = beamformer.delay_and_sum_reference(samples);
-            assert!(beams.max_abs_diff(&reference) < 0.05);
-        }
-        assert!(output.report.predicted.elapsed_s > 0.0);
-        // Wrong block count is rejected.
-        assert!(beamformer.beamform_batch(&blocks[..3]).is_err());
-        // The single-pair path refuses batched plans.
-        assert!(beamformer.beamform(&blocks[0]).is_err());
-    }
-
-    #[test]
     fn set_weights_keeps_the_plan_but_changes_the_beams() {
         let geom = array(16);
         let fan = WeightMatrix::uniform_fan(&geom, FREQ, 4, -0.2, 0.2);
@@ -488,7 +350,9 @@ mod tests {
         let steered = WeightMatrix::steering(&array(16), FREQ, &[-0.3, -0.1, 0.1, 0.3], true);
         beamformer.set_weights(steered).unwrap();
         let after = beamformer.beamform(&samples).unwrap();
+        // One block per call: a beamformer's plan is never batched.
         assert_eq!(beamformer.shape(), GemmShape::new(4, 8, 16));
+        assert_eq!(beamformer.shape().batch, 1);
         assert!(before.beams.max_abs_diff(&after.beams) > 1e-3);
         // Shape-changing swaps are rejected.
         let wrong = WeightMatrix::from_matrix(HostComplexMatrix::zeros(4, 17));

@@ -281,7 +281,7 @@ impl Topology {
 /// pipelines read one metric surface regardless of topology.
 ///
 /// Engines stream *whole blocks* — one `K × N` sample block per GEMM
-/// execution — so they are constructed from batch-1 configurations.
+/// execution.
 ///
 /// `Send` is a supertrait: serving layers hand engines between worker
 /// threads (e.g. `tcbf-serve`'s engine pool), so every engine must be

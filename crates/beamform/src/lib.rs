@@ -16,9 +16,8 @@
 //! * [`weights`] — steering-weight computation (Eq. 3) and weight
 //!   matrices for many beams;
 //! * [`beamformer`] — the mapping onto the ccglib GEMM (one block per
-//!   call, or — for configurations with `batch > 1` — one batch of blocks
-//!   under one report through [`Beamformer::beamform_batch`], the layer
-//!   batched execution lives at), a direct delay-and-sum reference
+//!   call; several blocks under one set of weights go through
+//!   [`Engine::process_batch`]), a direct delay-and-sum reference
 //!   implementation, beam patterns and SNR gain;
 //! * [`engine`] — the unified execution API: one object-safe [`Engine`]
 //!   trait spanning every topology with one implementation,
@@ -48,7 +47,7 @@ pub mod shard;
 pub mod signal;
 pub mod weights;
 
-pub use beamformer::{BatchBeamformOutput, BeamformOutput, Beamformer, BeamformerConfig};
+pub use beamformer::{BeamformOutput, Beamformer, BeamformerConfig};
 pub use engine::{
     DeviceShardReport, DynSession, Engine, Report, Session, SessionCheckpoint, Topology,
 };

@@ -22,7 +22,8 @@ use serde::{Deserialize, Serialize};
 pub struct SessionReport {
     /// Number of blocks processed (each batch element counts as one block).
     pub blocks: usize,
-    /// Number of GEMM executions (a batched call is one execution).
+    /// Number of GEMM executions (a modelled batched kernel is one
+    /// execution).
     pub executions: usize,
     /// Number of mid-stream weight swaps.
     pub weight_swaps: usize,
@@ -47,9 +48,9 @@ impl SessionReport {
     ///
     /// Engines call this for every block they process; it is public so
     /// prediction-driven pipelines (e.g. the ultrasound frame-rate model,
-    /// which never materialises data) and callers of
-    /// [`crate::Beamformer::beamform_batch`] can accumulate the same
-    /// aggregate report from their [`RunReport`]s.
+    /// which never materialises data and predicts a batched shape as one
+    /// execution) can accumulate the same aggregate report from their
+    /// [`RunReport`]s.
     pub fn record(&mut self, report: &RunReport, useful_ops: f64, blocks: usize) {
         if self.executions == 0 {
             self.min_tops = f64::INFINITY;
@@ -176,18 +177,16 @@ mod tests {
     use crate::beamformer::{BeamformOutput, Beamformer, BeamformerConfig};
     use crate::weights::WeightMatrix;
     use ccglib::matrix::HostComplexMatrix;
+    use ccglib::{Gemm, Precision};
     use gpu_sim::Gpu;
-    use tcbf_types::Complex;
+    use tcbf_types::{Complex, GemmShape};
 
-    fn beamformer(beams: usize, receivers: usize, samples: usize, batch: usize) -> Beamformer {
+    fn beamformer(beams: usize, receivers: usize, samples: usize) -> Beamformer {
         let weights =
             WeightMatrix::from_matrix(HostComplexMatrix::from_fn(beams, receivers, |b, r| {
                 Complex::from_polar(1.0 / receivers as f32, (b * r) as f32 * 0.03)
             }));
-        let config = BeamformerConfig {
-            batch,
-            ..BeamformerConfig::float16()
-        };
+        let config = BeamformerConfig::float16();
         Beamformer::new(&Gpu::A100.device(), weights, samples, config).unwrap()
     }
 
@@ -203,7 +202,7 @@ mod tests {
     /// Beamforms blocks `seeds` of an 8×32×16 stream one at a time,
     /// recording every execution the way an engine does.
     fn stream(seeds: std::ops::Range<usize>) -> (Vec<BeamformOutput>, SessionReport) {
-        let beamformer = beamformer(8, 32, 16, 1);
+        let beamformer = beamformer(8, 32, 16);
         let ops = beamformer.shape().complex_ops() as f64;
         let mut report = SessionReport::default();
         let outputs = seeds
@@ -261,13 +260,12 @@ mod tests {
 
     #[test]
     fn batched_execution_counts_every_block() {
-        let beamformer = beamformer(4, 16, 8, 3);
-        let blocks: Vec<HostComplexMatrix> = (0..3).map(|i| block(16, 8, i)).collect();
-        let output = beamformer.beamform_batch(&blocks).unwrap();
-        assert_eq!(output.beams.len(), 3);
+        // What the ultrasound frame-rate model does: one predicted
+        // execution of a batched shape stands for `batch` blocks.
+        let shape = GemmShape::batched(3, 4, 8, 16);
+        let gemm = Gemm::new(&Gpu::A100.device(), shape, Precision::Float16).unwrap();
         let mut report = SessionReport::default();
-        let ops = beamformer.shape().complex_ops() as f64;
-        report.record(&output.report, ops, blocks.len());
+        report.record(&gemm.predict(), shape.complex_ops() as f64, shape.batch);
         assert_eq!(report.blocks, 3);
         assert_eq!(report.executions, 1);
         // One batched execution accounts the batched shape's operations.

@@ -264,9 +264,7 @@ impl ShardedBeamformer {
     /// Builds one beamformer per pool member, all sharing the same
     /// weights, block length and configuration.
     ///
-    /// The configuration's batch size must be 1: sharding distributes
-    /// whole blocks across devices, so per-device batching would double
-    /// count.  The calibration cache is warmed for all members in
+    /// The calibration cache is warmed for all members in
     /// parallel before the per-device plans are constructed, so a
     /// heterogeneous pool pays one parallel enumeration instead of one
     /// serial enumeration per distinct device.
@@ -277,12 +275,6 @@ impl ShardedBeamformer {
         config: BeamformerConfig,
         policy: ShardPolicy,
     ) -> ccglib::Result<Self> {
-        if config.batch != 1 {
-            return Err(ccglib::CcglibError::ShapeMismatch {
-                expected: "batch 1 (sharding distributes whole blocks across devices)".to_string(),
-                actual: format!("batch {}", config.batch),
-            });
-        }
         ccglib::warm_calibration(&pool.specs(), config.precision);
         // `repeat_n` hands the last member the original: a pool of one
         // copies no weights.
@@ -979,22 +971,5 @@ mod tests {
         let mut engine = sharded(&[Gpu::A100, Gpu::A100], ShardPolicy::RoundRobin);
         let injector = Arc::new(FaultInjector::new(gpu_sim::FaultPlan::new(), 3));
         assert!(engine.set_fault_injector(injector).is_err());
-    }
-
-    #[test]
-    fn batched_configs_are_rejected() {
-        let config = BeamformerConfig {
-            batch: 2,
-            ..BeamformerConfig::float16()
-        };
-        let err = ShardedBeamformer::new(
-            &DevicePool::homogeneous(Gpu::A100, 2),
-            weights(4, 16),
-            8,
-            config,
-            ShardPolicy::RoundRobin,
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("batch 1"));
     }
 }

@@ -6,17 +6,10 @@
 //! executes.  For each shape in a small grid, and for both precisions
 //! (both 1-bit formulations), on every compiled path the host has — one
 //! row per [`Isa::available`] entry, so the portable number is never
-//! hidden behind the fast one — it times:
-//!
-//! * the **fused** path: the current `ccglib` kernels (bulk-decoded f32
-//!   operands + register-tiled FMA kernel, register-tiled popcount kernel)
-//!   under the default [`MicroKernelConfig`];
-//! * the **tuned** path: the fastest blocking on the
-//!   [`MicroKernelConfig::menu`].  Both come from one exhaustive
-//!   [`MicroTuner::tune`] on the shape: the default leads the menu and
-//!   ties go to the first measured, so `tuned <= fused` on every shape by
-//!   construction — the JSON records the winning config and its gain
-//!   (while the menu is the default alone, the two are one measurement).
+//! hidden behind the fast one — it times the **fused** path: the current
+//! `ccglib` kernels (bulk-decoded f32 operands + register-tiled FMA kernel,
+//! register-tiled popcount kernel), [`gemm::gemm_f16_on`] and
+//! [`gemm::gemm_int1_on`].
 //!
 //! Each measurement is [`median_secs`] (a median of `reps` runs after a
 //! warmup run), and before any timing the fused kernel's output on the
@@ -55,16 +48,14 @@
 
 use ccglib::matrix::{F16Matrix, HostComplexMatrix, Int1Matrix};
 use ccglib::synth::pseudo_random_matrix;
-use ccglib::{gemm, reference_gemm, GemmInput, Isa, MicroKernelConfig, Precision};
+use ccglib::{gemm, reference_gemm, GemmInput, Isa};
 use gpu_sim::BitOp;
 use rayon::prelude::*;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-use tcbf_bench::{header, print_table};
-use tcbf_types::{f16, Complex32, GemmShape, PackedBits};
+use tcbf_bench::{header, median_secs, print_table};
+use tcbf_types::{f16, Complex32, PackedBits};
 use tuner::json::Value;
-use tuner::micro::median_secs;
-use tuner::{MicroTuner, Strategy};
 
 /// `(M, N, K)` of one GEMM grid cell.
 type Shape = (usize, usize, usize);
@@ -80,71 +71,46 @@ struct BenchEntry {
     n: usize,
     k: usize,
     fused_median_s: f64,
-    tuned_median_s: f64,
-    tuned_config: MicroKernelConfig,
 }
 
 impl BenchEntry {
+    /// A cell timed at `fused_median_s`: 1-bit under a formulation, float16
+    /// without.
+    fn new(bit_op: Option<BitOp>, isa: Isa, (m, n, k): Shape, fused_median_s: f64) -> Self {
+        BenchEntry {
+            kernel: if bit_op.is_some() { "int1" } else { "f16" },
+            bit_op,
+            isa,
+            m,
+            n,
+            k,
+            fused_median_s,
+        }
+    }
+
     /// Throughput of the fused path in GElem/s: complex multiply-accumulate
     /// elements (`M·N·K`) per second of wall-clock time.
     fn gelems_per_s(&self) -> f64 {
         (self.m * self.n * self.k) as f64 / self.fused_median_s / 1e9
-    }
-
-    /// Wall-clock gain of the best menu blocking over the default one.
-    /// `>= 1.0` by construction: the default is a member of the menu, so
-    /// the winner is never slower than it.
-    fn tuned_speedup_vs_default(&self) -> f64 {
-        self.fused_median_s / self.tuned_median_s
-    }
-}
-
-/// One exhaustive menu search on `m × n × k` on one path — 1-bit under a
-/// formulation, float16 without: the default blocking (first on the menu)
-/// is the fused time, the winner the tuned one.  Call after the shape's
-/// correctness guard.
-fn tune(bit_op: Option<BitOp>, isa: Isa, (m, n, k): Shape, reps: usize) -> BenchEntry {
-    let shape = GemmShape::new(m, n, k);
-    let (kernel, precision) = match bit_op {
-        Some(_) => ("int1", Precision::Int1),
-        None => ("f16", Precision::Float16),
-    };
-    let outcome = MicroTuner::for_shape(precision, shape, bit_op.unwrap_or(BitOp::Xor), reps)
-        .on_isa(isa)
-        .tune(Strategy::Exhaustive)
-        .expect("the default blocking is always measurable");
-    let fused = outcome.evaluated[0];
-    assert_eq!(fused.config, MicroKernelConfig::default());
-    BenchEntry {
-        kernel,
-        bit_op,
-        isa,
-        m,
-        n,
-        k,
-        fused_median_s: fused.elapsed_s,
-        tuned_median_s: outcome.best.elapsed_s,
-        tuned_config: outcome.best.config,
     }
 }
 
 fn bench_f16(shape @ (m, n, k): Shape, isa: Isa, reps: usize) -> BenchEntry {
     let a_host = pseudo_random_matrix(m, k, 0xF16 + (m * n * k) as u64, 1.0);
     let b_host = pseudo_random_matrix(n, k, 0xB00 + (m + n + k) as u64, 1.0);
+    let (a, b) = (F16Matrix::from_host(&a_host), F16Matrix::from_host(&b_host));
     // Correctness guard: the fused kernel must stay within the binary16
     // quantisation envelope of the full-precision reference before any
     // time is recorded.
-    let fused_out = gemm::gemm_f16_on(
-        isa,
-        &F16Matrix::from_host(&a_host),
-        &F16Matrix::from_host(&b_host),
-    )
-    .expect("shapes agree");
+    let fused_out = gemm::gemm_f16_on(isa, &a, &b).expect("shapes agree");
     let reference = reference_gemm(&a_host, &b_host).expect("reference shapes agree");
     let tol = 2.0 * 2.0f32.powi(-11) * 2.0 * k as f32;
     let diff = fused_out.max_abs_diff(&reference);
     assert!(diff < tol, "f16 fused/reference diverged: {diff} >= {tol}");
-    tune(None, isa, shape, reps)
+    let fused_median_s = median_secs(reps, || {
+        black_box(gemm::gemm_f16_on(isa, &a, &b)).expect("shapes agree");
+    });
+    BenchEntry::new(None, isa, shape, fused_median_s)
 }
 
 fn bench_int1(shape @ (m, n, k): Shape, op: BitOp, isa: Isa, reps: usize) -> BenchEntry {
@@ -157,7 +123,10 @@ fn bench_int1(shape @ (m, n, k): Shape, op: BitOp, isa: Isa, reps: usize) -> Ben
     let fused_out = gemm::gemm_int1_on(isa, &a, &b, op).expect("shapes agree");
     let reference = reference_gemm(&a.to_host(), &b.to_host()).expect("reference shapes agree");
     assert_eq!(fused_out, reference, "int1 fused/reference diverged");
-    tune(Some(op), isa, shape, reps)
+    let fused_median_s = median_secs(reps, || {
+        black_box(gemm::gemm_int1_on(isa, &a, &b, op)).expect("shapes agree");
+    });
+    BenchEntry::new(Some(op), isa, shape, fused_median_s)
 }
 
 /// The `K × N` (receivers × samples) block shapes of the four
@@ -347,12 +316,6 @@ fn to_json(
             ("k", e.k.into()),
             ("fused_median_s", num(e.fused_median_s, 9)),
             ("gelems_per_s", num(e.gelems_per_s(), 4)),
-            ("tuned_median_s", num(e.tuned_median_s, 9)),
-            ("tuned_config", Value::String(e.tuned_config.to_string())),
-            (
-                "tuned_speedup_vs_default",
-                num(e.tuned_speedup_vs_default(), 3),
-            ),
         ])
     };
     let stage = |p: &PrologueEntry| {
@@ -373,7 +336,7 @@ fn to_json(
         ])
     };
     Value::object([
-        ("schema", "tcbf-hotpath-bench/v8".into()),
+        ("schema", "tcbf-hotpath-bench/v9".into()),
         ("mode", mode.into()),
         ("reps", reps.into()),
         ("entries", Value::Array(entries.iter().map(entry).collect())),
@@ -422,6 +385,15 @@ fn main() {
         )
     };
 
+    // A kernel call allocates and frees its planes and panels (up to 20 MiB
+    // at 512x128x4096).  Whether glibc returns those pages to the system
+    // after every call — and the next call faults them in again, 25 % of a
+    // cell — depends on the largest block the process has freed so far, i.e.
+    // on what happened to be allocated before the cell.  Freeing one block
+    // just under the 32 MiB cap of that rule first makes every cell read the
+    // kernel, as it does in a process that has been streaming for a while.
+    drop(black_box(vec![0u8; 31 << 20]));
+
     header(&format!("GEMM hot path wall-clock ({mode} grid)"));
     let mut entries = Vec::new();
     for &shape in &grid {
@@ -445,24 +417,11 @@ fn main() {
                 format!("{}x{}x{}", e.m, e.n, e.k),
                 format!("{:.2}", e.fused_median_s * 1e3),
                 format!("{:.2}", e.gelems_per_s()),
-                format!("{:.2}", e.tuned_median_s * 1e3),
-                e.tuned_config.to_string(),
-                format!("{:.2}x", e.tuned_speedup_vs_default()),
             ]
         })
         .collect();
     print_table(
-        &[
-            "kernel",
-            "bit op",
-            "isa",
-            "MxNxK",
-            "fused ms",
-            "GElem/s",
-            "tuned ms",
-            "tuned cfg",
-            "vs default",
-        ],
+        &["kernel", "bit op", "isa", "MxNxK", "fused ms", "GElem/s"],
         &rows,
     );
 
@@ -474,10 +433,6 @@ fn main() {
             .min_by(|a, b| a.gelems_per_s().total_cmp(&b.gelems_per_s()))
             .expect("every kernel is measured on every path")
     };
-    let max_tuned_gain = entries
-        .iter()
-        .map(BenchEntry::tuned_speedup_vs_default)
-        .fold(1.0f64, f64::max);
     println!();
     println!("headline: kernel path detected: {}", Isa::detected());
     for kernel in ["f16", "int1"] {
@@ -492,11 +447,6 @@ fn main() {
             );
         }
     }
-    println!(
-        "autotune: best menu blocking gains up to {:.2}x over the default (never slower: \
-         the default is on the menu)",
-        max_tuned_gain
-    );
 
     header("Block prologue wall-clock (BENCHMARK.json block shapes)");
     let prologue: Vec<PrologueEntry> = BLOCK_SHAPES

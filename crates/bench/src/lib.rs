@@ -8,6 +8,24 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+use std::time::Instant;
+
+/// Median wall-clock seconds of `reps` (at least one) timed runs of `f`,
+/// after one warm-up run that pages in the operands and spins up the
+/// thread pool — the workspace's one stopwatch.
+pub fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    let mut times: Vec<f64> = (0..reps.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
 /// Formats a floating point value with a sensible number of digits for a
 /// performance table ("—" for missing values).
 pub fn fmt_opt(value: Option<f64>, digits: usize) -> String {

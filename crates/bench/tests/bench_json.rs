@@ -11,7 +11,7 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
     let root = parse(&text).expect("written by tuner::json, so read by it");
 
     let schema = root.get("schema").unwrap().as_str().unwrap();
-    assert_eq!(schema, "tcbf-hotpath-bench/v8");
+    assert_eq!(schema, "tcbf-hotpath-bench/v9");
     assert_eq!(root.get("mode").unwrap().as_str().unwrap(), "full");
     assert!(root.get("reps").unwrap().as_usize().unwrap() >= 1);
     assert!(root.get("prologue_reps").unwrap().as_usize().unwrap() >= 1);
@@ -37,15 +37,13 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
         for dim in ["m", "n", "k"] {
             assert!(row.get(dim).unwrap().as_usize().unwrap() > 0);
         }
-        let fused = positive(row, "fused_median_s");
-        let tuned = positive(row, "tuned_median_s");
+        positive(row, "fused_median_s");
         positive(row, "gelems_per_s");
-        assert!(tuned <= fused, "the default blocking is on the menu");
-        assert!(positive(row, "tuned_speedup_vs_default") >= 1.0);
-        assert_eq!(
-            row.get("tuned_config").unwrap().as_str().unwrap(),
-            "default"
-        );
+        // Schema v9: no kernel has a blocking to tune, so no row carries
+        // a tuned time beside the fused one.
+        for gone in ["tuned_median_s", "tuned_config", "tuned_speedup_vs_default"] {
+            assert!(row.get(gone).is_err(), "{gone} left the schema in v9");
+        }
     }
     // 4 shapes x (f16 + int1 under XOR and AND) on every path of the host
     // that wrote the file — the portable one always among them, and both

@@ -209,13 +209,13 @@ impl DecodedPlanes {
 }
 
 /// A GEMM operand with its precision-specific pre-processing done once, so
-/// repeated executions (streaming sessions, shared-`A` batches) skip it.
+/// repeated executions (streaming sessions: every block under the same
+/// weights) skip it.
 ///
 /// For binary16 operands this holds the bulk-decoded f32 planes alongside
 /// the original operand; 1-bit operands are already in kernel format, so
 /// preparation is free.  Built with [`GemmInput::prepare`] or
-/// [`PreparedOperand::new`] and consumed by [`crate::Gemm::run_prepared`]
-/// and [`crate::Gemm::run_batch`].
+/// [`PreparedOperand::new`] and consumed by [`crate::Gemm::run_prepared`].
 #[derive(Clone, Debug)]
 pub struct PreparedOperand {
     input: GemmInput,
@@ -512,9 +512,7 @@ pub(crate) fn gemm_f16_decoded_on(
 /// (`O((M+N)·K)` conversions instead of the naive kernel's `O(M·N·K)`),
 /// then multiplied by the register-tiled micro-kernel.  Callers that reuse
 /// `A` across many calls should decode it once via [`GemmInput::prepare`]
-/// and the prepared entry points on [`crate::Gemm`].  The kernel has no
-/// tunable blocking, so there is no `_with` variant taking a
-/// [`MicroKernelConfig`](crate::MicroKernelConfig).
+/// and the prepared entry points on [`crate::Gemm`].
 pub fn gemm_f16(a: &F16Matrix, b_t: &F16Matrix) -> Result<ComplexOutput> {
     gemm_f16_on(Isa::detected(), a, b_t)
 }
@@ -534,10 +532,7 @@ pub fn gemm_f16_on(isa: Isa, a: &F16Matrix, b_t: &F16Matrix) -> Result<ComplexOu
 /// suite asserts); the AND path exists because XOR is deprecated from the
 /// Hopper architecture on.
 ///
-/// Runs on the fastest popcount path the host has
-/// ([`Isa::detected`]).  The kernel has no tunable blocking, so there
-/// is no `_with` variant taking a
-/// [`MicroKernelConfig`](crate::MicroKernelConfig).
+/// Runs on the fastest popcount path the host has ([`Isa::detected`]).
 pub fn gemm_int1(a: &Int1Matrix, b_t: &Int1Matrix, op: BitOp) -> Result<ComplexOutput> {
     gemm_int1_on(Isa::detected(), a, b_t, op)
 }
@@ -811,7 +806,6 @@ pub(crate) fn gemm_dispatch_decoded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::micro::MicroKernelConfig;
     use crate::reference::reference_gemm;
     use crate::synth::{exact_integer_matrix, pseudo_random_matrix};
     use proptest::prelude::*;
@@ -982,11 +976,6 @@ mod tests {
 
     #[test]
     fn f16_kernel_is_exact_at_every_tile_edge_on_every_path() {
-        assert_eq!(
-            MicroKernelConfig::menu(),
-            [MicroKernelConfig::default()],
-            "a menu entry that reaches the kernel needs a loop of its own here",
-        );
         for (m, n, k) in f16_edge_shapes() {
             let seed = (m * 131 + n * 17 + k) as u64;
             let a_host = pseudo_random_matrix(m, k, seed, 1.0);
@@ -1395,14 +1384,12 @@ mod tests {
         }
 
         #[test]
-        fn every_menu_config_is_bit_identical_to_the_default(
+        fn every_path_is_bit_identical_to_the_detected_one(
             m in 1usize..8, n in 1usize..8, k in 1usize..600, seed in any::<u64>(),
         ) {
             // Arbitrary inputs: an f16 output is four `mul_add` chains in
             // ascending k whatever the tile, a 1-bit output an exact
-            // integer, so every path must agree with the detected one — and
-            // no menu entry reaches either kernel.
-            prop_assert_eq!(MicroKernelConfig::menu(), [MicroKernelConfig::default()]);
+            // integer, so every path must agree with the detected one.
             let a_host = pseudo_random_matrix(m, k, seed, 1.0);
             let b_host = pseudo_random_matrix(n, k, seed ^ 0x33CC, 1.0);
             let a = F16Matrix::from_host(&a_host);

@@ -31,7 +31,6 @@ use crate::error::{CcglibError, Result};
 use crate::gemm::{
     gemm_dispatch_decoded, ComplexOutput, DecodedPlanes, GemmInput, PreparedOperand,
 };
-use crate::micro::MicroKernelConfig;
 use crate::params::{ParameterSpace, TuningParameters};
 use crate::reference;
 use crate::Precision;
@@ -145,7 +144,6 @@ pub struct GemmPlan {
     bit_op: BitOp,
     bit_fragment: Option<BitFragmentShape>,
     config_efficiency: f64,
-    micro: MicroKernelConfig,
 }
 
 /// The paper's tuning shape for `precision` — the single source of truth
@@ -225,19 +223,7 @@ impl GemmPlan {
             bit_op,
             bit_fragment,
             config_efficiency,
-            micro: MicroKernelConfig::default(),
         })
-    }
-
-    /// Returns the plan with a validated host micro-kernel configuration —
-    /// the point where an autotuned (or explicitly pinned) blocking is
-    /// attached.  The micro-kernel configuration selects which compiled
-    /// kernel instance executes the functional hot path; it does not enter
-    /// the analytic GPU model, so predictions are unchanged.
-    pub fn with_micro(mut self, micro: MicroKernelConfig) -> Result<Self> {
-        micro.validate()?;
-        self.micro = micro;
-        Ok(self)
     }
 
     /// Total device-memory footprint of the operands and the output.
@@ -445,12 +431,6 @@ impl GemmPlan {
     pub fn config_efficiency(&self) -> f64 {
         self.config_efficiency
     }
-    /// Host micro-kernel configuration the functional hot path executes
-    /// with (the default blocking unless [`GemmPlan::with_micro`] attached
-    /// a tuned one).
-    pub fn micro(&self) -> MicroKernelConfig {
-        self.micro
-    }
 }
 
 /// The user-facing GEMM handle: owns the plan, the execution model and a
@@ -487,14 +467,6 @@ impl Gemm {
         Gemm { plan, exec, meter }
     }
 
-    /// Returns the handle with a validated host micro-kernel configuration
-    /// attached to its plan — the builder-level hook for pinning or
-    /// applying an autotuned blocking.
-    pub fn with_micro(mut self, micro: MicroKernelConfig) -> Result<Self> {
-        self.plan = self.plan.with_micro(micro)?;
-        Ok(self)
-    }
-
     /// The underlying plan.
     pub fn plan(&self) -> &GemmPlan {
         &self.plan
@@ -525,54 +497,12 @@ impl Gemm {
         self.report(&self.plan.kernel_profile())
     }
 
-    /// Checks the number of operand pairs supplied against the plan's batch
-    /// size.
-    fn check_batch(&self, pairs: usize) -> Result<()> {
-        let batch = self.plan.shape().batch;
-        if pairs != batch {
-            return Err(CcglibError::ShapeMismatch {
-                expected: format!(
-                    "one operand pair per batch element: Gemm::run_batch with {batch} pairs"
-                ),
-                actual: format!("{pairs} operand pairs"),
-            });
-        }
-        Ok(())
-    }
-
-    /// The one execution core: checks an operand pair against the plan's
-    /// precision and per-element shape, then multiplies it with the plan's
-    /// bit operation and micro-kernel blocking, reusing `decoded` for the
-    /// `A` operand when supplied.
-    fn multiply(
-        &self,
-        a: &GemmInput,
-        decoded: Option<&DecodedPlanes>,
-        b_t: &GemmInput,
-    ) -> Result<ComplexOutput> {
-        let shape = self.plan.shape();
-        if a.precision() != self.plan.precision() || b_t.precision() != self.plan.precision() {
-            return Err(CcglibError::PrecisionMismatch {
-                expected: self.plan.precision().to_string(),
-                actual: format!("A {}, B {}", a.precision(), b_t.precision()),
-            });
-        }
-        if a.rows() != shape.m || b_t.rows() != shape.n || a.k() != shape.k || b_t.k() != shape.k {
-            return Err(CcglibError::ShapeMismatch {
-                expected: format!("A {}x{}, B(T) {}x{}", shape.m, shape.k, shape.n, shape.k),
-                actual: format!("A {}x{}, B(T) {}x{}", a.rows(), a.k(), b_t.rows(), b_t.k()),
-            });
-        }
-        gemm_dispatch_decoded(a, decoded, b_t, self.plan.bit_op())
-    }
-
     /// Runs the GEMM on quantised operands (`A` as `M×K`, `B` transposed as
     /// `N×K`) and returns the output together with the run report.
     ///
     /// The plan's batch size must be 1 because only one operand pair is
-    /// supplied; batched plans run functionally through
-    /// [`Gemm::run_batch`], or use [`Gemm::predict`] when only performance
-    /// numbers are needed.
+    /// supplied: batched shapes are modelled ([`Gemm::predict`]), not
+    /// executed — run their blocks one by one.
     pub fn run(&self, a: &GemmInput, b_t: &GemmInput) -> Result<(ComplexOutput, RunReport)> {
         self.run_decoded(a, None, b_t)
     }
@@ -589,40 +519,39 @@ impl Gemm {
         self.run_decoded(a.input(), a.decoded(), b_t)
     }
 
+    /// The one execution core: checks the operand pair against the plan's
+    /// batch, precision and shape, then multiplies it with the plan's bit
+    /// operation, reusing `decoded` for the `A` operand when supplied.
     fn run_decoded(
         &self,
         a: &GemmInput,
         decoded: Option<&DecodedPlanes>,
         b_t: &GemmInput,
     ) -> Result<(ComplexOutput, RunReport)> {
-        self.check_batch(1)?;
-        let output = self.multiply(a, decoded, b_t)?;
+        let shape = self.plan.shape();
+        if shape.batch != 1 {
+            return Err(CcglibError::ShapeMismatch {
+                expected: "batch 1 (batched shapes are modelled, not executed: run the blocks \
+                           one by one or call predict)"
+                    .to_string(),
+                actual: format!("batch {}", shape.batch),
+            });
+        }
+        if a.precision() != self.plan.precision() || b_t.precision() != self.plan.precision() {
+            return Err(CcglibError::PrecisionMismatch {
+                expected: self.plan.precision().to_string(),
+                actual: format!("A {}, B {}", a.precision(), b_t.precision()),
+            });
+        }
+        if a.rows() != shape.m || b_t.rows() != shape.n || a.k() != shape.k || b_t.k() != shape.k {
+            return Err(CcglibError::ShapeMismatch {
+                expected: format!("A {}x{}, B(T) {}x{}", shape.m, shape.k, shape.n, shape.k),
+                actual: format!("A {}x{}, B(T) {}x{}", a.rows(), a.k(), b_t.rows(), b_t.k()),
+            });
+        }
+        let output = gemm_dispatch_decoded(a, decoded, b_t, self.plan.bit_op())?;
         let report = self.report(&self.plan.kernel_profile());
         Ok((output, report))
-    }
-
-    /// Runs a batched GEMM functionally: one `(A, Bᵀ)` operand pair per
-    /// batch element is multiplied under this plan, and a single
-    /// [`RunReport`] covering the whole batch (the paper times batched
-    /// problems as one kernel) is returned alongside the per-element
-    /// outputs.
-    ///
-    /// A batch that shares one `A` (the beamforming case: every frequency
-    /// channel applies the same weights) repeats the same
-    /// [`PreparedOperand`] reference, so the shared operand is decoded
-    /// once by construction.  The number of pairs must equal the plan's
-    /// batch size; every pair is validated against the per-element shape.
-    pub fn run_batch(
-        &self,
-        pairs: &[(&PreparedOperand, &GemmInput)],
-    ) -> Result<(Vec<ComplexOutput>, RunReport)> {
-        self.check_batch(pairs.len())?;
-        let outputs = pairs
-            .iter()
-            .map(|(a, b_t)| self.multiply(a.input(), a.decoded(), b_t))
-            .collect::<Result<Vec<_>>>()?;
-        let report = self.report(&self.plan.kernel_profile());
-        Ok((outputs, report))
     }
 }
 
@@ -816,72 +745,32 @@ mod tests {
     }
 
     #[test]
-    fn batched_shapes_predict_and_point_run_at_run_batch() {
+    fn batched_shapes_predict_and_point_run_at_predict() {
         let dev = device(Gpu::A100);
         let shape = GemmShape::batched(4, 32, 32, 64);
         let gemm = Gemm::new(&dev, shape, Precision::Float16).unwrap();
         let report = gemm.predict();
         assert!(report.predicted.elapsed_s > 0.0);
-        let a = GemmInput::quantise_f16(&HostComplexMatrix::zeros(32, 64));
-        let err = gemm.run(&a, &a).unwrap_err();
-        assert!(err.to_string().contains("run_batch"), "{err}");
-    }
-
-    #[test]
-    fn run_batch_matches_per_element_references() {
-        let dev = device(Gpu::A100);
-        let batch = 3;
-        let shape = GemmShape::batched(batch, 8, 6, 32);
-        let gemm = Gemm::new(&dev, shape, Precision::Float16).unwrap();
-        let a_host = HostComplexMatrix::from_fn(8, 32, |r, c| {
-            Complex::new(r as f32 * 0.1 - 0.3, c as f32 * 0.02)
-        });
-        let b_hosts: Vec<HostComplexMatrix> = (0..batch)
-            .map(|e| {
-                HostComplexMatrix::from_fn(6, 32, |r, c| {
-                    Complex::new((e + r) as f32 * 0.05, 0.4 - c as f32 * 0.01)
-                })
-            })
-            .collect();
-        let a = PreparedOperand::new(GemmInput::quantise_f16(&a_host));
-        let b_ts: Vec<GemmInput> = b_hosts.iter().map(GemmInput::quantise_f16).collect();
-        let pairs: Vec<(&PreparedOperand, &GemmInput)> = b_ts.iter().map(|b_t| (&a, b_t)).collect();
-        let (outputs, report) = gemm.run_batch(&pairs).unwrap();
-        assert_eq!(outputs.len(), batch);
-        for (out, b_host) in outputs.iter().zip(&b_hosts) {
-            let expected = reference::reference_gemm(&a_host, b_host).unwrap();
-            assert!(out.max_abs_diff(&expected) < 0.5);
-        }
         // One report covers the whole batch: its useful-op count (through
         // the achieved throughput and elapsed time) is the batched shape's.
         let ops = report.achieved_tops * 1e12 * report.predicted.elapsed_s;
         let expected_ops = shape.complex_ops() as f64;
         assert!((ops - expected_ops).abs() / expected_ops < 1e-6);
-    }
-
-    #[test]
-    fn run_batch_validates_batch_size_and_shapes() {
-        let dev = device(Gpu::A100);
-        let gemm = Gemm::new(&dev, GemmShape::batched(2, 4, 4, 32), Precision::Float16).unwrap();
-        let good = GemmInput::quantise_f16(&HostComplexMatrix::zeros(4, 32));
-        let a = good.prepare();
-        // Wrong batch size (an empty batch included).
-        for pairs in [&[(&a, &good)][..], &[]] {
-            assert!(matches!(
-                gemm.run_batch(pairs),
-                Err(CcglibError::ShapeMismatch { .. })
-            ));
+        // LOFAR-like: 1024 beams, 1024 samples, 512 stations, batch 256 —
+        // far too big to materialise, but the prediction path handles it.
+        let lofar = GemmShape::batched(256, 1024, 1024, 512);
+        let paper_scale = Gemm::new(&dev, lofar, Precision::Float16).unwrap();
+        assert!(paper_scale.predict().achieved_tops > 10.0);
+        let a = GemmInput::quantise_f16(&HostComplexMatrix::zeros(32, 64));
+        for result in [gemm.run(&a, &a), gemm.run_prepared(&a.prepare(), &a)] {
+            let err = result.unwrap_err();
+            assert!(matches!(err, CcglibError::ShapeMismatch { .. }), "{err}");
+            let text = err.to_string();
+            assert!(
+                text.contains("modelled, not executed") && text.contains("predict"),
+                "{text}"
+            );
         }
-        // Wrong element shape.
-        let bad = GemmInput::quantise_f16(&HostComplexMatrix::zeros(5, 32));
-        assert!(matches!(
-            gemm.run_batch(&[(&a, &good), (&a, &bad)]),
-            Err(CcglibError::ShapeMismatch { .. })
-        ));
-        // Per-element A operands are accepted alongside a shared one.
-        assert!(gemm
-            .run_batch(&[(&a, &good), (&good.prepare(), &good)])
-            .is_ok());
     }
 
     #[test]

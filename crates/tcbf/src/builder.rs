@@ -10,11 +10,9 @@
 use crate::error::{Result, TcbfError};
 use beamform::{BeamformerConfig, Engine, ShardPolicy, ShardedBeamformer, WeightMatrix};
 use ccglib::matrix::HostComplexMatrix;
-use ccglib::{MicroKernelConfig, Precision, TuningParameters};
+use ccglib::{Precision, TuningParameters};
 use gpu_sim::{DevicePool, FaultInjector, Gpu};
-use std::path::PathBuf;
 use std::sync::Arc;
-use tcbf_types::GemmShape;
 
 /// Fluent builder for a streaming [`Engine`].
 ///
@@ -43,8 +41,6 @@ pub struct BeamformerBuilder {
     samples_per_block: usize,
     precision: Precision,
     params: Option<TuningParameters>,
-    micro: Option<MicroKernelConfig>,
-    micro_cache: Option<PathBuf>,
     fault_injector: Option<Arc<FaultInjector>>,
 }
 
@@ -52,9 +48,6 @@ impl BeamformerBuilder {
     /// Starts a configuration for `gpu` with the defaults: float16
     /// precision, shipped tuning parameters, a pool of just `gpu`,
     /// capacity-weighted shard policy, no weights or block length yet.
-    /// The host micro-kernel blocking is looked up in the autotuning
-    /// cache at build time unless pinned with
-    /// [`BeamformerBuilder::micro_config`].
     pub fn new(gpu: Gpu) -> Self {
         BeamformerBuilder {
             gpu,
@@ -64,8 +57,6 @@ impl BeamformerBuilder {
             samples_per_block: 0,
             precision: Precision::Float16,
             params: None,
-            micro: None,
-            micro_cache: None,
             fault_injector: None,
         }
     }
@@ -119,20 +110,6 @@ impl BeamformerBuilder {
         self
     }
 
-    /// Pins the host micro-kernel blocking explicitly, bypassing the
-    /// autotuning-cache lookup (validated at build time).
-    pub fn micro_config(mut self, micro: MicroKernelConfig) -> Self {
-        self.micro = Some(micro);
-        self
-    }
-
-    /// Reads the autotuning cache from an explicit path instead of the
-    /// default location ([`tuner::default_cache_path`]).
-    pub fn micro_cache(mut self, path: impl Into<PathBuf>) -> Self {
-        self.micro_cache = Some(path.into());
-        self
-    }
-
     /// Arms a deterministic [`FaultInjector`] over the configured device
     /// pool, for testing fault recovery end to end.  The injector must
     /// span exactly one verdict stream per pool member (one for the
@@ -141,43 +118,6 @@ impl BeamformerBuilder {
     pub fn fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
         self.fault_injector = Some(injector);
         self
-    }
-
-    /// The configuration step of [`BeamformerBuilder::build_engine`]:
-    /// checks the fields every build needs (weights present and
-    /// non-empty, block length non-zero), resolves the micro-kernel
-    /// blocking — the pinned one if [`BeamformerBuilder::micro_config`]
-    /// was called, else the autotuning-cache winner for this host,
-    /// precision and shape band, else `None` (the default blocking) — and
-    /// hands back the weights with the [`BeamformerConfig`] they run
-    /// under.  Missing, corrupt or foreign-host caches all fall back
-    /// silently: autotuning may never break engine construction.
-    fn configure(&mut self) -> Result<(WeightMatrix, BeamformerConfig)> {
-        let weights = self.weights.take().ok_or(TcbfError::MissingWeights)?;
-        if weights.num_beams() == 0 || weights.num_receivers() == 0 {
-            return Err(TcbfError::EmptyWeights {
-                beams: weights.num_beams(),
-                receivers: weights.num_receivers(),
-            });
-        }
-        if self.samples_per_block == 0 {
-            return Err(TcbfError::ZeroSamplesPerBlock);
-        }
-        let micro = self.micro.or_else(|| {
-            let shape = GemmShape::new(
-                weights.num_beams(),
-                self.samples_per_block,
-                weights.num_receivers(),
-            );
-            tuner::tuned_micro_config(self.micro_cache.as_deref(), self.precision, shape)
-        });
-        let config = BeamformerConfig {
-            precision: self.precision,
-            batch: 1,
-            params: self.params,
-            micro,
-        };
-        Ok((weights, config))
     }
 
     /// Validates the whole configuration and constructs the streaming
@@ -191,7 +131,8 @@ impl BeamformerBuilder {
     /// non-zero, then per pool member precision supported on the device,
     /// tuning parameters launchable, operands within device memory, and
     /// last the fault injector's span.  The first violation is returned
-    /// as the matching [`TcbfError`] variant.
+    /// as the matching [`TcbfError`] variant.  Nothing outside the builder
+    /// enters: no environment variable is read and no file is opened.
     ///
     /// ```
     /// use tcbf::prelude::*;
@@ -211,7 +152,20 @@ impl BeamformerBuilder {
     /// }
     /// ```
     pub fn build_engine(mut self) -> Result<Box<dyn Engine>> {
-        let (weights, config) = self.configure()?;
+        let weights = self.weights.take().ok_or(TcbfError::MissingWeights)?;
+        if weights.num_beams() == 0 || weights.num_receivers() == 0 {
+            return Err(TcbfError::EmptyWeights {
+                beams: weights.num_beams(),
+                receivers: weights.num_receivers(),
+            });
+        }
+        if self.samples_per_block == 0 {
+            return Err(TcbfError::ZeroSamplesPerBlock);
+        }
+        let config = BeamformerConfig {
+            precision: self.precision,
+            params: self.params,
+        };
         if self.devices.is_empty() {
             self.devices.push(self.gpu);
         }
@@ -232,50 +186,36 @@ impl BeamformerBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tuner::{MicroCacheEntry, MicroTuneCache, ShapeClass};
+    use tcbf_types::Complex;
 
     #[test]
-    fn configure_resolves_micro_to_the_cache_winner_the_pinned_config_or_none() {
-        let class = ShapeClass::Small;
-        let shape = class.representative_shape();
-        let configured = || {
-            BeamformerBuilder::new(Gpu::A100)
-                .weights(HostComplexMatrix::zeros(shape.m, shape.k))
-                .samples_per_block(shape.n)
-        };
-        // The only value there is while no kernel has an axis: what is
-        // pinned here is *whether* the builder found it, `Some` or `None`.
-        let winner = MicroKernelConfig::default();
+    fn build_engine_ignores_the_environment_and_the_filesystem() {
+        // The variable the deleted host tuner read, pointing at the input
+        // that once aborted every build (PR 15: 200 000 nested brackets).
         let dir = std::env::temp_dir().join(format!("tcbf-builder-test-{}", std::process::id()));
-        let path = dir.join("cache.json");
-        let mut cache = MicroTuneCache::for_this_host();
-        cache.entries.push(MicroCacheEntry {
-            precision: Precision::Float16,
-            shape_class: class,
-            config: winner,
-            gelems_per_s: 1.0,
+        std::fs::create_dir_all(&dir).unwrap();
+        let tower = dir.join("cache.json");
+        std::fs::write(&tower, "[".repeat(200_000)).unwrap();
+        let block = HostComplexMatrix::from_fn(40, 12, |r, s| {
+            Complex::new((r * 7 + s) as f32 * 0.013 - 0.4, (s * 5 + r) as f32 * 0.021)
         });
-        cache.store(&path).unwrap();
-
-        let (_, config) = configured().micro_cache(&path).configure().unwrap();
-        assert_eq!(config.micro, Some(winner));
-        // A pinned config bypasses the cache.
-        let pinned = MicroKernelConfig::default();
-        let (_, config) = configured()
-            .micro_cache(&path)
-            .micro_config(pinned)
-            .configure()
-            .unwrap();
-        assert_eq!(config.micro, Some(pinned));
-        // No entry for the precision, or no cache file at all: the default.
-        let (_, config) = configured()
-            .precision(Precision::Int1)
-            .micro_cache(&path)
-            .configure()
-            .unwrap();
-        assert_eq!(config.micro, None);
+        let beams = || {
+            let weights = HostComplexMatrix::from_fn(6, 40, |b, r| {
+                Complex::from_polar(0.025, (b * r) as f32 * 0.07)
+            });
+            let mut engine = BeamformerBuilder::new(Gpu::A100)
+                .weights(weights)
+                .samples_per_block(12)
+                .build_engine()
+                .unwrap();
+            let beams = engine.process_batch(&[&block]).unwrap().remove(0).beams;
+            let bits = |v: &Complex<f32>| (v.re.to_bits(), v.im.to_bits());
+            beams.data().iter().map(bits).collect::<Vec<_>>()
+        };
+        std::env::set_var("TCBF_MICROTUNE_CACHE", &tower);
+        let with_the_tower = beams();
+        std::env::remove_var("TCBF_MICROTUNE_CACHE");
+        assert_eq!(with_the_tower, beams());
         std::fs::remove_dir_all(&dir).unwrap();
-        let (_, config) = configured().micro_cache(&path).configure().unwrap();
-        assert_eq!(config.micro, None);
     }
 }

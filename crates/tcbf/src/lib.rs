@@ -18,9 +18,8 @@
 //! * [`prelude`] — one `use tcbf::prelude::*;` for the whole surface;
 //! * re-exports of the building blocks (`ccglib`, the device catalog, the
 //!   tuner, the generic beamforming layer) for users who need lower-level
-//!   control — batched executions (`batch > 1`) and predictions of
-//!   paper-scale shapes live one layer down, at [`Beamformer`] and
-//!   [`Gemm`];
+//!   control — predictions of paper-scale (batched) shapes live one
+//!   layer down, at [`Gemm`];
 //! * [`version`] and [`supported_devices`] introspection helpers.
 //!
 //! The domain applications live in their own crates (`ultrasound`,
@@ -61,23 +60,18 @@ mod builder;
 mod error;
 
 pub use beamform::{
-    ArrayGeometry, BatchBeamformOutput, BeamformOutput, Beamformer, BeamformerConfig,
-    DeviceShardReport, DynSession, Engine, LatencyHistogram, PlaneWaveSource, Report, Session,
-    SessionReport, ShardPlan, ShardPolicy, ShardedBeamformer, SignalGenerator, Topology,
-    WeightMatrix,
+    ArrayGeometry, BeamformOutput, Beamformer, BeamformerConfig, DeviceShardReport, DynSession,
+    Engine, LatencyHistogram, PlaneWaveSource, Report, Session, SessionReport, ShardPlan,
+    ShardPolicy, ShardedBeamformer, SignalGenerator, Topology, WeightMatrix,
 };
 pub use builder::BeamformerBuilder;
 pub use ccglib::{
-    benchmark, Gemm, GemmInput, MicroKernelConfig, ParameterSpace, Precision, RunReport,
-    TuningParameters,
+    benchmark, Gemm, GemmInput, ParameterSpace, Precision, RunReport, TuningParameters,
 };
 pub use error::{Result, TcbfError};
 pub use gpu_sim::{Device, DevicePool, DeviceSpec, Gpu};
 pub use pmt::{EnergyMeasurement, PowerMeter};
-pub use tuner::{
-    MicroTuneCache, MicroTuneOutcome, MicroTuner, Objective, ShapeClass, Strategy, TuneOutcome,
-    Tuner,
-};
+pub use tuner::{Objective, Strategy, TuneOutcome, Tuner};
 
 /// Everything a typical downstream user needs in one import:
 /// `use tcbf::prelude::*;`.
@@ -91,9 +85,9 @@ pub mod prelude {
     pub use crate::{
         supported_devices, version, ArrayGeometry, BeamformOutput, Beamformer, BeamformerBuilder,
         BeamformerConfig, Device, DevicePool, DeviceShardReport, DeviceSpec, DynSession, Engine,
-        Gpu, LatencyHistogram, MicroKernelConfig, Objective, PlaneWaveSource, Precision, Report,
-        Result, Session, SessionReport, ShardPlan, ShardPolicy, ShardedBeamformer, SignalGenerator,
-        Strategy, TcbfError, Topology, TuneOutcome, Tuner, TuningParameters, WeightMatrix,
+        Gpu, LatencyHistogram, Objective, PlaneWaveSource, Precision, Report, Result, Session,
+        SessionReport, ShardPlan, ShardPolicy, ShardedBeamformer, SignalGenerator, Strategy,
+        TcbfError, Topology, TuneOutcome, Tuner, TuningParameters, WeightMatrix,
     };
     pub use ccglib::matrix::HostComplexMatrix;
     pub use tcbf_types::Complex;

@@ -2,8 +2,8 @@
 //! deterministic writer ([`Value`]'s `Display`).
 //!
 //! The build environment has no crates.io access, so instead of
-//! `serde_json` the tuning cache and the `BENCH_*.json` files are written
-//! and parsed through this module.  It covers what those files hold —
+//! `serde_json` the `BENCH_*.json` files are written and parsed through
+//! this module.  It covers what those files hold —
 //! `null`, numbers, strings, arrays, objects (no booleans) — and treats
 //! every document as hostile: nesting is capped at [`MAX_DEPTH`] so a
 //! tower of brackets is a [`JsonError`], not a stack overflow.

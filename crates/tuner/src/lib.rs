@@ -14,19 +14,13 @@
 //!   plan for it and asking the execution/power models for throughput and
 //!   energy efficiency, exactly the two observables Fig. 2 plots;
 //! * several [`Strategy`] options mirror Kernel Tuner's search strategies
-//!   (brute force, random sampling, greedy local search), implemented once
-//!   and shared with the real-measurement [`MicroTuner`], whose winners
-//!   persist to a JSON cache file as Kernel Tuner's do ([`json`]).
+//!   (brute force, random sampling, greedy local search);
+//! * [`json`] is the workspace's one JSON reader and writer (the bench
+//!   artefacts go through it).
 
 #![deny(missing_docs)]
 
 pub mod json;
-pub mod micro;
-
-pub use micro::{
-    default_cache_path, tuned_micro_config, HostFingerprint, MicroCacheEntry, MicroTuneCache,
-    MicroTuneOutcome, MicroTuneResult, MicroTuner, ShapeClass, MICRO_CACHE_SCHEMA,
-};
 
 use ccglib::benchmark::measure_with_params;
 use ccglib::{ParameterSpace, Precision, TuningParameters};
@@ -45,8 +39,7 @@ pub enum Objective {
     EnergyEfficiency,
 }
 
-/// Search strategy over the parameter space — the same rules for the
-/// modelled [`Tuner`] and the measured [`MicroTuner`].
+/// Search strategy over the parameter space.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Strategy {
     /// Evaluate every valid configuration, in candidate order (what the
@@ -157,55 +150,6 @@ fn push_axis_neighbours<C: Copy>(
     }
 }
 
-/// The one search driver behind [`Tuner::tune`] and [`MicroTuner::tune`]:
-/// runs `strategy` (see [`Strategy`] for the three rules) from `start` over
-/// `candidates`, skipping configurations `evaluate` rejects, and returns
-/// the first-best result under `value` with every result in evaluation
-/// order — `None` if nothing could be evaluated.
-fn search<C: Copy + PartialEq, R: Copy>(
-    strategy: Strategy,
-    start: C,
-    candidates: Vec<C>,
-    neighbours: impl Fn(C) -> Vec<C>,
-    evaluate: impl Fn(C) -> Option<R>,
-    value: impl Fn(&R) -> f64,
-) -> Option<(R, Vec<R>)> {
-    let evaluated: Vec<R> = match strategy {
-        Strategy::Exhaustive => candidates.into_iter().filter_map(&evaluate).collect(),
-        Strategy::Random { samples, seed } => {
-            let mut picked: Vec<C> = candidates.into_iter().filter(|&c| c != start).collect();
-            picked.shuffle(&mut StdRng::seed_from_u64(seed));
-            picked.truncate(samples.saturating_sub(1));
-            picked.insert(0, start);
-            picked.into_iter().filter_map(&evaluate).collect()
-        }
-        Strategy::GreedyLocalSearch { max_steps } => {
-            let mut current = (start, evaluate(start)?);
-            let (mut seen, mut evaluated) = (vec![start], vec![current.1]);
-            for _ in 0..max_steps {
-                let step_start = current.0;
-                for candidate in neighbours(step_start) {
-                    if seen.contains(&candidate) {
-                        continue;
-                    }
-                    seen.push(candidate);
-                    if let Some(result) = evaluate(candidate) {
-                        evaluated.push(result);
-                        if value(&result) > value(&current.1) {
-                            current = (candidate, result);
-                        }
-                    }
-                }
-                if current.0 == step_start {
-                    break;
-                }
-            }
-            evaluated
-        }
-    };
-    Some((first_best(&evaluated, value)?, evaluated))
-}
-
 /// The auto-tuner for one (device, shape, precision) combination.
 #[derive(Clone)]
 pub struct Tuner {
@@ -246,22 +190,56 @@ impl Tuner {
         })
     }
 
-    /// Runs the tuning process from the device's shipped default.
+    /// Runs the tuning process from the device's shipped default (see
+    /// [`Strategy`] for the three rules), skipping configurations that are
+    /// not launchable, and returns the first-best result under `objective`
+    /// with every result in evaluation order — `None` if nothing could be
+    /// evaluated.
     pub fn tune(&self, strategy: Strategy, objective: Objective) -> Option<TuneOutcome> {
-        let (best, evaluated) = search(
-            strategy,
-            TuningParameters::default_for(self.device.gpu(), self.precision),
-            self.space
-                .valid_combinations(self.device.spec(), self.precision),
-            |p| self.neighbours(p),
-            |p| self.evaluate(p),
-            |r| r.objective_value(objective),
-        )?;
+        let start = TuningParameters::default_for(self.device.gpu(), self.precision);
+        let candidates = self
+            .space
+            .valid_combinations(self.device.spec(), self.precision);
+        let evaluate = |p| self.evaluate(p);
+        let value = |r: &TuneResult| r.objective_value(objective);
+        let evaluated: Vec<TuneResult> = match strategy {
+            Strategy::Exhaustive => candidates.into_iter().filter_map(evaluate).collect(),
+            Strategy::Random { samples, seed } => {
+                let mut picked: Vec<_> = candidates.into_iter().filter(|&c| c != start).collect();
+                picked.shuffle(&mut StdRng::seed_from_u64(seed));
+                picked.truncate(samples.saturating_sub(1));
+                picked.insert(0, start);
+                picked.into_iter().filter_map(evaluate).collect()
+            }
+            Strategy::GreedyLocalSearch { max_steps } => {
+                let mut current = (start, evaluate(start)?);
+                let (mut seen, mut evaluated) = (vec![start], vec![current.1]);
+                for _ in 0..max_steps {
+                    let step_start = current.0;
+                    for candidate in self.neighbours(step_start) {
+                        if seen.contains(&candidate) {
+                            continue;
+                        }
+                        seen.push(candidate);
+                        if let Some(result) = evaluate(candidate) {
+                            evaluated.push(result);
+                            if value(&result) > value(&current.1) {
+                                current = (candidate, result);
+                            }
+                        }
+                    }
+                    if current.0 == step_start {
+                        break;
+                    }
+                }
+                evaluated
+            }
+        };
         Some(TuneOutcome {
             device: self.device.gpu().name().to_string(),
             precision: self.precision.to_string(),
             shape: self.shape,
-            best,
+            best: first_best(&evaluated, value)?,
             evaluated,
         })
     }
@@ -532,5 +510,28 @@ mod tests {
         let from_escaped = json::parse(&escaped).unwrap();
         let device = from_escaped.get("device").unwrap().as_str().unwrap();
         assert!(device.starts_with("Café 😀"));
+    }
+
+    #[test]
+    fn json_treats_every_document_as_hostile() {
+        // Unbounded recursion used to abort the process (SIGABRT) on a
+        // tower of brackets; nesting up to the cap still parses.
+        for tower in ["[".repeat(200_000), "{\"a\":".repeat(200_000)] {
+            let error = json::parse(&tower).unwrap_err();
+            assert!(error.to_string().contains("nesting"), "{error}");
+        }
+        let deep = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(json::parse(&deep(json::MAX_DEPTH)).is_ok());
+        assert!(json::parse(&deep(json::MAX_DEPTH + 1)).is_err());
+        // A count is an integer or an error — `as usize` used to turn
+        // these into 0 / 2 / 0 and accept them.
+        for hostile in ["-3.7", "2.9", "null", "1e300", "4294967296", "\"2\"", "[]"] {
+            let error = json::parse(hostile).unwrap().as_usize().unwrap_err();
+            assert!(error.to_string().contains("integer"), "{hostile}: {error}");
+        }
+        assert_eq!(
+            json::parse("4294967295").unwrap().as_usize(),
+            Ok(4294967295)
+        );
     }
 }

@@ -111,48 +111,6 @@ fn session_streams_blocks_with_mid_stream_weight_swap() {
 }
 
 #[test]
-fn batched_beamformer_executes_functionally_and_matches_references() {
-    // Acceptance: batch > 1 runs functionally (not just predict) and every
-    // batch element matches the float32 reference within the quantisation
-    // tolerance used elsewhere for the f16 path.
-    let weights = HostComplexMatrix::from_fn(8, 32, |b, r| {
-        Complex::from_polar(1.0 / 32.0, (b * r) as f32 * 0.04)
-    });
-    let beamformer = Beamformer::new(
-        &Gpu::A100.device(),
-        WeightMatrix::from_matrix(weights.clone()),
-        24,
-        BeamformerConfig {
-            batch: 4,
-            ..BeamformerConfig::float16()
-        },
-    )
-    .unwrap();
-    assert_eq!(beamformer.shape(), GemmShape::batched(4, 8, 24, 32));
-
-    let blocks: Vec<HostComplexMatrix> = (0..4)
-        .map(|e| {
-            HostComplexMatrix::from_fn(32, 24, |r, s| {
-                Complex::new(
-                    ((e * 7 + r + s) % 11) as f32 * 0.05 - 0.25,
-                    ((e + r * 3 + s) % 9) as f32 * 0.05,
-                )
-            })
-        })
-        .collect();
-    let output = beamformer.beamform_batch(&blocks).unwrap();
-    assert_eq!(output.beams.len(), 4);
-    for (beams, block) in output.beams.iter().zip(&blocks) {
-        let expected = reference_gemm(&weights, &block.transposed()).unwrap();
-        assert!(beams.max_abs_diff(&expected) < 0.05);
-    }
-    // One report covers the batch and its op count reflects all elements.
-    let ops = output.report.achieved_tops * 1e12 * output.report.predicted.elapsed_s;
-    let expected_ops = beamformer.shape().complex_ops() as f64;
-    assert!((ops - expected_ops).abs() / expected_ops < 1e-6);
-}
-
-#[test]
 fn sharded_session_hot_swaps_weights_on_every_pool_member() {
     // Acceptance: after a mid-stream swap_weights on a sharded session,
     // *all* pool members beamform the next blocks with the new weights —

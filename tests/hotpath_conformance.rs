@@ -2,18 +2,20 @@
 //! kernels.
 //!
 //! The hot-path rewrite (fused `dot4` popcounts, the blocked f16
-//! micro-kernel over pre-decoded planes, decode-once batched execution)
+//! micro-kernel over pre-decoded planes, decode-once prepared operands)
 //! must be invisible to every consumer: 1-bit outputs stay bit-identical
 //! to the decoded ±1 reference, float16 outputs stay within quantisation
 //! tolerance of the f32 reference (and bit-identical to it when the
-//! inputs make every intermediate exact), and the prepared/batched entry
-//! points produce exactly the same bits as the one-shot path.
+//! inputs make every intermediate exact), the prepared entry point
+//! produces exactly the same bits as the one-shot path, and a boxed
+//! `build_engine()` engine equals the scalar definition of either
+//! precision bit for bit on arbitrary inputs.
 
 use beamform::Engine;
 use ccglib::gemm::{gemm_f16_on, gemm_int1_on};
 use ccglib::matrix::{F16Matrix, HostComplexMatrix, Int1Matrix};
 use ccglib::synth::{exact_integer_matrix, pseudo_random_matrix};
-use ccglib::{Gemm, GemmInput, Isa, Precision, PreparedOperand};
+use ccglib::{Gemm, GemmInput, Isa, Precision};
 use gpu_sim::{BitOp, Gpu};
 use proptest::prelude::*;
 use tcbf::BeamformerBuilder;
@@ -21,13 +23,12 @@ use tcbf_types::{f16, Complex, GemmShape, PackedBits};
 
 #[test]
 fn decode_once_batch_is_bit_identical_to_single_runs() {
-    // The shared-A batched path decodes the weights once for the whole
-    // batch; its outputs must still equal the one-pair path bit for bit.
+    // A prepared `A` is decoded once for a whole batch of blocks; every
+    // output must still equal the one-pair path bit for bit.
     let device = Gpu::A100.device();
-    let batch = 4;
     let a_host = pseudo_random_matrix(16, 96, 1, 1.0);
-    let b_hosts: Vec<HostComplexMatrix> = (0..batch)
-        .map(|e| pseudo_random_matrix(12, 96, 100 + e as u64, 1.0))
+    let b_hosts: Vec<HostComplexMatrix> = (0..4)
+        .map(|e| pseudo_random_matrix(12, 96, 100 + e, 1.0))
         .collect();
 
     for precision in [Precision::Float16, Precision::Int1] {
@@ -36,26 +37,11 @@ fn decode_once_batch_is_bit_identical_to_single_runs() {
             _ => GemmInput::quantise_f16(host),
         };
         let a = quantise(&a_host);
-        let b_ts: Vec<GemmInput> = b_hosts.iter().map(&quantise).collect();
-
-        let single = Gemm::new(&device, GemmShape::new(16, 12, 96), precision).unwrap();
-        let batched = Gemm::new(&device, GemmShape::batched(batch, 16, 12, 96), precision).unwrap();
-
-        let expected: Vec<HostComplexMatrix> = b_ts
-            .iter()
-            .map(|b_t| single.run(&a, b_t).unwrap().0)
-            .collect();
-
-        // run_batch with a shared A: the same prepared operand (decoded
-        // once, cached across calls) repeated for every batch element.
-        let prepared = PreparedOperand::new(a.clone());
-        let pairs: Vec<(&PreparedOperand, &GemmInput)> =
-            b_ts.iter().map(|b_t| (&prepared, b_t)).collect();
-        let (outputs, _) = batched.run_batch(&pairs).unwrap();
-        assert_eq!(outputs, expected, "{precision}: run_batch diverged");
-        for b_t in &b_ts {
-            let (out, _) = single.run_prepared(&prepared, b_t).unwrap();
-            let (direct, _) = single.run(&a, b_t).unwrap();
+        let prepared = a.prepare();
+        let gemm = Gemm::new(&device, GemmShape::new(16, 12, 96), precision).unwrap();
+        for b_t in b_hosts.iter().map(&quantise) {
+            let (out, _) = gemm.run_prepared(&prepared, &b_t).unwrap();
+            let (direct, _) = gemm.run(&a, &b_t).unwrap();
             assert_eq!(out, direct, "{precision}: run_prepared diverged");
         }
     }
@@ -312,6 +298,25 @@ fn hostile_weights_give_every_kernel_paths_result_through_the_engine() {
     }
 }
 
+/// Runs `blocks` through a freshly built `Box<dyn Engine>` and returns the
+/// beams of each.
+fn engine_outputs(
+    weights: &HostComplexMatrix,
+    samples: usize,
+    precision: Precision,
+    blocks: &[HostComplexMatrix],
+) -> Vec<HostComplexMatrix> {
+    let mut engine = BeamformerBuilder::new(Gpu::A100)
+        .weights(weights.clone())
+        .samples_per_block(samples)
+        .precision(precision)
+        .build_engine()
+        .expect("a non-empty shape builds");
+    let refs: Vec<&HostComplexMatrix> = blocks.iter().collect();
+    let outputs = engine.process_batch(&refs).expect("conforming blocks run");
+    outputs.into_iter().map(|output| output.beams).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -371,5 +376,69 @@ proptest! {
         let reference = ccglib::reference_gemm(&a_host, &b_host).unwrap();
         let tol = 2.0 * 2.0f32.powi(-11) * 2.0 * k as f32;
         prop_assert!(result.max_abs_diff(&reference) < tol);
+    }
+
+    /// A boxed `build_engine()` engine equals the definition of one float16
+    /// output — both operands rounded to binary16, four `mul_add` chains in
+    /// ascending `k`, then `rr − ii` and `ri + ir` — bit for bit, on
+    /// arbitrary inputs and ragged shapes that straddle tile and lane
+    /// boundaries.
+    #[test]
+    fn f16_engine_is_bit_identical_to_the_four_chain_definition(
+        beams in 1usize..6, receivers in 1usize..40, samples in 1usize..12,
+        seed in any::<u64>(),
+    ) {
+        let weights = pseudo_random_matrix(beams, receivers, seed ^ 0x5EED, 1.0);
+        let blocks: Vec<_> = (0..2)
+            .map(|b| pseudo_random_matrix(receivers, samples, seed.wrapping_add(b), 1.0))
+            .collect();
+        let outputs = engine_outputs(&weights, samples, Precision::Float16, &blocks);
+        prop_assert_eq!(outputs.len(), blocks.len());
+        let a = F16Matrix::from_host(&weights);
+        for (got, block) in outputs.iter().zip(&blocks) {
+            let b = F16Matrix::from_host(block);
+            let definition = HostComplexMatrix::from_fn(beams, samples, |i, j| {
+                let mut acc = [0.0f32; 4];
+                for k in 0..receivers {
+                    let (x, y) = (a.get(i, k), b.get(k, j));
+                    acc[0] = x.re.mul_add(y.re, acc[0]);
+                    acc[1] = x.im.mul_add(y.im, acc[1]);
+                    acc[2] = x.re.mul_add(y.im, acc[2]);
+                    acc[3] = x.im.mul_add(y.re, acc[3]);
+                }
+                Complex::new(acc[0] - acc[1], acc[2] + acc[3])
+            });
+            prop_assert_eq!(bits(got), bits(&definition));
+        }
+    }
+
+    /// The int1 twin: a boxed engine equals the exact integer definition —
+    /// every component ±1 by [`one_bit`], the complex products summed in
+    /// integers — on arbitrary inputs.
+    #[test]
+    fn int1_engine_is_bit_identical_to_the_integer_definition(
+        beams in 1usize..6, receivers in 1usize..40, samples in 1usize..12,
+        seed in any::<u64>(),
+    ) {
+        let weights = pseudo_random_matrix(beams, receivers, seed ^ 0x0B17, 1.0);
+        let blocks: Vec<_> = (0..2)
+            .map(|b| pseudo_random_matrix(receivers, samples, seed.wrapping_add(b) | 1, 1.0))
+            .collect();
+        let outputs = engine_outputs(&weights, samples, Precision::Int1, &blocks);
+        prop_assert_eq!(outputs.len(), blocks.len());
+        let sign = |v: f32| if one_bit(v) { 1i32 } else { -1 };
+        for (got, block) in outputs.iter().zip(&blocks) {
+            let definition = HostComplexMatrix::from_fn(beams, samples, |i, j| {
+                let (mut re, mut im) = (0i32, 0i32);
+                for k in 0..receivers {
+                    let (x, y) = (weights.get(i, k), block.get(k, j));
+                    let (xr, xi, yr, yi) = (sign(x.re), sign(x.im), sign(y.re), sign(y.im));
+                    re += xr * yr - xi * yi;
+                    im += xr * yi + xi * yr;
+                }
+                Complex::new(re as f32, im as f32)
+            });
+            prop_assert_eq!(bits(got), bits(&definition));
+        }
     }
 }

@@ -3,8 +3,8 @@
 //! Sharding a block stream across a pool must be a pure scheduling
 //! decision: for every device in the catalog and every precision it
 //! supports, the concatenated outputs of 1/2/4-device pools must be
-//! element-wise **identical** (not merely close) to the single-device
-//! batched reference, under both shard policies.  Property tests then
+//! element-wise **identical** (not merely close) to a single
+//! [`Beamformer`] run block by block, under both shard policies.  Property tests then
 //! drive random batch sizes, block counts and pool compositions through
 //! the planner and the merged-report invariants.
 
@@ -41,13 +41,25 @@ fn blocks(count: usize) -> Vec<HostComplexMatrix> {
         .collect()
 }
 
-fn config(precision: Precision, batch: usize) -> BeamformerConfig {
+fn config(precision: Precision) -> BeamformerConfig {
     BeamformerConfig {
         precision,
-        batch,
         params: None,
-        micro: None,
     }
+}
+
+/// The single-device reference: one [`Beamformer`] over the stream, block
+/// by block.
+fn reference(
+    gpu: Gpu,
+    precision: Precision,
+    stream: &[HostComplexMatrix],
+) -> Vec<HostComplexMatrix> {
+    let beamformer = Beamformer::new(&gpu.device(), weights(), SAMPLES, config(precision)).unwrap();
+    stream
+        .iter()
+        .map(|block| beamformer.beamform(block).unwrap().beams)
+        .collect()
 }
 
 /// One stream through a pool engine: the outputs in input order and the
@@ -76,26 +88,21 @@ fn sharded_pools_match_the_batched_single_device_reference_everywhere() {
     // 4 identical members, both policies: bit-identical outputs.
     let stream = blocks(8);
     for spec in DeviceSpec::catalog() {
-        let device = spec.gpu.device();
         for precision in supported_precisions(&spec) {
-            let reference =
-                Beamformer::new(&device, weights(), SAMPLES, config(precision, stream.len()))
-                    .unwrap()
-                    .beamform_batch(&stream)
-                    .unwrap();
+            let reference = reference(spec.gpu, precision, &stream);
             for pool_size in [1usize, 2, 4] {
                 for policy in [ShardPolicy::RoundRobin, ShardPolicy::CapacityWeighted] {
                     let mut engine = ShardedBeamformer::new(
                         &DevicePool::homogeneous(spec.gpu, pool_size),
                         weights(),
                         SAMPLES,
-                        config(precision, 1),
+                        config(precision),
                         policy,
                     )
                     .unwrap();
                     let (outputs, _) = run(&mut engine, &stream);
                     assert_eq!(outputs.len(), stream.len());
-                    for (output, expected) in outputs.iter().zip(&reference.beams) {
+                    for (output, expected) in outputs.iter().zip(&reference) {
                         assert_eq!(
                             &output.beams, expected,
                             "{} {precision} pool={pool_size} {policy:?}",
@@ -113,28 +120,20 @@ fn heterogeneous_pools_are_also_conformant() {
     // Mixed NVIDIA/AMD pool: the members disagree on everything about
     // performance, but the data path is device-independent.
     let stream = blocks(11);
-    let reference = Beamformer::new(
-        &Gpu::A100.device(),
-        weights(),
-        SAMPLES,
-        config(Precision::Float16, stream.len()),
-    )
-    .unwrap()
-    .beamform_batch(&stream)
-    .unwrap();
+    let reference = reference(Gpu::A100, Precision::Float16, &stream);
     let pool = DevicePool::from_gpus(&[Gpu::Ad4000, Gpu::Gh200, Gpu::W7700, Gpu::Mi300a]);
     for policy in [ShardPolicy::RoundRobin, ShardPolicy::CapacityWeighted] {
         let mut engine = ShardedBeamformer::new(
             &pool,
             weights(),
             SAMPLES,
-            config(Precision::Float16, 1),
+            config(Precision::Float16),
             policy,
         )
         .unwrap();
         let plan = engine.plan(stream.len());
         let (outputs, report) = run(&mut engine, &stream);
-        for (output, expected) in outputs.iter().zip(&reference.beams) {
+        for (output, expected) in outputs.iter().zip(&reference) {
             assert_eq!(&output.beams, expected, "{policy:?}");
         }
         // The merged totals cover exactly the stream.
@@ -200,7 +199,7 @@ proptest! {
             &DevicePool::from_gpus(&gpus),
             weights(),
             SAMPLES,
-            config(Precision::Float16, 1),
+            config(Precision::Float16),
             policy,
         )
         .unwrap();
