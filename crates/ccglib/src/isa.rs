@@ -147,6 +147,7 @@ pub(crate) fn int1_row_group_on<const AND: bool>(
     match isa.0 {
         Path::Portable => int1_row_group::<PORTABLE_INT1_LANES, AND>(out, i0, g),
         #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
         // SAFETY: `Path::Avx512` is private to this module and built only by
         // `Isa::avx512`, after `is_x86_feature_detected!` reported both
         // `avx512f` and `avx512vpopcntdq` — exactly the features the callee
@@ -172,6 +173,7 @@ pub(crate) fn f16_row_block_on(
     match isa.0 {
         Path::Portable => f16_row_block::<PORTABLE_F16_LANES>(out, i0, g),
         #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
         // SAFETY: `Path::Avx512` is private to this module and built only by
         // `Isa::avx512`, after `is_x86_feature_detected!` reported `avx512f`
         // (and `avx512vpopcntdq`) — a superset of what the callee enables.

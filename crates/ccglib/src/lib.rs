@@ -41,11 +41,11 @@
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod benchmark;
 pub mod error;
 pub mod gemm;
-#[allow(unsafe_code)]
 pub mod isa;
 pub mod matrix;
 pub mod micro;
@@ -55,7 +55,6 @@ pub mod plan;
 pub mod reference;
 pub mod synth;
 pub mod transpose;
-#[allow(unsafe_code)]
 mod write_once;
 
 pub use error::{CcglibError, Result};

@@ -99,6 +99,7 @@ pub(crate) fn write_once<T: Poison>(
         dest.fill(MaybeUninit::new(T::POISON));
     }
     produce(dest);
+    #[allow(unsafe_code)]
     // SAFETY: `len` is within the capacity (`dest` was cut from the spare
     // capacity), and every element below it was written by the producer
     // before the length is set — the contract `produce` is handed the
@@ -106,7 +107,9 @@ pub(crate) fn write_once<T: Poison>(
     // each call below: in a debug build the fill above has initialised the
     // elements whatever the producer did, so the check itself reads only
     // initialised memory.  `T: Copy`, so nothing is ever dropped.
-    unsafe { vec.set_len(len) };
+    unsafe {
+        vec.set_len(len)
+    };
     if cfg!(debug_assertions) {
         if let Some(at) = vec.iter().position(T::is_poison) {
             panic!("write-once destination: element {at} of {len} was not written");

@@ -21,11 +21,6 @@ pub struct LintConfig {
     pub float_approved: Vec<String>,
     /// Timing modules allowed to call `Instant::now` (TCBF-D004).
     pub instant_allowed: Vec<String>,
-    /// Zero-argument guard-returning methods treated as lock
-    /// acquisitions by the static lock-order analysis (TCBF-L001/L002).
-    /// `read`/`write` are omitted by default because too many non-lock
-    /// APIs share those names; the dynamic checker still covers RwLock.
-    pub lock_methods: Vec<String>,
 }
 
 impl Default for LintConfig {
@@ -46,7 +41,6 @@ impl Default for LintConfig {
                 "crates/ccglib/src/reference.rs".into(),
             ],
             instant_allowed: vec!["crates/tcbf-serve/src/".into(), "crates/bench/src/".into()],
-            lock_methods: vec!["lock".into()],
         }
     }
 }

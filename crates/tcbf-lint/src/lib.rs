@@ -5,11 +5,13 @@
 //! test suite can only spot-check:
 //!
 //! - **serve-path panic freedom** (TCBF-P001..P003),
-//! - **determinism** (TCBF-D001..D004),
-//! - **error-code stability** (TCBF-E001..E002),
-//! - **lock-order consistency** (TCBF-L001..L002), the static half of
-//!   the dynamic held-lock tracker in the vendored `parking_lot`
-//!   (armed with `TCBF_LOCK_ORDER=1` at test time).
+//! - **determinism** (TCBF-D002, TCBF-D004),
+//! - **error-code stability** (TCBF-E001..E002).
+//!
+//! Lock order is checked at run time by the held-lock tracker in the
+//! vendored `parking_lot` (armed with `TCBF_LOCK_ORDER=1` at test time),
+//! and the `unsafe` inventory by rustc and clippy (`deny(unsafe_code)`,
+//! `undocumented_unsafe_blocks`), not here.
 //!
 //! Suppressions live in a single annotated `lint-allow.toml` at the
 //! workspace root; every entry must carry a `reason`.  The rule
@@ -72,25 +74,24 @@ impl std::fmt::Display for LintError {
 }
 
 /// Lints a single in-memory file with the given config: all per-file
-/// rules plus single-file lock analysis.  This is the fixture-test entry
-/// point; [`lint_workspace`] is the production one.
+/// rules.  This is the fixture-test entry point; [`lint_workspace`] is
+/// the production one.
 pub fn lint_source(path_label: &str, text: &str, cfg: &LintConfig) -> Vec<Finding> {
     let file = SourceFile::new(path_label.to_string(), text.to_string());
     let mut findings = Vec::new();
-    let mut edges = Vec::new();
-    rules::check_file(&file, cfg, &mut findings, &mut edges);
-    rules::locks::check_order_comment(&file, &edges, &mut findings);
-    rules::locks::check_cycles(&edges, &mut findings);
+    rules::check_file(&file, cfg, &mut findings);
     diagnostics::sort_findings(&mut findings);
     findings
 }
+
+/// The file the error-code stability rules read `TcbfError` from.
+const ERROR_FILE: &str = "crates/tcbf/src/error.rs";
 
 /// Walks the workspace at `root`, runs every rule, applies the
 /// allowlist at `root/lint-allow.toml` (if present).
 pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> Result<Report, LintError> {
     let files = workspace_files(root)?;
     let mut findings = Vec::new();
-    let mut edges = Vec::new();
     let mut sources = Vec::new();
     for rel in &files {
         let abs = root.join(rel);
@@ -99,18 +100,24 @@ pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> Result<Report, LintError
         sources.push(SourceFile::new(rel.clone(), text));
     }
     for file in &sources {
-        rules::check_file(file, cfg, &mut findings, &mut edges);
-        rules::locks::check_order_comment(file, &edges, &mut findings);
+        rules::check_file(file, cfg, &mut findings);
     }
-    rules::locks::check_cycles(&edges, &mut findings);
 
-    // Error-code stability runs against the two pinned artifacts.
-    if let Some(error_file) = sources
-        .iter()
-        .find(|f| f.path == "crates/tcbf/src/error.rs")
-    {
-        let protocol = std::fs::read_to_string(root.join("docs/PROTOCOL.md")).ok();
-        rules::error_codes::check(error_file, protocol.as_deref(), &mut findings);
+    // Error-code stability runs against the two pinned artifacts; a
+    // missing error file is a finding, not a silent pass.
+    match sources.iter().find(|f| f.path == ERROR_FILE) {
+        Some(error_file) => {
+            let protocol = std::fs::read_to_string(root.join("docs/PROTOCOL.md")).ok();
+            rules::error_codes::check(error_file, protocol.as_deref(), &mut findings);
+        }
+        None => findings.push(Finding::new(
+            rules::error_codes::E001,
+            ERROR_FILE,
+            1,
+            1,
+            format!("`{ERROR_FILE}` not found — error-code stability has nothing to check"),
+            "",
+        )),
     }
 
     diagnostics::sort_findings(&mut findings);

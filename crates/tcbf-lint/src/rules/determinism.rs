@@ -1,175 +1,28 @@
-//! Determinism lints: TCBF-D001 … TCBF-D004.
+//! Determinism lints: TCBF-D002, TCBF-D004.
 //!
 //! The conformance suite pins bit-identical reports across runs and
 //! across the serve path (ROADMAP: determinism is a tier-1 contract).
-//! These rules flag the classic ways that contract erodes: iterating
-//! unordered containers, reassociating float reductions, and ambient
-//! time/entropy.
-
-use std::collections::BTreeSet;
+//! These rules flag two ways that contract erodes: reassociating float
+//! reductions, and reading the clock on the result path.
 
 use crate::config::LintConfig;
 use crate::diagnostics::Finding;
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 
-/// Iteration over a `HashMap`/`HashSet` — order is unspecified, so any
-/// result that escapes (reports, merges, wire encoding) is
-/// nondeterministic.  Use `BTreeMap`/`BTreeSet` or sort first.
-pub const D001: &str = "TCBF-D001";
 /// Float reduction (`.sum::<f32>()`, float `.fold(...)`) outside the
 /// approved micro-kernel modules — addition order is semantics here.
 pub const D002: &str = "TCBF-D002";
-/// Ambient nondeterminism: `SystemTime`, `thread_rng`, `from_entropy`.
-/// All randomness must come from the seeded splitmix64 generators.
-pub const D003: &str = "TCBF-D003";
 /// `Instant::now()` outside the timing-module allowlist.
 pub const D004: &str = "TCBF-D004";
 
-/// Runs all four determinism rules over one file.
+/// Runs both determinism rules over one file.
 pub fn check(file: &SourceFile, cfg: &LintConfig, out: &mut Vec<Finding>) {
-    check_hash_iteration(file, out);
     if cfg.in_float_scope(&file.path) {
         check_float_reductions(file, out);
     }
-    check_ambient_entropy(file, out);
     if !cfg.instant_allowed(&file.path) {
         check_instant_now(file, out);
-    }
-}
-
-/// Collects identifiers this file binds to a `HashMap`/`HashSet`:
-/// `name: ...HashMap...` type ascriptions (fields, params, lets) and
-/// `let name = ...HashMap...;` initialisations.  A bounded forward scan
-/// keeps this a heuristic, not a type checker — see docs/LINTS.md for
-/// the documented misses.
-fn map_typed_idents(file: &SourceFile) -> BTreeSet<String> {
-    const WINDOW: usize = 24;
-    let mut set = BTreeSet::new();
-    let is_map = |t: &str| t == "HashMap" || t == "HashSet";
-    for i in 0..file.sig_len() {
-        // Pattern A: `name :` (single colon, not part of a `::` path).
-        if file.sig_kind(i) == Some(TokenKind::Ident)
-            && file.sig_kind(i + 1) == Some(TokenKind::Punct(':'))
-            && file.sig_kind(i + 2) != Some(TokenKind::Punct(':'))
-            && (i == 0 || file.sig_kind(i - 1) != Some(TokenKind::Punct(':')))
-        {
-            for j in i + 2..(i + 2 + WINDOW).min(file.sig_len()) {
-                match file.sig_kind(j) {
-                    Some(TokenKind::Ident) if is_map(file.sig_text(j)) => {
-                        set.insert(file.sig_text(i).to_string());
-                        break;
-                    }
-                    Some(
-                        TokenKind::Punct(';')
-                        | TokenKind::Punct(',')
-                        | TokenKind::Punct('=')
-                        | TokenKind::Open('{')
-                        | TokenKind::Close(')'),
-                    ) => break,
-                    _ => {}
-                }
-            }
-        }
-        // Pattern B: `let [mut] name = ...HashMap...;`
-        if file.sig_text(i) == "let" {
-            let mut n = i + 1;
-            if file.sig_text(n) == "mut" {
-                n += 1;
-            }
-            if file.sig_kind(n) == Some(TokenKind::Ident)
-                && file.sig_kind(n + 1) == Some(TokenKind::Punct('='))
-            {
-                for j in n + 2..(n + 2 + WINDOW).min(file.sig_len()) {
-                    match file.sig_kind(j) {
-                        Some(TokenKind::Ident) if is_map(file.sig_text(j)) => {
-                            set.insert(file.sig_text(n).to_string());
-                            break;
-                        }
-                        Some(TokenKind::Punct(';')) => break,
-                        _ => {}
-                    }
-                }
-            }
-        }
-    }
-    set
-}
-
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "into_iter",
-    "drain",
-    "par_iter",
-];
-
-fn check_hash_iteration(file: &SourceFile, out: &mut Vec<Finding>) {
-    let maps = map_typed_idents(file);
-    if maps.is_empty() {
-        return;
-    }
-    for i in 0..file.sig_len() {
-        let Some(tok) = file.sig_token(i) else {
-            continue;
-        };
-        if file.in_test_code(tok.start) {
-            continue;
-        }
-        let text = file.sig_text(i);
-        // `name.iter()` and friends.
-        if maps.contains(text)
-            && file.sig_kind(i + 1) == Some(TokenKind::Punct('.'))
-            && ITER_METHODS.contains(&file.sig_text(i + 2))
-            && file.sig_kind(i + 3) == Some(TokenKind::Open('('))
-        {
-            out.push(Finding::new(
-                D001,
-                &file.path,
-                tok.line,
-                tok.col,
-                format!(
-                    "iteration over unordered container `{text}` ({}), order is unspecified — use a BTree container or sort",
-                    file.sig_text(i + 2)
-                ),
-                file.line_text(tok.start),
-            ));
-        }
-        // `for pat in [&][mut] name {`.
-        if text == "for" {
-            // Find the `in` within a short window (patterns are small).
-            for j in i + 1..(i + 10).min(file.sig_len()) {
-                if file.sig_text(j) == "in" {
-                    let mut k = j + 1;
-                    if file.sig_kind(k) == Some(TokenKind::Punct('&')) {
-                        k += 1;
-                    }
-                    if file.sig_text(k) == "mut" {
-                        k += 1;
-                    }
-                    if maps.contains(file.sig_text(k))
-                        && file.sig_kind(k + 1) == Some(TokenKind::Open('{'))
-                    {
-                        let (line, col) = file.sig_pos(k);
-                        out.push(Finding::new(
-                            D001,
-                            &file.path,
-                            line,
-                            col,
-                            format!(
-                                "for-loop over unordered container `{}` — iteration order is unspecified",
-                                file.sig_text(k)
-                            ),
-                            file.line_text(file.sig_token(k).map(|t| t.start).unwrap_or(0)),
-                        ));
-                    }
-                    break;
-                }
-            }
-        }
     }
 }
 
@@ -233,30 +86,6 @@ fn check_float_reductions(file: &SourceFile, out: &mut Vec<Finding>) {
                     ));
                 }
             }
-        }
-    }
-}
-
-fn check_ambient_entropy(file: &SourceFile, out: &mut Vec<Finding>) {
-    for i in 0..file.sig_len() {
-        let Some(tok) = file.sig_token(i) else {
-            continue;
-        };
-        if file.in_test_code(tok.start) || tok.kind != TokenKind::Ident {
-            continue;
-        }
-        let text = file.sig_text(i);
-        if matches!(text, "SystemTime" | "thread_rng" | "from_entropy") {
-            out.push(Finding::new(
-                D003,
-                &file.path,
-                tok.line,
-                tok.col,
-                format!(
-                    "`{text}` is ambient nondeterminism — use the seeded splitmix64 generators"
-                ),
-                file.line_text(tok.start),
-            ));
         }
     }
 }

@@ -3,13 +3,11 @@
 //! | IDs                   | Module          | Contract                          |
 //! |-----------------------|-----------------|-----------------------------------|
 //! | TCBF-P001..P003       | [`panic_rules`] | serve-path panic freedom          |
-//! | TCBF-D001..D004       | [`determinism`] | bit-identical reports             |
+//! | TCBF-D002, TCBF-D004  | [`determinism`] | bit-identical reports             |
 //! | TCBF-E001..E002       | [`error_codes`] | append-only wire error codes      |
-//! | TCBF-L001..L002       | [`locks`]       | canonical lock-acquisition order  |
 
 pub mod determinism;
 pub mod error_codes;
-pub mod locks;
 pub mod panic_rules;
 
 use crate::config::LintConfig;
@@ -21,26 +19,14 @@ pub const ALL_RULES: &[&str] = &[
     panic_rules::P001,
     panic_rules::P002,
     panic_rules::P003,
-    determinism::D001,
     determinism::D002,
-    determinism::D003,
     determinism::D004,
     error_codes::E001,
     error_codes::E002,
-    locks::L001,
-    locks::L002,
 ];
 
-/// Runs every per-file rule over `file`, collecting findings into `out`
-/// and this file's lock edges into `edges` (cycle detection needs the
-/// whole workspace's edges, so it runs later).
-pub fn check_file(
-    file: &SourceFile,
-    cfg: &LintConfig,
-    out: &mut Vec<Finding>,
-    edges: &mut Vec<locks::LockEdge>,
-) {
+/// Runs every per-file rule over `file`, collecting findings into `out`.
+pub fn check_file(file: &SourceFile, cfg: &LintConfig, out: &mut Vec<Finding>) {
     panic_rules::check(file, cfg, out);
     determinism::check(file, cfg, out);
-    edges.extend(locks::file_edges(file, cfg));
 }

@@ -1,30 +1,5 @@
-//! Fixture: determinism rules TCBF-D001..D004.  Read by tests/rules.rs;
-//! never compiled.
-
-use std::collections::{HashMap, HashSet};
-
-struct Metrics {
-    tenants: HashMap<String, u64>,
-}
-
-fn d001_sites(metrics: &Metrics, seen: HashSet<u64>) -> Vec<String> {
-    let mut rotating = HashMap::new();
-    rotating.insert("a", 1);
-    let mut names: Vec<String> = metrics.tenants.keys().cloned().collect();
-    for (name, count) in rotating {
-        names.push(format!("{name}:{count}"));
-    }
-    for value in seen {
-        names.push(value.to_string());
-    }
-    names
-}
-
-fn d001_quiet(metrics: &Metrics) -> Option<u64> {
-    // Point lookups on unordered containers are fine — only iteration
-    // leaks the unspecified order.
-    metrics.tenants.get("alice").copied()
-}
+//! Fixture: determinism rules TCBF-D002 and TCBF-D004.  Read by
+//! tests/rules.rs; never compiled.
 
 fn d002_sites(samples: &[f32], weights: &[f64]) -> (f32, f64, f32) {
     let energy = samples.iter().map(|s| s * s).sum::<f32>();
@@ -32,13 +7,6 @@ fn d002_sites(samples: &[f32], weights: &[f64]) -> (f32, f64, f32) {
     // A min/max fold is order-insensitive and must NOT fire.
     let peak = samples.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     (energy, mass, peak)
-}
-
-fn d003_sites() -> u64 {
-    let now = std::time::SystemTime::now();
-    let mut rng = thread_rng();
-    let seeded = StdRng::from_entropy();
-    0
 }
 
 fn d004_site() -> std::time::Instant {
@@ -50,6 +18,5 @@ mod tests {
     #[test]
     fn timing_in_tests_is_fine() {
         let _ = std::time::Instant::now();
-        let _ = std::time::SystemTime::now();
     }
 }

@@ -23,12 +23,12 @@
 //!
 //! Lock order: slots -> quarantined
 //!
-//! That single line is the pool's canonical lock-acquisition order,
-//! machine-checked by `tcbf-lint` (rule `TCBF-L002`) against the static
-//! acquisition graph of this file: wherever both of a fleet's locks are
-//! held together, `slots` is taken first.  The dynamic checker in the
-//! vendored `parking_lot` enforces the same property per lock instance at
-//! test time.
+//! That single line is the pool's canonical lock-acquisition order:
+//! wherever both of a fleet's locks are held together, `slots` is taken
+//! first.  The held-lock tracker in the vendored `parking_lot` checks it
+//! per lock instance in every debug test run with `TCBF_LOCK_ORDER=1`;
+//! `lock_order_tracker_sees_the_pools_nesting` pins that it sees the
+//! nesting (`checkout`'s all-quarantined branch) and panics on its reverse.
 
 use beamform::{Engine, WeightMatrix};
 use ccglib::matrix::HostComplexMatrix;
@@ -626,6 +626,28 @@ mod tests {
                 total: 1
             }
         );
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "lock-order violation")]
+    fn lock_order_tracker_sees_the_pools_nesting() {
+        parking_lot::lock_order::arm();
+        let mut config = ServeConfig::example(4, 16, 32);
+        config.precisions = vec![Precision::Float16];
+        config.engines_per_precision = 1;
+        let pool = config.build_pool().unwrap();
+        let slot = pool.checkout(Precision::Float16).unwrap();
+        pool.quarantine(Precision::Float16, slot).unwrap();
+        // The all-quarantined branch reads `quarantined` under `slots`.
+        assert!(matches!(
+            pool.checkout(Precision::Float16),
+            Err(TcbfError::Degraded { .. })
+        ));
+        // The reverse nesting on the same fleet closes a cycle.
+        let fleet = pool.fleet(Precision::Float16).unwrap();
+        let _quarantined = fleet.quarantined.lock();
+        let _slots = fleet.slots.lock();
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! * [`json`] is the workspace's one JSON reader and writer (the bench
 //!   artefacts go through it).
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod json;
