@@ -263,11 +263,6 @@ impl Topology {
             Topology::Pool { policy, .. } => Some(*policy),
         }
     }
-
-    /// Whether the engine spans a multi-device pool.
-    pub fn is_sharded(&self) -> bool {
-        matches!(self, Topology::Pool { .. })
-    }
 }
 
 /// A streaming beamforming engine, independent of device topology.
@@ -611,7 +606,6 @@ mod tests {
             assert_eq!(a.beams, b.beams);
         }
         assert_eq!(engines[0].topology(), Topology::Single(Gpu::A100));
-        assert!(engines[1].topology().is_sharded());
         assert_eq!(
             engines[1].topology().policy(),
             Some(ShardPolicy::RoundRobin)

@@ -48,21 +48,6 @@ impl ArrayGeometry {
         ArrayGeometry::new(positions, wave_speed)
     }
 
-    /// A uniform planar (rectangular) array of `nx × ny` sensors in the
-    /// z = 0 plane.
-    pub fn uniform_planar(nx: usize, ny: usize, spacing: f64, wave_speed: f64) -> Self {
-        assert!(nx > 0 && ny > 0);
-        let cx = (nx as f64 - 1.0) / 2.0;
-        let cy = (ny as f64 - 1.0) / 2.0;
-        let mut positions = Vec::with_capacity(nx * ny);
-        for iy in 0..ny {
-            for ix in 0..nx {
-                positions.push([(ix as f64 - cx) * spacing, (iy as f64 - cy) * spacing, 0.0]);
-            }
-        }
-        ArrayGeometry::new(positions, wave_speed)
-    }
-
     /// Number of sensors (the `K` of the GEMM mapping).
     pub fn num_sensors(&self) -> usize {
         self.positions.len()
@@ -85,24 +70,6 @@ impl ArrayGeometry {
         self.positions
             .iter()
             .map(|p| p[0] * azimuth.sin() / self.wave_speed)
-            .collect()
-    }
-
-    /// Near-field delays for a point source at `source` (metres): the
-    /// propagation time from the source to each sensor, relative to the
-    /// propagation time to the array origin.
-    pub fn near_field_delays(&self, source: [f64; 3]) -> Vec<f64> {
-        let origin_distance =
-            (source[0] * source[0] + source[1] * source[1] + source[2] * source[2]).sqrt();
-        self.positions
-            .iter()
-            .map(|p| {
-                let dx = source[0] - p[0];
-                let dy = source[1] - p[1];
-                let dz = source[2] - p[2];
-                let d = (dx * dx + dy * dy + dz * dz).sqrt();
-                (d - origin_distance) / self.wave_speed
-            })
             .collect()
     }
 
@@ -136,16 +103,6 @@ mod tests {
     }
 
     #[test]
-    fn planar_array_size() {
-        let array = ArrayGeometry::uniform_planar(8, 8, 0.001, SPEED_OF_SOUND_TISSUE);
-        assert_eq!(array.num_sensors(), 64);
-        // Centred: the mean position is the origin.
-        let mean_x: f64 =
-            array.positions().iter().map(|p| p[0]).sum::<f64>() / array.num_sensors() as f64;
-        assert!(mean_x.abs() < 1e-12);
-    }
-
-    #[test]
     fn broadside_plane_wave_has_zero_delays() {
         let array = ArrayGeometry::uniform_linear(16, 1.0, SPEED_OF_LIGHT);
         let delays = array.far_field_delays(0.0);
@@ -159,18 +116,6 @@ mod tests {
         let delays = array.far_field_delays(std::f64::consts::FRAC_PI_2);
         assert!((delays[0] - (-30.0 / SPEED_OF_LIGHT)).abs() < 1e-15);
         assert!((delays[2] - (30.0 / SPEED_OF_LIGHT)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn near_field_delays_relative_to_origin() {
-        let array = ArrayGeometry::uniform_linear(3, 0.01, SPEED_OF_SOUND_TISSUE);
-        // A source on the z axis is equidistant from symmetric sensors.
-        let delays = array.near_field_delays([0.0, 0.0, 0.05]);
-        assert!((delays[0] - delays[2]).abs() < 1e-15);
-        // The centre sensor is at the origin, so its relative delay is zero.
-        assert!(delays[1].abs() < 1e-15);
-        // Off-axis sensors are farther away, so their delays are positive.
-        assert!(delays[0] > 0.0);
     }
 
     #[test]

@@ -189,14 +189,6 @@ impl ShardPlan {
     pub fn num_blocks(&self) -> usize {
         self.blocks
     }
-
-    /// The device a block index is assigned to, or `None` if the index is
-    /// outside the planned stream.
-    pub fn device_of(&self, block: usize) -> Option<usize> {
-        self.assignments
-            .iter()
-            .position(|blocks| blocks.contains(&block))
-    }
 }
 
 /// What one member did with its shard: the blocks it finished (by input
@@ -661,8 +653,6 @@ mod tests {
         assert_eq!(plan.assignments()[0], vec![0, 3, 6]);
         assert_eq!(plan.assignments()[1], vec![1, 4]);
         assert_eq!(plan.assignments()[2], vec![2, 5]);
-        assert_eq!(plan.device_of(4), Some(1));
-        assert_eq!(plan.device_of(7), None);
     }
 
     #[test]

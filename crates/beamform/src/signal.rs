@@ -130,16 +130,6 @@ impl SignalGenerator {
         }
         data
     }
-
-    /// Average per-sensor signal-to-noise ratio (power ratio, linear) of a
-    /// set of sources under the generator's noise level.
-    pub fn input_snr(&self, sources: &[PlaneWaveSource]) -> f64 {
-        if self.noise_sigma == 0.0 {
-            return f64::INFINITY;
-        }
-        let signal_power: f64 = sources.iter().map(|s| s.amplitude * s.amplitude).sum();
-        signal_power / (self.noise_sigma * self.noise_sigma)
-    }
 }
 
 #[cfg(test)]
@@ -226,18 +216,5 @@ mod tests {
             a.sensor_samples(&[source], 8),
             c.sensor_samples(&[source], 8)
         );
-    }
-
-    #[test]
-    fn input_snr_accounting() {
-        let generator = SignalGenerator::new(test_array(), 150e6, 1e5, 0.5, 1);
-        let source = PlaneWaveSource {
-            azimuth: 0.0,
-            amplitude: 1.0,
-            baseband_frequency: 0.0,
-        };
-        assert!((generator.input_snr(&[source]) - 4.0).abs() < 1e-12);
-        let silent = SignalGenerator::new(test_array(), 150e6, 1e5, 0.0, 1);
-        assert!(silent.input_snr(&[source]).is_infinite());
     }
 }

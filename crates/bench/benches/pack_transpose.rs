@@ -47,7 +47,7 @@ fn bench_transpose(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("matrix_transpose", &id),
             &id,
-            |bench, _| bench.iter(|| transpose::transpose(black_box(&host))),
+            |bench, _| bench.iter(|| black_box(&host).transposed()),
         );
     }
     group.finish();

@@ -21,7 +21,8 @@
 //! A second table times the **prologue** every block pays before its GEMM
 //! — `HostComplexMatrix::transposed`, `GemmInput::quantise_f16` and
 //! `GemmInput::quantise_int1` — at the four `K × N` block shapes of the
-//! repo benchmark (`BENCHMARK.json`), each checked for equality against
+//! repo benchmark (`BENCHMARK.json`), again once per compiled path
+//! (`transposed_on`, `quantise_*_on`), each checked for equality against
 //! its element-wise definition before it is timed.  Those three rows time a
 //! stage **in isolation**: over and over on one input that has long been
 //! at rest.  In a block a quantiser reads what `transposed()` has *just*
@@ -138,9 +139,11 @@ const BLOCK_SHAPES: [(usize, usize); 4] = [(128, 128), (1024, 128), (2048, 256),
 /// median of many is cheap and steadier than the GEMM grid's `reps`.
 const PROLOGUE_REPS: usize = 31;
 
-/// One measured (prologue stage, block shape) cell.
+/// One measured (prologue stage, block shape, path) cell.
 struct PrologueEntry {
     stage: &'static str,
+    /// The compiled path measured.
+    isa: Isa,
     k: usize,
     n: usize,
     median_s: f64,
@@ -156,26 +159,33 @@ struct PrologueEntry {
 /// while its last result is still in a cache.
 const CHAINED_ROTATION: usize = 8;
 
-/// `transposed()`, `F16Matrix::from_host` and `Int1Matrix::from_host_padded`
-/// (which `GemmInput::quantise_f16` / `quantise_int1`, timed below, wrap) of
-/// one `K × N` block against their element-wise definitions; returns the
-/// transposed block.
-fn guarded_transpose(block: &HostComplexMatrix) -> HostComplexMatrix {
+/// `transposed_on`, `GemmInput::quantise_f16_on` and `quantise_int1_on` of
+/// one `K × N` block on `isa` against their element-wise definitions;
+/// returns the transposed block.
+fn guarded_transpose(block: &HostComplexMatrix, isa: Isa) -> HostComplexMatrix {
     let (k, n) = (block.rows(), block.cols());
     let by_definition = HostComplexMatrix::from_fn(n, k, |r, c| block.get(c, r));
-    let b_t = block.transposed();
-    assert_eq!(b_t, by_definition, "transposed() diverged at {k}x{n}");
+    let b_t = block.transposed_on(isa);
+    assert_eq!(b_t, by_definition, "transposed_on({isa}) at {k}x{n}");
 
     let scalar_plane = |part: fn(&Complex32) -> f32| -> Vec<u16> {
         let encode = |v| f16::from_f32(part(v)).to_bits();
         b_t.data().iter().map(encode).collect()
     };
     let plane_bits = |plane: &[f16]| plane.iter().map(|h| h.to_bits()).collect::<Vec<_>>();
-    let bulk = F16Matrix::from_host(&b_t);
-    assert_eq!(plane_bits(bulk.re()), scalar_plane(|v| v.re), "{k}x{n}");
-    assert_eq!(plane_bits(bulk.im()), scalar_plane(|v| v.im), "{k}x{n}");
+    let GemmInput::F16(bulk) = GemmInput::quantise_f16_on(isa, &b_t) else {
+        panic!("quantise_f16 gives a binary16 operand")
+    };
+    let planes = [plane_bits(bulk.re()), plane_bits(bulk.im())];
+    assert_eq!(
+        planes,
+        [scalar_plane(|v| v.re), scalar_plane(|v| v.im)],
+        "{k}x{n} {isa}"
+    );
 
-    let packed = Int1Matrix::from_host_padded(&b_t, GemmInput::DEFAULT_INT1_K_GRANULARITY);
+    let GemmInput::Int1(packed) = GemmInput::quantise_int1_on(isa, &b_t) else {
+        panic!("quantise_int1 gives a 1-bit operand")
+    };
     for r in 0..n {
         let mut re = PackedBits::zeros(packed.k_padded());
         let mut im = PackedBits::zeros(packed.k_padded());
@@ -183,25 +193,27 @@ fn guarded_transpose(block: &HostComplexMatrix) -> HostComplexMatrix {
             re.set(c, b_t.get(r, c).re >= 0.0);
             im.set(c, b_t.get(r, c).im >= 0.0);
         }
-        assert_eq!(packed.re_row(r), &re, "int1 re row {r} at {k}x{n}");
-        assert_eq!(packed.im_row(r), &im, "int1 im row {r} at {k}x{n}");
+        assert_eq!(packed.re_row(r), &re, "int1 re row {r} at {k}x{n} {isa}");
+        assert_eq!(packed.im_row(r), &im, "int1 im row {r} at {k}x{n} {isa}");
     }
     b_t
 }
 
-/// Times the three prologue stages on one `K × N` block in isolation and the
-/// two quantisers chained to the transpose, every block that is used guarded
-/// by the element-wise definitions.
-fn bench_prologue(k: usize, n: usize) -> [PrologueEntry; 5] {
+/// Times the three prologue stages on one `K × N` block on `isa` in
+/// isolation and the two quantisers chained to the transpose, every block
+/// that is used guarded by the element-wise definitions.
+fn bench_prologue(k: usize, n: usize, isa: Isa) -> [PrologueEntry; 5] {
     let blocks: Vec<HostComplexMatrix> = (0..CHAINED_ROTATION as u64)
         .map(|turn| pseudo_random_matrix(k, n, 0x7A05 + (k * n) as u64 + turn, 1.0))
         .collect();
-    let transposed: Vec<HostComplexMatrix> = blocks.iter().map(guarded_transpose).collect();
+    let transposed: Vec<HostComplexMatrix> =
+        blocks.iter().map(|b| guarded_transpose(b, isa)).collect();
     let (block, b_t) = (&blocks[0], &transposed[0]);
 
     let elements = (k * n) as f64;
     let entry = |stage, median_s: f64, per_s: f64, unit| PrologueEntry {
         stage,
+        isa,
         k,
         n,
         median_s,
@@ -211,11 +223,11 @@ fn bench_prologue(k: usize, n: usize) -> [PrologueEntry; 5] {
     };
     // `median_secs` with a transpose in front of every timed run, off the
     // clock: the quantiser's input is as fresh as it is inside a block.
-    let chained = |stage, quantise: fn(&HostComplexMatrix) -> GemmInput, isolated_s: f64| {
+    let chained = |stage, quantise: fn(Isa, &HostComplexMatrix) -> GemmInput, isolated_s: f64| {
         let time = |rep: usize| {
-            let fresh = black_box(&blocks[rep % CHAINED_ROTATION]).transposed();
+            let fresh = black_box(&blocks[rep % CHAINED_ROTATION]).transposed_on(isa);
             let start = Instant::now();
-            black_box(quantise(black_box(&fresh)));
+            black_box(quantise(isa, black_box(&fresh)));
             start.elapsed().as_secs_f64()
         };
         let mut times: Vec<f64> = (0..=PROLOGUE_REPS).map(time).skip(1).collect();
@@ -227,17 +239,21 @@ fn bench_prologue(k: usize, n: usize) -> [PrologueEntry; 5] {
         }
     };
     let transpose_s = median_secs(PROLOGUE_REPS, || {
-        black_box(black_box(block).transposed());
+        black_box(black_box(block).transposed_on(isa));
     });
     // A chained row is timed right after the isolated row of its quantiser.
     let f16_s = median_secs(PROLOGUE_REPS, || {
-        black_box(GemmInput::quantise_f16(black_box(b_t)));
+        black_box(GemmInput::quantise_f16_on(isa, black_box(b_t)));
     });
-    let f16_chained = chained("transpose>quantise_f16", GemmInput::quantise_f16, f16_s);
+    let f16_chained = chained("transpose>quantise_f16", GemmInput::quantise_f16_on, f16_s);
     let int1_s = median_secs(PROLOGUE_REPS, || {
-        black_box(GemmInput::quantise_int1(black_box(b_t)));
+        black_box(GemmInput::quantise_int1_on(isa, black_box(b_t)));
     });
-    let int1_chained = chained("transpose>quantise_int1", GemmInput::quantise_int1, int1_s);
+    let int1_chained = chained(
+        "transpose>quantise_int1",
+        GemmInput::quantise_int1_on,
+        int1_s,
+    );
     [
         // Computed bytes moved: every 8-byte element read once, written once.
         entry("transpose", transpose_s, 2.0 * 8.0 * elements / 1e9, "GB/s"),
@@ -321,6 +337,7 @@ fn to_json(
     let stage = |p: &PrologueEntry| {
         Value::object([
             ("stage", p.stage.into()),
+            ("isa", p.isa.name().into()),
             ("k", p.k.into()),
             ("n", p.n.into()),
             ("median_s", num(p.median_s, 9)),
@@ -336,7 +353,7 @@ fn to_json(
         ])
     };
     Value::object([
-        ("schema", "tcbf-hotpath-bench/v9".into()),
+        ("schema", "tcbf-hotpath-bench/v10".into()),
         ("mode", mode.into()),
         ("reps", reps.into()),
         ("entries", Value::Array(entries.iter().map(entry).collect())),
@@ -451,7 +468,11 @@ fn main() {
     header("Block prologue wall-clock (BENCHMARK.json block shapes)");
     let prologue: Vec<PrologueEntry> = BLOCK_SHAPES
         .iter()
-        .flat_map(|&(k, n)| bench_prologue(k, n))
+        .flat_map(|&(k, n)| {
+            Isa::available()
+                .into_iter()
+                .flat_map(move |isa| bench_prologue(k, n, isa))
+        })
         .collect();
     let rows: Vec<Vec<String>> = prologue
         .iter()
@@ -461,6 +482,7 @@ fn main() {
                 .map_or("—".to_string(), |r| format!("{r:.2}x"));
             vec![
                 p.stage.to_string(),
+                p.isa.to_string(),
                 format!("{}x{}", p.k, p.n),
                 format!("{:.1}", p.median_s * 1e6),
                 format!("{:.2} {}", p.rate, p.unit),
@@ -469,7 +491,14 @@ fn main() {
         })
         .collect();
     print_table(
-        &["stage", "KxN", "median us", "rate", "chained / isolated"],
+        &[
+            "stage",
+            "isa",
+            "KxN",
+            "median us",
+            "rate",
+            "chained / isolated",
+        ],
         &rows,
     );
     let (worst, at) = prologue
@@ -479,8 +508,8 @@ fn main() {
         .expect("every block shape has its chained rows");
     println!();
     println!(
-        "headline: hand-over worst chained / isolated {worst:.2}x ({} at {}x{})",
-        at.stage, at.k, at.n
+        "headline: hand-over worst chained / isolated {worst:.2}x ({} on {} at {}x{})",
+        at.stage, at.isa, at.k, at.n
     );
 
     header("Hand-off wall-clock (empty two-item par_chunks_mut)");

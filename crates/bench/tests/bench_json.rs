@@ -11,7 +11,7 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
     let root = parse(&text).expect("written by tuner::json, so read by it");
 
     let schema = root.get("schema").unwrap().as_str().unwrap();
-    assert_eq!(schema, "tcbf-hotpath-bench/v9");
+    assert_eq!(schema, "tcbf-hotpath-bench/v10");
     assert_eq!(root.get("mode").unwrap().as_str().unwrap(), "full");
     assert!(root.get("reps").unwrap().as_usize().unwrap() >= 1);
     assert!(root.get("prologue_reps").unwrap().as_usize().unwrap() >= 1);
@@ -53,25 +53,34 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
     assert_eq!(entries.len(), 4 * 3 * paths["f16"].len());
 
     let prologue = root.get("prologue").unwrap().as_array().unwrap();
-    // 4 block shapes x (transpose, each quantiser in isolation and chained
-    // to the transpose), in that order.
+    // 4 block shapes x the kernels' paths x (transpose, each quantiser in
+    // isolation and chained to the transpose), in that order (schema v10:
+    // every prologue row names its path).
     let stages: Vec<&str> = prologue
         .iter()
         .map(|row| row.get("stage").unwrap().as_str().unwrap())
         .collect();
-    let per_shape = [
+    let per_path = [
         "transpose",
         "quantise_f16",
         "transpose>quantise_f16",
         "quantise_int1",
         "transpose>quantise_int1",
     ];
-    assert_eq!(stages, per_shape.repeat(4));
-    for shape in prologue.chunks(per_shape.len()) {
-        // The rows of a shape are rows of one block.
+    assert_eq!(stages, per_path.repeat(4 * paths["f16"].len()));
+    fn isa(row: &Value) -> &str {
+        row.get("isa").unwrap().as_str().unwrap()
+    }
+    for shape in prologue.chunks(per_path.len() * paths["f16"].len()) {
+        // The rows of a shape are rows of one block, on every path.
         let dims = |row: &Value| ["k", "n"].map(|dim| row.get(dim).unwrap().as_usize().unwrap());
         assert!(shape.iter().all(|row| dims(row) == dims(&shape[0])));
         assert!(dims(&shape[0]).iter().all(|&dim| dim > 0));
+        let shape_paths: std::collections::BTreeSet<_> = shape.iter().map(isa).collect();
+        assert_eq!(shape_paths, paths["f16"]);
+        for rows in shape.chunks(per_path.len()) {
+            assert!(rows.iter().all(|row| isa(row) == isa(&rows[0])));
+        }
     }
     for row in prologue {
         let unit = row.get("unit").unwrap().as_str().unwrap();

@@ -79,9 +79,17 @@ impl GemmInput {
     /// either fragment layout.
     pub const DEFAULT_INT1_K_GRANULARITY: usize = 256;
 
-    /// Quantises a host matrix to binary16 planes.
+    /// Quantises a host matrix to binary16 planes, on the fastest path the
+    /// host has ([`Isa::detected`]).
     pub fn quantise_f16(host: &HostComplexMatrix) -> Self {
-        GemmInput::F16(F16Matrix::from_host(host))
+        Self::quantise_f16_on(Isa::detected(), host)
+    }
+
+    /// [`quantise_f16`](Self::quantise_f16) on an explicit path — how the
+    /// tests and `hotpath_bench` run every path the host has.  All paths
+    /// give the same bits.
+    pub fn quantise_f16_on(isa: Isa, host: &HostComplexMatrix) -> Self {
+        GemmInput::F16(F16Matrix::from_host_on(isa, host))
     }
 
     /// Builds a binary16 operand from interleaved single-precision data
@@ -95,12 +103,18 @@ impl GemmInput {
     }
 
     /// Quantises a host matrix to packed 1-bit planes with the default
-    /// padding granularity.
+    /// padding granularity, on the fastest path the host has
+    /// ([`Isa::detected`]).
     pub fn quantise_int1(host: &HostComplexMatrix) -> Self {
-        GemmInput::Int1(Int1Matrix::from_host_padded(
-            host,
-            Self::DEFAULT_INT1_K_GRANULARITY,
-        ))
+        Self::quantise_int1_on(Isa::detected(), host)
+    }
+
+    /// [`quantise_int1`](Self::quantise_int1) on an explicit path — how the
+    /// tests and `hotpath_bench` run every path the host has.  All paths
+    /// give the same bits.
+    pub fn quantise_int1_on(isa: Isa, host: &HostComplexMatrix) -> Self {
+        let granularity = Self::DEFAULT_INT1_K_GRANULARITY;
+        GemmInput::Int1(Int1Matrix::from_host_padded_on(isa, host, granularity))
     }
 
     /// Quantises to 1-bit with an explicit padding granularity.
@@ -527,7 +541,10 @@ pub fn gemm_f16_on(isa: Isa, a: &F16Matrix, b_t: &F16Matrix) -> Result<ComplexOu
 /// 1-bit complex GEMM with the XOR or AND formulation.
 ///
 /// Both operands must have been packed with the same padding granularity;
-/// the `K_pad` correction of Eq. 5 is applied to the imaginary part.  The
+/// the `K_pad` correction of Eq. 5 is applied to the imaginary part.  An
+/// output is an integer of magnitude at most `2·K`, exact in the `f32`
+/// output for `K ≤ 2²³` (8 388 608, 16× the paper's largest); a longer `K`
+/// is a [`CcglibError::ShapeMismatch`], not a rounded result.  The
 /// two formulations produce bit-identical results (a property the test
 /// suite asserts); the AND path exists because XOR is deprecated from the
 /// Hopper architecture on.
@@ -597,13 +614,28 @@ pub(crate) struct Int1Operands<'a> {
     bound: i32,
 }
 
+/// Longest `K` whose 1-bit outputs `f32` holds exactly: an output
+/// component is an integer of magnitude at most `2·K`, and every integer up
+/// to `2²⁴` is an `f32`.
+const INT1_F32_EXACT_K: usize = 1 << 23;
+
 /// `2·K` as the 32-bit integer the 1-bit kernel's outputs are defined in
 /// (Section III-D: 1-bit input, 32-bit integer output).
 ///
 /// Every partial sum of the kernel is bounded by `2·K_padded`, so this one
 /// conversion is the accumulator's whole overflow analysis: operands too
 /// long for it are a [`CcglibError::ShapeMismatch`], never a wrapped sum.
+/// So is a `K` above [`INT1_F32_EXACT_K`], whose outputs the `f32` output
+/// matrix could only round.
 fn int1_output_bound(k_bits: usize, k_padded: usize) -> Result<i32> {
+    if k_bits > INT1_F32_EXACT_K {
+        return Err(CcglibError::ShapeMismatch {
+            expected: format!(
+                "K ≤ 2²³ = {INT1_F32_EXACT_K}, so that every output (|·| ≤ 2·K) is exact in f32"
+            ),
+            actual: format!("K = {k_bits}"),
+        });
+    }
     match k_padded.checked_mul(2).map(i32::try_from) {
         Some(Ok(_)) => Ok(2 * k_bits as i32),
         _ => Err(CcglibError::ShapeMismatch {
@@ -1163,7 +1195,7 @@ mod tests {
     #[test]
     fn operands_too_long_for_the_accumulator_are_a_typed_error() {
         let largest = (i32::MAX / 2) as usize;
-        assert_eq!(int1_output_bound(largest - 7, largest), Ok(i32::MAX - 15));
+        assert_eq!(int1_output_bound(1, largest), Ok(2));
         assert_eq!(int1_output_bound(0, 0), Ok(0));
         for k_padded in [largest + 1, usize::MAX / 2, usize::MAX] {
             let error = int1_output_bound(1, k_padded).unwrap_err();
@@ -1172,6 +1204,22 @@ mod tests {
                 "{error}"
             );
             assert!(error.to_string().contains("32-bit accumulator"), "{error}");
+        }
+    }
+
+    #[test]
+    fn outputs_f32_cannot_hold_exactly_are_a_typed_error() {
+        // |output| ≤ 2·K, and 2²⁴ is the last integer before f32 skips one.
+        assert_eq!(int1_output_bound(524_288, 524_288), Ok(1 << 20));
+        assert_eq!(int1_output_bound(1 << 23, 1 << 23), Ok(1 << 24));
+        assert_ne!(((1 << 24) + 1) as f32 as i32, (1 << 24) + 1);
+        for k_padded in [(1 << 23) + 1, (1 << 23) + 256] {
+            let error = int1_output_bound((1 << 23) + 1, k_padded).unwrap_err();
+            assert!(
+                matches!(error, CcglibError::ShapeMismatch { .. }),
+                "{error}"
+            );
+            assert!(error.to_string().contains("exact in f32"), "{error}");
         }
     }
 

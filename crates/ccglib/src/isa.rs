@@ -1,6 +1,6 @@
-//! The compiled instances of the two tile kernels, and two of the crate's
-//! three `unsafe` blocks (the third is `write_once`'s, which hands the
-//! kernels the output they store into).
+//! The compiled instances of the two tile kernels and of the three block
+//! prologue stages, and all but one of the crate's `unsafe` (the other is
+//! `write_once`'s, which hands the stages the output they store into).
 //!
 //! Both register-tiled kernels ([`crate::gemm`]) are written once, in safe
 //! Rust, over vectors of `LANES` output columns — the 1-bit kernel's lanes
@@ -19,22 +19,41 @@
 //!   32 of them — the f16 tile's 16 accumulators stay in registers — and
 //!   the same `count_ones` becomes one `vpopcntq`.
 //!
+//! The three prologue stages every block pays before its GEMM, one work
+//! item at a time, have a portable loop, which is the stage's definition,
+//! and an AVX-512 instance written with `std::arch` intrinsics that gives
+//! the same bits (LLVM turns none of the loops into these instructions on
+//! its own): the transpose moves 8 × 8 blocks of samples through registers
+//! (`avx512f`), the 1-bit pack takes 64 signs from eight `vcmpps` masks and
+//! `pext` (`avx512f`, `bmi2`), the binary16 encode splits 16 samples by
+//! `vpermt2ps` and rounds them by `vcvtps2ph` (`avx512f`).  Ragged edges
+//! take the portable loop.
+//!
 //! Which one runs is decided by what the process can observe —
 //! `is_x86_feature_detected!` — never by a setting.  One detection serves
-//! both kernels: the AVX-512 path needs `avx512f` *and* `avx512vpopcntdq`
-//! (Ice Lake, Zen 4 and later).  Parts with AVX-512F alone run the portable
-//! instances of both kernels — one path name per host instead of one per
-//! kernel, on the generation whose 512-bit FMA costs clock frequency anyway.
-//! An [`Isa`] naming the AVX-512 path can only be obtained from
+//! every instance: the AVX-512 path needs `avx512f`, `avx512vpopcntdq` and
+//! `bmi2` (Ice Lake, Zen 4 and later).  Parts with AVX-512F alone run the
+//! portable instances — one path name per host instead of one per stage,
+//! on the generation whose 512-bit FMA costs clock frequency anyway.  An
+//! [`Isa`] naming the AVX-512 path can only be obtained from
 //! [`Isa::available`] / [`Isa::detected`] after detection succeeded; that is
-//! the condition the `unsafe` blocks below rely on.
+//! the condition the three dispatching `unsafe` blocks below rely on.  The
+//! other three move a vector between registers and a fixed-size array —
+//! eight samples in, eight samples or sixteen binary16 values out — whose
+//! type is their safety argument: written with safe lane-by-lane code, LLVM
+//! scalarises the transpose's stores and splinters the encoder's loads.
 
 use crate::gemm::{f16_row_block, int1_row_group, F16Operands, Int1Operands};
+#[cfg(target_arch = "x86_64")]
+use crate::matrix::transpose_rect;
+use crate::matrix::{encode_planes, sign_words, transpose_band, HostComplexMatrix};
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::*;
 use std::mem::MaybeUninit;
-use tcbf_types::Complex32;
+use tcbf_types::{f16, Complex32};
 
-/// One compiled path of the tile kernels.  All paths agree on all inputs,
-/// for both precisions; they differ only in speed.
+/// One compiled path of the tile kernels and the prologue.  All paths agree
+/// on all inputs, for both precisions; they differ only in speed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Isa(Path);
 
@@ -56,6 +75,7 @@ impl Isa {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
+            && std::arch::is_x86_feature_detected!("bmi2")
         {
             return Some(Isa(Path::Avx512));
         }
@@ -179,4 +199,231 @@ pub(crate) fn f16_row_block_on(
         // (and `avx512vpopcntdq`) — a superset of what the callee enables.
         Path::Avx512 => unsafe { f16_row_block_avx512(out, i0, g) },
     }
+}
+
+/// One parallel work item of a prologue stage.
+pub(crate) enum Prologue<'a> {
+    /// Of [`HostComplexMatrix::transposed_on`]: the destination rows of
+    /// source columns `c0..`, as many as `band` holds.
+    Transpose {
+        src: &'a HostComplexMatrix,
+        c0: usize,
+        band: &'a mut [MaybeUninit<Complex32>],
+    },
+    /// Of `Int1Matrix::from_host_padded`: the sign words of one row's
+    /// samples, 64 to a word.
+    Signs {
+        row: &'a [Complex32],
+        re: &'a mut [MaybeUninit<u64>],
+        im: &'a mut [MaybeUninit<u64>],
+    },
+    /// Of `F16Matrix::from_host`: a run of samples, to both binary16 planes.
+    Encode {
+        src: &'a [Complex32],
+        re: &'a mut [MaybeUninit<f16>],
+        im: &'a mut [MaybeUninit<f16>],
+    },
+}
+
+/// Runs one prologue work item on `isa`.
+pub(crate) fn prologue_on(isa: Isa, item: Prologue<'_>) {
+    match isa.0 {
+        Path::Portable => match item {
+            Prologue::Transpose { src, c0, band } => transpose_band(src, c0, band),
+            Prologue::Signs { row, re, im } => sign_words(row, re, im),
+            Prologue::Encode { src, re, im } => encode_planes(src, re, im),
+        },
+        #[cfg(target_arch = "x86_64")]
+        #[allow(unsafe_code)]
+        // SAFETY: `Path::Avx512` is private to this module and built only by
+        // `Isa::avx512`, after `is_x86_feature_detected!` reported `avx512f`
+        // and `bmi2` (and `avx512vpopcntdq`) — a superset of what the callee
+        // enables.
+        Path::Avx512 => unsafe { prologue_avx512(item) },
+    }
+}
+
+/// The prologue's AVX-512 instances.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,bmi2")]
+fn prologue_avx512(item: Prologue<'_>) {
+    match item {
+        Prologue::Transpose { src, c0, band } => transpose_band_avx512(src, c0, band),
+        Prologue::Signs { row, re, im } => sign_words_avx512(row, re, im),
+        Prologue::Encode { src, re, im } => encode_planes_avx512(src, re, im),
+    }
+}
+
+/// [`transpose_band`] with whole 8 × 8 blocks of samples moved through
+/// registers, block rows outermost so that the band's lines of a source row
+/// are read back to back.  The blocks start at the first row whose stores
+/// begin a destination cache line (with `rows % 8 == 0`, the same row for
+/// every destination row), so a line is written whole instead of in two
+/// halves far apart: 0.6–0.8× the time of blocks from row 0.  The rows and
+/// columns outside the blocks take the portable loop.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn transpose_band_avx512(src: &HostComplexMatrix, c0: usize, band: &mut [MaybeUninit<Complex32>]) {
+    let (rows, cols) = (src.rows(), src.cols());
+    let first = match band.as_ptr().align_offset(64) {
+        phase if phase < 8 && rows % 8 == 0 => phase,
+        _ => 0,
+    };
+    let (end, whole_cols) = (first + (rows - first) / 8 * 8, band.len() / rows / 8 * 8);
+    for r0 in (first..end).step_by(8) {
+        for j0 in (0..whole_cols).step_by(8) {
+            let mut block = [_mm512_setzero_si512(); 8];
+            for (i, row) in block.iter_mut().enumerate() {
+                let samples = src.data()[(r0 + i) * cols + c0 + j0..].first_chunk();
+                *row = _mm512_castps_si512(load_samples(samples.expect("a whole block")));
+            }
+            for (j, column) in transpose_8x8(block).into_iter().enumerate() {
+                let dst = band[(j0 + j) * rows + r0..].first_chunk_mut();
+                store_samples(dst.expect("a whole block"), column);
+            }
+        }
+    }
+    transpose_rect(src, 0..first, c0, band);
+    transpose_rect(src, end..rows, c0, band);
+    let right = &mut band[whole_cols * rows..];
+    transpose_rect(src, first..end, c0 + whole_cols, right);
+}
+
+/// Row `i` of an 8 × 8 block of 64-bit lanes in, column `i` out: 8
+/// `vpunpck{l,h}qdq` pair the rows up, 16 `vshufi64x2` gather the columns.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn transpose_8x8(r: [__m512i; 8]) -> [__m512i; 8] {
+    let even = half_columns([
+        _mm512_unpacklo_epi64(r[0], r[1]),
+        _mm512_unpacklo_epi64(r[2], r[3]),
+        _mm512_unpacklo_epi64(r[4], r[5]),
+        _mm512_unpacklo_epi64(r[6], r[7]),
+    ]);
+    let odd = half_columns([
+        _mm512_unpackhi_epi64(r[0], r[1]),
+        _mm512_unpackhi_epi64(r[2], r[3]),
+        _mm512_unpackhi_epi64(r[4], r[5]),
+        _mm512_unpackhi_epi64(r[6], r[7]),
+    ]);
+    [
+        even[0], odd[0], even[1], odd[1], even[2], odd[2], even[3], odd[3],
+    ]
+}
+
+/// Four vectors whose 128-bit quarter `q` holds rows `2p`, `2p + 1` (vector
+/// `p`) of column `2q + s` → columns `s`, `2 + s`, `4 + s`, `6 + s`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn half_columns(v: [__m512i; 4]) -> [__m512i; 4] {
+    // Quarters 0 and 2 of the first operand, then of the second; 1 and 3.
+    const EVEN: i32 = 0b10_00_10_00;
+    const ODD: i32 = 0b11_01_11_01;
+    let (c04_lo, c26_lo) = (
+        _mm512_shuffle_i64x2::<EVEN>(v[0], v[1]),
+        _mm512_shuffle_i64x2::<ODD>(v[0], v[1]),
+    );
+    let (c04_hi, c26_hi) = (
+        _mm512_shuffle_i64x2::<EVEN>(v[2], v[3]),
+        _mm512_shuffle_i64x2::<ODD>(v[2], v[3]),
+    );
+    [
+        _mm512_shuffle_i64x2::<EVEN>(c04_lo, c04_hi),
+        _mm512_shuffle_i64x2::<EVEN>(c26_lo, c26_hi),
+        _mm512_shuffle_i64x2::<ODD>(c04_lo, c04_hi),
+        _mm512_shuffle_i64x2::<ODD>(c26_lo, c26_hi),
+    ]
+}
+
+/// [`sign_words`] with every whole 64 samples packed from eight ordered,
+/// quiet `>= 0` compares (`vcmpps`: NaN is 0, −0.0 is 1, as `v >= 0.0`):
+/// bit `2i` of a compare's mask is sample `i`'s real part, bit `2i + 1` its
+/// imaginary one, and `pext` separates them.  A last partial word takes the
+/// portable loop.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,bmi2")]
+fn sign_words_avx512(row: &[Complex32], re: &mut [MaybeUninit<u64>], im: &mut [MaybeUninit<u64>]) {
+    const REAL: u64 = 0x5555_5555_5555_5555;
+    let (chunks, tail) = row.as_chunks::<64>();
+    for ((chunk, re_word), im_word) in chunks.iter().zip(&mut *re).zip(&mut *im) {
+        let mut halves = [0u64; 2];
+        for (b, block) in chunk.as_chunks::<8>().0.iter().enumerate() {
+            let mask = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(load_samples(block), _mm512_setzero_ps());
+            halves[b / 4] |= u64::from(mask) << (16 * (b % 4));
+        }
+        let [low, high] = halves;
+        re_word.write(_pext_u64(low, REAL) | _pext_u64(high, REAL) << 32);
+        im_word.write(_pext_u64(low, !REAL) | _pext_u64(high, !REAL) << 32);
+    }
+    sign_words(tail, &mut re[chunks.len()..], &mut im[chunks.len()..]);
+}
+
+/// [`encode_planes`] 16 samples at a time: two loads, `vpermt2ps` for the
+/// real and for the imaginary parts, `vcvtps2ph` with round to nearest even
+/// (the immediate, not `MXCSR`, sets it), two 32-byte stores.  The tail
+/// takes the portable loop.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn encode_planes_avx512(
+    src: &[Complex32],
+    re: &mut [MaybeUninit<f16>],
+    im: &mut [MaybeUninit<f16>],
+) {
+    const NEAREST_EVEN: i32 = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+    let real = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+    let imag = _mm512_add_epi32(real, _mm512_set1_epi32(1));
+    let (runs, tail) = src.as_chunks::<16>();
+    let (re_runs, re_tail) = re.as_chunks_mut::<16>();
+    let (im_runs, im_tail) = im.as_chunks_mut::<16>();
+    for ((run, re16), im16) in runs.iter().zip(re_runs).zip(im_runs) {
+        let halves = run.as_chunks::<8>().0;
+        let (a, b) = (load_samples(&halves[0]), load_samples(&halves[1]));
+        store_halves(
+            re16,
+            _mm512_cvtps_ph::<NEAREST_EVEN>(_mm512_permutex2var_ps(a, real, b)),
+        );
+        store_halves(
+            im16,
+            _mm512_cvtps_ph::<NEAREST_EVEN>(_mm512_permutex2var_ps(a, imag, b)),
+        );
+    }
+    encode_planes(tail, re_tail, im_tail);
+}
+
+/// Loads eight samples as one `zmm` register, `re, im` interleaved.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+#[allow(unsafe_code)]
+fn load_samples(src: &[Complex32; 8]) -> __m512 {
+    // SAFETY: `src` is 64 readable bytes — eight `Complex32`, `repr(C)`
+    // pairs of `f32` — which is what the unaligned load reads; it needs
+    // `avx512f`, enabled here.
+    unsafe { _mm512_loadu_ps(src.as_ptr().cast()) }
+}
+
+/// Stores one `zmm` register of eight samples.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+#[allow(unsafe_code)]
+fn store_samples(dst: &mut [MaybeUninit<Complex32>; 8], v: __m512i) {
+    // SAFETY: `dst` is 64 writable bytes — eight `Complex32`, `repr(C)`
+    // pairs of `f32` — which is what the unaligned store writes; it needs
+    // `avx512f`, enabled here.
+    unsafe { _mm512_storeu_si512(dst.as_mut_ptr().cast(), v) }
+}
+
+/// Stores one `ymm` register of sixteen binary16 values.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+#[allow(unsafe_code)]
+fn store_halves(dst: &mut [MaybeUninit<f16>; 16], v: __m256i) {
+    // SAFETY: `dst` is 32 writable bytes — sixteen `f16`, `repr(transparent)`
+    // over `u16` — which is what the unaligned store writes; it needs `avx`,
+    // which `avx512f`, enabled here, implies.
+    unsafe { _mm256_storeu_si256(dst.as_mut_ptr().cast(), v) }
 }

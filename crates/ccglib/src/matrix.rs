@@ -26,10 +26,12 @@
 //! value.
 
 use crate::error::{CcglibError, Result};
+use crate::isa::{prologue_on, Isa, Prologue};
 use crate::write_once::{write_once, write_once_pair};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::mem::MaybeUninit;
+use std::ops::Range;
 use tcbf_types::matrix::round_up;
 use tcbf_types::{encode_from_f32, f16, Complex, Complex32, PackedBits};
 
@@ -119,7 +121,8 @@ impl HostComplexMatrix {
     }
 
     /// Returns the transposed matrix (used to bring the `B` operand into
-    /// the `N×K` orientation the packed kernels expect).
+    /// the `N×K` orientation the packed kernels expect), on the fastest
+    /// path the host has ([`Isa::detected`]).
     ///
     /// An element-wise gather walks a column of a `rows × cols` matrix at
     /// a stride of `8·cols` bytes, which for the power-of-two widths of
@@ -130,22 +133,24 @@ impl HostComplexMatrix {
     /// destination run is written contiguously.  A band of
     /// `TRANSPOSE_TILE` destination rows is one parallel work item, and
     /// the thread that copies a band is the first to touch it: the
-    /// destination is written once, not cleared first.
+    /// destination is written once, not cleared first.  On the AVX-512
+    /// path a band moves in 8 × 8 blocks of samples instead: eight 64-byte
+    /// source rows in, transposed in registers, eight 64-byte rows out.
     pub fn transposed(&self) -> HostComplexMatrix {
+        self.transposed_on(Isa::detected())
+    }
+
+    /// [`transposed`](Self::transposed) on an explicit path — how the tests
+    /// and `hotpath_bench` run every path the host has.  All paths give the
+    /// same bits.
+    pub fn transposed_on(&self, isa: Isa) -> HostComplexMatrix {
         let (rows, cols) = (self.rows, self.cols);
         let data = write_once(rows * cols, |data| {
             data.par_chunks_mut((TRANSPOSE_TILE * rows).max(1))
                 .enumerate()
-                .for_each(|(band, out)| {
-                    let c0 = band * TRANSPOSE_TILE;
-                    for r0 in (0..rows).step_by(TRANSPOSE_TILE) {
-                        let r1 = (r0 + TRANSPOSE_TILE).min(rows);
-                        for (c, row) in (c0..).zip(out.chunks_exact_mut(rows)) {
-                            for (r, slot) in (r0..r1).zip(&mut row[r0..r1]) {
-                                slot.write(self.data[r * cols + c]);
-                            }
-                        }
-                    }
+                .for_each(|(item, band)| {
+                    let (src, c0) = (self, item * TRANSPOSE_TILE);
+                    prologue_on(isa, Prologue::Transpose { src, c0, band });
                 });
         });
         HostComplexMatrix {
@@ -183,32 +188,34 @@ pub struct F16Matrix {
 }
 
 impl F16Matrix {
-    /// Quantises a host matrix to binary16, splitting it into planes.
+    /// Quantises a host matrix to binary16, splitting it into planes, on
+    /// the fastest path the host has ([`Isa::detected`]).
     pub fn from_host(host: &HostComplexMatrix) -> Self {
-        Self::encode(host.rows(), host.cols(), host.data(), |v| v.re, |v| v.im)
+        Self::from_host_on(Isa::detected(), host)
+    }
+
+    /// [`from_host`](Self::from_host) on `isa`.
+    pub(crate) fn from_host_on(isa: Isa, host: &HostComplexMatrix) -> Self {
+        Self::encode(host.rows(), host.cols(), host.data(), |src, re, im| {
+            prologue_on(isa, Prologue::Encode { src, re, im });
+        })
     }
 
     /// Quantises `rows × cols` row-major elements to binary16 planes;
-    /// `re_of` and `im_of` select each plane's scalar.  A run of
-    /// [`PLANE_ITEM`] elements — both planes of it — is one parallel work
-    /// item.
+    /// `item` encodes one run of [`PLANE_ITEM`] elements into both planes
+    /// of it, which is one parallel work item.
     pub(crate) fn encode<T: Sync>(
         rows: usize,
         cols: usize,
         src: &[T],
-        re_of: impl Fn(&T) -> f32 + Sync,
-        im_of: impl Fn(&T) -> f32 + Sync,
+        item: impl Fn(&[T], &mut [MaybeUninit<f16>], &mut [MaybeUninit<f16>]) + Sync,
     ) -> Self {
         assert_eq!(src.len(), rows * cols);
         let [re, im] = write_once_pair(src.len(), |re, im| {
             re.par_chunks_mut(PLANE_ITEM)
                 .zip(im.par_chunks_mut(PLANE_ITEM))
                 .enumerate()
-                .for_each(|(item, (re, im))| {
-                    let src = &src[item * PLANE_ITEM..][..re.len()];
-                    encode_from_f32(src, &re_of, re);
-                    encode_from_f32(src, &im_of, im);
-                });
+                .for_each(|(at, (re, im))| item(&src[at * PLANE_ITEM..][..re.len()], re, im));
         });
         F16Matrix { rows, cols, re, im }
     }
@@ -259,6 +266,34 @@ impl F16Matrix {
     }
 }
 
+/// The element-wise copy that defines [`HostComplexMatrix::transposed`],
+/// at source rows `rows`, into the destination rows of `band` (source
+/// columns `c0..`).
+pub(crate) fn transpose_rect(
+    src: &HostComplexMatrix,
+    rows: Range<usize>,
+    c0: usize,
+    band: &mut [MaybeUninit<Complex32>],
+) {
+    for (c, row) in (c0..).zip(band.chunks_exact_mut(src.rows)) {
+        for (r, slot) in rows.clone().zip(&mut row[rows.clone()]) {
+            slot.write(src.data[r * src.cols + c]);
+        }
+    }
+}
+
+/// One band of [`HostComplexMatrix::transposed`] on the portable path, a
+/// tile of `TRANSPOSE_TILE` source rows at a time.
+pub(crate) fn transpose_band(
+    src: &HostComplexMatrix,
+    c0: usize,
+    band: &mut [MaybeUninit<Complex32>],
+) {
+    for r0 in (0..src.rows).step_by(TRANSPOSE_TILE) {
+        transpose_rect(src, r0..(r0 + TRANSPOSE_TILE).min(src.rows), c0, band);
+    }
+}
+
 /// The sign bits (`>= 0` is 1) of up to 32 samples' real and imaginary
 /// parts, first sample in the least-significant bit.
 fn sign_bits(samples: &[Complex32]) -> (u32, u32) {
@@ -268,6 +303,33 @@ fn sign_bits(samples: &[Complex32]) -> (u32, u32) {
         im |= u32::from(v.im >= 0.0) << i;
     }
     (re, im)
+}
+
+/// The sign words of one row's samples, 64 to a word, the slack of a last
+/// partial word binary 0: the definition behind [`Int1Matrix::from_host`].
+pub(crate) fn sign_words(
+    row: &[Complex32],
+    re: &mut [MaybeUninit<u64>],
+    im: &mut [MaybeUninit<u64>],
+) {
+    for ((chunk, re_word), im_word) in row.chunks(64).zip(re).zip(im) {
+        let (low, high) = chunk.split_at(chunk.len().min(32));
+        let (re_low, im_low) = sign_bits(low);
+        let (re_high, im_high) = sign_bits(high);
+        re_word.write(u64::from(re_low) | u64::from(re_high) << 32);
+        im_word.write(u64::from(im_low) | u64::from(im_high) << 32);
+    }
+}
+
+/// Both binary16 planes of a run of samples, `f16::from_f32` bit for bit:
+/// the definition behind [`F16Matrix::from_host`].
+pub(crate) fn encode_planes(
+    src: &[Complex32],
+    re: &mut [MaybeUninit<f16>],
+    im: &mut [MaybeUninit<f16>],
+) {
+    encode_from_f32(src, |v| v.re, re);
+    encode_from_f32(src, |v| v.im, im);
 }
 
 /// Packed 1-bit device matrix: `rows` bit-rows of `k_bits` samples packed
@@ -309,8 +371,18 @@ impl Int1Matrix {
     /// Quantises and pads the packed dimension up to a multiple of
     /// `k_granularity` bits (e.g. the tensor-core fragment depth), so the
     /// K<sub>pad</sub> correction of Eq. 5 can be exercised explicitly.
-    /// Any granularity is accepted (zero counts as one).
+    /// Any granularity is accepted (zero counts as one).  Runs on the
+    /// fastest path the host has ([`Isa::detected`]).
     pub fn from_host_padded(host: &HostComplexMatrix, k_granularity: usize) -> Self {
+        Self::from_host_padded_on(Isa::detected(), host, k_granularity)
+    }
+
+    /// [`from_host_padded`](Self::from_host_padded) on `isa`.
+    pub(crate) fn from_host_padded_on(
+        isa: Isa,
+        host: &HostComplexMatrix,
+        k_granularity: usize,
+    ) -> Self {
         let rows = host.rows();
         let k_bits = host.cols();
         let k_padded = round_up(k_bits.max(1), k_granularity.max(1));
@@ -341,17 +413,9 @@ impl Int1Matrix {
                         .chunks_exact_mut(stride)
                         .zip(im_rows.chunks_exact_mut(stride));
                     for (row, (re_row, im_row)) in source.zip(planes) {
-                        let (re_words, re_padding) = re_row.split_at_mut(sample_words);
-                        let (im_words, im_padding) = im_row.split_at_mut(sample_words);
-                        for ((chunk, re_word), im_word) in
-                            row.chunks(64).zip(re_words).zip(im_words)
-                        {
-                            let (low, high) = chunk.split_at(chunk.len().min(32));
-                            let (re_low, im_low) = sign_bits(low);
-                            let (re_high, im_high) = sign_bits(high);
-                            re_word.write(u64::from(re_low) | u64::from(re_high) << 32);
-                            im_word.write(u64::from(im_low) | u64::from(im_high) << 32);
-                        }
+                        let (re, re_padding) = re_row.split_at_mut(sample_words);
+                        let (im, im_padding) = im_row.split_at_mut(sample_words);
+                        prologue_on(isa, Prologue::Signs { row, re, im });
                         re_padding.fill(MaybeUninit::new(0));
                         im_padding.fill(MaybeUninit::new(0));
                     }
@@ -535,22 +599,79 @@ pub(crate) mod tests {
         m.data().iter().map(of).collect()
     }
 
+    /// Every path's `transposed_on` against the element-wise copy, and back.
     fn assert_transposed_matches_its_definition(m: &HostComplexMatrix) {
-        let t = m.transposed();
-        assert_eq!((t.rows(), t.cols()), (m.cols(), m.rows()));
         let by_definition = HostComplexMatrix::from_fn(m.cols(), m.rows(), |r, c| m.get(c, r));
-        assert_eq!(bits(&t), bits(&by_definition), "{}x{}", m.rows(), m.cols());
-        let back = t.transposed();
-        assert_eq!((back.rows(), back.cols()), (m.rows(), m.cols()));
-        assert_eq!(bits(&back), bits(m), "{}x{}", m.rows(), m.cols());
+        for isa in Isa::available() {
+            let t = m.transposed_on(isa);
+            assert_eq!((t.rows(), t.cols()), (m.cols(), m.rows()));
+            assert_eq!(
+                bits(&t),
+                bits(&by_definition),
+                "{}x{} {isa}",
+                m.rows(),
+                m.cols()
+            );
+            let back = t.transposed_on(isa);
+            assert_eq!((back.rows(), back.cols()), (m.rows(), m.cols()));
+            assert_eq!(bits(&back), bits(m), "{}x{} {isa}", m.rows(), m.cols());
+        }
+    }
+
+    /// Every path's binary16 planes against `f16::from_f32` on every scalar.
+    fn assert_f16_planes_match_from_f32(host: &HostComplexMatrix) {
+        for isa in Isa::available() {
+            let planes = F16Matrix::from_host_on(isa, host);
+            assert_eq!((planes.rows(), planes.cols()), (host.rows(), host.cols()));
+            let encoded = planes.re().iter().zip(planes.im());
+            for (at, (v, (re, im))) in host.data().iter().zip(encoded).enumerate() {
+                let expected = (f16::from_f32(v.re).to_bits(), f16::from_f32(v.im).to_bits());
+                assert_eq!((re.to_bits(), im.to_bits()), expected, "{isa} at {at}");
+            }
+        }
+    }
+
+    /// Every path's sign words against `v >= 0.0` on every sample, padding
+    /// and slack zero.
+    fn assert_sign_words_match_their_definition(host: &HostComplexMatrix, granularity: usize) {
+        let (rows, cols) = (host.rows(), host.cols());
+        for isa in Isa::available() {
+            let packed = Int1Matrix::from_host_padded_on(isa, host, granularity);
+            let stride = packed.words_per_row();
+            assert_eq!(packed.k_padded(), cols.max(1).next_multiple_of(granularity));
+            let mut re = vec![0u64; rows * stride];
+            let mut im = vec![0u64; rows * stride];
+            for r in 0..rows {
+                for c in 0..cols {
+                    let v = host.get(r, c);
+                    re[r * stride + c / 64] |= u64::from(v.re >= 0.0) << (c % 64);
+                    im[r * stride + c / 64] |= u64::from(v.im >= 0.0) << (c % 64);
+                }
+            }
+            assert_eq!(packed.re_words(), re, "{rows}x{cols} / {granularity} {isa}");
+            assert_eq!(packed.im_words(), im, "{rows}x{cols} / {granularity} {isa}");
+        }
     }
 
     #[test]
     fn transposed_matches_its_definition_at_every_tile_edge() {
-        // 0-sized, 1×N, N×1 and tile−1 / tile / tile+1 on each axis, for one
-        // and two tiles.
+        // 0-sized, 1×N, N×1 and block−1 / block / block+1 on each axis, for
+        // the 8 × 8 register block and for one and two tiles.
         let t = TRANSPOSE_TILE;
-        let edges = [0, 1, 2, t - 1, t, t + 1, 2 * t - 1, 2 * t, 2 * t + 1];
+        let edges = [
+            0,
+            1,
+            2,
+            7,
+            8,
+            9,
+            t - 1,
+            t,
+            t + 1,
+            2 * t - 1,
+            2 * t,
+            2 * t + 1,
+        ];
         for rows in edges {
             for cols in edges {
                 let seed = (rows * 1000 + cols) as u64;
@@ -560,10 +681,11 @@ pub(crate) mod tests {
     }
 
     /// Shapes of the parallel-prologue tests: rows and columns on and either
-    /// side of every band, row-group and work-item size, up to a whole
-    /// `fewbeam_int1` block's worth of elements.
+    /// side of every band, row-group and work-item size, multiples of the
+    /// 8 × 8 register block that are not of the tile and ragged ones, up to
+    /// a whole `fewbeam_int1` block's worth of elements.
     pub(crate) fn prologue_shapes() -> impl Iterator<Item = (usize, usize)> {
-        const DIMS: [usize; 8] = [0, 1, 31, 32, 33, 255, 257, 2048];
+        const DIMS: [usize; 10] = [0, 1, 9, 31, 32, 33, 40, 255, 257, 2048];
         DIMS.into_iter()
             .flat_map(|rows| DIMS.map(|cols| (rows, cols)))
             .filter(|(rows, cols)| rows * cols <= 2048 * 257)
@@ -574,36 +696,67 @@ pub(crate) mod tests {
         for (rows, cols) in prologue_shapes() {
             let host = arbitrary_bits_matrix(rows, cols, (rows * 4099 + cols) as u64);
             assert_transposed_matches_its_definition(&host);
-
-            let planes = F16Matrix::from_host(&host);
-            assert_eq!((planes.rows(), planes.cols()), (rows, cols));
-            let encoded = planes.re().iter().zip(planes.im());
-            for (at, (v, (re, im))) in host.data().iter().zip(encoded).enumerate() {
-                let expected = (f16::from_f32(v.re).to_bits(), f16::from_f32(v.im).to_bits());
-                assert_eq!(
-                    (re.to_bits(), im.to_bits()),
-                    expected,
-                    "{rows}x{cols} at {at}"
-                );
-            }
-
+            assert_f16_planes_match_from_f32(&host);
             for granularity in [1, 32, 33, 256] {
-                let packed = Int1Matrix::from_host_padded(&host, granularity);
-                let stride = packed.words_per_row();
-                assert_eq!(packed.k_padded(), cols.max(1).next_multiple_of(granularity));
-                let mut re = vec![0u64; rows * stride];
-                let mut im = vec![0u64; rows * stride];
-                for r in 0..rows {
-                    for c in 0..cols {
-                        let v = host.get(r, c);
-                        re[r * stride + c / 64] |= u64::from(v.re >= 0.0) << (c % 64);
-                        im[r * stride + c / 64] |= u64::from(v.im >= 0.0) << (c % 64);
-                    }
-                }
-                assert_eq!(packed.re_words(), re, "{rows}x{cols} / {granularity}");
-                assert_eq!(packed.im_words(), im, "{rows}x{cols} / {granularity}");
+                assert_sign_words_match_their_definition(&host, granularity);
             }
         }
+    }
+
+    /// NaN payloads of both signs, quiet and signalling; ±0 and ±∞; binary32
+    /// subnormals; values that round to binary16 subnormals or to zero; the
+    /// largest binary16, the last value below its overflow, the overflow;
+    /// round-to-nearest-even ties either way — cycled through a ragged
+    /// matrix, so every one sits in whole register blocks and in tails.
+    fn hostile_matrix(rows: usize, cols: usize) -> HostComplexMatrix {
+        let hostile = [
+            f32::from_bits(0x7FC0_0000),
+            f32::from_bits(0xFFC0_1234),
+            f32::from_bits(0x7F80_0001),
+            f32::from_bits(0xFFBF_FFFF),
+            f32::from_bits(0x7FA5_5A5A),
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            f32::from_bits(0x807F_FFFF),
+            3.0e-5,
+            -1.0e-7,
+            2.0f32.powi(-25),
+            65504.0,
+            65519.99,
+            65520.0,
+            -65520.0,
+            1.0 + 2.0f32.powi(-11),
+            1.0 + 3.0 * 2.0f32.powi(-11),
+            -1.5,
+        ];
+        let pick = |at: usize| hostile[at % hostile.len()];
+        HostComplexMatrix::from_fn(rows, cols, |r, c| {
+            let at = r * cols + c;
+            Complex::new(pick(at), pick(7 * at + 3))
+        })
+    }
+
+    #[test]
+    fn transposed_copies_hostile_values_bit_for_bit_on_every_path() {
+        assert_transposed_matches_its_definition(&hostile_matrix(37, 150));
+    }
+
+    #[test]
+    fn quantise_f16_gives_from_f32_on_hostile_values_on_every_path() {
+        assert_f16_planes_match_from_f32(&hostile_matrix(37, 150));
+    }
+
+    #[test]
+    fn quantise_int1_gives_the_sign_definition_on_hostile_values_on_every_path() {
+        assert_sign_words_match_their_definition(&hostile_matrix(37, 150), 256);
+    }
+
+    #[test]
+    fn quantise_f16_gives_from_f32_on_a_million_arbitrary_bit_patterns() {
+        assert_f16_planes_match_from_f32(&arbitrary_bits_matrix(1024, 512, 0xF16));
     }
 
     #[test]

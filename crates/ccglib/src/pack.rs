@@ -52,18 +52,6 @@ pub fn pack_profile(
     )
 }
 
-/// Kernel profile of the unpacking direction (reads bit planes, writes
-/// full-width samples).
-pub fn unpack_profile(
-    spec: &DeviceSpec,
-    rows: usize,
-    k: usize,
-    output_bits_per_component: usize,
-) -> KernelProfile {
-    // Same traffic as packing with the roles of input and output swapped.
-    pack_profile(spec, rows, k, output_bits_per_component)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,13 +105,5 @@ mod tests {
         // Output is 32x smaller than a 32-bit input.
         let elements = 128.0 * 65536.0;
         assert!((from_f32.global_bytes - (elements * 8.0 + elements * 0.25)).abs() < 1.0);
-    }
-
-    #[test]
-    fn unpack_profile_mirrors_pack() {
-        let spec = Gpu::Ad4000.spec();
-        let p = pack_profile(&spec, 10, 1000, 16);
-        let u = unpack_profile(&spec, 10, 1000, 16);
-        assert_eq!(p.global_bytes, u.global_bytes);
     }
 }

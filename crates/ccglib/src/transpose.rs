@@ -10,15 +10,16 @@
 //!   work in the paper and available here through
 //!   [`crate::gemm::GemmInput::quantise_f16_interleaved`]);
 //! * transposing the `B` operand from the natural `K×N` orientation into
-//!   the `N×K` bit-row orientation the packed 1-bit kernel consumes.
+//!   the `N×K` bit-row orientation the packed 1-bit kernel consumes
+//!   ([`crate::matrix::HostComplexMatrix::transposed`]).
 //!
 //! Both are pure data movement and therefore memory-bandwidth bound, like
 //! the packing kernel.
 
 use crate::error::{CcglibError, Result};
-use crate::matrix::{F16Matrix, HostComplexMatrix};
+use crate::matrix::F16Matrix;
 use gpu_sim::{DeviceSpec, KernelKind, KernelProfile, LaunchConfig};
-use tcbf_types::Complex32;
+use tcbf_types::encode_from_f32;
 
 /// Splits an interleaved complex buffer (row-major `rows × cols`, `re, im`
 /// pairs) into a planar binary16 device matrix — the "transpose" the paper
@@ -31,57 +32,10 @@ pub fn interleaved_to_planar(rows: usize, cols: usize, interleaved: &[f32]) -> R
         });
     }
     let (pairs, _) = interleaved.as_chunks::<2>();
-    Ok(F16Matrix::encode(rows, cols, pairs, |p| p[0], |p| p[1]))
-}
-
-/// Merges a planar matrix back into an interleaved single-precision buffer.
-pub fn planar_to_interleaved(matrix: &F16Matrix) -> Vec<f32> {
-    let mut out = Vec::with_capacity(matrix.rows() * matrix.cols() * 2);
-    for r in 0..matrix.rows() {
-        for c in 0..matrix.cols() {
-            let v = matrix.get(r, c);
-            out.push(v.re);
-            out.push(v.im);
-        }
-    }
-    out
-}
-
-/// Transposes a host matrix (used to bring `B` from `K×N` into `N×K`).
-pub fn transpose(host: &HostComplexMatrix) -> HostComplexMatrix {
-    host.transposed()
-}
-
-/// Tiles a matrix into contiguous `tile_rows × tile_cols` blocks in the
-/// order a block-tiled kernel would read them, returning the tile-major
-/// element order.  Out-of-range elements (when the matrix dimensions are
-/// not multiples of the tile) are padded with zeros, mirroring the padding
-/// the device kernel applies.
-pub fn tile_elements(
-    host: &HostComplexMatrix,
-    tile_rows: usize,
-    tile_cols: usize,
-) -> Vec<Complex32> {
-    assert!(tile_rows > 0 && tile_cols > 0);
-    let row_tiles = host.rows().div_ceil(tile_rows);
-    let col_tiles = host.cols().div_ceil(tile_cols);
-    let mut out = Vec::with_capacity(row_tiles * col_tiles * tile_rows * tile_cols);
-    for tr in 0..row_tiles {
-        for tc in 0..col_tiles {
-            for r in 0..tile_rows {
-                for c in 0..tile_cols {
-                    let rr = tr * tile_rows + r;
-                    let cc = tc * tile_cols + c;
-                    if rr < host.rows() && cc < host.cols() {
-                        out.push(host.get(rr, cc));
-                    } else {
-                        out.push(Complex32::ZERO);
-                    }
-                }
-            }
-        }
-    }
-    out
+    Ok(F16Matrix::encode(rows, cols, pairs, |src, re, im| {
+        encode_from_f32(src, |p| p[0], re);
+        encode_from_f32(src, |p| p[1], im);
+    }))
 }
 
 /// Kernel profile of the transpose kernel for a `rows × cols` complex
@@ -109,8 +63,9 @@ pub fn transpose_profile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::HostComplexMatrix;
     use gpu_sim::{ExecutionModel, Gpu};
-    use tcbf_types::{f16, Complex};
+    use tcbf_types::{f16, Complex, Complex32};
 
     #[test]
     fn interleaved_planar_roundtrip() {
@@ -120,10 +75,9 @@ mod tests {
         let planar = interleaved_to_planar(rows, cols, &interleaved).unwrap();
         assert_eq!(planar.rows(), rows);
         assert_eq!(planar.cols(), cols);
-        let back = planar_to_interleaved(&planar);
-        assert_eq!(back.len(), interleaved.len());
-        for (a, b) in interleaved.iter().zip(&back) {
-            assert!((a - b).abs() < 1e-3);
+        let back = planar.to_host();
+        for (pair, v) in interleaved.chunks_exact(2).zip(back.data()) {
+            assert!((pair[0] - v.re).abs() < 1e-3 && (pair[1] - v.im).abs() < 1e-3);
         }
     }
 
@@ -161,39 +115,6 @@ mod tests {
         assert_eq!(bits(from_host.im()), scalar(|v| v.im));
         assert_eq!(bits(from_interleaved.re()), bits(from_host.re()));
         assert_eq!(bits(from_interleaved.im()), bits(from_host.im()));
-    }
-
-    #[test]
-    fn transpose_matches_host_transpose() {
-        let m = HostComplexMatrix::from_fn(4, 7, |r, c| Complex::new(r as f32, c as f32));
-        let t = transpose(&m);
-        assert_eq!(t.rows(), 7);
-        assert_eq!(t.cols(), 4);
-        assert_eq!(t.get(6, 3), Complex::new(3.0, 6.0));
-    }
-
-    #[test]
-    fn tiling_covers_all_elements_with_padding() {
-        let m = HostComplexMatrix::from_fn(5, 3, |r, c| Complex::new((r * 3 + c) as f32, 0.0));
-        let tiled = tile_elements(&m, 4, 2);
-        // 2 row tiles × 2 col tiles × 4×2 elements.
-        assert_eq!(tiled.len(), 2 * 2 * 8);
-        // First tile starts with element (0,0), (0,1), (1,0)…
-        assert_eq!(tiled[0], m.get(0, 0));
-        assert_eq!(tiled[1], m.get(0, 1));
-        assert_eq!(tiled[2], m.get(1, 0));
-        // Padded positions are zero.
-        let non_zero: usize = tiled.iter().filter(|c| **c != Complex32::ZERO).count();
-        assert_eq!(non_zero, 14); // 15 elements, one of which is 0 itself
-    }
-
-    #[test]
-    fn exact_tiling_needs_no_padding() {
-        let m =
-            HostComplexMatrix::from_fn(4, 4, |r, c| Complex::new(1.0 + (r * 4 + c) as f32, 0.0));
-        let tiled = tile_elements(&m, 2, 2);
-        assert_eq!(tiled.len(), 16);
-        assert!(tiled.iter().all(|c| *c != Complex32::ZERO));
     }
 
     #[test]

@@ -80,42 +80,11 @@ impl Architecture {
         matches!(self, Architecture::Ampere | Architecture::Ada)
     }
 
-    /// Whether the 16×8×256 1-bit fragment layout is available (via inline
-    /// PTX; it is not exposed through the WMMA API).
-    pub fn supports_large_bit_fragment(self) -> bool {
-        self.supports_int1()
-    }
-
     /// Whether asynchronous copies from global to shared memory exist
     /// (`cp.async`, NVIDIA Ampere and later).  On AMD devices ccglib forces
     /// the number of pipeline buffers to one.
     pub fn supports_async_copies(self) -> bool {
         self.vendor() == Vendor::Nvidia
-    }
-
-    /// Efficiency of the WMMA interface relative to the architecture's true
-    /// tensor-core peak.  On Hopper (and Blackwell) the newer WGMMA
-    /// interface is required to reach full throughput; WMMA tops out at
-    /// roughly 65 % (ref. \[5\] of the paper, confirmed by the paper's own
-    /// micro-benchmarks).
-    pub fn wmma_interface_efficiency(self) -> f64 {
-        match self {
-            Architecture::Hopper | Architecture::Blackwell => 0.65,
-            _ => 1.0,
-        }
-    }
-
-    /// Relative slowdown of the XOR bit operation compared to AND on this
-    /// architecture (1.0 where XOR is native).  On Hopper the emulation
-    /// makes XOR up to ~5× slower; the measured Table I ratio for the
-    /// 8×8×128 fragment is 3894 / 979 ≈ 4.0 and for 16×8×256 it is
-    /// 10276 / 2361 ≈ 4.35, so we model a factor of 4.2.
-    pub fn xor_emulation_slowdown(self) -> f64 {
-        if self.supports_int1() && !self.xor_in_hardware() {
-            4.2
-        } else {
-            1.0
-        }
     }
 
     /// Short human-readable name.
@@ -211,7 +180,6 @@ mod tests {
             Architecture::Cdna3,
         ] {
             assert!(!arch.supports_int1());
-            assert!(!arch.supports_large_bit_fragment());
         }
     }
 
@@ -220,8 +188,6 @@ mod tests {
         assert!(Architecture::Ampere.xor_in_hardware());
         assert!(Architecture::Ada.xor_in_hardware());
         assert!(!Architecture::Hopper.xor_in_hardware());
-        assert!(Architecture::Hopper.xor_emulation_slowdown() > 3.0);
-        assert_eq!(Architecture::Ampere.xor_emulation_slowdown(), 1.0);
     }
 
     #[test]
@@ -242,13 +208,6 @@ mod tests {
     fn async_copies_nvidia_only() {
         assert!(Architecture::Ampere.supports_async_copies());
         assert!(!Architecture::Cdna3.supports_async_copies());
-    }
-
-    #[test]
-    fn wmma_efficiency_penalty_on_hopper_only() {
-        assert!((Architecture::Hopper.wmma_interface_efficiency() - 0.65).abs() < 1e-9);
-        assert_eq!(Architecture::Ampere.wmma_interface_efficiency(), 1.0);
-        assert_eq!(Architecture::Cdna3.wmma_interface_efficiency(), 1.0);
     }
 
     #[test]

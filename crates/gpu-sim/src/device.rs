@@ -434,13 +434,6 @@ impl DeviceSpec {
         self.fp32_peak_tflops
     }
 
-    /// Ratio of sustained to specified clock; above 1.0 for the
-    /// workstation parts that boost beyond spec, below 1.0 for the MI300
-    /// parts that throttle under synthetic load.
-    pub fn clock_ratio(&self) -> f64 {
-        self.sustained_clock_ghz / self.spec_clock_ghz
-    }
-
     /// Shared memory per block in bytes.
     pub fn shared_mem_per_block_bytes(&self) -> usize {
         self.shared_mem_per_block_kib * 1024
@@ -585,10 +578,11 @@ mod tests {
 
     #[test]
     fn workstation_parts_boost_beyond_spec() {
-        assert!(Gpu::Ad4000.spec().clock_ratio() > 1.0);
-        assert!(Gpu::W7700.spec().clock_ratio() > 1.0);
-        assert!(Gpu::Mi300x.spec().clock_ratio() < 1.0);
-        assert!(Gpu::Mi300a.spec().clock_ratio() < 1.0);
+        let clock_ratio = |gpu: Gpu| gpu.spec().sustained_clock_ghz / gpu.spec().spec_clock_ghz;
+        assert!(clock_ratio(Gpu::Ad4000) > 1.0);
+        assert!(clock_ratio(Gpu::W7700) > 1.0);
+        assert!(clock_ratio(Gpu::Mi300x) < 1.0);
+        assert!(clock_ratio(Gpu::Mi300a) < 1.0);
     }
 
     #[test]

@@ -237,12 +237,6 @@ impl ExecutionModel {
         }
     }
 
-    /// Convenience: predicted elapsed time of a sequence of kernels run
-    /// back-to-back on the same stream.
-    pub fn time_sequence(&self, profiles: &[KernelProfile]) -> f64 {
-        profiles.iter().map(|p| self.time(p).elapsed_s).sum()
-    }
-
     /// The memory model used by this execution model.
     pub fn memory(&self) -> &MemoryModel {
         &self.memory
@@ -358,16 +352,6 @@ mod tests {
         let t = model.time(&profile);
         assert!(t.elapsed_s >= LAUNCH_OVERHEAD_S);
         assert!(t.elapsed_s < 2.0 * LAUNCH_OVERHEAD_S);
-    }
-
-    #[test]
-    fn sequence_time_adds_up() {
-        let spec = Gpu::Ad4000.spec();
-        let model = ExecutionModel::new(spec.clone());
-        let p = KernelProfile::data_movement(KernelKind::Pack, 1e6, LaunchConfig::new(64, 256));
-        let single = model.time(&p).elapsed_s;
-        let triple = model.time_sequence(&[p, p, p]);
-        assert!((triple - 3.0 * single).abs() < 1e-12);
     }
 
     proptest! {

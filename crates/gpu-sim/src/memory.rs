@@ -122,12 +122,6 @@ impl MemoryModel {
         a_bytes + b_bytes + c_bytes
     }
 
-    /// Minimum bytes for a GEMM when every operand is touched exactly once
-    /// (the denominator of the roofline arithmetic intensity).
-    pub fn gemm_minimum_bytes(&self, shape: &GemmShape, input_bits_per_component: usize) -> f64 {
-        shape.io_bytes(input_bits_per_component) as f64
-    }
-
     /// Time in seconds to stream `bytes` through device memory.
     pub fn streaming_time_s(&self, bytes: f64) -> f64 {
         bytes / self.achievable_bandwidth_bytes_per_s()
@@ -163,11 +157,6 @@ impl MemoryModel {
         } else {
             1
         }
-    }
-
-    /// Whether a buffer of `bytes` fits in device memory.
-    pub fn fits_in_device_memory(&self, bytes: u128) -> bool {
-        bytes <= (self.spec.mem_size_gib * 1024.0 * 1024.0 * 1024.0) as u128
     }
 }
 
@@ -209,7 +198,7 @@ mod tests {
         let large = model.gemm_global_bytes(&shape, 256, 128, 16);
         assert!(large < small);
         // Never below the touch-once minimum.
-        assert!(large >= model.gemm_minimum_bytes(&shape, 16));
+        assert!(large >= shape.io_bytes(16) as f64);
     }
 
     #[test]
@@ -233,13 +222,6 @@ mod tests {
         assert!((t - expected).abs() < 1e-9);
     }
 
-    #[test]
-    fn device_memory_capacity() {
-        let model = MemoryModel::new(Gpu::W7700.spec());
-        assert!(model.fits_in_device_memory(8 * 1024 * 1024 * 1024));
-        assert!(!model.fits_in_device_memory(64 * 1024 * 1024 * 1024));
-    }
-
     proptest! {
         #[test]
         fn traffic_is_monotone_in_tile_size(
@@ -252,7 +234,7 @@ mod tests {
             let t = model.gemm_global_bytes(&shape, mb, nb, 16);
             let t_bigger = model.gemm_global_bytes(&shape, mb * 2, nb * 2, 16);
             prop_assert!(t_bigger <= t);
-            prop_assert!(t >= model.gemm_minimum_bytes(&shape, 16));
+            prop_assert!(t >= shape.io_bytes(16) as f64);
         }
 
         #[test]

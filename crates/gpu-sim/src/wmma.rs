@@ -92,13 +92,6 @@ impl BitFragmentShape {
         self.k() / 32
     }
 
-    /// Whether this layout is available through the portable WMMA API (the
-    /// larger layout requires inline PTX, which ccglib ships as an
-    /// extension).
-    pub const fn available_via_wmma(self) -> bool {
-        matches!(self, BitFragmentShape::M8N8K128)
-    }
-
     /// Both layouts, small first.
     pub const ALL: [BitFragmentShape; 2] =
         [BitFragmentShape::M8N8K128, BitFragmentShape::M16N8K256];
@@ -180,32 +173,6 @@ pub fn bmma_sync(shape: BitFragmentShape, op: BitOp, a: &[u32], b: &[u32], acc: 
     }
 }
 
-/// Reference ±1 dot-product fragment used by tests: decodes every bit and
-/// multiplies, bypassing the popcount identities.
-pub fn bmma_reference_signed(shape: BitFragmentShape, a: &[u32], b: &[u32]) -> Vec<i32> {
-    let (m, n, kw) = (shape.m(), shape.n(), shape.k_words());
-    let decode = |word: u32, bit: usize| -> i32 {
-        if (word >> bit) & 1 == 1 {
-            1
-        } else {
-            -1
-        }
-    };
-    let mut out = vec![0i32; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            let mut sum = 0i32;
-            for w in 0..kw {
-                for bit in 0..32 {
-                    sum += decode(a[i * kw + w], bit) * decode(b[j * kw + w], bit);
-                }
-            }
-            out[i * n + j] = sum;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,13 +182,37 @@ mod tests {
         values.iter().map(|&v| f16::from_f32(v)).collect()
     }
 
+    /// Reference ±1 dot-product fragment used by tests: decodes every bit and
+    /// multiplies, bypassing the popcount identities.
+    fn bmma_reference_signed(shape: BitFragmentShape, a: &[u32], b: &[u32]) -> Vec<i32> {
+        let (m, n, kw) = (shape.m(), shape.n(), shape.k_words());
+        let decode = |word: u32, bit: usize| -> i32 {
+            if (word >> bit) & 1 == 1 {
+                1
+            } else {
+                -1
+            }
+        };
+        let mut out = vec![0i32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut sum = 0i32;
+                for w in 0..kw {
+                    for bit in 0..32 {
+                        sum += decode(a[i * kw + w], bit) * decode(b[j * kw + w], bit);
+                    }
+                }
+                out[i * n + j] = sum;
+            }
+        }
+        out
+    }
+
     #[test]
     fn fragment_shapes() {
         assert_eq!(FragmentShape::M16N16K16.to_string(), "16x16x16");
         assert_eq!(BitFragmentShape::M8N8K128.k_words(), 4);
         assert_eq!(BitFragmentShape::M16N8K256.k_words(), 8);
-        assert!(BitFragmentShape::M8N8K128.available_via_wmma());
-        assert!(!BitFragmentShape::M16N8K256.available_via_wmma());
         assert!(BitFragmentShape::supported(Architecture::Cdna3).is_empty());
         assert_eq!(BitFragmentShape::supported(Architecture::Ampere).len(), 2);
     }

@@ -219,14 +219,6 @@ impl PowerMeter {
         }
     }
 
-    /// Convenience: measure a closure that records kernels on this meter.
-    pub fn measure_region<R>(&self, f: impl FnOnce() -> R) -> (R, EnergyMeasurement) {
-        let start = self.read();
-        let result = f();
-        let end = self.read();
-        (result, self.measure(start, end))
-    }
-
     /// Resets the meter to zero time and zero energy.
     pub fn reset(&self) {
         let mut inner = self.inner.lock();
@@ -300,9 +292,9 @@ mod tests {
             launch: LaunchConfig::new(spec.compute_units * 64, 256),
         };
         let t = exec.time(&profile);
-        let (_, m) = meter.measure_region(|| {
-            meter.record_kernel(KernelKind::GemmF16, &t);
-        });
+        let start = meter.read();
+        meter.record_kernel(KernelKind::GemmF16, &t);
+        let m = meter.measure(start, meter.read());
         let tpj = m.tops_per_joule(ops);
         // Table III: 0.8 TOPs/J on the GH200 in float16.
         assert!((tpj - 0.8).abs() < 0.15, "tops/J = {tpj}");

@@ -7,14 +7,18 @@
 //! this type exists mostly for the host-side reference paths, for weight
 //! generation, and for the application layers.
 
-use crate::half::f16;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A complex number `re + i·im` generic over the component type.
+///
+/// `repr(C)`: the real part first, then the imaginary part, so a run of
+/// `Complex<f32>` is the interleaved layout `re, im, re, im, …` that vector
+/// loads and stores move as it is.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[repr(C)]
 pub struct Complex<T> {
     /// Real component.
     pub re: T,
@@ -75,27 +79,6 @@ impl Complex<f32> {
     #[inline]
     pub fn scale(self, s: f32) -> Self {
         Complex::new(self.re * s, self.im * s)
-    }
-
-    /// Quantises to half precision component-wise.
-    #[inline]
-    pub fn to_half(self) -> Complex<f16> {
-        Complex::new(f16::from_f32(self.re), f16::from_f32(self.im))
-    }
-
-    /// Quantises to the 1-bit encoding: each component becomes its sign
-    /// (±1).  Zero maps to +1 since zero is not representable (Fig. 1).
-    #[inline]
-    pub fn to_onebit(self) -> crate::onebit::OneBitComplex {
-        crate::onebit::OneBitComplex::from_signs(self.re >= 0.0, self.im >= 0.0)
-    }
-}
-
-impl Complex<f16> {
-    /// Widens both components to single precision.
-    #[inline]
-    pub fn to_f32(self) -> Complex<f32> {
-        Complex::new(self.re.to_f32(), self.im.to_f32())
     }
 }
 
@@ -226,21 +209,6 @@ mod tests {
         let c = Complex::from_polar(2.0, std::f32::consts::FRAC_PI_3);
         assert!((c.abs() - 2.0).abs() < 1e-6);
         assert!((c.arg() - std::f32::consts::FRAC_PI_3).abs() < 1e-6);
-    }
-
-    #[test]
-    fn half_quantisation() {
-        let c = Complex::new(1.0f32 / 3.0, -2.0 / 3.0);
-        let h = c.to_half().to_f32();
-        assert!((h.re - c.re).abs() < 1e-3);
-        assert!((h.im - c.im).abs() < 1e-3);
-    }
-
-    #[test]
-    fn onebit_quantisation_keeps_signs() {
-        let c = Complex::new(0.3f32, -0.7);
-        let q = c.to_onebit();
-        assert_eq!(q.to_complex32(), Complex::new(1.0, -1.0));
     }
 
     #[test]

@@ -26,9 +26,11 @@ use std::sync::OnceLock;
 ///
 /// The name deliberately mirrors the primitive float types (`f32`, `f64`);
 /// the non-camel-case name is the conventional one used by the `half`
-/// ecosystem crate as well.
+/// ecosystem crate as well.  `repr(transparent)`: laid out as its `u16`, so
+/// a run of them can be stored as a vector of 16-bit lanes.
 #[allow(non_camel_case_types)]
 #[derive(Clone, Copy, Default, Serialize, Deserialize)]
+#[repr(transparent)]
 pub struct f16(u16);
 
 const F16_SIGN_MASK: u16 = 0x8000;
@@ -237,15 +239,6 @@ impl f16 {
         } else {
             Self::ONE
         }
-    }
-
-    /// The sign bit interpreted as the 1-bit encoding of the paper:
-    /// non-negative values map to binary 1 (decimal +1), negative values to
-    /// binary 0 (decimal −1).  Zero maps to +1 because zero is not
-    /// representable in the 1-bit format (Fig. 1).
-    #[inline]
-    pub fn sign_bit_onebit(self) -> bool {
-        !self.is_sign_negative()
     }
 }
 
@@ -550,13 +543,9 @@ mod tests {
     }
 
     #[test]
-    fn signum_and_sign_bit() {
+    fn signum() {
         assert_eq!(f16::from_f32(3.0).signum(), f16::ONE);
         assert_eq!(f16::from_f32(-3.0).signum(), f16::NEG_ONE);
-        assert!(f16::from_f32(0.5).sign_bit_onebit());
-        assert!(!f16::from_f32(-0.5).sign_bit_onebit());
-        // Zero is mapped onto +1 in the 1-bit encoding.
-        assert!(f16::ZERO.sign_bit_onebit());
     }
 
     #[test]

@@ -16,10 +16,8 @@
 //! * [`onebit`] — the 1-bit complex encoding of Section III-D / Fig. 1 of
 //!   the paper: one sign bit per component, the value zero not
 //!   representable, 32 consecutive samples packed into a `u32` word.
-//! * [`matrix`] — matrix descriptors: problem shapes (`M`, `N`, `K`,
-//!   batch), memory layouts (row/column major, planar vs interleaved
-//!   complex), tiling and padding arithmetic used by the kernels and the
-//!   performance model.
+//! * [`matrix`] — problem shapes (`M`, `N`, `K`, batch), tiling and
+//!   padding arithmetic used by the kernels and the performance model.
 //!
 //! The crate is deliberately dependency-light; everything heavier (the GPU
 //! model, the GEMM kernels, the applications) lives in the crates layered
@@ -35,14 +33,10 @@ pub mod onebit;
 
 pub use complex::Complex;
 pub use half::{decode_to_f32, encode_from_f32, f16};
-pub use matrix::{ComplexLayout, GemmShape, MatrixDescriptor, MatrixOrder, TileShape};
+pub use matrix::{GemmShape, TileShape};
 pub use onebit::{OneBitComplex, PackedBits};
 
 /// Complex number with `f32` components — the accumulator type of every
 /// tensor-core kernel in the paper (16-bit and 1-bit inputs both accumulate
 /// into 32-bit outputs).
 pub type Complex32 = Complex<f32>;
-
-/// Complex number with software [`struct@f16`] components — the input type of the
-/// 16-bit tensor-core GEMM.
-pub type ComplexHalf = Complex<f16>;

@@ -1,4 +1,4 @@
-//! Matrix shapes, layouts, tiling and padding arithmetic.
+//! Matrix shapes, tiling and padding arithmetic.
 //!
 //! The beamforming GEMM is described throughout the paper as the product of
 //! an `M×K` matrix (beam weights) with a `K×N` matrix (receiver samples),
@@ -12,30 +12,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Storage order of a matrix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum MatrixOrder {
-    /// Row-major: element `(r, c)` is stored at `r * cols + c`.
-    RowMajor,
-    /// Column-major: element `(r, c)` is stored at `c * rows + r`.
-    ColMajor,
-}
-
-/// How the real and imaginary planes of a complex matrix are stored.
-///
-/// The current ccglib kernels require the *planar* layout (all real values
-/// followed by all imaginary values), which is why a transpose/interleave
-/// kernel is part of the library; interleaved support is listed as future
-/// work in the paper and implemented here as well.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ComplexLayout {
-    /// Separate real and imaginary planes (`[re…][im…]`), the layout the
-    /// tensor-core kernels consume.
-    Planar,
-    /// Interleaved `re, im, re, im, …` pairs, the usual host-side layout.
-    Interleaved,
-}
 
 /// Dimensions of one complex GEMM: `C[M×N] = A[M×K] · B[K×N]`, repeated
 /// `batch` times.
@@ -156,11 +132,6 @@ impl TileShape {
         self.m * self.n * self.k
     }
 
-    /// Number of tiles (rounding up) needed to cover `shape`.
-    pub fn tiles_to_cover(&self, shape: &GemmShape) -> usize {
-        shape.batch * self.m_tiles(shape) * self.n_tiles(shape) * self.k_tiles(shape)
-    }
-
     /// Number of tiles along M.
     pub fn m_tiles(&self, shape: &GemmShape) -> usize {
         shape.m.div_ceil(self.m)
@@ -196,82 +167,6 @@ impl fmt::Display for TileShape {
 pub fn round_up(value: usize, granularity: usize) -> usize {
     assert!(granularity > 0, "granularity must be positive");
     value.div_ceil(granularity) * granularity
-}
-
-/// Descriptor of a complex matrix buffer: logical dimensions plus the
-/// storage conventions the kernels need to interpret the raw data.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MatrixDescriptor {
-    /// Number of logical rows.
-    pub rows: usize,
-    /// Number of logical columns.
-    pub cols: usize,
-    /// Row- or column-major storage.
-    pub order: MatrixOrder,
-    /// Planar or interleaved complex storage.
-    pub layout: ComplexLayout,
-}
-
-impl MatrixDescriptor {
-    /// Creates a row-major planar descriptor, the layout the tensor-core
-    /// kernels consume.
-    pub const fn planar_row_major(rows: usize, cols: usize) -> Self {
-        MatrixDescriptor {
-            rows,
-            cols,
-            order: MatrixOrder::RowMajor,
-            layout: ComplexLayout::Planar,
-        }
-    }
-
-    /// Creates a row-major interleaved descriptor, the usual host layout.
-    pub const fn interleaved_row_major(rows: usize, cols: usize) -> Self {
-        MatrixDescriptor {
-            rows,
-            cols,
-            order: MatrixOrder::RowMajor,
-            layout: ComplexLayout::Interleaved,
-        }
-    }
-
-    /// Number of complex elements.
-    pub const fn elements(&self) -> usize {
-        self.rows * self.cols
-    }
-
-    /// Number of scalar (real) values backing the matrix (two per element).
-    pub const fn scalars(&self) -> usize {
-        2 * self.elements()
-    }
-
-    /// Linear index of the scalar holding the *real* part of element
-    /// `(row, col)` given this descriptor's conventions.
-    pub fn real_index(&self, row: usize, col: usize) -> usize {
-        let e = self.element_index(row, col);
-        match self.layout {
-            ComplexLayout::Planar => e,
-            ComplexLayout::Interleaved => 2 * e,
-        }
-    }
-
-    /// Linear index of the scalar holding the *imaginary* part of element
-    /// `(row, col)`.
-    pub fn imag_index(&self, row: usize, col: usize) -> usize {
-        let e = self.element_index(row, col);
-        match self.layout {
-            ComplexLayout::Planar => self.elements() + e,
-            ComplexLayout::Interleaved => 2 * e + 1,
-        }
-    }
-
-    /// Linear element index of `(row, col)` ignoring the complex layout.
-    pub fn element_index(&self, row: usize, col: usize) -> usize {
-        debug_assert!(row < self.rows && col < self.cols);
-        match self.order {
-            MatrixOrder::RowMajor => row * self.cols + col,
-            MatrixOrder::ColMajor => col * self.rows + row,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -325,7 +220,6 @@ mod tests {
         assert_eq!(tile.m_tiles(&shape), 3);
         assert_eq!(tile.n_tiles(&shape), 2);
         assert_eq!(tile.k_tiles(&shape), 3);
-        assert_eq!(tile.tiles_to_cover(&shape), 4 * 3 * 2 * 3);
     }
 
     #[test]
@@ -334,28 +228,6 @@ mod tests {
         assert_eq!(round_up(1, 16), 16);
         assert_eq!(round_up(16, 16), 16);
         assert_eq!(round_up(17, 16), 32);
-    }
-
-    #[test]
-    fn descriptor_indexing_planar_vs_interleaved() {
-        let planar = MatrixDescriptor::planar_row_major(3, 4);
-        assert_eq!(planar.real_index(1, 2), 6);
-        assert_eq!(planar.imag_index(1, 2), 12 + 6);
-        let inter = MatrixDescriptor::interleaved_row_major(3, 4);
-        assert_eq!(inter.real_index(1, 2), 12);
-        assert_eq!(inter.imag_index(1, 2), 13);
-        assert_eq!(planar.scalars(), inter.scalars());
-    }
-
-    #[test]
-    fn descriptor_col_major() {
-        let d = MatrixDescriptor {
-            rows: 3,
-            cols: 4,
-            order: MatrixOrder::ColMajor,
-            layout: ComplexLayout::Planar,
-        };
-        assert_eq!(d.element_index(2, 1), 3 + 2);
     }
 
     proptest! {
@@ -375,30 +247,6 @@ mod tests {
             prop_assert!(padded.m - m < tm);
             let eff = tile.efficiency(&shape);
             prop_assert!(eff > 0.0 && eff <= 1.0);
-        }
-
-        #[test]
-        fn descriptor_indices_are_unique_and_in_range(
-            rows in 1usize..20, cols in 1usize..20,
-            planar in any::<bool>(), row_major in any::<bool>(),
-        ) {
-            let d = MatrixDescriptor {
-                rows,
-                cols,
-                order: if row_major { MatrixOrder::RowMajor } else { MatrixOrder::ColMajor },
-                layout: if planar { ComplexLayout::Planar } else { ComplexLayout::Interleaved },
-            };
-            let mut seen = std::collections::HashSet::new();
-            for r in 0..rows {
-                for c in 0..cols {
-                    let re = d.real_index(r, c);
-                    let im = d.imag_index(r, c);
-                    prop_assert!(re < d.scalars());
-                    prop_assert!(im < d.scalars());
-                    prop_assert!(seen.insert(re));
-                    prop_assert!(seen.insert(im));
-                }
-            }
         }
     }
 }

@@ -225,12 +225,6 @@ impl PackedBits {
         &self.words
     }
 
-    /// Mutable access to the raw packed words.
-    #[inline]
-    pub fn words_mut(&mut self) -> &mut [u32] {
-        &mut self.words
-    }
-
     /// Reads the sample at `index`.
     #[inline]
     pub fn get(&self, index: usize) -> bool {
@@ -264,16 +258,6 @@ impl PackedBits {
         (0..self.len)
             .map(|i| OneBitComplex::decode_bit(self.get(i)))
             .collect()
-    }
-
-    /// Extends the plane with padding (binary 0 = decimal −1) up to
-    /// `new_len` samples, returning the number of padding samples added.
-    pub fn pad_to(&mut self, new_len: usize) -> usize {
-        assert!(new_len >= self.len, "cannot shrink a packed plane");
-        let added = new_len - self.len;
-        self.words.resize(new_len.div_ceil(32), 0);
-        self.len = new_len;
-        added
     }
 
     /// Number of bits set to one (population count over valid samples only).
@@ -336,25 +320,6 @@ impl PackedBits {
             ((a ^ b) & mask).count_ones()
         })
         .map(|popc| k - 2 * popc as i32)
-    }
-
-    /// The quadruple of [`PackedBits::dot4_xor`] through the AND identity
-    /// of Eq. 6 (the Hopper-and-newer formulation), with the
-    /// complemented-planes second term folded into the same pass.
-    ///
-    /// # Panics
-    /// Panics if the four planes do not share one length.
-    pub fn dot4_and(
-        a_re: &PackedBits,
-        a_im: &PackedBits,
-        b_re: &PackedBits,
-        b_im: &PackedBits,
-    ) -> [i32; 4] {
-        let k = a_re.len as i32;
-        Self::popc4(a_re, a_im, b_re, b_im, |a, b, mask| {
-            ((a & b) & mask).count_ones() + ((!a & !b) & mask).count_ones()
-        })
-        .map(|popc| 2 * popc as i32 - k)
     }
 
     /// Shared core of the quadruple dot products: walks the four planes
@@ -480,27 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn padding_uses_binary_zero() {
-        let mut packed = PackedBits::pack(&[true, true, true]);
-        let added = packed.pad_to(64);
-        assert_eq!(added, 61);
-        assert_eq!(packed.len(), 64);
-        // Padding decodes to −1 (decimal value of binary 0).
-        for i in 3..64 {
-            assert!(!packed.get(i));
-        }
-        assert_eq!(packed.popcount(), 3);
-    }
-
-    #[test]
-    fn popcount_ignores_slack_bits() {
-        let mut packed = PackedBits::zeros(40);
-        // Dirty the slack bits of the second word directly.
-        packed.words_mut()[1] |= 0xFFFF_FF00;
-        assert_eq!(packed.popcount(), 0);
-    }
-
-    #[test]
     fn sign_packing() {
         let packed = PackedBits::pack_signs(&[0.5, -0.5, 0.0, -3.0, 7.0]);
         assert_eq!(packed.unpack(), vec![1.0, -1.0, 1.0, -1.0, 1.0]);
@@ -563,11 +507,6 @@ mod tests {
                 expected,
                 "len {len}"
             );
-            assert_eq!(
-                PackedBits::dot4_and(&a_re, &a_im, &b_re, &b_im),
-                expected,
-                "len {len}"
-            );
         }
     }
 
@@ -596,7 +535,6 @@ mod tests {
                 a_im.dot_xor(&b_re),
             ];
             prop_assert_eq!(PackedBits::dot4_xor(&a_re, &a_im, &b_re, &b_im), expected);
-            prop_assert_eq!(PackedBits::dot4_and(&a_re, &a_im, &b_re, &b_im), expected);
         }
 
         #[test]

@@ -122,13 +122,6 @@ impl ImagingConfig {
         ArrayGeometry::uniform_linear(self.num_transceivers, self.pitch, SPEED_OF_SOUND_TISSUE)
     }
 
-    /// Maximum number of frames per second at which pulse-echo data can be
-    /// acquired: the pulse repetition frequency divided by the number of
-    /// transmissions per frame.
-    pub fn acquisition_fps(&self) -> f64 {
-        self.pulse_repetition_frequency / self.num_transmissions as f64
-    }
-
     /// Builds a regular grid of voxels: `nx × ny × nz` voxels covering a
     /// box of the given physical extent (metres) starting at `depth`.
     pub fn voxel_grid(nx: usize, ny: usize, nz: usize, extent: f64, depth: f64) -> Vec<Voxel> {
@@ -241,11 +234,6 @@ impl AcousticModel {
         &self.voxels
     }
 
-    /// Number of voxels (the `M` of the GEMM).
-    pub fn num_voxels(&self) -> usize {
-        self.voxels.len()
-    }
-
     /// The `voxels × K` model matrix.
     pub fn matrix(&self) -> &HostComplexMatrix {
         &self.matrix
@@ -274,7 +262,9 @@ mod tests {
         assert_eq!(ImagingConfig::paper_realtime().k_rows(), 262_144);
         assert_eq!(ImagingConfig::paper_offline().k_rows(), 524_288);
         // 32 kHz PRF with 32 transmissions per frame = 1000 frames/s.
-        assert!((ImagingConfig::paper_realtime().acquisition_fps() - 1000.0).abs() < 1e-9);
+        let realtime = ImagingConfig::paper_realtime();
+        let fps = realtime.pulse_repetition_frequency / realtime.num_transmissions as f64;
+        assert!((fps - 1000.0).abs() < 1e-9);
     }
 
     #[test]
@@ -290,7 +280,7 @@ mod tests {
         let config = ImagingConfig::small(8, 4, 2);
         let voxels = ImagingConfig::voxel_grid(3, 1, 3, 0.005, 0.02);
         let model = AcousticModel::build(&config, &voxels);
-        assert_eq!(model.num_voxels(), 9);
+        assert_eq!(model.voxels().len(), 9);
         assert_eq!(model.matrix().rows(), 9);
         assert_eq!(model.matrix().cols(), config.k_rows());
         for v in 0..9 {
