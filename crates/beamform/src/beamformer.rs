@@ -128,7 +128,7 @@ impl Beamformer {
     /// Replaces the beam weights without re-planning the GEMM (weight
     /// hot-swap, e.g. re-steering the beams mid-stream).  The new matrix
     /// must keep the `beams × receivers` shape the kernel was planned for.
-    pub fn set_weights(&mut self, weights: WeightMatrix) -> ccglib::Result<()> {
+    pub(crate) fn set_weights(&mut self, weights: WeightMatrix) -> ccglib::Result<()> {
         if weights.num_beams() != self.weights.num_beams()
             || weights.num_receivers() != self.weights.num_receivers()
         {

@@ -134,20 +134,6 @@ impl Report {
             .fold(0.0, f64::max)
     }
 
-    /// Index of the straggler — the member with the largest elapsed time —
-    /// or `None` for an empty report.
-    pub fn straggler(&self) -> Option<usize> {
-        self.per_device
-            .iter()
-            .enumerate()
-            .max_by(|a, b| {
-                a.1.report
-                    .total_elapsed_s
-                    .total_cmp(&b.1.report.total_elapsed_s)
-            })
-            .map(|(i, _)| i)
-    }
-
     /// Effective block (frame) rate: blocks per second of wall-clock time.
     /// Zero for a zero-block or zero-elapsed run.
     pub fn effective_fps(&self) -> f64 {
@@ -582,7 +568,6 @@ mod tests {
         assert_eq!(report.wall_clock_s(), serial.total_elapsed_s);
         assert!((report.speedup_over_serial() - 1.0).abs() < 1e-12);
         assert!((report.aggregate_tops() - serial.aggregate_tops()).abs() < 1e-12);
-        assert_eq!(report.straggler(), Some(0));
     }
 
     #[test]
@@ -761,7 +746,6 @@ mod tests {
         assert_eq!(with_idle.worst_tops(), without.worst_tops());
         assert_eq!(with_idle.mean_tops(), without.mean_tops());
         assert_eq!(with_idle.p99_latency_s(), without.p99_latency_s());
-        assert_eq!(with_idle.straggler(), Some(0));
     }
 
     #[test]

@@ -12,8 +12,6 @@ use serde::{Deserialize, Serialize};
 
 /// Speed of light in vacuum, m/s.
 pub const SPEED_OF_LIGHT: f64 = 299_792_458.0;
-/// Speed of sound in water, m/s (ultrasound coupling medium).
-pub const SPEED_OF_SOUND_WATER: f64 = 1480.0;
 /// Speed of sound in soft tissue, m/s (the usual ultrasound assumption).
 pub const SPEED_OF_SOUND_TISSUE: f64 = 1540.0;
 
@@ -66,24 +64,11 @@ impl ArrayGeometry {
     /// Far-field delay of every sensor for a plane wave arriving from
     /// `azimuth` (radians, measured from broadside in the x–z plane):
     /// `τ_k = x_k sin θ / c` (Eq. 2).
-    pub fn far_field_delays(&self, azimuth: f64) -> Vec<f64> {
+    pub(crate) fn far_field_delays(&self, azimuth: f64) -> Vec<f64> {
         self.positions
             .iter()
             .map(|p| p[0] * azimuth.sin() / self.wave_speed)
             .collect()
-    }
-
-    /// Aperture of the array: largest pairwise sensor distance, in metres.
-    pub fn aperture(&self) -> f64 {
-        let mut max = 0.0f64;
-        for (i, a) in self.positions.iter().enumerate() {
-            for b in &self.positions[i + 1..] {
-                let d =
-                    ((a[0] - b[0]).powi(2) + (a[1] - b[1]).powi(2) + (a[2] - b[2]).powi(2)).sqrt();
-                max = max.max(d);
-            }
-        }
-        max
     }
 }
 
@@ -99,7 +84,6 @@ mod tests {
         assert_eq!(array.positions()[2], [0.0, 0.0, 0.0]);
         assert_eq!(array.positions()[0][0], -1.0);
         assert_eq!(array.positions()[4][0], 1.0);
-        assert!((array.aperture() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -129,7 +113,8 @@ mod tests {
         fn delays_are_bounded_by_aperture(n in 2usize..32, spacing in 1e-3f64..1.0, angle in -1.5f64..1.5) {
             let array = ArrayGeometry::uniform_linear(n, spacing, SPEED_OF_LIGHT);
             let delays = array.far_field_delays(angle);
-            let bound = array.aperture() / SPEED_OF_LIGHT;
+            let aperture = (n - 1) as f64 * spacing;
+            let bound = aperture / SPEED_OF_LIGHT;
             for d in delays {
                 prop_assert!(d.abs() <= bound + 1e-18);
             }
@@ -137,7 +122,7 @@ mod tests {
 
         #[test]
         fn far_field_delay_is_antisymmetric_in_angle(angle in -1.5f64..1.5) {
-            let array = ArrayGeometry::uniform_linear(9, 0.1, SPEED_OF_SOUND_WATER);
+            let array = ArrayGeometry::uniform_linear(9, 0.1, SPEED_OF_SOUND_TISSUE);
             let pos = array.far_field_delays(angle);
             let neg = array.far_field_delays(-angle);
             for (a, b) in pos.iter().zip(&neg) {

@@ -72,7 +72,7 @@ impl LatencyHistogram {
     /// `u64::MAX` instead of wrapping, so a histogram that has absorbed
     /// absurd totals degrades to a pinned tail rather than corrupting.
     #[inline]
-    pub fn record_ns(&mut self, nanos: u64) {
+    pub(crate) fn record_ns(&mut self, nanos: u64) {
         let bucket = &mut self.buckets[Self::bucket_of(nanos)];
         *bucket = bucket.saturating_add(1);
         self.count = self.count.saturating_add(1);
@@ -127,7 +127,7 @@ impl LatencyHistogram {
     /// The latency (in seconds) below which `quantile` (in `[0, 1]`) of
     /// the recorded samples fall, as the conservative upper edge of the
     /// containing bucket.  Returns 0.0 for an empty histogram.
-    pub fn percentile_s(&self, quantile: f64) -> f64 {
+    pub(crate) fn percentile_s(&self, quantile: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }

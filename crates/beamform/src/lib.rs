@@ -51,7 +51,7 @@ pub use beamformer::{BeamformOutput, Beamformer, BeamformerConfig};
 pub use engine::{
     DeviceShardReport, DynSession, Engine, Report, Session, SessionCheckpoint, Topology,
 };
-pub use geometry::{ArrayGeometry, SPEED_OF_LIGHT, SPEED_OF_SOUND_TISSUE, SPEED_OF_SOUND_WATER};
+pub use geometry::{ArrayGeometry, SPEED_OF_LIGHT, SPEED_OF_SOUND_TISSUE};
 pub use latency::{LatencyHistogram, LATENCY_BUCKETS};
 pub use session::SessionReport;
 pub use shard::{ShardPlan, ShardPolicy, ShardedBeamformer};

@@ -63,11 +63,6 @@ impl SignalGenerator {
         &self.geometry
     }
 
-    /// Observing (carrier) frequency in Hz.
-    pub fn carrier_frequency(&self) -> f64 {
-        self.carrier_frequency
-    }
-
     /// Approximately standard-normal complex noise sample (two uniform
     /// 12-term sums; good enough for SNR bookkeeping without pulling in a
     /// distributions crate).

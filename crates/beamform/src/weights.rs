@@ -151,27 +151,6 @@ impl WeightMatrix {
     pub fn matrix(&self) -> &HostComplexMatrix {
         &self.shared.weights
     }
-
-    /// The array (power) response of beam `beam` to a unit plane wave from
-    /// `azimuth`: `|Σ_k w_k v_k(azimuth)|²` with `v` the propagation
-    /// phasor.  Sampling this over azimuth gives the beam pattern.
-    pub fn beam_response(
-        &self,
-        geometry: &ArrayGeometry,
-        frequency: f64,
-        beam: usize,
-        azimuth: f64,
-    ) -> f64 {
-        let arrival = steering_vector(geometry, frequency, azimuth, false)
-            .into_iter()
-            .map(|v| v.conj())
-            .collect::<Vec<_>>();
-        let mut sum = Complex32::ZERO;
-        for (k, &arrival_k) in arrival.iter().enumerate().take(self.num_receivers()) {
-            sum += self.matrix().get(beam, k) * arrival_k;
-        }
-        f64::from(sum.norm_sqr())
-    }
 }
 
 #[cfg(test)]
@@ -182,6 +161,27 @@ mod tests {
     fn array(n: usize) -> ArrayGeometry {
         let wavelength = SPEED_OF_LIGHT / 150e6;
         ArrayGeometry::uniform_linear(n, wavelength / 2.0, SPEED_OF_LIGHT)
+    }
+
+    /// The array (power) response of beam `beam` to a unit plane wave from
+    /// `azimuth`: `|Σ_k w_k v_k(azimuth)|²` with `v` the propagation
+    /// phasor.  Sampling this over azimuth gives the beam pattern.
+    fn beam_response(
+        weights: &WeightMatrix,
+        geometry: &ArrayGeometry,
+        frequency: f64,
+        beam: usize,
+        azimuth: f64,
+    ) -> f64 {
+        let arrival = steering_vector(geometry, frequency, azimuth, false)
+            .into_iter()
+            .map(|v| v.conj())
+            .collect::<Vec<_>>();
+        let mut sum = Complex32::ZERO;
+        for (k, &arrival_k) in arrival.iter().enumerate().take(weights.num_receivers()) {
+            sum += weights.matrix().get(beam, k) * arrival_k;
+        }
+        f64::from(sum.norm_sqr())
     }
 
     #[test]
@@ -204,11 +204,11 @@ mod tests {
         assert_eq!(weights.num_receivers(), 64);
         for beam in 0..5 {
             let look = weights.azimuths()[beam];
-            let on_axis = weights.beam_response(&geom, 150e6, beam, look);
+            let on_axis = beam_response(&weights, &geom, 150e6, beam, look);
             // The normalised response at the look direction is 1.
             assert!((on_axis - 1.0).abs() < 1e-4, "beam {beam}: {on_axis}");
             // Looking 0.3 rad away the response must be much lower.
-            let off_axis = weights.beam_response(&geom, 150e6, beam, look + 0.3);
+            let off_axis = beam_response(&weights, &geom, 150e6, beam, look + 0.3);
             assert!(off_axis < 0.1 * on_axis, "beam {beam}: off-axis {off_axis}");
         }
     }
@@ -273,8 +273,8 @@ mod tests {
         let small = WeightMatrix::uniform_fan(&array(8), freq, 1, 0.0, 0.0);
         let large = WeightMatrix::uniform_fan(&array(128), freq, 1, 0.0, 0.0);
         let off = 0.05;
-        let small_off = small.beam_response(&array(8), freq, 0, off);
-        let large_off = large.beam_response(&array(128), freq, 0, off);
+        let small_off = beam_response(&small, &array(8), freq, 0, off);
+        let large_off = beam_response(&large, &array(128), freq, 0, off);
         assert!(large_off < small_off);
     }
 }

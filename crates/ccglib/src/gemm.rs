@@ -174,7 +174,7 @@ impl DecodedPlanes {
     /// Decodes both planes of a binary16 matrix in one bulk pass; a run of
     /// a few thousand elements — both planes of it — is one parallel work
     /// item.
-    pub fn from_f16(matrix: &F16Matrix) -> Self {
+    pub(crate) fn from_f16(matrix: &F16Matrix) -> Self {
         let [re, im] = write_once_pair(matrix.re().len(), |re, im| {
             re.par_chunks_mut(PLANE_ITEM)
                 .zip(im.par_chunks_mut(PLANE_ITEM))

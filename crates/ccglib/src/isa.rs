@@ -67,7 +67,7 @@ enum Path {
 
 impl Isa {
     /// The safe-Rust path every host has.
-    pub const PORTABLE: Isa = Isa(Path::Portable);
+    pub(crate) const PORTABLE: Isa = Isa(Path::Portable);
 
     /// The AVX-512 path, if the CPU and OS support it.  The feature probe
     /// is cached by `std` after its first use in the process.
@@ -83,7 +83,7 @@ impl Isa {
     }
 
     /// Every path this host can run, slowest first: always
-    /// [`Isa::PORTABLE`], then the AVX-512 path where detected.
+    /// `Isa::PORTABLE`, then the AVX-512 path where detected.
     pub fn available() -> Vec<Isa> {
         std::iter::once(Isa::PORTABLE)
             .chain(Isa::avx512())

@@ -170,11 +170,6 @@ impl HostComplexMatrix {
             .map(|(a, b)| (*a - *b).abs())
             .fold(0.0f32, f32::max)
     }
-
-    /// Frobenius norm of the matrix.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|c| c.norm_sqr()).sum::<f32>().sqrt()
-    }
 }
 
 /// Planar binary16 device matrix: the input format of the float16 tensor
@@ -359,7 +354,7 @@ pub struct Int1Matrix {
 impl Int1Matrix {
     /// Packing granularity in bits of the device format: 32 samples per
     /// word (Section III of the paper).
-    pub const WORD_BITS: usize = 32;
+    pub(crate) const WORD_BITS: usize = 32;
 
     /// Quantises a host matrix (`rows × k`) to 1-bit by keeping component
     /// signs, padding the packed dimension to a whole number of words with
@@ -436,7 +431,7 @@ impl Int1Matrix {
     }
 
     /// Valid samples per row (the logical `K`).
-    pub fn k_bits(&self) -> usize {
+    pub(crate) fn k_bits(&self) -> usize {
         self.k_bits
     }
 
@@ -543,7 +538,7 @@ impl<'a> BitRow<'a> {
     }
 
     /// The row in the device's 32-bit word format.
-    pub fn to_packed_bits(&self) -> PackedBits {
+    pub(crate) fn to_packed_bits(self) -> PackedBits {
         let words = self.halves().take(self.len.div_ceil(32)).collect();
         PackedBits::from_words(words, self.len)
     }
@@ -876,10 +871,9 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn frobenius_norm_and_diff() {
+    fn max_abs_diff_is_the_largest_elementwise_gap() {
         let a = HostComplexMatrix::from_fn(2, 2, |_, _| Complex::new(1.0, 0.0));
         let b = HostComplexMatrix::from_fn(2, 2, |_, _| Complex::new(0.0, 0.0));
-        assert_eq!(a.frobenius_norm(), 2.0);
         assert_eq!(a.max_abs_diff(&b), 1.0);
     }
 

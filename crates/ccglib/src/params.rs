@@ -72,12 +72,12 @@ impl TuningParameters {
 
     /// 32-bit accumulator registers needed per block: one complex
     /// single-precision accumulator per output element held in registers.
-    pub fn accumulator_registers(&self) -> usize {
+    pub(crate) fn accumulator_registers(&self) -> usize {
         2 * self.m_per_block * self.n_per_block
     }
 
     /// Shared-memory footprint of this configuration for a precision.
-    pub fn shared_memory_plan(&self, precision: Precision) -> SharedMemoryPlan {
+    pub(crate) fn shared_memory_plan(&self, precision: Precision) -> SharedMemoryPlan {
         SharedMemoryPlan::new(
             self.m_per_block,
             self.n_per_block,
@@ -90,7 +90,7 @@ impl TuningParameters {
     /// Checks this configuration against the hard limits of a device;
     /// returns a descriptive error for configurations a real kernel could
     /// not launch with.
-    pub fn validate(&self, spec: &DeviceSpec, precision: Precision) -> Result<()> {
+    pub(crate) fn validate(&self, spec: &DeviceSpec, precision: Precision) -> Result<()> {
         let invalid = |reason: String| Err(CcglibError::InvalidParameters { reason });
         if self.m_per_warp > self.m_per_block || self.n_per_warp > self.n_per_block {
             return invalid(format!(
@@ -136,7 +136,7 @@ impl TuningParameters {
     /// The number of pipeline buffers actually used on a device: AMD GPUs
     /// have no asynchronous copies, so ccglib forces a single buffer there
     /// (Section III-C).
-    pub fn effective_buffers(&self, spec: &DeviceSpec) -> usize {
+    pub(crate) fn effective_buffers(&self, spec: &DeviceSpec) -> usize {
         if spec.arch.supports_async_copies() {
             self.buffers
         } else {
@@ -206,7 +206,7 @@ impl ParameterSpace {
     }
 
     /// Enumerates every combination in the space, valid or not.
-    pub fn all_combinations(&self) -> Vec<TuningParameters> {
+    pub(crate) fn all_combinations(&self) -> Vec<TuningParameters> {
         let mut out = Vec::new();
         for &mb in &self.m_per_block {
             for &mw in &self.m_per_warp {

@@ -238,7 +238,7 @@ impl GemmPlan {
     /// Raw (uncalibrated) efficiency of a configuration for a shape: the
     /// product of the physically motivated factors described in the module
     /// documentation.  Always in `(0, 1]`.
-    pub fn raw_efficiency(
+    pub(crate) fn raw_efficiency(
         spec: &DeviceSpec,
         precision: Precision,
         params: &TuningParameters,
@@ -370,7 +370,7 @@ impl GemmPlan {
     }
 
     /// The kernel profile the execution model times.
-    pub fn kernel_profile(&self) -> KernelProfile {
+    pub(crate) fn kernel_profile(&self) -> KernelProfile {
         if self.precision == Precision::Float32Reference {
             return reference::reference_profile(
                 &self.spec,
@@ -422,10 +422,6 @@ impl GemmPlan {
     /// Bit operation selected for 1-bit mode (AND on Hopper and newer).
     pub fn bit_op(&self) -> BitOp {
         self.bit_op
-    }
-    /// Fragment layout selected for 1-bit mode.
-    pub fn bit_fragment(&self) -> Option<BitFragmentShape> {
-        self.bit_fragment
     }
     /// Calibrated configuration efficiency.
     pub fn config_efficiency(&self) -> f64 {
@@ -602,7 +598,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(hopper.bit_op(), BitOp::And);
-        assert_eq!(hopper.bit_fragment(), Some(BitFragmentShape::M16N8K256));
+        assert_eq!(hopper.bit_fragment, Some(BitFragmentShape::M16N8K256));
     }
 
     #[test]

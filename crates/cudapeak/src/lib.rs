@@ -35,7 +35,7 @@ pub enum BenchmarkCase {
 
 impl BenchmarkCase {
     /// All cases of Table I, in row order.
-    pub fn table1_cases() -> Vec<BenchmarkCase> {
+    pub(crate) fn table1_cases() -> Vec<BenchmarkCase> {
         let mut cases = vec![BenchmarkCase::Float16];
         for fragment in [BitFragmentShape::M8N8K128, BitFragmentShape::M16N8K256] {
             for op in [BitOp::Xor, BitOp::And] {
@@ -78,16 +78,6 @@ pub struct PeakResult {
     pub theoretical_tops: Option<f64>,
 }
 
-impl PeakResult {
-    /// Ratio of measured to theoretical performance, if both are known.
-    pub fn fraction_of_peak(&self) -> Option<f64> {
-        match (self.measured_tops, self.theoretical_tops) {
-            (Some(m), Some(t)) if t > 0.0 => Some(m / t),
-            _ => None,
-        }
-    }
-}
-
 /// Functionally exercises a handful of fragment operations so the
 /// benchmark actually touches the tensor-core model, returning the number
 /// of fragment MACs executed.  A wrong result panics: a peak number from a
@@ -128,7 +118,7 @@ fn exercise_fragments(case: BenchmarkCase) -> usize {
 ///
 /// Returns `None` for combinations the device does not support (1-bit
 /// precision on AMD GPUs).
-pub fn run_case(spec: &DeviceSpec, case: BenchmarkCase) -> Option<PeakResult> {
+pub(crate) fn run_case(spec: &DeviceSpec, case: BenchmarkCase) -> Option<PeakResult> {
     let (measured, theoretical) = match case {
         BenchmarkCase::Float16 => (
             Some(spec.f16_tensor_measured),
@@ -169,6 +159,11 @@ pub fn table1() -> Vec<(BenchmarkCase, Vec<Option<PeakResult>>)> {
 mod tests {
     use super::*;
 
+    /// Measured over theoretical throughput.
+    fn fraction_of_peak(result: &PeakResult) -> f64 {
+        result.measured_tops.unwrap() / result.theoretical_tops.unwrap()
+    }
+
     #[test]
     fn table1_has_five_rows_and_seven_columns() {
         let table = table1();
@@ -199,7 +194,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(large_xor.measured_tops, Some(4942.0));
-        assert!((large_xor.fraction_of_peak().unwrap() - 4942.0 / 4992.0).abs() < 1e-9);
+        assert!((fraction_of_peak(&large_xor) - 4942.0 / 4992.0).abs() < 1e-9);
     }
 
     #[test]
@@ -227,11 +222,11 @@ mod tests {
         // WMMA interface.
         let gh = Gpu::Gh200.spec();
         let f16 = run_case(&gh, BenchmarkCase::Float16).unwrap();
-        let frac = f16.fraction_of_peak().unwrap();
+        let frac = fraction_of_peak(&f16);
         assert!((0.6..0.7).contains(&frac), "fraction {frac}");
         // Workstation boards boost beyond spec and exceed 1.0.
         let ad = run_case(&Gpu::Ad4000.spec(), BenchmarkCase::Float16).unwrap();
-        assert!(ad.fraction_of_peak().unwrap() > 1.0);
+        assert!(fraction_of_peak(&ad) > 1.0);
     }
 
     #[test]

@@ -19,20 +19,11 @@ use std::fmt;
 
 /// GPU vendor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Vendor {
+pub(crate) enum Vendor {
     /// NVIDIA GPUs, programmed through CUDA / WMMA.
     Nvidia,
     /// AMD GPUs, programmed through HIP / rocWMMA.
     Amd,
-}
-
-impl fmt::Display for Vendor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Vendor::Nvidia => write!(f, "NVIDIA"),
-            Vendor::Amd => write!(f, "AMD"),
-        }
-    }
 }
 
 /// GPU architecture generation.
@@ -56,7 +47,7 @@ pub enum Architecture {
 
 impl Architecture {
     /// Vendor of this architecture.
-    pub fn vendor(self) -> Vendor {
+    pub(crate) fn vendor(self) -> Vendor {
         match self {
             Architecture::Ampere
             | Architecture::Ada
@@ -76,7 +67,7 @@ impl Architecture {
     /// hardware.  From Hopper on it is deprecated: still exposed at the
     /// WMMA/PTX level but lowered to several AND operations plus boolean
     /// logic, which is why it is up to five times slower there.
-    pub fn xor_in_hardware(self) -> bool {
+    pub(crate) fn xor_in_hardware(self) -> bool {
         matches!(self, Architecture::Ampere | Architecture::Ada)
     }
 
@@ -124,7 +115,7 @@ impl BitOp {
     /// Number of binary MMA instructions needed per logical multiply:
     /// the AND formulation needs two (one on the inputs, one on their
     /// complements), XOR needs one.
-    pub fn instructions_per_multiply(self) -> usize {
+    pub(crate) fn instructions_per_multiply(self) -> usize {
         match self {
             BitOp::Xor => 1,
             BitOp::And => 2,
@@ -213,7 +204,6 @@ mod tests {
     #[test]
     fn display_names() {
         assert_eq!(Architecture::Hopper.to_string(), "Hopper");
-        assert_eq!(Vendor::Amd.to_string(), "AMD");
         assert_eq!(BitOp::Xor.to_string(), "XOR");
     }
 }

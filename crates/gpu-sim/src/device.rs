@@ -11,7 +11,7 @@
 //! padding sawtooth, memory-bound regimes, XOR-vs-AND penalties) emerges
 //! from the model itself.
 
-use crate::arch::{Architecture, BitOp, Vendor};
+use crate::arch::{Architecture, BitOp};
 use crate::wmma::BitFragmentShape;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -386,11 +386,6 @@ impl DeviceSpec {
         Gpu::ALL.iter().map(|&g| DeviceSpec::of(g)).collect()
     }
 
-    /// Vendor of this device.
-    pub fn vendor(&self) -> Vendor {
-        self.arch.vendor()
-    }
-
     /// Whether the device supports 1-bit tensor-core operations.
     pub fn supports_int1(&self) -> bool {
         self.int1.is_some()
@@ -435,7 +430,7 @@ impl DeviceSpec {
     }
 
     /// Shared memory per block in bytes.
-    pub fn shared_mem_per_block_bytes(&self) -> usize {
+    pub(crate) fn shared_mem_per_block_bytes(&self) -> usize {
         self.shared_mem_per_block_kib * 1024
     }
 }
@@ -501,7 +496,10 @@ mod tests {
     #[test]
     fn int1_support_matches_vendor() {
         for spec in DeviceSpec::catalog() {
-            assert_eq!(spec.supports_int1(), spec.vendor() == Vendor::Nvidia);
+            assert_eq!(
+                spec.supports_int1(),
+                spec.arch.vendor() == crate::arch::Vendor::Nvidia
+            );
         }
     }
 

@@ -23,11 +23,11 @@ use crate::memory::MemoryModel;
 use serde::{Deserialize, Serialize};
 
 /// Fixed host-side launch overhead per kernel, in seconds.
-pub const LAUNCH_OVERHEAD_S: f64 = 5e-6;
+pub(crate) const LAUNCH_OVERHEAD_S: f64 = 5e-6;
 
 /// Number of resident warps per compute unit needed to hide pipeline
 /// latency; below this the tensor cores starve.
-pub const WARPS_PER_CU_FOR_FULL_THROUGHPUT: f64 = 8.0;
+pub(crate) const WARPS_PER_CU_FOR_FULL_THROUGHPUT: f64 = 8.0;
 
 /// What a kernel does — determines which throughput ceiling applies and
 /// which power calibration point is used.
@@ -51,7 +51,7 @@ pub enum KernelKind {
 impl KernelKind {
     /// Whether this kernel kind performs arithmetic on a compute ceiling
     /// (as opposed to being a pure data-movement kernel).
-    pub fn is_compute(&self) -> bool {
+    pub(crate) fn is_compute(&self) -> bool {
         matches!(
             self,
             KernelKind::GemmF16 | KernelKind::GemmInt1 | KernelKind::GemmF32
@@ -164,7 +164,7 @@ impl ExecutionModel {
     /// [`WARPS_PER_CU_FOR_FULL_THROUGHPUT`] resident warps per compute unit
     /// to hide instruction latency, and (2) the final wave of blocks may
     /// occupy only part of the device (wave quantisation).
-    pub fn occupancy(&self, launch: LaunchConfig) -> f64 {
+    pub(crate) fn occupancy(&self, launch: LaunchConfig) -> f64 {
         if launch.blocks == 0 || launch.threads_per_block == 0 {
             return 0.0;
         }

@@ -300,7 +300,7 @@ impl FaultInjector {
     }
 
     /// Number of pool members still alive.
-    pub fn live_devices(&self) -> usize {
+    pub(crate) fn live_devices(&self) -> usize {
         self.dead
             .iter()
             .filter(|d| !d.load(Ordering::SeqCst))

@@ -51,12 +51,12 @@ pub mod power;
 pub mod roofline;
 pub mod wmma;
 
-pub use arch::{Architecture, BitOp, Vendor};
+pub use arch::{Architecture, BitOp};
 pub use device::{Device, DeviceSpec, Gpu};
 pub use exec::{ExecutionModel, KernelKind, KernelProfile, KernelTimings, LaunchConfig};
 pub use fault::{BlockVerdict, DeviceFault, Fault, FaultInjector, FaultKind, FaultPlan};
 pub use memory::{MemoryModel, SharedMemoryPlan};
 pub use pool::DevicePool;
 pub use power::PowerModel;
-pub use roofline::{Roofline, RooflinePoint};
+pub use roofline::Roofline;
 pub use wmma::{BitFragmentShape, FragmentShape};

@@ -82,10 +82,10 @@ impl MemoryModel {
     /// are "bound by memory bandwidth as they only move data around"; a
     /// well-written streaming kernel typically sustains 80–90 % of the
     /// theoretical number.
-    pub const ACHIEVABLE_BANDWIDTH_FRACTION: f64 = 0.85;
+    pub(crate) const ACHIEVABLE_BANDWIDTH_FRACTION: f64 = 0.85;
 
     /// Achievable device-memory bandwidth in bytes per second.
-    pub fn achievable_bandwidth_bytes_per_s(&self) -> f64 {
+    pub(crate) fn achievable_bandwidth_bytes_per_s(&self) -> f64 {
         self.spec.mem_bandwidth_gbs * 1e9 * Self::ACHIEVABLE_BANDWIDTH_FRACTION
     }
 
@@ -123,7 +123,7 @@ impl MemoryModel {
     }
 
     /// Time in seconds to stream `bytes` through device memory.
-    pub fn streaming_time_s(&self, bytes: f64) -> f64 {
+    pub(crate) fn streaming_time_s(&self, bytes: f64) -> f64 {
         bytes / self.achievable_bandwidth_bytes_per_s()
     }
 

@@ -3,9 +3,9 @@
 //! The paper's scale targets (LOFAR's central processor, volumetric
 //! ultrasound) need more than one accelerator; a [`DevicePool`] models a
 //! host with several simulated GPUs attached.  Pools may be heterogeneous —
-//! any mix of catalog entries, e.g. an A100 next to an MI300X — and expose
-//! the per-member peak throughputs the sharding layer uses to weight work
-//! by capacity.
+//! any mix of catalog entries, e.g. an A100 next to an MI300X; the
+//! sharding layer weights work by each member's peak at the session
+//! precision.
 
 use crate::device::{Device, DeviceSpec, Gpu};
 use std::fmt;
@@ -21,8 +21,7 @@ use std::fmt;
 ///
 /// let pool = DevicePool::from_gpus(&[Gpu::A100, Gpu::Mi300x]);
 /// assert_eq!(pool.len(), 2);
-/// assert!(pool.is_heterogeneous());
-/// assert!(pool.total_f16_peak_tops() > Gpu::A100.spec().f16_peak_tops());
+/// assert_eq!(pool.gpus(), vec![Gpu::A100, Gpu::Mi300x]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct DevicePool {
@@ -83,33 +82,9 @@ impl DevicePool {
         self.devices.iter().map(|d| d.gpu()).collect()
     }
 
-    /// Whether the pool mixes different catalog entries.
-    pub fn is_heterogeneous(&self) -> bool {
-        self.devices
-            .iter()
-            .any(|d| d.gpu() != self.devices[0].gpu())
-    }
-
     /// Whether every member supports 1-bit tensor-core operations.
     pub fn supports_int1(&self) -> bool {
         self.devices.iter().all(|d| d.spec().supports_int1())
-    }
-
-    /// Per-member measured float16 tensor-core peaks in TOP/s — a
-    /// convenient capacity summary of the pool.  (The sharding layer
-    /// computes its own weights from each member's peak at the *session
-    /// precision*, which for 1-bit mode differs from these values.)
-    pub fn f16_capacity_weights(&self) -> Vec<f64> {
-        self.devices
-            .iter()
-            .map(|d| d.spec().f16_peak_tops())
-            .collect()
-    }
-
-    /// Sum of the members' measured float16 peaks in TOP/s: the theoretical
-    /// aggregate ceiling of the pool.
-    pub fn total_f16_peak_tops(&self) -> f64 {
-        self.f16_capacity_weights().iter().sum()
     }
 
     /// The specifications of the members, in index order.
@@ -133,24 +108,16 @@ mod tests {
     fn homogeneous_pool_replicates_one_device() {
         let pool = DevicePool::homogeneous(Gpu::A100, 4);
         assert_eq!(pool.len(), 4);
-        assert!(!pool.is_heterogeneous());
         assert!(pool.supports_int1());
-        assert_eq!(
-            pool.total_f16_peak_tops(),
-            4.0 * Gpu::A100.spec().f16_peak_tops()
-        );
         assert_eq!(pool.gpus(), vec![Gpu::A100; 4]);
     }
 
     #[test]
     fn heterogeneous_pool_mixes_vendors() {
         let pool = DevicePool::from_gpus(&[Gpu::Gh200, Gpu::Mi300x, Gpu::A100]);
-        assert!(pool.is_heterogeneous());
         // The AMD member has no 1-bit support, so the pool does not either.
         assert!(!pool.supports_int1());
-        let weights = pool.f16_capacity_weights();
-        assert_eq!(weights.len(), 3);
-        assert_eq!(weights[1], Gpu::Mi300x.spec().f16_peak_tops());
+        assert_eq!(pool.gpus(), vec![Gpu::Gh200, Gpu::Mi300x, Gpu::A100]);
         assert_eq!(pool.get(2).gpu(), Gpu::A100);
         assert!(pool.to_string().contains("MI300X"));
     }

@@ -21,17 +21,6 @@ pub struct Ceiling {
     pub peak_tops: f64,
 }
 
-/// A measured or predicted point in roofline space.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct RooflinePoint {
-    /// Label of the point ("float16 small", "int1 big", …).
-    pub label: String,
-    /// Arithmetic intensity in operations per byte.
-    pub arithmetic_intensity: f64,
-    /// Achieved performance in TeraOps/s.
-    pub achieved_tops: f64,
-}
-
 /// Roofline ceilings for one device.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Roofline {
@@ -72,7 +61,7 @@ impl Roofline {
 
     /// The memory-bound performance limit at a given arithmetic intensity,
     /// in TeraOps/s.
-    pub fn memory_roof_tops(&self, arithmetic_intensity: f64) -> f64 {
+    pub(crate) fn memory_roof_tops(&self, arithmetic_intensity: f64) -> f64 {
         self.mem_bandwidth_gbs * 1e9 * arithmetic_intensity / 1e12
     }
 

@@ -66,77 +66,23 @@ impl EnergyMeasurement {
 
 /// A power sensor: anything that can report instantaneous board power.
 pub trait PowerSensor: Send + Sync {
-    /// Name of the sensor backend ("nvml", "rocm-smi", "dummy", …).
-    fn name(&self) -> &str;
     /// Instantaneous power for a given activity level in `[0, 1]` and
     /// kernel kind.
     fn power_watts(&self, kind: KernelKind, activity: f64) -> f64;
-    /// Idle power of the measured device.
-    fn idle_watts(&self) -> f64;
 }
 
 /// Sensor backed by the simulated device power model — the equivalent of
 /// PMT's NVML backend on NVIDIA boards and rocm-smi backend on AMD boards.
 #[derive(Clone, Debug)]
-pub struct DevicePowerSensor {
+struct DevicePowerSensor {
     model: PowerModel,
-    backend: &'static str,
-}
-
-impl DevicePowerSensor {
-    /// Creates the appropriate sensor for a device (NVML for NVIDIA,
-    /// rocm-smi for AMD), mirroring how PMT chooses its backend.
-    pub fn for_device(spec: &DeviceSpec) -> Self {
-        let backend = match spec.vendor() {
-            gpu_sim::Vendor::Nvidia => "nvml",
-            gpu_sim::Vendor::Amd => "rocm-smi",
-        };
-        DevicePowerSensor {
-            model: PowerModel::new(spec.clone()),
-            backend,
-        }
-    }
 }
 
 impl PowerSensor for DevicePowerSensor {
-    fn name(&self) -> &str {
-        self.backend
-    }
-
     fn power_watts(&self, kind: KernelKind, activity: f64) -> f64 {
         let idle = self.model.idle_watts();
         let full = self.model.full_load_watts(kind);
         idle + (full - idle) * activity.clamp(0.0, 1.0)
-    }
-
-    fn idle_watts(&self) -> f64 {
-        self.model.idle_watts()
-    }
-}
-
-/// A constant-power sensor, useful for tests and for modelling host-side
-/// components with a fixed draw.
-#[derive(Clone, Debug)]
-pub struct ConstantPowerSensor {
-    watts: f64,
-}
-
-impl ConstantPowerSensor {
-    /// Creates a sensor that always reports `watts`.
-    pub fn new(watts: f64) -> Self {
-        ConstantPowerSensor { watts }
-    }
-}
-
-impl PowerSensor for ConstantPowerSensor {
-    fn name(&self) -> &str {
-        "constant"
-    }
-    fn power_watts(&self, _kind: KernelKind, _activity: f64) -> f64 {
-        self.watts
-    }
-    fn idle_watts(&self) -> f64 {
-        self.watts
     }
 }
 
@@ -146,8 +92,8 @@ struct MeterInner {
     joules: f64,
 }
 
-/// The power meter: accumulates energy over recorded kernel executions and
-/// idle periods on a virtual clock.
+/// The power meter: accumulates energy over recorded kernel executions on
+/// a virtual clock.
 ///
 /// Thread-safe: the simulator records kernels from wherever it runs them
 /// (including Rayon worker threads); measurements read a consistent
@@ -167,15 +113,11 @@ impl PowerMeter {
         }
     }
 
-    /// Creates a meter for a simulated device, choosing the NVML or
-    /// rocm-smi style backend automatically.
+    /// Creates a meter for a simulated device, reading its power model.
     pub fn for_device(spec: &DeviceSpec) -> Self {
-        PowerMeter::new(Arc::new(DevicePowerSensor::for_device(spec)))
-    }
-
-    /// Name of the underlying sensor backend.
-    pub fn backend(&self) -> String {
-        self.sensor.name().to_string()
+        PowerMeter::new(Arc::new(DevicePowerSensor {
+            model: PowerModel::new(spec.clone()),
+        }))
     }
 
     /// Reads the cumulative meter state (the PMT `read()` analogue).
@@ -202,15 +144,6 @@ impl PowerMeter {
         }
     }
 
-    /// Records an idle period (host-side work between kernels).
-    pub fn record_idle(&self, seconds: f64) {
-        assert!(seconds >= 0.0, "idle period must be non-negative");
-        let watts = self.sensor.idle_watts();
-        let mut inner = self.inner.lock();
-        inner.virtual_time_s += seconds;
-        inner.joules += watts * seconds;
-    }
-
     /// Measures the region between two previously read states.
     pub fn measure(&self, start: MeterState, end: MeterState) -> EnergyMeasurement {
         EnergyMeasurement {
@@ -218,18 +151,29 @@ impl PowerMeter {
             joules: (end.joules - start.joules).max(0.0),
         }
     }
-
-    /// Resets the meter to zero time and zero energy.
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock();
-        *inner = MeterInner::default();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gpu_sim::{ExecutionModel, Gpu, KernelProfile, LaunchConfig};
+
+    /// A sensor that always reports the same draw.
+    struct ConstantPowerSensor {
+        watts: f64,
+    }
+
+    impl ConstantPowerSensor {
+        fn new(watts: f64) -> Self {
+            ConstantPowerSensor { watts }
+        }
+    }
+
+    impl PowerSensor for ConstantPowerSensor {
+        fn power_watts(&self, _kind: KernelKind, _activity: f64) -> f64 {
+            self.watts
+        }
+    }
 
     fn timings(elapsed: f64, cu: f64, mu: f64) -> KernelTimings {
         KernelTimings {
@@ -243,20 +187,11 @@ mod tests {
     }
 
     #[test]
-    fn backend_selection_follows_vendor() {
-        assert_eq!(PowerMeter::for_device(&Gpu::A100.spec()).backend(), "nvml");
-        assert_eq!(
-            PowerMeter::for_device(&Gpu::Mi300x.spec()).backend(),
-            "rocm-smi"
-        );
-    }
-
-    #[test]
     fn constant_sensor_integrates_linearly() {
         let meter = PowerMeter::new(Arc::new(ConstantPowerSensor::new(100.0)));
         let start = meter.read();
         meter.record_kernel(KernelKind::GemmF16, &timings(2.0, 1.0, 0.5));
-        meter.record_idle(1.0);
+        meter.record_kernel(KernelKind::Pack, &timings(1.0, 0.0, 0.0));
         let end = meter.read();
         let m = meter.measure(start, end);
         assert_eq!(m.seconds, 3.0);
@@ -272,7 +207,7 @@ mod tests {
         // Full activity → the Table III calibration point (216 W).
         assert!((m.joules - 216.0).abs() < 1e-9);
         let idle_state = meter.read();
-        meter.record_idle(2.0);
+        meter.record_kernel(KernelKind::GemmF16, &timings(2.0, 0.0, 0.0));
         let m2 = meter.measure(idle_state, meter.read());
         assert!((m2.average_watts() - spec.idle_watts).abs() < 1e-9);
     }
@@ -301,7 +236,7 @@ mod tests {
     }
 
     #[test]
-    fn virtual_clock_is_monotonic_and_reset_clears() {
+    fn virtual_clock_is_monotonic() {
         let meter = PowerMeter::new(Arc::new(ConstantPowerSensor::new(50.0)));
         let mut last = meter.read();
         for _ in 0..5 {
@@ -311,16 +246,13 @@ mod tests {
             assert!(now.joules > last.joules);
             last = now;
         }
-        meter.reset();
-        assert_eq!(meter.read().timestamp_s, 0.0);
-        assert_eq!(meter.read().joules, 0.0);
     }
 
     #[test]
     fn measurement_from_unordered_states_is_clamped() {
         let meter = PowerMeter::new(Arc::new(ConstantPowerSensor::new(10.0)));
         let s0 = meter.read();
-        meter.record_idle(1.0);
+        meter.record_kernel(KernelKind::Pack, &timings(1.0, 0.0, 0.0));
         let s1 = meter.read();
         let backwards = meter.measure(s1, s0);
         assert_eq!(backwards.seconds, 0.0);
@@ -336,7 +268,7 @@ mod tests {
                 let m = meter.clone();
                 std::thread::spawn(move || {
                     for _ in 0..100 {
-                        m.record_idle(0.001);
+                        m.record_kernel(KernelKind::Pack, &timings(0.001, 0.0, 0.0));
                     }
                 })
             })

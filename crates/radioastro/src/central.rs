@@ -6,15 +6,15 @@
 //! `K` stations is the ccglib GEMM (with the product of polarisations and
 //! channels as the batch size).  *Incoherent* beamforming adds station
 //! powers instead: computationally cheap, wide field of view, no ccglib
-//! involvement.  The float32 [`ReferenceBeamformer`] stands in for the
-//! existing LOFAR GPU beamformer the paper compares against (with the
-//! weight *computation* excluded, as the paper does for fairness).
+//! involvement.  The tests check the coherent output against a float32
+//! reference beamformer, which stands in for the existing LOFAR GPU
+//! beamformer the paper compares against.
 
 use crate::station::StationBeamlets;
 use beamform::geometry::SPEED_OF_LIGHT;
 use beamform::{Beamformer, BeamformerConfig, Engine, Report, WeightMatrix};
 use ccglib::matrix::HostComplexMatrix;
-use ccglib::{reference_gemm, RunReport};
+use ccglib::RunReport;
 use gpu_sim::Device;
 use serde::{Deserialize, Serialize};
 use tcbf_types::Complex;
@@ -202,27 +202,28 @@ impl CentralBeamformer {
     }
 }
 
-/// The float32 reference beamformer: the "current LOFAR beamformer kernel
-/// (without Tensor Cores) running in float32 precision" of Fig. 7.
-pub struct ReferenceBeamformer;
-
-impl ReferenceBeamformer {
-    /// Coherently beamforms in full float32 precision on the host — the
-    /// functional ground truth for the tensor-core output.
-    pub fn beamform(
-        weights: &HostComplexMatrix,
-        beamlets: &StationBeamlets,
-    ) -> ccglib::Result<HostComplexMatrix> {
-        reference_gemm(weights, &beamlets.matrix().transposed())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::station::SkySource;
     use beamform::{ShardPolicy, ShardedBeamformer};
+    use ccglib::reference_gemm;
     use gpu_sim::{DevicePool, Gpu};
+
+    /// The float32 reference beamformer: the "current LOFAR beamformer kernel
+    /// (without Tensor Cores) running in float32 precision" of Fig. 7.
+    struct ReferenceBeamformer;
+
+    impl ReferenceBeamformer {
+        /// Coherently beamforms in full float32 precision on the host — the
+        /// functional ground truth for the tensor-core output.
+        fn beamform(
+            weights: &HostComplexMatrix,
+            beamlets: &StationBeamlets,
+        ) -> ccglib::Result<HostComplexMatrix> {
+            reference_gemm(weights, &beamlets.matrix().transposed())
+        }
+    }
 
     /// A one-device engine holding the station weights of `first`.
     fn single_engine(bf: &CentralBeamformer, first: &StationBeamlets) -> ShardedBeamformer {

@@ -26,6 +26,6 @@ pub mod central;
 pub mod performance;
 pub mod station;
 
-pub use central::{CentralBeamformer, CentralMode, CentralOutput, ReferenceBeamformer};
+pub use central::{CentralBeamformer, CentralMode, CentralOutput};
 pub use performance::{lofar_sweep, LofarConfig, SweepPoint};
-pub use station::{SkySource, Station, StationBeamlets};
+pub use station::{SkySource, StationBeamlets};

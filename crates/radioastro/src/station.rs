@@ -27,7 +27,7 @@ pub struct SkySource {
 
 /// One LOFAR-like station.
 #[derive(Clone, Debug)]
-pub struct Station {
+pub(crate) struct Station {
     /// Station index within the array.
     pub index: usize,
     /// Geographic position of the station along the baseline axis, in
@@ -52,16 +52,6 @@ impl Station {
         }
     }
 
-    /// Number of antennas in the station.
-    pub fn num_antennas(&self) -> usize {
-        self.geometry.num_sensors()
-    }
-
-    /// Observing frequency in Hz.
-    pub fn frequency(&self) -> f64 {
-        self.frequency
-    }
-
     /// Runs the FPGA station beamformer: points the station at
     /// `pointing` (radians) and produces one beamlet sample per time
     /// sample, given the per-antenna samples of synthetic sky sources.
@@ -69,7 +59,7 @@ impl Station {
     /// The station-level geometric delay (from the station's position in
     /// the array) is *not* removed here — that is precisely the job of the
     /// central beamformer's per-station weights.
-    pub fn beamform_station(
+    pub(crate) fn beamform_station(
         &self,
         sources: &[SkySource],
         pointing: f64,
@@ -181,7 +171,7 @@ impl StationBeamlets {
     }
 
     /// Number of stations (`K` of the central GEMM).
-    pub fn num_stations(&self) -> usize {
+    pub(crate) fn num_stations(&self) -> usize {
         self.data.rows()
     }
 
@@ -196,7 +186,7 @@ impl StationBeamlets {
     }
 
     /// Station positions along the baseline axis, in metres.
-    pub fn station_positions_m(&self) -> &[f64] {
+    pub(crate) fn station_positions_m(&self) -> &[f64] {
         &self.station_positions_m
     }
 
@@ -216,8 +206,8 @@ mod tests {
     fn station_construction() {
         let station = Station::new(3, 2000.0, 48, FREQ);
         assert_eq!(station.index, 3);
-        assert_eq!(station.num_antennas(), 48);
-        assert_eq!(station.frequency(), FREQ);
+        assert_eq!(station.geometry.num_sensors(), 48);
+        assert_eq!(station.frequency, FREQ);
     }
 
     #[test]

@@ -47,7 +47,7 @@ impl Default for LintConfig {
 
 impl LintConfig {
     /// True when `path` matches an entry of `list` (prefix or exact).
-    pub fn path_in(path: &str, list: &[String]) -> bool {
+    pub(crate) fn path_in(path: &str, list: &[String]) -> bool {
         list.iter().any(|entry| {
             if entry.ends_with('/') {
                 path.starts_with(entry.as_str())
@@ -58,12 +58,12 @@ impl LintConfig {
     }
 
     /// Is the file under the serve-path panic-freedom contract?
-    pub fn in_serve_path(&self, path: &str) -> bool {
+    pub(crate) fn in_serve_path(&self, path: &str) -> bool {
         Self::path_in(path, &self.serve_path)
     }
 
     /// Is the file in scope for float-reduction checks?
-    pub fn in_float_scope(&self, path: &str) -> bool {
+    pub(crate) fn in_float_scope(&self, path: &str) -> bool {
         Self::path_in(path, &self.float_scope) && !Self::path_in(path, &self.float_approved)
     }
 

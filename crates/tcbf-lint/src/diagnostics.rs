@@ -60,7 +60,7 @@ impl fmt::Display for Finding {
 }
 
 /// Deterministic ordering for reports: path, then line, then rule.
-pub fn sort_findings(findings: &mut [Finding]) {
+pub(crate) fn sort_findings(findings: &mut [Finding]) {
     findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });

@@ -68,7 +68,7 @@ impl Token {
     }
 
     /// True for tokens rules should skip: whitespace and comments.
-    pub fn is_trivia(&self) -> bool {
+    pub(crate) fn is_trivia(&self) -> bool {
         matches!(
             self.kind,
             TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment

@@ -6,7 +6,8 @@
 //!
 //! - **serve-path panic freedom** (TCBF-P001..P003),
 //! - **determinism** (TCBF-D002, TCBF-D004),
-//! - **error-code stability** (TCBF-E001..E002).
+//! - **error-code stability** (TCBF-E001..E002),
+//! - **public means called** (TCBF-U001).
 //!
 //! Lock order is checked at run time by the held-lock tracker in the
 //! vendored `parking_lot` (armed with `TCBF_LOCK_ORDER=1` at test time),
@@ -99,9 +100,10 @@ pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> Result<Report, LintError
             .map_err(|e| LintError::Io(format!("cannot read {}: {e}", abs.display())))?;
         sources.push(SourceFile::new(rel.clone(), text));
     }
-    for file in &sources {
+    for file in sources.iter().filter(|f| is_shipped(&f.path)) {
         rules::check_file(file, cfg, &mut findings);
     }
+    rules::public_api::check(&sources, &mut findings);
 
     // Error-code stability runs against the two pinned artifacts; a
     // missing error file is a finding, not a silent pass.
@@ -137,16 +139,15 @@ pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> Result<Report, LintError
 }
 
 /// Directory names never descended into: vendored stand-ins, build
-/// output, and test/bench/example code (rules target shipped source).
-const SKIP_DIRS: &[&str] = &[
-    "vendor", "target", "tests", "benches", "examples", "fixtures", ".git", ".github",
-];
+/// output and the linter's own fixtures.
+const SKIP_DIRS: &[&str] = &["vendor", "target", "fixtures", ".git", ".github"];
 
 /// Collects the workspace-relative paths of every `.rs` file under
-/// `crates/*/src` and the umbrella `src/`, sorted for determinism.
+/// `crates/`, the umbrella `src/`, the root `tests/` and `examples/`,
+/// sorted for determinism.
 fn workspace_files(root: &Path) -> Result<Vec<String>, LintError> {
     let mut files = Vec::new();
-    for top in ["crates", "src"] {
+    for top in ["crates", "src", "tests", "examples"] {
         let dir = root.join(top);
         if dir.is_dir() {
             walk(&dir, root, &mut files)?;
@@ -154,6 +155,14 @@ fn workspace_files(root: &Path) -> Result<Vec<String>, LintError> {
     }
     files.sort();
     Ok(files)
+}
+
+/// Shipped source, which the per-file rules target; test, bench and
+/// example code is only read as TCBF-U001's callers.
+fn is_shipped(path: &str) -> bool {
+    !path
+        .split('/')
+        .any(|dir| matches!(dir, "tests" | "benches" | "examples"))
 }
 
 fn walk(dir: &Path, root: &Path, out: &mut Vec<String>) -> Result<(), LintError> {

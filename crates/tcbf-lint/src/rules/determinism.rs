@@ -12,9 +12,9 @@ use crate::source::SourceFile;
 
 /// Float reduction (`.sum::<f32>()`, float `.fold(...)`) outside the
 /// approved micro-kernel modules — addition order is semantics here.
-pub const D002: &str = "TCBF-D002";
+pub(crate) const D002: &str = "TCBF-D002";
 /// `Instant::now()` outside the timing-module allowlist.
-pub const D004: &str = "TCBF-D004";
+pub(crate) const D004: &str = "TCBF-D004";
 
 /// Runs both determinism rules over one file.
 pub fn check(file: &SourceFile, cfg: &LintConfig, out: &mut Vec<Finding>) {

@@ -12,13 +12,13 @@ use crate::source::SourceFile;
 
 /// A `TcbfError` variant lacks an explicit arm in `fn code()`, or the
 /// match hides behind a wildcard.
-pub const E001: &str = "TCBF-E001";
+pub(crate) const E001: &str = "TCBF-E001";
 /// A `TcbfError` variant is not documented in `docs/PROTOCOL.md`.
-pub const E002: &str = "TCBF-E002";
+pub(crate) const E002: &str = "TCBF-E002";
 
 /// One enum variant with its location.
 #[derive(Debug)]
-pub struct Variant {
+pub(crate) struct Variant {
     /// Variant name.
     pub name: String,
     /// 1-based line of the variant in the error file.
@@ -124,7 +124,7 @@ pub fn check(error_file: &SourceFile, protocol_text: Option<&str>, out: &mut Vec
 }
 
 /// Extracts the variant names of `enum <name> { ... }`.
-pub fn enum_variants(file: &SourceFile, name: &str) -> Vec<Variant> {
+pub(crate) fn enum_variants(file: &SourceFile, name: &str) -> Vec<Variant> {
     let mut variants = Vec::new();
     // Find `enum <name> {`.
     let mut open = None;

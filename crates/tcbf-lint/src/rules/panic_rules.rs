@@ -13,13 +13,13 @@ use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 
 /// `.unwrap()` / `.expect(...)` in serve-path non-test code.
-pub const P001: &str = "TCBF-P001";
+pub(crate) const P001: &str = "TCBF-P001";
 /// Panicking macro (`panic!`, `unreachable!`, `todo!`, `unimplemented!`,
 /// `assert!`-family) in serve-path non-test code.
-pub const P002: &str = "TCBF-P002";
+pub(crate) const P002: &str = "TCBF-P002";
 /// Slice/array indexing (`x[i]`) in serve-path non-test code — use
 /// `.get()`/`.get_mut()` and surface a typed error instead.
-pub const P003: &str = "TCBF-P003";
+pub(crate) const P003: &str = "TCBF-P003";
 
 const PANIC_MACROS: &[&str] = &[
     "panic",

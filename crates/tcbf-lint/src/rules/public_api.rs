@@ -1,0 +1,227 @@
+//! Public means called: TCBF-U001.
+//!
+//! A `pub` item is API the workspace promises to a caller outside its
+//! crate.  This rule flags every `pub` fn / struct / enum / trait /
+//! const / type / static / union declared in a crate's library source
+//! (`crates/<name>/src`, minus its `main.rs` and `src/bin/*` targets)
+//! whose name occurs in no token stream outside that library: not in
+//! another crate, not in any `tests/`, `benches/` or `examples/` file,
+//! not in the crate's own binary targets.
+//!
+//! A type named in the interface (signature, `pub` field, variant
+//! payload, trait body) of a reached `pub` item of the same crate counts
+//! as reached too: narrowing it would trip rustc's `private_interfaces`
+//! lint.  A plain `pub use` re-exports an item under its own name, so a
+//! caller of the re-export names the item.
+//!
+//! The check is by name, so it can miss (a method called `new` is
+//! always "called"), but a hit is real: nothing outside the crate can
+//! name the item.
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use crate::diagnostics::Finding;
+use crate::lexer::TokenKind;
+use crate::source::SourceFile;
+
+/// A `pub` item whose name no token stream outside its crate contains.
+pub(crate) const U001: &str = "TCBF-U001";
+
+const ITEM_KEYWORDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "static", "union"];
+
+/// The crate whose library `path` belongs to: `crates/<name>/src/**`
+/// except the crate's binary targets, which call the library like any
+/// other outside code.
+fn library_crate(path: &str) -> Option<&str> {
+    let (name, inner) = path.strip_prefix("crates/")?.split_once('/')?;
+    let src = inner.strip_prefix("src/")?;
+    (src != "main.rs" && !src.starts_with("bin/")).then_some(name)
+}
+
+/// One `pub` declaration in a library.
+struct Node<'a> {
+    file: &'a SourceFile,
+    /// Sig-index of the declared name.
+    at: usize,
+    /// What the item is (`fn`, `struct`, …).
+    kind: &'static str,
+    /// Same-crate names this node reaches once it is reached itself.
+    interface: BTreeSet<&'a str>,
+}
+
+impl Node<'_> {
+    fn name(&self) -> &str {
+        self.file.sig_text(self.at)
+    }
+}
+
+/// Runs TCBF-U001 over every workspace file: library sources of all
+/// crates plus every caller (tests, benches, examples, binaries).
+pub fn check(files: &[SourceFile], out: &mut Vec<Finding>) {
+    // Name -> the libraries whose source mentions it ("" for every file
+    // that is not library source).
+    let mut mentioned_in: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    let mut nodes: BTreeMap<&str, Vec<Node>> = BTreeMap::new();
+    for file in files {
+        let owner = library_crate(&file.path);
+        for i in 0..file.sig_len() {
+            if file.sig_kind(i) == Some(TokenKind::Ident) {
+                mentioned_in
+                    .entry(file.sig_text(i))
+                    .or_default()
+                    .insert(owner.unwrap_or(""));
+            }
+        }
+        if let Some(owner) = owner {
+            declarations(file, nodes.entry(owner).or_default());
+        }
+    }
+
+    for (krate, nodes) in &nodes {
+        let named_outside = |name: &str| {
+            mentioned_in
+                .get(name)
+                .is_some_and(|owners| owners.iter().any(|owner| owner != krate))
+        };
+        let mut reached: Vec<bool> = nodes.iter().map(|n| named_outside(n.name())).collect();
+        let mut frontier: Vec<usize> = (0..nodes.len()).filter(|&n| reached[n]).collect();
+        while let Some(n) = frontier.pop() {
+            for (m, node) in nodes.iter().enumerate() {
+                if !reached[m] && nodes[n].interface.contains(node.name()) {
+                    reached[m] = true;
+                    frontier.push(m);
+                }
+            }
+        }
+        for (node, reached) in nodes.iter().zip(reached) {
+            if reached {
+                continue;
+            }
+            let (line, col) = node.file.sig_pos(node.at);
+            let start = node.file.sig_token(node.at).map_or(0, |t| t.start);
+            out.push(Finding::new(
+                U001,
+                &node.file.path,
+                line,
+                col,
+                format!(
+                    "`pub {} {}` is named nowhere outside crate `{krate}` — narrow it to `pub(crate)` or delete it",
+                    node.kind,
+                    node.name()
+                ),
+                node.file.line_text(start),
+            ));
+        }
+    }
+}
+
+/// Collects the `pub` declarations of one library file, skipping test
+/// code.
+fn declarations<'a>(file: &'a SourceFile, out: &mut Vec<Node<'a>>) {
+    for i in 0..file.sig_len() {
+        if file.sig_text(i) != "pub"
+            || file.sig_kind(i + 1) == Some(TokenKind::Open('('))
+            || file
+                .sig_token(i)
+                .is_some_and(|t| file.in_test_code(t.start))
+        {
+            continue;
+        }
+        // Qualifiers (`const fn`, `unsafe extern "C" fn`, …) up to the
+        // item keyword; a `const` right before the name is the keyword.
+        let mut j = i + 1;
+        while matches!(file.sig_text(j), "const" | "unsafe" | "async" | "extern")
+            || file.sig_kind(j) == Some(TokenKind::StrLit)
+        {
+            j += 1;
+        }
+        let (kind, mut at) = match ITEM_KEYWORDS.iter().find(|&&k| k == file.sig_text(j)) {
+            Some(&kind) => (kind, j + 1),
+            None if file.sig_text(j - 1) == "const" => ("const", j),
+            None => continue,
+        };
+        if kind == "static" && file.sig_text(at) == "mut" {
+            at += 1;
+        }
+        if file.sig_kind(at) != Some(TokenKind::Ident) {
+            continue;
+        }
+        out.push(Node {
+            file,
+            at,
+            kind,
+            interface: interface(file, kind, at),
+        });
+    }
+}
+
+/// The names a caller of the item declared at sig-index `name` sees: a
+/// fn's signature, a const's or static's type, a struct's or union's
+/// header and `pub` fields, an enum's, trait's or alias's whole body.
+fn interface<'a>(file: &'a SourceFile, kind: &str, name: usize) -> BTreeSet<&'a str> {
+    let end = item_end(file, name);
+    let upto = |stop: TokenKind| {
+        (name..end)
+            .find(|&k| file.sig_kind(k) == Some(stop))
+            .unwrap_or(end)
+    };
+    // A binding's own name (`x` in `x: T`, a field's name) is not a type.
+    let colon = |k: usize| file.sig_kind(k) == Some(TokenKind::Punct(':'));
+    let binding = |k: usize| colon(k + 1) && !colon(k + 2);
+    let range = match kind {
+        "fn" => name..upto(TokenKind::Open('{')),
+        "const" | "static" => name..upto(TokenKind::Punct('=')),
+        _ => name..end,
+    };
+    let (mut depth, mut public) = (0usize, true);
+    range
+        .filter(|&k| {
+            // In a struct's or union's braces, a field is public when
+            // `pub` comes right before its name.
+            match file.sig_kind(k) {
+                Some(TokenKind::Open(_)) => depth += 1,
+                Some(TokenKind::Close(_)) => depth = depth.saturating_sub(1),
+                _ if depth == 1 && binding(k) && matches!(kind, "struct" | "union") => {
+                    public = file.sig_text(k - 1) == "pub"
+                }
+                _ => {}
+            }
+            public && file.sig_kind(k) == Some(TokenKind::Ident) && !binding(k)
+        })
+        .map(|k| file.sig_text(k))
+        .collect()
+}
+
+/// Sig-index one past the item that starts at `from`: its `;` at
+/// delimiter depth 0, or the close of its first top-level `{ … }`.
+fn item_end(file: &SourceFile, from: usize) -> usize {
+    let mut depth = 0usize;
+    for k in from..file.sig_len() {
+        match file.sig_kind(k) {
+            Some(TokenKind::Open(_)) => depth += 1,
+            Some(TokenKind::Close(close)) => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 && close == '}' {
+                    return k + 1;
+                }
+            }
+            Some(TokenKind::Punct(';')) if depth == 0 => return k + 1,
+            _ => {}
+        }
+    }
+    file.sig_len()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn library_source_excludes_the_crates_binaries() {
+        assert_eq!(library_crate("crates/ccglib/src/gemm.rs"), Some("ccglib"));
+        assert_eq!(library_crate("crates/bench/src/bin/table1.rs"), None);
+        assert_eq!(library_crate("crates/tcbf-lint/src/main.rs"), None);
+        assert_eq!(library_crate("crates/ccglib/tests/t.rs"), None);
+        assert_eq!(library_crate("src/lib.rs"), None);
+    }
+}

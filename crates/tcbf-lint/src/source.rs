@@ -45,7 +45,7 @@ impl SourceFile {
     }
 
     /// The text of the significant token at sig-index `i`.
-    pub fn sig_text(&self, i: usize) -> &str {
+    pub(crate) fn sig_text(&self, i: usize) -> &str {
         self.sig
             .get(i)
             .and_then(|&ti| self.tokens.get(ti))
@@ -54,7 +54,7 @@ impl SourceFile {
     }
 
     /// The kind of the significant token at sig-index `i`.
-    pub fn sig_kind(&self, i: usize) -> Option<TokenKind> {
+    pub(crate) fn sig_kind(&self, i: usize) -> Option<TokenKind> {
         self.sig
             .get(i)
             .and_then(|&ti| self.tokens.get(ti))
@@ -62,24 +62,24 @@ impl SourceFile {
     }
 
     /// The token behind sig-index `i`.
-    pub fn sig_token(&self, i: usize) -> Option<&Token> {
+    pub(crate) fn sig_token(&self, i: usize) -> Option<&Token> {
         self.sig.get(i).and_then(|&ti| self.tokens.get(ti))
     }
 
     /// Number of significant tokens.
-    pub fn sig_len(&self) -> usize {
+    pub(crate) fn sig_len(&self) -> usize {
         self.sig.len()
     }
 
     /// True when the byte offset falls inside test-only code.
-    pub fn in_test_code(&self, byte: usize) -> bool {
+    pub(crate) fn in_test_code(&self, byte: usize) -> bool {
         self.test_regions
             .iter()
             .any(|&(start, end)| byte >= start && byte < end)
     }
 
     /// The 1-based (line, col) of the significant token at sig-index `i`.
-    pub fn sig_pos(&self, i: usize) -> (u32, u32) {
+    pub(crate) fn sig_pos(&self, i: usize) -> (u32, u32) {
         self.sig_token(i).map(|t| (t.line, t.col)).unwrap_or((0, 0))
     }
 
@@ -211,7 +211,7 @@ impl SourceFile {
 
     /// The full text of the line containing byte offset `at` (for
     /// diagnostic snippets and allowlist `pattern` matching).
-    pub fn line_text(&self, at: usize) -> &str {
+    pub(crate) fn line_text(&self, at: usize) -> &str {
         let start = self.text[..at.min(self.text.len())]
             .rfind('\n')
             .map(|p| p + 1)

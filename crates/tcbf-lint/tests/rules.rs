@@ -6,7 +6,7 @@
 use tcbf_lint::allowlist::Allowlist;
 use tcbf_lint::config::LintConfig;
 use tcbf_lint::diagnostics::Finding;
-use tcbf_lint::rules::error_codes;
+use tcbf_lint::rules::{error_codes, public_api};
 use tcbf_lint::source::SourceFile;
 
 /// Scope config that puts the fixtures under every rule.
@@ -37,15 +37,16 @@ fn lines(findings: &[Finding], rule: &str) -> Vec<u32> {
 
 /// Suppresses every finding with a blanket per-rule allowlist and
 /// asserts nothing is left unsuppressed and nothing is stale.
-fn assert_fully_suppressible(name: &str, findings: &mut [Finding]) {
-    let mut rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
-    rules.sort_unstable();
-    rules.dedup();
-    let toml: String = rules
+fn assert_fully_suppressible(findings: &mut [Finding]) {
+    let mut scopes: Vec<(&str, String)> =
+        findings.iter().map(|f| (f.rule, f.path.clone())).collect();
+    scopes.sort_unstable();
+    scopes.dedup();
+    let toml: String = scopes
         .iter()
-        .map(|rule| {
+        .map(|(rule, path)| {
             format!(
-                "[[allow]]\nrule = \"{rule}\"\npath = \"fixtures/{name}\"\nreason = \"fixture: suppression half of the contract\"\n\n"
+                "[[allow]]\nrule = \"{rule}\"\npath = \"{path}\"\nreason = \"fixture: suppression half of the contract\"\n\n"
             )
         })
         .collect();
@@ -62,6 +63,48 @@ fn assert_fully_suppressible(name: &str, findings: &mut [Finding]) {
 const SERVE_PANICS: &str = include_str!("fixtures/serve_panics.rs");
 const NONDETERMINISM: &str = include_str!("fixtures/nondeterminism.rs");
 const ERRORS_ENUM: &str = include_str!("fixtures/errors_enum.rs");
+
+/// The TCBF-U001 fixture: crate `demo`'s library, then one caller per
+/// kind, each placed where the workspace walk would find it.
+const PUBLIC_API: &[(&str, &str)] = &[
+    (
+        "crates/demo/src/lib.rs",
+        include_str!("fixtures/public_api_lib.rs"),
+    ),
+    (
+        "crates/other/tests/demo.rs",
+        include_str!("fixtures/public_api_other_tests.rs"),
+    ),
+    (
+        "crates/other/src/lib.rs",
+        include_str!("fixtures/public_api_other_lib.rs"),
+    ),
+    (
+        "crates/demo/src/bin/tool.rs",
+        include_str!("fixtures/public_api_bin.rs"),
+    ),
+    (
+        "examples/reexport.rs",
+        include_str!("fixtures/public_api_example.rs"),
+    ),
+];
+
+/// U001 over the fixture without the caller at `skip` (if any); the
+/// names it flags, in file order.
+fn public_api_findings(skip: Option<&str>) -> (Vec<Finding>, Vec<String>) {
+    let files: Vec<SourceFile> = PUBLIC_API
+        .iter()
+        .filter(|(path, _)| Some(*path) != skip)
+        .map(|(path, text)| SourceFile::new(path.to_string(), text.to_string()))
+        .collect();
+    let mut findings = Vec::new();
+    public_api::check(&files, &mut findings);
+    let names = findings
+        .iter()
+        .map(|f| f.message.split('`').nth(1).unwrap_or("").to_string())
+        .collect();
+    (findings, names)
+}
 
 #[test]
 fn p001_fires_on_unwrap_expect_and_path_form() {
@@ -107,7 +150,7 @@ fn panic_rules_are_scoped_to_the_serve_path() {
 fn panic_findings_are_suppressible() {
     let mut findings = lint_fixture("serve_panics.rs", SERVE_PANICS);
     assert!(!findings.is_empty());
-    assert_fully_suppressible("serve_panics.rs", &mut findings);
+    assert_fully_suppressible(&mut findings);
 }
 
 #[test]
@@ -138,7 +181,7 @@ fn d004_respects_the_timing_allowlist() {
 fn determinism_findings_are_suppressible() {
     let mut findings = lint_fixture("nondeterminism.rs", NONDETERMINISM);
     assert!(!findings.is_empty());
-    assert_fully_suppressible("nondeterminism.rs", &mut findings);
+    assert_fully_suppressible(&mut findings);
 }
 
 #[test]
@@ -183,7 +226,7 @@ fn e_findings_are_suppressible() {
     let mut findings = Vec::new();
     error_codes::check(&file, Some("MissingWeights Degraded"), &mut findings);
     assert!(!findings.is_empty());
-    assert_fully_suppressible("errors_enum.rs", &mut findings);
+    assert_fully_suppressible(&mut findings);
 }
 
 #[test]
@@ -193,7 +236,7 @@ fn e001_fires_when_the_error_file_is_missing() {
     let root = std::env::temp_dir().join(format!("tcbf-lint-no-error-file-{}", std::process::id()));
     let src = root.join("crates/x/src");
     std::fs::create_dir_all(&src).unwrap();
-    std::fs::write(src.join("lib.rs"), "pub fn f() {}\n").unwrap();
+    std::fs::write(src.join("lib.rs"), "fn f() {}\n").unwrap();
     let report = tcbf_lint::lint_workspace(&root, &LintConfig::default());
     std::fs::remove_dir_all(&root).unwrap();
     let findings = report.unwrap().findings;
@@ -209,4 +252,47 @@ fn allowlist_reason_is_mandatory_end_to_end() {
         "[[allow]]\nrule = \"TCBF-P001\"\npath = \"fixtures/serve_panics.rs\"\nreason = \"\"\n";
     let errs = Allowlist::parse(toml).unwrap_err();
     assert!(errs[0].message.contains("must be justified"));
+}
+
+#[test]
+fn u001_fires_on_uncalled_pub_items_only() {
+    let (findings, names) = public_api_findings(None);
+    assert_eq!(names, ["pub fn uncalled", "pub struct Hidden"]);
+    assert!(findings.iter().all(|f| f.path == "crates/demo/src/lib.rs"));
+    assert_eq!(findings.iter().map(|f| f.line).collect::<Vec<_>>(), [5, 32]);
+}
+
+#[test]
+fn u001_is_silent_on_each_kind_of_caller_and_fires_without_it() {
+    // Each caller alone keeps its items public: another crate's tests, a
+    // type named in a called signature (and, through its `pub` field, the
+    // type of that field), the crate's own binary, a called `pub use`.
+    for (caller, kept) in [
+        (
+            "crates/other/tests/demo.rs",
+            &["pub fn tested_elsewhere"][..],
+        ),
+        (
+            "crates/other/src/lib.rs",
+            &["pub fn configure", "pub struct Settings", "pub enum Level"],
+        ),
+        ("crates/demo/src/bin/tool.rs", &["pub fn fmt_opt"]),
+        ("examples/reexport.rs", &["pub fn helper"]),
+    ] {
+        let (_, names) = public_api_findings(Some(caller));
+        for item in kept {
+            assert!(
+                names.iter().any(|n| n == item),
+                "without {caller}, `{item}` should fire: {names:?}"
+            );
+        }
+        assert_eq!(names.len(), 2 + kept.len(), "{caller}: {names:?}");
+    }
+}
+
+#[test]
+fn u001_findings_are_suppressible() {
+    let (mut findings, _) = public_api_findings(None);
+    assert!(!findings.is_empty());
+    assert_fully_suppressible(&mut findings);
 }

@@ -4,13 +4,11 @@
 //! [`Client::stream_blocks`] pipelines sample blocks up to the session's
 //! advertised queue depth (transparently retrying `Throttled` refusals
 //! with capped exponential backoff and deterministic jitter — see
-//! [`retry_backoff`]), [`Client::swap_weights`] hot-swaps the session's
+//! `retry_backoff`), [`Client::swap_weights`] hot-swaps the session's
 //! beam weights and [`Client::finish`] closes the session and returns the
 //! server's [`SessionSummary`].  Outputs come back in input order
 //! regardless of how server workers interleave, re-ordered by sequence
-//! number client side.  [`Client::connect_with_retry`] additionally rides
-//! out transient connect failures and `ServerFull` rejections — the
-//! degraded-admission states a recovering fleet goes through.
+//! number client side.
 
 use crate::wire::{
     read_frame_polling, write_frame, ClientMsg, RejectReason, ServerMsg, SessionSummary,
@@ -41,7 +39,7 @@ const BACKOFF_CAP_SHIFT: u32 = 7;
 /// key)` in, same delay out: retry schedules are reproducible, while
 /// distinct keys (sessions, block indices) spread their retries instead of
 /// stampeding the server in lockstep.
-pub fn retry_backoff(attempt: u32, key: u64) -> Duration {
+pub(crate) fn retry_backoff(attempt: u32, key: u64) -> Duration {
     let nominal = BACKOFF_BASE_US << attempt.min(BACKOFF_CAP_SHIFT);
     let hash = splitmix64(key ^ ((u64::from(attempt) << 32) | 0x9e37_79b9));
     let jitter = hash % (nominal / 2).max(1);
@@ -77,20 +75,6 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::Protocol(what) => write!(f, "protocol violation: {what}"),
         }
-    }
-}
-
-impl ServeError {
-    /// Whether retrying the same operation may succeed: transport errors
-    /// (the server may be restarting) and `ServerFull` rejections (a
-    /// degraded pool recovering its admission headroom) are retryable;
-    /// quota and version rejections, typed remote errors and protocol
-    /// violations are not.
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            ServeError::Io(_) | ServeError::Rejected(RejectReason::ServerFull { .. })
-        )
     }
 }
 
@@ -170,46 +154,6 @@ impl Client {
         }
     }
 
-    /// Like [`Client::connect`], but rides out retryable failures —
-    /// refused TCP connects and `ServerFull` rejections — with up to
-    /// `max_attempts` tries under the [`retry_backoff`] schedule (keyed by
-    /// the tenant name so concurrent tenants don't stampede in lockstep).
-    /// The last error is returned once the budget is exhausted.
-    pub fn connect_with_retry(
-        addr: impl ToSocketAddrs + Clone,
-        tenant: &str,
-        precision: Precision,
-        receivers: usize,
-        samples_per_block: usize,
-        max_attempts: u32,
-    ) -> Result<Client, ServeError> {
-        let key = tenant.bytes().fold(0x6a09_e667_f3bc_c908u64, |acc, b| {
-            splitmix64(acc ^ u64::from(b))
-        });
-        let mut attempt = 0u32;
-        loop {
-            match Client::connect(
-                addr.clone(),
-                tenant,
-                precision,
-                receivers,
-                samples_per_block,
-            ) {
-                Ok(client) => return Ok(client),
-                Err(e) if e.is_retryable() && attempt + 1 < max_attempts.max(1) => {
-                    std::thread::sleep(retry_backoff(attempt, key));
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// The server-assigned session id.
-    pub fn session_id(&self) -> u64 {
-        self.session_id
-    }
-
     /// Beams per output block, from the server's `Welcome`.
     pub fn beams(&self) -> usize {
         self.beams as usize
@@ -239,7 +183,7 @@ impl Client {
     /// and returns the beamformed outputs **in input order**.
     ///
     /// `Throttled` refusals are retried until accepted under the
-    /// [`retry_backoff`] schedule — capped exponential per block, with
+    /// `retry_backoff` schedule — capped exponential per block, with
     /// jitter keyed by session id and block index so pipelined retries
     /// spread out instead of hammering the server in phase.  A block that
     /// is eventually accepted resets nothing: its attempt count keeps
@@ -428,21 +372,5 @@ mod tests {
         for key in 0..64u64 {
             assert!(retry_backoff(0, key) >= Duration::from_micros(1_500));
         }
-    }
-
-    #[test]
-    fn retryability_is_typed() {
-        use std::io::{Error, ErrorKind};
-        assert!(ServeError::Io(Error::from(ErrorKind::ConnectionRefused)).is_retryable());
-        assert!(
-            ServeError::Rejected(RejectReason::ServerFull { active: 2, max: 2 }).is_retryable()
-        );
-        assert!(!ServeError::Rejected(RejectReason::TenantQuota { max: 4 }).is_retryable());
-        assert!(!ServeError::Remote {
-            code: 12,
-            message: String::new()
-        }
-        .is_retryable());
-        assert!(!ServeError::Protocol(String::new()).is_retryable());
     }
 }

@@ -135,7 +135,7 @@ pub struct BeaconConfig {
 }
 
 /// Sends one beacon datagram for `info` to `target`.
-pub fn announce_once(info: &WorkerInfo, target: SocketAddr) -> std::io::Result<()> {
+pub(crate) fn announce_once(info: &WorkerInfo, target: SocketAddr) -> std::io::Result<()> {
     let socket = UdpSocket::bind(("0.0.0.0", 0))?;
     socket.set_broadcast(true)?;
     socket.send_to(&info.encode(), target)?;

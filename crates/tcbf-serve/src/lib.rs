@@ -16,7 +16,7 @@
 //!   `f32` samples travel as raw little-endian bits, so served outputs are
 //!   **bit-identical** to local execution.  A payload that carries a matrix
 //!   is built once, at its final size, from borrowed data
-//!   ([`ClientMsg::encode_block`], [`ClientMsg::encode_swap_weights`]).
+//!   (`ClientMsg::encode_block`, `ClientMsg::encode_swap_weights`).
 //! - [`pool`]: [`ServeConfig`] builds a fixed [`EnginePool`] once; workers
 //!   check engines out per block, and *lazy weight swaps* keyed on the
 //!   weights themselves — an engine is re-loaded only when a block's weights
@@ -42,14 +42,27 @@
 //!   [`discover_workers`] to find the live fleet without configuration.
 //! - [`client`]: a blocking [`Client`] that pipelines blocks up to the
 //!   advertised queue depth, retries throttles under capped exponential
-//!   backoff with deterministic jitter ([`retry_backoff`]), re-orders
+//!   backoff with deterministic jitter (`retry_backoff`), re-orders
 //!   replies and returns the server's end-of-session [`SessionSummary`].
 //!
 //! ```no_run
-//! use tcbf_serve::{serve, Client, ServeConfig};
+//! use tcbf_serve::{example_weights, serve, Client, ServeConfig};
 //! use ccglib::Precision;
+//! use gpu_sim::Gpu;
 //!
-//! let config = ServeConfig::example(8, 32, 64);
+//! let config = ServeConfig {
+//!     gpus: vec![Gpu::A100],
+//!     precisions: vec![Precision::Float16, Precision::Int1],
+//!     engines_per_precision: 2,
+//!     weights: example_weights(8, 32),
+//!     samples_per_block: 64,
+//!     max_sessions: 8,
+//!     queue_depth: 4,
+//!     tenant_max_streams: 4,
+//!     tenant_blocks_per_sec: None,
+//!     workers: 2,
+//!     fault_plan: None,
+//! };
 //! let handle = serve("127.0.0.1:0", config).unwrap();
 //!
 //! let mut client = Client::connect(
@@ -73,9 +86,9 @@ pub mod pool;
 pub mod server;
 pub mod wire;
 
-pub use client::{retry_backoff, Client, ServeError};
-pub use discover::{announce_once, discover_workers, BeaconConfig, Discovery, WorkerInfo};
-pub use metrics::{FleetMetrics, FleetReport, TenantReport};
+pub use client::{Client, ServeError};
+pub use discover::{discover_workers, BeaconConfig, Discovery, WorkerInfo};
+pub use metrics::{FleetReport, TenantReport};
 pub use pool::{example_weights, EnginePool, EngineSlot, PoolHealth, ServeConfig};
 pub use server::{serve, ServerHandle};
 pub use wire::{ClientMsg, RejectReason, ServerMsg, SessionSummary, ThrottleReason, PROTO_VERSION};

@@ -3,7 +3,7 @@
 //! Every admitted block contributes a wall-clock latency sample
 //! (admission to reply, measured server side) to its tenant's
 //! [`LatencyHistogram`]; throttles and typed errors are counted per
-//! tenant.  [`FleetMetrics::fleet_report`] folds all tenants together and
+//! tenant.  `FleetMetrics::fleet_report` folds all tenants together and
 //! attaches the merged engine-side [`beamform::Report`], so one call
 //! answers both "how is the service behaving" (tail latency,
 //! backpressure, error rate, per-tenant throughput) and "how is the fleet
@@ -55,7 +55,7 @@ impl TenantReport {
 
     /// Observed throughput in blocks per second over the tenant's active
     /// window (0.0 before the second block completes).
-    pub fn blocks_per_sec(&self) -> f64 {
+    pub(crate) fn blocks_per_sec(&self) -> f64 {
         if self.active_s > 0.0 {
             self.blocks as f64 / self.active_s
         } else {
@@ -160,7 +160,7 @@ struct TenantState {
 
 /// Thread-safe accumulator the server threads record into.
 #[derive(Default)]
-pub struct FleetMetrics {
+pub(crate) struct FleetMetrics {
     tenants: Mutex<BTreeMap<String, TenantState>>,
 }
 
@@ -182,12 +182,12 @@ impl FleetMetrics {
     }
 
     /// Records an admitted session for `tenant`.
-    pub fn record_session(&self, tenant: &str) {
+    pub(crate) fn record_session(&self, tenant: &str) {
         self.with_tenant(tenant, |state| state.report.sessions += 1);
     }
 
     /// Records one completed block: wall latency from admission to reply.
-    pub fn record_block(&self, tenant: &str, latency_s: f64, completed_at: Instant) {
+    pub(crate) fn record_block(&self, tenant: &str, latency_s: f64, completed_at: Instant) {
         self.with_tenant(tenant, |state| {
             state.report.blocks += 1;
             state.report.latency.record_s(latency_s);
@@ -201,17 +201,17 @@ impl FleetMetrics {
     }
 
     /// Records one throttled (refused, retryable) block.
-    pub fn record_throttle(&self, tenant: &str) {
+    pub(crate) fn record_throttle(&self, tenant: &str) {
         self.with_tenant(tenant, |state| state.report.throttled += 1);
     }
 
     /// Records one block that failed with a typed error.
-    pub fn record_error(&self, tenant: &str) {
+    pub(crate) fn record_error(&self, tenant: &str) {
         self.with_tenant(tenant, |state| state.report.errors += 1);
     }
 
     /// Records one block replayed on a healthy engine after a fault.
-    pub fn record_recovery(&self, tenant: &str) {
+    pub(crate) fn record_recovery(&self, tenant: &str) {
         self.with_tenant(tenant, |state| state.report.recovered += 1);
     }
 

@@ -80,24 +80,6 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A small deterministic configuration: one A100, both tensor-core
-    /// precisions, pseudo-random unit-magnitude weights.
-    pub fn example(beams: usize, receivers: usize, samples_per_block: usize) -> Self {
-        ServeConfig {
-            gpus: vec![Gpu::A100],
-            precisions: vec![Precision::Float16, Precision::Int1],
-            engines_per_precision: 2,
-            weights: example_weights(beams, receivers),
-            samples_per_block,
-            max_sessions: 8,
-            queue_depth: 4,
-            tenant_max_streams: 4,
-            tenant_blocks_per_sec: None,
-            workers: 2,
-            fault_plan: None,
-        }
-    }
-
     /// Number of beams (`M`) implied by the weight matrix.
     pub fn beams(&self) -> usize {
         self.weights.rows()
@@ -279,7 +261,7 @@ impl EnginePool {
     }
 
     /// Whether `precision` is on the menu.
-    pub fn serves(&self, precision: Precision) -> bool {
+    pub(crate) fn serves(&self, precision: Precision) -> bool {
         self.fleets.iter().any(|f| f.precision == precision)
     }
 
@@ -337,7 +319,7 @@ impl EnginePool {
     /// quarantine (keeping its accounting for fleet reports) and never
     /// checked out again.  Waiters are woken so they can observe the
     /// shrunken fleet instead of sleeping forever.
-    pub fn quarantine(&self, precision: Precision, slot: EngineSlot) -> tcbf::Result<()> {
+    pub(crate) fn quarantine(&self, precision: Precision, slot: EngineSlot) -> tcbf::Result<()> {
         let fleet = self.fleet(precision)?;
         fleet.quarantined.lock().push(slot);
         fleet.available.notify_all();
@@ -345,7 +327,7 @@ impl EnginePool {
     }
 
     /// The health of one precision's fleet.
-    pub fn fleet_health(&self, precision: Precision) -> tcbf::Result<PoolHealth> {
+    pub(crate) fn fleet_health(&self, precision: Precision) -> tcbf::Result<PoolHealth> {
         let fleet = self.fleet(precision)?;
         let lost = fleet.quarantined.lock().len();
         Ok(PoolHealth {
@@ -378,7 +360,7 @@ impl EnginePool {
     /// Waits (up to `drain_timeout`) for checked-out engines to come back
     /// so the merge covers the full fleet; engines still out after the
     /// timeout are simply not included.
-    pub fn merged_report(&self, drain_timeout: Duration) -> beamform::Report {
+    pub(crate) fn merged_report(&self, drain_timeout: Duration) -> beamform::Report {
         let mut shards = Vec::new();
         let mut weight_swaps = 0;
         for fleet in &self.fleets {
@@ -414,6 +396,27 @@ impl std::fmt::Debug for EnginePool {
         f.debug_struct("EnginePool")
             .field("precisions", &self.precisions())
             .finish()
+    }
+}
+
+#[cfg(test)]
+impl ServeConfig {
+    /// A small deterministic configuration: one A100, both tensor-core
+    /// precisions, pseudo-random unit-magnitude weights.
+    pub(crate) fn example(beams: usize, receivers: usize, samples_per_block: usize) -> Self {
+        ServeConfig {
+            gpus: vec![Gpu::A100],
+            precisions: vec![Precision::Float16, Precision::Int1],
+            engines_per_precision: 2,
+            weights: example_weights(beams, receivers),
+            samples_per_block,
+            max_sessions: 8,
+            queue_depth: 4,
+            tenant_max_streams: 4,
+            tenant_blocks_per_sec: None,
+            workers: 2,
+            fault_plan: None,
+        }
     }
 }
 

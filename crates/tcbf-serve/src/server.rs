@@ -11,7 +11,7 @@
 //! into unbounded memory growth.
 //!
 //! Latency is measured wall-clock from job admission (reader side) to
-//! reply (worker side) and recorded per tenant in [`FleetMetrics`] — the
+//! reply (worker side) and recorded per tenant in `FleetMetrics` — the
 //! served analogue of the paper's per-run metric surface, with tail
 //! percentiles instead of single-run means.
 
@@ -283,11 +283,6 @@ impl ServerHandle {
     /// The bound listening address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// This worker's current discovery beacon payload.
-    pub fn worker_info(&self) -> WorkerInfo {
-        worker_info(&self.shared, self.addr)
     }
 
     /// Starts announcing this worker over UDP per `beacon`; the first
@@ -1052,7 +1047,7 @@ mod tests {
         config.engines_per_precision = 1;
         config.workers = 1;
         let handle = serve("127.0.0.1:0", config).unwrap();
-        let info = handle.worker_info();
+        let info = worker_info(&handle.shared, handle.addr);
         assert_eq!(info.addr, handle.addr().to_string());
         assert_eq!(info.gpus, vec!["A100".to_owned()]);
         assert_eq!(info.active_sessions, 0);

@@ -25,13 +25,11 @@ pub const PROTO_VERSION: u16 = 1;
 /// Upper bound on a frame payload (64 MiB): a decoder must reject larger
 /// length prefixes instead of allocating unbounded memory on garbage
 /// input.
-pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
+pub(crate) const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
-/// Reserved error code meaning "no error" (never sent).
-pub const CODE_OK: u16 = 0;
 /// Error code for malformed frames or protocol misuse, distinct from every
 /// [`tcbf::TcbfError::code`] (those start at 1 and stay below 1000).
-pub const CODE_PROTOCOL: u16 = 1000;
+pub(crate) const CODE_PROTOCOL: u16 = 1000;
 
 /// Why the server refused to accept a new session at `Hello` time.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -195,7 +193,7 @@ pub enum ServerMsg {
         reason: ThrottleReason,
     },
     /// A typed failure: `code` round-trips [`tcbf::TcbfError::code`]
-    /// (or [`CODE_PROTOCOL`] for protocol misuse) without string matching.
+    /// (or `CODE_PROTOCOL` for protocol misuse) without string matching.
     Error {
         /// Sequence number of the offending request, or `u64::MAX` for
         /// session-level failures.
@@ -233,7 +231,7 @@ const THROTTLE_QUEUE: u8 = 0;
 const THROTTLE_RATE: u8 = 1;
 
 /// Wire code of a precision.
-pub fn precision_code(precision: Precision) -> u8 {
+pub(crate) fn precision_code(precision: Precision) -> u8 {
     match precision {
         Precision::Float16 => 0,
         Precision::Int1 => 1,
@@ -242,7 +240,7 @@ pub fn precision_code(precision: Precision) -> u8 {
 }
 
 /// Precision from its wire code.
-pub fn precision_from_code(code: u8) -> Option<Precision> {
+pub(crate) fn precision_from_code(code: u8) -> Option<Precision> {
     match code {
         0 => Some(Precision::Float16),
         1 => Some(Precision::Int1),
@@ -439,12 +437,12 @@ impl ClientMsg {
     /// The payload of a [`ClientMsg::Block`] over *borrowed* samples: what
     /// `ClientMsg::Block { seq, samples }.encode()` returns, without having
     /// to own the block to say so.
-    pub fn encode_block(seq: u64, samples: &HostComplexMatrix) -> Vec<u8> {
+    pub(crate) fn encode_block(seq: u64, samples: &HostComplexMatrix) -> Vec<u8> {
         Writer::tagged_matrix(TAG_BLOCK, seq, samples)
     }
 
     /// The payload of a [`ClientMsg::SwapWeights`] over *borrowed* weights.
-    pub fn encode_swap_weights(seq: u64, weights: &HostComplexMatrix) -> Vec<u8> {
+    pub(crate) fn encode_swap_weights(seq: u64, weights: &HostComplexMatrix) -> Vec<u8> {
         Writer::tagged_matrix(TAG_SWAP, seq, weights)
     }
 
@@ -656,7 +654,7 @@ impl ServerMsg {
 
 /// Writes one frame (length prefix + payload) to a stream.
 ///
-/// A payload over [`MAX_FRAME_BYTES`] is an
+/// A payload over `MAX_FRAME_BYTES` is an
 /// [`std::io::ErrorKind::InvalidInput`] error and nothing is written: never
 /// a frame the peer must reject, or a length that wrapped in the prefix.
 pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
@@ -709,7 +707,7 @@ fn read_payload(reader: &mut impl Read, payload: &mut Vec<u8>, len: usize) -> st
 }
 
 /// Reads one frame from a stream; rejects length prefixes beyond
-/// [`MAX_FRAME_BYTES`] so garbage input cannot trigger huge allocations.
+/// `MAX_FRAME_BYTES` so garbage input cannot trigger huge allocations.
 pub fn read_frame(reader: &mut impl Read) -> std::io::Result<Vec<u8>> {
     let mut prefix = [0u8; 4];
     reader.read_exact(&mut prefix)?;
@@ -753,7 +751,7 @@ impl<R: Read, F: Fn() -> bool> Read for Guarded<'_, R, F> {
 ///
 /// Returns `Ok(None)` on clean end-of-stream at a frame boundary; EOF
 /// mid-frame is an [`std::io::ErrorKind::UnexpectedEof`] error.
-pub fn read_frame_polling(
+pub(crate) fn read_frame_polling(
     reader: &mut impl Read,
     frame_timeout: Duration,
     should_abort: impl Fn() -> bool,

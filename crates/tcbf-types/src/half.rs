@@ -45,7 +45,7 @@ impl f16 {
     /// The value `1.0`.
     pub const ONE: f16 = f16(0x3C00);
     /// The value `-1.0`.
-    pub const NEG_ONE: f16 = f16(0xBC00);
+    pub(crate) const NEG_ONE: f16 = f16(0xBC00);
     /// Positive infinity.
     pub const INFINITY: f16 = f16(0x7C00);
     /// Negative infinity.
@@ -54,15 +54,10 @@ impl f16 {
     pub const NAN: f16 = f16(0x7E00);
     /// Largest finite value, `65504.0`.
     pub const MAX: f16 = f16(0x7BFF);
-    /// Smallest finite value, `-65504.0`.
-    pub const MIN: f16 = f16(0xFBFF);
     /// Smallest positive normal value, `2^-14`.
     pub const MIN_POSITIVE: f16 = f16(0x0400);
     /// Smallest positive subnormal value, `2^-24`.
     pub const MIN_POSITIVE_SUBNORMAL: f16 = f16(0x0001);
-    /// Machine epsilon: the difference between `1.0` and the next larger
-    /// representable value, `2^-10`.
-    pub const EPSILON: f16 = f16(0x1400);
 
     /// Creates a half-precision value from its raw bit pattern.
     #[inline]
@@ -181,7 +176,7 @@ impl f16 {
     }
 
     /// Converts to `f64`.
-    pub fn to_f64(self) -> f64 {
+    pub(crate) fn to_f64(self) -> f64 {
         f64::from(self.to_f32())
     }
 
@@ -473,9 +468,7 @@ mod tests {
         assert_eq!(f16::ONE.to_f32(), 1.0);
         assert_eq!(f16::NEG_ONE.to_f32(), -1.0);
         assert_eq!(f16::MAX.to_f32(), 65504.0);
-        assert_eq!(f16::MIN.to_f32(), -65504.0);
         assert_eq!(f16::MIN_POSITIVE.to_f32(), 6.103_515_6e-5);
-        assert_eq!(f16::EPSILON.to_f32(), 9.765_625e-4);
         assert!(f16::NAN.is_nan());
         assert!(f16::INFINITY.is_infinite());
         assert!(f16::NEG_INFINITY.is_infinite());
@@ -513,9 +506,9 @@ mod tests {
 
     #[test]
     fn round_to_nearest_even() {
-        // 1.0 + eps/2 is exactly halfway between 1.0 and 1.0+eps; it must
-        // round to the even mantissa, i.e. 1.0.
-        let half_eps = f16::EPSILON.to_f32() / 2.0;
+        // 1.0 + eps/2 (eps = 2^-10, the gap above 1.0) is exactly halfway
+        // between 1.0 and 1.0+eps; it must round to the even mantissa, i.e. 1.0.
+        let half_eps = 2f32.powi(-11);
         assert_eq!(f16::from_f32(1.0 + half_eps), f16::ONE);
         // 1.0 + 1.5*eps is halfway between 1.0+eps and 1.0+2eps; rounds to
         // the even one, 1.0 + 2eps.

@@ -47,7 +47,7 @@ impl GemmShape {
     }
 
     /// Number of complex multiply-accumulate operations (`M·N·K` per batch).
-    pub fn complex_macs(&self) -> u128 {
+    pub(crate) fn complex_macs(&self) -> u128 {
         self.batch as u128 * self.m as u128 * self.n as u128 * self.k as u128
     }
 
@@ -87,7 +87,7 @@ impl GemmShape {
 
     /// Returns this shape padded so every dimension is a multiple of the
     /// corresponding tile dimension.
-    pub fn padded_to(&self, tile: TileShape) -> GemmShape {
+    pub(crate) fn padded_to(&self, tile: TileShape) -> GemmShape {
         GemmShape {
             batch: self.batch,
             m: round_up(self.m, tile.m),
@@ -140,11 +140,6 @@ impl TileShape {
     /// Number of tiles along N.
     pub fn n_tiles(&self, shape: &GemmShape) -> usize {
         shape.n.div_ceil(self.n)
-    }
-
-    /// Number of tiles along K.
-    pub fn k_tiles(&self, shape: &GemmShape) -> usize {
-        shape.k.div_ceil(self.k)
     }
 
     /// Fraction of the padded iteration space that is useful work
@@ -219,7 +214,6 @@ mod tests {
         let shape = GemmShape::batched(4, 300, 100, 70);
         assert_eq!(tile.m_tiles(&shape), 3);
         assert_eq!(tile.n_tiles(&shape), 2);
-        assert_eq!(tile.k_tiles(&shape), 3);
     }
 
     #[test]

@@ -43,19 +43,19 @@ pub struct OneBitComplex {
 
 impl OneBitComplex {
     /// The value `1 + i` (binary 11).
-    pub const ONE_PLUS_I: OneBitComplex = OneBitComplex { re: true, im: true };
+    pub(crate) const ONE_PLUS_I: OneBitComplex = OneBitComplex { re: true, im: true };
     /// The value `1 - i` (binary 10).
-    pub const ONE_MINUS_I: OneBitComplex = OneBitComplex {
+    pub(crate) const ONE_MINUS_I: OneBitComplex = OneBitComplex {
         re: true,
         im: false,
     };
     /// The value `-1 + i` (binary 01).
-    pub const NEG_ONE_PLUS_I: OneBitComplex = OneBitComplex {
+    pub(crate) const NEG_ONE_PLUS_I: OneBitComplex = OneBitComplex {
         re: false,
         im: true,
     };
     /// The value `-1 - i` (binary 00).
-    pub const NEG_ONE_MINUS_I: OneBitComplex = OneBitComplex {
+    pub(crate) const NEG_ONE_MINUS_I: OneBitComplex = OneBitComplex {
         re: false,
         im: false,
     };
@@ -63,7 +63,7 @@ impl OneBitComplex {
     /// Builds a sample from the signs of the two components
     /// (`true` = non-negative = +1).
     #[inline]
-    pub const fn from_signs(re_positive: bool, im_positive: bool) -> Self {
+    pub(crate) const fn from_signs(re_positive: bool, im_positive: bool) -> Self {
         OneBitComplex {
             re: re_positive,
             im: im_positive,
@@ -86,7 +86,7 @@ impl OneBitComplex {
 
     /// Decodes a single bit to ±1.
     #[inline]
-    pub fn decode_bit(bit: bool) -> f32 {
+    pub(crate) fn decode_bit(bit: bool) -> f32 {
         if bit {
             1.0
         } else {

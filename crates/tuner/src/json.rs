@@ -5,13 +5,13 @@
 //! `serde_json` the `BENCH_*.json` files are written and parsed through
 //! this module.  It covers what those files hold —
 //! `null`, numbers, strings, arrays, objects (no booleans) — and treats
-//! every document as hostile: nesting is capped at [`MAX_DEPTH`] so a
+//! every document as hostile: nesting is capped at `MAX_DEPTH` so a
 //! tower of brackets is a [`JsonError`], not a stack overflow.
 
 use std::fmt::Write as _;
 
 /// Deepest container nesting [`parse`] accepts (the repo's schemas need 4).
-pub const MAX_DEPTH: usize = 32;
+pub(crate) const MAX_DEPTH: usize = 32;
 
 /// Error produced when a JSON document cannot be parsed, or does not hold
 /// what its schema requires.

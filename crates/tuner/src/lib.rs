@@ -79,7 +79,7 @@ pub struct TuneResult {
 
 impl TuneResult {
     /// The objective value of this result.
-    pub fn objective_value(&self, objective: Objective) -> f64 {
+    pub(crate) fn objective_value(&self, objective: Objective) -> f64 {
         match objective {
             Objective::Performance => self.tops,
             Objective::EnergyEfficiency => self.tops_per_joule,

@@ -61,7 +61,7 @@ pub struct ImagingConfig {
 impl ImagingConfig {
     /// The full-scale configuration of the real-time analysis (Fig. 5):
     /// 128 frequencies × 64 transceivers × 32 transmissions.
-    pub fn paper_realtime() -> Self {
+    pub(crate) fn paper_realtime() -> Self {
         ImagingConfig {
             num_transceivers: 64,
             num_frequencies: 128,
@@ -76,7 +76,7 @@ impl ImagingConfig {
 
     /// The pre-recorded mouse-brain dataset configuration (Section V-A):
     /// 128 frequencies × 64 transceivers × 64 transmissions, 8041 frames.
-    pub fn paper_offline() -> Self {
+    pub(crate) fn paper_offline() -> Self {
         ImagingConfig {
             num_transmissions: 64,
             ..Self::paper_realtime()
@@ -108,7 +108,7 @@ impl ImagingConfig {
     }
 
     /// The temporal frequencies retained, in Hz.
-    pub fn frequencies(&self) -> Vec<f64> {
+    pub(crate) fn frequencies(&self) -> Vec<f64> {
         (0..self.num_frequencies)
             .map(|i| {
                 self.centre_frequency - self.bandwidth / 2.0
@@ -118,7 +118,7 @@ impl ImagingConfig {
     }
 
     /// The probe geometry: a linear transceiver array at z = 0.
-    pub fn probe_geometry(&self) -> ArrayGeometry {
+    pub(crate) fn probe_geometry(&self) -> ArrayGeometry {
         ArrayGeometry::uniform_linear(self.num_transceivers, self.pitch, SPEED_OF_SOUND_TISSUE)
     }
 
@@ -215,7 +215,7 @@ impl AcousticModel {
     }
 
     /// Linear row index of (frequency, transceiver, transmission).
-    pub fn row_index(
+    pub(crate) fn row_index(
         config: &ImagingConfig,
         freq: usize,
         transceiver: usize,
@@ -242,7 +242,7 @@ impl AcousticModel {
     /// The expected measurement spectrum (length `K`) of a point source at
     /// a voxel with a given complex amplitude — used by the phantom to
     /// synthesise measurements.
-    pub fn forward(&self, voxel_index: usize, amplitude: Complex32) -> Vec<Complex32> {
+    pub(crate) fn forward(&self, voxel_index: usize, amplitude: Complex32) -> Vec<Complex32> {
         let k = self.config.k_rows();
         // The model stores the *matched filter* (conjugate phase); the
         // forward signal is its conjugate.

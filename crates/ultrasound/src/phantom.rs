@@ -104,17 +104,9 @@ impl FlowPhantom {
         }
     }
 
-    /// Which voxels of a grid are inside any vessel.
-    pub fn vessel_mask(&self, voxels: &[Voxel]) -> Vec<bool> {
-        voxels
-            .iter()
-            .map(|v| self.vessels.iter().any(|vessel| vessel.contains(v)))
-            .collect()
-    }
-
     /// Complex amplitude of a voxel at a given frame: stationary tissue
     /// plus, inside a vessel, the Doppler-rotating flow component.
-    pub fn voxel_amplitude(&self, voxel: &Voxel, frame: usize) -> Complex32 {
+    pub(crate) fn voxel_amplitude(&self, voxel: &Voxel, frame: usize) -> Complex32 {
         let mut value = Complex::new(self.tissue_amplitude as f32, 0.0);
         for vessel in &self.vessels {
             if vessel.contains(voxel) {
@@ -150,6 +142,18 @@ impl FlowPhantom {
             }
         }
         data
+    }
+}
+
+/// The ground truth the reconstruction tests score vessel detection against.
+#[cfg(test)]
+impl FlowPhantom {
+    /// Which voxels of a grid are inside any vessel.
+    pub(crate) fn vessel_mask(&self, voxels: &[Voxel]) -> Vec<bool> {
+        voxels
+            .iter()
+            .map(|v| self.vessels.iter().any(|vessel| vessel.contains(v)))
+            .collect()
     }
 }
 

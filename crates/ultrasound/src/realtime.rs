@@ -248,7 +248,7 @@ pub struct OfflineComparison {
 /// peak.  Octave dispatches un-fused kernels through OpenCL and reaches
 /// only a few percent of peak; this value makes the modelled baseline match
 /// the ~15 minutes the paper measured on an A100.
-pub const OCTAVE_BASELINE_EFFICIENCY: f64 = 0.08;
+pub(crate) const OCTAVE_BASELINE_EFFICIENCY: f64 = 0.08;
 
 /// Computes the offline comparison for the paper's pre-recorded dataset
 /// shape (`M = 38880` voxels, `N = 8041` frames, `K = 524288`) on a device.
@@ -257,7 +257,7 @@ pub fn offline_comparison(device: &Device) -> OfflineComparison {
 }
 
 /// Offline comparison for an arbitrary reconstruction shape.
-pub fn offline_comparison_for(device: &Device, shape: GemmShape) -> OfflineComparison {
+pub(crate) fn offline_comparison_for(device: &Device, shape: GemmShape) -> OfflineComparison {
     let spec = device.spec();
     let exec = ExecutionModel::new(spec.clone());
 

@@ -114,7 +114,7 @@ impl Reconstructor {
 
     /// Applies Doppler clutter removal to a `K × frames` measurement
     /// matrix.
-    pub fn apply_doppler(&self, measurements: &HostComplexMatrix) -> HostComplexMatrix {
+    pub(crate) fn apply_doppler(&self, measurements: &HostComplexMatrix) -> HostComplexMatrix {
         match self.doppler {
             DopplerMode::None => measurements.clone(),
             DopplerMode::MeanRemoval => {
