@@ -4,10 +4,10 @@
 //! accelerator to a heterogeneous pool without the application noticing —
 //! is expressed here as a single object-safe [`Engine`] trait.
 //! [`crate::ShardedBeamformer`] (one [`crate::Beamformer`] per pool
-//! member) is the one implementation — a single device is a pool of one;
-//! downstream code is written once against `&mut impl Engine` or
-//! [`Box<dyn Engine>`] and works on any topology, including ones added
-//! later (async, remote, heterogeneous tiers).
+//! member) is the one implementation — a single device is a pool of one,
+//! and [`Engine::gpus`] lists the members in pool order; downstream code is
+//! written once against `&mut impl Engine` or [`Box<dyn Engine>`] and works
+//! on any pool.
 //!
 //! Every engine accumulates one unified [`Report`]: a per-device breakdown
 //! (with exactly one device for a pool of one) from which the pool-level
@@ -17,9 +17,8 @@
 //! one session type for every topology.
 
 use crate::beamformer::BeamformOutput;
-use crate::latency::LatencyHistogram;
 use crate::session::SessionReport;
-use crate::shard::{ShardPlan, ShardPolicy};
+use crate::shard::ShardPlan;
 use crate::weights::WeightMatrix;
 use ccglib::matrix::HostComplexMatrix;
 use gpu_sim::Gpu;
@@ -166,34 +165,6 @@ impl Report {
         self.merged_serial().best_tops()
     }
 
-    /// The fleet-wide log2 histogram of per-execution kernel latency: the
-    /// exact bucket-wise merge of every member's histogram.
-    pub fn latency(&self) -> LatencyHistogram {
-        let mut merged = LatencyHistogram::new();
-        for shard in &self.per_device {
-            merged.merge(shard.report.latency());
-        }
-        merged
-    }
-
-    /// Median per-execution kernel latency across all members, in seconds
-    /// (0.0 for an empty run).
-    pub fn p50_latency_s(&self) -> f64 {
-        self.latency().p50_s()
-    }
-
-    /// 95th-percentile per-execution kernel latency across all members, in
-    /// seconds (0.0 for an empty run).
-    pub fn p95_latency_s(&self) -> f64 {
-        self.latency().p95_s()
-    }
-
-    /// 99th-percentile per-execution kernel latency across all members, in
-    /// seconds (0.0 for an empty run).
-    pub fn p99_latency_s(&self) -> f64 {
-        self.latency().p99_s()
-    }
-
     /// Parallel speed-up over running the same stream serially on the
     /// members: summed elapsed time divided by the straggler's wall clock.
     /// 1.0 for a single-member engine, 0.0 for an empty run.
@@ -208,45 +179,6 @@ impl Report {
             serial / wall
         } else {
             0.0
-        }
-    }
-}
-
-/// The device layout of an engine, for introspection.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Topology {
-    /// One device: a pool of one, nothing to partition.
-    Single(Gpu),
-    /// A pool of several devices sharing a shard policy.
-    Pool {
-        /// The catalog identifiers of the members, in pool order.
-        gpus: Vec<Gpu>,
-        /// How block streams are partitioned across the members.
-        policy: ShardPolicy,
-    },
-}
-
-impl Topology {
-    /// The devices the engine spans, in pool order (a single-device engine
-    /// is a one-element slice).
-    pub fn gpus(&self) -> &[Gpu] {
-        match self {
-            Topology::Single(gpu) => std::slice::from_ref(gpu),
-            Topology::Pool { gpus, .. } => gpus,
-        }
-    }
-
-    /// Number of devices.
-    pub fn num_devices(&self) -> usize {
-        self.gpus().len()
-    }
-
-    /// The shard policy, or `None` for a single device (no partitioning
-    /// happens).
-    pub fn policy(&self) -> Option<ShardPolicy> {
-        match self {
-            Topology::Single(_) => None,
-            Topology::Pool { policy, .. } => Some(*policy),
         }
     }
 }
@@ -268,8 +200,9 @@ impl Topology {
 /// threads (e.g. `tcbf-serve`'s engine pool), so every engine must be
 /// movable across threads.
 pub trait Engine: std::fmt::Debug + Send {
-    /// The device layout of this engine.
-    fn topology(&self) -> Topology;
+    /// The catalog identifiers of the devices the engine spans, in pool
+    /// order (one entry for a pool of one).
+    fn gpus(&self) -> &[Gpu];
 
     /// The [`ShardPlan`] a stream of `blocks` blocks would execute under.
     /// A pool of one assigns every block to its only device.
@@ -303,8 +236,8 @@ pub trait Engine: std::fmt::Debug + Send {
 }
 
 impl<E: Engine + ?Sized> Engine for Box<E> {
-    fn topology(&self) -> Topology {
-        (**self).topology()
+    fn gpus(&self) -> &[Gpu] {
+        (**self).gpus()
     }
 
     fn plan(&self, blocks: usize) -> ShardPlan {
@@ -342,8 +275,9 @@ impl<E: Engine + ?Sized> Engine for Box<E> {
 /// the `pending` blocks on a healthy engine carrying the same weights
 /// version completes the stream bit-identically — functional outputs are
 /// device-independent, so *where* a block finally executes never changes
-/// its numbers.  This is the unit `tcbf-serve` replays when it quarantines
-/// a faulted engine.
+/// its numbers.  `tcbf-serve` builds no checkpoint: when it quarantines a
+/// faulted engine it replays its own in-flight job on the next healthy
+/// engine.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SessionCheckpoint {
     /// Blocks of the stream completed before the cut.
@@ -376,7 +310,7 @@ impl SessionCheckpoint {
 /// stream on a replacement engine.
 ///
 /// ```
-/// use beamform::{BeamformerConfig, Session, ShardPolicy, ShardedBeamformer, WeightMatrix};
+/// use beamform::{BeamformerConfig, Session, ShardedBeamformer, WeightMatrix};
 /// use ccglib::matrix::HostComplexMatrix;
 /// use gpu_sim::{DevicePool, Gpu};
 /// use tcbf_types::Complex;
@@ -386,7 +320,7 @@ impl SessionCheckpoint {
 /// }));
 /// let engine = ShardedBeamformer::new(
 ///     &DevicePool::from_gpus(&[Gpu::A100]), weights, 8,
-///     BeamformerConfig::float16(), ShardPolicy::default(),
+///     BeamformerConfig::float16(),
 /// ).unwrap();
 /// let mut session = Session::new(engine);
 /// let block = HostComplexMatrix::from_fn(16, 8, |r, s| Complex::new(r as f32 * 0.1, s as f32));
@@ -546,7 +480,6 @@ mod tests {
             weights(4, 16),
             8,
             BeamformerConfig::float16(),
-            ShardPolicy::RoundRobin,
         )
         .unwrap()
     }
@@ -582,20 +515,16 @@ mod tests {
         for engine in &mut engines {
             // Introspection through the trait object.
             let plan = engine.plan(blocks.len());
-            assert_eq!(plan.num_devices(), engine.topology().num_devices());
+            assert_eq!(plan.num_devices(), engine.gpus().len());
             all.push(engine.process_batch(&refs).unwrap());
             assert_eq!(engine.report().total_blocks(), 5);
         }
-        // Topology is a scheduling decision only: identical outputs.
+        // The device layout is a scheduling decision only: identical outputs.
         for (a, b) in all[0].iter().zip(&all[1]) {
             assert_eq!(a.beams, b.beams);
         }
-        assert_eq!(engines[0].topology(), Topology::Single(Gpu::A100));
-        assert_eq!(
-            engines[1].topology().policy(),
-            Some(ShardPolicy::RoundRobin)
-        );
-        assert_eq!(engines[0].topology().policy(), None);
+        assert_eq!(engines[0].gpus(), [Gpu::A100]);
+        assert_eq!(engines[1].gpus(), [Gpu::A100, Gpu::Gh200]);
     }
 
     #[test]
@@ -655,29 +584,6 @@ mod tests {
         assert_eq!(report.best_tops(), serial.best_tops());
         assert_eq!(report.tops_per_joule(), serial.tops_per_joule());
         assert_eq!(report.effective_fps(), serial.effective_fps());
-    }
-
-    #[test]
-    fn report_latency_percentiles_merge_across_devices() {
-        let mut engine = pool_engine(&[Gpu::A100, Gpu::Gh200]);
-        let blocks: Vec<HostComplexMatrix> = (0..6).map(|i| block(16, 8, i)).collect();
-        let refs: Vec<&HostComplexMatrix> = blocks.iter().collect();
-        engine.process_batch(&refs).unwrap();
-        let report = engine.report();
-        // One histogram sample per execution, across every member.
-        let executions: usize = report
-            .per_device()
-            .iter()
-            .map(|s| s.report.executions)
-            .sum();
-        assert_eq!(report.latency().count() as usize, executions);
-        assert_eq!(
-            report.latency().count(),
-            report.merged_serial().latency().count()
-        );
-        assert!(report.p50_latency_s() > 0.0);
-        assert!(report.p50_latency_s() <= report.p95_latency_s());
-        assert!(report.p95_latency_s() <= report.p99_latency_s());
     }
 
     #[test]
@@ -745,7 +651,6 @@ mod tests {
         assert_eq!(with_idle.wall_clock_s(), without.wall_clock_s());
         assert_eq!(with_idle.worst_tops(), without.worst_tops());
         assert_eq!(with_idle.mean_tops(), without.mean_tops());
-        assert_eq!(with_idle.p99_latency_s(), without.p99_latency_s());
     }
 
     #[test]

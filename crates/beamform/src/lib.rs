@@ -20,20 +20,20 @@
 //!   [`Engine::process_batch`]), a direct delay-and-sum reference
 //!   implementation, beam patterns and SNR gain;
 //! * [`engine`] — the unified execution API: one object-safe [`Engine`]
-//!   trait spanning every topology with one implementation,
-//!   [`ShardedBeamformer`] (a single device is a pool of one), one
+//!   trait with one implementation, [`ShardedBeamformer`] (a single
+//!   device is a pool of one; [`Engine::gpus`] lists the members), one
 //!   generic [`Session<E>`] (alias [`DynSession`] for boxed engines), and
 //!   one unified [`Report`] whose per-device breakdown holds exactly one
 //!   entry for a pool of one;
-//! * [`latency`] — a fixed-bucket log2 [`LatencyHistogram`] giving every
-//!   report p50/p95/p99 per-execution latency with exact fleet-wide
-//!   merging;
+//! * [`latency`] — a fixed-bucket log2 [`LatencyHistogram`] with
+//!   p50/p95/p99 read-back and exact merging (the serving layer's
+//!   wall-clock block latency);
 //! * [`session`] — the per-device accounting primitive [`SessionReport`]
 //!   behind every [`Report`];
 //! * [`shard`] — the engine itself: a [`ShardedBeamformer`] spans a
 //!   `gpu_sim::DevicePool` of one or more devices and partitions block
-//!   streams across the members under a [`ShardPlan`] (round-robin or
-//!   capacity-weighted), recovering from member faults.
+//!   streams across the members under a [`ShardPlan`] (contiguous runs
+//!   weighted by capacity), recovering from member faults.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -48,12 +48,10 @@ pub mod signal;
 pub mod weights;
 
 pub use beamformer::{BeamformOutput, Beamformer, BeamformerConfig};
-pub use engine::{
-    DeviceShardReport, DynSession, Engine, Report, Session, SessionCheckpoint, Topology,
-};
+pub use engine::{DeviceShardReport, DynSession, Engine, Report, Session, SessionCheckpoint};
 pub use geometry::{ArrayGeometry, SPEED_OF_LIGHT, SPEED_OF_SOUND_TISSUE};
 pub use latency::{LatencyHistogram, LATENCY_BUCKETS};
 pub use session::SessionReport;
-pub use shard::{ShardPlan, ShardPolicy, ShardedBeamformer};
+pub use shard::{ShardPlan, ShardedBeamformer};
 pub use signal::{PlaneWaveSource, SignalGenerator};
 pub use weights::{steering_vector, WeightMatrix};

@@ -9,7 +9,6 @@
 //! keeps one per device and exposes them through the unified
 //! [`crate::Report`].
 
-use crate::latency::LatencyHistogram;
 use ccglib::RunReport;
 use serde::{Deserialize, Serialize};
 
@@ -39,8 +38,6 @@ pub struct SessionReport {
     min_tops: f64,
     /// Best per-execution achieved TeraOps/s seen so far.
     max_tops: f64,
-    /// Log2 histogram of per-execution kernel latency.
-    latency: LatencyHistogram,
 }
 
 impl SessionReport {
@@ -63,7 +60,6 @@ impl SessionReport {
         self.sum_tops += report.achieved_tops;
         self.min_tops = self.min_tops.min(report.achieved_tops);
         self.max_tops = self.max_tops.max(report.achieved_tops);
-        self.latency.record_s(report.predicted.elapsed_s);
     }
 
     /// Folds another report into this one as if its executions had run on
@@ -87,7 +83,6 @@ impl SessionReport {
         self.sum_tops += other.sum_tops;
         self.min_tops = self.min_tops.min(other.min_tops);
         self.max_tops = self.max_tops.max(other.max_tops);
-        self.latency.merge(&other.latency);
     }
 
     /// Aggregate throughput over the whole session in TeraOps/s: total
@@ -144,30 +139,6 @@ impl SessionReport {
         } else {
             0.0
         }
-    }
-
-    /// The log2 histogram of per-execution kernel latency: one sample per
-    /// GEMM execution, mergeable across devices and workers.
-    pub fn latency(&self) -> &LatencyHistogram {
-        &self.latency
-    }
-
-    /// Median per-execution kernel latency in seconds (0.0 for an empty
-    /// run).
-    pub fn p50_latency_s(&self) -> f64 {
-        self.latency.p50_s()
-    }
-
-    /// 95th-percentile per-execution kernel latency in seconds (0.0 for an
-    /// empty run).
-    pub fn p95_latency_s(&self) -> f64 {
-        self.latency.p95_s()
-    }
-
-    /// 99th-percentile per-execution kernel latency in seconds (0.0 for an
-    /// empty run).
-    pub fn p99_latency_s(&self) -> f64 {
-        self.latency.p99_s()
     }
 }
 
@@ -240,22 +211,6 @@ mod tests {
         assert!((report.effective_fps() - 4.0 / elapsed).abs() / (4.0 / elapsed) < 1e-9);
         assert!(report.aggregate_tops() > 0.0);
         assert!(report.tops_per_joule() > 0.0);
-    }
-
-    #[test]
-    fn session_report_exposes_latency_percentiles() {
-        let (_, report) = stream(0..5);
-        assert_eq!(report.latency().count(), 5);
-        // Percentiles are conservative upper bounds on the per-execution
-        // kernel time: at least the worst observed latency / 2, at most 2x.
-        let per_exec = report.total_elapsed_s / report.executions as f64;
-        assert!(report.p50_latency_s() > 0.0);
-        assert!(report.p50_latency_s() <= report.p95_latency_s());
-        assert!(report.p95_latency_s() <= report.p99_latency_s());
-        assert!(report.p99_latency_s() >= per_exec * 0.99);
-        assert!(report.p99_latency_s() <= per_exec * 4.0);
-        // Empty runs stay finite zeros.
-        assert_eq!(SessionReport::default().p99_latency_s(), 0.0);
     }
 
     #[test]

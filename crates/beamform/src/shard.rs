@@ -4,8 +4,8 @@
 //! ultrasound Doppler) exceed a single accelerator, so the streaming
 //! pipeline scales out: a [`ShardedBeamformer`] owns one [`Beamformer`] per
 //! member of a [`DevicePool`] (heterogeneous mixes allowed), a
-//! [`ShardPlan`] partitions the block stream across the members — round
-//! robin or weighted by each device's peak TeraOps/s — and the shards
+//! [`ShardPlan`] partitions the block stream across the members into
+//! contiguous runs weighted by each device's peak TeraOps/s, and the shards
 //! execute in parallel, one worker per device.  Functional results are
 //! device-independent, so the concatenated shard outputs are element-wise
 //! identical to a single-device run of the same stream; only the
@@ -19,7 +19,7 @@
 //! generic [`crate::Session`] and application entry points as any pool.
 
 use crate::beamformer::{BeamformOutput, Beamformer, BeamformerConfig};
-use crate::engine::{DeviceShardReport, Engine, Report, Topology};
+use crate::engine::{DeviceShardReport, Engine, Report};
 use crate::session::SessionReport;
 use crate::weights::WeightMatrix;
 use ccglib::matrix::HostComplexMatrix;
@@ -29,24 +29,13 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// How a block stream is partitioned across the members of a pool.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ShardPolicy {
-    /// Block `i` goes to device `i mod pool_size`: even block counts
-    /// regardless of member speed.  Ideal for homogeneous pools.
-    RoundRobin,
-    /// Contiguous block ranges sized proportionally to each member's peak
-    /// TeraOps/s at the session precision (largest-remainder
-    /// apportionment), so a GH200 next to an AD4000 receives
-    /// correspondingly more work.  The default.
-    #[default]
-    CapacityWeighted,
-}
-
 /// The assignment of a stream of blocks to the members of a pool.
 ///
-/// Every block index is assigned to exactly one device; assignments are
-/// deterministic functions of `(policy, weights, block count)`.
+/// Every block index is assigned to exactly one device, and each device
+/// receives one contiguous run sized proportionally to its peak TeraOps/s
+/// at the session precision (largest-remainder apportionment), so a GH200
+/// next to an AD4000 receives correspondingly more work.  Assignments are
+/// deterministic functions of `(weights, block count)`.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardPlan {
     /// `assignments[d]` lists the block indices device `d` executes, in
@@ -58,18 +47,16 @@ pub struct ShardPlan {
 impl ShardPlan {
     /// Plans `blocks` block indices over `capacity_weights.len()` devices.
     ///
-    /// `capacity_weights` holds one positive throughput weight per device;
-    /// [`ShardPolicy::RoundRobin`] ignores the values, while
-    /// [`ShardPolicy::CapacityWeighted`] sizes each device's contiguous
-    /// range proportionally (falling back to round robin if the weights do
-    /// not sum to a positive value).
+    /// `capacity_weights` holds one throughput weight per device; each
+    /// device's contiguous range is sized proportionally to it (equal
+    /// weights if they do not sum to a positive value).
     ///
     /// # Panics
     /// Panics if `capacity_weights` is empty.
-    pub fn new(policy: ShardPolicy, capacity_weights: &[f64], blocks: usize) -> Self {
+    pub fn new(capacity_weights: &[f64], blocks: usize) -> Self {
         let alive = vec![true; capacity_weights.len()];
         let ids: Vec<usize> = (0..blocks).collect();
-        Self::reapportion(policy, capacity_weights, &alive, &ids)
+        Self::reapportion(capacity_weights, &alive, &ids)
     }
 
     /// Plans an arbitrary list of block indices over the *surviving*
@@ -77,14 +64,13 @@ impl ShardPlan {
     ///
     /// This is the recovery primitive: after a device is lost mid-stream,
     /// its unfinished block indices are re-apportioned across the
-    /// survivors with the same policy — round robin strides the indices
-    /// over the survivors in order; capacity-weighted runs
-    /// largest-remainder apportionment over the surviving weights and
-    /// hands each survivor a contiguous run of `block_ids`.  The plan
-    /// still spans every pool position (dead devices get empty
-    /// assignments) and is a deterministic function of its inputs, which
-    /// is what keeps recovered runs bit-identical to the no-fault
-    /// reference.
+    /// survivors by the same rule: largest-remainder apportionment over
+    /// the surviving weights (equal weights if they do not sum to a
+    /// positive value) hands each survivor a contiguous run of
+    /// `block_ids`.  The plan still spans every pool position (dead
+    /// devices get empty assignments) and is a deterministic function of
+    /// its inputs, which is what keeps recovered runs bit-identical to the
+    /// no-fault reference.
     ///
     /// [`ShardPlan::new`] is the degenerate case: all devices alive,
     /// `block_ids = 0..blocks`.
@@ -93,7 +79,6 @@ impl ShardPlan {
     /// Panics if `capacity_weights` and `alive` differ in length, or if no
     /// device is alive.
     pub(crate) fn reapportion(
-        policy: ShardPolicy,
         capacity_weights: &[f64],
         alive: &[bool],
         block_ids: &[usize],
@@ -115,34 +100,16 @@ impl ShardPlan {
             !survivors.is_empty(),
             "a shard plan needs at least one live device"
         );
-        let total: f64 = survivors.iter().map(|&(_, weight)| weight).sum();
+        // Contiguous runs: largest-remainder accounting guarantees the
+        // counts tile `block_ids` exactly.
         let mut assignments = vec![Vec::new(); alive.len()];
-        let mut assign = |survivor: usize, ids: &[usize]| {
-            let slot = survivors
-                .get(survivor)
-                .and_then(|&(device, _)| assignments.get_mut(device));
-            if let Some(slot) = slot {
-                slot.extend_from_slice(ids);
+        let quotas = Self::quotas(&survivors, block_ids.len());
+        let mut next = 0;
+        for (&(device, _), count) in survivors.iter().zip(quotas) {
+            if let Some(slot) = assignments.get_mut(device) {
+                slot.extend_from_slice(block_ids.get(next..next + count).unwrap_or(&[]));
             }
-        };
-        match policy {
-            ShardPolicy::CapacityWeighted if total > 0.0 => {
-                // Contiguous runs: largest-remainder accounting guarantees
-                // the counts tile `block_ids` exactly.
-                let mut next = 0;
-                for (survivor, count) in Self::quotas(&survivors, total, block_ids.len())
-                    .into_iter()
-                    .enumerate()
-                {
-                    assign(survivor, block_ids.get(next..next + count).unwrap_or(&[]));
-                    next += count;
-                }
-            }
-            _ => {
-                for (position, id) in block_ids.iter().enumerate() {
-                    assign(position % survivors.len(), std::slice::from_ref(id));
-                }
-            }
+            next += count;
         }
         ShardPlan {
             assignments,
@@ -151,14 +118,17 @@ impl ShardPlan {
     }
 
     /// Largest-remainder apportionment of `blocks` over the survivors'
-    /// weights: every survivor gets the floor of its proportional quota,
-    /// then the leftover blocks go to the largest fractional remainders
-    /// (ties broken by pool order).
-    fn quotas(survivors: &[(usize, f64)], total: f64, blocks: usize) -> Vec<usize> {
+    /// weights (equal weights if they do not sum to a positive value):
+    /// every survivor gets the floor of its proportional quota, then the
+    /// leftover blocks go to the largest fractional remainders (ties broken
+    /// by pool order).
+    fn quotas(survivors: &[(usize, f64)], blocks: usize) -> Vec<usize> {
+        let total: f64 = survivors.iter().map(|&(_, weight)| weight).sum();
+        let equal = 1.0 / survivors.len() as f64;
         let quota = |i: usize| {
-            survivors
-                .get(i)
-                .map_or(0.0, |&(_, weight)| blocks as f64 * (weight / total))
+            survivors.get(i).map_or(0.0, |&(_, weight)| {
+                blocks as f64 * if total > 0.0 { weight / total } else { equal }
+            })
         };
         let remainder = |i: usize| quota(i) - quota(i).floor();
         let mut counts: Vec<usize> = (0..survivors.len())
@@ -202,17 +172,17 @@ type ShardRun = (
 );
 
 /// A beamformer spanning every member of a [`DevicePool`]: one identical
-/// [`Beamformer`] per device, a shard policy, and parallel per-shard
-/// execution.  Every member caches its own prepared (pre-decoded) weight
-/// operand, so the per-device shard workers run the decode-once hot path:
-/// weights are converted when the pool is built (and on hot-swap), never
-/// per block.
+/// [`Beamformer`] per device, a capacity-weighted [`ShardPlan`], and
+/// parallel per-shard execution.  Every member caches its own prepared
+/// (pre-decoded) weight operand, so the per-device shard workers run the
+/// decode-once hot path: weights are converted when the pool is built (and
+/// on hot-swap), never per block.
 ///
 /// The one [`Engine`] implementation — a single device is a pool of one —
 /// driven through [`crate::Session`] or `Box<dyn Engine>`.
 ///
 /// ```
-/// use beamform::{BeamformerConfig, Engine, ShardPolicy, ShardedBeamformer, WeightMatrix};
+/// use beamform::{BeamformerConfig, Engine, ShardedBeamformer, WeightMatrix};
 /// use ccglib::matrix::HostComplexMatrix;
 /// use gpu_sim::{DevicePool, Gpu};
 /// use tcbf_types::Complex;
@@ -221,9 +191,8 @@ type ShardRun = (
 ///     Complex::from_polar(1.0 / 16.0, (b * r) as f32 * 0.1)
 /// }));
 /// let pool = DevicePool::from_gpus(&[Gpu::A100, Gpu::Gh200]);
-/// let mut sharded = ShardedBeamformer::new(
-///     &pool, weights, 8, BeamformerConfig::float16(), ShardPolicy::CapacityWeighted,
-/// ).unwrap();
+/// let mut sharded =
+///     ShardedBeamformer::new(&pool, weights, 8, BeamformerConfig::float16()).unwrap();
 /// let blocks: Vec<_> = (0..6)
 ///     .map(|i| HostComplexMatrix::from_fn(16, 8, |r, s| {
 ///         Complex::new((r + s + i) as f32 * 0.05, r as f32 * 0.02)
@@ -238,7 +207,6 @@ pub struct ShardedBeamformer {
     members: Vec<Beamformer>,
     gpus: Vec<Gpu>,
     capacity_weights: Vec<f64>,
-    policy: ShardPolicy,
     /// Per-member report accumulation of the [`Engine`] run in progress.
     accumulated: Vec<SessionReport>,
     weight_swaps: usize,
@@ -263,7 +231,6 @@ impl ShardedBeamformer {
         weights: WeightMatrix,
         samples_per_block: usize,
         config: BeamformerConfig,
-        policy: ShardPolicy,
     ) -> ccglib::Result<Self> {
         ccglib::warm_calibration(&pool.specs(), config.precision);
         // `repeat_n` hands the last member the original: a pool of one
@@ -283,7 +250,6 @@ impl ShardedBeamformer {
             members,
             gpus: pool.gpus(),
             capacity_weights,
-            policy,
             accumulated,
             weight_swaps: 0,
             injector: None,
@@ -314,34 +280,14 @@ impl ShardedBeamformer {
         Ok(())
     }
 
-    /// The armed fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.injector.as_ref()
-    }
-
     /// Peak useful TeraOps/s of one device at a precision — the capacity
-    /// weight of the capacity-weighted policy.
+    /// weight of the shard plan.
     fn capacity(spec: &gpu_sim::DeviceSpec, precision: Precision) -> f64 {
         match precision {
             Precision::Float16 => spec.f16_peak_tops(),
             Precision::Int1 => spec.int1_best_useful_peak_tops().unwrap_or(0.0),
             Precision::Float32Reference => spec.fp32_peak_tops(),
         }
-    }
-
-    /// Number of pool members.
-    pub fn num_devices(&self) -> usize {
-        self.members.len()
-    }
-
-    /// The catalog identifiers of the members, in pool order.
-    pub fn gpus(&self) -> &[Gpu] {
-        &self.gpus
-    }
-
-    /// The shard policy in effect.
-    pub fn policy(&self) -> ShardPolicy {
-        self.policy
     }
 
     /// The plan a stream of `blocks` blocks would be executed under.
@@ -352,7 +298,7 @@ impl ShardedBeamformer {
     /// Panics if every member has been lost.
     pub(crate) fn plan_shards(&self, blocks: usize) -> ShardPlan {
         let ids: Vec<usize> = (0..blocks).collect();
-        ShardPlan::reapportion(self.policy, &self.capacity_weights, &self.alive, &ids)
+        ShardPlan::reapportion(&self.capacity_weights, &self.alive, &ids)
     }
 
     /// Hot-swaps the beam weights on **every** pool member (same
@@ -433,14 +379,8 @@ impl ShardedBeamformer {
 }
 
 impl Engine for ShardedBeamformer {
-    fn topology(&self) -> Topology {
-        match self.gpus.as_slice() {
-            [gpu] => Topology::Single(*gpu),
-            gpus => Topology::Pool {
-                gpus: gpus.to_vec(),
-                policy: self.policy,
-            },
-        }
+    fn gpus(&self) -> &[Gpu] {
+        &self.gpus
     }
 
     fn plan(&self, blocks: usize) -> ShardPlan {
@@ -478,8 +418,7 @@ impl Engine for ShardedBeamformer {
                     permanent: true,
                 });
             }
-            let plan =
-                ShardPlan::reapportion(self.policy, &self.capacity_weights, &self.alive, &pending);
+            let plan = ShardPlan::reapportion(&self.capacity_weights, &self.alive, &pending);
             let shards: Vec<(usize, &Beamformer, &[usize])> = self
                 .members
                 .iter()
@@ -570,7 +509,6 @@ impl std::fmt::Debug for ShardedBeamformer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedBeamformer")
             .field("gpus", &self.gpus)
-            .field("policy", &self.policy)
             .field("capacity_weights", &self.capacity_weights)
             .field("alive", &self.alive)
             .finish_non_exhaustive()
@@ -609,41 +547,34 @@ mod tests {
         (outputs, engine.finish())
     }
 
-    fn sharded(gpus: &[Gpu], policy: ShardPolicy) -> ShardedBeamformer {
+    fn sharded(gpus: &[Gpu]) -> ShardedBeamformer {
         ShardedBeamformer::new(
             &DevicePool::from_gpus(gpus),
             weights(4, 16),
             8,
             BeamformerConfig::float16(),
-            policy,
         )
         .unwrap()
     }
 
     #[test]
-    fn round_robin_strides_blocks_across_devices() {
-        let plan = ShardPlan::new(ShardPolicy::RoundRobin, &[1.0, 1.0, 1.0], 7);
-        assert_eq!(plan.assignments()[0], vec![0, 3, 6]);
-        assert_eq!(plan.assignments()[1], vec![1, 4]);
-        assert_eq!(plan.assignments()[2], vec![2, 5]);
-    }
-
-    #[test]
     fn capacity_weighted_plan_is_proportional_and_complete() {
         // 3:1 weights over 8 blocks: 6 and 2.
-        let plan = ShardPlan::new(ShardPolicy::CapacityWeighted, &[3.0, 1.0], 8);
-        assert_eq!(plan.assignments()[0].len(), 6);
-        assert_eq!(plan.assignments()[1].len(), 2);
+        let plan = ShardPlan::new(&[3.0, 1.0], 8);
+        assert_eq!(plan.assignments(), [vec![0, 1, 2, 3, 4, 5], vec![6, 7]]);
         let mut seen: Vec<usize> = plan.assignments().iter().flatten().copied().collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..8).collect::<Vec<_>>());
     }
 
     #[test]
-    fn degenerate_weights_fall_back_to_round_robin() {
-        let plan = ShardPlan::new(ShardPolicy::CapacityWeighted, &[0.0, 0.0], 4);
-        assert_eq!(plan.assignments()[0], vec![0, 2]);
-        assert_eq!(plan.assignments()[1], vec![1, 3]);
+    fn degenerate_weights_split_into_equal_contiguous_runs() {
+        let plan = ShardPlan::new(&[0.0, 0.0], 4);
+        assert_eq!(plan.assignments()[0], vec![0, 1]);
+        assert_eq!(plan.assignments()[1], vec![2, 3]);
+        // The leftover block goes to the first member in pool order.
+        let plan = ShardPlan::new(&[0.0, 0.0, 0.0], 7);
+        assert_eq!(plan.assignments(), [vec![0, 1, 2], vec![3, 4], vec![5, 6]]);
     }
 
     #[test]
@@ -656,20 +587,18 @@ mod tests {
             BeamformerConfig::float16(),
         )
         .unwrap();
-        for policy in [ShardPolicy::RoundRobin, ShardPolicy::CapacityWeighted] {
-            let mut engine = sharded(&[Gpu::A100, Gpu::Gh200, Gpu::Mi300x], policy);
-            let (outputs, _) = run(&mut engine, &blocks);
-            assert_eq!(outputs.len(), blocks.len());
-            for (output, samples) in outputs.iter().zip(&blocks) {
-                let reference = single.beamform(samples).unwrap();
-                assert_eq!(output.beams, reference.beams, "policy {policy:?}");
-            }
+        let mut engine = sharded(&[Gpu::A100, Gpu::Gh200, Gpu::Mi300x]);
+        let (outputs, _) = run(&mut engine, &blocks);
+        assert_eq!(outputs.len(), blocks.len());
+        for (output, samples) in outputs.iter().zip(&blocks) {
+            let reference = single.beamform(samples).unwrap();
+            assert_eq!(output.beams, reference.beams);
         }
     }
 
     #[test]
     fn capacity_weighted_pool_loads_the_fast_device_heavier() {
-        let engine = sharded(&[Gpu::Gh200, Gpu::Ad4000], ShardPolicy::CapacityWeighted);
+        let engine = sharded(&[Gpu::Gh200, Gpu::Ad4000]);
         let plan = engine.plan_shards(20);
         // GH200 measures 646 TOPs/s vs the AD4000's 117: roughly 17 vs 3.
         assert!(
@@ -681,7 +610,7 @@ mod tests {
 
     #[test]
     fn merged_report_sums_devices_and_takes_the_straggler() {
-        let mut engine = sharded(&[Gpu::A100, Gpu::A100], ShardPolicy::RoundRobin);
+        let mut engine = sharded(&[Gpu::A100, Gpu::A100]);
         let blocks: Vec<HostComplexMatrix> = (0..6).map(|i| block(16, 8, i)).collect();
         let (_, report) = run(&mut engine, &blocks);
         assert_eq!(report.total_blocks(), 6);
@@ -711,7 +640,7 @@ mod tests {
 
     #[test]
     fn empty_sharded_report_is_all_zeros() {
-        let mut engine = sharded(&[Gpu::A100, Gpu::Gh200], ShardPolicy::CapacityWeighted);
+        let mut engine = sharded(&[Gpu::A100, Gpu::Gh200]);
         let (outputs, report) = run(&mut engine, &[]);
         assert!(outputs.is_empty());
         assert_eq!(report.total_blocks(), 0);
@@ -726,7 +655,7 @@ mod tests {
 
     #[test]
     fn session_accumulates_across_calls_and_swaps_weights_everywhere() {
-        let engine = sharded(&[Gpu::A100, Gpu::Gh200], ShardPolicy::RoundRobin);
+        let engine = sharded(&[Gpu::A100, Gpu::Gh200]);
         let mut session = Session::new(engine);
         let blocks: Vec<HostComplexMatrix> = (0..4).map(|i| block(16, 8, i)).collect();
         let before = session.process_batch(&blocks).unwrap();
@@ -749,7 +678,7 @@ mod tests {
         // Re-steering (or streaming) on the bare engine before the session
         // starts must not leak into the session's report: a session covers
         // exactly the session.
-        let mut engine = sharded(&[Gpu::A100, Gpu::A100], ShardPolicy::RoundRobin);
+        let mut engine = sharded(&[Gpu::A100, Gpu::A100]);
         engine.swap_weights(weights(4, 16)).unwrap();
         let pre_blocks = [block(16, 8, 9)];
         let refs: Vec<&HostComplexMatrix> = pre_blocks.iter().collect();
@@ -764,7 +693,7 @@ mod tests {
 
     #[test]
     fn shape_changing_swaps_leave_the_pool_untouched() {
-        let engine = sharded(&[Gpu::A100, Gpu::A100], ShardPolicy::RoundRobin);
+        let engine = sharded(&[Gpu::A100, Gpu::A100]);
         let mut session = Session::new(engine);
         assert!(session.swap_weights(weights(5, 16)).is_err());
         assert_eq!(session.report().weight_swaps(), 0);
@@ -775,53 +704,34 @@ mod tests {
 
     #[test]
     fn reapportion_with_all_alive_reduces_to_new() {
-        for policy in [ShardPolicy::RoundRobin, ShardPolicy::CapacityWeighted] {
-            let weights = [3.0, 1.0, 2.0];
-            let ids: Vec<usize> = (0..17).collect();
-            let fresh = ShardPlan::new(policy, &weights, 17);
-            let re = ShardPlan::reapportion(policy, &weights, &[true, true, true], &ids);
-            assert_eq!(fresh, re, "policy {policy:?}");
-        }
+        let weights = [3.0, 1.0, 2.0];
+        let ids: Vec<usize> = (0..17).collect();
+        let fresh = ShardPlan::new(&weights, 17);
+        let re = ShardPlan::reapportion(&weights, &[true, true, true], &ids);
+        assert_eq!(fresh, re);
     }
 
     #[test]
     fn reapportion_excludes_dead_members_and_covers_every_id() {
         let ids = [3usize, 5, 8, 13, 21];
-        for policy in [ShardPolicy::RoundRobin, ShardPolicy::CapacityWeighted] {
-            let plan = ShardPlan::reapportion(policy, &[3.0, 1.0, 2.0], &[true, false, true], &ids);
-            assert!(plan.assignments()[1].is_empty(), "dead member got work");
-            let mut seen: Vec<usize> = plan.assignments().iter().flatten().copied().collect();
-            seen.sort_unstable();
-            assert_eq!(seen, ids.to_vec(), "policy {policy:?}");
-        }
+        let plan = ShardPlan::reapportion(&[3.0, 1.0, 2.0], &[true, false, true], &ids);
+        assert!(plan.assignments()[1].is_empty(), "dead member got work");
+        let mut seen: Vec<usize> = plan.assignments().iter().flatten().copied().collect();
+        seen.sort_unstable();
+        assert_eq!(seen, ids.to_vec());
         // Deterministic: the same inputs always give the same plan.
-        let a = ShardPlan::reapportion(
-            ShardPolicy::CapacityWeighted,
-            &[3.0, 1.0, 2.0],
-            &[true, false, true],
-            &ids,
-        );
-        let b = ShardPlan::reapportion(
-            ShardPolicy::CapacityWeighted,
-            &[3.0, 1.0, 2.0],
-            &[true, false, true],
-            &ids,
-        );
-        assert_eq!(a, b);
+        let again = ShardPlan::reapportion(&[3.0, 1.0, 2.0], &[true, false, true], &ids);
+        assert_eq!(plan, again);
     }
 
     #[test]
     #[should_panic(expected = "live device")]
     fn reapportion_with_no_survivors_panics() {
-        let _ = ShardPlan::reapportion(ShardPolicy::RoundRobin, &[1.0, 1.0], &[false, false], &[0]);
+        let _ = ShardPlan::reapportion(&[1.0, 1.0], &[false, false], &[0]);
     }
 
-    fn injected(
-        gpus: &[Gpu],
-        policy: ShardPolicy,
-        plan: gpu_sim::FaultPlan,
-    ) -> (ShardedBeamformer, Arc<FaultInjector>) {
-        let mut engine = sharded(gpus, policy);
+    fn injected(gpus: &[Gpu], plan: gpu_sim::FaultPlan) -> (ShardedBeamformer, Arc<FaultInjector>) {
+        let mut engine = sharded(gpus);
         let injector = Arc::new(FaultInjector::new(plan, gpus.len()));
         engine.set_fault_injector(Arc::clone(&injector)).unwrap();
         (engine, injector)
@@ -842,26 +752,25 @@ mod tests {
     fn permanent_fault_mid_batch_recovers_bit_identical() {
         let blocks: Vec<HostComplexMatrix> = (0..12).map(|i| block(16, 8, i)).collect();
         let expected = reference_outputs(&blocks);
-        for policy in [ShardPolicy::RoundRobin, ShardPolicy::CapacityWeighted] {
-            let (mut engine, injector) = injected(
-                &[Gpu::A100, Gpu::A100, Gpu::A100],
-                policy,
-                gpu_sim::FaultPlan::new().kill_device(1, 2),
-            );
-            let refs: Vec<&HostComplexMatrix> = blocks.iter().collect();
-            let outputs = Engine::process_batch(&mut engine, &refs).unwrap();
-            assert!(!injector.is_alive(1));
-            assert_eq!(engine.alive, [true, false, true]);
-            // The refused block and whatever member 1 had left were replayed.
-            let attempts: u64 = (0..3).map(|d| injector.attempts(d)).sum();
-            assert!(attempts > 12, "attempts {attempts}");
-            for (output, reference) in outputs.iter().zip(&expected) {
-                assert_eq!(output.beams, reference.beams, "policy {policy:?}");
-            }
-            // Later batches plan only over the survivors.
-            let plan = engine.plan_shards(6);
-            assert!(plan.assignments()[1].is_empty());
+        let (mut engine, injector) = injected(
+            &[Gpu::A100, Gpu::A100, Gpu::A100],
+            gpu_sim::FaultPlan::new().kill_device(1, 2),
+        );
+        let refs: Vec<&HostComplexMatrix> = blocks.iter().collect();
+        let outputs = Engine::process_batch(&mut engine, &refs).unwrap();
+        assert!(!injector.is_alive(1));
+        assert_eq!(engine.alive, [true, false, true]);
+        // Member 1 finishes blocks 4 and 5 and is lost on its third
+        // attempt; blocks 6 and 7 are replayed, one on each survivor:
+        // 4 + 3 + 4 + 2 attempts, against 12 without the fault.
+        let attempts: u64 = (0..3).map(|d| injector.attempts(d)).sum();
+        assert_eq!(attempts, 13);
+        for (output, reference) in outputs.iter().zip(&expected) {
+            assert_eq!(output.beams, reference.beams);
         }
+        // Later batches plan only over the survivors.
+        let plan = engine.plan_shards(6);
+        assert!(plan.assignments()[1].is_empty());
     }
 
     #[test]
@@ -870,17 +779,17 @@ mod tests {
         let expected = reference_outputs(&blocks);
         let (mut engine, injector) = injected(
             &[Gpu::A100, Gpu::A100],
-            ShardPolicy::RoundRobin,
             gpu_sim::FaultPlan::new().drop_block(0, 1),
         );
         let refs: Vec<&HostComplexMatrix> = blocks.iter().collect();
         let outputs = Engine::process_batch(&mut engine, &refs).unwrap();
         assert!(injector.is_alive(0));
         assert_eq!(engine.alive, [true, true]);
-        // Member 0 finishes one block and has its second refused; the 3 it
-        // had left are replayed: 5 + 1 + 3 attempts, against 8 without the
-        // fault.
+        // Member 0 finishes block 0 and has block 1 refused; blocks 1..=3
+        // are replayed as contiguous runs, [1, 2] on member 0 and [3] on
+        // member 1: 2 + 4 + 3 attempts, against 8 without the fault.
         assert_eq!(injector.attempts(0) + injector.attempts(1), 9);
+        assert_eq!((injector.attempts(0), injector.attempts(1)), (4, 5));
         for (output, reference) in outputs.iter().zip(&expected) {
             assert_eq!(output.beams, reference.beams);
         }
@@ -890,7 +799,7 @@ mod tests {
     fn latency_spike_inflates_accounting_but_not_outputs() {
         let blocks: Vec<HostComplexMatrix> = (0..8).map(|i| block(16, 8, i)).collect();
         let run_with = |plan: gpu_sim::FaultPlan| {
-            let (mut engine, _) = injected(&[Gpu::A100, Gpu::A100], ShardPolicy::RoundRobin, plan);
+            let (mut engine, _) = injected(&[Gpu::A100, Gpu::A100], plan);
             let refs: Vec<&HostComplexMatrix> = blocks.iter().collect();
             let outputs = Engine::process_batch(&mut engine, &refs).unwrap();
             (outputs, engine.finish())
@@ -915,7 +824,6 @@ mod tests {
         let blocks: Vec<HostComplexMatrix> = (0..6).map(|i| block(16, 8, i)).collect();
         let (mut engine, _) = injected(
             &[Gpu::A100, Gpu::A100],
-            ShardPolicy::RoundRobin,
             gpu_sim::FaultPlan::new()
                 .kill_device(0, 1)
                 .kill_device(1, 1),
@@ -937,7 +845,7 @@ mod tests {
 
     #[test]
     fn injector_must_span_the_pool() {
-        let mut engine = sharded(&[Gpu::A100, Gpu::A100], ShardPolicy::RoundRobin);
+        let mut engine = sharded(&[Gpu::A100, Gpu::A100]);
         let injector = Arc::new(FaultInjector::new(gpu_sim::FaultPlan::new(), 3));
         assert!(engine.set_fault_injector(injector).is_err());
     }

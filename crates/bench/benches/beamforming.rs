@@ -4,8 +4,8 @@
 
 use beamform::geometry::SPEED_OF_LIGHT;
 use beamform::{
-    ArrayGeometry, Beamformer, BeamformerConfig, PlaneWaveSource, Session, ShardPolicy,
-    ShardedBeamformer, SignalGenerator, WeightMatrix,
+    ArrayGeometry, Beamformer, BeamformerConfig, PlaneWaveSource, Session, ShardedBeamformer,
+    SignalGenerator, WeightMatrix,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpu_sim::{DevicePool, Gpu};
@@ -70,7 +70,6 @@ fn bench_beamform(c: &mut Criterion) {
             weights,
             64,
             BeamformerConfig::float16(),
-            ShardPolicy::default(),
         )
         .unwrap();
         let mut session = Session::new(engine);

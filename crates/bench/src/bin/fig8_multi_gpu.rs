@@ -41,7 +41,7 @@ fn main() {
     let beam_azimuths: Vec<f64> = (0..15).map(|i| (i as f64 - 7.0) * 1e-4).collect();
     let central = CentralBeamformer::new(&Gpu::Gh200.device(), beam_azimuths);
 
-    // No `.devices(..)` = one GH200; capacity-weighted is the default policy.
+    // No `.devices(..)` = one GH200; a pool splits blocks by capacity.
     let builder = BeamformerBuilder::new(Gpu::Gh200)
         .weights(central.weights(&blocks[0]))
         .samples_per_block(blocks[0].num_samples());

@@ -3,7 +3,6 @@
 //! must produce element-wise identical output to the single-device run and
 //! report at least 3x the single-device aggregate throughput.
 
-use beamform::ShardPolicy;
 use gpu_sim::Gpu;
 use radioastro::{CentralBeamformer, SkySource, StationBeamlets};
 use tcbf::BeamformerBuilder;
@@ -39,7 +38,6 @@ fn four_device_shard_is_identical_and_at_least_3x_the_aggregate_tops() {
             .weights(central.weights(&blocks[0]))
             .samples_per_block(blocks[0].num_samples())
             .devices(gpus)
-            .shard_policy(ShardPolicy::CapacityWeighted)
             .build_engine()
             .expect("engine")
     };

@@ -206,7 +206,7 @@ impl CentralBeamformer {
 mod tests {
     use super::*;
     use crate::station::SkySource;
-    use beamform::{ShardPolicy, ShardedBeamformer};
+    use beamform::ShardedBeamformer;
     use ccglib::reference_gemm;
     use gpu_sim::{DevicePool, Gpu};
 
@@ -227,7 +227,7 @@ mod tests {
 
     /// A one-device engine holding the station weights of `first`.
     fn single_engine(bf: &CentralBeamformer, first: &StationBeamlets) -> ShardedBeamformer {
-        pool_engine(bf, first, &[bf.device.gpu()], ShardPolicy::default())
+        pool_engine(bf, first, &[bf.device.gpu()])
     }
 
     /// A pooled engine holding the station weights of `first`.
@@ -235,14 +235,12 @@ mod tests {
         bf: &CentralBeamformer,
         first: &StationBeamlets,
         gpus: &[Gpu],
-        policy: ShardPolicy,
     ) -> ShardedBeamformer {
         ShardedBeamformer::new(
             &DevicePool::from_gpus(gpus),
             WeightMatrix::from_matrix(bf.weights(first)),
             first.num_samples(),
             BeamformerConfig::float16(),
-            policy,
         )
         .unwrap()
     }
@@ -375,12 +373,7 @@ mod tests {
         let (single, _) = bf
             .stream_coherent_with(&mut single_engine(&bf, &blocks[0]), &blocks)
             .unwrap();
-        let mut pool = pool_engine(
-            &bf,
-            &blocks[0],
-            &[Gpu::A100, Gpu::Gh200, Gpu::Mi300x],
-            ShardPolicy::CapacityWeighted,
-        );
+        let mut pool = pool_engine(&bf, &blocks[0], &[Gpu::A100, Gpu::Gh200, Gpu::Mi300x]);
         let (sharded, report) = bf.stream_coherent_with(&mut pool, &blocks).unwrap();
         assert_eq!(sharded.len(), single.len());
         for (s, r) in sharded.iter().zip(&single) {
@@ -425,12 +418,7 @@ mod tests {
 
         let mut engines: Vec<Box<dyn Engine>> = vec![
             Box::new(single_engine(&bf, &blocks[0])),
-            Box::new(pool_engine(
-                &bf,
-                &blocks[0],
-                &[Gpu::A100, Gpu::Gh200],
-                ShardPolicy::RoundRobin,
-            )),
+            Box::new(pool_engine(&bf, &blocks[0], &[Gpu::A100, Gpu::Gh200])),
         ];
         for engine in &mut engines {
             let (outputs, report) = bf.stream_coherent_with(engine, &blocks).unwrap();

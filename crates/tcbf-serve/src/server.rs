@@ -726,8 +726,8 @@ fn wait_for_drain(inflight: &AtomicUsize, shared: &Shared) {
 ///
 /// A job is the serve-side replay unit: it carries everything needed to
 /// re-execute its block — the samples and a handle on the session's weights
-/// (the wire analogue of a [`beamform::SessionCheckpoint`]) — so
-/// when the checked-out engine faults, the slot is quarantined (permanent)
+/// — so the server needs no [`beamform::SessionCheckpoint`]: when the
+/// checked-out engine faults, the slot is quarantined (permanent)
 /// or returned (transient) and the job simply replays on the next healthy
 /// engine.  The client never sees these faults; it only ever sees the
 /// block's final result.  Returns [`TcbfError::Degraded`] once no healthy
@@ -1042,7 +1042,7 @@ mod tests {
     }
 
     #[test]
-    fn server_binds_and_reports_topology() {
+    fn server_binds_and_reports_its_worker_info() {
         let mut config = ServeConfig::example(4, 16, 32);
         config.engines_per_precision = 1;
         config.workers = 1;

@@ -8,7 +8,7 @@
 //! actionable [`TcbfError`].
 
 use crate::error::{Result, TcbfError};
-use beamform::{BeamformerConfig, Engine, ShardPolicy, ShardedBeamformer, WeightMatrix};
+use beamform::{BeamformerConfig, Engine, ShardedBeamformer, WeightMatrix};
 use ccglib::matrix::HostComplexMatrix;
 use ccglib::{Precision, TuningParameters};
 use gpu_sim::{DevicePool, FaultInjector, Gpu};
@@ -30,13 +30,12 @@ use std::sync::Arc;
 ///     .precision(Precision::Float16)
 ///     .build_engine()
 ///     .unwrap();
-/// assert_eq!(engine.topology().gpus(), &[Gpu::A100]);
+/// assert_eq!(engine.gpus(), &[Gpu::A100]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct BeamformerBuilder {
     gpu: Gpu,
     devices: Vec<Gpu>,
-    shard_policy: ShardPolicy,
     weights: Option<WeightMatrix>,
     samples_per_block: usize,
     precision: Precision,
@@ -46,13 +45,12 @@ pub struct BeamformerBuilder {
 
 impl BeamformerBuilder {
     /// Starts a configuration for `gpu` with the defaults: float16
-    /// precision, shipped tuning parameters, a pool of just `gpu`,
-    /// capacity-weighted shard policy, no weights or block length yet.
+    /// precision, shipped tuning parameters, a pool of just `gpu`, no
+    /// weights or block length yet.
     pub fn new(gpu: Gpu) -> Self {
         BeamformerBuilder {
             gpu,
             devices: Vec::new(),
-            shard_policy: ShardPolicy::default(),
             weights: None,
             samples_per_block: 0,
             precision: Precision::Float16,
@@ -63,17 +61,11 @@ impl BeamformerBuilder {
 
     /// Configures the device pool (heterogeneous mixes allowed; repeats
     /// model several identical cards).  An empty slice reverts to the
-    /// default, a pool of just the builder's `gpu`.
+    /// default, a pool of just the builder's `gpu`.  Block streams are
+    /// split into contiguous runs weighted by each member's peak
+    /// TeraOps/s (see [`beamform::ShardPlan`]).
     pub fn devices(mut self, gpus: &[Gpu]) -> Self {
         self.devices = gpus.to_vec();
-        self
-    }
-
-    /// Sets how block streams are partitioned across the pool (default:
-    /// [`ShardPolicy::CapacityWeighted`]).  Only meaningful together with
-    /// [`BeamformerBuilder::devices`].
-    pub fn shard_policy(mut self, policy: ShardPolicy) -> Self {
-        self.shard_policy = policy;
         self
     }
 
@@ -140,7 +132,7 @@ impl BeamformerBuilder {
     /// let weights = HostComplexMatrix::from_fn(8, 32, |b, r| {
     ///     Complex::from_polar(1.0 / 32.0, (b * r) as f32 * 0.01)
     /// });
-    /// // Same configuration code, two topologies.
+    /// // Same configuration code, a pool of one and a pool of two.
     /// for devices in [Vec::new(), vec![Gpu::A100, Gpu::Gh200]] {
     ///     let engine = BeamformerBuilder::new(Gpu::A100)
     ///         .weights(weights.clone())
@@ -148,7 +140,7 @@ impl BeamformerBuilder {
     ///         .devices(&devices)
     ///         .build_engine()
     ///         .unwrap();
-    ///     assert_eq!(engine.topology().num_devices(), devices.len().max(1));
+    ///     assert_eq!(engine.gpus().len(), devices.len().max(1));
     /// }
     /// ```
     pub fn build_engine(mut self) -> Result<Box<dyn Engine>> {
@@ -174,7 +166,6 @@ impl BeamformerBuilder {
             weights,
             self.samples_per_block,
             config,
-            self.shard_policy,
         )?;
         if let Some(injector) = self.fault_injector {
             engine.set_fault_injector(injector)?;

@@ -62,7 +62,7 @@ mod error;
 pub use beamform::{
     ArrayGeometry, BeamformOutput, Beamformer, BeamformerConfig, DeviceShardReport, DynSession,
     Engine, LatencyHistogram, PlaneWaveSource, Report, Session, SessionReport, ShardPlan,
-    ShardPolicy, ShardedBeamformer, SignalGenerator, Topology, WeightMatrix,
+    ShardedBeamformer, SignalGenerator, WeightMatrix,
 };
 pub use builder::BeamformerBuilder;
 pub use ccglib::{
@@ -77,17 +77,16 @@ pub use tuner::{Objective, Strategy, TuneOutcome, Tuner};
 /// `use tcbf::prelude::*;`.
 ///
 /// Exports the fluent builder, the unified execution surface
-/// ([`Engine`], [`Session`]/[`DynSession`], [`Report`], [`Topology`]),
-/// the precision/policy enums, the
-/// error type, the device catalog, weight/signal helpers, the tuner, and
-/// the host matrix type.
+/// ([`Engine`], [`Session`]/[`DynSession`], [`Report`]), the
+/// [`Precision`] enum, the error type, the device catalog, weight/signal
+/// helpers, the tuner, and the host matrix type.
 pub mod prelude {
     pub use crate::{
         supported_devices, version, ArrayGeometry, BeamformOutput, Beamformer, BeamformerBuilder,
         BeamformerConfig, Device, DevicePool, DeviceShardReport, DeviceSpec, DynSession, Engine,
         Gpu, LatencyHistogram, Objective, PlaneWaveSource, Precision, Report, Result, Session,
-        SessionReport, ShardPlan, ShardPolicy, ShardedBeamformer, SignalGenerator, Strategy,
-        TcbfError, Topology, TuneOutcome, Tuner, TuningParameters, WeightMatrix,
+        SessionReport, ShardPlan, ShardedBeamformer, SignalGenerator, Strategy, TcbfError,
+        TuneOutcome, Tuner, TuningParameters, WeightMatrix,
     };
     pub use ccglib::matrix::HostComplexMatrix;
     pub use tcbf_types::Complex;
@@ -139,7 +138,7 @@ mod tests {
             .precision(Precision::Float16)
             .build_engine()
             .unwrap();
-        assert_eq!(engine.topology(), Topology::Single(Gpu::Gh200));
+        assert_eq!(engine.gpus(), [Gpu::Gh200]);
         let samples = HostComplexMatrix::from_fn(64, 32, |r, s| {
             Complex::new((r + s) as f32 * 0.01, (r as f32 - s as f32) * 0.01)
         });
@@ -231,16 +230,14 @@ mod tests {
         };
         // No .devices(...): a pool of just the builder's device.
         let mut single = configured().build_engine().unwrap();
-        assert_eq!(single.topology(), Topology::Single(Gpu::A100));
+        assert_eq!(single.gpus(), [Gpu::A100]);
         assert_eq!(single.plan(3).num_devices(), 1);
         // With .devices(...): the same engine over the wider pool.
         let mut pooled = configured()
             .devices(&[Gpu::A100, Gpu::Gh200])
-            .shard_policy(ShardPolicy::RoundRobin)
             .build_engine()
             .unwrap();
-        assert_eq!(pooled.topology().num_devices(), 2);
-        assert_eq!(pooled.topology().policy(), Some(ShardPolicy::RoundRobin));
+        assert_eq!(pooled.gpus(), [Gpu::A100, Gpu::Gh200]);
         // Both run the same blocks to identical results through the trait.
         let blocks: Vec<HostComplexMatrix> = (0..4)
             .map(|i| {

@@ -265,7 +265,7 @@ mod tests {
     use super::*;
     use crate::model::ImagingConfig;
     use crate::phantom::FlowPhantom;
-    use beamform::{ShardPolicy, ShardedBeamformer};
+    use beamform::ShardedBeamformer;
     use gpu_sim::{DevicePool, Gpu};
 
     /// A one-device engine on the reconstructor's device and precision.
@@ -279,7 +279,6 @@ mod tests {
             WeightMatrix::from_matrix(model.matrix().clone()),
             frames,
             rec.config(),
-            ShardPolicy::default(),
         )
         .unwrap()
     }
@@ -494,7 +493,6 @@ mod tests {
             WeightMatrix::from_matrix(model.matrix().clone()),
             frames,
             rec.config(),
-            ShardPolicy::RoundRobin,
         )
         .unwrap();
         let (sharded, report) = rec

@@ -6,7 +6,7 @@
 //! comparison against the float32 reference beamformer.
 //!
 //! The observation is driven through the unified `Engine` API: the
-//! builder's `.devices(&[...])` picks the topology and the generic
+//! builder's `.devices(&[...])` picks the device pool and the generic
 //! `stream_coherent_with` entry point does the rest — drop the
 //! `.devices(...)` line and the identical code runs on one GPU.
 //!
@@ -56,17 +56,16 @@ fn main() {
     let central = CentralBeamformer::new(&Gpu::Gh200.device(), beam_azimuths.clone());
 
     // Shard the observation across a four-GPU pool: the builder picks the
-    // topology, the engine assigns blocks proportionally to each member's
+    // devices, the engine assigns blocks proportionally to each member's
     // peak throughput and the shards execute in parallel, one worker per
     // device.
     let mut engine = BeamformerBuilder::new(Gpu::Gh200)
         .weights(central.weights(&blocks[0]))
         .samples_per_block(128)
         .devices(&[Gpu::Gh200; 4])
-        .shard_policy(ShardPolicy::CapacityWeighted)
         .build_engine()
         .expect("a valid pool configuration");
-    println!("Engine topology: {:?}", engine.topology());
+    println!("Engine devices: {:?}", engine.gpus());
     let (outputs, session) = central
         .stream_coherent_with(&mut engine, &blocks)
         .expect("coherent beamforming");

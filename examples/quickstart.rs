@@ -1,5 +1,5 @@
 //! Quickstart: configure a streaming engine with the fluent builder,
-//! stream blocks of sensor samples through a topology-agnostic session —
+//! stream blocks of sensor samples through a device-agnostic session —
 //! re-steering the beams mid-stream — and read the unified report, on the
 //! simulated A100 in 16-bit tensor-core mode.
 //!
@@ -35,7 +35,7 @@ fn main() {
         .precision(Precision::Float16)
         .build_engine()
         .expect("a valid beamformer configuration");
-    println!("Topology:      {:?}", engine.topology());
+    println!("Devices:       {:?}", engine.gpus());
     println!(
         "Shard plan:    {} device(s) over an 8-block stream",
         engine.plan(8).num_devices()

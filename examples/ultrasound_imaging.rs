@@ -5,7 +5,7 @@
 //! real-time frame-rate analysis of Fig. 5.
 //!
 //! The acquisitions stream through the unified `Engine` API: the builder's
-//! `.devices(&[...])` picks the topology and the generic
+//! `.devices(&[...])` picks the device pool and the generic
 //! `reconstruct_stream_with` entry point does the rest — drop the
 //! `.devices(...)` line and the identical code runs on one GPU.
 //!
@@ -62,10 +62,9 @@ fn main() {
         .samples_per_block(pool_ensembles[0].cols())
         .precision(Precision::Int1)
         .devices(&[Gpu::Gh200, Gpu::A100])
-        .shard_policy(ShardPolicy::CapacityWeighted)
         .build_engine()
         .expect("a valid pool configuration");
-    println!("Engine topology: {:?}", engine.topology());
+    println!("Engine devices: {:?}", engine.gpus());
     let (volumes, session) = reconstructor
         .reconstruct_stream_with(&mut engine, &model, &pool_ensembles, dims)
         .expect("reconstruction");

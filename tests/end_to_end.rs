@@ -4,8 +4,7 @@
 
 use beamform::geometry::SPEED_OF_LIGHT;
 use beamform::{
-    ArrayGeometry, Beamformer, BeamformerConfig, PlaneWaveSource, ShardPolicy, SignalGenerator,
-    WeightMatrix,
+    ArrayGeometry, Beamformer, BeamformerConfig, PlaneWaveSource, SignalGenerator, WeightMatrix,
 };
 use ccglib::matrix::HostComplexMatrix;
 use ccglib::{reference_gemm, Gemm, GemmInput, Precision};
@@ -128,12 +127,12 @@ fn sharded_session_hot_swaps_weights_on_every_pool_member() {
             .weight_matrix(initial.clone())
             .samples_per_block(16)
             .devices(&[Gpu::A100, Gpu::Gh200, Gpu::Mi210])
-            .shard_policy(ShardPolicy::RoundRobin)
             .build_engine()
             .unwrap(),
     );
 
-    // Six blocks over three devices: round robin gives every member two.
+    // Six blocks over three devices: capacity weighting gives the A100, the
+    // GH200 and the MI210 two, three and one.
     let mut generator = SignalGenerator::new(geometry.clone(), FREQ, 1e5, 0.1, 41);
     let source = PlaneWaveSource {
         azimuth: 0.1,
@@ -166,9 +165,12 @@ fn sharded_session_hot_swaps_weights_on_every_pool_member() {
     assert_eq!(report.total_blocks(), 12);
     assert_eq!(report.weight_swaps(), 1);
     // All three members took part both before and after the swap.
-    for shard in report.per_device() {
-        assert_eq!(shard.report.blocks, 4);
-    }
+    let per_device: Vec<usize> = report
+        .per_device()
+        .iter()
+        .map(|shard| shard.report.blocks)
+        .collect();
+    assert_eq!(per_device, [4, 6, 2]);
 }
 
 #[test]

@@ -47,7 +47,7 @@ fn drive(engine: &mut dyn Engine, stream: &[HostComplexMatrix]) -> Vec<BeamformO
 }
 
 #[test]
-fn one_dyn_pipeline_drives_every_topology() {
+fn one_dyn_pipeline_drives_every_pool() {
     // Heterogeneous list of trait objects: single device, homogeneous
     // pool, heterogeneous pool — one code path processes them all and the
     // outputs are element-wise identical.
@@ -59,7 +59,6 @@ fn one_dyn_pipeline_drives_every_topology() {
             .unwrap(),
         builder(Gpu::A100)
             .devices(&[Gpu::Gh200, Gpu::Mi300x, Gpu::Ad4000])
-            .shard_policy(ShardPolicy::CapacityWeighted)
             .build_engine()
             .unwrap(),
     ];
@@ -68,27 +67,24 @@ fn one_dyn_pipeline_drives_every_topology() {
     for engine in engines.iter_mut().skip(1) {
         let outputs = drive(engine.as_mut(), &stream);
         for (o, r) in outputs.iter().zip(&reference) {
-            assert_eq!(o.beams, r.beams, "{:?}", engine.topology());
+            assert_eq!(o.beams, r.beams, "{:?}", engine.gpus());
         }
     }
     // Introspection through the trait object: the plan always covers the
-    // stream with the topology's device count.
+    // stream with the engine's device count.
     for engine in &engines {
         let plan = engine.plan(stream.len());
-        assert_eq!(plan.num_devices(), engine.topology().num_devices());
+        assert_eq!(plan.num_devices(), engine.gpus().len());
         assert_eq!(plan.num_blocks(), stream.len());
         let mut seen: Vec<usize> = plan.assignments().iter().flatten().copied().collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..stream.len()).collect::<Vec<_>>());
-        assert_eq!(
-            engine.report().per_device().len(),
-            engine.topology().num_devices()
-        );
+        assert_eq!(engine.report().per_device().len(), engine.gpus().len());
     }
 }
 
 #[test]
-fn dyn_session_hot_swaps_weights_mid_stream_on_any_topology() {
+fn dyn_session_hot_swaps_weights_mid_stream_on_any_pool() {
     // The swap must take effect on every device, be counted once in the
     // unified report, and the post-swap outputs must match a two-run
     // reference (one fresh engine per weight set).
@@ -144,30 +140,23 @@ fn dyn_session_hot_swaps_weights_mid_stream_on_any_topology() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A one-device engine — built with or without `.devices(&[gpu])`,
-    /// under either policy — is bit-identical to per-block
+    /// A one-device engine — built with or without `.devices(&[gpu])` —
+    /// is bit-identical to per-block
     /// `Beamformer::beamform` on the same stream, and its `Report` equals
     /// the per-block run reports folded by hand.
     #[test]
     fn build_engine_matches_per_block_beamform_bit_for_bit(
         gpu_index in 0usize..Gpu::ALL.len(),
         block_count in 0usize..12,
-        capacity_weighted in any::<bool>(),
         explicit_pool in any::<bool>(),
     ) {
         let gpu = Gpu::ALL[gpu_index];
-        let policy = if capacity_weighted {
-            ShardPolicy::CapacityWeighted
-        } else {
-            ShardPolicy::RoundRobin
-        };
         let devices = if explicit_pool { vec![gpu] } else { Vec::new() };
         let mut engine = builder(gpu)
             .devices(&devices)
-            .shard_policy(policy)
             .build_engine()
             .unwrap();
-        prop_assert_eq!(engine.topology(), Topology::Single(gpu));
+        prop_assert_eq!(engine.gpus(), [gpu]);
 
         let reference = Beamformer::new(
             &gpu.device(),

@@ -122,7 +122,7 @@ fn a_failed_batch_keeps_the_accounting_of_the_blocks_finished_before_it() {
             .iter()
             .map(|shard| shard.report.blocks)
             .collect();
-        assert_eq!(finished, per_device, "{:?}", engine.topology());
+        assert_eq!(finished, per_device, "{:?}", engine.gpus());
     }
 }
 

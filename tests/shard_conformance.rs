@@ -4,13 +4,13 @@
 //! decision: for every device in the catalog and every precision it
 //! supports, the concatenated outputs of 1/2/4-device pools must be
 //! element-wise **identical** (not merely close) to a single
-//! [`Beamformer`] run block by block, under both shard policies.  Property tests then
+//! [`Beamformer`] run block by block.  Property tests then
 //! drive random batch sizes, block counts and pool compositions through
 //! the planner and the merged-report invariants.
 
 use beamform::{
     BeamformOutput, Beamformer, BeamformerConfig, Engine, Report, SessionReport, ShardPlan,
-    ShardPolicy, ShardedBeamformer, WeightMatrix,
+    ShardedBeamformer, WeightMatrix,
 };
 use ccglib::matrix::HostComplexMatrix;
 use ccglib::Precision;
@@ -85,30 +85,27 @@ fn supported_precisions(spec: &DeviceSpec) -> Vec<Precision> {
 #[test]
 fn sharded_pools_match_the_batched_single_device_reference_everywhere() {
     // Every catalog device, every precision it supports, pools of 1, 2 and
-    // 4 identical members, both policies: bit-identical outputs.
+    // 4 identical members: bit-identical outputs.
     let stream = blocks(8);
     for spec in DeviceSpec::catalog() {
         for precision in supported_precisions(&spec) {
             let reference = reference(spec.gpu, precision, &stream);
             for pool_size in [1usize, 2, 4] {
-                for policy in [ShardPolicy::RoundRobin, ShardPolicy::CapacityWeighted] {
-                    let mut engine = ShardedBeamformer::new(
-                        &DevicePool::homogeneous(spec.gpu, pool_size),
-                        weights(),
-                        SAMPLES,
-                        config(precision),
-                        policy,
-                    )
-                    .unwrap();
-                    let (outputs, _) = run(&mut engine, &stream);
-                    assert_eq!(outputs.len(), stream.len());
-                    for (output, expected) in outputs.iter().zip(&reference) {
-                        assert_eq!(
-                            &output.beams, expected,
-                            "{} {precision} pool={pool_size} {policy:?}",
-                            spec.gpu
-                        );
-                    }
+                let mut engine = ShardedBeamformer::new(
+                    &DevicePool::homogeneous(spec.gpu, pool_size),
+                    weights(),
+                    SAMPLES,
+                    config(precision),
+                )
+                .unwrap();
+                let (outputs, _) = run(&mut engine, &stream);
+                assert_eq!(outputs.len(), stream.len());
+                for (output, expected) in outputs.iter().zip(&reference) {
+                    assert_eq!(
+                        &output.beams, expected,
+                        "{} {precision} pool={pool_size}",
+                        spec.gpu
+                    );
                 }
             }
         }
@@ -122,24 +119,16 @@ fn heterogeneous_pools_are_also_conformant() {
     let stream = blocks(11);
     let reference = reference(Gpu::A100, Precision::Float16, &stream);
     let pool = DevicePool::from_gpus(&[Gpu::Ad4000, Gpu::Gh200, Gpu::W7700, Gpu::Mi300a]);
-    for policy in [ShardPolicy::RoundRobin, ShardPolicy::CapacityWeighted] {
-        let mut engine = ShardedBeamformer::new(
-            &pool,
-            weights(),
-            SAMPLES,
-            config(Precision::Float16),
-            policy,
-        )
-        .unwrap();
-        let plan = engine.plan(stream.len());
-        let (outputs, report) = run(&mut engine, &stream);
-        for (output, expected) in outputs.iter().zip(&reference) {
-            assert_eq!(&output.beams, expected, "{policy:?}");
-        }
-        // The merged totals cover exactly the stream.
-        assert_eq!(report.total_blocks(), stream.len());
-        assert_eq!(plan.num_devices(), 4);
+    let mut engine =
+        ShardedBeamformer::new(&pool, weights(), SAMPLES, config(Precision::Float16)).unwrap();
+    let plan = engine.plan(stream.len());
+    let (outputs, report) = run(&mut engine, &stream);
+    for (output, expected) in outputs.iter().zip(&reference) {
+        assert_eq!(&output.beams, expected);
     }
+    // The merged totals cover exactly the stream.
+    assert_eq!(report.total_blocks(), stream.len());
+    assert_eq!(plan.num_devices(), 4);
 }
 
 proptest! {
@@ -150,7 +139,6 @@ proptest! {
         devices in 1usize..8,
         blocks in 0usize..200,
         weight_seed in any::<u64>(),
-        capacity_weighted in any::<bool>(),
     ) {
         // Pseudo-random positive capacity weights (plus occasional zeros
         // from the modulus to exercise degenerate entries).
@@ -161,12 +149,7 @@ proptest! {
                 ((state >> 33) % 1000) as f64
             })
             .collect();
-        let policy = if capacity_weighted {
-            ShardPolicy::CapacityWeighted
-        } else {
-            ShardPolicy::RoundRobin
-        };
-        let plan = ShardPlan::new(policy, &capacities, blocks);
+        let plan = ShardPlan::new(&capacities, blocks);
         prop_assert_eq!(plan.num_devices(), devices);
         prop_assert_eq!(plan.num_blocks(), blocks);
         let mut seen: Vec<usize> = plan.assignments().iter().flatten().copied().collect();
@@ -179,7 +162,6 @@ proptest! {
         pool_seed in any::<u64>(),
         pool_size in 1usize..5,
         block_count in 0usize..10,
-        capacity_weighted in any::<bool>(),
     ) {
         // Random pool composition over the full catalog (f16 runs
         // everywhere).
@@ -190,17 +172,11 @@ proptest! {
                 Gpu::ALL[(state >> 33) as usize % Gpu::ALL.len()]
             })
             .collect();
-        let policy = if capacity_weighted {
-            ShardPolicy::CapacityWeighted
-        } else {
-            ShardPolicy::RoundRobin
-        };
         let mut engine = ShardedBeamformer::new(
             &DevicePool::from_gpus(&gpus),
             weights(),
             SAMPLES,
             config(Precision::Float16),
-            policy,
         )
         .unwrap();
         let stream = blocks(block_count);
