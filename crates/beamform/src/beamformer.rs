@@ -12,7 +12,9 @@
 
 use crate::weights::WeightMatrix;
 use ccglib::matrix::HostComplexMatrix;
-use ccglib::{Gemm, GemmInput, GemmPlan, Precision, PreparedOperand, RunReport, TuningParameters};
+use ccglib::{
+    Gemm, GemmInput, GemmPlan, Precision, PreparedOperand, RunReport, TcbfError, TuningParameters,
+};
 use gpu_sim::Device;
 use serde::{Deserialize, Serialize};
 use tcbf_types::{Complex32, GemmShape};
@@ -132,7 +134,7 @@ impl Beamformer {
         if weights.num_beams() != self.weights.num_beams()
             || weights.num_receivers() != self.weights.num_receivers()
         {
-            return Err(ccglib::CcglibError::ShapeMismatch {
+            return Err(TcbfError::ShapeMismatch {
                 expected: format!(
                     "{} beams x {} receivers",
                     self.weights.num_beams(),
@@ -167,7 +169,7 @@ impl Beamformer {
         if samples.rows() != self.weights.num_receivers()
             || samples.cols() != self.samples_per_block
         {
-            return Err(ccglib::CcglibError::ShapeMismatch {
+            return Err(TcbfError::ShapeMismatch {
                 expected: format!(
                     "{} receivers x {} samples",
                     self.weights.num_receivers(),

@@ -21,6 +21,7 @@ use crate::session::SessionReport;
 use crate::shard::ShardPlan;
 use crate::weights::WeightMatrix;
 use ccglib::matrix::HostComplexMatrix;
+use ccglib::TcbfError;
 use gpu_sim::Gpu;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
@@ -51,8 +52,7 @@ pub struct DeviceShardReport {
 /// bounds the pool, exactly as in any data-parallel pipeline.
 ///
 /// Weight swaps are counted once per engine-wide swap (not once per
-/// member); [`Report::merged_serial`] carries them into the
-/// serial-equivalent [`SessionReport`].
+/// member), in [`Report::weight_swaps`].
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Report {
     per_device: Vec<DeviceShardReport>,
@@ -82,14 +82,12 @@ impl Report {
     }
 
     /// All per-device reports folded into one serial-equivalent
-    /// [`SessionReport`]: totals summed, per-execution extremes merged,
-    /// engine-wide weight swaps carried over.
+    /// [`SessionReport`]: totals summed, per-execution extremes merged.
     pub fn merged_serial(&self) -> SessionReport {
         let mut merged = SessionReport::default();
         for shard in &self.per_device {
             merged.absorb(&shard.report);
         }
-        merged.weight_swaps += self.weight_swaps;
         merged
     }
 
@@ -409,11 +407,9 @@ impl<E: Engine> Session<E> {
     /// Processes one `K × N` block of sensor samples.
     pub fn process_block(&mut self, block: &HostComplexMatrix) -> ccglib::Result<BeamformOutput> {
         let mut outputs = self.process_batch(&[block])?;
-        outputs
-            .pop()
-            .ok_or_else(|| ccglib::CcglibError::InvalidParameters {
-                reason: "engine returned no output for a one-block batch".into(),
-            })
+        outputs.pop().ok_or_else(|| TcbfError::Internal {
+            reason: "engine returned no output for a one-block batch".into(),
+        })
     }
 
     /// Processes one batch of sample blocks (owned matrices or references
@@ -546,7 +542,6 @@ mod tests {
         for report in [&single_report, &pool_report] {
             assert_eq!(report.total_blocks(), 8);
             assert_eq!(report.weight_swaps(), 1);
-            assert_eq!(report.merged_serial().weight_swaps, 1);
         }
         assert_eq!(single_report.per_device().len(), 1);
         assert_eq!(pool_report.per_device().len(), 2);

@@ -24,8 +24,6 @@ pub struct SessionReport {
     /// Number of GEMM executions (a modelled batched kernel is one
     /// execution).
     pub executions: usize,
-    /// Number of mid-stream weight swaps.
-    pub weight_swaps: usize,
     /// Total predicted kernel time in seconds.
     pub total_elapsed_s: f64,
     /// Total energy over all executions in joules.
@@ -68,7 +66,6 @@ impl SessionReport {
     /// aggregate per-device reports (where *elapsed* sums are the serial
     /// equivalent, not the parallel wall clock — see [`crate::Report`]).
     pub fn absorb(&mut self, other: &SessionReport) {
-        self.weight_swaps += other.weight_swaps;
         if other.executions == 0 {
             return;
         }

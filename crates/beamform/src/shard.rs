@@ -23,7 +23,7 @@ use crate::engine::{DeviceShardReport, Engine, Report};
 use crate::session::SessionReport;
 use crate::weights::WeightMatrix;
 use ccglib::matrix::HostComplexMatrix;
-use ccglib::Precision;
+use ccglib::{Precision, TcbfError};
 use gpu_sim::{BlockVerdict, DeviceFault, DevicePool, FaultInjector, Gpu};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -50,17 +50,15 @@ impl ShardPlan {
     /// `capacity_weights` holds one throughput weight per device; each
     /// device's contiguous range is sized proportionally to it (equal
     /// weights if they do not sum to a positive value).
-    ///
-    /// # Panics
-    /// Panics if `capacity_weights` is empty.
     pub fn new(capacity_weights: &[f64], blocks: usize) -> Self {
-        let alive = vec![true; capacity_weights.len()];
+        let members: Vec<(f64, bool)> = capacity_weights.iter().map(|&w| (w, true)).collect();
         let ids: Vec<usize> = (0..blocks).collect();
-        Self::reapportion(capacity_weights, &alive, &ids)
+        Self::reapportion(&members, &ids)
     }
 
     /// Plans an arbitrary list of block indices over the *surviving*
-    /// members of a pool: the devices for which `alive[d]` is true.
+    /// members of a pool: `members[d]` is device `d`'s `(capacity weight,
+    /// alive)` pair.
     ///
     /// This is the recovery primitive: after a device is lost mid-stream,
     /// its unfinished block indices are re-apportioned across the
@@ -73,36 +71,19 @@ impl ShardPlan {
     /// no-fault reference.
     ///
     /// [`ShardPlan::new`] is the degenerate case: all devices alive,
-    /// `block_ids = 0..blocks`.
-    ///
-    /// # Panics
-    /// Panics if `capacity_weights` and `alive` differ in length, or if no
-    /// device is alive.
-    pub(crate) fn reapportion(
-        capacity_weights: &[f64],
-        alive: &[bool],
-        block_ids: &[usize],
-    ) -> Self {
-        assert_eq!(
-            capacity_weights.len(),
-            alive.len(),
-            "one liveness flag per device"
-        );
+    /// `block_ids = 0..blocks`.  With no survivor every assignment is
+    /// empty.
+    pub(crate) fn reapportion(members: &[(f64, bool)], block_ids: &[usize]) -> Self {
         // (pool position, capacity weight) of every survivor, in pool order.
-        let survivors: Vec<(usize, f64)> = alive
+        let survivors: Vec<(usize, f64)> = members
             .iter()
-            .zip(capacity_weights)
             .enumerate()
-            .filter(|&(_, (&up, _))| up)
-            .map(|(device, (_, &weight))| (device, weight))
+            .filter(|&(_, &(_, up))| up)
+            .map(|(device, &(weight, _))| (device, weight))
             .collect();
-        assert!(
-            !survivors.is_empty(),
-            "a shard plan needs at least one live device"
-        );
         // Contiguous runs: largest-remainder accounting guarantees the
         // counts tile `block_ids` exactly.
-        let mut assignments = vec![Vec::new(); alive.len()];
+        let mut assignments = vec![Vec::new(); members.len()];
         let quotas = Self::quotas(&survivors, block_ids.len());
         let mut next = 0;
         for (&(device, _), count) in survivors.iter().zip(quotas) {
@@ -206,16 +187,15 @@ type ShardRun = (
 pub struct ShardedBeamformer {
     members: Vec<Beamformer>,
     gpus: Vec<Gpu>,
-    capacity_weights: Vec<f64>,
+    /// `(capacity weight, alive)` per pool member; a permanent fault clears
+    /// the flag and the member is excluded from every later plan.
+    capacity_alive: Vec<(f64, bool)>,
     /// Per-member report accumulation of the [`Engine`] run in progress.
     accumulated: Vec<SessionReport>,
     weight_swaps: usize,
     /// Optional fault source, consulted before every block; without one
     /// every verdict is `Proceed`.
     injector: Option<Arc<FaultInjector>>,
-    /// Liveness per pool member; a permanent fault clears the flag and the
-    /// member is excluded from every later plan.
-    alive: Vec<bool>,
 }
 
 impl ShardedBeamformer {
@@ -240,20 +220,18 @@ impl ShardedBeamformer {
             .zip(std::iter::repeat_n(weights, pool.len()))
             .map(|(device, weights)| Beamformer::new(device, weights, samples_per_block, config))
             .collect::<ccglib::Result<Vec<_>>>()?;
-        let capacity_weights = pool
+        let capacity_alive = pool
             .iter()
-            .map(|device| Self::capacity(device.spec(), config.precision))
+            .map(|device| (Self::capacity(device.spec(), config.precision), true))
             .collect();
         let accumulated = vec![SessionReport::default(); members.len()];
-        let alive = vec![true; members.len()];
         Ok(ShardedBeamformer {
             members,
             gpus: pool.gpus(),
-            capacity_weights,
+            capacity_alive,
             accumulated,
             weight_swaps: 0,
             injector: None,
-            alive,
         })
     }
 
@@ -264,7 +242,7 @@ impl ShardedBeamformer {
     /// blocks across the surviving members (see `docs/FAULTS.md`).
     pub fn set_fault_injector(&mut self, injector: Arc<FaultInjector>) -> ccglib::Result<()> {
         if injector.num_devices() != self.members.len() {
-            return Err(ccglib::CcglibError::InvalidParameters {
+            return Err(TcbfError::InvalidParameters {
                 reason: format!(
                     "fault injector spans {} devices but the pool has {}",
                     injector.num_devices(),
@@ -273,7 +251,7 @@ impl ShardedBeamformer {
             });
         }
         // Honour losses the injector has already recorded.
-        for (device, alive) in self.alive.iter_mut().enumerate() {
+        for (device, (_, alive)) in self.capacity_alive.iter_mut().enumerate() {
             *alive = injector.is_alive(device);
         }
         self.injector = Some(injector);
@@ -292,13 +270,10 @@ impl ShardedBeamformer {
 
     /// The plan a stream of `blocks` blocks would be executed under.
     /// Members lost to permanent faults are excluded (their assignments
-    /// are empty).
-    ///
-    /// # Panics
-    /// Panics if every member has been lost.
+    /// are empty, so a pool that has lost every member plans nothing).
     pub(crate) fn plan_shards(&self, blocks: usize) -> ShardPlan {
         let ids: Vec<usize> = (0..blocks).collect();
-        ShardPlan::reapportion(&self.capacity_weights, &self.alive, &ids)
+        ShardPlan::reapportion(&self.capacity_alive, &ids)
     }
 
     /// Hot-swaps the beam weights on **every** pool member (same
@@ -311,14 +286,14 @@ impl ShardedBeamformer {
         let current = self
             .members
             .first()
-            .ok_or_else(|| ccglib::CcglibError::InvalidParameters {
+            .ok_or_else(|| TcbfError::Internal {
                 reason: "shard pool has no members".into(),
             })?
             .weights();
         if weights.num_beams() != current.num_beams()
             || weights.num_receivers() != current.num_receivers()
         {
-            return Err(ccglib::CcglibError::ShapeMismatch {
+            return Err(TcbfError::ShapeMismatch {
                 expected: format!(
                     "{} beams x {} receivers",
                     current.num_beams(),
@@ -356,7 +331,7 @@ impl ShardedBeamformer {
             }
             let result = blocks
                 .get(block)
-                .ok_or_else(|| ccglib::CcglibError::InvalidParameters {
+                .ok_or_else(|| TcbfError::Internal {
                     reason: format!("shard plan references block {block} out of range"),
                 })
                 .and_then(|samples| member.beamform(samples));
@@ -412,13 +387,13 @@ impl Engine for ShardedBeamformer {
         // least one fault; permanent faults are finite (one per member)
         // and transient faults fire at most once each, so this terminates.
         while !pending.is_empty() {
-            if !self.alive.iter().any(|&a| a) {
-                return Err(ccglib::CcglibError::DeviceLost {
+            if !self.capacity_alive.iter().any(|&(_, up)| up) {
+                return Err(TcbfError::DeviceLost {
                     device: last_lost,
                     permanent: true,
                 });
             }
-            let plan = ShardPlan::reapportion(&self.capacity_weights, &self.alive, &pending);
+            let plan = ShardPlan::reapportion(&self.capacity_alive, &pending);
             let shards: Vec<(usize, &Beamformer, &[usize])> = self
                 .members
                 .iter()
@@ -451,7 +426,7 @@ impl Engine for ShardedBeamformer {
                     Ok(Some((observed, unfinished))) => {
                         leftovers.extend(unfinished);
                         if observed.permanent {
-                            if let Some(up) = self.alive.get_mut(device) {
+                            if let Some((_, up)) = self.capacity_alive.get_mut(device) {
                                 *up = false;
                             }
                             last_lost = device;
@@ -473,7 +448,7 @@ impl Engine for ShardedBeamformer {
         slots
             .into_iter()
             .map(|slot| {
-                slot.ok_or_else(|| ccglib::CcglibError::InvalidParameters {
+                slot.ok_or_else(|| TcbfError::Internal {
                     reason: "shard plan left a block without an output".into(),
                 })
             })
@@ -509,8 +484,7 @@ impl std::fmt::Debug for ShardedBeamformer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedBeamformer")
             .field("gpus", &self.gpus)
-            .field("capacity_weights", &self.capacity_weights)
-            .field("alive", &self.alive)
+            .field("capacity_alive", &self.capacity_alive)
             .finish_non_exhaustive()
     }
 }
@@ -545,6 +519,10 @@ mod tests {
         let refs: Vec<&HostComplexMatrix> = blocks.iter().collect();
         let outputs = engine.process_batch(&refs).unwrap();
         (outputs, engine.finish())
+    }
+
+    fn alive(engine: &ShardedBeamformer) -> Vec<bool> {
+        engine.capacity_alive.iter().map(|&(_, up)| up).collect()
     }
 
     fn sharded(gpus: &[Gpu]) -> ShardedBeamformer {
@@ -704,30 +682,31 @@ mod tests {
 
     #[test]
     fn reapportion_with_all_alive_reduces_to_new() {
-        let weights = [3.0, 1.0, 2.0];
         let ids: Vec<usize> = (0..17).collect();
-        let fresh = ShardPlan::new(&weights, 17);
-        let re = ShardPlan::reapportion(&weights, &[true, true, true], &ids);
+        let fresh = ShardPlan::new(&[3.0, 1.0, 2.0], 17);
+        let re = ShardPlan::reapportion(&[(3.0, true), (1.0, true), (2.0, true)], &ids);
         assert_eq!(fresh, re);
     }
 
     #[test]
     fn reapportion_excludes_dead_members_and_covers_every_id() {
         let ids = [3usize, 5, 8, 13, 21];
-        let plan = ShardPlan::reapportion(&[3.0, 1.0, 2.0], &[true, false, true], &ids);
+        let members = [(3.0, true), (1.0, false), (2.0, true)];
+        let plan = ShardPlan::reapportion(&members, &ids);
         assert!(plan.assignments()[1].is_empty(), "dead member got work");
         let mut seen: Vec<usize> = plan.assignments().iter().flatten().copied().collect();
         seen.sort_unstable();
         assert_eq!(seen, ids.to_vec());
         // Deterministic: the same inputs always give the same plan.
-        let again = ShardPlan::reapportion(&[3.0, 1.0, 2.0], &[true, false, true], &ids);
+        let again = ShardPlan::reapportion(&members, &ids);
         assert_eq!(plan, again);
     }
 
     #[test]
-    #[should_panic(expected = "live device")]
-    fn reapportion_with_no_survivors_panics() {
-        let _ = ShardPlan::reapportion(&[1.0, 1.0], &[false, false], &[0]);
+    fn reapportion_with_no_survivors_assigns_nothing() {
+        let plan = ShardPlan::reapportion(&[(1.0, false), (1.0, false)], &[0, 1]);
+        assert_eq!(plan.num_devices(), 2);
+        assert!(plan.assignments().iter().all(Vec::is_empty));
     }
 
     fn injected(gpus: &[Gpu], plan: gpu_sim::FaultPlan) -> (ShardedBeamformer, Arc<FaultInjector>) {
@@ -759,7 +738,7 @@ mod tests {
         let refs: Vec<&HostComplexMatrix> = blocks.iter().collect();
         let outputs = Engine::process_batch(&mut engine, &refs).unwrap();
         assert!(!injector.is_alive(1));
-        assert_eq!(engine.alive, [true, false, true]);
+        assert_eq!(alive(&engine), [true, false, true]);
         // Member 1 finishes blocks 4 and 5 and is lost on its third
         // attempt; blocks 6 and 7 are replayed, one on each survivor:
         // 4 + 3 + 4 + 2 attempts, against 12 without the fault.
@@ -784,7 +763,7 @@ mod tests {
         let refs: Vec<&HostComplexMatrix> = blocks.iter().collect();
         let outputs = Engine::process_batch(&mut engine, &refs).unwrap();
         assert!(injector.is_alive(0));
-        assert_eq!(engine.alive, [true, true]);
+        assert_eq!(alive(&engine), [true, true]);
         // Member 0 finishes block 0 and has block 1 refused; blocks 1..=3
         // are replayed as contiguous runs, [1, 2] on member 0 and [3] on
         // member 1: 2 + 4 + 3 attempts, against 8 without the fault.
@@ -833,14 +812,14 @@ mod tests {
         assert!(
             matches!(
                 err,
-                ccglib::CcglibError::DeviceLost {
+                TcbfError::DeviceLost {
                     permanent: true,
                     ..
                 }
             ),
             "got {err:?}"
         );
-        assert_eq!(engine.alive, [false, false]);
+        assert_eq!(alive(&engine), [false, false]);
     }
 
     #[test]

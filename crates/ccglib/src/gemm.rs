@@ -49,7 +49,7 @@
 //! and the one in which both the bit-rows of the 1-bit kernel and the
 //! fragment loads of the 16-bit kernel are contiguous.
 
-use crate::error::{CcglibError, Result};
+use crate::error::{Result, TcbfError};
 use crate::isa::{f16_row_block_on, int1_row_group_on, Isa};
 use crate::matrix::{F16Matrix, HostComplexMatrix, Int1Matrix, PLANE_ITEM};
 use crate::write_once::{write_once, write_once_pair};
@@ -97,7 +97,7 @@ impl GemmInput {
     /// is what the paper's transpose kernel does.
     ///
     /// A buffer that is not `2·rows·cols` scalars long is a
-    /// [`CcglibError::ShapeMismatch`].
+    /// [`TcbfError::ShapeMismatch`].
     pub fn quantise_f16_interleaved(rows: usize, cols: usize, interleaved: &[f32]) -> Result<Self> {
         crate::transpose::interleaved_to_planar(rows, cols, interleaved).map(GemmInput::F16)
     }
@@ -251,12 +251,6 @@ impl PreparedOperand {
     /// The pre-decoded planes (binary16 operands only).
     pub fn decoded(&self) -> Option<&DecodedPlanes> {
         self.decoded.as_ref()
-    }
-}
-
-impl From<GemmInput> for PreparedOperand {
-    fn from(input: GemmInput) -> Self {
-        PreparedOperand::new(input)
     }
 }
 
@@ -485,7 +479,7 @@ pub(crate) fn gemm_f16_decoded_on(
     b_t: &F16Matrix,
 ) -> Result<ComplexOutput> {
     if a.cols() != b_t.cols() {
-        return Err(CcglibError::ShapeMismatch {
+        return Err(TcbfError::ShapeMismatch {
             expected: format!("A and B to share K (A has K={})", a.cols()),
             actual: format!("B has K={}", b_t.cols()),
         });
@@ -544,7 +538,7 @@ pub fn gemm_f16_on(isa: Isa, a: &F16Matrix, b_t: &F16Matrix) -> Result<ComplexOu
 /// the `K_pad` correction of Eq. 5 is applied to the imaginary part.  An
 /// output is an integer of magnitude at most `2·K`, exact in the `f32`
 /// output for `K ≤ 2²³` (8 388 608, 16× the paper's largest); a longer `K`
-/// is a [`CcglibError::ShapeMismatch`], not a rounded result.  The
+/// is a [`TcbfError::ShapeMismatch`], not a rounded result.  The
 /// two formulations produce bit-identical results (a property the test
 /// suite asserts); the AND path exists because XOR is deprecated from the
 /// Hopper architecture on.
@@ -624,12 +618,12 @@ const INT1_F32_EXACT_K: usize = 1 << 23;
 ///
 /// Every partial sum of the kernel is bounded by `2·K_padded`, so this one
 /// conversion is the accumulator's whole overflow analysis: operands too
-/// long for it are a [`CcglibError::ShapeMismatch`], never a wrapped sum.
+/// long for it are a [`TcbfError::ShapeMismatch`], never a wrapped sum.
 /// So is a `K` above [`INT1_F32_EXACT_K`], whose outputs the `f32` output
 /// matrix could only round.
 fn int1_output_bound(k_bits: usize, k_padded: usize) -> Result<i32> {
     if k_bits > INT1_F32_EXACT_K {
-        return Err(CcglibError::ShapeMismatch {
+        return Err(TcbfError::ShapeMismatch {
             expected: format!(
                 "K ≤ 2²³ = {INT1_F32_EXACT_K}, so that every output (|·| ≤ 2·K) is exact in f32"
             ),
@@ -638,7 +632,7 @@ fn int1_output_bound(k_bits: usize, k_padded: usize) -> Result<i32> {
     }
     match k_padded.checked_mul(2).map(i32::try_from) {
         Some(Ok(_)) => Ok(2 * k_bits as i32),
-        _ => Err(CcglibError::ShapeMismatch {
+        _ => Err(TcbfError::ShapeMismatch {
             expected: format!("2·K_padded to fit the 32-bit accumulator ({})", i32::MAX),
             actual: format!("K_padded = {k_padded}"),
         }),
@@ -762,7 +756,7 @@ pub fn gemm_int1_on(
     op: BitOp,
 ) -> Result<ComplexOutput> {
     if a.k_bits() != b_t.k_bits() || a.k_padded() != b_t.k_padded() {
-        return Err(CcglibError::ShapeMismatch {
+        return Err(TcbfError::ShapeMismatch {
             expected: format!(
                 "A and B to share K (A has K={}/{} padded)",
                 a.k_bits(),
@@ -828,7 +822,7 @@ pub(crate) fn gemm_dispatch_decoded(
             None => gemm_f16(a, b),
         },
         (GemmInput::Int1(a), GemmInput::Int1(b)) => gemm_int1(a, b, op),
-        (a, b) => Err(CcglibError::PrecisionMismatch {
+        (a, b) => Err(TcbfError::PrecisionMismatch {
             expected: a.precision().to_string(),
             actual: b.precision().to_string(),
         }),
@@ -1199,10 +1193,7 @@ mod tests {
         assert_eq!(int1_output_bound(0, 0), Ok(0));
         for k_padded in [largest + 1, usize::MAX / 2, usize::MAX] {
             let error = int1_output_bound(1, k_padded).unwrap_err();
-            assert!(
-                matches!(error, CcglibError::ShapeMismatch { .. }),
-                "{error}"
-            );
+            assert!(matches!(error, TcbfError::ShapeMismatch { .. }), "{error}");
             assert!(error.to_string().contains("32-bit accumulator"), "{error}");
         }
     }
@@ -1215,10 +1206,7 @@ mod tests {
         assert_ne!(((1 << 24) + 1) as f32 as i32, (1 << 24) + 1);
         for k_padded in [(1 << 23) + 1, (1 << 23) + 256] {
             let error = int1_output_bound((1 << 23) + 1, k_padded).unwrap_err();
-            assert!(
-                matches!(error, CcglibError::ShapeMismatch { .. }),
-                "{error}"
-            );
+            assert!(matches!(error, TcbfError::ShapeMismatch { .. }), "{error}");
             assert!(error.to_string().contains("exact in f32"), "{error}");
         }
     }
@@ -1230,7 +1218,7 @@ mod tests {
         let b = GemmInput::quantise_int1(&host);
         assert!(matches!(
             gemm_dispatch(&f, &b, BitOp::Xor),
-            Err(CcglibError::PrecisionMismatch { .. })
+            Err(TcbfError::PrecisionMismatch { .. })
         ));
         assert!(gemm_dispatch(&f, &f, BitOp::Xor).is_ok());
     }

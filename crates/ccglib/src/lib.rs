@@ -57,7 +57,7 @@ pub mod synth;
 pub mod transpose;
 mod write_once;
 
-pub use error::{CcglibError, Result};
+pub use error::{Result, TcbfError};
 pub use gemm::{ComplexOutput, DecodedPlanes, GemmInput, PreparedOperand};
 pub use isa::Isa;
 pub use micro::MicroKernelConfig;

@@ -25,7 +25,7 @@
 //! [`HostComplexMatrix::zeros`] stays a zero-fill: there the zeros are the
 //! value.
 
-use crate::error::{CcglibError, Result};
+use crate::error::{Result, TcbfError};
 use crate::isa::{prologue_on, Isa, Prologue};
 use crate::write_once::{write_once, write_once_pair};
 use rayon::prelude::*;
@@ -85,7 +85,7 @@ impl HostComplexMatrix {
     /// Creates a matrix from row-major data.
     pub fn from_data(rows: usize, cols: usize, data: Vec<Complex32>) -> Result<Self> {
         if data.len() != rows * cols {
-            return Err(CcglibError::ShapeMismatch {
+            return Err(TcbfError::ShapeMismatch {
                 expected: format!("{rows}x{cols} = {} elements", rows * cols),
                 actual: format!("{} elements", data.len()),
             });
@@ -218,7 +218,7 @@ impl F16Matrix {
     /// Builds a matrix directly from planes (used by the transpose kernel).
     pub fn from_planes(rows: usize, cols: usize, re: Vec<f16>, im: Vec<f16>) -> Result<Self> {
         if re.len() != rows * cols || im.len() != rows * cols {
-            return Err(CcglibError::ShapeMismatch {
+            return Err(TcbfError::ShapeMismatch {
                 expected: format!("{} scalars per plane", rows * cols),
                 actual: format!("re={}, im={}", re.len(), im.len()),
             });

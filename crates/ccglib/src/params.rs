@@ -8,7 +8,7 @@
 //! selects them automatically at run time; the `tuner` crate re-derives
 //! them by searching the space defined here.
 
-use crate::error::{CcglibError, Result};
+use crate::error::{Result, TcbfError};
 use crate::Precision;
 use gpu_sim::{DeviceSpec, Gpu, SharedMemoryPlan};
 use serde::{Deserialize, Serialize};
@@ -91,7 +91,7 @@ impl TuningParameters {
     /// returns a descriptive error for configurations a real kernel could
     /// not launch with.
     pub(crate) fn validate(&self, spec: &DeviceSpec, precision: Precision) -> Result<()> {
-        let invalid = |reason: String| Err(CcglibError::InvalidParameters { reason });
+        let invalid = |reason: String| Err(TcbfError::InvalidParameters { reason });
         if self.m_per_warp > self.m_per_block || self.n_per_warp > self.n_per_block {
             return invalid(format!(
                 "warp tile {}x{} exceeds block tile {}x{}",

@@ -27,7 +27,7 @@
 //! reproduces the end-to-end throughput of Table III (see `DESIGN.md` for
 //! the calibration discussion).
 
-use crate::error::{CcglibError, Result};
+use crate::error::{Result, TcbfError};
 use crate::gemm::{
     gemm_dispatch_decoded, ComplexOutput, DecodedPlanes, GemmInput, PreparedOperand,
 };
@@ -36,10 +36,10 @@ use crate::reference;
 use crate::Precision;
 use gpu_sim::{
     BitFragmentShape, BitOp, Device, DeviceSpec, ExecutionModel, FragmentShape, KernelKind,
-    KernelProfile, KernelTimings, LaunchConfig, MemoryModel,
+    KernelProfile, KernelTimings, LaunchConfig, MemoryModel, PowerModel,
 };
 use parking_lot::Mutex;
-use pmt::{EnergyMeasurement, PowerMeter};
+use pmt::EnergyMeasurement;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -186,7 +186,7 @@ impl GemmPlan {
     ) -> Result<Self> {
         let spec = device.spec().clone();
         if precision == Precision::Int1 && !spec.supports_int1() {
-            return Err(CcglibError::UnsupportedPrecision {
+            return Err(TcbfError::UnsupportedPrecision {
                 device: spec.name.to_string(),
                 precision: precision.to_string(),
             });
@@ -200,7 +200,7 @@ impl GemmPlan {
             let required = Self::operand_bytes(&shape, precision);
             let available = (spec.mem_size_gib * 1024.0 * 1024.0 * 1024.0) as u128;
             if required > available {
-                return Err(CcglibError::OutOfDeviceMemory {
+                return Err(TcbfError::OutOfDeviceMemory {
                     shape,
                     required_bytes: required,
                     available_bytes: available,
@@ -213,8 +213,7 @@ impl GemmPlan {
         } else {
             None
         };
-        let config_efficiency =
-            Self::calibrated_efficiency(&spec, precision, &params, &shape, bit_op);
+        let config_efficiency = Self::calibrated_efficiency(&spec, precision, &params, &shape);
         Ok(GemmPlan {
             spec,
             shape,
@@ -339,7 +338,6 @@ impl GemmPlan {
         precision: Precision,
         params: &TuningParameters,
         shape: &GemmShape,
-        _bit_op: BitOp,
     ) -> f64 {
         let target = match precision {
             Precision::Float16 => spec.gemm_efficiency_f16,
@@ -429,13 +427,13 @@ impl GemmPlan {
     }
 }
 
-/// The user-facing GEMM handle: owns the plan, the execution model and a
-/// power meter, and runs (or predicts) the multiplication.
+/// The user-facing GEMM handle: owns the plan, the execution model and the
+/// device's power model, and runs (or predicts) the multiplication.
 #[derive(Clone)]
 pub struct Gemm {
     plan: GemmPlan,
     exec: ExecutionModel,
-    meter: PowerMeter,
+    power: PowerModel,
 }
 
 impl Gemm {
@@ -459,8 +457,8 @@ impl Gemm {
     /// Wraps an existing plan.
     pub fn from_plan(plan: GemmPlan) -> Self {
         let exec = ExecutionModel::new(plan.spec().clone());
-        let meter = PowerMeter::for_device(plan.spec());
-        Gemm { plan, exec, meter }
+        let power = PowerModel::new(plan.spec().clone());
+        Gemm { plan, exec, power }
     }
 
     /// The underlying plan.
@@ -468,14 +466,12 @@ impl Gemm {
         &self.plan
     }
 
-    /// The power meter recording this handle's executions.
-    pub fn meter(&self) -> &PowerMeter {
-        &self.meter
-    }
-
     fn report(&self, profile: &KernelProfile) -> RunReport {
         let timings = self.exec.time(profile);
-        let energy = self.meter.record_kernel(profile.kind, &timings);
+        let energy = EnergyMeasurement {
+            seconds: timings.elapsed_s,
+            joules: self.power.energy_joules(profile.kind, &timings),
+        };
         RunReport {
             predicted: timings,
             energy,
@@ -526,7 +522,7 @@ impl Gemm {
     ) -> Result<(ComplexOutput, RunReport)> {
         let shape = self.plan.shape();
         if shape.batch != 1 {
-            return Err(CcglibError::ShapeMismatch {
+            return Err(TcbfError::ShapeMismatch {
                 expected: "batch 1 (batched shapes are modelled, not executed: run the blocks \
                            one by one or call predict)"
                     .to_string(),
@@ -534,13 +530,13 @@ impl Gemm {
             });
         }
         if a.precision() != self.plan.precision() || b_t.precision() != self.plan.precision() {
-            return Err(CcglibError::PrecisionMismatch {
+            return Err(TcbfError::PrecisionMismatch {
                 expected: self.plan.precision().to_string(),
                 actual: format!("A {}, B {}", a.precision(), b_t.precision()),
             });
         }
         if a.rows() != shape.m || b_t.rows() != shape.n || a.k() != shape.k || b_t.k() != shape.k {
-            return Err(CcglibError::ShapeMismatch {
+            return Err(TcbfError::ShapeMismatch {
                 expected: format!("A {}x{}, B(T) {}x{}", shape.m, shape.k, shape.n, shape.k),
                 actual: format!("A {}x{}, B(T) {}x{}", a.rows(), a.k(), b_t.rows(), b_t.k()),
             });
@@ -566,7 +562,7 @@ mod tests {
     fn unsupported_precision_is_rejected() {
         let dev = device(Gpu::Mi300x);
         let err = GemmPlan::new(&dev, GemmShape::new(64, 64, 64), Precision::Int1).unwrap_err();
-        assert!(matches!(err, CcglibError::UnsupportedPrecision { .. }));
+        assert!(matches!(err, TcbfError::UnsupportedPrecision { .. }));
     }
 
     #[test]
@@ -579,7 +575,7 @@ mod tests {
             Precision::Float16,
         )
         .unwrap_err();
-        assert!(matches!(err, CcglibError::OutOfDeviceMemory { .. }));
+        assert!(matches!(err, TcbfError::OutOfDeviceMemory { .. }));
     }
 
     #[test]
@@ -760,7 +756,7 @@ mod tests {
         let a = GemmInput::quantise_f16(&HostComplexMatrix::zeros(32, 64));
         for result in [gemm.run(&a, &a), gemm.run_prepared(&a.prepare(), &a)] {
             let err = result.unwrap_err();
-            assert!(matches!(err, CcglibError::ShapeMismatch { .. }), "{err}");
+            assert!(matches!(err, TcbfError::ShapeMismatch { .. }), "{err}");
             let text = err.to_string();
             assert!(
                 text.contains("modelled, not executed") && text.contains("predict"),
@@ -868,14 +864,15 @@ mod tests {
     }
 
     #[test]
-    fn meter_accumulates_over_runs() {
-        let dev = device(Gpu::Ad4000);
-        let gemm = Gemm::new(&dev, GemmShape::new(256, 256, 256), Precision::Float16).unwrap();
-        let before = gemm.meter().read();
-        gemm.predict();
-        gemm.predict();
-        let after = gemm.meter().read();
-        assert!(after.joules > before.joules);
-        assert!(after.timestamp_s > before.timestamp_s);
+    fn tops_per_joule_matches_table3_on_the_calibration_shape() {
+        // Table III: 0.8 TOPs/J on the GH200 in float16.
+        let gemm = Gemm::new(
+            &device(Gpu::Gh200),
+            GemmPlan::f16_calibration_shape(),
+            Precision::Float16,
+        )
+        .unwrap();
+        let tpj = gemm.predict().tops_per_joule;
+        assert!((tpj - 0.8).abs() < 0.15, "tops/J = {tpj}");
     }
 }

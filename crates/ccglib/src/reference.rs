@@ -8,7 +8,7 @@
 //! the tensor-core kernels) and its performance profile on the simulated
 //! devices' regular FP32 pipelines.
 
-use crate::error::{CcglibError, Result};
+use crate::error::{Result, TcbfError};
 use crate::matrix::HostComplexMatrix;
 use gpu_sim::{DeviceSpec, KernelKind, KernelProfile, LaunchConfig, MemoryModel};
 use rayon::prelude::*;
@@ -21,7 +21,7 @@ use tcbf_types::{Complex32, GemmShape};
 /// `K`-vector that produces output column `j`.
 pub fn reference_gemm(a: &HostComplexMatrix, b_t: &HostComplexMatrix) -> Result<HostComplexMatrix> {
     if a.cols() != b_t.cols() {
-        return Err(CcglibError::ShapeMismatch {
+        return Err(TcbfError::ShapeMismatch {
             expected: format!("A K-dimension {} to match B K-dimension", a.cols()),
             actual: format!("{}", b_t.cols()),
         });
@@ -129,7 +129,7 @@ mod tests {
         let b_t = HostComplexMatrix::zeros(2, 4);
         assert!(matches!(
             reference_gemm(&a, &b_t),
-            Err(CcglibError::ShapeMismatch { .. })
+            Err(TcbfError::ShapeMismatch { .. })
         ));
     }
 

@@ -16,7 +16,7 @@
 //! Both are pure data movement and therefore memory-bandwidth bound, like
 //! the packing kernel.
 
-use crate::error::{CcglibError, Result};
+use crate::error::{Result, TcbfError};
 use crate::matrix::F16Matrix;
 use gpu_sim::{DeviceSpec, KernelKind, KernelProfile, LaunchConfig};
 use tcbf_types::encode_from_f32;
@@ -26,7 +26,7 @@ use tcbf_types::encode_from_f32;
 /// describes between the host layout and the tensor-core layout.
 pub fn interleaved_to_planar(rows: usize, cols: usize, interleaved: &[f32]) -> Result<F16Matrix> {
     if interleaved.len() != rows * cols * 2 {
-        return Err(CcglibError::ShapeMismatch {
+        return Err(TcbfError::ShapeMismatch {
             expected: format!("{rows}x{cols} = {} interleaved scalars", rows * cols * 2),
             actual: format!("{} scalars", interleaved.len()),
         });
@@ -131,7 +131,7 @@ mod tests {
         for len in [0, 7, 9] {
             assert!(matches!(
                 interleaved_to_planar(2, 2, &vec![0.0; len]),
-                Err(CcglibError::ShapeMismatch { .. })
+                Err(TcbfError::ShapeMismatch { .. })
             ));
         }
     }

@@ -4,20 +4,16 @@
 //! The real cudapeak library launches kernels that keep the tensor cores
 //! busy from registers only, so that the measured throughput is the
 //! compute ceiling rather than a memory-bandwidth artefact.  The simulated
-//! equivalent does the same thing against the substrate: it executes a
-//! small number of fragment operations *functionally* (so the benchmark
-//! also doubles as a smoke test of the WMMA model) and reports the
-//! sustained-throughput numbers of the device catalog, which were taken
-//! from Table I of the paper.  Each result carries both the measured and
-//! the theoretical value so the Table I "measured / theoretical" columns
-//! can be regenerated directly.
+//! equivalent reports the sustained-throughput numbers of the device
+//! catalog, which were taken from Table I of the paper.  Each result
+//! carries both the measured and the theoretical value so the Table I
+//! "measured / theoretical" columns can be regenerated directly.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use gpu_sim::{wmma, BitFragmentShape, BitOp, DeviceSpec, FragmentShape, Gpu};
+use gpu_sim::{BitFragmentShape, BitOp, DeviceSpec, FragmentShape, Gpu};
 use serde::{Deserialize, Serialize};
-use tcbf_types::f16;
 
 /// The precision / fragment / operand combination of one Table I row.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -78,42 +74,6 @@ pub struct PeakResult {
     pub theoretical_tops: Option<f64>,
 }
 
-/// Functionally exercises a handful of fragment operations so the
-/// benchmark actually touches the tensor-core model, returning the number
-/// of fragment MACs executed.  A wrong result panics: a peak number from a
-/// kernel that computes garbage is worthless.
-fn exercise_fragments(case: BenchmarkCase) -> usize {
-    match case {
-        BenchmarkCase::Float16 => {
-            let shape = FragmentShape::M16N16K16;
-            let a = vec![f16::ONE; shape.m() * shape.k()];
-            let b = vec![f16::from_f32(0.5); shape.k() * shape.n()];
-            let mut acc = vec![0.0f32; shape.m() * shape.n()];
-            for _ in 0..4 {
-                wmma::mma_sync(shape, &a, &b, &mut acc);
-            }
-            assert!(acc
-                .iter()
-                .all(|&v| (v - 4.0 * shape.k() as f32 * 0.5).abs() < 1e-3));
-            4 * shape.m() * shape.n() * shape.k()
-        }
-        BenchmarkCase::Int1 { fragment, op } => {
-            let a = vec![u32::MAX; fragment.m() * fragment.k_words()];
-            let b = vec![u32::MAX; fragment.n() * fragment.k_words()];
-            let mut acc = vec![0i32; fragment.m() * fragment.n()];
-            for _ in 0..4 {
-                wmma::bmma_sync(fragment, op, &a, &b, &mut acc);
-            }
-            let expect = match op {
-                BitOp::Xor => 0,
-                BitOp::And => 4 * fragment.k() as i32,
-            };
-            assert!(acc.iter().all(|&v| v == expect));
-            4 * fragment.m() * fragment.n() * fragment.k()
-        }
-    }
-}
-
 /// Runs one micro-benchmark case on one device.
 ///
 /// Returns `None` for combinations the device does not support (1-bit
@@ -129,9 +89,6 @@ pub(crate) fn run_case(spec: &DeviceSpec, case: BenchmarkCase) -> Option<PeakRes
             (Some(peaks.measured(fragment, op)), Some(peaks.theoretical))
         }
     };
-    // Touch the functional model; a benchmark that reports throughput for
-    // an operation that computes the wrong numbers would be meaningless.
-    exercise_fragments(case);
     Some(PeakResult {
         device: spec.gpu.name().to_string(),
         case,

@@ -10,10 +10,8 @@
 //!   architectural features (tensor-core fragment support, async copies,
 //!   XOR deprecation on Hopper, WMMA-vs-WGMMA interface efficiency),
 //!   clocks, peak throughputs, memory bandwidth and power envelope.
-//! * [`wmma`] — *functional* fragment-level matrix-multiply-accumulate:
-//!   `mma_sync` for half-precision fragments and `bmma_sync` for 1-bit
-//!   fragments with XOR or AND + popcount, executed bit-exactly on the CPU.
-//!   These are the primitives the ccglib kernels are written against.
+//! * [`wmma`] — the tensor-core fragment shapes (16×16×16 half precision,
+//!   8×8×128 and 16×8×256 1-bit) the planner and Table I are expressed in.
 //! * [`exec`] — an analytic execution model: given a kernel profile
 //!   (operations, bytes moved, launch configuration, tuning parameters) it
 //!   predicts execution time the way a roofline-plus-occupancy model does.
@@ -29,8 +27,8 @@
 //! * [`pool`] — multi-device hosts: a [`DevicePool`] of simulated GPUs
 //!   (heterogeneous mixes allowed) with the per-member peak throughputs the
 //!   sharding layer weights work by.
-//! * [`power`] — a simple utilisation-based power model sampled by the
-//!   `pmt` crate to produce energy-efficiency numbers.
+//! * [`power`] — a simple utilisation-based power model that `ccglib`
+//!   integrates over each kernel to produce energy-efficiency numbers.
 //! * [`roofline`] — roofline ceilings and attainable-performance queries
 //!   used for Fig. 3.
 //!

@@ -8,7 +8,7 @@
 //! the average GEMM power the paper reports in Table III.
 
 use crate::device::DeviceSpec;
-use crate::exec::{KernelKind, KernelProfile, KernelTimings};
+use crate::exec::{KernelKind, KernelTimings};
 
 /// Utilisation-based board power model for one device.
 #[derive(Clone, Debug)]
@@ -27,17 +27,12 @@ impl PowerModel {
         &self.spec
     }
 
-    /// Idle board power in watts.
-    pub fn idle_watts(&self) -> f64 {
-        self.spec.idle_watts
-    }
-
     /// Board power at full utilisation for a given kernel kind, in watts.
     ///
     /// GEMM kernels use the calibration points from Table III of the paper;
     /// data-movement kernels draw roughly 60 % of TDP, which is typical for
     /// bandwidth-bound streaming kernels.
-    pub fn full_load_watts(&self, kind: KernelKind) -> f64 {
+    pub(crate) fn full_load_watts(&self, kind: KernelKind) -> f64 {
         match kind {
             KernelKind::GemmF16 => self.spec.gemm_power_f16_watts,
             KernelKind::GemmInt1 => self
@@ -56,7 +51,7 @@ impl PowerModel {
     /// The dynamic component scales with the busiest of the two resources
     /// (compute or memory); a kernel that keeps the device only half busy
     /// draws roughly half the dynamic power.
-    pub fn average_watts(&self, kind: KernelKind, timings: &KernelTimings) -> f64 {
+    pub(crate) fn average_watts(&self, kind: KernelKind, timings: &KernelTimings) -> f64 {
         let activity = timings
             .compute_utilization
             .max(timings.memory_utilization)
@@ -69,22 +64,13 @@ impl PowerModel {
     pub fn energy_joules(&self, kind: KernelKind, timings: &KernelTimings) -> f64 {
         self.average_watts(kind, timings) * timings.elapsed_s
     }
-
-    /// Energy efficiency in TeraOps per joule for a kernel launch.
-    pub fn tops_per_joule(&self, profile: &KernelProfile, timings: &KernelTimings) -> f64 {
-        let joules = self.energy_joules(profile.kind, timings);
-        if joules <= 0.0 {
-            return 0.0;
-        }
-        profile.useful_ops / joules / 1e12
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::device::Gpu;
-    use crate::exec::{ExecutionModel, LaunchConfig};
+    use crate::exec::{ExecutionModel, KernelProfile, LaunchConfig};
     use proptest::prelude::*;
 
     fn full_util_timings() -> KernelTimings {
@@ -121,7 +107,7 @@ mod tests {
         };
         assert_eq!(
             model.average_watts(KernelKind::GemmF16, &idle),
-            model.idle_watts()
+            model.spec().idle_watts
         );
         let busy = full_util_timings();
         assert_eq!(model.average_watts(KernelKind::GemmF16, &busy), 419.0);
@@ -153,7 +139,7 @@ mod tests {
                 launch: LaunchConfig::new(spec.compute_units * 64, 256),
             };
             let timings = exec.time(&profile);
-            let tpj = power.tops_per_joule(&profile, &timings);
+            let tpj = ops / power.energy_joules(profile.kind, &timings) / 1e12;
             assert!(
                 (tpj - expect).abs() / expect < 0.15,
                 "{}: {tpj} vs {expect}",
@@ -177,7 +163,7 @@ mod tests {
                 };
                 for kind in [KernelKind::GemmF16, KernelKind::GemmInt1, KernelKind::Pack] {
                     let w = model.average_watts(kind, &t);
-                    prop_assert!(w >= model.idle_watts() - 1e-9);
+                    prop_assert!(w >= model.spec().idle_watts - 1e-9);
                     prop_assert!(w <= model.spec().tdp_watts.max(model.full_load_watts(kind)) + 1e-9);
                 }
             }

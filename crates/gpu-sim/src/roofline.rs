@@ -36,7 +36,7 @@ impl Roofline {
     /// Builds the roofline for a device: float16 tensor ceiling, 1-bit
     /// tensor ceiling (NVIDIA only, using the operand ccglib would select),
     /// and the float32 regular-core ceiling.
-    pub fn for_device(spec: &DeviceSpec) -> Roofline {
+    pub(crate) fn for_device(spec: &DeviceSpec) -> Roofline {
         let mut ceilings = vec![Ceiling {
             label: "float16 tensor".to_string(),
             peak_tops: spec.f16_peak_tops(),

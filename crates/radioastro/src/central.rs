@@ -14,7 +14,7 @@ use crate::station::StationBeamlets;
 use beamform::geometry::SPEED_OF_LIGHT;
 use beamform::{Beamformer, BeamformerConfig, Engine, Report, WeightMatrix};
 use ccglib::matrix::HostComplexMatrix;
-use ccglib::RunReport;
+use ccglib::{RunReport, TcbfError};
 use gpu_sim::Device;
 use serde::{Deserialize, Serialize};
 use tcbf_types::Complex;
@@ -160,12 +160,10 @@ impl CentralBeamformer {
         engine: &mut E,
         blocks: &[StationBeamlets],
     ) -> ccglib::Result<(Vec<CentralOutput>, Report)> {
-        let first = blocks
-            .first()
-            .ok_or_else(|| ccglib::CcglibError::ShapeMismatch {
-                expected: "at least one beamlet block".to_string(),
-                actual: "0 blocks".to_string(),
-            })?;
+        let first = blocks.first().ok_or_else(|| TcbfError::ShapeMismatch {
+            expected: "at least one beamlet block".to_string(),
+            actual: "0 blocks".to_string(),
+        })?;
         let _ = engine.finish();
         // The weights depend only on the observing frequency and the
         // station layout, so a retune is detected from that metadata — no

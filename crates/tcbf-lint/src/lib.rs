@@ -86,7 +86,7 @@ pub fn lint_source(path_label: &str, text: &str, cfg: &LintConfig) -> Vec<Findin
 }
 
 /// The file the error-code stability rules read `TcbfError` from.
-const ERROR_FILE: &str = "crates/tcbf/src/error.rs";
+const ERROR_FILE: &str = "crates/ccglib/src/error.rs";
 
 /// Walks the workspace at `root`, runs every rule, applies the
 /// allowlist at `root/lint-allow.toml` (if present).

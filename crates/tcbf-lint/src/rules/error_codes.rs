@@ -29,7 +29,7 @@ pub(crate) struct Variant {
     pub line_text: String,
 }
 
-/// Checks `error_file` (crates/tcbf/src/error.rs) against
+/// Checks `error_file` (crates/ccglib/src/error.rs) against
 /// `protocol_text` (docs/PROTOCOL.md contents, `None` when missing).
 pub fn check(error_file: &SourceFile, protocol_text: Option<&str>, out: &mut Vec<Finding>) {
     let variants = enum_variants(error_file, "TcbfError");

@@ -231,7 +231,7 @@ fn e_findings_are_suppressible() {
 
 #[test]
 fn e001_fires_when_the_error_file_is_missing() {
-    // A workspace without crates/tcbf/src/error.rs (renamed, or split into
+    // A workspace without crates/ccglib/src/error.rs (renamed, or split into
     // error/mod.rs) must not turn both E-rules off in silence.
     let root = std::env::temp_dir().join(format!("tcbf-lint-no-error-file-{}", std::process::id()));
     let src = root.join("crates/x/src");
@@ -242,7 +242,7 @@ fn e001_fires_when_the_error_file_is_missing() {
     let findings = report.unwrap().findings;
     assert_eq!(findings.len(), 1, "{findings:?}");
     assert_eq!(findings[0].rule, "TCBF-E001");
-    assert_eq!(findings[0].path, "crates/tcbf/src/error.rs");
+    assert_eq!(findings[0].path, "crates/ccglib/src/error.rs");
     assert!(findings[0].message.contains("not found"));
 }
 

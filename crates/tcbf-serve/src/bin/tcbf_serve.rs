@@ -7,10 +7,10 @@
 //! tcbf-serve discover --timeout-ms 1500
 //! ```
 //!
-//! `serve` prints `listening on <addr>` once ready and a greppable
-//! `fleet-report …` line on Ctrl-less shutdown is not available offline,
-//! so the serve loop runs until the process is killed; `bench-client`
-//! prints per-tenant lines plus its own aggregate for CI to grep.
+//! `serve` prints `listening on <addr>` once ready; with `--run-for-ms N`
+//! it stops after `N` ms and prints per-tenant lines and a greppable
+//! `fleet-report …` line, without it one such line every 10 s until killed.
+//! `bench-client` prints per-tenant lines plus its own aggregate for CI.
 
 #![forbid(unsafe_code)]
 

@@ -190,7 +190,7 @@ impl EngineSlot {
         _session_id: u64,
         _version: u64,
         weights: &WeightMatrix,
-    ) -> ccglib::Result<()> {
+    ) -> tcbf::Result<()> {
         if !self.installed.same_bits(weights) {
             self.engine.swap_weights(weights.clone())?;
         }
@@ -508,7 +508,7 @@ mod tests {
         let wrong = WeightMatrix::from_matrix(example_weights(4, 17));
         assert!(matches!(
             ensure(&mut slot, &wrong),
-            Err(ccglib::CcglibError::ShapeMismatch { .. })
+            Err(TcbfError::ShapeMismatch { .. })
         ));
         assert_eq!(swaps(&slot), 4);
         ensure(&mut slot, &with(f32::from_bits(0x7fc0_0002))).unwrap();

@@ -761,7 +761,7 @@ fn run_job(shared: &Shared, job: &Job) -> tcbf::Result<beamform::BeamformOutput>
             // The engine lost its last device mid-block (a real fault
             // from the beamform layer, not the serve-level injector):
             // same treatment, quarantine and replay elsewhere.
-            Err(ccglib::CcglibError::DeviceLost {
+            Err(TcbfError::DeviceLost {
                 permanent: true, ..
             }) => {
                 shared.pool.quarantine(job.precision, slot)?;

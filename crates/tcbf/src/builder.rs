@@ -7,10 +7,9 @@
 //! streaming [`Engine`] over the configured devices, or a single
 //! actionable [`TcbfError`].
 
-use crate::error::{Result, TcbfError};
 use beamform::{BeamformerConfig, Engine, ShardedBeamformer, WeightMatrix};
 use ccglib::matrix::HostComplexMatrix;
-use ccglib::{Precision, TuningParameters};
+use ccglib::{Precision, Result, TcbfError, TuningParameters};
 use gpu_sim::{DevicePool, FaultInjector, Gpu};
 use std::sync::Arc;
 

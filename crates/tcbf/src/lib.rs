@@ -15,6 +15,10 @@
 //!   with mid-stream weight hot-swap, and the unified [`Report`] carries a
 //!   per-device breakdown (exactly one entry for a pool of one) plus the
 //!   pool-level metrics derived from it;
+//! * one error type, [`TcbfError`] (with its [`Result`] alias): defined in
+//!   `ccglib` and re-exported here, it is what the builder, every engine,
+//!   every session and the GEMM layer below return, so an error from any of
+//!   them carries its wire code with no conversion;
 //! * [`prelude`] — one `use tcbf::prelude::*;` for the whole surface;
 //! * re-exports of the building blocks (`ccglib`, the device catalog, the
 //!   tuner, the generic beamforming layer) for users who need lower-level
@@ -57,7 +61,6 @@
 #![deny(missing_docs)]
 
 mod builder;
-mod error;
 
 pub use beamform::{
     ArrayGeometry, BeamformOutput, Beamformer, BeamformerConfig, DeviceShardReport, DynSession,
@@ -66,11 +69,11 @@ pub use beamform::{
 };
 pub use builder::BeamformerBuilder;
 pub use ccglib::{
-    benchmark, Gemm, GemmInput, ParameterSpace, Precision, RunReport, TuningParameters,
+    benchmark, Gemm, GemmInput, ParameterSpace, Precision, Result, RunReport, TcbfError,
+    TuningParameters,
 };
-pub use error::{Result, TcbfError};
 pub use gpu_sim::{Device, DevicePool, DeviceSpec, Gpu};
-pub use pmt::{EnergyMeasurement, PowerMeter};
+pub use pmt::EnergyMeasurement;
 pub use tuner::{Objective, Strategy, TuneOutcome, Tuner};
 
 /// Everything a typical downstream user needs in one import:

@@ -11,7 +11,7 @@
 use crate::model::AcousticModel;
 use beamform::{Beamformer, BeamformerConfig, Engine, Report, WeightMatrix};
 use ccglib::matrix::HostComplexMatrix;
-use ccglib::RunReport;
+use ccglib::{RunReport, TcbfError};
 use gpu_sim::Device;
 use serde::{Deserialize, Serialize};
 
@@ -240,7 +240,7 @@ impl Reconstructor {
         dims: (usize, usize, usize),
     ) -> ccglib::Result<(Vec<ReconstructedVolume>, Report)> {
         if ensembles.is_empty() {
-            return Err(ccglib::CcglibError::ShapeMismatch {
+            return Err(TcbfError::ShapeMismatch {
                 expected: "at least one measurement ensemble".to_string(),
                 actual: "0 ensembles".to_string(),
             });

@@ -8,7 +8,7 @@ use beamform::{
 };
 use ccglib::matrix::HostComplexMatrix;
 use ccglib::{reference_gemm, Gemm, GemmInput, Precision};
-use gpu_sim::Gpu;
+use gpu_sim::{Gpu, KernelKind, PowerModel};
 use tcbf::{BeamformerBuilder, DynSession, Session};
 use tcbf_types::{Complex, GemmShape};
 
@@ -285,21 +285,38 @@ fn one_bit_quantisation_degrades_gracefully() {
 }
 
 #[test]
-fn power_meter_tracks_multi_kernel_pipelines() {
-    // A pipeline of several GEMMs on one handle accumulates energy and
-    // virtual time monotonically.
-    let gemm = Gemm::new(
-        &Gpu::Gh200.device(),
-        GemmShape::new(512, 512, 512),
-        Precision::Float16,
-    )
-    .unwrap();
-    let mut last = gemm.meter().read();
-    for _ in 0..5 {
-        gemm.predict();
-        let now = gemm.meter().read();
-        assert!(now.timestamp_s > last.timestamp_s);
-        assert!(now.joules > last.joules);
-        last = now;
+fn run_report_energy_is_the_power_models_energy() {
+    // Every GEMM of a multi-kernel pipeline reports the power model's
+    // energy over its own predicted timings, bit for bit, whether it is
+    // predicted or run.
+    let weights = HostComplexMatrix::from_fn(8, 256, |b, r| {
+        Complex::from_polar(1.0 / 256.0, (b * r) as f32 * 0.02)
+    });
+    let samples_t = HostComplexMatrix::from_fn(32, 256, |s, r| {
+        Complex::new((s + r) as f32 * 0.01, (s as f32 - r as f32) * 0.02)
+    });
+    for (gpu, precision, kind) in [
+        (Gpu::Gh200, Precision::Float16, KernelKind::GemmF16),
+        (Gpu::A100, Precision::Int1, KernelKind::GemmInt1),
+    ] {
+        let power = PowerModel::new(gpu.spec());
+        let quantise = |m: &HostComplexMatrix| match precision {
+            Precision::Int1 => GemmInput::quantise_int1(m),
+            _ => GemmInput::quantise_f16(m),
+        };
+        let small = Gemm::new(&gpu.device(), GemmShape::new(8, 32, 256), precision).unwrap();
+        let (_, run) = small
+            .run(&quantise(&weights), &quantise(&samples_t))
+            .unwrap();
+        let large = Gemm::new(&gpu.device(), GemmShape::new(512, 512, 512), precision).unwrap();
+        for report in [run, small.predict(), large.predict()] {
+            let joules = power.energy_joules(kind, &report.predicted);
+            assert_eq!(
+                report.energy.joules.to_bits(),
+                joules.to_bits(),
+                "{gpu} {precision}"
+            );
+            assert_eq!(report.energy.seconds, report.predicted.elapsed_s);
+        }
     }
 }

@@ -122,7 +122,6 @@ fn dyn_session_hot_swaps_weights_mid_stream_on_any_pool() {
         let report = session.finish();
         assert_eq!(report.total_blocks(), 2 * stream.len());
         assert_eq!(report.weight_swaps(), 1);
-        assert_eq!(report.merged_serial().weight_swaps, 1);
         // A shape-changing swap is rejected and not counted, on every
         // topology.
         let engine = builder(Gpu::A100).devices(&devices).build_engine().unwrap();

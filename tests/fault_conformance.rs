@@ -113,7 +113,7 @@ fn a_failed_batch_keeps_the_accounting_of_the_blocks_finished_before_it() {
     for (engine, per_device) in [(&mut single, vec![7]), (&mut pool, vec![3, 3, 1])] {
         let err = engine.process_batch(&refs).unwrap_err();
         assert!(
-            matches!(err, ccglib::CcglibError::ShapeMismatch { .. }),
+            matches!(err, TcbfError::ShapeMismatch { .. }),
             "got {err:?}"
         );
         let report = engine.finish();
@@ -196,7 +196,7 @@ fn losing_the_whole_pool_surfaces_device_lost_with_its_stable_code() {
     );
     let stream = blocks(4);
     let refs: Vec<&HostComplexMatrix> = stream.iter().collect();
-    let err = TcbfError::from(engine.process_batch(&refs).unwrap_err());
+    let err = engine.process_batch(&refs).unwrap_err();
     match err {
         TcbfError::DeviceLost { permanent, .. } => {
             assert!(permanent);
@@ -205,6 +205,10 @@ fn losing_the_whole_pool_surfaces_device_lost_with_its_stable_code() {
         }
         other => panic!("expected DeviceLost, got {other:?}"),
     }
+    // With no member left the plan is empty, not a panic.
+    let plan = engine.plan(4);
+    assert_eq!(plan.num_devices(), 3);
+    assert!(plan.assignments().iter().all(Vec::is_empty));
 }
 
 #[test]
@@ -239,7 +243,7 @@ fn a_single_device_is_a_pool_of_one_under_fault_injection() {
                 .fault_injector(injector(FaultPlan::new().kill_device(0, 3), 1))
                 .build_engine()
                 .unwrap();
-            let err = TcbfError::from(engine.process_batch(&refs).unwrap_err());
+            let err = engine.process_batch(&refs).unwrap_err();
             assert_eq!(
                 err,
                 TcbfError::DeviceLost {
@@ -287,7 +291,7 @@ fn a_session_resumes_from_its_checkpoint_after_losing_its_engine() {
     let err = session.process_batch(&second).unwrap_err();
     assert!(matches!(
         err,
-        ccglib::CcglibError::DeviceLost {
+        TcbfError::DeviceLost {
             permanent: true,
             ..
         }
