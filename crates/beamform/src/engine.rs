@@ -12,9 +12,9 @@
 //! Every engine accumulates one unified [`Report`]: a per-device breakdown
 //! (with exactly one device for a pool of one) from which the pool-level
 //! metrics — summed aggregate TeraOps/s, the straggler's wall clock, the
-//! parallel speed-up — are derived uniformly.  The generic
-//! [`Session<E>`] (and its [`DynSession`] alias for boxed engines) is the
-//! one session type for every topology.
+//! parallel speed-up — are derived uniformly.  A stream is driven through
+//! the engine itself: [`Engine::process_block`] for one block,
+//! [`Engine::process_batch`] for several under the same weights.
 
 use crate::beamformer::BeamformOutput;
 use crate::session::SessionReport;
@@ -24,7 +24,6 @@ use ccglib::matrix::HostComplexMatrix;
 use ccglib::TcbfError;
 use gpu_sim::Gpu;
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
 
 /// One device's contribution to an engine run: the member's own streaming
 /// [`SessionReport`], covering exactly the blocks that device executed.
@@ -194,6 +193,28 @@ impl Report {
 /// Engines stream *whole blocks* — one `K × N` sample block per GEMM
 /// execution.
 ///
+/// ```
+/// use beamform::{BeamformerConfig, Engine, ShardedBeamformer, WeightMatrix};
+/// use ccglib::matrix::HostComplexMatrix;
+/// use gpu_sim::{DevicePool, Gpu};
+/// use tcbf_types::Complex;
+///
+/// let weights = WeightMatrix::from_matrix(HostComplexMatrix::from_fn(4, 16, |b, r| {
+///     Complex::from_polar(1.0 / 16.0, (b * r) as f32 * 0.1)
+/// }));
+/// let mut engine = ShardedBeamformer::new(
+///     &DevicePool::from_gpus(&[Gpu::A100]), weights, 8,
+///     BeamformerConfig::float16(),
+/// ).unwrap();
+/// let block = HostComplexMatrix::from_fn(16, 8, |r, s| Complex::new(r as f32 * 0.1, s as f32));
+/// for _ in 0..3 {
+///     engine.process_block(&block).unwrap();
+/// }
+/// let report = engine.finish();
+/// assert_eq!(report.total_blocks(), 3);
+/// assert!(report.aggregate_tops() > 0.0);
+/// ```
+///
 /// `Send` is a supertrait: serving layers hand engines between worker
 /// threads (e.g. `tcbf-serve`'s engine pool), so every engine must be
 /// movable across threads.
@@ -217,6 +238,15 @@ pub trait Engine: std::fmt::Debug + Send {
         &mut self,
         blocks: &[&HostComplexMatrix],
     ) -> ccglib::Result<Vec<BeamformOutput>>;
+
+    /// Processes one `K × N` block of sensor samples: a one-block
+    /// [`Engine::process_batch`].
+    fn process_block(&mut self, block: &HostComplexMatrix) -> ccglib::Result<BeamformOutput> {
+        let mut outputs = self.process_batch(&[block])?;
+        outputs.pop().ok_or_else(|| TcbfError::Internal {
+            reason: "engine returned no output for a one-block batch".into(),
+        })
+    }
 
     /// Hot-swaps the beam weights on **every** device of the engine (same
     /// `beams × receivers` shape; kernel plans are reused unchanged).  A
@@ -259,191 +289,6 @@ impl<E: Engine + ?Sized> Engine for Box<E> {
 
     fn finish(&mut self) -> Report {
         (**self).finish()
-    }
-}
-
-/// A consistent cut of a [`Session`]'s stream position, sufficient to
-/// resume the stream on a *different* engine after the original one fails.
-///
-/// The checkpoint pins three things: how many blocks of the stream have
-/// completed (`completed_blocks`, the cursor), which version of the beam
-/// weights was active (`weights_version`, incremented on every successful
-/// hot-swap), and the global indices of the blocks that were in flight
-/// when the last `process_batch` failed (`pending`).  Replaying exactly
-/// the `pending` blocks on a healthy engine carrying the same weights
-/// version completes the stream bit-identically — functional outputs are
-/// device-independent, so *where* a block finally executes never changes
-/// its numbers.  `tcbf-serve` builds no checkpoint: when it quarantines a
-/// faulted engine it replays its own in-flight job on the next healthy
-/// engine.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SessionCheckpoint {
-    /// Blocks of the stream completed before the cut.
-    pub completed_blocks: u64,
-    /// Number of successful weight hot-swaps before the cut; the resuming
-    /// engine must carry weights of this version.
-    pub weights_version: u64,
-    /// Global stream indices in flight when the cut was taken (empty if
-    /// the session was between batches).
-    pub pending: Vec<u64>,
-}
-
-impl SessionCheckpoint {
-    /// True when nothing was in flight at the cut: resuming means simply
-    /// continuing the stream from [`SessionCheckpoint::completed_blocks`].
-    pub fn is_clean(&self) -> bool {
-        self.pending.is_empty()
-    }
-}
-
-/// A streaming session over any [`Engine`]: the one session type for every
-/// topology.
-///
-/// The session is a thin ergonomic layer — block-at-a-time processing,
-/// borrow-friendly batch submission, weight hot-swap — over the engine,
-/// which owns the [`Report`] accumulation.  It also tracks its stream
-/// position (block cursor, weights version, in-flight blocks), so at any
-/// point — in particular after a `process_batch` error — it can emit a
-/// [`SessionCheckpoint`] from which [`Session::resume`] continues the
-/// stream on a replacement engine.
-///
-/// ```
-/// use beamform::{BeamformerConfig, Session, ShardedBeamformer, WeightMatrix};
-/// use ccglib::matrix::HostComplexMatrix;
-/// use gpu_sim::{DevicePool, Gpu};
-/// use tcbf_types::Complex;
-///
-/// let weights = WeightMatrix::from_matrix(HostComplexMatrix::from_fn(4, 16, |b, r| {
-///     Complex::from_polar(1.0 / 16.0, (b * r) as f32 * 0.1)
-/// }));
-/// let engine = ShardedBeamformer::new(
-///     &DevicePool::from_gpus(&[Gpu::A100]), weights, 8,
-///     BeamformerConfig::float16(),
-/// ).unwrap();
-/// let mut session = Session::new(engine);
-/// let block = HostComplexMatrix::from_fn(16, 8, |r, s| Complex::new(r as f32 * 0.1, s as f32));
-/// for _ in 0..3 {
-///     session.process_block(&block).unwrap();
-/// }
-/// let report = session.finish();
-/// assert_eq!(report.total_blocks(), 3);
-/// assert!(report.aggregate_tops() > 0.0);
-/// ```
-pub struct Session<E: Engine> {
-    engine: E,
-    /// Global index of the next unprocessed block of the stream.
-    cursor: u64,
-    /// Successful weight hot-swaps so far.
-    weights_version: u64,
-    /// Global indices submitted to the engine by a `process_batch` call
-    /// that has not (yet) succeeded; empty between batches.
-    pending: Vec<u64>,
-}
-
-/// A session over a boxed engine of any topology — what
-/// `tcbf::BeamformerBuilder::build_engine()` pairs with.
-pub type DynSession = Session<Box<dyn Engine>>;
-
-impl<E: Engine> Session<E> {
-    /// Starts a session on an engine.  A session's report covers exactly
-    /// the session: any accumulation left on the engine (e.g. blocks
-    /// processed or weights re-steered before the session started) is
-    /// discarded here.
-    pub fn new(mut engine: E) -> Self {
-        let _ = engine.finish();
-        Session {
-            engine,
-            cursor: 0,
-            weights_version: 0,
-            pending: Vec::new(),
-        }
-    }
-
-    /// Resumes a checkpointed stream on a (typically different) engine.
-    ///
-    /// The engine's stale accumulation is discarded, the stream position
-    /// is restored from the checkpoint, and the caller replays exactly
-    /// the checkpoint's `pending` blocks (if any) before continuing.  The
-    /// engine must already carry weights matching the checkpoint's
-    /// `weights_version` — the session cannot reconstruct weight
-    /// matrices, only count swaps.
-    pub fn resume(mut engine: E, checkpoint: &SessionCheckpoint) -> Self {
-        let _ = engine.finish();
-        Session {
-            engine,
-            cursor: checkpoint.completed_blocks,
-            weights_version: checkpoint.weights_version,
-            pending: checkpoint.pending.clone(),
-        }
-    }
-
-    /// A consistent cut of the current stream position.  After a failed
-    /// `process_batch` the checkpoint's `pending` lists the blocks of the
-    /// failed batch, so replaying them on a healthy engine completes the
-    /// stream without gaps or duplicates.
-    pub fn checkpoint(&self) -> SessionCheckpoint {
-        SessionCheckpoint {
-            completed_blocks: self.cursor,
-            weights_version: self.weights_version,
-            pending: self.pending.clone(),
-        }
-    }
-
-    /// Blocks of the stream completed so far.
-    pub fn completed_blocks(&self) -> u64 {
-        self.cursor
-    }
-
-    /// Number of successful weight hot-swaps so far.
-    pub fn weights_version(&self) -> u64 {
-        self.weights_version
-    }
-
-    /// The engine driving this session.
-    pub fn engine(&self) -> &E {
-        &self.engine
-    }
-
-    /// Processes one `K × N` block of sensor samples.
-    pub fn process_block(&mut self, block: &HostComplexMatrix) -> ccglib::Result<BeamformOutput> {
-        let mut outputs = self.process_batch(&[block])?;
-        outputs.pop().ok_or_else(|| TcbfError::Internal {
-            reason: "engine returned no output for a one-block batch".into(),
-        })
-    }
-
-    /// Processes one batch of sample blocks (owned matrices or references
-    /// both work), returning the per-block outputs in input order.  Blocks
-    /// already processed by earlier calls stay accounted in the report.
-    pub fn process_batch<B>(&mut self, blocks: &[B]) -> ccglib::Result<Vec<BeamformOutput>>
-    where
-        B: Borrow<HostComplexMatrix>,
-    {
-        let refs: Vec<&HostComplexMatrix> = blocks.iter().map(Borrow::borrow).collect();
-        self.pending = (self.cursor..self.cursor + blocks.len() as u64).collect();
-        let outputs = self.engine.process_batch(&refs)?;
-        self.cursor += blocks.len() as u64;
-        self.pending.clear();
-        Ok(outputs)
-    }
-
-    /// Hot-swaps the beam weights on every device of the engine; the next
-    /// processed block anywhere uses the new weights.  Each successful
-    /// swap advances [`Session::weights_version`].
-    pub fn swap_weights(&mut self, weights: WeightMatrix) -> ccglib::Result<()> {
-        self.engine.swap_weights(weights)?;
-        self.weights_version += 1;
-        Ok(())
-    }
-
-    /// The report accumulated so far.
-    pub fn report(&self) -> Report {
-        self.engine.report()
-    }
-
-    /// Ends the session, returning the final report.
-    pub fn finish(mut self) -> Report {
-        self.engine.finish()
     }
 }
 
@@ -524,18 +369,20 @@ mod tests {
     }
 
     #[test]
-    fn session_is_generic_over_the_engine_and_counts_swaps() {
-        let run = |mut session: DynSession| -> (Vec<BeamformOutput>, Report) {
+    fn boxed_engines_of_any_pool_stream_and_count_swaps_alike() {
+        let run = |mut engine: Box<dyn Engine>| -> (Vec<BeamformOutput>, Report) {
             let blocks: Vec<HostComplexMatrix> = (0..4).map(|i| block(16, 8, i)).collect();
-            let before = session.process_batch(&blocks).unwrap();
-            session.swap_weights(weights(4, 16)).unwrap();
-            let mut outputs = before;
-            outputs.extend(session.process_batch(&blocks).unwrap());
-            (outputs, session.finish())
+            let refs: Vec<&HostComplexMatrix> = blocks.iter().collect();
+            let mut outputs = engine.process_batch(&refs).unwrap();
+            engine.swap_weights(weights(4, 16)).unwrap();
+            for b in &blocks {
+                outputs.push(engine.process_block(b).unwrap());
+            }
+            (outputs, engine.finish())
         };
-        let (single_out, single_report) = run(Session::new(Box::new(pool_engine(&[Gpu::A100]))));
-        let (pool_out, pool_report) =
-            run(Session::new(Box::new(pool_engine(&[Gpu::A100, Gpu::A100]))));
+        let (single_out, single_report) = run(Box::new(pool_engine(&[Gpu::A100])));
+        let (pool_out, pool_report) = run(Box::new(pool_engine(&[Gpu::A100, Gpu::A100])));
+        assert_eq!(single_out.len(), 8);
         for (s, p) in single_out.iter().zip(&pool_out) {
             assert_eq!(s.beams, p.beams);
         }
@@ -579,50 +426,6 @@ mod tests {
         assert_eq!(report.best_tops(), serial.best_tops());
         assert_eq!(report.tops_per_joule(), serial.tops_per_joule());
         assert_eq!(report.effective_fps(), serial.effective_fps());
-    }
-
-    #[test]
-    fn session_checkpoints_track_cursor_swaps_and_pending() {
-        let mut session = Session::new(pool_engine(&[Gpu::A100]));
-        assert_eq!(session.checkpoint(), SessionCheckpoint::default());
-        let blocks: Vec<HostComplexMatrix> = (0..3).map(|i| block(16, 8, i)).collect();
-        session.process_batch(&blocks).unwrap();
-        session.swap_weights(weights(4, 16)).unwrap();
-        session.process_block(&blocks[0]).unwrap();
-        let cut = session.checkpoint();
-        assert_eq!(cut.completed_blocks, 4);
-        assert_eq!(cut.weights_version, 1);
-        assert!(cut.is_clean());
-        // A rejected swap does not advance the version.
-        assert!(session.swap_weights(weights(5, 16)).is_err());
-        assert_eq!(session.checkpoint().weights_version, 1);
-    }
-
-    #[test]
-    fn failed_batches_leave_their_blocks_pending_for_resume() {
-        let mut session = Session::new(pool_engine(&[Gpu::A100]));
-        let good: Vec<HostComplexMatrix> = (0..2).map(|i| block(16, 8, i)).collect();
-        session.process_batch(&good).unwrap();
-        // Wrong receiver count: the batch fails, the cursor stays put and
-        // the failed indices become pending.
-        let bad = [block(7, 8, 0)];
-        assert!(session.process_batch(&bad).is_err());
-        let cut = session.checkpoint();
-        assert_eq!(cut.completed_blocks, 2);
-        assert_eq!(cut.pending, vec![2]);
-        assert!(!cut.is_clean());
-        // Resume on a fresh engine: position restored, replay completes
-        // the stream, outputs match an uninterrupted run.
-        let mut resumed = Session::resume(pool_engine(&[Gpu::A100]), &cut);
-        assert_eq!(resumed.completed_blocks(), 2);
-        assert_eq!(resumed.checkpoint().pending, vec![2]);
-        let replay = [block(16, 8, 2)];
-        let outputs = resumed.process_batch(&replay).unwrap();
-        assert!(resumed.checkpoint().is_clean());
-        assert_eq!(resumed.completed_blocks(), 3);
-        let mut reference = Session::new(pool_engine(&[Gpu::A100]));
-        let expected = reference.process_block(&replay[0]).unwrap();
-        assert_eq!(outputs[0].beams, expected.beams);
     }
 
     #[test]

@@ -21,10 +21,10 @@
 //!   implementation, beam patterns and SNR gain;
 //! * [`engine`] — the unified execution API: one object-safe [`Engine`]
 //!   trait with one implementation, [`ShardedBeamformer`] (a single
-//!   device is a pool of one; [`Engine::gpus`] lists the members), one
-//!   generic [`Session<E>`] (alias [`DynSession`] for boxed engines), and
-//!   one unified [`Report`] whose per-device breakdown holds exactly one
-//!   entry for a pool of one;
+//!   device is a pool of one; [`Engine::gpus`] lists the members) that
+//!   streams blocks itself ([`Engine::process_block`]), and one unified
+//!   [`Report`] whose per-device breakdown holds exactly one entry for a
+//!   pool of one;
 //! * [`latency`] — a fixed-bucket log2 [`LatencyHistogram`] with
 //!   p50/p95/p99 read-back and exact merging (the serving layer's
 //!   wall-clock block latency);
@@ -48,7 +48,7 @@ pub mod signal;
 pub mod weights;
 
 pub use beamformer::{BeamformOutput, Beamformer, BeamformerConfig};
-pub use engine::{DeviceShardReport, DynSession, Engine, Report, Session, SessionCheckpoint};
+pub use engine::{DeviceShardReport, Engine, Report};
 pub use geometry::{ArrayGeometry, SPEED_OF_LIGHT, SPEED_OF_SOUND_TISSUE};
 pub use latency::{LatencyHistogram, LATENCY_BUCKETS};
 pub use session::SessionReport;

@@ -16,7 +16,7 @@
 //!
 //! [`ShardedBeamformer`] is the one implementation of the [`Engine`]
 //! trait: a single device is a pool of one, driven through the same
-//! generic [`crate::Session`] and application entry points as any pool.
+//! [`Engine`] methods and application entry points as any pool.
 
 use crate::beamformer::{BeamformOutput, Beamformer, BeamformerConfig};
 use crate::engine::{DeviceShardReport, Engine, Report};
@@ -160,7 +160,7 @@ type ShardRun = (
 /// on hot-swap), never per block.
 ///
 /// The one [`Engine`] implementation — a single device is a pool of one —
-/// driven through [`crate::Session`] or `Box<dyn Engine>`.
+/// driven directly or as a `Box<dyn Engine>`.
 ///
 /// ```
 /// use beamform::{BeamformerConfig, Engine, ShardedBeamformer, WeightMatrix};
@@ -268,48 +268,6 @@ impl ShardedBeamformer {
         }
     }
 
-    /// The plan a stream of `blocks` blocks would be executed under.
-    /// Members lost to permanent faults are excluded (their assignments
-    /// are empty, so a pool that has lost every member plans nothing).
-    pub(crate) fn plan_shards(&self, blocks: usize) -> ShardPlan {
-        let ids: Vec<usize> = (0..blocks).collect();
-        ShardPlan::reapportion(&self.capacity_alive, &ids)
-    }
-
-    /// Hot-swaps the beam weights on **every** pool member (same
-    /// `beams × receivers` shape; the per-device GEMM plans are reused
-    /// unchanged).  The shape is validated before any member is touched,
-    /// so a rejected swap leaves the whole pool on the old weights.
-    /// Successful swaps are counted pool-wide (once per swap, not once per
-    /// member) in the accumulated [`Report`].
-    pub fn swap_weights(&mut self, weights: WeightMatrix) -> ccglib::Result<()> {
-        let current = self
-            .members
-            .first()
-            .ok_or_else(|| TcbfError::Internal {
-                reason: "shard pool has no members".into(),
-            })?
-            .weights();
-        if weights.num_beams() != current.num_beams()
-            || weights.num_receivers() != current.num_receivers()
-        {
-            return Err(TcbfError::ShapeMismatch {
-                expected: format!(
-                    "{} beams x {} receivers",
-                    current.num_beams(),
-                    current.num_receivers()
-                ),
-                actual: format!("{} x {}", weights.num_beams(), weights.num_receivers()),
-            });
-        }
-        let copies = std::iter::repeat_n(weights, self.members.len());
-        for (member, weights) in self.members.iter_mut().zip(copies) {
-            member.set_weights(weights)?;
-        }
-        self.weight_swaps += 1;
-        Ok(())
-    }
-
     /// Runs one member's shard: consults the injector (if any) before
     /// every block and stops at the first refusal or execution error,
     /// keeping what the member finished before it.
@@ -358,8 +316,11 @@ impl Engine for ShardedBeamformer {
         &self.gpus
     }
 
+    /// Members lost to permanent faults are excluded (their assignments
+    /// are empty, so a pool that has lost every member plans nothing).
     fn plan(&self, blocks: usize) -> ShardPlan {
-        self.plan_shards(blocks)
+        let ids: Vec<usize> = (0..blocks).collect();
+        ShardPlan::reapportion(&self.capacity_alive, &ids)
     }
 
     /// The one fan-out loop: plan over the live members, run the shards
@@ -455,8 +416,34 @@ impl Engine for ShardedBeamformer {
             .collect()
     }
 
+    /// The shape is validated before any member is touched, so a rejected
+    /// swap leaves the whole pool on the old weights.
     fn swap_weights(&mut self, weights: WeightMatrix) -> ccglib::Result<()> {
-        ShardedBeamformer::swap_weights(self, weights)
+        let current = self
+            .members
+            .first()
+            .ok_or_else(|| TcbfError::Internal {
+                reason: "shard pool has no members".into(),
+            })?
+            .weights();
+        if weights.num_beams() != current.num_beams()
+            || weights.num_receivers() != current.num_receivers()
+        {
+            return Err(TcbfError::ShapeMismatch {
+                expected: format!(
+                    "{} beams x {} receivers",
+                    current.num_beams(),
+                    current.num_receivers()
+                ),
+                actual: format!("{} x {}", weights.num_beams(), weights.num_receivers()),
+            });
+        }
+        let copies = std::iter::repeat_n(weights, self.members.len());
+        for (member, weights) in self.members.iter_mut().zip(copies) {
+            member.set_weights(weights)?;
+        }
+        self.weight_swaps += 1;
+        Ok(())
     }
 
     fn report(&self) -> Report {
@@ -492,7 +479,6 @@ impl std::fmt::Debug for ShardedBeamformer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Session;
     use gpu_sim::Gpu;
     use tcbf_types::Complex;
 
@@ -577,7 +563,7 @@ mod tests {
     #[test]
     fn capacity_weighted_pool_loads_the_fast_device_heavier() {
         let engine = sharded(&[Gpu::Gh200, Gpu::Ad4000]);
-        let plan = engine.plan_shards(20);
+        let plan = engine.plan(20);
         // GH200 measures 646 TOPs/s vs the AD4000's 117: roughly 17 vs 3.
         assert!(
             plan.assignments()[0].len() > 3 * plan.assignments()[1].len(),
@@ -632,52 +618,32 @@ mod tests {
     }
 
     #[test]
-    fn session_accumulates_across_calls_and_swaps_weights_everywhere() {
-        let engine = sharded(&[Gpu::A100, Gpu::Gh200]);
-        let mut session = Session::new(engine);
+    fn engine_accumulates_across_calls_and_swaps_weights_everywhere() {
+        let mut engine = sharded(&[Gpu::A100, Gpu::Gh200]);
         let blocks: Vec<HostComplexMatrix> = (0..4).map(|i| block(16, 8, i)).collect();
-        let before = session.process_batch(&blocks).unwrap();
+        let refs: Vec<&HostComplexMatrix> = blocks.iter().collect();
+        let before = engine.process_batch(&refs).unwrap();
         let resteered = WeightMatrix::from_matrix(HostComplexMatrix::from_fn(4, 16, |b, r| {
             Complex::from_polar(1.0 / 16.0, -((b * r) as f32 * 0.03))
         }));
-        session.swap_weights(resteered).unwrap();
-        let after = session.process_batch(&blocks).unwrap();
+        engine.swap_weights(resteered).unwrap();
+        let after = engine.process_batch(&refs).unwrap();
         // Every block on every device sees the new weights.
         for (b, a) in before.iter().zip(&after) {
             assert!(b.beams.max_abs_diff(&a.beams) > 1e-3);
         }
-        let report = session.finish();
+        let report = engine.finish();
         assert_eq!(report.total_blocks(), 8);
         assert_eq!(report.weight_swaps(), 1);
     }
 
     #[test]
-    fn sessions_start_fresh_regardless_of_prior_engine_use() {
-        // Re-steering (or streaming) on the bare engine before the session
-        // starts must not leak into the session's report: a session covers
-        // exactly the session.
-        let mut engine = sharded(&[Gpu::A100, Gpu::A100]);
-        engine.swap_weights(weights(4, 16)).unwrap();
-        let pre_blocks = [block(16, 8, 9)];
-        let refs: Vec<&HostComplexMatrix> = pre_blocks.iter().collect();
-        Engine::process_batch(&mut engine, &refs).unwrap();
-        let mut session = Session::new(engine);
-        let blocks = [block(16, 8, 0), block(16, 8, 1)];
-        session.process_batch(&blocks).unwrap();
-        let report = session.finish();
-        assert_eq!(report.total_blocks(), 2);
-        assert_eq!(report.weight_swaps(), 0);
-    }
-
-    #[test]
     fn shape_changing_swaps_leave_the_pool_untouched() {
-        let engine = sharded(&[Gpu::A100, Gpu::A100]);
-        let mut session = Session::new(engine);
-        assert!(session.swap_weights(weights(5, 16)).is_err());
-        assert_eq!(session.report().weight_swaps(), 0);
+        let mut engine = sharded(&[Gpu::A100, Gpu::A100]);
+        assert!(engine.swap_weights(weights(5, 16)).is_err());
+        assert_eq!(engine.report().weight_swaps(), 0);
         // The pool still works on the old shape.
-        let blocks = [block(16, 8, 0)];
-        assert!(session.process_batch(&blocks).is_ok());
+        assert!(engine.process_block(&block(16, 8, 0)).is_ok());
     }
 
     #[test]
@@ -748,7 +714,7 @@ mod tests {
             assert_eq!(output.beams, reference.beams);
         }
         // Later batches plan only over the survivors.
-        let plan = engine.plan_shards(6);
+        let plan = engine.plan(6);
         assert!(plan.assignments()[1].is_empty());
     }
 

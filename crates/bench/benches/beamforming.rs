@@ -4,7 +4,7 @@
 
 use beamform::geometry::SPEED_OF_LIGHT;
 use beamform::{
-    ArrayGeometry, Beamformer, BeamformerConfig, PlaneWaveSource, Session, ShardedBeamformer,
+    ArrayGeometry, Beamformer, BeamformerConfig, Engine, PlaneWaveSource, ShardedBeamformer,
     SignalGenerator, WeightMatrix,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -63,20 +63,19 @@ fn bench_beamform(c: &mut Criterion) {
             &receivers,
             |bench, _| bench.iter(|| tc.delay_and_sum_reference(black_box(&samples))),
         );
-        // The streaming path: same kernel, but blocks flow through an
-        // engine session that also aggregates the run report.
-        let engine = ShardedBeamformer::new(
+        // The streaming path: same kernel, but blocks flow through the
+        // pool-of-one engine, which also aggregates the run report.
+        let mut engine = ShardedBeamformer::new(
             &DevicePool::from_gpus(&[Gpu::A100]),
             weights,
             64,
             BeamformerConfig::float16(),
         )
         .unwrap();
-        let mut session = Session::new(engine);
         group.bench_with_input(
-            BenchmarkId::new("session_stream_f16", receivers),
+            BenchmarkId::new("engine_stream_f16", receivers),
             &receivers,
-            |bench, _| bench.iter(|| session.process_block(black_box(&samples)).unwrap()),
+            |bench, _| bench.iter(|| engine.process_block(black_box(&samples)).unwrap()),
         );
     }
     group.finish();

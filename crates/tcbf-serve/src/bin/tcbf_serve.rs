@@ -342,10 +342,10 @@ fn run_fault_smoke(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("cannot build reference engine: {e}"))?;
     let mut bit_identical = true;
     for (block, beams) in stream.iter().zip(&served) {
-        let mut outputs = reference
-            .process_batch(&[block])
+        let output = reference
+            .process_block(block)
             .map_err(|e| format!("reference engine failed: {e}"))?;
-        bit_identical &= outputs.pop().map(|o| o.beams) == Some(beams.clone());
+        bit_identical &= output.beams == *beams;
     }
 
     println!(

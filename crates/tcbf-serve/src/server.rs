@@ -726,12 +726,11 @@ fn wait_for_drain(inflight: &AtomicUsize, shared: &Shared) {
 ///
 /// A job is the serve-side replay unit: it carries everything needed to
 /// re-execute its block — the samples and a handle on the session's weights
-/// — so the server needs no [`beamform::SessionCheckpoint`]: when the
-/// checked-out engine faults, the slot is quarantined (permanent)
-/// or returned (transient) and the job simply replays on the next healthy
-/// engine.  The client never sees these faults; it only ever sees the
-/// block's final result.  Returns [`TcbfError::Degraded`] once no healthy
-/// engine remains.
+/// — so a fault needs no other state: when the checked-out engine faults,
+/// the slot is quarantined (permanent) or returned (transient) and the
+/// job simply replays on the next healthy engine.  The client never sees
+/// these faults; it only ever sees the block's final result.  Returns
+/// [`TcbfError::Degraded`] once no healthy engine remains.
 fn run_job(shared: &Shared, job: &Job) -> tcbf::Result<beamform::BeamformOutput> {
     // Every replay consumes either a permanent fault (quarantining one of
     // the fleet's engines) or a one-shot transient fault, so attempts are
@@ -756,7 +755,7 @@ fn run_job(shared: &Shared, job: &Job) -> tcbf::Result<beamform::BeamformOutput>
         // The two zeros are `ensure_weights`' dead parameters.
         let result = slot
             .ensure_weights(0, 0, &job.weights)
-            .and_then(|()| slot.engine.process_batch(&[&job.samples]));
+            .and_then(|()| slot.engine.process_block(&job.samples));
         match result {
             // The engine lost its last device mid-block (a real fault
             // from the beamform layer, not the serve-level injector):
@@ -770,10 +769,7 @@ fn run_job(shared: &Shared, job: &Job) -> tcbf::Result<beamform::BeamformOutput>
             }
             other => {
                 shared.pool.check_in(job.precision, slot)?;
-                let mut outputs = other?;
-                return outputs.pop().ok_or_else(|| TcbfError::Internal {
-                    reason: "engine returned no output for a one-block batch".into(),
-                });
+                return other;
             }
         }
     }

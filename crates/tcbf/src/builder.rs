@@ -115,8 +115,8 @@ impl BeamformerBuilder {
     /// [`Engine`] the builder describes: one beamformer per member of the
     /// configured pool — a pool of just the builder's `gpu` when
     /// [`BeamformerBuilder::devices`] was never called.  Downstream code
-    /// drives the boxed engine (e.g. through a [`beamform::DynSession`])
-    /// without knowing how many devices it spans.
+    /// drives the boxed engine through its [`Engine`] methods without
+    /// knowing how many devices it spans.
     ///
     /// Checks, in order: weights present and non-empty, block length
     /// non-zero, then per pool member precision supported on the device,

@@ -10,15 +10,14 @@
 //! * one execution API for every topology — the builder's one terminal,
 //!   [`BeamformerBuilder::build_engine`], returns a `Box<dyn `[`Engine`]`>`
 //!   over the configured [`DevicePool`] (a single device is a pool of
-//!   one: `.devices(&[...])` only widens it); the generic [`Session`]
-//!   (alias [`DynSession`] for boxed engines) streams blocks through it
-//!   with mid-stream weight hot-swap, and the unified [`Report`] carries a
-//!   per-device breakdown (exactly one entry for a pool of one) plus the
-//!   pool-level metrics derived from it;
+//!   one: `.devices(&[...])` only widens it), which streams blocks itself
+//!   ([`Engine::process_block`]) with mid-stream weight hot-swap, and the
+//!   unified [`Report`] carries a per-device breakdown (exactly one entry
+//!   for a pool of one) plus the pool-level metrics derived from it;
 //! * one error type, [`TcbfError`] (with its [`Result`] alias): defined in
-//!   `ccglib` and re-exported here, it is what the builder, every engine,
-//!   every session and the GEMM layer below return, so an error from any of
-//!   them carries its wire code with no conversion;
+//!   `ccglib` and re-exported here, it is what the builder, every engine
+//!   and the GEMM layer below return, so an error from any of them carries
+//!   its wire code with no conversion;
 //! * [`prelude`] — one `use tcbf::prelude::*;` for the whole surface;
 //! * re-exports of the building blocks (`ccglib`, the device catalog, the
 //!   tuner, the generic beamforming layer) for users who need lower-level
@@ -37,7 +36,7 @@
 //! let weights = HostComplexMatrix::from_fn(8, 32, |b, r| {
 //!     Complex::from_polar(1.0 / 32.0, (b * r) as f32 * 0.01)
 //! });
-//! let engine = BeamformerBuilder::new(Gpu::A100)
+//! let mut engine = BeamformerBuilder::new(Gpu::A100)
 //!     .weights(weights)
 //!     .samples_per_block(64)
 //!     .precision(Precision::Float16)
@@ -45,14 +44,13 @@
 //!     .unwrap();
 //! let samples = HostComplexMatrix::from_fn(32, 64, |r, s| Complex::new(r as f32 * 0.1, s as f32 * 0.05));
 //!
-//! // Stream blocks through a session and read the aggregate report.
-//! let mut session = Session::new(engine);
+//! // Stream blocks through the engine and read the aggregate report.
 //! for _ in 0..4 {
-//!     let output = session.process_block(&samples).unwrap();
+//!     let output = engine.process_block(&samples).unwrap();
 //!     assert_eq!(output.beams.rows(), 8);
 //!     assert_eq!(output.beams.cols(), 64);
 //! }
-//! let report = session.finish();
+//! let report = engine.finish();
 //! assert_eq!(report.total_blocks(), 4);
 //! assert!(report.aggregate_tops() > 0.0);
 //! ```
@@ -63,9 +61,9 @@
 mod builder;
 
 pub use beamform::{
-    ArrayGeometry, BeamformOutput, Beamformer, BeamformerConfig, DeviceShardReport, DynSession,
-    Engine, LatencyHistogram, PlaneWaveSource, Report, Session, SessionReport, ShardPlan,
-    ShardedBeamformer, SignalGenerator, WeightMatrix,
+    ArrayGeometry, BeamformOutput, Beamformer, BeamformerConfig, DeviceShardReport, Engine,
+    LatencyHistogram, PlaneWaveSource, Report, SessionReport, ShardPlan, ShardedBeamformer,
+    SignalGenerator, WeightMatrix,
 };
 pub use builder::BeamformerBuilder;
 pub use ccglib::{
@@ -80,16 +78,16 @@ pub use tuner::{Objective, Strategy, TuneOutcome, Tuner};
 /// `use tcbf::prelude::*;`.
 ///
 /// Exports the fluent builder, the unified execution surface
-/// ([`Engine`], [`Session`]/[`DynSession`], [`Report`]), the
-/// [`Precision`] enum, the error type, the device catalog, weight/signal
-/// helpers, the tuner, and the host matrix type.
+/// ([`Engine`], [`Report`]), the [`Precision`] enum, the error type, the
+/// device catalog, weight/signal helpers, the tuner, and the host matrix
+/// type.
 pub mod prelude {
     pub use crate::{
         supported_devices, version, ArrayGeometry, BeamformOutput, Beamformer, BeamformerBuilder,
-        BeamformerConfig, Device, DevicePool, DeviceShardReport, DeviceSpec, DynSession, Engine,
-        Gpu, LatencyHistogram, Objective, PlaneWaveSource, Precision, Report, Result, Session,
-        SessionReport, ShardPlan, ShardedBeamformer, SignalGenerator, Strategy, TcbfError,
-        TuneOutcome, Tuner, TuningParameters, WeightMatrix,
+        BeamformerConfig, Device, DevicePool, DeviceShardReport, DeviceSpec, Engine, Gpu,
+        LatencyHistogram, Objective, PlaneWaveSource, Precision, Report, Result, SessionReport,
+        ShardPlan, ShardedBeamformer, SignalGenerator, Strategy, TcbfError, TuneOutcome, Tuner,
+        TuningParameters, WeightMatrix,
     };
     pub use ccglib::matrix::HostComplexMatrix;
     pub use tcbf_types::Complex;
@@ -205,21 +203,20 @@ mod tests {
     }
 
     #[test]
-    fn session_streams_with_weight_swap() {
-        let engine = BeamformerBuilder::new(Gpu::A100)
+    fn engine_streams_blocks_with_weight_swap() {
+        let mut engine = BeamformerBuilder::new(Gpu::A100)
             .weights(weights(4, 16))
             .samples_per_block(8)
             .build_engine()
             .unwrap();
-        let mut session = Session::new(engine);
         let samples =
             HostComplexMatrix::from_fn(16, 8, |r, s| Complex::new(r as f32 * 0.1, s as f32 * 0.05));
-        session.process_block(&samples).unwrap();
-        session
+        engine.process_block(&samples).unwrap();
+        engine
             .swap_weights(WeightMatrix::from_matrix(weights(4, 16)))
             .unwrap();
-        session.process_block(&samples).unwrap();
-        let report = session.finish();
+        engine.process_block(&samples).unwrap();
+        let report = engine.finish();
         assert_eq!(report.total_blocks(), 2);
         assert_eq!(report.weight_swaps(), 1);
     }

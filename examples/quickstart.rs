@@ -1,5 +1,5 @@
 //! Quickstart: configure a streaming engine with the fluent builder,
-//! stream blocks of sensor samples through a device-agnostic session —
+//! stream blocks of sensor samples through the device-agnostic engine —
 //! re-steering the beams mid-stream — and read the unified report, on the
 //! simulated A100 in 16-bit tensor-core mode.
 //!
@@ -27,9 +27,9 @@ fn main() {
     // 3. Configure a streaming engine with the fluent builder: device,
     //    weights, block length and precision are validated together at
     //    build_engine().  No `.devices(...)` here, so the boxed engine is
-    //    a single A100 — the session code below would not change for a
+    //    a single A100 — the streaming code below would not change for a
     //    pool.
-    let engine = BeamformerBuilder::new(Gpu::A100)
+    let mut engine = BeamformerBuilder::new(Gpu::A100)
         .weight_matrix(weights.clone())
         .samples_per_block(samples_per_block)
         .precision(Precision::Float16)
@@ -49,13 +49,12 @@ fn main() {
         baseband_frequency: 1e3,
     };
 
-    // 5. Stream a pipeline of sample blocks through the generic session.
-    let mut session: DynSession = Session::new(engine);
+    // 5. Stream a pipeline of sample blocks through the engine.
     let samples = generator.sensor_samples(&[source], samples_per_block);
-    let output = session.process_block(&samples).expect("beamforming");
+    let output = engine.process_block(&samples).expect("beamforming");
     for _ in 0..3 {
         let block = generator.sensor_samples(&[source], samples_per_block);
-        session.process_block(&block).expect("beamforming");
+        engine.process_block(&block).expect("beamforming");
     }
 
     // 6. The beam closest to the source direction carries the most power.
@@ -86,20 +85,18 @@ fn main() {
     );
 
     // 8. Re-steer mid-stream: hot-swap a narrower fan of beams into the
-    //    running session (the GEMM plan is reused — on a pool, every
+    //    running engine (the GEMM plan is reused — on a pool, every
     //    member would swap) and keep streaming.
     let narrow = WeightMatrix::uniform_fan(&geometry, frequency, beams, 0.0, 0.4);
-    session
-        .swap_weights(narrow)
-        .expect("same beams x receivers");
+    engine.swap_weights(narrow).expect("same beams x receivers");
     for _ in 0..4 {
         let block = generator.sensor_samples(&[source], samples_per_block);
-        session.process_block(&block).expect("beamforming");
+        engine.process_block(&block).expect("beamforming");
     }
 
     // 9. The unified report aggregates the whole run — per-device
     //    breakdown (one entry here) plus the derived pool-level metrics.
-    let report = session.finish();
+    let report = engine.finish();
     println!();
     println!(
         "Session:       {} blocks on {} device(s), {} weight swap(s)",

@@ -9,7 +9,7 @@ use beamform::{
 use ccglib::matrix::HostComplexMatrix;
 use ccglib::{reference_gemm, Gemm, GemmInput, Precision};
 use gpu_sim::{Gpu, KernelKind, PowerModel};
-use tcbf::{BeamformerBuilder, DynSession, Session};
+use tcbf::BeamformerBuilder;
 use tcbf_types::{Complex, GemmShape};
 
 const FREQ: f64 = 150e6;
@@ -55,13 +55,13 @@ fn facade_and_low_level_api_agree() {
 
 #[test]
 fn session_streams_blocks_with_mid_stream_weight_swap() {
-    // Acceptance: a generic session over a builder-built engine streams
-    // several blocks, swaps the weights mid-stream, and its unified report
-    // aggregates exactly the per-block reports.
+    // Acceptance: a builder-built engine streams several blocks, swaps the
+    // weights mid-stream, and its unified report aggregates exactly the
+    // per-block reports.
     let geometry = linear_array(48);
     let azimuths: Vec<f64> = (0..6).map(|i| -0.25 + 0.1 * i as f64).collect();
     let fan = WeightMatrix::steering(&geometry, FREQ, &azimuths, true);
-    let engine = BeamformerBuilder::new(Gpu::Gh200)
+    let mut engine = BeamformerBuilder::new(Gpu::Gh200)
         .weight_matrix(fan)
         .samples_per_block(32)
         .precision(Precision::Float16)
@@ -74,23 +74,22 @@ fn session_streams_blocks_with_mid_stream_weight_swap() {
         baseband_frequency: 800.0,
     };
 
-    let mut session: DynSession = Session::new(engine);
     let mut per_block = Vec::new();
     for _ in 0..2 {
         let block = generator.sensor_samples(&[source], 32);
-        per_block.push(session.process_block(&block).unwrap());
+        per_block.push(engine.process_block(&block).unwrap());
     }
     // Re-steer to a mirrored fan without re-planning the kernel.
     let mirrored: Vec<f64> = azimuths.iter().map(|a| -a).collect();
-    session
+    engine
         .swap_weights(WeightMatrix::steering(&geometry, FREQ, &mirrored, true))
         .unwrap();
     for _ in 0..2 {
         let block = generator.sensor_samples(&[source], 32);
-        per_block.push(session.process_block(&block).unwrap());
+        per_block.push(engine.process_block(&block).unwrap());
     }
 
-    let report = session.finish();
+    let report = engine.finish();
     assert_eq!(report.total_blocks(), 4);
     assert_eq!(report.weight_swaps(), 1);
     assert_eq!(report.per_device().len(), 1);
@@ -111,7 +110,7 @@ fn session_streams_blocks_with_mid_stream_weight_swap() {
 
 #[test]
 fn sharded_session_hot_swaps_weights_on_every_pool_member() {
-    // Acceptance: after a mid-stream swap_weights on a sharded session,
+    // Acceptance: after a mid-stream swap_weights on a sharded engine,
     // *all* pool members beamform the next blocks with the new weights —
     // verified by checking every post-swap block (each device owns at
     // least one) against a single-device beamformer built directly on the
@@ -122,14 +121,12 @@ fn sharded_session_hot_swaps_weights_on_every_pool_member() {
     let mirrored: Vec<f64> = azimuths.iter().map(|a| -a).collect();
     let swapped = WeightMatrix::steering(&geometry, FREQ, &mirrored, true);
 
-    let mut session = Session::new(
-        BeamformerBuilder::new(Gpu::A100)
-            .weight_matrix(initial.clone())
-            .samples_per_block(16)
-            .devices(&[Gpu::A100, Gpu::Gh200, Gpu::Mi210])
-            .build_engine()
-            .unwrap(),
-    );
+    let mut engine = BeamformerBuilder::new(Gpu::A100)
+        .weight_matrix(initial.clone())
+        .samples_per_block(16)
+        .devices(&[Gpu::A100, Gpu::Gh200, Gpu::Mi210])
+        .build_engine()
+        .unwrap();
 
     // Six blocks over three devices: capacity weighting gives the A100, the
     // GH200 and the MI210 two, three and one.
@@ -142,10 +139,11 @@ fn sharded_session_hot_swaps_weights_on_every_pool_member() {
     let blocks: Vec<HostComplexMatrix> = (0..6)
         .map(|_| generator.sensor_samples(&[source], 16))
         .collect();
+    let refs: Vec<&HostComplexMatrix> = blocks.iter().collect();
 
-    let before = session.process_batch(&blocks).unwrap();
-    session.swap_weights(swapped.clone()).unwrap();
-    let after = session.process_batch(&blocks).unwrap();
+    let before = engine.process_batch(&refs).unwrap();
+    engine.swap_weights(swapped.clone()).unwrap();
+    let after = engine.process_batch(&refs).unwrap();
 
     let reference = Beamformer::new(
         &Gpu::A100.device(),
@@ -161,7 +159,7 @@ fn sharded_session_hot_swaps_weights_on_every_pool_member() {
         // exactly the new-weights result.
         assert_eq!(post.beams, reference.beamform(samples).unwrap().beams);
     }
-    let report = session.finish();
+    let report = engine.finish();
     assert_eq!(report.total_blocks(), 12);
     assert_eq!(report.weight_swaps(), 1);
     // All three members took part both before and after the swap.

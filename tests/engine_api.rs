@@ -2,7 +2,7 @@
 //!
 //! The redesign's contract: one object-safe trait spans every topology, a
 //! builder configured with or without `.devices(...)` hands back the right
-//! engine behind `Box<dyn Engine>`, the generic session drives any of them
+//! engine behind `Box<dyn Engine>`, one pipeline drives any of them
 //! identically (weight hot-swap included), and the engine adds nothing to
 //! the numbers: a one-device engine is bit-identical to calling
 //! `Beamformer::beamform` block by block, report included.
@@ -100,13 +100,12 @@ fn dyn_session_hot_swaps_weights_mid_stream_on_any_pool() {
     let (before_ref, after_ref) = (reference(0.05), reference(-0.11));
 
     for devices in [vec![], vec![Gpu::A100, Gpu::Gh200, Gpu::Mi210]] {
-        let engine = builder(Gpu::A100).devices(&devices).build_engine().unwrap();
-        let mut session: DynSession = Session::new(engine);
-        let before = session.process_batch(&stream).unwrap();
-        session
+        let mut engine = builder(Gpu::A100).devices(&devices).build_engine().unwrap();
+        let before = drive(engine.as_mut(), &stream);
+        engine
             .swap_weights(WeightMatrix::from_matrix(weights(-0.11)))
             .unwrap();
-        let after = session.process_batch(&stream).unwrap();
+        let after = drive(engine.as_mut(), &stream);
         for ((b, a), (br, ar)) in before
             .iter()
             .zip(&after)
@@ -119,20 +118,18 @@ fn dyn_session_hot_swaps_weights_mid_stream_on_any_pool() {
                 "swap changed nothing"
             );
         }
-        let report = session.finish();
+        let report = engine.finish();
         assert_eq!(report.total_blocks(), 2 * stream.len());
         assert_eq!(report.weight_swaps(), 1);
         // A shape-changing swap is rejected and not counted, on every
         // topology.
-        let engine = builder(Gpu::A100).devices(&devices).build_engine().unwrap();
-        let mut session: DynSession = Session::new(engine);
-        assert!(session
+        assert!(engine
             .swap_weights(WeightMatrix::from_matrix(HostComplexMatrix::zeros(
                 BEAMS + 1,
                 RECEIVERS
             )))
             .is_err());
-        assert_eq!(session.report().weight_swaps(), 0);
+        assert_eq!(engine.report().weight_swaps(), 0);
     }
 }
 
