@@ -23,7 +23,9 @@
 //! planes ([`Int1Matrix`]) — and is read one scalar at a time, broadcast.
 //! `B` is rebuilt per call into **column panels** of one vector of output
 //! columns each, k-major, so that step `k` of a panel is one vector load
-//! (binary16 is decoded straight into the panels; bit planes are
+//! (binary16 is decoded straight into the panels — by `vcvtph2ps` and a
+//! 16 × 16 register transpose on the AVX-512 path, through the lookup
+//! table of `tcbf_types::half::Decoder` on the portable one; bit planes are
 //! word-interleaved).  A **register tile** of 4 rows of `A` × one vector of
 //! columns then makes one pass over `K` with one output per vector lane:
 //! every `B` vector feeds 4 rows, every `A` scalar a whole vector of
@@ -50,7 +52,7 @@
 //! fragment loads of the 16-bit kernel are contiguous.
 
 use crate::error::{Result, TcbfError};
-use crate::isa::{f16_row_block_on, int1_row_group_on, Isa};
+use crate::isa::{f16_row_block_on, int1_row_group_on, prologue_on, Isa, Prologue};
 use crate::matrix::{F16Matrix, HostComplexMatrix, Int1Matrix, PLANE_ITEM};
 use crate::write_once::{write_once, write_once_pair};
 use crate::Precision;
@@ -58,7 +60,7 @@ use gpu_sim::BitOp;
 use rayon::prelude::*;
 use std::mem::MaybeUninit;
 use tcbf_types::half::Decoder;
-use tcbf_types::{decode_to_f32, Complex32};
+use tcbf_types::{decode_to_f32, f16, Complex32};
 
 /// The beamformed output matrix: `M×N` complex values in single precision
 /// (for 1-bit inputs the components are integers represented exactly).
@@ -293,48 +295,54 @@ const F16_BLOCK_TILES: usize = 4;
 /// scalar: the panels are written once, not cleared first.  One pass and
 /// one allocation per call — this *is* the decode of `B`, not a repack of a
 /// decoded copy — `O(N·K)` against the kernel's `O(M·N·K)`; a panel is one
-/// parallel work item.
-fn f16_column_panels(b_t: &F16Matrix, lanes: usize) -> Vec<f32> {
-    // Source rows walked side by side, so that the panel is written in
-    // contiguous runs (row by row, every store opens another cache line:
-    // measured 1.5× slower).
-    const ROWS: usize = 4;
+/// parallel work item, run on `isa` (a GEMM passes `isa.f16_lanes()` as
+/// `lanes`; the tests also build the portable instance's panels at other
+/// widths).
+fn f16_column_panels(isa: Isa, b_t: &F16Matrix, lanes: usize) -> Vec<f32> {
     let (n, k) = (b_t.rows(), b_t.cols());
-    let decoder = Decoder::new();
     write_once(n.next_multiple_of(lanes) * 2 * k, |panels| {
         panels
             .par_chunks_mut((2 * lanes * k).max(1))
             .enumerate()
             .for_each(|(g, panel)| {
-                for (plane, offset) in [(b_t.re(), 0), (b_t.im(), lanes)] {
-                    let group = &plane[g * lanes * k..plane.len().min((g + 1) * lanes * k)];
-                    for (v, rows) in group.chunks(ROWS * k).enumerate() {
-                        let at = offset + v * ROWS;
-                        let steps = panel.chunks_exact_mut(2 * lanes).enumerate();
-                        if rows.len() == ROWS * k {
-                            for (kk, step) in steps {
-                                let values: [f32; ROWS] =
-                                    std::array::from_fn(|l| decoder.decode(rows[l * k + kk]));
-                                step[at..at + ROWS].write_copy_of_slice(&values);
-                            }
-                        } else {
-                            for (kk, step) in steps {
-                                for (l, row) in rows.chunks_exact(k).enumerate() {
-                                    step[at + l].write(decoder.decode(row[kk]));
-                                }
-                            }
-                        }
-                    }
-                    // The surplus lanes of the last group of a ragged `N`.
-                    let surplus = offset + group.len() / k..offset + lanes;
-                    if !surplus.is_empty() {
-                        for step in panel.chunks_exact_mut(2 * lanes) {
-                            step[surplus.clone()].fill(MaybeUninit::new(0.0));
-                        }
-                    }
-                }
+                let group = g * lanes * k..b_t.re().len().min((g + 1) * lanes * k);
+                let (re, im) = (&b_t.re()[group.clone()], &b_t.im()[group]);
+                prologue_on(isa, Prologue::Panel { re, im, k, panel });
             });
     })
+}
+
+/// One work item of [`f16_column_panels`], portable — the definition the
+/// AVX-512 instance is tested against: steps `k0..` of one column panel,
+/// decoded from its group's rows of both planes of `Bᵀ` (`k` values each,
+/// as many rows as there are, at most the panel's lane count), the lanes
+/// without a row stored as zeros.
+pub(crate) fn column_panel(
+    re: &[f16],
+    im: &[f16],
+    k: usize,
+    k0: usize,
+    panel: &mut [MaybeUninit<f32>],
+) {
+    // Lanes `ROWS` at a time (every lane count is a multiple), their rows
+    // walked side by side, so that the panel is written in contiguous runs
+    // (row by row, every store opens another cache line: measured 1.5×
+    // slower).  A lane without a row — the last group of a ragged `N` —
+    // gets its zero in the same store.
+    const ROWS: usize = 4;
+    let lanes = panel.len() / (2 * k);
+    let decoder = Decoder::new();
+    for (plane, offset) in [(re, 0), (im, lanes)] {
+        for at in (0..lanes).step_by(ROWS) {
+            for kk in k0..k {
+                let values: [f32; ROWS] = std::array::from_fn(|l| {
+                    let value = plane.get((at + l) * k + kk);
+                    value.map_or(0.0, |&h| decoder.decode(h))
+                });
+                panel[kk * 2 * lanes + offset + at..][..ROWS].write_copy_of_slice(&values);
+            }
+        }
+    }
 }
 
 /// The operands of one f16 GEMM as the tile kernel reads them: `A`'s
@@ -489,7 +497,7 @@ pub(crate) fn gemm_f16_decoded_on(
     let operands = F16Operands {
         a_re: a.re(),
         a_im: a.im(),
-        b: f16_column_panels(b_t, lanes),
+        b: f16_column_panels(isa, b_t, lanes),
         lanes,
         k,
         n,
@@ -1297,16 +1305,7 @@ mod tests {
             let expected: Vec<u32> = bits(b_t.im());
             assert_eq!(to_bits(decoded.im()), expected, "{n}x{k} im");
 
-            for lanes in [4, 8, 16] {
-                let mut expected = vec![0u32; n.next_multiple_of(lanes) * 2 * k];
-                for (j, kk) in (0..n).flat_map(|j| (0..k).map(move |kk| (j, kk))) {
-                    let step = ((j / lanes) * k + kk) * 2 * lanes;
-                    expected[step + j % lanes] = b_t.re()[j * k + kk].to_f32().to_bits();
-                    expected[step + lanes + j % lanes] = b_t.im()[j * k + kk].to_f32().to_bits();
-                }
-                let panels = f16_column_panels(&b_t, lanes);
-                assert_eq!(to_bits(&panels), expected, "{n}x{k} in panels of {lanes}");
-            }
+            assert_panels_match_their_definition(&b_t);
 
             // Arbitrary sign bits, padded to the kernel's granularity.
             let packed = Int1Matrix::from_host_padded(
@@ -1346,6 +1345,44 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `B`'s f16 column panels from the portable instance at every lane
+    /// width and from every path at its own, against the per-element
+    /// definition.
+    fn assert_panels_match_their_definition(b_t: &F16Matrix) {
+        let (n, k) = (b_t.rows(), b_t.cols());
+        let portable = [4, 8, 16].map(|lanes| (Isa::PORTABLE, lanes));
+        let every_path = Isa::available()
+            .into_iter()
+            .map(|isa| (isa, isa.f16_lanes()));
+        for (isa, lanes) in portable.into_iter().chain(every_path) {
+            let mut expected = vec![0u32; n.next_multiple_of(lanes) * 2 * k];
+            for (j, kk) in (0..n).flat_map(|j| (0..k).map(move |kk| (j, kk))) {
+                let step = ((j / lanes) * k + kk) * 2 * lanes;
+                expected[step + j % lanes] = b_t.re()[j * k + kk].to_f32().to_bits();
+                expected[step + lanes + j % lanes] = b_t.im()[j * k + kk].to_f32().to_bits();
+            }
+            let panels = f16_column_panels(isa, b_t, lanes);
+            let bits: Vec<u32> = panels.iter().map(|v| v.to_bits()).collect();
+            // Not `assert_eq!`: a failing 16 × 65 536 case would print 8 MiB.
+            assert!(bits == expected, "{n}x{k} in panels of {lanes} on {isa}");
+        }
+    }
+
+    #[test]
+    fn every_binary16_pattern_reaches_the_panels_bit_for_bit_on_every_path() {
+        // Sixteen rows — one whole group of the AVX-512 instance — each
+        // holding every bit pattern once, rotated from row to row, in both
+        // planes: subnormals, ±0, ±∞ and NaNs quiet and signalling.
+        let (n, k) = (16, 1 << 16);
+        let plane = |salt| {
+            (0..n * k)
+                .map(|at| f16::from_bits((at / k * 4099 + at % k + salt) as u16))
+                .collect()
+        };
+        let b_t = F16Matrix::from_planes(n, k, plane(0), plane(7)).unwrap();
+        assert_panels_match_their_definition(&b_t);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The compiled instances of the two tile kernels and of the three block
+//! The compiled instances of the two tile kernels and of the four block
 //! prologue stages, and all but one of the crate's `unsafe` (the other is
 //! `write_once`'s, which hands the stages the output they store into).
 //!
@@ -19,15 +19,17 @@
 //!   32 of them — the f16 tile's 16 accumulators stay in registers — and
 //!   the same `count_ones` becomes one `vpopcntq`.
 //!
-//! The three prologue stages every block pays before its GEMM, one work
-//! item at a time, have a portable loop, which is the stage's definition,
-//! and an AVX-512 instance written with `std::arch` intrinsics that gives
-//! the same bits (LLVM turns none of the loops into these instructions on
-//! its own): the transpose moves 8 × 8 blocks of samples through registers
-//! (`avx512f`), the 1-bit pack takes 64 signs from eight `vcmpps` masks and
-//! `pext` (`avx512f`, `bmi2`), the binary16 encode splits 16 samples by
-//! `vpermt2ps` and rounds them by `vcvtps2ph` (`avx512f`).  Ragged edges
-//! take the portable loop.
+//! The four prologue stages every block pays before its tile kernel, one
+//! work item at a time, have a portable loop, which is the stage's
+//! definition, and an AVX-512 instance written with `std::arch` intrinsics
+//! that gives the same bits (LLVM turns none of the loops into these
+//! instructions on its own): the transpose moves 8 × 8 blocks of samples
+//! through registers (`avx512f`), the 1-bit pack takes 64 signs from eight
+//! `vcmpps` masks and `pext` (`avx512f`, `bmi2`), the binary16 encode splits
+//! 16 samples by `vpermt2ps` and rounds them by `vcvtps2ph` (`avx512f`), and
+//! the f16 GEMM's `B` panels are widened 16 × 16 values at a time by
+//! `vcvtph2ps` and a register transpose instead of a table lookup per value
+//! (`avx512f`).  Ragged edges take the portable loop.
 //!
 //! Which one runs is decided by what the process can observe —
 //! `is_x86_feature_detected!` — never by a setting.  One detection serves
@@ -38,12 +40,13 @@
 //! [`Isa`] naming the AVX-512 path can only be obtained from
 //! [`Isa::available`] / [`Isa::detected`] after detection succeeded; that is
 //! the condition the three dispatching `unsafe` blocks below rely on.  The
-//! other three move a vector between registers and a fixed-size array —
-//! eight samples in, eight samples or sixteen binary16 values out — whose
-//! type is their safety argument: written with safe lane-by-lane code, LLVM
-//! scalarises the transpose's stores and splinters the encoder's loads.
+//! other five move a vector between registers and a fixed-size array —
+//! eight samples or sixteen binary16 values in, eight samples, sixteen
+//! binary16 or sixteen `f32` values out — whose type is their safety
+//! argument: written with safe lane-by-lane code, LLVM scalarises the
+//! transpose's stores and splinters the encoder's loads.
 
-use crate::gemm::{f16_row_block, int1_row_group, F16Operands, Int1Operands};
+use crate::gemm::{column_panel, f16_row_block, int1_row_group, F16Operands, Int1Operands};
 #[cfg(target_arch = "x86_64")]
 use crate::matrix::transpose_rect;
 use crate::matrix::{encode_planes, sign_words, transpose_band, HostComplexMatrix};
@@ -223,6 +226,14 @@ pub(crate) enum Prologue<'a> {
         re: &'a mut [MaybeUninit<f16>],
         im: &'a mut [MaybeUninit<f16>],
     },
+    /// Of the f16 GEMM's `B` panels: one column panel, from its group's rows
+    /// of both planes of `Bᵀ`, `k` values each.
+    Panel {
+        re: &'a [f16],
+        im: &'a [f16],
+        k: usize,
+        panel: &'a mut [MaybeUninit<f32>],
+    },
 }
 
 /// Runs one prologue work item on `isa`.
@@ -232,6 +243,7 @@ pub(crate) fn prologue_on(isa: Isa, item: Prologue<'_>) {
             Prologue::Transpose { src, c0, band } => transpose_band(src, c0, band),
             Prologue::Signs { row, re, im } => sign_words(row, re, im),
             Prologue::Encode { src, re, im } => encode_planes(src, re, im),
+            Prologue::Panel { re, im, k, panel } => column_panel(re, im, k, 0, panel),
         },
         #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
@@ -251,6 +263,7 @@ fn prologue_avx512(item: Prologue<'_>) {
         Prologue::Transpose { src, c0, band } => transpose_band_avx512(src, c0, band),
         Prologue::Signs { row, re, im } => sign_words_avx512(row, re, im),
         Prologue::Encode { src, re, im } => encode_planes_avx512(src, re, im),
+        Prologue::Panel { re, im, k, panel } => column_panel_avx512(re, im, k, panel),
     }
 }
 
@@ -392,6 +405,60 @@ fn encode_planes_avx512(
     encode_planes(tail, re_tail, im_tail);
 }
 
+/// [`column_panel`] for a whole group of 16 rows in a 16-lane panel, 16
+/// steps of `k` at a time: per plane, the rows' 16 binary16 values are
+/// loaded, widened by `vcvtph2ps` — exact, and like `f16::to_f32` it quiets
+/// a signalling NaN and keeps its payload — transposed in registers and
+/// stored as the 16 steps' lanes.  The `K % 16` tail, a ragged last group
+/// and any other lane count take the portable loop.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn column_panel_avx512(re: &[f16], im: &[f16], k: usize, panel: &mut [MaybeUninit<f32>]) {
+    const LANES: usize = AVX512_F16_LANES;
+    let whole = if panel.len() == 2 * LANES * k && re.len() == LANES * k {
+        k / LANES * LANES
+    } else {
+        0
+    };
+    for k0 in (0..whole).step_by(LANES) {
+        for (plane, offset) in [(re, 0), (im, LANES)] {
+            let mut block = [_mm512_setzero_ps(); LANES];
+            for (l, row) in block.iter_mut().enumerate() {
+                let halves = plane[l * k + k0..].first_chunk();
+                *row = _mm512_cvtph_ps(load_halves(halves.expect("a whole block")));
+            }
+            for (s, step) in transpose_16x16(block).into_iter().enumerate() {
+                let dst = panel[(k0 + s) * 2 * LANES + offset..].first_chunk_mut();
+                store_floats(dst.expect("a whole block"), step);
+            }
+        }
+    }
+    column_panel(re, im, k, whole, panel);
+}
+
+/// Row `i` of a 16 × 16 block of `f32` in, column `i` out: 16
+/// `vunpck{l,h}ps` pair the rows up into 64-bit lanes, two
+/// [`transpose_8x8`] of those put the columns in place.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn transpose_16x16(r: [__m512; 16]) -> [__m512; 16] {
+    // 64-bit lane `j` of `lo[p]`: rows `2p`, `2p + 1` of column
+    // `4·(j / 2) + j % 2`; of `hi[p]`, of the column two to its right.
+    let (mut lo, mut hi) = ([_mm512_setzero_si512(); 8], [_mm512_setzero_si512(); 8]);
+    for (p, [a, b]) in r.as_chunks::<2>().0.iter().enumerate() {
+        lo[p] = _mm512_castps_si512(_mm512_unpacklo_ps(*a, *b));
+        hi[p] = _mm512_castps_si512(_mm512_unpackhi_ps(*a, *b));
+    }
+    let (lo, hi) = (transpose_8x8(lo), transpose_8x8(hi));
+    let mut columns = [_mm512_setzero_ps(); 16];
+    for (c, column) in columns.iter_mut().enumerate() {
+        let half = if c % 4 < 2 { &lo } else { &hi };
+        *column = _mm512_castsi512_ps(half[c / 4 * 2 + c % 2]);
+    }
+    columns
+}
+
 /// Loads eight samples as one `zmm` register, `re, im` interleaved.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
@@ -414,6 +481,29 @@ fn store_samples(dst: &mut [MaybeUninit<Complex32>; 8], v: __m512i) {
     // pairs of `f32` — which is what the unaligned store writes; it needs
     // `avx512f`, enabled here.
     unsafe { _mm512_storeu_si512(dst.as_mut_ptr().cast(), v) }
+}
+
+/// Loads sixteen binary16 values as one `ymm` register.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+#[allow(unsafe_code)]
+fn load_halves(src: &[f16; 16]) -> __m256i {
+    // SAFETY: `src` is 32 readable bytes — sixteen `f16`, `repr(transparent)`
+    // over `u16` — which is what the unaligned load reads; it needs `avx`,
+    // which `avx512f`, enabled here, implies.
+    unsafe { _mm256_loadu_si256(src.as_ptr().cast()) }
+}
+
+/// Stores one `zmm` register of sixteen `f32`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+#[allow(unsafe_code)]
+fn store_floats(dst: &mut [MaybeUninit<f32>; 16], v: __m512) {
+    // SAFETY: `dst` is 64 writable bytes — sixteen `f32` — which is what the
+    // unaligned store writes; it needs `avx512f`, enabled here.
+    unsafe { _mm512_storeu_ps(dst.as_mut_ptr().cast(), v) }
 }
 
 /// Stores one `ymm` register of sixteen binary16 values.

@@ -680,7 +680,7 @@ pub(crate) mod tests {
     /// 8 × 8 register block that are not of the tile and ragged ones, up to
     /// a whole `fewbeam_int1` block's worth of elements.
     pub(crate) fn prologue_shapes() -> impl Iterator<Item = (usize, usize)> {
-        const DIMS: [usize; 10] = [0, 1, 9, 31, 32, 33, 40, 255, 257, 2048];
+        const DIMS: [usize; 11] = [0, 1, 9, 17, 31, 32, 33, 40, 255, 257, 2048];
         DIMS.into_iter()
             .flat_map(|rows| DIMS.map(|cols| (rows, cols)))
             .filter(|(rows, cols)| rows * cols <= 2048 * 257)
