@@ -17,35 +17,25 @@
 //! [`Engine::process_batch`] for several under the same weights.
 
 use crate::beamformer::BeamformOutput;
-use crate::session::SessionReport;
 use crate::shard::ShardPlan;
+use crate::stream::StreamReport;
 use crate::weights::WeightMatrix;
 use ccglib::matrix::HostComplexMatrix;
 use ccglib::TcbfError;
 use gpu_sim::Gpu;
 use serde::{Deserialize, Serialize};
 
-/// One device's contribution to an engine run: the member's own streaming
-/// [`SessionReport`], covering exactly the blocks that device executed.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct DeviceShardReport {
-    /// The catalog identifier of the member.
-    pub gpu: Gpu,
-    /// The member's own streaming report (its totals cover only the blocks
-    /// this device executed).
-    pub report: SessionReport,
-}
-
 /// The unified report of an engine run: a per-device breakdown plus the
 /// pool-level metrics derived from it.
 ///
-/// This one type covers every topology.  A single-device engine reports a
-/// breakdown with exactly one entry, so its serial metrics embed naturally:
-/// the wall clock equals that device's total kernel time, the aggregate
-/// throughput equals its aggregate throughput and
-/// [`Report::speedup_over_serial`] is 1.0.  For a pool, totals
-/// (`total_blocks`, `total_joules`, `total_useful_ops`) are the sums of
-/// the per-device reports, [`Report::aggregate_tops`] sums the members'
+/// This one type covers every topology.  Each pool member contributes a
+/// `(gpu, report)` pair whose [`StreamReport`] covers exactly the blocks
+/// that device executed.  A single-device engine reports a breakdown with
+/// exactly one entry, so its serial metrics embed naturally: the wall
+/// clock equals that device's total kernel time, the aggregate throughput
+/// equals its aggregate throughput and [`Report::speedup_over_serial`] is
+/// 1.0.  For a pool, totals (`total_blocks`, `total_joules`) are the sums
+/// of the per-device reports, [`Report::aggregate_tops`] sums the members'
 /// aggregate TeraOps/s (the members run concurrently), and the wall clock
 /// of the run is the *straggler's* elapsed time — the slowest member
 /// bounds the pool, exactly as in any data-parallel pipeline.
@@ -54,14 +44,14 @@ pub struct DeviceShardReport {
 /// member), in [`Report::weight_swaps`].
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct Report {
-    per_device: Vec<DeviceShardReport>,
+    per_device: Vec<(Gpu, StreamReport)>,
     weight_swaps: usize,
 }
 
 impl Report {
     /// Builds a report from per-device reports and the number of
     /// engine-wide weight swaps.
-    pub fn new(per_device: Vec<DeviceShardReport>, weight_swaps: usize) -> Self {
+    pub fn new(per_device: Vec<(Gpu, StreamReport)>, weight_swaps: usize) -> Self {
         Report {
             per_device,
             weight_swaps,
@@ -70,7 +60,7 @@ impl Report {
 
     /// The per-device breakdown, in pool order (exactly one entry for a
     /// single-device engine).
-    pub fn per_device(&self) -> &[DeviceShardReport] {
+    pub fn per_device(&self) -> &[(Gpu, StreamReport)] {
         &self.per_device
     }
 
@@ -80,32 +70,37 @@ impl Report {
         self.weight_swaps
     }
 
+    /// Folds `report` into the entry of the member at `device` (pool
+    /// order); an index past the pool is ignored.
+    pub(crate) fn absorb_into(&mut self, device: usize, report: &StreamReport) {
+        if let Some((_, accumulated)) = self.per_device.get_mut(device) {
+            accumulated.absorb(report);
+        }
+    }
+
+    /// Counts one engine-wide weight swap.
+    pub(crate) fn count_swap(&mut self) {
+        self.weight_swaps += 1;
+    }
+
     /// All per-device reports folded into one serial-equivalent
-    /// [`SessionReport`]: totals summed, per-execution extremes merged.
-    pub fn merged_serial(&self) -> SessionReport {
-        let mut merged = SessionReport::default();
-        for shard in &self.per_device {
-            merged.absorb(&shard.report);
+    /// [`StreamReport`]: totals summed, per-execution worst case merged.
+    fn merged_serial(&self) -> StreamReport {
+        let mut merged = StreamReport::default();
+        for (_, report) in &self.per_device {
+            merged.absorb(report);
         }
         merged
     }
 
     /// Total blocks processed across all devices.
     pub fn total_blocks(&self) -> usize {
-        self.per_device.iter().map(|s| s.report.blocks).sum()
+        self.per_device.iter().map(|(_, r)| r.blocks).sum()
     }
 
     /// Total energy across all devices in joules.
     pub fn total_joules(&self) -> f64 {
-        self.per_device.iter().map(|s| s.report.total_joules).sum()
-    }
-
-    /// Total useful operations across all devices.
-    pub fn total_useful_ops(&self) -> f64 {
-        self.per_device
-            .iter()
-            .map(|s| s.report.total_useful_ops)
-            .sum()
+        self.per_device.iter().map(|(_, r)| r.total_joules).sum()
     }
 
     /// Aggregate throughput in TeraOps/s: the sum of the members'
@@ -115,7 +110,7 @@ impl Report {
     pub fn aggregate_tops(&self) -> f64 {
         self.per_device
             .iter()
-            .map(|s| s.report.aggregate_tops())
+            .map(|(_, r)| r.aggregate_tops())
             .sum()
     }
 
@@ -126,7 +121,7 @@ impl Report {
     pub fn wall_clock_s(&self) -> f64 {
         self.per_device
             .iter()
-            .map(|s| s.report.total_elapsed_s)
+            .map(|(_, r)| r.total_elapsed_s)
             .fold(0.0, f64::max)
     }
 
@@ -157,22 +152,13 @@ impl Report {
         self.merged_serial().mean_tops()
     }
 
-    /// Best per-execution throughput across all members, in TeraOps/s.
-    pub fn best_tops(&self) -> f64 {
-        self.merged_serial().best_tops()
-    }
-
     /// Parallel speed-up over running the same stream serially on the
     /// members: summed elapsed time divided by the straggler's wall clock.
     /// 1.0 for a single-member engine, 0.0 for an empty run.
     pub fn speedup_over_serial(&self) -> f64 {
         let wall = self.wall_clock_s();
         if wall > 0.0 {
-            let serial: f64 = self
-                .per_device
-                .iter()
-                .map(|s| s.report.total_elapsed_s)
-                .sum();
+            let serial: f64 = self.per_device.iter().map(|(_, r)| r.total_elapsed_s).sum();
             serial / wall
         } else {
             0.0
@@ -334,7 +320,7 @@ mod tests {
         assert_eq!(outputs.len(), 4);
         let report = engine.report();
         assert_eq!(report.per_device().len(), 1);
-        assert_eq!(report.per_device()[0].gpu, Gpu::A100);
+        assert_eq!(report.per_device()[0].0, Gpu::A100);
         assert_eq!(report.total_blocks(), 4);
         // One device: wall clock == its serial kernel time, speed-up 1.0,
         // aggregate == the device's aggregate.
@@ -423,9 +409,11 @@ mod tests {
         // One device: the unified report and its serial merge agree.
         assert_eq!(report.worst_tops(), serial.worst_tops());
         assert_eq!(report.mean_tops(), serial.mean_tops());
-        assert_eq!(report.best_tops(), serial.best_tops());
         assert_eq!(report.tops_per_joule(), serial.tops_per_joule());
-        assert_eq!(report.effective_fps(), serial.effective_fps());
+        assert_eq!(
+            report.effective_fps(),
+            serial.blocks as f64 / serial.total_elapsed_s
+        );
     }
 
     #[test]
@@ -436,15 +424,13 @@ mod tests {
         let mut engine = pool_engine(&[Gpu::A100]);
         let b = block(16, 8, 0);
         engine.process_batch(&[&b, &b]).unwrap();
-        let active = engine.report().per_device()[0].clone();
-        let idle = DeviceShardReport {
-            gpu: Gpu::Gh200,
-            report: SessionReport::default(),
-        };
-        let with_idle = Report::new(vec![active.clone(), idle], 0);
+        let active = engine.report().per_device()[0];
+        let idle = (Gpu::Gh200, StreamReport::default());
+        let with_idle = Report::new(vec![active, idle], 0);
         let without = Report::new(vec![active], 0);
         assert_eq!(with_idle.total_blocks(), without.total_blocks());
         assert_eq!(with_idle.merged_serial(), without.merged_serial());
+        assert_eq!(with_idle.merged_serial().blocks, with_idle.total_blocks());
         assert_eq!(with_idle.aggregate_tops(), without.aggregate_tops());
         assert_eq!(with_idle.wall_clock_s(), without.wall_clock_s());
         assert_eq!(with_idle.worst_tops(), without.worst_tops());
@@ -464,7 +450,6 @@ mod tests {
             report.speedup_over_serial(),
             report.worst_tops(),
             report.mean_tops(),
-            report.best_tops(),
         ] {
             assert_eq!(metric, 0.0);
             assert!(metric.is_finite());

@@ -28,12 +28,12 @@
 //! * [`latency`] — a fixed-bucket log2 [`LatencyHistogram`] with
 //!   p50/p95/p99 read-back and exact merging (the serving layer's
 //!   wall-clock block latency);
-//! * [`session`] — the per-device accounting primitive [`SessionReport`]
-//!   behind every [`Report`];
 //! * [`shard`] — the engine itself: a [`ShardedBeamformer`] spans a
 //!   `gpu_sim::DevicePool` of one or more devices and partitions block
 //!   streams across the members under a [`ShardPlan`] (contiguous runs
-//!   weighted by capacity), recovering from member faults.
+//!   weighted by capacity), recovering from member faults;
+//! * [`stream`] — [`StreamReport`], the totals of a stream of executions
+//!   (one per pool member in every [`Report`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -42,16 +42,16 @@ pub mod beamformer;
 pub mod engine;
 pub mod geometry;
 pub mod latency;
-pub mod session;
 pub mod shard;
 pub mod signal;
+pub mod stream;
 pub mod weights;
 
 pub use beamformer::{BeamformOutput, Beamformer, BeamformerConfig};
-pub use engine::{DeviceShardReport, Engine, Report};
+pub use engine::{Engine, Report};
 pub use geometry::{ArrayGeometry, SPEED_OF_LIGHT, SPEED_OF_SOUND_TISSUE};
 pub use latency::{LatencyHistogram, LATENCY_BUCKETS};
-pub use session::SessionReport;
 pub use shard::{ShardPlan, ShardedBeamformer};
 pub use signal::{PlaneWaveSource, SignalGenerator};
+pub use stream::StreamReport;
 pub use weights::{steering_vector, WeightMatrix};

@@ -19,8 +19,8 @@
 //! [`Engine`] methods and application entry points as any pool.
 
 use crate::beamformer::{BeamformOutput, Beamformer, BeamformerConfig};
-use crate::engine::{DeviceShardReport, Engine, Report};
-use crate::session::SessionReport;
+use crate::engine::{Engine, Report};
+use crate::stream::StreamReport;
 use crate::weights::WeightMatrix;
 use ccglib::matrix::HostComplexMatrix;
 use ccglib::{Precision, TcbfError};
@@ -148,7 +148,7 @@ impl ShardPlan {
 /// unfinished, or on an execution error.
 type ShardRun = (
     Vec<(usize, BeamformOutput)>,
-    SessionReport,
+    StreamReport,
     ccglib::Result<Option<(DeviceFault, Vec<usize>)>>,
 );
 
@@ -190,9 +190,9 @@ pub struct ShardedBeamformer {
     /// `(capacity weight, alive)` per pool member; a permanent fault clears
     /// the flag and the member is excluded from every later plan.
     capacity_alive: Vec<(f64, bool)>,
-    /// Per-member report accumulation of the [`Engine`] run in progress.
-    accumulated: Vec<SessionReport>,
-    weight_swaps: usize,
+    /// The report of the [`Engine`] run in progress: one entry per member,
+    /// in pool order, plus the engine-wide weight swaps.
+    report: Report,
     /// Optional fault source, consulted before every block; without one
     /// every verdict is `Proceed`.
     injector: Option<Arc<FaultInjector>>,
@@ -224,13 +224,12 @@ impl ShardedBeamformer {
             .iter()
             .map(|device| (Self::capacity(device.spec(), config.precision), true))
             .collect();
-        let accumulated = vec![SessionReport::default(); members.len()];
+        let gpus = pool.gpus();
         Ok(ShardedBeamformer {
             members,
-            gpus: pool.gpus(),
+            report: Self::empty_report(&gpus),
+            gpus,
             capacity_alive,
-            accumulated,
-            weight_swaps: 0,
             injector: None,
         })
     }
@@ -258,6 +257,12 @@ impl ShardedBeamformer {
         Ok(())
     }
 
+    /// A report with an empty entry for every member, in pool order.
+    fn empty_report(gpus: &[Gpu]) -> Report {
+        let per_device = gpus.iter().map(|&gpu| (gpu, StreamReport::default()));
+        Report::new(per_device.collect(), 0)
+    }
+
     /// Peak useful TeraOps/s of one device at a precision — the capacity
     /// weight of the shard plan.
     fn capacity(spec: &gpu_sim::DeviceSpec, precision: Precision) -> f64 {
@@ -279,7 +284,7 @@ impl ShardedBeamformer {
         injector: Option<&FaultInjector>,
     ) -> ShardRun {
         let ops = member.shape().complex_ops() as f64;
-        let mut report = SessionReport::default();
+        let mut report = StreamReport::default();
         let mut outputs = Vec::with_capacity(assigned.len());
         for (position, &block) in assigned.iter().enumerate() {
             let verdict = injector.map_or(BlockVerdict::Proceed, |i| i.on_block(device));
@@ -379,9 +384,7 @@ impl Engine for ShardedBeamformer {
                         *slot = Some(output);
                     }
                 }
-                if let Some(accumulated) = self.accumulated.get_mut(device) {
-                    accumulated.absorb(&report);
-                }
+                self.report.absorb_into(device, &report);
                 match end {
                     Ok(None) => {}
                     Ok(Some((observed, unfinished))) => {
@@ -442,28 +445,16 @@ impl Engine for ShardedBeamformer {
         for (member, weights) in self.members.iter_mut().zip(copies) {
             member.set_weights(weights)?;
         }
-        self.weight_swaps += 1;
+        self.report.count_swap();
         Ok(())
     }
 
     fn report(&self) -> Report {
-        let per_device = self
-            .gpus
-            .iter()
-            .zip(&self.accumulated)
-            .map(|(gpu, report)| DeviceShardReport {
-                gpu: *gpu,
-                report: *report,
-            })
-            .collect();
-        Report::new(per_device, self.weight_swaps)
+        self.report.clone()
     }
 
     fn finish(&mut self) -> Report {
-        let report = Engine::report(self);
-        self.accumulated = vec![SessionReport::default(); self.members.len()];
-        self.weight_swaps = 0;
-        report
+        std::mem::replace(&mut self.report, Self::empty_report(&self.gpus))
     }
 }
 
@@ -581,25 +572,24 @@ mod tests {
         let by_hand_joules: f64 = report
             .per_device()
             .iter()
-            .map(|s| s.report.total_joules)
+            .map(|(_, r)| r.total_joules)
             .sum();
         assert!((report.total_joules() - by_hand_joules).abs() < 1e-12);
         let agg: f64 = report
             .per_device()
             .iter()
-            .map(|s| s.report.aggregate_tops())
+            .map(|(_, r)| r.aggregate_tops())
             .sum();
         assert!((report.aggregate_tops() - agg).abs() < 1e-9);
         let straggler = report
             .per_device()
             .iter()
-            .map(|s| s.report.total_elapsed_s)
+            .map(|(_, r)| r.total_elapsed_s)
             .fold(0.0, f64::max);
         assert_eq!(report.wall_clock_s(), straggler);
         // Identical devices with equal shares: near-2x parallel speed-up.
         assert!(report.speedup_over_serial() > 1.9);
         assert!(report.worst_tops() <= report.mean_tops() * (1.0 + 1e-12));
-        assert!(report.mean_tops() <= report.best_tops() * (1.0 + 1e-12));
     }
 
     #[test]
@@ -614,7 +604,6 @@ mod tests {
         assert_eq!(report.tops_per_joule(), 0.0);
         assert_eq!(report.speedup_over_serial(), 0.0);
         assert_eq!(report.worst_tops(), 0.0);
-        assert_eq!(report.best_tops(), 0.0);
     }
 
     #[test]
@@ -755,8 +744,8 @@ mod tests {
         for (slow, clean) in slow_outputs.iter().zip(&clean_outputs) {
             assert_eq!(slow.beams, clean.beams);
         }
-        let clean_elapsed = clean_report.per_device()[1].report.total_elapsed_s;
-        let slow_elapsed = slow_report.per_device()[1].report.total_elapsed_s;
+        let clean_elapsed = clean_report.per_device()[1].1.total_elapsed_s;
+        let slow_elapsed = slow_report.per_device()[1].1.total_elapsed_s;
         assert!(
             slow_elapsed > clean_elapsed * 7.9,
             "spiked member should be ~8x slower: {slow_elapsed} vs {clean_elapsed}"

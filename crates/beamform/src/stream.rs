@@ -1,24 +1,24 @@
-//! Per-device streaming accounting.
+//! Accounting of a stream of executions.
 //!
 //! The paper evaluates the beamformer as a *pipeline*: continuous blocks
 //! of receiver samples flow through the complex GEMM and throughput and
 //! energy are reported over the whole run, not per block.  A
-//! [`SessionReport`] is the accumulator behind that: it folds per-block
-//! [`RunReport`]s into aggregate, mean and worst-case throughput, total
-//! energy and the effective block (frame) rate.  Every [`crate::Engine`]
-//! keeps one per device and exposes them through the unified
-//! [`crate::Report`].
+//! [`StreamReport`] is the accumulator behind that: it folds per-execution
+//! [`RunReport`]s into aggregate, mean and worst-case throughput and total
+//! energy.  Every pool member of a [`crate::Engine`] keeps one (exposed
+//! through the unified [`crate::Report`]), and so do the serving layer's
+//! client connections and the ultrasound frame-rate model's streams.
 
 use ccglib::RunReport;
 use serde::{Deserialize, Serialize};
 
-/// Aggregate performance/energy report of a streaming session.
+/// Aggregate performance/energy report of a stream of executions.
 ///
-/// All totals are exact sums over the per-block [`RunReport`]s the session
-/// observed; the derived metrics (aggregate/mean/worst-case TeraOps/s,
-/// TeraOps/J, blocks per second) are computed from those sums.
+/// All totals are exact sums over the per-execution [`RunReport`]s the
+/// stream recorded; the derived metrics (aggregate/mean/worst-case
+/// TeraOps/s, TeraOps/J) are computed from those sums.
 #[derive(Clone, Copy, Debug, PartialEq, Default, Serialize, Deserialize)]
-pub struct SessionReport {
+pub struct StreamReport {
     /// Number of blocks processed (each batch element counts as one block).
     pub blocks: usize,
     /// Number of GEMM executions (a modelled batched kernel is one
@@ -34,11 +34,9 @@ pub struct SessionReport {
     sum_tops: f64,
     /// Worst per-execution achieved TeraOps/s seen so far.
     min_tops: f64,
-    /// Best per-execution achieved TeraOps/s seen so far.
-    max_tops: f64,
 }
 
-impl SessionReport {
+impl StreamReport {
     /// Folds one execution covering `blocks` sample blocks into the totals.
     ///
     /// Engines call this for every block they process; it is public so
@@ -57,15 +55,14 @@ impl SessionReport {
         self.total_useful_ops += useful_ops;
         self.sum_tops += report.achieved_tops;
         self.min_tops = self.min_tops.min(report.achieved_tops);
-        self.max_tops = self.max_tops.max(report.achieved_tops);
     }
 
     /// Folds another report into this one as if its executions had run on
     /// the same device back to back: all totals are summed and the
-    /// per-execution extremes are merged.  Used by the sharding layer to
+    /// per-execution worst case is merged.  Used by the sharding layer to
     /// aggregate per-device reports (where *elapsed* sums are the serial
     /// equivalent, not the parallel wall clock — see [`crate::Report`]).
-    pub fn absorb(&mut self, other: &SessionReport) {
+    pub(crate) fn absorb(&mut self, other: &StreamReport) {
         if other.executions == 0 {
             return;
         }
@@ -79,10 +76,9 @@ impl SessionReport {
         self.total_useful_ops += other.total_useful_ops;
         self.sum_tops += other.sum_tops;
         self.min_tops = self.min_tops.min(other.min_tops);
-        self.max_tops = self.max_tops.max(other.max_tops);
     }
 
-    /// Aggregate throughput over the whole session in TeraOps/s: total
+    /// Aggregate throughput over the whole stream in TeraOps/s: total
     /// useful operations divided by total kernel time.
     pub fn aggregate_tops(&self) -> f64 {
         if self.total_elapsed_s > 0.0 {
@@ -110,29 +106,10 @@ impl SessionReport {
         }
     }
 
-    /// Best-case per-execution achieved TeraOps/s.
-    pub fn best_tops(&self) -> f64 {
-        if self.executions > 0 {
-            self.max_tops
-        } else {
-            0.0
-        }
-    }
-
     /// Aggregate energy efficiency in TeraOps/J.
     pub fn tops_per_joule(&self) -> f64 {
         if self.total_joules > 0.0 {
             self.total_useful_ops / self.total_joules / 1e12
-        } else {
-            0.0
-        }
-    }
-
-    /// Effective block (frame) rate: blocks processed per second of kernel
-    /// time.
-    pub fn effective_fps(&self) -> f64 {
-        if self.total_elapsed_s > 0.0 {
-            self.blocks as f64 / self.total_elapsed_s
         } else {
             0.0
         }
@@ -169,10 +146,10 @@ mod tests {
 
     /// Beamforms blocks `seeds` of an 8×32×16 stream one at a time,
     /// recording every execution the way an engine does.
-    fn stream(seeds: std::ops::Range<usize>) -> (Vec<BeamformOutput>, SessionReport) {
+    fn stream(seeds: std::ops::Range<usize>) -> (Vec<BeamformOutput>, StreamReport) {
         let beamformer = beamformer(8, 32, 16);
         let ops = beamformer.shape().complex_ops() as f64;
-        let mut report = SessionReport::default();
+        let mut report = StreamReport::default();
         let outputs = seeds
             .map(|seed| {
                 let output = beamformer.beamform(&block(32, 16, seed)).unwrap();
@@ -184,7 +161,7 @@ mod tests {
     }
 
     #[test]
-    fn session_totals_equal_the_sum_of_per_block_reports() {
+    fn stream_totals_equal_the_sum_of_per_block_reports() {
         let (outputs, report) = stream(0..4);
         assert_eq!(outputs.len(), 4);
 
@@ -205,7 +182,6 @@ mod tests {
         assert!((report.worst_tops() - worst).abs() < 1e-9);
         let ops = 4.0 * (8 * 32 * 16 * 8) as f64;
         assert!((report.total_useful_ops - ops).abs() < 1e-6);
-        assert!((report.effective_fps() - 4.0 / elapsed).abs() / (4.0 / elapsed) < 1e-9);
         assert!(report.aggregate_tops() > 0.0);
         assert!(report.tops_per_joule() > 0.0);
     }
@@ -216,7 +192,7 @@ mod tests {
         // execution of a batched shape stands for `batch` blocks.
         let shape = GemmShape::batched(3, 4, 8, 16);
         let gemm = Gemm::new(&Gpu::A100.device(), shape, Precision::Float16).unwrap();
-        let mut report = SessionReport::default();
+        let mut report = StreamReport::default();
         report.record(&gemm.predict(), shape.complex_ops() as f64, shape.batch);
         assert_eq!(report.blocks, 3);
         assert_eq!(report.executions, 1);
@@ -229,14 +205,12 @@ mod tests {
     fn empty_report_is_all_finite_zeros() {
         // Regression guard: an empty stream must report finite zeros on
         // every derived metric, never NaN or infinity.
-        let report = SessionReport::default();
+        let report = StreamReport::default();
         assert_eq!(report.blocks, 0);
         for metric in [
             report.aggregate_tops(),
             report.mean_tops(),
             report.worst_tops(),
-            report.best_tops(),
-            report.effective_fps(),
             report.tops_per_joule(),
         ] {
             assert_eq!(metric, 0.0);
@@ -248,11 +222,11 @@ mod tests {
     fn absorb_merges_totals_and_extremes() {
         let (_, first) = stream(0..3);
         let (_, second) = stream(3..7);
-        let mut merged = SessionReport::default();
+        let mut merged = StreamReport::default();
         merged.absorb(&first);
         merged.absorb(&second);
         // Absorbing an empty report changes nothing.
-        merged.absorb(&SessionReport::default());
+        merged.absorb(&StreamReport::default());
         assert_eq!(merged.blocks, first.blocks + second.blocks);
         assert_eq!(merged.executions, 7);
         let elapsed = first.total_elapsed_s + second.total_elapsed_s;
@@ -261,13 +235,8 @@ mod tests {
             merged.worst_tops(),
             first.worst_tops().min(second.worst_tops())
         );
-        assert_eq!(
-            merged.best_tops(),
-            first.best_tops().max(second.best_tops())
-        );
-        // worst <= mean <= best up to summation rounding (all executions
-        // share one device and shape, so the three are within an ulp).
+        // worst <= mean up to summation rounding (all executions share
+        // one device and shape, so the two are within an ulp).
         assert!(merged.worst_tops() <= merged.mean_tops() * (1.0 + 1e-12));
-        assert!(merged.mean_tops() <= merged.best_tops() * (1.0 + 1e-12));
     }
 }

@@ -74,5 +74,5 @@ fn four_device_shard_is_identical_and_at_least_3x_the_aggregate_tops() {
     assert!(sharded_report
         .per_device()
         .iter()
-        .all(|shard| shard.report.blocks > 0));
+        .all(|(_, device)| device.blocks > 0));
 }

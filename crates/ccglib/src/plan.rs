@@ -128,8 +128,6 @@ pub struct RunReport {
     pub achieved_tops: f64,
     /// Energy efficiency in TeraOps/J.
     pub tops_per_joule: f64,
-    /// Tuning parameters the kernel ran with.
-    pub params: TuningParameters,
     /// Bit operation used (1-bit mode only).
     pub bit_op: Option<BitOp>,
 }
@@ -413,10 +411,6 @@ impl GemmPlan {
     pub fn precision(&self) -> Precision {
         self.precision
     }
-    /// Tuning parameters in effect.
-    pub fn params(&self) -> TuningParameters {
-        self.params
-    }
     /// Bit operation selected for 1-bit mode (AND on Hopper and newer).
     pub fn bit_op(&self) -> BitOp {
         self.bit_op
@@ -477,7 +471,6 @@ impl Gemm {
             energy,
             achieved_tops: timings.achieved_tops,
             tops_per_joule: energy.tops_per_joule(profile.useful_ops),
-            params: self.plan.params(),
             bit_op: (self.plan.precision() == Precision::Int1).then_some(self.plan.bit_op()),
         }
     }

@@ -53,11 +53,11 @@ impl TenantReport {
         }
     }
 
-    /// Observed throughput in blocks per second over the tenant's active
-    /// window (0.0 before the second block completes).
+    /// Completions per second over the tenant's active window, which opens
+    /// at the first completion (0.0 before the second block completes).
     pub(crate) fn blocks_per_sec(&self) -> f64 {
         if self.active_s > 0.0 {
-            self.blocks as f64 / self.active_s
+            self.blocks.saturating_sub(1) as f64 / self.active_s
         } else {
             0.0
         }
@@ -280,8 +280,8 @@ mod tests {
         assert_eq!(report.tenants[0].tenant, "alice");
         assert_eq!(report.tenants[1].tenant, "bob");
         assert!(report.tenants[0].latency.p99_s() <= report.tenants[1].latency.p99_s());
-        // Alice completed 10 blocks over 90 ms of activity.
-        assert!(report.tenants[0].blocks_per_sec() > 100.0);
+        // Alice completed 10 blocks 10 ms apart: 9 intervals in 90 ms.
+        assert!((report.tenants[0].blocks_per_sec() - 100.0).abs() < 1e-9);
 
         let line = report.summary_line();
         assert!(line.starts_with("fleet-report tenants=2 blocks=11 throttled=1 errors=1"));

@@ -23,7 +23,7 @@ use crate::wire::{
     ThrottleReason, ThrottleReason::QueueFull, ThrottleReason::RateLimited, CODE_PROTOCOL,
     PROTO_VERSION,
 };
-use beamform::{LatencyHistogram, SessionReport, WeightMatrix};
+use beamform::{LatencyHistogram, StreamReport, WeightMatrix};
 use ccglib::Precision;
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -114,7 +114,7 @@ struct SessionStats {
     throttled: AtomicU64,
     errors: AtomicU64,
     latency: parking_lot::Mutex<LatencyHistogram>,
-    engine: parking_lot::Mutex<SessionReport>,
+    engine: parking_lot::Mutex<StreamReport>,
 }
 
 impl SessionStats {

@@ -61,9 +61,9 @@
 mod builder;
 
 pub use beamform::{
-    ArrayGeometry, BeamformOutput, Beamformer, BeamformerConfig, DeviceShardReport, Engine,
-    LatencyHistogram, PlaneWaveSource, Report, SessionReport, ShardPlan, ShardedBeamformer,
-    SignalGenerator, WeightMatrix,
+    ArrayGeometry, BeamformOutput, Beamformer, BeamformerConfig, Engine, LatencyHistogram,
+    PlaneWaveSource, Report, ShardPlan, ShardedBeamformer, SignalGenerator, StreamReport,
+    WeightMatrix,
 };
 pub use builder::BeamformerBuilder;
 pub use ccglib::{
@@ -84,10 +84,9 @@ pub use tuner::{Objective, Strategy, TuneOutcome, Tuner};
 pub mod prelude {
     pub use crate::{
         supported_devices, version, ArrayGeometry, BeamformOutput, Beamformer, BeamformerBuilder,
-        BeamformerConfig, Device, DevicePool, DeviceShardReport, DeviceSpec, Engine, Gpu,
-        LatencyHistogram, Objective, PlaneWaveSource, Precision, Report, Result, SessionReport,
-        ShardPlan, ShardedBeamformer, SignalGenerator, Strategy, TcbfError, TuneOutcome, Tuner,
-        TuningParameters, WeightMatrix,
+        BeamformerConfig, Device, DevicePool, DeviceSpec, Engine, Gpu, LatencyHistogram, Objective,
+        PlaneWaveSource, Precision, Report, Result, ShardPlan, ShardedBeamformer, SignalGenerator,
+        Strategy, StreamReport, TcbfError, TuneOutcome, Tuner, TuningParameters, WeightMatrix,
     };
     pub use ccglib::matrix::HostComplexMatrix;
     pub use tcbf_types::Complex;

@@ -17,7 +17,7 @@
 //! orthogonal planes"; the chunking is accounted for in the predicted rate.
 
 use crate::model::ImagingConfig;
-use beamform::SessionReport;
+use beamform::StreamReport;
 use ccglib::{pack, transpose, Gemm, Precision};
 use gpu_sim::{Device, ExecutionModel};
 use serde::{Deserialize, Serialize};
@@ -141,17 +141,17 @@ impl FrameRateModel {
 
     /// Simulates a continuous real-time run — `batches` consecutive batches
     /// of `frames_per_batch` frames streamed through the reconstruction
-    /// GEMM — and returns the aggregate [`SessionReport`] of the stream
+    /// GEMM — and returns the aggregate [`StreamReport`] of the stream
     /// (one block = one batch of frames).
     ///
     /// Only the GEMM stage is accounted (the report is built from the
     /// per-chunk kernel predictions); the packing/transpose overhead that
     /// [`FrameRateModel::frames_per_second`] adds on top is not part of a
-    /// [`ccglib::RunReport`], so the session rate is an upper bound on the
-    /// sustainable frame rate.
-    pub fn streaming_report(&self, voxels: usize, batches: usize) -> SessionReport {
+    /// [`ccglib::RunReport`], so the stream's batch rate (`blocks` over
+    /// `total_elapsed_s`) is an upper bound on the sustainable rate.
+    pub fn streaming_report(&self, voxels: usize, batches: usize) -> StreamReport {
         if voxels == 0 || batches == 0 {
-            return SessionReport::default();
+            return StreamReport::default();
         }
         let k = self.config.k_rows();
         let n = self.frames_per_batch;
@@ -173,7 +173,7 @@ impl FrameRateModel {
             (count, shape, gemm.predict())
         })
         .collect();
-        let mut report = SessionReport::default();
+        let mut report = StreamReport::default();
         for _ in 0..batches {
             let mut first_of_batch = true;
             for (count, shape, predicted) in &chunk_runs {
@@ -369,14 +369,15 @@ mod tests {
         // The GEMM-only batch rate bounds the full-pipeline frame rate
         // (which adds packing and transpose on top).
         let fps = model.frames_per_second(voxels);
-        let gemm_only_fps = report.effective_fps() * model.frames_per_batch as f64;
+        let batches_per_s = report.blocks as f64 / report.total_elapsed_s;
+        let gemm_only_fps = batches_per_s * model.frames_per_batch as f64;
         assert!(
             gemm_only_fps >= fps,
             "GEMM-only {gemm_only_fps} vs full pipeline {fps}"
         );
         // Degenerate streams produce an empty report instead of panicking.
-        assert_eq!(model.streaming_report(0, 4), SessionReport::default());
-        assert_eq!(model.streaming_report(voxels, 0), SessionReport::default());
+        assert_eq!(model.streaming_report(0, 4), StreamReport::default());
+        assert_eq!(model.streaming_report(voxels, 0), StreamReport::default());
     }
 
     #[test]

@@ -36,7 +36,7 @@ fn main() {
     let blocks: Vec<StationBeamlets> = (0..8)
         .map(|i| {
             // The observation retunes to a neighbouring sub-band for the
-            // final blocks: the session hot-swaps the station weights on
+            // final blocks: the engine hot-swaps the station weights on
             // every pool member.
             let block_frequency = if i >= 6 { 1.02 * frequency } else { frequency };
             StationBeamlets::synthesise(
@@ -66,7 +66,7 @@ fn main() {
         .build_engine()
         .expect("a valid pool configuration");
     println!("Engine devices: {:?}", engine.gpus());
-    let (outputs, session) = central
+    let (outputs, report) = central
         .stream_coherent_with(&mut engine, &blocks)
         .expect("coherent beamforming");
     let coherent = outputs.into_iter().next().expect("one output per block");
@@ -94,23 +94,23 @@ fn main() {
     }
     println!(
         "Observation session: {} blocks, {} weight swap(s), {:.3} TFLOPs/s aggregate, {:.4} J",
-        session.total_blocks(),
-        session.weight_swaps(),
-        session.aggregate_tops(),
-        session.total_joules()
+        report.total_blocks(),
+        report.weight_swaps(),
+        report.aggregate_tops(),
+        report.total_joules()
     );
-    for shard in session.per_device() {
+    for (gpu, device) in report.per_device() {
         println!(
             "    {:>7}: {} blocks, {:.3} TFLOPs/s aggregate, {:.6} J",
-            shard.gpu.name(),
-            shard.report.blocks,
-            shard.report.aggregate_tops(),
-            shard.report.total_joules
+            gpu.name(),
+            device.blocks,
+            device.aggregate_tops(),
+            device.total_joules
         );
     }
     println!(
         "Parallel speed-up over one device: {:.2}x (wall clock set by the straggler)",
-        session.speedup_over_serial()
+        report.speedup_over_serial()
     );
 
     // --- Fig. 7 performance comparison ------------------------------------

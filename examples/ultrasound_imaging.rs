@@ -65,7 +65,7 @@ fn main() {
         .build_engine()
         .expect("a valid pool configuration");
     println!("Engine devices: {:?}", engine.gpus());
-    let (volumes, session) = reconstructor
+    let (volumes, report) = reconstructor
         .reconstruct_stream_with(&mut engine, &model, &pool_ensembles, dims)
         .expect("reconstruction");
     let volume = &volumes[0];
@@ -76,17 +76,17 @@ fn main() {
     );
     println!(
         "Streaming session: {} ensembles, {:.1} TOPs/s aggregate, {:.2} TOPs/J, {:.2}x over serial",
-        session.total_blocks(),
-        session.aggregate_tops(),
-        session.tops_per_joule(),
-        session.speedup_over_serial()
+        report.total_blocks(),
+        report.aggregate_tops(),
+        report.tops_per_joule(),
+        report.speedup_over_serial()
     );
-    for shard in session.per_device() {
+    for (gpu, device) in report.per_device() {
         println!(
             "    {:>6}: {} ensembles, {:.1} TOPs/s aggregate",
-            shard.gpu.name(),
-            shard.report.blocks,
-            shard.report.aggregate_tops()
+            gpu.name(),
+            device.blocks,
+            device.aggregate_tops()
         );
     }
     for (axis, name) in [(2usize, "axial (top-down)"), (1, "coronal")] {

@@ -93,7 +93,7 @@ fn session_streams_blocks_with_mid_stream_weight_swap() {
     assert_eq!(report.total_blocks(), 4);
     assert_eq!(report.weight_swaps(), 1);
     assert_eq!(report.per_device().len(), 1);
-    let serial = report.merged_serial();
+    let (_, serial) = report.per_device()[0];
     let elapsed: f64 = per_block.iter().map(|o| o.report.predicted.elapsed_s).sum();
     let joules: f64 = per_block.iter().map(|o| o.report.energy.joules).sum();
     let worst = per_block
@@ -166,7 +166,7 @@ fn sharded_session_hot_swaps_weights_on_every_pool_member() {
     let per_device: Vec<usize> = report
         .per_device()
         .iter()
-        .map(|shard| shard.report.blocks)
+        .map(|(_, device)| device.blocks)
         .collect();
     assert_eq!(per_device, [4, 6, 2]);
 }

@@ -79,7 +79,13 @@ fn one_dyn_pipeline_drives_every_pool() {
         let mut seen: Vec<usize> = plan.assignments().iter().flatten().copied().collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..stream.len()).collect::<Vec<_>>());
-        assert_eq!(engine.report().per_device().len(), engine.gpus().len());
+        let members: Vec<Gpu> = engine
+            .report()
+            .per_device()
+            .iter()
+            .map(|&(g, _)| g)
+            .collect();
+        assert_eq!(members, engine.gpus());
     }
 }
 
@@ -162,7 +168,7 @@ proptest! {
         )
         .unwrap();
         let ops = reference.shape().complex_ops() as f64;
-        let mut folded = SessionReport::default();
+        let mut folded = StreamReport::default();
 
         let stream = blocks(block_count);
         let outputs = drive(engine.as_mut(), &stream);
@@ -173,7 +179,7 @@ proptest! {
             prop_assert_eq!(&output.report, &expected.report);
             folded.record(&expected.report, ops, 1);
         }
-        let by_hand = Report::new(vec![DeviceShardReport { gpu, report: folded }], 0);
+        let by_hand = Report::new(vec![(gpu, folded)], 0);
         prop_assert_eq!(engine.finish(), by_hand);
     }
 }

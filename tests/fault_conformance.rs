@@ -120,7 +120,7 @@ fn a_failed_batch_keeps_the_accounting_of_the_blocks_finished_before_it() {
         let finished: Vec<usize> = report
             .per_device()
             .iter()
-            .map(|shard| shard.report.blocks)
+            .map(|(_, device)| device.blocks)
             .collect();
         assert_eq!(finished, per_device, "{:?}", engine.gpus());
     }
