@@ -16,6 +16,18 @@
 //! the engine itself: [`Engine::process_block`] for one block,
 //! [`Engine::process_batch`] for several under the same weights.
 
+// The serve path never panics: a failure is a typed error (docs/LINTS.md).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
+
 use crate::beamformer::BeamformOutput;
 use crate::shard::ShardPlan;
 use crate::stream::StreamReport;

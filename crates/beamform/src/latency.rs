@@ -137,7 +137,7 @@ impl LatencyHistogram {
         let target = ((quantile * self.count as f64).ceil() as u64).max(1);
         let mut cumulative = 0u64;
         for (index, &bucket) in self.buckets.iter().enumerate() {
-            cumulative += bucket;
+            cumulative = cumulative.saturating_add(bucket);
             if cumulative >= target {
                 return Self::bucket_upper_s(index);
             }
@@ -303,6 +303,21 @@ mod tests {
         small.merge(&pinned);
         assert_eq!(small.count(), u64::MAX);
         assert_eq!(small.buckets()[40], 1);
+        // 2^63 samples at 1 ns and 2^63 at 2 ns: the merged total
+        // saturates, and so must the running sum the percentile walks.
+        let mut low = LatencyHistogram::new();
+        low.record_ns(1);
+        let mut high = LatencyHistogram::new();
+        high.record_ns(2);
+        for _ in 0..63 {
+            let (low_copy, high_copy) = (low, high);
+            low.merge(&low_copy);
+            high.merge(&high_copy);
+        }
+        assert_eq!(low.buckets()[0], 1 << 63);
+        low.merge(&high);
+        assert_eq!(low.count(), u64::MAX);
+        assert!((low.p99_s() - 4e-9).abs() < 1e-18);
     }
 
     #[test]

@@ -18,6 +18,18 @@
 //! trait: a single device is a pool of one, driven through the same
 //! [`Engine`] methods and application entry points as any pool.
 
+// The serve path never panics: a failure is a typed error (docs/LINTS.md).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
+
 use crate::beamformer::{BeamformOutput, Beamformer, BeamformerConfig};
 use crate::engine::{Engine, Report};
 use crate::stream::StreamReport;

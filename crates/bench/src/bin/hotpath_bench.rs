@@ -46,6 +46,8 @@
 //! `--smoke` shrinks the grid and repetition count for CI.
 
 #![forbid(unsafe_code)]
+// A wall-clock benchmark: it reads the clock.
+#![allow(clippy::disallowed_methods)]
 
 use ccglib::matrix::{F16Matrix, HostComplexMatrix, Int1Matrix};
 use ccglib::synth::pseudo_random_matrix;

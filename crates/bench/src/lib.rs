@@ -7,6 +7,8 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// `median_secs` is the workspace's one stopwatch.
+#![allow(clippy::disallowed_methods)]
 
 use std::time::Instant;
 

@@ -96,6 +96,11 @@ impl TcbfError {
     /// (4, 5, 6) are retired, never reused.  0 is reserved for "no error" and
     /// codes the receiving side does not know map onto a generic remote
     /// error, so old clients stay compatible with newer servers.
+    // One explicit arm per variant: no wildcard can absorb a new one.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn code(&self) -> u16 {
         match self {
             TcbfError::MissingWeights => 1,
@@ -299,6 +304,43 @@ mod tests {
             }
             .code()
         );
+    }
+
+    /// The variant's name in docs/PROTOCOL.md.  The match is exhaustive, so
+    /// a new variant does not compile until it is named here.
+    fn protocol_name(error: &TcbfError) -> &'static str {
+        match error {
+            TcbfError::MissingWeights => "MissingWeights",
+            TcbfError::EmptyWeights { .. } => "EmptyWeights",
+            TcbfError::ZeroSamplesPerBlock => "ZeroSamplesPerBlock",
+            TcbfError::UnsupportedPrecision { .. } => "UnsupportedPrecision",
+            TcbfError::OutOfDeviceMemory { .. } => "OutOfDeviceMemory",
+            TcbfError::InvalidParameters { .. } => "InvalidParameters",
+            TcbfError::ShapeMismatch { .. } => "ShapeMismatch",
+            TcbfError::PrecisionMismatch { .. } => "PrecisionMismatch",
+            TcbfError::DeviceLost { .. } => "DeviceLost",
+            TcbfError::Degraded { .. } => "Degraded",
+            TcbfError::Internal { .. } => "Internal",
+        }
+    }
+
+    #[test]
+    fn the_protocol_table_lists_every_variant_with_its_code() {
+        // Rows `| code | `Variant` | meaning |`; retired codes are not.
+        let table: Vec<(u16, &str)> = include_str!("../../../docs/PROTOCOL.md")
+            .lines()
+            .filter_map(|line| {
+                let mut cells = line.split('|').map(str::trim).skip(1);
+                let code = cells.next()?.parse().ok()?;
+                let name = cells.next()?.strip_prefix('`')?.strip_suffix('`')?;
+                Some((code, name))
+            })
+            .collect();
+        let variants: Vec<(u16, &str)> = exemplars()
+            .iter()
+            .map(|error| (error.code(), protocol_name(error)))
+            .collect();
+        assert_eq!(table, variants, "docs/PROTOCOL.md's error-code table");
     }
 
     #[test]

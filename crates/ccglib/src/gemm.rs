@@ -7,7 +7,7 @@
 //!   multiply-accumulates with an in-register negation of `Im(b)`; inputs
 //!   are binary16, accumulation is binary32.  One output is *defined* as
 //!   four `mul_add` chains in ascending `k` and two final additions (see
-//!   [`gemm_f16`]), so it has the same bits wherever and however it is
+//!   `gemm_f16`), so it has the same bits wherever and however it is
 //!   computed.
 //! * **int1** — inputs are ±1 encoded as single bits; real-valued dot
 //!   products are computed from XOR + popcount (Table II) or, on
@@ -529,13 +529,13 @@ pub(crate) fn gemm_f16_decoded_on(
 /// then multiplied by the register-tiled micro-kernel.  Callers that reuse
 /// `A` across many calls should decode it once via [`GemmInput::prepare`]
 /// and the prepared entry points on [`crate::Gemm`].
-pub fn gemm_f16(a: &F16Matrix, b_t: &F16Matrix) -> Result<ComplexOutput> {
+pub(crate) fn gemm_f16(a: &F16Matrix, b_t: &F16Matrix) -> Result<ComplexOutput> {
     gemm_f16_on(Isa::detected(), a, b_t)
 }
 
-/// [`gemm_f16`] on an explicit instance — how the tests and `hotpath_bench`
+/// `gemm_f16` on an explicit instance — how the tests and `hotpath_bench`
 /// run every path the host has.  Production callers never choose:
-/// [`gemm_f16`] passes [`Isa::detected`].  All paths agree on all inputs.
+/// `gemm_f16` passes [`Isa::detected`].  All paths agree on all inputs.
 pub fn gemm_f16_on(isa: Isa, a: &F16Matrix, b_t: &F16Matrix) -> Result<ComplexOutput> {
     gemm_f16_decoded_on(isa, &DecodedPlanes::from_f16(a), b_t)
 }

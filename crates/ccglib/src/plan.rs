@@ -50,19 +50,9 @@ use tcbf_types::{GemmShape, TileShape};
 static CALIBRATION_CACHE: Mutex<Option<HashMap<(gpu_sim::Gpu, Precision), f64>>> = Mutex::new(None);
 
 /// Number of cacheable (catalog-spec) parameter-space enumerations
-/// performed so far — observable through [`calibration_enumerations`] so
-/// tests and benches can assert the cache actually short-circuits repeated
-/// plan construction.
+/// performed so far, so that tests can assert the cache actually
+/// short-circuits repeated plan construction.
 static CALIBRATION_ENUMERATIONS: AtomicUsize = AtomicUsize::new(0);
-
-/// How many times the calibration search space has been enumerated for a
-/// catalog device in this process.  Stays flat once every catalog
-/// `(device, precision)` pair in use has been seen, no matter how many
-/// plans are constructed; enumerations for hand-modified specs (which
-/// bypass the cache) are not counted.
-pub fn calibration_enumerations() -> usize {
-    CALIBRATION_ENUMERATIONS.load(Ordering::Relaxed)
-}
 
 /// Pre-populates the calibration cache for a set of devices, enumerating
 /// the missing `(gpu, precision)` pairs **in parallel**.
@@ -73,7 +63,7 @@ pub fn calibration_enumerations() -> usize {
 /// uncached catalog pairs are enumerated concurrently (one worker per
 /// device) and inserted in a single batch.  Hand-modified specs and
 /// devices that do not support `precision` are skipped, exactly like the
-/// per-plan path; the [`calibration_enumerations`] counter advances only
+/// per-plan path; the enumeration counter advances only
 /// for pairs actually inserted.
 pub fn warm_calibration(specs: &[DeviceSpec], precision: Precision) {
     use rayon::prelude::*;
@@ -547,6 +537,15 @@ mod tests {
     use gpu_sim::Gpu;
     use tcbf_types::Complex;
 
+    /// How many times the calibration search space has been enumerated for a
+    /// catalog device in this process.  Stays flat once every catalog
+    /// `(device, precision)` pair in use has been seen, no matter how many
+    /// plans are constructed; enumerations for hand-modified specs (which
+    /// bypass the cache) are not counted.
+    fn calibration_enumerations() -> usize {
+        CALIBRATION_ENUMERATIONS.load(Ordering::Relaxed)
+    }
+
     fn device(gpu: Gpu) -> Device {
         gpu.device()
     }
@@ -778,7 +777,7 @@ mod tests {
             }
         };
         warm_all();
-        let warm = crate::plan::calibration_enumerations();
+        let warm = calibration_enumerations();
         assert!(warm > 0, "warming must have enumerated at least once");
         warm_all();
         for m in 1..20usize {
@@ -790,7 +789,7 @@ mod tests {
             .unwrap();
         }
         assert_eq!(
-            crate::plan::calibration_enumerations(),
+            calibration_enumerations(),
             warm,
             "repeated plan construction must not re-enumerate the parameter space"
         );
@@ -839,7 +838,7 @@ mod tests {
         crate::plan::warm_calibration(&specs, Precision::Float16);
         // AMD devices are skipped for 1-bit mode instead of caching junk.
         crate::plan::warm_calibration(&specs, Precision::Int1);
-        let after_warm = crate::plan::calibration_enumerations();
+        let after_warm = calibration_enumerations();
         for spec in &specs {
             GemmPlan::new(
                 &Device::new(spec.clone()),
@@ -850,7 +849,7 @@ mod tests {
         }
         crate::plan::warm_calibration(&specs, Precision::Float16);
         assert_eq!(
-            crate::plan::calibration_enumerations(),
+            calibration_enumerations(),
             after_warm,
             "warmed pairs must not be re-enumerated"
         );

@@ -24,7 +24,11 @@ use tcbf_types::encode_from_f32;
 /// Splits an interleaved complex buffer (row-major `rows × cols`, `re, im`
 /// pairs) into a planar binary16 device matrix — the "transpose" the paper
 /// describes between the host layout and the tensor-core layout.
-pub fn interleaved_to_planar(rows: usize, cols: usize, interleaved: &[f32]) -> Result<F16Matrix> {
+pub(crate) fn interleaved_to_planar(
+    rows: usize,
+    cols: usize,
+    interleaved: &[f32],
+) -> Result<F16Matrix> {
     if interleaved.len() != rows * cols * 2 {
         return Err(TcbfError::ShapeMismatch {
             expected: format!("{rows}x{cols} = {} interleaved scalars", rows * cols * 2),

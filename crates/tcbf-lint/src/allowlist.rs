@@ -279,7 +279,7 @@ reason = "fixed plan order"
 
     #[test]
     fn missing_reason_is_an_error() {
-        let toml = "[[allow]]\nrule = \"TCBF-P001\"\npath = \"a.rs\"\n";
+        let toml = "[[allow]]\nrule = \"TCBF-D002\"\npath = \"a.rs\"\n";
         let errs = Allowlist::parse(toml).unwrap_err();
         assert_eq!(errs.len(), 1);
         assert!(errs[0].message.contains("reason"));

@@ -8,29 +8,19 @@
 //! Path lists use one convention throughout: an entry ending in `/` is a
 //! directory prefix, anything else is an exact workspace-relative path.
 
-/// Scope configuration for all rules.
+/// Scope configuration of the per-file rule (TCBF-D002).
 #[derive(Clone, Debug)]
 pub struct LintConfig {
-    /// Files under the serve-path panic-freedom contract
-    /// (TCBF-P001/P002/P003): no panics outside test code.
-    pub serve_path: Vec<String>,
     /// Files where float reductions are checked (TCBF-D002)…
     pub float_scope: Vec<String>,
     /// …minus the approved micro-kernel modules, whose summation order
     /// is the pinned reference semantics itself.
     pub float_approved: Vec<String>,
-    /// Timing modules allowed to call `Instant::now` (TCBF-D004).
-    pub instant_allowed: Vec<String>,
 }
 
 impl Default for LintConfig {
     fn default() -> Self {
         LintConfig {
-            serve_path: vec![
-                "crates/tcbf-serve/src/".into(),
-                "crates/beamform/src/engine.rs".into(),
-                "crates/beamform/src/shard.rs".into(),
-            ],
             float_scope: vec![
                 "crates/ccglib/src/".into(),
                 "crates/beamform/src/".into(),
@@ -40,7 +30,6 @@ impl Default for LintConfig {
                 "crates/ccglib/src/gemm.rs".into(),
                 "crates/ccglib/src/reference.rs".into(),
             ],
-            instant_allowed: vec!["crates/tcbf-serve/src/".into(), "crates/bench/src/".into()],
         }
     }
 }
@@ -57,19 +46,9 @@ impl LintConfig {
         })
     }
 
-    /// Is the file under the serve-path panic-freedom contract?
-    pub(crate) fn in_serve_path(&self, path: &str) -> bool {
-        Self::path_in(path, &self.serve_path)
-    }
-
     /// Is the file in scope for float-reduction checks?
     pub(crate) fn in_float_scope(&self, path: &str) -> bool {
         Self::path_in(path, &self.float_scope) && !Self::path_in(path, &self.float_approved)
-    }
-
-    /// May the file call `Instant::now`?
-    pub fn instant_allowed(&self, path: &str) -> bool {
-        Self::path_in(path, &self.instant_allowed)
     }
 }
 
@@ -80,14 +59,8 @@ mod tests {
     #[test]
     fn prefix_and_exact_matching() {
         let cfg = LintConfig::default();
-        assert!(cfg.in_serve_path("crates/tcbf-serve/src/pool.rs"));
-        assert!(cfg.in_serve_path("crates/tcbf-serve/src/bin/tcbf_serve.rs"));
-        assert!(cfg.in_serve_path("crates/beamform/src/engine.rs"));
-        assert!(!cfg.in_serve_path("crates/beamform/src/session.rs"));
         assert!(cfg.in_float_scope("crates/beamform/src/session.rs"));
         assert!(!cfg.in_float_scope("crates/ccglib/src/gemm.rs"));
-        assert!(cfg.instant_allowed("crates/bench/src/lib.rs"));
-        assert!(!cfg.instant_allowed("crates/tuner/src/lib.rs"));
     }
 
     #[test]
@@ -95,12 +68,7 @@ mod tests {
         // A deleted module must not leave a dead waiver behind.
         let root = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
         let cfg = LintConfig::default();
-        let lists = [
-            &cfg.serve_path,
-            &cfg.float_scope,
-            &cfg.float_approved,
-            &cfg.instant_allowed,
-        ];
+        let lists = [&cfg.float_scope, &cfg.float_approved];
         for entry in lists.into_iter().flatten() {
             let path = root.join(entry);
             let found = if entry.ends_with('/') {

@@ -5,7 +5,7 @@ use std::fmt;
 /// One rule violation at a specific source location.
 #[derive(Clone, Debug)]
 pub struct Finding {
-    /// Rule identifier, e.g. `TCBF-P001`.
+    /// Rule identifier, e.g. `TCBF-D002`.
     pub rule: &'static str,
     /// Workspace-relative path of the offending file.
     pub path: String,

@@ -1,18 +1,17 @@
 //! tcbf-lint: the workspace-native invariant checker.
 //!
 //! Statically analyzes the workspace's own source with a hand-rolled
-//! token-level lexer (zero dependencies) and enforces the contracts the
-//! test suite can only spot-check:
+//! token-level lexer (zero dependencies) and enforces the two contracts
+//! no compiler lint expresses:
 //!
-//! - **serve-path panic freedom** (TCBF-P001..P003),
-//! - **determinism** (TCBF-D002, TCBF-D004),
-//! - **error-code stability** (TCBF-E001..E002),
+//! - **float reductions keep their order** (TCBF-D002),
 //! - **public means called** (TCBF-U001).
 //!
 //! Lock order is checked at run time by the held-lock tracker in the
-//! vendored `parking_lot` (armed with `TCBF_LOCK_ORDER=1` at test time),
-//! and the `unsafe` inventory by rustc and clippy (`deny(unsafe_code)`,
-//! `undocumented_unsafe_blocks`), not here.
+//! vendored `parking_lot` (armed with `TCBF_LOCK_ORDER=1` at test time).
+//! Serve-path panic freedom, the clock, the `unsafe` inventory and the
+//! wire error codes are held by rustc, clippy and a `ccglib` test
+//! (docs/LINTS.md, *Retired rules*), not here.
 //!
 //! Suppressions live in a single annotated `lint-allow.toml` at the
 //! workspace root; every entry must carry a `reason`.  The rule
@@ -74,19 +73,16 @@ impl std::fmt::Display for LintError {
     }
 }
 
-/// Lints a single in-memory file with the given config: all per-file
-/// rules.  This is the fixture-test entry point; [`lint_workspace`] is
+/// Lints a single in-memory file with the given config: the per-file
+/// rule, D002.  This is the fixture-test entry point; [`lint_workspace`] is
 /// the production one.
 pub fn lint_source(path_label: &str, text: &str, cfg: &LintConfig) -> Vec<Finding> {
     let file = SourceFile::new(path_label.to_string(), text.to_string());
     let mut findings = Vec::new();
-    rules::check_file(&file, cfg, &mut findings);
+    rules::determinism::check(&file, cfg, &mut findings);
     diagnostics::sort_findings(&mut findings);
     findings
 }
-
-/// The file the error-code stability rules read `TcbfError` from.
-const ERROR_FILE: &str = "crates/ccglib/src/error.rs";
 
 /// Walks the workspace at `root`, runs every rule, applies the
 /// allowlist at `root/lint-allow.toml` (if present).
@@ -101,26 +97,9 @@ pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> Result<Report, LintError
         sources.push(SourceFile::new(rel.clone(), text));
     }
     for file in sources.iter().filter(|f| is_shipped(&f.path)) {
-        rules::check_file(file, cfg, &mut findings);
+        rules::determinism::check(file, cfg, &mut findings);
     }
     rules::public_api::check(&sources, &mut findings);
-
-    // Error-code stability runs against the two pinned artifacts; a
-    // missing error file is a finding, not a silent pass.
-    match sources.iter().find(|f| f.path == ERROR_FILE) {
-        Some(error_file) => {
-            let protocol = std::fs::read_to_string(root.join("docs/PROTOCOL.md")).ok();
-            rules::error_codes::check(error_file, protocol.as_deref(), &mut findings);
-        }
-        None => findings.push(Finding::new(
-            rules::error_codes::E001,
-            ERROR_FILE,
-            1,
-            1,
-            format!("`{ERROR_FILE}` not found — error-code stability has nothing to check"),
-            "",
-        )),
-    }
 
     diagnostics::sort_findings(&mut findings);
 
@@ -157,7 +136,7 @@ fn workspace_files(root: &Path) -> Result<Vec<String>, LintError> {
     Ok(files)
 }
 
-/// Shipped source, which the per-file rules target; test, bench and
+/// Shipped source, which the per-file rule targets; test, bench and
 /// example code is only read as TCBF-U001's callers.
 fn is_shipped(path: &str) -> bool {
     !path

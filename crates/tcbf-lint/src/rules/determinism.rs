@@ -1,9 +1,10 @@
-//! Determinism lints: TCBF-D002, TCBF-D004.
+//! Determinism lint: TCBF-D002.
 //!
 //! The conformance suite pins bit-identical reports across runs and
 //! across the serve path (ROADMAP: determinism is a tier-1 contract).
-//! These rules flag two ways that contract erodes: reassociating float
-//! reductions, and reading the clock on the result path.
+//! This rule flags one way that contract erodes: reassociating float
+//! reductions.  Reading the clock on the result path is clippy's
+//! `disallowed_methods` (the root `clippy.toml`).
 
 use crate::config::LintConfig;
 use crate::diagnostics::Finding;
@@ -13,20 +14,12 @@ use crate::source::SourceFile;
 /// Float reduction (`.sum::<f32>()`, float `.fold(...)`) outside the
 /// approved micro-kernel modules — addition order is semantics here.
 pub(crate) const D002: &str = "TCBF-D002";
-/// `Instant::now()` outside the timing-module allowlist.
-pub(crate) const D004: &str = "TCBF-D004";
 
-/// Runs both determinism rules over one file.
+/// Runs the float-reduction rule over one file.
 pub fn check(file: &SourceFile, cfg: &LintConfig, out: &mut Vec<Finding>) {
-    if cfg.in_float_scope(&file.path) {
-        check_float_reductions(file, out);
+    if !cfg.in_float_scope(&file.path) {
+        return;
     }
-    if !cfg.instant_allowed(&file.path) {
-        check_instant_now(file, out);
-    }
-}
-
-fn check_float_reductions(file: &SourceFile, out: &mut Vec<Finding>) {
     for i in 0..file.sig_len() {
         let Some(tok) = file.sig_token(i) else {
             continue;
@@ -86,31 +79,6 @@ fn check_float_reductions(file: &SourceFile, out: &mut Vec<Finding>) {
                     ));
                 }
             }
-        }
-    }
-}
-
-fn check_instant_now(file: &SourceFile, out: &mut Vec<Finding>) {
-    for i in 0..file.sig_len() {
-        let Some(tok) = file.sig_token(i) else {
-            continue;
-        };
-        if file.in_test_code(tok.start) {
-            continue;
-        }
-        if file.sig_text(i) == "Instant"
-            && file.sig_kind(i + 1) == Some(TokenKind::Punct(':'))
-            && file.sig_kind(i + 2) == Some(TokenKind::Punct(':'))
-            && file.sig_text(i + 3) == "now"
-        {
-            out.push(Finding::new(
-                D004,
-                &file.path,
-                tok.line,
-                tok.col,
-                "Instant::now() outside the timing-module allowlist — plumb timestamps in from the caller".into(),
-                file.line_text(tok.start),
-            ));
         }
     }
 }

@@ -3,8 +3,8 @@
 //! Wraps the raw token stream from [`crate::lexer`] with the derived
 //! views every rule needs: the significant (non-trivia) token sequence,
 //! and a map of which byte ranges belong to test code (`#[cfg(test)]
-//! mod ...` bodies and `#[test]` functions), so serve-path rules can
-//! skip assertions that are legitimate in tests.
+//! mod ...` bodies and `#[test]` functions), so D002 can skip the
+//! reductions that are legitimate in tests.
 
 use crate::lexer::{self, Token, TokenKind};
 

@@ -13,6 +13,19 @@
 //! `bench-client` prints per-tenant lines plus its own aggregate for CI.
 
 #![forbid(unsafe_code)]
+// The serve path never panics: a failure is a typed error (docs/LINTS.md).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
+// Deadlines and latency histograms are this crate's job: it reads the clock.
+#![allow(clippy::disallowed_methods)]
 
 use ccglib::Precision;
 use gpu_sim::{FaultPlan, Gpu};

@@ -78,6 +78,19 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// The serve path never panics: a failure is a typed error (docs/LINTS.md).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![cfg_attr(not(test), deny(clippy::disallowed_macros))]
+// Deadlines and latency histograms are this crate's job: it reads the clock.
+#![allow(clippy::disallowed_methods)]
 
 pub mod client;
 pub mod discover;

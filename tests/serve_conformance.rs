@@ -3,6 +3,9 @@
 //! `Box<dyn Engine>`, while enforcing the admission, quota and
 //! backpressure contracts of the protocol.
 
+// The admission test retries against a deadline.
+#![allow(clippy::disallowed_methods)]
+
 use ccglib::matrix::HostComplexMatrix;
 use ccglib::Precision;
 use gpu_sim::Gpu;
