@@ -336,7 +336,21 @@ mod tests {
                 Some((code, name))
             })
             .collect();
-        let variants: Vec<(u16, &str)> = exemplars()
+        // `code()` names each variant once (rustc's exhaustiveness check and
+        // its two wildcard lints), so counting its arms ties the exemplars,
+        // and with them the table, to the enum itself.
+        let code_body = include_str!("error.rs")
+            .split("pub fn code(&self) -> u16 {")
+            .nth(1)
+            .and_then(|rest| rest.split("\n    }\n").next())
+            .expect("error.rs defines code()");
+        let exemplars = exemplars();
+        assert_eq!(
+            exemplars.len(),
+            code_body.matches("TcbfError::").count(),
+            "exemplars() needs one exemplar per variant"
+        );
+        let variants: Vec<(u16, &str)> = exemplars
             .iter()
             .map(|error| (error.code(), protocol_name(error)))
             .collect();
