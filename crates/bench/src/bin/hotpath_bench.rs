@@ -4,12 +4,12 @@
 //! performance, this harness measures the real elapsed time of the
 //! functional kernels that every session, shard and conformance test
 //! executes.  For each shape in a small grid, and for both precisions
-//! (both 1-bit formulations), on every compiled path the host has — one
-//! row per [`Isa::available`] entry, so the portable number is never
-//! hidden behind the fast one — it times the **fused** path: the current
-//! `ccglib` kernels (bulk-decoded f32 operands + register-tiled FMA kernel,
-//! register-tiled popcount kernel), [`gemm::gemm_f16_on`] and
-//! [`gemm::gemm_int1_on`].
+//! (one 1-bit row: the host computes both formulations with one kernel),
+//! on every compiled path the host has — one row per [`Isa::available`]
+//! entry, so the portable number is never hidden behind the fast one — it
+//! times the **fused** path: the current `ccglib` kernels (bulk-decoded
+//! f32 operands + register-tiled FMA kernel, register-tiled popcount
+//! kernel), [`gemm::gemm_f16_on`] and [`gemm::gemm_int1_on`].
 //!
 //! Each measurement is [`median_secs`] (a median of `reps` runs after a
 //! warmup run), and before any timing the fused kernel's output on the
@@ -63,11 +63,10 @@ use tuner::json::Value;
 /// `(M, N, K)` of one GEMM grid cell.
 type Shape = (usize, usize, usize);
 
-/// One measured (kernel, shape, formulation) cell.
+/// One measured (kernel, shape, path) cell.
 struct BenchEntry {
+    /// `f16` or `int1`.
     kernel: &'static str,
-    /// Formulation of a 1-bit row.
-    bit_op: Option<BitOp>,
     /// The compiled path measured.
     isa: Isa,
     m: usize,
@@ -77,12 +76,10 @@ struct BenchEntry {
 }
 
 impl BenchEntry {
-    /// A cell timed at `fused_median_s`: 1-bit under a formulation, float16
-    /// without.
-    fn new(bit_op: Option<BitOp>, isa: Isa, (m, n, k): Shape, fused_median_s: f64) -> Self {
+    /// A cell of `kernel` timed at `fused_median_s`.
+    fn new(kernel: &'static str, isa: Isa, (m, n, k): Shape, fused_median_s: f64) -> Self {
         BenchEntry {
-            kernel: if bit_op.is_some() { "int1" } else { "f16" },
-            bit_op,
+            kernel,
             isa,
             m,
             n,
@@ -113,23 +110,23 @@ fn bench_f16(shape @ (m, n, k): Shape, isa: Isa, reps: usize) -> BenchEntry {
     let fused_median_s = median_secs(reps, || {
         black_box(gemm::gemm_f16_on(isa, &a, &b)).expect("shapes agree");
     });
-    BenchEntry::new(None, isa, shape, fused_median_s)
+    BenchEntry::new("f16", isa, shape, fused_median_s)
 }
 
-fn bench_int1(shape @ (m, n, k): Shape, op: BitOp, isa: Isa, reps: usize) -> BenchEntry {
+fn bench_int1(shape @ (m, n, k): Shape, isa: Isa, reps: usize) -> BenchEntry {
     let a_host = pseudo_random_matrix(m, k, 0x1B17 + (m * k) as u64, 1.0);
     let b_host = pseudo_random_matrix(n, k, 0x0B17 + (n * k) as u64, 1.0);
     let a = Int1Matrix::from_host_padded(&a_host, GemmInput::DEFAULT_INT1_K_GRANULARITY);
     let b = Int1Matrix::from_host_padded(&b_host, GemmInput::DEFAULT_INT1_K_GRANULARITY);
     // Correctness guard: 1-bit outputs are integers, so the fused kernel
     // must match the decoded ±1 reference exactly.
-    let fused_out = gemm::gemm_int1_on(isa, &a, &b, op).expect("shapes agree");
+    let fused_out = gemm::gemm_int1_on(isa, &a, &b, BitOp::Xor).expect("shapes agree");
     let reference = reference_gemm(&a.to_host(), &b.to_host()).expect("reference shapes agree");
     assert_eq!(fused_out, reference, "int1 fused/reference diverged");
     let fused_median_s = median_secs(reps, || {
-        black_box(gemm::gemm_int1_on(isa, &a, &b, op)).expect("shapes agree");
+        black_box(gemm::gemm_int1_on(isa, &a, &b, BitOp::Xor)).expect("shapes agree");
     });
-    BenchEntry::new(Some(op), isa, shape, fused_median_s)
+    BenchEntry::new("int1", isa, shape, fused_median_s)
 }
 
 /// The `K × N` (receivers × samples) block shapes of the four
@@ -322,12 +319,6 @@ fn to_json(
     let entry = |e: &BenchEntry| {
         Value::object([
             ("kernel", e.kernel.into()),
-            (
-                "bit_op",
-                e.bit_op.map_or(Value::Null, |op| {
-                    Value::String(op.to_string().to_lowercase())
-                }),
-            ),
             ("isa", e.isa.name().into()),
             ("m", e.m.into()),
             ("n", e.n.into()),
@@ -355,7 +346,7 @@ fn to_json(
         ])
     };
     Value::object([
-        ("schema", "tcbf-hotpath-bench/v10".into()),
+        ("schema", "tcbf-hotpath-bench/v11".into()),
         ("mode", mode.into()),
         ("reps", reps.into()),
         ("entries", Value::Array(entries.iter().map(entry).collect())),
@@ -419,10 +410,8 @@ fn main() {
         for isa in Isa::available() {
             entries.push(bench_f16(shape, isa, reps));
         }
-        for op in [BitOp::Xor, BitOp::And] {
-            for isa in Isa::available() {
-                entries.push(bench_int1(shape, op, isa, reps));
-            }
+        for isa in Isa::available() {
+            entries.push(bench_int1(shape, isa, reps));
         }
     }
 
@@ -431,7 +420,6 @@ fn main() {
         .map(|e| {
             vec![
                 e.kernel.to_string(),
-                e.bit_op.map_or("—".to_string(), |op| op.to_string()),
                 e.isa.to_string(),
                 format!("{}x{}x{}", e.m, e.n, e.k),
                 format!("{:.2}", e.fused_median_s * 1e3),
@@ -439,10 +427,7 @@ fn main() {
             ]
         })
         .collect();
-    print_table(
-        &["kernel", "bit op", "isa", "MxNxK", "fused ms", "GElem/s"],
-        &rows,
-    );
+    print_table(&["kernel", "isa", "MxNxK", "fused ms", "GElem/s"], &rows);
 
     // Slowest cell of one kernel on one path.
     let slowest = |kernel: &str, isa: Isa| -> &BenchEntry {

@@ -11,7 +11,7 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
     let root = parse(&text).expect("written by tuner::json, so read by it");
 
     let schema = root.get("schema").unwrap().as_str().unwrap();
-    assert_eq!(schema, "tcbf-hotpath-bench/v10");
+    assert_eq!(schema, "tcbf-hotpath-bench/v11");
     assert_eq!(root.get("mode").unwrap().as_str().unwrap(), "full");
     assert!(root.get("reps").unwrap().as_usize().unwrap() >= 1);
     assert!(root.get("prologue_reps").unwrap().as_usize().unwrap() >= 1);
@@ -26,11 +26,7 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
     let mut paths = std::collections::BTreeMap::<_, std::collections::BTreeSet<_>>::new();
     for row in entries {
         let kernel = row.get("kernel").unwrap().as_str().unwrap();
-        match (kernel, row.get("bit_op").unwrap()) {
-            ("f16", Value::Null) => {}
-            ("int1", op) => assert!(matches!(op.as_str().unwrap(), "xor" | "and")),
-            other => panic!("undocumented kernel / bit_op pair {other:?}"),
-        }
+        assert!(matches!(kernel, "f16" | "int1"), "{kernel}");
         let isa = row.get("isa").unwrap().as_str().unwrap();
         assert!(matches!(isa, "portable" | "avx512"), "{isa}");
         paths.entry(kernel).or_default().insert(isa);
@@ -44,13 +40,16 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
         for gone in ["tuned_median_s", "tuned_config", "tuned_speedup_vs_default"] {
             assert!(row.get(gone).is_err(), "{gone} left the schema in v9");
         }
+        // Schema v11: the host runs one 1-bit kernel for both formulations,
+        // so no row names one.
+        assert!(row.get("bit_op").is_err(), "bit_op left the schema in v11");
     }
-    // 4 shapes x (f16 + int1 under XOR and AND) on every path of the host
-    // that wrote the file — the portable one always among them, and both
-    // kernels on the same paths.
+    // 4 shapes x (f16 + int1) on every path of the host that wrote the
+    // file — the portable one always among them, and both kernels on the
+    // same paths.
     assert!(paths["f16"].contains("portable"), "{paths:?}");
     assert_eq!(paths["f16"], paths["int1"]);
-    assert_eq!(entries.len(), 4 * 3 * paths["f16"].len());
+    assert_eq!(entries.len(), 4 * 2 * paths["f16"].len());
 
     let prologue = root.get("prologue").unwrap().as_array().unwrap();
     // 4 block shapes x the kernels' paths x (transpose, each quantiser in

@@ -9,13 +9,15 @@
 //!   four `mul_add` chains in ascending `k` and two final additions (see
 //!   `gemm_f16`), so it has the same bits wherever and however it is
 //!   computed.
-//! * **int1** — inputs are ±1 encoded as single bits; real-valued dot
-//!   products are computed from XOR + popcount (Table II) or, on
+//! * **int1** — inputs are ±1 encoded as single bits; the paper computes
+//!   real-valued dot products from XOR + popcount (Table II) or, on
 //!   architectures where XOR is deprecated, from two AND + popcount passes
-//!   (Eq. 6).  Complex outputs apply the padding correction of Eq. 5: the
-//!   real part is insensitive to the −1-valued padding (the two partial
-//!   products cancel), while the imaginary part must subtract the
-//!   `K_pad` contribution.
+//!   (Eq. 6), and applies the padding correction of Eq. 5 to the complex
+//!   outputs.  The host kernel gives those bits with two popcounts per
+//!   word pair instead of four: the product of two values `±1 ± i` is one
+//!   of `±2`, `±2i`, so two bits per sample say which, and two counts carry
+//!   the whole complex sum (see `int1_tile_rows`).  Padding counts zero in
+//!   both, so Eq. 5 reduces to the constant `2·K`.
 //!
 //! The two host kernels share one shape, the one the tensor-core fragments
 //! imply (and BLIS's `MR × NR` micro-kernel spells out for CPUs).  `A` stays
@@ -26,22 +28,23 @@
 //! (binary16 is decoded straight into the panels — by `vcvtph2ps` and a
 //! 16 × 16 register transpose on the AVX-512 path, through the lookup
 //! table of `tcbf_types::half::Decoder` on the portable one; bit planes are
-//! word-interleaved).  A **register tile** of 4 rows of `A` × one vector of
-//! columns then makes one pass over `K` with one output per vector lane:
-//! every `B` vector feeds 4 rows, every `A` scalar a whole vector of
-//! columns, and nothing is ever reduced across lanes, so there is no
-//! horizontal step, no lane-width-dependent summation tree and no `K` tail.
+//! word-interleaved, and a 1-bit `A` carries a third plane, `re ⊕ im`).  A
+//! **register tile** of 4 rows of `A` × one vector of columns then makes
+//! one pass over `K` with one output per vector lane: every `B` vector
+//! feeds 4 rows, every `A` scalar a whole vector of columns, and nothing is
+//! ever reduced across lanes, so there is no horizontal step, no
+//! lane-width-dependent summation tree and no `K` tail.
 //! Each kernel is written once in safe Rust and compiled twice — portable
 //! and AVX-512 — and the instance is chosen by what the CPU reports
 //! ([`Isa`]), never by a setting; see [`gemm_f16_on`] and [`gemm_int1_on`].
 //!
-//! Everything a call builds — `A`'s decoded planes, `B`'s panels, the output
-//! matrix — is a write-once destination (the crate's private `write_once`
-//! helper): allocated at its final size, not cleared, and handed to the
-//! work items as `&mut [MaybeUninit<_>]`, so each element is stored once,
-//! by the thread that computes it.  The zeros such a buffer holds are
-//! therefore stored like any other value: the all-zero rows that fill up
-//! the last panel of a ragged `N`, and the outputs of an empty sum
+//! Everything a call builds — `A`'s decoded or `re ⊕ im` planes, `B`'s
+//! panels, the output matrix — is a write-once destination (the crate's
+//! private `write_once` helper): allocated at its final size, not cleared,
+//! and handed to the work items as `&mut [MaybeUninit<_>]`, so each element
+//! is stored once, by the thread that computes it.  The zeros such a buffer
+//! holds are therefore stored like any other value: the all-zero rows that
+//! fill up the last panel of a ragged `N`, and the outputs of an empty sum
 //! (`K = 0`).  A debug build fails the call that leaves an element
 //! unwritten.
 //!
@@ -195,10 +198,9 @@ impl DecodedPlanes {
         }
     }
 
-    /// The preparation an operand needs, if any: binary16 operands decode
-    /// to f32 planes, packed 1-bit operands are already in kernel format.
-    /// The single source of truth for the precision→preparation mapping
-    /// (used by [`PreparedOperand::new`]).
+    /// The decode an operand needs, if any: binary16 operands decode to f32
+    /// planes, packed 1-bit operands decode to nothing (what a 1-bit `A`
+    /// is prepared with is another bit plane — see [`PreparedOperand`]).
     pub fn maybe_from(input: &GemmInput) -> Option<Self> {
         match input {
             GemmInput::F16(m) => Some(DecodedPlanes::from_f16(m)),
@@ -229,20 +231,35 @@ impl DecodedPlanes {
 /// weights) skip it.
 ///
 /// For binary16 operands this holds the bulk-decoded f32 planes alongside
-/// the original operand; 1-bit operands are already in kernel format, so
-/// preparation is free.  Built with [`GemmInput::prepare`] or
-/// [`PreparedOperand::new`] and consumed by [`crate::Gemm::run_prepared`].
+/// the original operand; for 1-bit operands, the `re ⊕ im` plane the
+/// kernel reads beside the two sign planes (one word per word of a plane,
+/// built by the same function a direct call builds it with).  Built with
+/// [`GemmInput::prepare`] or [`PreparedOperand::new`] and consumed by
+/// [`crate::Gemm::run_prepared`].
 #[derive(Clone, Debug)]
 pub struct PreparedOperand {
     input: GemmInput,
-    decoded: Option<DecodedPlanes>,
+    prepared: Preparation,
+}
+
+/// What [`PreparedOperand::new`] builds for the kernel of the operand's
+/// precision.
+#[derive(Clone, Debug)]
+pub(crate) enum Preparation {
+    /// A binary16 operand's f32 planes.
+    Decoded(DecodedPlanes),
+    /// A 1-bit operand's [`int1_quadrant_plane`].
+    Quadrant(Vec<u64>),
 }
 
 impl PreparedOperand {
     /// Prepares an operand, taking ownership.
     pub fn new(input: GemmInput) -> Self {
-        let decoded = DecodedPlanes::maybe_from(&input);
-        PreparedOperand { input, decoded }
+        let prepared = match &input {
+            GemmInput::F16(m) => Preparation::Decoded(DecodedPlanes::from_f16(m)),
+            GemmInput::Int1(m) => Preparation::Quadrant(int1_quadrant_plane(m)),
+        };
+        PreparedOperand { input, prepared }
     }
 
     /// The quantised operand this preparation wraps.
@@ -252,13 +269,22 @@ impl PreparedOperand {
 
     /// The pre-decoded planes (binary16 operands only).
     pub fn decoded(&self) -> Option<&DecodedPlanes> {
-        self.decoded.as_ref()
+        match &self.prepared {
+            Preparation::Decoded(planes) => Some(planes),
+            Preparation::Quadrant(_) => None,
+        }
+    }
+
+    /// What preparation built, for the kernel of the operand's precision.
+    pub(crate) fn prepared(&self) -> &Preparation {
+        &self.prepared
     }
 }
 
 impl GemmInput {
     /// Pre-processes this operand for repeated kernel executions (bulk
-    /// half→float decode for binary16; a no-op for packed 1-bit data).
+    /// half→float decode for binary16; the `re ⊕ im` plane for packed 1-bit
+    /// data).
     ///
     /// This clones the operand so the original stays usable; callers that
     /// own the operand and are done with it should move it into
@@ -540,16 +566,16 @@ pub fn gemm_f16_on(isa: Isa, a: &F16Matrix, b_t: &F16Matrix) -> Result<ComplexOu
     gemm_f16_decoded_on(isa, &DecodedPlanes::from_f16(a), b_t)
 }
 
-/// 1-bit complex GEMM with the XOR or AND formulation.
+/// 1-bit complex GEMM, the XOR (Table II) or AND (Eq. 6) formulation.
 ///
 /// Both operands must have been packed with the same padding granularity;
 /// the `K_pad` correction of Eq. 5 is applied to the imaginary part.  An
 /// output is an integer of magnitude at most `2·K`, exact in the `f32`
 /// output for `K ≤ 2²³` (8 388 608, 16× the paper's largest); a longer `K`
 /// is a [`TcbfError::ShapeMismatch`], not a rounded result.  The
-/// two formulations produce bit-identical results (a property the test
-/// suite asserts); the AND path exists because XOR is deprecated from the
-/// Hopper architecture on.
+/// two formulations give the same bits by definition, and the host
+/// computes both with one kernel (see [`gemm_int1_on`]); the device model
+/// picks AND because XOR is deprecated from the Hopper architecture on.
 ///
 /// Runs on the fastest popcount path the host has ([`Isa::detected`]).
 pub fn gemm_int1(a: &Int1Matrix, b_t: &Int1Matrix, op: BitOp) -> Result<ComplexOutput> {
@@ -561,38 +587,69 @@ pub fn gemm_int1(a: &Int1Matrix, b_t: &Int1Matrix, op: BitOp) -> Result<ComplexO
 /// 4 was fastest in every cell, so it is a constant, not a tuning axis.
 const INT1_TILE_ROWS: usize = 4;
 
-/// `B` as the tile kernel reads it, real plane then imaginary: the rows of
-/// the transposed operand in groups of `lanes` (the last group filled up
-/// with all-zero rows), each group stored word-interleaved — word `w` of
-/// the group's `lanes` rows side by side — so one vector load fetches the
-/// same 64 samples of `lanes` output columns.  `O(N·K)` bits moved once per
-/// call, against the kernel's `O(M·N·K)`; a group — both planes of it — is
-/// one parallel work item, and every word of it is written once: the rows
-/// that exist copied, the rest stored as zeros.
+/// `B` as the tile kernel reads it, in quadrant form: `re ⊕ im`, then the
+/// imaginary plane — the rows of the transposed operand in groups of
+/// `lanes` (the last group filled up with all-zero rows), each group stored
+/// word-interleaved — word `w` of the group's `lanes` rows side by side —
+/// so one vector load fetches the same 64 samples of `lanes` output
+/// columns.  `O(N·K)` bits moved once per call, against the kernel's
+/// `O(M·N·K)`; a group — both planes of it — is one parallel work item,
+/// and every word of it is written once: the rows that exist from theirs,
+/// the rest stored as zeros.
 fn int1_column_panels(b_t: &Int1Matrix, lanes: usize) -> [Vec<u64>; 2] {
     // `stride >= 1`: an `Int1Matrix` row holds at least one padded sample.
     let stride = b_t.words_per_row();
     let words = b_t.rows().next_multiple_of(lanes) * stride;
-    write_once_pair(words, |re, im| {
-        re.par_chunks_mut(lanes * stride)
+    write_once_pair(words, |q, im| {
+        q.par_chunks_mut(lanes * stride)
             .zip(im.par_chunks_mut(lanes * stride))
             .enumerate()
-            .for_each(|(g, (re, im))| {
-                for (group, plane) in [(re, b_t.re_words()), (im, b_t.im_words())] {
-                    let rows = plane[g * lanes * stride..].chunks_exact(stride).take(lanes);
-                    let surplus = rows.len()..lanes;
-                    for (l, row) in rows.enumerate() {
-                        for (slot, &word) in group[l..].iter_mut().step_by(lanes).zip(row) {
-                            slot.write(word);
-                        }
+            .for_each(|(g, (q, im))| {
+                let at = g * lanes * stride;
+                let re_rows = b_t.re_words()[at..].chunks_exact(stride);
+                let rows = re_rows
+                    .zip(b_t.im_words()[at..].chunks_exact(stride))
+                    .take(lanes);
+                let surplus = rows.len()..lanes;
+                for (l, (re_row, im_row)) in rows.enumerate() {
+                    // One plane at a time: one `step_by` over both
+                    // destinations zipped made the 32 × 256 × 2048 GEMM
+                    // up to 1.5× slower (2-vCPU AVX-512 Xeon).
+                    let words = re_row.iter().zip(im_row);
+                    for (slot, (&re, &bi)) in q[l..].iter_mut().step_by(lanes).zip(words) {
+                        slot.write(re ^ bi);
                     }
-                    // The all-zero rows that fill up the last group of a
-                    // ragged `N`.
-                    if !surplus.is_empty() {
+                    for (slot, &bi) in im[l..].iter_mut().step_by(lanes).zip(im_row) {
+                        slot.write(bi);
+                    }
+                }
+                // The all-zero rows that fill up the last group of a
+                // ragged `N`.
+                if !surplus.is_empty() {
+                    for group in [q, im] {
                         for step in group.chunks_exact_mut(lanes) {
                             step[surplus.clone()].fill(MaybeUninit::new(0));
                         }
                     }
+                }
+            });
+    })
+}
+
+/// `re ⊕ im` of a 1-bit operand, word for word: the third plane of `A` the
+/// tile kernel reads, built once per weights by [`PreparedOperand::new`]
+/// and per call by [`gemm_int1_on`].  Padding and slack are zero in both
+/// sign planes, so they are zero here too.  A run of [`PLANE_ITEM`] words
+/// is one parallel work item.
+fn int1_quadrant_plane(a: &Int1Matrix) -> Vec<u64> {
+    write_once(a.re_words().len(), |q| {
+        q.par_chunks_mut(PLANE_ITEM)
+            .enumerate()
+            .for_each(|(item, q)| {
+                let at = item * PLANE_ITEM;
+                let words = a.re_words()[at..].iter().zip(&a.im_words()[at..]);
+                for (slot, (&re, &im)) in q.iter_mut().zip(words) {
+                    slot.write(re ^ im);
                 }
             });
     })
@@ -604,7 +661,10 @@ fn int1_column_panels(b_t: &Int1Matrix, lanes: usize) -> [Vec<u64>; 2] {
 pub(crate) struct Int1Operands<'a> {
     a_re: &'a [u64],
     a_im: &'a [u64],
-    b_re: Vec<u64>,
+    /// See [`int1_quadrant_plane`].
+    a_q: &'a [u64],
+    /// `re ⊕ im` and the imaginary plane of `B`: see [`int1_column_panels`].
+    b_q: Vec<u64>,
     b_im: Vec<u64>,
     /// Columns per panel group: the lane count of the instance to run.
     lanes: usize,
@@ -624,9 +684,10 @@ const INT1_F32_EXACT_K: usize = 1 << 23;
 /// `2·K` as the 32-bit integer the 1-bit kernel's outputs are defined in
 /// (Section III-D: 1-bit input, 32-bit integer output).
 ///
-/// Every partial sum of the kernel is bounded by `2·K_padded`, so this one
-/// conversion is the accumulator's whole overflow analysis: operands too
-/// long for it are a [`TcbfError::ShapeMismatch`], never a wrapped sum.
+/// Every count the kernel sums is at most `K_padded` and every output at
+/// most `2·K` in magnitude, so this one conversion is the whole overflow
+/// analysis of the 32-bit result: operands too long for it are a
+/// [`TcbfError::ShapeMismatch`], never a wrapped sum.
 /// So is a `K` above [`INT1_F32_EXACT_K`], whose outputs the `f32` output
 /// matrix could only round.
 fn int1_output_bound(k_bits: usize, k_padded: usize) -> Result<i32> {
@@ -647,19 +708,6 @@ fn int1_output_bound(k_bits: usize, k_padded: usize) -> Result<i32> {
     }
 }
 
-/// The population-count term of one operand word pair under each
-/// formulation: mismatches for XOR (Table II), matches for AND (Eq. 6 —
-/// two counts per pair, mirroring the doubled tensor-core instruction
-/// count on Hopper).
-#[inline(always)]
-fn popc_term<const AND: bool>(a: u64, b: u64) -> i64 {
-    if AND {
-        i64::from((a & b).count_ones() + (!a & !b).count_ones())
-    } else {
-        i64::from((a ^ b).count_ones())
-    }
-}
-
 /// The register-tiled 1-bit micro-kernel: `MR` rows of `A` (from row `i0`;
 /// `out` is exactly their `MR` output rows) against every column panel of
 /// `B` — an `MR × LANES` tile of outputs per pass over `K`, one output per
@@ -667,61 +715,66 @@ fn popc_term<const AND: bool>(a: u64, b: u64) -> i64 {
 /// each `A` word, broadcast, feeds `LANES` columns'; nothing is reduced
 /// across lanes, so there is no horizontal step at all.
 ///
-/// Per output the complex product is folded as it accumulates: with `t`
-/// the [`popc_term`] of the formulation, one accumulator takes
-/// `t(ar,br) − t(ai,bi)` and one `t(ar,bi) + t(ai,br)` — two per output,
-/// not four.  Under XOR (`t` counts mismatches, `rr = K_padded − 2·t`):
+/// Per output it counts *quadrants*, not signs.  A sign bit is 1 for +1,
+/// and the product of two samples `±1 ± i` is always one of `±2`, `±2i`;
+/// with `q = ar ⊕ ai` and `r = br ⊕ bi` (the third plane of `A`, the first
+/// panel of `B`), per word
 ///
 /// ```text
-/// re = rr − ii           = −2·Σ(t(ar,br) − t(ai,bi))
-/// im = ri + ir − 2·K_pad =  2·K − 2·Σ(t(ar,bi) + t(ai,br))
+/// t = bi ⊕ (q ∧ r)      H = t ⊕ ai      G = t ⊕ r ⊕ ar
 /// ```
 ///
-/// the `K_pad` correction of Eq. 5 hoisted into the constant `2·K`: the
-/// padding is binary 0 (decimal −1) in every plane, so it cancels in the
-/// real part and adds `+K_pad` to both terms of the imaginary part.  Under
-/// AND `t` counts matches over every bit of the row's words — padding and
-/// slack, zero in both operands, all match — so the signs flip and the
-/// constant absorbs the words' length instead.
+/// codes each sample's product in two bits — `(H, G)` is `00` for `+2i`,
+/// `10` for `+2`, `11` for `−2i` and `01` for `−2` — so two popcounts per
+/// word pair carry the whole complex sum, where Table II's four XOR counts
+/// or Eq. 6's eight AND counts carry four real ones:
+///
+/// ```text
+/// re = 2·(ΣH − ΣG)      im = 2·K − 2·(ΣH + ΣG)
+/// ```
+///
+/// Padding and slack are 0 in every plane, so they give `H = G = 0` and
+/// count in neither sum: the `K_pad` correction of Eq. 5 is all in the
+/// constant `2·K`, which counts the valid samples only.  The outputs are
+/// those of both formulations bit for bit.
 ///
 /// `LANES` is the vector width in words the instance is compiled for; it
 /// never changes a result (integer sums), only the instructions.
 #[inline(always)]
-fn int1_tile_rows<const MR: usize, const LANES: usize, const AND: bool>(
+fn int1_tile_rows<const MR: usize, const LANES: usize>(
     out: &mut [MaybeUninit<Complex32>],
     i0: usize,
     g: &Int1Operands<'_>,
 ) {
     let (n, stride) = (g.n, g.stride);
     assert_eq!((out.len(), g.lanes), (MR * n, LANES));
-    let (scale, im_bias) = if AND {
-        (2, i64::from(g.bound) - 4 * 64 * stride as i64)
-    } else {
-        (-2, i64::from(g.bound))
-    };
     let ar: [&[u64]; MR] = std::array::from_fn(|i| &g.a_re[(i0 + i) * stride..][..stride]);
     let ai: [&[u64]; MR] = std::array::from_fn(|i| &g.a_im[(i0 + i) * stride..][..stride]);
-    let panels = g.b_re.chunks_exact(LANES * stride);
-    for (group, (br, bi)) in panels.zip(g.b_im.chunks_exact(LANES * stride)).enumerate() {
-        let (br, bi) = (br.as_chunks::<LANES>().0, bi.as_chunks::<LANES>().0);
-        let mut acc_re = [[0i64; LANES]; MR];
-        let mut acc_im = [[0i64; LANES]; MR];
-        for (w, (br, bi)) in br.iter().zip(bi).enumerate() {
+    let aq: [&[u64]; MR] = std::array::from_fn(|i| &g.a_q[(i0 + i) * stride..][..stride]);
+    let panels = g.b_q.chunks_exact(LANES * stride);
+    for (group, (bq, bi)) in panels.zip(g.b_im.chunks_exact(LANES * stride)).enumerate() {
+        let (bq, bi) = (bq.as_chunks::<LANES>().0, bi.as_chunks::<LANES>().0);
+        let mut acc_h = [[0i64; LANES]; MR];
+        let mut acc_g = [[0i64; LANES]; MR];
+        for (w, (bq, bi)) in bq.iter().zip(bi).enumerate() {
             for i in 0..MR {
-                let (ar, ai) = (ar[i][w], ai[i][w]);
+                let (ar, ai, aq) = (ar[i][w], ai[i][w], aq[i][w]);
                 for l in 0..LANES {
-                    acc_re[i][l] += popc_term::<AND>(ar, br[l]) - popc_term::<AND>(ai, bi[l]);
-                    acc_im[i][l] += popc_term::<AND>(ar, bi[l]) + popc_term::<AND>(ai, br[l]);
+                    let t = bi[l] ^ (aq & bq[l]);
+                    acc_h[i][l] += i64::from((t ^ ai).count_ones());
+                    acc_g[i][l] += i64::from((t ^ bq[l] ^ ar).count_ones());
                 }
             }
         }
 
         let j0 = group * LANES;
-        for i in 0..MR {
+        let two_k = i64::from(g.bound);
+        for (i, (sum_h, sum_g)) in acc_h.iter().zip(&acc_g).enumerate() {
             // Whole vectors are finished before the columns that exist
             // are stored; `int1_output_bound` is why `as i32` is lossless.
-            let re = acc_re[i].map(|sum| (scale * sum) as i32);
-            let im = acc_im[i].map(|sum| (scale * sum + im_bias) as i32);
+            let re: [i32; LANES] = std::array::from_fn(|l| 2 * (sum_h[l] - sum_g[l]) as i32);
+            let im: [i32; LANES] =
+                std::array::from_fn(|l| (two_k - 2 * (sum_h[l] + sum_g[l])) as i32);
             debug_assert!(re.iter().chain(&im).all(|v| v.abs() <= g.bound));
             let values: [Complex32; LANES] =
                 std::array::from_fn(|l| Complex32::new(re[l] as f32, im[l] as f32));
@@ -735,21 +788,21 @@ fn int1_tile_rows<const MR: usize, const LANES: usize, const AND: bool>(
 /// kernel at the next smaller heights — a ragged `M` costs no redundant
 /// row.
 #[inline(always)]
-pub(crate) fn int1_row_group<const LANES: usize, const AND: bool>(
+pub(crate) fn int1_row_group<const LANES: usize>(
     out: &mut [MaybeUninit<Complex32>],
     i0: usize,
     g: &Int1Operands<'_>,
 ) {
     let n = g.n;
     if out.len() == INT1_TILE_ROWS * n {
-        return int1_tile_rows::<INT1_TILE_ROWS, LANES, AND>(out, i0, g);
+        return int1_tile_rows::<INT1_TILE_ROWS, LANES>(out, i0, g);
     }
     let (pair, single) = out.split_at_mut(if out.len() >= 2 * n { 2 * n } else { 0 });
     if !pair.is_empty() {
-        int1_tile_rows::<2, LANES, AND>(pair, i0, g);
+        int1_tile_rows::<2, LANES>(pair, i0, g);
     }
     if !single.is_empty() {
-        int1_tile_rows::<1, LANES, AND>(single, i0 + pair.len() / n, g);
+        int1_tile_rows::<1, LANES>(single, i0 + pair.len() / n, g);
     }
 }
 
@@ -757,11 +810,27 @@ pub(crate) fn int1_row_group<const LANES: usize, const AND: bool>(
 /// `hotpath_bench` run every path the host has.  Production callers never
 /// choose: [`gemm_int1`] passes [`Isa::detected`].  All paths agree on
 /// all inputs.
+///
+/// The formulation argument names the one the modelled device uses
+/// (`GemmPlan::bit_op`) and nothing else: the host computes Table II and
+/// Eq. 6 with one kernel, which counts quadrants (see the module doc), so
+/// it changes no instruction and no bit.  `A`'s `re ⊕ im` plane is built
+/// here, per call; [`PreparedOperand`] builds it once per weights.
 pub fn gemm_int1_on(
     isa: Isa,
     a: &Int1Matrix,
     b_t: &Int1Matrix,
-    op: BitOp,
+    _op: BitOp,
+) -> Result<ComplexOutput> {
+    gemm_int1_quadrant_on(isa, a, &int1_quadrant_plane(a), b_t)
+}
+
+/// The 1-bit GEMM on `isa`, with `A`'s `re ⊕ im` plane (`a_q`) built.
+fn gemm_int1_quadrant_on(
+    isa: Isa,
+    a: &Int1Matrix,
+    a_q: &[u64],
+    b_t: &Int1Matrix,
 ) -> Result<ComplexOutput> {
     if a.k_bits() != b_t.k_bits() || a.k_padded() != b_t.k_padded() {
         return Err(TcbfError::ShapeMismatch {
@@ -775,26 +844,25 @@ pub fn gemm_int1_on(
     }
     let bound = int1_output_bound(a.k_bits(), a.k_padded())?;
     let (m, n, stride) = (a.rows(), b_t.rows(), a.words_per_row());
-    let [b_re, b_im] = int1_column_panels(b_t, isa.int1_lanes());
+    let [b_q, b_im] = int1_column_panels(b_t, isa.int1_lanes());
     let operands = Int1Operands {
         a_re: a.re_words(),
         a_im: a.im_words(),
-        b_re,
+        a_q,
+        b_q,
         b_im,
         lanes: isa.int1_lanes(),
         stride,
         n,
         bound,
     };
-    let kernel = match op {
-        BitOp::Xor => int1_row_group_on::<false>,
-        BitOp::And => int1_row_group_on::<true>,
-    };
 
     let out = write_once(m * n, |out| {
         out.par_chunks_mut((INT1_TILE_ROWS * n).max(1))
             .enumerate()
-            .for_each(|(group, rows)| kernel(isa, rows, group * INT1_TILE_ROWS, &operands));
+            .for_each(|(group, rows)| {
+                int1_row_group_on(isa, rows, group * INT1_TILE_ROWS, &operands)
+            });
     });
     HostComplexMatrix::from_data(m, n, out)
 }
@@ -802,34 +870,38 @@ pub fn gemm_int1_on(
 /// Executes a GEMM on already-quantised operands, dispatching on their
 /// precision.  Both operands must share the same precision.
 pub fn gemm_dispatch(a: &GemmInput, b_t: &GemmInput, op: BitOp) -> Result<ComplexOutput> {
-    gemm_dispatch_decoded(a, None, b_t, op)
+    gemm_dispatch_with(a, None, b_t, op)
 }
 
 /// Executes a GEMM with an operand whose preparation (bulk half→float
-/// decode) was done ahead of time, dispatching on precision.
+/// decode, or the 1-bit `re ⊕ im` plane) was done ahead of time,
+/// dispatching on precision.
 pub fn gemm_dispatch_prepared(
     a: &PreparedOperand,
     b_t: &GemmInput,
     op: BitOp,
 ) -> Result<ComplexOutput> {
-    gemm_dispatch_decoded(a.input(), a.decoded(), b_t, op)
+    gemm_dispatch_with(a.input(), Some(a.prepared()), b_t, op)
 }
 
-/// Dispatch core: uses `decoded` for the `A` operand when supplied (the
-/// decode-once paths), decodes on the fly otherwise, and runs the kernel
-/// instance the host supports ([`Isa::detected`]).
-pub(crate) fn gemm_dispatch_decoded(
+/// Dispatch core: uses what `prepared` holds for the `A` operand when
+/// supplied (the prepare-once paths), builds it on the fly otherwise, and
+/// runs the kernel instance the host supports ([`Isa::detected`]).
+pub(crate) fn gemm_dispatch_with(
     a: &GemmInput,
-    decoded: Option<&DecodedPlanes>,
+    prepared: Option<&Preparation>,
     b_t: &GemmInput,
     op: BitOp,
 ) -> Result<ComplexOutput> {
     match (a, b_t) {
-        (GemmInput::F16(a), GemmInput::F16(b)) => match decoded {
-            Some(planes) => gemm_f16_decoded_on(Isa::detected(), planes, b),
-            None => gemm_f16(a, b),
+        (GemmInput::F16(a), GemmInput::F16(b)) => match prepared {
+            Some(Preparation::Decoded(planes)) => gemm_f16_decoded_on(Isa::detected(), planes, b),
+            _ => gemm_f16(a, b),
         },
-        (GemmInput::Int1(a), GemmInput::Int1(b)) => gemm_int1(a, b, op),
+        (GemmInput::Int1(a), GemmInput::Int1(b)) => match prepared {
+            Some(Preparation::Quadrant(a_q)) => gemm_int1_quadrant_on(Isa::detected(), a, a_q, b),
+            _ => gemm_int1(a, b, op),
+        },
         (a, b) => Err(TcbfError::PrecisionMismatch {
             expected: a.precision().to_string(),
             actual: b.precision().to_string(),
@@ -931,30 +1003,52 @@ mod tests {
         })
     }
 
+    /// `a · bᵀ` one output element at a time through Eq. 6's definition,
+    /// `PackedBits::dot_and` — two AND + popcount passes per word pair of
+    /// each of the four real products — with the Eq. 5 correction.
+    fn per_element_and_gemm(a: &Int1Matrix, b_t: &Int1Matrix) -> HostComplexMatrix {
+        let k_pad = a.k_padding() as i32;
+        HostComplexMatrix::from_fn(a.rows(), b_t.rows(), |i, j| {
+            let [ar, ai] = [a.re_row(i), a.im_row(i)].map(|row| row.to_packed_bits());
+            let [br, bi] = [b_t.re_row(j), b_t.im_row(j)].map(|row| row.to_packed_bits());
+            Complex32::new(
+                (ar.dot_and(&br) - ai.dot_and(&bi)) as f32,
+                (ar.dot_and(&bi) + ai.dot_and(&br) - 2 * k_pad) as f32,
+            )
+        })
+    }
+
     fn bits(m: &HostComplexMatrix) -> Vec<(u32, u32)> {
         let of = |v: &Complex32| (v.re.to_bits(), v.im.to_bits());
         m.data().iter().map(of).collect()
     }
 
-    /// Asserts that every popcount path × formulation gives `expected`,
-    /// bit for bit.
+    /// Asserts that both formulations' per-element definitions — Table II
+    /// and Eq. 6 — and every popcount path × formulation of the kernel give
+    /// `expected`, bit for bit.
     fn assert_every_int1_path_gives(
         a: &Int1Matrix,
         b_t: &Int1Matrix,
         expected: &HostComplexMatrix,
     ) {
+        let shape = format!(
+            "{}x{}x{} (padded to {})",
+            a.rows(),
+            b_t.rows(),
+            a.k_bits(),
+            a.k_padded()
+        );
+        let definitions = [
+            ("Table II", per_element_gemm(a, b_t)),
+            ("Eq. 6", per_element_and_gemm(a, b_t)),
+        ];
+        for (name, definition) in definitions {
+            assert_eq!(bits(&definition), bits(expected), "{shape}: {name}");
+        }
         for isa in Isa::available() {
             for op in [BitOp::Xor, BitOp::And] {
                 let got = gemm_int1_on(isa, a, b_t, op).unwrap();
-                assert_eq!(
-                    bits(&got),
-                    bits(expected),
-                    "{}x{}x{} (padded to {}) on {isa}, {op}",
-                    a.rows(),
-                    b_t.rows(),
-                    a.k_bits(),
-                    a.k_padded(),
-                );
+                assert_eq!(bits(&got), bits(expected), "{shape} on {isa}, {op}");
             }
         }
     }
@@ -1314,8 +1408,10 @@ mod tests {
             );
             let stride = packed.words_per_row();
             for lanes in [4, 8] {
-                let planes = [packed.re_words(), packed.im_words()];
-                let expected = planes.map(|plane| {
+                // Quadrant form: `re ⊕ im`, then the imaginary plane.
+                let (re, im) = (packed.re_words(), packed.im_words());
+                let q: Vec<u64> = re.iter().zip(im).map(|(re, im)| re ^ im).collect();
+                let expected = [&q[..], im].map(|plane| {
                     let mut panel = vec![0u64; n.next_multiple_of(lanes) * stride];
                     for (j, w) in (0..n).flat_map(|j| (0..stride).map(move |w| (j, w))) {
                         panel[((j / lanes) * stride + w) * lanes + j % lanes] =
@@ -1390,8 +1486,8 @@ mod tests {
         // The planes are not cleared before they are packed, so the padding
         // of Eq. 5, the slack of a row's last word and whole padding words
         // (a granularity above 64) are zero only because the packing pass
-        // stored them — and the AND formulation counts matches over whole
-        // words, so it agrees with XOR only if they are.
+        // stored them — and the kernel counts over whole words, so its
+        // constant `2·K` is the whole Eq. 5 correction only if they are.
         use crate::matrix::tests::arbitrary_bits_matrix;
         for granularity in [1, 33, 64, 100, 256, 1024] {
             for k in [0, 1, 63, 64, 65, 257] {
@@ -1419,6 +1515,39 @@ mod tests {
                 }
                 // XOR and AND alike, on every path, against the definition.
                 assert_every_int1_path_gives(&a, &b, &per_element_gemm(&a, &b));
+            }
+        }
+    }
+
+    #[test]
+    fn the_prepared_quadrant_plane_is_re_xor_im_and_zero_past_the_samples() {
+        use crate::matrix::tests::arbitrary_bits_matrix;
+        for granularity in [1, 32, 33, 256] {
+            for k in [1, 63, 64, 65, 300] {
+                let host = arbitrary_bits_matrix(5, k, (granularity * 1000 + k) as u64);
+                let a = Int1Matrix::from_host_padded(&host, granularity);
+                let prepared = PreparedOperand::new(GemmInput::Int1(a.clone()));
+                let Preparation::Quadrant(plane) = prepared.prepared() else {
+                    panic!("a 1-bit operand is prepared with its quadrant plane");
+                };
+                assert!(prepared.decoded().is_none());
+                let definition: Vec<u64> = a
+                    .re_words()
+                    .iter()
+                    .zip(a.im_words())
+                    .map(|(re, im)| re ^ im)
+                    .collect();
+                assert_eq!(plane, &definition, "{k}/{granularity}");
+                let stride = a.words_per_row();
+                for (r, row) in plane.chunks_exact(stride).enumerate() {
+                    for (w, &word) in row.iter().enumerate() {
+                        let valid = k.saturating_sub(64 * w).min(64);
+                        let past = word.checked_shr(valid as u32).unwrap_or(0);
+                        assert_eq!(past, 0, "{k}/{granularity}: row {r}, word {w}");
+                    }
+                }
+                // The plane a direct call builds is the same function's.
+                assert_eq!(&int1_quadrant_plane(&a), plane);
             }
         }
     }

@@ -152,30 +152,26 @@ const AVX512_F16_LANES: usize = 16;
 /// [`int1_row_group`] compiled with 512-bit lanes and `vpopcntq`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-fn int1_row_group_avx512<const AND: bool>(
-    out: &mut [MaybeUninit<Complex32>],
-    i0: usize,
-    g: &Int1Operands<'_>,
-) {
-    int1_row_group::<AVX512_INT1_LANES, AND>(out, i0, g);
+fn int1_row_group_avx512(out: &mut [MaybeUninit<Complex32>], i0: usize, g: &Int1Operands<'_>) {
+    int1_row_group::<AVX512_INT1_LANES>(out, i0, g);
 }
 
 /// Runs one row group of the 1-bit tile kernel on `isa`.
-pub(crate) fn int1_row_group_on<const AND: bool>(
+pub(crate) fn int1_row_group_on(
     isa: Isa,
     out: &mut [MaybeUninit<Complex32>],
     i0: usize,
     g: &Int1Operands<'_>,
 ) {
     match isa.0 {
-        Path::Portable => int1_row_group::<PORTABLE_INT1_LANES, AND>(out, i0, g),
+        Path::Portable => int1_row_group::<PORTABLE_INT1_LANES>(out, i0, g),
         #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
         // SAFETY: `Path::Avx512` is private to this module and built only by
         // `Isa::avx512`, after `is_x86_feature_detected!` reported both
         // `avx512f` and `avx512vpopcntdq` — exactly the features the callee
         // enables.
-        Path::Avx512 => unsafe { int1_row_group_avx512::<AND>(out, i0, g) },
+        Path::Avx512 => unsafe { int1_row_group_avx512(out, i0, g) },
     }
 }
 

@@ -28,9 +28,7 @@
 //! the calibration discussion).
 
 use crate::error::{Result, TcbfError};
-use crate::gemm::{
-    gemm_dispatch_decoded, ComplexOutput, DecodedPlanes, GemmInput, PreparedOperand,
-};
+use crate::gemm::{gemm_dispatch_with, ComplexOutput, GemmInput, Preparation, PreparedOperand};
 use crate::params::{ParameterSpace, TuningParameters};
 use crate::reference;
 use crate::Precision;
@@ -479,28 +477,28 @@ impl Gemm {
     /// supplied: batched shapes are modelled ([`Gemm::predict`]), not
     /// executed — run their blocks one by one.
     pub fn run(&self, a: &GemmInput, b_t: &GemmInput) -> Result<(ComplexOutput, RunReport)> {
-        self.run_decoded(a, None, b_t)
+        self.run_with(a, None, b_t)
     }
 
-    /// Runs the GEMM with a pre-prepared `A` operand (bulk-decoded once,
-    /// e.g. cached beamforming weights), skipping the per-call half→float
-    /// decode of the hot path.  Otherwise identical to [`Gemm::run`],
-    /// including bit-identical output.
+    /// Runs the GEMM with a pre-prepared `A` operand (bulk-decoded once, or
+    /// its 1-bit `re ⊕ im` plane built once, e.g. cached beamforming
+    /// weights), skipping that per-call work on the hot path.  Otherwise
+    /// identical to [`Gemm::run`], including bit-identical output.
     pub fn run_prepared(
         &self,
         a: &PreparedOperand,
         b_t: &GemmInput,
     ) -> Result<(ComplexOutput, RunReport)> {
-        self.run_decoded(a.input(), a.decoded(), b_t)
+        self.run_with(a.input(), Some(a.prepared()), b_t)
     }
 
     /// The one execution core: checks the operand pair against the plan's
     /// batch, precision and shape, then multiplies it with the plan's bit
-    /// operation, reusing `decoded` for the `A` operand when supplied.
-    fn run_decoded(
+    /// operation, reusing `prepared` for the `A` operand when supplied.
+    fn run_with(
         &self,
         a: &GemmInput,
-        decoded: Option<&DecodedPlanes>,
+        prepared: Option<&Preparation>,
         b_t: &GemmInput,
     ) -> Result<(ComplexOutput, RunReport)> {
         let shape = self.plan.shape();
@@ -524,7 +522,7 @@ impl Gemm {
                 actual: format!("A {}x{}, B(T) {}x{}", a.rows(), a.k(), b_t.rows(), b_t.k()),
             });
         }
-        let output = gemm_dispatch_decoded(a, decoded, b_t, self.plan.bit_op())?;
+        let output = gemm_dispatch_with(a, prepared, b_t, self.plan.bit_op())?;
         let report = self.report(&self.plan.kernel_profile());
         Ok((output, report))
     }
