@@ -4,7 +4,7 @@
 
 #![forbid(unsafe_code)]
 
-use cudapeak::table1;
+use gpu_sim::table1::table1;
 use tcbf_bench::{fmt_opt, header, print_table};
 
 fn main() {

@@ -811,11 +811,10 @@ pub(crate) fn int1_row_group<const LANES: usize>(
 /// choose: [`gemm_int1`] passes [`Isa::detected`].  All paths agree on
 /// all inputs.
 ///
-/// The formulation argument names the one the modelled device uses
-/// (`GemmPlan::bit_op`) and nothing else: the host computes Table II and
-/// Eq. 6 with one kernel, which counts quadrants (see the module doc), so
-/// it changes no instruction and no bit.  `A`'s `re ⊕ im` plane is built
-/// here, per call; [`PreparedOperand`] builds it once per weights.
+/// The formulation argument is the modelled device's (`GemmPlan::bit_op`)
+/// and changes no instruction and no bit: one kernel, counting quadrants
+/// (see the module doc), computes Table II and Eq. 6.  `A`'s `re ⊕ im`
+/// plane is built here per call; [`PreparedOperand`] builds it per weights.
 pub fn gemm_int1_on(
     isa: Isa,
     a: &Int1Matrix,

@@ -116,7 +116,8 @@ pub struct RunReport {
     pub achieved_tops: f64,
     /// Energy efficiency in TeraOps/J.
     pub tops_per_joule: f64,
-    /// Bit operation used (1-bit mode only).
+    /// The modelled device's 1-bit instruction (`GemmPlan::bit_op`; 1-bit
+    /// mode only).  It decides no host instruction and no output bit.
     pub bit_op: Option<BitOp>,
 }
 

@@ -98,7 +98,7 @@ pub struct Int1Peaks {
 
 impl Int1Peaks {
     /// Measured peak for a given fragment layout and bit operation.
-    pub fn measured(&self, fragment: BitFragmentShape, op: BitOp) -> f64 {
+    pub(crate) fn measured(&self, fragment: BitFragmentShape, op: BitOp) -> f64 {
         match (fragment, op) {
             (BitFragmentShape::M8N8K128, BitOp::Xor) => self.small_xor,
             (BitFragmentShape::M8N8K128, BitOp::And) => self.small_and,

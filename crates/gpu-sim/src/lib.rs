@@ -31,6 +31,8 @@
 //!   integrates over each kernel to produce energy-efficiency numbers.
 //! * [`roofline`] — roofline ceilings and attainable-performance queries
 //!   used for Fig. 3.
+//! * [`table1`] — the tensor-core micro-benchmarks of Table I, read from
+//!   the device catalog.
 //!
 //! Functional correctness (the numbers in output matrices) never depends on
 //! the performance model; the two are deliberately separated so tests can
@@ -47,6 +49,7 @@ pub mod memory;
 pub mod pool;
 pub mod power;
 pub mod roofline;
+pub mod table1;
 pub mod wmma;
 
 pub use arch::{Architecture, BitOp};

@@ -1,18 +1,14 @@
-//! Tensor-core micro-benchmarks — the `cudapeak` analogue used for
-//! Table I of the paper.
+//! Tensor-core micro-benchmarks: the paper's Table I.
 //!
-//! The real cudapeak library launches kernels that keep the tensor cores
-//! busy from registers only, so that the measured throughput is the
+//! The paper's peak-rate library launches kernels that keep the tensor
+//! cores busy from registers only, so that the measured throughput is the
 //! compute ceiling rather than a memory-bandwidth artefact.  The simulated
 //! equivalent reports the sustained-throughput numbers of the device
 //! catalog, which were taken from Table I of the paper.  Each result
 //! carries both the measured and the theoretical value so the Table I
 //! "measured / theoretical" columns can be regenerated directly.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
-use gpu_sim::{BitFragmentShape, BitOp, DeviceSpec, FragmentShape, Gpu};
+use crate::{BitFragmentShape, BitOp, DeviceSpec, FragmentShape, Gpu};
 use serde::{Deserialize, Serialize};
 
 /// The precision / fragment / operand combination of one Table I row.

@@ -11,7 +11,6 @@
 //! * [`BitFragmentShape`] — the 1-bit ("binary") fragments, whose XOR or
 //!   AND + popcount accumulation Table II and Eqs. 5–6 describe.
 
-use crate::arch::Architecture;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -35,11 +34,6 @@ impl FragmentShape {
     /// Fragment depth (K).
     pub const fn k(self) -> usize {
         16
-    }
-
-    /// Fragment shapes supported by an architecture for float16 inputs.
-    pub fn supported(_arch: Architecture) -> Vec<FragmentShape> {
-        vec![FragmentShape::M16N16K16]
     }
 }
 
@@ -82,15 +76,6 @@ impl BitFragmentShape {
     /// Both layouts, small first.
     pub const ALL: [BitFragmentShape; 2] =
         [BitFragmentShape::M8N8K128, BitFragmentShape::M16N8K256];
-
-    /// Layouts supported by an architecture (empty on AMD).
-    pub fn supported(arch: Architecture) -> Vec<BitFragmentShape> {
-        if arch.supports_int1() {
-            BitFragmentShape::ALL.to_vec()
-        } else {
-            Vec::new()
-        }
-    }
 }
 
 impl fmt::Display for BitFragmentShape {
@@ -108,7 +93,5 @@ mod tests {
         assert_eq!(FragmentShape::M16N16K16.to_string(), "16x16x16");
         assert_eq!(BitFragmentShape::M8N8K128.to_string(), "8x8x128");
         assert_eq!(BitFragmentShape::M16N8K256.to_string(), "16x8x256");
-        assert!(BitFragmentShape::supported(Architecture::Cdna3).is_empty());
-        assert_eq!(BitFragmentShape::supported(Architecture::Ampere).len(), 2);
     }
 }
