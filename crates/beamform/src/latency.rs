@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// (bucket 0 also absorbs sub-nanosecond samples), so 64 buckets span
 /// everything a `u64` nanosecond count can express — from 1 ns to ~584
 /// years.
-pub const LATENCY_BUCKETS: usize = 64;
+pub(crate) const LATENCY_BUCKETS: usize = 64;
 
 /// A fixed-bucket log2 histogram of latencies in nanoseconds.
 ///
@@ -99,11 +99,6 @@ impl LatencyHistogram {
     /// Whether no sample has been recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// The per-bucket counts (bucket `i` covers `[2^i, 2^{i+1})` ns).
-    pub fn buckets(&self) -> &[u64; LATENCY_BUCKETS] {
-        &self.buckets
     }
 
     /// Merges another histogram into this one (bucket-wise sum): the
@@ -245,8 +240,8 @@ mod tests {
         hist.record_s(f64::INFINITY); // clamps to the top bucket
         hist.record_s(f64::NAN); // non-finite, non-positive: bottom
         assert_eq!(hist.count(), 4);
-        assert_eq!(hist.buckets()[0], 3);
-        assert_eq!(hist.buckets()[LATENCY_BUCKETS - 1], 1);
+        assert_eq!(hist.buckets[0], 3);
+        assert_eq!(hist.buckets[LATENCY_BUCKETS - 1], 1);
         assert!(hist.percentile_s(1.0).is_finite());
     }
 
@@ -285,11 +280,11 @@ mod tests {
             pinned.merge(&copy);
         }
         assert_eq!(pinned.count(), u64::MAX);
-        assert_eq!(pinned.buckets()[0], u64::MAX);
+        assert_eq!(pinned.buckets[0], u64::MAX);
         // Merging more samples on top neither wraps nor panics.
         pinned.merge(&saturated);
         assert_eq!(pinned.count(), u64::MAX);
-        assert_eq!(pinned.buckets()[0], u64::MAX);
+        assert_eq!(pinned.buckets[0], u64::MAX);
         // Recording on a saturated histogram also saturates.
         pinned.record_ns(1);
         assert_eq!(pinned.count(), u64::MAX);
@@ -302,7 +297,7 @@ mod tests {
         small.record_ns(1 << 40);
         small.merge(&pinned);
         assert_eq!(small.count(), u64::MAX);
-        assert_eq!(small.buckets()[40], 1);
+        assert_eq!(small.buckets[40], 1);
         // 2^63 samples at 1 ns and 2^63 at 2 ns: the merged total
         // saturates, and so must the running sum the percentile walks.
         let mut low = LatencyHistogram::new();
@@ -314,7 +309,7 @@ mod tests {
             low.merge(&low_copy);
             high.merge(&high_copy);
         }
-        assert_eq!(low.buckets()[0], 1 << 63);
+        assert_eq!(low.buckets[0], 1 << 63);
         low.merge(&high);
         assert_eq!(low.count(), u64::MAX);
         assert!((low.p99_s() - 4e-9).abs() < 1e-18);

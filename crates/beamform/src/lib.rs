@@ -50,7 +50,7 @@ pub mod weights;
 pub use beamformer::{BeamformOutput, Beamformer, BeamformerConfig};
 pub use engine::{Engine, Report};
 pub use geometry::{ArrayGeometry, SPEED_OF_LIGHT, SPEED_OF_SOUND_TISSUE};
-pub use latency::{LatencyHistogram, LATENCY_BUCKETS};
+pub use latency::LatencyHistogram;
 pub use shard::{ShardPlan, ShardedBeamformer};
 pub use signal::{PlaneWaveSource, SignalGenerator};
 pub use stream::StreamReport;

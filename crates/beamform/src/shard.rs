@@ -213,18 +213,12 @@ pub struct ShardedBeamformer {
 impl ShardedBeamformer {
     /// Builds one beamformer per pool member, all sharing the same
     /// weights, block length and configuration.
-    ///
-    /// The calibration cache is warmed for all members in
-    /// parallel before the per-device plans are constructed, so a
-    /// heterogeneous pool pays one parallel enumeration instead of one
-    /// serial enumeration per distinct device.
     pub fn new(
         pool: &DevicePool,
         weights: WeightMatrix,
         samples_per_block: usize,
         config: BeamformerConfig,
     ) -> ccglib::Result<Self> {
-        ccglib::warm_calibration(&pool.specs(), config.precision);
         // `repeat_n` hands the last member the original: a pool of one
         // copies no weights.
         let members = pool

@@ -62,7 +62,7 @@ pub use gemm::{ComplexOutput, DecodedPlanes, GemmInput, PreparedOperand};
 pub use isa::Isa;
 pub use micro::MicroKernelConfig;
 pub use params::{ParameterSpace, TuningParameters};
-pub use plan::{calibration_shape, warm_calibration, Gemm, GemmPlan, RunReport};
+pub use plan::{calibration_shape, Gemm, GemmPlan, RunReport};
 pub use reference::reference_gemm;
 
 use serde::{Deserialize, Serialize};

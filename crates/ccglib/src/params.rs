@@ -51,7 +51,7 @@ impl TuningParameters {
     /// The K-depth of one shared-memory stage for a precision: two
     /// fragments deep for float16 (32 elements), two 256-bit fragments for
     /// 1-bit (512 samples).
-    pub fn k_slice(precision: Precision) -> usize {
+    pub(crate) fn k_slice(precision: Precision) -> usize {
         match precision {
             Precision::Float16 | Precision::Float32Reference => 32,
             Precision::Int1 => 512,
@@ -60,7 +60,7 @@ impl TuningParameters {
 
     /// Number of warps per thread block implied by the per-block and
     /// per-warp work.
-    pub fn warps_per_block(&self) -> usize {
+    pub(crate) fn warps_per_block(&self) -> usize {
         (self.m_per_block / self.m_per_warp.max(1)).max(1)
             * (self.n_per_block / self.n_per_warp.max(1)).max(1)
     }

@@ -52,58 +52,6 @@ static CALIBRATION_CACHE: Mutex<Option<HashMap<(gpu_sim::Gpu, Precision), f64>>>
 /// short-circuits repeated plan construction.
 static CALIBRATION_ENUMERATIONS: AtomicUsize = AtomicUsize::new(0);
 
-/// Pre-populates the calibration cache for a set of devices, enumerating
-/// the missing `(gpu, precision)` pairs **in parallel**.
-///
-/// Plan construction normally calibrates devices one at a time under the
-/// cache lock.  A multi-device pool would pay that serial cost once per
-/// distinct member, so the sharding layer calls this first: the still
-/// uncached catalog pairs are enumerated concurrently (one worker per
-/// device) and inserted in a single batch.  Hand-modified specs and
-/// devices that do not support `precision` are skipped, exactly like the
-/// per-plan path; the enumeration counter advances only
-/// for pairs actually inserted.
-pub fn warm_calibration(specs: &[DeviceSpec], precision: Precision) {
-    use rayon::prelude::*;
-
-    let mut missing: Vec<DeviceSpec> = Vec::new();
-    {
-        let mut cache = CALIBRATION_CACHE.lock();
-        let map = cache.get_or_insert_with(HashMap::new);
-        for spec in specs {
-            if precision == Precision::Int1 && !spec.supports_int1() {
-                continue;
-            }
-            if *spec != DeviceSpec::of(spec.gpu) {
-                continue;
-            }
-            if !map.contains_key(&(spec.gpu, precision))
-                && !missing.iter().any(|s| s.gpu == spec.gpu)
-            {
-                missing.push(spec.clone());
-            }
-        }
-    }
-    if missing.is_empty() {
-        return;
-    }
-    let computed: Vec<(gpu_sim::Gpu, f64)> = missing
-        .par_iter()
-        .map(|spec| (spec.gpu, GemmPlan::enumerate_best_raw(spec, precision)))
-        .collect();
-    let mut cache = CALIBRATION_CACHE.lock();
-    let map = cache.get_or_insert_with(HashMap::new);
-    for (gpu, best) in computed {
-        // A plan constructed concurrently may have won the race for this
-        // pair; only count enumerations that actually populate the cache so
-        // the counter keeps equalling the number of cached entries.
-        if let std::collections::hash_map::Entry::Vacant(entry) = map.entry((gpu, precision)) {
-            entry.insert(best);
-            CALIBRATION_ENUMERATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Report of one (simulated) GEMM execution: predicted timings, energy and
 /// the derived throughput metrics of the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -291,14 +239,14 @@ impl GemmPlan {
     /// The best raw efficiency over the paper's search space on the
     /// calibration shape for this precision.
     ///
-    /// Enumerating the parameter space is by far the most expensive part of
-    /// plan construction, and for a given catalog device the result only
-    /// depends on `(gpu, precision)`, so it is memoised process-wide: every
-    /// plan after the first for such a pair reads the cached value.  The
-    /// lock is held across the enumeration so each pair is enumerated at
-    /// most once per process.  Hand-modified [`DeviceSpec`]s (what-if
-    /// simulations through [`Device::new`]) bypass the cache entirely and
-    /// are enumerated from the spec actually supplied.
+    /// For a given catalog device the result only depends on
+    /// `(gpu, precision)`, so it is memoised process-wide: every plan after
+    /// the first for such a pair reads the cached value instead of
+    /// enumerating the parameter space again.  The lock is held across the
+    /// enumeration so each pair is enumerated at most once per process.
+    /// Hand-modified [`DeviceSpec`]s (what-if simulations through
+    /// [`Device::new`]) bypass the cache entirely and are enumerated from
+    /// the spec actually supplied.
     fn best_raw_on_calibration_shape(spec: &DeviceSpec, precision: Precision) -> f64 {
         if *spec != DeviceSpec::of(spec.gpu) {
             return Self::enumerate_best_raw(spec, precision);
@@ -822,35 +770,6 @@ mod tests {
             "boosted {} vs stock {}",
             boosted.achieved_tops,
             stock.achieved_tops
-        );
-    }
-
-    #[test]
-    fn warm_calibration_short_circuits_subsequent_plans() {
-        // Warming a heterogeneous pool caches every catalog pair it
-        // enumerates; constructing plans for those devices afterwards must
-        // not enumerate again.
-        let specs: Vec<DeviceSpec> = [Gpu::Ad4000, Gpu::A100, Gpu::Mi210, Gpu::W7700]
-            .iter()
-            .map(|&g| g.spec())
-            .collect();
-        crate::plan::warm_calibration(&specs, Precision::Float16);
-        // AMD devices are skipped for 1-bit mode instead of caching junk.
-        crate::plan::warm_calibration(&specs, Precision::Int1);
-        let after_warm = calibration_enumerations();
-        for spec in &specs {
-            GemmPlan::new(
-                &Device::new(spec.clone()),
-                GemmShape::new(128, 128, 128),
-                Precision::Float16,
-            )
-            .unwrap();
-        }
-        crate::plan::warm_calibration(&specs, Precision::Float16);
-        assert_eq!(
-            calibration_enumerations(),
-            after_warm,
-            "warmed pairs must not be re-enumerated"
         );
     }
 

@@ -137,6 +137,13 @@ mod tests {
     use super::*;
     use rayon::prelude::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use tcbf_types::{decode_to_f32, encode_from_f32};
+
+    /// Scalars per chunk of `tcbf_types::encode_from_f32`'s branch-free
+    /// path.  The codecs write only through `&mut [MaybeUninit<_>]`, so
+    /// their bit-identity tests live here, where a destination can be read
+    /// back safely.
+    const ENCODE_CHUNK: usize = 32;
 
     /// Writes `at → at` everywhere except at `skip`, two-way parallel.
     fn counting(len: usize, skip: Option<usize>) -> Vec<u64> {
@@ -252,5 +259,127 @@ mod tests {
             }
         }
         assert!(f32::POISON.is_nan() && f16::POISON.is_nan());
+    }
+
+    #[test]
+    fn bulk_decoder_is_bit_identical_to_scalar_conversion_everywhere() {
+        // Every one of the 65 536 bit patterns, including NaNs, subnormals
+        // and infinities, must decode to exactly the same f32 bits as the
+        // scalar path.
+        let all: Vec<f16> = (0..=u16::MAX).map(f16::from_bits).collect();
+        let decoded = write_once(all.len(), |out| decode_to_f32(&all, out));
+        for (h, d) in all.iter().zip(&decoded) {
+            assert_eq!(
+                d.to_bits(),
+                h.to_f32().to_bits(),
+                "bits {:#06x}",
+                h.to_bits()
+            );
+        }
+    }
+
+    fn assert_bulk_encoder_matches_scalar(values: &[f32]) {
+        let bulk = write_once(values.len(), |out| encode_from_f32(values, |&v| v, out));
+        for (i, (v, h)) in values.iter().zip(&bulk).enumerate() {
+            assert_eq!(
+                h.to_bits(),
+                f16::from_f32(*v).to_bits(),
+                "element {i} of {}: f32 bits {:#010x}",
+                values.len(),
+                v.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn bulk_encoder_is_bit_identical_to_scalar_conversion_on_every_exponent_and_rounding_edge() {
+        // Every upper half-word (sign, exponent, top seven mantissa bits) ×
+        // the lower half-words that sit on and beside the rounding ties of
+        // the 13 dropped bits: every exponent, both signs, subnormals,
+        // overflow to infinity, quiet and signalling NaN payloads.
+        const LOW: [u32; 16] = [
+            0, 1, 0x0FFF, 0x1000, 0x1001, 0x1FFF, 0x2000, 0x2FFF, 0x3000, 0x3001, 0x7FFF, 0x8000,
+            0xEFFF, 0xF000, 0xF001, 0xFFFF,
+        ];
+        let sweep: Vec<f32> = (0..=u32::from(u16::MAX))
+            .flat_map(|high| LOW.map(|low| f32::from_bits(high << 16 | low)))
+            .collect();
+        assert_eq!(sweep.len(), 1 << 20);
+        // Densely packed, a chunk is all-fast or falls back as a whole …
+        assert_bulk_encoder_matches_scalar(&sweep);
+        // … so also give every pattern a chunk of its own among values the
+        // fast path takes: whether *it* falls back is then its own doing,
+        // which is what pins the two range bounds.
+        let mut isolated = vec![1.0f32; LOW.len() * ENCODE_CHUNK];
+        for (high, patterns) in sweep.chunks_exact(LOW.len()).enumerate() {
+            for (chunk, pattern) in isolated.chunks_exact_mut(ENCODE_CHUNK).zip(patterns) {
+                chunk[high % ENCODE_CHUNK] = *pattern;
+            }
+            assert_bulk_encoder_matches_scalar(&isolated);
+            for chunk in isolated.chunks_exact_mut(ENCODE_CHUNK) {
+                chunk[high % ENCODE_CHUNK] = 1.0;
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_encoder_falls_back_for_a_special_value_in_any_lane() {
+        let specials = [
+            f32::NAN,
+            f32::from_bits(0x7F80_0001), // signalling NaN
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            65520.0,            // rounds to binary16 infinity
+            -1e6,               // overflows
+            3.0e-5,             // binary16 subnormal
+            -2.0f32.powi(-26),  // underflows to −0
+            f32::from_bits(1),  // binary32 subnormal
+            -f32::MIN_POSITIVE, // smallest binary32 normal
+        ];
+        // Normal values (and ±0, which stay on the fast path) either side
+        // of the chunk under test, so a fallback must not leak into its
+        // neighbours.
+        let normals: Vec<f32> = (0..3 * ENCODE_CHUNK)
+            .map(|i| match i % 5 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => (i as f32 - 40.0) * 1.000_123,
+            })
+            .collect();
+        assert_bulk_encoder_matches_scalar(&normals);
+        for special in specials {
+            for lane in 0..ENCODE_CHUNK {
+                let mut values = normals.clone();
+                values[ENCODE_CHUNK + lane] = special;
+                assert_bulk_encoder_matches_scalar(&values);
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_encoder_handles_every_ragged_length_and_strided_sources() {
+        let values: Vec<f32> = (0..2 * ENCODE_CHUNK + 1)
+            .map(|i| {
+                if i % 7 == 3 {
+                    1e-7
+                } else {
+                    i as f32 * 0.37 - 9.0
+                }
+            })
+            .collect();
+        for len in 0..=values.len() {
+            assert_bulk_encoder_matches_scalar(&values[..len]);
+        }
+        // The component selector reads one scalar of a wider element.
+        let (pairs, _) = values.as_chunks::<2>();
+        for part in 0..2 {
+            let plane = write_once(pairs.len(), |out| encode_from_f32(pairs, |p| p[part], out));
+            let expect: Vec<u16> = pairs
+                .iter()
+                .map(|p| f16::from_f32(p[part]).to_bits())
+                .collect();
+            let got: Vec<u16> = plane.iter().map(|h| h.to_bits()).collect();
+            assert_eq!(got, expect);
+        }
     }
 }

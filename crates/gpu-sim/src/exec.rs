@@ -236,11 +236,6 @@ impl ExecutionModel {
             achieved_tops,
         }
     }
-
-    /// The memory model used by this execution model.
-    pub fn memory(&self) -> &MemoryModel {
-        &self.memory
-    }
 }
 
 #[cfg(test)]

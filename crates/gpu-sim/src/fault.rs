@@ -69,7 +69,7 @@ impl FaultPlan {
     }
 
     /// Adds an arbitrary fault.
-    pub fn with(mut self, fault: Fault) -> Self {
+    pub(crate) fn with(mut self, fault: Fault) -> Self {
         self.faults.push(fault);
         self
     }

@@ -7,7 +7,7 @@
 //! sharding layer weights work by each member's peak at the session
 //! precision.
 
-use crate::device::{Device, DeviceSpec, Gpu};
+use crate::device::{Device, Gpu};
 use std::fmt;
 
 /// A pool of simulated GPUs attached to one host.
@@ -85,11 +85,6 @@ impl DevicePool {
     /// Whether every member supports 1-bit tensor-core operations.
     pub fn supports_int1(&self) -> bool {
         self.devices.iter().all(|d| d.spec().supports_int1())
-    }
-
-    /// The specifications of the members, in index order.
-    pub fn specs(&self) -> Vec<DeviceSpec> {
-        self.devices.iter().map(|d| d.spec().clone()).collect()
     }
 }
 

@@ -191,7 +191,7 @@ impl StationBeamlets {
     }
 
     /// Observing frequency in Hz.
-    pub fn frequency(&self) -> f64 {
+    pub(crate) fn frequency(&self) -> f64 {
         self.frequency
     }
 }

@@ -15,10 +15,9 @@ pub struct Finding {
     pub col: u32,
     /// Human-readable description of the violation.
     pub message: String,
-    /// The full source line, for context and allowlist `pattern` matching.
+    /// The full source line, for context and waiver `pattern` matching.
     pub line_text: String,
-    /// Set by the allowlist pass when a `lint-allow.toml` entry covers
-    /// this finding; carries the entry's justification.
+    /// The reason of the waiver that covers this finding, if one does.
     pub suppressed_by: Option<String>,
 }
 

@@ -13,13 +13,12 @@
 //! wire error codes are held by rustc, clippy and a `ccglib` test
 //! (docs/LINTS.md, *Retired rules*), not here.
 //!
-//! Suppressions live in a single annotated `lint-allow.toml` at the
-//! workspace root; every entry must carry a `reason`.  The rule
-//! catalogue is docs/LINTS.md.
+//! Suppressions are the typed [`config::Waiver`]s of
+//! [`LintConfig::default`](config::LintConfig), each with its reason.  The
+//! rule catalogue is docs/LINTS.md.
 
 #![forbid(unsafe_code)]
 
-pub mod allowlist;
 pub mod config;
 pub mod diagnostics;
 pub mod lexer;
@@ -28,48 +27,34 @@ pub mod source;
 
 use std::path::{Path, PathBuf};
 
-use allowlist::Allowlist;
-use config::LintConfig;
+use config::{LintConfig, Waiver};
 use diagnostics::Finding;
 use source::SourceFile;
 
 /// Result of linting a whole workspace tree.
 pub struct Report {
-    /// All findings, deterministically ordered, suppressions marked.
+    /// All findings, deterministically ordered, waived ones marked.
     pub findings: Vec<Finding>,
-    /// Allowlist entries that matched no finding (stale suppressions).
-    pub stale_allows: Vec<allowlist::AllowEntry>,
+    /// Waivers that matched no finding.
+    pub stale_waivers: Vec<Waiver>,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
 
 impl Report {
-    /// Findings not covered by the allowlist.
+    /// Findings no waiver covers.
     pub fn unsuppressed(&self) -> impl Iterator<Item = &Finding> {
         self.findings.iter().filter(|f| f.suppressed_by.is_none())
     }
 }
 
-/// Fatal configuration problems (unreadable tree, malformed allowlist).
+/// The workspace tree could not be read: which directory or file, and why.
 #[derive(Debug)]
-pub enum LintError {
-    /// The workspace root could not be walked.
-    Io(String),
-    /// lint-allow.toml is malformed; every problem listed.
-    Allowlist(Vec<allowlist::AllowlistError>),
-}
+pub struct LintError(pub String);
 
 impl std::fmt::Display for LintError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LintError::Io(msg) => write!(f, "{msg}"),
-            LintError::Allowlist(errs) => {
-                for e in errs {
-                    writeln!(f, "{e}")?;
-                }
-                Ok(())
-            }
-        }
+        f.write_str(&self.0)
     }
 }
 
@@ -84,8 +69,8 @@ pub fn lint_source(path_label: &str, text: &str, cfg: &LintConfig) -> Vec<Findin
     findings
 }
 
-/// Walks the workspace at `root`, runs every rule, applies the
-/// allowlist at `root/lint-allow.toml` (if present).
+/// Walks the workspace at `root`, runs every rule, applies `cfg`'s
+/// waivers.
 pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> Result<Report, LintError> {
     let files = workspace_files(root)?;
     let mut findings = Vec::new();
@@ -93,7 +78,7 @@ pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> Result<Report, LintError
     for rel in &files {
         let abs = root.join(rel);
         let text = std::fs::read_to_string(&abs)
-            .map_err(|e| LintError::Io(format!("cannot read {}: {e}", abs.display())))?;
+            .map_err(|e| LintError(format!("cannot read {}: {e}", abs.display())))?;
         sources.push(SourceFile::new(rel.clone(), text));
     }
     for file in sources.iter().filter(|f| is_shipped(&f.path)) {
@@ -102,17 +87,11 @@ pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> Result<Report, LintError
     rules::public_api::check(&sources, &mut findings);
 
     diagnostics::sort_findings(&mut findings);
-
-    let allow_path = root.join("lint-allow.toml");
-    let mut stale_allows = Vec::new();
-    if let Ok(text) = std::fs::read_to_string(&allow_path) {
-        let allow = Allowlist::parse(&text).map_err(LintError::Allowlist)?;
-        stale_allows = allow.apply(&mut findings).into_iter().cloned().collect();
-    }
+    let stale_waivers = cfg.waive(&mut findings);
 
     Ok(Report {
         findings,
-        stale_allows,
+        stale_waivers,
         files_scanned: sources.len(),
     })
 }
@@ -146,9 +125,9 @@ fn is_shipped(path: &str) -> bool {
 
 fn walk(dir: &Path, root: &Path, out: &mut Vec<String>) -> Result<(), LintError> {
     let entries = std::fs::read_dir(dir)
-        .map_err(|e| LintError::Io(format!("cannot read {}: {e}", dir.display())))?;
+        .map_err(|e| LintError(format!("cannot read {}: {e}", dir.display())))?;
     for entry in entries {
-        let entry = entry.map_err(|e| LintError::Io(format!("walk error: {e}")))?;
+        let entry = entry.map_err(|e| LintError(format!("walk error: {e}")))?;
         let path = entry.path();
         let name = entry.file_name();
         let name = name.to_string_lossy();

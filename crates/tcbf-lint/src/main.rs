@@ -1,10 +1,10 @@
 //! CLI driver: `cargo run -p tcbf-lint [-- flags]`.
 //!
 //! Exit codes:
-//! - `0` — no unsuppressed findings (or advisory mode without `--deny-all`)
-//! - `1` — unsuppressed findings under `--deny-all`
-//! - `2` — configuration error (malformed lint-allow.toml, stale
-//!   suppressions under `--deny-all`, unreadable tree, bad flags)
+//! - `0` — no unwaived findings and no stale waivers (or advisory mode
+//!   without `--deny-all`)
+//! - `1` — unwaived findings or stale waivers under `--deny-all`
+//! - `2` — bad flags or an unreadable tree
 
 #![forbid(unsafe_code)]
 
@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use tcbf_lint::config::LintConfig;
-use tcbf_lint::{default_root, lint_workspace, LintError, Report};
+use tcbf_lint::{default_root, lint_workspace, Report};
 
 struct Options {
     root: PathBuf,
@@ -55,8 +55,8 @@ tcbf-lint: workspace invariant checker (see docs/LINTS.md)
 USAGE: tcbf-lint [--root PATH] [--deny-all] [--summary-md] [--quiet]
 
   --root PATH    workspace root to lint (default: this workspace)
-  --deny-all     exit 1 on any unsuppressed finding, exit 2 on stale
-                 lint-allow.toml entries (the CI mode)
+  --deny-all     exit 1 on any unwaived finding or stale waiver
+                 (the CI mode); waivers are LintConfig::default()'s
   --summary-md   print the per-rule summary as a markdown table
   --quiet        suppress per-finding output, keep the summary";
 
@@ -71,13 +71,6 @@ fn main() -> ExitCode {
 
     let report = match lint_workspace(&opts.root, &LintConfig::default()) {
         Ok(r) => r,
-        Err(LintError::Allowlist(errs)) => {
-            eprintln!("error: lint-allow.toml is malformed:");
-            for e in errs {
-                eprintln!("  {e}");
-            }
-            return ExitCode::from(2);
-        }
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
@@ -92,23 +85,20 @@ fn main() -> ExitCode {
 
     print_summary(&report, opts.summary_md);
 
-    for stale in &report.stale_allows {
+    for stale in &report.stale_waivers {
         eprintln!(
-            "warning: stale lint-allow.toml entry (line {}): {} on {} matches nothing",
-            stale.defined_at, stale.rule, stale.path
+            "warning: stale waiver: {} on {} for lines containing `{}` matches nothing",
+            stale.rule, stale.path, stale.pattern
         );
     }
 
     let unsuppressed = report.unsuppressed().count();
-    if opts.deny_all {
-        if !report.stale_allows.is_empty() {
-            eprintln!("error: stale suppressions are rejected under --deny-all");
-            return ExitCode::from(2);
-        }
-        if unsuppressed > 0 {
-            eprintln!("error: {unsuppressed} unsuppressed finding(s) under --deny-all");
-            return ExitCode::from(1);
-        }
+    if opts.deny_all && unsuppressed + report.stale_waivers.len() > 0 {
+        eprintln!(
+            "error: {unsuppressed} unwaived finding(s) and {} stale waiver(s) under --deny-all",
+            report.stale_waivers.len()
+        );
+        return ExitCode::from(1);
     }
     ExitCode::SUCCESS
 }

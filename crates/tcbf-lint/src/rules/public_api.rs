@@ -14,6 +14,12 @@
 //! lint.  A plain `pub use` re-exports an item under its own name, so a
 //! caller of the re-export names the item.
 //!
+//! A caller names an item through a path segment (`demo::f`, `Type::f`,
+//! a `use` tree), a method call or field (`.f`), or a bare identifier.  A
+//! bare identifier that its own file binds as a local — in a `let`
+//! pattern, a closure's or a fn's parameters — names the local, not the
+//! item, so it does not count.
+//!
 //! The check is by name, so it can miss (a method called `new` is
 //! always "called"), but a hit is real: nothing outside the crate can
 //! name the item.
@@ -64,8 +70,18 @@ pub fn check(files: &[SourceFile], out: &mut Vec<Finding>) {
     let mut nodes: BTreeMap<&str, Vec<Node>> = BTreeMap::new();
     for file in files {
         let owner = library_crate(&file.path);
+        let locals = locals(file);
+        let punct = |k: usize, c: char| file.sig_kind(k) == Some(TokenKind::Punct(c));
+        let mut in_use = false;
         for i in 0..file.sig_len() {
-            if file.sig_kind(i) == Some(TokenKind::Ident) {
+            in_use = (in_use || file.sig_text(i) == "use") && !punct(i, ';');
+            let qualified = in_use
+                || (i > 0 && punct(i - 1, '.'))
+                || (i > 1 && punct(i - 1, ':') && punct(i - 2, ':'))
+                || (punct(i + 1, ':') && punct(i + 2, ':'));
+            if file.sig_kind(i) == Some(TokenKind::Ident)
+                && (qualified || !locals.contains(file.sig_text(i)))
+            {
                 mentioned_in
                     .entry(file.sig_text(i))
                     .or_default()
@@ -113,6 +129,69 @@ pub fn check(files: &[SourceFile], out: &mut Vec<Finding>) {
             ));
         }
     }
+}
+
+/// The names `file` binds as locals: the bindings of its `let` patterns
+/// and of its closures' and fns' parameter lists, not their types.  Only
+/// lower-case names bind; `Some(x)` binds `x`.
+fn locals(file: &SourceFile) -> BTreeSet<&str> {
+    use TokenKind::{Close, Ident, NumLit, Open, Punct};
+    let kind = |k: usize| file.sig_kind(k);
+    let colon = |k: usize| kind(k) == Some(Punct(':'));
+    // A lower-case name that is no keyword, call, struct pattern or path.
+    let binds = |k: usize| {
+        let name = file.sig_text(k);
+        name.starts_with(|c: char| c.is_ascii_lowercase())
+            && !matches!(name, "mut" | "ref")
+            && !matches!(kind(k + 1), Some(Open(_)))
+            && !colon(k - 1)
+            && !colon(k + 1) | !colon(k + 2)
+    };
+    let mut names = BTreeSet::new();
+    for i in 0..file.sig_len() {
+        // A `|` that follows no operand opens a closure's parameters.
+        let prev = i.checked_sub(1).and_then(kind);
+        let closure = kind(i) == Some(Punct('|'))
+            && (!matches!(prev, Some(Ident | Close(_) | NumLit | Punct('?' | '|')))
+                || matches!(file.sig_text(i - 1), "move" | "return"));
+        let start = if closure || file.sig_text(i) == "let" {
+            i + 1
+        } else if file.sig_text(i) == "fn" && kind(i + 1) == Some(Ident) {
+            // The parameter list: the first `(` outside the generics.
+            let mut angle = 0i32;
+            let Some(open) = (i + 2..file.sig_len()).find(|&k| {
+                match kind(k) {
+                    Some(Punct('<')) => angle += 1,
+                    Some(Punct('>')) if kind(k - 1) != Some(Punct('-')) => angle -= 1,
+                    _ => {}
+                }
+                angle == 0 && kind(k) == Some(Open('('))
+            }) else {
+                continue;
+            };
+            open + 1
+        } else {
+            continue;
+        };
+        // Walk the list to its end; after a top-level `:` comes a type,
+        // up to the next top-level `,`.
+        let (mut depth, mut in_type) = (0usize, false);
+        for k in start..file.sig_len() {
+            match kind(k) {
+                Some(Open(_)) => depth += 1,
+                Some(Close(_)) if depth == 0 => break,
+                Some(Close(_)) => depth -= 1,
+                Some(Punct('|' | '=' | ';')) if depth == 0 => break,
+                Some(Punct(',')) if depth == 0 => in_type = false,
+                Some(Punct(':')) if depth == 0 && !colon(k + 1) && !colon(k - 1) => in_type = true,
+                Some(Ident) if !in_type && binds(k) => {
+                    names.insert(file.sig_text(k));
+                }
+                _ => {}
+            }
+        }
+    }
+    names
 }
 
 /// Collects the `pub` declarations of one library file, skipping test

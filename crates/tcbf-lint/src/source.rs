@@ -11,7 +11,7 @@ use crate::lexer::{self, Token, TokenKind};
 /// A lexed source file plus derived lookup structures.
 pub struct SourceFile {
     /// Workspace-relative path, used verbatim in diagnostics and as the
-    /// key matched by allowlist entries.
+    /// key matched by waivers.
     pub path: String,
     /// The full file contents.
     pub text: String,
@@ -210,7 +210,7 @@ impl SourceFile {
     }
 
     /// The full text of the line containing byte offset `at` (for
-    /// diagnostic snippets and allowlist `pattern` matching).
+    /// diagnostic snippets and waiver `pattern` matching).
     pub(crate) fn line_text(&self, at: usize) -> &str {
         let start = self.text[..at.min(self.text.len())]
             .rfind('\n')

@@ -1,10 +1,9 @@
 //! Fixture tests: for every rule, one case where it FIRES on a
 //! purpose-built fixture and one where the same findings are fully
-//! SUPPRESSED by an allowlist — proving both halves of the contract
+//! SUPPRESSED by waivers — proving both halves of the contract
 //! (detection and reviewable waiver) end to end.
 
-use tcbf_lint::allowlist::Allowlist;
-use tcbf_lint::config::LintConfig;
+use tcbf_lint::config::{LintConfig, Waiver};
 use tcbf_lint::diagnostics::Finding;
 use tcbf_lint::rules::public_api;
 use tcbf_lint::source::SourceFile;
@@ -14,6 +13,7 @@ fn fixture_config() -> LintConfig {
     LintConfig {
         float_scope: vec!["fixtures/".into()],
         float_approved: vec![],
+        waivers: vec![],
     }
 }
 
@@ -29,24 +29,26 @@ fn lines(findings: &[Finding], rule: &str) -> Vec<u32> {
         .collect()
 }
 
-/// Suppresses every finding with a blanket per-rule allowlist and
+/// Suppresses every finding with a blanket waiver per rule and file, and
 /// asserts nothing is left unsuppressed and nothing is stale.
 fn assert_fully_suppressible(findings: &mut [Finding]) {
-    let mut scopes: Vec<(&str, String)> =
-        findings.iter().map(|f| (f.rule, f.path.clone())).collect();
-    scopes.sort_unstable();
-    scopes.dedup();
-    let toml: String = scopes
+    let mut waivers: Vec<Waiver> = findings
         .iter()
-        .map(|(rule, path)| {
-            format!(
-                "[[allow]]\nrule = \"{rule}\"\npath = \"{path}\"\nreason = \"fixture: suppression half of the contract\"\n\n"
-            )
+        .map(|f| Waiver {
+            rule: f.rule,
+            path: f.path.clone(),
+            pattern: String::new(),
+            reason: "fixture: suppression half of the contract".into(),
         })
         .collect();
-    let allow = Allowlist::parse(&toml).expect("generated allowlist parses");
-    let stale = allow.apply(findings);
-    assert!(stale.is_empty(), "no generated entry may be stale");
+    waivers.sort_by(|a, b| (a.rule, &a.path).cmp(&(b.rule, &b.path)));
+    waivers.dedup();
+    let cfg = LintConfig {
+        waivers,
+        ..fixture_config()
+    };
+    let stale = cfg.waive(findings);
+    assert!(stale.is_empty(), "no blanket waiver may be stale");
     let open: Vec<&Finding> = findings
         .iter()
         .filter(|f| f.suppressed_by.is_none())
@@ -112,14 +114,6 @@ fn determinism_findings_are_suppressible() {
 }
 
 #[test]
-fn allowlist_reason_is_mandatory_end_to_end() {
-    let toml =
-        "[[allow]]\nrule = \"TCBF-D002\"\npath = \"fixtures/nondeterminism.rs\"\nreason = \"\"\n";
-    let errs = Allowlist::parse(toml).unwrap_err();
-    assert!(errs[0].message.contains("must be justified"));
-}
-
-#[test]
 fn u001_fires_on_uncalled_pub_items_only() {
     let (findings, names) = public_api_findings(None);
     assert_eq!(names, ["pub fn uncalled", "pub struct Hidden"]);
@@ -153,6 +147,31 @@ fn u001_is_silent_on_each_kind_of_caller_and_fires_without_it() {
         }
         assert_eq!(names.len(), 2 + kept.len(), "{caller}: {names:?}");
     }
+}
+
+#[test]
+fn u001_does_not_count_a_local_of_the_same_name_as_a_caller() {
+    // A closure, a fn parameter and a `let` binding named like a `pub` fn
+    // do not call it; a method call and a path through the type do, even
+    // where the caller also binds a local of that name.
+    let files = [
+        (
+            "crates/demo/src/lib.rs",
+            include_str!("fixtures/public_api_local_lib.rs"),
+        ),
+        (
+            "crates/other/tests/shapes.rs",
+            include_str!("fixtures/public_api_local_tests.rs"),
+        ),
+    ]
+    .map(|(path, text)| SourceFile::new(path.to_string(), text.to_string()));
+    let mut findings = Vec::new();
+    public_api::check(&files, &mut findings);
+    let names: Vec<&str> = findings
+        .iter()
+        .map(|f| f.message.split('`').nth(1).unwrap_or(""))
+        .collect();
+    assert_eq!(names, ["pub fn supported", "pub fn limit", "pub fn area"]);
 }
 
 #[test]

@@ -226,15 +226,6 @@ impl PoolHealth {
     pub fn is_degraded(&self) -> bool {
         self.healthy < self.total
     }
-
-    /// Healthy fraction in `[0, 1]` (1.0 for an empty pool).
-    pub fn fraction(&self) -> f64 {
-        if self.total == 0 {
-            1.0
-        } else {
-            self.healthy as f64 / self.total as f64
-        }
-    }
 }
 
 /// A fixed fleet of engines per precision with blocking checkout,
@@ -581,7 +572,6 @@ mod tests {
             }
         );
         assert!(pool.health().is_degraded());
-        assert!((pool.health().fraction() - 0.75).abs() < 1e-12);
         // The other precision fleet is untouched.
         assert_eq!(
             pool.fleet_health(Precision::Int1).unwrap(),

@@ -4,10 +4,11 @@
 //! and accumulate in single precision.  No half-precision type exists in
 //! the Rust standard library, and the external `half` crate is not part of
 //! the approved dependency set, so this module implements binary16 from
-//! scratch: bit-level conversion to and from `f32` with round-to-nearest-
-//! even, arithmetic performed by widening to `f32` (exactly what the
-//! hardware does when feeding the FMA pipeline of a tensor core), and the
-//! usual constants and classification predicates.
+//! scratch, as a storage type: bit-level conversion to and from `f32` with
+//! round-to-nearest-even, bulk codecs for whole planes, and the usual
+//! constants and classification predicates.  It has no arithmetic: the
+//! kernels widen to `f32` before they compute, as a tensor core's FMA
+//! pipeline does.
 //!
 //! The conversion algorithms follow the standard bit manipulation approach:
 //! sign, exponent and mantissa fields are re-biased between the 8-bit/23-bit
@@ -15,11 +16,8 @@
 //! subnormals, infinities and NaN explicitly.
 
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 use std::fmt;
-use std::iter::Sum;
 use std::mem::MaybeUninit;
-use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::sync::OnceLock;
 
 /// IEEE 754 binary16 value stored as its raw bit pattern.
@@ -273,32 +271,11 @@ impl Default for Decoder {
     }
 }
 
-/// One element of a bulk codec's destination: a value to be replaced, or
-/// memory that holds none yet.  The codecs only ever [`put`](Slot::put), so a
-/// destination can be handed to them as it was allocated, without a fill
-/// whose every element they would overwrite.
-pub trait Slot<T> {
-    /// Stores `value`, whatever the slot held.
-    fn put(&mut self, value: T);
-}
-
-impl<T> Slot<T> for T {
-    #[inline]
-    fn put(&mut self, value: T) {
-        *self = value;
-    }
-}
-
-impl<T> Slot<T> for MaybeUninit<T> {
-    #[inline]
-    fn put(&mut self, value: T) {
-        self.write(value);
-    }
-}
-
 /// Decodes a run of binary16 values — a whole plane, or one work item's
 /// share of one — to binary32 in one bulk pass, into `out` of equal length,
-/// every element of which is written.
+/// every element of which is written.  The codecs only ever write, so a
+/// destination is handed to them as it was allocated, without a fill whose
+/// every element they would overwrite.
 ///
 /// The per-value [`f16::to_f32`](crate::half::f16::to_f32) conversion branches on the exponent field
 /// (normal / subnormal / non-finite); done inside a GEMM inner loop that
@@ -308,11 +285,11 @@ impl<T> Slot<T> for MaybeUninit<T> {
 /// half→float conversion of an operand costs `O(rows·cols)` table lookups
 /// done once per plane.  The result is bit-identical to calling
 /// [`f16::to_f32`](crate::half::f16::to_f32) on every element (the table is built from it).
-pub fn decode_to_f32(plane: &[f16], out: &mut [impl Slot<f32>]) {
+pub fn decode_to_f32(plane: &[f16], out: &mut [MaybeUninit<f32>]) {
     assert_eq!(plane.len(), out.len(), "one binary32 per binary16");
     let decoder = Decoder::new();
     for (v, &h) in out.iter_mut().zip(plane) {
-        v.put(decoder.decode(h));
+        v.write(decoder.decode(h));
     }
 }
 
@@ -347,7 +324,7 @@ const F32_BITS_F16_OVERFLOW: u32 = 0x477F_F000;
 /// with `f16::from_f32`, as is the ragged tail, so the result is
 /// bit-identical to calling it on every element, wherever a run is cut
 /// into shares.
-pub fn encode_from_f32<T>(src: &[T], component: impl Fn(&T) -> f32, out: &mut [impl Slot<f16>]) {
+pub fn encode_from_f32<T>(src: &[T], component: impl Fn(&T) -> f32, out: &mut [MaybeUninit<f16>]) {
     assert_eq!(src.len(), out.len(), "one binary16 per source element");
     let mut chunks = src.chunks_exact(ENCODE_CHUNK);
     let mut outs = out.chunks_exact_mut(ENCODE_CHUNK);
@@ -361,19 +338,19 @@ pub fn encode_from_f32<T>(src: &[T], component: impl Fn(&T) -> f32, out: &mut [i
                 .wrapping_sub((127 - 15) << 23)
                 .wrapping_add(0x0FFF + ((abs >> 13) & 1))
                 >> 13;
-            h.put(f16(sign | if abs == 0 { 0 } else { rounded as u16 }));
+            h.write(f16(sign | if abs == 0 { 0 } else { rounded as u16 }));
             special |= abs != 0
                 && abs.wrapping_sub(F32_BITS_F16_MIN_NORMAL)
                     >= F32_BITS_F16_OVERFLOW - F32_BITS_F16_MIN_NORMAL;
         }
         if special {
             for (h, v) in encoded.iter_mut().zip(chunk) {
-                h.put(f16::from_f32(component(v)));
+                h.write(f16::from_f32(component(v)));
             }
         }
     }
     for (h, v) in outs.into_remainder().iter_mut().zip(chunks.remainder()) {
-        h.put(f16::from_f32(component(v)));
+        h.write(f16::from_f32(component(v)));
     }
 }
 
@@ -401,12 +378,6 @@ impl PartialEq for f16 {
     }
 }
 
-impl PartialOrd for f16 {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        self.to_f32().partial_cmp(&other.to_f32())
-    }
-}
-
 impl fmt::Debug for f16 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:?}f16", self.to_f32())
@@ -416,44 +387,6 @@ impl fmt::Debug for f16 {
 impl fmt::Display for f16 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Display::fmt(&self.to_f32(), f)
-    }
-}
-
-impl Neg for f16 {
-    type Output = f16;
-    #[inline]
-    fn neg(self) -> f16 {
-        f16(self.0 ^ F16_SIGN_MASK)
-    }
-}
-
-macro_rules! impl_f16_binop {
-    ($trait:ident, $method:ident, $assign_trait:ident, $assign_method:ident, $op:tt) => {
-        impl $trait for f16 {
-            type Output = f16;
-            #[inline]
-            fn $method(self, rhs: f16) -> f16 {
-                f16::from_f32(self.to_f32() $op rhs.to_f32())
-            }
-        }
-        impl $assign_trait for f16 {
-            #[inline]
-            fn $assign_method(&mut self, rhs: f16) {
-                *self = *self $op rhs;
-            }
-        }
-    };
-}
-
-impl_f16_binop!(Add, add, AddAssign, add_assign, +);
-impl_f16_binop!(Sub, sub, SubAssign, sub_assign, -);
-impl_f16_binop!(Mul, mul, MulAssign, mul_assign, *);
-impl_f16_binop!(Div, div, DivAssign, div_assign, /);
-
-impl Sum for f16 {
-    fn sum<I: Iterator<Item = f16>>(iter: I) -> Self {
-        // Accumulate in f32, as the hardware does, then round once.
-        f16::from_f32(iter.map(|x| x.to_f32()).sum())
     }
 }
 
@@ -519,160 +452,14 @@ mod tests {
     #[test]
     fn nan_propagates() {
         assert!(f16::from_f32(f32::NAN).is_nan());
-        assert!((f16::NAN + f16::ONE).is_nan());
         assert!((f16::NAN).to_f32().is_nan());
         assert_ne!(f16::NAN, f16::NAN);
-    }
-
-    #[test]
-    fn arithmetic_matches_f32_with_rounding() {
-        let a = f16::from_f32(1.5);
-        let b = f16::from_f32(2.25);
-        assert_eq!((a + b).to_f32(), 3.75);
-        assert_eq!((a - b).to_f32(), -0.75);
-        assert_eq!((a * b).to_f32(), 3.375);
-        assert_eq!((b / a).to_f32(), 1.5);
-        assert_eq!((-a).to_f32(), -1.5);
     }
 
     #[test]
     fn signum() {
         assert_eq!(f16::from_f32(3.0).signum(), f16::ONE);
         assert_eq!(f16::from_f32(-3.0).signum(), f16::NEG_ONE);
-    }
-
-    #[test]
-    fn sum_accumulates_in_f32() {
-        // 1024 copies of 1.0 sum exactly even though intermediate values
-        // would saturate half-precision increments near 2048.
-        let v = vec![f16::ONE; 1024];
-        let s: f16 = v.into_iter().sum();
-        assert_eq!(s.to_f32(), 1024.0);
-    }
-
-    #[test]
-    fn bulk_decoder_is_bit_identical_to_scalar_conversion_everywhere() {
-        // Every one of the 65 536 bit patterns, including NaNs, subnormals
-        // and infinities, must decode to exactly the same f32 bits as the
-        // scalar path.
-        let all: Vec<f16> = (0..=u16::MAX).map(f16::from_bits).collect();
-        let mut decoded = vec![f32::NAN; 65536];
-        decode_to_f32(&all, &mut decoded);
-        for (h, d) in all.iter().zip(&decoded) {
-            assert_eq!(
-                d.to_bits(),
-                h.to_f32().to_bits(),
-                "bits {:#06x}",
-                h.to_bits()
-            );
-        }
-    }
-
-    fn assert_bulk_encoder_matches_scalar(values: &[f32]) {
-        let mut bulk = vec![f16::NAN; values.len()];
-        encode_from_f32(values, |&v| v, &mut bulk);
-        for (i, (v, h)) in values.iter().zip(&bulk).enumerate() {
-            assert_eq!(
-                h.to_bits(),
-                f16::from_f32(*v).to_bits(),
-                "element {i} of {}: f32 bits {:#010x}",
-                values.len(),
-                v.to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn bulk_encoder_is_bit_identical_to_scalar_conversion_on_every_exponent_and_rounding_edge() {
-        // Every upper half-word (sign, exponent, top seven mantissa bits) ×
-        // the lower half-words that sit on and beside the rounding ties of
-        // the 13 dropped bits: every exponent, both signs, subnormals,
-        // overflow to infinity, quiet and signalling NaN payloads.
-        const LOW: [u32; 16] = [
-            0, 1, 0x0FFF, 0x1000, 0x1001, 0x1FFF, 0x2000, 0x2FFF, 0x3000, 0x3001, 0x7FFF, 0x8000,
-            0xEFFF, 0xF000, 0xF001, 0xFFFF,
-        ];
-        let sweep: Vec<f32> = (0..=u32::from(u16::MAX))
-            .flat_map(|high| LOW.map(|low| f32::from_bits(high << 16 | low)))
-            .collect();
-        assert_eq!(sweep.len(), 1 << 20);
-        // Densely packed, a chunk is all-fast or falls back as a whole …
-        assert_bulk_encoder_matches_scalar(&sweep);
-        // … so also give every pattern a chunk of its own among values the
-        // fast path takes: whether *it* falls back is then its own doing,
-        // which is what pins the two range bounds.
-        let mut isolated = vec![1.0f32; LOW.len() * ENCODE_CHUNK];
-        for (high, patterns) in sweep.chunks_exact(LOW.len()).enumerate() {
-            for (chunk, pattern) in isolated.chunks_exact_mut(ENCODE_CHUNK).zip(patterns) {
-                chunk[high % ENCODE_CHUNK] = *pattern;
-            }
-            assert_bulk_encoder_matches_scalar(&isolated);
-            for chunk in isolated.chunks_exact_mut(ENCODE_CHUNK) {
-                chunk[high % ENCODE_CHUNK] = 1.0;
-            }
-        }
-    }
-
-    #[test]
-    fn bulk_encoder_falls_back_for_a_special_value_in_any_lane() {
-        let specials = [
-            f32::NAN,
-            f32::from_bits(0x7F80_0001), // signalling NaN
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            65520.0,            // rounds to binary16 infinity
-            -1e6,               // overflows
-            3.0e-5,             // binary16 subnormal
-            -2.0f32.powi(-26),  // underflows to −0
-            f32::from_bits(1),  // binary32 subnormal
-            -f32::MIN_POSITIVE, // smallest binary32 normal
-        ];
-        // Normal values (and ±0, which stay on the fast path) either side
-        // of the chunk under test, so a fallback must not leak into its
-        // neighbours.
-        let normals: Vec<f32> = (0..3 * ENCODE_CHUNK)
-            .map(|i| match i % 5 {
-                0 => 0.0,
-                1 => -0.0,
-                _ => (i as f32 - 40.0) * 1.000_123,
-            })
-            .collect();
-        assert_bulk_encoder_matches_scalar(&normals);
-        for special in specials {
-            for lane in 0..ENCODE_CHUNK {
-                let mut values = normals.clone();
-                values[ENCODE_CHUNK + lane] = special;
-                assert_bulk_encoder_matches_scalar(&values);
-            }
-        }
-    }
-
-    #[test]
-    fn bulk_encoder_handles_every_ragged_length_and_strided_sources() {
-        let values: Vec<f32> = (0..2 * ENCODE_CHUNK + 1)
-            .map(|i| {
-                if i % 7 == 3 {
-                    1e-7
-                } else {
-                    i as f32 * 0.37 - 9.0
-                }
-            })
-            .collect();
-        for len in 0..=values.len() {
-            assert_bulk_encoder_matches_scalar(&values[..len]);
-        }
-        // The component selector reads one scalar of a wider element.
-        let (pairs, _) = values.as_chunks::<2>();
-        for part in 0..2 {
-            let mut plane = vec![f16::NAN; pairs.len()];
-            encode_from_f32(pairs, |p| p[part], &mut plane);
-            let expect: Vec<u16> = pairs
-                .iter()
-                .map(|p| f16::from_f32(p[part]).to_bits())
-                .collect();
-            let got: Vec<u16> = plane.iter().map(|h| h.to_bits()).collect();
-            assert_eq!(got, expect);
-        }
     }
 
     proptest! {
@@ -692,7 +479,7 @@ mod tests {
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
             let hlo = f16::from_f32(lo);
             let hhi = f16::from_f32(hi);
-            prop_assert!(hlo <= hhi, "lo={lo} hi={hi} hlo={hlo:?} hhi={hhi:?}");
+            prop_assert!(hlo.to_f32() <= hhi.to_f32(), "lo={lo} hi={hi} hlo={hlo:?} hhi={hhi:?}");
         }
 
         #[test]
@@ -703,12 +490,6 @@ mod tests {
             // error bounded by half the smallest subnormal otherwise.
             let tol = (v.abs() * 2.0f32.powi(-11)).max(2.0f32.powi(-25));
             prop_assert!((back - v).abs() <= tol, "v={v} back={back}");
-        }
-
-        #[test]
-        fn negation_flips_sign_bit(bits in any::<u16>()) {
-            let h = f16::from_bits(bits);
-            prop_assert_eq!((-h).to_bits(), bits ^ 0x8000);
         }
     }
 }

@@ -127,21 +127,6 @@ impl TileShape {
         TileShape { m, n, k }
     }
 
-    /// Number of multiply-accumulate lattice points covered by the tile.
-    pub const fn volume(&self) -> usize {
-        self.m * self.n * self.k
-    }
-
-    /// Number of tiles along M.
-    pub fn m_tiles(&self, shape: &GemmShape) -> usize {
-        shape.m.div_ceil(self.m)
-    }
-
-    /// Number of tiles along N.
-    pub fn n_tiles(&self, shape: &GemmShape) -> usize {
-        shape.n.div_ceil(self.n)
-    }
-
     /// Fraction of the padded iteration space that is useful work
     /// (1.0 when every dimension divides evenly; < 1.0 otherwise).  The
     /// complement of this factor is what produces the sawtooth pattern in
@@ -206,14 +191,6 @@ mod tests {
         assert_eq!(padded, GemmShape::new(512, 128, 32));
         assert!(tile.efficiency(&ragged) < 0.5);
         assert_eq!(ragged.k_padding(16), 15);
-    }
-
-    #[test]
-    fn tile_counting() {
-        let tile = TileShape::new(128, 64, 32);
-        let shape = GemmShape::batched(4, 300, 100, 70);
-        assert_eq!(tile.m_tiles(&shape), 3);
-        assert_eq!(tile.n_tiles(&shape), 2);
     }
 
     #[test]
