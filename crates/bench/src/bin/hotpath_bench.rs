@@ -18,21 +18,25 @@
 //! `tests/hotpath_conformance.rs` pins), so the harness cannot record a
 //! fast-but-wrong kernel.
 //!
-//! A second table times the **prologue** every block pays before its GEMM
-//! — `HostComplexMatrix::transposed`, `GemmInput::quantise_f16` and
-//! `GemmInput::quantise_int1` — at the four `K × N` block shapes of the
-//! repo benchmark (`BENCHMARK.json`), again once per compiled path
-//! (`transposed_on`, `quantise_*_on`), each checked for equality against
-//! its element-wise definition before it is timed.  Those three rows time a
-//! stage **in isolation**: over and over on one input that has long been
-//! at rest.  In a block a quantiser reads what `transposed()` has *just*
-//! written, out of the caches of the threads that wrote it, so beside each
-//! isolated quantiser row stands a **chained** one (`transpose>quantise_*`):
-//! a block from a rotation of eight is transposed and the fresh result
-//! quantised, the stopwatch on the quantiser alone.  Chained ÷ isolated is
-//! what the hand-over between two stages costs; it reads ≈ 1.0 when the
-//! worker pool gives a thread the same rows in both stages, and it is the
-//! number to watch on a host with more cores than this one.
+//! A second table times the **prologue** in front of the GEMM — the
+//! transpose that materialises `HostComplexMatrix::transposed`'s view,
+//! `GemmInput::quantise_f16` and `GemmInput::quantise_int1` — at the four
+//! `K × N` block shapes of the repo benchmark (`BENCHMARK.json`), again
+//! once per compiled path (`transposed_on`, `quantise_*_on`), each checked
+//! for equality against its element-wise definition before it is timed.
+//! Those rows time a stage **in isolation**: over and over on one input
+//! that has long been at rest.  An f16 block's quantiser reads what the
+//! transpose has *just* written, out of the caches of the threads that
+//! wrote it, so beside the isolated `quantise_f16` row stands a
+//! **chained** one (`transpose>quantise_f16`): a block from a rotation of
+//! eight is transposed and the fresh result quantised, the stopwatch on
+//! the quantiser alone.  Chained ÷ isolated is what the hand-over between
+//! two stages costs; it reads ≈ 1.0 when the worker pool gives a thread
+//! the same rows in both stages, and it is the number to watch on a host
+//! with more cores than this one.  The last row, `quantise_int1(view)`, is
+//! what a 1-bit block runs: `quantise_int1_on` of the block's
+//! `transposed()` view, which packs the block in the order it is stored
+//! and transposes bits — no transpose of samples, so no hand-over.
 //!
 //! A third table times the **hand-off** every one of those stages pays to
 //! reach the second core: an empty two-item `par_chunks_mut`, back to back
@@ -159,8 +163,9 @@ struct PrologueEntry {
 const CHAINED_ROTATION: usize = 8;
 
 /// `transposed_on`, `GemmInput::quantise_f16_on` and `quantise_int1_on` of
-/// one `K × N` block on `isa` against their element-wise definitions;
-/// returns the transposed block.
+/// one `K × N` block on `isa` against their element-wise definitions, and
+/// `quantise_int1_on` of its `transposed()` view against that of the
+/// checked transpose; returns the transposed block.
 fn guarded_transpose(block: &HostComplexMatrix, isa: Isa) -> HostComplexMatrix {
     let (k, n) = (block.rows(), block.cols());
     let by_definition = HostComplexMatrix::from_fn(n, k, |r, c| block.get(c, r));
@@ -195,12 +200,17 @@ fn guarded_transpose(block: &HostComplexMatrix, isa: Isa) -> HostComplexMatrix {
         assert_eq!(packed.re_row(r), &re, "int1 re row {r} at {k}x{n} {isa}");
         assert_eq!(packed.im_row(r), &im, "int1 im row {r} at {k}x{n} {isa}");
     }
+    let GemmInput::Int1(of_view) = GemmInput::quantise_int1_on(isa, &block.transposed()) else {
+        panic!("quantise_int1 gives a 1-bit operand")
+    };
+    assert_eq!(of_view, packed, "quantise_int1(view) at {k}x{n} {isa}");
     b_t
 }
 
 /// Times the three prologue stages on one `K × N` block on `isa` in
-/// isolation and the two quantisers chained to the transpose, every block
-/// that is used guarded by the element-wise definitions.
+/// isolation, the f16 quantiser chained to the transpose and the 1-bit
+/// quantiser of the block's view, every block that is used guarded by the
+/// element-wise definitions.
 fn bench_prologue(k: usize, n: usize, isa: Isa) -> [PrologueEntry; 5] {
     let blocks: Vec<HostComplexMatrix> = (0..CHAINED_ROTATION as u64)
         .map(|turn| pseudo_random_matrix(k, n, 0x7A05 + (k * n) as u64 + turn, 1.0))
@@ -220,46 +230,42 @@ fn bench_prologue(k: usize, n: usize, isa: Isa) -> [PrologueEntry; 5] {
         unit,
         vs_isolated: None,
     };
-    // `median_secs` with a transpose in front of every timed run, off the
-    // clock: the quantiser's input is as fresh as it is inside a block.
-    let chained = |stage, quantise: fn(Isa, &HostComplexMatrix) -> GemmInput, isolated_s: f64| {
-        let time = |rep: usize| {
-            let fresh = black_box(&blocks[rep % CHAINED_ROTATION]).transposed_on(isa);
-            let start = Instant::now();
-            black_box(quantise(isa, black_box(&fresh)));
-            start.elapsed().as_secs_f64()
-        };
-        let mut times: Vec<f64> = (0..=PROLOGUE_REPS).map(time).skip(1).collect();
-        times.sort_by(f64::total_cmp);
-        let median_s = times[times.len() / 2];
-        PrologueEntry {
-            vs_isolated: Some(median_s / isolated_s),
-            ..entry(stage, median_s, elements / 1e6, "Melem/s")
-        }
-    };
     let transpose_s = median_secs(PROLOGUE_REPS, || {
         black_box(black_box(block).transposed_on(isa));
     });
-    // A chained row is timed right after the isolated row of its quantiser.
     let f16_s = median_secs(PROLOGUE_REPS, || {
         black_box(GemmInput::quantise_f16_on(isa, black_box(b_t)));
     });
-    let f16_chained = chained("transpose>quantise_f16", GemmInput::quantise_f16_on, f16_s);
+    // The chained row, right after the isolated one: `median_secs` with a
+    // transpose in front of every timed run, off the clock, so that the
+    // quantiser's input is as fresh as it is inside an f16 block.
+    let time = |rep: usize| {
+        let fresh = black_box(&blocks[rep % CHAINED_ROTATION]).transposed_on(isa);
+        let start = Instant::now();
+        black_box(GemmInput::quantise_f16_on(isa, black_box(&fresh)));
+        start.elapsed().as_secs_f64()
+    };
+    let mut times: Vec<f64> = (0..=PROLOGUE_REPS).map(time).skip(1).collect();
+    times.sort_by(f64::total_cmp);
+    let f16_chained_s = times[times.len() / 2];
     let int1_s = median_secs(PROLOGUE_REPS, || {
         black_box(GemmInput::quantise_int1_on(isa, black_box(b_t)));
     });
-    let int1_chained = chained(
-        "transpose>quantise_int1",
-        GemmInput::quantise_int1_on,
-        int1_s,
-    );
+    let int1_view_s = median_secs(PROLOGUE_REPS, || {
+        let view = black_box(block).transposed();
+        black_box(GemmInput::quantise_int1_on(isa, &view));
+    });
+    let per_elem = elements / 1e6;
     [
         // Computed bytes moved: every 8-byte element read once, written once.
         entry("transpose", transpose_s, 2.0 * 8.0 * elements / 1e9, "GB/s"),
-        entry("quantise_f16", f16_s, elements / 1e6, "Melem/s"),
-        f16_chained,
-        entry("quantise_int1", int1_s, elements / 1e6, "Melem/s"),
-        int1_chained,
+        entry("quantise_f16", f16_s, per_elem, "Melem/s"),
+        PrologueEntry {
+            vs_isolated: Some(f16_chained_s / f16_s),
+            ..entry("transpose>quantise_f16", f16_chained_s, per_elem, "Melem/s")
+        },
+        entry("quantise_int1", int1_s, per_elem, "Melem/s"),
+        entry("quantise_int1(view)", int1_view_s, per_elem, "Melem/s"),
     ]
 }
 
@@ -346,7 +352,7 @@ fn to_json(
         ])
     };
     Value::object([
-        ("schema", "tcbf-hotpath-bench/v11".into()),
+        ("schema", "tcbf-hotpath-bench/v12".into()),
         ("mode", mode.into()),
         ("reps", reps.into()),
         ("entries", Value::Array(entries.iter().map(entry).collect())),

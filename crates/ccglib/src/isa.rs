@@ -19,11 +19,11 @@
 //!   32 of them — the f16 tile's 16 accumulators stay in registers — and
 //!   the same `count_ones` becomes one `vpopcntq`.
 //!
-//! The four prologue stages every block pays before its tile kernel, one
-//! work item at a time, have a portable loop, which is the stage's
-//! definition, and an AVX-512 instance written with `std::arch` intrinsics
-//! that gives the same bits (LLVM turns none of the loops into these
-//! instructions on its own): the transpose moves 8 × 8 blocks of samples
+//! The four prologue stages in front of the tile kernels, one work item
+//! at a time, have a portable loop, which is the stage's definition, and
+//! an AVX-512 instance written with `std::arch` intrinsics that gives the
+//! same bits (LLVM turns none of the loops into these instructions on its
+//! own): the transpose moves 8 × 8 blocks of samples
 //! through registers (`avx512f`), the 1-bit pack takes 64 signs from eight
 //! `vcmpps` masks and `pext` (`avx512f`, `bmi2`), the binary16 encode splits
 //! 16 samples by `vpermt2ps` and rounds them by `vcvtps2ph` (`avx512f`), and
@@ -203,7 +203,8 @@ pub(crate) fn f16_row_block_on(
 /// One parallel work item of a prologue stage.
 pub(crate) enum Prologue<'a> {
     /// Of [`HostComplexMatrix::transposed_on`]: the destination rows of
-    /// source columns `c0..`, as many as `band` holds.
+    /// source columns `c0..` of the row-major `src`, as many as `band`
+    /// holds.
     Transpose {
         src: &'a HostComplexMatrix,
         c0: usize,

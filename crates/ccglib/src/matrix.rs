@@ -3,9 +3,14 @@
 //! ccglib distinguishes three representations:
 //!
 //! * [`HostComplexMatrix`] — the user-facing container: full-precision
-//!   complex values in the usual interleaved row-major layout.  This is
-//!   what application code produces (beam weights, receiver samples) and
-//!   consumes (beamformed output).
+//!   complex values, read and written in row-major order.  This is what
+//!   application code produces (beam weights, receiver samples) and
+//!   consumes (beamformed output).  Its samples live in a shared buffer,
+//!   and [`HostComplexMatrix::transposed`] is a column-major *view* of the
+//!   same buffer, not a copy: the 1-bit quantiser reads a view's buffer
+//!   in the order it is stored, and everything else reads it through
+//!   [`HostComplexMatrix::data`], which materialises the row-major copy
+//!   once.
 //! * [`F16Matrix`] — the 16-bit device format: separate (planar) real and
 //!   imaginary planes of binary16 values, the layout the float16 tensor
 //!   core kernel consumes after the transpose kernel has split the
@@ -14,7 +19,7 @@
 //!   planes packed along the reduction dimension, the output of the packing
 //!   kernel, held as two flat `u64` buffers with a row stride.
 //!
-//! The stages that build one of these whole — [`HostComplexMatrix::transposed`],
+//! The stages that build one of these whole — [`HostComplexMatrix::transposed_on`],
 //! [`F16Matrix::from_host`], [`Int1Matrix::from_host_padded`] — write their
 //! destination exactly once: it is allocated, not cleared, and handed to the
 //! parallel pass as `&mut [MaybeUninit<_>]` (the crate's private `write_once`
@@ -32,13 +37,14 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::mem::MaybeUninit;
 use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 use tcbf_types::matrix::round_up;
 use tcbf_types::{encode_from_f32, f16, Complex, Complex32, PackedBits};
 
-/// Tile edge of [`HostComplexMatrix::transposed`], in elements: 32 rows of
-/// 256 B each.  A band of rows is one work item, and a share boundary of this
-/// stage is one of the next stage's when the two item counts nest (the rule
-/// is `vendor/rayon`'s `deal`).
+/// Tile edge of [`HostComplexMatrix::transposed_on`], in elements: 32 rows
+/// of 256 B each.  A band of rows is one work item, and a share boundary of
+/// this stage is one of the next stage's when the two item counts nest (the
+/// rule is `vendor/rayon`'s `deal`).
 const TRANSPOSE_TILE: usize = 32;
 
 /// Scalars per parallel work item of the stages that convert a plane
@@ -49,26 +55,50 @@ const TRANSPOSE_TILE: usize = 32;
 pub(crate) const PLANE_ITEM: usize = 4096;
 
 /// Samples per parallel work item of [`Int1Matrix::from_host_padded`], which
-/// deals whole rows: 256 KiB of source.  A share boundary of this stage is
-/// one of the 1-bit panel builder's when the two item counts nest (`deal`).
+/// deals whole rows (of a view, whole columns): 256 KiB of source.  A share
+/// boundary of this stage is one of the 1-bit panel builder's when the two
+/// item counts nest (`deal`).
 const PACK_ITEM_SAMPLES: usize = 32 * 1024;
 
-/// A host-side complex matrix in row-major order.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// The order in which a [`HostComplexMatrix`]'s buffer holds its samples.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Layout {
+    /// Row after row: how every matrix is built.
+    RowMajor,
+    /// Column after column: a [`HostComplexMatrix::transposed`] view of a
+    /// row-major buffer.
+    ColumnMajor,
+}
+
+/// A host-side complex matrix, read and written in row-major order.
+///
+/// Cloning or transposing one shares its buffer; [`set`](Self::set) copies
+/// the buffer first when another matrix shares it.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct HostComplexMatrix {
     rows: usize,
     cols: usize,
-    data: Vec<Complex32>,
+    layout: Layout,
+    samples: Arc<Vec<Complex32>>,
+    /// The row-major copy of a column-major matrix, built by the first
+    /// [`data`](Self::data).
+    row_major: OnceLock<Vec<Complex32>>,
 }
 
 impl HostComplexMatrix {
-    /// Creates a zero-filled matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    fn row_major(rows: usize, cols: usize, data: Vec<Complex32>) -> Self {
         HostComplexMatrix {
             rows,
             cols,
-            data: vec![Complex32::ZERO; rows * cols],
+            layout: Layout::RowMajor,
+            samples: Arc::new(data),
+            row_major: OnceLock::new(),
         }
+    }
+
+    /// Creates a zero-filled matrix.
+    pub fn zeros(rows: usize, cols: usize) -> Self {
+        Self::row_major(rows, cols, vec![Complex32::ZERO; rows * cols])
     }
 
     /// Creates a matrix from a generator function over `(row, col)`.
@@ -79,7 +109,7 @@ impl HostComplexMatrix {
                 data.push(f(r, c));
             }
         }
-        HostComplexMatrix { rows, cols, data }
+        Self::row_major(rows, cols, data)
     }
 
     /// Creates a matrix from row-major data.
@@ -90,7 +120,7 @@ impl HostComplexMatrix {
                 actual: format!("{} elements", data.len()),
             });
         }
-        Ok(HostComplexMatrix { rows, cols, data })
+        Ok(Self::row_major(rows, cols, data))
     }
 
     /// Number of rows.
@@ -106,23 +136,76 @@ impl HostComplexMatrix {
     /// Element access.
     #[inline]
     pub fn get(&self, row: usize, col: usize) -> Complex32 {
-        self.data[row * self.cols + col]
+        match self.layout {
+            Layout::RowMajor => self.samples[row * self.cols + col],
+            Layout::ColumnMajor => self.samples[col * self.rows + row],
+        }
     }
 
-    /// Mutable element access.
+    /// Mutable element access.  A view is made row-major first, and a
+    /// buffer another matrix shares is copied first.
     #[inline]
     pub fn set(&mut self, row: usize, col: usize, value: Complex32) {
-        self.data[row * self.cols + col] = value;
+        if self.layout == Layout::ColumnMajor {
+            let copy = self.row_major.take();
+            let data = copy.unwrap_or_else(|| self.materialise_on(Isa::detected()));
+            *self = Self::row_major(self.rows, self.cols, data);
+        }
+        Arc::make_mut(&mut self.samples)[row * self.cols + col] = value;
     }
 
-    /// The underlying row-major data.
+    /// The underlying row-major data.  Of a [`transposed`](Self::transposed)
+    /// view, the first call builds the row-major copy on the fastest path
+    /// the host has ([`Isa::detected`]) and keeps it.
     pub fn data(&self) -> &[Complex32] {
-        &self.data
+        match self.layout {
+            Layout::RowMajor => &self.samples,
+            Layout::ColumnMajor => self
+                .row_major
+                .get_or_init(|| self.materialise_on(Isa::detected())),
+        }
+    }
+
+    /// The buffer of a column-major view — column after column, each
+    /// `rows` samples long — or `None` for a row-major matrix.
+    pub(crate) fn columns(&self) -> Option<&[Complex32]> {
+        (self.layout == Layout::ColumnMajor).then_some(&self.samples[..])
     }
 
     /// Returns the transposed matrix (used to bring the `B` operand into
-    /// the `N×K` orientation the packed kernels expect), on the fastest
-    /// path the host has ([`Isa::detected`]).
+    /// the `N×K` orientation the packed kernels expect) in O(1): a view
+    /// that shares this matrix's buffer and reads it column-major, so
+    /// `m.transposed().transposed()` is `m` again.  No sample moves until
+    /// something asks for the view's row-major [`data`](Self::data);
+    /// [`Int1Matrix::from_host_padded`] never does.
+    pub fn transposed(&self) -> HostComplexMatrix {
+        let layout = match self.layout {
+            Layout::RowMajor => Layout::ColumnMajor,
+            Layout::ColumnMajor => Layout::RowMajor,
+        };
+        HostComplexMatrix {
+            rows: self.cols,
+            cols: self.rows,
+            layout,
+            samples: Arc::clone(&self.samples),
+            row_major: OnceLock::new(),
+        }
+    }
+
+    /// The transposed matrix, row-major, its samples moved on `isa` (of a
+    /// view, the row-major matrix it views, which moves none): the
+    /// materialiser behind a view's [`data`](Self::data), and how the tests
+    /// and `hotpath_bench` run every path the host has.  All paths give the
+    /// same bits.
+    pub fn transposed_on(&self, isa: Isa) -> HostComplexMatrix {
+        let view = self.transposed();
+        match view.layout {
+            Layout::RowMajor => view,
+            Layout::ColumnMajor => Self::row_major(view.rows, view.cols, view.materialise_on(isa)),
+        }
+    }
+
+    /// The row-major samples of a column-major view.
     ///
     /// An element-wise gather walks a column of a `rows × cols` matrix at
     /// a stride of `8·cols` bytes, which for the power-of-two widths of
@@ -136,39 +219,50 @@ impl HostComplexMatrix {
     /// destination is written once, not cleared first.  On the AVX-512
     /// path a band moves in 8 × 8 blocks of samples instead: eight 64-byte
     /// source rows in, transposed in registers, eight 64-byte rows out.
-    pub fn transposed(&self) -> HostComplexMatrix {
-        self.transposed_on(Isa::detected())
-    }
-
-    /// [`transposed`](Self::transposed) on an explicit path — how the tests
-    /// and `hotpath_bench` run every path the host has.  All paths give the
-    /// same bits.
-    pub fn transposed_on(&self, isa: Isa) -> HostComplexMatrix {
-        let (rows, cols) = (self.rows, self.cols);
-        let data = write_once(rows * cols, |data| {
-            data.par_chunks_mut((TRANSPOSE_TILE * rows).max(1))
+    fn materialise_on(&self, isa: Isa) -> Vec<Complex32> {
+        let src = self.transposed();
+        write_once(self.rows * self.cols, |data| {
+            data.par_chunks_mut((TRANSPOSE_TILE * src.rows).max(1))
                 .enumerate()
                 .for_each(|(item, band)| {
-                    let (src, c0) = (self, item * TRANSPOSE_TILE);
+                    let (src, c0) = (&src, item * TRANSPOSE_TILE);
                     prologue_on(isa, Prologue::Transpose { src, c0, band });
                 });
-        });
-        HostComplexMatrix {
-            rows: cols,
-            cols: rows,
-            data,
-        }
+        })
     }
 
     /// Maximum absolute difference to another matrix of the same shape.
     pub fn max_abs_diff(&self, other: &HostComplexMatrix) -> f32 {
         assert_eq!(self.rows, other.rows);
         assert_eq!(self.cols, other.cols);
-        self.data
+        self.data()
             .iter()
-            .zip(&other.data)
+            .zip(other.data())
             .map(|(a, b)| (*a - *b).abs())
             .fold(0.0f32, f32::max)
+    }
+}
+
+/// Two matrices are equal when they have the same shape and the same
+/// values in the same places, whichever order their buffers hold them in.
+impl PartialEq for HostComplexMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        (self.rows, self.cols) == (other.rows, other.cols)
+            && if self.layout == other.layout {
+                self.samples == other.samples
+            } else {
+                self.data() == other.data()
+            }
+    }
+}
+
+impl std::fmt::Debug for HostComplexMatrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HostComplexMatrix")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("data", &self.data())
+            .finish()
     }
 }
 
@@ -261,9 +355,9 @@ impl F16Matrix {
     }
 }
 
-/// The element-wise copy that defines [`HostComplexMatrix::transposed`],
-/// at source rows `rows`, into the destination rows of `band` (source
-/// columns `c0..`).
+/// The element-wise copy that defines [`HostComplexMatrix::transposed_on`],
+/// from the row-major `src` at source rows `rows`, into the destination
+/// rows of `band` (source columns `c0..`).
 pub(crate) fn transpose_rect(
     src: &HostComplexMatrix,
     rows: Range<usize>,
@@ -272,12 +366,12 @@ pub(crate) fn transpose_rect(
 ) {
     for (c, row) in (c0..).zip(band.chunks_exact_mut(src.rows)) {
         for (r, slot) in rows.clone().zip(&mut row[rows.clone()]) {
-            slot.write(src.data[r * src.cols + c]);
+            slot.write(src.samples[r * src.cols + c]);
         }
     }
 }
 
-/// One band of [`HostComplexMatrix::transposed`] on the portable path, a
+/// One band of [`HostComplexMatrix::transposed_on`] on the portable path, a
 /// tile of `TRANSPOSE_TILE` source rows at a time.
 pub(crate) fn transpose_band(
     src: &HostComplexMatrix,
@@ -398,6 +492,20 @@ impl Int1Matrix {
                 return;
             }
             let sample_words = k_bits.div_ceil(64);
+            if let Some(columns) = host.columns() {
+                // A view: its columns' sign words, then 64 bit-rows per
+                // work item, transposed from them 64 × 64 bits at a time.
+                let (words, [re_signs, im_signs]) =
+                    (rows.div_ceil(64), column_signs(isa, columns, rows));
+                re.par_chunks_mut(64 * stride)
+                    .zip(im.par_chunks_mut(64 * stride))
+                    .enumerate()
+                    .for_each(|(band, (re_rows, im_rows))| {
+                        transpose_signs(&re_signs, words, band, stride, re_rows);
+                        transpose_signs(&im_signs, words, band, stride, im_rows);
+                    });
+                return;
+            }
             let group = PACK_ITEM_SAMPLES.div_ceil(k_bits);
             re.par_chunks_mut(group * stride)
                 .zip(im.par_chunks_mut(group * stride))
@@ -490,6 +598,87 @@ impl Int1Matrix {
     /// samples per row).
     pub fn device_bytes(&self) -> u128 {
         2 * (self.rows as u128) * (self.k_padded as u128).div_ceil(8)
+    }
+}
+
+/// The sign words of every column of a column-major view (`columns`, one
+/// run of `rows` samples after another), packed along the rows by the
+/// `Signs` prologue on `isa`: `rows.div_ceil(64)` words per column, slack
+/// binary 0, one read of the view's buffer in the order it is stored.  A
+/// group of whole columns is one parallel work item.
+fn column_signs(isa: Isa, columns: &[Complex32], rows: usize) -> [Vec<u64>; 2] {
+    let words = rows.div_ceil(64);
+    let group = PACK_ITEM_SAMPLES.div_ceil(rows.max(1));
+    let item = (group * words).max(1);
+    write_once_pair(columns.len() / rows.max(1) * words, |re, im| {
+        re.par_chunks_mut(item)
+            .zip(im.par_chunks_mut(item))
+            .enumerate()
+            .for_each(|(at, (re_cols, im_cols))| {
+                let source = columns[at * group * rows..].chunks_exact(rows);
+                let planes = re_cols
+                    .chunks_exact_mut(words)
+                    .zip(im_cols.chunks_exact_mut(words));
+                for (column, (re, im)) in source.zip(planes) {
+                    prologue_on(
+                        isa,
+                        Prologue::Signs {
+                            row: column,
+                            re,
+                            im,
+                        },
+                    );
+                }
+            });
+    })
+}
+
+/// The bit-rows `64·band ..` of one plane, `stride` words each, into `out`
+/// (as many rows as it holds), from the plane's [`column_signs`] (`words`
+/// per column): the 64 × 64 bit block of sign word `band` of columns
+/// `64·w ..`, transposed, is word `w` of those rows; the words past the
+/// last column are zero.
+fn transpose_signs(
+    signs: &[u64],
+    words: usize,
+    band: usize,
+    stride: usize,
+    out: &mut [MaybeUninit<u64>],
+) {
+    let columns = signs.len() / words;
+    let sample_words = columns.div_ceil(64);
+    for w in 0..sample_words {
+        let mut block = [0u64; 64];
+        for (word, column) in block.iter_mut().zip(64 * w..columns) {
+            *word = signs[column * words + band];
+        }
+        transpose_bits(&mut block);
+        for (row, bits) in out.chunks_exact_mut(stride).zip(block) {
+            row[w].write(bits);
+        }
+    }
+    for row in out.chunks_exact_mut(stride) {
+        row[sample_words..].fill(MaybeUninit::new(0));
+    }
+}
+
+/// Transposes a 64 × 64 bit matrix in place — row `i` is word `i`, column
+/// `j` its bit `j` — by six rounds of block swaps: the round of width `h`
+/// exchanges, inside every `2h`-square block, the top-right and the
+/// bottom-left `h`-square quarters.
+fn transpose_bits(block: &mut [u64; 64]) {
+    let (mut width, mut mask) = (32, 0x0000_0000_FFFF_FFFF_u64);
+    while width > 0 {
+        for pair in block.chunks_exact_mut(2 * width) {
+            let (top, bottom) = pair.split_at_mut(width);
+            for (t, b) in top.iter_mut().zip(bottom) {
+                let swap = ((*t >> width) ^ *b) & mask;
+                *t ^= swap << width;
+                *b ^= swap;
+            }
+        }
+        width /= 2;
+        mask ^= mask << width;
     }
 }
 
@@ -759,6 +948,92 @@ pub(crate) mod tests {
         assert_transposed_matches_its_definition(&crate::synth::pseudo_random_matrix(
             2048, 256, 14, 1.0,
         ));
+    }
+
+    #[test]
+    fn a_view_reads_as_the_eager_transpose() {
+        for (rows, cols) in [(0, 5), (5, 0), (1, 1), (7, 9), (33, 65)] {
+            let m = crate::synth::pseudo_random_matrix(rows, cols, (rows * 100 + cols) as u64, 1.0);
+            let (view, eager) = (m.transposed(), m.transposed_on(Isa::PORTABLE));
+            assert_eq!((view.rows(), view.cols()), (cols, rows));
+            for r in 0..cols {
+                for c in 0..rows {
+                    assert_eq!(view.get(r, c), eager.get(r, c), "{rows}x{cols} at {r},{c}");
+                }
+            }
+            assert_eq!(bits(&view), bits(&eager), "{rows}x{cols}");
+            assert_eq!(view, eager);
+            assert_eq!(eager, view);
+            assert_eq!(view.max_abs_diff(&eager), 0.0);
+            // No sample moved: the view and its transpose share `m`'s buffer.
+            let back = view.transposed();
+            assert!(Arc::ptr_eq(&back.samples, &m.samples) && back.layout == Layout::RowMajor);
+            assert_eq!(back, m);
+            assert_eq!(format!("{view:?}"), format!("{eager:?}"));
+        }
+    }
+
+    #[test]
+    fn set_copies_a_shared_buffer_and_materialises_a_view_first() {
+        let m = crate::synth::pseudo_random_matrix(6, 4, 0x5E7, 1.0);
+        let value = Complex::new(7.0, -7.0);
+        let mut copy = m.clone();
+        copy.set(1, 2, value);
+        assert_eq!(copy.get(1, 2), value);
+        assert_ne!(m.get(1, 2), value);
+        assert!(!Arc::ptr_eq(&copy.samples, &m.samples));
+
+        let mut view = m.transposed();
+        let before = view.data().to_vec();
+        view.set(2, 1, value);
+        assert_eq!(view.layout, Layout::RowMajor);
+        let mut expected = before;
+        expected[2 * view.cols() + 1] = value;
+        assert_eq!(view.data(), expected);
+        assert_ne!(m.get(1, 2), value);
+    }
+
+    #[test]
+    fn quantise_int1_of_a_view_equals_that_of_the_eager_transpose() {
+        // Both sides of the 64 × 64 bit block on each axis; NaN payloads,
+        // ±0.0, ±∞ and subnormals in every block (NaN packs as 0, −0.0 as
+        // 1, as `v >= 0.0` says) and arbitrary bit patterns.
+        const DIMS: [usize; 8] = [0, 1, 3, 63, 64, 65, 129, 300];
+        for k in DIMS {
+            for n in DIMS {
+                let seed = (k * 1000 + n) as u64;
+                for block in [hostile_matrix(k, n), arbitrary_bits_matrix(k, n, seed)] {
+                    let view = block.transposed();
+                    for isa in Isa::available() {
+                        let eager = block.transposed_on(isa);
+                        for granularity in [0, 1, 32, 64, 100, 256, 512] {
+                            assert_eq!(
+                                Int1Matrix::from_host_padded_on(isa, &view, granularity),
+                                Int1Matrix::from_host_padded_on(isa, &eager, granularity),
+                                "{k}x{n} / {granularity} {isa}"
+                            );
+                        }
+                    }
+                    assert_sign_words_match_their_definition(&view, 100);
+                    assert!(view.row_major.get().is_none(), "{k}x{n} materialised");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_bits_moves_bit_j_of_word_i_to_bit_i_of_word_j() {
+        let mut block = [0u64; 64];
+        for (i, word) in block.iter_mut().enumerate() {
+            *word = gpu_sim::fault::splitmix64(i as u64);
+        }
+        let original = block;
+        transpose_bits(&mut block);
+        for (i, row) in original.iter().enumerate() {
+            for (j, column) in block.iter().enumerate() {
+                assert_eq!(column >> i & 1, row >> j & 1, "{i},{j}");
+            }
+        }
     }
 
     #[test]
