@@ -180,15 +180,10 @@ impl Beamformer {
         }
         // ccglib consumes B transposed: N×K, one row per output sample; the
         // weights operand is the cached prepared (pre-decoded) one.
-        // `transposed()` is a view of the block's buffer: the 1-bit
-        // quantiser packs the buffer as it is stored, the f16 one reads the
-        // row-major copy the view's `data()` makes.  The view, and that
-        // copy, live until the GEMM is done: freed before it, the allocator
-        // may or may not hand the very copy back for the kernel's `B`
-        // panels, and a block's time then depends on the heap of the
-        // process it runs in.
-        let transposed = samples.transposed();
-        let b = Self::quantise_for(self.config.precision, &transposed);
+        // `transposed()` is an O(1) view of the block's buffer, and both
+        // quantisers read the buffer in the order it is stored: no sample
+        // is moved before the `B` panels are built.
+        let b = Self::quantise_for(self.config.precision, &samples.transposed());
         let (beams, report) = self.gemm.run_prepared(&self.prepared_weights, &b)?;
         Ok(BeamformOutput { beams, report })
     }

@@ -9,7 +9,9 @@
 //! entry, so the portable number is never hidden behind the fast one — it
 //! times the **fused** path: the current `ccglib` kernels (bulk-decoded
 //! f32 operands + register-tiled FMA kernel, register-tiled popcount
-//! kernel), [`gemm::gemm_f16_on`] and [`gemm::gemm_int1_on`].
+//! kernel), [`gemm::gemm_f16_on`] and [`gemm::gemm_int1_on`].  An f16
+//! cell's `B` is what a block brings: the quantised `transposed()` view of
+//! a `K × N` block, whose panels are built in the order it is stored.
 //!
 //! Each measurement is [`median_secs`] (a median of `reps` runs after a
 //! warmup run), and before any timing the fused kernel's output on the
@@ -25,18 +27,12 @@
 //! once per compiled path (`transposed_on`, `quantise_*_on`), each checked
 //! for equality against its element-wise definition before it is timed.
 //! Those rows time a stage **in isolation**: over and over on one input
-//! that has long been at rest.  An f16 block's quantiser reads what the
-//! transpose has *just* written, out of the caches of the threads that
-//! wrote it, so beside the isolated `quantise_f16` row stands a
-//! **chained** one (`transpose>quantise_f16`): a block from a rotation of
-//! eight is transposed and the fresh result quantised, the stopwatch on
-//! the quantiser alone.  Chained ÷ isolated is what the hand-over between
-//! two stages costs; it reads ≈ 1.0 when the worker pool gives a thread
-//! the same rows in both stages, and it is the number to watch on a host
-//! with more cores than this one.  The last row, `quantise_int1(view)`, is
-//! what a 1-bit block runs: `quantise_int1_on` of the block's
-//! `transposed()` view, which packs the block in the order it is stored
-//! and transposes bits — no transpose of samples, so no hand-over.
+//! that has long been at rest.  The two `(view)` rows are what a block
+//! runs: `quantise_f16_on` and `quantise_int1_on` of the block's
+//! `transposed()` view, each checked against the quantiser of the checked
+//! transpose first.  The f16 one encodes the block in the order it is
+//! stored; the 1-bit one packs it so and transposes bits.  Neither
+//! transposes samples, so no stage hands a fresh transpose to the next.
 //!
 //! A third table times the **hand-off** every one of those stages pays to
 //! reach the second core: an empty two-item `par_chunks_mut`, back to back
@@ -101,7 +97,8 @@ impl BenchEntry {
 
 fn bench_f16(shape @ (m, n, k): Shape, isa: Isa, reps: usize) -> BenchEntry {
     let a_host = pseudo_random_matrix(m, k, 0xF16 + (m * n * k) as u64, 1.0);
-    let b_host = pseudo_random_matrix(n, k, 0xB00 + (m + n + k) as u64, 1.0);
+    let block = pseudo_random_matrix(k, n, 0xB00 + (m + n + k) as u64, 1.0);
+    let b_host = block.transposed();
     let (a, b) = (F16Matrix::from_host(&a_host), F16Matrix::from_host(&b_host));
     // Correctness guard: the fused kernel must stay within the binary16
     // quantisation envelope of the full-precision reference before any
@@ -153,19 +150,12 @@ struct PrologueEntry {
     /// Throughput in `unit`.
     rate: f64,
     unit: &'static str,
-    /// Of a chained row: its time over the isolated row's of the same
-    /// quantiser.  Printed, not written: the JSON carries both times.
-    vs_isolated: Option<f64>,
 }
-
-/// Blocks a chained row rotates through, so that no block is transposed
-/// while its last result is still in a cache.
-const CHAINED_ROTATION: usize = 8;
 
 /// `transposed_on`, `GemmInput::quantise_f16_on` and `quantise_int1_on` of
 /// one `K × N` block on `isa` against their element-wise definitions, and
-/// `quantise_int1_on` of its `transposed()` view against that of the
-/// checked transpose; returns the transposed block.
+/// both quantisers of its `transposed()` view against those of the checked
+/// transpose; returns the transposed block.
 fn guarded_transpose(block: &HostComplexMatrix, isa: Isa) -> HostComplexMatrix {
     let (k, n) = (block.rows(), block.cols());
     let by_definition = HostComplexMatrix::from_fn(n, k, |r, c| block.get(c, r));
@@ -186,6 +176,11 @@ fn guarded_transpose(block: &HostComplexMatrix, isa: Isa) -> HostComplexMatrix {
         [scalar_plane(|v| v.re), scalar_plane(|v| v.im)],
         "{k}x{n} {isa}"
     );
+    let GemmInput::F16(of_view) = GemmInput::quantise_f16_on(isa, &block.transposed()) else {
+        panic!("quantise_f16 gives a binary16 operand")
+    };
+    let view_planes = [plane_bits(of_view.re()), plane_bits(of_view.im())];
+    assert_eq!(view_planes, planes, "quantise_f16(view) at {k}x{n} {isa}");
 
     let GemmInput::Int1(packed) = GemmInput::quantise_int1_on(isa, &b_t) else {
         panic!("quantise_int1 gives a 1-bit operand")
@@ -208,16 +203,12 @@ fn guarded_transpose(block: &HostComplexMatrix, isa: Isa) -> HostComplexMatrix {
 }
 
 /// Times the three prologue stages on one `K × N` block on `isa` in
-/// isolation, the f16 quantiser chained to the transpose and the 1-bit
-/// quantiser of the block's view, every block that is used guarded by the
-/// element-wise definitions.
+/// isolation and both quantisers of the block's view, the block guarded by
+/// the element-wise definitions first.
 fn bench_prologue(k: usize, n: usize, isa: Isa) -> [PrologueEntry; 5] {
-    let blocks: Vec<HostComplexMatrix> = (0..CHAINED_ROTATION as u64)
-        .map(|turn| pseudo_random_matrix(k, n, 0x7A05 + (k * n) as u64 + turn, 1.0))
-        .collect();
-    let transposed: Vec<HostComplexMatrix> =
-        blocks.iter().map(|b| guarded_transpose(b, isa)).collect();
-    let (block, b_t) = (&blocks[0], &transposed[0]);
+    let block = pseudo_random_matrix(k, n, 0x7A05 + (k * n) as u64, 1.0);
+    let b_t = guarded_transpose(&block, isa);
+    let (block, b_t) = (&block, &b_t);
 
     let elements = (k * n) as f64;
     let entry = |stage, median_s: f64, per_s: f64, unit| PrologueEntry {
@@ -228,7 +219,6 @@ fn bench_prologue(k: usize, n: usize, isa: Isa) -> [PrologueEntry; 5] {
         median_s,
         rate: per_s / median_s,
         unit,
-        vs_isolated: None,
     };
     let transpose_s = median_secs(PROLOGUE_REPS, || {
         black_box(black_box(block).transposed_on(isa));
@@ -236,18 +226,10 @@ fn bench_prologue(k: usize, n: usize, isa: Isa) -> [PrologueEntry; 5] {
     let f16_s = median_secs(PROLOGUE_REPS, || {
         black_box(GemmInput::quantise_f16_on(isa, black_box(b_t)));
     });
-    // The chained row, right after the isolated one: `median_secs` with a
-    // transpose in front of every timed run, off the clock, so that the
-    // quantiser's input is as fresh as it is inside an f16 block.
-    let time = |rep: usize| {
-        let fresh = black_box(&blocks[rep % CHAINED_ROTATION]).transposed_on(isa);
-        let start = Instant::now();
-        black_box(GemmInput::quantise_f16_on(isa, black_box(&fresh)));
-        start.elapsed().as_secs_f64()
-    };
-    let mut times: Vec<f64> = (0..=PROLOGUE_REPS).map(time).skip(1).collect();
-    times.sort_by(f64::total_cmp);
-    let f16_chained_s = times[times.len() / 2];
+    let f16_view_s = median_secs(PROLOGUE_REPS, || {
+        let view = black_box(block).transposed();
+        black_box(GemmInput::quantise_f16_on(isa, &view));
+    });
     let int1_s = median_secs(PROLOGUE_REPS, || {
         black_box(GemmInput::quantise_int1_on(isa, black_box(b_t)));
     });
@@ -260,10 +242,7 @@ fn bench_prologue(k: usize, n: usize, isa: Isa) -> [PrologueEntry; 5] {
         // Computed bytes moved: every 8-byte element read once, written once.
         entry("transpose", transpose_s, 2.0 * 8.0 * elements / 1e9, "GB/s"),
         entry("quantise_f16", f16_s, per_elem, "Melem/s"),
-        PrologueEntry {
-            vs_isolated: Some(f16_chained_s / f16_s),
-            ..entry("transpose>quantise_f16", f16_chained_s, per_elem, "Melem/s")
-        },
+        entry("quantise_f16(view)", f16_view_s, per_elem, "Melem/s"),
         entry("quantise_int1", int1_s, per_elem, "Melem/s"),
         entry("quantise_int1(view)", int1_view_s, per_elem, "Melem/s"),
     ]
@@ -352,7 +331,7 @@ fn to_json(
         ])
     };
     Value::object([
-        ("schema", "tcbf-hotpath-bench/v12".into()),
+        ("schema", "tcbf-hotpath-bench/v13".into()),
         ("mode", mode.into()),
         ("reps", reps.into()),
         ("entries", Value::Array(entries.iter().map(entry).collect())),
@@ -470,40 +449,16 @@ fn main() {
     let rows: Vec<Vec<String>> = prologue
         .iter()
         .map(|p| {
-            let vs_isolated = p
-                .vs_isolated
-                .map_or("—".to_string(), |r| format!("{r:.2}x"));
             vec![
                 p.stage.to_string(),
                 p.isa.to_string(),
                 format!("{}x{}", p.k, p.n),
                 format!("{:.1}", p.median_s * 1e6),
                 format!("{:.2} {}", p.rate, p.unit),
-                vs_isolated,
             ]
         })
         .collect();
-    print_table(
-        &[
-            "stage",
-            "isa",
-            "KxN",
-            "median us",
-            "rate",
-            "chained / isolated",
-        ],
-        &rows,
-    );
-    let (worst, at) = prologue
-        .iter()
-        .filter_map(|p| Some((p.vs_isolated?, p)))
-        .max_by(|a, b| a.0.total_cmp(&b.0))
-        .expect("every block shape has its chained rows");
-    println!();
-    println!(
-        "headline: hand-over worst chained / isolated {worst:.2}x ({} on {} at {}x{})",
-        at.stage, at.isa, at.k, at.n
-    );
+    print_table(&["stage", "isa", "KxN", "median us", "rate"], &rows);
 
     header("Hand-off wall-clock (empty two-item par_chunks_mut)");
     let fan_out: Vec<FanOutEntry> = FAN_OUT_AFTER_BUSY_US.map(bench_fan_out).into();

@@ -11,7 +11,7 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
     let root = parse(&text).expect("written by tuner::json, so read by it");
 
     let schema = root.get("schema").unwrap().as_str().unwrap();
-    assert_eq!(schema, "tcbf-hotpath-bench/v12");
+    assert_eq!(schema, "tcbf-hotpath-bench/v13");
     assert_eq!(root.get("mode").unwrap().as_str().unwrap(), "full");
     assert!(root.get("reps").unwrap().as_usize().unwrap() >= 1);
     assert!(root.get("prologue_reps").unwrap().as_usize().unwrap() >= 1);
@@ -52,11 +52,11 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
     assert_eq!(entries.len(), 4 * 2 * paths["f16"].len());
 
     let prologue = root.get("prologue").unwrap().as_array().unwrap();
-    // 4 block shapes x the kernels' paths x (transpose, each quantiser in
-    // isolation, the f16 one chained to the transpose, the 1-bit one of the
-    // transposed view), in that order (schema v10: every prologue row names
-    // its path; v12: the view's row replaced `transpose>quantise_int1`,
-    // since a 1-bit block no longer transposes its samples).
+    // 4 block shapes x the kernels' paths x (transpose, then each quantiser
+    // in isolation and of the transposed view), in that order (schema v10:
+    // every prologue row names its path; v12: the 1-bit view's row replaced
+    // `transpose>quantise_int1`, and v13: the f16 view's row replaced
+    // `transpose>quantise_f16`, since no block transposes its samples).
     let stages: Vec<&str> = prologue
         .iter()
         .map(|row| row.get("stage").unwrap().as_str().unwrap())
@@ -64,7 +64,7 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
     let per_path = [
         "transpose",
         "quantise_f16",
-        "transpose>quantise_f16",
+        "quantise_f16(view)",
         "quantise_int1",
         "quantise_int1(view)",
     ];

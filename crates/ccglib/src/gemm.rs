@@ -25,9 +25,10 @@
 //! planes ([`Int1Matrix`]) — and is read one scalar at a time, broadcast.
 //! `B` is rebuilt per call into **column panels** of one vector of output
 //! columns each, k-major, so that step `k` of a panel is one vector load
-//! (binary16 is decoded straight into the panels — by `vcvtph2ps` and a
-//! 16 × 16 register transpose on the AVX-512 path, through the lookup
-//! table of `tcbf_types::half::Decoder` on the portable one; bit planes are
+//! (binary16 is decoded straight into the panels from the `K × N` block it
+//! arrives as, where step `k` of a panel is already one stored run — by
+//! `vcvtph2ps` on the AVX-512 path, through the lookup table of
+//! `tcbf_types::decode_to_f32` on the portable one; bit planes are
 //! word-interleaved, and a 1-bit `A` carries a third plane, `re ⊕ im`).  A
 //! **register tile** of 4 rows of `A` × one vector of columns then makes
 //! one pass over `K` with one output per vector lane: every `B` vector
@@ -52,17 +53,18 @@
 //! supplied **transposed** as `N×K` (each row holds the `K`-vector of one
 //! output column).  This is the orientation the transpose kernel produces
 //! and the one in which both the bit-rows of the 1-bit kernel and the
-//! fragment loads of the 16-bit kernel are contiguous.
+//! fragment loads of the 16-bit kernel are contiguous.  A binary16 `Bᵀ`
+//! quantised from a `transposed()` view keeps the view's storage, the
+//! `K × N` block, which is the order its panels are built in.
 
 use crate::error::{Result, TcbfError};
 use crate::isa::{f16_row_block_on, int1_row_group_on, prologue_on, Isa, Prologue};
-use crate::matrix::{F16Matrix, HostComplexMatrix, Int1Matrix, PLANE_ITEM};
+use crate::matrix::{transpose_planes, F16Matrix, HostComplexMatrix, Int1Matrix, PLANE_ITEM};
 use crate::write_once::{write_once, write_once_pair};
 use crate::Precision;
 use gpu_sim::BitOp;
 use rayon::prelude::*;
 use std::mem::MaybeUninit;
-use tcbf_types::half::Decoder;
 use tcbf_types::{decode_to_f32, f16, Complex32};
 
 /// The beamformed output matrix: `M×N` complex values in single precision
@@ -307,9 +309,8 @@ const F16_TILE_ROWS: usize = 4;
 /// portable, 1.16–1.26× AVX-512); past 4 nothing more is gained.
 const F16_BLOCK_TILES: usize = 4;
 
-/// `B` as the f16 tile kernel reads it: the rows of the transposed operand
-/// decoded from binary16 straight into k-major column panels of `lanes`
-/// output columns,
+/// `B` as the f16 tile kernel reads it: the transposed operand decoded from
+/// binary16 straight into k-major column panels of `lanes` output columns,
 ///
 /// ```text
 /// panel[g][k] = [ Re Bᵀ[g·lanes .. (g+1)·lanes][k] | Im Bᵀ[g·lanes .. (g+1)·lanes][k] ]
@@ -317,56 +318,66 @@ const F16_BLOCK_TILES: usize = 4;
 ///
 /// so step `k` of a tile is one contiguous run of `2·lanes` scalars: the
 /// real parts of `lanes` columns' `k`-th sample, then the imaginary parts.
-/// Rows past `N` in the last group are zero, stored here like every other
-/// scalar: the panels are written once, not cleared first.  One pass and
-/// one allocation per call — this *is* the decode of `B`, not a repack of a
-/// decoded copy — `O(N·K)` against the kernel's `O(M·N·K)`; a panel is one
-/// parallel work item, run on `isa` (a GEMM passes `isa.f16_lanes()` as
-/// `lanes`; the tests also build the portable instance's panels at other
-/// widths).
+/// In the `K × N` block that `B` arrives as, that step is already one
+/// stored run, `[k·N + g·lanes ..]` of each plane: an operand quantised
+/// from a `transposed()` view is read as it is stored, and a row-major one
+/// is transposed to it first.  Columns past `N` in the last group are
+/// zero, stored here like every other scalar: the panels are written once,
+/// not cleared first.  One pass and one allocation per call — this *is*
+/// the decode of `B`, not a repack of a decoded copy — `O(N·K)` against the
+/// kernel's `O(M·N·K)`; a panel is one parallel work item, run on `isa` (a
+/// GEMM passes `isa.f16_lanes()` as `lanes`; the tests also build the
+/// portable instance's panels at other widths).
 fn f16_column_panels(isa: Isa, b_t: &F16Matrix, lanes: usize) -> Vec<f32> {
     let (n, k) = (b_t.rows(), b_t.cols());
+    let transposed;
+    let [re, im] = match b_t.columns() {
+        Some(planes) => planes,
+        None => {
+            transposed = transpose_planes([b_t.re(), b_t.im()], (n, k));
+            transposed.each_ref().map(Vec::as_slice)
+        }
+    };
     write_once(n.next_multiple_of(lanes) * 2 * k, |panels| {
         panels
             .par_chunks_mut((2 * lanes * k).max(1))
             .enumerate()
             .for_each(|(g, panel)| {
-                let group = g * lanes * k..b_t.re().len().min((g + 1) * lanes * k);
-                let (re, im) = (&b_t.re()[group.clone()], &b_t.im()[group]);
-                prologue_on(isa, Prologue::Panel { re, im, k, panel });
+                let j0 = g * lanes;
+                prologue_on(
+                    isa,
+                    Prologue::Steps {
+                        re,
+                        im,
+                        n,
+                        j0,
+                        panel,
+                    },
+                );
             });
     })
 }
 
 /// One work item of [`f16_column_panels`], portable — the definition the
-/// AVX-512 instance is tested against: steps `k0..` of one column panel,
-/// decoded from its group's rows of both planes of `Bᵀ` (`k` values each,
-/// as many rows as there are, at most the panel's lane count), the lanes
-/// without a row stored as zeros.
-pub(crate) fn column_panel(
+/// AVX-512 instance is tested against: the panel of output columns `j0..`,
+/// step `k` decoded from the stored run `[k·n + j0 ..]` of both planes of
+/// the `K × N` block, the lanes past column `n` stored as zeros.
+pub(crate) fn panel_steps(
     re: &[f16],
     im: &[f16],
-    k: usize,
-    k0: usize,
+    n: usize,
+    j0: usize,
     panel: &mut [MaybeUninit<f32>],
 ) {
-    // Lanes `ROWS` at a time (every lane count is a multiple), their rows
-    // walked side by side, so that the panel is written in contiguous runs
-    // (row by row, every store opens another cache line: measured 1.5×
-    // slower).  A lane without a row — the last group of a ragged `N` —
-    // gets its zero in the same store.
-    const ROWS: usize = 4;
-    let lanes = panel.len() / (2 * k);
-    let decoder = Decoder::new();
-    for (plane, offset) in [(re, 0), (im, lanes)] {
-        for at in (0..lanes).step_by(ROWS) {
-            for kk in k0..k {
-                let values: [f32; ROWS] = std::array::from_fn(|l| {
-                    let value = plane.get((at + l) * k + kk);
-                    value.map_or(0.0, |&h| decoder.decode(h))
-                });
-                panel[kk * 2 * lanes + offset + at..][..ROWS].write_copy_of_slice(&values);
-            }
+    let lanes = panel.len() / (2 * (re.len() / n));
+    let width = lanes.min(n - j0);
+    let rows = re.chunks_exact(n).zip(im.chunks_exact(n));
+    for ((re_row, im_row), step) in rows.zip(panel.chunks_exact_mut(2 * lanes)) {
+        let (re_lanes, im_lanes) = step.split_at_mut(lanes);
+        for (row, lanes) in [(re_row, re_lanes), (im_row, im_lanes)] {
+            let (valid, past) = lanes.split_at_mut(width);
+            decode_to_f32(&row[j0..][..width], valid);
+            past.fill(MaybeUninit::new(0.0));
         }
     }
 }
@@ -1443,8 +1454,10 @@ mod tests {
     }
 
     /// `B`'s f16 column panels from the portable instance at every lane
-    /// width and from every path at its own, against the per-element
-    /// definition.
+    /// width and from every path at its own, against their per-element
+    /// definition `panel[g][k][l] = Bᵀ[g·L + l][k]` — the real part in lanes
+    /// `0..L` of a step, the imaginary part in `L..2L`, zero past `N` —
+    /// read through `get`, whichever layout `b_t` is stored in.
     fn assert_panels_match_their_definition(b_t: &F16Matrix) {
         let (n, k) = (b_t.rows(), b_t.cols());
         let portable = [4, 8, 16].map(|lanes| (Isa::PORTABLE, lanes));
@@ -1452,12 +1465,19 @@ mod tests {
             .into_iter()
             .map(|isa| (isa, isa.f16_lanes()));
         for (isa, lanes) in portable.into_iter().chain(every_path) {
-            let mut expected = vec![0u32; n.next_multiple_of(lanes) * 2 * k];
-            for (j, kk) in (0..n).flat_map(|j| (0..k).map(move |kk| (j, kk))) {
-                let step = ((j / lanes) * k + kk) * 2 * lanes;
-                expected[step + j % lanes] = b_t.re()[j * k + kk].to_f32().to_bits();
-                expected[step + lanes + j % lanes] = b_t.im()[j * k + kk].to_f32().to_bits();
-            }
+            let definition = |at: usize| {
+                let (g, kk, l) = (at / (2 * lanes * k), at / (2 * lanes) % k, at % (2 * lanes));
+                let j = g * lanes + l % lanes;
+                let value = if j < n {
+                    b_t.get(j, kk)
+                } else {
+                    Complex32::ZERO
+                };
+                if l < lanes { value.re } else { value.im }.to_bits()
+            };
+            let expected: Vec<u32> = (0..n.next_multiple_of(lanes) * 2 * k)
+                .map(definition)
+                .collect();
             let panels = f16_column_panels(isa, b_t, lanes);
             let bits: Vec<u32> = panels.iter().map(|v| v.to_bits()).collect();
             // Not `assert_eq!`: a failing 16 × 65 536 case would print 8 MiB.
@@ -1467,17 +1487,53 @@ mod tests {
 
     #[test]
     fn every_binary16_pattern_reaches_the_panels_bit_for_bit_on_every_path() {
-        // Sixteen rows — one whole group of the AVX-512 instance — each
-        // holding every bit pattern once, rotated from row to row, in both
-        // planes: subnormals, ±0, ±∞ and NaNs quiet and signalling.
+        // Sixteen columns of the output — one whole group of the AVX-512
+        // instance — each holding every bit pattern once, rotated from
+        // column to column, in both planes: subnormals, ±0, ±∞ and NaNs
+        // quiet and signalling.  Stored as a view is (`K × N`), and as a
+        // row-major `Bᵀ`, which is transposed to that first.
+        use crate::matrix::tests::f16_view;
         let (n, k) = (16, 1 << 16);
-        let plane = |salt| {
-            (0..n * k)
-                .map(|at| f16::from_bits((at / k * 4099 + at % k + salt) as u16))
-                .collect()
-        };
-        let b_t = F16Matrix::from_planes(n, k, plane(0), plane(7)).unwrap();
-        assert_panels_match_their_definition(&b_t);
+        let pattern =
+            |j: usize, kk: usize, salt: usize| f16::from_bits((j * 4099 + kk + salt) as u16);
+        let row_major = |salt| (0..n * k).map(|at| pattern(at / k, at % k, salt)).collect();
+        let column_major = |salt| (0..n * k).map(|at| pattern(at % n, at / n, salt)).collect();
+        let b_t = F16Matrix::from_planes(n, k, row_major(0), row_major(7)).unwrap();
+        let view = f16_view(n, k, column_major(0), column_major(7));
+        for b in [&b_t, &view] {
+            for j in [0, 5, 15] {
+                assert_eq!(
+                    b.get(j, 3).re.to_bits(),
+                    pattern(j, 3, 0).to_f32().to_bits()
+                );
+            }
+            assert_panels_match_their_definition(b);
+        }
+    }
+
+    #[test]
+    fn the_panels_of_a_view_match_their_definition_and_give_the_eager_gemm() {
+        // `K` and `N` on and either side of one and two AVX-512 groups, and
+        // a whole 256 × 256 block, with hostile values and arbitrary bits.
+        use crate::matrix::tests::{arbitrary_bits_matrix, hostile_matrix};
+        const DIMS: [usize; 7] = [0, 1, 15, 16, 17, 33, 256];
+        for k in DIMS {
+            for n in DIMS {
+                let seed = (k * 1000 + n) as u64;
+                for block in [hostile_matrix(k, n), arbitrary_bits_matrix(k, n, seed)] {
+                    let view = F16Matrix::from_host(&block.transposed());
+                    assert_panels_match_their_definition(&view);
+                    let eager = F16Matrix::from_host(&block.transposed_on(Isa::PORTABLE));
+                    assert_panels_match_their_definition(&eager);
+                    let a = F16Matrix::from_host(&arbitrary_bits_matrix(5, k, seed ^ 0xA));
+                    for isa in Isa::available() {
+                        let of_view = gemm_f16_on(isa, &a, &view).unwrap();
+                        let of_eager = gemm_f16_on(isa, &a, &eager).unwrap();
+                        assert_eq!(bits(&of_view), bits(&of_eager), "{k}x{n} {isa}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

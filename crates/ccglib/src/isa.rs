@@ -27,9 +27,9 @@
 //! through registers (`avx512f`), the 1-bit pack takes 64 signs from eight
 //! `vcmpps` masks and `pext` (`avx512f`, `bmi2`), the binary16 encode splits
 //! 16 samples by `vpermt2ps` and rounds them by `vcvtps2ph` (`avx512f`), and
-//! the f16 GEMM's `B` panels are widened 16 × 16 values at a time by
-//! `vcvtph2ps` and a register transpose instead of a table lookup per value
-//! (`avx512f`).  Ragged edges take the portable loop.
+//! the f16 GEMM's `B` panels are widened by `vcvtph2ps`, one stored run of
+//! 16 values per step, instead of a table lookup per value (`avx512f`).
+//! Ragged edges take the portable loop.
 //!
 //! Which one runs is decided by what the process can observe —
 //! `is_x86_feature_detected!` — never by a setting.  One detection serves
@@ -46,7 +46,7 @@
 //! argument: written with safe lane-by-lane code, LLVM scalarises the
 //! transpose's stores and splinters the encoder's loads.
 
-use crate::gemm::{column_panel, f16_row_block, int1_row_group, F16Operands, Int1Operands};
+use crate::gemm::{f16_row_block, int1_row_group, panel_steps, F16Operands, Int1Operands};
 #[cfg(target_arch = "x86_64")]
 use crate::matrix::transpose_rect;
 use crate::matrix::{encode_planes, sign_words, transpose_band, HostComplexMatrix};
@@ -223,12 +223,14 @@ pub(crate) enum Prologue<'a> {
         re: &'a mut [MaybeUninit<f16>],
         im: &'a mut [MaybeUninit<f16>],
     },
-    /// Of the f16 GEMM's `B` panels: one column panel, from its group's rows
-    /// of both planes of `Bᵀ`, `k` values each.
-    Panel {
+    /// Of the f16 GEMM's `B` panels: the column panel of output columns
+    /// `j0..`, step by step from both planes of the `K × N` block, `n`
+    /// values a row.
+    Steps {
         re: &'a [f16],
         im: &'a [f16],
-        k: usize,
+        n: usize,
+        j0: usize,
         panel: &'a mut [MaybeUninit<f32>],
     },
 }
@@ -237,10 +239,18 @@ pub(crate) enum Prologue<'a> {
 pub(crate) fn prologue_on(isa: Isa, item: Prologue<'_>) {
     match isa.0 {
         Path::Portable => match item {
-            Prologue::Transpose { src, c0, band } => transpose_band(src, c0, band),
+            Prologue::Transpose { src, c0, band } => {
+                transpose_band(src.data(), (src.rows(), src.cols()), c0, band)
+            }
             Prologue::Signs { row, re, im } => sign_words(row, re, im),
             Prologue::Encode { src, re, im } => encode_planes(src, re, im),
-            Prologue::Panel { re, im, k, panel } => column_panel(re, im, k, 0, panel),
+            Prologue::Steps {
+                re,
+                im,
+                n,
+                j0,
+                panel,
+            } => panel_steps(re, im, n, j0, panel),
         },
         #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
@@ -260,7 +270,13 @@ fn prologue_avx512(item: Prologue<'_>) {
         Prologue::Transpose { src, c0, band } => transpose_band_avx512(src, c0, band),
         Prologue::Signs { row, re, im } => sign_words_avx512(row, re, im),
         Prologue::Encode { src, re, im } => encode_planes_avx512(src, re, im),
-        Prologue::Panel { re, im, k, panel } => column_panel_avx512(re, im, k, panel),
+        Prologue::Steps {
+            re,
+            im,
+            n,
+            j0,
+            panel,
+        } => panel_steps_avx512(re, im, n, j0, panel),
     }
 }
 
@@ -293,10 +309,11 @@ fn transpose_band_avx512(src: &HostComplexMatrix, c0: usize, band: &mut [MaybeUn
             }
         }
     }
-    transpose_rect(src, 0..first, c0, band);
-    transpose_rect(src, end..rows, c0, band);
+    let (src, shape) = (src.data(), (rows, cols));
+    transpose_rect(src, shape, 0..first, c0, band);
+    transpose_rect(src, shape, end..rows, c0, band);
     let right = &mut band[whole_cols * rows..];
-    transpose_rect(src, first..end, c0 + whole_cols, right);
+    transpose_rect(src, shape, first..end, c0 + whole_cols, right);
 }
 
 /// Row `i` of an 8 × 8 block of 64-bit lanes in, column `i` out: 8
@@ -402,58 +419,26 @@ fn encode_planes_avx512(
     encode_planes(tail, re_tail, im_tail);
 }
 
-/// [`column_panel`] for a whole group of 16 rows in a 16-lane panel, 16
-/// steps of `k` at a time: per plane, the rows' 16 binary16 values are
-/// loaded, widened by `vcvtph2ps` — exact, and like `f16::to_f32` it quiets
-/// a signalling NaN and keeps its payload — transposed in registers and
-/// stored as the 16 steps' lanes.  The `K % 16` tail, a ragged last group
-/// and any other lane count take the portable loop.
+/// [`panel_steps`] for a whole group of 16 columns in a 16-lane panel: per
+/// step and plane, the 16 stored values are loaded, widened by `vcvtph2ps`
+/// — exact, and like `f16::to_f32` it quiets a signalling NaN and keeps its
+/// payload — and stored as the step's lanes.  A ragged last group and any
+/// other lane count take the portable loop.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn column_panel_avx512(re: &[f16], im: &[f16], k: usize, panel: &mut [MaybeUninit<f32>]) {
+fn panel_steps_avx512(re: &[f16], im: &[f16], n: usize, j0: usize, panel: &mut [MaybeUninit<f32>]) {
     const LANES: usize = AVX512_F16_LANES;
-    let whole = if panel.len() == 2 * LANES * k && re.len() == LANES * k {
-        k / LANES * LANES
-    } else {
-        0
-    };
-    for k0 in (0..whole).step_by(LANES) {
-        for (plane, offset) in [(re, 0), (im, LANES)] {
-            let mut block = [_mm512_setzero_ps(); LANES];
-            for (l, row) in block.iter_mut().enumerate() {
-                let halves = plane[l * k + k0..].first_chunk();
-                *row = _mm512_cvtph_ps(load_halves(halves.expect("a whole block")));
-            }
-            for (s, step) in transpose_16x16(block).into_iter().enumerate() {
-                let dst = panel[(k0 + s) * 2 * LANES + offset..].first_chunk_mut();
-                store_floats(dst.expect("a whole block"), step);
-            }
+    if panel.len() != 2 * LANES * (re.len() / n) || j0 + LANES > n {
+        return panel_steps(re, im, n, j0, panel);
+    }
+    let rows = re.chunks_exact(n).zip(im.chunks_exact(n));
+    let steps = panel.as_chunks_mut::<LANES>().0.as_chunks_mut::<2>().0;
+    for ((re_row, im_row), [re_lanes, im_lanes]) in rows.zip(steps) {
+        for (row, lanes) in [(re_row, re_lanes), (im_row, im_lanes)] {
+            let halves = row[j0..].first_chunk().expect("a whole group");
+            store_floats(lanes, _mm512_cvtph_ps(load_halves(halves)));
         }
     }
-    column_panel(re, im, k, whole, panel);
-}
-
-/// Row `i` of a 16 × 16 block of `f32` in, column `i` out: 16
-/// `vunpck{l,h}ps` pair the rows up into 64-bit lanes, two
-/// [`transpose_8x8`] of those put the columns in place.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[inline]
-fn transpose_16x16(r: [__m512; 16]) -> [__m512; 16] {
-    // 64-bit lane `j` of `lo[p]`: rows `2p`, `2p + 1` of column
-    // `4·(j / 2) + j % 2`; of `hi[p]`, of the column two to its right.
-    let (mut lo, mut hi) = ([_mm512_setzero_si512(); 8], [_mm512_setzero_si512(); 8]);
-    for (p, [a, b]) in r.as_chunks::<2>().0.iter().enumerate() {
-        lo[p] = _mm512_castps_si512(_mm512_unpacklo_ps(*a, *b));
-        hi[p] = _mm512_castps_si512(_mm512_unpackhi_ps(*a, *b));
-    }
-    let (lo, hi) = (transpose_8x8(lo), transpose_8x8(hi));
-    let mut columns = [_mm512_setzero_ps(); 16];
-    for (c, column) in columns.iter_mut().enumerate() {
-        let half = if c % 4 < 2 { &lo } else { &hi };
-        *column = _mm512_castsi512_ps(half[c / 4 * 2 + c % 2]);
-    }
-    columns
 }
 
 /// Loads eight samples as one `zmm` register, `re, im` interleaved.

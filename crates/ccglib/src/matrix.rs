@@ -7,14 +7,16 @@
 //!   application code produces (beam weights, receiver samples) and
 //!   consumes (beamformed output).  Its samples live in a shared buffer,
 //!   and [`HostComplexMatrix::transposed`] is a column-major *view* of the
-//!   same buffer, not a copy: the 1-bit quantiser reads a view's buffer
-//!   in the order it is stored, and everything else reads it through
+//!   same buffer, not a copy: both quantisers read a view's buffer in the
+//!   order it is stored, and everything else reads it through
 //!   [`HostComplexMatrix::data`], which materialises the row-major copy
 //!   once.
 //! * [`F16Matrix`] — the 16-bit device format: separate (planar) real and
 //!   imaginary planes of binary16 values, the layout the float16 tensor
 //!   core kernel consumes after the transpose kernel has split the
-//!   interleaved input.
+//!   interleaved input.  Quantised from a view, its planes keep the view's
+//!   column-major order — the `K × N` block a `B` operand arrives as, from
+//!   which the f16 GEMM builds its `B` panels directly.
 //! * [`Int1Matrix`] — the 1-bit device format: real and imaginary bit
 //!   planes packed along the reduction dimension, the output of the packing
 //!   kernel, held as two flat `u64` buffers with a row stride.
@@ -41,17 +43,15 @@ use std::sync::{Arc, OnceLock};
 use tcbf_types::matrix::round_up;
 use tcbf_types::{encode_from_f32, f16, Complex, Complex32, PackedBits};
 
-/// Tile edge of [`HostComplexMatrix::transposed_on`], in elements: 32 rows
-/// of 256 B each.  A band of rows is one work item, and a share boundary of
-/// this stage is one of the next stage's when the two item counts nest (the
-/// rule is `vendor/rayon`'s `deal`).
+/// Tile edge of [`HostComplexMatrix::transposed_on`] and of the binary16
+/// plane transposer, in elements: 32 rows of 256 B (of 64 B) each.  A band
+/// of rows is one work item.
 const TRANSPOSE_TILE: usize = 32;
 
 /// Scalars per parallel work item of the stages that convert a plane
 /// element by element ([`F16Matrix::from_host`], the decode behind
 /// [`crate::gemm::DecodedPlanes`]): a few microseconds of work, and a whole
-/// number of the bulk encoder's chunks.  A share boundary of this stage is
-/// one of the f16 panel builder's when the two item counts nest (`deal`).
+/// number of the bulk encoder's chunks.
 pub(crate) const PLANE_ITEM: usize = 4096;
 
 /// Samples per parallel work item of [`Int1Matrix::from_host_padded`], which
@@ -60,13 +60,14 @@ pub(crate) const PLANE_ITEM: usize = 4096;
 /// item counts nest (`deal`).
 const PACK_ITEM_SAMPLES: usize = 32 * 1024;
 
-/// The order in which a [`HostComplexMatrix`]'s buffer holds its samples.
+/// The order in which a [`HostComplexMatrix`]'s buffer, or an
+/// [`F16Matrix`]'s planes, hold the values.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Layout {
     /// Row after row: how every matrix is built.
     RowMajor,
     /// Column after column: a [`HostComplexMatrix::transposed`] view of a
-    /// row-major buffer.
+    /// row-major buffer, and what [`F16Matrix::from_host`] makes of one.
     ColumnMajor,
 }
 
@@ -176,8 +177,8 @@ impl HostComplexMatrix {
     /// the `N×K` orientation the packed kernels expect) in O(1): a view
     /// that shares this matrix's buffer and reads it column-major, so
     /// `m.transposed().transposed()` is `m` again.  No sample moves until
-    /// something asks for the view's row-major [`data`](Self::data);
-    /// [`Int1Matrix::from_host_padded`] never does.
+    /// something asks for the view's row-major [`data`](Self::data); the
+    /// two quantisers never do.
     pub fn transposed(&self) -> HostComplexMatrix {
         let layout = match self.layout {
             Layout::RowMajor => Layout::ColumnMajor,
@@ -268,26 +269,56 @@ impl std::fmt::Debug for HostComplexMatrix {
 
 /// Planar binary16 device matrix: the input format of the float16 tensor
 /// core GEMM kernel.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Like a [`HostComplexMatrix`], its planes hold the values row after row
+/// or — quantised from a [`transposed`](HostComplexMatrix::transposed)
+/// view — column after column, in the order the view's buffer holds them.
+/// [`get`](Self::get), `==` and `Clone` read through the layout;
+/// [`re`](Self::re) and [`im`](Self::im) are row-major, and of a
+/// column-major matrix the first call transposes both planes once and
+/// keeps them.
+#[derive(Clone, Debug)]
 pub struct F16Matrix {
     rows: usize,
     cols: usize,
+    layout: Layout,
     re: Vec<f16>,
     im: Vec<f16>,
+    /// The row-major planes of a column-major matrix, built by the first
+    /// [`re`](Self::re) or [`im`](Self::im).
+    row_major: OnceLock<[Vec<f16>; 2]>,
 }
 
 impl F16Matrix {
+    fn row_major(rows: usize, cols: usize, re: Vec<f16>, im: Vec<f16>) -> Self {
+        F16Matrix {
+            rows,
+            cols,
+            layout: Layout::RowMajor,
+            re,
+            im,
+            row_major: OnceLock::new(),
+        }
+    }
+
     /// Quantises a host matrix to binary16, splitting it into planes, on
     /// the fastest path the host has ([`Isa::detected`]).
     pub fn from_host(host: &HostComplexMatrix) -> Self {
         Self::from_host_on(Isa::detected(), host)
     }
 
-    /// [`from_host`](Self::from_host) on `isa`.
+    /// [`from_host`](Self::from_host) on `isa`.  A view's buffer is encoded
+    /// in the order it is stored, into column-major planes: one sequential
+    /// pass, no sample moved.
     pub(crate) fn from_host_on(isa: Isa, host: &HostComplexMatrix) -> Self {
-        Self::encode(host.rows(), host.cols(), host.data(), |src, re, im| {
+        let (src, layout) = match host.columns() {
+            Some(columns) => (columns, Layout::ColumnMajor),
+            None => (host.data(), Layout::RowMajor),
+        };
+        let planes = Self::encode(host.rows(), host.cols(), src, |src, re, im| {
             prologue_on(isa, Prologue::Encode { src, re, im });
-        })
+        });
+        F16Matrix { layout, ..planes }
     }
 
     /// Quantises `rows × cols` row-major elements to binary16 planes;
@@ -306,10 +337,11 @@ impl F16Matrix {
                 .enumerate()
                 .for_each(|(at, (re, im))| item(&src[at * PLANE_ITEM..][..re.len()], re, im));
         });
-        F16Matrix { rows, cols, re, im }
+        Self::row_major(rows, cols, re, im)
     }
 
-    /// Builds a matrix directly from planes (used by the transpose kernel).
+    /// Builds a matrix directly from row-major planes (used by the
+    /// transpose kernel).
     pub fn from_planes(rows: usize, cols: usize, re: Vec<f16>, im: Vec<f16>) -> Result<Self> {
         if re.len() != rows * cols || im.len() != rows * cols {
             return Err(TcbfError::ShapeMismatch {
@@ -317,7 +349,7 @@ impl F16Matrix {
                 actual: format!("re={}, im={}", re.len(), im.len()),
             });
         }
-        Ok(F16Matrix { rows, cols, re, im })
+        Ok(Self::row_major(rows, cols, re, im))
     }
 
     /// Number of rows.
@@ -330,17 +362,39 @@ impl F16Matrix {
     }
     /// Real plane, row-major.
     pub fn re(&self) -> &[f16] {
-        &self.re
+        self.planes()[0]
     }
     /// Imaginary plane, row-major.
     pub fn im(&self) -> &[f16] {
-        &self.im
+        self.planes()[1]
+    }
+
+    /// Both planes, row-major.
+    fn planes(&self) -> [&[f16]; 2] {
+        match self.layout {
+            Layout::RowMajor => [&self.re, &self.im],
+            Layout::ColumnMajor => self
+                .row_major
+                .get_or_init(|| transpose_planes([&self.re, &self.im], (self.cols, self.rows)))
+                .each_ref()
+                .map(Vec::as_slice),
+        }
+    }
+
+    /// Both planes of a column-major matrix as they are stored — column
+    /// after column, each `rows` values long — or `None` for a row-major
+    /// one.
+    pub(crate) fn columns(&self) -> Option<[&[f16]; 2]> {
+        (self.layout == Layout::ColumnMajor).then_some([&self.re, &self.im])
     }
 
     /// Element access, widening to single precision.
     #[inline]
     pub fn get(&self, row: usize, col: usize) -> Complex32 {
-        let idx = row * self.cols + col;
+        let idx = match self.layout {
+            Layout::RowMajor => row * self.cols + col,
+            Layout::ColumnMajor => col * self.rows + row,
+        };
         Complex::new(self.re[idx].to_f32(), self.im[idx].to_f32())
     }
 
@@ -355,31 +409,89 @@ impl F16Matrix {
     }
 }
 
-/// The element-wise copy that defines [`HostComplexMatrix::transposed_on`],
-/// from the row-major `src` at source rows `rows`, into the destination
-/// rows of `band` (source columns `c0..`).
-pub(crate) fn transpose_rect(
-    src: &HostComplexMatrix,
-    rows: Range<usize>,
+/// Two matrices are equal when they have the same shape and equal values
+/// (binary16 `==`) in the same places, whichever order their planes hold
+/// them in.
+impl PartialEq for F16Matrix {
+    fn eq(&self, other: &Self) -> bool {
+        (self.rows, self.cols) == (other.rows, other.cols)
+            && if self.layout == other.layout {
+                (&self.re, &self.im) == (&other.re, &other.im)
+            } else {
+                self.planes() == other.planes()
+            }
+    }
+}
+
+/// Both planes of a `rows × cols` row-major matrix, transposed: of a
+/// column-major [`F16Matrix`] (its `K × N` storage) the row-major planes,
+/// of a row-major `B` operand the `K × N` planes its GEMM panels are built
+/// from.  Like [`HostComplexMatrix::transposed_on`]'s portable path it
+/// copies `TRANSPOSE_TILE`-square tiles, and a band of `TRANSPOSE_TILE`
+/// destination rows of both planes is one parallel work item.  The planes
+/// are zero-filled, not write-once: a copy can carry any bit pattern,
+/// the write-once check's poison among them.
+pub(crate) fn transpose_planes(
+    [re, im]: [&[f16]; 2],
+    shape @ (rows, cols): (usize, usize),
+) -> [Vec<f16>; 2] {
+    let [mut re_t, mut im_t] = [(); 2].map(|()| vec![f16::ZERO; rows * cols]);
+    let band = (TRANSPOSE_TILE * rows).max(1);
+    re_t.par_chunks_mut(band)
+        .zip(im_t.par_chunks_mut(band))
+        .enumerate()
+        .for_each(|(item, (re_band, im_band))| {
+            transpose_band(re, shape, item * TRANSPOSE_TILE, re_band);
+            transpose_band(im, shape, item * TRANSPOSE_TILE, im_band);
+        });
+    [re_t, im_t]
+}
+
+/// A destination element a transpose stores into: a write-once slot or a
+/// plain value.
+pub(crate) trait Slot<T> {
+    fn put(&mut self, value: T);
+}
+
+impl<T> Slot<T> for MaybeUninit<T> {
+    fn put(&mut self, value: T) {
+        self.write(value);
+    }
+}
+
+impl Slot<f16> for f16 {
+    fn put(&mut self, value: f16) {
+        *self = value;
+    }
+}
+
+/// The element-wise copy that defines [`HostComplexMatrix::transposed_on`]
+/// and [`transpose_planes`]: from `src`, `rows × cols` row-major, at source
+/// rows `part`, into the destination rows of `band` (source columns `c0..`).
+pub(crate) fn transpose_rect<T: Copy>(
+    src: &[T],
+    (rows, cols): (usize, usize),
+    part: Range<usize>,
     c0: usize,
-    band: &mut [MaybeUninit<Complex32>],
+    band: &mut [impl Slot<T>],
 ) {
-    for (c, row) in (c0..).zip(band.chunks_exact_mut(src.rows)) {
-        for (r, slot) in rows.clone().zip(&mut row[rows.clone()]) {
-            slot.write(src.samples[r * src.cols + c]);
+    for (c, row) in (c0..).zip(band.chunks_exact_mut(rows)) {
+        for (r, slot) in part.clone().zip(&mut row[part.clone()]) {
+            slot.put(src[r * cols + c]);
         }
     }
 }
 
-/// One band of [`HostComplexMatrix::transposed_on`] on the portable path, a
-/// tile of `TRANSPOSE_TILE` source rows at a time.
-pub(crate) fn transpose_band(
-    src: &HostComplexMatrix,
+/// One band of a transpose on the portable path, a tile of
+/// `TRANSPOSE_TILE` source rows at a time.
+pub(crate) fn transpose_band<T: Copy>(
+    src: &[T],
+    shape @ (rows, _): (usize, usize),
     c0: usize,
-    band: &mut [MaybeUninit<Complex32>],
+    band: &mut [impl Slot<T>],
 ) {
-    for r0 in (0..src.rows).step_by(TRANSPOSE_TILE) {
-        transpose_rect(src, r0..(r0 + TRANSPOSE_TILE).min(src.rows), c0, band);
+    for r0 in (0..rows).step_by(TRANSPOSE_TILE) {
+        transpose_rect(src, shape, r0..(r0 + TRANSPOSE_TILE).min(rows), c0, band);
     }
 }
 
@@ -892,7 +1004,7 @@ pub(crate) mod tests {
     /// largest binary16, the last value below its overflow, the overflow;
     /// round-to-nearest-even ties either way — cycled through a ragged
     /// matrix, so every one sits in whole register blocks and in tails.
-    fn hostile_matrix(rows: usize, cols: usize) -> HostComplexMatrix {
+    pub(crate) fn hostile_matrix(rows: usize, cols: usize) -> HostComplexMatrix {
         let hostile = [
             f32::from_bits(0x7FC0_0000),
             f32::from_bits(0xFFC0_1234),
@@ -1019,6 +1131,100 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    /// The `rows × cols` binary16 matrix whose planes hold, column after
+    /// column, `re` and `im` — a quantised view's layout.
+    pub(crate) fn f16_view(rows: usize, cols: usize, re: Vec<f16>, im: Vec<f16>) -> F16Matrix {
+        let planes = F16Matrix::from_planes(rows, cols, re, im).unwrap();
+        F16Matrix {
+            layout: Layout::ColumnMajor,
+            ..planes
+        }
+    }
+
+    fn f16_bits(plane: &[f16]) -> Vec<u16> {
+        plane.iter().map(|h| h.to_bits()).collect()
+    }
+
+    /// `K`, `N` on and either side of the AVX-512 instance's 16 lanes and
+    /// of two of them, and a whole 256 × 256 block.
+    const F16_VIEW_DIMS: [usize; 7] = [0, 1, 15, 16, 17, 33, 256];
+
+    #[test]
+    fn an_f16_view_reads_as_the_quantised_eager_transpose() {
+        for k in F16_VIEW_DIMS {
+            for n in F16_VIEW_DIMS {
+                let block = crate::synth::pseudo_random_matrix(k, n, (k * 1000 + n) as u64, 1.0);
+                for isa in Isa::available() {
+                    let view = F16Matrix::from_host_on(isa, &block.transposed());
+                    let eager = F16Matrix::from_host(&block.transposed_on(isa));
+                    assert_eq!(view.layout, Layout::ColumnMajor);
+                    assert_eq!((view.rows(), view.cols()), (n, k));
+                    for (r, c) in (0..n).flat_map(|r| (0..k).map(move |c| (r, c))) {
+                        let (v, e) = (view.get(r, c), eager.get(r, c));
+                        let pair = |x: Complex32| (x.re.to_bits(), x.im.to_bits());
+                        assert_eq!(pair(v), pair(e), "{k}x{n} {isa} at {r},{c}");
+                    }
+                    assert_eq!(f16_bits(view.re()), f16_bits(eager.re()), "{k}x{n} {isa}");
+                    assert_eq!(f16_bits(view.im()), f16_bits(eager.im()), "{k}x{n} {isa}");
+                    assert_eq!(view, eager);
+                    assert_eq!(eager, view);
+                    assert_eq!(view.clone(), view);
+                    assert_eq!(bits(&view.to_host()), bits(&eager.to_host()), "{k}x{n}");
+                    if k * n > 1 {
+                        let mut other = F16Matrix::from_host_on(isa, &block.transposed());
+                        other.re[0] = f16::from_f32(other.re[0].to_f32() + 1.0);
+                        assert_ne!(other, eager, "{k}x{n} {isa}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantise_f16_of_a_view_equals_that_of_the_eager_transpose() {
+        // NaN payloads, ±0.0, ±∞, binary32 subnormals and values that round
+        // to binary16 subnormals or overflow in every run, and arbitrary bit
+        // patterns.
+        for k in F16_VIEW_DIMS {
+            for n in F16_VIEW_DIMS {
+                let seed = (k * 1000 + n) as u64;
+                for block in [hostile_matrix(k, n), arbitrary_bits_matrix(k, n, seed)] {
+                    let view = block.transposed();
+                    for isa in Isa::available() {
+                        let of_view = F16Matrix::from_host_on(isa, &view);
+                        let eager = F16Matrix::from_host_on(isa, &block.transposed_on(isa));
+                        assert!(of_view.columns().is_some() && eager.columns().is_none());
+                        let stored = |m: &F16Matrix| [f16_bits(&m.re), f16_bits(&m.im)];
+                        assert_eq!(stored(&of_view), stored(&f16_view_of(&eager)), "{k}x{n}");
+                        assert_eq!(
+                            f16_bits(of_view.re()),
+                            f16_bits(eager.re()),
+                            "{k}x{n} {isa}"
+                        );
+                        assert_eq!(
+                            f16_bits(of_view.im()),
+                            f16_bits(eager.im()),
+                            "{k}x{n} {isa}"
+                        );
+                    }
+                    assert!(view.row_major.get().is_none(), "{k}x{n} materialised");
+                    assert_f16_planes_match_from_f32(&view);
+                }
+            }
+        }
+    }
+
+    /// The column-major planes of a row-major matrix, by element.
+    fn f16_view_of(m: &F16Matrix) -> F16Matrix {
+        let (rows, cols) = (m.rows(), m.cols());
+        let column_major = |plane: &[f16]| -> Vec<f16> {
+            (0..rows * cols)
+                .map(|at| plane[at % rows * cols + at / rows])
+                .collect()
+        };
+        f16_view(rows, cols, column_major(m.re()), column_major(m.im()))
     }
 
     #[test]

@@ -236,40 +236,8 @@ impl f16 {
 }
 
 /// Lazily built lookup table mapping every binary16 bit pattern to its
-/// binary32 widening — 256 KiB, shared process-wide.
+/// binary32 widening ([`f16::to_f32`]) — 256 KiB, shared process-wide.
 static DECODE_TABLE: OnceLock<Box<[f32; 1 << 16]>> = OnceLock::new();
-
-/// A handle on the shared binary16 → binary32 table: [`Decoder::decode`] is
-/// one indexed load, for callers that write the values somewhere other than
-/// a row-major run (the f16 GEMM decodes its `B` operand straight into
-/// column panels).  [`decode_to_f32`] is the bulk form.
-#[derive(Clone, Copy, Debug)]
-pub struct Decoder(&'static [f32; 1 << 16]);
-
-impl Decoder {
-    /// The table, built from [`f16::to_f32`](crate::half::f16::to_f32) on
-    /// first use in the process.
-    pub fn new() -> Self {
-        Decoder(DECODE_TABLE.get_or_init(|| {
-            let table: Box<[f32]> = (0..=u16::MAX)
-                .map(|bits| f16::from_bits(bits).to_f32())
-                .collect();
-            table.try_into().expect("one entry per bit pattern")
-        }))
-    }
-
-    /// `h.to_f32()`, bit for bit.
-    #[inline]
-    pub fn decode(self, h: f16) -> f32 {
-        self.0[usize::from(h.to_bits())]
-    }
-}
-
-impl Default for Decoder {
-    fn default() -> Self {
-        Decoder::new()
-    }
-}
 
 /// Decodes a run of binary16 values — a whole plane, or one work item's
 /// share of one — to binary32 in one bulk pass, into `out` of equal length,
@@ -287,9 +255,14 @@ impl Default for Decoder {
 /// [`f16::to_f32`](crate::half::f16::to_f32) on every element (the table is built from it).
 pub fn decode_to_f32(plane: &[f16], out: &mut [MaybeUninit<f32>]) {
     assert_eq!(plane.len(), out.len(), "one binary32 per binary16");
-    let decoder = Decoder::new();
+    let table = DECODE_TABLE.get_or_init(|| {
+        let table: Box<[f32]> = (0..=u16::MAX)
+            .map(|bits| f16::from_bits(bits).to_f32())
+            .collect();
+        table.try_into().expect("one entry per bit pattern")
+    });
     for (v, &h) in out.iter_mut().zip(plane) {
-        v.write(decoder.decode(h));
+        v.write(table[usize::from(h.to_bits())]);
     }
 }
 
