@@ -9,9 +9,12 @@
 //! entry, so the portable number is never hidden behind the fast one — it
 //! times the **fused** path: the current `ccglib` kernels (bulk-decoded
 //! f32 operands + register-tiled FMA kernel, register-tiled popcount
-//! kernel), [`gemm::gemm_f16_on`] and [`gemm::gemm_int1_on`].  An f16
-//! cell's `B` is what a block brings: the quantised `transposed()` view of
-//! a `K × N` block, whose panels are built in the order it is stored.
+//! kernel), [`gemm::gemm_f16_on`] and [`gemm::gemm_int1_on`].  A cell's
+//! `B` is what a block brings: the quantised `transposed()` view of a
+//! `K × N` block — binary16 planes whose panels are built in the order
+//! they are stored, or bits already packed into the 1-bit kernel's panels.
+//! Two cells at the benchmark's `M × N` and a `K` of 16 and 64 state the
+//! kernels' cost per output, which no pass over `K` amortises.
 //!
 //! Each measurement is [`median_secs`] (a median of `reps` runs after a
 //! warmup run), and before any timing the fused kernel's output on the
@@ -31,8 +34,10 @@
 //! runs: `quantise_f16_on` and `quantise_int1_on` of the block's
 //! `transposed()` view, each checked against the quantiser of the checked
 //! transpose first.  The f16 one encodes the block in the order it is
-//! stored; the 1-bit one packs it so and transposes bits.  Neither
-//! transposes samples, so no stage hands a fresh transpose to the next.
+//! stored; the 1-bit one is the whole `B` build, one pass from the stored
+//! block into the kernel's panels, checked against the row-major
+//! quantisation repacked by the kernel's panel builder.  Neither transposes
+//! samples, so no stage hands a fresh transpose to the next.
 //!
 //! A third table times the **hand-off** every one of those stages pays to
 //! reach the second core: an empty two-item `par_chunks_mut`, back to back
@@ -54,6 +59,7 @@ use ccglib::synth::pseudo_random_matrix;
 use ccglib::{gemm, reference_gemm, GemmInput, Isa};
 use gpu_sim::BitOp;
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 use tcbf_bench::{header, median_secs, print_table};
@@ -116,9 +122,11 @@ fn bench_f16(shape @ (m, n, k): Shape, isa: Isa, reps: usize) -> BenchEntry {
 
 fn bench_int1(shape @ (m, n, k): Shape, isa: Isa, reps: usize) -> BenchEntry {
     let a_host = pseudo_random_matrix(m, k, 0x1B17 + (m * k) as u64, 1.0);
-    let b_host = pseudo_random_matrix(n, k, 0x0B17 + (n * k) as u64, 1.0);
+    let block = pseudo_random_matrix(k, n, 0x0B17 + (n * k) as u64, 1.0);
+    let GemmInput::Int1(b) = GemmInput::quantise_int1_on(isa, &block.transposed()) else {
+        panic!("quantise_int1 gives a 1-bit operand")
+    };
     let a = Int1Matrix::from_host_padded(&a_host, GemmInput::DEFAULT_INT1_K_GRANULARITY);
-    let b = Int1Matrix::from_host_padded(&b_host, GemmInput::DEFAULT_INT1_K_GRANULARITY);
     // Correctness guard: 1-bit outputs are integers, so the fused kernel
     // must match the decoded ±1 reference exactly.
     let fused_out = gemm::gemm_int1_on(isa, &a, &b, BitOp::Xor).expect("shapes agree");
@@ -199,6 +207,16 @@ fn guarded_transpose(block: &HostComplexMatrix, isa: Isa) -> HostComplexMatrix {
         panic!("quantise_int1 gives a 1-bit operand")
     };
     assert_eq!(of_view, packed, "quantise_int1(view) at {k}x{n} {isa}");
+    // The view is packed straight into the kernel's panels: those of the
+    // row-major quantisation, which the kernel repacks.
+    let panels = gemm::int1_panels_on(isa, &of_view);
+    assert!(matches!(panels, [Cow::Borrowed(_), Cow::Borrowed(_)]));
+    let repacked = gemm::int1_panels_on(isa, &packed);
+    assert!(matches!(repacked, [Cow::Owned(_), Cow::Owned(_)]));
+    assert!(
+        panels == repacked,
+        "quantise_int1(view) panels at {k}x{n} {isa}"
+    );
     b_t
 }
 
@@ -331,7 +349,7 @@ fn to_json(
         ])
     };
     Value::object([
-        ("schema", "tcbf-hotpath-bench/v13".into()),
+        ("schema", "tcbf-hotpath-bench/v14".into()),
         ("mode", mode.into()),
         ("reps", reps.into()),
         ("entries", Value::Array(entries.iter().map(entry).collect())),
@@ -360,7 +378,7 @@ fn main() {
 
     // The shape grid deliberately includes one K that is not a multiple of
     // the 256-bit packing granularity, so the padded path is timed as well
-    // as tested.
+    // as tested, and ends with two small `K` at the benchmark's `M × N`.
     let (grid, reps, mode) = if smoke {
         (
             vec![(64usize, 64usize, 1024usize), (96, 96, 1000)],
@@ -374,6 +392,8 @@ fn main() {
                 (128, 512, 1024),
                 (512, 128, 4096),
                 (96, 96, 1000),
+                (1024, 128, 64),
+                (1024, 128, 16),
             ],
             5,
             "full",

@@ -11,7 +11,7 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
     let root = parse(&text).expect("written by tuner::json, so read by it");
 
     let schema = root.get("schema").unwrap().as_str().unwrap();
-    assert_eq!(schema, "tcbf-hotpath-bench/v13");
+    assert_eq!(schema, "tcbf-hotpath-bench/v14");
     assert_eq!(root.get("mode").unwrap().as_str().unwrap(), "full");
     assert!(root.get("reps").unwrap().as_usize().unwrap() >= 1);
     assert!(root.get("prologue_reps").unwrap().as_usize().unwrap() >= 1);
@@ -44,12 +44,18 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
         // so no row names one.
         assert!(row.get("bit_op").is_err(), "bit_op left the schema in v11");
     }
-    // 4 shapes x (f16 + int1) on every path of the host that wrote the
+    // 6 shapes x (f16 + int1) on every path of the host that wrote the
     // file — the portable one always among them, and both kernels on the
-    // same paths.
+    // same paths.  Schema v14: the last two shapes are the small-`K`
+    // cells at the benchmark's `M × N`.
     assert!(paths["f16"].contains("portable"), "{paths:?}");
     assert_eq!(paths["f16"], paths["int1"]);
-    assert_eq!(entries.len(), 4 * 2 * paths["f16"].len());
+    assert_eq!(entries.len(), 6 * 2 * paths["f16"].len());
+    let dims = |row: &Value| ["m", "n", "k"].map(|dim| row.get(dim).unwrap().as_usize().unwrap());
+    let (_, small_k) = entries.split_at(4 * 2 * paths["f16"].len());
+    let (k64, k16) = small_k.split_at(small_k.len() / 2);
+    assert!(k64.iter().all(|row| dims(row) == [1024, 128, 64]));
+    assert!(k16.iter().all(|row| dims(row) == [1024, 128, 16]));
 
     let prologue = root.get("prologue").unwrap().as_array().unwrap();
     // 4 block shapes x the kernels' paths x (transpose, then each quantiser

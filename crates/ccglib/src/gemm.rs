@@ -23,13 +23,16 @@
 //! imply (and BLIS's `MR × NR` micro-kernel spells out for CPUs).  `A` stays
 //! row-major — decoded `f32` planes ([`DecodedPlanes`]) or flat `u64` bit
 //! planes ([`Int1Matrix`]) — and is read one scalar at a time, broadcast.
-//! `B` is rebuilt per call into **column panels** of one vector of output
-//! columns each, k-major, so that step `k` of a panel is one vector load
-//! (binary16 is decoded straight into the panels from the `K × N` block it
-//! arrives as, where step `k` of a panel is already one stored run — by
+//! `B` is read as **column panels** of one vector of output columns each,
+//! k-major, so that step `k` of a panel is one vector load.  Binary16 is
+//! decoded into the panels per call, straight from the `K × N` block it
+//! arrives as, where step `k` of a panel is already one stored run (by
 //! `vcvtph2ps` on the AVX-512 path, through the lookup table of
-//! `tcbf_types::decode_to_f32` on the portable one; bit planes are
-//! word-interleaved, and a 1-bit `A` carries a third plane, `re ⊕ im`).  A
+//! `tcbf_types::decode_to_f32` on the portable one).  Bit panels are
+//! word-interleaved `re ⊕ im` and `im`, and a block brings them built:
+//! `quantise_int1` of a `transposed()` view packs the block straight into
+//! them ([`int1_panels_on`]); only a row-major `B` is repacked per call.
+//! A 1-bit `A` carries a third plane, `re ⊕ im`.  A
 //! **register tile** of 4 rows of `A` × one vector of columns then makes
 //! one pass over `K` with one output per vector lane: every `B` vector
 //! feeds 4 rows, every `A` scalar a whole vector of columns, and nothing is
@@ -64,6 +67,7 @@ use crate::write_once::{write_once, write_once_pair};
 use crate::Precision;
 use gpu_sim::BitOp;
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::mem::MaybeUninit;
 use tcbf_types::{decode_to_f32, f16, Complex32};
 
@@ -477,9 +481,19 @@ fn store_columns<const LANES: usize>(
     values: &[Complex32; LANES],
 ) {
     match row.first_chunk_mut::<LANES>() {
-        Some(whole) => whole.write_copy_of_slice(values),
-        None => row.write_copy_of_slice(&values[..row.len()]),
-    };
+        Some(whole) => {
+            whole.write_copy_of_slice(values);
+        }
+        None => store_ragged(row, values),
+    }
+}
+
+/// The ragged end of [`store_columns`], out of line: inlined, LLVM merged
+/// it with the whole-vector store into one `memcpy` call per output row.
+#[cold]
+#[inline(never)]
+fn store_ragged(row: &mut [MaybeUninit<Complex32>], values: &[Complex32]) {
+    row.write_copy_of_slice(&values[..row.len()]);
 }
 
 /// A block of whole output rows (`out`, starting at row `i0` of `A`)
@@ -647,6 +661,20 @@ fn int1_column_panels(b_t: &Int1Matrix, lanes: usize) -> [Vec<u64>; 2] {
     })
 }
 
+/// `B`'s column panels as the 1-bit kernel on `isa` reads them: `re ⊕ im`,
+/// then the imaginary plane, the rows of `b_t` in groups of the kernel's
+/// lane count (the last group filled up with all-zero rows), word `w` of a
+/// group's rows side by side.  Borrowed as stored when `b_t` was quantised
+/// from a `transposed()` view on a path of the same lane count — what a
+/// block brings — and otherwise repacked from its row-major planes.
+pub fn int1_panels_on(isa: Isa, b_t: &Int1Matrix) -> [Cow<'_, [u64]>; 2] {
+    let lanes = isa.int1_lanes();
+    match b_t.panels(lanes) {
+        Some(panels) => panels.map(Cow::Borrowed),
+        None => int1_column_panels(b_t, lanes).map(Cow::Owned),
+    }
+}
+
 /// `re ⊕ im` of a 1-bit operand, word for word: the third plane of `A` the
 /// tile kernel reads, built once per weights by [`PreparedOperand::new`]
 /// and per call by [`gemm_int1_on`].  Padding and slack are zero in both
@@ -674,9 +702,9 @@ pub(crate) struct Int1Operands<'a> {
     a_im: &'a [u64],
     /// See [`int1_quadrant_plane`].
     a_q: &'a [u64],
-    /// `re ⊕ im` and the imaginary plane of `B`: see [`int1_column_panels`].
-    b_q: Vec<u64>,
-    b_im: Vec<u64>,
+    /// `re ⊕ im` and the imaginary plane of `B`: see [`int1_panels_on`].
+    b_q: &'a [u64],
+    b_im: &'a [u64],
     /// Columns per panel group: the lane count of the instance to run.
     lanes: usize,
     /// Words per row of every plane.
@@ -854,13 +882,13 @@ fn gemm_int1_quadrant_on(
     }
     let bound = int1_output_bound(a.k_bits(), a.k_padded())?;
     let (m, n, stride) = (a.rows(), b_t.rows(), a.words_per_row());
-    let [b_q, b_im] = int1_column_panels(b_t, isa.int1_lanes());
+    let [b_q, b_im] = int1_panels_on(isa, b_t);
     let operands = Int1Operands {
         a_re: a.re_words(),
         a_im: a.im_words(),
         a_q,
-        b_q,
-        b_im,
+        b_q: &b_q,
+        b_im: &b_im,
         lanes: isa.int1_lanes(),
         stride,
         n,
@@ -1570,6 +1598,80 @@ mod tests {
                 }
                 // XOR and AND alike, on every path, against the definition.
                 assert_every_int1_path_gives(&a, &b, &per_element_gemm(&a, &b));
+            }
+        }
+    }
+
+    #[test]
+    fn the_panels_of_a_packed_view_are_the_repacked_eager_quantisation_on_every_path() {
+        // The one pass from a view's buffer into `B`'s panels against its
+        // definition — the eager transpose, the row-major quantiser, then
+        // `int1_column_panels` — either side of the 64 × 64 bit block on
+        // each axis, more bands than a block has lanes, every granularity;
+        // NaN payloads, ±0.0, ±∞ and subnormals, and arbitrary bits.
+        use crate::matrix::tests::{arbitrary_bits_matrix, hostile_matrix};
+        const DIMS: [usize; 7] = [0, 1, 63, 64, 65, 129, 300];
+        let shapes = DIMS.into_iter().flat_map(|k| DIMS.map(|n| (k, n)));
+        for (k, n) in shapes.chain([(65, 600), (300, 513)]) {
+            let seed = (k * 1000 + n) as u64;
+            for block in [hostile_matrix(k, n), arbitrary_bits_matrix(k, n, seed)] {
+                for isa in Isa::available() {
+                    let eager = block.transposed_on(isa);
+                    for granularity in [0, 1, 32, 64, 100, 256, 512] {
+                        let view =
+                            Int1Matrix::from_host_padded_on(isa, &block.transposed(), granularity);
+                        let rows = Int1Matrix::from_host_padded_on(isa, &eager, granularity);
+                        let definition = int1_column_panels(&rows, isa.int1_lanes());
+                        let panels = int1_panels_on(isa, &view);
+                        let shape = format!("{k}x{n} / {granularity} {isa}");
+                        assert!(
+                            matches!(panels, [Cow::Borrowed(_), Cow::Borrowed(_)]),
+                            "{shape}"
+                        );
+                        assert!(*panels[0] == definition[0][..], "{shape}: re ⊕ im");
+                        assert!(*panels[1] == definition[1][..], "{shape}: im");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_b_packed_for_another_lane_count_is_repacked_and_gives_the_row_major_result() {
+        // A `B` quantised on one path and multiplied on another — portable
+        // and AVX-512 panels differ in width — against the row-major `B`.
+        use crate::matrix::tests::arbitrary_bits_matrix;
+        let available = Isa::available();
+        for (k, n) in [(1, 1), (300, 37), (64, 256)] {
+            let block = arbitrary_bits_matrix(k, n, (k * 1000 + n) as u64);
+            let a = Int1Matrix::from_host_padded(&arbitrary_bits_matrix(9, k, 0xA), 256);
+            let rows = Int1Matrix::from_host_padded_on(
+                Isa::PORTABLE,
+                &block.transposed_on(Isa::PORTABLE),
+                256,
+            );
+            let expected = per_element_gemm(&a, &rows);
+            for (&packed_on, &run_on) in available
+                .iter()
+                .flat_map(|p| available.iter().map(move |r| (p, r)))
+            {
+                let view = Int1Matrix::from_host_padded_on(packed_on, &block.transposed(), 256);
+                let as_stored = packed_on.int1_lanes() == run_on.int1_lanes();
+                let panels = int1_panels_on(run_on, &view);
+                assert_eq!(
+                    matches!(panels[0], Cow::Borrowed(_)),
+                    as_stored,
+                    "{packed_on} on {run_on}"
+                );
+                for op in [BitOp::Xor, BitOp::And] {
+                    let got = gemm_int1_on(run_on, &a, &view, op).unwrap();
+                    assert_eq!(
+                        bits(&got),
+                        bits(&expected),
+                        "{k}x{n} packed on {packed_on}, run on {run_on}"
+                    );
+                    assert_eq!(got, gemm_int1_on(run_on, &a, &rows, op).unwrap());
+                }
             }
         }
     }

@@ -1,4 +1,4 @@
-//! The compiled instances of the two tile kernels and of the four block
+//! The compiled instances of the two tile kernels and of the five block
 //! prologue stages, and all but one of the crate's `unsafe` (the other is
 //! `write_once`'s, which hands the stages the output they store into).
 //!
@@ -19,13 +19,16 @@
 //!   32 of them — the f16 tile's 16 accumulators stay in registers — and
 //!   the same `count_ones` becomes one `vpopcntq`.
 //!
-//! The four prologue stages in front of the tile kernels, one work item
+//! The five prologue stages in front of the tile kernels, one work item
 //! at a time, have a portable loop, which is the stage's definition, and
 //! an AVX-512 instance written with `std::arch` intrinsics that gives the
 //! same bits (LLVM turns none of the loops into these instructions on its
 //! own): the transpose moves 8 × 8 blocks of samples
 //! through registers (`avx512f`), the 1-bit pack takes 64 signs from eight
-//! `vcmpps` masks and `pext` (`avx512f`, `bmi2`), the binary16 encode splits
+//! `vcmpps` masks and `pext` (`avx512f`, `bmi2`) — of a row-major row, or
+//! of a view's stored runs on their way into `B`'s panels, where the same
+//! generic loop transposes eight 64 × 64 bit blocks at once in `zmm`
+//! registers instead of four in `ymm` — the binary16 encode splits
 //! 16 samples by `vpermt2ps` and rounds them by `vcvtps2ph` (`avx512f`), and
 //! the f16 GEMM's `B` panels are widened by `vcvtph2ps`, one stored run of
 //! 16 values per step, instead of a table lookup per value (`avx512f`).
@@ -49,7 +52,9 @@
 use crate::gemm::{f16_row_block, int1_row_group, panel_steps, F16Operands, Int1Operands};
 #[cfg(target_arch = "x86_64")]
 use crate::matrix::transpose_rect;
-use crate::matrix::{encode_planes, sign_words, transpose_band, HostComplexMatrix};
+use crate::matrix::{
+    encode_planes, panel_words, sign_words, transpose_band, HostComplexMatrix, PanelRun, Slot,
+};
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 use std::mem::MaybeUninit;
@@ -201,7 +206,7 @@ pub(crate) fn f16_row_block_on(
 }
 
 /// One parallel work item of a prologue stage.
-pub(crate) enum Prologue<'a> {
+pub(crate) enum Prologue<'a, 'd> {
     /// Of [`HostComplexMatrix::transposed_on`]: the destination rows of
     /// source columns `c0..` of the row-major `src`, as many as `band`
     /// holds.
@@ -216,6 +221,16 @@ pub(crate) enum Prologue<'a> {
         row: &'a [Complex32],
         re: &'a mut [MaybeUninit<u64>],
         im: &'a mut [MaybeUninit<u64>],
+    },
+    /// Of `Int1Matrix::from_host_padded` of a view: the stored runs of a few
+    /// consecutive words of `K` (64 runs of `n` samples a word, as many as
+    /// `runs` holds) into those words of `B`'s column panels, in every group
+    /// of `lanes` bit-rows.
+    Panels {
+        runs: &'a [Complex32],
+        n: usize,
+        lanes: usize,
+        groups: &'a mut [PanelRun<'d>],
     },
     /// Of `F16Matrix::from_host`: a run of samples, to both binary16 planes.
     Encode {
@@ -236,13 +251,19 @@ pub(crate) enum Prologue<'a> {
 }
 
 /// Runs one prologue work item on `isa`.
-pub(crate) fn prologue_on(isa: Isa, item: Prologue<'_>) {
+pub(crate) fn prologue_on(isa: Isa, item: Prologue<'_, '_>) {
     match isa.0 {
         Path::Portable => match item {
             Prologue::Transpose { src, c0, band } => {
                 transpose_band(src.data(), (src.rows(), src.cols()), c0, band)
             }
             Prologue::Signs { row, re, im } => sign_words(row, re, im),
+            Prologue::Panels {
+                runs,
+                n,
+                lanes,
+                groups,
+            } => panel_words::<PORTABLE_INT1_LANES>(runs, n, lanes, groups, sign_words),
             Prologue::Encode { src, re, im } => encode_planes(src, re, im),
             Prologue::Steps {
                 re,
@@ -265,10 +286,18 @@ pub(crate) fn prologue_on(isa: Isa, item: Prologue<'_>) {
 /// The prologue's AVX-512 instances.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,bmi2")]
-fn prologue_avx512(item: Prologue<'_>) {
+fn prologue_avx512(item: Prologue<'_, '_>) {
     match item {
         Prologue::Transpose { src, c0, band } => transpose_band_avx512(src, c0, band),
         Prologue::Signs { row, re, im } => sign_words_avx512(row, re, im),
+        Prologue::Panels {
+            runs,
+            n,
+            lanes,
+            groups,
+        } => panel_words::<AVX512_INT1_LANES>(runs, n, lanes, groups, |row, re, im| {
+            sign_words_avx512(row, re, im)
+        }),
         Prologue::Encode { src, re, im } => encode_planes_avx512(src, re, im),
         Prologue::Steps {
             re,
@@ -371,7 +400,7 @@ fn half_columns(v: [__m512i; 4]) -> [__m512i; 4] {
 /// portable loop.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,bmi2")]
-fn sign_words_avx512(row: &[Complex32], re: &mut [MaybeUninit<u64>], im: &mut [MaybeUninit<u64>]) {
+fn sign_words_avx512(row: &[Complex32], re: &mut [impl Slot<u64>], im: &mut [impl Slot<u64>]) {
     const REAL: u64 = 0x5555_5555_5555_5555;
     let (chunks, tail) = row.as_chunks::<64>();
     for ((chunk, re_word), im_word) in chunks.iter().zip(&mut *re).zip(&mut *im) {
@@ -381,8 +410,8 @@ fn sign_words_avx512(row: &[Complex32], re: &mut [MaybeUninit<u64>], im: &mut [M
             halves[b / 4] |= u64::from(mask) << (16 * (b % 4));
         }
         let [low, high] = halves;
-        re_word.write(_pext_u64(low, REAL) | _pext_u64(high, REAL) << 32);
-        im_word.write(_pext_u64(low, !REAL) | _pext_u64(high, !REAL) << 32);
+        re_word.put(_pext_u64(low, REAL) | _pext_u64(high, REAL) << 32);
+        im_word.put(_pext_u64(low, !REAL) | _pext_u64(high, !REAL) << 32);
     }
     sign_words(tail, &mut re[chunks.len()..], &mut im[chunks.len()..]);
 }

@@ -19,16 +19,20 @@
 //!   which the f16 GEMM builds its `B` panels directly.
 //! * [`Int1Matrix`] — the 1-bit device format: real and imaginary bit
 //!   planes packed along the reduction dimension, the output of the packing
-//!   kernel, held as two flat `u64` buffers with a row stride.
+//!   kernel, held as two flat `u64` buffers with a row stride.  Quantised
+//!   from a view, it is stored as the 1-bit GEMM reads `B`: the `re ⊕ im`
+//!   and `im` column panels of the quantising path's kernel, packed in one
+//!   pass over the block, so no GEMM call repacks it.
 //!
 //! The stages that build one of these whole — [`HostComplexMatrix::transposed_on`],
 //! [`F16Matrix::from_host`], [`Int1Matrix::from_host_padded`] — write their
 //! destination exactly once: it is allocated, not cleared, and handed to the
 //! parallel pass as `&mut [MaybeUninit<_>]` (the crate's private `write_once`
 //! helper), so the thread that fills a band is the first to touch it.  Every
-//! zero such a buffer holds — the padding and slack of a bit-row, a matrix
-//! without samples — is therefore stored by that pass, and a debug build
-//! fails the call that leaves an element unwritten.
+//! zero such a buffer holds — the padding and slack of a bit-row, the rows
+//! that fill up a panel group, a matrix without samples — is therefore
+//! stored by that pass, and a debug build fails the call that leaves an
+//! element unwritten.
 //! [`HostComplexMatrix::zeros`] stays a zero-fill: there the zeros are the
 //! value.
 
@@ -55,9 +59,8 @@ const TRANSPOSE_TILE: usize = 32;
 pub(crate) const PLANE_ITEM: usize = 4096;
 
 /// Samples per parallel work item of [`Int1Matrix::from_host_padded`], which
-/// deals whole rows (of a view, whole columns): 256 KiB of source.  A share
-/// boundary of this stage is one of the 1-bit panel builder's when the two
-/// item counts nest (`deal`).
+/// deals whole rows (of a view, the stored runs of whole words of `K`):
+/// 256 KiB of source.
 const PACK_ITEM_SAMPLES: usize = 32 * 1024;
 
 /// The order in which a [`HostComplexMatrix`]'s buffer, or an
@@ -459,8 +462,8 @@ impl<T> Slot<T> for MaybeUninit<T> {
     }
 }
 
-impl Slot<f16> for f16 {
-    fn put(&mut self, value: f16) {
+impl<T> Slot<T> for T {
+    fn put(&mut self, value: T) {
         *self = value;
     }
 }
@@ -508,17 +511,13 @@ fn sign_bits(samples: &[Complex32]) -> (u32, u32) {
 
 /// The sign words of one row's samples, 64 to a word, the slack of a last
 /// partial word binary 0: the definition behind [`Int1Matrix::from_host`].
-pub(crate) fn sign_words(
-    row: &[Complex32],
-    re: &mut [MaybeUninit<u64>],
-    im: &mut [MaybeUninit<u64>],
-) {
+pub(crate) fn sign_words(row: &[Complex32], re: &mut [impl Slot<u64>], im: &mut [impl Slot<u64>]) {
     for ((chunk, re_word), im_word) in row.chunks(64).zip(re).zip(im) {
         let (low, high) = chunk.split_at(chunk.len().min(32));
         let (re_low, im_low) = sign_bits(low);
         let (re_high, im_high) = sign_bits(high);
-        re_word.write(u64::from(re_low) | u64::from(re_high) << 32);
-        im_word.write(u64::from(im_low) | u64::from(im_high) << 32);
+        re_word.put(u64::from(re_low) | u64::from(re_high) << 32);
+        im_word.put(u64::from(im_low) | u64::from(im_high) << 32);
     }
 }
 
@@ -540,21 +539,47 @@ pub(crate) fn encode_planes(
 /// `B` transposed to `N×K`, so each output element is a dot product of two
 /// bit-rows — exactly how the binary tensor-core fragments consume data.
 ///
-/// Each plane is one contiguous buffer of `u64` words, least-significant
-/// bit first, `k_padded.div_ceil(64)` words per row.  Every bit past
-/// a row's valid samples is zero: the padding up to `k_padded` (binary 0 is
-/// the paper's padding value, decimal −1) and the slack between `k_padded`
-/// and the end of the row's last word alike, so whole-word population
-/// counts need no mask.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// A row of a plane is `k_padded.div_ceil(64)` `u64` words, least-significant
+/// bit first.  Every bit past a row's valid samples is zero: the padding up
+/// to `k_padded` (binary 0 is the paper's padding value, decimal −1) and the
+/// slack between `k_padded` and the end of the row's last word alike, so
+/// whole-word population counts need no mask.
+///
+/// Quantised from a row-major matrix, the planes are stored row after row.
+/// Quantised from a [`transposed`](HostComplexMatrix::transposed) view — the
+/// `K × N` block a `B` operand arrives as — they are stored the way the
+/// quantising path's 1-bit GEMM reads `B`: as its column panels,
+/// `re ⊕ im` and `im` (see [`crate::gemm::int1_panels_on`]).
+/// [`re_row`](Self::re_row), [`im_row`](Self::im_row),
+/// [`to_host`](Self::to_host), `==` and `Clone` read through the layout; of
+/// panels, the first row read builds the row-major planes once and keeps
+/// them.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Int1Matrix {
     rows: usize,
     /// Number of valid (unpadded) samples along the packed dimension.
     k_bits: usize,
     /// Number of samples after padding to the packing granularity.
     k_padded: usize,
-    re: Vec<u64>,
-    im: Vec<u64>,
+    layout: BitLayout,
+    /// Both planes, stored as `layout` says.
+    words: [Vec<u64>; 2],
+    /// The row-major planes of a matrix stored in panels, built by the
+    /// first row read.
+    row_major: OnceLock<[Vec<u64>; 2]>,
+}
+
+/// The order in which an [`Int1Matrix`]'s words are stored.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum BitLayout {
+    /// The real plane, then the imaginary one, each row after row: how
+    /// every row-major matrix is packed, `A` among them.
+    Rows,
+    /// `B`'s column panels for the 1-bit kernel instance of `lanes` lanes:
+    /// `re ⊕ im`, then `im`, the rows in groups of `lanes` (the last group
+    /// filled up with all-zero rows), word `w` of a group's rows side by
+    /// side.
+    Panels { lanes: usize },
 }
 
 impl Int1Matrix {
@@ -578,7 +603,9 @@ impl Int1Matrix {
         Self::from_host_padded_on(Isa::detected(), host, k_granularity)
     }
 
-    /// [`from_host_padded`](Self::from_host_padded) on `isa`.
+    /// [`from_host_padded`](Self::from_host_padded) on `isa`.  A view is
+    /// packed straight into the column panels of `isa`'s 1-bit kernel, in
+    /// one pass over its buffer in the order it is stored.
     pub(crate) fn from_host_padded_on(
         isa: Isa,
         host: &HostComplexMatrix,
@@ -588,60 +615,21 @@ impl Int1Matrix {
         let k_bits = host.cols();
         let k_padded = round_up(k_bits.max(1), k_granularity.max(1));
         let stride = k_padded.div_ceil(64);
-        // Every word of both planes is written exactly once.  A word that
-        // holds valid samples is assembled in registers — one write per 64
-        // samples, the slack of a row's last such word left binary 0 — and
-        // the words past them (Eq. 5 padding, whole padding words of a
-        // granularity above 64) are stored as zeros by the same pass: the
-        // planes are not cleared first, so no zero is the allocator's.  A
-        // group of whole rows — both planes of it — is one parallel work
-        // item.
-        let [re, im] = write_once_pair(rows * stride, |re, im| {
-            if k_bits == 0 {
-                // A matrix without samples is all padding.
-                re.fill(MaybeUninit::new(0));
-                im.fill(MaybeUninit::new(0));
-                return;
+        let (layout, words) = match host.columns() {
+            Some(columns) => {
+                let lanes = isa.int1_lanes();
+                let panels = pack_panels(isa, columns, rows, lanes, stride);
+                (BitLayout::Panels { lanes }, panels)
             }
-            let sample_words = k_bits.div_ceil(64);
-            if let Some(columns) = host.columns() {
-                // A view: its columns' sign words, then 64 bit-rows per
-                // work item, transposed from them 64 × 64 bits at a time.
-                let (words, [re_signs, im_signs]) =
-                    (rows.div_ceil(64), column_signs(isa, columns, rows));
-                re.par_chunks_mut(64 * stride)
-                    .zip(im.par_chunks_mut(64 * stride))
-                    .enumerate()
-                    .for_each(|(band, (re_rows, im_rows))| {
-                        transpose_signs(&re_signs, words, band, stride, re_rows);
-                        transpose_signs(&im_signs, words, band, stride, im_rows);
-                    });
-                return;
-            }
-            let group = PACK_ITEM_SAMPLES.div_ceil(k_bits);
-            re.par_chunks_mut(group * stride)
-                .zip(im.par_chunks_mut(group * stride))
-                .enumerate()
-                .for_each(|(item, (re_rows, im_rows))| {
-                    let source = host.data()[item * group * k_bits..].chunks_exact(k_bits);
-                    let planes = re_rows
-                        .chunks_exact_mut(stride)
-                        .zip(im_rows.chunks_exact_mut(stride));
-                    for (row, (re_row, im_row)) in source.zip(planes) {
-                        let (re, re_padding) = re_row.split_at_mut(sample_words);
-                        let (im, im_padding) = im_row.split_at_mut(sample_words);
-                        prologue_on(isa, Prologue::Signs { row, re, im });
-                        re_padding.fill(MaybeUninit::new(0));
-                        im_padding.fill(MaybeUninit::new(0));
-                    }
-                });
-        });
+            None => (BitLayout::Rows, pack_rows(isa, host, stride)),
+        };
         Int1Matrix {
             rows,
             k_bits,
             k_padded,
-            re,
-            im,
+            layout,
+            words,
+            row_major: OnceLock::new(),
         }
     }
 
@@ -670,24 +658,41 @@ impl Int1Matrix {
         self.k_padded.div_ceil(64)
     }
 
+    /// Both planes, row-major.
+    fn planes(&self) -> &[Vec<u64>; 2] {
+        match self.layout {
+            BitLayout::Rows => &self.words,
+            BitLayout::Panels { lanes } => self.row_major.get_or_init(|| {
+                rows_of_panels(&self.words, lanes, self.rows, self.words_per_row())
+            }),
+        }
+    }
+
+    /// `B`'s column panels for the kernel instance of `lanes` lanes, as
+    /// stored — `re ⊕ im`, then `im` — or `None` unless the matrix was
+    /// packed into exactly those.
+    pub(crate) fn panels(&self, lanes: usize) -> Option<[&[u64]; 2]> {
+        (self.layout == BitLayout::Panels { lanes }).then(|| self.words.each_ref().map(|p| &p[..]))
+    }
+
     /// The whole real plane, `rows × words_per_row` words, row-major.
     pub(crate) fn re_words(&self) -> &[u64] {
-        &self.re
+        &self.planes()[0]
     }
 
     /// The whole imaginary plane, laid out like the real one.
     pub(crate) fn im_words(&self) -> &[u64] {
-        &self.im
+        &self.planes()[1]
     }
 
     /// Real bit plane of one row.
     pub fn re_row(&self, row: usize) -> BitRow<'_> {
-        self.row_of(&self.re, row)
+        self.row_of(self.re_words(), row)
     }
 
     /// Imaginary bit plane of one row.
     pub fn im_row(&self, row: usize) -> BitRow<'_> {
-        self.row_of(&self.im, row)
+        self.row_of(self.im_words(), row)
     }
 
     fn row_of<'a>(&self, plane: &'a [u64], row: usize) -> BitRow<'a> {
@@ -713,80 +718,218 @@ impl Int1Matrix {
     }
 }
 
-/// The sign words of every column of a column-major view (`columns`, one
-/// run of `rows` samples after another), packed along the rows by the
-/// `Signs` prologue on `isa`: `rows.div_ceil(64)` words per column, slack
-/// binary 0, one read of the view's buffer in the order it is stored.  A
-/// group of whole columns is one parallel work item.
-fn column_signs(isa: Isa, columns: &[Complex32], rows: usize) -> [Vec<u64>; 2] {
-    let words = rows.div_ceil(64);
-    let group = PACK_ITEM_SAMPLES.div_ceil(rows.max(1));
-    let item = (group * words).max(1);
-    write_once_pair(columns.len() / rows.max(1) * words, |re, im| {
-        re.par_chunks_mut(item)
-            .zip(im.par_chunks_mut(item))
+/// Two matrices are equal when they have the same shape and the same bits
+/// in the same places, whichever layout stores them.
+impl PartialEq for Int1Matrix {
+    fn eq(&self, other: &Self) -> bool {
+        let shape = |m: &Self| (m.rows, m.k_bits, m.k_padded);
+        shape(self) == shape(other)
+            && if self.layout == other.layout {
+                self.words == other.words
+            } else {
+                self.planes() == other.planes()
+            }
+    }
+}
+
+impl std::fmt::Debug for Int1Matrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Int1Matrix")
+            .field("rows", &self.rows)
+            .field("k_bits", &self.k_bits)
+            .field("k_padded", &self.k_padded)
+            .field("re", &self.re_words())
+            .field("im", &self.im_words())
+            .finish()
+    }
+}
+
+/// The row-major sign planes of a row-major matrix, `stride` words a row.
+/// Every word of both planes is written exactly once.  A word that holds
+/// valid samples is assembled in registers — one write per 64 samples, the
+/// slack of a row's last such word left binary 0 — and the words past them
+/// (Eq. 5 padding, whole padding words of a granularity above 64) are
+/// stored as zeros by the same pass: the planes are not cleared first, so
+/// no zero is the allocator's.  A group of whole rows — both planes of it —
+/// is one parallel work item.
+fn pack_rows(isa: Isa, host: &HostComplexMatrix, stride: usize) -> [Vec<u64>; 2] {
+    let k_bits = host.cols();
+    write_once_pair(host.rows() * stride, |re, im| {
+        if k_bits == 0 {
+            // A matrix without samples is all padding.
+            re.fill(MaybeUninit::new(0));
+            im.fill(MaybeUninit::new(0));
+            return;
+        }
+        let sample_words = k_bits.div_ceil(64);
+        let group = PACK_ITEM_SAMPLES.div_ceil(k_bits);
+        re.par_chunks_mut(group * stride)
+            .zip(im.par_chunks_mut(group * stride))
             .enumerate()
-            .for_each(|(at, (re_cols, im_cols))| {
-                let source = columns[at * group * rows..].chunks_exact(rows);
-                let planes = re_cols
-                    .chunks_exact_mut(words)
-                    .zip(im_cols.chunks_exact_mut(words));
-                for (column, (re, im)) in source.zip(planes) {
-                    prologue_on(
-                        isa,
-                        Prologue::Signs {
-                            row: column,
-                            re,
-                            im,
-                        },
-                    );
+            .for_each(|(item, (re_rows, im_rows))| {
+                let source = host.data()[item * group * k_bits..].chunks_exact(k_bits);
+                let planes = re_rows
+                    .chunks_exact_mut(stride)
+                    .zip(im_rows.chunks_exact_mut(stride));
+                for (row, (re_row, im_row)) in source.zip(planes) {
+                    let (re, re_padding) = re_row.split_at_mut(sample_words);
+                    let (im, im_padding) = im_row.split_at_mut(sample_words);
+                    prologue_on(isa, Prologue::Signs { row, re, im });
+                    re_padding.fill(MaybeUninit::new(0));
+                    im_padding.fill(MaybeUninit::new(0));
                 }
             });
     })
 }
 
-/// The bit-rows `64·band ..` of one plane, `stride` words each, into `out`
-/// (as many rows as it holds), from the plane's [`column_signs`] (`words`
-/// per column): the 64 × 64 bit block of sign word `band` of columns
-/// `64·w ..`, transposed, is word `w` of those rows; the words past the
-/// last column are zero.
-fn transpose_signs(
-    signs: &[u64],
-    words: usize,
-    band: usize,
+/// A run of words of both column panels of one group of bit-rows: the
+/// `re ⊕ im` panel's, then the `im` panel's, `lanes` words per word of `K`.
+pub(crate) type PanelRun<'d> = [&'d mut [MaybeUninit<u64>]; 2];
+
+/// `B`'s column panels for the kernel instance of `lanes` lanes, packed
+/// straight from a view's buffer: `columns` is the `K × N` block, one
+/// stored run of `n` samples per `k`, and a row of a panel is `stride`
+/// words.
+///
+/// Word `w` of every bit-row comes from the 64 runs `64·w ..` alone, so a
+/// work item is the runs of a few consecutive words — one contiguous stretch
+/// of the block, at least [`PACK_ITEM_SAMPLES`] samples where `K` has them —
+/// and stores those words of every group: its destination is strided, so
+/// its slices are dealt out beside it.  The words past the runs (Eq. 5
+/// padding) and the rows past `n` are stored as zeros by the same pass: the
+/// panels are written once.
+fn pack_panels(
+    isa: Isa,
+    columns: &[Complex32],
+    n: usize,
+    lanes: usize,
     stride: usize,
-    out: &mut [MaybeUninit<u64>],
+) -> [Vec<u64>; 2] {
+    let groups = n.div_ceil(lanes);
+    let item_words = PACK_ITEM_SAMPLES.div_ceil(64 * n.max(1)).min(stride);
+    let items = stride.div_ceil(item_words);
+    write_once_pair(groups * lanes * stride, |q, im| {
+        let run = item_words * lanes;
+        let mut per_group: Vec<_> = q
+            .chunks_exact_mut(lanes * stride)
+            .zip(im.chunks_exact_mut(lanes * stride))
+            .map(|(q, im)| (q.chunks_mut(run), im.chunks_mut(run)))
+            .collect();
+        // Item after item, the same run of every group.
+        let mut runs: Vec<PanelRun<'_>> = Vec::with_capacity(items * groups);
+        for _ in 0..items {
+            runs.extend(per_group.iter_mut().map(|(q, im)| {
+                [q.next(), im.next()].map(|words| words.expect("a run of words per item"))
+            }));
+        }
+        let item_samples = 64 * item_words * n;
+        runs.par_chunks_mut(groups.max(1))
+            .enumerate()
+            .for_each(|(item, groups)| {
+                let runs = columns.get(item * item_samples..).unwrap_or_default();
+                let runs = &runs[..runs.len().min(item_samples)];
+                let item = Prologue::Panels {
+                    runs,
+                    n,
+                    lanes,
+                    groups,
+                };
+                prologue_on(isa, item);
+            });
+    })
+}
+
+/// One work item of [`pack_panels`], `L` 64 × 64 bit blocks at a time, one
+/// per lane of a `[[u64; L]; 64]`: the bands of 64 bit-rows of a word of
+/// `K`, and of as many consecutive words as the lanes have room for.  Row
+/// `r` of a lane holds the sign word of run `64·w + r`'s samples of the
+/// lane's band (the `Signs` step, by `signs`, into words instead of slots);
+/// the six swap rounds of [`transpose_bits`] make it word `w` of bit-row
+/// `64·band + r`, stored at the row's slot in its group — `re ⊕ im`, then
+/// `im`.  The runs are read in the order they are stored.  Rows past `n`
+/// come out of the runs' zero slack, words past the runs out of the
+/// block's zeros.
+#[inline(always)]
+pub(crate) fn panel_words<const L: usize>(
+    runs: &[Complex32],
+    n: usize,
+    lanes: usize,
+    groups: &mut [PanelRun<'_>],
+    signs: impl Fn(&[Complex32], &mut [u64], &mut [u64]),
 ) {
-    let columns = signs.len() / words;
-    let sample_words = columns.div_ceil(64);
-    for w in 0..sample_words {
-        let mut block = [0u64; 64];
-        for (word, column) in block.iter_mut().zip(64 * w..columns) {
-            *word = signs[column * words + band];
+    let words = groups.first().map_or(0, |[q, _]| q.len() / lanes);
+    let bands = n.div_ceil(64);
+    // A block's lanes: `per_run` bands of each of `at_once` words.
+    let per_run = bands.clamp(1, L);
+    let at_once = L / per_run;
+    for w0 in (0..words).step_by(at_once) {
+        let chunk = runs.get(64 * w0 * n..).unwrap_or_default();
+        let chunk = &chunk[..chunk.len().min(64 * at_once * n)];
+        for b0 in (0..bands).step_by(per_run) {
+            let (mut re, mut im) = ([[0u64; L]; 64], [[0u64; L]; 64]);
+            let samples = 64 * b0..n.min(64 * (b0 + per_run));
+            for (c, run) in chunk.chunks_exact(n).enumerate() {
+                let (r, lane) = (c % 64, c / 64 * per_run);
+                let (re, im) = (&mut re[r][lane..][..per_run], &mut im[r][lane..][..per_run]);
+                signs(&run[samples.clone()], re, im);
+            }
+            transpose_bits(&mut re);
+            transpose_bits(&mut im);
+            for lane in 0..L {
+                let (w, band) = (w0 + lane / per_run, b0 + lane % per_run);
+                if w >= words || band >= bands {
+                    continue;
+                }
+                let band_groups = groups[64 * band / lanes..].iter_mut().take(64 / lanes);
+                for (g, [q_words, im_words]) in band_groups.enumerate() {
+                    let slots = q_words[w * lanes..]
+                        .iter_mut()
+                        .zip(&mut im_words[w * lanes..]);
+                    for (r, (q_slot, im_slot)) in (g * lanes..).zip(slots.take(lanes)) {
+                        q_slot.write(re[r][lane] ^ im[r][lane]);
+                        im_slot.write(im[r][lane]);
+                    }
+                }
+            }
         }
-        transpose_bits(&mut block);
-        for (row, bits) in out.chunks_exact_mut(stride).zip(block) {
-            row[w].write(bits);
-        }
-    }
-    for row in out.chunks_exact_mut(stride) {
-        row[sample_words..].fill(MaybeUninit::new(0));
     }
 }
 
-/// Transposes a 64 × 64 bit matrix in place — row `i` is word `i`, column
-/// `j` its bit `j` — by six rounds of block swaps: the round of width `h`
-/// exchanges, inside every `2h`-square block, the top-right and the
-/// bottom-left `h`-square quarters.
-fn transpose_bits(block: &mut [u64; 64]) {
+/// The row-major planes of `B`'s column panels: row `j`'s word `w` is word
+/// `(j / lanes · stride + w) · lanes + j mod lanes` of each panel, and the
+/// real plane is `re ⊕ im ⊕ im`.
+fn rows_of_panels(
+    [q, im]: &[Vec<u64>; 2],
+    lanes: usize,
+    rows: usize,
+    stride: usize,
+) -> [Vec<u64>; 2] {
+    let at = |i: usize| {
+        let (j, w) = (i / stride, i % stride);
+        (j / lanes * stride + w) * lanes + j % lanes
+    };
+    [
+        (0..rows * stride).map(|i| q[at(i)] ^ im[at(i)]).collect(),
+        (0..rows * stride).map(|i| im[at(i)]).collect(),
+    ]
+}
+
+/// Transposes `L` 64 × 64 bit matrices in place at once — of lane `l`, row
+/// `i` is `block[i][l]` and column `j` its bit `j` — by six rounds of block
+/// swaps: the round of width `h` exchanges, inside every `2h`-square block,
+/// the top-right and the bottom-left `h`-square quarters, in every lane.
+#[inline(always)]
+fn transpose_bits<const L: usize>(block: &mut [[u64; L]; 64]) {
     let (mut width, mut mask) = (32, 0x0000_0000_FFFF_FFFF_u64);
     while width > 0 {
         for pair in block.chunks_exact_mut(2 * width) {
             let (top, bottom) = pair.split_at_mut(width);
             for (t, b) in top.iter_mut().zip(bottom) {
-                let swap = ((*t >> width) ^ *b) & mask;
-                *t ^= swap << width;
-                *b ^= swap;
+                for (t, b) in t.iter_mut().zip(b) {
+                    let swap = ((*t >> width) ^ *b) & mask;
+                    *t ^= swap << width;
+                    *b ^= swap;
+                }
             }
         }
         width /= 2;
@@ -1133,6 +1276,53 @@ pub(crate) mod tests {
         }
     }
 
+    #[test]
+    fn a_packed_view_reads_through_its_panels() {
+        // `re_row`, `im_row`, `to_host`, `==`, `Clone` and `Debug` of a view
+        // stored in panels against the row-major quantisation of the eager
+        // transpose; the row-major planes are built by the first row read.
+        for (k, n) in [(1, 1), (65, 9), (300, 129)] {
+            let block = arbitrary_bits_matrix(k, n, (k * 1000 + n) as u64);
+            for isa in Isa::available() {
+                let view = Int1Matrix::from_host_padded_on(isa, &block.transposed(), 256);
+                let rows = Int1Matrix::from_host_padded_on(isa, &block.transposed_on(isa), 256);
+                let lanes = isa.int1_lanes();
+                assert_eq!(
+                    (view.layout, rows.layout),
+                    (BitLayout::Panels { lanes }, BitLayout::Rows)
+                );
+                assert_eq!(
+                    view.words[0].len(),
+                    n.next_multiple_of(lanes) * view.words_per_row()
+                );
+                assert!(
+                    view.clone() == view && view.row_major.get().is_none(),
+                    "{k}x{n} {isa}"
+                );
+                for r in 0..n {
+                    assert_eq!(view.re_row(r), rows.re_row(r), "{k}x{n} {isa}: re row {r}");
+                    assert_eq!(view.im_row(r), rows.im_row(r), "{k}x{n} {isa}: im row {r}");
+                }
+                assert!(view.row_major.get().is_some());
+                assert_eq!(
+                    bits(&view.to_host()),
+                    bits(&rows.to_host()),
+                    "{k}x{n} {isa}"
+                );
+                assert_eq!(view, rows);
+                assert_eq!(rows, view);
+                assert_eq!(view.clone(), rows);
+                assert_eq!(format!("{view:?}"), format!("{rows:?}"));
+                // One sample's sign flipped in a panel is another matrix.
+                let mut other = Int1Matrix::from_host_padded_on(isa, &block.transposed(), 256);
+                other.words[1][0] ^= 1;
+                assert_ne!(other, view, "{k}x{n} {isa}");
+                assert_ne!(other, rows, "{k}x{n} {isa}");
+                assert_ne!(other.im_row(0), rows.im_row(0));
+            }
+        }
+    }
+
     /// The `rows × cols` binary16 matrix whose planes hold, column after
     /// column, `re` and `im` — a quantised view's layout.
     pub(crate) fn f16_view(rows: usize, cols: usize, re: Vec<f16>, im: Vec<f16>) -> F16Matrix {
@@ -1229,17 +1419,32 @@ pub(crate) mod tests {
 
     #[test]
     fn transpose_bits_moves_bit_j_of_word_i_to_bit_i_of_word_j() {
-        let mut block = [0u64; 64];
-        for (i, word) in block.iter_mut().enumerate() {
-            *word = gpu_sim::fault::splitmix64(i as u64);
-        }
-        let original = block;
-        transpose_bits(&mut block);
-        for (i, row) in original.iter().enumerate() {
-            for (j, column) in block.iter().enumerate() {
-                assert_eq!(column >> i & 1, row >> j & 1, "{i},{j}");
+        // Every lane is a matrix of its own: a lane that took another's
+        // bits, or a round of the wrong width, moves some bit elsewhere.
+        fn check<const L: usize>() {
+            let mut block = [[0u64; L]; 64];
+            for (i, words) in block.iter_mut().enumerate() {
+                for (l, word) in words.iter_mut().enumerate() {
+                    *word = gpu_sim::fault::splitmix64((64 * l + i) as u64);
+                }
+            }
+            let original = block;
+            transpose_bits(&mut block);
+            for l in 0..L {
+                for (i, row) in original.iter().enumerate() {
+                    for (j, column) in block.iter().enumerate() {
+                        assert_eq!(
+                            column[l] >> i & 1,
+                            row[l] >> j & 1,
+                            "{L} lanes: {l}: {i},{j}"
+                        );
+                    }
+                }
             }
         }
+        check::<1>();
+        check::<4>();
+        check::<8>();
     }
 
     #[test]
