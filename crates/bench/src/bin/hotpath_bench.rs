@@ -23,21 +23,20 @@
 //! `tests/hotpath_conformance.rs` pins), so the harness cannot record a
 //! fast-but-wrong kernel.
 //!
-//! A second table times the **prologue** in front of the GEMM — the
-//! transpose that materialises `HostComplexMatrix::transposed`'s view,
+//! A second table times the **prologue** in front of the GEMM —
 //! `GemmInput::quantise_f16` and `GemmInput::quantise_int1` — at the four
 //! `K × N` block shapes of the repo benchmark (`BENCHMARK.json`), again
-//! once per compiled path (`transposed_on`, `quantise_*_on`), each checked
-//! for equality against its element-wise definition before it is timed.
-//! Those rows time a stage **in isolation**: over and over on one input
-//! that has long been at rest.  The two `(view)` rows are what a block
-//! runs: `quantise_f16_on` and `quantise_int1_on` of the block's
-//! `transposed()` view, each checked against the quantiser of the checked
-//! transpose first.  The f16 one encodes the block in the order it is
-//! stored; the 1-bit one is the whole `B` build, one pass from the stored
-//! block into the kernel's panels, checked against the row-major
-//! quantisation repacked by the kernel's panel builder.  Neither transposes
-//! samples, so no stage hands a fresh transpose to the next.
+//! once per compiled path (`quantise_*_on`).  The plain rows quantise the
+//! row-major copy of the block's `transposed()` view, built by its
+//! `data()` before any timing and checked against the element-wise
+//! transpose, each quantiser checked against its element-wise definition
+//! first: a stage **in isolation**, over and over on one input that has
+//! long been at rest.  The two `(view)` rows are what a block runs:
+//! `quantise_f16_on` and `quantise_int1_on` of the view itself, each
+//! checked against the quantiser of the row-major copy first.  The f16 one
+//! encodes the block in the order it is stored; the 1-bit one is the whole
+//! `B` build, one pass from the stored block into the kernel's panels.
+//! Neither transposes samples.
 //!
 //! A third table times the **hand-off** every one of those stages pays to
 //! reach the second core: an empty two-item `par_chunks_mut`, back to back
@@ -59,7 +58,6 @@ use ccglib::synth::pseudo_random_matrix;
 use ccglib::{gemm, reference_gemm, GemmInput, Isa};
 use gpu_sim::BitOp;
 use rayon::prelude::*;
-use std::borrow::Cow;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 use tcbf_bench::{header, median_secs, print_table};
@@ -155,20 +153,21 @@ struct PrologueEntry {
     k: usize,
     n: usize,
     median_s: f64,
-    /// Throughput in `unit`.
+    /// Throughput in `Melem/s`.
     rate: f64,
-    unit: &'static str,
 }
 
-/// `transposed_on`, `GemmInput::quantise_f16_on` and `quantise_int1_on` of
-/// one `K × N` block on `isa` against their element-wise definitions, and
-/// both quantisers of its `transposed()` view against those of the checked
-/// transpose; returns the transposed block.
-fn guarded_transpose(block: &HostComplexMatrix, isa: Isa) -> HostComplexMatrix {
+/// The row-major copy of one `K × N` block's `transposed()` view, by its
+/// `data()`, against the element-wise transpose; `GemmInput::quantise_f16_on`
+/// and `quantise_int1_on` of it on `isa` against their element-wise
+/// definitions, and both quantisers of the view against those of the copy.
+/// Returns the copy.
+fn guarded_row_major(block: &HostComplexMatrix, isa: Isa) -> HostComplexMatrix {
     let (k, n) = (block.rows(), block.cols());
     let by_definition = HostComplexMatrix::from_fn(n, k, |r, c| block.get(c, r));
-    let b_t = block.transposed_on(isa);
-    assert_eq!(b_t, by_definition, "transposed_on({isa}) at {k}x{n}");
+    let b_t = HostComplexMatrix::from_data(n, k, block.transposed().data().to_vec())
+        .expect("a view's data() holds its every sample");
+    assert_eq!(b_t, by_definition, "transposed().data() at {k}x{n}");
 
     let scalar_plane = |part: fn(&Complex32) -> f32| -> Vec<u16> {
         let encode = |v| f16::from_f32(part(v)).to_bits();
@@ -207,40 +206,25 @@ fn guarded_transpose(block: &HostComplexMatrix, isa: Isa) -> HostComplexMatrix {
         panic!("quantise_int1 gives a 1-bit operand")
     };
     assert_eq!(of_view, packed, "quantise_int1(view) at {k}x{n} {isa}");
-    // The view is packed straight into the kernel's panels: those of the
-    // row-major quantisation, which the kernel repacks.
-    let panels = gemm::int1_panels_on(isa, &of_view);
-    assert!(matches!(panels, [Cow::Borrowed(_), Cow::Borrowed(_)]));
-    let repacked = gemm::int1_panels_on(isa, &packed);
-    assert!(matches!(repacked, [Cow::Owned(_), Cow::Owned(_)]));
-    assert!(
-        panels == repacked,
-        "quantise_int1(view) panels at {k}x{n} {isa}"
-    );
     b_t
 }
 
-/// Times the three prologue stages on one `K × N` block on `isa` in
-/// isolation and both quantisers of the block's view, the block guarded by
-/// the element-wise definitions first.
-fn bench_prologue(k: usize, n: usize, isa: Isa) -> [PrologueEntry; 5] {
+/// Times both quantisers on one `K × N` block on `isa`, of its row-major
+/// copy in isolation and of its view, the block guarded by the element-wise
+/// definitions first.
+fn bench_prologue(k: usize, n: usize, isa: Isa) -> [PrologueEntry; 4] {
     let block = pseudo_random_matrix(k, n, 0x7A05 + (k * n) as u64, 1.0);
-    let b_t = guarded_transpose(&block, isa);
+    let b_t = guarded_row_major(&block, isa);
     let (block, b_t) = (&block, &b_t);
 
-    let elements = (k * n) as f64;
-    let entry = |stage, median_s: f64, per_s: f64, unit| PrologueEntry {
+    let entry = |stage, median_s: f64| PrologueEntry {
         stage,
         isa,
         k,
         n,
         median_s,
-        rate: per_s / median_s,
-        unit,
+        rate: (k * n) as f64 / 1e6 / median_s,
     };
-    let transpose_s = median_secs(PROLOGUE_REPS, || {
-        black_box(black_box(block).transposed_on(isa));
-    });
     let f16_s = median_secs(PROLOGUE_REPS, || {
         black_box(GemmInput::quantise_f16_on(isa, black_box(b_t)));
     });
@@ -255,14 +239,11 @@ fn bench_prologue(k: usize, n: usize, isa: Isa) -> [PrologueEntry; 5] {
         let view = black_box(block).transposed();
         black_box(GemmInput::quantise_int1_on(isa, &view));
     });
-    let per_elem = elements / 1e6;
     [
-        // Computed bytes moved: every 8-byte element read once, written once.
-        entry("transpose", transpose_s, 2.0 * 8.0 * elements / 1e9, "GB/s"),
-        entry("quantise_f16", f16_s, per_elem, "Melem/s"),
-        entry("quantise_f16(view)", f16_view_s, per_elem, "Melem/s"),
-        entry("quantise_int1", int1_s, per_elem, "Melem/s"),
-        entry("quantise_int1(view)", int1_view_s, per_elem, "Melem/s"),
+        entry("quantise_f16", f16_s),
+        entry("quantise_f16(view)", f16_view_s),
+        entry("quantise_int1", int1_s),
+        entry("quantise_int1(view)", int1_view_s),
     ]
 }
 
@@ -338,7 +319,7 @@ fn to_json(
             ("n", p.n.into()),
             ("median_s", num(p.median_s, 9)),
             ("rate", num(p.rate, 2)),
-            ("unit", p.unit.into()),
+            ("unit", "Melem/s".into()),
         ])
     };
     let hand_off = |f: &FanOutEntry| {
@@ -349,7 +330,7 @@ fn to_json(
         ])
     };
     Value::object([
-        ("schema", "tcbf-hotpath-bench/v14".into()),
+        ("schema", "tcbf-hotpath-bench/v15".into()),
         ("mode", mode.into()),
         ("reps", reps.into()),
         ("entries", Value::Array(entries.iter().map(entry).collect())),
@@ -474,7 +455,7 @@ fn main() {
                 p.isa.to_string(),
                 format!("{}x{}", p.k, p.n),
                 format!("{:.1}", p.median_s * 1e6),
-                format!("{:.2} {}", p.rate, p.unit),
+                format!("{:.2} Melem/s", p.rate),
             ]
         })
         .collect();

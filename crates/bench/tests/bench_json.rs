@@ -11,7 +11,7 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
     let root = parse(&text).expect("written by tuner::json, so read by it");
 
     let schema = root.get("schema").unwrap().as_str().unwrap();
-    assert_eq!(schema, "tcbf-hotpath-bench/v14");
+    assert_eq!(schema, "tcbf-hotpath-bench/v15");
     assert_eq!(root.get("mode").unwrap().as_str().unwrap(), "full");
     assert!(root.get("reps").unwrap().as_usize().unwrap() >= 1);
     assert!(root.get("prologue_reps").unwrap().as_usize().unwrap() >= 1);
@@ -58,17 +58,17 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
     assert!(k16.iter().all(|row| dims(row) == [1024, 128, 16]));
 
     let prologue = root.get("prologue").unwrap().as_array().unwrap();
-    // 4 block shapes x the kernels' paths x (transpose, then each quantiser
-    // in isolation and of the transposed view), in that order (schema v10:
-    // every prologue row names its path; v12: the 1-bit view's row replaced
+    // 4 block shapes x the kernels' paths x (each quantiser in isolation
+    // and of the transposed view), in that order (schema v10: every
+    // prologue row names its path; v12: the 1-bit view's row replaced
     // `transpose>quantise_int1`, and v13: the f16 view's row replaced
-    // `transpose>quantise_f16`, since no block transposes its samples).
+    // `transpose>quantise_f16`, since no block transposes its samples;
+    // v15: the `transpose` row went with the eager transpose's fast path).
     let stages: Vec<&str> = prologue
         .iter()
         .map(|row| row.get("stage").unwrap().as_str().unwrap())
         .collect();
     let per_path = [
-        "transpose",
         "quantise_f16",
         "quantise_f16(view)",
         "quantise_int1",
@@ -90,11 +90,7 @@ fn committed_bench_gemm_json_parses_and_has_the_documented_keys() {
         }
     }
     for row in prologue {
-        let unit = row.get("unit").unwrap().as_str().unwrap();
-        match row.get("stage").unwrap().as_str().unwrap() {
-            "transpose" => assert_eq!(unit, "GB/s"),
-            _ => assert_eq!(unit, "Melem/s"),
-        }
+        assert_eq!(row.get("unit").unwrap().as_str().unwrap(), "Melem/s");
         positive(row, "median_s");
         positive(row, "rate");
     }

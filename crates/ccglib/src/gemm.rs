@@ -31,8 +31,8 @@
 //! `tcbf_types::decode_to_f32` on the portable one).  Bit panels are
 //! word-interleaved `re ⊕ im` and `im`, and a block brings them built:
 //! `quantise_int1` of a `transposed()` view packs the block straight into
-//! them ([`int1_panels_on`]); only a row-major `B` is repacked per call.
-//! A 1-bit `A` carries a third plane, `re ⊕ im`.  A
+//! them, for the lane count of the path it runs on, and the GEMM reads
+//! them as stored.  A 1-bit `A` carries a third plane, `re ⊕ im`.  A
 //! **register tile** of 4 rows of `A` × one vector of columns then makes
 //! one pass over `K` with one output per vector lane: every `B` vector
 //! feeds 4 rows, every `A` scalar a whole vector of columns, and nothing is
@@ -52,22 +52,24 @@
 //! (`K = 0`).  A debug build fails the call that leaves an element
 //! unwritten.
 //!
-//! Operand convention used throughout the crate: `A` is `M×K`, `B` is
-//! supplied **transposed** as `N×K` (each row holds the `K`-vector of one
-//! output column).  This is the orientation the transpose kernel produces
-//! and the one in which both the bit-rows of the 1-bit kernel and the
-//! fragment loads of the 16-bit kernel are contiguous.  A binary16 `Bᵀ`
-//! quantised from a `transposed()` view keeps the view's storage, the
-//! `K × N` block, which is the order its panels are built in.
+//! Operand convention used throughout the crate: `A` is `M×K`, quantised
+//! from a row-major matrix.  `B` has one layout: it is the quantised
+//! [`HostComplexMatrix::transposed`] view of the `K × N` block, `N×K` as
+//! its shape reads (each row holds the `K`-vector of one output column),
+//! stored as the block is — binary16 planes in `K × N` order, which is the
+//! order its panels are built in, or bits packed into the panels of the
+//! path that quantised them.  A `B` quantised from a row-major matrix, or
+//! a 1-bit one packed on a path of another lane count, is a
+//! [`TcbfError::ShapeMismatch`]: quantise the view, on the path that runs
+//! the GEMM.
 
 use crate::error::{Result, TcbfError};
 use crate::isa::{f16_row_block_on, int1_row_group_on, prologue_on, Isa, Prologue};
-use crate::matrix::{transpose_planes, F16Matrix, HostComplexMatrix, Int1Matrix, PLANE_ITEM};
+use crate::matrix::{F16Matrix, HostComplexMatrix, Int1Matrix, PLANE_ITEM};
 use crate::write_once::{write_once, write_once_pair};
 use crate::Precision;
 use gpu_sim::BitOp;
 use rayon::prelude::*;
-use std::borrow::Cow;
 use std::mem::MaybeUninit;
 use tcbf_types::{decode_to_f32, f16, Complex32};
 
@@ -313,7 +315,7 @@ const F16_TILE_ROWS: usize = 4;
 /// portable, 1.16–1.26× AVX-512); past 4 nothing more is gained.
 const F16_BLOCK_TILES: usize = 4;
 
-/// `B` as the f16 tile kernel reads it: the transposed operand decoded from
+/// `B` as the f16 tile kernel reads it: the `N × K` operand decoded from
 /// binary16 straight into k-major column panels of `lanes` output columns,
 ///
 /// ```text
@@ -322,26 +324,21 @@ const F16_BLOCK_TILES: usize = 4;
 ///
 /// so step `k` of a tile is one contiguous run of `2·lanes` scalars: the
 /// real parts of `lanes` columns' `k`-th sample, then the imaginary parts.
-/// In the `K × N` block that `B` arrives as, that step is already one
-/// stored run, `[k·N + g·lanes ..]` of each plane: an operand quantised
-/// from a `transposed()` view is read as it is stored, and a row-major one
-/// is transposed to it first.  Columns past `N` in the last group are
-/// zero, stored here like every other scalar: the panels are written once,
-/// not cleared first.  One pass and one allocation per call — this *is*
-/// the decode of `B`, not a repack of a decoded copy — `O(N·K)` against the
-/// kernel's `O(M·N·K)`; a panel is one parallel work item, run on `isa` (a
-/// GEMM passes `isa.f16_lanes()` as `lanes`; the tests also build the
-/// portable instance's panels at other widths).
-fn f16_column_panels(isa: Isa, b_t: &F16Matrix, lanes: usize) -> Vec<f32> {
-    let (n, k) = (b_t.rows(), b_t.cols());
-    let transposed;
-    let [re, im] = match b_t.columns() {
-        Some(planes) => planes,
-        None => {
-            transposed = transpose_planes([b_t.re(), b_t.im()], (n, k));
-            transposed.each_ref().map(Vec::as_slice)
-        }
-    };
+/// In the `K × N` block that `B` arrives as — `[re, im]`, both planes as
+/// stored — that step is already one stored run, `[k·N + g·lanes ..]` of
+/// each plane.  Columns past `N` in the last group are zero, stored here
+/// like every other scalar: the panels are written once, not cleared first.
+/// One pass and one allocation per call — this *is* the decode of `B`, not
+/// a repack of a decoded copy — `O(N·K)` against the kernel's `O(M·N·K)`; a
+/// panel is one parallel work item, run on `isa` (a GEMM passes
+/// `isa.f16_lanes()` as `lanes`; the tests also build the portable
+/// instance's panels at other widths).
+fn f16_column_panels(
+    isa: Isa,
+    [re, im]: [&[f16]; 2],
+    (n, k): (usize, usize),
+    lanes: usize,
+) -> Vec<f32> {
     write_once(n.next_multiple_of(lanes) * 2 * k, |panels| {
         panels
             .par_chunks_mut((2 * lanes * k).max(1))
@@ -529,6 +526,17 @@ pub(crate) fn f16_row_block<const LANES: usize>(
     }
 }
 
+/// What a GEMM returns for a `B` in any layout but the one its kernels read
+/// on `isa`; `actual` names the layout it has.
+fn b_layout_mismatch(isa: Isa, actual: String) -> TcbfError {
+    TcbfError::ShapeMismatch {
+        expected: format!(
+            "B quantised from the transposed() view of its K × N block, on the {isa} path"
+        ),
+        actual,
+    }
+}
+
 /// Shared implementation of the f16 paths: `A` is already decoded, `B` is
 /// decoded here, straight into the column panels of the instance `isa`
 /// names (once per operand, never per output element).
@@ -543,12 +551,15 @@ pub(crate) fn gemm_f16_decoded_on(
             actual: format!("B has K={}", b_t.cols()),
         });
     }
+    let Some(b_planes) = b_t.columns() else {
+        return Err(b_layout_mismatch(isa, "a row-major B".into()));
+    };
     let (m, n, k) = (a.rows(), b_t.rows(), a.cols());
     let lanes = isa.f16_lanes();
     let operands = F16Operands {
         a_re: a.re(),
         a_im: a.im(),
-        b: f16_column_panels(isa, b_t, lanes),
+        b: f16_column_panels(isa, b_planes, (n, k), lanes),
         lanes,
         k,
         n,
@@ -587,6 +598,8 @@ pub(crate) fn gemm_f16(a: &F16Matrix, b_t: &F16Matrix) -> Result<ComplexOutput> 
 /// `gemm_f16` on an explicit instance — how the tests and `hotpath_bench`
 /// run every path the host has.  Production callers never choose:
 /// `gemm_f16` passes [`Isa::detected`].  All paths agree on all inputs.
+/// `b_t` is the quantised `transposed()` view of the `K × N` block; a
+/// row-major one is a [`TcbfError::ShapeMismatch`].
 pub fn gemm_f16_on(isa: Isa, a: &F16Matrix, b_t: &F16Matrix) -> Result<ComplexOutput> {
     gemm_f16_decoded_on(isa, &DecodedPlanes::from_f16(a), b_t)
 }
@@ -611,69 +624,6 @@ pub fn gemm_int1(a: &Int1Matrix, b_t: &Int1Matrix, op: BitOp) -> Result<ComplexO
 /// were measured on every `BENCH_gemm.json` shape and both popcount paths;
 /// 4 was fastest in every cell, so it is a constant, not a tuning axis.
 const INT1_TILE_ROWS: usize = 4;
-
-/// `B` as the tile kernel reads it, in quadrant form: `re ⊕ im`, then the
-/// imaginary plane — the rows of the transposed operand in groups of
-/// `lanes` (the last group filled up with all-zero rows), each group stored
-/// word-interleaved — word `w` of the group's `lanes` rows side by side —
-/// so one vector load fetches the same 64 samples of `lanes` output
-/// columns.  `O(N·K)` bits moved once per call, against the kernel's
-/// `O(M·N·K)`; a group — both planes of it — is one parallel work item,
-/// and every word of it is written once: the rows that exist from theirs,
-/// the rest stored as zeros.
-fn int1_column_panels(b_t: &Int1Matrix, lanes: usize) -> [Vec<u64>; 2] {
-    // `stride >= 1`: an `Int1Matrix` row holds at least one padded sample.
-    let stride = b_t.words_per_row();
-    let words = b_t.rows().next_multiple_of(lanes) * stride;
-    write_once_pair(words, |q, im| {
-        q.par_chunks_mut(lanes * stride)
-            .zip(im.par_chunks_mut(lanes * stride))
-            .enumerate()
-            .for_each(|(g, (q, im))| {
-                let at = g * lanes * stride;
-                let re_rows = b_t.re_words()[at..].chunks_exact(stride);
-                let rows = re_rows
-                    .zip(b_t.im_words()[at..].chunks_exact(stride))
-                    .take(lanes);
-                let surplus = rows.len()..lanes;
-                for (l, (re_row, im_row)) in rows.enumerate() {
-                    // One plane at a time: one `step_by` over both
-                    // destinations zipped made the 32 × 256 × 2048 GEMM
-                    // up to 1.5× slower (2-vCPU AVX-512 Xeon).
-                    let words = re_row.iter().zip(im_row);
-                    for (slot, (&re, &bi)) in q[l..].iter_mut().step_by(lanes).zip(words) {
-                        slot.write(re ^ bi);
-                    }
-                    for (slot, &bi) in im[l..].iter_mut().step_by(lanes).zip(im_row) {
-                        slot.write(bi);
-                    }
-                }
-                // The all-zero rows that fill up the last group of a
-                // ragged `N`.
-                if !surplus.is_empty() {
-                    for group in [q, im] {
-                        for step in group.chunks_exact_mut(lanes) {
-                            step[surplus.clone()].fill(MaybeUninit::new(0));
-                        }
-                    }
-                }
-            });
-    })
-}
-
-/// `B`'s column panels as the 1-bit kernel on `isa` reads them: `re ⊕ im`,
-/// then the imaginary plane, the rows of `b_t` in groups of the kernel's
-/// lane count (the last group filled up with all-zero rows), word `w` of a
-/// group's rows side by side.  Borrowed as stored when `b_t` was quantised
-/// from a `transposed()` view on a path of the same lane count — what a
-/// block brings — and otherwise repacked from its row-major planes.
-pub fn int1_panels_on(isa: Isa, b_t: &Int1Matrix) -> [Cow<'_, [u64]>; 2] {
-    let lanes = isa.int1_lanes();
-    match b_t.panels(lanes) {
-        Some(panels) => panels.map(Cow::Borrowed),
-        None => int1_column_panels(b_t, lanes).map(Cow::Owned),
-    }
-}
 
 /// `re ⊕ im` of a 1-bit operand, word for word: the third plane of `A` the
 /// tile kernel reads, built once per weights by [`PreparedOperand::new`]
@@ -702,7 +652,8 @@ pub(crate) struct Int1Operands<'a> {
     a_im: &'a [u64],
     /// See [`int1_quadrant_plane`].
     a_q: &'a [u64],
-    /// `re ⊕ im` and the imaginary plane of `B`: see [`int1_panels_on`].
+    /// `re ⊕ im` and the imaginary plane of `B`, its column panels as
+    /// `quantise_int1` of a view packs them (see [`Int1Matrix`]).
     b_q: &'a [u64],
     b_im: &'a [u64],
     /// Columns per panel group: the lane count of the instance to run.
@@ -848,7 +799,9 @@ pub(crate) fn int1_row_group<const LANES: usize>(
 /// [`gemm_int1`] on an explicit popcount path — how the tests and
 /// `hotpath_bench` run every path the host has.  Production callers never
 /// choose: [`gemm_int1`] passes [`Isa::detected`].  All paths agree on
-/// all inputs.
+/// all inputs.  `b_t` is the `transposed()` view of the `K × N` block,
+/// quantised on `isa`; a row-major one, or one packed on a path of another
+/// lane count, is a [`TcbfError::ShapeMismatch`].
 ///
 /// The formulation argument is the modelled device's (`GemmPlan::bit_op`)
 /// and changes no instruction and no bit: one kernel, counting quadrants
@@ -881,15 +834,23 @@ fn gemm_int1_quadrant_on(
         });
     }
     let bound = int1_output_bound(a.k_bits(), a.k_padded())?;
+    let lanes = isa.int1_lanes();
+    let [b_q, b_im] = match b_t.panels() {
+        Some((packed, panels)) if packed == lanes => panels,
+        Some((packed, _)) => {
+            let actual = format!("B packed for {packed} lanes, where the {isa} path reads {lanes}");
+            return Err(b_layout_mismatch(isa, actual));
+        }
+        None => return Err(b_layout_mismatch(isa, "a row-major B".into())),
+    };
     let (m, n, stride) = (a.rows(), b_t.rows(), a.words_per_row());
-    let [b_q, b_im] = int1_panels_on(isa, b_t);
     let operands = Int1Operands {
         a_re: a.re_words(),
         a_im: a.im_words(),
         a_q,
-        b_q: &b_q,
-        b_im: &b_im,
-        lanes: isa.int1_lanes(),
+        b_q,
+        b_im,
+        lanes,
         stride,
         n,
         bound,
@@ -906,7 +867,9 @@ fn gemm_int1_quadrant_on(
 }
 
 /// Executes a GEMM on already-quantised operands, dispatching on their
-/// precision.  Both operands must share the same precision.
+/// precision.  Both operands must share the same precision, and `b_t` is
+/// the quantised `transposed()` view of the `K × N` block (see the module
+/// doc).
 pub fn gemm_dispatch(a: &GemmInput, b_t: &GemmInput, op: BitOp) -> Result<ComplexOutput> {
     gemm_dispatch_with(a, None, b_t, op)
 }
@@ -958,7 +921,7 @@ mod tests {
     #[test]
     fn f16_gemm_matches_reference_within_half_precision() {
         let a = pseudo_random_matrix(24, 40, 1, 1.0);
-        let b_t = pseudo_random_matrix(16, 40, 2, 1.0);
+        let b_t = pseudo_random_matrix(40, 16, 2, 1.0).transposed();
         let tensor = gemm_f16(&F16Matrix::from_host(&a), &F16Matrix::from_host(&b_t)).unwrap();
         let exact = reference_gemm(&a, &b_t).unwrap();
         // Binary16 quantisation of the inputs bounds the error: relative
@@ -974,8 +937,9 @@ mod tests {
     #[test]
     fn f16_gemm_checks_shapes() {
         let a = F16Matrix::from_host(&HostComplexMatrix::zeros(4, 8));
-        let b = F16Matrix::from_host(&HostComplexMatrix::zeros(4, 9));
-        assert!(gemm_f16(&a, &b).is_err());
+        let b = F16Matrix::from_host(&HostComplexMatrix::zeros(9, 4).transposed());
+        let error = gemm_f16(&a, &b).unwrap_err();
+        assert!(error.to_string().contains("share K"), "{error}");
     }
 
     #[test]
@@ -983,7 +947,7 @@ mod tests {
         // K = 100 forces 156 bits of padding at granularity 256; the
         // corrected kernel must agree exactly with the ±1 reference.
         let a_host = pseudo_random_matrix(9, 100, 3, 1.0);
-        let b_host = pseudo_random_matrix(7, 100, 4, 1.0);
+        let b_host = pseudo_random_matrix(100, 7, 4, 1.0).transposed();
         let a = Int1Matrix::from_host_padded(&a_host, 256);
         let b = Int1Matrix::from_host_padded(&b_host, 256);
         assert_eq!(a.k_padding(), 156);
@@ -999,7 +963,7 @@ mod tests {
     #[test]
     fn int1_xor_and_paths_are_bit_identical() {
         let a_host = pseudo_random_matrix(12, 300, 5, 1.0);
-        let b_host = pseudo_random_matrix(10, 300, 6, 1.0);
+        let b_host = pseudo_random_matrix(300, 10, 6, 1.0).transposed();
         let a = Int1Matrix::from_host_padded(&a_host, 128);
         let b = Int1Matrix::from_host_padded(&b_host, 128);
         let xor = gemm_int1(&a, &b, BitOp::Xor).unwrap();
@@ -1010,7 +974,7 @@ mod tests {
     #[test]
     fn int1_values_have_expected_parity_and_bounds() {
         let a_host = pseudo_random_matrix(6, 64, 7, 1.0);
-        let b_host = pseudo_random_matrix(6, 64, 8, 1.0);
+        let b_host = pseudo_random_matrix(64, 6, 8, 1.0).transposed();
         let a = Int1Matrix::from_host(&a_host);
         let b = Int1Matrix::from_host(&b_host);
         let c = gemm_int1(&a, &b, BitOp::Xor).unwrap();
@@ -1063,29 +1027,34 @@ mod tests {
 
     /// Asserts that both formulations' per-element definitions — Table II
     /// and Eq. 6 — and every popcount path × formulation of the kernel give
-    /// `expected`, bit for bit.
+    /// `expected`, bit for bit, with `B` quantised from the view `b` at
+    /// `granularity` on the path that runs it.
     fn assert_every_int1_path_gives(
         a: &Int1Matrix,
-        b_t: &Int1Matrix,
+        b: &HostComplexMatrix,
+        granularity: usize,
         expected: &HostComplexMatrix,
     ) {
         let shape = format!(
             "{}x{}x{} (padded to {})",
             a.rows(),
-            b_t.rows(),
+            b.rows(),
             a.k_bits(),
             a.k_padded()
         );
-        let definitions = [
-            ("Table II", per_element_gemm(a, b_t)),
-            ("Eq. 6", per_element_and_gemm(a, b_t)),
-        ];
-        for (name, definition) in definitions {
-            assert_eq!(bits(&definition), bits(expected), "{shape}: {name}");
-        }
         for isa in Isa::available() {
+            let b_t = Int1Matrix::from_host_padded_on(isa, b, granularity);
+            if isa == Isa::PORTABLE {
+                let definitions = [
+                    ("Table II", per_element_gemm(a, &b_t)),
+                    ("Eq. 6", per_element_and_gemm(a, &b_t)),
+                ];
+                for (name, definition) in definitions {
+                    assert_eq!(bits(&definition), bits(expected), "{shape}: {name}");
+                }
+            }
             for op in [BitOp::Xor, BitOp::And] {
-                let got = gemm_int1_on(isa, a, b_t, op).unwrap();
+                let got = gemm_int1_on(isa, a, &b_t, op).unwrap();
                 assert_eq!(bits(&got), bits(expected), "{shape} on {isa}, {op}");
             }
         }
@@ -1145,7 +1114,7 @@ mod tests {
         for (m, n, k) in f16_edge_shapes() {
             let seed = (m * 131 + n * 17 + k) as u64;
             let a_host = pseudo_random_matrix(m, k, seed, 1.0);
-            let b_host = pseudo_random_matrix(n, k, seed ^ 0xF16, 1.0);
+            let b_host = pseudo_random_matrix(k, n, seed ^ 0xF16, 1.0).transposed();
             let (a, b) = (F16Matrix::from_host(&a_host), F16Matrix::from_host(&b_host));
             let definition = four_chain_gemm(&a, &b);
             assert_every_f16_path_gives(&a, &b, &definition);
@@ -1181,20 +1150,21 @@ mod tests {
         };
         for (m, n, k) in f16_edge_shapes().filter(|&(_, _, k)| k <= 129) {
             let a = F16Matrix::from_host(&HostComplexMatrix::from_fn(m, k, |r, c| pick(r, c, m)));
-            let b =
-                F16Matrix::from_host(&HostComplexMatrix::from_fn(n, k, |r, c| pick(r, c, n + 4)));
+            let block = HostComplexMatrix::from_fn(k, n, |c, r| pick(r, c, n + 4));
+            let b = F16Matrix::from_host(&block.transposed());
             assert_every_f16_path_gives(&a, &b, &four_chain_gemm(&a, &b));
         }
         // A finite column beside hostile ones stays finite: nothing crosses
         // lanes.
         let a = F16Matrix::from_host(&HostComplexMatrix::from_fn(5, 9, |_, _| Complex32::ONE));
-        let b = F16Matrix::from_host(&HostComplexMatrix::from_fn(9, 9, |r, c| {
+        let block = HostComplexMatrix::from_fn(9, 9, |c, r| {
             if r == 4 {
                 Complex32::new(1.0, -1.0)
             } else {
                 pick(r, c, 0)
             }
-        }));
+        });
+        let b = F16Matrix::from_host(&block.transposed());
         for isa in Isa::available() {
             let out = gemm_f16_on(isa, &a, &b).unwrap();
             for i in 0..5 {
@@ -1207,15 +1177,15 @@ mod tests {
     fn a_zero_dimension_gives_an_empty_or_zero_matrix_everywhere() {
         for (m, n, k) in [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0)] {
             let a_host = pseudo_random_matrix(m, k, 1, 1.0);
-            let b_host = pseudo_random_matrix(n, k, 2, 1.0);
+            let b_host = pseudo_random_matrix(k, n, 2, 1.0).transposed();
             let zeros = HostComplexMatrix::zeros(m, n);
             assert_eq!(reference_gemm(&a_host, &b_host).unwrap(), zeros);
             let (a, b) = (F16Matrix::from_host(&a_host), F16Matrix::from_host(&b_host));
             assert_eq!(bits(&four_chain_gemm(&a, &b)), bits(&zeros));
             assert_every_f16_path_gives(&a, &b, &zeros);
-            let a = Int1Matrix::from_host_padded(&a_host, GemmInput::DEFAULT_INT1_K_GRANULARITY);
-            let b = Int1Matrix::from_host_padded(&b_host, GemmInput::DEFAULT_INT1_K_GRANULARITY);
-            assert_every_int1_path_gives(&a, &b, &zeros);
+            let granularity = GemmInput::DEFAULT_INT1_K_GRANULARITY;
+            let a = Int1Matrix::from_host_padded(&a_host, granularity);
+            assert_every_int1_path_gives(&a, &b_host, granularity, &zeros);
             for (a, b) in [
                 (
                     GemmInput::quantise_f16(&a_host),
@@ -1245,17 +1215,16 @@ mod tests {
             for n in [1, 3, 4, 5, 7, 8, 9, 17] {
                 for k in ks {
                     let seed = (m * 131 + n * 17 + k) as u64;
+                    let granularity = GemmInput::DEFAULT_INT1_K_GRANULARITY;
                     let a = Int1Matrix::from_host_padded(
                         &pseudo_random_matrix(m, k, seed, 1.0),
-                        GemmInput::DEFAULT_INT1_K_GRANULARITY,
+                        granularity,
                     );
-                    let b = Int1Matrix::from_host_padded(
-                        &pseudo_random_matrix(n, k, seed ^ 0xB17, 1.0),
-                        GemmInput::DEFAULT_INT1_K_GRANULARITY,
-                    );
+                    let b_host = pseudo_random_matrix(k, n, seed ^ 0xB17, 1.0).transposed();
+                    let b = Int1Matrix::from_host_padded(&b_host, granularity);
                     let reference = reference_gemm(&a.to_host(), &b.to_host()).unwrap();
                     assert_eq!(bits(&per_element_gemm(&a, &b)), bits(&reference));
-                    assert_every_int1_path_gives(&a, &b, &reference);
+                    assert_every_int1_path_gives(&a, &b_host, granularity, &reference);
                 }
             }
         }
@@ -1268,7 +1237,7 @@ mod tests {
         for granularity in [1, 31, 33, 48, 100, 256] {
             for k in [1, 40, 100, 257] {
                 let a_host = pseudo_random_matrix(3, k, (granularity * k) as u64, 1.0);
-                let b_host = pseudo_random_matrix(5, k, (granularity + k) as u64, 1.0);
+                let b_host = pseudo_random_matrix(k, 5, (granularity + k) as u64, 1.0).transposed();
                 let (GemmInput::Int1(a), GemmInput::Int1(b)) = (
                     GemmInput::quantise_int1_padded(&a_host, granularity),
                     GemmInput::quantise_int1_padded(&b_host, granularity),
@@ -1278,7 +1247,7 @@ mod tests {
                 assert_eq!(a.k_padded(), k.next_multiple_of(granularity));
                 let reference = reference_gemm(&a.to_host(), &b.to_host()).unwrap();
                 assert_eq!(bits(&per_element_gemm(&a, &b)), bits(&reference));
-                assert_every_int1_path_gives(&a, &b, &reference);
+                assert_every_int1_path_gives(&a, &b_host, granularity, &reference);
             }
         }
     }
@@ -1303,7 +1272,8 @@ mod tests {
         ] {
             let rows: [fn(usize) -> Complex32; 4] = [ones, minus, conj, alternating];
             let host = HostComplexMatrix::from_fn(rows.len(), k, |r, c| rows[r](c));
-            let a = Int1Matrix::from_host_padded(&host, GemmInput::DEFAULT_INT1_K_GRANULARITY);
+            let granularity = GemmInput::DEFAULT_INT1_K_GRANULARITY;
+            let a = Int1Matrix::from_host_padded(&host, granularity);
             assert_eq!(a.k_padding(), k.next_multiple_of(256) - k);
             let reference = reference_gemm(&a.to_host(), &a.to_host()).unwrap();
             let two_k = 2.0 * k as f32;
@@ -1322,7 +1292,9 @@ mod tests {
                 assert!(v.re.abs() <= two_k && v.im.abs() <= two_k);
                 assert_eq!((v.re as i64 % 2, v.im as i64 % 2), (0, 0));
             }
-            assert_every_int1_path_gives(&a, &a, &reference);
+            // The same rows as `B`: the view of the `K × 4` block.
+            let b = HostComplexMatrix::from_fn(k, rows.len(), |c, r| rows[r](c)).transposed();
+            assert_every_int1_path_gives(&a, &b, granularity, &reference);
         }
     }
 
@@ -1353,9 +1325,9 @@ mod tests {
 
     #[test]
     fn gemm_dispatch_rejects_mixed_precision() {
-        let host = HostComplexMatrix::zeros(4, 32);
-        let f = GemmInput::quantise_f16(&host);
-        let b = GemmInput::quantise_int1(&host);
+        let block = HostComplexMatrix::zeros(32, 4);
+        let f = GemmInput::quantise_f16(&block.transposed());
+        let b = GemmInput::quantise_int1(&block.transposed());
         assert!(matches!(
             gemm_dispatch(&f, &b, BitOp::Xor),
             Err(TcbfError::PrecisionMismatch { .. })
@@ -1392,7 +1364,7 @@ mod tests {
         let from_planar = GemmInput::quantise_f16(&host);
         let from_interleaved = GemmInput::quantise_f16_interleaved(8, 16, &interleaved).unwrap();
         assert!(GemmInput::quantise_f16_interleaved(8, 16, &interleaved[1..]).is_err());
-        let b = GemmInput::quantise_f16(&pseudo_random_matrix(4, 16, 12, 1.0));
+        let b = GemmInput::quantise_f16(&pseudo_random_matrix(16, 4, 12, 1.0).transposed());
         let c1 = gemm_dispatch(&from_planar, &b, BitOp::Xor).unwrap();
         let c2 = gemm_dispatch(&from_interleaved, &b, BitOp::Xor).unwrap();
         assert_eq!(c1, c2);
@@ -1401,7 +1373,7 @@ mod tests {
     #[test]
     fn prepared_paths_are_bit_identical_to_the_direct_path() {
         let a_host = pseudo_random_matrix(13, 300, 21, 1.0);
-        let b_host = pseudo_random_matrix(9, 300, 22, 1.0);
+        let b_host = pseudo_random_matrix(300, 9, 22, 1.0).transposed();
         for (a, b) in [
             (
                 GemmInput::quantise_f16(&a_host),
@@ -1420,46 +1392,37 @@ mod tests {
 
     #[test]
     fn the_parallel_decodes_and_repacks_match_a_per_element_loop_bit_for_bit() {
-        use crate::matrix::tests::{arbitrary_bits_matrix, prologue_shapes};
+        use crate::matrix::tests::{arbitrary_bits_matrix, f16_view, prologue_shapes};
         use tcbf_types::f16;
         let word = |at: usize, salt: usize| gpu_sim::fault::splitmix64((at * 2 + salt) as u64);
         for (n, k) in prologue_shapes() {
             // Every binary16 bit pattern, NaN payloads and −0.0 among them.
             let plane = |salt| (0..n * k).map(move |at| f16::from_bits(word(at, salt) as u16));
-            let b_t = F16Matrix::from_planes(n, k, plane(0).collect(), plane(1).collect()).unwrap();
+            let a = F16Matrix::from_planes(n, k, plane(0).collect(), plane(1).collect()).unwrap();
             let bits = |plane: &[f16]| plane.iter().map(|h| h.to_f32().to_bits()).collect();
             let to_bits = |plane: &[f32]| plane.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
 
-            let decoded = DecodedPlanes::from_f16(&b_t);
+            let decoded = DecodedPlanes::from_f16(&a);
             assert_eq!((decoded.rows(), decoded.cols()), (n, k));
-            let expected: Vec<u32> = bits(b_t.re());
+            let expected: Vec<u32> = bits(a.re());
             assert_eq!(to_bits(decoded.re()), expected, "{n}x{k} re");
-            let expected: Vec<u32> = bits(b_t.im());
+            let expected: Vec<u32> = bits(a.im());
             assert_eq!(to_bits(decoded.im()), expected, "{n}x{k} im");
 
-            assert_panels_match_their_definition(&b_t);
+            // The same planes as a `B` stores them: the `K × N` block.
+            assert_panels_match_their_definition(&f16_view(
+                n,
+                k,
+                plane(0).collect(),
+                plane(1).collect(),
+            ));
 
             // Arbitrary sign bits, padded to the kernel's granularity.
-            let packed = Int1Matrix::from_host_padded(
-                &arbitrary_bits_matrix(n, k, (n * 8191 + k) as u64),
+            let block = arbitrary_bits_matrix(k, n, (n * 8191 + k) as u64);
+            assert_int1_panels_match_their_definition(
+                &block,
                 GemmInput::DEFAULT_INT1_K_GRANULARITY,
             );
-            let stride = packed.words_per_row();
-            for lanes in [4, 8] {
-                // Quadrant form: `re ⊕ im`, then the imaginary plane.
-                let (re, im) = (packed.re_words(), packed.im_words());
-                let q: Vec<u64> = re.iter().zip(im).map(|(re, im)| re ^ im).collect();
-                let expected = [&q[..], im].map(|plane| {
-                    let mut panel = vec![0u64; n.next_multiple_of(lanes) * stride];
-                    for (j, w) in (0..n).flat_map(|j| (0..stride).map(move |w| (j, w))) {
-                        panel[((j / lanes) * stride + w) * lanes + j % lanes] =
-                            plane[j * stride + w];
-                    }
-                    panel
-                });
-                let panels = int1_column_panels(&packed, lanes);
-                assert_eq!(panels, expected, "{n}x{k} bits in panels of {lanes}");
-            }
         }
 
         // The GEMM outputs, where a store is easiest to lose: no `K` to pass
@@ -1470,12 +1433,14 @@ mod tests {
             for n in [lanes, lanes + 1, 2 * lanes - 1, 2 * lanes] {
                 for m in [1, 3, 4, 9, 33] {
                     let a_host = arbitrary_bits_matrix(m, k, (m * 64 + n) as u64);
-                    let b_host = arbitrary_bits_matrix(n, k, (n * 64 + m) as u64 ^ 0xB);
+                    let b_host =
+                        arbitrary_bits_matrix(k, n, (n * 64 + m) as u64 ^ 0xB).transposed();
                     let (a, b) = (F16Matrix::from_host(&a_host), F16Matrix::from_host(&b_host));
                     assert_every_f16_path_gives(&a, &b, &four_chain_gemm(&a, &b));
                     let a = Int1Matrix::from_host(&a_host);
                     let b = Int1Matrix::from_host(&b_host);
-                    assert_every_int1_path_gives(&a, &b, &per_element_gemm(&a, &b));
+                    let expected = per_element_gemm(&a, &b);
+                    assert_every_int1_path_gives(&a, &b_host, Int1Matrix::WORD_BITS, &expected);
                 }
             }
         }
@@ -1485,9 +1450,10 @@ mod tests {
     /// width and from every path at its own, against their per-element
     /// definition `panel[g][k][l] = Bᵀ[g·L + l][k]` — the real part in lanes
     /// `0..L` of a step, the imaginary part in `L..2L`, zero past `N` —
-    /// read through `get`, whichever layout `b_t` is stored in.
+    /// read through `get`.
     fn assert_panels_match_their_definition(b_t: &F16Matrix) {
         let (n, k) = (b_t.rows(), b_t.cols());
+        let planes = b_t.columns().expect("a B operand is a quantised view");
         let portable = [4, 8, 16].map(|lanes| (Isa::PORTABLE, lanes));
         let every_path = Isa::available()
             .into_iter()
@@ -1506,10 +1472,43 @@ mod tests {
             let expected: Vec<u32> = (0..n.next_multiple_of(lanes) * 2 * k)
                 .map(definition)
                 .collect();
-            let panels = f16_column_panels(isa, b_t, lanes);
+            let panels = f16_column_panels(isa, planes, (n, k), lanes);
             let bits: Vec<u32> = panels.iter().map(|v| v.to_bits()).collect();
             // Not `assert_eq!`: a failing 16 × 65 536 case would print 8 MiB.
             assert!(bits == expected, "{n}x{k} in panels of {lanes} on {isa}");
+        }
+    }
+
+    /// The 1-bit `B` of the `K × N` `block` — its view quantised at
+    /// `granularity` on every path — against its per-element definition:
+    /// word `w` of bit-row `j` of the row-major quantisation of the
+    /// element-wise transpose, `re ⊕ im` in the first panel and `im` in the
+    /// second, at word `(j / L · stride + w) · L + j mod L` for the path's
+    /// `L` lanes, every other word zero; and equal, by `==`, to that
+    /// row-major quantisation.
+    fn assert_int1_panels_match_their_definition(block: &HostComplexMatrix, granularity: usize) {
+        let (k, n) = (block.rows(), block.cols());
+        let by_element = HostComplexMatrix::from_fn(n, k, |j, kk| block.get(kk, j));
+        let rows = Int1Matrix::from_host_padded(&by_element, granularity);
+        let stride = rows.words_per_row();
+        let (re, im) = (rows.re_words(), rows.im_words());
+        let q: Vec<u64> = re.iter().zip(im).map(|(re, im)| re ^ im).collect();
+        for isa in Isa::available() {
+            let lanes = isa.int1_lanes();
+            let expected = [&q[..], im].map(|plane| {
+                let mut panel = vec![0u64; n.next_multiple_of(lanes) * stride];
+                for (j, w) in (0..n).flat_map(|j| (0..stride).map(move |w| (j, w))) {
+                    panel[((j / lanes) * stride + w) * lanes + j % lanes] = plane[j * stride + w];
+                }
+                panel
+            });
+            let view = Int1Matrix::from_host_padded_on(isa, &block.transposed(), granularity);
+            let shape = format!("{k}x{n} / {granularity} {isa}");
+            let (packed, panels) = view.panels().expect("a view is packed into panels");
+            assert_eq!(packed, lanes, "{shape}");
+            assert!(*panels[0] == expected[0][..], "{shape}: re ⊕ im");
+            assert!(*panels[1] == expected[1][..], "{shape}: im");
+            assert_eq!(view, rows, "{shape}");
         }
     }
 
@@ -1518,29 +1517,24 @@ mod tests {
         // Sixteen columns of the output — one whole group of the AVX-512
         // instance — each holding every bit pattern once, rotated from
         // column to column, in both planes: subnormals, ±0, ±∞ and NaNs
-        // quiet and signalling.  Stored as a view is (`K × N`), and as a
-        // row-major `Bᵀ`, which is transposed to that first.
+        // quiet and signalling, stored as a view is (`K × N`).
         use crate::matrix::tests::f16_view;
         let (n, k) = (16, 1 << 16);
         let pattern =
             |j: usize, kk: usize, salt: usize| f16::from_bits((j * 4099 + kk + salt) as u16);
-        let row_major = |salt| (0..n * k).map(|at| pattern(at / k, at % k, salt)).collect();
         let column_major = |salt| (0..n * k).map(|at| pattern(at % n, at / n, salt)).collect();
-        let b_t = F16Matrix::from_planes(n, k, row_major(0), row_major(7)).unwrap();
         let view = f16_view(n, k, column_major(0), column_major(7));
-        for b in [&b_t, &view] {
-            for j in [0, 5, 15] {
-                assert_eq!(
-                    b.get(j, 3).re.to_bits(),
-                    pattern(j, 3, 0).to_f32().to_bits()
-                );
-            }
-            assert_panels_match_their_definition(b);
+        for j in [0, 5, 15] {
+            assert_eq!(
+                view.get(j, 3).re.to_bits(),
+                pattern(j, 3, 0).to_f32().to_bits()
+            );
         }
+        assert_panels_match_their_definition(&view);
     }
 
     #[test]
-    fn the_panels_of_a_view_match_their_definition_and_give_the_eager_gemm() {
+    fn the_panels_of_a_view_match_their_definition_and_give_the_four_chain_gemm() {
         // `K` and `N` on and either side of one and two AVX-512 groups, and
         // a whole 256 × 256 block, with hostile values and arbitrary bits.
         use crate::matrix::tests::{arbitrary_bits_matrix, hostile_matrix};
@@ -1551,14 +1545,8 @@ mod tests {
                 for block in [hostile_matrix(k, n), arbitrary_bits_matrix(k, n, seed)] {
                     let view = F16Matrix::from_host(&block.transposed());
                     assert_panels_match_their_definition(&view);
-                    let eager = F16Matrix::from_host(&block.transposed_on(Isa::PORTABLE));
-                    assert_panels_match_their_definition(&eager);
                     let a = F16Matrix::from_host(&arbitrary_bits_matrix(5, k, seed ^ 0xA));
-                    for isa in Isa::available() {
-                        let of_view = gemm_f16_on(isa, &a, &view).unwrap();
-                        let of_eager = gemm_f16_on(isa, &a, &eager).unwrap();
-                        assert_eq!(bits(&of_view), bits(&of_eager), "{k}x{n} {isa}");
-                    }
+                    assert_every_f16_path_gives(&a, &view, &four_chain_gemm(&a, &view));
                 }
             }
         }
@@ -1578,10 +1566,8 @@ mod tests {
                 let seed = (granularity * 1000 + k) as u64;
                 let a =
                     Int1Matrix::from_host_padded(&arbitrary_bits_matrix(m, k, seed), granularity);
-                let b = Int1Matrix::from_host_padded(
-                    &arbitrary_bits_matrix(n, k, seed ^ 0xABCD),
-                    granularity,
-                );
+                let block = arbitrary_bits_matrix(k, n, seed ^ 0xABCD);
+                let b = Int1Matrix::from_host_padded(&block.transposed(), granularity);
                 assert_eq!(a.k_padded(), k.max(1).next_multiple_of(granularity));
                 for (matrix, rows) in [(&a, m), (&b, n)] {
                     let stride = matrix.words_per_row();
@@ -1596,17 +1582,19 @@ mod tests {
                         }
                     }
                 }
+                // `B`'s panels word for word, the rows past `N` included.
+                assert_int1_panels_match_their_definition(&block, granularity);
                 // XOR and AND alike, on every path, against the definition.
-                assert_every_int1_path_gives(&a, &b, &per_element_gemm(&a, &b));
+                let expected = per_element_gemm(&a, &b);
+                assert_every_int1_path_gives(&a, &block.transposed(), granularity, &expected);
             }
         }
     }
 
     #[test]
-    fn the_panels_of_a_packed_view_are_the_repacked_eager_quantisation_on_every_path() {
+    fn the_panels_of_a_packed_view_match_their_definition_on_every_path() {
         // The one pass from a view's buffer into `B`'s panels against its
-        // definition — the eager transpose, the row-major quantiser, then
-        // `int1_column_panels` — either side of the 64 × 64 bit block on
+        // per-element definition, either side of the 64 × 64 bit block on
         // each axis, more bands than a block has lanes, every granularity;
         // NaN payloads, ±0.0, ±∞ and subnormals, and arbitrary bits.
         use crate::matrix::tests::{arbitrary_bits_matrix, hostile_matrix};
@@ -1615,63 +1603,99 @@ mod tests {
         for (k, n) in shapes.chain([(65, 600), (300, 513)]) {
             let seed = (k * 1000 + n) as u64;
             for block in [hostile_matrix(k, n), arbitrary_bits_matrix(k, n, seed)] {
-                for isa in Isa::available() {
-                    let eager = block.transposed_on(isa);
-                    for granularity in [0, 1, 32, 64, 100, 256, 512] {
-                        let view =
-                            Int1Matrix::from_host_padded_on(isa, &block.transposed(), granularity);
-                        let rows = Int1Matrix::from_host_padded_on(isa, &eager, granularity);
-                        let definition = int1_column_panels(&rows, isa.int1_lanes());
-                        let panels = int1_panels_on(isa, &view);
-                        let shape = format!("{k}x{n} / {granularity} {isa}");
-                        assert!(
-                            matches!(panels, [Cow::Borrowed(_), Cow::Borrowed(_)]),
-                            "{shape}"
-                        );
-                        assert!(*panels[0] == definition[0][..], "{shape}: re ⊕ im");
-                        assert!(*panels[1] == definition[1][..], "{shape}: im");
-                    }
+                for granularity in [0, 1, 32, 64, 100, 256, 512] {
+                    assert_int1_panels_match_their_definition(&block, granularity);
                 }
             }
         }
     }
 
     #[test]
-    fn a_b_packed_for_another_lane_count_is_repacked_and_gives_the_row_major_result() {
-        // A `B` quantised on one path and multiplied on another — portable
-        // and AVX-512 panels differ in width — against the row-major `B`.
-        use crate::matrix::tests::arbitrary_bits_matrix;
-        let available = Isa::available();
-        for (k, n) in [(1, 1), (300, 37), (64, 256)] {
-            let block = arbitrary_bits_matrix(k, n, (k * 1000 + n) as u64);
-            let a = Int1Matrix::from_host_padded(&arbitrary_bits_matrix(9, k, 0xA), 256);
-            let rows = Int1Matrix::from_host_padded_on(
-                Isa::PORTABLE,
-                &block.transposed_on(Isa::PORTABLE),
-                256,
+    fn a_row_major_or_lane_mismatched_b_is_a_typed_error_on_every_entry_point() {
+        // A `B` in any layout but the quantised view of its `K × N` block,
+        // packed for the running path: a `ShapeMismatch` that says what to
+        // quantise, never a panic and never a result.
+        use tcbf_types::GemmShape;
+        let (m, n, k) = (9, 37, 300);
+        let a_host = pseudo_random_matrix(m, k, 0xA, 1.0);
+        let block = pseudo_random_matrix(k, n, 0xB, 1.0);
+        let row_major = HostComplexMatrix::from_fn(n, k, |j, kk| block.get(kk, j));
+        let refused = |result: Result<ComplexOutput>, what: &str| {
+            let error = result.expect_err(what);
+            assert!(
+                matches!(error, TcbfError::ShapeMismatch { .. }),
+                "{what}: {error}"
             );
-            let expected = per_element_gemm(&a, &rows);
-            for (&packed_on, &run_on) in available
-                .iter()
-                .flat_map(|p| available.iter().map(move |r| (p, r)))
-            {
-                let view = Int1Matrix::from_host_padded_on(packed_on, &block.transposed(), 256);
-                let as_stored = packed_on.int1_lanes() == run_on.int1_lanes();
-                let panels = int1_panels_on(run_on, &view);
-                assert_eq!(
-                    matches!(panels[0], Cow::Borrowed(_)),
-                    as_stored,
-                    "{packed_on} on {run_on}"
-                );
-                for op in [BitOp::Xor, BitOp::And] {
-                    let got = gemm_int1_on(run_on, &a, &view, op).unwrap();
-                    assert_eq!(
-                        bits(&got),
-                        bits(&expected),
-                        "{k}x{n} packed on {packed_on}, run on {run_on}"
-                    );
-                    assert_eq!(got, gemm_int1_on(run_on, &a, &rows, op).unwrap());
+            assert!(
+                error.to_string().contains("transposed() view"),
+                "{what}: {error}"
+            );
+            error.to_string()
+        };
+        let device = gpu_sim::Gpu::A100.device();
+        for precision in [Precision::Float16, Precision::Int1] {
+            let quantise = |host: &HostComplexMatrix| match precision {
+                Precision::Int1 => GemmInput::quantise_int1(host),
+                _ => GemmInput::quantise_f16(host),
+            };
+            let gemm = crate::Gemm::new(&device, GemmShape::new(m, n, k), precision).unwrap();
+            let (a, view) = (quantise(&a_host), quantise(&block.transposed()));
+            let wrong = quantise(&row_major);
+            // The view runs; the row-major quantisation of the same block
+            // holds the same values and runs nowhere.
+            let (expected, _) = gemm.run(&a, &view).unwrap();
+            let run = |b: &GemmInput| gemm.run(&a, b).map(|(out, _)| out);
+            let prepared = |b: &GemmInput| gemm.run_prepared(&a.prepare(), b).map(|(out, _)| out);
+            let message = refused(run(&wrong), "Gemm::run");
+            assert!(message.contains("row-major"), "{message}");
+            refused(prepared(&wrong), "Gemm::run_prepared");
+            refused(gemm_dispatch(&a, &wrong, BitOp::Xor), "gemm_dispatch");
+            for isa in Isa::available() {
+                match (&a, &view, &wrong) {
+                    (GemmInput::F16(a), GemmInput::F16(view), GemmInput::F16(wrong)) => {
+                        assert_eq!(view, wrong);
+                        assert_eq!(gemm_f16_on(isa, a, view).unwrap(), expected);
+                        refused(gemm_f16_on(isa, a, wrong), "gemm_f16_on");
+                    }
+                    (GemmInput::Int1(a), _, GemmInput::Int1(wrong)) => {
+                        let view = Int1Matrix::from_host_padded_on(isa, &block.transposed(), 256);
+                        assert_eq!(&view, wrong);
+                        for op in [BitOp::Xor, BitOp::And] {
+                            assert_eq!(gemm_int1_on(isa, a, &view, op).unwrap(), expected);
+                            refused(gemm_int1_on(isa, a, wrong, op), "gemm_int1_on");
+                        }
+                    }
+                    _ => unreachable!("both operands are quantised to {precision}"),
                 }
+            }
+        }
+
+        // A 1-bit view packed on one path and run on another whose kernel
+        // has another lane count (portable 4, AVX-512 8).
+        let a = Int1Matrix::from_host_padded(&a_host, 256);
+        let detected = Isa::detected();
+        let available = Isa::available();
+        for (&packed_on, &run_on) in available
+            .iter()
+            .flat_map(|p| available.iter().map(move |r| (p, r)))
+        {
+            let b = Int1Matrix::from_host_padded_on(packed_on, &block.transposed(), 256);
+            let mismatched = packed_on.int1_lanes() != run_on.int1_lanes();
+            for op in [BitOp::Xor, BitOp::And] {
+                let result = gemm_int1_on(run_on, &a, &b, op);
+                if mismatched {
+                    let message = refused(result, "gemm_int1_on");
+                    assert!(message.contains("lanes"), "{message}");
+                } else {
+                    assert_eq!(bits(&result.unwrap()), bits(&per_element_gemm(&a, &b)));
+                }
+            }
+            if packed_on.int1_lanes() != detected.int1_lanes() {
+                let (a, b) = (GemmInput::Int1(a.clone()), GemmInput::Int1(b));
+                let gemm = crate::Gemm::new(&device, GemmShape::new(m, n, k), Precision::Int1);
+                let run = gemm.unwrap().run(&a, &b).map(|(out, _)| out);
+                refused(run, "Gemm::run, lanes");
+                refused(gemm_dispatch(&a, &b, BitOp::And), "gemm_dispatch, lanes");
             }
         }
     }
@@ -1735,7 +1759,7 @@ mod tests {
             // with the f32 reference GEMM bit for bit — across K values
             // that are not multiples of the k-tile, j-tile or word size.
             let a_host = exact_integer_matrix(m, k, seed);
-            let b_host = exact_integer_matrix(n, k, seed ^ 0x5A5A);
+            let b_host = exact_integer_matrix(k, n, seed ^ 0x5A5A).transposed();
             let result = gemm_f16(&F16Matrix::from_host(&a_host), &F16Matrix::from_host(&b_host))
                 .unwrap();
             let reference = reference_gemm(&a_host, &b_host).unwrap();
@@ -1750,7 +1774,7 @@ mod tests {
             // ascending k whatever the tile, a 1-bit output an exact
             // integer, so every path must agree with the detected one.
             let a_host = pseudo_random_matrix(m, k, seed, 1.0);
-            let b_host = pseudo_random_matrix(n, k, seed ^ 0x33CC, 1.0);
+            let b_host = pseudo_random_matrix(k, n, seed ^ 0x33CC, 1.0).transposed();
             let a = F16Matrix::from_host(&a_host);
             let b = F16Matrix::from_host(&b_host);
             let f16_default = gemm_f16(&a, &b).unwrap();
@@ -1763,6 +1787,7 @@ mod tests {
             for op in [BitOp::Xor, BitOp::And] {
                 let int1_default = gemm_int1(&ai, &bi, op).unwrap();
                 for isa in Isa::available() {
+                    let bi = Int1Matrix::from_host_padded_on(isa, &b_host, 128);
                     let on_path = gemm_int1_on(isa, &ai, &bi, op).unwrap();
                     prop_assert_eq!(&on_path, &int1_default, "int1 on {} op {}", isa, op);
                 }
@@ -1774,7 +1799,7 @@ mod tests {
             m in 1usize..8, n in 1usize..8, k in 1usize..150, seed in any::<u64>(),
         ) {
             let a_host = pseudo_random_matrix(m, k, seed, 1.0);
-            let b_host = pseudo_random_matrix(n, k, seed ^ 0xABCD, 1.0);
+            let b_host = pseudo_random_matrix(k, n, seed ^ 0xABCD, 1.0).transposed();
             let a = Int1Matrix::from_host_padded(&a_host, 128);
             let b = Int1Matrix::from_host_padded(&b_host, 128);
             let reference = reference_gemm(&a.to_host(), &b.to_host()).unwrap();
@@ -1788,7 +1813,7 @@ mod tests {
         ) {
             // (2A)·B ≈ 2·(A·B) up to half-precision rounding.
             let a_host = pseudo_random_matrix(m, k, seed, 1.0);
-            let b_host = pseudo_random_matrix(n, k, seed ^ 0x1111, 1.0);
+            let b_host = pseudo_random_matrix(k, n, seed ^ 0x1111, 1.0).transposed();
             let a2_host = HostComplexMatrix::from_fn(m, k, |r, c| a_host.get(r, c).scale(2.0));
             let c1 = gemm_f16(&F16Matrix::from_host(&a_host), &F16Matrix::from_host(&b_host)).unwrap();
             let c2 = gemm_f16(&F16Matrix::from_host(&a2_host), &F16Matrix::from_host(&b_host)).unwrap();

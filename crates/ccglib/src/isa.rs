@@ -19,12 +19,11 @@
 //!   32 of them — the f16 tile's 16 accumulators stay in registers — and
 //!   the same `count_ones` becomes one `vpopcntq`.
 //!
-//! The five prologue stages in front of the tile kernels, one work item
+//! The four prologue stages in front of the tile kernels, one work item
 //! at a time, have a portable loop, which is the stage's definition, and
 //! an AVX-512 instance written with `std::arch` intrinsics that gives the
 //! same bits (LLVM turns none of the loops into these instructions on its
-//! own): the transpose moves 8 × 8 blocks of samples
-//! through registers (`avx512f`), the 1-bit pack takes 64 signs from eight
+//! own): the 1-bit pack takes 64 signs from eight
 //! `vcmpps` masks and `pext` (`avx512f`, `bmi2`) — of a row-major row, or
 //! of a view's stored runs on their way into `B`'s panels, where the same
 //! generic loop transposes eight 64 × 64 bit blocks at once in `zmm`
@@ -43,18 +42,13 @@
 //! [`Isa`] naming the AVX-512 path can only be obtained from
 //! [`Isa::available`] / [`Isa::detected`] after detection succeeded; that is
 //! the condition the three dispatching `unsafe` blocks below rely on.  The
-//! other five move a vector between registers and a fixed-size array —
-//! eight samples or sixteen binary16 values in, eight samples, sixteen
-//! binary16 or sixteen `f32` values out — whose type is their safety
-//! argument: written with safe lane-by-lane code, LLVM scalarises the
-//! transpose's stores and splinters the encoder's loads.
+//! other four move a vector between registers and a fixed-size array —
+//! eight samples or sixteen binary16 values in, sixteen binary16 or
+//! sixteen `f32` values out — whose type is their safety argument: written
+//! with safe lane-by-lane code, LLVM splinters the encoder's loads.
 
 use crate::gemm::{f16_row_block, int1_row_group, panel_steps, F16Operands, Int1Operands};
-#[cfg(target_arch = "x86_64")]
-use crate::matrix::transpose_rect;
-use crate::matrix::{
-    encode_planes, panel_words, sign_words, transpose_band, HostComplexMatrix, PanelRun, Slot,
-};
+use crate::matrix::{encode_planes, panel_words, sign_words, PanelRun, Slot};
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 use std::mem::MaybeUninit;
@@ -205,34 +199,29 @@ pub(crate) fn f16_row_block_on(
     }
 }
 
-/// One parallel work item of a prologue stage.
+/// One parallel work item of a prologue stage: the stages that quantise a
+/// GEMM's `A` (a row-major matrix) and its `B` (the `transposed()` view of
+/// a `K × N` block), and the f16 GEMM's per-call `B` panels.
 pub(crate) enum Prologue<'a, 'd> {
-    /// Of [`HostComplexMatrix::transposed_on`]: the destination rows of
-    /// source columns `c0..` of the row-major `src`, as many as `band`
-    /// holds.
-    Transpose {
-        src: &'a HostComplexMatrix,
-        c0: usize,
-        band: &'a mut [MaybeUninit<Complex32>],
-    },
-    /// Of `Int1Matrix::from_host_padded`: the sign words of one row's
-    /// samples, 64 to a word.
+    /// Of `Int1Matrix::from_host_padded` of a row-major matrix: the sign
+    /// words of one row's samples, 64 to a word.
     Signs {
         row: &'a [Complex32],
         re: &'a mut [MaybeUninit<u64>],
         im: &'a mut [MaybeUninit<u64>],
     },
-    /// Of `Int1Matrix::from_host_padded` of a view: the stored runs of a few
-    /// consecutive words of `K` (64 runs of `n` samples a word, as many as
-    /// `runs` holds) into those words of `B`'s column panels, in every group
-    /// of `lanes` bit-rows.
+    /// Of `Int1Matrix::from_host_padded` of a view, a GEMM's whole 1-bit
+    /// `B`: the stored runs of a few consecutive words of `K` (64 runs of
+    /// `n` samples a word, as many as `runs` holds) into those words of
+    /// `B`'s column panels, in every group of `lanes` bit-rows.
     Panels {
         runs: &'a [Complex32],
         n: usize,
         lanes: usize,
         groups: &'a mut [PanelRun<'d>],
     },
-    /// Of `F16Matrix::from_host`: a run of samples, to both binary16 planes.
+    /// Of `F16Matrix::from_host`: a run of samples as stored — a row-major
+    /// matrix's or a view's — to both binary16 planes.
     Encode {
         src: &'a [Complex32],
         re: &'a mut [MaybeUninit<f16>],
@@ -254,9 +243,6 @@ pub(crate) enum Prologue<'a, 'd> {
 pub(crate) fn prologue_on(isa: Isa, item: Prologue<'_, '_>) {
     match isa.0 {
         Path::Portable => match item {
-            Prologue::Transpose { src, c0, band } => {
-                transpose_band(src.data(), (src.rows(), src.cols()), c0, band)
-            }
             Prologue::Signs { row, re, im } => sign_words(row, re, im),
             Prologue::Panels {
                 runs,
@@ -288,7 +274,6 @@ pub(crate) fn prologue_on(isa: Isa, item: Prologue<'_, '_>) {
 #[target_feature(enable = "avx512f,bmi2")]
 fn prologue_avx512(item: Prologue<'_, '_>) {
     match item {
-        Prologue::Transpose { src, c0, band } => transpose_band_avx512(src, c0, band),
         Prologue::Signs { row, re, im } => sign_words_avx512(row, re, im),
         Prologue::Panels {
             runs,
@@ -307,90 +292,6 @@ fn prologue_avx512(item: Prologue<'_, '_>) {
             panel,
         } => panel_steps_avx512(re, im, n, j0, panel),
     }
-}
-
-/// [`transpose_band`] with whole 8 × 8 blocks of samples moved through
-/// registers, block rows outermost so that the band's lines of a source row
-/// are read back to back.  The blocks start at the first row whose stores
-/// begin a destination cache line (with `rows % 8 == 0`, the same row for
-/// every destination row), so a line is written whole instead of in two
-/// halves far apart: 0.6–0.8× the time of blocks from row 0.  The rows and
-/// columns outside the blocks take the portable loop.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn transpose_band_avx512(src: &HostComplexMatrix, c0: usize, band: &mut [MaybeUninit<Complex32>]) {
-    let (rows, cols) = (src.rows(), src.cols());
-    let first = match band.as_ptr().align_offset(64) {
-        phase if phase < 8 && rows % 8 == 0 => phase,
-        _ => 0,
-    };
-    let (end, whole_cols) = (first + (rows - first) / 8 * 8, band.len() / rows / 8 * 8);
-    for r0 in (first..end).step_by(8) {
-        for j0 in (0..whole_cols).step_by(8) {
-            let mut block = [_mm512_setzero_si512(); 8];
-            for (i, row) in block.iter_mut().enumerate() {
-                let samples = src.data()[(r0 + i) * cols + c0 + j0..].first_chunk();
-                *row = _mm512_castps_si512(load_samples(samples.expect("a whole block")));
-            }
-            for (j, column) in transpose_8x8(block).into_iter().enumerate() {
-                let dst = band[(j0 + j) * rows + r0..].first_chunk_mut();
-                store_samples(dst.expect("a whole block"), column);
-            }
-        }
-    }
-    let (src, shape) = (src.data(), (rows, cols));
-    transpose_rect(src, shape, 0..first, c0, band);
-    transpose_rect(src, shape, end..rows, c0, band);
-    let right = &mut band[whole_cols * rows..];
-    transpose_rect(src, shape, first..end, c0 + whole_cols, right);
-}
-
-/// Row `i` of an 8 × 8 block of 64-bit lanes in, column `i` out: 8
-/// `vpunpck{l,h}qdq` pair the rows up, 16 `vshufi64x2` gather the columns.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[inline]
-fn transpose_8x8(r: [__m512i; 8]) -> [__m512i; 8] {
-    let even = half_columns([
-        _mm512_unpacklo_epi64(r[0], r[1]),
-        _mm512_unpacklo_epi64(r[2], r[3]),
-        _mm512_unpacklo_epi64(r[4], r[5]),
-        _mm512_unpacklo_epi64(r[6], r[7]),
-    ]);
-    let odd = half_columns([
-        _mm512_unpackhi_epi64(r[0], r[1]),
-        _mm512_unpackhi_epi64(r[2], r[3]),
-        _mm512_unpackhi_epi64(r[4], r[5]),
-        _mm512_unpackhi_epi64(r[6], r[7]),
-    ]);
-    [
-        even[0], odd[0], even[1], odd[1], even[2], odd[2], even[3], odd[3],
-    ]
-}
-
-/// Four vectors whose 128-bit quarter `q` holds rows `2p`, `2p + 1` (vector
-/// `p`) of column `2q + s` → columns `s`, `2 + s`, `4 + s`, `6 + s`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[inline]
-fn half_columns(v: [__m512i; 4]) -> [__m512i; 4] {
-    // Quarters 0 and 2 of the first operand, then of the second; 1 and 3.
-    const EVEN: i32 = 0b10_00_10_00;
-    const ODD: i32 = 0b11_01_11_01;
-    let (c04_lo, c26_lo) = (
-        _mm512_shuffle_i64x2::<EVEN>(v[0], v[1]),
-        _mm512_shuffle_i64x2::<ODD>(v[0], v[1]),
-    );
-    let (c04_hi, c26_hi) = (
-        _mm512_shuffle_i64x2::<EVEN>(v[2], v[3]),
-        _mm512_shuffle_i64x2::<ODD>(v[2], v[3]),
-    );
-    [
-        _mm512_shuffle_i64x2::<EVEN>(c04_lo, c04_hi),
-        _mm512_shuffle_i64x2::<EVEN>(c26_lo, c26_hi),
-        _mm512_shuffle_i64x2::<ODD>(c04_lo, c04_hi),
-        _mm512_shuffle_i64x2::<ODD>(c26_lo, c26_hi),
-    ]
 }
 
 /// [`sign_words`] with every whole 64 samples packed from eight ordered,
@@ -480,18 +381,6 @@ fn load_samples(src: &[Complex32; 8]) -> __m512 {
     // pairs of `f32` — which is what the unaligned load reads; it needs
     // `avx512f`, enabled here.
     unsafe { _mm512_loadu_ps(src.as_ptr().cast()) }
-}
-
-/// Stores one `zmm` register of eight samples.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-#[inline]
-#[allow(unsafe_code)]
-fn store_samples(dst: &mut [MaybeUninit<Complex32>; 8], v: __m512i) {
-    // SAFETY: `dst` is 64 writable bytes — eight `Complex32`, `repr(C)`
-    // pairs of `f32` — which is what the unaligned store writes; it needs
-    // `avx512f`, enabled here.
-    unsafe { _mm512_storeu_si512(dst.as_mut_ptr().cast(), v) }
 }
 
 /// Loads sixteen binary16 values as one `ymm` register.

@@ -12,20 +12,20 @@
 //!   [`HostComplexMatrix::data`], which materialises the row-major copy
 //!   once.
 //! * [`F16Matrix`] — the 16-bit device format: separate (planar) real and
-//!   imaginary planes of binary16 values, the layout the float16 tensor
-//!   core kernel consumes after the transpose kernel has split the
-//!   interleaved input.  Quantised from a view, its planes keep the view's
-//!   column-major order — the `K × N` block a `B` operand arrives as, from
-//!   which the f16 GEMM builds its `B` panels directly.
+//!   imaginary planes of binary16 values.  A row-major one is a GEMM's
+//!   `A`; quantised from a view, its planes keep the view's column-major
+//!   order — the `K × N` block — and it is a GEMM's `B`, whose panels the
+//!   f16 GEMM builds from it directly.
 //! * [`Int1Matrix`] — the 1-bit device format: real and imaginary bit
 //!   planes packed along the reduction dimension, the output of the packing
-//!   kernel, held as two flat `u64` buffers with a row stride.  Quantised
-//!   from a view, it is stored as the 1-bit GEMM reads `B`: the `re ⊕ im`
-//!   and `im` column panels of the quantising path's kernel, packed in one
-//!   pass over the block, so no GEMM call repacks it.
+//!   kernel, held as two flat `u64` buffers with a row stride.  A row-major
+//!   one is a GEMM's `A`; quantised from a view, it is a GEMM's `B`, stored
+//!   as the 1-bit kernel of the quantising path reads it: the `re ⊕ im` and
+//!   `im` column panels, packed in one pass over the block.
 //!
-//! The stages that build one of these whole — [`HostComplexMatrix::transposed_on`],
-//! [`F16Matrix::from_host`], [`Int1Matrix::from_host_padded`] — write their
+//! The stages that build one of these whole — a view's
+//! [`HostComplexMatrix::data`], [`F16Matrix::from_host`],
+//! [`Int1Matrix::from_host_padded`] — write their
 //! destination exactly once: it is allocated, not cleared, and handed to the
 //! parallel pass as `&mut [MaybeUninit<_>]` (the crate's private `write_once`
 //! helper), so the thread that fills a band is the first to touch it.  Every
@@ -42,14 +42,12 @@ use crate::write_once::{write_once, write_once_pair};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::mem::MaybeUninit;
-use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use tcbf_types::matrix::round_up;
 use tcbf_types::{encode_from_f32, f16, Complex, Complex32, PackedBits};
 
-/// Tile edge of [`HostComplexMatrix::transposed_on`] and of the binary16
-/// plane transposer, in elements: 32 rows of 256 B (of 64 B) each.  A band
-/// of rows is one work item.
+/// Tile edge of the transpose behind a view's [`HostComplexMatrix::data`],
+/// in elements: 32 rows of 256 B each.  A band of rows is one work item.
 const TRANSPOSE_TILE: usize = 32;
 
 /// Scalars per parallel work item of the stages that convert a plane
@@ -151,22 +149,20 @@ impl HostComplexMatrix {
     #[inline]
     pub fn set(&mut self, row: usize, col: usize, value: Complex32) {
         if self.layout == Layout::ColumnMajor {
-            let copy = self.row_major.take();
-            let data = copy.unwrap_or_else(|| self.materialise_on(Isa::detected()));
+            let data = self.row_major.take().unwrap_or_else(|| self.materialise());
             *self = Self::row_major(self.rows, self.cols, data);
         }
         Arc::make_mut(&mut self.samples)[row * self.cols + col] = value;
     }
 
     /// The underlying row-major data.  Of a [`transposed`](Self::transposed)
-    /// view, the first call builds the row-major copy on the fastest path
-    /// the host has ([`Isa::detected`]) and keeps it.
+    /// view, the first call builds the row-major copy and keeps it.  No
+    /// stage of a GEMM calls it: both quantisers read a view's buffer as it
+    /// is stored.
     pub fn data(&self) -> &[Complex32] {
         match self.layout {
             Layout::RowMajor => &self.samples,
-            Layout::ColumnMajor => self
-                .row_major
-                .get_or_init(|| self.materialise_on(Isa::detected())),
+            Layout::ColumnMajor => self.row_major.get_or_init(|| self.materialise()),
         }
     }
 
@@ -176,12 +172,12 @@ impl HostComplexMatrix {
         (self.layout == Layout::ColumnMajor).then_some(&self.samples[..])
     }
 
-    /// Returns the transposed matrix (used to bring the `B` operand into
-    /// the `N×K` orientation the packed kernels expect) in O(1): a view
-    /// that shares this matrix's buffer and reads it column-major, so
-    /// `m.transposed().transposed()` is `m` again.  No sample moves until
-    /// something asks for the view's row-major [`data`](Self::data); the
-    /// two quantisers never do.
+    /// Returns the transposed matrix in O(1): a view that shares this
+    /// matrix's buffer and reads it column-major, so
+    /// `m.transposed().transposed()` is `m` again.  The view of a `K × N`
+    /// block, quantised, is a GEMM's `B` operand — its one layout.  No
+    /// sample moves until something asks for the view's row-major
+    /// [`data`](Self::data); the two quantisers never do.
     pub fn transposed(&self) -> HostComplexMatrix {
         let layout = match self.layout {
             Layout::RowMajor => Layout::ColumnMajor,
@@ -196,19 +192,6 @@ impl HostComplexMatrix {
         }
     }
 
-    /// The transposed matrix, row-major, its samples moved on `isa` (of a
-    /// view, the row-major matrix it views, which moves none): the
-    /// materialiser behind a view's [`data`](Self::data), and how the tests
-    /// and `hotpath_bench` run every path the host has.  All paths give the
-    /// same bits.
-    pub fn transposed_on(&self, isa: Isa) -> HostComplexMatrix {
-        let view = self.transposed();
-        match view.layout {
-            Layout::RowMajor => view,
-            Layout::ColumnMajor => Self::row_major(view.rows, view.cols, view.materialise_on(isa)),
-        }
-    }
-
     /// The row-major samples of a column-major view.
     ///
     /// An element-wise gather walks a column of a `rows × cols` matrix at
@@ -220,17 +203,15 @@ impl HostComplexMatrix {
     /// destination run is written contiguously.  A band of
     /// `TRANSPOSE_TILE` destination rows is one parallel work item, and
     /// the thread that copies a band is the first to touch it: the
-    /// destination is written once, not cleared first.  On the AVX-512
-    /// path a band moves in 8 × 8 blocks of samples instead: eight 64-byte
-    /// source rows in, transposed in registers, eight 64-byte rows out.
-    fn materialise_on(&self, isa: Isa) -> Vec<Complex32> {
-        let src = self.transposed();
+    /// destination is written once, not cleared first.
+    fn materialise(&self) -> Vec<Complex32> {
+        // The buffer, row-major: a `cols × rows` matrix.
+        let shape @ (rows, _) = (self.cols, self.rows);
         write_once(self.rows * self.cols, |data| {
-            data.par_chunks_mut((TRANSPOSE_TILE * src.rows).max(1))
+            data.par_chunks_mut((TRANSPOSE_TILE * rows).max(1))
                 .enumerate()
                 .for_each(|(item, band)| {
-                    let (src, c0) = (&src, item * TRANSPOSE_TILE);
-                    prologue_on(isa, Prologue::Transpose { src, c0, band });
+                    transpose_band(&self.samples, shape, item * TRANSPOSE_TILE, band)
                 });
         })
     }
@@ -274,12 +255,13 @@ impl std::fmt::Debug for HostComplexMatrix {
 /// core GEMM kernel.
 ///
 /// Like a [`HostComplexMatrix`], its planes hold the values row after row
-/// or — quantised from a [`transposed`](HostComplexMatrix::transposed)
-/// view — column after column, in the order the view's buffer holds them.
-/// [`get`](Self::get), `==` and `Clone` read through the layout;
-/// [`re`](Self::re) and [`im`](Self::im) are row-major, and of a
-/// column-major matrix the first call transposes both planes once and
-/// keeps them.
+/// — a GEMM's `A` — or, quantised from a
+/// [`transposed`](HostComplexMatrix::transposed) view, column after column,
+/// in the order the view's buffer holds them: a GEMM's `B`, which takes no
+/// other layout.  [`get`](Self::get), `==` and `Clone` read through the
+/// layout; [`re`](Self::re) and [`im`](Self::im) are row-major, and of a
+/// column-major matrix the first call gathers both planes once and keeps
+/// them.
 #[derive(Clone, Debug)]
 pub struct F16Matrix {
     rows: usize,
@@ -343,8 +325,7 @@ impl F16Matrix {
         Self::row_major(rows, cols, re, im)
     }
 
-    /// Builds a matrix directly from row-major planes (used by the
-    /// transpose kernel).
+    /// Builds a row-major matrix directly from its planes.
     pub fn from_planes(rows: usize, cols: usize, re: Vec<f16>, im: Vec<f16>) -> Result<Self> {
         if re.len() != rows * cols || im.len() != rows * cols {
             return Err(TcbfError::ShapeMismatch {
@@ -378,7 +359,13 @@ impl F16Matrix {
             Layout::RowMajor => [&self.re, &self.im],
             Layout::ColumnMajor => self
                 .row_major
-                .get_or_init(|| transpose_planes([&self.re, &self.im], (self.cols, self.rows)))
+                .get_or_init(|| {
+                    // Row-major element `i` is stored at `(i mod cols)·rows + i / cols`.
+                    let (rows, cols) = (self.rows, self.cols);
+                    let at = |i: usize| i % cols * rows + i / cols;
+                    [&self.re, &self.im]
+                        .map(|plane| (0..rows * cols).map(|i| plane[at(i)]).collect())
+                })
                 .each_ref()
                 .map(Vec::as_slice),
         }
@@ -426,31 +413,7 @@ impl PartialEq for F16Matrix {
     }
 }
 
-/// Both planes of a `rows × cols` row-major matrix, transposed: of a
-/// column-major [`F16Matrix`] (its `K × N` storage) the row-major planes,
-/// of a row-major `B` operand the `K × N` planes its GEMM panels are built
-/// from.  Like [`HostComplexMatrix::transposed_on`]'s portable path it
-/// copies `TRANSPOSE_TILE`-square tiles, and a band of `TRANSPOSE_TILE`
-/// destination rows of both planes is one parallel work item.  The planes
-/// are zero-filled, not write-once: a copy can carry any bit pattern,
-/// the write-once check's poison among them.
-pub(crate) fn transpose_planes(
-    [re, im]: [&[f16]; 2],
-    shape @ (rows, cols): (usize, usize),
-) -> [Vec<f16>; 2] {
-    let [mut re_t, mut im_t] = [(); 2].map(|()| vec![f16::ZERO; rows * cols]);
-    let band = (TRANSPOSE_TILE * rows).max(1);
-    re_t.par_chunks_mut(band)
-        .zip(im_t.par_chunks_mut(band))
-        .enumerate()
-        .for_each(|(item, (re_band, im_band))| {
-            transpose_band(re, shape, item * TRANSPOSE_TILE, re_band);
-            transpose_band(im, shape, item * TRANSPOSE_TILE, im_band);
-        });
-    [re_t, im_t]
-}
-
-/// A destination element a transpose stores into: a write-once slot or a
+/// A destination element a stage stores into: a write-once slot or a
 /// plain value.
 pub(crate) trait Slot<T> {
     fn put(&mut self, value: T);
@@ -468,33 +431,23 @@ impl<T> Slot<T> for T {
     }
 }
 
-/// The element-wise copy that defines [`HostComplexMatrix::transposed_on`]
-/// and [`transpose_planes`]: from `src`, `rows × cols` row-major, at source
-/// rows `part`, into the destination rows of `band` (source columns `c0..`).
-pub(crate) fn transpose_rect<T: Copy>(
-    src: &[T],
+/// One band of the transpose behind a view's [`HostComplexMatrix::data`]:
+/// from `src`, `rows × cols` row-major, into the destination rows of `band`
+/// (source columns `c0..`), a tile of `TRANSPOSE_TILE` source rows at a
+/// time.
+fn transpose_band(
+    src: &[Complex32],
     (rows, cols): (usize, usize),
-    part: Range<usize>,
     c0: usize,
-    band: &mut [impl Slot<T>],
-) {
-    for (c, row) in (c0..).zip(band.chunks_exact_mut(rows)) {
-        for (r, slot) in part.clone().zip(&mut row[part.clone()]) {
-            slot.put(src[r * cols + c]);
-        }
-    }
-}
-
-/// One band of a transpose on the portable path, a tile of
-/// `TRANSPOSE_TILE` source rows at a time.
-pub(crate) fn transpose_band<T: Copy>(
-    src: &[T],
-    shape @ (rows, _): (usize, usize),
-    c0: usize,
-    band: &mut [impl Slot<T>],
+    band: &mut [MaybeUninit<Complex32>],
 ) {
     for r0 in (0..rows).step_by(TRANSPOSE_TILE) {
-        transpose_rect(src, shape, r0..(r0 + TRANSPOSE_TILE).min(rows), c0, band);
+        let part = r0..(r0 + TRANSPOSE_TILE).min(rows);
+        for (c, row) in (c0..).zip(band.chunks_exact_mut(rows)) {
+            for (r, slot) in part.clone().zip(&mut row[part.clone()]) {
+                slot.write(src[r * cols + c]);
+            }
+        }
     }
 }
 
@@ -545,11 +498,12 @@ pub(crate) fn encode_planes(
 /// slack between `k_padded` and the end of the row's last word alike, so
 /// whole-word population counts need no mask.
 ///
-/// Quantised from a row-major matrix, the planes are stored row after row.
-/// Quantised from a [`transposed`](HostComplexMatrix::transposed) view — the
-/// `K × N` block a `B` operand arrives as — they are stored the way the
-/// quantising path's 1-bit GEMM reads `B`: as its column panels,
-/// `re ⊕ im` and `im` (see [`crate::gemm::int1_panels_on`]).
+/// Quantised from a row-major matrix — a GEMM's `A` — the planes are stored
+/// row after row.  Quantised from a
+/// [`transposed`](HostComplexMatrix::transposed) view of a `K × N` block —
+/// a GEMM's `B`, which takes no other layout — they are stored the way the
+/// quantising path's 1-bit kernel reads `B`: as its column panels,
+/// `re ⊕ im` and `im`, for that path's lane count.
 /// [`re_row`](Self::re_row), [`im_row`](Self::im_row),
 /// [`to_host`](Self::to_host), `==` and `Clone` read through the layout; of
 /// panels, the first row read builds the row-major planes once and keeps
@@ -668,11 +622,14 @@ impl Int1Matrix {
         }
     }
 
-    /// `B`'s column panels for the kernel instance of `lanes` lanes, as
-    /// stored — `re ⊕ im`, then `im` — or `None` unless the matrix was
-    /// packed into exactly those.
-    pub(crate) fn panels(&self, lanes: usize) -> Option<[&[u64]; 2]> {
-        (self.layout == BitLayout::Panels { lanes }).then(|| self.words.each_ref().map(|p| &p[..]))
+    /// `B`'s column panels as stored — `re ⊕ im`, then `im` — with the lane
+    /// count of the kernel instance they were packed for, or `None` for a
+    /// row-major matrix.
+    pub(crate) fn panels(&self) -> Option<(usize, [&[u64]; 2])> {
+        match self.layout {
+            BitLayout::Rows => None,
+            BitLayout::Panels { lanes } => Some((lanes, self.words.each_ref().map(|p| &p[..]))),
+        }
     }
 
     /// The whole real plane, `rows × words_per_row` words, row-major.
@@ -1038,23 +995,22 @@ pub(crate) mod tests {
         m.data().iter().map(of).collect()
     }
 
-    /// Every path's `transposed_on` against the element-wise copy, and back.
+    /// The transpose of `m`, row-major, one element at a time.
+    fn transpose_by_element(m: &HostComplexMatrix) -> HostComplexMatrix {
+        HostComplexMatrix::from_fn(m.cols(), m.rows(), |r, c| m.get(c, r))
+    }
+
+    /// A view's materialised `data()` against the element-wise copy, and
+    /// the view of that copy's back.
     fn assert_transposed_matches_its_definition(m: &HostComplexMatrix) {
-        let by_definition = HostComplexMatrix::from_fn(m.cols(), m.rows(), |r, c| m.get(c, r));
-        for isa in Isa::available() {
-            let t = m.transposed_on(isa);
-            assert_eq!((t.rows(), t.cols()), (m.cols(), m.rows()));
-            assert_eq!(
-                bits(&t),
-                bits(&by_definition),
-                "{}x{} {isa}",
-                m.rows(),
-                m.cols()
-            );
-            let back = t.transposed_on(isa);
-            assert_eq!((back.rows(), back.cols()), (m.rows(), m.cols()));
-            assert_eq!(bits(&back), bits(m), "{}x{} {isa}", m.rows(), m.cols());
-        }
+        let t = m.transposed();
+        assert_eq!((t.rows(), t.cols()), (m.cols(), m.rows()));
+        let shape = format!("{}x{}", m.rows(), m.cols());
+        assert_eq!(bits(&t), bits(&transpose_by_element(m)), "{shape}");
+        let copy = HostComplexMatrix::from_data(t.rows(), t.cols(), t.data().to_vec()).unwrap();
+        let back = copy.transposed();
+        assert_eq!((back.rows(), back.cols()), (m.rows(), m.cols()));
+        assert_eq!(bits(&back), bits(m), "{shape} back");
     }
 
     /// Every path's binary16 planes against `f16::from_f32` on every scalar.
@@ -1094,8 +1050,8 @@ pub(crate) mod tests {
 
     #[test]
     fn transposed_matches_its_definition_at_every_tile_edge() {
-        // 0-sized, 1×N, N×1 and block−1 / block / block+1 on each axis, for
-        // the 8 × 8 register block and for one and two tiles.
+        // 0-sized, 1×N, N×1, a few short ragged sides and tile−1 / tile /
+        // tile+1 on each axis, for one and two tiles.
         let t = TRANSPOSE_TILE;
         let edges = [
             0,
@@ -1120,8 +1076,8 @@ pub(crate) mod tests {
     }
 
     /// Shapes of the parallel-prologue tests: rows and columns on and either
-    /// side of every band, row-group and work-item size, multiples of the
-    /// 8 × 8 register block that are not of the tile and ragged ones, up to
+    /// side of every band, row-group and work-item size, multiples of 8
+    /// that are not of the tile and ragged ones, up to
     /// a whole `fewbeam_int1` block's worth of elements.
     pub(crate) fn prologue_shapes() -> impl Iterator<Item = (usize, usize)> {
         const DIMS: [usize; 11] = [0, 1, 9, 17, 31, 32, 33, 40, 255, 257, 2048];
@@ -1209,7 +1165,7 @@ pub(crate) mod tests {
     fn a_view_reads_as_the_eager_transpose() {
         for (rows, cols) in [(0, 5), (5, 0), (1, 1), (7, 9), (33, 65)] {
             let m = crate::synth::pseudo_random_matrix(rows, cols, (rows * 100 + cols) as u64, 1.0);
-            let (view, eager) = (m.transposed(), m.transposed_on(Isa::PORTABLE));
+            let (view, eager) = (m.transposed(), transpose_by_element(&m));
             assert_eq!((view.rows(), view.cols()), (cols, rows));
             for r in 0..cols {
                 for c in 0..rows {
@@ -1259,8 +1215,8 @@ pub(crate) mod tests {
                 let seed = (k * 1000 + n) as u64;
                 for block in [hostile_matrix(k, n), arbitrary_bits_matrix(k, n, seed)] {
                     let view = block.transposed();
+                    let eager = transpose_by_element(&block);
                     for isa in Isa::available() {
-                        let eager = block.transposed_on(isa);
                         for granularity in [0, 1, 32, 64, 100, 256, 512] {
                             assert_eq!(
                                 Int1Matrix::from_host_padded_on(isa, &view, granularity),
@@ -1285,7 +1241,7 @@ pub(crate) mod tests {
             let block = arbitrary_bits_matrix(k, n, (k * 1000 + n) as u64);
             for isa in Isa::available() {
                 let view = Int1Matrix::from_host_padded_on(isa, &block.transposed(), 256);
-                let rows = Int1Matrix::from_host_padded_on(isa, &block.transposed_on(isa), 256);
+                let rows = Int1Matrix::from_host_padded_on(isa, &transpose_by_element(&block), 256);
                 let lanes = isa.int1_lanes();
                 assert_eq!(
                     (view.layout, rows.layout),
@@ -1348,7 +1304,7 @@ pub(crate) mod tests {
                 let block = crate::synth::pseudo_random_matrix(k, n, (k * 1000 + n) as u64, 1.0);
                 for isa in Isa::available() {
                     let view = F16Matrix::from_host_on(isa, &block.transposed());
-                    let eager = F16Matrix::from_host(&block.transposed_on(isa));
+                    let eager = F16Matrix::from_host(&transpose_by_element(&block));
                     assert_eq!(view.layout, Layout::ColumnMajor);
                     assert_eq!((view.rows(), view.cols()), (n, k));
                     for (r, c) in (0..n).flat_map(|r| (0..k).map(move |c| (r, c))) {
@@ -1384,7 +1340,7 @@ pub(crate) mod tests {
                     let view = block.transposed();
                     for isa in Isa::available() {
                         let of_view = F16Matrix::from_host_on(isa, &view);
-                        let eager = F16Matrix::from_host_on(isa, &block.transposed_on(isa));
+                        let eager = F16Matrix::from_host_on(isa, &transpose_by_element(&block));
                         assert!(of_view.columns().is_some() && eager.columns().is_none());
                         let stored = |m: &F16Matrix| [f16_bits(&m.re), f16_bits(&m.im)];
                         assert_eq!(stored(&of_view), stored(&f16_view_of(&eager)), "{k}x{n}");

@@ -419,8 +419,12 @@ impl Gemm {
         self.report(&self.plan.kernel_profile())
     }
 
-    /// Runs the GEMM on quantised operands (`A` as `M×K`, `B` transposed as
-    /// `N×K`) and returns the output together with the run report.
+    /// Runs the GEMM on quantised operands and returns the output together
+    /// with the run report.  `A` is `M×K`, quantised from a row-major
+    /// matrix; `B` is `N×K`, quantised from the
+    /// [`transposed`](crate::matrix::HostComplexMatrix::transposed) view of
+    /// the `K × N` block, which is its one layout — a `B` quantised any
+    /// other way is a [`TcbfError::ShapeMismatch`].
     ///
     /// The plan's batch size must be 1 because only one operand pair is
     /// supplied: batched shapes are modelled ([`Gemm::predict`]), not
@@ -622,9 +626,10 @@ mod tests {
         let a = HostComplexMatrix::from_fn(16, 64, |r, c| {
             Complex::new(r as f32 * 0.1, c as f32 * 0.01)
         });
-        let b_t = HostComplexMatrix::from_fn(8, 64, |r, c| {
+        let b_t = HostComplexMatrix::from_fn(64, 8, |c, r| {
             Complex::new(0.5 - r as f32 * 0.05, c as f32 * 0.02)
-        });
+        })
+        .transposed();
         let (out, report) = gemm
             .run(&GemmInput::quantise_f16(&a), &GemmInput::quantise_f16(&b_t))
             .unwrap();
@@ -637,7 +642,7 @@ mod tests {
         assert!(report.bit_op.is_none());
 
         // Wrong operand shape is rejected.
-        let bad = HostComplexMatrix::zeros(9, 64);
+        let bad = HostComplexMatrix::zeros(64, 9).transposed();
         assert!(gemm
             .run(&GemmInput::quantise_f16(&a), &GemmInput::quantise_f16(&bad))
             .is_err());
@@ -658,9 +663,10 @@ mod tests {
         let a = HostComplexMatrix::from_fn(8, 128, |r, c| {
             Complex::new(((r + c) % 3) as f32 - 1.0, ((r * c) % 5) as f32 - 2.0)
         });
-        let b_t = HostComplexMatrix::from_fn(8, 128, |r, c| {
+        let b_t = HostComplexMatrix::from_fn(128, 8, |c, r| {
             Complex::new(((r * 2 + c) % 7) as f32 - 3.0, (c % 2) as f32 - 0.5)
-        });
+        })
+        .transposed();
         let (out, report) = gemm
             .run(
                 &GemmInput::quantise_int1(&a),

@@ -26,7 +26,7 @@ fn xor_and_formulations_are_functionally_interchangeable() {
     // padding situation.
     for k in [32usize, 100, 256, 300] {
         let a = Int1Matrix::from_host_padded(&random_matrix(7, k, 1), 256);
-        let b = Int1Matrix::from_host_padded(&random_matrix(5, k, 2), 256);
+        let b = Int1Matrix::from_host_padded(&random_matrix(k, 5, 2).transposed(), 256);
         let via_xor = gemm::gemm_int1(&a, &b, BitOp::Xor).unwrap();
         let via_and = gemm::gemm_int1(&a, &b, BitOp::And).unwrap();
         assert_eq!(via_xor, via_and, "K = {k}");
@@ -121,7 +121,7 @@ fn planar_and_interleaved_inputs_give_identical_results() {
             interleaved.push(v.im);
         }
     }
-    let b = random_matrix(8, k, 4);
+    let b = random_matrix(k, 8, 4).transposed();
     let gemm = Gemm::new(
         &Gpu::A100.device(),
         GemmShape::new(m, 8, k),
@@ -150,7 +150,7 @@ fn kpad_correction_is_required_for_ragged_k() {
     // comparing against the decoded ±1 reference for a heavily padded K.
     let k = 10; // padded to 256 → K_pad = 246
     let a = Int1Matrix::from_host_padded(&random_matrix(4, k, 7), 256);
-    let b = Int1Matrix::from_host_padded(&random_matrix(4, k, 8), 256);
+    let b = Int1Matrix::from_host_padded(&random_matrix(k, 4, 8).transposed(), 256);
     assert_eq!(a.k_padding(), 246);
     let result = gemm::gemm_int1(&a, &b, BitOp::Xor).unwrap();
     let reference = ccglib::reference_gemm(&a.to_host(), &b.to_host()).unwrap();

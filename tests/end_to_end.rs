@@ -221,9 +221,10 @@ fn tensor_core_and_reference_beamformers_agree_across_devices() {
     let weights = HostComplexMatrix::from_fn(8, 48, |b, r| {
         Complex::from_polar(1.0, (b as f32 - 4.0) * (r as f32) * 0.01)
     });
-    let samples_t = HostComplexMatrix::from_fn(24, 48, |s, r| {
+    let samples_t = HostComplexMatrix::from_fn(48, 24, |r, s| {
         Complex::new((s + r) as f32 * 0.01, (s as f32 - r as f32) * 0.02)
-    });
+    })
+    .transposed();
     let expected = reference_gemm(&weights, &samples_t).unwrap();
     let mut elapsed = Vec::new();
     for gpu in [Gpu::Ad4000, Gpu::A100, Gpu::Mi300x] {
@@ -290,9 +291,10 @@ fn run_report_energy_is_the_power_models_energy() {
     let weights = HostComplexMatrix::from_fn(8, 256, |b, r| {
         Complex::from_polar(1.0 / 256.0, (b * r) as f32 * 0.02)
     });
-    let samples_t = HostComplexMatrix::from_fn(32, 256, |s, r| {
+    let samples_t = HostComplexMatrix::from_fn(256, 32, |r, s| {
         Complex::new((s + r) as f32 * 0.01, (s as f32 - r as f32) * 0.02)
-    });
+    })
+    .transposed();
     for (gpu, precision, kind) in [
         (Gpu::Gh200, Precision::Float16, KernelKind::GemmF16),
         (Gpu::A100, Precision::Int1, KernelKind::GemmInt1),

@@ -27,23 +27,48 @@ fn decode_once_batch_is_bit_identical_to_single_runs() {
     // output must still equal the one-pair path bit for bit.
     let device = Gpu::A100.device();
     let a_host = pseudo_random_matrix(16, 96, 1, 1.0);
-    let b_hosts: Vec<HostComplexMatrix> = (0..4)
-        .map(|e| pseudo_random_matrix(12, 96, 100 + e, 1.0))
+    let blocks: Vec<HostComplexMatrix> = (0..4)
+        .map(|e| pseudo_random_matrix(96, 12, 100 + e, 1.0))
         .collect();
 
     for precision in [Precision::Float16, Precision::Int1] {
-        let quantise = |host: &HostComplexMatrix| match precision {
-            Precision::Int1 => GemmInput::quantise_int1(host),
-            _ => GemmInput::quantise_f16(host),
-        };
-        let a = quantise(&a_host);
+        let a = quantise_on(Isa::detected(), precision, &a_host);
         let prepared = a.prepare();
         let gemm = Gemm::new(&device, GemmShape::new(16, 12, 96), precision).unwrap();
-        for b_t in b_hosts.iter().map(&quantise) {
+        for block in &blocks {
+            let b_t = quantise_on(Isa::detected(), precision, &block.transposed());
             let (out, _) = gemm.run_prepared(&prepared, &b_t).unwrap();
             let (direct, _) = gemm.run(&a, &b_t).unwrap();
             assert_eq!(out, direct, "{precision}: run_prepared diverged");
         }
+    }
+}
+
+/// `host` quantised to `precision` on `isa`, as the engine quantises its
+/// weights (row-major, a GEMM's `A`) and a block's `transposed()` view (a
+/// GEMM's `B`).
+fn quantise_on(isa: Isa, precision: Precision, host: &HostComplexMatrix) -> GemmInput {
+    match precision {
+        Precision::Int1 => GemmInput::quantise_int1_on(isa, host),
+        _ => GemmInput::quantise_f16_on(isa, host),
+    }
+}
+
+/// Asserts that two operands hold the same values in the same places,
+/// whichever layout stores them: the bits of both binary16 planes read
+/// row-major (NaN payloads included, which binary16 `==` would not
+/// equate), or the bit planes by `==`.
+fn assert_same_operand(x: &GemmInput, y: &GemmInput) {
+    match (x, y) {
+        (GemmInput::F16(x), GemmInput::F16(y)) => {
+            let bits = |m: &F16Matrix| {
+                let plane = |plane: &[f16]| plane.iter().map(|h| h.to_bits()).collect::<Vec<_>>();
+                ((m.rows(), m.cols()), plane(m.re()), plane(m.im()))
+            };
+            assert_eq!(bits(x), bits(y));
+        }
+        (GemmInput::Int1(x), GemmInput::Int1(y)) => assert_eq!(x, y),
+        _ => panic!("operands of two precisions"),
     }
 }
 
@@ -130,7 +155,11 @@ fn hostile_samples_give_the_element_wise_result_through_the_engine() {
 
     for precision in [Precision::Float16, Precision::Int1] {
         let a = element_wise_operand(precision, beams, receivers, |b, k| weights.get(b, k));
-        let b_t = element_wise_operand(precision, samples, receivers, |n, k| block.get(k, n));
+        let b_t = quantise_on(Isa::detected(), precision, &block.transposed());
+        assert_same_operand(
+            &element_wise_operand(precision, samples, receivers, |n, k| block.get(k, n)),
+            &b_t,
+        );
         if let GemmInput::Int1(packed) = &b_t {
             // block(0, 0).re is NaN → −1; every −0.0 → +1.
             let decoded = packed.to_host();
@@ -228,7 +257,8 @@ fn hostile_weights_give_every_kernel_paths_result_through_the_engine() {
 
     for precision in [Precision::Float16, Precision::Int1] {
         let a = element_wise_operand(precision, beams, receivers, |b, k| weights.get(b, k));
-        let b_t = element_wise_operand(precision, samples, receivers, |n, k| block.get(k, n));
+        let element_wise =
+            element_wise_operand(precision, samples, receivers, |n, k| block.get(k, n));
         let build = |weights: &HostComplexMatrix, pool: &[Gpu]| {
             BeamformerBuilder::new(Gpu::A100)
                 .devices(pool)
@@ -252,6 +282,8 @@ fn hostile_weights_give_every_kernel_paths_result_through_the_engine() {
             for output in &outputs {
                 let beams_out = &output.beams;
                 for isa in Isa::available() {
+                    let b_t = quantise_on(isa, precision, &block.transposed());
+                    assert_same_operand(&element_wise, &b_t);
                     let expected = match (&a, &b_t) {
                         (GemmInput::F16(a), GemmInput::F16(b_t)) => {
                             vec![gemm_f16_on(isa, a, b_t).unwrap()]
@@ -331,7 +363,7 @@ proptest! {
     ) {
         let granularity = [32usize, 128, 256][granularity_index];
         let a_host = pseudo_random_matrix(m, k, seed, 1.0);
-        let b_host = pseudo_random_matrix(n, k, seed ^ 0xFEED, 1.0);
+        let b_host = pseudo_random_matrix(k, n, seed ^ 0xFEED, 1.0).transposed();
         let a = GemmInput::quantise_int1_padded(&a_host, granularity);
         let b = GemmInput::quantise_int1_padded(&b_host, granularity);
         let (qa, qb) = match (&a, &b) {
@@ -354,7 +386,7 @@ proptest! {
         m in 1usize..8, n in 1usize..12, k in 1usize..1100, seed in any::<u64>(),
     ) {
         let a_host = exact_integer_matrix(m, k, seed);
-        let b_host = exact_integer_matrix(n, k, seed ^ 0xBEEF);
+        let b_host = exact_integer_matrix(k, n, seed ^ 0xBEEF).transposed();
         let a = GemmInput::quantise_f16(&a_host);
         let b = GemmInput::quantise_f16(&b_host);
         let result = ccglib::gemm::gemm_dispatch(&a, &b, BitOp::Xor).unwrap();
@@ -369,7 +401,7 @@ proptest! {
         m in 1usize..6, n in 1usize..6, k in 1usize..260, seed in any::<u64>(),
     ) {
         let a_host = pseudo_random_matrix(m, k, seed, 1.0);
-        let b_host = pseudo_random_matrix(n, k, seed ^ 0x7777, 1.0);
+        let b_host = pseudo_random_matrix(k, n, seed ^ 0x7777, 1.0).transposed();
         let a = GemmInput::quantise_f16(&a_host);
         let b = GemmInput::quantise_f16(&b_host);
         let result = ccglib::gemm::gemm_dispatch(&a, &b, BitOp::Xor).unwrap();
