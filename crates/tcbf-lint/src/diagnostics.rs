@@ -5,7 +5,7 @@ use std::fmt;
 /// One rule violation at a specific source location.
 #[derive(Clone, Debug)]
 pub struct Finding {
-    /// Rule identifier, e.g. `TCBF-D002`.
+    /// Rule identifier, e.g. `TCBF-U001`.
     pub rule: &'static str,
     /// Workspace-relative path of the offending file.
     pub path: String,
@@ -15,14 +15,12 @@ pub struct Finding {
     pub col: u32,
     /// Human-readable description of the violation.
     pub message: String,
-    /// The full source line, for context and waiver `pattern` matching.
+    /// The full source line, for context.
     pub line_text: String,
-    /// The reason of the waiver that covers this finding, if one does.
-    pub suppressed_by: Option<String>,
 }
 
 impl Finding {
-    /// Builds an unsuppressed finding.
+    /// Builds a finding.
     pub fn new(
         rule: &'static str,
         path: &str,
@@ -38,7 +36,6 @@ impl Finding {
             col,
             message,
             line_text: line_text.to_string(),
-            suppressed_by: None,
         }
     }
 }
@@ -50,9 +47,6 @@ impl fmt::Display for Finding {
         let trimmed = self.line_text.trim_end();
         if !trimmed.is_empty() {
             writeln!(f, "   | {trimmed}")?;
-        }
-        if let Some(reason) = &self.suppressed_by {
-            writeln!(f, "   = allowed: {reason}")?;
         }
         Ok(())
     }

@@ -1,15 +1,7 @@
-//! Rule modules, grouped by contract.
+//! The one rule, TCBF-U001 ([`public_api`]): every `pub` item has an
+//! outside caller.
 //!
-//! | ID        | Module          | Contract                               |
-//! |-----------|-----------------|----------------------------------------|
-//! | TCBF-D002 | [`determinism`] | bit-identical reports                  |
-//! | TCBF-U001 | [`public_api`]  | every `pub` item has an outside caller |
-//!
-//! The rules rustc and clippy can express live there (docs/LINTS.md,
-//! *Retired rules*).
+//! The rules rustc, clippy or a behaviour test can hold live there
+//! (docs/LINTS.md, *Retired rules*).
 
-pub mod determinism;
 pub mod public_api;
-
-/// Every rule ID, for the summary table (kept sorted).
-pub const ALL_RULES: &[&str] = &[determinism::D002, public_api::U001];

@@ -1,17 +1,16 @@
-//! Per-file source model shared by all rules.
+//! Per-file source model the rule reads.
 //!
 //! Wraps the raw token stream from [`crate::lexer`] with the derived
-//! views every rule needs: the significant (non-trivia) token sequence,
+//! views the rule needs: the significant (non-trivia) token sequence,
 //! and a map of which byte ranges belong to test code (`#[cfg(test)]
-//! mod ...` bodies and `#[test]` functions), so D002 can skip the
-//! reductions that are legitimate in tests.
+//! mod ...` bodies and `#[test]` functions), so U001 does not count a
+//! `pub` item declared in test code as API.
 
 use crate::lexer::{self, Token, TokenKind};
 
 /// A lexed source file plus derived lookup structures.
 pub struct SourceFile {
-    /// Workspace-relative path, used verbatim in diagnostics and as the
-    /// key matched by waivers.
+    /// Workspace-relative path, used verbatim in diagnostics.
     pub path: String,
     /// The full file contents.
     pub text: String,
@@ -210,7 +209,7 @@ impl SourceFile {
     }
 
     /// The full text of the line containing byte offset `at` (for
-    /// diagnostic snippets and waiver `pattern` matching).
+    /// diagnostic snippets).
     pub(crate) fn line_text(&self, at: usize) -> &str {
         let start = self.text[..at.min(self.text.len())]
             .rfind('\n')
