@@ -91,7 +91,7 @@ impl Beamformer {
         };
         let gemm = Gemm::from_plan(plan);
         let prepared_weights =
-            PreparedOperand::new(Self::quantise_for(config.precision, weights.matrix()));
+            PreparedOperand::new(GemmInput::quantise(config.precision, weights.matrix())?);
         Ok(Beamformer {
             device: device.clone(),
             config,
@@ -143,18 +143,10 @@ impl Beamformer {
                 actual: format!("{} x {}", weights.num_beams(), weights.num_receivers()),
             });
         }
-        self.prepared_weights =
-            PreparedOperand::new(Self::quantise_for(self.config.precision, weights.matrix()));
+        let quantised = GemmInput::quantise(self.config.precision, weights.matrix())?;
+        self.prepared_weights = PreparedOperand::new(quantised);
         self.weights = weights;
         Ok(())
-    }
-
-    /// Quantises one host matrix to an operand precision.
-    fn quantise_for(precision: Precision, host: &HostComplexMatrix) -> GemmInput {
-        match precision {
-            Precision::Int1 => GemmInput::quantise_int1(host),
-            _ => GemmInput::quantise_f16(host),
-        }
     }
 
     /// Predicted performance of one block without computing data (used for
@@ -166,25 +158,29 @@ impl Beamformer {
     /// Beamforms one block of sensor samples (`K` receivers × `N` time
     /// samples).
     pub fn beamform(&self, samples: &HostComplexMatrix) -> ccglib::Result<BeamformOutput> {
-        if samples.rows() != self.weights.num_receivers()
-            || samples.cols() != self.samples_per_block
-        {
+        // ccglib consumes B transposed: N×K, one row per output sample.
+        // `transposed()` is an O(1) view of the block's buffer, and both
+        // quantisers read the buffer in the order it is stored: no sample
+        // is moved before the `B` panels are built.
+        let b_t = GemmInput::quantise(self.config.precision, &samples.transposed())?;
+        self.beamform_operand(&b_t)
+    }
+
+    /// Beamforms one block's quantised `B` operand (`N` samples × `K`
+    /// receivers, the quantised `transposed()` view of the block) against
+    /// the cached prepared (pre-decoded) weights.
+    pub(crate) fn beamform_operand(&self, b_t: &GemmInput) -> ccglib::Result<BeamformOutput> {
+        if b_t.k() != self.weights.num_receivers() || b_t.rows() != self.samples_per_block {
             return Err(TcbfError::ShapeMismatch {
                 expected: format!(
                     "{} receivers x {} samples",
                     self.weights.num_receivers(),
                     self.samples_per_block
                 ),
-                actual: format!("{} x {}", samples.rows(), samples.cols()),
+                actual: format!("{} x {}", b_t.k(), b_t.rows()),
             });
         }
-        // ccglib consumes B transposed: N×K, one row per output sample; the
-        // weights operand is the cached prepared (pre-decoded) one.
-        // `transposed()` is an O(1) view of the block's buffer, and both
-        // quantisers read the buffer in the order it is stored: no sample
-        // is moved before the `B` panels are built.
-        let b = Self::quantise_for(self.config.precision, &samples.transposed());
-        let (beams, report) = self.gemm.run_prepared(&self.prepared_weights, &b)?;
+        let (beams, report) = self.gemm.run_prepared(&self.prepared_weights, b_t)?;
         Ok(BeamformOutput { beams, report })
     }
 

@@ -14,7 +14,8 @@
 //! metrics — summed aggregate TeraOps/s, the straggler's wall clock, the
 //! parallel speed-up — are derived uniformly.  A stream is driven through
 //! the engine itself: [`Engine::process_block`] for one block,
-//! [`Engine::process_batch`] for several under the same weights.
+//! [`Engine::process_batch`] for several under the same weights; both
+//! quantise into [`Engine::process_operands`], which a served block takes.
 
 // The serve path never panics: a failure is a typed error (docs/LINTS.md).
 #![deny(
@@ -33,7 +34,7 @@ use crate::shard::ShardPlan;
 use crate::stream::StreamReport;
 use crate::weights::WeightMatrix;
 use ccglib::matrix::HostComplexMatrix;
-use ccglib::TcbfError;
+use ccglib::{GemmInput, TcbfError};
 use gpu_sim::Gpu;
 use serde::{Deserialize, Serialize};
 
@@ -225,13 +226,16 @@ pub trait Engine: std::fmt::Debug + Send {
     /// A pool of one assigns every block to its only device.
     fn plan(&self, blocks: usize) -> ShardPlan;
 
-    /// Processes one batch of `K × N` sample blocks, returning the
-    /// per-block outputs in input order and folding the per-execution
-    /// reports into the engine's accumulated [`Report`].  Work completed
-    /// before a failing block stays accounted: every device records block
-    /// by block, so a failed call leaves the blocks its devices finished
-    /// first in the report, and the blocks a faulted member left unfinished
-    /// are re-apportioned onto the survivors (see `docs/FAULTS.md`).
+    /// Processes one batch of blocks quantised to the engine's precision
+    /// (`GemmInput::quantise(precision, &block.transposed())`), returning
+    /// the per-block outputs in input order and folding the per-execution
+    /// reports into the engine's [`Report`].  Work completed before a
+    /// failing block stays accounted, and the blocks a faulted member left
+    /// unfinished are re-apportioned onto the survivors (`docs/FAULTS.md`).
+    fn process_operands(&mut self, operands: &[GemmInput]) -> ccglib::Result<Vec<BeamformOutput>>;
+
+    /// Processes one batch of `K × N` sample blocks: each quantised to the
+    /// engine's precision, then [`Engine::process_operands`].
     fn process_batch(
         &mut self,
         blocks: &[&HostComplexMatrix],
@@ -268,6 +272,10 @@ impl<E: Engine + ?Sized> Engine for Box<E> {
 
     fn plan(&self, blocks: usize) -> ShardPlan {
         (**self).plan(blocks)
+    }
+
+    fn process_operands(&mut self, operands: &[GemmInput]) -> ccglib::Result<Vec<BeamformOutput>> {
+        (**self).process_operands(operands)
     }
 
     fn process_batch(

@@ -35,7 +35,7 @@ use crate::engine::{Engine, Report};
 use crate::stream::StreamReport;
 use crate::weights::WeightMatrix;
 use ccglib::matrix::HostComplexMatrix;
-use ccglib::{Precision, TcbfError};
+use ccglib::{GemmInput, Precision, TcbfError};
 use gpu_sim::{BlockVerdict, DeviceFault, DevicePool, FaultInjector, Gpu};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -263,6 +263,13 @@ impl ShardedBeamformer {
         Ok(())
     }
 
+    /// The first pool member (a built pool has at least one).
+    fn first_member(&self) -> ccglib::Result<&Beamformer> {
+        self.members.first().ok_or_else(|| TcbfError::Internal {
+            reason: "shard pool has no members".into(),
+        })
+    }
+
     /// A report with an empty entry for every member, in pool order.
     fn empty_report(gpus: &[Gpu]) -> Report {
         let per_device = gpus.iter().map(|&gpu| (gpu, StreamReport::default()));
@@ -286,7 +293,7 @@ impl ShardedBeamformer {
         member: &Beamformer,
         device: usize,
         assigned: &[usize],
-        blocks: &[&HostComplexMatrix],
+        operands: &[GemmInput],
         injector: Option<&FaultInjector>,
     ) -> ShardRun {
         let ops = member.shape().complex_ops() as f64;
@@ -298,12 +305,12 @@ impl ShardedBeamformer {
                 let unfinished = assigned.get(position..).unwrap_or(&[]).to_vec();
                 return (outputs, report, Ok(Some((observed, unfinished))));
             }
-            let result = blocks
+            let result = operands
                 .get(block)
                 .ok_or_else(|| TcbfError::Internal {
                     reason: format!("shard plan references block {block} out of range"),
                 })
-                .and_then(|samples| member.beamform(samples));
+                .and_then(|operand| member.beamform_operand(operand));
             let mut output = match result {
                 Ok(output) => output,
                 Err(error) => return (outputs, report, Err(error)),
@@ -346,14 +353,11 @@ impl Engine for ShardedBeamformer {
     /// a fault or an execution error stays in its accounting; transient
     /// refusals leave the member alive and eligible for the very next
     /// re-apportionment.
-    fn process_batch(
-        &mut self,
-        blocks: &[&HostComplexMatrix],
-    ) -> ccglib::Result<Vec<BeamformOutput>> {
+    fn process_operands(&mut self, operands: &[GemmInput]) -> ccglib::Result<Vec<BeamformOutput>> {
         let injector = self.injector.as_deref();
         let mut slots: Vec<Option<BeamformOutput>> = Vec::new();
-        slots.resize_with(blocks.len(), || None);
-        let mut pending: Vec<usize> = (0..blocks.len()).collect();
+        slots.resize_with(operands.len(), || None);
+        let mut pending: Vec<usize> = (0..operands.len()).collect();
         let mut last_lost = 0usize;
         // Each pass either finishes the batch, fails it, or consumes at
         // least one fault; permanent faults are finite (one per member)
@@ -378,7 +382,7 @@ impl Engine for ShardedBeamformer {
             let runs: Vec<ShardRun> = shards
                 .par_iter()
                 .map(|&(device, member, assigned)| {
-                    Self::run_shard(member, device, assigned, blocks, injector)
+                    Self::run_shard(member, device, assigned, operands, injector)
                 })
                 .collect();
 
@@ -425,16 +429,24 @@ impl Engine for ShardedBeamformer {
             .collect()
     }
 
+    /// A misshapen block is quantised as it is and refused where it runs,
+    /// after the blocks planned before it.
+    fn process_batch(
+        &mut self,
+        blocks: &[&HostComplexMatrix],
+    ) -> ccglib::Result<Vec<BeamformOutput>> {
+        let precision = self.first_member()?.config().precision;
+        let operands = blocks
+            .iter()
+            .map(|block| GemmInput::quantise(precision, &block.transposed()))
+            .collect::<ccglib::Result<Vec<_>>>()?;
+        self.process_operands(&operands)
+    }
+
     /// The shape is validated before any member is touched, so a rejected
     /// swap leaves the whole pool on the old weights.
     fn swap_weights(&mut self, weights: WeightMatrix) -> ccglib::Result<()> {
-        let current = self
-            .members
-            .first()
-            .ok_or_else(|| TcbfError::Internal {
-                reason: "shard pool has no members".into(),
-            })?
-            .weights();
+        let current = self.first_member()?.weights();
         if weights.num_beams() != current.num_beams()
             || weights.num_receivers() != current.num_receivers()
         {

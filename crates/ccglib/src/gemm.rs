@@ -92,6 +92,19 @@ impl GemmInput {
     /// either fragment layout.
     pub const DEFAULT_INT1_K_GRANULARITY: usize = 256;
 
+    /// Quantises a host matrix to `precision`'s operand format.  Float32 is
+    /// modelled only: a [`TcbfError::UnsupportedPrecision`].
+    pub fn quantise(precision: Precision, host: &HostComplexMatrix) -> Result<Self> {
+        match precision {
+            Precision::Float16 => Ok(Self::quantise_f16(host)),
+            Precision::Int1 => Ok(Self::quantise_int1(host)),
+            Precision::Float32Reference => Err(TcbfError::UnsupportedPrecision {
+                device: "the host GEMM".into(),
+                precision: precision.to_string(),
+            }),
+        }
+    }
+
     /// Quantises a host matrix to binary16 planes, on the fastest path the
     /// host has ([`Isa::detected`]).
     pub fn quantise_f16(host: &HostComplexMatrix) -> Self {

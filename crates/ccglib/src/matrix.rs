@@ -72,6 +72,16 @@ enum Layout {
     ColumnMajor,
 }
 
+impl Layout {
+    /// The other order: a transposed matrix's.
+    fn flipped(self) -> Self {
+        match self {
+            Layout::RowMajor => Layout::ColumnMajor,
+            Layout::ColumnMajor => Layout::RowMajor,
+        }
+    }
+}
+
 /// A host-side complex matrix, read and written in row-major order.
 ///
 /// Cloning or transposing one shares its buffer; [`set`](Self::set) copies
@@ -179,14 +189,10 @@ impl HostComplexMatrix {
     /// sample moves until something asks for the view's row-major
     /// [`data`](Self::data); the two quantisers never do.
     pub fn transposed(&self) -> HostComplexMatrix {
-        let layout = match self.layout {
-            Layout::RowMajor => Layout::ColumnMajor,
-            Layout::ColumnMajor => Layout::RowMajor,
-        };
         HostComplexMatrix {
             rows: self.cols,
             cols: self.rows,
-            layout,
+            layout: self.layout.flipped(),
             samples: Arc::clone(&self.samples),
             row_major: OnceLock::new(),
         }
@@ -334,6 +340,19 @@ impl F16Matrix {
             });
         }
         Ok(Self::row_major(rows, cols, re, im))
+    }
+
+    /// The transposed matrix in O(1), like
+    /// [`HostComplexMatrix::transposed`]: the same planes, read in the
+    /// other order.  A quantised view's planes are its block's, row-major.
+    pub fn transposed(self) -> Self {
+        F16Matrix {
+            rows: self.cols,
+            cols: self.rows,
+            layout: self.layout.flipped(),
+            row_major: OnceLock::new(),
+            ..self
+        }
     }
 
     /// Number of rows.
@@ -1282,11 +1301,9 @@ pub(crate) mod tests {
     /// The `rows × cols` binary16 matrix whose planes hold, column after
     /// column, `re` and `im` — a quantised view's layout.
     pub(crate) fn f16_view(rows: usize, cols: usize, re: Vec<f16>, im: Vec<f16>) -> F16Matrix {
-        let planes = F16Matrix::from_planes(rows, cols, re, im).unwrap();
-        F16Matrix {
-            layout: Layout::ColumnMajor,
-            ..planes
-        }
+        F16Matrix::from_planes(cols, rows, re, im)
+            .unwrap()
+            .transposed()
     }
 
     fn f16_bits(plane: &[f16]) -> Vec<u16> {
@@ -1324,6 +1341,32 @@ pub(crate) mod tests {
                         assert_ne!(other, eager, "{k}x{n} {isa}");
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn an_f16_view_transposed_is_its_block_quantised_and_back_again() {
+        for k in F16_VIEW_DIMS {
+            for n in F16_VIEW_DIMS {
+                let block = crate::synth::pseudo_random_matrix(k, n, (k * 1000 + n) as u64, 1.0);
+                let view = F16Matrix::from_host(&block.transposed());
+                // The view's planes as stored are the block's, row-major.
+                let stored = view.clone().transposed();
+                let direct = F16Matrix::from_host(&block);
+                assert_eq!(
+                    (stored.layout, stored.rows(), stored.cols()),
+                    (Layout::RowMajor, k, n)
+                );
+                assert_eq!(f16_bits(stored.re()), f16_bits(direct.re()), "{k}x{n}");
+                assert_eq!(f16_bits(stored.im()), f16_bits(direct.im()), "{k}x{n}");
+                // Flipped back, the same operand: layout, shape and planes.
+                let back = stored.transposed();
+                assert_eq!((back.layout, back.rows(), back.cols()), (view.layout, n, k));
+                assert_eq!(
+                    (f16_bits(&back.re), f16_bits(&back.im)),
+                    (f16_bits(&view.re), f16_bits(&view.im))
+                );
             }
         }
     }

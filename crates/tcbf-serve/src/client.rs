@@ -14,7 +14,7 @@ use crate::wire::{
     read_frame_polling, write_frame, ClientMsg, RejectReason, ServerMsg, SessionSummary,
     PROTO_VERSION,
 };
-use ccglib::matrix::HostComplexMatrix;
+use ccglib::matrix::{F16Matrix, HostComplexMatrix};
 use ccglib::Precision;
 use gpu_sim::fault::splitmix64;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -91,6 +91,7 @@ impl From<std::io::Error> for ServeError {
 pub struct Client {
     reader: TcpStream,
     writer: TcpStream,
+    precision: Precision,
     session_id: u64,
     beams: u32,
     queue_depth: u32,
@@ -119,6 +120,7 @@ impl Client {
         let mut client = Client {
             reader,
             writer: stream,
+            precision,
             session_id: 0,
             beams: 0,
             queue_depth: 0,
@@ -182,6 +184,9 @@ impl Client {
     /// Streams `blocks` through the session, pipelined up to the window,
     /// and returns the beamformed outputs **in input order**.
     ///
+    /// Each block is encoded once — an f16 one as its binary16 operand, an
+    /// int1 one as its samples — and a refused one re-sent as it is.
+    ///
     /// `Throttled` refusals are retried until accepted under the
     /// `retry_backoff` schedule — capped exponential per block, with
     /// jitter keyed by session id and block index so pipelined retries
@@ -194,8 +199,8 @@ impl Client {
         blocks: &[HostComplexMatrix],
     ) -> Result<Vec<HostComplexMatrix>, ServeError> {
         let mut results: Vec<Option<HostComplexMatrix>> = vec![None; blocks.len()];
-        // seq -> index into `blocks`, for in-flight requests.
-        let mut pending: Vec<(u64, usize)> = Vec::new();
+        // (seq, index into `blocks`, payload) of the requests in flight.
+        let mut pending: Vec<(u64, usize, Vec<u8>)> = Vec::new();
         // Per-block throttle count, driving that block's backoff schedule.
         let mut attempts: Vec<u32> = vec![0; blocks.len()];
         let mut next_block = 0usize;
@@ -207,29 +212,31 @@ impl Client {
                 let samples = blocks.get(next_block).ok_or_else(|| {
                     ServeError::Protocol(format!("block {next_block} out of range"))
                 })?;
-                pending.push((self.send_block(samples)?, next_block));
+                let (seq, payload) = self.encode_block(samples);
+                self.send(&payload)?;
+                pending.push((seq, next_block, payload));
                 next_block += 1;
             }
             match self.recv()? {
                 ServerMsg::Beams { seq, beams, .. } => {
                     let slot = pending
                         .iter()
-                        .position(|&(s, _)| s == seq)
+                        .position(|&(s, ..)| s == seq)
                         .ok_or_else(|| ServeError::Protocol(format!("unknown seq {seq}")))?;
-                    let (_, index) = pending.swap_remove(slot);
+                    let (_, index, _) = pending.swap_remove(slot);
                     *results.get_mut(index).ok_or_else(|| {
                         ServeError::Protocol(format!("result slot {index} out of range"))
                     })? = Some(beams);
                     done += 1;
                 }
                 ServerMsg::Throttled { seq, .. } => {
-                    // Refused, not failed: back off and re-send that block
-                    // under a fresh sequence number.
+                    // Refused, not failed: back off and re-send that block's
+                    // payload as it is.
                     let slot = pending
                         .iter()
-                        .position(|&(s, _)| s == seq)
+                        .position(|&(s, ..)| s == seq)
                         .ok_or_else(|| ServeError::Protocol(format!("unknown seq {seq}")))?;
-                    let (_, index) = pending.swap_remove(slot);
+                    let (_, index, payload) = pending.swap_remove(slot);
                     self.throttle_retries += 1;
                     std::thread::sleep(retry_backoff(
                         attempts.get(index).copied().unwrap_or(0),
@@ -238,10 +245,8 @@ impl Client {
                     if let Some(count) = attempts.get_mut(index) {
                         *count = count.saturating_add(1);
                     }
-                    let samples = blocks.get(index).ok_or_else(|| {
-                        ServeError::Protocol(format!("block {index} out of range"))
-                    })?;
-                    pending.push((self.send_block(samples)?, index));
+                    self.send(&payload)?;
+                    pending.push((seq, index, payload));
                 }
                 ServerMsg::Error { code, message, .. } => {
                     return Err(ServeError::Remote { code, message });
@@ -291,14 +296,21 @@ impl Client {
         }
     }
 
-    /// Sends the caller's block as it is — encoded from the borrowed matrix,
-    /// never copied to own it — under the next sequence number, which is
-    /// returned.
-    fn send_block(&mut self, samples: &HostComplexMatrix) -> Result<u64, ServeError> {
+    /// The next sequence number and the payload of the caller's block under
+    /// it: an f16 block's planes as its quantised `transposed()` view stores
+    /// them (`F16Matrix::from_host` of the view is `GemmInput::quantise_f16`
+    /// of it, the engine's quantiser), any other block's samples.
+    fn encode_block(&mut self, samples: &HostComplexMatrix) -> (u64, Vec<u8>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.send(&ClientMsg::encode_block(seq, samples))?;
-        Ok(seq)
+        let payload = match self.precision {
+            Precision::Float16 => {
+                let planes = F16Matrix::from_host(&samples.transposed()).transposed();
+                ClientMsg::encode_operand(seq, &planes)
+            }
+            Precision::Int1 | Precision::Float32Reference => ClientMsg::encode_block(seq, samples),
+        };
+        (seq, payload)
     }
 
     fn send(&mut self, payload: &[u8]) -> Result<(), ServeError> {

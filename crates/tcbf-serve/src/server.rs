@@ -24,7 +24,7 @@ use crate::wire::{
     PROTO_VERSION,
 };
 use beamform::{LatencyHistogram, StreamReport, WeightMatrix};
-use ccglib::Precision;
+use ccglib::{GemmInput, Precision};
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -55,9 +55,9 @@ const FRAME_READ_TIMEOUT: Duration = Duration::from_secs(10);
 /// touching the reader's state.
 struct Job {
     session: Arc<Session>,
-    precision: Precision,
     seq: u64,
-    samples: ccglib::matrix::HostComplexMatrix,
+    /// The block quantised, by the client or at admission.
+    operand: GemmInput,
     /// A handle on the session's weights as of enqueue time, so blocks
     /// enqueued before a swap still execute under the old weights; the
     /// worker's lazy swap compares it with what the engine carries.
@@ -611,49 +611,18 @@ fn serve_session(
                 continue;
             }
         };
-        match msg {
+        let (seq, operand) = match msg {
             ClientMsg::Hello { .. } => {
                 let message = "Hello is only valid once, at session start";
                 session.reply_error(metrics, u64::MAX, CODE_PROTOCOL, message.into())?;
+                continue;
             }
+            // A `Block` is quantised here; an `Operand`'s `K × N` planes are
+            // flipped in O(1) into the view's operand, with no encode.
             ClientMsg::Block { seq, samples } => {
-                if samples.rows() != config.receivers()
-                    || samples.cols() != config.samples_per_block
-                {
-                    let err = TcbfError::ShapeMismatch {
-                        expected: format!(
-                            "{} x {} sample block",
-                            config.receivers(),
-                            config.samples_per_block
-                        ),
-                        actual: format!("{} x {}", samples.rows(), samples.cols()),
-                    };
-                    session.record_error(metrics);
-                    session.reply_error(metrics, seq, err.code(), err.to_string())?;
-                    continue;
-                }
-                if let Some(reason) = admit_block(shared, session) {
-                    session.record_throttle(metrics);
-                    session.reply(metrics, &ServerMsg::Throttled { seq, reason })?;
-                    continue;
-                }
-                let job = Job {
-                    session: Arc::clone(session),
-                    precision,
-                    seq,
-                    samples,
-                    weights: weights.clone(),
-                    enqueued: Instant::now(),
-                };
-                if job_tx.try_send(job).is_err() {
-                    // The global queue is saturated (or shutting down):
-                    // undo the admission and push back.
-                    session.inflight.fetch_sub(1, Ordering::SeqCst);
-                    session.record_throttle(metrics);
-                    let reason = ThrottleReason::QueueFull;
-                    session.reply(metrics, &ServerMsg::Throttled { seq, reason })?;
-                }
+                (seq, GemmInput::quantise(precision, &samples.transposed()))
             }
+            ClientMsg::Operand { seq, planes } => (seq, Ok(GemmInput::F16(planes.transposed()))),
             ClientMsg::SwapWeights {
                 seq,
                 weights: matrix,
@@ -676,6 +645,7 @@ fn serve_session(
                 // block — no drain required.
                 weights = WeightMatrix::from_matrix(matrix);
                 session.reply(metrics, &ServerMsg::SwapOk { seq })?;
+                continue;
             }
             ClientMsg::Finish => {
                 wait_for_drain(&session.inflight, shared);
@@ -684,8 +654,59 @@ fn serve_session(
                 let _ = session.writer.lock().shutdown(Shutdown::Both);
                 return Ok(());
             }
+        };
+        let operand = match operand.and_then(|operand| admissible(config, precision, operand)) {
+            Ok(operand) => operand,
+            Err(err) => {
+                session.record_error(metrics);
+                session.reply_error(metrics, seq, err.code(), err.to_string())?;
+                continue;
+            }
+        };
+        if let Some(reason) = admit_block(shared, session) {
+            session.record_throttle(metrics);
+            session.reply(metrics, &ServerMsg::Throttled { seq, reason })?;
+            continue;
+        }
+        let job = Job {
+            session: Arc::clone(session),
+            seq,
+            operand,
+            weights: weights.clone(),
+            enqueued: Instant::now(),
+        };
+        if job_tx.try_send(job).is_err() {
+            // The global queue is saturated (or shutting down): undo the
+            // admission and push back.
+            session.inflight.fetch_sub(1, Ordering::SeqCst);
+            session.record_throttle(metrics);
+            let reason = ThrottleReason::QueueFull;
+            session.reply(metrics, &ServerMsg::Throttled { seq, reason })?;
         }
     }
+}
+
+/// A block's operand, if it is one this session's engines take: the
+/// configured `K × N` (else code 10), the session's precision (else code
+/// 11 — an `Operand` frame in an int1 session).
+fn admissible(
+    config: &ServeConfig,
+    precision: Precision,
+    operand: GemmInput,
+) -> tcbf::Result<GemmInput> {
+    let (k, n) = (config.receivers(), config.samples_per_block);
+    if (operand.k(), operand.rows()) != (k, n) {
+        let actual = format!("{} x {}", operand.k(), operand.rows());
+        let expected = format!("{k} x {n} block");
+        return Err(TcbfError::ShapeMismatch { expected, actual });
+    }
+    if operand.precision() != precision {
+        return Err(TcbfError::PrecisionMismatch {
+            expected: precision.to_string(),
+            actual: operand.precision().to_string(),
+        });
+    }
+    Ok(operand)
 }
 
 /// Admission of one block: per-tenant rate quota, then the session's
@@ -725,28 +746,30 @@ fn wait_for_drain(inflight: &AtomicUsize, shared: &Shared) {
 /// Runs one job on a healthy engine, failing over on engine faults.
 ///
 /// A job is the serve-side replay unit: it carries everything needed to
-/// re-execute its block — the samples and a handle on the session's weights
-/// — so a fault needs no other state: when the checked-out engine faults,
-/// the slot is quarantined (permanent) or returned (transient) and the
-/// job simply replays on the next healthy engine.  The client never sees
-/// these faults; it only ever sees the block's final result.  Returns
+/// re-execute its block — the operand (of the session's precision: see
+/// `admissible`) and a handle on the session's weights — so a fault needs
+/// no other state: when the checked-out engine faults, the slot is
+/// quarantined (permanent) or returned (transient) and the job simply
+/// replays, the same operand, on the next healthy engine.  The client never
+/// sees these faults; it only ever sees the block's final result.  Returns
 /// [`TcbfError::Degraded`] once no healthy engine remains.
 fn run_job(shared: &Shared, job: &Job) -> tcbf::Result<beamform::BeamformOutput> {
+    let (precision, operands) = (job.operand.precision(), std::slice::from_ref(&job.operand));
     // Every replay consumes either a permanent fault (quarantining one of
     // the fleet's engines) or a one-shot transient fault, so attempts are
     // bounded; the cap is a backstop against misconfigured injectors.
-    let fleet = shared.pool.fleet_health(job.precision)?.total;
+    let fleet = shared.pool.fleet_health(precision)?.total;
     let max_attempts = 2 * fleet + 2;
     for _ in 0..max_attempts {
-        let mut slot = shared.pool.checkout(job.precision)?;
+        let mut slot = shared.pool.checkout(precision)?;
         // Injected faults surface at checkout time: the engine refuses
         // the job before touching the samples.
         if let Some(injector) = shared.pool.injector() {
             if let gpu_sim::BlockVerdict::Fail(fault) = injector.on_block(slot.slot_id) {
                 if fault.permanent {
-                    shared.pool.quarantine(job.precision, slot)?;
+                    shared.pool.quarantine(precision, slot)?;
                 } else {
-                    shared.pool.check_in(job.precision, slot)?;
+                    shared.pool.check_in(precision, slot)?;
                 }
                 shared.metrics.record_recovery(&job.session.tenant);
                 continue;
@@ -755,7 +778,12 @@ fn run_job(shared: &Shared, job: &Job) -> tcbf::Result<beamform::BeamformOutput>
         // The two zeros are `ensure_weights`' dead parameters.
         let result = slot
             .ensure_weights(0, 0, &job.weights)
-            .and_then(|()| slot.engine.process_block(&job.samples));
+            .and_then(|()| slot.engine.process_operands(operands))
+            .and_then(|mut outputs| {
+                outputs.pop().ok_or_else(|| TcbfError::Internal {
+                    reason: "engine returned no output for a one-operand batch".into(),
+                })
+            });
         match result {
             // The engine lost its last device mid-block (a real fault
             // from the beamform layer, not the serve-level injector):
@@ -763,18 +791,18 @@ fn run_job(shared: &Shared, job: &Job) -> tcbf::Result<beamform::BeamformOutput>
             Err(TcbfError::DeviceLost {
                 permanent: true, ..
             }) => {
-                shared.pool.quarantine(job.precision, slot)?;
+                shared.pool.quarantine(precision, slot)?;
                 shared.metrics.record_recovery(&job.session.tenant);
                 continue;
             }
             other => {
-                shared.pool.check_in(job.precision, slot)?;
+                shared.pool.check_in(precision, slot)?;
                 return other;
             }
         }
     }
     Err(TcbfError::Degraded {
-        healthy: shared.pool.fleet_health(job.precision)?.healthy,
+        healthy: shared.pool.fleet_health(precision)?.healthy,
         total: fleet,
     })
 }

@@ -6,21 +6,21 @@
 //! bytes, and matrices are `rows`/`cols` (`u32` each) plus row-major
 //! interleaved `f32` re/im pairs — `f32` bits survive the trip unchanged,
 //! which is what makes server-mediated output *bit-identical* to local
-//! execution.
+//! execution.  An f16 block may travel as its binary16 operand instead.
 //!
 //! The full frame layout is documented in `docs/PROTOCOL.md`; the
 //! round-trip tests at the bottom of this module are the executable
 //! version of that document.
 
-use ccglib::matrix::HostComplexMatrix;
+use ccglib::matrix::{F16Matrix, HostComplexMatrix};
 use ccglib::Precision;
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
-use tcbf_types::Complex;
+use tcbf_types::{f16, Complex};
 
 /// Protocol version sent in [`ClientMsg::Hello`] and checked by the
 /// server.
-pub const PROTO_VERSION: u16 = 1;
+pub const PROTO_VERSION: u16 = 2;
 
 /// Upper bound on a frame payload (64 MiB): a decoder must reject larger
 /// length prefixes instead of allocating unbounded memory on garbage
@@ -139,6 +139,15 @@ pub enum ClientMsg {
         /// The sample block.
         samples: HostComplexMatrix,
     },
+    /// One `K × N` block of an f16 session, already quantised: the planes
+    /// of `GemmInput::quantise_f16(&block.transposed())` in the order that
+    /// view stores them, which is a row-major `K × N` binary16 matrix.
+    Operand {
+        /// Client-chosen sequence number echoed in the reply.
+        seq: u64,
+        /// The block's binary16 planes, `K × N`.
+        planes: F16Matrix,
+    },
     /// Hot-swaps this session's beam weights (same `beams × receivers`
     /// shape); blocks sent after the swap use the new weights.
     SwapWeights {
@@ -215,6 +224,7 @@ const TAG_HELLO: u8 = 0x01;
 const TAG_BLOCK: u8 = 0x02;
 const TAG_SWAP: u8 = 0x03;
 const TAG_FINISH: u8 = 0x04;
+const TAG_OPERAND: u8 = 0x05;
 const TAG_WELCOME: u8 = 0x81;
 const TAG_REJECTED: u8 = 0x82;
 const TAG_BEAMS: u8 = 0x83;
@@ -287,31 +297,30 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        self.take(1)?.first().copied().ok_or_else(|| {
-            DecodeError("internal decoder error: take(1) returned an empty slice".into())
+    /// The next `N` bytes, as an array.
+    fn bytes<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        self.take(N)?.try_into().map_err(|_| {
+            DecodeError(format!(
+                "internal decoder error: take({N}) returned a wrong-width slice"
+            ))
         })
     }
 
+    fn u8(&mut self) -> Result<u8, DecodeError> {
+        let [byte] = self.bytes()?;
+        Ok(byte)
+    }
+
     fn u16(&mut self) -> Result<u16, DecodeError> {
-        let bytes = self.take(2)?.try_into().map_err(|_| {
-            DecodeError("internal decoder error: take(2) returned a wrong-width slice".into())
-        })?;
-        Ok(u16::from_le_bytes(bytes))
+        Ok(u16::from_le_bytes(self.bytes()?))
     }
 
     fn u32(&mut self) -> Result<u32, DecodeError> {
-        let bytes = self.take(4)?.try_into().map_err(|_| {
-            DecodeError("internal decoder error: take(4) returned a wrong-width slice".into())
-        })?;
-        Ok(u32::from_le_bytes(bytes))
+        Ok(u32::from_le_bytes(self.bytes()?))
     }
 
     fn u64(&mut self) -> Result<u64, DecodeError> {
-        let bytes = self.take(8)?.try_into().map_err(|_| {
-            DecodeError("internal decoder error: take(8) returned a wrong-width slice".into())
-        })?;
-        Ok(u64::from_le_bytes(bytes))
+        Ok(u64::from_le_bytes(self.bytes()?))
     }
 
     fn f64(&mut self) -> Result<f64, DecodeError> {
@@ -324,19 +333,26 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError("invalid UTF-8".into()))
     }
 
-    fn matrix(&mut self) -> Result<HostComplexMatrix, DecodeError> {
+    /// A matrix's `rows` and `cols`, and its element count, which the
+    /// remaining payload must hold at `width` bytes an element: the bound
+    /// that comes before anything is allocated.
+    fn dimensions(&mut self, width: usize) -> Result<(usize, usize, usize), DecodeError> {
         let rows = self.u32()? as usize;
         let cols = self.u32()? as usize;
         let elems = rows
             .checked_mul(cols)
-            .ok_or_else(|| DecodeError("matrix dimension overflow".into()))?;
-        // 8 bytes per element: the remaining payload bounds the size.
-        if elems > (self.buf.len() - self.pos) / 8 {
-            return Err(DecodeError(format!(
-                "matrix claims {elems} elements but only {} bytes remain",
-                self.buf.len() - self.pos
-            )));
-        }
+            .filter(|&elems| elems <= (self.buf.len() - self.pos) / width)
+            .ok_or_else(|| {
+                DecodeError(format!(
+                    "{rows} x {cols} elements of {width} bytes, but only {} bytes remain",
+                    self.buf.len() - self.pos
+                ))
+            })?;
+        Ok((rows, cols, elems))
+    }
+
+    fn matrix(&mut self) -> Result<HostComplexMatrix, DecodeError> {
+        let (rows, cols, elems) = self.dimensions(8)?;
         // One bounds check for the whole body, then `re | im` little-endian
         // pairs straight out of the validated slice.
         let (pairs, _) = self.take(8 * elems)?.as_chunks::<8>();
@@ -353,6 +369,21 @@ impl<'a> Reader<'a> {
             .map_err(|e| DecodeError(format!("matrix shape: {e}")))
     }
 
+    /// A binary16 matrix: `rows`, `cols`, the `re` plane, the `im` plane.
+    fn planes(&mut self) -> Result<F16Matrix, DecodeError> {
+        let (rows, cols, elems) = self.dimensions(4)?;
+        let mut plane = || -> Result<Vec<f16>, DecodeError> {
+            let (halves, _) = self.take(2 * elems)?.as_chunks::<2>();
+            Ok(halves
+                .iter()
+                .map(|&h| f16::from_bits(u16::from_le_bytes(h)))
+                .collect())
+        };
+        let (re, im) = (plane()?, plane()?);
+        F16Matrix::from_planes(rows, cols, re, im)
+            .map_err(|e| DecodeError(format!("operand shape: {e}")))
+    }
+
     fn finish(self) -> Result<(), DecodeError> {
         if self.pos != self.buf.len() {
             return Err(DecodeError(format!(
@@ -365,7 +396,7 @@ impl<'a> Reader<'a> {
 }
 
 /// A payload encoder.  Messages of a few fields grow it; a message that
-/// carries a matrix starts from [`Writer::around_matrix`], so its payload is
+/// carries a matrix is built by [`Writer::tagged`], so its payload is
 /// allocated once, at its final size.
 #[derive(Default)]
 struct Writer {
@@ -373,14 +404,6 @@ struct Writer {
 }
 
 impl Writer {
-    /// A writer with room for exactly `fixed` bytes of tag and scalar
-    /// fields plus the encoding of `m`.
-    fn around_matrix(fixed: usize, m: &HostComplexMatrix) -> Self {
-        Writer {
-            buf: Vec::with_capacity(fixed + 8 + 8 * m.data().len()),
-        }
-    }
-
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -409,27 +432,48 @@ impl Writer {
     fn matrix(&mut self, m: &HostComplexMatrix) {
         self.u32(m.rows() as u32);
         self.u32(m.cols() as u32);
-        // The whole body at once, the way `Reader::matrix` reads it: grow to
-        // the final length, then store `re | im` little-endian pairs into
-        // 8-byte chunks — a loop with no capacity check or length update per
-        // element, which the compiler turns into a straight copy.
-        let body_at = self.buf.len();
-        self.buf.resize(body_at + 8 * m.data().len(), 0);
-        let (_, body) = self.buf.split_at_mut(body_at);
-        let (pairs, _) = body.as_chunks_mut::<8>();
-        for (pair, value) in pairs.iter_mut().zip(m.data()) {
+        for (pair, value) in self.body::<8>(m.data().len()).iter_mut().zip(m.data()) {
             *pair =
                 (u64::from(value.im.to_bits()) << 32 | u64::from(value.re.to_bits())).to_le_bytes();
         }
     }
 
-    /// A whole payload of `tag`, a sequence number and one matrix.
-    fn tagged_matrix(tag: u8, seq: u64, m: &HostComplexMatrix) -> Vec<u8> {
-        let mut w = Writer::around_matrix(1 + 8, m);
+    /// `len` more `N`-byte chunks, zeroed, to be stored into.  A body is
+    /// written the way `Reader` reads it, whole: grown to its final length
+    /// first, then filled by a loop with no capacity check or length update
+    /// per element, which the compiler turns into a straight copy.
+    fn body<const N: usize>(&mut self, len: usize) -> &mut [[u8; N]] {
+        let body_at = self.buf.len();
+        self.buf.resize(body_at + N * len, 0);
+        self.buf.split_at_mut(body_at).1.as_chunks_mut::<N>().0
+    }
+
+    /// A whole payload of `tag`, a sequence number and the `len` bytes
+    /// `body` writes, allocated once at its final size.
+    fn tagged(tag: u8, seq: u64, len: usize, body: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer {
+            buf: Vec::with_capacity(1 + 8 + len),
+        };
         w.u8(tag);
         w.u64(seq);
-        w.matrix(m);
+        body(&mut w);
         w.buf
+    }
+
+    /// The encoded length of a matrix.
+    fn matrix_len(m: &HostComplexMatrix) -> usize {
+        8 + 8 * m.data().len()
+    }
+
+    /// `rows`, `cols`, then each plane as `Reader::planes` reads it.
+    fn planes(&mut self, m: &F16Matrix) {
+        self.u32(m.rows() as u32);
+        self.u32(m.cols() as u32);
+        for plane in [m.re(), m.im()] {
+            for (half, value) in self.body::<2>(plane.len()).iter_mut().zip(plane) {
+                *half = value.to_bits().to_le_bytes();
+            }
+        }
     }
 }
 
@@ -438,12 +482,22 @@ impl ClientMsg {
     /// `ClientMsg::Block { seq, samples }.encode()` returns, without having
     /// to own the block to say so.
     pub(crate) fn encode_block(seq: u64, samples: &HostComplexMatrix) -> Vec<u8> {
-        Writer::tagged_matrix(TAG_BLOCK, seq, samples)
+        Writer::tagged(TAG_BLOCK, seq, Writer::matrix_len(samples), |w| {
+            w.matrix(samples)
+        })
+    }
+
+    /// The payload of a [`ClientMsg::Operand`] over *borrowed* planes.
+    pub(crate) fn encode_operand(seq: u64, planes: &F16Matrix) -> Vec<u8> {
+        let len = 8 + 4 * planes.rows() * planes.cols();
+        Writer::tagged(TAG_OPERAND, seq, len, |w| w.planes(planes))
     }
 
     /// The payload of a [`ClientMsg::SwapWeights`] over *borrowed* weights.
     pub(crate) fn encode_swap_weights(seq: u64, weights: &HostComplexMatrix) -> Vec<u8> {
-        Writer::tagged_matrix(TAG_SWAP, seq, weights)
+        Writer::tagged(TAG_SWAP, seq, Writer::matrix_len(weights), |w| {
+            w.matrix(weights)
+        })
     }
 
     /// Encodes the message into a frame payload (tag + body).
@@ -465,6 +519,7 @@ impl ClientMsg {
                 w.u32(*samples_per_block);
             }
             ClientMsg::Block { seq, samples } => return ClientMsg::encode_block(*seq, samples),
+            ClientMsg::Operand { seq, planes } => return ClientMsg::encode_operand(*seq, planes),
             ClientMsg::SwapWeights { seq, weights } => {
                 return ClientMsg::encode_swap_weights(*seq, weights)
             }
@@ -494,6 +549,10 @@ impl ClientMsg {
             TAG_BLOCK => ClientMsg::Block {
                 seq: r.u64()?,
                 samples: r.matrix()?,
+            },
+            TAG_OPERAND => ClientMsg::Operand {
+                seq: r.u64()?,
+                planes: r.planes()?,
             },
             TAG_SWAP => ClientMsg::SwapWeights {
                 seq: r.u64()?,
@@ -546,11 +605,10 @@ impl ServerMsg {
                 beams,
                 latency_s,
             } => {
-                w = Writer::around_matrix(1 + 8 + 8, beams);
-                w.u8(TAG_BEAMS);
-                w.u64(*seq);
-                w.f64(*latency_s);
-                w.matrix(beams);
+                return Writer::tagged(TAG_BEAMS, *seq, 8 + Writer::matrix_len(beams), |w| {
+                    w.f64(*latency_s);
+                    w.matrix(beams);
+                })
             }
             ServerMsg::SwapOk { seq } => {
                 w.u8(TAG_SWAP_OK);
@@ -838,6 +896,10 @@ mod tests {
                 seq: 7,
                 samples: matrix(32, 64),
             },
+            ClientMsg::Operand {
+                seq: 8,
+                planes: F16Matrix::from_host(&matrix(32, 64)),
+            },
             ClientMsg::SwapWeights {
                 seq: u64::MAX - 1,
                 weights: matrix(8, 32),
@@ -1032,6 +1094,76 @@ mod tests {
         }
     }
 
+    /// 2 × 3 binary16 planes of values a careless codec loses: `-0.0`, NaNs
+    /// with payload and sign, the least subnormals, `±Inf`, the largest
+    /// finite value.
+    const HOSTILE_RE: [u16; 6] = [0x8000, 0x7e01, 0x0001, 0xfc00, 0x7bff, 0x3c00];
+    const HOSTILE_IM: [u16; 6] = [0x7c00, 0x8001, 0xfe01, 0xc000, 0x0000, 0x3800];
+
+    /// [`HOSTILE_RE`] / [`HOSTILE_IM`] on the wire: `rows`, `cols`, the
+    /// `re` plane, the `im` plane, everything little-endian.
+    const HOSTILE_PLANES_BYTES: [u8; 32] = [
+        0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, // 2 x 3
+        0x00, 0x80, 0x01, 0x7e, 0x01, 0x00, 0x00, 0xfc, 0xff, 0x7b, 0x00, 0x3c, // re
+        0x00, 0x7c, 0x01, 0x80, 0x01, 0xfe, 0x00, 0xc0, 0x00, 0x00, 0x00, 0x38, // im
+    ];
+
+    fn half_bits(m: &F16Matrix) -> (usize, usize, Vec<u16>, Vec<u16>) {
+        let plane = |p: &[f16]| p.iter().map(|h| h.to_bits()).collect();
+        (m.rows(), m.cols(), plane(m.re()), plane(m.im()))
+    }
+
+    #[test]
+    fn operand_frames_are_pinned_byte_for_byte_in_both_directions() {
+        let half = |bits: [u16; 6]| bits.map(f16::from_bits).to_vec();
+        let planes = F16Matrix::from_planes(2, 3, half(HOSTILE_RE), half(HOSTILE_IM)).unwrap();
+        let golden = [&[0x05][..], &GOLDEN_SEQ_BYTES, &HOSTILE_PLANES_BYTES].concat();
+        assert_eq!(ClientMsg::encode_operand(GOLDEN_SEQ, &planes), golden);
+        let seq = GOLDEN_SEQ;
+        let owned = ClientMsg::Operand {
+            seq,
+            planes: planes.clone(),
+        };
+        assert_eq!(owned.encode(), golden);
+        match ClientMsg::decode(&golden).unwrap() {
+            ClientMsg::Operand { seq, planes: got } => {
+                assert_eq!((seq, half_bits(&got)), (GOLDEN_SEQ, half_bits(&planes)));
+            }
+            other => panic!("wrong message: {other:?}"),
+        }
+        // The planes of a quantised view, as stored, are what travels: the
+        // view's planes read row-major are its transpose's.
+        let block = matrix(3, 2);
+        let view = F16Matrix::from_host(&block.transposed());
+        let stored = view.clone().transposed();
+        let encoded = ClientMsg::encode_operand(seq, &stored);
+        assert_eq!(
+            encoded,
+            ClientMsg::encode_operand(seq, &F16Matrix::from_host(&block))
+        );
+        match ClientMsg::decode(&encoded).unwrap() {
+            ClientMsg::Operand { planes, .. } => {
+                assert_eq!(half_bits(&planes.transposed()), half_bits(&view));
+            }
+            other => panic!("wrong message: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_operand_frame_is_half_the_block_frame_it_replaces() {
+        // The served f16 workload's block, K × N = 512 × 256: a frame is
+        // the length prefix, tag, sequence number and dimensions (21 bytes)
+        // plus 4 bytes a sample, where the samples take 8.
+        let block = HostComplexMatrix::zeros(512, 256);
+        let planes = F16Matrix::from_host(&block);
+        let (mut operand, mut samples) = (Vec::new(), Vec::new());
+        write_frame(&mut operand, &ClientMsg::encode_operand(1, &planes)).unwrap();
+        write_frame(&mut samples, &ClientMsg::encode_block(1, &block)).unwrap();
+        assert_eq!(operand.len(), 21 + 4 * 512 * 256);
+        assert_eq!(operand.len(), 524_309);
+        assert_eq!(samples.len(), 1_048_597);
+    }
+
     #[test]
     fn a_matrix_payload_is_allocated_once_at_its_final_size() {
         // Degenerate shapes keep their dimensions; every matrix-carrying
@@ -1056,6 +1188,13 @@ mod tests {
                 assert_eq!(payload.len(), fixed + 8 + 8 * m.data().len());
                 assert_eq!(payload.capacity(), payload.len());
             }
+            let planes = F16Matrix::from_host(&m);
+            let operand = ClientMsg::encode_operand(seq, &planes);
+            assert_eq!(operand.len(), 9 + 8 + 4 * m.data().len());
+            assert_eq!(operand.capacity(), operand.len());
+            let owned = ClientMsg::Operand { seq, planes };
+            assert_eq!(owned.encode(), operand);
+            assert_eq!(ClientMsg::decode(&operand).unwrap(), owned);
             // The borrowed encoders are the body of `encode`, and all three
             // round-trip.
             let samples = m.clone();
@@ -1261,6 +1400,17 @@ mod tests {
         assert_eq!(sink.0, 0, "nothing may reach the peer");
     }
 
+    /// An `Operand` payload's tag, sequence number and dimensions, with no
+    /// plane after them.
+    fn operand_header(rows: u32, cols: u32) -> Vec<u8> {
+        let mut w = Writer::default();
+        w.u8(TAG_OPERAND);
+        w.u64(1);
+        w.u32(rows);
+        w.u32(cols);
+        w.buf
+    }
+
     #[test]
     fn malformed_payloads_are_typed_errors_not_panics() {
         for bad in [
@@ -1283,8 +1433,26 @@ mod tests {
                 buf.push(0);
                 buf
             },
+            // An operand whose `im` plane is cut short by one byte.
+            {
+                let mut buf = ClientMsg::encode_operand(1, &F16Matrix::from_host(&matrix(4, 4)));
+                buf.pop();
+                buf
+            },
+            // An operand whose `K·N` overflows.
+            operand_header(u32::MAX, u32::MAX),
+            // An operand whose `K·N` is larger than the bytes that remain:
+            // one element, and 2³² − 1 of them.
+            operand_header(1, 1),
+            [operand_header(0xffff, 0xffff), vec![0; 64]].concat(),
+            // A valid operand with a trailing byte.
+            {
+                let mut buf = ClientMsg::encode_operand(1, &F16Matrix::from_host(&matrix(2, 3)));
+                buf.push(0);
+                buf
+            },
         ] {
-            assert!(ClientMsg::decode(&bad).is_err());
+            assert!(ClientMsg::decode(&bad).is_err(), "{bad:?}");
         }
         assert!(ServerMsg::decode(&[0x7f]).is_err());
     }

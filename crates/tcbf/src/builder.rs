@@ -120,8 +120,10 @@ impl BeamformerBuilder {
     ///
     /// Checks, in order: weights present and non-empty, block length
     /// non-zero, then per pool member precision supported on the device,
-    /// tuning parameters launchable, operands within device memory, and
-    /// last the fault injector's span.  The first violation is returned
+    /// tuning parameters launchable, operands within device memory, a
+    /// precision the host GEMM executes (float32 is a modelled baseline
+    /// only: [`TcbfError::UnsupportedPrecision`]), and last the fault
+    /// injector's span.  The first violation is returned
     /// as the matching [`TcbfError`] variant.  Nothing outside the builder
     /// enters: no environment variable is read and no file is opened.
     ///
@@ -207,5 +209,24 @@ mod tests {
         std::env::remove_var("TCBF_MICROTUNE_CACHE");
         assert_eq!(with_the_tower, beams());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Float32 is modelled, never executed: an engine of it would fail
+    /// every block, so it is refused when it is built.
+    #[test]
+    fn a_float32_engine_is_refused_at_build_time() {
+        let weights =
+            HostComplexMatrix::from_fn(4, 16, |b, r| Complex::from_polar(0.0625, (b * r) as f32));
+        let err = BeamformerBuilder::new(Gpu::A100)
+            .weights(weights)
+            .samples_per_block(8)
+            .precision(Precision::Float32Reference)
+            .build_engine()
+            .unwrap_err();
+        assert!(
+            matches!(err, TcbfError::UnsupportedPrecision { .. }),
+            "{err:?}"
+        );
+        assert_eq!(err.code(), 7);
     }
 }

@@ -6,14 +6,16 @@
 // The admission test retries against a deadline.
 #![allow(clippy::disallowed_methods)]
 
-use ccglib::matrix::HostComplexMatrix;
+use ccglib::matrix::{F16Matrix, HostComplexMatrix};
 use ccglib::Precision;
 use gpu_sim::Gpu;
+use std::net::TcpStream;
 use std::time::Duration;
 use tcbf::BeamformerBuilder;
+use tcbf_serve::wire::{read_frame, write_frame};
 use tcbf_serve::{
-    discover_workers, example_weights, serve, BeaconConfig, Client, Discovery, RejectReason,
-    ServeConfig, ServeError,
+    discover_workers, example_weights, serve, BeaconConfig, Client, ClientMsg, Discovery,
+    RejectReason, ServeConfig, ServeError, ServerMsg, PROTO_VERSION,
 };
 use tcbf_types::Complex;
 
@@ -83,6 +85,9 @@ fn direct_outputs(
 
 #[test]
 fn served_outputs_are_bit_identical_for_both_precisions() {
+    // An f16 `Client` sends each block as its binary16 operand (`Operand`
+    // frames, quantised client side), an int1 one as its samples (`Block`
+    // frames): both frame kinds cross the wire here.
     for precision in [Precision::Float16, Precision::Int1] {
         let handle = serve("127.0.0.1:0", config()).unwrap();
         let addr = handle.addr();
@@ -480,7 +485,8 @@ fn engine_killed_mid_stream_completes_with_zero_client_visible_errors() {
     assert_eq!(report.health.healthy, 1);
     assert_eq!(report.health.total, 2);
 
-    // Recovered output is bit-identical to the no-fault direct engine.
+    // Recovered output is bit-identical to the no-fault direct engine: the
+    // refused job replays the operand it carries.
     let expected = direct_outputs(Precision::Float16, &blocks, None);
     assert_eq!(served, expected, "failover must not corrupt outputs");
 }
@@ -592,4 +598,108 @@ fn error_codes_round_trip_the_wire() {
 
     restricted.shutdown();
     handle.shutdown();
+}
+
+/// A raw connection that has said `Hello` at `precision` and read its
+/// `Welcome`.
+fn raw_session(addr: std::net::SocketAddr, tenant: &str, precision: Precision) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let hello = ClientMsg::Hello {
+        version: PROTO_VERSION,
+        tenant: tenant.into(),
+        precision,
+        receivers: RECEIVERS as u32,
+        samples_per_block: SAMPLES as u32,
+    };
+    write_frame(&mut stream, &hello.encode()).unwrap();
+    let welcome = ServerMsg::decode(&read_frame(&mut stream).unwrap()).unwrap();
+    assert!(matches!(welcome, ServerMsg::Welcome { .. }), "{welcome:?}");
+    stream
+}
+
+/// Sends one request and reads its one reply.
+fn round_trip(stream: &mut TcpStream, msg: &ClientMsg) -> ServerMsg {
+    write_frame(stream, &msg.encode()).unwrap();
+    ServerMsg::decode(&read_frame(stream).unwrap()).unwrap()
+}
+
+#[test]
+fn an_f16_session_that_sends_samples_is_served_bit_identically() {
+    // The f32 `Block` frame stays on the menu of an f16 session: the server
+    // quantises it at admission, with the engine's own quantiser.
+    let handle = serve("127.0.0.1:0", config()).unwrap();
+    let mut stream = raw_session(handle.addr(), "raw", Precision::Float16);
+    let blocks = blocks_for(5, 3);
+    let expected = direct_outputs(Precision::Float16, &blocks, None);
+    for (seq, (samples, expected)) in blocks.into_iter().zip(expected).enumerate() {
+        let seq = seq as u64;
+        match round_trip(&mut stream, &ClientMsg::Block { seq, samples }) {
+            ServerMsg::Beams {
+                seq: got, beams, ..
+            } => {
+                assert_eq!(got, seq);
+                assert_eq!(beams, expected, "block {seq}");
+            }
+            other => panic!("expected Beams, got {other:?}"),
+        }
+    }
+    assert!(matches!(
+        round_trip(&mut stream, &ClientMsg::Finish),
+        ServerMsg::Goodbye { .. }
+    ));
+    assert_eq!(handle.shutdown().total_errors(), 0);
+}
+
+#[test]
+fn a_misshapen_or_misplaced_operand_is_a_typed_error_and_the_session_carries_on() {
+    let handle = serve("127.0.0.1:0", config()).unwrap();
+    let code = |reply: ServerMsg| match reply {
+        ServerMsg::Error { seq: 1, code, .. } => code,
+        other => panic!("expected an Error for seq 1, got {other:?}"),
+    };
+    let block = blocks_for(9, 1).remove(0);
+    for precision in [Precision::Float16, Precision::Int1] {
+        let mut stream = raw_session(handle.addr(), "raw", precision);
+        // `N × K` one sample short: ShapeMismatch, in either session.
+        let short = HostComplexMatrix::zeros(RECEIVERS, SAMPLES - 1);
+        let planes = F16Matrix::from_host(&short);
+        let reply = round_trip(&mut stream, &ClientMsg::Operand { seq: 1, planes });
+        assert_eq!(code(reply), 10, "{precision:?}");
+        // The right shape in an int1 session: PrecisionMismatch.
+        let planes = F16Matrix::from_host(&block);
+        let reply = round_trip(&mut stream, &ClientMsg::Operand { seq: 1, planes });
+        match precision {
+            Precision::Int1 => assert_eq!(code(reply), 11),
+            _ => assert!(
+                matches!(reply, ServerMsg::Beams { seq: 1, .. }),
+                "{reply:?}"
+            ),
+        }
+        // Either way the session serves its next block.
+        let samples = block.clone();
+        let reply = round_trip(&mut stream, &ClientMsg::Block { seq: 2, samples });
+        let expected = direct_outputs(precision, std::slice::from_ref(&block), None);
+        match reply {
+            ServerMsg::Beams { seq: 2, beams, .. } => assert_eq!(beams, expected[0]),
+            other => panic!("expected Beams for seq 2, got {other:?}"),
+        }
+        match round_trip(&mut stream, &ClientMsg::Finish) {
+            ServerMsg::Goodbye { summary } => assert_eq!(summary.blocks + summary.errors, 3),
+            other => panic!("expected Goodbye, got {other:?}"),
+        }
+    }
+    let report = handle.shutdown();
+    assert_eq!(report.total_errors(), 3);
+}
+
+#[test]
+fn a_float32_menu_is_refused_at_start_up() {
+    // Float32 is a modelled baseline: an engine of it would fail every
+    // block, so the server refuses to build one.
+    let mut float32 = config();
+    float32.precisions = vec![Precision::Float16, Precision::Float32Reference];
+    match serve("127.0.0.1:0", float32) {
+        Err(err) => assert_eq!(err.code(), 7, "{err}"),
+        Ok(handle) => panic!("a float32 menu was served at {}", handle.addr()),
+    }
 }
