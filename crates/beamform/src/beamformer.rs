@@ -159,10 +159,10 @@ impl Beamformer {
     /// samples).
     pub fn beamform(&self, samples: &HostComplexMatrix) -> ccglib::Result<BeamformOutput> {
         // ccglib consumes B transposed: N×K, one row per output sample.
-        // `transposed()` is an O(1) view of the block's buffer, and both
+        // Of a row-major block that is an O(1) view of its buffer, and both
         // quantisers read the buffer in the order it is stored: no sample
         // is moved before the `B` panels are built.
-        let b_t = GemmInput::quantise(self.config.precision, &samples.transposed())?;
+        let b_t = GemmInput::quantise_block(self.config.precision, samples)?;
         self.beamform_operand(&b_t)
     }
 

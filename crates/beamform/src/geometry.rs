@@ -47,7 +47,7 @@ impl ArrayGeometry {
     }
 
     /// Number of sensors (the `K` of the GEMM mapping).
-    pub fn num_sensors(&self) -> usize {
+    pub(crate) fn num_sensors(&self) -> usize {
         self.positions.len()
     }
 

@@ -139,6 +139,9 @@ impl ShardPlan {
     }
 
     /// Per-device block assignments, indexed by pool position.
+    ///
+    /// Public for `tests/shard_conformance.rs`, which checks that every
+    /// policy assigns each block exactly once.
     pub fn assignments(&self) -> &[Vec<usize>] {
         &self.assignments
     }
@@ -146,11 +149,6 @@ impl ShardPlan {
     /// Number of devices the plan spans.
     pub fn num_devices(&self) -> usize {
         self.assignments.len()
-    }
-
-    /// Number of blocks the plan covers.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks
     }
 }
 
@@ -438,7 +436,7 @@ impl Engine for ShardedBeamformer {
         let precision = self.first_member()?.config().precision;
         let operands = blocks
             .iter()
-            .map(|block| GemmInput::quantise(precision, &block.transposed()))
+            .map(|block| GemmInput::quantise_block(precision, block))
             .collect::<ccglib::Result<Vec<_>>>()?;
         self.process_operands(&operands)
     }

@@ -62,6 +62,9 @@ impl WeightMatrix {
     }
 
     /// Builds steering weights for a fan of beams at the given azimuths.
+    ///
+    /// Public for `tests/end_to_end.rs`, which steers uneven, mirrored and
+    /// unnormalised fans that [`Self::uniform_fan`] cannot.
     pub fn steering(
         geometry: &ArrayGeometry,
         frequency: f64,

@@ -56,7 +56,6 @@
 use ccglib::matrix::{F16Matrix, HostComplexMatrix, Int1Matrix};
 use ccglib::synth::pseudo_random_matrix;
 use ccglib::{gemm, reference_gemm, GemmInput, Isa};
-use gpu_sim::BitOp;
 use rayon::prelude::*;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -127,11 +126,11 @@ fn bench_int1(shape @ (m, n, k): Shape, isa: Isa, reps: usize) -> BenchEntry {
     let a = Int1Matrix::from_host_padded(&a_host, GemmInput::DEFAULT_INT1_K_GRANULARITY);
     // Correctness guard: 1-bit outputs are integers, so the fused kernel
     // must match the decoded ±1 reference exactly.
-    let fused_out = gemm::gemm_int1_on(isa, &a, &b, BitOp::Xor).expect("shapes agree");
+    let fused_out = gemm::gemm_int1_on(isa, &a, &b).expect("shapes agree");
     let reference = reference_gemm(&a.to_host(), &b.to_host()).expect("reference shapes agree");
     assert_eq!(fused_out, reference, "int1 fused/reference diverged");
     let fused_median_s = median_secs(reps, || {
-        black_box(gemm::gemm_int1_on(isa, &a, &b, BitOp::Xor)).expect("shapes agree");
+        black_box(gemm::gemm_int1_on(isa, &a, &b)).expect("shapes agree");
     });
     BenchEntry::new("int1", isa, shape, fused_median_s)
 }

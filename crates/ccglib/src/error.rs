@@ -116,18 +116,6 @@ impl TcbfError {
             TcbfError::Internal { .. } => 14,
         }
     }
-
-    /// True for failures a client may retry without changing the request:
-    /// transient device refusals and degraded-fleet rejections.
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            TcbfError::DeviceLost {
-                permanent: false,
-                ..
-            } | TcbfError::Degraded { .. }
-        )
-    }
 }
 
 impl std::fmt::Display for TcbfError {
@@ -369,25 +357,5 @@ mod tests {
             available_bytes: 10,
         };
         assert!(oom.to_string().contains("shrink"));
-    }
-
-    #[test]
-    fn device_loss_classifies_retryability() {
-        assert!(!TcbfError::DeviceLost {
-            device: 3,
-            permanent: true,
-        }
-        .is_retryable());
-        assert!(TcbfError::DeviceLost {
-            device: 3,
-            permanent: false,
-        }
-        .is_retryable());
-        assert!(TcbfError::Degraded {
-            healthy: 0,
-            total: 2,
-        }
-        .is_retryable());
-        assert!(!TcbfError::MissingWeights.is_retryable());
     }
 }

@@ -7,7 +7,7 @@
 //!   multiply-accumulates with an in-register negation of `Im(b)`; inputs
 //!   are binary16, accumulation is binary32.  One output is *defined* as
 //!   four `mul_add` chains in ascending `k` and two final additions (see
-//!   `gemm_f16`), so it has the same bits wherever and however it is
+//!   [`gemm_f16_on`]), so it has the same bits wherever and however it is
 //!   computed.
 //! * **int1** — inputs are ±1 encoded as single bits; the paper computes
 //!   real-valued dot products from XOR + popcount (Table II) or, on
@@ -105,6 +105,27 @@ impl GemmInput {
         }
     }
 
+    /// Quantises the `B` operand of a `K × N` block: its
+    /// [`transposed`](HostComplexMatrix::transposed) view, `B`'s one layout
+    /// (see the module doc).  A row-major block is quantised straight from
+    /// its buffer, as it is stored.  A block that is itself a view — whose
+    /// `transposed()` would read row-major — is quantised from the view of
+    /// its row-major [`data`](HostComplexMatrix::data) instead, so every
+    /// block, whatever order its buffer holds, gives the same `B`.
+    pub fn quantise_block(precision: Precision, block: &HostComplexMatrix) -> Result<Self> {
+        match block.columns() {
+            None => Self::quantise(precision, &block.transposed()),
+            Some(_) => {
+                let rows = HostComplexMatrix::from_data(
+                    block.rows(),
+                    block.cols(),
+                    block.data().to_vec(),
+                )?;
+                Self::quantise(precision, &rows.transposed())
+            }
+        }
+    }
+
     /// Quantises a host matrix to binary16 planes, on the fastest path the
     /// host has ([`Isa::detected`]).
     pub fn quantise_f16(host: &HostComplexMatrix) -> Self {
@@ -116,16 +137,6 @@ impl GemmInput {
     /// give the same bits.
     pub fn quantise_f16_on(isa: Isa, host: &HostComplexMatrix) -> Self {
         GemmInput::F16(F16Matrix::from_host_on(isa, host))
-    }
-
-    /// Builds a binary16 operand from interleaved single-precision data
-    /// (the layout applications naturally produce); the split into planes
-    /// is what the paper's transpose kernel does.
-    ///
-    /// A buffer that is not `2·rows·cols` scalars long is a
-    /// [`TcbfError::ShapeMismatch`].
-    pub fn quantise_f16_interleaved(rows: usize, cols: usize, interleaved: &[f32]) -> Result<Self> {
-        crate::transpose::interleaved_to_planar(rows, cols, interleaved).map(GemmInput::F16)
     }
 
     /// Quantises a host matrix to packed 1-bit planes with the default
@@ -141,11 +152,6 @@ impl GemmInput {
     pub fn quantise_int1_on(isa: Isa, host: &HostComplexMatrix) -> Self {
         let granularity = Self::DEFAULT_INT1_K_GRANULARITY;
         GemmInput::Int1(Int1Matrix::from_host_padded_on(isa, host, granularity))
-    }
-
-    /// Quantises to 1-bit with an explicit padding granularity.
-    pub fn quantise_int1_padded(host: &HostComplexMatrix, k_granularity: usize) -> Self {
-        GemmInput::Int1(Int1Matrix::from_host_padded(host, k_granularity))
     }
 
     /// Precision of this operand.
@@ -263,8 +269,9 @@ pub struct PreparedOperand {
     prepared: Preparation,
 }
 
-/// What [`PreparedOperand::new`] builds for the kernel of the operand's
-/// precision.
+/// What the kernel of an operand's precision reads of `A` beside the
+/// operand itself: built once per weights by [`PreparedOperand::new`], and
+/// per call by [`crate::Gemm::run`].
 #[derive(Clone, Debug)]
 pub(crate) enum Preparation {
     /// A binary16 operand's f32 planes.
@@ -273,13 +280,20 @@ pub(crate) enum Preparation {
     Quadrant(Vec<u64>),
 }
 
+impl Preparation {
+    /// Builds what `input`'s kernel reads of it.
+    pub(crate) fn of(input: &GemmInput) -> Self {
+        match input {
+            GemmInput::F16(m) => Preparation::Decoded(DecodedPlanes::from_f16(m)),
+            GemmInput::Int1(m) => Preparation::Quadrant(int1_quadrant_plane(m)),
+        }
+    }
+}
+
 impl PreparedOperand {
     /// Prepares an operand, taking ownership.
     pub fn new(input: GemmInput) -> Self {
-        let prepared = match &input {
-            GemmInput::F16(m) => Preparation::Decoded(DecodedPlanes::from_f16(m)),
-            GemmInput::Int1(m) => Preparation::Quadrant(int1_quadrant_plane(m)),
-        };
+        let prepared = Preparation::of(&input);
         PreparedOperand { input, prepared }
     }
 
@@ -590,8 +604,9 @@ pub(crate) fn gemm_f16_decoded_on(
 }
 
 /// float16 complex GEMM: `C[M×N] = A[M×K] · Bᵀ[N×K]` with binary16 inputs
-/// and binary32 accumulation, on the fastest instance of the tile kernel
-/// the host has ([`Isa::detected`]).
+/// and binary32 accumulation, on the instance `isa` names — how the tests
+/// and `hotpath_bench` run every path the host has.  Production callers
+/// never choose: [`crate::Gemm`] runs [`Isa::detected`].
 ///
 /// One output is, by definition, four chains `rr = Σ Re a·Re b`,
 /// `ii = Σ Im a·Im b`, `ri = Σ Re a·Im b`, `ir = Σ Im a·Re b` — each
@@ -603,34 +618,11 @@ pub(crate) fn gemm_f16_decoded_on(
 /// (`O((M+N)·K)` conversions instead of the naive kernel's `O(M·N·K)`),
 /// then multiplied by the register-tiled micro-kernel.  Callers that reuse
 /// `A` across many calls should decode it once via [`GemmInput::prepare`]
-/// and the prepared entry points on [`crate::Gemm`].
-pub(crate) fn gemm_f16(a: &F16Matrix, b_t: &F16Matrix) -> Result<ComplexOutput> {
-    gemm_f16_on(Isa::detected(), a, b_t)
-}
-
-/// `gemm_f16` on an explicit instance — how the tests and `hotpath_bench`
-/// run every path the host has.  Production callers never choose:
-/// `gemm_f16` passes [`Isa::detected`].  All paths agree on all inputs.
-/// `b_t` is the quantised `transposed()` view of the `K × N` block; a
-/// row-major one is a [`TcbfError::ShapeMismatch`].
+/// and the prepared entry points on [`crate::Gemm`].  All paths agree on
+/// all inputs.  `b_t` is the quantised `transposed()` view of the `K × N`
+/// block; a row-major one is a [`TcbfError::ShapeMismatch`].
 pub fn gemm_f16_on(isa: Isa, a: &F16Matrix, b_t: &F16Matrix) -> Result<ComplexOutput> {
     gemm_f16_decoded_on(isa, &DecodedPlanes::from_f16(a), b_t)
-}
-
-/// 1-bit complex GEMM, the XOR (Table II) or AND (Eq. 6) formulation.
-///
-/// Both operands must have been packed with the same padding granularity;
-/// the `K_pad` correction of Eq. 5 is applied to the imaginary part.  An
-/// output is an integer of magnitude at most `2·K`, exact in the `f32`
-/// output for `K ≤ 2²³` (8 388 608, 16× the paper's largest); a longer `K`
-/// is a [`TcbfError::ShapeMismatch`], not a rounded result.  The
-/// two formulations give the same bits by definition, and the host
-/// computes both with one kernel (see [`gemm_int1_on`]); the device model
-/// picks AND because XOR is deprecated from the Hopper architecture on.
-///
-/// Runs on the fastest popcount path the host has ([`Isa::detected`]).
-pub fn gemm_int1(a: &Int1Matrix, b_t: &Int1Matrix, op: BitOp) -> Result<ComplexOutput> {
-    gemm_int1_on(Isa::detected(), a, b_t, op)
 }
 
 /// Rows of `A` per register tile of the 1-bit kernel.  Heights 1, 2 and 4
@@ -640,9 +632,9 @@ const INT1_TILE_ROWS: usize = 4;
 
 /// `re ⊕ im` of a 1-bit operand, word for word: the third plane of `A` the
 /// tile kernel reads, built once per weights by [`PreparedOperand::new`]
-/// and per call by [`gemm_int1_on`].  Padding and slack are zero in both
-/// sign planes, so they are zero here too.  A run of [`PLANE_ITEM`] words
-/// is one parallel work item.
+/// and per call by [`gemm_int1_on`] and [`crate::Gemm::run`].  Padding and
+/// slack are zero in both sign planes, so they are zero here too.  A run
+/// of [`PLANE_ITEM`] words is one parallel work item.
 fn int1_quadrant_plane(a: &Int1Matrix) -> Vec<u64> {
     write_once(a.re_words().len(), |q| {
         q.par_chunks_mut(PLANE_ITEM)
@@ -809,23 +801,25 @@ pub(crate) fn int1_row_group<const LANES: usize>(
     }
 }
 
-/// [`gemm_int1`] on an explicit popcount path — how the tests and
+/// 1-bit complex GEMM, the XOR (Table II) and AND (Eq. 6) formulation
+/// alike, on the popcount path `isa` names — how the tests and
 /// `hotpath_bench` run every path the host has.  Production callers never
-/// choose: [`gemm_int1`] passes [`Isa::detected`].  All paths agree on
-/// all inputs.  `b_t` is the `transposed()` view of the `K × N` block,
-/// quantised on `isa`; a row-major one, or one packed on a path of another
-/// lane count, is a [`TcbfError::ShapeMismatch`].
+/// choose: [`crate::Gemm`] runs [`Isa::detected`].  All paths agree on all
+/// inputs.
 ///
-/// The formulation argument is the modelled device's (`GemmPlan::bit_op`)
-/// and changes no instruction and no bit: one kernel, counting quadrants
-/// (see the module doc), computes Table II and Eq. 6.  `A`'s `re ⊕ im`
-/// plane is built here per call; [`PreparedOperand`] builds it per weights.
-pub fn gemm_int1_on(
-    isa: Isa,
-    a: &Int1Matrix,
-    b_t: &Int1Matrix,
-    _op: BitOp,
-) -> Result<ComplexOutput> {
+/// Both operands must have been packed with the same padding granularity;
+/// the `K_pad` correction of Eq. 5 is applied to the imaginary part.  An
+/// output is an integer of magnitude at most `2·K`, exact in the `f32`
+/// output for `K ≤ 2²³` (8 388 608, 16× the paper's largest); a longer `K`
+/// is a [`TcbfError::ShapeMismatch`], not a rounded result.  The two
+/// formulations give the same bits by definition, and one kernel, counting
+/// quadrants (see the module doc), computes both; the device model picks
+/// AND because XOR is deprecated from the Hopper architecture on.  `b_t`
+/// is the `transposed()` view of the `K × N` block, quantised on `isa`; a
+/// row-major one, or one packed on a path of another lane count, is a
+/// [`TcbfError::ShapeMismatch`].  `A`'s `re ⊕ im` plane is built here per
+/// call; [`PreparedOperand`] builds it per weights.
+pub fn gemm_int1_on(isa: Isa, a: &Int1Matrix, b_t: &Int1Matrix) -> Result<ComplexOutput> {
     gemm_int1_quadrant_on(isa, a, &int1_quadrant_plane(a), b_t)
 }
 
@@ -879,44 +873,36 @@ fn gemm_int1_quadrant_on(
     HostComplexMatrix::from_data(m, n, out)
 }
 
-/// Executes a GEMM on already-quantised operands, dispatching on their
-/// precision.  Both operands must share the same precision, and `b_t` is
-/// the quantised `transposed()` view of the `K × N` block (see the module
-/// doc).
-pub fn gemm_dispatch(a: &GemmInput, b_t: &GemmInput, op: BitOp) -> Result<ComplexOutput> {
-    gemm_dispatch_with(a, None, b_t, op)
-}
-
 /// Executes a GEMM with an operand whose preparation (bulk half→float
 /// decode, or the 1-bit `re ⊕ im` plane) was done ahead of time,
-/// dispatching on precision.
+/// dispatching on precision.  Both operands must share the same precision,
+/// and `b_t` is the quantised `transposed()` view of the `K × N` block (see
+/// the module doc).  The formulation `_op` changes no bit: one kernel
+/// computes both (see [`gemm_int1_on`]).
 pub fn gemm_dispatch_prepared(
     a: &PreparedOperand,
     b_t: &GemmInput,
-    op: BitOp,
+    _op: BitOp,
 ) -> Result<ComplexOutput> {
-    gemm_dispatch_with(a.input(), Some(a.prepared()), b_t, op)
+    gemm_dispatch_with(a.input(), a.prepared(), b_t)
 }
 
-/// Dispatch core: uses what `prepared` holds for the `A` operand when
-/// supplied (the prepare-once paths), builds it on the fly otherwise, and
-/// runs the kernel instance the host supports ([`Isa::detected`]).
+/// Dispatch core: runs the kernel instance the host supports
+/// ([`Isa::detected`]) on `a` with what [`Preparation::of`] built of it.
 pub(crate) fn gemm_dispatch_with(
     a: &GemmInput,
-    prepared: Option<&Preparation>,
+    prepared: &Preparation,
     b_t: &GemmInput,
-    op: BitOp,
 ) -> Result<ComplexOutput> {
-    match (a, b_t) {
-        (GemmInput::F16(a), GemmInput::F16(b)) => match prepared {
-            Some(Preparation::Decoded(planes)) => gemm_f16_decoded_on(Isa::detected(), planes, b),
-            _ => gemm_f16(a, b),
-        },
-        (GemmInput::Int1(a), GemmInput::Int1(b)) => match prepared {
-            Some(Preparation::Quadrant(a_q)) => gemm_int1_quadrant_on(Isa::detected(), a, a_q, b),
-            _ => gemm_int1(a, b, op),
-        },
-        (a, b) => Err(TcbfError::PrecisionMismatch {
+    let isa = Isa::detected();
+    match (a, prepared, b_t) {
+        (GemmInput::F16(_), Preparation::Decoded(planes), GemmInput::F16(b)) => {
+            gemm_f16_decoded_on(isa, planes, b)
+        }
+        (GemmInput::Int1(a), Preparation::Quadrant(a_q), GemmInput::Int1(b)) => {
+            gemm_int1_quadrant_on(isa, a, a_q, b)
+        }
+        (a, _, b) => Err(TcbfError::PrecisionMismatch {
             expected: a.precision().to_string(),
             actual: b.precision().to_string(),
         }),
@@ -929,13 +915,13 @@ mod tests {
     use crate::reference::reference_gemm;
     use crate::synth::{exact_integer_matrix, pseudo_random_matrix};
     use proptest::prelude::*;
-    use tcbf_types::PackedBits;
 
     #[test]
     fn f16_gemm_matches_reference_within_half_precision() {
         let a = pseudo_random_matrix(24, 40, 1, 1.0);
         let b_t = pseudo_random_matrix(40, 16, 2, 1.0).transposed();
-        let tensor = gemm_f16(&F16Matrix::from_host(&a), &F16Matrix::from_host(&b_t)).unwrap();
+        let (a16, b16) = (F16Matrix::from_host(&a), F16Matrix::from_host(&b_t));
+        let tensor = gemm_f16_on(Isa::detected(), &a16, &b16).unwrap();
         let exact = reference_gemm(&a, &b_t).unwrap();
         // Binary16 quantisation of the inputs bounds the error: relative
         // 2^-11 per input value, accumulated over K=40 terms.
@@ -951,7 +937,7 @@ mod tests {
     fn f16_gemm_checks_shapes() {
         let a = F16Matrix::from_host(&HostComplexMatrix::zeros(4, 8));
         let b = F16Matrix::from_host(&HostComplexMatrix::zeros(9, 4).transposed());
-        let error = gemm_f16(&a, &b).unwrap_err();
+        let error = gemm_f16_on(Isa::detected(), &a, &b).unwrap_err();
         assert!(error.to_string().contains("share K"), "{error}");
     }
 
@@ -965,23 +951,10 @@ mod tests {
         let b = Int1Matrix::from_host_padded(&b_host, 256);
         assert_eq!(a.k_padding(), 156);
         let reference = reference_gemm(&a.to_host(), &b.to_host()).unwrap();
-        for op in [BitOp::Xor, BitOp::And] {
-            let result = gemm_int1(&a, &b, op).unwrap();
-            assert_eq!(result.rows(), 9);
-            assert_eq!(result.cols(), 7);
-            assert!(result.max_abs_diff(&reference) < 0.5, "op {op}");
-        }
-    }
-
-    #[test]
-    fn int1_xor_and_paths_are_bit_identical() {
-        let a_host = pseudo_random_matrix(12, 300, 5, 1.0);
-        let b_host = pseudo_random_matrix(300, 10, 6, 1.0).transposed();
-        let a = Int1Matrix::from_host_padded(&a_host, 128);
-        let b = Int1Matrix::from_host_padded(&b_host, 128);
-        let xor = gemm_int1(&a, &b, BitOp::Xor).unwrap();
-        let and = gemm_int1(&a, &b, BitOp::And).unwrap();
-        assert_eq!(xor, and);
+        let result = gemm_int1_on(Isa::detected(), &a, &b).unwrap();
+        assert_eq!(result.rows(), 9);
+        assert_eq!(result.cols(), 7);
+        assert!(result.max_abs_diff(&reference) < 0.5);
     }
 
     #[test]
@@ -990,7 +963,7 @@ mod tests {
         let b_host = pseudo_random_matrix(64, 6, 8, 1.0).transposed();
         let a = Int1Matrix::from_host(&a_host);
         let b = Int1Matrix::from_host(&b_host);
-        let c = gemm_int1(&a, &b, BitOp::Xor).unwrap();
+        let c = gemm_int1_on(Isa::detected(), &a, &b).unwrap();
         for i in 0..6 {
             for j in 0..6 {
                 let v = c.get(i, j);
@@ -1003,18 +976,18 @@ mod tests {
         }
     }
 
-    /// `a · bᵀ` one output element at a time through the per-element
-    /// definition, `PackedBits::dot4_xor`, with the Eq. 5 correction.
+    /// `a · bᵀ` one output element at a time through Table II's
+    /// definition, `PackedBits::dot_xor` — one XOR + popcount pass per word
+    /// pair of each of the four real products — with the Eq. 5 correction.
     fn per_element_gemm(a: &Int1Matrix, b_t: &Int1Matrix) -> HostComplexMatrix {
         let k_pad = a.k_padding() as i32;
         HostComplexMatrix::from_fn(a.rows(), b_t.rows(), |i, j| {
-            let [rr, ii, ri, ir] = PackedBits::dot4_xor(
-                &a.re_row(i).to_packed_bits(),
-                &a.im_row(i).to_packed_bits(),
-                &b_t.re_row(j).to_packed_bits(),
-                &b_t.im_row(j).to_packed_bits(),
-            );
-            Complex32::new((rr - ii) as f32, (ri + ir - 2 * k_pad) as f32)
+            let [ar, ai] = [a.re_row(i), a.im_row(i)].map(|row| row.to_packed_bits());
+            let [br, bi] = [b_t.re_row(j), b_t.im_row(j)].map(|row| row.to_packed_bits());
+            Complex32::new(
+                (ar.dot_xor(&br) - ai.dot_xor(&bi)) as f32,
+                (ar.dot_xor(&bi) + ai.dot_xor(&br) - 2 * k_pad) as f32,
+            )
         })
     }
 
@@ -1039,8 +1012,8 @@ mod tests {
     }
 
     /// Asserts that both formulations' per-element definitions — Table II
-    /// and Eq. 6 — and every popcount path × formulation of the kernel give
-    /// `expected`, bit for bit, with `B` quantised from the view `b` at
+    /// and Eq. 6 — and every popcount path of the kernel give `expected`,
+    /// bit for bit, with `B` quantised from the view `b` at
     /// `granularity` on the path that runs it.
     fn assert_every_int1_path_gives(
         a: &Int1Matrix,
@@ -1066,10 +1039,8 @@ mod tests {
                     assert_eq!(bits(&definition), bits(expected), "{shape}: {name}");
                 }
             }
-            for op in [BitOp::Xor, BitOp::And] {
-                let got = gemm_int1_on(isa, a, &b_t, op).unwrap();
-                assert_eq!(bits(&got), bits(expected), "{shape} on {isa}, {op}");
-            }
+            let got = gemm_int1_on(isa, a, &b_t).unwrap();
+            assert_eq!(bits(&got), bits(expected), "{shape} on {isa}");
         }
     }
 
@@ -1169,7 +1140,8 @@ mod tests {
         }
         // A finite column beside hostile ones stays finite: nothing crosses
         // lanes.
-        let a = F16Matrix::from_host(&HostComplexMatrix::from_fn(5, 9, |_, _| Complex32::ONE));
+        let one = Complex32::new(1.0, 0.0);
+        let a = F16Matrix::from_host(&HostComplexMatrix::from_fn(5, 9, |_, _| one));
         let block = HostComplexMatrix::from_fn(9, 9, |c, r| {
             if r == 4 {
                 Complex32::new(1.0, -1.0)
@@ -1209,7 +1181,6 @@ mod tests {
                     GemmInput::quantise_int1(&b_host),
                 ),
             ] {
-                assert_eq!(gemm_dispatch(&a, &b, BitOp::Xor).unwrap(), zeros);
                 let prepared = gemm_dispatch_prepared(&a.prepare(), &b, BitOp::And).unwrap();
                 assert_eq!(prepared, zeros);
             }
@@ -1251,12 +1222,8 @@ mod tests {
             for k in [1, 40, 100, 257] {
                 let a_host = pseudo_random_matrix(3, k, (granularity * k) as u64, 1.0);
                 let b_host = pseudo_random_matrix(k, 5, (granularity + k) as u64, 1.0).transposed();
-                let (GemmInput::Int1(a), GemmInput::Int1(b)) = (
-                    GemmInput::quantise_int1_padded(&a_host, granularity),
-                    GemmInput::quantise_int1_padded(&b_host, granularity),
-                ) else {
-                    panic!("quantise_int1_padded yields 1-bit operands");
-                };
+                let a = Int1Matrix::from_host_padded(&a_host, granularity);
+                let b = Int1Matrix::from_host_padded(&b_host, granularity);
                 assert_eq!(a.k_padded(), k.next_multiple_of(granularity));
                 let reference = reference_gemm(&a.to_host(), &b.to_host()).unwrap();
                 assert_eq!(bits(&per_element_gemm(&a, &b)), bits(&reference));
@@ -1342,10 +1309,10 @@ mod tests {
         let f = GemmInput::quantise_f16(&block.transposed());
         let b = GemmInput::quantise_int1(&block.transposed());
         assert!(matches!(
-            gemm_dispatch(&f, &b, BitOp::Xor),
+            gemm_dispatch_prepared(&f.prepare(), &b, BitOp::Xor),
             Err(TcbfError::PrecisionMismatch { .. })
         ));
-        assert!(gemm_dispatch(&f, &f, BitOp::Xor).is_ok());
+        assert!(gemm_dispatch_prepared(&f.prepare(), &f, BitOp::Xor).is_ok());
     }
 
     #[test]
@@ -1364,26 +1331,6 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_input_matches_planar_input() {
-        let host = pseudo_random_matrix(8, 16, 11, 2.0);
-        let mut interleaved = Vec::new();
-        for r in 0..8 {
-            for c in 0..16 {
-                let v = host.get(r, c);
-                interleaved.push(v.re);
-                interleaved.push(v.im);
-            }
-        }
-        let from_planar = GemmInput::quantise_f16(&host);
-        let from_interleaved = GemmInput::quantise_f16_interleaved(8, 16, &interleaved).unwrap();
-        assert!(GemmInput::quantise_f16_interleaved(8, 16, &interleaved[1..]).is_err());
-        let b = GemmInput::quantise_f16(&pseudo_random_matrix(16, 4, 12, 1.0).transposed());
-        let c1 = gemm_dispatch(&from_planar, &b, BitOp::Xor).unwrap();
-        let c2 = gemm_dispatch(&from_interleaved, &b, BitOp::Xor).unwrap();
-        assert_eq!(c1, c2);
-    }
-
-    #[test]
     fn prepared_paths_are_bit_identical_to_the_direct_path() {
         let a_host = pseudo_random_matrix(13, 300, 21, 1.0);
         let b_host = pseudo_random_matrix(300, 9, 22, 1.0).transposed();
@@ -1397,7 +1344,14 @@ mod tests {
                 GemmInput::quantise_int1(&b_host),
             ),
         ] {
-            let direct = gemm_dispatch(&a, &b, BitOp::Xor).unwrap();
+            // The kernels on the detected path, building `A`'s preparation
+            // per call.
+            let direct = match (&a, &b) {
+                (GemmInput::F16(a), GemmInput::F16(b)) => gemm_f16_on(Isa::detected(), a, b),
+                (GemmInput::Int1(a), GemmInput::Int1(b)) => gemm_int1_on(Isa::detected(), a, b),
+                _ => unreachable!("both operands share a precision"),
+            }
+            .unwrap();
             let prepared = gemm_dispatch_prepared(&a.prepare(), &b, BitOp::Xor).unwrap();
             assert_eq!(direct, prepared);
         }
@@ -1597,7 +1551,7 @@ mod tests {
                 }
                 // `B`'s panels word for word, the rows past `N` included.
                 assert_int1_panels_match_their_definition(&block, granularity);
-                // XOR and AND alike, on every path, against the definition.
+                // Both formulations' definitions and every path alike.
                 let expected = per_element_gemm(&a, &b);
                 assert_every_int1_path_gives(&a, &block.transposed(), granularity, &expected);
             }
@@ -1662,7 +1616,10 @@ mod tests {
             let message = refused(run(&wrong), "Gemm::run");
             assert!(message.contains("row-major"), "{message}");
             refused(prepared(&wrong), "Gemm::run_prepared");
-            refused(gemm_dispatch(&a, &wrong, BitOp::Xor), "gemm_dispatch");
+            refused(
+                gemm_dispatch_prepared(&a.prepare(), &wrong, BitOp::Xor),
+                "gemm_dispatch_prepared",
+            );
             for isa in Isa::available() {
                 match (&a, &view, &wrong) {
                     (GemmInput::F16(a), GemmInput::F16(view), GemmInput::F16(wrong)) => {
@@ -1673,10 +1630,8 @@ mod tests {
                     (GemmInput::Int1(a), _, GemmInput::Int1(wrong)) => {
                         let view = Int1Matrix::from_host_padded_on(isa, &block.transposed(), 256);
                         assert_eq!(&view, wrong);
-                        for op in [BitOp::Xor, BitOp::And] {
-                            assert_eq!(gemm_int1_on(isa, a, &view, op).unwrap(), expected);
-                            refused(gemm_int1_on(isa, a, wrong, op), "gemm_int1_on");
-                        }
+                        assert_eq!(gemm_int1_on(isa, a, &view).unwrap(), expected);
+                        refused(gemm_int1_on(isa, a, wrong), "gemm_int1_on");
                     }
                     _ => unreachable!("both operands are quantised to {precision}"),
                 }
@@ -1694,21 +1649,20 @@ mod tests {
         {
             let b = Int1Matrix::from_host_padded_on(packed_on, &block.transposed(), 256);
             let mismatched = packed_on.int1_lanes() != run_on.int1_lanes();
-            for op in [BitOp::Xor, BitOp::And] {
-                let result = gemm_int1_on(run_on, &a, &b, op);
-                if mismatched {
-                    let message = refused(result, "gemm_int1_on");
-                    assert!(message.contains("lanes"), "{message}");
-                } else {
-                    assert_eq!(bits(&result.unwrap()), bits(&per_element_gemm(&a, &b)));
-                }
+            let result = gemm_int1_on(run_on, &a, &b);
+            if mismatched {
+                let message = refused(result, "gemm_int1_on");
+                assert!(message.contains("lanes"), "{message}");
+            } else {
+                assert_eq!(bits(&result.unwrap()), bits(&per_element_gemm(&a, &b)));
             }
             if packed_on.int1_lanes() != detected.int1_lanes() {
                 let (a, b) = (GemmInput::Int1(a.clone()), GemmInput::Int1(b));
                 let gemm = crate::Gemm::new(&device, GemmShape::new(m, n, k), Precision::Int1);
                 let run = gemm.unwrap().run(&a, &b).map(|(out, _)| out);
                 refused(run, "Gemm::run, lanes");
-                refused(gemm_dispatch(&a, &b, BitOp::And), "gemm_dispatch, lanes");
+                let prepared = gemm_dispatch_prepared(&a.prepare(), &b, BitOp::And);
+                refused(prepared, "gemm_dispatch_prepared, lanes");
             }
         }
     }
@@ -1773,8 +1727,8 @@ mod tests {
             // that are not multiples of the k-tile, j-tile or word size.
             let a_host = exact_integer_matrix(m, k, seed);
             let b_host = exact_integer_matrix(k, n, seed ^ 0x5A5A).transposed();
-            let result = gemm_f16(&F16Matrix::from_host(&a_host), &F16Matrix::from_host(&b_host))
-                .unwrap();
+            let (a, b) = (F16Matrix::from_host(&a_host), F16Matrix::from_host(&b_host));
+            let result = gemm_f16_on(Isa::detected(), &a, &b).unwrap();
             let reference = reference_gemm(&a_host, &b_host).unwrap();
             prop_assert_eq!(result, reference);
         }
@@ -1790,20 +1744,18 @@ mod tests {
             let b_host = pseudo_random_matrix(k, n, seed ^ 0x33CC, 1.0).transposed();
             let a = F16Matrix::from_host(&a_host);
             let b = F16Matrix::from_host(&b_host);
-            let f16_default = gemm_f16(&a, &b).unwrap();
+            let f16_default = gemm_f16_on(Isa::detected(), &a, &b).unwrap();
             for isa in Isa::available() {
                 let on_path = gemm_f16_on(isa, &a, &b).unwrap();
                 prop_assert_eq!(bits(&on_path), bits(&f16_default), "f16 on {}", isa);
             }
             let ai = Int1Matrix::from_host_padded(&a_host, 128);
             let bi = Int1Matrix::from_host_padded(&b_host, 128);
-            for op in [BitOp::Xor, BitOp::And] {
-                let int1_default = gemm_int1(&ai, &bi, op).unwrap();
-                for isa in Isa::available() {
-                    let bi = Int1Matrix::from_host_padded_on(isa, &b_host, 128);
-                    let on_path = gemm_int1_on(isa, &ai, &bi, op).unwrap();
-                    prop_assert_eq!(&on_path, &int1_default, "int1 on {} op {}", isa, op);
-                }
+            let int1_default = gemm_int1_on(Isa::detected(), &ai, &bi).unwrap();
+            for isa in Isa::available() {
+                let bi = Int1Matrix::from_host_padded_on(isa, &b_host, 128);
+                let on_path = gemm_int1_on(isa, &ai, &bi).unwrap();
+                prop_assert_eq!(&on_path, &int1_default, "int1 on {}", isa);
             }
         }
 
@@ -1816,7 +1768,7 @@ mod tests {
             let a = Int1Matrix::from_host_padded(&a_host, 128);
             let b = Int1Matrix::from_host_padded(&b_host, 128);
             let reference = reference_gemm(&a.to_host(), &b.to_host()).unwrap();
-            let result = gemm_int1(&a, &b, BitOp::Xor).unwrap();
+            let result = gemm_int1_on(Isa::detected(), &a, &b).unwrap();
             prop_assert!(result.max_abs_diff(&reference) < 0.5);
         }
 
@@ -1828,8 +1780,9 @@ mod tests {
             let a_host = pseudo_random_matrix(m, k, seed, 1.0);
             let b_host = pseudo_random_matrix(k, n, seed ^ 0x1111, 1.0).transposed();
             let a2_host = HostComplexMatrix::from_fn(m, k, |r, c| a_host.get(r, c).scale(2.0));
-            let c1 = gemm_f16(&F16Matrix::from_host(&a_host), &F16Matrix::from_host(&b_host)).unwrap();
-            let c2 = gemm_f16(&F16Matrix::from_host(&a2_host), &F16Matrix::from_host(&b_host)).unwrap();
+            let b = F16Matrix::from_host(&b_host);
+            let c1 = gemm_f16_on(Isa::detected(), &F16Matrix::from_host(&a_host), &b).unwrap();
+            let c2 = gemm_f16_on(Isa::detected(), &F16Matrix::from_host(&a2_host), &b).unwrap();
             for i in 0..m {
                 for j in 0..n {
                     let lhs = c2.get(i, j);

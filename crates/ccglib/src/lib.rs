@@ -92,7 +92,7 @@ impl Precision {
     }
 
     /// Whether this precision runs on the tensor cores.
-    pub fn uses_tensor_cores(self) -> bool {
+    pub(crate) fn uses_tensor_cores(self) -> bool {
         !matches!(self, Precision::Float32Reference)
     }
 }

@@ -92,7 +92,7 @@ mod tests {
         let small = model.time(&pack_profile(&spec, 64, 8192, 16));
         let large = model.time(&pack_profile(&spec, 64, 8_192_000, 16));
         assert!(large.elapsed_s > small.elapsed_s);
-        assert!(large.is_memory_bound());
+        assert!(large.memory_time_s > large.compute_time_s);
         assert_eq!(small.compute_time_s, 0.0);
     }
 

@@ -94,17 +94,6 @@ pub fn calibration_shape(precision: Precision) -> GemmShape {
 }
 
 impl GemmPlan {
-    /// The paper's float16 tuning shape, used as the calibration point of
-    /// the efficiency model.  Delegates to [`calibration_shape`].
-    pub fn f16_calibration_shape() -> GemmShape {
-        calibration_shape(Precision::Float16)
-    }
-
-    /// The paper's 1-bit tuning shape.  Delegates to [`calibration_shape`].
-    pub fn int1_calibration_shape() -> GemmShape {
-        calibration_shape(Precision::Int1)
-    }
-
     /// Plans a GEMM with the shipped per-GPU default parameters.
     pub fn new(device: &Device, shape: GemmShape, precision: Precision) -> Result<Self> {
         let params = TuningParameters::default_for(device.gpu(), precision);
@@ -161,7 +150,7 @@ impl GemmPlan {
     }
 
     /// Total device-memory footprint of the operands and the output.
-    pub fn operand_bytes(shape: &GemmShape, precision: Precision) -> u128 {
+    pub(crate) fn operand_bytes(shape: &GemmShape, precision: Precision) -> u128 {
         let bits = precision.input_bits() as u128;
         let a = shape.a_elements() as u128 * 2 * bits / 8;
         let b = shape.b_elements() as u128 * 2 * bits / 8;
@@ -225,10 +214,7 @@ impl GemmPlan {
     /// returns the best raw efficiency (the expensive step plan
     /// construction memoises).
     fn enumerate_best_raw(spec: &DeviceSpec, precision: Precision) -> f64 {
-        let calib_shape = match precision {
-            Precision::Int1 => Self::int1_calibration_shape(),
-            _ => Self::f16_calibration_shape(),
-        };
+        let calib_shape = calibration_shape(precision);
         ParameterSpace::paper_space()
             .valid_combinations(spec, precision)
             .iter()
@@ -429,8 +415,11 @@ impl Gemm {
     /// The plan's batch size must be 1 because only one operand pair is
     /// supplied: batched shapes are modelled ([`Gemm::predict`]), not
     /// executed — run their blocks one by one.
+    ///
+    /// This builds per call what [`GemmInput::prepare`] builds once; the
+    /// output is the same bits either way.
     pub fn run(&self, a: &GemmInput, b_t: &GemmInput) -> Result<(ComplexOutput, RunReport)> {
-        self.run_with(a, None, b_t)
+        self.run_with(a, &Preparation::of(a), b_t)
     }
 
     /// Runs the GEMM with a pre-prepared `A` operand (bulk-decoded once, or
@@ -442,16 +431,16 @@ impl Gemm {
         a: &PreparedOperand,
         b_t: &GemmInput,
     ) -> Result<(ComplexOutput, RunReport)> {
-        self.run_with(a.input(), Some(a.prepared()), b_t)
+        self.run_with(a.input(), a.prepared(), b_t)
     }
 
     /// The one execution core: checks the operand pair against the plan's
-    /// batch, precision and shape, then multiplies it with the plan's bit
-    /// operation, reusing `prepared` for the `A` operand when supplied.
+    /// batch, precision and shape, then multiplies it with what `prepared`
+    /// holds for the `A` operand.
     fn run_with(
         &self,
         a: &GemmInput,
-        prepared: Option<&Preparation>,
+        prepared: &Preparation,
         b_t: &GemmInput,
     ) -> Result<(ComplexOutput, RunReport)> {
         let shape = self.plan.shape();
@@ -475,7 +464,7 @@ impl Gemm {
                 actual: format!("A {}x{}, B(T) {}x{}", a.rows(), a.k(), b_t.rows(), b_t.k()),
             });
         }
-        let output = gemm_dispatch_with(a, prepared, b_t, self.plan.bit_op())?;
+        let output = gemm_dispatch_with(a, prepared, b_t)?;
         let report = self.report(&self.plan.kernel_profile());
         Ok((output, report))
     }
@@ -548,8 +537,12 @@ mod tests {
             (Gpu::Mi300x, 603.0),
         ] {
             let dev = device(gpu);
-            let gemm =
-                Gemm::new(&dev, GemmPlan::f16_calibration_shape(), Precision::Float16).unwrap();
+            let gemm = Gemm::new(
+                &dev,
+                calibration_shape(Precision::Float16),
+                Precision::Float16,
+            )
+            .unwrap();
             let report = gemm.predict();
             assert!(
                 (report.achieved_tops - expect_tops).abs() / expect_tops < 0.10,
@@ -568,7 +561,7 @@ mod tests {
         ] {
             let dev = device(gpu);
             let gemm =
-                Gemm::new(&dev, GemmPlan::int1_calibration_shape(), Precision::Int1).unwrap();
+                Gemm::new(&dev, calibration_shape(Precision::Int1), Precision::Int1).unwrap();
             let report = gemm.predict();
             assert!(
                 (report.achieved_tops - expect_tops).abs() / expect_tops < 0.15,
@@ -584,7 +577,7 @@ mod tests {
         // the calibration shape.
         let dev = device(Gpu::A100);
         let spec = dev.spec();
-        let shape = GemmPlan::f16_calibration_shape();
+        let shape = calibration_shape(Precision::Float16);
         let default = TuningParameters::default_for(Gpu::A100, Precision::Float16);
         let default_raw = GemmPlan::raw_efficiency(spec, Precision::Float16, &default, &shape);
         let space = ParameterSpace::paper_space().valid_combinations(spec, Precision::Float16);
@@ -756,7 +749,7 @@ mod tests {
         // throughput of the same shape.
         let stock = Gemm::new(
             &device(Gpu::A100),
-            GemmPlan::f16_calibration_shape(),
+            calibration_shape(Precision::Float16),
             Precision::Float16,
         )
         .unwrap()
@@ -766,7 +759,7 @@ mod tests {
         spec.f16_tensor_measured *= 1.2;
         let boosted = Gemm::new(
             &Device::new(spec),
-            GemmPlan::f16_calibration_shape(),
+            calibration_shape(Precision::Float16),
             Precision::Float16,
         )
         .unwrap()
@@ -784,7 +777,7 @@ mod tests {
         // Table III: 0.8 TOPs/J on the GH200 in float16.
         let gemm = Gemm::new(
             &device(Gpu::Gh200),
-            GemmPlan::f16_calibration_shape(),
+            calibration_shape(Precision::Float16),
             Precision::Float16,
         )
         .unwrap();

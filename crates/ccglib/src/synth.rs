@@ -34,6 +34,9 @@ pub fn pseudo_random_matrix(rows: usize, cols: usize, seed: u64, scale: f32) -> 
 /// (naive, blocked, fused-multiply-add, lane-reduced) must produce
 /// bit-identical results.  This is the input family the bit-identity
 /// proptests of the hot path are built on.
+///
+/// Public for `tests/hotpath_conformance.rs`, whose exact-input tests
+/// sample the same distribution from outside the crate.
 pub fn exact_integer_matrix(rows: usize, cols: usize, seed: u64) -> HostComplexMatrix {
     let mut state = seed | 1;
     let mut next = move || {

@@ -400,6 +400,9 @@ impl DeviceSpec {
     /// Measured 1-bit tensor-core *instruction* throughput in TOP/s for a
     /// given fragment and bit operation (Table I), or `None` if the device
     /// has no 1-bit support.
+    ///
+    /// Public for `tests/ablations.rs`, which sets these per-instruction
+    /// rates against the useful ones of [`Self::int1_useful_peak_tops`].
     pub fn int1_peak_tops(&self, fragment: BitFragmentShape, op: BitOp) -> Option<f64> {
         self.int1.as_ref().map(|p| p.measured(fragment, op))
     }

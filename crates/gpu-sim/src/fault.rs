@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// What a fault does to its device once it triggers.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub enum FaultKind {
+pub(crate) enum FaultKind {
     /// The device refuses exactly one block, then recovers.  Models a
     /// retryable launch failure (a spurious Xid, a watchdog preemption).
     Transient,
@@ -46,14 +46,14 @@ pub enum FaultKind {
 
 /// One fault in a [`FaultPlan`]: a device, a trigger point, and a kind.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Fault {
+pub(crate) struct Fault {
     /// Pool index of the device the fault applies to.
-    pub device: usize,
+    device: usize,
     /// The fault triggers after the device has *completed* this many
     /// blocks; the next attempt is the first affected one.
-    pub after_blocks: u64,
+    after_blocks: u64,
     /// What happens once the fault triggers.
-    pub kind: FaultKind,
+    kind: FaultKind,
 }
 
 /// A declarative, serializable list of faults to inject into a pool.
@@ -86,6 +86,9 @@ impl FaultPlan {
 
     /// Adds a transient refusal: `device` drops exactly the block attempted
     /// after completing `after_blocks` blocks, then recovers.
+    ///
+    /// Public for `tests/fault_conformance.rs`, which provokes transient
+    /// refusals through it.
     pub fn drop_block(self, device: usize, after_blocks: u64) -> Self {
         self.with(Fault {
             device,
@@ -96,6 +99,9 @@ impl FaultPlan {
 
     /// Adds a latency spike: every block on `device` after the first
     /// `after_blocks` completed ones takes `factor`× as long.
+    ///
+    /// Public for `tests/fault_conformance.rs`, which provokes stragglers
+    /// through it.
     pub fn slow_device(self, device: usize, after_blocks: u64, factor: f64) -> Self {
         self.with(Fault {
             device,
@@ -116,6 +122,9 @@ impl FaultPlan {
     /// happen to doom every device permanently, the last permanent fault
     /// is downgraded to a transient one, so a pool under a seeded plan
     /// can always finish its stream.
+    ///
+    /// Public for `tests/fault_conformance.rs`, which replays seeded plans
+    /// through a pool.
     pub fn seeded(seed: u64, devices: usize, horizon_blocks: u64) -> Self {
         let horizon = horizon_blocks.max(1);
         let mut plan = Self::new();
@@ -155,11 +164,6 @@ impl FaultPlan {
             }
         }
         plan
-    }
-
-    /// The faults in the plan, in insertion order.
-    pub fn faults(&self) -> &[Fault] {
-        &self.faults
     }
 
     /// True when the plan contains no faults.
@@ -308,6 +312,9 @@ impl FaultInjector {
     }
 
     /// Blocks attempted so far on `device` (including refused attempts).
+    ///
+    /// Public for the fault tests of `beamform::shard`, which count the
+    /// attempts a replay costs — a dead member must not be asked again.
     pub fn attempts(&self, device: usize) -> u64 {
         self.attempts
             .get(device)
@@ -427,7 +434,7 @@ mod tests {
         assert_eq!(a, b);
         let c = FaultPlan::seeded(43, 8, 100);
         assert_ne!(a, c, "different seeds should give different plans");
-        for fault in a.faults() {
+        for fault in &a.faults {
             assert!(fault.device < 8);
             assert!(fault.after_blocks < 100);
         }
@@ -439,7 +446,7 @@ mod tests {
             for devices in 1..5usize {
                 let plan = FaultPlan::seeded(seed, devices, 16);
                 let mut doomed = vec![false; devices];
-                for fault in plan.faults() {
+                for fault in &plan.faults {
                     if fault.kind == FaultKind::Permanent {
                         doomed[fault.device] = true;
                     }
@@ -458,9 +465,9 @@ mod tests {
             .kill_device(1, 5)
             .drop_block(0, 2)
             .slow_device(2, 0, 8.0);
-        assert_eq!(plan.faults().len(), 3);
+        assert_eq!(plan.faults.len(), 3);
         assert_eq!(
-            plan.faults()[0],
+            plan.faults[0],
             Fault {
                 device: 1,
                 after_blocks: 5,
@@ -468,7 +475,7 @@ mod tests {
             }
         );
         assert_eq!(
-            plan.faults()[1],
+            plan.faults[1],
             Fault {
                 device: 0,
                 after_blocks: 2,
@@ -476,7 +483,7 @@ mod tests {
             }
         );
         assert_eq!(
-            plan.faults()[2],
+            plan.faults[2],
             Fault {
                 device: 2,
                 after_blocks: 0,

@@ -55,7 +55,7 @@ pub mod wmma;
 pub use arch::{Architecture, BitOp};
 pub use device::{Device, DeviceSpec, Gpu};
 pub use exec::{ExecutionModel, KernelKind, KernelProfile, KernelTimings, LaunchConfig};
-pub use fault::{BlockVerdict, DeviceFault, Fault, FaultInjector, FaultKind, FaultPlan};
+pub use fault::{BlockVerdict, DeviceFault, FaultInjector, FaultPlan};
 pub use memory::{MemoryModel, SharedMemoryPlan};
 pub use pool::DevicePool;
 pub use power::PowerModel;

@@ -166,6 +166,12 @@ mod tests {
     use crate::device::Gpu;
     use proptest::prelude::*;
 
+    /// The touch-once minimum of a float16 GEMM: both binary16 operands
+    /// read and the complex f32 output written once.
+    fn touch_once_f16_bytes(shape: &GemmShape) -> f64 {
+        (shape.a_elements() + shape.b_elements()) as f64 * 4.0 + shape.c_elements() as f64 * 8.0
+    }
+
     #[test]
     fn shared_memory_plan_sizes() {
         // f16 complex: 4 bytes per element.
@@ -198,7 +204,7 @@ mod tests {
         let large = model.gemm_global_bytes(&shape, 256, 128, 16);
         assert!(large < small);
         // Never below the touch-once minimum.
-        assert!(large >= shape.io_bytes(16) as f64);
+        assert!(large >= touch_once_f16_bytes(&shape));
     }
 
     #[test]
@@ -234,7 +240,7 @@ mod tests {
             let t = model.gemm_global_bytes(&shape, mb, nb, 16);
             let t_bigger = model.gemm_global_bytes(&shape, mb * 2, nb * 2, 16);
             prop_assert!(t_bigger <= t);
-            prop_assert!(t >= shape.io_bytes(16) as f64);
+            prop_assert!(t >= touch_once_f16_bytes(&shape));
         }
 
         #[test]

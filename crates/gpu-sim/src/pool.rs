@@ -48,14 +48,6 @@ impl DevicePool {
         Self::new(gpus.iter().map(|g| g.device()).collect())
     }
 
-    /// Creates a homogeneous pool of `count` identical devices.
-    ///
-    /// # Panics
-    /// Panics if `count` is zero.
-    pub fn homogeneous(gpu: Gpu, count: usize) -> Self {
-        Self::new((0..count).map(|_| gpu.device()).collect())
-    }
-
     /// Number of devices in the pool.
     #[allow(clippy::len_without_is_empty)] // pools are never empty
     pub fn len(&self) -> usize {
@@ -101,7 +93,7 @@ mod tests {
 
     #[test]
     fn homogeneous_pool_replicates_one_device() {
-        let pool = DevicePool::homogeneous(Gpu::A100, 4);
+        let pool = DevicePool::from_gpus(&[Gpu::A100; 4]);
         assert_eq!(pool.len(), 4);
         assert!(pool.supports_int1());
         assert_eq!(pool.gpus(), vec![Gpu::A100; 4]);

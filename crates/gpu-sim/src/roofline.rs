@@ -10,7 +10,6 @@
 
 use crate::device::DeviceSpec;
 use serde::{Deserialize, Serialize};
-use tcbf_types::GemmShape;
 
 /// A labelled compute ceiling of the roofline.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -81,18 +80,6 @@ impl Roofline {
             .find(|c| c.label == ceiling_label)
             .map(|c| c.peak_tops * 1e12 / (self.mem_bandwidth_gbs * 1e9))
     }
-
-    /// Whether a GEMM of the given shape and precision is memory-bound
-    /// under a ceiling.
-    pub fn is_memory_bound(
-        &self,
-        ceiling_label: &str,
-        shape: &GemmShape,
-        input_bits_per_component: usize,
-    ) -> Option<bool> {
-        let ai = shape.arithmetic_intensity(input_bits_per_component);
-        self.ridge_point(ceiling_label).map(|ridge| ai < ridge)
-    }
 }
 
 /// The four roofline evaluation shapes used in Section IV-B of the paper.
@@ -152,27 +139,21 @@ mod tests {
         // matrix size is compute bound."
         for gpu in Gpu::ALL {
             let roofline = Roofline::for_device(&gpu.spec());
-            assert_eq!(
-                roofline.is_memory_bound("float16 tensor", &eval_shapes::f16_small(), 16),
-                Some(true),
+            let ridge = roofline.ridge_point("float16 tensor").unwrap();
+            assert!(
+                eval_shapes::f16_small().arithmetic_intensity(16) < ridge,
                 "{gpu} small should be memory bound"
             );
-            assert_eq!(
-                roofline.is_memory_bound("float16 tensor", &eval_shapes::f16_big(), 16),
-                Some(false),
+            assert!(
+                eval_shapes::f16_big().arithmetic_intensity(16) >= ridge,
                 "{gpu} big should be compute bound"
             );
         }
         for gpu in Gpu::NVIDIA {
             let roofline = Roofline::for_device(&gpu.spec());
-            assert_eq!(
-                roofline.is_memory_bound("int1 tensor", &eval_shapes::int1_small(), 1),
-                Some(true)
-            );
-            assert_eq!(
-                roofline.is_memory_bound("int1 tensor", &eval_shapes::int1_big(), 1),
-                Some(false)
-            );
+            let ridge = roofline.ridge_point("int1 tensor").unwrap();
+            assert!(eval_shapes::int1_small().arithmetic_intensity(1) < ridge);
+            assert!(eval_shapes::int1_big().arithmetic_intensity(1) >= ridge);
         }
     }
 

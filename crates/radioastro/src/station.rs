@@ -206,7 +206,7 @@ mod tests {
     fn station_construction() {
         let station = Station::new(3, 2000.0, 48, FREQ);
         assert_eq!(station.index, 3);
-        assert_eq!(station.geometry.num_sensors(), 48);
+        assert_eq!(station.geometry.positions().len(), 48);
         assert_eq!(station.frequency, FREQ);
     }
 

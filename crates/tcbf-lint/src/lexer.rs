@@ -18,7 +18,7 @@
 
 /// What a token is, at the granularity the rules need.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// A run of whitespace.
     Whitespace,
     /// `// ...` (including `///` and `//!` doc comments), newline excluded.
@@ -48,7 +48,7 @@ pub enum TokenKind {
 
 /// One lexed token: classification plus its exact span in the source.
 #[derive(Clone, Copy, Debug)]
-pub struct Token {
+pub(crate) struct Token {
     /// What kind of token this is.
     pub kind: TokenKind,
     /// Byte offset of the first byte, inclusive.
@@ -122,7 +122,7 @@ fn is_ident_continue(c: char) -> bool {
 }
 
 /// Lexes `src` into a lossless token stream.  Never panics.
-pub fn lex(src: &str) -> Vec<Token> {
+pub(crate) fn lex(src: &str) -> Vec<Token> {
     let mut cursor = Cursor {
         src,
         bytes: src.as_bytes(),
@@ -394,6 +394,8 @@ fn lex_number(c: &mut Cursor) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn roundtrip(src: &str) -> Vec<Token> {
         let tokens = lex(src);
@@ -502,5 +504,69 @@ mod tests {
         assert_eq!((sig[0].line, sig[0].col), (1, 1));
         assert_eq!((sig[1].line, sig[1].col), (2, 1));
         assert_eq!((sig[2].line, sig[2].col), (2, 4));
+    }
+
+    // Round-trip properties: the lexer never panics, and the
+    // concatenated token texts reproduce the input byte for byte.
+
+    /// Rebuilds the source from its tokens and asserts exact equality.
+    fn assert_roundtrip(src: &str) {
+        let tokens = lex(src);
+        let rebuilt: String = tokens.iter().map(|t| t.text(src)).collect();
+        assert_eq!(rebuilt, src, "lexer dropped or duplicated bytes");
+        // Spans must tile the input: contiguous and in order.
+        let mut pos = 0;
+        for t in &tokens {
+            assert_eq!(t.start, pos, "gap or overlap at byte {pos}");
+            assert!(t.end > t.start, "empty token at byte {pos}");
+            pos = t.end;
+        }
+        assert_eq!(pos, src.len());
+    }
+
+    /// Maps a byte to a character from a Rust-flavored alphabet, weighted
+    /// toward the characters that drive the lexer's tricky states: quotes,
+    /// escapes, comment openers, raw-string hashes, and some multibyte
+    /// unicode for good measure.
+    fn flavored_char(b: u8) -> char {
+        const ALPHABET: &[char] = &[
+            '"', '\'', '\\', '/', '*', '#', 'r', 'b', '_', 'a', 'z', 'A', '0', '9', '.', ':', ';',
+            '(', ')', '[', ']', '{', '}', '<', '>', '!', '&', '=', ' ', '\n', '\t', 'é', '入',
+            '🦀', 'e', '-', '+', 'x', 'f',
+        ];
+        ALPHABET[b as usize % ALPHABET.len()]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes pushed through lossy UTF-8: the lexer must accept
+        /// whatever text arrives and reproduce it exactly.
+        #[test]
+        fn roundtrips_arbitrary_text(bytes in vec(any::<u8>(), 0..200)) {
+            let src = String::from_utf8_lossy(&bytes).into_owned();
+            assert_roundtrip(&src);
+        }
+
+        /// Rust-flavored soup: dense in quote/comment/raw-string state
+        /// transitions, where a lossless lexer is hardest to get right.
+        #[test]
+        fn roundtrips_rust_flavored_soup(bytes in vec(any::<u8>(), 0..200)) {
+            let src: String = bytes.iter().map(|&b| flavored_char(b)).collect();
+            assert_roundtrip(&src);
+        }
+    }
+
+    #[test]
+    fn roundtrips_this_crate_itself() {
+        // The most realistic corpus available offline: every source file of
+        // the linter itself.
+        for entry in std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/src")).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "rs") {
+                let src = std::fs::read_to_string(&path).unwrap();
+                assert_roundtrip(&src);
+            }
+        }
     }
 }

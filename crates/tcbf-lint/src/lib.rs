@@ -15,9 +15,9 @@
 #![forbid(unsafe_code)]
 
 pub mod diagnostics;
-pub mod lexer;
-pub mod rules;
-pub mod source;
+mod lexer;
+mod rules;
+mod source;
 
 use std::path::{Path, PathBuf};
 

@@ -9,7 +9,7 @@
 use crate::lexer::{self, Token, TokenKind};
 
 /// A lexed source file plus derived lookup structures.
-pub struct SourceFile {
+pub(crate) struct SourceFile {
     /// Workspace-relative path, used verbatim in diagnostics.
     pub path: String,
     /// The full file contents.

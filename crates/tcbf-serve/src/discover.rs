@@ -143,6 +143,9 @@ pub(crate) fn announce_once(info: &WorkerInfo, target: SocketAddr) -> std::io::R
 }
 
 /// A bound UDP socket collecting worker beacons.
+///
+/// Public for `tests/serve_conformance.rs`, which must know the beacon
+/// target before the workers it discovers start announcing.
 #[derive(Debug)]
 pub struct Discovery {
     socket: UdpSocket,
@@ -150,14 +153,16 @@ pub struct Discovery {
 
 impl Discovery {
     /// Binds the discovery socket (use port 0 for an ephemeral port and
-    /// read it back with [`Discovery::local_addr`]).
+    /// read it back with [`Discovery::local_addr`]).  Public for
+    /// `tests/serve_conformance.rs`, like [`Discovery`].
     pub fn bind(addr: impl ToSocketAddrs) -> std::io::Result<Discovery> {
         Ok(Discovery {
             socket: UdpSocket::bind(addr)?,
         })
     }
 
-    /// The bound address (the beacon target for tests).
+    /// The bound address (the beacon target for tests).  Public for
+    /// `tests/serve_conformance.rs`, like [`Discovery`].
     pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
         self.socket.local_addr()
     }

@@ -84,7 +84,7 @@ impl FleetReport {
     }
 
     /// Total throttled blocks across all tenants.
-    pub fn total_throttled(&self) -> u64 {
+    pub(crate) fn total_throttled(&self) -> u64 {
         self.tenants.iter().map(|t| t.throttled).sum()
     }
 

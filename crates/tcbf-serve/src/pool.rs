@@ -328,7 +328,7 @@ impl EnginePool {
     }
 
     /// The health of the whole pool, across every precision fleet.
-    pub fn health(&self) -> PoolHealth {
+    pub(crate) fn health(&self) -> PoolHealth {
         let total = self.fleet_size * self.fleets.len();
         let lost: usize = self.fleets.iter().map(|f| f.quarantined.lock().len()).sum();
         PoolHealth {

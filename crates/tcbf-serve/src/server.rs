@@ -620,7 +620,7 @@ fn serve_session(
             // A `Block` is quantised here; an `Operand`'s `K × N` planes are
             // flipped in O(1) into the view's operand, with no encode.
             ClientMsg::Block { seq, samples } => {
-                (seq, GemmInput::quantise(precision, &samples.transposed()))
+                (seq, GemmInput::quantise_block(precision, &samples))
             }
             ClientMsg::Operand { seq, planes } => (seq, Ok(GemmInput::F16(planes.transposed()))),
             ClientMsg::SwapWeights {

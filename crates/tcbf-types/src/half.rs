@@ -38,24 +38,14 @@ const F16_MAN_MASK: u16 = 0x03FF;
 impl f16 {
     /// Positive zero.
     pub const ZERO: f16 = f16(0x0000);
-    /// Negative zero.
-    pub const NEG_ZERO: f16 = f16(0x8000);
-    /// The value `1.0`.
-    pub const ONE: f16 = f16(0x3C00);
-    /// The value `-1.0`.
-    pub(crate) const NEG_ONE: f16 = f16(0xBC00);
     /// Positive infinity.
     pub const INFINITY: f16 = f16(0x7C00);
-    /// Negative infinity.
-    pub const NEG_INFINITY: f16 = f16(0xFC00);
     /// A quiet NaN.
     pub const NAN: f16 = f16(0x7E00);
     /// Largest finite value, `65504.0`.
     pub const MAX: f16 = f16(0x7BFF);
     /// Smallest positive normal value, `2^-14`.
     pub const MIN_POSITIVE: f16 = f16(0x0400);
-    /// Smallest positive subnormal value, `2^-24`.
-    pub const MIN_POSITIVE_SUBNORMAL: f16 = f16(0x0001);
 
     /// Creates a half-precision value from its raw bit pattern.
     #[inline]
@@ -184,54 +174,16 @@ impl f16 {
         (self.0 & F16_EXP_MASK) == F16_EXP_MASK && (self.0 & F16_MAN_MASK) != 0
     }
 
-    /// Returns `true` if the value is positive or negative infinity.
-    #[inline]
-    pub fn is_infinite(self) -> bool {
-        (self.0 & F16_EXP_MASK) == F16_EXP_MASK && (self.0 & F16_MAN_MASK) == 0
-    }
-
     /// Returns `true` if the value is neither infinite nor NaN.
     #[inline]
     pub fn is_finite(self) -> bool {
         (self.0 & F16_EXP_MASK) != F16_EXP_MASK
     }
 
-    /// Returns `true` if the value is subnormal (non-zero with a zero
-    /// exponent field).
-    #[inline]
-    pub fn is_subnormal(self) -> bool {
-        (self.0 & F16_EXP_MASK) == 0 && (self.0 & F16_MAN_MASK) != 0
-    }
-
-    /// Returns `true` for positive or negative zero.
-    #[inline]
-    pub fn is_zero(self) -> bool {
-        (self.0 & !F16_SIGN_MASK) == 0
-    }
-
-    /// Returns `true` if the sign bit is set (including `-0.0` and NaNs
-    /// with a negative sign).
-    #[inline]
-    pub fn is_sign_negative(self) -> bool {
-        (self.0 & F16_SIGN_MASK) != 0
-    }
-
     /// Returns the absolute value.
     #[inline]
     pub fn abs(self) -> Self {
         f16(self.0 & !F16_SIGN_MASK)
-    }
-
-    /// Returns the signum in half precision: `1.0` for positive values,
-    /// `-1.0` for negative values, NaN for NaN.
-    pub fn signum(self) -> Self {
-        if self.is_nan() {
-            Self::NAN
-        } else if self.is_sign_negative() {
-            Self::NEG_ONE
-        } else {
-            Self::ONE
-        }
     }
 }
 
@@ -371,14 +323,10 @@ mod tests {
     #[test]
     fn constants_roundtrip() {
         assert_eq!(f16::ZERO.to_f32(), 0.0);
-        assert_eq!(f16::ONE.to_f32(), 1.0);
-        assert_eq!(f16::NEG_ONE.to_f32(), -1.0);
         assert_eq!(f16::MAX.to_f32(), 65504.0);
         assert_eq!(f16::MIN_POSITIVE.to_f32(), 6.103_515_6e-5);
         assert!(f16::NAN.is_nan());
-        assert!(f16::INFINITY.is_infinite());
-        assert!(f16::NEG_INFINITY.is_infinite());
-        assert!(f16::NEG_INFINITY.is_sign_negative());
+        assert_eq!(f16::INFINITY.to_f32(), f32::INFINITY);
     }
 
     #[test]
@@ -390,24 +338,22 @@ mod tests {
 
     #[test]
     fn overflow_to_infinity() {
-        assert!(f16::from_f32(1e6).is_infinite());
-        assert!(f16::from_f32(-1e6).is_infinite());
-        assert!(f16::from_f32(-1e6).is_sign_negative());
+        assert_eq!(f16::from_f32(1e6), f16::INFINITY);
+        assert_eq!(f16::from_f32(-1e6).to_f32(), f32::NEG_INFINITY);
         assert!(f16::from_f32(65504.0).is_finite());
         // 65520 rounds up to infinity (midpoint rounds to even => 65536 unrepresentable).
-        assert!(f16::from_f32(65520.0).is_infinite());
+        assert_eq!(f16::from_f32(65520.0), f16::INFINITY);
         // Just below the midpoint stays at MAX.
         assert_eq!(f16::from_f32(65519.0), f16::MAX);
     }
 
     #[test]
     fn subnormal_conversions() {
-        let tiny = f16::MIN_POSITIVE_SUBNORMAL;
-        assert!(tiny.is_subnormal());
+        let tiny = f16::from_bits(0x0001);
         assert_eq!(tiny.to_f32(), 2.0f32.powi(-24));
         assert_eq!(f16::from_f32(2.0f32.powi(-24)).to_bits(), 0x0001);
         // Underflow to zero below half of the smallest subnormal.
-        assert!(f16::from_f32(2.0f32.powi(-26)).is_zero());
+        assert_eq!(f16::from_f32(2.0f32.powi(-26)).to_bits(), 0x0000);
     }
 
     #[test]
@@ -415,10 +361,11 @@ mod tests {
         // 1.0 + eps/2 (eps = 2^-10, the gap above 1.0) is exactly halfway
         // between 1.0 and 1.0+eps; it must round to the even mantissa, i.e. 1.0.
         let half_eps = 2f32.powi(-11);
-        assert_eq!(f16::from_f32(1.0 + half_eps), f16::ONE);
+        let one = f16::from_f32(1.0);
+        assert_eq!(f16::from_f32(1.0 + half_eps), one);
         // 1.0 + 1.5*eps is halfway between 1.0+eps and 1.0+2eps; rounds to
         // the even one, 1.0 + 2eps.
-        let expect = f16::from_bits(f16::ONE.to_bits() + 2);
+        let expect = f16::from_bits(one.to_bits() + 2);
         assert_eq!(f16::from_f32(1.0 + 3.0 * half_eps), expect);
     }
 
@@ -427,12 +374,6 @@ mod tests {
         assert!(f16::from_f32(f32::NAN).is_nan());
         assert!((f16::NAN).to_f32().is_nan());
         assert_ne!(f16::NAN, f16::NAN);
-    }
-
-    #[test]
-    fn signum() {
-        assert_eq!(f16::from_f32(3.0).signum(), f16::ONE);
-        assert_eq!(f16::from_f32(-3.0).signum(), f16::NEG_ONE);
     }
 
     proptest! {

@@ -71,7 +71,7 @@ impl GemmShape {
     /// output (always complex float32, 8 bytes) written once.  This is the
     /// "theoretical amount of bytes transferred" used for the arithmetic-
     /// intensity axis of the roofline plots (Fig. 3).
-    pub fn io_bytes(&self, input_bits_per_component: usize) -> u128 {
+    pub(crate) fn io_bytes(&self, input_bits_per_component: usize) -> u128 {
         let in_bits = 2 * input_bits_per_component as u128; // complex: two components
         let a_bits = self.a_elements() as u128 * in_bits;
         let b_bits = self.b_elements() as u128 * in_bits;

@@ -163,23 +163,6 @@ impl PackedBits {
         }
     }
 
-    /// Packs the signs of a slice of real values (non-negative = +1),
-    /// word-at-a-time like [`PackedBits::pack`].
-    pub fn pack_signs(values: &[f32]) -> Self {
-        let mut words = Vec::with_capacity(values.len().div_ceil(32));
-        for chunk in values.chunks(32) {
-            let mut word = 0u32;
-            for (i, &v) in chunk.iter().enumerate() {
-                word |= u32::from(v >= 0.0) << i;
-            }
-            words.push(word);
-        }
-        PackedBits {
-            words,
-            len: values.len(),
-        }
-    }
-
     /// Builds a plane from already-assembled words (the fast packing path
     /// of `ccglib`).  Slack bits beyond `len` in the last word are cleared
     /// so the whole-word popcount fast path stays exact.
@@ -211,12 +194,6 @@ impl PackedBits {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Number of 32-bit words backing the plane.
-    #[inline]
-    pub fn num_words(&self) -> usize {
-        self.words.len()
     }
 
     /// The raw packed words.
@@ -260,16 +237,6 @@ impl PackedBits {
             .collect()
     }
 
-    /// Number of bits set to one (population count over valid samples only).
-    pub fn popcount(&self) -> u32 {
-        let mut total = 0u32;
-        for (w, &word) in self.words.iter().enumerate() {
-            let mask = valid_mask(self.len, w);
-            total += (word & mask).count_ones();
-        }
-        total
-    }
-
     /// Real-valued dot product of two planes of equal length via the XOR +
     /// popcount identity of Table II: `K − 2·popc(A ⊕ B)`.
     pub fn dot_xor(&self, other: &PackedBits) -> i32 {
@@ -298,87 +265,21 @@ impl PackedBits {
         }
         2 * popc - k
     }
-
-    /// The four real dot products of one complex 1-bit multiply —
-    /// `rr = Re(a)·Re(b)`, `ii = Im(a)·Im(b)`, `ri = Re(a)·Im(b)`,
-    /// `ir = Im(a)·Re(b)` — via the XOR identity of Table II, in one pass
-    /// over the four planes.
-    ///
-    /// This is the per-element definition the register-tiled 1-bit GEMM
-    /// kernel of `ccglib` is tested against, not a hot path.
-    ///
-    /// # Panics
-    /// Panics if the four planes do not share one length.
-    pub fn dot4_xor(
-        a_re: &PackedBits,
-        a_im: &PackedBits,
-        b_re: &PackedBits,
-        b_im: &PackedBits,
-    ) -> [i32; 4] {
-        let k = a_re.len as i32;
-        Self::popc4(a_re, a_im, b_re, b_im, |a, b, mask| {
-            ((a ^ b) & mask).count_ones()
-        })
-        .map(|popc| k - 2 * popc as i32)
-    }
-
-    /// Shared core of the quadruple dot products: walks the four planes
-    /// once and accumulates the rr/ii/ri/ir population counts through
-    /// `combine(a, b, mask)`, where `mask` selects the valid samples of the
-    /// word (all of them except in a partial last word).
-    fn popc4(
-        a_re: &PackedBits,
-        a_im: &PackedBits,
-        b_re: &PackedBits,
-        b_im: &PackedBits,
-        combine: impl Fn(u32, u32, u32) -> u32,
-    ) -> [u32; 4] {
-        let len = Self::common_len(a_re, a_im, b_re, b_im);
-        let mut counts = [0u32; 4];
-        for w in 0..a_re.words.len() {
-            let mask = valid_mask(len, w);
-            let (ar, ai) = (a_re.words[w], a_im.words[w]);
-            let (br, bi) = (b_re.words[w], b_im.words[w]);
-            counts[0] += combine(ar, br, mask);
-            counts[1] += combine(ai, bi, mask);
-            counts[2] += combine(ar, bi, mask);
-            counts[3] += combine(ai, br, mask);
-        }
-        counts
-    }
-
-    fn common_len(
-        a_re: &PackedBits,
-        a_im: &PackedBits,
-        b_re: &PackedBits,
-        b_im: &PackedBits,
-    ) -> usize {
-        let len = a_re.len;
-        assert!(
-            a_im.len == len && b_re.len == len && b_im.len == len,
-            "fused dot product requires four planes of equal length"
-        );
-        len
-    }
-
-    /// Reference dot product computed by decoding every sample — used to
-    /// validate the popcount identities in tests.
-    pub fn dot_reference(&self, other: &PackedBits) -> i32 {
-        assert_eq!(self.len, other.len);
-        (0..self.len)
-            .map(|i| {
-                let a = if self.get(i) { 1i32 } else { -1 };
-                let b = if other.get(i) { 1i32 } else { -1 };
-                a * b
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The dot product by definition: every sample decoded to ±1.
+    fn dot_reference(a: &PackedBits, b: &PackedBits) -> i32 {
+        assert_eq!(a.len(), b.len());
+        let decode = |bit: bool| if bit { 1 } else { -1 };
+        (0..a.len())
+            .map(|i| decode(a.get(i)) * decode(b.get(i)))
+            .sum()
+    }
 
     #[test]
     fn constellation_matches_figure_1() {
@@ -415,7 +316,7 @@ mod tests {
         // B = (1, 1, −1, −1); dot product is 0, popc(A⊕B) = 2.
         let a = PackedBits::pack(&[true, false, true, false]);
         let b = PackedBits::pack(&[true, true, false, false]);
-        assert_eq!(a.dot_reference(&b), 0);
+        assert_eq!(dot_reference(&a, &b), 0);
         // popc(A ⊕ B) == 2 as in the table.
         let xor_popc: u32 = {
             let mut p = 0;
@@ -434,7 +335,7 @@ mod tests {
         let bits: Vec<bool> = (0..100).map(|i| i % 3 == 0).collect();
         let packed = PackedBits::pack(&bits);
         assert_eq!(packed.len(), 100);
-        assert_eq!(packed.num_words(), 4);
+        assert_eq!(packed.words().len(), 4);
         for (i, &b) in bits.iter().enumerate() {
             assert_eq!(packed.get(i), b);
         }
@@ -442,12 +343,6 @@ mod tests {
         for (i, &b) in bits.iter().enumerate() {
             assert_eq!(unpacked[i], if b { 1.0 } else { -1.0 });
         }
-    }
-
-    #[test]
-    fn sign_packing() {
-        let packed = PackedBits::pack_signs(&[0.5, -0.5, 0.0, -3.0, 7.0]);
-        assert_eq!(packed.unpack(), vec![1.0, -1.0, 1.0, -1.0, 1.0]);
     }
 
     /// The pre-rewrite packing path: zero-fill then one `set` per bit.
@@ -467,8 +362,6 @@ mod tests {
             let fast = PackedBits::pack(&bits);
             let slow = pack_per_bit(&bits);
             assert_eq!(fast, slow, "len {len}");
-            let values: Vec<f32> = bits.iter().map(|&b| if b { 0.5 } else { -0.5 }).collect();
-            assert_eq!(PackedBits::pack_signs(&values), slow, "signs len {len}");
         }
     }
 
@@ -477,7 +370,8 @@ mod tests {
         let plane = PackedBits::from_words(vec![u32::MAX, u32::MAX], 40);
         assert_eq!(plane.len(), 40);
         // Only the 40 valid bits count; the 24 slack bits were cleared.
-        assert_eq!(plane.popcount(), 40);
+        let ones: u32 = plane.words().iter().map(|w| w.count_ones()).sum();
+        assert_eq!(ones, 40);
         assert_eq!(plane.words()[1], 0xFF);
         let exact = PackedBits::from_words(vec![7], 32);
         assert_eq!(exact.words()[0], 7);
@@ -489,54 +383,7 @@ mod tests {
         let _ = PackedBits::from_words(vec![0; 3], 40);
     }
 
-    #[test]
-    fn fused_dot4_handles_tails_and_whole_words() {
-        for len in [1usize, 5, 32, 33, 64, 95, 256] {
-            let a_re = PackedBits::pack(&(0..len).map(|i| i % 2 == 0).collect::<Vec<_>>());
-            let a_im = PackedBits::pack(&(0..len).map(|i| i % 3 == 0).collect::<Vec<_>>());
-            let b_re = PackedBits::pack(&(0..len).map(|i| i % 5 != 0).collect::<Vec<_>>());
-            let b_im = PackedBits::pack(&(0..len).map(|i| i % 7 == 1).collect::<Vec<_>>());
-            let expected = [
-                a_re.dot_reference(&b_re),
-                a_im.dot_reference(&b_im),
-                a_re.dot_reference(&b_im),
-                a_im.dot_reference(&b_re),
-            ];
-            assert_eq!(
-                PackedBits::dot4_xor(&a_re, &a_im, &b_re, &b_im),
-                expected,
-                "len {len}"
-            );
-        }
-    }
-
     proptest! {
-        #[test]
-        fn fused_dot4_matches_the_four_single_dots(
-            bits in proptest::collection::vec(any::<bool>(), 4..512),
-            seed_ai in any::<u64>(),
-            seed_br in any::<u64>(),
-            seed_bi in any::<u64>(),
-        ) {
-            let derive = |seed: u64| -> Vec<bool> {
-                bits.iter()
-                    .enumerate()
-                    .map(|(i, &b)| b ^ ((seed >> (i % 64)) & 1 == 1))
-                    .collect()
-            };
-            let a_re = PackedBits::pack(&bits);
-            let a_im = PackedBits::pack(&derive(seed_ai));
-            let b_re = PackedBits::pack(&derive(seed_br));
-            let b_im = PackedBits::pack(&derive(seed_bi));
-            let expected = [
-                a_re.dot_xor(&b_re),
-                a_im.dot_xor(&b_im),
-                a_re.dot_xor(&b_im),
-                a_im.dot_xor(&b_re),
-            ];
-            prop_assert_eq!(PackedBits::dot4_xor(&a_re, &a_im, &b_re, &b_im), expected);
-        }
-
         #[test]
         fn fast_packing_roundtrips_for_random_lengths(
             bits in proptest::collection::vec(any::<bool>(), 1..400),
@@ -558,7 +405,7 @@ mod tests {
                 .collect();
             let a = PackedBits::pack(&bits_a);
             let b = PackedBits::pack(&bits_b);
-            prop_assert_eq!(a.dot_xor(&b), a.dot_reference(&b));
+            prop_assert_eq!(a.dot_xor(&b), dot_reference(&a, &b));
         }
 
         #[test]
@@ -571,7 +418,7 @@ mod tests {
                 .collect();
             let a = PackedBits::pack(&bits_a);
             let b = PackedBits::pack(&bits_b);
-            prop_assert_eq!(a.dot_and(&b), a.dot_reference(&b));
+            prop_assert_eq!(a.dot_and(&b), dot_reference(&a, &b));
         }
 
         #[test]

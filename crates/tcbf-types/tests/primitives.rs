@@ -14,9 +14,10 @@ fn approx(a: f32, b: f32, tol: f32) -> bool {
 #[test]
 fn complex_field_identities() {
     let z = Complex::new(3.0f32, -4.0);
+    let (one, i) = (Complex::new(1.0f32, 0.0), Complex::new(0.0f32, 1.0));
     assert_eq!(z + Complex32::ZERO, z);
-    assert_eq!(z * Complex32::ONE, z);
-    assert_eq!(Complex32::I * Complex32::I, -Complex32::ONE);
+    assert_eq!(z * one, z);
+    assert_eq!(i * i, -one);
     assert_eq!(z - z, Complex32::ZERO);
     assert_eq!(-z, Complex::new(-3.0, 4.0));
 }
@@ -106,24 +107,24 @@ fn f16_rounds_to_nearest_even() {
 #[test]
 fn f16_overflow_and_subnormals() {
     // Values beyond ±65504 overflow to infinity.
-    assert!(f16::from_f32(65520.0).is_infinite());
-    assert!(f16::from_f32(-1e9).is_infinite());
-    assert!(f16::from_f32(-1e9).is_sign_negative());
-    // The smallest positive subnormal survives the trip.
-    let tiny = f16::MIN_POSITIVE_SUBNORMAL;
-    assert!(tiny.is_subnormal());
+    assert_eq!(f16::from_f32(65520.0), f16::INFINITY);
+    assert_eq!(f16::from_f32(-1e9).to_f32(), f32::NEG_INFINITY);
+    // The smallest positive subnormal, 2⁻²⁴, survives the trip.
+    let tiny = f16::from_bits(0x0001);
+    assert_eq!(tiny.to_f32(), 2.0f32.powi(-24));
     assert_eq!(f16::from_f32(tiny.to_f32()).to_bits(), tiny.to_bits());
     // Anything much smaller flushes to zero.
-    assert!(f16::from_f32(1e-12).is_zero());
+    assert_eq!(f16::from_f32(1e-12).to_bits(), 0x0000);
 }
 
 #[test]
 fn f16_signed_zero_semantics() {
-    assert!(f16::NEG_ZERO.is_zero());
-    assert_eq!(f16::NEG_ZERO.to_f32(), 0.0);
-    assert!(f16::from_f32(-0.0).is_sign_negative());
+    let neg_zero = f16::from_bits(0x8000);
+    assert_eq!(neg_zero.to_f32(), 0.0);
+    assert!(neg_zero.to_f32().is_sign_negative());
+    assert_eq!(f16::from_f32(-0.0).to_bits(), 0x8000);
     // IEEE equality: -0 == +0.
-    assert_eq!(f16::NEG_ZERO, f16::ZERO);
+    assert_eq!(neg_zero, f16::ZERO);
 }
 
 // ---- 1-bit encoding and popcount identities -------------------------------
@@ -153,11 +154,9 @@ fn packed_bits_roundtrip_and_popcount() {
     let bits: Vec<bool> = (0..97).map(|i| i % 3 == 0).collect();
     let packed = PackedBits::pack(&bits);
     assert_eq!(packed.len(), 97);
-    assert_eq!(packed.num_words(), 4);
-    assert_eq!(
-        packed.popcount() as usize,
-        bits.iter().filter(|&&b| b).count()
-    );
+    assert_eq!(packed.words().len(), 4);
+    let ones: u32 = packed.words().iter().map(|w| w.count_ones()).sum();
+    assert_eq!(ones as usize, bits.iter().filter(|&&b| b).count());
     let unpacked = packed.unpack();
     for (i, (&bit, &value)) in bits.iter().zip(unpacked.iter()).enumerate() {
         assert_eq!(value, if bit { 1.0 } else { -1.0 }, "sample {i}");
@@ -179,19 +178,7 @@ fn popcount_identities_match_reference_dot() {
             .zip(&b_bits)
             .map(|(&x, &y)| if x == y { 1 } else { -1 })
             .sum();
-        assert_eq!(a.dot_reference(&b), expected, "reference, len {len}");
         assert_eq!(a.dot_xor(&b), expected, "xor identity, len {len}");
         assert_eq!(a.dot_and(&b), expected, "and identity, len {len}");
-    }
-}
-
-#[test]
-fn pack_signs_matches_sign_bit_convention() {
-    let values = [0.0f32, -0.0, 1.5, -2.5, 1e-20, -1e-20];
-    let packed = PackedBits::pack_signs(&values);
-    let unpacked = packed.unpack();
-    for (i, (&v, &u)) in values.iter().zip(unpacked.iter()).enumerate() {
-        let expected = if v >= 0.0 { 1.0 } else { -1.0 };
-        assert_eq!(u, expected, "value {i} ({v})");
     }
 }

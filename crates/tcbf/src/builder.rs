@@ -105,7 +105,8 @@ impl BeamformerBuilder {
     /// pool, for testing fault recovery end to end.  The injector must
     /// span exactly one verdict stream per pool member (one for the
     /// default pool of one), else [`BeamformerBuilder::build_engine`]
-    /// fails with [`TcbfError::InvalidParameters`].
+    /// fails with [`TcbfError::InvalidParameters`].  Public for
+    /// `tests/fault_conformance.rs`, which drives recovery through it.
     pub fn fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
         self.fault_injector = Some(injector);
         self

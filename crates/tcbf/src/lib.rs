@@ -299,9 +299,12 @@ mod tests {
             return Err("UnsupportedPrecision");
         }
         let shape = GemmShape::new(beams, samples, receivers);
-        let required = ccglib::GemmPlan::operand_bytes(&shape, precision);
+        // Both operands at the input precision, the output as complex f32.
+        let bytes = |elements: usize| elements as u128 * 2 * precision.input_bits() as u128 / 8;
+        let required =
+            bytes(shape.a_elements() + shape.b_elements()) + shape.c_elements() as u128 * 8;
         let available = (spec.mem_size_gib * 1024.0 * 1024.0 * 1024.0) as u128;
-        if precision.uses_tensor_cores() && required > available {
+        if precision != Precision::Float32Reference && required > available {
             return Err("OutOfDeviceMemory");
         }
         Ok(())

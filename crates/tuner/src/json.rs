@@ -84,7 +84,9 @@ impl Value {
     }
 
     /// A number; `null` reads back as NaN (the writer's spelling of a
-    /// non-finite value, serde_json's convention).
+    /// non-finite value, serde_json's convention).  Public for
+    /// `crates/bench/tests/bench_json.rs`, which reads the committed
+    /// `BENCH_gemm.json` back.
     pub fn as_f64(&self) -> Result<f64, JsonError> {
         match self {
             Value::Number(n) => Ok(*n),
@@ -95,7 +97,8 @@ impl Value {
 
     /// A count: finite, non-negative, integral and at most `u32::MAX` —
     /// anything else (`-3.7`, `2.9`, `null`) is an error, never a
-    /// truncation.
+    /// truncation.  Public for `crates/bench/tests/bench_json.rs`, which
+    /// reads the committed `BENCH_gemm.json` back.
     pub fn as_usize(&self) -> Result<usize, JsonError> {
         match self {
             Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= f64::from(u32::MAX) => {
@@ -113,7 +116,9 @@ impl Value {
         }
     }
 
-    /// The elements of an array.
+    /// The elements of an array.  Public for
+    /// `crates/bench/tests/bench_json.rs`, which reads the committed
+    /// `BENCH_gemm.json` back.
     pub fn as_array(&self) -> Result<&[Value], JsonError> {
         match self {
             Value::Array(items) => Ok(items),

@@ -426,13 +426,15 @@ mod tests {
 
     #[test]
     fn paper_tuning_shape_matches_the_calibration_points() {
+        // Section IV: M = N = K = 8192 in float16, and M = 32768,
+        // N = 8192, K = 524288 in 1-bit.
         assert_eq!(
             Tuner::paper_tuning_shape(Precision::Float16),
-            ccglib::GemmPlan::f16_calibration_shape()
+            GemmShape::new(8192, 8192, 8192)
         );
         assert_eq!(
             Tuner::paper_tuning_shape(Precision::Int1),
-            ccglib::GemmPlan::int1_calibration_shape()
+            GemmShape::new(32_768, 8192, 524_288)
         );
     }
 

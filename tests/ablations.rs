@@ -3,10 +3,10 @@
 //! crate boundaries.
 
 use ccglib::benchmark::measure_with_params;
-use ccglib::matrix::{HostComplexMatrix, Int1Matrix};
-use ccglib::{gemm, Gemm, GemmInput, Precision, TuningParameters};
+use ccglib::matrix::{F16Matrix, HostComplexMatrix, Int1Matrix};
+use ccglib::{gemm, Gemm, GemmInput, Isa, Precision, TuningParameters};
 use gpu_sim::{BitFragmentShape, BitOp, Gpu};
-use tcbf_types::{Complex, GemmShape};
+use tcbf_types::{f16, Complex, GemmShape};
 
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> HostComplexMatrix {
     let mut state = seed | 1;
@@ -21,15 +21,27 @@ fn random_matrix(rows: usize, cols: usize, seed: u64) -> HostComplexMatrix {
 
 #[test]
 fn xor_and_formulations_are_functionally_interchangeable() {
-    // The operand switch on Hopper is purely a performance decision: both
-    // formulations must give bit-identical complex outputs for every
-    // padding situation.
+    // The operand switch on Hopper is purely a performance decision: Table
+    // II's XOR and Eq. 6's AND formulation are two ways to count one ±1 dot
+    // product, so both are defined to give the decoded operands' exact
+    // product.  The host computes it with one kernel; every popcount path
+    // must give that product bit for bit, for every padding situation.
+    let bits = |m: &HostComplexMatrix| -> Vec<(u32, u32)> {
+        let of = |v: &Complex<f32>| (v.re.to_bits(), v.im.to_bits());
+        m.data().iter().map(of).collect()
+    };
     for k in [32usize, 100, 256, 300] {
+        let block = random_matrix(k, 5, 2);
         let a = Int1Matrix::from_host_padded(&random_matrix(7, k, 1), 256);
-        let b = Int1Matrix::from_host_padded(&random_matrix(k, 5, 2).transposed(), 256);
-        let via_xor = gemm::gemm_int1(&a, &b, BitOp::Xor).unwrap();
-        let via_and = gemm::gemm_int1(&a, &b, BitOp::And).unwrap();
-        assert_eq!(via_xor, via_and, "K = {k}");
+        for isa in Isa::available() {
+            let GemmInput::Int1(b) = GemmInput::quantise_int1_on(isa, &block.transposed()) else {
+                unreachable!("a 1-bit quantisation");
+            };
+            assert_eq!(b.k_padded(), 256usize.max(k.next_multiple_of(256)));
+            let reference = ccglib::reference_gemm(&a.to_host(), &b.to_host()).unwrap();
+            let result = gemm::gemm_int1_on(isa, &a, &b).unwrap();
+            assert_eq!(bits(&result), bits(&reference), "K = {k} on {isa}");
+        }
     }
 }
 
@@ -108,19 +120,16 @@ fn buffer_count_is_irrelevant_on_amd() {
 
 #[test]
 fn planar_and_interleaved_inputs_give_identical_results() {
-    // The interleaved path goes through the transpose/split kernel; the
-    // numerical result must be exactly the same as quantising planar data.
+    // Interleaved `re, im` pairs (a host matrix) go through the split
+    // kernel; the numerical result must be exactly the same as that of
+    // binary16 planes built one plane at a time.
     let m = 12;
     let k = 40;
     let host = random_matrix(m, k, 3);
-    let mut interleaved = Vec::with_capacity(2 * m * k);
-    for r in 0..m {
-        for c in 0..k {
-            let v = host.get(r, c);
-            interleaved.push(v.re);
-            interleaved.push(v.im);
-        }
-    }
+    let plane = |part: fn(&Complex<f32>) -> f32| -> Vec<f16> {
+        host.data().iter().map(|v| f16::from_f32(part(v))).collect()
+    };
+    let planar = F16Matrix::from_planes(m, k, plane(|v| v.re), plane(|v| v.im)).unwrap();
     let b = random_matrix(k, 8, 4).transposed();
     let gemm = Gemm::new(
         &Gpu::A100.device(),
@@ -129,14 +138,11 @@ fn planar_and_interleaved_inputs_give_identical_results() {
     )
     .unwrap();
     let (from_planar, _) = gemm
-        .run(
-            &GemmInput::quantise_f16(&host),
-            &GemmInput::quantise_f16(&b),
-        )
+        .run(&GemmInput::F16(planar), &GemmInput::quantise_f16(&b))
         .unwrap();
     let (from_interleaved, _) = gemm
         .run(
-            &GemmInput::quantise_f16_interleaved(m, k, &interleaved).unwrap(),
+            &GemmInput::quantise_f16(&host),
             &GemmInput::quantise_f16(&b),
         )
         .unwrap();
@@ -152,7 +158,7 @@ fn kpad_correction_is_required_for_ragged_k() {
     let a = Int1Matrix::from_host_padded(&random_matrix(4, k, 7), 256);
     let b = Int1Matrix::from_host_padded(&random_matrix(k, 4, 8).transposed(), 256);
     assert_eq!(a.k_padding(), 246);
-    let result = gemm::gemm_int1(&a, &b, BitOp::Xor).unwrap();
+    let result = gemm::gemm_int1_on(Isa::detected(), &a, &b).unwrap();
     let reference = ccglib::reference_gemm(&a.to_host(), &b.to_host()).unwrap();
     assert!(result.max_abs_diff(&reference) < 0.5);
     // And every component is bounded by 2·K (not 2·K_padded).

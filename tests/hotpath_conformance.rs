@@ -6,13 +6,13 @@
 //! must be invisible to every consumer: 1-bit outputs stay bit-identical
 //! to the decoded ±1 reference, float16 outputs stay within quantisation
 //! tolerance of the f32 reference (and bit-identical to it when the
-//! inputs make every intermediate exact), the prepared entry point
-//! produces exactly the same bits as the one-shot path, and a boxed
+//! inputs make every intermediate exact), an operand prepared once
+//! produces exactly the same bits as one prepared per call, and a boxed
 //! `build_engine()` engine equals the scalar definition of either
 //! precision bit for bit on arbitrary inputs.
 
 use beamform::Engine;
-use ccglib::gemm::{gemm_f16_on, gemm_int1_on};
+use ccglib::gemm::{gemm_dispatch_prepared, gemm_f16_on, gemm_int1_on};
 use ccglib::matrix::{F16Matrix, HostComplexMatrix, Int1Matrix};
 use ccglib::synth::{exact_integer_matrix, pseudo_random_matrix};
 use ccglib::{Gemm, GemmInput, Isa, Precision};
@@ -24,7 +24,8 @@ use tcbf_types::{f16, Complex, GemmShape, PackedBits};
 #[test]
 fn decode_once_batch_is_bit_identical_to_single_runs() {
     // A prepared `A` is decoded once for a whole batch of blocks; every
-    // output must still equal the one-pair path bit for bit.
+    // output must still equal `Gemm::run`'s, which prepares `A` afresh per
+    // call, bit for bit.
     let device = Gpu::A100.device();
     let a_host = pseudo_random_matrix(16, 96, 1, 1.0);
     let blocks: Vec<HostComplexMatrix> = (0..4)
@@ -288,9 +289,9 @@ fn hostile_weights_give_every_kernel_paths_result_through_the_engine() {
                         (GemmInput::F16(a), GemmInput::F16(b_t)) => {
                             vec![gemm_f16_on(isa, a, b_t).unwrap()]
                         }
-                        (GemmInput::Int1(a), GemmInput::Int1(b_t)) => [BitOp::Xor, BitOp::And]
-                            .map(|op| gemm_int1_on(isa, a, b_t, op).unwrap())
-                            .to_vec(),
+                        (GemmInput::Int1(a), GemmInput::Int1(b_t)) => {
+                            vec![gemm_int1_on(isa, a, b_t).unwrap()]
+                        }
                         _ => unreachable!("both operands were quantised to {precision}"),
                     };
                     for expected in &expected {
@@ -352,9 +353,9 @@ fn engine_outputs(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The fused dot4 1-bit kernel stays bit-identical to the decoded ±1
-    /// reference for shapes whose K is not a multiple of the word size,
-    /// tile depth or packing granularity, in both formulations.
+    /// The 1-bit kernel stays bit-identical to the decoded ±1 reference
+    /// for shapes whose K is not a multiple of the word size, tile depth or
+    /// packing granularity.
     #[test]
     fn int1_hot_path_is_bit_identical_to_reference(
         m in 1usize..10, n in 1usize..10, k in 1usize..520,
@@ -364,18 +365,13 @@ proptest! {
         let granularity = [32usize, 128, 256][granularity_index];
         let a_host = pseudo_random_matrix(m, k, seed, 1.0);
         let b_host = pseudo_random_matrix(k, n, seed ^ 0xFEED, 1.0).transposed();
-        let a = GemmInput::quantise_int1_padded(&a_host, granularity);
-        let b = GemmInput::quantise_int1_padded(&b_host, granularity);
-        let (qa, qb) = match (&a, &b) {
-            (GemmInput::Int1(a), GemmInput::Int1(b)) => (a.to_host(), b.to_host()),
-            _ => unreachable!(),
-        };
-        let reference = ccglib::reference_gemm(&qa, &qb).unwrap();
-        let xor = ccglib::gemm::gemm_dispatch(&a, &b, BitOp::Xor).unwrap();
-        let and = ccglib::gemm::gemm_dispatch(&a, &b, BitOp::And).unwrap();
+        let a = Int1Matrix::from_host_padded(&a_host, granularity);
+        let b = Int1Matrix::from_host_padded(&b_host, granularity);
+        let reference = ccglib::reference_gemm(&a.to_host(), &b.to_host()).unwrap();
+        let (a, b) = (GemmInput::Int1(a), GemmInput::Int1(b));
+        let result = gemm_dispatch_prepared(&a.prepare(), &b, BitOp::And).unwrap();
         // Integer outputs: exact equality, not a tolerance.
-        prop_assert_eq!(&xor, &reference);
-        prop_assert_eq!(&xor, &and);
+        prop_assert_eq!(&result, &reference);
     }
 
     /// The blocked f16 micro-kernel is bit-identical to the f32 reference
@@ -389,7 +385,7 @@ proptest! {
         let b_host = exact_integer_matrix(k, n, seed ^ 0xBEEF).transposed();
         let a = GemmInput::quantise_f16(&a_host);
         let b = GemmInput::quantise_f16(&b_host);
-        let result = ccglib::gemm::gemm_dispatch(&a, &b, BitOp::Xor).unwrap();
+        let result = gemm_dispatch_prepared(&a.prepare(), &b, BitOp::Xor).unwrap();
         let reference = ccglib::reference_gemm(&a_host, &b_host).unwrap();
         prop_assert_eq!(result, reference);
     }
@@ -404,7 +400,7 @@ proptest! {
         let b_host = pseudo_random_matrix(k, n, seed ^ 0x7777, 1.0).transposed();
         let a = GemmInput::quantise_f16(&a_host);
         let b = GemmInput::quantise_f16(&b_host);
-        let result = ccglib::gemm::gemm_dispatch(&a, &b, BitOp::Xor).unwrap();
+        let result = gemm_dispatch_prepared(&a.prepare(), &b, BitOp::Xor).unwrap();
         let reference = ccglib::reference_gemm(&a_host, &b_host).unwrap();
         let tol = 2.0 * 2.0f32.powi(-11) * 2.0 * k as f32;
         prop_assert!(result.max_abs_diff(&reference) < tol);

@@ -138,6 +138,60 @@ fn served_outputs_are_bit_identical_for_both_precisions() {
     }
 }
 
+/// The `f32` bits of every output, so that `-0.0` and `0.0` differ.
+fn bits(outputs: &[HostComplexMatrix]) -> Vec<Vec<(u32, u32)>> {
+    let of = |v: &Complex<f32>| (v.re.to_bits(), v.im.to_bits());
+    outputs
+        .iter()
+        .map(|m| m.data().iter().map(of).collect())
+        .collect()
+}
+
+#[test]
+fn a_block_that_is_a_transposed_view_is_beamformed_like_its_row_major_copy() {
+    // A `K × N` block may itself be the `transposed()` view of an `N × K`
+    // matrix.  Direct engines — one device and a pool of two — take it as
+    // the served path does: bit for bit what its row-major copy gives.
+    for precision in [Precision::Float16, Precision::Int1] {
+        let copies = blocks_for(5, 3);
+        let views: Vec<HostComplexMatrix> = copies
+            .iter()
+            .map(|block| {
+                HostComplexMatrix::from_fn(SAMPLES, RECEIVERS, |s, r| block.get(r, s)).transposed()
+            })
+            .collect();
+        assert_eq!(views, copies, "the views hold the copies' values");
+
+        let on_copy = bits(&direct_outputs(precision, &copies, None));
+        let on_view = bits(&direct_outputs(precision, &views, None));
+        assert_eq!(on_view, on_copy, "direct engine, {precision:?}");
+
+        let mut pool = BeamformerBuilder::new(Gpu::A100)
+            .devices(&[Gpu::A100, Gpu::A100])
+            .weights(example_weights(BEAMS, RECEIVERS))
+            .samples_per_block(SAMPLES)
+            .precision(precision)
+            .build_engine()
+            .unwrap();
+        let batch: Vec<&HostComplexMatrix> = views.iter().collect();
+        let pooled: Vec<HostComplexMatrix> = pool
+            .process_batch(&batch)
+            .unwrap()
+            .into_iter()
+            .map(|output| output.beams)
+            .collect();
+        assert_eq!(bits(&pooled), on_copy, "pool of two, {precision:?}");
+
+        let handle = serve("127.0.0.1:0", config()).unwrap();
+        let mut client =
+            Client::connect(handle.addr(), "viewer", precision, RECEIVERS, SAMPLES).unwrap();
+        let served = client.stream_blocks(&views).unwrap();
+        client.finish().unwrap();
+        handle.shutdown();
+        assert_eq!(bits(&served), on_copy, "served, {precision:?}");
+    }
+}
+
 #[test]
 fn mid_stream_weight_swap_is_bit_identical() {
     let handle = serve("127.0.0.1:0", config()).unwrap();
@@ -359,7 +413,8 @@ fn backpressure_throttles_but_never_corrupts() {
     );
     assert_eq!(summary.blocks, 8);
     assert_eq!(summary.throttled, retries);
-    assert_eq!(report.total_throttled(), retries);
+    let throttled: u64 = report.tenants.iter().map(|t| t.throttled).sum();
+    assert_eq!(throttled, retries);
     // Backpressure must be invisible in the data.
     let expected = direct_outputs(Precision::Float16, &blocks, None);
     assert_eq!(served, expected);
