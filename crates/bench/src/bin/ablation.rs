@@ -72,8 +72,7 @@ fn main() {
     header("Ablation 3 — transpose (interleaved -> planar) overhead per GEMM");
     let mut rows = Vec::new();
     for gpu in [Gpu::A100, Gpu::Mi300x] {
-        let spec = gpu.spec();
-        let exec = ExecutionModel::new(spec.clone());
+        let exec = ExecutionModel::new(gpu.spec());
         for (label, shape) in [
             (
                 "LOFAR 1024x1024x512 (batch 256)",
@@ -86,7 +85,6 @@ fn main() {
                 .elapsed_s;
             let transpose_s = exec
                 .time(&transpose::transpose_profile(
-                    &spec,
                     shape.k,
                     shape.n * shape.batch,
                     16,

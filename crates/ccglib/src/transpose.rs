@@ -19,23 +19,17 @@
 //! [`HostComplexMatrix`]: crate::matrix::HostComplexMatrix
 //! [`HostComplexMatrix::transposed`]: crate::matrix::HostComplexMatrix::transposed
 
-use gpu_sim::{DeviceSpec, KernelKind, KernelProfile, LaunchConfig};
+use gpu_sim::{KernelKind, KernelProfile, LaunchConfig};
 
 /// Kernel profile of the transpose kernel for a `rows × cols` complex
 /// matrix with `bits_per_component` input precision: it reads and writes
 /// every element once.
-pub fn transpose_profile(
-    spec: &DeviceSpec,
-    rows: usize,
-    cols: usize,
-    bits_per_component: usize,
-) -> KernelProfile {
+pub fn transpose_profile(rows: usize, cols: usize, bits_per_component: usize) -> KernelProfile {
     let elements = rows as f64 * cols as f64;
     let bytes_per_element = 2.0 * bits_per_component as f64 / 8.0;
     let traffic = 2.0 * elements * bytes_per_element; // read + write
     let threads_per_block = 256;
     let blocks = ((elements / threads_per_block as f64).ceil()).max(1.0) as usize;
-    let _ = spec;
     KernelProfile::data_movement(
         KernelKind::Transpose,
         traffic,
@@ -84,10 +78,9 @@ mod tests {
 
     #[test]
     fn transpose_profile_reads_and_writes_once() {
-        let spec = Gpu::Mi210.spec();
-        let p = transpose_profile(&spec, 1024, 2048, 16);
+        let p = transpose_profile(1024, 2048, 16);
         assert_eq!(p.global_bytes, 2.0 * 1024.0 * 2048.0 * 4.0);
-        let t = ExecutionModel::new(spec).time(&p);
+        let t = ExecutionModel::new(Gpu::Mi210.spec()).time(&p);
         assert!(t.memory_time_s > t.compute_time_s);
     }
 }

@@ -4,8 +4,7 @@
 //! token-level lexer (zero dependencies) and enforces the one contract
 //! no compiler lint expresses: **public means called** (TCBF-U001).
 //!
-//! Lock order is checked at run time by the held-lock tracker in the
-//! vendored `parking_lot` (armed with `TCBF_LOCK_ORDER=1` at test time).
+//! Lock order needs no rule: no code path holds two locks at once.
 //! Serve-path panic freedom, the clock, the `unsafe` inventory and the
 //! wire error codes are held by rustc, clippy and a `ccglib` test, and
 //! float-reduction order by the committed result digests and goldens

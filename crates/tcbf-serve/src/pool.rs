@@ -21,14 +21,9 @@
 //! session's blocks always execute under exactly the weights that session
 //! configured.
 //!
-//! Lock order: slots -> quarantined
-//!
-//! That single line is the pool's canonical lock-acquisition order:
-//! wherever both of a fleet's locks are held together, `slots` is taken
-//! first.  The held-lock tracker in the vendored `parking_lot` checks it
-//! per lock instance in every debug test run with `TCBF_LOCK_ORDER=1`;
-//! `lock_order_tracker_sees_the_pools_nesting` pins that it sees the
-//! nesting (`checkout`'s all-quarantined branch) and panics on its reverse.
+//! Each fleet has one lock, over its rotation and its quarantine alike,
+//! and no pool method takes a second lock while holding it: there is no
+//! lock order to keep.
 
 use beamform::{Engine, WeightMatrix};
 use ccglib::matrix::HostComplexMatrix;
@@ -135,9 +130,11 @@ impl ServeConfig {
             }
             fleets.push(PrecisionFleet {
                 precision,
-                slots: Mutex::new(slots),
+                state: Mutex::new(FleetState {
+                    rotation: slots,
+                    quarantined: Vec::new(),
+                }),
                 available: Condvar::new(),
-                quarantined: Mutex::new(Vec::new()),
             });
         }
         let injector = self
@@ -184,7 +181,7 @@ impl EngineSlot {
     /// `_session_id` and `_version` are not part of that decision — who
     /// sends the weights does not change what they compute.  They are kept
     /// for one caller, `examples/pipeline_bench`, which a change to the
-    /// served path may not edit; ROADMAP item 1 drops them with it.
+    /// served path may not edit; ROADMAP item 12(d) drops them with it.
     pub fn ensure_weights(
         &mut self,
         _session_id: u64,
@@ -203,12 +200,19 @@ impl EngineSlot {
 
 struct PrecisionFleet {
     precision: Precision,
-    slots: Mutex<Vec<EngineSlot>>,
+    state: Mutex<FleetState>,
+    /// Signalled when `state` gains a slot and when a report's drain ends.
     available: Condvar,
+}
+
+/// Every engine of a fleet not checked out, under the fleet's one lock.
+struct FleetState {
+    /// Slots free to check out, oldest check-in first.
+    rotation: Vec<EngineSlot>,
     /// Slots pulled from rotation after a permanent fault.  Their engines
     /// keep their accounting (so fleet reports stay complete) but are
     /// never checked out again.
-    quarantined: Mutex<Vec<EngineSlot>>,
+    quarantined: Vec<EngineSlot>,
 }
 
 /// The health of a fleet: how many engines remain in rotation out of the
@@ -285,24 +289,23 @@ impl EnginePool {
     /// menu.
     pub fn checkout(&self, precision: Precision) -> tcbf::Result<EngineSlot> {
         let fleet = self.fleet(precision)?;
-        let mut slots = fleet.slots.lock();
+        let mut state = fleet.state.lock();
         loop {
             // FIFO rotation (oldest check-in first) so every slot takes
             // its share of the stream: work spreads across the fleet and
             // a fault armed on any slot deterministically gets blocks to
             // fire on, instead of one hot slot shadowing the rest.
-            if !slots.is_empty() {
-                return Ok(slots.remove(0));
+            if !state.rotation.is_empty() {
+                return Ok(state.rotation.remove(0));
             }
             // Everything quarantined: no check-in will ever come.
-            let lost = fleet.quarantined.lock().len();
-            if lost >= self.fleet_size {
+            if state.quarantined.len() >= self.fleet_size {
                 return Err(TcbfError::Degraded {
                     healthy: 0,
                     total: self.fleet_size,
                 });
             }
-            slots = fleet.available.wait(slots);
+            state = fleet.available.wait(state);
         }
     }
 
@@ -312,15 +315,20 @@ impl EnginePool {
     /// shrunken fleet instead of sleeping forever.
     pub(crate) fn quarantine(&self, precision: Precision, slot: EngineSlot) -> tcbf::Result<()> {
         let fleet = self.fleet(precision)?;
-        fleet.quarantined.lock().push(slot);
+        fleet.state.lock().quarantined.push(slot);
         fleet.available.notify_all();
         Ok(())
+    }
+
+    /// Engines built per precision: a fleet's size, quarantine included.
+    pub(crate) fn fleet_size(&self) -> usize {
+        self.fleet_size
     }
 
     /// The health of one precision's fleet.
     pub(crate) fn fleet_health(&self, precision: Precision) -> tcbf::Result<PoolHealth> {
         let fleet = self.fleet(precision)?;
-        let lost = fleet.quarantined.lock().len();
+        let lost = fleet.state.lock().quarantined.len();
         Ok(PoolHealth {
             healthy: self.fleet_size.saturating_sub(lost),
             total: self.fleet_size,
@@ -330,7 +338,11 @@ impl EnginePool {
     /// The health of the whole pool, across every precision fleet.
     pub(crate) fn health(&self) -> PoolHealth {
         let total = self.fleet_size * self.fleets.len();
-        let lost: usize = self.fleets.iter().map(|f| f.quarantined.lock().len()).sum();
+        let lost: usize = self
+            .fleets
+            .iter()
+            .map(|f| f.state.lock().quarantined.len())
+            .sum();
         PoolHealth {
             healthy: total.saturating_sub(lost),
             total,
@@ -340,7 +352,7 @@ impl EnginePool {
     /// Returns a checked-out engine to its fleet and wakes one waiter.
     pub fn check_in(&self, precision: Precision, slot: EngineSlot) -> tcbf::Result<()> {
         let fleet = self.fleet(precision)?;
-        fleet.slots.lock().push(slot);
+        fleet.state.lock().rotation.push(slot);
         fleet.available.notify_one();
         Ok(())
     }
@@ -355,24 +367,21 @@ impl EnginePool {
         let mut shards = Vec::new();
         let mut weight_swaps = 0;
         for fleet in &self.fleets {
-            let mut slots = fleet.slots.lock();
+            let mut state = fleet.state.lock();
             let deadline = std::time::Instant::now() + drain_timeout;
             // Quarantined slots never come back: the fleet is drained when
             // rotation + quarantine account for every built engine.
-            loop {
-                let lost = fleet.quarantined.lock().len();
-                if slots.len() + lost >= self.fleet_size {
-                    break;
-                }
+            while state.rotation.len() + state.quarantined.len() < self.fleet_size {
                 let now = std::time::Instant::now();
                 if now >= deadline {
                     break;
                 }
-                let (guard, _) = fleet.available.wait_timeout(slots, deadline - now);
-                slots = guard;
+                state = fleet.available.wait_timeout(state, deadline - now).0;
             }
-            let quarantined = fleet.quarantined.lock();
-            for slot in slots.iter().chain(quarantined.iter()) {
+            // A check-in's `notify_one` may have woken this drain instead
+            // of a checkout waiting for the slot: pass the wake-up on.
+            fleet.available.notify_all();
+            for slot in state.rotation.iter().chain(&state.quarantined) {
                 let report = slot.engine.report();
                 weight_swaps += report.weight_swaps();
                 shards.extend(report.per_device().iter().cloned());
@@ -414,6 +423,7 @@ impl ServeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn pool() -> EnginePool {
@@ -621,26 +631,75 @@ mod tests {
         );
     }
 
-    #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "lock-order violation")]
-    fn lock_order_tracker_sees_the_pools_nesting() {
-        parking_lot::lock_order::arm();
+    fn writers_and_readers_of_a_fleet_never_deadlock() {
+        // Three writers cycle engines through checkout and check-in, each
+        // quarantining one on the way, while a reader drains reports and
+        // reads health: every thread ends well inside the deadline.  A
+        // slot is held for 50 us, so checkouts queue on the condition
+        // variable beside the reader's drain: if the drain did not pass on
+        // a check-in's wake-up it took, a writer could sleep for good
+        // beside a free slot.
+        const WRITERS: usize = 3;
         let mut config = ServeConfig::example(4, 16, 32);
         config.precisions = vec![Precision::Float16];
-        config.engines_per_precision = 1;
-        let pool = config.build_pool().unwrap();
-        let slot = pool.checkout(Precision::Float16).unwrap();
-        pool.quarantine(Precision::Float16, slot).unwrap();
-        // The all-quarantined branch reads `quarantined` under `slots`.
-        assert!(matches!(
-            pool.checkout(Precision::Float16),
-            Err(TcbfError::Degraded { .. })
-        ));
-        // The reverse nesting on the same fleet closes a cycle.
-        let fleet = pool.fleet(Precision::Float16).unwrap();
-        let _quarantined = fleet.quarantined.lock();
-        let _slots = fleet.slots.lock();
+        config.engines_per_precision = WRITERS + 1;
+        let pool = Arc::new(config.build_pool().unwrap());
+        let quarantines = Arc::new(AtomicUsize::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let (pool, quarantines) = (Arc::clone(&pool), Arc::clone(&quarantines));
+                std::thread::spawn(move || {
+                    for round in 0..300 {
+                        let slot = pool.checkout(Precision::Float16).unwrap();
+                        std::thread::sleep(Duration::from_micros(50));
+                        if round == 60 * (w + 1) {
+                            pool.quarantine(Precision::Float16, slot).unwrap();
+                            quarantines.fetch_add(1, Ordering::SeqCst);
+                        } else {
+                            pool.check_in(Precision::Float16, slot).unwrap();
+                        }
+                    }
+                })
+            })
+            .collect();
+        let reader = {
+            let (pool, stop) = (Arc::clone(&pool), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    let _ = pool.merged_report(Duration::from_millis(1));
+                    let health = pool.health();
+                    assert!(health.healthy >= 1 && health.total == WRITERS + 1);
+                }
+            })
+        };
+
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let wait_for = |threads: &[std::thread::JoinHandle<()>]| {
+            while !threads.iter().all(|t| t.is_finished()) && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        wait_for(&writers);
+        stop.store(true, Ordering::SeqCst);
+        wait_for(std::slice::from_ref(&reader));
+        assert!(
+            writers.iter().chain([&reader]).all(|t| t.is_finished()),
+            "a pool thread is still blocked 30 s in"
+        );
+        for thread in writers.into_iter().chain([reader]) {
+            thread.join().unwrap();
+        }
+
+        let lost = quarantines.load(Ordering::SeqCst);
+        assert_eq!(lost, WRITERS);
+        let health = PoolHealth {
+            healthy: WRITERS + 1 - lost,
+            total: WRITERS + 1,
+        };
+        assert_eq!(pool.health(), health);
+        assert_eq!(pool.fleet_health(Precision::Float16).unwrap(), health);
     }
 
     #[test]

@@ -758,7 +758,7 @@ fn run_job(shared: &Shared, job: &Job) -> tcbf::Result<beamform::BeamformOutput>
     // Every replay consumes either a permanent fault (quarantining one of
     // the fleet's engines) or a one-shot transient fault, so attempts are
     // bounded; the cap is a backstop against misconfigured injectors.
-    let fleet = shared.pool.fleet_health(precision)?.total;
+    let fleet = shared.pool.fleet_size();
     let max_attempts = 2 * fleet + 2;
     for _ in 0..max_attempts {
         let mut slot = shared.pool.checkout(precision)?;

@@ -97,8 +97,7 @@ impl FrameRateModel {
     /// the model does not fit in device memory); the rate is
     /// `frames_per_batch / batch_time`.
     pub fn frames_per_second(&self, voxels: usize) -> f64 {
-        let spec = self.device.spec();
-        let exec = ExecutionModel::new(spec.clone());
+        let exec = ExecutionModel::new(self.device.spec().clone());
         let k = self.config.k_rows();
         let n = self.frames_per_batch;
 
@@ -107,11 +106,10 @@ impl FrameRateModel {
         // before the experiment and is excluded, as in the paper.
         let mut batch_time = 0.0;
         if self.precision == Precision::Int1 {
-            batch_time += exec.time(&pack::pack_profile(spec, k, n, 16)).elapsed_s;
+            batch_time += exec.time(&pack::pack_profile(k, n, 16)).elapsed_s;
         }
         batch_time += exec
             .time(&transpose::transpose_profile(
-                spec,
                 k,
                 n,
                 self.precision.input_bits(),
@@ -264,10 +262,10 @@ pub(crate) fn offline_comparison_for(device: &Device, shape: GemmShape) -> Offli
     // TCBF path: pack + transpose the measurement matrix, then the 1-bit
     // GEMM (chunked over voxels if the model does not fit in memory).
     let mut tcbf_seconds = exec
-        .time(&pack::pack_profile(spec, shape.k, shape.n, 16))
+        .time(&pack::pack_profile(shape.k, shape.n, 16))
         .elapsed_s
         + exec
-            .time(&transpose::transpose_profile(spec, shape.k, shape.n, 1))
+            .time(&transpose::transpose_profile(shape.k, shape.n, 1))
             .elapsed_s;
     let model = FrameRateModel::new(
         device,
